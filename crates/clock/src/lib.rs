@@ -14,7 +14,7 @@
 //! policies be tested against induced failures deterministically.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A virtual clock counting simulated nanoseconds since start.
@@ -114,10 +114,21 @@ pub enum Fault {
 ///
 /// Calls are numbered from 0 in arrival order at the transport that owns
 /// the injector. Each planned fault fires exactly once.
+///
+/// Every transport consults the injector on every call, almost always with
+/// nothing planned, so the per-call entry points number the call and then
+/// return after one load of `armed` when it reads zero.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     plan: Mutex<Vec<(u64, Fault)>>,
     calls: AtomicU64,
+    /// Everything that can make a call fail: plan entries, plus one while
+    /// the down state is set, plus partition entries not yet swept. Each
+    /// term moves under the mutex that guards its state, so once an arming
+    /// call has returned, every later call reads a non-zero count and takes
+    /// the locked path; a lazily healed partition or a due restart keeps
+    /// the count up until that path sweeps it.
+    armed: AtomicUsize,
     /// Crash down-state: `Some(restart_at)` while the peer is down.
     /// `restart_at = Some(t)` schedules a restart once the sim clock
     /// passes `t`; `None` means down until [`FaultInjector::restore`].
@@ -143,7 +154,39 @@ impl FaultInjector {
 
     /// Schedule `fault` for the `nth` call (0-based) seen after now.
     pub fn on_nth_call(&self, nth: u64, fault: Fault) {
-        self.plan.lock().push((self.calls.load(Ordering::SeqCst) + nth, fault));
+        let mut plan = self.plan.lock();
+        plan.push((self.calls.load(Ordering::SeqCst) + nth, fault));
+        self.armed.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Removes and returns the plan entry for call `n`, if one is due.
+    fn take_planned(&self, n: u64) -> Option<Fault> {
+        let mut plan = self.plan.lock();
+        let at = plan.iter().position(|(when, _)| *when == n)?;
+        self.armed.fetch_sub(1, Ordering::SeqCst);
+        Some(plan.swap_remove(at).1)
+    }
+
+    /// Writes the down state, keeping `armed` in step. Callers hold the
+    /// `down` lock (`slot` is its guard's target).
+    fn set_down(&self, slot: &mut Option<Option<u64>>, to: Option<Option<u64>>) {
+        match (slot.is_some(), to.is_some()) {
+            (false, true) => self.armed.fetch_add(1, Ordering::SeqCst),
+            (true, false) => self.armed.fetch_sub(1, Ordering::SeqCst),
+            _ => 0,
+        };
+        *slot = to;
+    }
+
+    /// Drops the partitions `keep` rejects, keeping `armed` in step.
+    fn retain_partitions(
+        &self,
+        parts: &mut Vec<(u64, u64, u64)>,
+        keep: impl FnMut(&(u64, u64, u64)) -> bool,
+    ) {
+        let before = parts.len();
+        parts.retain(keep);
+        self.armed.fetch_sub(before - parts.len(), Ordering::SeqCst);
     }
 
     /// Schedule `fault` for the next call.
@@ -154,9 +197,10 @@ impl FaultInjector {
     /// Record one call and return the fault planned for it, if any.
     pub fn next_call(&self) -> Option<Fault> {
         let n = self.calls.fetch_add(1, Ordering::SeqCst);
-        let mut plan = self.plan.lock();
-        let at = plan.iter().position(|(when, _)| *when == n)?;
-        Some(plan.swap_remove(at).1)
+        if self.armed.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        self.take_planned(n)
     }
 
     /// Record one call with crash bookkeeping: while the injector is in
@@ -178,10 +222,13 @@ impl FaultInjector {
     /// transports use the conventional `(0, 1)` pair.
     pub fn next_call_between(&self, now_ns: u64, a: u64, b: u64) -> Option<Fault> {
         let n = self.calls.fetch_add(1, Ordering::SeqCst);
+        if self.armed.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
         {
             let mut down = self.down.lock();
             match *down {
-                Some(Some(restart_at)) if now_ns >= restart_at => *down = None,
+                Some(Some(restart_at)) if now_ns >= restart_at => self.set_down(&mut down, None),
                 Some(_) => return Some(Fault::Crash { restart_after_ns: None }),
                 None => {}
             }
@@ -190,14 +237,10 @@ impl FaultInjector {
             let heal_after_ns = if heal_at == u64::MAX { u64::MAX } else { heal_at - now_ns };
             return Some(Fault::Partition { a: pa, b: pb, heal_after_ns });
         }
-        let fault = {
-            let mut plan = self.plan.lock();
-            let at = plan.iter().position(|(when, _)| *when == n)?;
-            plan.swap_remove(at).1
-        };
+        let fault = self.take_planned(n)?;
         match fault {
             Fault::Crash { restart_after_ns } => {
-                *self.down.lock() = Some(restart_after_ns.map(|d| now_ns + d));
+                self.crash(restart_after_ns.map(|d| now_ns + d));
             }
             Fault::Partition { a: pa, b: pb, heal_after_ns } => {
                 let heal_at = now_ns.saturating_add(heal_after_ns);
@@ -219,7 +262,9 @@ impl FaultInjector {
     /// [`FaultInjector::heal`]). Schedule compilers use this to apply
     /// partition events at absolute sim times without burning plan slots.
     pub fn partition(&self, a: u64, b: u64, heal_at_ns: u64) {
-        self.partitions.lock().push((a, b, heal_at_ns));
+        let mut parts = self.partitions.lock();
+        parts.push((a, b, heal_at_ns));
+        self.armed.fetch_add(1, Ordering::SeqCst);
     }
 
     /// True while an active partition covers the pair `(a, b)` as of
@@ -230,20 +275,21 @@ impl FaultInjector {
 
     fn active_partition(&self, a: u64, b: u64, now_ns: u64) -> Option<(u64, u64, u64)> {
         let mut parts = self.partitions.lock();
-        parts.retain(|&(_, _, heal_at)| now_ns < heal_at);
+        self.retain_partitions(&mut parts, |&(_, _, heal_at)| now_ns < heal_at);
         parts.iter().copied().find(|&(pa, pb, _)| pair_matches(pa, pb, a, b))
     }
 
     /// Heals every partition touching the pair `(a, b)` immediately
     /// (wildcards match both ways).
     pub fn heal(&self, a: u64, b: u64) {
-        self.partitions.lock().retain(|&(pa, pb, _)| !pair_matches(pa, pb, a, b));
+        let mut parts = self.partitions.lock();
+        self.retain_partitions(&mut parts, |&(pa, pb, _)| !pair_matches(pa, pb, a, b));
     }
 
     /// Heals every partition immediately (an operator reconnecting the
     /// fabric, or a restart wave).
     pub fn heal_all(&self) {
-        self.partitions.lock().clear();
+        self.retain_partitions(&mut self.partitions.lock(), |_| false);
     }
 
     /// Degrades the link until the sim clock passes `until_ns`: every call
@@ -283,12 +329,12 @@ impl FaultInjector {
     /// [`FaultInjector::restore`]). Schedule compilers use this to apply
     /// crash events at absolute sim times without burning plan slots.
     pub fn crash(&self, restart_at_ns: Option<u64>) {
-        *self.down.lock() = Some(restart_at_ns);
+        self.set_down(&mut self.down.lock(), Some(restart_at_ns));
     }
 
     /// Clear the crash down-state immediately (an operator restart).
     pub fn restore(&self) {
-        *self.down.lock() = None;
+        self.set_down(&mut self.down.lock(), None);
     }
 
     /// Number of calls observed so far.

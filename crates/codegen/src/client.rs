@@ -81,28 +81,24 @@ fn scalar_unpack(module: &Module, ty: &Type, slot: usize) -> Result<(String, Str
         Type::Octet | Type::U16 | Type::U32 => {
             ("u32".into(), format!("frame[{slot}].as_u32().unwrap_or(0)"))
         }
-        Type::I16 | Type::I32 => (
-            "i32".into(),
-            format!("if let Value::I32(v) = frame[{slot}] {{ v }} else {{ 0 }}"),
-        ),
-        Type::I64 => (
-            "i64".into(),
-            format!("if let Value::I64(v) = frame[{slot}] {{ v }} else {{ 0 }}"),
-        ),
-        Type::U64 => ("u64".into(), format!("frame[{slot}].as_u64().unwrap_or(0)")),
-        Type::F64 => (
-            "f64".into(),
-            format!("if let Value::F64(v) = frame[{slot}] {{ v }} else {{ 0.0 }}"),
-        ),
-        Type::Named(n) => (
-            camel(n),
-            format!(
-                "/* enum ordinal */ unsafe {{ core::mem::transmute(frame[{slot}].as_u32().unwrap_or(0)) }}"
-            ),
-        ),
-        other => {
-            return Err(CoreError::Unsupported(format!("scalar unpack for `{other}`")))
+        Type::I16 | Type::I32 => {
+            ("i32".into(), format!("if let Value::I32(v) = frame[{slot}] {{ v }} else {{ 0 }}"))
         }
+        Type::I64 => {
+            ("i64".into(), format!("if let Value::I64(v) = frame[{slot}] {{ v }} else {{ 0 }}"))
+        }
+        Type::U64 => ("u64".into(), format!("frame[{slot}].as_u64().unwrap_or(0)")),
+        Type::F64 => {
+            ("f64".into(), format!("if let Value::F64(v) = frame[{slot}] {{ v }} else {{ 0.0 }}"))
+        }
+        // The ordinal is the peer's: decode it checked (the method's `?`
+        // surfaces an undeclared one as a decode error).
+        Type::Named(n) => {
+            let name = camel(n);
+            let extract = format!("{name}::from_ordinal(frame[{slot}].as_u32().unwrap_or(0))?");
+            (name, extract)
+        }
+        other => return Err(CoreError::Unsupported(format!("scalar unpack for `{other}`"))),
     };
     Ok((rust, extract))
 }

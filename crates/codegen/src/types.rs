@@ -68,6 +68,7 @@ pub fn emit_types(module: &Module) -> Result<String> {
                     let _ = writeln!(out, "    {} = {},", camel(item), i);
                 }
                 let _ = writeln!(out, "}}\n");
+                emit_from_ordinal(&mut out, &camel(&td.name), items);
             }
             TypeBody::Union { .. } => {
                 return Err(CoreError::Unsupported(format!(
@@ -78,6 +79,30 @@ pub fn emit_types(module: &Module) -> Result<String> {
         }
     }
     Ok(out)
+}
+
+/// Emits the enum's checked decode. Ordinals arrive from the peer, so one
+/// outside the declared items must come back as a decode error: generated
+/// stubs never reinterpret wire bytes as an enum.
+fn emit_from_ordinal(out: &mut String, name: &str, items: &[String]) {
+    let _ = writeln!(out, "impl {name} {{");
+    let _ = writeln!(out, "    /// The item with this wire ordinal; an undeclared ordinal is a");
+    let _ = writeln!(out, "    /// decode error (`MarshalError::BadDiscriminant`).");
+    let _ = writeln!(
+        out,
+        "    pub fn from_ordinal(ordinal: u32) -> Result<Self, flexrpc_runtime::MarshalError> {{"
+    );
+    let _ = writeln!(out, "        match ordinal {{");
+    for (i, item) in items.iter().enumerate() {
+        let _ = writeln!(out, "            {i} => Ok(Self::{}),", camel(item));
+    }
+    let _ = writeln!(
+        out,
+        "            other => Err(flexrpc_runtime::MarshalError::BadDiscriminant(other)),"
+    );
+    let _ = writeln!(out, "        }}");
+    let _ = writeln!(out, "    }}");
+    let _ = writeln!(out, "}}\n");
 }
 
 #[cfg(test)]
@@ -113,6 +138,9 @@ mod tests {
         assert!(s.contains("pub size: u32,"));
         assert!(s.contains("pub enum Nfsstat {"));
         assert!(s.contains("NfsOk = 0,"));
+        assert!(s.contains("pub fn from_ordinal(ordinal: u32)"));
+        assert!(s.contains("1 => Ok(Self::NfserrIo),"));
+        assert!(s.contains("other => Err(flexrpc_runtime::MarshalError::BadDiscriminant(other)"));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   redirects all subsequent admissions without draining anything.
 //! * [`ControlPlane`] — the shared manager mapping [`TenantId`]s to
 //!   handles and per-tenant metrics (`tenant.<id>.*` in the unified
-//!   registry), attachable to any number of engines.
+//!   registry), attachable to any number of engines. A binding resolves
+//!   its tenant's [`TenantCells`] once; calls then read policy through
+//!   the handle and never touch the map.
 //! * [`WfqQueue`] — the start-time fair queue that replaces the engine's
 //!   single FIFO: per-tenant lanes, weight-proportional drain, quota
 //!   sheds charged to the offender, aggregate high water as a backstop.
@@ -27,6 +29,6 @@ pub mod policy;
 pub mod wfq;
 
 pub use flexrpc_runtime::TenantId;
-pub use plane::{ControlPlane, TenantMetrics};
+pub use plane::{ControlPlane, TenantCells, TenantMetrics};
 pub use policy::{Policy, PolicyHandle};
 pub use wfq::{WfqGroup, WfqQueue, WfqRefusal, QUANTUM};

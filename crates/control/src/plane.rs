@@ -51,20 +51,31 @@ impl TenantMetrics {
     }
 }
 
-struct Tenants {
-    handles: HashMap<TenantId, PolicyHandle>,
-    metrics: HashMap<TenantId, Arc<TenantMetrics>>,
+/// One tenant's live policy handle and metric cells, resolved together.
+///
+/// Both are stable for the tenant's lifetime — [`ControlPlane::register`]
+/// swaps through the existing handle and cells are never removed — so an
+/// engine resolves them once when a connection binds and every later call
+/// reads policy through the handle: swaps stay visible to the very next
+/// call with no map lookup on the call path.
+#[derive(Clone)]
+pub struct TenantCells {
+    /// The tenant's live policy.
+    pub handle: PolicyHandle,
+    /// The tenant's counters and dwell histogram.
+    pub metrics: Arc<TenantMetrics>,
 }
 
 /// The shared manager owning per-tenant policy and metrics.
 ///
 /// Engines attach to a plane at build time (`Engine::builder().control(..)`)
-/// and consult it on every admission; operators hold [`PolicyHandle`]s and
-/// swap policies live. Unknown tenants are materialised on first use from
-/// the plane's default template, so declaring a tenant is optional — the
-/// anonymous default tenant preserves single-queue behavior.
+/// and resolve a tenant through it when a connection binds; operators hold
+/// [`PolicyHandle`]s and swap policies live. Unknown tenants are
+/// materialised on first use from the plane's default template, so
+/// declaring a tenant is optional — the anonymous default tenant preserves
+/// single-queue behavior.
 pub struct ControlPlane {
-    tenants: RwLock<Tenants>,
+    tenants: RwLock<HashMap<TenantId, TenantCells>>,
     default_template: RwLock<Arc<Policy>>,
     /// Registries of the engines attached to this plane; new tenants'
     /// metrics are adopted into each.
@@ -85,7 +96,7 @@ impl ControlPlane {
     /// A plane whose unseen tenants start from `template`.
     pub fn with_default_policy(template: Policy) -> Arc<ControlPlane> {
         Arc::new(ControlPlane {
-            tenants: RwLock::new(Tenants { handles: HashMap::new(), metrics: HashMap::new() }),
+            tenants: RwLock::new(HashMap::new()),
             default_template: RwLock::new(Arc::new(template)),
             registries: Mutex::new(Vec::new()),
             swaps: Counter::detached(),
@@ -103,29 +114,35 @@ impl ControlPlane {
     /// its live handle. Re-registering an existing tenant swaps its
     /// policy (counted as a swap) rather than minting a second handle.
     pub fn register(&self, tenant: TenantId, policy: Policy) -> PolicyHandle {
-        {
-            let tenants = self.tenants.read();
-            if let Some(h) = tenants.handles.get(&tenant) {
-                let h = h.clone();
-                drop(tenants);
+        let existing = self.tenants.read().get(&tenant).map(|c| c.handle.clone());
+        match existing {
+            Some(h) => {
                 h.swap(policy);
                 self.swaps.inc();
-                return h;
+                h
             }
+            None => self.materialise(tenant, Some(policy)).handle,
         }
-        self.materialise(tenant, Some(policy))
     }
 
     /// The live handle for `tenant`, creating it from the default
     /// template on first sight.
     pub fn tenant(&self, tenant: TenantId) -> PolicyHandle {
-        {
-            let tenants = self.tenants.read();
-            if let Some(h) = tenants.handles.get(&tenant) {
-                return h.clone();
-            }
+        self.resolve(tenant).handle
+    }
+
+    /// `tenant`'s handle and metric cells in one lookup, materialising the
+    /// tenant on first sight — what an engine calls once per binding.
+    pub fn resolve(&self, tenant: TenantId) -> TenantCells {
+        self.with_cells(tenant, TenantCells::clone)
+    }
+
+    /// Applies `f` to `tenant`'s entry, materialising it on first sight.
+    fn with_cells<R>(&self, tenant: TenantId, f: impl FnOnce(&TenantCells) -> R) -> R {
+        if let Some(cells) = self.tenants.read().get(&tenant) {
+            return f(cells);
         }
-        self.materialise(tenant, None)
+        f(&self.materialise(tenant, None))
     }
 
     /// Swaps `tenant`'s policy live, materialising the tenant if needed.
@@ -137,22 +154,14 @@ impl ControlPlane {
         v
     }
 
-    /// The current policy for `tenant` — what an engine loads at
-    /// admission time (one map read + one `Arc` bump).
+    /// The current policy for `tenant` (one map read + one `Arc` bump).
     pub fn policy_for(&self, tenant: TenantId) -> Arc<Policy> {
-        self.tenant(tenant).load()
+        self.with_cells(tenant, |c| c.handle.load())
     }
 
     /// The metrics cells for `tenant`, materialising on first sight.
     pub fn metrics_for(&self, tenant: TenantId) -> Arc<TenantMetrics> {
-        {
-            let tenants = self.tenants.read();
-            if let Some(m) = tenants.metrics.get(&tenant) {
-                return Arc::clone(m);
-            }
-        }
-        self.materialise(tenant, None);
-        Arc::clone(self.tenants.read().metrics.get(&tenant).expect("just materialised"))
+        self.with_cells(tenant, |c| Arc::clone(&c.metrics))
     }
 
     /// Attaches an engine's registry: plane-level counters and every
@@ -161,11 +170,10 @@ impl ControlPlane {
         registry.adopt_counter("control.swaps", &self.swaps);
         registry.adopt_counter("control.rebinds", &self.rebinds);
         let tenants = self.tenants.read();
-        for (t, m) in &tenants.metrics {
-            m.register_into(*t, registry);
-        }
-        for (t, h) in &tenants.handles {
-            registry.adopt_counter(&format!("tenant.{t}.policy_swaps"), h.swap_counter());
+        for (t, cells) in tenants.iter() {
+            cells.metrics.register_into(*t, registry);
+            registry
+                .adopt_counter(&format!("tenant.{t}.policy_swaps"), cells.handle.swap_counter());
         }
         drop(tenants);
         self.registries.lock().push(Arc::clone(registry));
@@ -178,7 +186,7 @@ impl ControlPlane {
 
     /// Tenants materialised so far.
     pub fn tenant_count(&self) -> usize {
-        self.tenants.read().handles.len()
+        self.tenants.read().len()
     }
 
     /// Total live policy swaps.
@@ -191,12 +199,12 @@ impl ControlPlane {
         self.rebinds.get()
     }
 
-    fn materialise(&self, tenant: TenantId, policy: Option<Policy>) -> PolicyHandle {
+    fn materialise(&self, tenant: TenantId, policy: Option<Policy>) -> TenantCells {
         let template = Arc::clone(&self.default_template.read());
         let mut tenants = self.tenants.write();
         // Double-check under the write lock: another thread may have won.
-        if let Some(h) = tenants.handles.get(&tenant) {
-            return h.clone();
+        if let Some(cells) = tenants.get(&tenant) {
+            return cells.clone();
         }
         let handle = PolicyHandle::new(tenant, policy.unwrap_or_else(|| Policy::clone(&template)));
         let metrics = Arc::new(TenantMetrics::detached());
@@ -204,9 +212,9 @@ impl ControlPlane {
             metrics.register_into(tenant, registry);
             registry.adopt_counter(&format!("tenant.{tenant}.policy_swaps"), handle.swap_counter());
         }
-        tenants.handles.insert(tenant, handle.clone());
-        tenants.metrics.insert(tenant, metrics);
-        handle
+        let cells = TenantCells { handle, metrics };
+        tenants.insert(tenant, cells.clone());
+        cells
     }
 }
 
@@ -241,6 +249,27 @@ mod tests {
         assert_eq!(h.load().quota_value(), Some(2), "old handle sees the swap");
         assert_eq!(plane.swap_count(), 1);
         assert_eq!(h.version(), 2);
+    }
+
+    /// What a binding resolved once stays the tenant's live state:
+    /// re-registering swaps through the same handle, and the cells are the
+    /// ones `metrics_for` and the registry see.
+    #[test]
+    fn resolved_cells_stay_live_across_reregistration() {
+        let plane = ControlPlane::new();
+        let registry = Arc::new(MetricsRegistry::new());
+        plane.attach_registry(&registry);
+        let cells = plane.resolve(TenantId(6));
+        assert_eq!(cells.handle.with(|p| p.quota_value()), None, "from the template");
+
+        let registered = plane.register(TenantId(6), Policy::new().quota(3));
+        assert_eq!(plane.tenant_count(), 1, "no second entry");
+        assert_eq!(cells.handle.with(|p| p.quota_value()), Some(3));
+        assert_eq!((cells.handle.version(), registered.version()), (2, 2));
+
+        cells.metrics.served.inc();
+        assert!(Arc::ptr_eq(&cells.metrics, &plane.metrics_for(TenantId(6))));
+        assert_eq!(registry.snapshot().counter("tenant.6.served"), 1);
     }
 
     #[test]

@@ -186,10 +186,16 @@ impl PolicyHandle {
         self.tenant
     }
 
-    /// The current policy (one atomic ref-count bump; admission-path
-    /// cheap).
+    /// The current policy, shared (one atomic ref-count bump).
     pub fn load(&self) -> Arc<Policy> {
         Arc::clone(&self.cell.policy.read())
+    }
+
+    /// Reads the current policy in place, under the cell's read guard: the
+    /// admission path's accessor — no `Arc` bump, and a swap is visible to
+    /// the very next read. Keep `f` short; a swap waits for it.
+    pub fn with<R>(&self, f: impl FnOnce(&Policy) -> R) -> R {
+        f(&self.cell.policy.read())
     }
 
     /// Replaces the policy **live**: every admission after the store sees

@@ -20,7 +20,7 @@
 use flexrpc_runtime::TenantId;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Scaled cost of one call at weight 1. Large enough that integer
@@ -45,7 +45,6 @@ struct State<T> {
     virtual_now: u64,
     /// Items across all lanes.
     total: usize,
-    closed: bool,
 }
 
 /// Aggregate backlog counter shared by every shard in a shard *group*.
@@ -90,6 +89,9 @@ pub enum WfqRefusal<T> {
 /// and a worker pool (consumers).
 pub struct WfqQueue<T> {
     state: Mutex<State<T>>,
+    /// Set once by [`WfqQueue::close`], under the state lock: pushes and
+    /// pops read it under that lock, [`WfqQueue::is_closed`] without it.
+    closed: AtomicBool,
     capacity: usize,
     /// Aggregate backlog across the shard group this queue belongs to.
     group: Arc<WfqGroup>,
@@ -112,12 +114,8 @@ impl<T> WfqQueue<T> {
     /// `try_push`'s `high_water` backstop bounds the whole shard set.
     pub fn with_group(capacity: usize, group: Arc<WfqGroup>) -> WfqQueue<T> {
         WfqQueue {
-            state: Mutex::new(State {
-                lanes: BTreeMap::new(),
-                virtual_now: 0,
-                total: 0,
-                closed: false,
-            }),
+            state: Mutex::new(State { lanes: BTreeMap::new(), virtual_now: 0, total: 0 }),
+            closed: AtomicBool::new(false),
             capacity: capacity.max(1),
             group,
             not_full: Condvar::new(),
@@ -172,7 +170,7 @@ impl<T> WfqQueue<T> {
     ) -> Result<(), WfqRefusal<T>> {
         let mut state = self.state.lock();
         loop {
-            if state.closed {
+            if self.is_closed() {
                 return Err(WfqRefusal::Closed(item));
             }
             if let Some(q) = quota {
@@ -203,7 +201,7 @@ impl<T> WfqQueue<T> {
         high_water: usize,
     ) -> Result<(), WfqRefusal<T>> {
         let mut state = self.state.lock();
-        if state.closed {
+        if self.is_closed() {
             return Err(WfqRefusal::Closed(item));
         }
         if let Some(q) = quota {
@@ -232,7 +230,7 @@ impl<T> WfqQueue<T> {
             if let Some(item) = self.take_head(&mut state) {
                 return Some(item);
             }
-            if state.closed {
+            if self.is_closed() {
                 return None;
             }
             self.not_empty.wait(&mut state);
@@ -249,9 +247,9 @@ impl<T> WfqQueue<T> {
         self.take_head(&mut self.state.lock())
     }
 
-    /// True once [`WfqQueue::close`] has been called.
+    /// True once [`WfqQueue::close`] has been called (one atomic load).
     pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
+        self.closed.load(Ordering::SeqCst)
     }
 
     /// Closes the queue and returns every item that had not yet been
@@ -261,7 +259,7 @@ impl<T> WfqQueue<T> {
     #[must_use = "unstarted items must be failed, not silently dropped"]
     pub fn close(&self) -> Vec<T> {
         let mut state = self.state.lock();
-        state.closed = true;
+        self.closed.store(true, Ordering::SeqCst);
         let mut unstarted = Vec::with_capacity(state.total);
         while let Some(item) = self.take_head(&mut state) {
             unstarted.push(item);

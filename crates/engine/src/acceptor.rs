@@ -17,11 +17,12 @@
 //! record marks with no intermediate per-reply frame.
 
 use crate::engine::{CallTicket, ClientInfo, Engine, EngineError};
+use flexrpc_control::TenantCells;
 use flexrpc_core::program::CompiledOp;
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
 use flexrpc_net::{HostId, NetError, SimNet};
 use flexrpc_runtime::policy::CallTag;
-use flexrpc_runtime::RetryPolicy;
+use flexrpc_runtime::{RetryPolicy, TenantId};
 use flexrpc_trace::{SharedCallTrace, Stage};
 use std::sync::Arc;
 
@@ -44,6 +45,9 @@ pub fn expose_on_net(
 ) -> Result<(), EngineError> {
     let pool = engine.pool_for(service_name, client)?;
     let compiled = pool.compiled();
+    // Untagged calls are the anonymous tenant's; like a connection, the
+    // exposure resolves those cells once, here.
+    let anonymous = engine.control().resolve(TenantId::DEFAULT);
     let eng = Arc::clone(engine);
     engine.counters().connections.inc();
     net.register_service(host, move |stream| {
@@ -56,11 +60,11 @@ pub fn expose_on_net(
                 Ok(x) => x,
                 Err(e) => return Err(format!("undecodable call in stream: {e}")),
             };
-            let tag = tag.map(|(binding, seq, tenant)| {
-                CallTag::for_tenant(binding, seq, flexrpc_runtime::TenantId(tenant))
-            });
-            outcomes
-                .push((hdr.xid, submit_one(&eng, &pool, &compiled, hdr, tag, args, (prog, vers))));
+            let tag = tag
+                .map(|(binding, seq, tenant)| CallTag::for_tenant(binding, seq, TenantId(tenant)));
+            let outcome =
+                submit_one(&eng, &pool, &anonymous, &compiled, hdr, tag, args, (prog, vers));
+            outcomes.push((hdr.xid, outcome));
         }
         // Phase 2: await and re-frame. Waiting in submit order is fine —
         // execution already overlapped; XIDs let the client reorder freely.
@@ -113,9 +117,11 @@ enum Outcome {
     Pending(CallTicket),
 }
 
+#[allow(clippy::too_many_arguments)]
 fn submit_one(
     engine: &Arc<Engine>,
     pool: &Arc<crate::engine::ReplicaPool>,
+    anonymous: &TenantCells,
     compiled: &flexrpc_core::program::CompiledInterface,
     hdr: CallHeader,
     tag: Option<CallTag>,
@@ -136,7 +142,7 @@ fn submit_one(
     let Some(op_index) = op_index else {
         return Outcome::Immediate(AcceptStat::ProcUnavail);
     };
-    match engine.submit_to_pool(pool, op_index, args, &[], tag) {
+    match engine.submit_to_pool(pool, anonymous, op_index, args, &[], tag) {
         Ok(ticket) => Outcome::Pending(ticket),
         // Shed, shutdown, induced failures, and an open breaker are all
         // SYSTEM_ERR (RFC 1057's "server is having trouble"), distinct from

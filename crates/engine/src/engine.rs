@@ -30,7 +30,7 @@ use crate::slot::ReplySlot;
 use crate::stats::{EngineCounters, EngineStatsSnapshot};
 use flexrpc_clock::{Fault, FaultInjector, SimClock};
 use flexrpc_control::{
-    ControlPlane, Policy, PolicyHandle, TenantMetrics, WfqGroup, WfqQueue, WfqRefusal,
+    ControlPlane, Policy, PolicyHandle, TenantCells, TenantMetrics, WfqGroup, WfqQueue, WfqRefusal,
 };
 use flexrpc_core::compat::negotiate_call_shape;
 use flexrpc_core::fuse::SpecializeOptions;
@@ -43,8 +43,9 @@ use flexrpc_runtime::replycache::ReplyCache;
 use flexrpc_runtime::transport::Transport;
 use flexrpc_runtime::{RpcError, ServerInterface};
 use flexrpc_trace::{Counter, Histogram, MetricsRegistry, SharedCallTrace, Stage};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -197,41 +198,50 @@ impl CallTicket {
 
 /// Wakes parked workers when work arrives anywhere in the shard set.
 ///
-/// Producers bump a sequence under the mutex and `notify_one` — a single
-/// job wakes a single worker, not the herd. Workers read the epoch
-/// *before* scanning the shards and park only if it has not moved since,
-/// so a push that lands mid-scan can never be missed.
+/// Producers bump a sequence under the park mutex and `notify_one` — a
+/// single job wakes a single worker, not the herd. Workers read the epoch
+/// (one atomic load per job) *before* scanning the shards and park only if
+/// it has not moved since, so a push that lands mid-scan can never be
+/// missed.
 struct SubmitSignal {
-    seq: Mutex<u64>,
+    /// Only advanced with `park` held, so a parking worker's re-check and
+    /// a producer's bump are ordered by that mutex.
+    seq: AtomicU64,
+    park: Mutex<()>,
     ready: Condvar,
 }
 
 impl SubmitSignal {
     fn new() -> SubmitSignal {
-        SubmitSignal { seq: Mutex::new(0), ready: Condvar::new() }
+        SubmitSignal { seq: AtomicU64::new(0), park: Mutex::new(()), ready: Condvar::new() }
     }
 
     fn epoch(&self) -> u64 {
-        *self.seq.lock()
+        self.seq.load(Ordering::SeqCst)
+    }
+
+    fn advance(&self) {
+        let _park = self.park.lock();
+        self.seq.fetch_add(1, Ordering::SeqCst);
     }
 
     /// One unit of work arrived: wake exactly one parked worker.
     fn bump(&self) {
-        *self.seq.lock() += 1;
+        self.advance();
         self.ready.notify_one();
     }
 
     /// Shutdown: every parked worker must wake to observe the close.
     fn bump_all(&self) {
-        *self.seq.lock() += 1;
+        self.advance();
         self.ready.notify_all();
     }
 
     /// Parks until the epoch moves past `seen`.
     fn wait_past(&self, seen: u64) {
-        let mut seq = self.seq.lock();
-        while *seq == seen {
-            self.ready.wait(&mut seq);
+        let mut park = self.park.lock();
+        while self.epoch() == seen {
+            self.ready.wait(&mut park);
         }
     }
 }
@@ -248,14 +258,16 @@ struct Job {
     deadline_ns: Option<u64>,
     /// At-most-once identity, consulted against the engine's reply cache.
     tag: Option<CallTag>,
-    /// The tenant this call was admitted under (per-tenant accounting).
-    tenant: TenantId,
-    /// The tenant's metric cells, resolved once at admission so the
+    /// Metric cells of the tenant this call was admitted under, so the
     /// worker never touches the control plane's maps.
     tenant_metrics: Arc<TenantMetrics>,
     /// Induced `Close` fault: execute (and cache) normally, then lose the
     /// reply — the submitter sees a disconnect.
     close_after: bool,
+    /// For the real half of a duplicated delivery, its shadow's slot: the
+    /// dispatch waits for it, so a thief running this job on another
+    /// worker still replays what the shadow recorded.
+    after: Option<Arc<Completion>>,
     /// Sim time the job entered the queue (dwell accounting).
     enqueue_ns: u64,
     /// Span trace of the submitting connection, if it asked for one: the
@@ -266,9 +278,11 @@ struct Job {
 
 /// The outcome of the shared admission preamble ([`Engine::admit`]):
 /// everything both the queue path and the inline path need to proceed.
-struct Admission {
+struct Admission<'a> {
     tenant: TenantId,
-    tenant_metrics: Arc<TenantMetrics>,
+    /// The cells the call is charged to: the binding's own, or a
+    /// tag-borne foreign tenant's.
+    tenant_metrics: &'a Arc<TenantMetrics>,
     weight: u32,
     quota: Option<usize>,
     high_water: Option<usize>,
@@ -287,25 +301,40 @@ struct Admission {
 /// application state; any worker may use any free replica.
 pub(crate) struct ReplicaPool {
     compiled: Arc<CompiledInterface>,
-    replicas: Mutex<Vec<ServerInterface>>,
+    /// One lock per replica: checkout is a `try_lock` and return is the
+    /// guard's drop — a single uncontended lock round trip per dispatch,
+    /// and the replica never moves.
+    replicas: Vec<Mutex<ServerInterface>>,
+    /// Parks dispatchers that found every replica out.
+    starved: Mutex<()>,
     freed: Condvar,
 }
 
 impl ReplicaPool {
-    fn acquire(&self) -> ServerInterface {
-        let mut replicas = self.replicas.lock();
+    /// Takes a free replica for one dispatch, trying `home`'s first so
+    /// each worker keeps to its own while there is no contention. Hand it
+    /// back through [`ReplicaPool::give_back`].
+    fn checkout(&self, home: usize) -> MutexGuard<'_, ServerInterface> {
+        let n = self.replicas.len();
+        let scan = || (0..n).find_map(|k| self.replicas[(home + k) % n].try_lock());
+        if let Some(replica) = scan() {
+            return replica;
+        }
+        // Pools are sized to the worker count, but inline callers on top
+        // of a busy worker set can outnumber the replicas. A replica comes
+        // free outside `starved`, so its wake can slip between the scan and
+        // the park: the park is sliced, which bounds that to a millisecond.
+        let mut parked = self.starved.lock();
         loop {
-            if let Some(r) = replicas.pop() {
-                return r;
+            if let Some(replica) = scan() {
+                return replica;
             }
-            // More workers than replicas should not happen (pools are sized
-            // to the worker count), but waiting keeps it correct if it does.
-            self.freed.wait(&mut replicas);
+            self.freed.wait_for(&mut parked, Duration::from_millis(1));
         }
     }
 
-    fn release(&self, replica: ServerInterface) {
-        self.replicas.lock().push(replica);
+    fn give_back(&self, replica: MutexGuard<'_, ServerInterface>) {
+        drop(replica);
         self.freed.notify_one();
     }
 
@@ -389,8 +418,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Attaches a shared [`ControlPlane`]: per-tenant policy handles and
-    /// metrics are resolved through it at every admission, and the
+    /// Attaches a shared [`ControlPlane`]: every binding resolves its
+    /// tenant's policy handle and metric cells through it, and the
     /// engine's registry adopts its `control.*` / `tenant.*` cells. A
     /// private plane is created when none is supplied.
     pub fn control(mut self, plane: Arc<ControlPlane>) -> EngineBuilder {
@@ -535,7 +564,7 @@ impl EngineBuilder {
                         // wakeup with single-worker notifies.
                         let epoch = signal.epoch();
                         if let Some(job) = shards[own].try_pop() {
-                            Engine::run_job(&eng, &clock, job, &served, false);
+                            Engine::run_job(&eng, &clock, job, &served, own, false);
                             continue;
                         }
                         // Idle: steal the fair head of the longest peer
@@ -549,7 +578,7 @@ impl EngineBuilder {
                             .filter(|(len, _)| *len > 0);
                         if let Some((_, k)) = victim {
                             if let Some(job) = shards[k].try_pop() {
-                                Engine::run_job(&eng, &clock, job, &served, true);
+                                Engine::run_job(&eng, &clock, job, &served, own, true);
                                 continue;
                             }
                         }
@@ -733,7 +762,7 @@ impl Engine {
                 )
             })
             .map_err(EngineError::Compile)?;
-        let replicas: Vec<ServerInterface> = (0..self.workers_n)
+        let replicas: Vec<Mutex<ServerInterface>> = (0..self.workers_n)
             .map(|_| {
                 let mut replica =
                     ServerInterface::new_shared(Arc::clone(&compiled), service.format);
@@ -743,12 +772,13 @@ impl Engine {
                 if let Some(cache) = &self.reply_cache {
                     replica.set_reply_cache(Arc::clone(cache));
                 }
-                replica
+                Mutex::new(replica)
             })
             .collect();
         let pool = Arc::new(ReplicaPool {
             compiled,
-            replicas: Mutex::new(replicas),
+            replicas,
+            starved: Mutex::new(()),
             freed: Condvar::new(),
         });
         pools.insert(key, Arc::clone(&pool));
@@ -770,14 +800,15 @@ impl Engine {
         }
     }
 
-    /// Runs one dequeued job on the calling worker thread. `eng` is weak
-    /// so worker threads never keep a dropped engine alive; a job caught
+    /// Runs one dequeued job on worker `own`'s thread. `eng` is weak so
+    /// worker threads never keep a dropped engine alive; a job caught
     /// mid-teardown is failed like any other unstarted work.
     fn run_job(
         eng: &std::sync::Weak<Engine>,
         clock: &SimClock,
         job: Job,
         served: &Counter,
+        own: usize,
         stolen: bool,
     ) {
         let Some(engine) = eng.upgrade() else {
@@ -804,7 +835,10 @@ impl Engine {
         if let Some((t, call)) = &job.trace {
             t.record(*call, Stage::Enqueue, job.enqueue_ns, started_ns, 0);
         }
-        let mut replica = job.pool.acquire();
+        if let Some(shadow) = &job.after {
+            let _ = shadow.wait();
+        }
+        let mut replica = job.pool.checkout(own);
         let mut body = Vec::new();
         let mut rights_out = Vec::new();
         let result = replica
@@ -817,7 +851,7 @@ impl Engine {
                 &mut rights_out,
             )
             .map(|()| Reply { body, rights: rights_out });
-        job.pool.release(replica);
+        job.pool.give_back(replica);
         if let Some((t, call)) = &job.trace {
             t.record(*call, Stage::Dispatch, started_ns, clock.now_ns(), job.op_index as u64);
         }
@@ -855,15 +889,24 @@ impl Engine {
     }
 
     /// Shared admission preamble for every submission path: the breaker
-    /// gate, tenant resolution, the induced-fault plan, and deadline /
+    /// gate, the effective tenant, the induced-fault plan, and deadline /
     /// dwell-limit resolution. Exactly one fault event is consumed per
     /// offered call, whether it then runs inline or through a queue.
-    fn admit(
+    ///
+    /// `bound` is what the submitting binding resolved when it was
+    /// established, so the warm path hashes no map and clones no `Arc`:
+    /// policy is read in place through the handle (a swap is visible to
+    /// the very next call). Only a tag naming *another* non-default tenant
+    /// — the acceptor path, where tenancy rides the wire credential — goes
+    /// to the plane's map; those cells are parked in `foreign` so the
+    /// admission can borrow them.
+    fn admit<'a>(
         &self,
         deadline_ns: Option<u64>,
         tag: Option<CallTag>,
-        tenant: TenantId,
-    ) -> Result<Admission, EngineError> {
+        bound: &'a TenantCells,
+        foreign: &'a mut Option<TenantCells>,
+    ) -> Result<Admission<'a>, EngineError> {
         // Health gate first: an open breaker refuses before any work or
         // fault accounting happens, so clients fail over immediately.
         if let Some(b) = &self.breaker {
@@ -871,10 +914,12 @@ impl Engine {
                 return Err(EngineError::Unhealthy);
             }
         }
-        let tenant = tag.map(|t| t.tenant).filter(|t| !t.is_default()).unwrap_or(tenant);
-        let tenant_policy = self.control.policy_for(tenant);
-        let tenant_metrics = self.control.metrics_for(tenant);
-        let engine_policy = self.policy();
+        let cells: &TenantCells = match tag.map(|t| t.tenant) {
+            Some(t) if !t.is_default() && t != bound.handle.tenant() => {
+                foreign.insert(self.control.resolve(t))
+            }
+            _ => bound,
+        };
         // Induced faults are applied at admission — the point where both
         // the same-domain path and the network acceptor path converge.
         let mut close_after = false;
@@ -901,22 +946,27 @@ impl Engine {
             }
         }
         let now = self.clock.now_ns();
+        let (weight, quota, tenant_dwell, tenant_deadline) = cells
+            .handle
+            .with(|p| (p.weight_value(), p.quota_value(), p.dwell_limit_ns(), p.deadline_ns()));
+        let (high_water, engine_dwell) = {
+            let p = self.policy.read();
+            (p.high_water_value(), p.dwell_limit_ns())
+        };
         // The tenant's dwell limit overrides the engine default; the
         // tenant's deadline default applies only when the caller set none.
-        let dwell_limit = tenant_policy.dwell_limit_ns().or(engine_policy.dwell_limit_ns());
-        let dwell_deadline = dwell_limit.map(|d| now.saturating_add(d));
-        let deadline_ns =
-            deadline_ns.or_else(|| tenant_policy.deadline_ns().map(|d| now.saturating_add(d)));
+        let dwell_deadline = tenant_dwell.or(engine_dwell).map(|d| now.saturating_add(d));
+        let deadline_ns = deadline_ns.or_else(|| tenant_deadline.map(|d| now.saturating_add(d)));
         let deadline_ns = match (deadline_ns, dwell_deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
         Ok(Admission {
-            tenant,
-            tenant_metrics,
-            weight: tenant_policy.weight_value(),
-            quota: tenant_policy.quota_value(),
-            high_water: engine_policy.high_water_value(),
+            tenant: cells.handle.tenant(),
+            tenant_metrics: &cells.metrics,
+            weight,
+            quota,
+            high_water,
             deadline_ns,
             close_after,
             duplicate,
@@ -927,29 +977,30 @@ impl Engine {
     /// Enqueues one dispatch through per-tenant admission control.
     ///
     /// The effective tenant is the tag's (when it carries a non-default
-    /// one — the acceptor path, where tenancy rides the wire credential)
-    /// or the connection's. Its live [`Policy`] decides the weighted-fair
-    /// share, the quota (excess shed as [`EngineError::Overloaded`],
-    /// charged to this tenant), and dwell/deadline overrides; the engine
-    /// policy's high water is the aggregate backstop. With a high water
-    /// set the push never blocks; without one it blocks at queue capacity
-    /// (backpressure), though a quota refusal still returns immediately.
+    /// one) or the binding's. Its live [`Policy`] decides the
+    /// weighted-fair share, the quota (excess shed as
+    /// [`EngineError::Overloaded`], charged to this tenant), and
+    /// dwell/deadline overrides; the engine policy's high water is the
+    /// aggregate backstop. With a high water set the push never blocks;
+    /// without one it blocks at queue capacity (backpressure), though a
+    /// quota refusal still returns immediately.
     #[allow(clippy::too_many_arguments)]
     fn enqueue(
         &self,
-        pool: &Arc<ReplicaPool>,
+        pool: Arc<ReplicaPool>,
+        bound: &TenantCells,
         binding: u64,
         op_index: usize,
         request: Vec<u8>,
         rights: Vec<u32>,
         deadline_ns: Option<u64>,
         tag: Option<CallTag>,
-        tenant: TenantId,
         trace: Option<&SharedCallTrace>,
     ) -> Result<CallTicket, EngineError> {
-        let adm = self.admit(deadline_ns, tag, tenant)?;
+        let mut foreign = None;
+        let adm = self.admit(deadline_ns, tag, bound, &mut foreign)?;
         let shard = self.home_shard(adm.tenant, binding);
-        self.finish_enqueue(pool, op_index, request, rights, tag, trace, adm, shard)
+        self.finish_enqueue(pool, op_index, request, rights, tag, trace, &adm, shard)
     }
 
     /// The queue tail of admission: slot, pre-expired check, the shadow
@@ -957,13 +1008,13 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     fn finish_enqueue(
         &self,
-        pool: &Arc<ReplicaPool>,
+        pool: Arc<ReplicaPool>,
         op_index: usize,
         request: Vec<u8>,
         rights: Vec<u32>,
         tag: Option<CallTag>,
         trace: Option<&SharedCallTrace>,
-        adm: Admission,
+        adm: &Admission<'_>,
         shard: usize,
     ) -> Result<CallTicket, EngineError> {
         let slot = Arc::new(Completion::new());
@@ -976,45 +1027,46 @@ impl Engine {
             slot.fill(Err(RpcError::DeadlineExceeded));
             return Ok(ticket);
         }
+        let mut after = None;
         if adm.duplicate {
             // Duplicated delivery: a shadow copy of the job runs first and
             // its reply is discarded. Under at-most-once the shadow records
             // into the reply cache and the real job replays from it — one
             // handler execution even though the queue saw the call twice.
             // The shadow is invisible to the submitter's trace.
-            self.counters.job_enqueued();
+            let shadow_slot = Arc::new(Completion::new());
+            after = Some(Arc::clone(&shadow_slot));
             let shadow = Job {
-                pool: Arc::clone(pool),
+                pool: Arc::clone(&pool),
                 op_index,
                 request: request.clone(),
                 rights: rights.clone(),
-                slot: Arc::new(Completion::new()),
+                slot: shadow_slot,
                 deadline_ns: adm.deadline_ns,
                 tag,
-                tenant: adm.tenant,
-                tenant_metrics: Arc::clone(&adm.tenant_metrics),
+                tenant_metrics: Arc::clone(adm.tenant_metrics),
                 close_after: false,
+                after: None,
                 enqueue_ns: adm.now,
                 trace: None,
             };
-            self.push_job(shadow, adm.weight, adm.quota, adm.high_water, shard)?;
+            self.push_job(shadow, adm, shard)?;
         }
-        self.counters.job_enqueued();
         let job = Job {
-            pool: Arc::clone(pool),
+            pool,
             op_index,
             request,
             rights,
             slot,
             deadline_ns: adm.deadline_ns,
             tag,
-            tenant: adm.tenant,
-            tenant_metrics: adm.tenant_metrics,
+            tenant_metrics: Arc::clone(adm.tenant_metrics),
             close_after: adm.close_after,
+            after,
             enqueue_ns: adm.now,
             trace: trace.map(|t| (t.clone(), t.begin_call())),
         };
-        self.push_job(job, adm.weight, adm.quota, adm.high_water, shard)?;
+        self.push_job(job, adm, shard)?;
         Ok(ticket)
     }
 
@@ -1023,31 +1075,23 @@ impl Engine {
     /// is charged to the submitting tenant's own counter as well as the
     /// engine's. A successful push bumps the submit signal: one wakeup,
     /// one parked worker.
-    fn push_job(
-        &self,
-        job: Job,
-        weight: u32,
-        quota: Option<usize>,
-        high_water: Option<usize>,
-        shard: usize,
-    ) -> Result<(), EngineError> {
-        let tenant = job.tenant;
-        let tenant_metrics = Arc::clone(&job.tenant_metrics);
+    fn push_job(&self, job: Job, adm: &Admission<'_>, shard: usize) -> Result<(), EngineError> {
+        self.counters.job_enqueued();
         let queue = &self.shards[shard];
-        let pushed = match high_water {
-            Some(hw) => queue.try_push(job, tenant, weight, quota, hw),
-            None => queue.push(job, tenant, weight, quota),
+        let pushed = match adm.high_water {
+            Some(hw) => queue.try_push(job, adm.tenant, adm.weight, adm.quota, hw),
+            None => queue.push(job, adm.tenant, adm.weight, adm.quota),
         };
         match pushed {
             Ok(()) => {
-                tenant_metrics.admitted.inc();
+                adm.tenant_metrics.admitted.inc();
                 self.signal.bump();
                 Ok(())
             }
             Err(WfqRefusal::Quota(_)) | Err(WfqRefusal::Full(_)) => {
                 self.counters.in_flight.sub(1);
                 self.counters.job_shed();
-                tenant_metrics.shed.inc();
+                adm.tenant_metrics.shed.inc();
                 Err(EngineError::Overloaded)
             }
             Err(WfqRefusal::Closed(_)) => {
@@ -1071,18 +1115,19 @@ impl Engine {
     pub(crate) fn call_blocking(
         &self,
         pool: &Arc<ReplicaPool>,
+        bound: &TenantCells,
         binding: u64,
         op_index: usize,
         request: &[u8],
         rights: &[u32],
         deadline_ns: Option<u64>,
         tag: Option<CallTag>,
-        tenant: TenantId,
         trace: Option<&SharedCallTrace>,
         reply: &mut Vec<u8>,
         rights_out: &mut Vec<u32>,
     ) -> flexrpc_runtime::Result<()> {
-        let adm = self.admit(deadline_ns, tag, tenant).map_err(admission_error)?;
+        let mut foreign = None;
+        let adm = self.admit(deadline_ns, tag, bound, &mut foreign).map_err(admission_error)?;
         let shard = self.home_shard(adm.tenant, binding);
         // Duplicate deliveries must ride the queue: the shadow and the
         // real call share one FIFO lane there, so the shadow strictly
@@ -1094,18 +1139,18 @@ impl Engine {
             && !self.shards[shard].is_closed()
         {
             return self.dispatch_inline(
-                pool, op_index, request, rights, tag, adm, shard, trace, reply, rights_out,
+                pool, op_index, request, rights, tag, &adm, shard, trace, reply, rights_out,
             );
         }
         let ticket = self
             .finish_enqueue(
-                pool,
+                Arc::clone(pool),
                 op_index,
                 request.to_vec(),
                 rights.to_vec(),
                 tag,
                 trace,
-                adm,
+                &adm,
                 shard,
             )
             .map_err(admission_error)?;
@@ -1121,43 +1166,22 @@ impl Engine {
     }
 
     /// The inline dispatch tail: mirrors every counter, trace span, and
-    /// fault behavior of the worker path, with zero queue dwell.
+    /// fault behavior of the worker path, with zero queue dwell. Checks
+    /// its replica out starting at the call's home `shard`.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_inline(
         &self,
-        pool: &Arc<ReplicaPool>,
+        pool: &ReplicaPool,
         op_index: usize,
         request: &[u8],
         rights: &[u32],
         tag: Option<CallTag>,
-        adm: Admission,
+        adm: &Admission<'_>,
         shard: usize,
         trace: Option<&SharedCallTrace>,
         reply: &mut Vec<u8>,
         rights_out: &mut Vec<u32>,
     ) -> flexrpc_runtime::Result<()> {
-        if adm.duplicate {
-            // The shadow of a duplicated delivery still rides the queue;
-            // under at-most-once either order yields one execution (the
-            // loser replays the winner's cached reply).
-            self.counters.job_enqueued();
-            let shadow = Job {
-                pool: Arc::clone(pool),
-                op_index,
-                request: request.to_vec(),
-                rights: rights.to_vec(),
-                slot: Arc::new(Completion::new()),
-                deadline_ns: adm.deadline_ns,
-                tag,
-                tenant: adm.tenant,
-                tenant_metrics: Arc::clone(&adm.tenant_metrics),
-                close_after: false,
-                enqueue_ns: adm.now,
-                trace: None,
-            };
-            self.push_job(shadow, adm.weight, adm.quota, adm.high_water, shard)
-                .map_err(admission_error)?;
-        }
         self.counters.job_enqueued();
         self.counters.inline_calls.inc();
         let started_ns = self.clock.now_ns();
@@ -1168,11 +1192,11 @@ impl Engine {
         if let Some((t, call)) = &trace_call {
             t.record(*call, Stage::Enqueue, started_ns, started_ns, 0);
         }
-        let mut replica = pool.acquire();
+        let mut replica = pool.checkout(shard);
         reply.clear();
         rights_out.clear();
         let result = replica.dispatch_tagged(op_index, request, rights, tag, reply, rights_out);
-        pool.release(replica);
+        pool.give_back(replica);
         if let Some((t, call)) = &trace_call {
             t.record(*call, Stage::Dispatch, started_ns, self.clock.now_ns(), op_index as u64);
         }
@@ -1196,13 +1220,15 @@ impl Engine {
         result
     }
 
-    /// Submits into a specific pool (the acceptor's path). Tenancy rides
-    /// the tag when the wire credential carried one; the dwell limit
-    /// still applies even without a caller deadline. The shard binding is
-    /// the tag's when present, else the pool's identity.
+    /// Submits into a specific pool (the acceptor's path). `bound` is the
+    /// exposure's own (anonymous) tenant, resolved when it was set up;
+    /// tenancy rides the tag when the wire credential carried one. The
+    /// dwell limit still applies even without a caller deadline. The shard
+    /// binding is the tag's when present, else the pool's identity.
     pub(crate) fn submit_to_pool(
         &self,
         pool: &Arc<ReplicaPool>,
+        bound: &TenantCells,
         op_index: usize,
         request: &[u8],
         rights: &[u32],
@@ -1210,14 +1236,14 @@ impl Engine {
     ) -> Result<CallTicket, EngineError> {
         let binding = tag.map_or(Arc::as_ptr(pool) as u64, |t| t.binding);
         self.enqueue(
-            pool,
+            Arc::clone(pool),
+            bound,
             binding,
             op_index,
             request.to_vec(),
             rights.to_vec(),
             None,
             tag,
-            TenantId::DEFAULT,
             None,
         )
     }
@@ -1348,7 +1374,7 @@ impl ConnectBuilder {
     /// Binds the connection to a tenant's live [`PolicyHandle`]: sets the
     /// tenant, and inherits the policy's current retry license into the
     /// connection's options when they carry none. Later
-    /// [`PolicyHandle::swap`]s keep applying — admission loads the policy
+    /// [`PolicyHandle::swap`]s keep applying — admission reads the policy
     /// live — but the retry license is fixed at this call.
     pub fn policy(mut self, handle: &PolicyHandle) -> ConnectBuilder {
         self.tenant = handle.tenant();
@@ -1367,6 +1393,11 @@ impl ConnectBuilder {
     /// [`Stage::Bind`] span (plus [`Stage::Specialize`] when this
     /// combination compiled rather than hit the program cache), and every
     /// later call records its queue-dwell and dispatch spans into it.
+    ///
+    /// The tenant's policy handle and metric cells are resolved here, once
+    /// (materialising an unseen tenant from the plane's template): both
+    /// are stable for the tenant's lifetime, so calls on the connection
+    /// never consult the plane's map, yet see every later policy swap.
     pub fn establish(self) -> Result<EngineConnection, EngineError> {
         let trace = self.options.is_traced().then(|| {
             SharedCallTrace::sim(
@@ -1397,12 +1428,12 @@ impl ConnectBuilder {
             }
         }
         self.engine.counters.connections.inc();
-        static NEXT_CONN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+        static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
         Ok(EngineConnection {
+            tenant: self.engine.control.resolve(self.tenant),
             engine: self.engine,
             service: self.service,
-            tenant: self.tenant,
-            conn_id: NEXT_CONN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            conn_id: NEXT_CONN.fetch_add(1, Ordering::Relaxed),
             bind: RwLock::new(Binding { pool, shapes }),
             options: self.options,
             trace,
@@ -1476,7 +1507,9 @@ struct Binding {
 pub struct EngineConnection {
     engine: Arc<Engine>,
     service: String,
-    tenant: TenantId,
+    /// The tenant this connection submits as: its live policy handle and
+    /// metric cells, resolved at establishment.
+    tenant: TenantCells,
     /// Process-unique connection id: the default shard binding for
     /// untagged calls, so each connection's traffic has a stable home
     /// shard.
@@ -1529,14 +1562,14 @@ impl EngineConnection {
     ) -> Result<CallTicket, EngineError> {
         let pool = Arc::clone(&self.bind.read().pool);
         self.engine.enqueue(
-            &pool,
+            pool,
+            &self.tenant,
             self.binding_for(tag),
             op_index,
             request.to_vec(),
             rights.to_vec(),
             deadline_ns,
             tag,
-            self.tenant,
             self.trace.as_ref(),
         )
     }
@@ -1591,7 +1624,7 @@ impl EngineConnection {
 
     /// The tenant this connection submits as.
     pub fn tenant(&self) -> TenantId {
-        self.tenant
+        self.tenant.handle.tenant()
     }
 
     /// The program this connection's combination compiled to (shared with
@@ -1660,16 +1693,19 @@ impl Transport for EngineConnection {
         // queue the engine dispatches inline on this thread — no queue,
         // no worker handoff, the reply marshalled straight into `reply`.
         let deadline_ns = ctl.deadline_ns.or_else(|| self.connection_deadline());
-        let pool = Arc::clone(&self.bind.read().pool);
+        let binding = self.binding_for(ctl.tag);
+        // `&mut self` rules out a concurrent rebind, so the binding is
+        // read in place: no lock, no `Arc` clone.
+        let pool = &self.bind.get_mut().pool;
         self.engine.call_blocking(
-            &pool,
-            self.binding_for(ctl.tag),
+            pool,
+            &self.tenant,
+            binding,
             op.index,
             request,
             rights,
             deadline_ns,
             ctl.tag,
-            self.tenant,
             self.trace.as_ref(),
             reply,
             rights_out,

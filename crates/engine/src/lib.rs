@@ -24,9 +24,6 @@
 //!   signature* (wire signature × the two presentation fingerprints × the
 //!   negotiated trust pair × wire format). Each combination compiles once;
 //!   hit/miss counters prove it.
-//! * [`queue::BoundedQueue`] — the original single bounded MPMC job queue,
-//!   kept as the simple building block (the engine itself now runs on
-//!   sharded `WfqQueue`s).
 //! * [`engine::EngineConnection`] — same-domain client transport with
 //!   multiple outstanding calls ([`engine::EngineConnection::submit`]).
 //! * [`acceptor`] — Sun RPC exposure on the simulated network, including
@@ -38,7 +35,6 @@ pub mod acceptor;
 pub mod breaker;
 pub mod cache;
 pub mod engine;
-pub mod queue;
 pub mod slot;
 pub mod stats;
 
@@ -196,6 +192,68 @@ mod tests {
         engine.shutdown();
         let err = conn.submit(0, &[], &[]);
         assert!(matches!(err, Err(EngineError::Closed)));
+    }
+
+    /// Registers `read` so that a call asking for `count == 0` reports on
+    /// `entered` and then holds its replica until `release` yields.
+    fn register_holding(
+        engine: &Arc<Engine>,
+        entered: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    ) {
+        let release = Arc::new(parking_lot::Mutex::new(release));
+        engine
+            .register_service(
+                "hold",
+                fileio_example(),
+                "FileIO",
+                fileio_presentation(),
+                WireFormat::Cdr,
+                move |srv| {
+                    let (entered, release) = (entered.clone(), Arc::clone(&release));
+                    srv.on("read", move |call| {
+                        let count = call.u32("count").unwrap();
+                        if count == 0 {
+                            entered.send(()).unwrap();
+                            release.lock().recv().unwrap();
+                        }
+                        call.set("return", Value::Bytes(vec![0x5A; count as usize])).unwrap();
+                        0
+                    })
+                    .unwrap();
+                },
+            )
+            .unwrap();
+    }
+
+    fn read(engine: &Arc<Engine>, count: u32) -> Vec<u8> {
+        let conn = engine.connect("hold").client(client_info(Trust::None)).establish().unwrap();
+        let mut client = stub_for(conn);
+        let mut frame = client.new_frame("read").unwrap();
+        frame[0] = Value::U32(count);
+        client.call("read", &mut frame).unwrap();
+        match std::mem::replace(&mut frame[1], Value::U32(0)) {
+            Value::Bytes(b) => b,
+            other => panic!("read returned {other:?}"),
+        }
+    }
+
+    /// Replicas are checked out one lock each: with one held by a stalled
+    /// handler, the next inline call must take the free one, whichever
+    /// shard either call hashed to, rather than queue up behind the stall.
+    #[test]
+    fn inline_call_takes_any_free_replica() {
+        let engine = Engine::builder().workers(2).build();
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        register_holding(&engine, entered_tx, release_rx);
+        let eng = Arc::clone(&engine);
+        let stalled = std::thread::spawn(move || read(&eng, 0));
+        entered.recv().unwrap(); // one of the two replicas is now held
+        assert_eq!(read(&engine, 3), vec![0x5A; 3], "served while the other call stalls");
+        release.send(()).unwrap();
+        assert!(stalled.join().unwrap().is_empty());
+        assert_eq!(engine.stats().inline_calls, 2);
     }
 
     #[test]

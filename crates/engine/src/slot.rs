@@ -21,9 +21,9 @@
 //! Contract: exactly one value is ever published (later `fill`s are
 //! dropped, first wins) and at most one thread waits on a given slot.
 
-use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// No value yet, no waiter parked.
@@ -45,7 +45,10 @@ const YIELD_AFTER: u32 = 8;
 pub struct ReplySlot<T> {
     state: AtomicU32,
     value: UnsafeCell<Option<T>>,
-    /// Touched only when the waiter actually parks.
+    /// Touched only when the waiter actually parks. These are `std`'s own
+    /// primitives, not the workspace's `parking_lot` stand-in: `PARKED`
+    /// already tells `fill` whether anyone needs waking, so the stand-in's
+    /// waiter count would only add bytes to every call's slot allocation.
     park: Mutex<()>,
     ready: Condvar,
 }
@@ -100,7 +103,7 @@ impl<T> ReplySlot<T> {
                     // Publish *under the park lock*: the waiter parks and
                     // re-checks state under the same lock, so the wake
                     // cannot slip between its check and its wait.
-                    let _guard = self.park.lock();
+                    let _guard = self.park();
                     self.state.store(FULL, Ordering::Release);
                     self.ready.notify_all();
                     return true;
@@ -108,6 +111,12 @@ impl<T> ReplySlot<T> {
                 Err(_) => return false, // FULL or FILLING: first fill won.
             }
         }
+    }
+
+    /// Locks the park mutex. It guards no data, so a holder that panicked
+    /// left nothing behind to distrust.
+    fn park(&self) -> MutexGuard<'_, ()> {
+        self.park.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Takes the published value. Caller observed `FULL` with `Acquire`.
@@ -134,12 +143,12 @@ impl<T> ReplySlot<T> {
             return v;
         }
         loop {
-            let mut guard = self.park.lock();
+            let guard = self.park();
             match self.state.compare_exchange(EMPTY, PARKED, Ordering::Acquire, Ordering::Acquire) {
                 // Parked (or still parked after a spurious wake): sleep
-                // until the filler publishes under this same lock.
-                Ok(_) => self.ready.wait(&mut guard),
-                Err(PARKED) => self.ready.wait(&mut guard),
+                // until the filler publishes under this same lock. The
+                // loop re-locks, so the guard the wake returns is dropped.
+                Ok(_) | Err(PARKED) => drop(self.ready.wait(guard)),
                 Err(FULL) => {
                     drop(guard);
                     return self.take();
@@ -167,10 +176,10 @@ impl<T> ReplySlot<T> {
             if expired() {
                 return None;
             }
-            let mut guard = self.park.lock();
+            let guard = self.park();
             match self.state.compare_exchange(EMPTY, PARKED, Ordering::Acquire, Ordering::Acquire) {
                 Ok(_) | Err(PARKED) => {
-                    let _ = self.ready.wait_for(&mut guard, Duration::from_millis(1));
+                    drop(self.ready.wait_timeout(guard, Duration::from_millis(1)));
                 }
                 Err(FULL) => {
                     drop(guard);

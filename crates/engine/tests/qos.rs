@@ -15,6 +15,7 @@ use flexrpc_core::value::Value;
 use flexrpc_engine::{ControlPlane, Engine, EngineError, Policy, TenantId};
 use flexrpc_marshal::WireFormat;
 use flexrpc_runtime::wire::AnyWriter;
+use flexrpc_runtime::{CallControl, CallTag, Transport};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::Duration;
@@ -256,6 +257,136 @@ fn policy_swap_applies_to_subsequent_admissions() {
     // The plane-level counter tracks swaps *through the plane*; the
     // direct handle swap shows up only on the tenant's own counter.
     assert_eq!(snap.counter("control.swaps"), 1);
+    engine.shutdown();
+}
+
+/// A connection resolves its tenant's handle and metric cells once, when
+/// it is established. That must not make it stale: registering the tenant
+/// it already materialised, and swapping through the handle, are both seen
+/// by the very next call on the old connection.
+#[test]
+fn connection_bound_before_the_change_sees_registration_and_swap() {
+    let plane = ControlPlane::new();
+    let (engine, gate) = plugged_engine(&plane);
+    // Bound while A and B are unknown: both start from the neutral template.
+    let conn_plug = engine.connect("qos").tenant(TENANT_PLUG).establish().unwrap();
+    let conn_a = engine.connect("qos").tenant(TENANT_A).establish().unwrap();
+    let conn_b = engine.connect("qos").tenant(TENANT_B).establish().unwrap();
+    assert_eq!(plane.tenant_count(), 3, "establishing materialises the tenant");
+
+    // Registration after the fact goes through the handle the connection
+    // already holds, not a second one.
+    let handle = plane.register(TENANT_A, Policy::new().weight(3).quota(16));
+    assert_eq!((plane.tenant_count(), handle.version()), (3, 2));
+
+    let plug = conn_plug.submit(0, &read_request(0), &[]).unwrap();
+    settle();
+    let mut a: Vec<_> = (0..16).map(|_| conn_a.submit(0, &read_request(1), &[]).unwrap()).collect();
+    assert!(
+        matches!(conn_a.submit(0, &read_request(1), &[]), Err(EngineError::Overloaded)),
+        "the registered quota of 16 binds the old connection"
+    );
+    let b: Vec<_> = (0..16).map(|_| conn_b.submit(0, &read_request(1), &[]).unwrap()).collect();
+
+    handle.swap(Policy::new().weight(3).quota(32));
+    a.push(conn_a.submit(0, &read_request(1), &[]).expect("the swapped quota admits at once"));
+
+    gate.open();
+    assert!(plug.wait().is_ok());
+    for t in a.into_iter().chain(b) {
+        assert!(t.wait().is_ok());
+    }
+    let snap = engine.metrics().snapshot();
+    assert_eq!(snap.counter("tenant.1.admitted"), 17);
+    assert_eq!(snap.counter("tenant.1.shed"), 1);
+    // The registered weight reached the queue too: the same 3-to-1 drain as
+    // `weights_divide_the_drain_deterministically`.
+    let a_mean = snap.histogram("tenant.1.dwell_ns").unwrap().mean();
+    let b_mean = snap.histogram("tenant.2.dwell_ns").unwrap().mean();
+    assert!(a_mean * 3 < b_mean * 2, "weight 3 not applied (A mean {a_mean}, B mean {b_mean})");
+    engine.shutdown();
+}
+
+/// `Engine::swap_policy` reaches an already-bound connection's next call:
+/// a new high water sheds it, a new dwell limit stamps it, and calls
+/// queued before the swap keep the terms they were admitted under.
+#[test]
+fn engine_policy_swap_reaches_bound_connections() {
+    let plane = ControlPlane::new();
+    let (engine, gate) = plugged_engine(&plane);
+    let conn = engine.connect("qos").establish().unwrap();
+    let plug = conn.submit(0, &read_request(0), &[]).unwrap();
+    settle();
+
+    engine.swap_policy(Policy::new().high_water(2));
+    let unbounded: Vec<_> =
+        (0..2).map(|_| conn.submit(0, &read_request(1), &[]).unwrap()).collect();
+    assert!(matches!(conn.submit(0, &read_request(1), &[]), Err(EngineError::Overloaded)));
+
+    // No high water now, but every admission gets one service time of
+    // dwell; the three calls ahead of these need three.
+    engine.swap_policy(Policy::new().dwell_limit(Duration::from_nanos(SERVICE_NS)));
+    let limited: Vec<_> = (0..3).map(|_| conn.submit(0, &read_request(1), &[]).unwrap()).collect();
+
+    gate.open();
+    assert!(plug.wait().is_ok());
+    for t in unbounded {
+        assert!(t.wait().is_ok(), "admitted before the dwell limit existed");
+    }
+    for t in limited {
+        assert!(t.wait().is_err(), "queued past the swapped-in dwell limit");
+    }
+    let snap = engine.metrics().snapshot();
+    assert_eq!(snap.counter("engine.shed"), 1);
+    assert_eq!(snap.counter("engine.expired"), 3);
+    assert_eq!(snap.counter("tenant.0.expired"), 3);
+    engine.shutdown();
+}
+
+/// A tag naming another tenant (the acceptor's case: tenancy rides the
+/// wire credential) is admitted under *that* tenant's policy and charged
+/// to *its* cells on both paths, not to the tenant the connection bound.
+#[test]
+fn tag_borne_foreign_tenant_is_charged_to_its_own_cells() {
+    let plane = ControlPlane::new();
+    plane.register(TENANT_B, Policy::new().quota(1));
+    let (engine, gate) = plugged_engine(&plane);
+    let mut conn = engine.connect("qos").tenant(TENANT_A).establish().unwrap();
+    let as_b = |seq| Some(CallTag::for_tenant(7, seq, TENANT_B));
+
+    // Inline: nothing queued, so the blocking call runs on this thread.
+    let program = conn.program();
+    let ctl = CallControl { deadline_ns: None, tag: as_b(0) };
+    let (mut reply, mut rights) = (Vec::new(), Vec::new());
+    conn.call_with(
+        program.op("read").unwrap(),
+        &read_request(1),
+        &[],
+        &mut reply,
+        &mut rights,
+        &ctl,
+    )
+    .expect("inline call serves");
+
+    // Queued: behind the plug, B's quota of one — not A's absence of one —
+    // decides, and the shed is B's.
+    let plug = conn.submit(0, &read_request(0), &[]).unwrap();
+    settle();
+    let queued = conn.submit_tagged(0, &read_request(1), &[], None, as_b(1)).unwrap();
+    assert!(matches!(
+        conn.submit_tagged(0, &read_request(1), &[], None, as_b(2)),
+        Err(EngineError::Overloaded)
+    ));
+    gate.open();
+    assert!(plug.wait().is_ok() && queued.wait().is_ok());
+
+    let snap = engine.metrics().snapshot();
+    assert_eq!(snap.counter("engine.inline_calls"), 1);
+    assert_eq!(snap.counter("tenant.2.served"), 2, "inline and queued both charged to B");
+    assert_eq!(snap.counter("tenant.2.admitted"), 1);
+    assert_eq!(snap.counter("tenant.2.shed"), 1);
+    assert_eq!(snap.counter("tenant.1.served"), 1, "only the untagged plug is A's");
+    assert_eq!(snap.counter("tenant.1.shed"), 0);
     engine.shutdown();
 }
 

@@ -35,6 +35,7 @@ pub mod wire;
 
 pub use client::{ClientStub, DEFAULT_TRACE_CAPACITY};
 pub use error::{Error, ErrorKind, RpcError};
+pub use flexrpc_marshal::MarshalError;
 pub use hooks::{HookMap, SpecialMarshal};
 pub use policy::{CallControl, CallOptions, CallTag, RetryPolicy, TenantId};
 pub use replycache::{ReplyCache, ReplyCacheStats};

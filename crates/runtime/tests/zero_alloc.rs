@@ -17,18 +17,19 @@ use flexrpc_marshal::WireFormat;
 use flexrpc_runtime::policy::CallControl;
 use flexrpc_runtime::{ClientStub, ServerInterface, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. Each audit runs its calls on its
+    /// own test thread, so a per-thread count sees exactly the audited
+    /// path: a process-wide one also caught the harness spawning the next
+    /// test mid-audit, and failed about one run in fifteen.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The counter is process-global, so concurrently running audit tests
-/// would see each other's allocations; every test in this file serializes
-/// on this lock.
-static AUDIT: Mutex<()> = Mutex::new(());
-
-fn audit_guard() -> std::sync::MutexGuard<'static, ()> {
-    AUDIT.lock().unwrap_or_else(|e| e.into_inner())
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
 }
 
 struct Counting;
@@ -37,14 +38,14 @@ struct Counting;
 // only addition.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         unsafe { System.dealloc(p, l) }
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(p, l, n) }
     }
 }
@@ -131,7 +132,6 @@ fn stub(opts: SpecializeOptions, format: WireFormat) -> ClientStub {
 
 #[test]
 fn fused_fixed_size_call_allocates_nothing_when_warm() {
-    let _guard = audit_guard();
     for format in [WireFormat::Xdr, WireFormat::Cdr] {
         let mut stub = stub(SpecializeOptions::default(), format);
         let mut frame = stub.new_frame("scale").expect("frame");
@@ -145,11 +145,11 @@ fn fused_fixed_size_call_allocates_nothing_when_warm() {
             assert_eq!(status, 0);
         }
 
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         for _ in 0..100 {
             stub.call("scale", &mut frame).expect("call");
         }
-        let delta = ALLOCS.load(Ordering::Relaxed) - before;
+        let delta = allocs() - before;
         assert_eq!(
             delta, 0,
             "fused fixed-size call allocated {delta} times over 100 warm calls on {format:?}"
@@ -166,7 +166,6 @@ fn fused_fixed_size_call_allocates_nothing_when_warm() {
 fn traced_fused_call_allocates_nothing_when_warm() {
     use flexrpc_runtime::policy::CallOptions;
 
-    let _guard = audit_guard();
     let mut stub = stub(SpecializeOptions::default(), WireFormat::Cdr);
     let options = CallOptions::default().traced();
     let mut frame = stub.new_frame("scale").expect("frame");
@@ -181,11 +180,11 @@ fn traced_fused_call_allocates_nothing_when_warm() {
         assert_eq!(status, 0);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..100 {
         stub.call_with("scale", &mut frame, &options).expect("call");
     }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = allocs() - before;
     assert_eq!(delta, 0, "traced warm call allocated {delta} times over 100 calls");
 
     let trace = stub.trace().expect("tracer installed");
@@ -196,12 +195,11 @@ fn traced_fused_call_allocates_nothing_when_warm() {
 
 #[test]
 fn warm_call_allocation_audit_is_meaningful() {
-    let _guard = audit_guard();
     // Sanity-check the counter itself: an allocating workload must trip it.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let v = std::hint::black_box(vec![0u8; 4096]);
     drop(v);
-    assert!(ALLOCS.load(Ordering::Relaxed) > before, "counting allocator is live");
+    assert!(allocs() > before, "counting allocator is live");
 }
 
 /// The at-most-once *cache-hit* path — tag lookup plus a copy into the
@@ -213,7 +211,6 @@ fn reply_cache_hit_allocates_nothing_when_warm() {
     use flexrpc_runtime::policy::CallTag;
     use flexrpc_runtime::replycache::ReplyCache;
 
-    let _guard = audit_guard();
     let mut server = ServerInterface::new(compile(SpecializeOptions::default()), WireFormat::Cdr);
     let cache = ReplyCache::new(flexrpc_clock::SimClock::new(), std::time::Duration::from_secs(1));
     server.set_reply_cache(Arc::clone(&cache));
@@ -244,13 +241,13 @@ fn reply_cache_hit_allocates_nothing_when_warm() {
     }
     assert_eq!(cache.stats().executions, 1, "only the first dispatch ran the handler");
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..100 {
         server
             .dispatch_tagged(0, &request, &[], Some(tag), &mut reply, &mut rights_out)
             .expect("replay");
     }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = allocs() - before;
     assert_eq!(delta, 0, "cache-hit path allocated {delta} times over 100 warm replays");
     assert_eq!(cache.stats().suppressions, 115, "every repeat was answered from the cache");
 }

@@ -61,6 +61,15 @@ cargo run -q --release -p flexrpc-bench --bin report -- scale --check
 echo "== report cluster --check ==" >&2
 cargo run -q --release -p flexrpc-bench --bin report -- cluster --check
 
+# The benchmark is a package of its own (`benchmark/`, outside the
+# workspace) that reaches flexrpc only through public APIs. Build it, run
+# its tests and a very short pass of every workload here, so a public-API
+# change that stops it compiling fails CI rather than the next measurement.
+echo "== benchmark: cargo test --release ==" >&2
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+echo "== benchmark: run.sh --smoke ==" >&2
+bash benchmark/run.sh --smoke >/dev/null
+
 # The examples are the documented API surface; an API redesign that
 # breaks them must fail here, not in a reader's terminal.
 for ex in quickstart codegen_dump nfs_read pipe_throughput trust_matrix trace_failover edit_feed; do

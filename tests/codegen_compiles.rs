@@ -87,3 +87,57 @@ fn generated_file_is_fresh() {
         "regenerate tests/generated/fileio_dealloc_never.rs (the emitter changed)"
     );
 }
+
+/// `tests/generated/paint_enum.rs`: a client whose operation returns an
+/// IDL enum, so its reply carries an ordinal the *server* chose.
+mod paint {
+    include!("generated/paint_enum.rs");
+}
+
+const PAINT_IDL: &str = r#"
+    enum color { RED, GREEN, BLUE };
+    interface Paint {
+        color pick(in unsigned long n);
+    };
+"#;
+
+/// A hostile (or newer) server answers `pick` with whatever ordinal the
+/// client asks for. Declared ordinals decode to their items; the first
+/// undeclared one — `variants.len()` — must come back as a typed decode
+/// error from the generated stub, not be reinterpreted as a `Color`.
+#[test]
+fn generated_client_rejects_an_undeclared_enum_ordinal() {
+    use flexrpc::core::value::Value;
+    use flexrpc::marshal::MarshalError;
+    use flexrpc::runtime::RpcError;
+
+    let module = flexrpc::idl::corba::parse("paint", PAINT_IDL).expect("parses");
+    let iface = module.interface("Paint").expect("Paint");
+    let pres = InterfacePresentation::default_for(&module, iface).expect("defaults");
+    let opts = flexrpc::codegen::GenOptions { client: true, server: false };
+    assert_eq!(
+        flexrpc::codegen::generate(&module, iface, &pres, &opts).expect("generates"),
+        include_str!("generated/paint_enum.rs"),
+        "regenerate tests/generated/paint_enum.rs (the emitter changed)"
+    );
+
+    let compiled = CompiledInterface::compile(&module, iface, &pres).expect("compiles");
+    let mut srv = ServerInterface::new(compiled.clone(), WireFormat::Cdr);
+    srv.on("pick", |call| {
+        let n = call.u32("n").expect("n");
+        call.set("return", Value::U32(n)).expect("return");
+        0
+    })
+    .expect("registers");
+    let transport = Loopback::new(Arc::new(Mutex::new(srv)));
+    let mut client =
+        paint::PaintClient::new(ClientStub::new(compiled, WireFormat::Cdr, Box::new(transport)));
+
+    assert_eq!(client.pick(0).expect("declared"), paint::Color::Red);
+    assert_eq!(client.pick(2).expect("declared"), paint::Color::Blue);
+    let variants = 3;
+    match client.pick(variants) {
+        Err(RpcError::Marshal(MarshalError::BadDiscriminant(got))) => assert_eq!(got, variants),
+        other => panic!("ordinal {variants} must be a decode error, got {other:?}"),
+    }
+}

@@ -124,6 +124,54 @@ fn duplicated_engine_delivery_executes_once() {
     engine.shutdown();
 }
 
+/// The same, with the race forced: the shadow is held mid-handler while
+/// the second worker is free to steal the real half of the delivery. The
+/// real half must wait for the shadow to record, not run beside it.
+#[test]
+fn stolen_duplicate_waits_for_its_shadow() {
+    let engine = Engine::builder().workers(2).at_most_once(Duration::from_secs(1)).build();
+    let executions = Arc::new(AtomicU64::new(0));
+    let (entered_tx, entered) = std::sync::mpsc::channel();
+    let (release, release_rx) = std::sync::mpsc::channel::<()>();
+    let release_rx = Arc::new(Mutex::new(release_rx));
+    let m = counter_module();
+    let ex = Arc::clone(&executions);
+    engine
+        .register_service("counter", m.clone(), "Counter", presentation(&m), WireFormat::Cdr, {
+            move |srv| {
+                let (ex, entered, release) =
+                    (Arc::clone(&ex), entered_tx.clone(), Arc::clone(&release_rx));
+                srv.on("add", move |call| {
+                    if ex.fetch_add(1, Ordering::SeqCst) == 0 {
+                        entered.send(()).expect("test listens");
+                        release.lock().recv().expect("test releases");
+                    }
+                    let x = call.u32("x").expect("x");
+                    call.set("return", Value::U32(x)).expect("return");
+                    0
+                })
+                .expect("registers");
+            }
+        })
+        .expect("service registers");
+
+    let conn = engine.connect("counter").establish().expect("connects");
+    let mut stub = ClientStub::new(compiled(&m), WireFormat::Cdr, Box::new(conn));
+    stub.enable_at_most_once();
+    engine.faults().on_next_call(Fault::Duplicate);
+    let caller = std::thread::spawn(move || add(&mut stub, 7, &retrying()));
+
+    entered.recv().expect("the shadow reaches the handler");
+    // The idle worker has the real half within microseconds; give it far
+    // longer than that to (wrongly) run the handler a second time.
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(executions.load(Ordering::SeqCst), 1, "the real half ran beside its shadow");
+    release.send(()).expect("handler waits");
+    assert_eq!(caller.join().expect("caller thread").expect("call succeeds"), 7);
+    assert_eq!(executions.load(Ordering::SeqCst), 1, "duplicate suppressed by the cache");
+    engine.shutdown();
+}
+
 /// ISSUE acceptance #2: a same-domain client whose engine crashes fails
 /// over to a Sun RPC standby, renegotiating the presentation against the
 /// new endpoint. The combination signatures of the two bindings match —

@@ -259,6 +259,43 @@ fn failed_rebind_keeps_the_old_binding() {
     engine.shutdown();
 }
 
+/// A rebind swaps the combination, not the tenant: the connection keeps
+/// the policy handle it resolved when established, so registering its
+/// (already materialised) tenant and swapping the handle after the rebind
+/// both govern the very next submission.
+#[test]
+fn rebound_connection_still_sees_policy_changes() {
+    let plane = ControlPlane::new();
+    let gate = Arc::new(Gate::default());
+    let executions = Arc::new(AtomicU64::new(0));
+    let engine = plugged_engine(&plane, &gate, &executions);
+    let conn = engine.connect("counter").tenant(TENANT).establish().expect("connects");
+    conn.rebind(&presentation(Trust::LeakyUnprotected)).expect("rebind succeeds");
+
+    let plug = conn.submit(0, &add_request(999), &[]).expect("plug admitted");
+    std::thread::sleep(Duration::from_millis(50));
+
+    let handle = plane.register(TENANT, Policy::new().quota(2));
+    let mut tickets: Vec<_> =
+        (0..2).map(|i| conn.submit(0, &add_request(i), &[]).expect("under quota")).collect();
+    assert!(
+        matches!(conn.submit(0, &add_request(2), &[]), Err(EngineError::Overloaded)),
+        "a quota registered after the rebind binds the connection"
+    );
+    handle.swap(Policy::new().quota(3));
+    tickets.push(conn.submit(0, &add_request(2), &[]).expect("the widened quota admits"));
+
+    gate.open();
+    assert!(plug.wait().is_ok());
+    for t in tickets {
+        assert!(t.wait().is_ok());
+    }
+    let snap = engine.metrics().snapshot();
+    assert_eq!(snap.counter("tenant.1.admitted"), 4);
+    assert_eq!(snap.counter("tenant.1.shed"), 1);
+    engine.shutdown();
+}
+
 /// The supervisor's explicit rebind: re-runs endpoint binding on the
 /// current endpoint without a failure, carrying the at-most-once session
 /// and the tenant across — the operator-initiated twin of failover.
