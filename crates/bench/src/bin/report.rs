@@ -1,10 +1,12 @@
 //! Prints paper-style result rows for every measured figure.
 //!
 //! Usage: `report [figure...] [--json PATH] [--check] [--seed N]`
-//! where figure ∈ {fig2, fig6, fig7, fig10, fig11, fig12, port, ablate,
-//! serve, shed, fuse, failover, trace, stream, qos, scale, cluster}; no
-//! arguments runs everything. `--seed N` restricts `cluster` to one
-//! seeded schedule (the replay handle `scripts/chaos.sh` prints). `--json` additionally writes the numbers as
+//! where figure is a name in [`EXPERIMENTS`] (fig2, fig6, fig7, fig10,
+//! fig11, fig12, port, ablate, serve, shed, fuse, failover, trace, stream,
+//! qos, scale, cluster); no names runs everything, an unknown name exits 2
+//! listing the valid ones. `--seed N` restricts `cluster` to one seeded
+//! schedule (the replay handle `scripts/chaos.sh` prints). `--json`
+//! additionally writes the numbers as
 //! JSON (schema 2; used to refresh EXPERIMENTS.md), together with a
 //! snapshot of the metrics registry the experiments populated (counters
 //! and log2 histograms). `--check` exits nonzero if a
@@ -107,99 +109,108 @@ impl Report {
     }
 }
 
+/// What every experiment runs against: where its rows go, the registry
+/// its substrates populate, and the gate failures it has found so far.
+struct Ctx {
+    report: Report,
+    metrics: MetricsRegistry,
+    /// `--check`: a gated experiment with failures exits 1.
+    check: bool,
+    /// `--seed N`: restricts `cluster` to one seeded schedule.
+    seed: Option<u64>,
+    /// Acceptance bars the running experiment missed.
+    failures: Vec<String>,
+}
+
+impl Ctx {
+    /// The one gate epilogue, called last by every gated experiment: under
+    /// `--check`, report its failures and exit 1, or say it passed.
+    fn gate(&mut self) {
+        if !self.check {
+            self.failures.clear();
+            return;
+        }
+        if self.failures.is_empty() {
+            println!("  check: ok");
+            return;
+        }
+        for f in &self.failures {
+            eprintln!("  check FAILED: {f}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// The name the command line selects an experiment by, and what runs it.
+type Experiment = (&'static str, fn(&mut Ctx));
+
+/// Every experiment, in report order.
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig2", run_fig2),
+    ("fig6", run_fig6),
+    ("fig7", run_fig7),
+    ("fig10", run_fig10),
+    ("fig11", run_fig11),
+    ("fig12", run_fig12),
+    ("port", run_port),
+    ("ablate", run_ablate),
+    ("serve", run_serve),
+    ("shed", run_shed),
+    ("fuse", run_fuse),
+    ("failover", run_failover),
+    ("trace", run_trace),
+    ("stream", run_stream),
+    ("qos", run_qos),
+    ("scale", run_scale),
+    ("cluster", run_cluster),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args.iter().position(|a| a == "--json").and_then(|i| args.get(i + 1).cloned());
-    let selected: Vec<&str> = args
-        .iter()
-        .map(|s| s.as_str())
-        .filter(|s| {
-            s.starts_with("fig")
-                || [
-                    "port", "ablate", "serve", "shed", "fuse", "failover", "trace", "stream",
-                    "qos", "scale", "cluster",
-                ]
-                .contains(s)
-        })
-        .collect();
-    let check = args.iter().any(|a| a == "--check");
-    let want = |name: &str| selected.is_empty() || selected.contains(&name);
-
-    let mut report = Report::default();
-    let metrics = MetricsRegistry::new();
-    if want("fig2") {
-        run_fig2(&mut report);
+    let mut ctx = Ctx {
+        report: Report::default(),
+        metrics: MetricsRegistry::new(),
+        check: false,
+        seed: None,
+        failures: Vec::new(),
+    };
+    let mut json_path = None;
+    let mut selected: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => ctx.check = true,
+            "--json" => json_path = args.next(),
+            "--seed" => ctx.seed = args.next().and_then(|s| s.parse().ok()),
+            _ => selected.push(arg),
+        }
     }
-    if want("fig6") {
-        run_fig6(&mut report);
-    }
-    if want("fig7") {
-        run_fig7(&mut report);
-    }
-    if want("fig10") {
-        run_fig10(&mut report);
-    }
-    if want("fig11") {
-        run_fig11(&mut report);
-    }
-    if want("fig12") {
-        run_fig12(&mut report);
-    }
-    if want("port") {
-        run_port(&mut report);
-    }
-    if want("ablate") {
-        run_ablate(&mut report);
-    }
-    if want("serve") {
-        run_serve(&mut report);
-    }
-    if want("shed") {
-        run_shed(&mut report);
-    }
-    if want("fuse") {
-        run_fuse(&mut report, check);
-    }
-    if want("failover") {
-        run_failover(&mut report, check);
-    }
-    if want("trace") {
-        run_trace(&mut report, check);
-    }
-    if want("stream") {
-        run_stream(&mut report, &metrics, check);
-    }
-    if want("qos") {
-        run_qos(&mut report, check);
-    }
-    if want("scale") {
-        run_scale(&mut report, check);
-    }
-    if want("cluster") {
-        let seed = args
-            .iter()
-            .position(|a| a == "--seed")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok());
-        run_cluster(&mut report, check, seed);
+    let known = |name: &String| EXPERIMENTS.iter().any(|(n, _)| n == name);
+    if let Some(unknown) = selected.iter().find(|name| !known(name)) {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        eprintln!("report: unknown experiment `{unknown}`; valid names: {}", names.join(" "));
+        std::process::exit(2);
     }
 
-    let snap = metrics.snapshot();
+    for (name, run) in EXPERIMENTS {
+        if selected.is_empty() || selected.iter().any(|s| s == name) {
+            run(&mut ctx);
+        }
+    }
+
+    let snap = ctx.metrics.snapshot();
     if !snap.counters.is_empty() || !snap.histograms.is_empty() {
-        report.metrics = Some(snap);
+        ctx.report.metrics = Some(snap);
     }
     if let Some(path) = json_path {
-        std::fs::write(&path, report.to_json()).expect("json written");
+        std::fs::write(&path, ctx.report.to_json()).expect("json written");
         println!("\nwrote {path}");
     }
 }
 
-fn run_fuse(report: &mut Report, check: bool) {
+fn run_fuse(ctx: &mut Ctx) {
     println!("\n== Specialization: op fusion + presize, fused vs unfused ==");
     let fused_ci = fuse::compile(SpecializeOptions::default());
     let plain_ci = fuse::compile(SpecializeOptions::none());
-    let mut failures = Vec::new();
-
     println!("  dispatches per call (all four stub programs):");
     for op in &plain_ci.ops {
         let (ops, _) = fuse::dispatches_per_call(op);
@@ -210,10 +221,10 @@ fn run_fuse(report: &mut Report, check: bool) {
             "    {:12} {ops:>3} ops → {dispatches:>3} dispatches  ({reduction:+.1}%)",
             op.name
         );
-        report.put("fuse", &format!("{}-ops", op.name), ops as f64);
-        report.put("fuse", &format!("{}-dispatches", op.name), dispatches as f64);
+        ctx.report.put("fuse", &format!("{}-ops", op.name), ops as f64);
+        ctx.report.put("fuse", &format!("{}-dispatches", op.name), dispatches as f64);
         if op.name == "read" && reduction < 30.0 {
-            failures.push(format!("read dispatch reduction {reduction:.1}% < 30%"));
+            ctx.failures.push(format!("read dispatch reduction {reduction:.1}% < 30%"));
         }
     }
 
@@ -245,10 +256,10 @@ fn run_fuse(report: &mut Report, check: bool) {
         println!(
             "    {label:12} fused {cps_fused:>9.0}  unfused {cps_plain:>9.0}  ({speedup:.3}x)"
         );
-        report.put("fuse", &format!("{label}-fused-calls-per-sec"), cps_fused);
-        report.put("fuse", &format!("{label}-unfused-calls-per-sec"), cps_plain);
+        ctx.report.put("fuse", &format!("{label}-fused-calls-per-sec"), cps_fused);
+        ctx.report.put("fuse", &format!("{label}-unfused-calls-per-sec"), cps_plain);
         if speedup < 1.0 {
-            failures.push(format!("{label} fused path slower than unfused: {speedup:.3}x"));
+            ctx.failures.push(format!("{label} fused path slower than unfused: {speedup:.3}x"));
         }
     }
 
@@ -260,24 +271,13 @@ fn run_fuse(report: &mut Report, check: bool) {
             "    {threads} thread(s)  {:>12.0} lookups/s   ({} contended reads)",
             r.lookups_per_sec, r.contended
         );
-        report.put("fuse", &format!("cache-{threads}t-lookups-per-sec"), r.lookups_per_sec);
+        ctx.report.put("fuse", &format!("cache-{threads}t-lookups-per-sec"), r.lookups_per_sec);
     }
 
-    if check {
-        if failures.is_empty() {
-            println!("  check: ok");
-        } else {
-            for f in &failures {
-                eprintln!("  check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    ctx.gate();
 }
 
-fn run_failover(report: &mut Report, check: bool) {
-    let mut failures = Vec::new();
-
+fn run_failover(ctx: &mut Ctx) {
     println!("\n== Failure model: reply-loss storm under at-most-once ==");
     let s = failover::storm(failover::STORM_CALLS, failover::CLOSE_EVERY);
     println!(
@@ -288,19 +288,20 @@ fn run_failover(report: &mut Report, check: bool) {
         s.suppressions,
         s.hit_rate
     );
-    report.put("failover", "storm-calls", s.calls as f64);
-    report.put("failover", "storm-faults", s.faults as f64);
-    report.put("failover", "storm-suppressions", s.suppressions as f64);
-    report.put("failover", "storm-hit-rate", s.hit_rate);
-    report.put("failover", "storm-duplicate-executions", s.executions as f64 - s.calls as f64);
+    ctx.report.put("failover", "storm-calls", s.calls as f64);
+    ctx.report.put("failover", "storm-faults", s.faults as f64);
+    ctx.report.put("failover", "storm-suppressions", s.suppressions as f64);
+    ctx.report.put("failover", "storm-hit-rate", s.hit_rate);
+    ctx.report.put("failover", "storm-duplicate-executions", s.executions as f64 - s.calls as f64);
     if s.executions != s.calls as u64 {
-        failures.push(format!(
+        ctx.failures.push(format!(
             "storm executed {} times for {} logical calls (duplicates slipped the cache)",
             s.executions, s.calls
         ));
     }
     if s.suppressions != s.faults as u64 {
-        failures.push(format!("storm suppressed {} of {} lost replies", s.suppressions, s.faults));
+        ctx.failures
+            .push(format!("storm suppressed {} of {} lost replies", s.suppressions, s.faults));
     }
 
     println!("\n== Failure model: supervised failover, same-domain -> Sun RPC standby ==");
@@ -308,15 +309,19 @@ fn run_failover(report: &mut Report, check: bool) {
     for crash_at in failover::CRASH_POINTS {
         let r = failover::failover_once(crash_at);
         println!("  {:>10} {:>14} {:>12}", r.crash_at, r.recovery_ns, r.duplicate_executions);
-        report.put("failover", &format!("recovery-ns-crash-at-{crash_at}"), r.recovery_ns as f64);
+        ctx.report.put(
+            "failover",
+            &format!("recovery-ns-crash-at-{crash_at}"),
+            r.recovery_ns as f64,
+        );
         if r.duplicate_executions != 0 {
-            failures.push(format!(
+            ctx.failures.push(format!(
                 "crash at {} caused {} duplicate executions",
                 crash_at, r.duplicate_executions
             ));
         }
         if r.recovery_ns == 0 || r.recovery_ns > failover::RECOVERY_BOUND_NS {
-            failures.push(format!(
+            ctx.failures.push(format!(
                 "crash at {} recovered in {} ns (bound {} ns)",
                 crash_at,
                 r.recovery_ns,
@@ -326,22 +331,11 @@ fn run_failover(report: &mut Report, check: bool) {
     }
     println!("  (sim-time numbers: deterministic, so the bound is exact, not statistical)");
 
-    if check {
-        if failures.is_empty() {
-            println!("  check: ok");
-        } else {
-            for f in &failures {
-                eprintln!("  check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    ctx.gate();
 }
 
-fn run_trace(report: &mut Report, check: bool) {
+fn run_trace(ctx: &mut Ctx) {
     use flexrpc_trace::Stage;
-    let mut failures = Vec::new();
-
     println!("\n== Observability: per-stage breakdown, read({}B reply), CDR ==", trace::READ_SIZE);
     println!(
         "  {:12} {:>10} {:>10} {:>10} {:>14}",
@@ -359,13 +353,13 @@ fn run_trace(report: &mut Report, check: bool) {
             b.marshal_share * 100.0
         );
         for stage in [Stage::Marshal, Stage::Transport, Stage::Unmarshal] {
-            report.put(
+            ctx.report.put(
                 "trace",
                 &format!("{}-{}-ns-per-call", path.label(), stage.name()),
                 per_call(stage),
             );
         }
-        report.put(
+        ctx.report.put(
             "trace",
             &format!("{}-marshal-share-pct", path.label()),
             b.marshal_share * 100.0,
@@ -381,9 +375,9 @@ fn run_trace(report: &mut Report, check: bool) {
     println!(
         "  sunrpc sim wire time {wire_ns:.0} ns/call (exact); runs byte-identical: {identical}"
     );
-    report.put("trace", "sunrpc-sim-wire-ns-per-call", wire_ns);
+    ctx.report.put("trace", "sunrpc-sim-wire-ns-per-call", wire_ns);
     if !identical {
-        failures.push("two identical sim runs exported different trace streams".to_string());
+        ctx.failures.push("two identical sim runs exported different trace streams".to_string());
     }
 
     println!("\n== Observability: tracing overhead, same-domain read ==");
@@ -406,35 +400,24 @@ fn run_trace(report: &mut Report, check: bool) {
         overhead,
         trace::OVERHEAD_BOUND
     );
-    report.put("trace", "samedomain-untraced-ns-per-call", ns_plain);
-    report.put("trace", "samedomain-traced-ns-per-call", ns_traced);
-    report.put("trace", "samedomain-overhead-ratio", overhead);
+    ctx.report.put("trace", "samedomain-untraced-ns-per-call", ns_plain);
+    ctx.report.put("trace", "samedomain-traced-ns-per-call", ns_traced);
+    ctx.report.put("trace", "samedomain-overhead-ratio", overhead);
     if overhead > trace::OVERHEAD_BOUND {
-        failures.push(format!(
+        ctx.failures.push(format!(
             "tracing overhead {overhead:.3}x exceeds the {:.2}x bound",
             trace::OVERHEAD_BOUND
         ));
     }
 
-    if check {
-        if failures.is_empty() {
-            println!("  check: ok");
-        } else {
-            for f in &failures {
-                eprintln!("  check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    ctx.gate();
 }
 
-fn run_stream(report: &mut Report, metrics: &MetricsRegistry, check: bool) {
-    let mut failures = Vec::new();
-
+fn run_stream(ctx: &mut Ctx) {
     let cfg = stream::feed_config();
     println!("\n== Streams: broadcast edit feed — [stream] publisher, [oneway] fan-out ==");
     let t0 = std::time::Instant::now();
-    let r = stream::edit_feed(Some(metrics));
+    let r = stream::edit_feed(Some(&ctx.metrics));
     let wall_ms = t0.elapsed().as_nanos() as f64 / 1e6;
     println!(
         "  {} subscribers × {} edits (window {} = min({}, {}), reply lost every {}th frame)",
@@ -451,40 +434,43 @@ fn run_stream(report: &mut Report, metrics: &MetricsRegistry, check: bool) {
         "  lost {}  duplicated {}  executions {}  credit stalls {} ({} sim-ns waited)",
         r.lost, r.duplicated, r.executions, r.credit_stalls, r.credits_waited_ns
     );
-    report.put("stream", "editfeed-subscribers", r.subscribers as f64);
-    report.put("stream", "editfeed-window", r.window as f64);
-    report.put("stream", "editfeed-callbacks-delivered", r.callbacks_delivered as f64);
-    report.put("stream", "editfeed-callbacks-per-sim-sec", r.callbacks_per_sec);
-    report.put(
+    ctx.report.put("stream", "editfeed-subscribers", r.subscribers as f64);
+    ctx.report.put("stream", "editfeed-window", r.window as f64);
+    ctx.report.put("stream", "editfeed-callbacks-delivered", r.callbacks_delivered as f64);
+    ctx.report.put("stream", "editfeed-callbacks-per-sim-sec", r.callbacks_per_sec);
+    ctx.report.put(
         "stream",
         "editfeed-callbacks-per-wall-sec",
         r.callbacks_delivered as f64 / (wall_ms / 1e3),
     );
-    report.put("stream", "editfeed-lost", r.lost as f64);
-    report.put("stream", "editfeed-duplicated", r.duplicated as f64);
-    report.put("stream", "editfeed-credit-stalls", r.credit_stalls as f64);
-    report.put("stream", "editfeed-credits-waited-ns", r.credits_waited_ns as f64);
+    ctx.report.put("stream", "editfeed-lost", r.lost as f64);
+    ctx.report.put("stream", "editfeed-duplicated", r.duplicated as f64);
+    ctx.report.put("stream", "editfeed-credit-stalls", r.credit_stalls as f64);
+    ctx.report.put("stream", "editfeed-credits-waited-ns", r.credits_waited_ns as f64);
     if r.lost != 0 || r.duplicated != 0 {
-        failures.push(format!("edit feed lost {} / duplicated {} frames", r.lost, r.duplicated));
+        ctx.failures
+            .push(format!("edit feed lost {} / duplicated {} frames", r.lost, r.duplicated));
     }
     if r.executions != r.edits as u64 {
-        failures.push(format!("edit feed executed {} times for {} edits", r.executions, r.edits));
+        ctx.failures
+            .push(format!("edit feed executed {} times for {} edits", r.executions, r.edits));
     }
     if r.callbacks_delivered != (r.edits * r.subscribers) as u64 {
-        failures.push(format!(
+        ctx.failures.push(format!(
             "edit feed delivered {} callbacks, expected {}",
             r.callbacks_delivered,
             r.edits * r.subscribers
         ));
     }
     if r.window != cfg.client_window.min(cfg.server_window) {
-        failures.push(format!("edit feed negotiated window {}, expected the minimum", r.window));
+        ctx.failures
+            .push(format!("edit feed negotiated window {}, expected the minimum", r.window));
     }
     let rerun = stream::edit_feed(None);
     let deterministic = rerun == r;
     println!("  rerun identical: {deterministic}  (sim-time numbers, no noise)");
     if !deterministic {
-        failures.push("two identical edit-feed runs disagreed".to_string());
+        ctx.failures.push("two identical edit-feed runs disagreed".to_string());
     }
 
     println!("\n== Streams: remote file service — credit stalls and at-most-once writes ==");
@@ -497,16 +483,16 @@ fn run_stream(report: &mut Report, metrics: &MetricsRegistry, check: bool) {
         e.credits_waited_ns,
         e.predicted_stall_ns
     );
-    report.put("stream", "file-exact-waited-ns", e.credits_waited_ns as f64);
-    report.put("stream", "file-exact-predicted-ns", e.predicted_stall_ns as f64);
+    ctx.report.put("stream", "file-exact-waited-ns", e.credits_waited_ns as f64);
+    ctx.report.put("stream", "file-exact-predicted-ns", e.predicted_stall_ns as f64);
     if e.credits_waited_ns != e.predicted_stall_ns {
-        failures.push(format!(
+        ctx.failures.push(format!(
             "fault-free stall {} ns missed the closed form {} ns",
             e.credits_waited_ns, e.predicted_stall_ns
         ));
     }
     if e.sim_ns != e.frames as u64 * stream::FILE_DRAIN_NS {
-        failures.push(format!(
+        ctx.failures.push(format!(
             "drained stream occupied {} sim-ns, expected frames*drain = {}",
             e.sim_ns,
             e.frames as u64 * stream::FILE_DRAIN_NS
@@ -517,30 +503,19 @@ fn run_stream(report: &mut Report, metrics: &MetricsRegistry, check: bool) {
         "  reply-loss: {} Close faults over {} frames — contents identical: {}, {} executions",
         f.faults, f.frames, f.contents_ok, f.executions
     );
-    report.put("stream", "file-faulted-close-faults", f.faults as f64);
-    report.put("stream", "file-faulted-executions", f.executions as f64);
+    ctx.report.put("stream", "file-faulted-close-faults", f.faults as f64);
+    ctx.report.put("stream", "file-faulted-executions", f.executions as f64);
     if !f.contents_ok || f.executions != f.frames as u64 {
-        failures.push(format!(
+        ctx.failures.push(format!(
             "faulted file stream: contents_ok={}, {} executions for {} frames",
             f.contents_ok, f.executions, f.frames
         ));
     }
 
-    if check {
-        if failures.is_empty() {
-            println!("  check: ok");
-        } else {
-            for fail in &failures {
-                eprintln!("  check FAILED: {fail}");
-            }
-            std::process::exit(1);
-        }
-    }
+    ctx.gate();
 }
 
-fn run_qos(report: &mut Report, check: bool) {
-    let mut failures = Vec::new();
-
+fn run_qos(ctx: &mut Ctx) {
     println!("\n== Multi-tenant QoS: noisy neighbor at 10x, weighted-fair drain ==");
     let r = qos::noisy_neighbor();
     println!(
@@ -564,28 +539,28 @@ fn run_qos(report: &mut Report, check: bool) {
         r.b_dwell_p99_ns,
         qos::DWELL_BOUND_NS
     );
-    report.put("qos", "a-offered", r.offered_a as f64);
-    report.put("qos", "a-admitted", r.admitted_a as f64);
-    report.put("qos", "a-shed", r.shed_a as f64);
-    report.put("qos", "b-admitted", r.admitted_b as f64);
-    report.put("qos", "b-shed", r.shed_b as f64);
-    report.put("qos", "b-served", r.served_b as f64);
-    report.put("qos", "a-dwell-mean-ns", r.a_dwell_mean_ns as f64);
-    report.put("qos", "b-dwell-mean-ns", r.b_dwell_mean_ns as f64);
-    report.put("qos", "b-dwell-p99-ns", r.b_dwell_p99_ns as f64);
-    report.put("qos", "b-dwell-bound-ns", qos::DWELL_BOUND_NS as f64);
+    ctx.report.put("qos", "a-offered", r.offered_a as f64);
+    ctx.report.put("qos", "a-admitted", r.admitted_a as f64);
+    ctx.report.put("qos", "a-shed", r.shed_a as f64);
+    ctx.report.put("qos", "b-admitted", r.admitted_b as f64);
+    ctx.report.put("qos", "b-shed", r.shed_b as f64);
+    ctx.report.put("qos", "b-served", r.served_b as f64);
+    ctx.report.put("qos", "a-dwell-mean-ns", r.a_dwell_mean_ns as f64);
+    ctx.report.put("qos", "b-dwell-mean-ns", r.b_dwell_mean_ns as f64);
+    ctx.report.put("qos", "b-dwell-p99-ns", r.b_dwell_p99_ns as f64);
+    ctx.report.put("qos", "b-dwell-bound-ns", qos::DWELL_BOUND_NS as f64);
     if r.b_dwell_p99_ns > qos::DWELL_BOUND_NS {
-        failures.push(format!(
+        ctx.failures.push(format!(
             "B's p99 dwell {} sim-ns exceeds the bound {}",
             r.b_dwell_p99_ns,
             qos::DWELL_BOUND_NS
         ));
     }
     if r.shed_b != 0 {
-        failures.push(format!("A's storm shed {} of B's calls", r.shed_b));
+        ctx.failures.push(format!("A's storm shed {} of B's calls", r.shed_b));
     }
     if r.shed_a != (qos::OFFERED_A - qos::QUOTA_A) as u64 || r.engine_shed != r.shed_a {
-        failures.push(format!(
+        ctx.failures.push(format!(
             "A shed {} (engine {}), expected exactly its overflow {}",
             r.shed_a,
             r.engine_shed,
@@ -593,13 +568,13 @@ fn run_qos(report: &mut Report, check: bool) {
         ));
     }
     if r.served_b != qos::OFFERED_B as u64 {
-        failures.push(format!("B had {} of {} calls served", r.served_b, qos::OFFERED_B));
+        ctx.failures.push(format!("B had {} of {} calls served", r.served_b, qos::OFFERED_B));
     }
     let rerun = qos::noisy_neighbor();
     let deterministic = rerun == r;
     println!("  rerun identical: {deterministic}  (sim-time numbers, no noise)");
     if !deterministic {
-        failures.push("two identical noisy-neighbor runs disagreed".to_string());
+        ctx.failures.push("two identical noisy-neighbor runs disagreed".to_string());
     }
 
     println!("\n== Multi-tenant QoS: live policy swap + rebind under load ==");
@@ -613,10 +588,10 @@ fn run_qos(report: &mut Report, check: bool) {
             "  {:>10} {:>12} {:>6} {:>11} {:>8}",
             r.rebind_at, r.executions, r.lost, r.duplicated, r.rebinds
         );
-        report.put("qos", &format!("rebind-at-{rebind_at}-lost"), r.lost as f64);
-        report.put("qos", &format!("rebind-at-{rebind_at}-duplicated"), r.duplicated as f64);
+        ctx.report.put("qos", &format!("rebind-at-{rebind_at}-lost"), r.lost as f64);
+        ctx.report.put("qos", &format!("rebind-at-{rebind_at}-duplicated"), r.duplicated as f64);
         if r.lost != 0 || r.duplicated != 0 || r.executions != qos::REBIND_CALLS as u64 {
-            failures.push(format!(
+            ctx.failures.push(format!(
                 "rebind at {} executed {} of {} calls ({} lost, {} duplicated)",
                 r.rebind_at,
                 r.executions,
@@ -626,25 +601,16 @@ fn run_qos(report: &mut Report, check: bool) {
             ));
         }
         if r.rebinds != 1 {
-            failures.push(format!("rebind at {} counted {} rebinds", r.rebind_at, r.rebinds));
+            ctx.failures.push(format!("rebind at {} counted {} rebinds", r.rebind_at, r.rebinds));
         }
     }
     println!("  (a swapped tenant policy and a renegotiated combination, mid-backlog,");
     println!("   cost zero lost and zero duplicated non-idempotent executions)");
 
-    if check {
-        if failures.is_empty() {
-            println!("  check: ok");
-        } else {
-            for f in &failures {
-                eprintln!("  check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    ctx.gate();
 }
 
-fn run_fig2(report: &mut Report) {
+fn run_fig2(ctx: &mut Ctx) {
     println!("== Figure 2: NFS 8MB read — client processing per variant ==");
     println!("(wire+server time is the deterministic clock, identical per variant)");
     let file_len = fig2::FILE_LEN;
@@ -684,7 +650,7 @@ fn run_fig2(report: &mut Report) {
             cpu_ms,
             delta
         );
-        report.put("fig2", &format!("{}-client-cpu-ms", variant.label()), cpu_ms);
+        ctx.report.put("fig2", &format!("{}-client-cpu-ms", variant.label()), cpu_ms);
     }
     // One clean run for the constant wire + server component.
     let mut f = fig2::Fig2::new(file_len);
@@ -692,17 +658,15 @@ fn run_fig2(report: &mut Report) {
     f.run(ClientVariant::ConventionalGenerated, file_len);
     let wire_ms = (f.wire_ns() - w0) as f64 / 1e6;
     println!("  network+server (simulated)   {wire_ms:9.3} ms  (constant across variants)");
-    report.put("fig2", "wire-ms", wire_ms);
+    ctx.report.put("fig2", "wire-ms", wire_ms);
 }
 
-/// Interleaved paired measurement: alternates the two closures round-robin
-/// so frequency drift and scheduling noise hit both equally; returns the
-/// per-iteration median nanoseconds of each.
-/// Like [`measure_pair`], but also returns the median of *per-round* b/a
-/// ratios. Each round times `a` and `b` back to back, so slow drift in CPU
-/// frequency or cache state hits both sides of a ratio equally; the median
-/// ratio is far more stable than the ratio of independent medians when the
-/// true difference is a few percent.
+/// Interleaved paired measurement: the per-iteration median nanoseconds of
+/// each closure, and the median of *per-round* b/a ratios. Each round times
+/// `a` and `b` back to back, so slow drift in CPU frequency or cache state
+/// hits both sides of a ratio equally; the median ratio is far more stable
+/// than the ratio of independent medians when the true difference is a few
+/// percent.
 fn measure_paired_ratio(
     rounds: usize,
     iters: usize,
@@ -741,32 +705,7 @@ fn time_ns(iters: usize, f: &mut impl FnMut()) -> f64 {
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
 
-fn measure_pair(
-    rounds: usize,
-    iters: usize,
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> (f64, f64) {
-    let mut sa = Vec::with_capacity(rounds);
-    let mut sb = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            a();
-        }
-        sa.push(t0.elapsed().as_nanos() as f64 / iters as f64);
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            b();
-        }
-        sb.push(t0.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    sa.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
-    sb.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
-    (sa[rounds / 2], sb[rounds / 2])
-}
-
-fn run_fig6(report: &mut Report) {
+fn run_fig6(ctx: &mut Ctx) {
     println!("\n== Figure 6: pipe server over kernel IPC (throughput) ==");
     let total = 512 * 1024;
     for cap in fig6::PIPE_CAPS {
@@ -774,7 +713,7 @@ fn run_fig6(report: &mut Report) {
         let mut h_never = fig6::harness(cap, ReadPresentation::DeallocNever);
         fig6::run(&mut h_default, total); // Warm-up.
         fig6::run(&mut h_never, total);
-        let (ns_default, ns_never) = measure_pair(
+        let (ns_default, ns_never, _) = measure_paired_ratio(
             15,
             4,
             || {
@@ -790,7 +729,7 @@ fn run_fig6(report: &mut Report) {
             [ReadPresentation::Default, ReadPresentation::DeallocNever].iter().zip(per_mode)
         {
             println!("  {}K pipe, {:24} {:8.1} MB/s", cap / 1024, mode.label(), mbs);
-            report.put("fig6", &format!("{}k-{}-mbps", cap / 1024, mode.label()), mbs);
+            ctx.report.put("fig6", &format!("{}k-{}-mbps", cap / 1024, mode.label()), mbs);
         }
         println!(
             "  {}K pipe: dealloc(never) improvement: {:+.1}%  (paper: +{}%)",
@@ -801,7 +740,7 @@ fn run_fig6(report: &mut Report) {
     }
 }
 
-fn run_fig7(report: &mut Report) {
+fn run_fig7(ctx: &mut Ctx) {
     println!("\n== Figure 7: pipe server over fbufs (throughput) ==");
     let total = 512 * 1024;
     for cap in fig7::PIPE_CAPS {
@@ -809,12 +748,16 @@ fn run_fig7(report: &mut Report) {
         let mut h_sp = fig7::harness(cap, FbufMode::Special);
         fig7::run(&mut h_std, total); // Warm-up.
         fig7::run(&mut h_sp, total);
-        let (ns_std, ns_sp) =
-            measure_pair(15, 4, || fig7::run(&mut h_std, total), || fig7::run(&mut h_sp, total));
+        let (ns_std, ns_sp, _) = measure_paired_ratio(
+            15,
+            4,
+            || fig7::run(&mut h_std, total),
+            || fig7::run(&mut h_sp, total),
+        );
         let per_mode = [total as f64 / (ns_std / 1e9) / 1e6, total as f64 / (ns_sp / 1e9) / 1e6];
         for (mode, mbs) in [FbufMode::Standard, FbufMode::Special].iter().zip(per_mode) {
             println!("  {}K pipe, {:24} {:8.1} MB/s", cap / 1024, mode.label(), mbs);
-            report.put("fig7", &format!("{}k-{}-mbps", cap / 1024, mode.label()), mbs);
+            ctx.report.put("fig7", &format!("{}k-{}-mbps", cap / 1024, mode.label()), mbs);
         }
         println!(
             "  {}K pipe: [special] improvement: {:+.1}%  (paper: +{}%)",
@@ -828,10 +771,10 @@ fn run_fig7(report: &mut Report) {
     let ns = measure_ns(7, 2, || bsd.run(total));
     let mbs = total as f64 / (ns / 1e9) / 1e6;
     println!("  BSD monolithic pipe (4K)       {mbs:8.1} MB/s  (reference)");
-    report.put("fig7", "bsd-monolithic-mbps", mbs);
+    ctx.report.put("fig7", "bsd-monolithic-mbps", mbs);
 }
 
-fn run_fig10(report: &mut Report) {
+fn run_fig10(ctx: &mut Ctx) {
     println!("\n== Figure 10: same-domain 1KB in-param — mutability semantics (ns/call) ==");
     println!("  {:32} {:>12} {:>12} {:>12}", "group", "fixed-copy", "fixed-borrow", "flexible");
     for g in fig10::Group::ALL {
@@ -840,13 +783,13 @@ fn run_fig10(report: &mut Report) {
             let mut r = fig10::Runner::new(system, g, fig10::PARAM_SIZE);
             let ns = measure_ns(5, 2000, || r.call());
             row.push(ns);
-            report.put("fig10", &format!("{}-{}", g.label(), system.label()), ns);
+            ctx.report.put("fig10", &format!("{}-{}", g.label(), system.label()), ns);
         }
         println!("  {:32} {:>12.0} {:>12.0} {:>12.0}", g.label(), row[0], row[1], row[2]);
     }
 }
 
-fn run_fig11(report: &mut Report) {
+fn run_fig11(ctx: &mut Ctx) {
     println!("\n== Figure 11: same-domain 1KB out-param — allocation semantics (ns/call) ==");
     println!("  {:32} {:>14} {:>14} {:>12}", "group", "server-alloc", "client-alloc", "flexible");
     for g in fig11::Group::ALL {
@@ -855,13 +798,13 @@ fn run_fig11(report: &mut Report) {
             let mut r = fig11::Runner::new(system, g, fig11::PARAM_SIZE);
             let ns = measure_ns(5, 2000, || r.call());
             row.push(ns);
-            report.put("fig11", &format!("{}-{}", g.label(), system.label()), ns);
+            ctx.report.put("fig11", &format!("{}-{}", g.label(), system.label()), ns);
         }
         println!("  {:32} {:>14.0} {:>14.0} {:>12.0}", g.label(), row[0], row[1], row[2]);
     }
 }
 
-fn run_fig12(report: &mut Report) {
+fn run_fig12(ctx: &mut Ctx) {
     println!("\n== Figure 12: null RPC × trust matrix (ns/call) ==");
     println!("  client-trust \\ server-trust    none      leaky  leaky+unprot");
     let mut corner = (0.0, 0.0);
@@ -871,7 +814,7 @@ fn run_fig12(report: &mut Report) {
             let cell = fig12::Cell::new(client, server);
             let ns = measure_ns(5, 5000, || cell.null_rpc());
             row.push(ns);
-            report.put(
+            ctx.report.put(
                 "fig12",
                 &format!("client-{}-server-{}", client.label(), server.label()),
                 ns,
@@ -891,7 +834,7 @@ fn run_fig12(report: &mut Report) {
     );
 }
 
-fn run_ablate(report: &mut Report) {
+fn run_ablate(ctx: &mut Ctx) {
     println!("\n== Ablation: the pipe path, one presentation knob at a time ==");
     let total = 512 * 1024;
     let mut prev: Option<f64> = None;
@@ -904,7 +847,7 @@ fn run_ablate(report: &mut Report) {
         let mbs = total as f64 / (ns / 1e9) / 1e6;
         let delta = prev.map(|p| format!("{:+.1}% vs previous", (mbs - p) / p * 100.0));
         println!("  {:18} {:8.1} MB/s   {}", step.label(), mbs, delta.unwrap_or_default());
-        report.put("ablate", &format!("pipe-{}-mbps", step.label()), mbs);
+        ctx.report.put("ablate", &format!("pipe-{}-mbps", step.label()), mbs);
         prev = Some(mbs);
     }
 
@@ -924,13 +867,13 @@ fn run_ablate(report: &mut Report) {
         let a = measure_ns(5, 3000, || hard.call());
         let b = measure_ns(5, 3000, || soft.call());
         println!("  {:>8} {:>12.0} {:>12.0} {:>7.1}%", size, a, b, (a - b) / a * 100.0);
-        report.put("ablate", &format!("trust-spread-{size}b-pct"), (a - b) / a * 100.0);
+        ctx.report.put("ablate", &format!("trust-spread-{size}b-pct"), (a - b) / a * 100.0);
     }
     println!("  (the paper's closing claim: the faster/lighter the transfer, the more");
     println!("   presentation matters — the spread shrinks as payload grows)");
 }
 
-fn run_port(report: &mut Report) {
+fn run_port(ctx: &mut Ctx) {
     println!("\n== §4.5: port-right transfer, unique vs [nonunique] (ns/transfer) ==");
     let mut vals = Vec::new();
     for (label, mode) in [("unique", NameMode::Unique), ("nonunique", NameMode::NonUnique)] {
@@ -939,7 +882,7 @@ fn run_port(report: &mut Report) {
         let ns = measure_ns(5, 5000, || t.transfer_once());
         vals.push(ns);
         println!("  {label:12} {ns:>10.0} ns   ({} probes/transfer)", t.probes_per_transfer());
-        report.put("port", label, ns);
+        ctx.report.put("port", label, ns);
     }
     println!(
         "  [nonunique] improvement: {:+.1}%  (paper: 32.4µs → 24.7µs, 24%)",
@@ -947,7 +890,7 @@ fn run_port(report: &mut Report) {
     );
 }
 
-fn run_serve(report: &mut Report) {
+fn run_serve(ctx: &mut Ctx) {
     println!("\n== Engine scaling: one engine, clients × workers (calls/s) ==");
     println!("  (seeded client interleave — rerun noise comes from the box, not the schedule)");
     println!(
@@ -974,16 +917,15 @@ fn run_serve(report: &mut Report) {
                 r.compilations
             );
             let cell = format!("w{workers}-c{clients}");
-            report.put("serve", &format!("{cell}-calls-per-sec"), r.calls_per_sec);
-            report.put("serve", &format!("{cell}-speedup-vs-w1"), speedup);
-            report.put("serve", &format!("{cell}-cache-hit-rate"), r.cache_hit_rate);
+            ctx.report.put("serve", &format!("{cell}-calls-per-sec"), r.calls_per_sec);
+            ctx.report.put("serve", &format!("{cell}-speedup-vs-w1"), speedup);
+            ctx.report.put("serve", &format!("{cell}-cache-hit-rate"), r.cache_hit_rate);
         }
     }
     println!("  (each combination compiles once per engine; hit rate counts reused connections)");
 }
 
-fn run_scale(report: &mut Report, check: bool) {
-    let mut failures = Vec::new();
+fn run_scale(ctx: &mut Ctx) {
     let sweep = scale::worker_sweep();
     println!("\n== Shard scaling: per-core shards, stealing, inline dispatch ==");
     println!(
@@ -1004,12 +946,12 @@ fn run_scale(report: &mut Report, check: bool) {
             "  {:>8} {:>14.0} {:>14.0} {:>8} {:>8}",
             w, r.blocking_cps, r.pipelined_cps, r.inline_calls, r.steals
         );
-        report.put("scale", &format!("w{w}-blocking-calls-per-sec"), r.blocking_cps);
-        report.put("scale", &format!("w{w}-pipelined-calls-per-sec"), r.pipelined_cps);
-        report.put("scale", &format!("w{w}-inline-calls"), r.inline_calls as f64);
-        report.put("scale", &format!("w{w}-steals"), r.steals as f64);
+        ctx.report.put("scale", &format!("w{w}-blocking-calls-per-sec"), r.blocking_cps);
+        ctx.report.put("scale", &format!("w{w}-pipelined-calls-per-sec"), r.pipelined_cps);
+        ctx.report.put("scale", &format!("w{w}-inline-calls"), r.inline_calls as f64);
+        ctx.report.put("scale", &format!("w{w}-steals"), r.steals as f64);
         if r.inline_calls as usize != scale::CLIENTS * scale::CALLS_PER_CLIENT {
-            failures.push(format!(
+            ctx.failures.push(format!(
                 "w{w}: {} of {} blocking calls dispatched inline",
                 r.inline_calls,
                 scale::CLIENTS * scale::CALLS_PER_CLIENT
@@ -1022,7 +964,7 @@ fn run_scale(report: &mut Report, check: bool) {
     let mut best = 0.0f64;
     for r in &cells {
         if r.blocking_cps < best * scale::MONO_TOLERANCE {
-            failures.push(format!(
+            ctx.failures.push(format!(
                 "w{} blocking throughput {:.0} regressed below {:.0}% of the best earlier cell {:.0}",
                 r.workers,
                 r.blocking_cps,
@@ -1043,19 +985,19 @@ fn run_scale(report: &mut Report, check: bool) {
             "  {:>8} {:>14.0} {:>14.0} {:>8} {:>8}   (gate cell)",
             gate.workers, gate.blocking_cps, gate.pipelined_cps, gate.inline_calls, gate.steals
         );
-        report.put(
+        ctx.report.put(
             "scale",
             &format!("w{}-blocking-calls-per-sec", scale::GATE_WORKERS),
             gate.blocking_cps,
         );
-        report.put(
+        ctx.report.put(
             "scale",
             &format!("w{}-pipelined-calls-per-sec", scale::GATE_WORKERS),
             gate.pipelined_cps,
         );
-        report.put("scale", &format!("w{}-steals", scale::GATE_WORKERS), gate.steals as f64);
+        ctx.report.put("scale", &format!("w{}-steals", scale::GATE_WORKERS), gate.steals as f64);
     }
-    report.put("scale", "floor-calls-per-sec", scale::FLOOR_CPS);
+    ctx.report.put("scale", "floor-calls-per-sec", scale::FLOOR_CPS);
     println!(
         "  w{} blocking cell: {:.0} calls/s against the {:.0} floor",
         scale::GATE_WORKERS,
@@ -1063,7 +1005,7 @@ fn run_scale(report: &mut Report, check: bool) {
         scale::FLOOR_CPS
     );
     if gate.blocking_cps < scale::FLOOR_CPS {
-        failures.push(format!(
+        ctx.failures.push(format!(
             "w{} blocking throughput {:.0} calls/s under the {:.0} floor",
             scale::GATE_WORKERS,
             gate.blocking_cps,
@@ -1071,19 +1013,10 @@ fn run_scale(report: &mut Report, check: bool) {
         ));
     }
 
-    if check {
-        if failures.is_empty() {
-            println!("  check: ok");
-        } else {
-            for f in &failures {
-                eprintln!("  check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    ctx.gate();
 }
 
-fn run_shed(report: &mut Report) {
+fn run_shed(ctx: &mut Ctx) {
     println!("\n== Admission control: open-loop load vs a high-water mark ==");
     println!(
         "  ({} workers, {} µs/call; queue sheds at {} deep)",
@@ -1106,17 +1039,16 @@ fn run_shed(report: &mut Report) {
             r.p99_us
         );
         let cell = format!("{load}x");
-        report.put("shed", &format!("{cell}-shed-rate"), r.shed_rate);
-        report.put("shed", &format!("{cell}-p99-us"), r.p99_us);
+        ctx.report.put("shed", &format!("{cell}-shed-rate"), r.shed_rate);
+        ctx.report.put("shed", &format!("{cell}-p99-us"), r.p99_us);
     }
     println!("  (p99 covers admitted calls only: the mark bounds the backlog, so the");
     println!("   tail stays queue-bound even past capacity instead of growing without limit)");
 }
 
-fn run_cluster(report: &mut Report, check: bool, seed_override: Option<u64>) {
-    let mut failures = Vec::new();
+fn run_cluster(ctx: &mut Ctx) {
     let cfg = cluster::config();
-    let seeds: Vec<u64> = seed_override.map_or_else(|| (1..=cluster::SEEDS).collect(), |s| vec![s]);
+    let seeds: Vec<u64> = ctx.seed.map_or_else(|| (1..=cluster::SEEDS).collect(), |s| vec![s]);
     println!("\n== Cluster sim: seeded fault schedules over a replicated group ==");
     println!(
         "  ({} client hosts, {} replicas sharing one reply cache, {} non-idempotent calls/seed)",
@@ -1142,17 +1074,15 @@ fn run_cluster(report: &mut Report, check: bool, seed_override: Option<u64>) {
             run.p50_ns,
             run.p99_ns
         );
-        report.put("cluster", &format!("seed{seed}-ok"), run.ok as f64);
-        report.put("cluster", &format!("seed{seed}-failed"), run.failed as f64);
-        report.put("cluster", &format!("seed{seed}-lost"), run.lost as f64);
-        report.put("cluster", &format!("seed{seed}-duplicated"), run.duplicated as f64);
-        report.put("cluster", &format!("seed{seed}-p50-ns"), run.p50_ns as f64);
-        report.put("cluster", &format!("seed{seed}-p99-ns"), run.p99_ns as f64);
-        for f in run.invariant_failures() {
-            failures.push(f);
-        }
+        ctx.report.put("cluster", &format!("seed{seed}-ok"), run.ok as f64);
+        ctx.report.put("cluster", &format!("seed{seed}-failed"), run.failed as f64);
+        ctx.report.put("cluster", &format!("seed{seed}-lost"), run.lost as f64);
+        ctx.report.put("cluster", &format!("seed{seed}-duplicated"), run.duplicated as f64);
+        ctx.report.put("cluster", &format!("seed{seed}-p50-ns"), run.p50_ns as f64);
+        ctx.report.put("cluster", &format!("seed{seed}-p99-ns"), run.p99_ns as f64);
+        ctx.failures.extend(run.invariant_failures());
         if run.p99_ns > cluster::P99_BOUND_NS {
-            failures.push(format!(
+            ctx.failures.push(format!(
                 "seed {}: p99 {} ns over the recorded {} ns bound",
                 seed,
                 run.p99_ns,
@@ -1169,11 +1099,11 @@ fn run_cluster(report: &mut Report, check: bool, seed_override: Option<u64>) {
         "  totals: lost {lost}, duplicated {duplicated} (exactly-once held), \
          {suppressions} replays suppressed by the group cache, {failovers} failovers"
     );
-    report.put("cluster", "total-lost", lost as f64);
-    report.put("cluster", "total-duplicated", duplicated as f64);
-    report.put("cluster", "total-suppressions", suppressions as f64);
-    report.put("cluster", "total-failovers", failovers as f64);
-    report.put("cluster", "p99-bound-ns", cluster::P99_BOUND_NS as f64);
+    ctx.report.put("cluster", "total-lost", lost as f64);
+    ctx.report.put("cluster", "total-duplicated", duplicated as f64);
+    ctx.report.put("cluster", "total-suppressions", suppressions as f64);
+    ctx.report.put("cluster", "total-failovers", failovers as f64);
+    ctx.report.put("cluster", "p99-bound-ns", cluster::P99_BOUND_NS as f64);
 
     // Replay verification: any failing seed replays from scratch so the
     // report shows whether the failure reproduces; a healthy matrix
@@ -1192,26 +1122,17 @@ fn run_cluster(report: &mut Report, check: bool, seed_override: Option<u64>) {
             if trace_identical { "byte-identical" } else { "DIVERGED" }
         );
         if !metrics_equal || !trace_identical {
-            failures.push(format!("seed {}: replay diverged — determinism broken", first.seed));
+            ctx.failures.push(format!("seed {}: replay diverged — determinism broken", first.seed));
         }
         if !first.invariant_failures().is_empty() {
             println!("  reproduce with: {}", cluster::replay_command(first.seed));
         }
-        report.put(
+        ctx.report.put(
             "cluster",
             &format!("seed{}-replay-identical", first.seed),
             (metrics_equal && trace_identical) as u64 as f64,
         );
     }
 
-    if check {
-        if failures.is_empty() {
-            println!("  check: ok");
-        } else {
-            for f in &failures {
-                eprintln!("  check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    ctx.gate();
 }

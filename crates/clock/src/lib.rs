@@ -9,9 +9,11 @@
 //! test is exact, not a race against the host scheduler.
 //!
 //! [`FaultInjector`] holds an ordered plan of per-call faults
-//! (drop / delay / duplicate the nth call) that the kernel and net
-//! transports consult on every message, letting retry and deadline
-//! policies be tested against induced failures deterministically.
+//! (drop / delay / duplicate the nth call). Every transport and the engine
+//! pass each message through its one [`FaultInjector::gate`], which says
+//! what a [`Fault`] means for one call as a [`Verdict`] — so retry and
+//! deadline policies are tested against induced failures deterministically,
+//! and against the same failure semantics on every path.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -110,13 +112,61 @@ pub enum Fault {
     },
 }
 
+/// Nominal one-hop transfer time a one-shot [`Fault::SlowLink`] stretches on
+/// point-to-point transports (loopback, kernel IPC, engine admission): they
+/// have no wire model, so [`FaultInjector::gate`] charges `factor` of these
+/// stand-in hops. The packet network scales its real wire charge instead.
+pub const SLOW_HOP_NS: u64 = 1_000;
+
+/// How a message was lost before the peer executed anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lost {
+    /// [`Fault::Drop`]: this one message vanished; a resend may get through.
+    Dropped,
+    /// [`Fault::Crash`]: the peer is down until its restart.
+    PeerDown,
+    /// [`Fault::Partition`]: the peer is alive but the link to it is cut.
+    LinkCut,
+}
+
+/// What the fault plan means for one call: the one place a [`Fault`] is
+/// turned into behaviour. Each transport keeps only its own error type for
+/// [`Verdict::lost`] and its own wire-charge model for [`Verdict::slow`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verdict {
+    /// The message never reaches the peer: nothing executes. A call
+    /// surfaces it as the transport's error; a one-way send loses it
+    /// silently (there is no reply to miss).
+    pub lost: Option<Lost>,
+    /// Deliver twice: the handler runs again and the caller sees the
+    /// second reply.
+    pub duplicate: bool,
+    /// Execute (and cache) normally, then lose the reply: the caller sees
+    /// a disconnect. A no-op for a one-way send.
+    pub close_after: bool,
+    /// A fault applied to this call, so a later plan in a chain (the
+    /// network's, then the destination host's) is not consulted for it.
+    /// Set even when nothing else is: a [`Fault::Delay`] is charged to the
+    /// clock inside the gate and leaves no other mark.
+    pub fired: bool,
+    /// One-shot wire-time multiplier ([`Fault::SlowLink`]); 1 when healthy.
+    pub slow: u64,
+}
+
+impl Verdict {
+    /// Nothing planned: the call proceeds untouched.
+    pub const CLEAR: Verdict =
+        Verdict { lost: None, duplicate: false, close_after: false, fired: false, slow: 1 };
+}
+
 /// A deterministic per-call fault plan: "on the nth call, do X".
 ///
 /// Calls are numbered from 0 in arrival order at the transport that owns
 /// the injector. Each planned fault fires exactly once.
 ///
 /// Every transport consults the injector on every call, almost always with
-/// nothing planned, so the per-call entry points number the call and then
+/// nothing planned, so the per-call entry points ([`FaultInjector::gate`]
+/// and the raw `next_call*` readers under it) number the call and then
 /// return after one load of `armed` when it reads zero.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
@@ -225,6 +275,13 @@ impl FaultInjector {
         if self.armed.load(Ordering::SeqCst) == 0 {
             return None;
         }
+        self.consult(n, now_ns, a, b)
+    }
+
+    /// The locked path behind the `armed` check: down state, then active
+    /// partitions, then the plan entry due for call `n`.
+    #[cold]
+    fn consult(&self, n: u64, now_ns: u64, a: u64, b: u64) -> Option<Fault> {
         {
             let mut down = self.down.lock();
             match *down {
@@ -254,6 +311,55 @@ impl FaultInjector {
             _ => {}
         }
         Some(fault)
+    }
+
+    /// The fault gate for a point-to-point transport (loopback, kernel IPC,
+    /// engine admission): [`FaultInjector::gate_between`] over the
+    /// conventional `(0, 1)` pair, with a one-shot [`Fault::SlowLink`]
+    /// charged to `clock` here as `factor` × [`SLOW_HOP_NS`], since these
+    /// transports have no wire time of their own to scale.
+    #[inline]
+    pub fn gate(&self, clock: &SimClock) -> Verdict {
+        let verdict = self.gate_between(clock, 0, 1);
+        if verdict.slow > 1 {
+            clock.advance_ns(SLOW_HOP_NS.saturating_mul(verdict.slow));
+        }
+        verdict
+    }
+
+    /// The fault gate: numbers one call between endpoints `(a, b)`, applies
+    /// crash and partition state as [`FaultInjector::next_call_between`]
+    /// does at `clock`'s current time, and returns what the call must do.
+    /// A [`Fault::Delay`] is charged to `clock` before returning (the peer
+    /// stalled; deadlines may expire meanwhile). The caller scales its own
+    /// wire charge by [`Verdict::slow`].
+    #[inline]
+    pub fn gate_between(&self, clock: &SimClock, a: u64, b: u64) -> Verdict {
+        let n = self.calls.fetch_add(1, Ordering::SeqCst);
+        if self.armed.load(Ordering::SeqCst) == 0 {
+            return Verdict::CLEAR;
+        }
+        self.gate_armed(n, clock, a, b)
+    }
+
+    #[cold]
+    fn gate_armed(&self, n: u64, clock: &SimClock, a: u64, b: u64) -> Verdict {
+        let Some(fault) = self.consult(n, clock.now_ns(), a, b) else {
+            return Verdict::CLEAR;
+        };
+        let mut verdict = Verdict { fired: true, ..Verdict::CLEAR };
+        match fault {
+            Fault::Drop => verdict.lost = Some(Lost::Dropped),
+            Fault::Crash { .. } => verdict.lost = Some(Lost::PeerDown),
+            Fault::Partition { .. } => verdict.lost = Some(Lost::LinkCut),
+            Fault::Delay(ns) => {
+                clock.advance_ns(ns);
+            }
+            Fault::Duplicate => verdict.duplicate = true,
+            Fault::Close => verdict.close_after = true,
+            Fault::SlowLink { factor } => verdict.slow = factor.max(1),
+        }
+        verdict
     }
 
     /// Enters the partition state directly: the link between `a` and `b`
@@ -494,6 +600,82 @@ mod tests {
         assert!(matches!(f.next_call_between(0, 0, 1), Some(Fault::Crash { .. })));
         // Restarted but still partitioned.
         assert!(matches!(f.next_call_between(1_000, 0, 1), Some(Fault::Partition { .. })));
+    }
+
+    /// One row of the gate's contract: arm a fresh injector, pass one call
+    /// across `pair`, and pin the verdict, the sim time charged inside the
+    /// gate (`delay_ns`; a wire-model caller scales its own charge, so
+    /// `gate_between` charges nothing else), and — on the conventional
+    /// pair — that point-to-point `gate` adds exactly the slow hops.
+    fn gate_row(
+        name: &str,
+        arm: impl Fn(&FaultInjector),
+        pair: (u64, u64),
+        want: Verdict,
+        delay_ns: u64,
+    ) {
+        let (f, clock) = (FaultInjector::new(), SimClock::new());
+        arm(&f);
+        assert_eq!(f.gate_between(&clock, pair.0, pair.1), want, "{name}");
+        assert_eq!(clock.now_ns(), delay_ns, "{name}: charged inside gate_between");
+        assert_eq!(f.calls_seen(), 1, "{name}: the gate numbers exactly one call");
+        if pair == (0, 1) {
+            let (f, clock) = (FaultInjector::new(), SimClock::new());
+            arm(&f);
+            assert_eq!(f.gate(&clock), want, "{name}: point-to-point");
+            let hops = if want.slow > 1 { want.slow * SLOW_HOP_NS } else { 0 };
+            assert_eq!(clock.now_ns(), delay_ns + hops, "{name}: point-to-point charge");
+        }
+    }
+
+    /// The gate's whole contract: every `Fault` variant and every piece of
+    /// injector state that can touch a call.
+    #[test]
+    fn gate_verdict_per_variant() {
+        let fired = Verdict { fired: true, ..Verdict::CLEAR };
+        let lost = |how| Verdict { lost: Some(how), ..fired };
+        let cut = |a, b| Fault::Partition { a, b, heal_after_ns: 50 };
+        gate_row("nothing planned", |_| {}, (0, 1), Verdict::CLEAR, 0);
+        gate_row("drop", |f| f.on_next_call(Fault::Drop), (0, 1), lost(Lost::Dropped), 0);
+        gate_row("delay", |f| f.on_next_call(Fault::Delay(700)), (0, 1), fired, 700);
+        let dup = Verdict { duplicate: true, ..fired };
+        gate_row("duplicate", |f| f.on_next_call(Fault::Duplicate), (0, 1), dup, 0);
+        let crash = Fault::Crash { restart_after_ns: None };
+        gate_row("crash", |f| f.on_next_call(crash), (0, 1), lost(Lost::PeerDown), 0);
+        gate_row("down state", |f| f.crash(None), (0, 1), lost(Lost::PeerDown), 0);
+        let close = Verdict { close_after: true, ..fired };
+        gate_row("close", |f| f.on_next_call(Fault::Close), (0, 1), close, 0);
+        gate_row("planned cut", |f| f.on_next_call(cut(0, 1)), (1, 0), lost(Lost::LinkCut), 0);
+        let isolate = |f: &FaultInjector| f.partition(FaultInjector::ANY, 1, 50);
+        gate_row("partition state", isolate, (0, 1), lost(Lost::LinkCut), 0);
+        let both = |f: &FaultInjector| {
+            f.partition(0, 1, u64::MAX);
+            f.crash(None);
+        };
+        gate_row("crash dominates partition", both, (0, 1), lost(Lost::PeerDown), 0);
+        let slow = Verdict { slow: 4, ..fired };
+        gate_row("slow link", |f| f.on_next_call(Fault::SlowLink { factor: 4 }), (0, 1), slow, 0);
+        gate_row(
+            "slow window is the wire model's",
+            |f| f.set_slow_link(8, 50),
+            (0, 1),
+            Verdict::CLEAR,
+            0,
+        );
+
+        // A planned partition for another pair installs its state without
+        // failing (or marking) the call that consumed it.
+        gate_row(
+            "cut planned for another pair",
+            |f| f.on_next_call(cut(5, 6)),
+            (0, 1),
+            Verdict::CLEAR,
+            0,
+        );
+        let (f, clock) = (FaultInjector::new(), SimClock::new());
+        f.on_next_call(cut(5, 6));
+        assert_eq!(f.gate_between(&clock, 0, 1), Verdict::CLEAR);
+        assert_eq!(f.gate_between(&clock, 6, 5), lost(Lost::LinkCut));
     }
 
     #[test]

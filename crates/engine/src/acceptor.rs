@@ -16,9 +16,10 @@
 //! a single outgoing stream, marshalled body slices spliced behind their
 //! record marks with no intermediate per-reply frame.
 
-use crate::engine::{CallTicket, ClientInfo, Engine, EngineError};
+use crate::engine::{Call, CallTicket, ClientInfo, Engine, ReplicaPool};
+use crate::error::EngineError;
 use flexrpc_control::TenantCells;
-use flexrpc_core::program::CompiledOp;
+use flexrpc_core::program::{CompiledInterface, CompiledOp};
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
 use flexrpc_net::{HostId, NetError, SimNet};
 use flexrpc_runtime::policy::CallTag;
@@ -44,11 +45,16 @@ pub fn expose_on_net(
     client: ClientInfo,
 ) -> Result<(), EngineError> {
     let pool = engine.pool_for(service_name, client)?;
-    let compiled = pool.compiled();
-    // Untagged calls are the anonymous tenant's; like a connection, the
-    // exposure resolves those cells once, here.
-    let anonymous = engine.control().resolve(TenantId::DEFAULT);
-    let eng = Arc::clone(engine);
+    let exposure = Exposure {
+        engine: Arc::clone(engine),
+        compiled: pool.compiled(),
+        pool,
+        // Untagged calls are the anonymous tenant's; like a connection, the
+        // exposure resolves those cells once, here.
+        anonymous: engine.control().resolve(TenantId::DEFAULT),
+        prog,
+        vers,
+    };
     engine.counters().connections.inc();
     net.register_service(host, move |stream| {
         let records = sunrpc::split_records(stream).map_err(|e| e.to_string())?;
@@ -62,9 +68,7 @@ pub fn expose_on_net(
             };
             let tag = tag
                 .map(|(binding, seq, tenant)| CallTag::for_tenant(binding, seq, TenantId(tenant)));
-            let outcome =
-                submit_one(&eng, &pool, &anonymous, &compiled, hdr, tag, args, (prog, vers));
-            outcomes.push((hdr.xid, outcome));
+            outcomes.push((hdr.xid, exposure.submit_one(hdr, tag, args)));
         }
         // Phase 2: await and re-frame. Waiting in submit order is fine —
         // execution already overlapped; XIDs let the client reorder freely.
@@ -117,44 +121,63 @@ enum Outcome {
     Pending(CallTicket),
 }
 
-#[allow(clippy::too_many_arguments)]
-fn submit_one(
-    engine: &Arc<Engine>,
-    pool: &Arc<crate::engine::ReplicaPool>,
-    anonymous: &TenantCells,
-    compiled: &flexrpc_core::program::CompiledInterface,
-    hdr: CallHeader,
-    tag: Option<CallTag>,
-    args: &[u8],
-    (prog, vers): (u32, u32),
-) -> Outcome {
-    if hdr.prog != prog {
-        return Outcome::Immediate(AcceptStat::ProgUnavail);
-    }
-    if hdr.vers != vers {
-        return Outcome::Immediate(AcceptStat::ProgMismatch);
-    }
-    let op_index = compiled
-        .ops
-        .iter()
-        .position(|o| o.opnum == Some(hdr.proc))
-        .or_else(|| ((hdr.proc as usize) < compiled.ops.len()).then_some(hdr.proc as usize));
-    let Some(op_index) = op_index else {
-        return Outcome::Immediate(AcceptStat::ProcUnavail);
-    };
-    match engine.submit_to_pool(pool, anonymous, op_index, args, &[], tag) {
-        Ok(ticket) => Outcome::Pending(ticket),
-        // Shed, shutdown, induced failures, and an open breaker are all
-        // SYSTEM_ERR (RFC 1057's "server is having trouble"), distinct from
-        // the dispatch-table rejections above.
-        Err(
-            EngineError::Overloaded
-            | EngineError::Closed
-            | EngineError::Dropped
-            | EngineError::Disconnected(_)
-            | EngineError::Unhealthy,
-        ) => Outcome::Immediate(AcceptStat::SystemErr),
-        Err(_) => Outcome::Immediate(AcceptStat::ProcUnavail),
+/// One program `(prog, vers)` served from one replica pool: what
+/// [`expose_on_net`] fixed at expose time and every record is checked and
+/// submitted against.
+struct Exposure {
+    engine: Arc<Engine>,
+    pool: Arc<ReplicaPool>,
+    compiled: Arc<CompiledInterface>,
+    anonymous: TenantCells,
+    prog: u32,
+    vers: u32,
+}
+
+impl Exposure {
+    fn submit_one(&self, hdr: CallHeader, tag: Option<CallTag>, args: &[u8]) -> Outcome {
+        if hdr.prog != self.prog {
+            return Outcome::Immediate(AcceptStat::ProgUnavail);
+        }
+        if hdr.vers != self.vers {
+            return Outcome::Immediate(AcceptStat::ProgMismatch);
+        }
+        let ops = &self.compiled.ops;
+        let op_index = ops
+            .iter()
+            .position(|o| o.opnum == Some(hdr.proc))
+            .or_else(|| ((hdr.proc as usize) < ops.len()).then_some(hdr.proc as usize));
+        let Some(op_index) = op_index else {
+            return Outcome::Immediate(AcceptStat::ProcUnavail);
+        };
+        // Tenancy rides the tag when the wire credential carried one, and
+        // so does the shard binding; untagged calls home on the pool's
+        // identity. No caller deadline crosses the wire, but the dwell
+        // limit still applies.
+        let call = Call {
+            pool: &self.pool,
+            bound: &self.anonymous,
+            binding: tag.map_or(Arc::as_ptr(&self.pool) as u64, |t| t.binding),
+            op_index,
+            request: args,
+            rights: &[],
+            deadline_ns: None,
+            tag,
+            trace: None,
+        };
+        match self.engine.submit(&call) {
+            Ok(ticket) => Outcome::Pending(ticket),
+            // Shed, shutdown, induced failures, and an open breaker are all
+            // SYSTEM_ERR (RFC 1057's "server is having trouble"), distinct
+            // from the dispatch-table rejections above.
+            Err(
+                EngineError::Overloaded
+                | EngineError::Closed
+                | EngineError::Dropped
+                | EngineError::Disconnected(_)
+                | EngineError::Unhealthy,
+            ) => Outcome::Immediate(AcceptStat::SystemErr),
+            Err(_) => Outcome::Immediate(AcceptStat::ProcUnavail),
+        }
     }
 }
 

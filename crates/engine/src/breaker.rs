@@ -6,7 +6,7 @@
 //! After a sim-time cooldown the breaker goes *half-open* and admits one
 //! probe; the probe's outcome decides between closing (recovered) and
 //! re-opening (still sick). All transitions are measured on the
-//! deterministic [`SimClock`] time passed in by the engine, so breaker
+//! deterministic [`SimClock`](flexrpc_clock::SimClock) time passed in by the engine, so breaker
 //! behavior is exactly reproducible in tests.
 
 use flexrpc_trace::{Counter, MetricsRegistry};

@@ -1,12 +1,19 @@
 //! The serving engine: acceptor, worker pool, replica pools, connections.
 //!
 //! One engine serves many clients across many services with a fixed pool
-//! of worker threads. Work arrives as [`Job`]s on a weighted-fair queue —
-//! from same-domain clients through [`EngineConnection`] (a
-//! [`Transport`](flexrpc_runtime::transport::Transport) impl) or from the
+//! of worker threads. Work arrives as jobs on a weighted-fair queue —
+//! from same-domain clients through [`EngineConnection`] (a [`Transport`]
+//! impl) or from the
 //! simulated network through [`crate::acceptor`] — and every job dispatches
 //! into a [`ServerInterface`] *replica* drawn from the pool for that
 //! connection's program combination.
+//!
+//! There is one call path. Every submission is one borrowed `Call` value
+//! that passes, in the statement order of the functions below, through the
+//! breaker, the fault gate, tenant admission and then either the queue or —
+//! for a blocking call that finds the engine idle — straight on; both ends
+//! meet in the single dispatch body `Engine::serve`, which a worker enters
+//! with a dequeued job and an inline caller enters with its own buffers.
 //!
 //! Replicas exist because dispatch needs `&mut self` (handlers are
 //! `FnMut`): rather than serializing all clients on one server lock, each
@@ -24,11 +31,12 @@
 //! via [`Engine::swap_policy`]; a connection's program combination is
 //! swappable live via [`EngineConnection::rebind`].
 
-use crate::breaker::CircuitBreaker;
+use crate::breaker::{BreakerStats, CircuitBreaker};
 use crate::cache::{ProgramCache, ProgramKey};
+use crate::error::{admission_error, EngineError};
 use crate::slot::ReplySlot;
 use crate::stats::{EngineCounters, EngineStatsSnapshot};
-use flexrpc_clock::{Fault, FaultInjector, SimClock};
+use flexrpc_clock::{FaultInjector, Lost, SimClock};
 use flexrpc_control::{
     ControlPlane, Policy, PolicyHandle, TenantCells, TenantMetrics, WfqGroup, WfqQueue, WfqRefusal,
 };
@@ -49,88 +57,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Errors from engine control operations.
-#[derive(Debug)]
-pub enum EngineError {
-    /// No service registered under that name.
-    UnknownService(String),
-    /// A service with that name already exists.
-    DuplicateService(String),
-    /// The engine is shutting down.
-    Closed,
-    /// The engine shed the call at admission: either the submitting
-    /// tenant is over its own quota, or the aggregate backlog is above
-    /// the engine policy's high-water backstop.
-    Overloaded,
-    /// Program compilation failed for a combination.
-    Compile(flexrpc_core::CoreError),
-    /// The underlying network refused an operation.
-    Net(flexrpc_net::NetError),
-    /// The submission was lost (induced fault); a resend may succeed.
-    Dropped,
-    /// The engine's server process crashed (induced fault): the binding is
-    /// gone until the scheduled restart.
-    Disconnected(String),
-    /// The circuit breaker is open: the engine judged itself sick and
-    /// refuses admission so clients fail over instead of piling on.
-    Unhealthy,
-    /// Bind-time call-shape negotiation failed: the two ends declare
-    /// incompatible shapes for an operation (e.g. `[oneway]` against
-    /// unary, or `[stream]` against `[oneway]`). Fix the presentations;
-    /// no retry helps.
-    ShapeMismatch(String),
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::UnknownService(n) => write!(f, "unknown service `{n}`"),
-            EngineError::DuplicateService(n) => write!(f, "service `{n}` already registered"),
-            EngineError::Closed => write!(f, "engine is shut down"),
-            EngineError::Overloaded => write!(f, "engine overloaded: call shed at admission"),
-            EngineError::Compile(e) => write!(f, "program compilation failed: {e}"),
-            EngineError::Net(e) => write!(f, "network error: {e}"),
-            EngineError::Dropped => write!(f, "submission dropped (induced fault)"),
-            EngineError::Disconnected(why) => write!(f, "engine connection lost: {why}"),
-            EngineError::Unhealthy => write!(f, "engine circuit breaker open"),
-            EngineError::ShapeMismatch(why) => write!(f, "call-shape mismatch: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-impl From<flexrpc_net::NetError> for EngineError {
-    fn from(e: flexrpc_net::NetError) -> EngineError {
-        EngineError::Net(e)
-    }
-}
-
-/// Engine failures fold into the unified taxonomy: shed at admission is
-/// [`Overloaded`](flexrpc_runtime::ErrorKind::Overloaded), shutdown is
-/// [`Cancelled`](flexrpc_runtime::ErrorKind::Cancelled), network trouble
-/// keeps its layer's classification, and registration/compile problems are
-/// fatal (no retry fixes a missing service).
-impl From<EngineError> for flexrpc_runtime::Error {
-    fn from(e: EngineError) -> flexrpc_runtime::Error {
-        use flexrpc_runtime::ErrorKind;
-        let kind = match &e {
-            EngineError::Overloaded => ErrorKind::Overloaded,
-            EngineError::Closed => ErrorKind::Cancelled,
-            EngineError::Net(n) => RpcError::Net(n.clone()).kind(),
-            EngineError::Dropped => ErrorKind::Retryable,
-            // A crashed engine and an open breaker read the same to a
-            // supervisor: this binding is gone, fail over.
-            EngineError::Disconnected(_) | EngineError::Unhealthy => ErrorKind::Disconnected,
-            EngineError::ShapeMismatch(_) => ErrorKind::ContractViolation,
-            EngineError::UnknownService(_)
-            | EngineError::DuplicateService(_)
-            | EngineError::Compile(_) => ErrorKind::Fatal,
-        };
-        flexrpc_runtime::Error::new(kind, e.to_string())
-    }
-}
 
 /// What a connecting client declares about itself; with the service's own
 /// half it selects the program combination.
@@ -246,7 +172,28 @@ impl SubmitSignal {
     }
 }
 
-/// A unit of work: one dispatch against one replica pool.
+/// One offered call, borrowed from whoever submits it (a connection's
+/// `submit*` / `call_with`, or the network acceptor): the single value every
+/// submission path hands to [`Engine::submit`] or [`Engine::call_blocking`].
+pub(crate) struct Call<'a> {
+    pub(crate) pool: &'a Arc<ReplicaPool>,
+    /// What the submitting binding resolved when it was established: its
+    /// tenant's live policy handle and metric cells.
+    pub(crate) bound: &'a TenantCells,
+    /// Shard binding: with the tenant, picks the call's home shard.
+    pub(crate) binding: u64,
+    pub(crate) op_index: usize,
+    pub(crate) request: &'a [u8],
+    pub(crate) rights: &'a [u32],
+    /// The caller's absolute sim-clock deadline, if any.
+    pub(crate) deadline_ns: Option<u64>,
+    /// At-most-once identity, consulted against the engine's reply cache.
+    pub(crate) tag: Option<CallTag>,
+    /// Span trace of the submitting connection, if it asked for one.
+    pub(crate) trace: Option<&'a SharedCallTrace>,
+}
+
+/// A queued call: what [`Call`] and its [`Admission`] leave for a worker.
 struct Job {
     pool: Arc<ReplicaPool>,
     op_index: usize,
@@ -256,7 +203,6 @@ struct Job {
     /// Absolute sim-clock deadline: the tighter of the caller's deadline
     /// and the effective queue-dwell limit, fixed at admission.
     deadline_ns: Option<u64>,
-    /// At-most-once identity, consulted against the engine's reply cache.
     tag: Option<CallTag>,
     /// Metric cells of the tenant this call was admitted under, so the
     /// worker never touches the control plane's maps.
@@ -265,19 +211,35 @@ struct Job {
     /// reply — the submitter sees a disconnect.
     close_after: bool,
     /// For the real half of a duplicated delivery, its shadow's slot: the
-    /// dispatch waits for it, so a thief running this job on another
-    /// worker still replays what the shadow recorded.
+    /// worker waits for it, so a thief running this job on another worker
+    /// still replays what the shadow recorded.
     after: Option<Arc<Completion>>,
     /// Sim time the job entered the queue (dwell accounting).
     enqueue_ns: u64,
-    /// Span trace of the submitting connection, if it asked for one: the
-    /// worker records the Enqueue (queue dwell) and Dispatch spans of this
-    /// logical call into it.
+    /// The submitter's trace and this logical call's id in it: the worker
+    /// records the Enqueue (queue dwell) and Dispatch spans there.
     trace: Option<(SharedCallTrace, u64)>,
 }
 
+/// What the dispatch body [`Engine::serve`] needs of an admitted call,
+/// borrowed from a dequeued [`Job`] by a worker or from the caller's own
+/// arguments on the inline path.
+struct Dispatch<'a> {
+    pool: &'a ReplicaPool,
+    op_index: usize,
+    request: &'a [u8],
+    rights: &'a [u32],
+    tag: Option<CallTag>,
+    tenant_metrics: &'a TenantMetrics,
+    close_after: bool,
+    /// Sim time the call entered the queue; `None` for a call that never
+    /// did (zero dwell by definition).
+    queued_at: Option<u64>,
+    trace: Option<(&'a SharedCallTrace, u64)>,
+}
+
 /// The outcome of the shared admission preamble ([`Engine::admit`]):
-/// everything both the queue path and the inline path need to proceed.
+/// what the queue needs to place the call and what dispatch must honor.
 struct Admission<'a> {
     tenant: TenantId,
     /// The cells the call is charged to: the binding's own, or a
@@ -410,9 +372,8 @@ impl EngineBuilder {
     }
 
     /// The engine-level [`Policy`]: aggregate admission high water,
-    /// default queue-dwell limit, breaker arming. Replaces the former
-    /// `high_water` / `dwell_limit` / `breaker` knobs with one composable
-    /// value; swap it later, live, with [`Engine::swap_policy`].
+    /// default queue-dwell limit, breaker arming — one composable value;
+    /// swap it later, live, with [`Engine::swap_policy`].
     pub fn policy(mut self, policy: Policy) -> EngineBuilder {
         self.policy = policy;
         self
@@ -424,30 +385,6 @@ impl EngineBuilder {
     /// private plane is created when none is supplied.
     pub fn control(mut self, plane: Arc<ControlPlane>) -> EngineBuilder {
         self.control = Some(plane);
-        self
-    }
-
-    /// Admission high-water mark.
-    #[deprecated(note = "compose `Policy::new().high_water(n)` and pass it to \
-                         `EngineBuilder::policy`")]
-    pub fn high_water(mut self, n: usize) -> EngineBuilder {
-        self.policy = std::mem::take(&mut self.policy).high_water(n.max(1));
-        self
-    }
-
-    /// Queue-dwell limit.
-    #[deprecated(note = "compose `Policy::new().dwell_limit(d)` and pass it to \
-                         `EngineBuilder::policy`")]
-    pub fn dwell_limit(mut self, d: Duration) -> EngineBuilder {
-        self.policy = std::mem::take(&mut self.policy).dwell_limit(d);
-        self
-    }
-
-    /// Circuit breaker arming.
-    #[deprecated(note = "compose `Policy::new().breaker(threshold, cooldown)` and pass it \
-                         to `EngineBuilder::policy`")]
-    pub fn breaker(mut self, threshold: u32, cooldown: Duration) -> EngineBuilder {
-        self.policy = std::mem::take(&mut self.policy).breaker(threshold, cooldown);
         self
     }
 
@@ -827,51 +764,76 @@ impl Engine {
             job.slot.fill(Err(RpcError::DeadlineExceeded));
             return;
         }
-        let started_ns = clock.now_ns();
-        let dwell = started_ns.saturating_sub(job.enqueue_ns);
-        engine.dwell_ns.record(dwell);
-        job.tenant_metrics.served.inc();
-        job.tenant_metrics.dwell_ns.record(dwell);
-        if let Some((t, call)) = &job.trace {
-            t.record(*call, Stage::Enqueue, job.enqueue_ns, started_ns, 0);
-        }
         if let Some(shadow) = &job.after {
             let _ = shadow.wait();
         }
-        let mut replica = job.pool.checkout(own);
-        let mut body = Vec::new();
-        let mut rights_out = Vec::new();
-        let result = replica
-            .dispatch_tagged(
-                job.op_index,
-                &job.request,
-                &job.rights,
-                job.tag,
-                &mut body,
-                &mut rights_out,
-            )
-            .map(|()| Reply { body, rights: rights_out });
-        job.pool.give_back(replica);
-        if let Some((t, call)) = &job.trace {
-            t.record(*call, Stage::Dispatch, started_ns, clock.now_ns(), job.op_index as u64);
+        let dispatch = Dispatch {
+            pool: &job.pool,
+            op_index: job.op_index,
+            request: &job.request,
+            rights: &job.rights,
+            tag: job.tag,
+            tenant_metrics: &job.tenant_metrics,
+            close_after: job.close_after,
+            queued_at: Some(job.enqueue_ns),
+            trace: job.trace.as_ref().map(|(t, call)| (t, *call)),
+        };
+        let mut reply = Reply::default();
+        let result = engine.serve(&dispatch, own, &mut reply.body, &mut reply.rights);
+        job.slot.fill(result.map(|()| reply));
+    }
+
+    /// The one dispatch body, entered by a worker with a dequeued job and a
+    /// fresh [`Reply`], and by an inline caller with its own buffers: dwell
+    /// record, tenant cells, Enqueue and Dispatch spans, replica checkout
+    /// (starting at `home`), the dispatch itself, the finish counters, the
+    /// breaker record, and an induced close. On any failure the buffers
+    /// come back empty.
+    ///
+    /// Forced inline: with two call sites it is otherwise an out-of-line
+    /// call from the inline path, measured at +7 ns a call (≈2 %, losing
+    /// ten of ten pairs) on the benchmark's `engine_inline` workload.
+    #[inline(always)]
+    fn serve(
+        &self,
+        d: &Dispatch<'_>,
+        home: usize,
+        reply: &mut Vec<u8>,
+        rights_out: &mut Vec<u32>,
+    ) -> flexrpc_runtime::Result<()> {
+        let started_ns = self.clock.now_ns();
+        let queued_at = d.queued_at.unwrap_or(started_ns);
+        let dwell = started_ns.saturating_sub(queued_at);
+        self.dwell_ns.record(dwell);
+        d.tenant_metrics.served.inc();
+        d.tenant_metrics.dwell_ns.record(dwell);
+        if let Some((t, call)) = d.trace {
+            t.record(call, Stage::Enqueue, queued_at, started_ns, 0);
         }
-        engine.counters.job_finished(
-            job.request.len(),
-            result.as_ref().map_or(0, |r| r.body.len()),
-            result.is_ok(),
-        );
-        if let Some(b) = &engine.breaker {
-            b.record(result.is_ok(), clock.now_ns());
+        let mut replica = d.pool.checkout(home);
+        reply.clear();
+        rights_out.clear();
+        let mut result =
+            replica.dispatch_tagged(d.op_index, d.request, d.rights, d.tag, reply, rights_out);
+        d.pool.give_back(replica);
+        if let Some((t, call)) = d.trace {
+            t.record(call, Stage::Dispatch, started_ns, self.clock.now_ns(), d.op_index as u64);
         }
-        // An induced Close: the call executed (and an at-most-once
-        // engine cached its reply), but the reply is lost on the way
-        // back.
-        if job.close_after {
-            job.slot
-                .fill(Err(RpcError::Disconnected("engine connection closed before reply".into())));
-        } else {
-            job.slot.fill(result);
+        let ok = result.is_ok();
+        self.counters.job_finished(d.request.len(), if ok { reply.len() } else { 0 }, ok);
+        if let Some(b) = &self.breaker {
+            b.record(ok, self.clock.now_ns());
         }
+        // An induced Close: the call executed (and an at-most-once engine
+        // cached its reply), but the reply is lost on the way back.
+        if d.close_after {
+            result = Err(RpcError::Disconnected("engine connection closed before reply".into()));
+        }
+        if result.is_err() {
+            reply.clear();
+            rights_out.clear();
+        }
+        result
     }
 
     /// The home shard for a `(tenant, binding)` pair. Single-shard
@@ -889,11 +851,11 @@ impl Engine {
     }
 
     /// Shared admission preamble for every submission path: the breaker
-    /// gate, the effective tenant, the induced-fault plan, and deadline /
+    /// gate, the effective tenant, the fault gate, and deadline /
     /// dwell-limit resolution. Exactly one fault event is consumed per
     /// offered call, whether it then runs inline or through a queue.
     ///
-    /// `bound` is what the submitting binding resolved when it was
+    /// `call.bound` is what the submitting binding resolved when it was
     /// established, so the warm path hashes no map and clones no `Arc`:
     /// policy is read in place through the handle (a swap is visible to
     /// the very next call). Only a tag naming *another* non-default tenant
@@ -902,9 +864,7 @@ impl Engine {
     /// admission can borrow them.
     fn admit<'a>(
         &self,
-        deadline_ns: Option<u64>,
-        tag: Option<CallTag>,
-        bound: &'a TenantCells,
+        call: &Call<'a>,
         foreign: &'a mut Option<TenantCells>,
     ) -> Result<Admission<'a>, EngineError> {
         // Health gate first: an open breaker refuses before any work or
@@ -914,36 +874,26 @@ impl Engine {
                 return Err(EngineError::Unhealthy);
             }
         }
-        let cells: &TenantCells = match tag.map(|t| t.tenant) {
-            Some(t) if !t.is_default() && t != bound.handle.tenant() => {
+        let cells: &TenantCells = match call.tag.map(|t| t.tenant) {
+            Some(t) if !t.is_default() && t != call.bound.handle.tenant() => {
                 foreign.insert(self.control.resolve(t))
             }
-            _ => bound,
+            _ => call.bound,
         };
         // Induced faults are applied at admission — the point where both
-        // the same-domain path and the network acceptor path converge.
-        let mut close_after = false;
-        let mut duplicate = false;
-        match self.faults.next_call_at(self.clock.now_ns()) {
-            None => {}
-            Some(Fault::Crash { .. }) => {
+        // the same-domain path and the network acceptor path converge. The
+        // message has already arrived, so a cut link reads as a refused
+        // connection.
+        let verdict = self.faults.gate(&self.clock);
+        match verdict.lost {
+            Some(Lost::Dropped) => return Err(EngineError::Dropped),
+            Some(Lost::PeerDown) => {
                 return Err(EngineError::Disconnected("engine process crashed".into()));
             }
-            Some(Fault::Drop) => return Err(EngineError::Dropped),
-            Some(Fault::Delay(ns)) => {
-                self.clock.advance_ns(ns);
-            }
-            Some(Fault::Close) => close_after = true,
-            Some(Fault::Duplicate) => duplicate = true,
-            // Link-level faults are meaningless at admission (the message
-            // already arrived); an engine-plan partition reads as a refused
-            // connection, a slow link as a stalled receive.
-            Some(Fault::Partition { .. }) => {
+            Some(Lost::LinkCut) => {
                 return Err(EngineError::Disconnected("engine link partitioned".into()));
             }
-            Some(Fault::SlowLink { factor }) => {
-                self.clock.advance_ns(1_000u64.saturating_mul(factor.max(1)));
-            }
+            None => {}
         }
         let now = self.clock.now_ns();
         let (weight, quota, tenant_dwell, tenant_deadline) = cells
@@ -956,7 +906,8 @@ impl Engine {
         // The tenant's dwell limit overrides the engine default; the
         // tenant's deadline default applies only when the caller set none.
         let dwell_deadline = tenant_dwell.or(engine_dwell).map(|d| now.saturating_add(d));
-        let deadline_ns = deadline_ns.or_else(|| tenant_deadline.map(|d| now.saturating_add(d)));
+        let deadline_ns =
+            call.deadline_ns.or_else(|| tenant_deadline.map(|d| now.saturating_add(d)));
         let deadline_ns = match (deadline_ns, dwell_deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -968,52 +919,35 @@ impl Engine {
             quota,
             high_water,
             deadline_ns,
-            close_after,
-            duplicate,
+            close_after: verdict.close_after,
+            duplicate: verdict.duplicate,
             now,
         })
     }
 
-    /// Enqueues one dispatch through per-tenant admission control.
+    /// Submits one call to the queue through per-tenant admission control.
     ///
     /// The effective tenant is the tag's (when it carries a non-default
     /// one) or the binding's. Its live [`Policy`] decides the
     /// weighted-fair share, the quota (excess shed as
     /// [`EngineError::Overloaded`], charged to this tenant), and
-    /// dwell/deadline overrides; the engine policy's high water is the
-    /// aggregate backstop. With a high water set the push never blocks;
-    /// without one it blocks at queue capacity (backpressure), though a
-    /// quota refusal still returns immediately.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue(
-        &self,
-        pool: Arc<ReplicaPool>,
-        bound: &TenantCells,
-        binding: u64,
-        op_index: usize,
-        request: Vec<u8>,
-        rights: Vec<u32>,
-        deadline_ns: Option<u64>,
-        tag: Option<CallTag>,
-        trace: Option<&SharedCallTrace>,
-    ) -> Result<CallTicket, EngineError> {
+    /// dwell/deadline overrides — the dwell limit applies even without a
+    /// caller deadline; the engine policy's high water is the aggregate
+    /// backstop. With a high water set the push never blocks; without one
+    /// it blocks at queue capacity (backpressure), though a quota refusal
+    /// still returns immediately.
+    pub(crate) fn submit(&self, call: &Call<'_>) -> Result<CallTicket, EngineError> {
         let mut foreign = None;
-        let adm = self.admit(deadline_ns, tag, bound, &mut foreign)?;
-        let shard = self.home_shard(adm.tenant, binding);
-        self.finish_enqueue(pool, op_index, request, rights, tag, trace, &adm, shard)
+        let adm = self.admit(call, &mut foreign)?;
+        self.enqueue(call, &adm, self.home_shard(adm.tenant, call.binding))
     }
 
-    /// The queue tail of admission: slot, pre-expired check, the shadow
-    /// for a duplicated delivery, and the weighted-fair push to `shard`.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_enqueue(
+    /// The queue tail of admission: slot, pre-expired check, the job (and
+    /// its shadow, for a duplicated delivery) copied out of the borrowed
+    /// call, and the weighted-fair push to `shard`.
+    fn enqueue(
         &self,
-        pool: Arc<ReplicaPool>,
-        op_index: usize,
-        request: Vec<u8>,
-        rights: Vec<u32>,
-        tag: Option<CallTag>,
-        trace: Option<&SharedCallTrace>,
+        call: &Call<'_>,
         adm: &Admission<'_>,
         shard: usize,
     ) -> Result<CallTicket, EngineError> {
@@ -1027,46 +961,35 @@ impl Engine {
             slot.fill(Err(RpcError::DeadlineExceeded));
             return Ok(ticket);
         }
+        // `after` is the shadow's slot when this is the real half of a
+        // duplicated delivery; the shadow itself is the job built with
+        // `real` false: it loses no reply and is invisible to the
+        // submitter's trace.
+        let job = |slot, after: Option<Arc<Completion>>, real: bool| Job {
+            pool: Arc::clone(call.pool),
+            op_index: call.op_index,
+            request: call.request.to_vec(),
+            rights: call.rights.to_vec(),
+            slot,
+            deadline_ns: adm.deadline_ns,
+            tag: call.tag,
+            tenant_metrics: Arc::clone(adm.tenant_metrics),
+            close_after: real && adm.close_after,
+            after,
+            enqueue_ns: adm.now,
+            trace: call.trace.filter(|_| real).map(|t| (t.clone(), t.begin_call())),
+        };
         let mut after = None;
         if adm.duplicate {
             // Duplicated delivery: a shadow copy of the job runs first and
             // its reply is discarded. Under at-most-once the shadow records
             // into the reply cache and the real job replays from it — one
             // handler execution even though the queue saw the call twice.
-            // The shadow is invisible to the submitter's trace.
             let shadow_slot = Arc::new(Completion::new());
-            after = Some(Arc::clone(&shadow_slot));
-            let shadow = Job {
-                pool: Arc::clone(&pool),
-                op_index,
-                request: request.clone(),
-                rights: rights.clone(),
-                slot: shadow_slot,
-                deadline_ns: adm.deadline_ns,
-                tag,
-                tenant_metrics: Arc::clone(adm.tenant_metrics),
-                close_after: false,
-                after: None,
-                enqueue_ns: adm.now,
-                trace: None,
-            };
-            self.push_job(shadow, adm, shard)?;
+            self.push_job(job(Arc::clone(&shadow_slot), None, false), adm, shard)?;
+            after = Some(shadow_slot);
         }
-        let job = Job {
-            pool,
-            op_index,
-            request,
-            rights,
-            slot,
-            deadline_ns: adm.deadline_ns,
-            tag,
-            tenant_metrics: Arc::clone(adm.tenant_metrics),
-            close_after: adm.close_after,
-            after,
-            enqueue_ns: adm.now,
-            trace: trace.map(|t| (t.clone(), t.begin_call())),
-        };
-        self.push_job(job, adm, shard)?;
+        self.push_job(job(slot, after, true), adm, shard)?;
         Ok(ticket)
     }
 
@@ -1103,32 +1026,23 @@ impl Engine {
 
     /// A blocking call that may bypass the queue entirely — LRPC-style
     /// direct dispatch on the caller's thread, straight into the caller's
-    /// reply buffers, no intermediate `Reply` and no worker handoff.
+    /// reply buffers: no `Job`, no intermediate `Reply`, no worker handoff.
     ///
     /// Eligibility is decided *after* the shared admission preamble (so
-    /// breaker, faults, and counters behave identically on both paths):
-    /// the call must have no deadline to enforce mid-dispatch, the shard
-    /// group must be empty (with a backlog, jumping the weighted-fair
-    /// queue would defeat QoS), and the engine must be open. Everything
-    /// else takes the queue path and waits on the ticket.
-    #[allow(clippy::too_many_arguments)]
+    /// the breaker and the fault gate see every call alike): the call must
+    /// have no deadline to enforce mid-dispatch, the shard group must be
+    /// empty (with a backlog, jumping the weighted-fair queue would defeat
+    /// QoS), and the engine must be open. Everything else takes the queue
+    /// and waits on the ticket.
     pub(crate) fn call_blocking(
         &self,
-        pool: &Arc<ReplicaPool>,
-        bound: &TenantCells,
-        binding: u64,
-        op_index: usize,
-        request: &[u8],
-        rights: &[u32],
-        deadline_ns: Option<u64>,
-        tag: Option<CallTag>,
-        trace: Option<&SharedCallTrace>,
+        call: &Call<'_>,
         reply: &mut Vec<u8>,
         rights_out: &mut Vec<u32>,
     ) -> flexrpc_runtime::Result<()> {
         let mut foreign = None;
-        let adm = self.admit(deadline_ns, tag, bound, &mut foreign).map_err(admission_error)?;
-        let shard = self.home_shard(adm.tenant, binding);
+        let adm = self.admit(call, &mut foreign).map_err(admission_error)?;
+        let shard = self.home_shard(adm.tenant, call.binding);
         // Duplicate deliveries must ride the queue: the shadow and the
         // real call share one FIFO lane there, so the shadow strictly
         // precedes the real execution and the at-most-once cache sees
@@ -1138,114 +1052,30 @@ impl Engine {
             && self.group.is_empty()
             && !self.shards[shard].is_closed()
         {
-            return self.dispatch_inline(
-                pool, op_index, request, rights, tag, &adm, shard, trace, reply, rights_out,
-            );
+            self.counters.job_enqueued();
+            self.counters.inline_calls.inc();
+            let dispatch = Dispatch {
+                pool: call.pool,
+                op_index: call.op_index,
+                request: call.request,
+                rights: call.rights,
+                tag: call.tag,
+                tenant_metrics: adm.tenant_metrics,
+                close_after: adm.close_after,
+                queued_at: None,
+                trace: call.trace.map(|t| (t, t.begin_call())),
+            };
+            return self.serve(&dispatch, shard, reply, rights_out);
         }
-        let ticket = self
-            .finish_enqueue(
-                Arc::clone(pool),
-                op_index,
-                request.to_vec(),
-                rights.to_vec(),
-                tag,
-                trace,
-                &adm,
-                shard,
-            )
-            .map_err(admission_error)?;
-        let r = ticket.wait_until(deadline_ns)?;
+        let ticket = self.enqueue(call, &adm, shard).map_err(admission_error)?;
         // Move, don't copy: the worker's reply body becomes the caller's
         // buffer (the caller's old allocation rides back into `r` and is
         // dropped).
-        let mut r = r;
+        let mut r = ticket.wait_until(call.deadline_ns)?;
         std::mem::swap(reply, &mut r.body);
         rights_out.clear();
         rights_out.extend_from_slice(&r.rights);
         Ok(())
-    }
-
-    /// The inline dispatch tail: mirrors every counter, trace span, and
-    /// fault behavior of the worker path, with zero queue dwell. Checks
-    /// its replica out starting at the call's home `shard`.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_inline(
-        &self,
-        pool: &ReplicaPool,
-        op_index: usize,
-        request: &[u8],
-        rights: &[u32],
-        tag: Option<CallTag>,
-        adm: &Admission<'_>,
-        shard: usize,
-        trace: Option<&SharedCallTrace>,
-        reply: &mut Vec<u8>,
-        rights_out: &mut Vec<u32>,
-    ) -> flexrpc_runtime::Result<()> {
-        self.counters.job_enqueued();
-        self.counters.inline_calls.inc();
-        let started_ns = self.clock.now_ns();
-        self.dwell_ns.record(0);
-        adm.tenant_metrics.served.inc();
-        adm.tenant_metrics.dwell_ns.record(0);
-        let trace_call = trace.map(|t| (t, t.begin_call()));
-        if let Some((t, call)) = &trace_call {
-            t.record(*call, Stage::Enqueue, started_ns, started_ns, 0);
-        }
-        let mut replica = pool.checkout(shard);
-        reply.clear();
-        rights_out.clear();
-        let result = replica.dispatch_tagged(op_index, request, rights, tag, reply, rights_out);
-        pool.give_back(replica);
-        if let Some((t, call)) = &trace_call {
-            t.record(*call, Stage::Dispatch, started_ns, self.clock.now_ns(), op_index as u64);
-        }
-        self.counters.job_finished(
-            request.len(),
-            if result.is_ok() { reply.len() } else { 0 },
-            result.is_ok(),
-        );
-        if let Some(b) = &self.breaker {
-            b.record(result.is_ok(), self.clock.now_ns());
-        }
-        if adm.close_after {
-            reply.clear();
-            rights_out.clear();
-            return Err(RpcError::Disconnected("engine connection closed before reply".into()));
-        }
-        if result.is_err() {
-            reply.clear();
-            rights_out.clear();
-        }
-        result
-    }
-
-    /// Submits into a specific pool (the acceptor's path). `bound` is the
-    /// exposure's own (anonymous) tenant, resolved when it was set up;
-    /// tenancy rides the tag when the wire credential carried one. The
-    /// dwell limit still applies even without a caller deadline. The shard
-    /// binding is the tag's when present, else the pool's identity.
-    pub(crate) fn submit_to_pool(
-        &self,
-        pool: &Arc<ReplicaPool>,
-        bound: &TenantCells,
-        op_index: usize,
-        request: &[u8],
-        rights: &[u32],
-        tag: Option<CallTag>,
-    ) -> Result<CallTicket, EngineError> {
-        let binding = tag.map_or(Arc::as_ptr(pool) as u64, |t| t.binding);
-        self.enqueue(
-            Arc::clone(pool),
-            bound,
-            binding,
-            op_index,
-            request.to_vec(),
-            rights.to_vec(),
-            None,
-            tag,
-            None,
-        )
     }
 
     /// Live counters (crate-internal; external readers use [`Engine::stats`]).
@@ -1283,18 +1113,21 @@ impl Engine {
         self.rebinds.get()
     }
 
-    /// Point-in-time statistics, reconstructed from the unified metrics
-    /// snapshot — the registry is the single source of truth; only the
-    /// structural parts (queue depth, worker count, cache layout, the
-    /// breaker's derived open/closed state) are read directly.
+    /// Point-in-time statistics, read from the cells the engine, its
+    /// breaker and its reply cache hold — the same cells the registry
+    /// adopted, so a [`MetricsRegistry`] snapshot can never disagree.
     pub fn stats(&self) -> EngineStatsSnapshot {
-        let snapshot = self.metrics.snapshot();
-        EngineStatsSnapshot::from_metrics(
-            &snapshot,
+        let now = self.clock.now_ns();
+        self.counters.snapshot(
             self.group.len(),
             self.workers_n,
             self.cache.stats(),
-            self.breaker.as_ref().is_some_and(|b| b.is_open(self.clock.now_ns())),
+            self.reply_cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
+            // Open means refusing *now*: a cooled-down breaker reads closed.
+            self.breaker
+                .as_ref()
+                .map(|b| BreakerStats { open: b.is_open(now), ..b.stats() })
+                .unwrap_or_default(),
         )
     }
 
@@ -1356,8 +1189,9 @@ impl ConnectBuilder {
 
     /// Per-connection call options: the deadline applies to every call
     /// made through the connection (a call-level deadline overrides it);
-    /// the retry policy is consumed by [`ClientStub::call_with`]
-    /// (flexrpc_runtime::ClientStub) above the transport.
+    /// the retry policy is consumed by
+    /// [`ClientStub::call_with`](flexrpc_runtime::ClientStub::call_with)
+    /// above the transport.
     pub fn options(mut self, options: CallOptions) -> ConnectBuilder {
         self.options = options;
         self
@@ -1560,18 +1394,20 @@ impl EngineConnection {
         deadline_ns: Option<u64>,
         tag: Option<CallTag>,
     ) -> Result<CallTicket, EngineError> {
+        // Cloned out, not borrowed: admission can block on backpressure,
+        // and a rebind must not wait behind it for the binding lock.
         let pool = Arc::clone(&self.bind.read().pool);
-        self.engine.enqueue(
-            pool,
-            &self.tenant,
-            self.binding_for(tag),
+        self.engine.submit(&Call {
+            pool: &pool,
+            bound: &self.tenant,
+            binding: self.binding_for(tag),
             op_index,
-            request.to_vec(),
-            rights.to_vec(),
+            request,
+            rights,
             deadline_ns,
             tag,
-            self.trace.as_ref(),
-        )
+            trace: self.trace.as_ref(),
+        })
     }
 
     /// The shard binding for a call: the at-most-once tag's binding when
@@ -1653,19 +1489,6 @@ impl EngineConnection {
     }
 }
 
-/// Folds engine admission failures into the runtime's error taxonomy —
-/// shared by the unary and one-way transport paths.
-fn admission_error(e: EngineError) -> RpcError {
-    match e {
-        EngineError::Overloaded => RpcError::Overloaded,
-        EngineError::Closed => RpcError::Cancelled,
-        EngineError::Dropped => RpcError::Transport("submission dropped (induced fault)".into()),
-        EngineError::Disconnected(why) => RpcError::Disconnected(why),
-        EngineError::Unhealthy => RpcError::Disconnected("engine circuit breaker open".into()),
-        other => RpcError::Transport(other.to_string()),
-    }
-}
-
 impl Transport for EngineConnection {
     fn call(
         &mut self,
@@ -1696,20 +1519,18 @@ impl Transport for EngineConnection {
         let binding = self.binding_for(ctl.tag);
         // `&mut self` rules out a concurrent rebind, so the binding is
         // read in place: no lock, no `Arc` clone.
-        let pool = &self.bind.get_mut().pool;
-        self.engine.call_blocking(
-            pool,
-            &self.tenant,
+        let call = Call {
+            pool: &self.bind.get_mut().pool,
+            bound: &self.tenant,
             binding,
-            op.index,
+            op_index: op.index,
             request,
             rights,
             deadline_ns,
-            ctl.tag,
-            self.trace.as_ref(),
-            reply,
-            rights_out,
-        )?;
+            tag: ctl.tag,
+            trace: self.trace.as_ref(),
+        };
+        self.engine.call_blocking(&call, reply, rights_out)?;
         Ok(0)
     }
 
@@ -1720,14 +1541,17 @@ impl Transport for EngineConnection {
         rights: &[u32],
         ctl: &CallControl,
     ) -> flexrpc_runtime::Result<()> {
-        // Admission happens synchronously (the fault plan and shed policy
+        // Admission happens synchronously (the fault gate and shed policy
         // still apply), but nobody waits on the ticket: the job runs, its
         // reply evaporates — the same-domain form of a datagram.
         let deadline_ns = ctl.deadline_ns.or_else(|| self.connection_deadline());
-        let ticket = self
-            .submit_tagged(op.index, request, rights, deadline_ns, ctl.tag)
-            .map_err(admission_error)?;
-        drop(ticket);
+        match self.submit_tagged(op.index, request, rights, deadline_ns, ctl.tag) {
+            Ok(ticket) => drop(ticket),
+            // No reply to miss: a message the fault gate lost is lost
+            // silently, as on every other transport.
+            Err(EngineError::Dropped | EngineError::Disconnected(_)) => {}
+            Err(e) => return Err(admission_error(e)),
+        }
         Ok(())
     }
 

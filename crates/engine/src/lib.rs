@@ -35,6 +35,7 @@ pub mod acceptor;
 pub mod breaker;
 pub mod cache;
 pub mod engine;
+pub mod error;
 pub mod slot;
 pub mod stats;
 
@@ -42,9 +43,9 @@ pub use acceptor::{expose_on_net, SunRpcPipeline};
 pub use breaker::{BreakerStats, CircuitBreaker};
 pub use cache::{CacheStats, ProgramCache, ProgramKey};
 pub use engine::{
-    CallTicket, ClientInfo, ConnectBuilder, Engine, EngineBuilder, EngineConnection, EngineError,
-    Reply,
+    CallTicket, ClientInfo, ConnectBuilder, Engine, EngineBuilder, EngineConnection, Reply,
 };
+pub use error::EngineError;
 pub use flexrpc_control::{ControlPlane, Policy, PolicyHandle, TenantId, TenantMetrics};
 pub use slot::ReplySlot;
 pub use stats::EngineStatsSnapshot;

@@ -5,9 +5,10 @@
 //! the unified `engine.*` names, so `engine.stats()` and a registry
 //! snapshot read the very same cells and can never disagree.
 
+use crate::breaker::BreakerStats;
 use crate::cache::CacheStats;
 use flexrpc_runtime::replycache::ReplyCacheStats;
-use flexrpc_trace::{Counter, MetricsRegistry, MetricsSnapshot};
+use flexrpc_trace::{Counter, MetricsRegistry};
 
 /// Live counters, updated by acceptors and workers.
 #[derive(Debug, Default)]
@@ -68,6 +69,42 @@ impl EngineCounters {
         self.bytes_out.add(bytes_out as u64);
         if !ok {
             self.dispatch_errors.inc();
+        }
+    }
+
+    /// Reads every cell into a snapshot. Only what is not an engine counter
+    /// comes in as arguments: the instantaneous queue depth and worker
+    /// count, and the program cache's, reply cache's and breaker's own
+    /// stats.
+    pub(crate) fn snapshot(
+        &self,
+        queue_depth: usize,
+        workers: usize,
+        cache: CacheStats,
+        reply_cache: ReplyCacheStats,
+        breaker: BreakerStats,
+    ) -> EngineStatsSnapshot {
+        EngineStatsSnapshot {
+            calls_served: self.calls_served.get(),
+            bytes_in: self.bytes_in.get(),
+            bytes_out: self.bytes_out.get(),
+            in_flight: self.in_flight.get(),
+            peak_in_flight: self.peak_in_flight.get(),
+            queue_depth,
+            connections: self.connections.get(),
+            dispatch_errors: self.dispatch_errors.get(),
+            calls_shed: self.calls_shed.get(),
+            calls_cancelled: self.calls_cancelled.get(),
+            deadline_expired: self.deadline_expired.get(),
+            steals: self.steals.get(),
+            inline_calls: self.inline_calls.get(),
+            workers,
+            cache,
+            reply_cache,
+            breaker_trips: breaker.trips,
+            breaker_probes: breaker.probes,
+            breaker_recoveries: breaker.recoveries,
+            breaker_open: breaker.open,
         }
     }
 
@@ -137,42 +174,6 @@ pub struct EngineStatsSnapshot {
 }
 
 impl EngineStatsSnapshot {
-    /// Reconstructs the snapshot from the unified registry — the single
-    /// source of truth for every counter. Only structural state comes in
-    /// as arguments: the instantaneous queue depth and worker count, the
-    /// cache's layout-bearing stats (shards, program count), and the
-    /// breaker's derived open/closed state, none of which are counters.
-    pub fn from_metrics(
-        m: &MetricsSnapshot,
-        queue_depth: usize,
-        workers: usize,
-        cache: CacheStats,
-        breaker_open: bool,
-    ) -> EngineStatsSnapshot {
-        EngineStatsSnapshot {
-            calls_served: m.counter("engine.calls_served"),
-            bytes_in: m.counter("engine.bytes_in"),
-            bytes_out: m.counter("engine.bytes_out"),
-            in_flight: m.counter("engine.in_flight"),
-            peak_in_flight: m.counter("engine.peak_in_flight"),
-            queue_depth,
-            connections: m.counter("engine.connections"),
-            dispatch_errors: m.counter("engine.dispatch_errors"),
-            calls_shed: m.counter("engine.shed"),
-            calls_cancelled: m.counter("engine.cancelled"),
-            deadline_expired: m.counter("engine.expired"),
-            steals: m.counter("engine.steals"),
-            inline_calls: m.counter("engine.inline_calls"),
-            workers,
-            cache,
-            reply_cache: ReplyCacheStats::from_metrics(m),
-            breaker_trips: m.counter("breaker.trip"),
-            breaker_probes: m.counter("breaker.probe"),
-            breaker_recoveries: m.counter("breaker.recovery"),
-            breaker_open,
-        }
-    }
-
     /// Cache hit rate, for report tables.
     pub fn cache_hit_rate(&self) -> f64 {
         self.cache.hit_rate()

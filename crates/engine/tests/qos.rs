@@ -439,21 +439,3 @@ fn default_tenant_keeps_single_queue_semantics() {
     assert_eq!(snap.counter("engine.shed"), 1);
     engine.shutdown();
 }
-
-/// The deprecated builder knobs still work — they forward into the
-/// engine-level `Policy` — so existing callers keep compiling (with a
-/// deprecation warning) until they migrate.
-#[test]
-#[allow(deprecated)]
-fn deprecated_knobs_forward_into_the_policy() {
-    let builder = Engine::builder()
-        .high_water(7)
-        .dwell_limit(Duration::from_millis(3))
-        .breaker(5, Duration::from_millis(9));
-    let engine = builder.build();
-    let policy = engine.policy();
-    assert_eq!(policy.high_water_value(), Some(7));
-    assert_eq!(policy.dwell_limit_ns(), Some(3_000_000));
-    assert_eq!(policy.breaker_config(), Some((5, 9_000_000)));
-    engine.shutdown();
-}

@@ -20,6 +20,7 @@ use crate::regs::{run_ops, RegPath, RegisterFile, TrustLevel, MSG_REGS};
 use crate::stats::KernelStats;
 use crate::task::TaskId;
 use crate::{Kernel, Result};
+use flexrpc_clock::Lost;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -28,11 +29,6 @@ use std::sync::Arc;
 /// The real path existed for small control transfers; bulk data goes through
 /// fbufs or the network. 256 KiB comfortably covers every experiment.
 pub const MAX_BODY: usize = 256 * 1024;
-
-/// Nominal one-hop transfer time charged when a [`flexrpc_clock::Fault::SlowLink`]
-/// fires on an IPC call: kernel IPC has no wire model, so a degraded link
-/// costs `factor` of these stand-in hops.
-pub const SLOW_HOP_NS: u64 = 1_000;
 
 /// A server handler: runs with no kernel locks held and may re-enter the
 /// kernel. Returns the reply message or an application-defined failure code.
@@ -270,31 +266,18 @@ impl Kernel {
         let stats = self.stats();
         KernelStats::add(&stats.messages, 1);
 
-        // Consult the kernel's fault plan: drops lose the message before any
-        // transfer, delays model a stalled receiver by advancing the sim
-        // clock (deadline checks upstream see the time pass), duplicates
-        // deliver the message twice (the handler runs again below). Crashes
-        // kill the server task before it receives (the port is dead until
-        // the scheduled restart); closes shut the connection down after the
-        // handler ran but before the reply message is sent.
-        let fault = self.faults().next_call_at(self.clock().now_ns());
-        match fault {
-            Some(flexrpc_clock::Fault::Drop) => return Err(KernelError::Dropped),
-            Some(flexrpc_clock::Fault::Delay(ns)) => {
-                self.clock().advance_ns(ns);
-            }
-            Some(flexrpc_clock::Fault::Crash { .. }) => return Err(KernelError::ConnectionDead),
-            // A partitioned connection looks like a dead one from the
-            // caller's side, except the server never saw the message.
-            Some(flexrpc_clock::Fault::Partition { .. }) => {
-                return Err(KernelError::ConnectionDead)
-            }
-            Some(flexrpc_clock::Fault::SlowLink { factor }) => {
-                // Degraded transfer: the message still lands, but the copy
-                // costs `factor` nominal hops of sim time.
-                self.clock().advance_ns(SLOW_HOP_NS.saturating_mul(factor.max(1)));
-            }
-            Some(flexrpc_clock::Fault::Duplicate | flexrpc_clock::Fault::Close) | None => {}
+        // The kernel's fault gate: a lost message fails before any transfer
+        // (a dropped one retryably; a crashed server task or a partitioned
+        // connection as a dead port — from the caller's side the two differ
+        // only in that a partitioned server is still alive). A stalled
+        // receiver has already been charged to the sim clock. Duplicates
+        // run the handler again below; a close shuts the connection down
+        // after the handler ran but before the reply message is sent.
+        let verdict = self.faults().gate(self.clock());
+        match verdict.lost {
+            Some(Lost::Dropped) => return Err(KernelError::Dropped),
+            Some(Lost::PeerDown | Lost::LinkCut) => return Err(KernelError::ConnectionDead),
+            None => {}
         }
 
         // Translate request rights into the server's name table.
@@ -330,7 +313,7 @@ impl Kernel {
         let msg = MsgIn { regs, body: served_body, rights: server_rights };
         let out = {
             let mut handler = conn.handler.lock();
-            if fault == Some(flexrpc_clock::Fault::Duplicate) {
+            if verdict.duplicate {
                 // At-least-once delivery: the duplicate arrives first (rights
                 // travel only once — on the copy whose reply the caller
                 // sees). Its reply is lost; a failure is the server's answer
@@ -347,7 +330,7 @@ impl Kernel {
             run_ops(&conn.reg_path.post, &mut rf, stats);
         }
 
-        if fault == Some(flexrpc_clock::Fault::Close) {
+        if verdict.close_after {
             // The connection was torn down between the handler completing
             // and the reply send: the server's work (and any reply-cache
             // entry) survives, but this caller never hears back.

@@ -20,7 +20,7 @@
 
 pub mod sunrpc;
 
-use flexrpc_clock::{Fault, FaultInjector, SimClock};
+use flexrpc_clock::{FaultInjector, Lost, SimClock, Verdict};
 use flexrpc_trace::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::fmt;
@@ -68,7 +68,7 @@ pub struct HostId(usize);
 
 impl HostId {
     /// The host's index as a raw endpoint id — the currency of pair-keyed
-    /// faults ([`Fault::Partition`], [`FaultInjector::partition`]).
+    /// faults ([`flexrpc_clock::Fault::Partition`], [`FaultInjector::partition`]).
     pub fn raw(self) -> u64 {
         self.0 as u64
     }
@@ -195,7 +195,7 @@ impl SimNet {
 
     /// The network-wide fault-injection plan, consulted once per
     /// [`SimNet::call`] / [`SimNet::send`] with the `(from, to)` host pair
-    /// — so pair-keyed [`Fault::Partition`]s and
+    /// — so pair-keyed [`flexrpc_clock::Fault::Partition`]s and
     /// [`FaultInjector::set_slow_link`] windows apply here.
     pub fn faults(&self) -> &FaultInjector {
         &self.faults
@@ -259,7 +259,7 @@ impl SimNet {
     }
 
     /// Charges the wire for `payload` at `scale`× the healthy link's time
-    /// ([`Fault::SlowLink`] and [`FaultInjector::set_slow_link`] windows):
+    /// ([`flexrpc_clock::Fault::SlowLink`] and [`FaultInjector::set_slow_link`] windows):
     /// the same packets and bytes cross, they just take longer.
     fn charge_wire_scaled(&self, payload: usize, scale: u64) {
         let packets = payload.div_ceil(self.cfg.mtu).max(1) as u64;
@@ -272,24 +272,26 @@ impl SimNet {
         self.stats.bytes.add(payload as u64);
     }
 
-    /// Consults the network-wide and destination-host fault plans for one
-    /// message `from → to`: at most one fault applies per call (the
-    /// network plan takes precedence — a message lost on the wire never
-    /// reaches the host's plan), alongside the combined slow-link
-    /// wire-time multiplier from both plans' windows.
-    fn consult_faults(&self, from: HostId, to: HostId) -> Result<(Option<Fault>, u64)> {
+    /// Passes one message `from → to` through the network-wide fault gate,
+    /// then the destination host's: at most one fault applies per call (the
+    /// network plan takes precedence — a message it touched never reaches
+    /// the host's plan). Returns the verdict alongside the wire-time
+    /// multiplier: both plans' slow-link windows times the verdict's own
+    /// one-shot factor.
+    fn consult_faults(&self, from: HostId, to: HostId) -> Result<(Verdict, u64)> {
         let host_faults = self.host_faults(to)?;
         let now = self.clock.now_ns();
         let (a, b) = (from.raw(), to.raw());
-        let fault = self
-            .faults
-            .next_call_between(now, a, b)
-            .or_else(|| host_faults.next_call_between(now, a, b));
-        let mut scale = self.faults.slow_factor(now).saturating_mul(host_faults.slow_factor(now));
-        if let Some(Fault::SlowLink { factor }) = fault {
-            scale = scale.saturating_mul(factor.max(1));
+        let mut verdict = self.faults.gate_between(&self.clock, a, b);
+        if !verdict.fired {
+            verdict = host_faults.gate_between(&self.clock, a, b);
         }
-        Ok((fault, scale))
+        let scale = self
+            .faults
+            .slow_factor(now)
+            .saturating_mul(host_faults.slow_factor(now))
+            .saturating_mul(verdict.slow);
+        Ok((verdict, scale))
     }
 
     /// Sends `request` from `from` to `to` with no reply channel: the wire
@@ -312,25 +314,21 @@ impl SimNet {
             Arc::clone(h.service.as_ref().ok_or(NetError::NoService(to))?)
         };
         self.stats.messages.inc();
-        let (fault, scale) = self.consult_faults(from, to)?;
+        let (verdict, scale) = self.consult_faults(from, to)?;
         // The request hits the wire whether or not it arrives.
         self.charge_wire_scaled(request.len(), scale);
-        match fault {
-            // A partitioned link loses the datagram as silently as a drop:
-            // the sender has no reply channel to learn either way.
-            Some(Fault::Drop) | Some(Fault::Crash { .. }) | Some(Fault::Partition { .. }) => {
-                return Ok(())
-            }
-            Some(Fault::Delay(ns)) => {
-                self.clock.advance_ns(ns);
-            }
-            Some(Fault::Duplicate) => self.charge_wire_scaled(request.len(), scale),
-            Some(Fault::SlowLink { .. }) | Some(Fault::Close) | None => {}
+        // A lost datagram is lost silently, however it was lost: the sender
+        // has no reply channel to learn of it.
+        if verdict.lost.is_some() {
+            return Ok(());
+        }
+        if verdict.duplicate {
+            self.charge_wire_scaled(request.len(), scale);
         }
         let rx: Vec<u8> = request.to_vec();
         let t0 = std::time::Instant::now();
         let mut result = service(&rx);
-        if fault == Some(Fault::Duplicate) {
+        if verdict.duplicate {
             result = service(&rx);
         }
         self.stats.service_ns.add(t0.elapsed().as_nanos() as u64);
@@ -362,46 +360,34 @@ impl SimNet {
             }
         }
         self.stats.messages.inc();
-        // Consult the fault plans before the wire: drops lose the message
-        // after it is charged (it left the client), delays model a stalled
-        // link or peer by advancing the sim clock, duplicates model
-        // at-least-once delivery by running the handler twice. Crashes kill
-        // the server before it executes (and keep it down until its
-        // scheduled sim-time restart); partitions sever the (from, to)
-        // link until it heals — both disconnect the binding, but a
-        // partitioned server is alive and keeps serving unsevered pairs.
-        // Closes lose the stream after the server executed but before the
-        // reply arrives; slow links stretch this call's wire time.
-        let (fault, scale) = self.consult_faults(from, to)?;
+        // Consult the fault gates before the wire: a lost message is lost
+        // after it is charged (it left the client); a stalled link or peer
+        // has already advanced the sim clock. A crash killed the server
+        // before it executed (and keeps it down until its scheduled
+        // sim-time restart); a partition severs the (from, to) link until it
+        // heals — both disconnect the binding, but a partitioned server is
+        // alive and keeps serving unsevered pairs.
+        let (verdict, scale) = self.consult_faults(from, to)?;
         // Request hits the wire.
         self.charge_wire_scaled(request.len(), scale);
-        match fault {
-            Some(Fault::Drop) => return Err(NetError::Dropped),
-            Some(Fault::Delay(ns)) => {
-                self.clock.advance_ns(ns);
+        let name = |h: HostId| self.host_name(h).unwrap_or_else(|_| format!("{h:?}"));
+        match verdict.lost {
+            Some(Lost::Dropped) => return Err(NetError::Dropped),
+            Some(Lost::PeerDown) => {
+                return Err(NetError::Disconnected(format!("server {} crashed", name(to))));
             }
-            Some(Fault::Crash { .. }) => {
-                // The server died before reading the request: nothing
-                // executed, the stream is gone.
-                return Err(NetError::Disconnected(format!(
-                    "server {} crashed",
-                    self.host_name(to).unwrap_or_else(|_| format!("{to:?}"))
-                )));
-            }
-            Some(Fault::Partition { .. }) => {
-                // The link is cut: the request never arrives, the stream
-                // is gone. The server itself is healthy.
+            Some(Lost::LinkCut) => {
                 return Err(NetError::Disconnected(format!(
                     "link partitioned between {} and {}",
-                    self.host_name(from).unwrap_or_else(|_| format!("{from:?}")),
-                    self.host_name(to).unwrap_or_else(|_| format!("{to:?}"))
+                    name(from),
+                    name(to)
                 )));
             }
-            Some(Fault::Duplicate) => {
-                // The retransmitted copy traverses the wire too.
-                self.charge_wire_scaled(request.len(), scale);
-            }
-            Some(Fault::SlowLink { .. }) | Some(Fault::Close) | None => {}
+            None => {}
+        }
+        if verdict.duplicate {
+            // The retransmitted copy traverses the wire too.
+            self.charge_wire_scaled(request.len(), scale);
         }
         // The far side receives into its own buffer: a real copy, as the
         // receiving protocol stack would perform.
@@ -415,7 +401,7 @@ impl SimNet {
         };
         let t0 = std::time::Instant::now();
         let mut result = service(&rx);
-        if fault == Some(Fault::Duplicate) {
+        if verdict.duplicate {
             // The retransmitted copy arrives too; the caller sees the
             // second reply (last-writer-wins, as UDP Sun RPC would).
             result = service(&rx);
@@ -425,7 +411,7 @@ impl SimNet {
         // Server-side processing + reply on the wire.
         self.wire_ns.fetch_add(self.cfg.server_ns, Ordering::Relaxed);
         self.clock.advance_ns(self.cfg.server_ns);
-        if fault == Some(Fault::Close) {
+        if verdict.close_after {
             // The stream closed after the server executed: the work is done
             // (an at-most-once server has the reply cached) but this client
             // never sees it. The reply never reaches the wire.
@@ -450,6 +436,7 @@ impl fmt::Debug for SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexrpc_clock::Fault;
 
     #[test]
     fn echo_roundtrip() {

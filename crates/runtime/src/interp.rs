@@ -6,7 +6,7 @@
 //! forms), so the interpreter's copy schedule — not its dispatch — dominates
 //! exactly as it did for the paper's generated C stubs.
 //!
-//! Programs carrying a [`FusedProgram`] take the specialized path: fused
+//! Programs carrying a [`FusedProgram`](flexrpc_core::fuse::FusedProgram) take the specialized path: fused
 //! scalar blocks execute as one buffer extend + N `copy_from_slice`s with a
 //! single prefix bounds check, using the block layout precomputed at bind
 //! time for the writer's wire format (and, for CDR, the block's start-phase

@@ -17,7 +17,7 @@
 
 use crate::policy::CallTag;
 use flexrpc_clock::SimClock;
-use flexrpc_trace::{Counter, MetricsRegistry, MetricsSnapshot};
+use flexrpc_trace::{Counter, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -40,20 +40,6 @@ pub struct ReplyCacheStats {
     pub evictions: u64,
     /// Entries currently held.
     pub entries: u64,
-}
-
-impl ReplyCacheStats {
-    /// Reconstructs the stats from a unified registry snapshot — the
-    /// single observable-state surface. Requires the cache to have been
-    /// registered via [`ReplyCache::register_metrics`].
-    pub fn from_metrics(m: &MetricsSnapshot) -> ReplyCacheStats {
-        ReplyCacheStats {
-            executions: m.counter("replycache.execution"),
-            suppressions: m.counter("replycache.suppression"),
-            evictions: m.counter("replycache.eviction"),
-            entries: m.counter("replycache.entries"),
-        }
-    }
 }
 
 /// A TTL-bounded map from [`CallTag`] to the completed reply bytes.

@@ -341,7 +341,7 @@ impl ServerInterface {
 
     /// Like [`ServerInterface::dispatch`], but honouring at-most-once
     /// semantics when both a reply cache is attached and the call carries a
-    /// [`CallTag`]: a duplicate of an already-completed call replays the
+    /// [`CallTag`](crate::policy::CallTag): a duplicate of an already-completed call replays the
     /// cached reply without running the handler; a fresh call executes and
     /// records its reply. Untagged calls (or servers without a cache) fall
     /// through to plain at-least-once dispatch.

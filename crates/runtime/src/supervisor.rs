@@ -20,7 +20,7 @@ use crate::client::ClientStub;
 use crate::error::{Error, ErrorKind};
 use crate::policy::CallOptions;
 use flexrpc_core::value::Value;
-use flexrpc_trace::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, SharedCallTrace, Stage};
+use flexrpc_trace::{Counter, Histogram, MetricsRegistry, SharedCallTrace, Stage};
 
 /// One way to (re-)establish a binding: runs the full bind-time
 /// negotiation against a fixed endpoint and returns a ready stub.
@@ -43,22 +43,6 @@ pub struct SupervisorStats {
     pub recovery_ns_last: u64,
     /// The largest recovery latency seen.
     pub recovery_ns_max: u64,
-}
-
-impl SupervisorStats {
-    /// Reconstructs the stats from a unified registry snapshot — the
-    /// collapsed read path for code that holds a
-    /// [`MetricsRegistry`] the supervisor was
-    /// [registered](Supervisor::register_metrics) into.
-    pub fn from_metrics(m: &MetricsSnapshot) -> SupervisorStats {
-        SupervisorStats {
-            disconnects: m.counter("supervisor.disconnect"),
-            rebinds: m.counter("supervisor.rebind"),
-            replays: m.counter("supervisor.replay"),
-            recovery_ns_last: m.counter("supervisor.recovery_ns_last"),
-            recovery_ns_max: m.counter("supervisor.recovery_ns_max"),
-        }
-    }
 }
 
 /// The supervisor's live counters: registry-adoptable handles under the

@@ -18,12 +18,12 @@ use crate::error::RpcError;
 use crate::policy::CallControl;
 use crate::server::ServerInterface;
 use crate::Result;
-use flexrpc_clock::{Fault, FaultInjector, SimClock};
+use flexrpc_clock::{FaultInjector, Lost, SimClock};
 use flexrpc_core::present::Trust;
 use flexrpc_core::program::CompiledOp;
 use flexrpc_kernel::ipc::{BindOptions, MsgOut, ServerOptions, MAX_BODY};
 use flexrpc_kernel::regs::MSG_REGS;
-use flexrpc_kernel::{Connection, Kernel, NameMode, PortName, TaskId, TrustLevel};
+use flexrpc_kernel::{Connection, Kernel, KernelError, NameMode, PortName, TaskId, TrustLevel};
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
 use flexrpc_net::{HostId, SimNet};
 use parking_lot::Mutex;
@@ -103,12 +103,6 @@ pub fn trust_to_kernel(t: Trust) -> TrustLevel {
     }
 }
 
-/// Nominal one-hop wire time charged by point-to-point transports when a
-/// [`Fault::SlowLink`] fires: the degraded link costs `factor` of these per
-/// call. (The real packet network scales its actual wire charge instead;
-/// loopback and kernel IPC have no wire model, so they charge this stand-in.)
-pub const SLOW_HOP_NS: u64 = 1_000;
-
 /// Direct in-process dispatch to a shared [`ServerInterface`].
 pub struct Loopback {
     server: Arc<Mutex<ServerInterface>>,
@@ -159,33 +153,24 @@ impl Transport for Loopback {
         if ctl.expired(self.clock.now_ns()) {
             return Err(RpcError::DeadlineExceeded);
         }
-        let fault = self.faults.next_call_at(self.clock.now_ns());
-        match fault {
-            Some(Fault::Drop) => {
+        let verdict = self.faults.gate(&self.clock);
+        match verdict.lost {
+            Some(Lost::Dropped) => {
                 return Err(RpcError::Transport("message dropped (induced fault)".into()))
             }
-            Some(Fault::Delay(ns)) => {
-                self.clock.advance_ns(ns);
+            // The server object is gone before dispatch: nothing executes
+            // until the injector's scheduled restart passes.
+            Some(Lost::PeerDown) => {
+                return Err(RpcError::Disconnected("loopback server crashed".into()))
             }
-            Some(Fault::Crash { .. }) => {
-                // The server object is gone before dispatch: nothing
-                // executes until the injector's scheduled restart passes.
-                return Err(RpcError::Disconnected("loopback server crashed".into()));
+            // The link is severed but the server is alive: the caller sees
+            // a disconnect it can retry elsewhere.
+            Some(Lost::LinkCut) => {
+                return Err(RpcError::Disconnected("loopback link partitioned".into()))
             }
-            Some(Fault::Partition { .. }) => {
-                // The link is severed but the server is alive: nothing
-                // executes, and the caller sees a disconnect it can retry
-                // elsewhere.
-                return Err(RpcError::Disconnected("loopback link partitioned".into()));
-            }
-            Some(Fault::SlowLink { factor }) => {
-                // A degraded link: the call still completes, but each hop
-                // costs `factor` nominal hops of sim time.
-                self.clock.advance_ns(SLOW_HOP_NS.saturating_mul(factor.max(1)));
-            }
-            Some(Fault::Duplicate | Fault::Close) | None => {}
+            None => {}
         }
-        if fault == Some(Fault::Duplicate) {
+        if verdict.duplicate {
             let mut dup_reply = Vec::new();
             let mut dup_rights = Vec::new();
             let _ = self.server.lock().dispatch_tagged(
@@ -200,7 +185,7 @@ impl Transport for Loopback {
         self.server
             .lock()
             .dispatch_tagged(op.index, request, rights, ctl.tag, reply, rights_out)?;
-        if fault == Some(Fault::Close) {
+        if verdict.close_after {
             // The server executed (and an at-most-once server cached the
             // reply), but the connection died before the reply returned.
             reply.clear();
@@ -223,24 +208,15 @@ impl Transport for Loopback {
         if ctl.expired(self.clock.now_ns()) {
             return Err(RpcError::DeadlineExceeded);
         }
-        let fault = self.faults.next_call_at(self.clock.now_ns());
-        match fault {
-            // A one-way message has no reply to miss: drops, crashes, and
-            // partitions lose it silently, exactly as the datagram would be.
-            Some(Fault::Drop) | Some(Fault::Crash { .. }) | Some(Fault::Partition { .. }) => {
-                return Ok(())
-            }
-            Some(Fault::Delay(ns)) => {
-                self.clock.advance_ns(ns);
-            }
-            Some(Fault::SlowLink { factor }) => {
-                self.clock.advance_ns(SLOW_HOP_NS.saturating_mul(factor.max(1)));
-            }
-            Some(Fault::Duplicate | Fault::Close) | None => {}
+        let verdict = self.faults.gate(&self.clock);
+        // A one-way message has no reply to miss: a drop, crash, or
+        // partition loses it silently, exactly as the datagram would be.
+        if verdict.lost.is_some() {
+            return Ok(());
         }
         let mut reply = Vec::new();
         let mut rights_out = Vec::new();
-        if fault == Some(Fault::Duplicate) {
+        if verdict.duplicate {
             let _ = self.server.lock().dispatch_tagged(
                 op.index,
                 request,
@@ -310,7 +286,7 @@ impl Transport for KernelIpc {
         ctl: &CallControl,
     ) -> Result<usize> {
         if request.len() > MAX_BODY {
-            return Err(RpcError::Kernel(flexrpc_kernel::KernelError::MsgTooLarge(request.len())));
+            return Err(RpcError::Kernel(KernelError::MsgTooLarge(request.len())));
         }
         if ctl.expired(self.kernel.clock().now_ns()) {
             return Err(RpcError::DeadlineExceeded);
@@ -344,6 +320,24 @@ impl Transport for KernelIpc {
         rights_out.clear();
         rights_out.extend(reply_rights.iter().map(|p| p.0));
         Ok(0)
+    }
+
+    fn send_oneway(
+        &mut self,
+        op: &CompiledOp,
+        request: &[u8],
+        rights: &[u32],
+        ctl: &CallControl,
+    ) -> Result<()> {
+        // Kernel IPC is synchronous, so a one-way send is a call whose
+        // reply is discarded — and, as on every transport, one whose loss
+        // (a dropped message, a dead or closed connection) is silent: there
+        // is no reply to miss.
+        let (mut reply, mut rights_out) = (Vec::new(), Vec::new());
+        match self.call_with(op, request, rights, &mut reply, &mut rights_out, ctl) {
+            Err(RpcError::Kernel(KernelError::Dropped | KernelError::ConnectionDead)) => Ok(()),
+            outcome => outcome.map(|_| ()),
+        }
     }
 
     fn clock(&self) -> Option<Arc<SimClock>> {

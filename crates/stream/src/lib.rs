@@ -20,8 +20,9 @@
 //!   binding gives zero lost and zero duplicated frames even when the
 //!   connection dies mid-stream.
 //!
-//! Both ends annotate independently; [`negotiate_call_shape`]
-//! (flexrpc_core::compat::negotiate_call_shape) reconciles the two
+//! Both ends annotate independently;
+//! [`negotiate_call_shape`](flexrpc_core::compat::negotiate_call_shape)
+//! reconciles the two
 //! declarations at bind time — stream windows settle to the minimum, and a
 //! shape disagreement fails the bind, not some later call.
 //!

@@ -46,8 +46,7 @@ pub struct StreamSender {
 impl StreamSender {
     /// Binds a sender over `stub` for `op`, with `negotiated` the call
     /// shape both ends settled on at bind time (e.g.
-    /// [`EngineConnection::negotiated_shape`]
-    /// (flexrpc_engine::EngineConnection::negotiated_shape)).
+    /// [`EngineConnection::negotiated_shape`](flexrpc_engine::EngineConnection::negotiated_shape)).
     ///
     /// Fails unless the negotiated shape is `Stream`, the stub's own
     /// presentation declares the op `[stream]`, and the transport has a

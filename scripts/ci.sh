@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, lints, and every workspace test.
+# The full local gate: formatting, lints, docs, and every workspace test.
 # Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,6 +9,11 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) ==" >&2
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Every intra-doc link must resolve and no public doc may link a private
+# item: docs are how the next reader finds the one place a thing is done.
+echo "== cargo doc (deny warnings) ==" >&2
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== cargo test ==" >&2
 cargo test -q --workspace

@@ -34,11 +34,15 @@ pub use flexrpc_runtime::{Error, ErrorKind};
 /// The common surface in one import: `use flexrpc::prelude::*`.
 ///
 /// Everything a typical program touches — define an interface
-/// ([`corba`]/[`pdl`] + [`apply_pdl`]), compile it
-/// ([`CompiledInterface`]), bind it ([`ClientStub`], [`ServerInterface`],
-/// [`Loopback`]), serve it ([`Engine`]), and govern calls ([`CallOptions`],
-/// [`RetryPolicy`], [`Error`], [`ErrorKind`]) on the deterministic
-/// [`SimClock`].
+/// ([`corba`](prelude::corba)/[`pdl`](prelude::pdl) +
+/// [`apply_pdl`](prelude::apply_pdl)), compile it
+/// ([`CompiledInterface`](prelude::CompiledInterface)), bind it
+/// ([`ClientStub`](prelude::ClientStub),
+/// [`ServerInterface`](prelude::ServerInterface),
+/// [`Loopback`](prelude::Loopback)), serve it ([`Engine`](prelude::Engine)),
+/// and govern calls ([`CallOptions`](prelude::CallOptions),
+/// [`RetryPolicy`](prelude::RetryPolicy), [`Error`], [`ErrorKind`]) on the
+/// deterministic [`SimClock`](clock::SimClock).
 pub mod prelude {
     pub use crate::control::{ControlPlane, Policy, PolicyHandle, TenantMetrics, WfqQueue};
     pub use crate::core::annot::apply_pdl;

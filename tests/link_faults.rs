@@ -1,12 +1,16 @@
-//! Link faults: `Fault::Partition` and `Fault::SlowLink` on every transport.
+//! Faults on every transport: the whole `Fault` × transport × call-shape
+//! matrix in one table, then the stateful link faults in detail.
 //!
-//! A partition severs the link while both endpoints stay alive — the
-//! caller sees a typed `Disconnected` (retryable elsewhere), nothing
-//! executes, and the link carries again once sim time passes the heal
-//! point. A slow link degrades rather than severs: the call completes
-//! correctly but costs a multiple of the healthy transfer time on the sim
-//! clock. Covered transports: loopback, kernel IPC, and both Sun RPC
-//! paths (single-call `SunRpc` and the batched `SunRpcPipeline`).
+//! Every transport passes each message through the one fault gate
+//! (`FaultInjector::gate`), so a fault means the same thing everywhere: a
+//! lost message executes nothing and surfaces as the same `ErrorKind` on a
+//! call and as silence on a `[oneway]` send; `Close` executes once and
+//! loses the reply; `Duplicate` executes twice (no reply cache here);
+//! `Delay` and `SlowLink` cost sim time, not messages. A partition severs
+//! the link while both endpoints stay alive and heals once sim time passes
+//! the heal point; a slow link costs a multiple of the healthy transfer
+//! time. Covered: loopback, kernel IPC, Sun RPC (single-call `SunRpc` and
+//! the batched `SunRpcPipeline`), and the engine's same-domain connection.
 
 use flexrpc::clock::SimClock;
 use flexrpc::kernel::{Kernel, NameMode};
@@ -14,60 +18,84 @@ use flexrpc::net::{NetError, SimNet};
 use flexrpc::prelude::*;
 use flexrpc::runtime::transport::{connect_kernel, serve_on_kernel, serve_on_net, SunRpc};
 use flexrpc::runtime::Transport;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-fn echo_module() -> flexrpc::core::ir::Module {
-    corba::parse(
+/// `ping` is a unary call, `note` its `[oneway]` twin.
+fn echo_interface() -> (flexrpc::core::ir::Module, InterfacePresentation) {
+    let (m, pdl) = corba::parse_annotated(
         "echo",
         r#"
         interface Echo {
             unsigned long ping(in unsigned long x);
+            oneway void note(in unsigned long x);
         };
         "#,
     )
-    .expect("IDL parses")
+    .expect("IDL parses");
+    let iface = m.interface("Echo").expect("declared");
+    let base = InterfacePresentation::default_for(&m, iface).expect("defaults");
+    let pres = apply_pdl(&m, iface, &base, &pdl).expect("annotations apply");
+    (m, pres)
 }
 
 fn compiled() -> CompiledInterface {
-    let m = echo_module();
-    let iface = m.interface("Echo").expect("declared");
-    let pres = InterfacePresentation::default_for(&m, iface).expect("defaults");
-    CompiledInterface::compile(&m, iface, &pres).expect("compiles")
+    let (m, pres) = echo_interface();
+    CompiledInterface::compile(&m, m.interface("Echo").expect("declared"), &pres).expect("compiles")
 }
 
-fn echo_server() -> Arc<Mutex<ServerInterface>> {
-    let mut srv = ServerInterface::new(compiled(), WireFormat::Cdr);
-    srv.on("ping", |call| {
+/// Registers both handlers; every execution of either bumps `executions`.
+fn wire_handlers(srv: &mut ServerInterface, executions: &Arc<AtomicU64>) {
+    let ran = Arc::clone(executions);
+    srv.on("ping", move |call| {
+        ran.fetch_add(1, Ordering::SeqCst);
         let x = call.u32("x").expect("x");
         call.set("return", Value::U32(x.wrapping_add(1))).expect("return");
         0
     })
     .expect("registers");
+    let ran = Arc::clone(executions);
+    srv.on("note", move |_| {
+        ran.fetch_add(1, Ordering::SeqCst);
+        0
+    })
+    .expect("registers");
+}
+
+fn echo_server(executions: &Arc<AtomicU64>) -> Arc<Mutex<ServerInterface>> {
+    let mut srv = ServerInterface::new(compiled(), WireFormat::Cdr);
+    wire_handlers(&mut srv, executions);
     Arc::new(Mutex::new(srv))
 }
 
-/// One stub-addressable binding plus the handles a link-fault test needs:
-/// a way to arm the injector the transport consults and the clock whose
-/// passage heals the cut.
+/// One stub-addressable binding plus the handles a fault test needs: a way
+/// to arm the injector the transport consults, the clock whose passage
+/// heals a cut, the handler-execution count, and a way to wait out work
+/// the transport runs behind the caller's back.
 struct World {
     name: &'static str,
     stub: ClientStub,
     arm: Box<dyn Fn(Fault)>,
     clock: Arc<SimClock>,
+    executions: Arc<AtomicU64>,
+    quiesce: Box<dyn Fn()>,
 }
 
 fn loopback_world() -> World {
-    let transport = Loopback::new(echo_server());
+    let executions = Arc::new(AtomicU64::new(0));
+    let transport = Loopback::new(echo_server(&executions));
     let faults = Arc::clone(transport.faults());
     let clock = transport.clock().expect("loopback has a clock");
     let stub = ClientStub::new(compiled(), WireFormat::Cdr, Box::new(transport));
-    World { name: "loopback", stub, arm: Box::new(move |f| faults.on_next_call(f)), clock }
+    let arm = Box::new(move |f| faults.on_next_call(f));
+    World { name: "loopback", stub, arm, clock, executions, quiesce: Box::new(|| {}) }
 }
 
 fn kernel_world() -> World {
+    let executions = Arc::new(AtomicU64::new(0));
     let k = Kernel::new();
     let client_task = k.create_task("client", 4096).expect("task");
     let server_task = k.create_task("server", 4096).expect("task");
-    let server = echo_server();
+    let server = echo_server(&executions);
     let sig = server.lock().compiled().signature.hash();
     let port =
         serve_on_kernel(&k, server_task, server, Trust::None, NameMode::Unique).expect("serves");
@@ -76,22 +104,58 @@ fn kernel_world() -> World {
         connect_kernel(&k, client_task, send, sig, Trust::None, NameMode::Unique).expect("binds");
     let clock = Arc::clone(k.clock());
     let stub = ClientStub::new(compiled(), WireFormat::Cdr, Box::new(transport));
-    World { name: "kernel", stub, arm: Box::new(move |f| k.faults().on_next_call(f)), clock }
+    let arm = Box::new(move |f| k.faults().on_next_call(f));
+    World { name: "kernel", stub, arm, clock, executions, quiesce: Box::new(|| {}) }
 }
 
 fn sunrpc_world() -> World {
+    let executions = Arc::new(AtomicU64::new(0));
     let net = SimNet::new();
     let ch = net.add_host("client");
     let sh = net.add_host("server");
-    serve_on_net(&net, sh, echo_server(), 500_001, 1).expect("serves");
+    serve_on_net(&net, sh, echo_server(&executions), 500_001, 1).expect("serves");
     let transport = SunRpc::new(Arc::clone(&net), ch, sh, 500_001, 1);
     let clock = Arc::clone(net.clock());
     let stub = ClientStub::new(compiled(), WireFormat::Cdr, Box::new(transport));
-    World { name: "sunrpc", stub, arm: Box::new(move |f| net.faults().on_next_call(f)), clock }
+    let arm = Box::new(move |f| net.faults().on_next_call(f));
+    World { name: "sunrpc", stub, arm, clock, executions, quiesce: Box::new(|| {}) }
 }
 
+/// The engine's same-domain connection. A `[oneway]` send (and the shadow
+/// of a duplicated call) runs on a worker after the submitter returned, so
+/// `quiesce` waits until nothing is queued or executing.
+fn engine_world() -> World {
+    let executions = Arc::new(AtomicU64::new(0));
+    let engine = Engine::builder().workers(2).build();
+    let (m, pres) = echo_interface();
+    let ran = Arc::clone(&executions);
+    engine
+        .register_service("echo", m, "Echo", pres, WireFormat::Cdr, move |srv| {
+            wire_handlers(srv, &ran)
+        })
+        .expect("service registers");
+    let conn = engine.connect("echo").establish().expect("connects");
+    let clock = Arc::clone(engine.clock());
+    let stub = ClientStub::new(compiled(), WireFormat::Cdr, Box::new(conn));
+    let (e1, e2) = (Arc::clone(&engine), engine);
+    World {
+        name: "engine",
+        stub,
+        arm: Box::new(move |f| e1.faults().on_next_call(f)),
+        clock,
+        executions,
+        quiesce: Box::new(move || {
+            while e2.stats().in_flight != 0 {
+                std::thread::yield_now();
+            }
+        }),
+    }
+}
+
+const WORLDS: [fn() -> World; 4] = [loopback_world, kernel_world, sunrpc_world, engine_world];
+
 fn worlds() -> Vec<World> {
-    vec![loopback_world(), kernel_world(), sunrpc_world()]
+    WORLDS.iter().map(|build| build()).collect()
 }
 
 fn ping(stub: &mut ClientStub, x: u32) -> Result<u32, Error> {
@@ -99,6 +163,61 @@ fn ping(stub: &mut ClientStub, x: u32) -> Result<u32, Error> {
     frame[0] = Value::U32(x);
     stub.call_with("ping", &mut frame, &CallOptions::default())?;
     Ok(frame[1].as_u32().expect("return"))
+}
+
+fn note(stub: &mut ClientStub, x: u32) -> Result<(), Error> {
+    let mut frame = stub.new_frame("note").expect("frame");
+    frame[0] = Value::U32(x);
+    stub.notify_with("note", &mut frame, &CallOptions::default())
+}
+
+/// Long enough to outlast the wire time a failed attempt itself charges
+/// (the request leg transmits into the void).
+const OUTAGE_NS: u64 = 500_000_000;
+
+/// The whole matrix, one row per `Fault` variant: what a call returns and
+/// how many times the handler runs — the same on every transport, for a
+/// call and for a `[oneway]` send alike, except that a send never
+/// surfaces a lost message (it has no reply to miss).
+#[test]
+fn every_fault_means_the_same_on_every_transport_and_call_shape() {
+    let any = FaultInjector::ANY;
+    let matrix: [(Fault, Option<ErrorKind>, u64); 7] = [
+        (Fault::Drop, Some(ErrorKind::Retryable), 0),
+        (Fault::Delay(5_000), None, 1),
+        (Fault::Duplicate, None, 2),
+        (Fault::Crash { restart_after_ns: Some(OUTAGE_NS) }, Some(ErrorKind::Disconnected), 0),
+        (Fault::Close, Some(ErrorKind::Disconnected), 1),
+        (
+            Fault::Partition { a: any, b: any, heal_after_ns: OUTAGE_NS },
+            Some(ErrorKind::Disconnected),
+            0,
+        ),
+        (Fault::SlowLink { factor: 8 }, None, 1),
+    ];
+    for (fault, call_fails_as, executions) in matrix {
+        for build in WORLDS {
+            for oneway in [false, true] {
+                let mut w = build();
+                let case =
+                    format!("{fault:?} on {} ({})", w.name, ["call", "oneway"][oneway as usize]);
+                (w.arm)(fault);
+                if oneway {
+                    note(&mut w.stub, 7).unwrap_or_else(|e| panic!("{case}: surfaced {e}"));
+                } else {
+                    let got = ping(&mut w.stub, 7).map_err(|e| e.kind());
+                    assert_eq!(got, call_fails_as.map_or(Ok(8), Err), "{case}");
+                }
+                (w.quiesce)();
+                assert_eq!(w.executions.load(Ordering::SeqCst), executions, "{case}: executions");
+                // One-shot or self-healing: past the outage the same
+                // binding serves again, exactly once per call.
+                w.clock.advance_ns(OUTAGE_NS + OUTAGE_NS / 5);
+                assert_eq!(ping(&mut w.stub, 1).expect("binding serves again"), 2, "{case}");
+                assert_eq!(w.executions.load(Ordering::SeqCst), executions + 1, "{case}: after");
+            }
+        }
+    }
 }
 
 /// A partition is a typed, retryable outage with state: the cut persists
@@ -109,12 +228,10 @@ fn partition_severs_then_heals_on_stub_transports() {
     for mut w in worlds() {
         let name = w.name;
         assert_eq!(ping(&mut w.stub, 1).expect("healthy link"), 2, "on {name}");
-        // The heal window must outlast the wire time the failed attempts
-        // themselves charge (the request leg transmits into the void).
         (w.arm)(Fault::Partition {
             a: FaultInjector::ANY,
             b: FaultInjector::ANY,
-            heal_after_ns: 500_000_000,
+            heal_after_ns: OUTAGE_NS,
         });
         for i in 0..2 {
             let err = match ping(&mut w.stub, 7) {
@@ -127,7 +244,7 @@ fn partition_severs_then_heals_on_stub_transports() {
                 "on {name}, call {i} during the cut: {err}"
             );
         }
-        w.clock.advance_ns(600_000_000);
+        w.clock.advance_ns(OUTAGE_NS + OUTAGE_NS / 5);
         assert_eq!(ping(&mut w.stub, 3).expect("healed link"), 4, "on {name}");
     }
 }
@@ -161,17 +278,11 @@ fn slow_link_degrades_without_severing_on_stub_transports() {
 #[test]
 fn pipeline_flush_sees_partitions_and_slow_links() {
     let engine = Engine::builder().workers(2).build();
-    let m = echo_module();
-    let iface = m.interface("Echo").expect("declared");
-    let pres = InterfacePresentation::default_for(&m, iface).expect("defaults");
+    let (m, pres) = echo_interface();
+    let executions = Arc::new(AtomicU64::new(0));
     engine
-        .register_service("echo", m.clone(), "Echo", pres.clone(), WireFormat::Cdr, |srv| {
-            srv.on("ping", |call| {
-                let x = call.u32("x").expect("x");
-                call.set("return", Value::U32(x + 1)).expect("return");
-                0
-            })
-            .expect("registers");
+        .register_service("echo", m, "Echo", pres.clone(), WireFormat::Cdr, move |srv| {
+            wire_handlers(srv, &executions)
         })
         .expect("service registers");
     let net = SimNet::new();
