@@ -56,7 +56,7 @@ pub fn expose_on_net(
         vers,
     };
     engine.counters().connections.inc();
-    net.register_service(host, move |stream| {
+    net.register_handler(host, move |stream, out| {
         let records = sunrpc::split_records(stream).map_err(|e| e.to_string())?;
         // Phase 1: decode and submit everything — all XIDs go outstanding
         // before any reply is awaited, so one batch spreads across workers.
@@ -75,26 +75,23 @@ pub fn expose_on_net(
         // Every reply is gather-encoded straight into the one outgoing
         // stream: the marshalled body slice is spliced behind its record
         // mark in place, with no per-reply staging frame, and the whole
-        // batch leaves as a single write.
-        let mut out = Vec::new();
+        // batch leaves as a single write — into `out`, the buffer the
+        // caller reads.
         for (xid, outcome) in outcomes {
             match outcome {
                 Outcome::Immediate(stat) => {
-                    sunrpc::encode_reply_gather_into(&mut out, xid, stat, &[]);
+                    sunrpc::encode_reply_gather_into(out, xid, stat, &[]);
                 }
                 Outcome::Pending(ticket) => match ticket.wait() {
                     Ok(reply) => sunrpc::encode_reply_gather_into(
-                        &mut out,
+                        out,
                         xid,
                         AcceptStat::Success,
                         &[&reply.body],
                     ),
-                    Err(flexrpc_runtime::RpcError::Marshal(_)) => sunrpc::encode_reply_gather_into(
-                        &mut out,
-                        xid,
-                        AcceptStat::GarbageArgs,
-                        &[],
-                    ),
+                    Err(flexrpc_runtime::RpcError::Marshal(_)) => {
+                        sunrpc::encode_reply_gather_into(out, xid, AcceptStat::GarbageArgs, &[])
+                    }
                     // Policy failures get a real reply (SYSTEM_ERR), not a
                     // dead connection: the client can tell "server refused
                     // under policy" from "server is broken" and back off.
@@ -102,14 +99,12 @@ pub fn expose_on_net(
                         flexrpc_runtime::RpcError::DeadlineExceeded
                         | flexrpc_runtime::RpcError::Overloaded
                         | flexrpc_runtime::RpcError::Cancelled,
-                    ) => {
-                        sunrpc::encode_reply_gather_into(&mut out, xid, AcceptStat::SystemErr, &[])
-                    }
+                    ) => sunrpc::encode_reply_gather_into(out, xid, AcceptStat::SystemErr, &[]),
                     Err(e) => return Err(format!("dispatch failed: {e}")),
                 },
             }
         }
-        Ok(out)
+        Ok(())
     })?;
     Ok(())
 }
@@ -298,7 +293,6 @@ impl SunRpcPipeline {
         let mut attempt = 1u32;
         let mut reply_stream = Vec::new();
         loop {
-            reply_stream.clear();
             let send_start = self.trace.as_ref().map_or(0, |t| t.now_ns());
             let outcome = self.net.call(self.from, self.to, &batch, &mut reply_stream);
             if let (Some(t), Some(call)) = (&self.trace, flush_call) {

@@ -9,10 +9,17 @@
 
 use flexrpc_engine::ReplySlot;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The tests of this binary run on
+    /// parallel threads, and each audit is about its own waiter: a
+    /// process-wide count let a neighbour test's allocation (a spawn, the
+    /// harness printing a result) land inside another's counted region and
+    /// fail it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 struct Counting;
 
@@ -20,14 +27,14 @@ struct Counting;
 // only addition.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         unsafe { System.dealloc(p, l) }
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(p, l, n) }
     }
 }
@@ -36,9 +43,9 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTER: Counting = Counting;
 
 fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.with(Cell::get);
     let r = f();
-    (ALLOCS.load(Ordering::SeqCst) - before, r)
+    (ALLOCS.with(Cell::get) - before, r)
 }
 
 /// Reply published before the waiter arrives: the pure lock-free path.

@@ -128,13 +128,26 @@ impl NetStats {
     }
 }
 
-/// A service handler: consumes a request, produces a reply.
+/// A service handler: consumes a request and writes its reply into the
+/// buffer it is handed — the buffer the caller of [`SimNet::call`] will
+/// read, so a reply is framed once, where it is going, with no returned
+/// vector and no re-copy.
+///
+/// The buffer arrives empty; on `Ok` whatever it holds is the reply, on
+/// `Err` its contents are discarded (the network clears it), so a handler
+/// may fail half-way through writing.
 ///
 /// Shared (`Arc`) and re-entrant (`Fn + Sync`) so any number of clients can
 /// be inside the same host's handler at once — the serving engine's
 /// acceptor depends on this. Handlers needing mutable state bring their own
 /// locks (and should hold them as briefly as possible).
-pub type Service = Arc<dyn Fn(&[u8]) -> core::result::Result<Vec<u8>, String> + Send + Sync>;
+pub type Service =
+    Arc<dyn Fn(&[u8], &mut Vec<u8>) -> core::result::Result<(), String> + Send + Sync>;
+
+/// Receive buffers kept for reuse per network: enough for the handful of
+/// callers that are ever inside [`SimNet::call`] at once; beyond it a
+/// buffer is simply freed.
+const RX_FREE_MAX: usize = 8;
 
 struct HostState {
     #[allow(dead_code)] // Diagnostic field, reported by `host_name`.
@@ -155,6 +168,17 @@ pub struct SimNet {
     clock: Arc<SimClock>,
     faults: FaultInjector,
     stats: NetStats,
+    /// Idle receive-side buffers (at most [`RX_FREE_MAX`]): the far side's
+    /// copy of each request lands in one of these instead of a fresh
+    /// allocation per message.
+    rx_free: Mutex<Vec<Vec<u8>>>,
+}
+
+/// What one message needs from the host table, resolved under one hold of
+/// its lock: the destination's fault plan and its handler, if any.
+struct Route {
+    faults: Arc<FaultInjector>,
+    service: Option<Service>,
 }
 
 impl SimNet {
@@ -178,6 +202,7 @@ impl SimNet {
             clock,
             faults: FaultInjector::new(),
             stats: NetStats::default(),
+            rx_free: Mutex::new(Vec::new()),
         })
     }
 
@@ -234,16 +259,35 @@ impl SimNet {
     }
 
     /// Registers the service handler for `host` (one service per host —
-    /// port demultiplexing happens inside the Sun RPC layer).
+    /// port demultiplexing happens inside the Sun RPC layer). The handler
+    /// writes its reply in place; see [`Service`] for the buffer contract.
+    pub fn register_handler(
+        &self,
+        host: HostId,
+        handler: impl Fn(&[u8], &mut Vec<u8>) -> core::result::Result<(), String>
+            + Send
+            + Sync
+            + 'static,
+    ) -> Result<()> {
+        let mut hosts = self.hosts.lock();
+        let h = hosts.get_mut(host.0).ok_or(NetError::NoSuchHost(host))?;
+        h.service = Some(Arc::new(handler));
+        Ok(())
+    }
+
+    /// Registers a handler that *returns* its reply: [`SimNet::register_handler`]
+    /// with the returned vector moved into the reply buffer. Convenient for
+    /// small services and tests; a handler on a measured path should write
+    /// in place and keep the caller's buffer.
     pub fn register_service(
         &self,
         host: HostId,
         service: impl Fn(&[u8]) -> core::result::Result<Vec<u8>, String> + Send + Sync + 'static,
     ) -> Result<()> {
-        let mut hosts = self.hosts.lock();
-        let h = hosts.get_mut(host.0).ok_or(NetError::NoSuchHost(host))?;
-        h.service = Some(Arc::new(service));
-        Ok(())
+        self.register_handler(host, move |request, out| {
+            *out = service(request)?;
+            Ok(())
+        })
     }
 
     /// Accumulated simulated wire + far-side time, in nanoseconds.
@@ -272,14 +316,31 @@ impl SimNet {
         self.stats.bytes.add(payload as u64);
     }
 
+    /// Resolves a message's endpoints in one critical section: `from` must
+    /// exist, `to` must exist, and the destination's fault plan and handler
+    /// are cloned out so both run without the host lock held — concurrent
+    /// callers can be inside the same service at once.
+    fn route(&self, from: HostId, to: HostId) -> Result<Route> {
+        let hosts = self.hosts.lock();
+        if hosts.get(from.0).is_none() {
+            return Err(NetError::NoSuchHost(from));
+        }
+        let h = hosts.get(to.0).ok_or(NetError::NoSuchHost(to))?;
+        Ok(Route { faults: Arc::clone(&h.faults), service: h.service.clone() })
+    }
+
     /// Passes one message `from → to` through the network-wide fault gate,
     /// then the destination host's: at most one fault applies per call (the
     /// network plan takes precedence — a message it touched never reaches
     /// the host's plan). Returns the verdict alongside the wire-time
     /// multiplier: both plans' slow-link windows times the verdict's own
     /// one-shot factor.
-    fn consult_faults(&self, from: HostId, to: HostId) -> Result<(Verdict, u64)> {
-        let host_faults = self.host_faults(to)?;
+    fn consult_faults(
+        &self,
+        from: HostId,
+        to: HostId,
+        host_faults: &FaultInjector,
+    ) -> (Verdict, u64) {
         let now = self.clock.now_ns();
         let (a, b) = (from.raw(), to.raw());
         let mut verdict = self.faults.gate_between(&self.clock, a, b);
@@ -291,7 +352,25 @@ impl SimNet {
             .slow_factor(now)
             .saturating_mul(host_faults.slow_factor(now))
             .saturating_mul(verdict.slow);
-        Ok((verdict, scale))
+        (verdict, scale)
+    }
+
+    /// The far side receives into its own buffer: a real copy, as the
+    /// receiving protocol stack would perform — into a reused buffer, since
+    /// a stack does not allocate per packet either.
+    fn receive(&self, request: &[u8]) -> Vec<u8> {
+        let mut rx = self.rx_free.lock().pop().unwrap_or_default();
+        rx.clear();
+        rx.extend_from_slice(request);
+        rx
+    }
+
+    /// Returns a receive buffer for the next message to reuse.
+    fn release(&self, rx: Vec<u8>) {
+        let mut free = self.rx_free.lock();
+        if free.len() < RX_FREE_MAX {
+            free.push(rx);
+        }
     }
 
     /// Sends `request` from `from` to `to` with no reply channel: the wire
@@ -305,16 +384,10 @@ impl SimNet {
     ///
     /// Used by the `[oneway]` call shape: no XID allocated, no reply wait.
     pub fn send(&self, from: HostId, to: HostId, request: &[u8]) -> Result<()> {
-        let service = {
-            let hosts = self.hosts.lock();
-            if hosts.get(from.0).is_none() {
-                return Err(NetError::NoSuchHost(from));
-            }
-            let h = hosts.get(to.0).ok_or(NetError::NoSuchHost(to))?;
-            Arc::clone(h.service.as_ref().ok_or(NetError::NoService(to))?)
-        };
+        let route = self.route(from, to)?;
+        let service = route.service.ok_or(NetError::NoService(to))?;
         self.stats.messages.inc();
-        let (verdict, scale) = self.consult_faults(from, to)?;
+        let (verdict, scale) = self.consult_faults(from, to, &route.faults);
         // The request hits the wire whether or not it arrives.
         self.charge_wire_scaled(request.len(), scale);
         // A lost datagram is lost silently, however it was lost: the sender
@@ -325,27 +398,45 @@ impl SimNet {
         if verdict.duplicate {
             self.charge_wire_scaled(request.len(), scale);
         }
-        let rx: Vec<u8> = request.to_vec();
+        let rx = self.receive(request);
+        // The handler's product (reply or failure) evaporates — the sender
+        // has no channel to learn of it.
+        let mut discarded = Vec::new();
         let t0 = std::time::Instant::now();
-        let mut result = service(&rx);
+        let _ = service(&rx, &mut discarded);
         if verdict.duplicate {
-            result = service(&rx);
+            discarded.clear();
+            let _ = service(&rx, &mut discarded);
         }
         self.stats.service_ns.add(t0.elapsed().as_nanos() as u64);
-        // Far-side processing is charged; the handler's product (reply or
-        // failure) evaporates — the sender has no channel to learn of it.
+        self.release(rx);
+        // Far-side processing is charged all the same.
         self.wire_ns.fetch_add(self.cfg.server_ns, Ordering::Relaxed);
         self.clock.advance_ns(self.cfg.server_ns);
-        let _ = result;
         Ok(())
     }
 
-    /// Sends `request` from `from` to `to`, runs the service, and writes the
-    /// reply into `reply_into` (cleared first).
+    /// Sends `request` from `from` to `to`, runs the service, and leaves the
+    /// reply in `reply_into`.
     ///
-    /// The CPU side (handler + buffer copies) is real; the wire side goes to
-    /// the clock. `from` is currently only validated — the simulation has no
-    /// routing — but keeps call sites honest about direction.
+    /// The CPU side (handler + the receive copy) is real; the wire side goes
+    /// to the clock. `from` is currently only validated — the simulation has
+    /// no routing — but keeps call sites honest about direction.
+    ///
+    /// The handler writes straight into `reply_into` (see [`Service`]), so
+    /// the buffer contract is part of the call's meaning:
+    ///
+    /// * `Ok(())` — `reply_into` holds exactly one reply: the handler's,
+    ///   or under a `Duplicate` fault the *second* execution's
+    ///   (last-writer-wins, as UDP Sun RPC would), never both.
+    /// * any `Err` — `reply_into` is empty, whatever it held on entry and
+    ///   however far the handler got: a lost message, a crashed or
+    ///   partitioned peer, a failed handler, and a stream closed after the
+    ///   server executed all leave nothing to misread as a reply.
+    ///
+    /// An unknown `from` or `to` fails before anything is counted or
+    /// charged; a known host with no service is discovered only after the
+    /// message was sent, so it is counted in `messages` and charged.
     pub fn call(
         &self,
         from: HostId,
@@ -353,12 +444,8 @@ impl SimNet {
         request: &[u8],
         reply_into: &mut Vec<u8>,
     ) -> Result<()> {
-        {
-            let hosts = self.hosts.lock();
-            if hosts.get(from.0).is_none() {
-                return Err(NetError::NoSuchHost(from));
-            }
-        }
+        reply_into.clear();
+        let route = self.route(from, to)?;
         self.stats.messages.inc();
         // Consult the fault gates before the wire: a lost message is lost
         // after it is charged (it left the client); a stalled link or peer
@@ -367,7 +454,7 @@ impl SimNet {
         // sim-time restart); a partition severs the (from, to) link until it
         // heals — both disconnect the binding, but a partitioned server is
         // alive and keeps serving unsevered pairs.
-        let (verdict, scale) = self.consult_faults(from, to)?;
+        let (verdict, scale) = self.consult_faults(from, to, &route.faults);
         // Request hits the wire.
         self.charge_wire_scaled(request.len(), scale);
         let name = |h: HostId| self.host_name(h).unwrap_or_else(|_| format!("{h:?}"));
@@ -389,25 +476,24 @@ impl SimNet {
             // The retransmitted copy traverses the wire too.
             self.charge_wire_scaled(request.len(), scale);
         }
-        // The far side receives into its own buffer: a real copy, as the
-        // receiving protocol stack would perform.
-        let rx: Vec<u8> = request.to_vec();
-        // Clone the handler handle so it runs without the host lock held —
-        // concurrent callers can be inside the same service at once.
-        let service = {
-            let hosts = self.hosts.lock();
-            let h = hosts.get(to.0).ok_or(NetError::NoSuchHost(to))?;
-            Arc::clone(h.service.as_ref().ok_or(NetError::NoService(to))?)
-        };
+        // A message to a host that serves nothing was still sent: it is
+        // counted and charged before the absence is discovered.
+        let service = route.service.ok_or(NetError::NoService(to))?;
+        let rx = self.receive(request);
         let t0 = std::time::Instant::now();
-        let mut result = service(&rx);
+        let mut result = service(&rx, reply_into);
         if verdict.duplicate {
-            // The retransmitted copy arrives too; the caller sees the
-            // second reply (last-writer-wins, as UDP Sun RPC would).
-            result = service(&rx);
+            // The retransmitted copy arrives too; the caller sees only the
+            // second reply.
+            reply_into.clear();
+            result = service(&rx, reply_into);
         }
         self.stats.service_ns.add(t0.elapsed().as_nanos() as u64);
-        let reply = result.map_err(NetError::ServiceFailure)?;
+        self.release(rx);
+        if let Err(why) = result {
+            reply_into.clear();
+            return Err(NetError::ServiceFailure(why));
+        }
         // Server-side processing + reply on the wire.
         self.wire_ns.fetch_add(self.cfg.server_ns, Ordering::Relaxed);
         self.clock.advance_ns(self.cfg.server_ns);
@@ -415,11 +501,10 @@ impl SimNet {
             // The stream closed after the server executed: the work is done
             // (an at-most-once server has the reply cached) but this client
             // never sees it. The reply never reaches the wire.
+            reply_into.clear();
             return Err(NetError::Disconnected("stream closed before reply".into()));
         }
-        self.charge_wire_scaled(reply.len(), scale);
-        reply_into.clear();
-        reply_into.extend_from_slice(&reply);
+        self.charge_wire_scaled(reply_into.len(), scale);
         Ok(())
     }
 }
@@ -489,6 +574,98 @@ mod tests {
         let s = net.add_host("s");
         let mut reply = Vec::new();
         assert_eq!(net.call(c, s, b"x", &mut reply).unwrap_err(), NetError::NoService(s));
+        // The message was sent before the absence was discovered.
+        assert_eq!(net.stats().messages.get(), 1);
+        assert!(net.wire_ns() > 0, "the request crossed the wire");
+    }
+
+    #[test]
+    fn in_place_handler_writes_the_callers_buffer() {
+        let net = SimNet::new();
+        let c = net.add_host("c");
+        let s = net.add_host("s");
+        net.register_handler(s, |req, out| {
+            out.extend_from_slice(req);
+            out.push(b'!');
+            Ok(())
+        })
+        .unwrap();
+        let mut reply = Vec::with_capacity(64);
+        let kept = reply.as_ptr();
+        net.call(c, s, b"ping", &mut reply).unwrap();
+        assert_eq!(reply, b"ping!");
+        assert_eq!(reply.as_ptr(), kept, "the reply was framed where the caller reads it");
+    }
+
+    /// The buffer contract of [`SimNet::call`], one row per way a call can
+    /// end: every `Err` leaves `reply_into` empty — even though the handler
+    /// may already have written into it — and a duplicated delivery leaves
+    /// one reply, not two.
+    #[test]
+    fn reply_buffer_contract_holds_for_every_verdict() {
+        /// A handler that writes before it decides whether to fail.
+        fn world(fail: bool) -> (Arc<SimNet>, HostId, HostId) {
+            let net = SimNet::new();
+            let c = net.add_host("c");
+            let s = net.add_host("s");
+            net.register_handler(s, move |req, out| {
+                out.extend_from_slice(b"re:");
+                out.extend_from_slice(req);
+                if fail {
+                    return Err("failed after writing".into());
+                }
+                Ok(())
+            })
+            .unwrap();
+            (net, c, s)
+        }
+        let stale = || b"stale bytes of an earlier reply".to_vec();
+
+        type Expect = fn(&NetError) -> bool;
+        let lost: [(&str, Fault, Expect); 4] = [
+            ("Drop", Fault::Drop, |e| *e == NetError::Dropped),
+            (
+                "Crash",
+                Fault::Crash { restart_after_ns: None },
+                |e| matches!(e, NetError::Disconnected(w) if w.contains("crashed")),
+            ),
+            (
+                "Partition",
+                Fault::Partition { a: 0, b: 1, heal_after_ns: u64::MAX },
+                |e| matches!(e, NetError::Disconnected(w) if w.contains("partitioned")),
+            ),
+            (
+                "Close",
+                Fault::Close,
+                |e| matches!(e, NetError::Disconnected(w) if w.contains("closed")),
+            ),
+        ];
+        for (row, fault, expected) in lost {
+            let (net, c, s) = world(false);
+            net.faults().on_next_call(fault);
+            let mut reply = stale();
+            let e = net.call(c, s, b"x", &mut reply).unwrap_err();
+            assert!(expected(&e), "{row}: {e}");
+            assert!(reply.is_empty(), "{row}: an error leaves no bytes to misread as a reply");
+        }
+
+        let (net, c, s) = world(true);
+        let mut reply = stale();
+        let e = net.call(c, s, b"x", &mut reply).unwrap_err();
+        assert_eq!(e, NetError::ServiceFailure("failed after writing".into()));
+        assert!(reply.is_empty(), "service Err: the half-written reply is discarded");
+
+        let (net, c, s) = world(false);
+        net.faults().on_next_call(Fault::Duplicate);
+        let mut reply = stale();
+        net.call(c, s, b"x", &mut reply).unwrap();
+        assert_eq!(reply, b"re:x", "Duplicate: exactly one reply frame, the last writer's");
+
+        // Unknown endpoints fail before anything is sent, and still leave
+        // the buffer empty.
+        let mut reply = stale();
+        assert!(net.call(c, HostId(9), b"x", &mut reply).is_err());
+        assert!(reply.is_empty());
     }
 
     #[test]

@@ -354,14 +354,17 @@ impl ServerInterface {
         reply: &mut Vec<u8>,
         rights_out: &mut Vec<u32>,
     ) -> Result<()> {
-        let (Some(tag), Some(cache)) = (tag, self.reply_cache.clone()) else {
-            return self.dispatch(op_index, request, rights_in, reply, rights_out);
-        };
-        if cache.replay(tag, reply, rights_out) {
-            return Ok(());
+        // The cache is borrowed on either side of the dispatch, never
+        // cloned: an untagged call touches no refcount.
+        if let (Some(tag), Some(cache)) = (tag, &self.reply_cache) {
+            if cache.replay(tag, reply, rights_out) {
+                return Ok(());
+            }
         }
         self.dispatch(op_index, request, rights_in, reply, rights_out)?;
-        cache.record(tag, reply, rights_out);
+        if let (Some(tag), Some(cache)) = (tag, &self.reply_cache) {
+            cache.record(tag, reply, rights_out);
+        }
         Ok(())
     }
 

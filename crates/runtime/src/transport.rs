@@ -447,12 +447,28 @@ pub struct SunRpc {
     prog: u32,
     vers: u32,
     next_xid: u32,
+    /// The outgoing call frame, re-encoded in place for every call.
+    frame: Vec<u8>,
 }
 
 impl SunRpc {
     /// Creates a client transport to `(prog, vers)` served on `to`.
     pub fn new(net: Arc<SimNet>, from: HostId, to: HostId, prog: u32, vers: u32) -> SunRpc {
-        SunRpc { net, from, to, prog, vers, next_xid: 1 }
+        SunRpc { net, from, to, prog, vers, next_xid: 1, frame: Vec::new() }
+    }
+
+    /// Frames `request` as call `xid` of `op` into the kept frame buffer.
+    /// The at-most-once identity travels in the credential, stable across
+    /// retries of one logical call.
+    fn encode_frame(&mut self, xid: u32, op: &CompiledOp, request: &[u8], ctl: &CallControl) {
+        let proc = op.opnum.unwrap_or(op.index as u32);
+        self.frame.clear();
+        sunrpc::encode_call_tagged_into(
+            &mut self.frame,
+            CallHeader { xid, prog: self.prog, vers: self.vers, proc },
+            ctl.tag.map(|t| (t.binding, t.seq, t.tenant.as_u64())),
+            &[request],
+        );
     }
 }
 
@@ -485,20 +501,14 @@ impl Transport for SunRpc {
         if ctl.expired(self.net.clock().now_ns()) {
             return Err(RpcError::DeadlineExceeded);
         }
+        // XIDs stay per-attempt: they match replies to requests on the
+        // stream.
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
-        let proc = op.opnum.unwrap_or(op.index as u32);
-        // XIDs stay per-attempt (they match replies to requests on the
-        // stream); the at-most-once identity travels in the credential,
-        // stable across retries of one logical call.
-        let msg = sunrpc::encode_call_tagged(
-            CallHeader { xid, prog: self.prog, vers: self.vers, proc },
-            ctl.tag.map(|t| (t.binding, t.seq, t.tenant.as_u64())),
-            &[request],
-        );
-        // The framed reply lands directly in the caller's buffer — no
-        // re-copy; the body offset is computed from the decoded frame.
-        self.net.call(self.from, self.to, &msg, reply)?;
+        self.encode_frame(xid, op, request, ctl);
+        // The server frames its reply directly into the caller's buffer —
+        // no re-copy; the body offset is computed from the decoded frame.
+        self.net.call(self.from, self.to, &self.frame, reply)?;
         // The net charged wire time (and any induced stall) to the sim
         // clock; a reply landing past the deadline is a deadline miss.
         if ctl.expired(self.net.clock().now_ns()) {
@@ -534,17 +544,12 @@ impl Transport for SunRpc {
         if ctl.expired(self.net.clock().now_ns()) {
             return Err(RpcError::DeadlineExceeded);
         }
-        let proc = op.opnum.unwrap_or(op.index as u32);
         // XID 0 marks "no reply expected": nothing will ever match it, and
         // the client allocates no reply-wait state. The at-most-once tag
         // still rides in the credential, so a duplicated notification is
         // deduplicated by the server's reply cache.
-        let msg = sunrpc::encode_call_tagged(
-            CallHeader { xid: 0, prog: self.prog, vers: self.vers, proc },
-            ctl.tag.map(|t| (t.binding, t.seq, t.tenant.as_u64())),
-            &[request],
-        );
-        self.net.send(self.from, self.to, &msg)?;
+        self.encode_frame(0, op, request, ctl);
+        self.net.send(self.from, self.to, &self.frame)?;
         Ok(())
     }
 
@@ -554,7 +559,10 @@ impl Transport for SunRpc {
 }
 
 /// Registers `server` as the Sun RPC service on `host`: decodes call
-/// frames, dispatches by procedure number, re-frames replies.
+/// frames, dispatches by procedure number, and frames each reply straight
+/// into the buffer the caller will read. The marshalled reply body and its
+/// rights are scratch kept across calls, so a warm call allocates nothing
+/// here.
 pub fn serve_on_net(
     net: &Arc<SimNet>,
     host: HostId,
@@ -562,7 +570,8 @@ pub fn serve_on_net(
     prog: u32,
     vers: u32,
 ) -> Result<()> {
-    net.register_service(host, move |msg| {
+    let scratch = Mutex::new((Vec::<u8>::new(), Vec::<u32>::new()));
+    net.register_handler(host, move |msg, out| {
         let (hdr, wire_tag, args) = match sunrpc::decode_call_tagged(msg) {
             Ok(x) => x,
             Err(e) => return Err(format!("undecodable call: {e}")),
@@ -570,23 +579,25 @@ pub fn serve_on_net(
         let tag = wire_tag.map(|(binding, seq, tenant)| {
             crate::policy::CallTag::for_tenant(binding, seq, crate::policy::TenantId(tenant))
         });
+        let mut respond = |stat, body: &[u8]| {
+            sunrpc::encode_reply_gather_into(out, hdr.xid, stat, &[body]);
+            Ok(())
+        };
         if hdr.prog != prog {
-            return Ok(sunrpc::encode_reply(hdr.xid, AcceptStat::ProgUnavail, &[]));
+            return respond(AcceptStat::ProgUnavail, &[]);
         }
         if hdr.vers != vers {
-            return Ok(sunrpc::encode_reply(hdr.xid, AcceptStat::ProgMismatch, &[]));
+            return respond(AcceptStat::ProgMismatch, &[]);
         }
         let mut srv = server.lock();
         let Some(op_index) = srv.op_by_proc(hdr.proc) else {
-            return Ok(sunrpc::encode_reply(hdr.xid, AcceptStat::ProcUnavail, &[]));
+            return respond(AcceptStat::ProcUnavail, &[]);
         };
-        let mut reply = Vec::new();
-        let mut rights_out = Vec::new();
-        match srv.dispatch_tagged(op_index, args, &[], tag, &mut reply, &mut rights_out) {
-            Ok(()) => Ok(sunrpc::encode_reply(hdr.xid, AcceptStat::Success, &reply)),
-            Err(RpcError::Marshal(_)) => {
-                Ok(sunrpc::encode_reply(hdr.xid, AcceptStat::GarbageArgs, &[]))
-            }
+        let mut scratch = scratch.lock();
+        let (reply, rights_out) = &mut *scratch;
+        match srv.dispatch_tagged(op_index, args, &[], tag, reply, rights_out) {
+            Ok(()) => respond(AcceptStat::Success, reply),
+            Err(RpcError::Marshal(_)) => respond(AcceptStat::GarbageArgs, &[]),
             Err(e) => Err(format!("dispatch failed: {e}")),
         }
     })?;

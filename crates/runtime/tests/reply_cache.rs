@@ -194,3 +194,240 @@ fn tagging_licenses_retry_where_the_contract_alone_would_not() {
     let err = add(&mut w, 2, &opts).expect_err("refused before sending");
     assert_eq!(err.kind(), ErrorKind::ContractViolation);
 }
+
+/// The reference the cache is held to: a plain map swept in full on every
+/// `record`, keeping exactly the entries with `now <= expires_ns`. It is
+/// the specification of *which* entries survive; the cache under test may
+/// find the expired ones any way it likes.
+mod model {
+    use flexrpc_runtime::replycache::ReplyCacheStats;
+    use std::collections::HashMap;
+
+    struct Entry {
+        reply: Vec<u8>,
+        rights: Vec<u32>,
+        expires_ns: u64,
+    }
+
+    pub struct SweepingCache {
+        ttl_ns: u64,
+        map: HashMap<(u64, u64), Entry>,
+        executions: u64,
+        suppressions: u64,
+        evictions: u64,
+    }
+
+    impl SweepingCache {
+        pub fn new(ttl_ns: u64) -> SweepingCache {
+            SweepingCache {
+                ttl_ns,
+                map: HashMap::new(),
+                executions: 0,
+                suppressions: 0,
+                evictions: 0,
+            }
+        }
+
+        /// Is `tag` held and unexpired at `now`?
+        pub fn live(&self, now: u64, tag: (u64, u64)) -> bool {
+            self.map.get(&tag).is_some_and(|e| now <= e.expires_ns)
+        }
+
+        /// How many entries a sweep at `now` would evict.
+        pub fn expired(&self, now: u64) -> usize {
+            self.map.values().filter(|e| now > e.expires_ns).count()
+        }
+
+        pub fn record(&mut self, now: u64, tag: (u64, u64), reply: &[u8], rights: &[u32]) {
+            self.executions += 1;
+            let before = self.map.len();
+            self.map.retain(|_, e| now <= e.expires_ns);
+            self.evictions += (before - self.map.len()) as u64;
+            let expires_ns = now.saturating_add(self.ttl_ns);
+            self.map
+                .insert(tag, Entry { reply: reply.to_vec(), rights: rights.to_vec(), expires_ns });
+        }
+
+        /// `Some((reply, rights))` on a hit; a miss on an expired entry
+        /// evicts it.
+        pub fn replay(&mut self, now: u64, tag: (u64, u64)) -> Option<(Vec<u8>, Vec<u32>)> {
+            let entry = self.map.get(&tag)?;
+            if now > entry.expires_ns {
+                self.map.remove(&tag);
+                self.evictions += 1;
+                return None;
+            }
+            self.suppressions += 1;
+            Some((entry.reply.clone(), entry.rights.clone()))
+        }
+
+        pub fn stats(&self) -> ReplyCacheStats {
+            ReplyCacheStats {
+                executions: self.executions,
+                suppressions: self.suppressions,
+                evictions: self.evictions,
+                entries: self.map.len() as u64,
+            }
+        }
+    }
+}
+
+/// splitmix64: the test's own seeded stream, so every run explores the
+/// same sequences.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Which of the cases the equivalence property must reach a run reached.
+#[derive(Default)]
+struct Reached {
+    rerecord_of_live_tag: u32,
+    rerecord_after_replay_evicted: u32,
+    several_expire_in_one_record: u32,
+    zero_advance: u32,
+    replay_hit: u32,
+    replay_evicted: u32,
+}
+
+/// Drives the cache and the model through one seeded sequence over a small
+/// tag space, comparing every observable after every step.
+fn drive(seed: u64, ttl: Duration, steps: usize, reached: &mut Reached) {
+    use flexrpc_runtime::policy::CallTag;
+    use std::collections::HashSet;
+
+    let clock = flexrpc_clock::SimClock::new();
+    let cache = ReplyCache::new(Arc::clone(&clock), ttl);
+    let ttl_ns = cache.ttl_ns();
+    let mut model = model::SweepingCache::new(ttl_ns);
+    let mut rng = Rng(seed);
+    // Tags whose last event was an eviction by `replay`.
+    let mut replay_evicted: HashSet<(u64, u64)> = HashSet::new();
+    // Advances are sized against the TTL so entries live a few steps; with
+    // a saturating TTL any advance is "small".
+    let unit = if ttl_ns == u64::MAX { 1_000 } else { ttl_ns / 4 };
+
+    for step in 0..steps {
+        let key = (1 + rng.below(2), rng.below(4));
+        let tag = CallTag::new(key.0, key.1);
+        let ctx = format!("seed {seed} step {step}");
+        match rng.below(10) {
+            0..=3 => {
+                let now = clock.now_ns();
+                let reply: Vec<u8> = (0..rng.below(48)).map(|_| rng.next() as u8).collect();
+                let rights: Vec<u32> = (0..rng.below(3)).map(|_| rng.next() as u32).collect();
+                if model.live(now, key) {
+                    reached.rerecord_of_live_tag += 1;
+                }
+                if replay_evicted.remove(&key) {
+                    reached.rerecord_after_replay_evicted += 1;
+                }
+                if model.expired(now) >= 2 {
+                    reached.several_expire_in_one_record += 1;
+                }
+                model.record(now, key, &reply, &rights);
+                cache.record(tag, &reply, &rights);
+            }
+            4..=6 => {
+                let now = clock.now_ns();
+                // Junk in the caller's buffers: a hit must replace it, a
+                // miss must leave it alone.
+                let (mut reply, mut rights) = (vec![0xEE; 5], vec![0xEEEE_EEEE; 2]);
+                let was_held = model.stats().entries;
+                let expect = model.replay(now, key);
+                let hit = cache.replay(tag, &mut reply, &mut rights);
+                assert_eq!(hit, expect.is_some(), "{ctx}: replay outcome");
+                match expect {
+                    Some((r, rr)) => {
+                        reached.replay_hit += 1;
+                        assert_eq!((reply, rights), (r, rr), "{ctx}: replayed bytes and rights");
+                    }
+                    None => {
+                        assert_eq!(
+                            (reply, rights),
+                            (vec![0xEE; 5], vec![0xEEEE_EEEE; 2]),
+                            "{ctx}: a miss leaves the caller's buffers alone"
+                        );
+                        if model.stats().entries < was_held {
+                            reached.replay_evicted += 1;
+                            replay_evicted.insert(key);
+                        }
+                    }
+                }
+            }
+            _ => {
+                // Zero (several calls at one instant), a fraction of the
+                // TTL, or a jump past it (everything held expires at once).
+                let ns = match rng.below(4) {
+                    0 => 0,
+                    1 | 2 => 1 + rng.below(unit.max(1)),
+                    _ => unit.saturating_mul(5),
+                };
+                if ns == 0 {
+                    reached.zero_advance += 1;
+                }
+                clock.advance_ns(ns);
+            }
+        }
+        assert_eq!(cache.stats(), model.stats(), "{ctx}: counters and live entries");
+    }
+}
+
+/// Expiry-ordered eviction is observationally the full sweep: equal
+/// `replay` results, reply bytes, rights and counters after every step of
+/// every seeded sequence — including the sequences that leave stale nodes
+/// in the expiry queue.
+#[test]
+fn expiry_queue_matches_the_sweeping_model_step_for_step() {
+    let mut reached = Reached::default();
+    for seed in 0..64 {
+        drive(seed, Duration::from_micros(100), 400, &mut reached);
+    }
+    assert!(reached.rerecord_of_live_tag > 0, "re-record of a live tag");
+    assert!(reached.rerecord_after_replay_evicted > 0, "re-record after replay evicted the tag");
+    assert!(reached.several_expire_in_one_record > 0, "several entries expiring in one record");
+    assert!(reached.zero_advance > 0, "runs of calls at one instant");
+    assert!(reached.replay_hit > 0 && reached.replay_evicted > 0, "both replay outcomes");
+}
+
+/// `ttl = Duration::MAX` saturates every expiry at `u64::MAX`: nothing is
+/// ever evicted, by either implementation, however far the clock runs.
+#[test]
+fn saturating_ttl_never_evicts() {
+    let mut reached = Reached::default();
+    for seed in 0..8 {
+        drive(seed, Duration::MAX, 400, &mut reached);
+    }
+    assert!(reached.rerecord_of_live_tag > 0 && reached.replay_hit > 0);
+    assert_eq!(reached.replay_evicted, 0);
+    assert_eq!(reached.several_expire_in_one_record, 0);
+}
+
+/// Scaling, by construction: on a clock that never advances nothing
+/// expires, so every record must cost O(1) whatever is live. A sweep per
+/// record visits 5 × 10⁹ entries here; the expiry queue looks at one.
+#[test]
+fn a_hundred_thousand_records_at_one_instant() {
+    use flexrpc_runtime::policy::CallTag;
+    const RECORDS: u64 = 100_000;
+    let cache = ReplyCache::new(flexrpc_clock::SimClock::new(), Duration::from_secs(1));
+    for seq in 0..RECORDS {
+        cache.record(CallTag::new(1, seq), &seq.to_be_bytes(), &[]);
+    }
+    let s = cache.stats();
+    assert_eq!((s.executions, s.entries, s.evictions), (RECORDS, RECORDS, 0));
+    let (mut reply, mut rights) = (Vec::new(), Vec::new());
+    assert!(cache.replay(CallTag::new(1, 77), &mut reply, &mut rights));
+    assert_eq!(reply, 77u64.to_be_bytes());
+}

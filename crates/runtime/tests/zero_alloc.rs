@@ -251,3 +251,82 @@ fn reply_cache_hit_allocates_nothing_when_warm() {
     assert_eq!(delta, 0, "cache-hit path allocated {delta} times over 100 warm replays");
     assert_eq!(cache.stats().suppressions, 115, "every repeat was answered from the cache");
 }
+
+/// The whole at-most-once Sun RPC hop — tagged `ClientStub` → `SunRpc` →
+/// `SimNet` → `serve_on_net` → reply cache — allocates only what it keeps.
+/// A fresh `read` of a fixed size makes two allocations, both for bytes
+/// someone asked to own: the work function's result payload and the
+/// cache's exact-sized copy of the reply. A retransmission of the same
+/// tag, answered by `replay`, runs no work function and records nothing,
+/// so it makes none. The call frame, the receive copy, the server's
+/// marshalled reply, the framed reply and the caller's result payload all
+/// live in buffers kept across calls.
+#[test]
+fn tagged_sunrpc_round_trip_allocates_only_what_it_keeps() {
+    use flexrpc_core::ir::fileio_example;
+    use flexrpc_net::SimNet;
+    use flexrpc_runtime::policy::CallOptions;
+    use flexrpc_runtime::replycache::ReplyCache;
+    use flexrpc_runtime::transport::{serve_on_net, SunRpc};
+
+    const READ: u32 = 1024;
+    let m = fileio_example();
+    let iface = m.interface("FileIO").expect("interface");
+    let pres = InterfacePresentation::default_for(&m, iface).expect("defaults");
+    let compiled = Arc::new(CompiledInterface::compile(&m, iface, &pres).expect("compiles"));
+
+    let net = SimNet::new();
+    let (client_host, server_host) = (net.add_host("client"), net.add_host("server"));
+    let cache = ReplyCache::new(Arc::clone(net.clock()), std::time::Duration::from_secs(1));
+    let mut server = ServerInterface::new_shared(Arc::clone(&compiled), WireFormat::Xdr);
+    server.set_reply_cache(Arc::clone(&cache));
+    server
+        .on("read", |call| {
+            let count = call.u32("count").expect("count") as usize;
+            call.set("return", Value::Bytes(vec![0xAB; count])).expect("return");
+            0
+        })
+        .expect("registers");
+    serve_on_net(&net, server_host, Arc::new(parking_lot::Mutex::new(server)), 600_001, 1)
+        .expect("serves");
+    let transport = SunRpc::new(Arc::clone(&net), client_host, server_host, 600_001, 1);
+    let mut stub = ClientStub::new_shared(compiled, WireFormat::Xdr, Box::new(transport));
+    stub.enable_at_most_once();
+    // Only the policy path tags calls.
+    let options = CallOptions::default();
+    let mut frame = stub.new_frame("read").expect("frame");
+    frame[0] = Value::U32(READ);
+
+    // Warm-up past one TTL of wire time (≈ 620 calls): every kept buffer
+    // reaches its steady-state capacity and the cache is evicting as fast
+    // as it records, so its map and expiry queue have stopped growing.
+    for _ in 0..1_000 {
+        assert_eq!(stub.call_with("read", &mut frame, &options).expect("call"), 0);
+    }
+    assert!(cache.stats().evictions > 0, "the audit runs with eviction live");
+
+    const FRESH: u64 = 100;
+    let before = allocs();
+    for _ in 0..FRESH {
+        stub.call_with("read", &mut frame, &options).expect("fresh call");
+    }
+    let fresh = allocs() - before;
+    assert!(
+        fresh <= 2 * FRESH,
+        "{FRESH} fresh tagged calls allocated {fresh} times; budget is 2 per call"
+    );
+    assert_eq!(cache.stats().suppressions, 0, "every call so far executed");
+
+    // Retransmit the last logical call: same binding, same sequence number.
+    let (binding, next_seq) = stub.at_most_once_state().expect("amo enabled");
+    const RESENT: u64 = 100;
+    let before = allocs();
+    for _ in 0..RESENT {
+        stub.resume_at_most_once(binding, next_seq - 1);
+        stub.call_with("read", &mut frame, &options).expect("replayed call");
+    }
+    let resent = allocs() - before;
+    assert_eq!(resent, 0, "{RESENT} retransmissions answered by replay allocated {resent} times");
+    assert_eq!(cache.stats().suppressions, RESENT, "every retransmission was a cache hit");
+    assert_eq!(frame[1], Value::Bytes(vec![0xAB; READ as usize]), "the replayed result");
+}

@@ -18,6 +18,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test ==" >&2
 cargo test -q --workspace
 
+# The allocation audits again, in the profile the benchmark counts
+# `allocs_per_op` in: inlining and elided temporaries differ from debug, so
+# a budget that holds there proves nothing here.
+echo "== allocation audits (release) ==" >&2
+cargo test -q --release -p flexrpc-runtime --test zero_alloc
+cargo test -q --release -p flexrpc-engine --test zero_alloc_wait
+
 # Criterion benches must at least compile — they share drivers with the
 # report binary, so a drifted API breaks here instead of at bench time.
 echo "== cargo bench --no-run ==" >&2
