@@ -17,9 +17,9 @@
 //!   hot tenant cannot strand cores while fair order survives. Blocking
 //!   calls with no deadline and no backlog dispatch **inline** on the
 //!   caller's thread (LRPC-style — no handoff at all).
-//! * [`slot::ReplySlot`] — the lock-free one-shot completion slot a
-//!   submitter blocks on: atomic state machine, condvar only on actual
-//!   contention.
+//! * [`slot::ReplySlot`] — the lock-free completion slot a submitter
+//!   blocks on, one-shot per use and recycled with its call's job cell:
+//!   atomic state machine, condvar only on actual contention.
 //! * [`cache::ProgramCache`] — compiled programs keyed by *combination
 //!   signature* (wire signature × the two presentation fingerprints × the
 //!   negotiated trust pair × wire format). Each combination compiles once;

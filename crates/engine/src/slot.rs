@@ -1,4 +1,4 @@
-//! A lock-free one-shot reply slot.
+//! A lock-free reply slot: one-shot per use, reusable through `reset`.
 //!
 //! The engine's old `ReplySlot` was a `Mutex<Option<Result<Reply>>>` plus
 //! a `Condvar` whose `fill` woke *every* waiter: every reply paid two
@@ -18,8 +18,14 @@
 //! lock, no syscall, no allocation (audited in
 //! `crates/engine/tests/zero_alloc_wait.rs`).
 //!
-//! Contract: exactly one value is ever published (later `fill`s are
-//! dropped, first wins) and at most one thread waits on a given slot.
+//! Contract, per use: exactly one value is published (later `fill`s are
+//! dropped, first wins) and at most one thread waits on the slot. A use
+//! ends at [`ReplySlot::reset`], which takes `&mut self`: whoever calls it
+//! has proved no filler or waiter of the previous use still holds the slot,
+//! so nothing of that use — a late fill, an untaken value, a parked state
+//! an abandoned deadline wait left behind — can reach the next. The engine
+//! keeps each call's slot in a recycled job cell and resets it on reuse,
+//! once `Arc::get_mut` shows the worker has let go.
 //!
 //! Why the `unsafe` stays (this is the only hand-written `unsafe` outside
 //! shims and tests): it was measured against the safe alternative. With
@@ -54,7 +60,8 @@ const PARKED: u32 = 3;
 const SPINS: u32 = 64;
 const YIELD_AFTER: u32 = 8;
 
-/// A one-shot single-producer single-consumer completion slot.
+/// A single-producer single-consumer completion slot, one-shot between
+/// [`reset`](ReplySlot::reset)s.
 pub struct ReplySlot<T> {
     state: AtomicU32,
     value: UnsafeCell<Option<T>>,
@@ -88,6 +95,14 @@ impl<T> ReplySlot<T> {
             park: Mutex::new(()),
             ready: Condvar::new(),
         }
+    }
+
+    /// Returns the slot to empty for another use, dropping a value nobody
+    /// took. Exclusive access is the whole protocol: no filler or waiter
+    /// can exist while the caller holds `&mut self`.
+    pub fn reset(&mut self) {
+        *self.state.get_mut() = EMPTY;
+        *self.value.get_mut() = None;
     }
 
     /// Publishes `value`. The first fill wins and returns `true`; any
@@ -279,6 +294,50 @@ mod tests {
         });
         assert_eq!(slot.wait_deadline(|| false), Some(1));
         filler.join().unwrap();
+    }
+
+    #[test]
+    fn reset_makes_the_slot_one_shot_again() {
+        let mut slot = ReplySlot::new();
+        assert!(slot.fill(1u32));
+        assert_eq!(slot.wait(), 1);
+        slot.reset();
+        assert!(slot.fill(2));
+        assert!(!slot.fill(3), "first fill wins within a use");
+        assert_eq!(slot.wait(), 2);
+        // A value nobody took does not leak into the next use.
+        slot.reset();
+        assert!(slot.fill(4));
+        slot.reset();
+        assert!(slot.fill(5));
+        assert_eq!(slot.wait(), 5);
+    }
+
+    #[test]
+    fn reset_after_a_parked_wait() {
+        let mut slot = Arc::new(ReplySlot::new());
+        for round in 0..2u32 {
+            let s = Arc::clone(&slot);
+            let filler = thread::spawn(move || {
+                thread::sleep(Duration::from_millis(10)); // outlast the spin
+                s.fill(round);
+            });
+            assert_eq!(slot.wait(), round);
+            filler.join().unwrap();
+            Arc::get_mut(&mut slot).expect("filler joined").reset();
+        }
+        // An abandoned deadline wait leaves the slot PARKED; reset clears
+        // that too, and the next fill takes the lock-free path.
+        let mut polls = 0;
+        let expired_on_second_poll = || {
+            polls += 1;
+            polls > 1
+        };
+        assert_eq!(slot.wait_deadline(expired_on_second_poll), None);
+        assert_eq!(format!("{slot:?}"), "ReplySlot(parked)");
+        Arc::get_mut(&mut slot).expect("sole owner").reset();
+        assert!(slot.fill(9));
+        assert_eq!(slot.wait(), 9);
     }
 
     /// Shim-backed interleaving sweep (no loom in the tree): drive the

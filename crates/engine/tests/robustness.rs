@@ -242,3 +242,64 @@ fn network_clients_see_shed_calls_as_system_err() {
     assert!(shed > 0, "the overflow was shed");
     assert_eq!(engine.stats().calls_shed as usize, shed);
 }
+
+/// The worker can be the last holder of the engine: it upgrades its weak
+/// handle for the job it runs, and the submitter drops everything meanwhile.
+/// `Engine::drop` then runs on that worker, which must not join itself (a
+/// panic out of `drop`) yet must still join its peer.
+#[test]
+fn a_worker_left_holding_the_last_engine_handle_does_not_join_itself() {
+    use std::sync::mpsc;
+
+    /// Dropped with the last handler closure — wherever the engine's
+    /// teardown runs — and reports whether that thread was unwinding.
+    struct Witness(mpsc::Sender<bool>);
+    impl Drop for Witness {
+        fn drop(&mut self) {
+            let _ = self.0.send(thread::panicking());
+        }
+    }
+
+    let patience = Duration::from_secs(30);
+    let (entered_tx, entered) = mpsc::channel();
+    let (finished_tx, finished) = mpsc::channel();
+    let (torn_down_tx, torn_down) = mpsc::channel();
+    let gate = Arc::new(Gate::default());
+    let engine = Engine::builder().workers(2).build();
+    {
+        let gate = Arc::clone(&gate);
+        let witness = Arc::new(Witness(torn_down_tx));
+        engine
+            .register_service(
+                "slow",
+                fileio_example(),
+                "FileIO",
+                fileio_presentation(),
+                WireFormat::Cdr,
+                move |srv| {
+                    let (gate, witness) = (Arc::clone(&gate), Arc::clone(&witness));
+                    let (entered, finished) = (entered_tx.clone(), finished_tx.clone());
+                    srv.on("read", move |_| {
+                        let _held_by_this_closure = &witness;
+                        entered.send(()).unwrap();
+                        gate.wait();
+                        finished.send(()).unwrap();
+                        0
+                    })
+                    .unwrap();
+                },
+            )
+            .unwrap();
+    }
+    let conn = engine.connect("slow").establish().unwrap();
+    let ticket = conn.submit(0, &read_request(4), &[]).unwrap();
+    entered.recv_timeout(patience).expect("the worker reaches the handler");
+    drop(ticket);
+    drop(conn);
+    drop(engine); // the worker's upgraded handle is now the only one
+    gate.open();
+
+    finished.recv_timeout(patience).expect("the handler ran to completion");
+    let unwinding = torn_down.recv_timeout(patience).expect("the engine was torn down");
+    assert!(!unwinding, "the worker panicked tearing the engine down");
+}

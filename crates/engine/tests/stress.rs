@@ -1,7 +1,8 @@
 //! Multi-threaded stress tests for the invariants the engine leans on:
-//! kernel name-table uniqueness under contention, and pipe FIFO ordering
-//! through a many-worker engine.
+//! kernel name-table uniqueness under contention, pipe FIFO ordering
+//! through a many-worker engine, and no submit wakeup lost between bursts.
 
+use flexrpc_core::ir::fileio_example;
 use flexrpc_core::present::InterfacePresentation;
 use flexrpc_core::value::Value;
 use flexrpc_engine::{ClientInfo, Engine};
@@ -14,7 +15,8 @@ use flexrpc_pipes::server::{
 use flexrpc_pipes::{fileio_module, WOULDBLOCK};
 use flexrpc_runtime::{ClientStub, RpcError};
 use parking_lot::Mutex;
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 /// Unique-mode name installation stays unique when many threads transfer
 /// the same right concurrently: everyone sees one name, the reference
@@ -198,5 +200,63 @@ fn pipe_fifo_order_with_many_workers() {
 
     assert_eq!(seen, written, "pipe reordered or corrupted the stream");
     assert_eq!(engine.stats().dispatch_errors, 0);
+    engine.shutdown();
+}
+
+/// Liveness of the claimed submit wakeups: bursts smaller and larger than
+/// the worker count land on workers that have all had time to park, over
+/// and over. A wake skipped for a worker no earlier bump had claimed
+/// strands a queued job with everyone asleep, and its ticket never
+/// completes. Which bump meets which parked worker is timing, so this runs
+/// in both profiles (`scripts/ci.sh`).
+#[test]
+fn bursts_onto_parked_workers_lose_no_wakeup() {
+    const ROUNDS: u32 = 2_000;
+
+    let engine = Engine::builder().workers(4).build();
+    let module = fileio_example();
+    let pres =
+        InterfacePresentation::default_for(&module, module.interface("FileIO").unwrap()).unwrap();
+    engine
+        .register_service("fileio", module, "FileIO", pres, WireFormat::Cdr, |srv| {
+            srv.on("read", |call| {
+                let count = call.u32("count").unwrap() as usize;
+                call.set("return", Value::Bytes(vec![0xA5; count])).unwrap();
+                0
+            })
+            .unwrap();
+        })
+        .unwrap();
+    // Several connections, so the bursts have more than one home shard.
+    let conns: Vec<_> = (0..3).map(|_| engine.connect("fileio").establish().unwrap()).collect();
+    let read = conns[0].program().op("read").unwrap().index;
+    let mut request = flexrpc_runtime::wire::AnyWriter::new(WireFormat::Cdr);
+    request.put_u32(8);
+    let request = request.into_bytes();
+
+    // The rounds run beside a watchdog: a lost wakeup is a hang, and a hang
+    // should fail this test, not the harness's patience.
+    let (done_tx, done) = mpsc::channel();
+    let rounds = std::thread::spawn(move || {
+        let mut seed = 0x2545_F491_4F6C_DD1D_u64;
+        for round in 0..ROUNDS {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let burst = 1 + (seed % 8) as usize;
+            let tickets: Vec<_> = (0..burst)
+                .map(|i| conns[(round as usize + i) % conns.len()].submit(read, &request, &[]))
+                .collect();
+            for ticket in tickets {
+                ticket.expect("admitted").wait().expect("served");
+            }
+            // Long enough for every worker to find the queues empty and park.
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        done_tx.send(()).unwrap();
+    });
+    done.recv_timeout(Duration::from_secs(120)).expect("a ticket never completed: lost wakeup");
+    rounds.join().unwrap();
+    assert_eq!(engine.stats().in_flight, 0);
     engine.shutdown();
 }

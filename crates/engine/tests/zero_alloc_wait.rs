@@ -1,4 +1,5 @@
-//! Steady-state allocation audit for the lock-free reply slot.
+//! Steady-state allocation audit for the lock-free reply slot, and for the
+//! submitting side of a queued engine call built on it.
 //!
 //! The warm ticket wait — reply already published (or imminent) by the
 //! time the waiter looks — must make **zero** heap allocations: `fill`
@@ -6,8 +7,18 @@
 //! `Acquire` load and moves the value out. No mutex, no condvar node, no
 //! boxing. The audit drives both orders (fill-then-wait and a waiter that
 //! catches the fill mid-spin) under a counting global allocator.
+//!
+//! The queued round trip — `submit` × 32 then `wait` × 32 through a real
+//! one-worker engine — must likewise allocate nothing *on the submitting
+//! thread* once warm: the call's slot and request buffers are a recycled
+//! job cell. What a queued call still allocates (the reply body, the
+//! handler's own value) is the worker's, and bytes someone keeps.
 
-use flexrpc_engine::ReplySlot;
+use flexrpc_core::ir::fileio_example;
+use flexrpc_core::present::InterfacePresentation;
+use flexrpc_core::value::Value;
+use flexrpc_engine::{Engine, ReplySlot};
+use flexrpc_marshal::WireFormat;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -99,4 +110,56 @@ fn mid_spin_fill_never_allocates_on_the_waiter() {
         }
     }
     assert!(saw_zero, "the spin window must absorb at least some near-miss fills heap-free");
+}
+
+/// A warm queued batch allocates nothing on the thread that submits and
+/// waits. The counter is per thread, so the worker's reply bodies — real
+/// allocations, made over there — do not blur the audit. Runs in debug and
+/// in `--release` (`scripts/ci.sh`): the profiles elide different temporaries.
+#[test]
+fn warm_queued_round_trip_allocates_nothing_on_the_submitter() {
+    const BATCH: usize = 32;
+
+    let engine = Engine::builder().workers(1).build();
+    let module = fileio_example();
+    let pres =
+        InterfacePresentation::default_for(&module, module.interface("FileIO").unwrap()).unwrap();
+    engine
+        .register_service("fileio", module, "FileIO", pres, WireFormat::Cdr, |srv| {
+            srv.on("read", |call| {
+                let count = call.u32("count").unwrap() as usize;
+                call.set("return", Value::Bytes(vec![0x5A; count])).unwrap();
+                0
+            })
+            .unwrap();
+        })
+        .unwrap();
+    let conn = engine.connect("fileio").establish().unwrap();
+    let read = conn.program().op("read").unwrap().index;
+    let mut request = flexrpc_runtime::wire::AnyWriter::new(WireFormat::Cdr);
+    request.put_u32(48);
+    let request = request.into_bytes();
+
+    let mut tickets = Vec::with_capacity(BATCH);
+    let mut replies = Vec::with_capacity(BATCH);
+    let batch = |tickets: &mut Vec<_>, replies: &mut Vec<_>| {
+        for _ in 0..BATCH {
+            tickets.push(conn.submit(read, &request, &[]).unwrap());
+        }
+        for ticket in tickets.drain(..) {
+            replies.push(ticket.wait().unwrap());
+        }
+    };
+    // Warm-up: the first batch allocates its 32 cells and grows the free
+    // list to hold them; the second runs entirely on recycled ones.
+    for _ in 0..2 {
+        batch(&mut tickets, &mut replies);
+        replies.clear();
+    }
+    let (allocs, ()) = counted(|| batch(&mut tickets, &mut replies));
+    assert_eq!(replies.len(), BATCH);
+    assert!(replies.iter().all(|r| r.body.len() > 48));
+    assert_eq!(allocs, 0, "a warm submit x{BATCH} + wait x{BATCH} must not allocate here");
+    assert_eq!(engine.stats().inline_calls, 0, "every call crossed the queue");
+    engine.shutdown();
 }
