@@ -4,10 +4,13 @@
 //!   `dealloc(never)` (Figure 6) → plus the wrap-around optimization the
 //!   paper skipped → plus the §4.2.1 write-path enhancement (kernel direct
 //!   receive).
-//! * Parameter-size sweeps: how the same-domain mutability result
-//!   (Figure 10) and the trust result (Figure 12) scale with payload size —
-//!   the paper's closing observation that presentation matters most when
+//! * The trust result (Figure 12) swept over payload size, and the
+//!   transport ladder — what the flexible presentation saves on the
+//!   negotiated same-domain path, over kernel IPC and over Sun RPC — the
+//!   paper's closing observation that presentation matters most when
 //!   everything else is fast.
+//! * Specialization off and on ([`crate::fuse::FuseRunner`]): fused vs
+//!   threaded stub programs on two transports.
 
 use crate::fig10;
 use flexrpc_kernel::ipc::{BindOptions, MsgOut, ServerOptions};
@@ -115,8 +118,9 @@ impl SweepCell {
     }
 }
 
-/// Builds the Figure 10 flexible-vs-fixed-copy pair at a given size (for
-/// the crossover sweep: where does copy elision stop mattering?).
+/// Builds the Figure 10 fixed-copy-vs-flexible pair at a given size, in
+/// the group where the client's buffer is trashable and the server
+/// modifies it: the same-domain rung of the transport ladder.
 pub fn fig10_pair(size: usize) -> (fig10::Runner, fig10::Runner) {
     let group = fig10::Group { client_needs_buffer: false, server_modifies: true };
     (

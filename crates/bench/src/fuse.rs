@@ -1,25 +1,21 @@
 //! Specialization experiment — op fusion + presize, A/B'd on the hot path.
 //!
-//! Three measurements back the "specialize the hot call path" claim:
+//! Two measurements back the "specialize the hot call path" claim:
 //!
 //! 1. **Dispatches per call** for the Figure 6 pipe-read signature
 //!    (`read(count: u32) -> sequence<octet>`): interpreter dispatches
 //!    across all four stub programs of one call, fused vs unfused. This is
-//!    the static count the fusion pass promises — no timer involved.
-//! 2. **Calls per second** through real stubs, fused vs unfused, on the
-//!    same-domain loopback transport and on the kernel-IPC transport. Both
+//!    the static count the fusion pass promises — no timer involved — and
+//!    it is what `report fuse` gates.
+//! 2. **Fused vs threaded call time** through real stubs ([`FuseRunner`])
+//!    on the loopback transport and on the kernel-IPC transport. Both
 //!    sides of each A/B run identical handlers; only `SpecializeOptions`
-//!    differs.
-//! 3. **Cache-lookup scaling**: total lookups/s against one shared
-//!    [`ProgramCache`] as reader threads sweep, plus the contended-read
-//!    count — the sharded read-mostly design should scale near-linearly
-//!    and report (not suffer) contention.
+//!    differs. `report ablate` takes the ratio from paired rounds.
 
 use flexrpc_core::fuse::SpecializeOptions;
 use flexrpc_core::present::{InterfacePresentation, Trust};
 use flexrpc_core::program::{CompiledInterface, CompiledOp};
 use flexrpc_core::value::Value;
-use flexrpc_engine::{ProgramCache, ProgramKey};
 use flexrpc_kernel::{Kernel, NameMode};
 use flexrpc_marshal::WireFormat;
 use flexrpc_pipes::fileio_module;
@@ -31,9 +27,6 @@ use std::sync::Arc;
 /// Reply payload bytes per `read` call (small, so dispatch overhead — the
 /// thing fusion removes — is a visible fraction of the call).
 pub const READ_SIZE: usize = 64;
-
-/// Reader-thread counts swept by the cache-scaling measurement.
-pub const CACHE_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Compiles the FileIO interface with the given specialization.
 pub fn compile(opts: SpecializeOptions) -> CompiledInterface {
@@ -73,8 +66,11 @@ pub struct FuseRunner {
 }
 
 impl FuseRunner {
-    /// Same-domain: stub and server in one address space over [`Loopback`].
-    pub fn same_domain(opts: SpecializeOptions, format: WireFormat) -> FuseRunner {
+    /// Stub and server in one address space over the [`Loopback`]
+    /// transport: marshalled bytes handed across a function call. (Not the
+    /// paper's same-domain path — that is `runtime::SameDomain`, which
+    /// skips marshalling altogether; Figures 10 and 11 measure it.)
+    pub fn loopback(opts: SpecializeOptions, format: WireFormat) -> FuseRunner {
         let server = fileio_server(opts, format);
         let stub = ClientStub::new(compile(opts), format, Box::new(Loopback::new(server)));
         FuseRunner::finish(stub)
@@ -112,71 +108,6 @@ impl FuseRunner {
     }
 }
 
-/// Result of one cache-scaling cell.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheScale {
-    /// Total lookups per second across all threads.
-    pub lookups_per_sec: f64,
-    /// Contended snapshot reads observed during the run.
-    pub contended: u64,
-}
-
-fn scale_key(i: u64) -> ProgramKey {
-    ProgramKey {
-        signature: 0x5EED ^ i,
-        server_presentation: 1,
-        client_presentation: i,
-        server_trust: Trust::None,
-        client_trust: Trust::None,
-        format: WireFormat::Cdr,
-    }
-}
-
-/// Builds a cache pre-filled with `keys` compiled combinations.
-pub fn filled_cache(keys: u64) -> Arc<ProgramCache> {
-    let cache = Arc::new(ProgramCache::new());
-    for i in 0..keys {
-        cache
-            .get_or_compile::<flexrpc_core::CoreError>(scale_key(i), || {
-                Ok(compile(SpecializeOptions::default()))
-            })
-            .expect("compiles");
-    }
-    cache
-}
-
-/// Hammers `cache.get` from `threads` readers for `lookups_per_thread`
-/// iterations each; every lookup must hit.
-pub fn scale_run(
-    cache: &Arc<ProgramCache>,
-    threads: usize,
-    lookups_per_thread: usize,
-) -> CacheScale {
-    let keys = cache.stats().programs as u64;
-    let contended_before: u64 = cache.stats().shards.iter().map(|s| s.contended).sum();
-    let t0 = std::time::Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let cache = Arc::clone(cache);
-            std::thread::spawn(move || {
-                for i in 0..lookups_per_thread {
-                    let key = scale_key(((t + i) as u64) % keys);
-                    assert!(cache.get(&key).is_some(), "pre-filled key hits");
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("reader ok");
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let contended_after: u64 = cache.stats().shards.iter().map(|s| s.contended).sum();
-    CacheScale {
-        lookups_per_sec: (threads * lookups_per_thread) as f64 / elapsed,
-        contended: contended_after - contended_before,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,17 +132,9 @@ mod tests {
     fn both_transports_run_fused_and_unfused() {
         for opts in [SpecializeOptions::default(), SpecializeOptions::none()] {
             for format in [WireFormat::Xdr, WireFormat::Cdr] {
-                FuseRunner::same_domain(opts, format).call();
+                FuseRunner::loopback(opts, format).call();
                 FuseRunner::kernel_ipc(opts, format).call();
             }
         }
-    }
-
-    #[test]
-    fn cache_scale_all_hits() {
-        let cache = filled_cache(8);
-        let r = scale_run(&cache, 4, 200);
-        assert!(r.lookups_per_sec > 0.0);
-        assert_eq!(cache.stats().misses, 8, "scaling run never compiles");
     }
 }

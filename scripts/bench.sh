@@ -1,121 +1,24 @@
 #!/usr/bin/env bash
-# Runs the report-binary experiments that back EXPERIMENTS.md and leaves
-# their numbers as JSON at the repo root:
+# Regenerates the two committed artifacts with the `report` binary:
 #
-#   BENCH_fuse.json     — specialization A/B (fusion + presize) and the
-#                         sharded program-cache scaling sweep
-#   BENCH_serve.json    — the serving-engine worker × client sweep
-#   BENCH_failover.json — duplicate suppression under a reply-loss storm
-#                         and supervised-failover recovery latency
-#   BENCH_trace.json    — per-stage call breakdown, deterministic wire
-#                         time, and the tracing-overhead ratio
-#   BENCH_stream.json   — edit-feed fan-out throughput (1000 [oneway]
-#                         subscribers), credit-stall determinism, and
-#                         at-most-once file-stream writes
-#   BENCH_qos.json      — per-tenant isolation under a 10× noisy-neighbor
-#                         storm and exactly-once execution across a live
-#                         policy swap + combination rebind
-#   BENCH_scale.json    — per-core shard scaling: blocking (inline) and
-#                         pipelined (stealing) throughput per worker count
-#                         against the experiment's recorded floor
-#   BENCH_cluster.json  — the thousand-host cluster sim: per-seed
-#                         exactly-once tallies and latency percentiles
-#                         across the 16-schedule fault matrix
+#   BENCH_exact.json — counters, sim-clock nanoseconds and byte-identical
+#                      replays (failover, stream, qos, cluster, trace,
+#                      fuse): the same bytes on every run, which
+#                      scripts/ci.sh checks with `cmp`
+#   BENCH_paper.json — the paper's figures and the engine experiments as
+#                      exact copy schedules plus shapes from paired rounds
 #
-# Run from anywhere inside the repo. Pass --check to also enforce the
-# acceptance gates (fuse, failover, trace, stream, qos, scale, cluster).
+# `report --json` writes nothing unless every gate holds, so neither file
+# can contradict the bounds recorded in it. Wall-clock throughput and
+# latency are not here: `benchmark/run.sh` measures those.
+#
+# Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CHECK=()
-if [[ "${1:-}" == "--check" ]]; then
-  CHECK=(--check)
-fi
-
 cargo build -q --release -p flexrpc-bench --bin report
 
-echo "== report fuse ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- fuse --json BENCH_fuse.json "${CHECK[@]}"
-
-echo "== report serve ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- serve --json BENCH_serve.json
-
-echo "== report failover ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- failover --json BENCH_failover.json "${CHECK[@]}"
-
-echo "== report trace ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- trace --json BENCH_trace.json "${CHECK[@]}"
-
-echo "== report stream ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- stream --json BENCH_stream.json "${CHECK[@]}"
-
-echo "== report qos ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- qos --json BENCH_qos.json "${CHECK[@]}"
-
-echo "== report scale ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- scale --json BENCH_scale.json "${CHECK[@]}"
-
-echo "== report cluster ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- cluster --json BENCH_cluster.json "${CHECK[@]}"
-
-# Every expected artifact must exist and be non-empty — a figure silently
-# skipped (e.g. by a typo in the selection list above) fails here, loudly,
-# instead of leaving EXPERIMENTS.md citing a stale file.
-missing=0
-for f in BENCH_fuse.json BENCH_serve.json BENCH_failover.json BENCH_trace.json \
-         BENCH_stream.json BENCH_qos.json BENCH_scale.json BENCH_cluster.json; do
-  if [[ ! -s "$f" ]]; then
-    echo "ERROR: expected artifact $f is missing or empty" >&2
-    missing=1
-  fi
-done
-if [[ "$missing" -ne 0 ]]; then
-  exit 1
-fi
-
-# Self-consistency guard: an artifact that records its own acceptance
-# floor must satisfy it. This fails loudly if a BENCH_scale.json about to
-# be committed regresses the monotone/floor assertion baked into its own
-# rows — a stale or hand-edited artifact can't slip through a skipped
-# --check run.
-awk '
-  /"w8-blocking-calls-per-sec"/ { gsub(/[",]/, ""); cell = $2 }
-  /"floor-calls-per-sec"/       { gsub(/[",]/, ""); floor = $2 }
-  END {
-    if (cell == "" || floor == "") {
-      print "ERROR: BENCH_scale.json is missing its gate rows" > "/dev/stderr"; exit 1
-    }
-    if (cell + 0 < floor + 0) {
-      printf "ERROR: BENCH_scale.json w8 blocking %.0f regresses its own floor %.0f\n", \
-        cell, floor > "/dev/stderr"
-      exit 1
-    }
-  }' BENCH_scale.json
-
-# Same guard for the cluster artifact: it records its own exactly-once
-# tallies and p99 bound, so a committed BENCH_cluster.json that shows a
-# lost/duplicated execution or a tail over its own bound fails here even
-# if the --check run was skipped.
-awk '
-  /"total-lost"/       { gsub(/[",]/, ""); lost = $2; seen = 1 }
-  /"total-duplicated"/ { gsub(/[",]/, ""); dup = $2 }
-  /"p99-bound-ns"/     { gsub(/[",]/, ""); bound = $2 }
-  /"seed[0-9]+-p99-ns"/ { gsub(/[",]/, ""); if ($2 + 0 > worst + 0) worst = $2 }
-  END {
-    if (!seen || bound == "") {
-      print "ERROR: BENCH_cluster.json is missing its invariant rows" > "/dev/stderr"; exit 1
-    }
-    if (lost + 0 != 0 || dup + 0 != 0) {
-      printf "ERROR: BENCH_cluster.json records %d lost / %d duplicated executions\n", \
-        lost, dup > "/dev/stderr"
-      exit 1
-    }
-    if (worst + 0 > bound + 0) {
-      printf "ERROR: BENCH_cluster.json worst p99 %.0f ns exceeds its own bound %.0f ns\n", \
-        worst, bound > "/dev/stderr"
-      exit 1
-    }
-  }' BENCH_cluster.json
-
-echo "wrote BENCH_fuse.json, BENCH_serve.json, BENCH_failover.json, BENCH_trace.json," \
-     "BENCH_stream.json, BENCH_qos.json, BENCH_scale.json, and BENCH_cluster.json" >&2
+./target/release/report failover stream qos cluster trace fuse \
+  --check --json BENCH_exact.json
+./target/release/report fig2 fig6 fig7 fig10 fig11 fig12 port ablate shed scale \
+  --check --json BENCH_paper.json

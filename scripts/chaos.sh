@@ -20,8 +20,7 @@ cargo build -q --release -p flexrpc-bench --bin report
 
 fail=0
 for ((seed = START; seed < START + N; seed++)); do
-  if ! cargo run -q --release -p flexrpc-bench --bin report -- \
-      cluster --check --seed "$seed" >/dev/null 2>&1; then
+  if ! ./target/release/report cluster --check --seed "$seed" >/dev/null 2>&1; then
     echo "chaos: seed $seed FAILED its invariant or replay check" >&2
     echo "reproduce with:" >&2
     echo "  cargo run --release -p flexrpc-bench --bin report -- cluster --check --seed $seed" >&2

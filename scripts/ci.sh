@@ -32,53 +32,21 @@ cargo test -q --release -p flexrpc-engine --test zero_alloc_wait
 echo "== engine stress + robustness (release) ==" >&2
 cargo test -q --release -p flexrpc-engine --test stress --test robustness
 
-# Criterion benches must at least compile — they share drivers with the
-# report binary, so a drifted API breaks here instead of at bench time.
-echo "== cargo bench --no-run ==" >&2
-cargo bench --no-run -q
+# Every experiment's gates, in one process: exact gates (copy schedules,
+# dispatch and probe counts, exactly-once tallies, sim-clock bounds,
+# byte-identical replays) and the paper's shapes from paired rounds.
+# Every experiment runs and every failed gate is listed before the exit.
+echo "== report --check ==" >&2
+cargo build -q --release -p flexrpc-bench --bin report
+./target/release/report --check >/dev/null
 
-# The specialization gate: fused programs must dispatch less and run at
-# least as fast as the threaded interpreter on both measured transports.
-echo "== report fuse --check ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- fuse --check
-
-# The failure-model gate: under a reply-loss storm every retried call is
-# answered from the reply cache (zero duplicate executions), and supervised
-# failover recovers within its deterministic sim-time bound.
-echo "== report failover --check ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- failover --check
-
-# The observability gate: two identical sim runs export byte-identical
-# trace streams, and tracing a same-domain call costs at most 5%.
-echo "== report trace --check ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- trace --check
-
-# The streaming gate: credit stalls are deterministic and hit their
-# closed-form prediction, and no frame is lost or duplicated when replies
-# are dropped mid-stream (at-most-once holds for [stream] and callbacks).
-echo "== report stream --check ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- stream --check
-
-# The multi-tenant QoS gate: a 10× noisy neighbor cannot move the victim
-# tenant's p99 queue dwell past its weighted-fair bound (the offender's
-# excess is shed against its own quota), and a live policy swap plus
-# combination rebind on a loaded connection loses and duplicates nothing.
-echo "== report qos --check ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- qos --check
-
-# The shard-scaling gate: blocking throughput must not regress as workers
-# grow from one to the core count (per-core shards + inline dispatch may
-# not cost what they buy), and the 8-worker same-domain cell must clear
-# the absolute calls/s floor recorded in the experiment.
-echo "== report scale --check ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- scale --check
-
-# The cluster gate: across the 16-seed fault-schedule matrix (1024 hosts
-# against a 3-replica group sharing one reply cache) no non-idempotent
-# call is lost or duplicated, p99 dwell stays under its recorded bound,
-# and a seed replayed from scratch reproduces byte-identical traces.
-echo "== report cluster --check ==" >&2
-cargo run -q --release -p flexrpc-bench --bin report -- cluster --check
+# The exact artifact must reproduce byte for byte: regenerate it the way
+# scripts/bench.sh does and compare with the committed file.
+echo "== BENCH_exact.json reproduces ==" >&2
+exact=target/BENCH_exact.regenerated.json
+./target/release/report failover stream qos cluster trace fuse \
+  --check --json "$exact" >/dev/null
+cmp "$exact" BENCH_exact.json
 
 # The benchmark is a package of its own (`benchmark/`, outside the
 # workspace) that reaches flexrpc only through public APIs. Build it, run
