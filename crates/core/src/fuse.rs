@@ -21,6 +21,15 @@
 //!   interpreter picks by the writer/reader position at runtime. All
 //!   alignment arithmetic is thereby constant-folded out of the call path.
 //!
+//! A block keeps its nine layouts in **one flat table** — one allocation,
+//! read through [`ScalarBlock::packed`] and [`ScalarBlock::aligned`] — and
+//! a one-field block keeps none: the interpreter runs it through the
+//! writer's own scalar primitive, and it is the block most programs have
+//! (the status word merged behind a reply's payload). Specialization runs
+//! on the bind path, once per program of every operation, so its vectors
+//! are sized before they are filled and nothing is built that no call
+//! reads.
+//!
 //! The companion [`SizeHint`] records the fixed-size wire footprint of a
 //! program plus the slots whose payload lengths must be added at runtime,
 //! so marshal buffers can reserve once instead of growing mid-message.
@@ -98,55 +107,105 @@ pub struct BlockField {
     pub kind: ScalarKind,
 }
 
-/// A precomputed field layout for one block under one format family.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockLayout {
+/// A precomputed field layout for one block under one format family: a
+/// view into the block's layout table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockLayout<'a> {
     /// Byte offset of each field from the block start (padding folded in).
-    pub offsets: Vec<u32>,
+    pub offsets: &'a [u32],
     /// Total block length in bytes, padding included.
     pub len: u32,
     /// Sum of field sizes, padding excluded (payload accounting).
     pub data_len: u32,
 }
 
+/// Layouts a block carries: the packed one, then one per aligned phase.
+const LAYOUTS: usize = 1 + 8;
+
+/// The one offset a one-field layout holds is its leading pad, 0..=7.
+const ONE_FIELD_OFFSETS: [[u32; 1]; 8] = [[0], [1], [2], [3], [4], [5], [6], [7]];
+
 /// A run of adjacent fixed-size scalars with layouts for both format
 /// families precomputed at bind time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalarBlock {
     /// Fields in wire order.
-    pub fields: Vec<BlockField>,
-    /// Position-independent packed (XDR) layout.
-    pub packed: BlockLayout,
-    /// Aligned (CDR) layouts, one per `start_position % 8` phase.
-    pub aligned: [BlockLayout; 8],
+    fields: Vec<BlockField>,
+    /// All nine layouts in one allocation: layout `l` (0 packed, `1 +
+    /// phase` aligned) is the `fields.len() + 2` words at `l *
+    /// (fields.len() + 2)` — one offset per field, then `len`, then
+    /// `data_len`. Empty for a one-field block, which the interpreter runs
+    /// through the writer's own scalar primitive and whose layouts
+    /// [`ScalarBlock::packed`] / [`ScalarBlock::aligned`] work out on
+    /// demand: the scalar merged behind a payload head is the common
+    /// block, and compiling it allocates nothing beyond its field.
+    layouts: Box<[u32]>,
+}
+
+/// Lays `fields` out under layout `l` (0 packed, `1 + phase` aligned),
+/// handing each field's offset from the block start to `place`; returns
+/// the block's `(len, data_len)`.
+fn lay_out(fields: &[BlockField], l: usize, mut place: impl FnMut(u32)) -> (u32, u32) {
+    // Packed offsets do not depend on position and never pad: phase 0,
+    // alignment 1.
+    let phase = l.saturating_sub(1) as u32;
+    let (mut abs, mut data_len) = (phase, 0u32);
+    for f in fields {
+        let (size, align) =
+            if l == 0 { (f.kind.packed_size(), 1) } else { f.kind.aligned_size_align() };
+        let at = abs.next_multiple_of(align);
+        place(at - phase);
+        abs = at + size;
+        data_len += size;
+    }
+    (abs - phase, data_len)
 }
 
 impl ScalarBlock {
     fn new(fields: Vec<BlockField>) -> ScalarBlock {
-        let packed = {
-            let mut offsets = Vec::with_capacity(fields.len());
-            let mut off = 0u32;
-            for f in &fields {
-                offsets.push(off);
-                off += f.kind.packed_size();
-            }
-            BlockLayout { offsets, len: off, data_len: off }
-        };
-        let aligned = std::array::from_fn(|phase| {
-            let phase = phase as u32;
-            let mut offsets = Vec::with_capacity(fields.len());
-            let mut abs = phase;
-            let mut data_len = 0u32;
-            for f in &fields {
-                let (size, align) = f.kind.aligned_size_align();
-                let at = abs.next_multiple_of(align);
-                offsets.push(at - phase);
-                abs = at + size;
-                data_len += size;
-            }
-            BlockLayout { offsets, len: abs - phase, data_len }
-        });
-        ScalarBlock { fields, packed, aligned }
+        if fields.len() == 1 {
+            return ScalarBlock { fields, layouts: Box::default() };
+        }
+        let mut layouts = Vec::with_capacity(LAYOUTS * (fields.len() + 2));
+        for l in 0..LAYOUTS {
+            let (len, data_len) = lay_out(&fields, l, |offset| layouts.push(offset));
+            layouts.extend([len, data_len]);
+        }
+        ScalarBlock { fields, layouts: layouts.into_boxed_slice() }
+    }
+
+    /// Fields in wire order.
+    #[inline]
+    pub fn fields(&self) -> &[BlockField] {
+        &self.fields
+    }
+
+    /// Position-independent packed (XDR) layout.
+    #[inline]
+    pub fn packed(&self) -> BlockLayout<'_> {
+        self.layout(0)
+    }
+
+    /// Aligned (CDR) layout for a block starting at `phase` — the start
+    /// position modulo 8 (any `phase` is reduced).
+    #[inline]
+    pub fn aligned(&self, phase: usize) -> BlockLayout<'_> {
+        self.layout(1 + phase % 8)
+    }
+
+    fn layout(&self, l: usize) -> BlockLayout<'_> {
+        let n = self.fields.len();
+        if n == 1 {
+            let mut pad = 0;
+            let (len, data_len) = lay_out(&self.fields, l, |offset| pad = offset);
+            return BlockLayout { offsets: &ONE_FIELD_OFFSETS[pad as usize], len, data_len };
+        }
+        let at = l * (n + 2);
+        BlockLayout {
+            offsets: &self.layouts[at..at + n],
+            len: self.layouts[at + n],
+            data_len: self.layouts[at + n + 1],
+        }
     }
 }
 
@@ -221,8 +280,19 @@ pub fn specialize(ops: &[MOp], opts: SpecializeOptions) -> Option<FusedProgram> 
         return None;
     }
     let presize = opts.presize.then(|| size_hint(ops));
-    let mut fops = Vec::new();
-    let mut blocks: Vec<ScalarBlock> = Vec::new();
+    if !opts.fuse {
+        let fops = ops.iter().map(|&op| FOp::One(op)).collect();
+        return Some(FusedProgram { fops, blocks: Vec::new(), source_ops: ops.len(), presize });
+    }
+    // Sized up front: fusion only ever merges, and every scalar run is a
+    // block except a lone leading scalar, which has no head to merge behind.
+    let mut fops = Vec::with_capacity(ops.len());
+    let is_scalar = |op: &MOp| scalar_kind(op).is_some();
+    let scalar_runs =
+        ops.chunk_by(|a, b| is_scalar(a) == is_scalar(b)).filter(|run| is_scalar(&run[0])).count();
+    let lone_lead = matches!(ops, [first, rest @ ..]
+        if is_scalar(first) && !rest.first().is_some_and(is_scalar));
+    let mut blocks: Vec<ScalarBlock> = Vec::with_capacity(scalar_runs - usize::from(lone_lead));
     let push_block = |blocks: &mut Vec<ScalarBlock>, run: &[MOp]| -> usize {
         let fields = run
             .iter()
@@ -234,40 +304,36 @@ pub fn specialize(ops: &[MOp], opts: SpecializeOptions) -> Option<FusedProgram> 
         blocks.push(ScalarBlock::new(fields));
         blocks.len() - 1
     };
-    if opts.fuse {
-        let mut i = 0;
-        while i < ops.len() {
-            if scalar_kind(&ops[i]).is_some() {
-                // A scalar run with no head to attach to: fuse if ≥ 2.
-                let start = i;
-                while i < ops.len() && scalar_kind(&ops[i]).is_some() {
-                    i += 1;
-                }
-                if i - start >= 2 {
-                    let block = push_block(&mut blocks, &ops[start..i]);
-                    fops.push(FOp::Fused { head: None, block });
-                } else {
-                    fops.push(FOp::One(ops[start]));
-                }
-            } else {
-                // A non-scalar op absorbs any trailing scalar run, so e.g.
-                // `[PutBytes, PutU32]` costs one dispatch, not two.
-                let head = ops[i];
+    let mut i = 0;
+    while i < ops.len() {
+        if scalar_kind(&ops[i]).is_some() {
+            // A scalar run with no head to attach to: fuse if ≥ 2.
+            let start = i;
+            while i < ops.len() && scalar_kind(&ops[i]).is_some() {
                 i += 1;
-                let start = i;
-                while i < ops.len() && scalar_kind(&ops[i]).is_some() {
-                    i += 1;
-                }
-                if i > start {
-                    let block = push_block(&mut blocks, &ops[start..i]);
-                    fops.push(FOp::Fused { head: Some(head), block });
-                } else {
-                    fops.push(FOp::One(head));
-                }
+            }
+            if i - start >= 2 {
+                let block = push_block(&mut blocks, &ops[start..i]);
+                fops.push(FOp::Fused { head: None, block });
+            } else {
+                fops.push(FOp::One(ops[start]));
+            }
+        } else {
+            // A non-scalar op absorbs any trailing scalar run, so e.g.
+            // `[PutBytes, PutU32]` costs one dispatch, not two.
+            let head = ops[i];
+            i += 1;
+            let start = i;
+            while i < ops.len() && scalar_kind(&ops[i]).is_some() {
+                i += 1;
+            }
+            if i > start {
+                let block = push_block(&mut blocks, &ops[start..i]);
+                fops.push(FOp::Fused { head: Some(head), block });
+            } else {
+                fops.push(FOp::One(head));
             }
         }
-    } else {
-        fops = ops.iter().map(|&op| FOp::One(op)).collect();
     }
     Some(FusedProgram { fops, blocks, source_ops: ops.len(), presize })
 }
@@ -276,7 +342,7 @@ pub fn specialize(ops: &[MOp], opts: SpecializeOptions) -> Option<FusedProgram> 
 fn size_hint(ops: &[MOp]) -> SizeHint {
     let mut fixed_packed = 0u32;
     let mut fixed_aligned = 0u32;
-    let mut payload_slots = Vec::new();
+    let mut payload_slots = Vec::with_capacity(ops.iter().filter(|op| is_payload(op)).count());
     for op in ops {
         if let Some((_, kind)) = scalar_kind(op) {
             fixed_packed += kind.packed_size();
@@ -289,20 +355,28 @@ fn size_hint(ops: &[MOp]) -> SizeHint {
                 fixed_packed += n.next_multiple_of(4);
                 fixed_aligned += n + 4;
             }
-            MOp::PutStr(s)
-            | MOp::PutStrFromBytes(s)
-            | MOp::PutBytes(s)
-            | MOp::GetStr(s)
-            | MOp::GetStrAsBytes(s)
-            | MOp::GetBytesOwned(s)
-            | MOp::GetBytesBorrowed(s)
-            | MOp::GetBytesInto(s) => payload_slots.push(s),
+            _ if is_payload(op) => payload_slots.push(op.slot()),
             // Ports travel out-of-band; `[special]` payload lengths are
             // decided by user hooks at call time — no static contribution.
             _ => {}
         }
     }
     SizeHint { fixed_packed, fixed_aligned, payload_slots }
+}
+
+/// True for the ops whose slot's runtime byte length joins the size hint.
+fn is_payload(op: &MOp) -> bool {
+    matches!(
+        op,
+        MOp::PutStr(_)
+            | MOp::PutStrFromBytes(_)
+            | MOp::PutBytes(_)
+            | MOp::GetStr(_)
+            | MOp::GetStrAsBytes(_)
+            | MOp::GetBytesOwned(_)
+            | MOp::GetBytesBorrowed(_)
+            | MOp::GetBytesInto(_)
+    )
 }
 
 /// Convenience: specialize every program of a [`StubProgram`] in place.
@@ -328,7 +402,7 @@ mod tests {
         assert_eq!(f.source_ops, 3);
         match f.fops[0] {
             FOp::Fused { head: None, block } => {
-                assert_eq!(f.blocks[block].fields.len(), 3);
+                assert_eq!(f.blocks[block].fields().len(), 3);
             }
             ref other => panic!("expected headless fused block, got {other:?}"),
         }
@@ -343,11 +417,31 @@ mod tests {
         match f.fops[0] {
             FOp::Fused { head: Some(MOp::PutBytes(Slot(1))), block } => {
                 assert_eq!(
-                    f.blocks[block].fields,
-                    vec![BlockField { slot: Slot(2), kind: ScalarKind::U32 }]
+                    f.blocks[block].fields(),
+                    [BlockField { slot: Slot(2), kind: ScalarKind::U32 }]
                 );
             }
             ref other => panic!("expected headed fused block, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_block_vector_is_sized_exactly() {
+        let (u, b) = (MOp::PutU32(Slot(0)), MOp::PutBytes(Slot(1)));
+        for (ops, blocks) in [
+            (vec![], 0),
+            (vec![u], 0),
+            (vec![b], 0),
+            (vec![u, u], 1),
+            (vec![u, b], 0),
+            (vec![b, u], 1),
+            (vec![u, b, u], 1),
+            (vec![u, u, b, b, u, u, b], 2),
+            (vec![b, u, b, u, u, b, u], 3),
+        ] {
+            let f = fops(ops.clone(), SpecializeOptions::default());
+            assert_eq!(f.blocks.len(), blocks, "{ops:?}");
+            assert_eq!(f.blocks.capacity(), blocks, "{ops:?}: reserved what it filled");
         }
     }
 
@@ -376,9 +470,9 @@ mod tests {
             BlockField { slot: Slot(1), kind: ScalarKind::U64 },
             BlockField { slot: Slot(2), kind: ScalarKind::Bool },
         ]);
-        assert_eq!(b.packed.offsets, vec![0, 4, 12]);
-        assert_eq!(b.packed.len, 16);
-        assert_eq!(b.packed.data_len, 16);
+        assert_eq!(b.packed().offsets, [0, 4, 12]);
+        assert_eq!(b.packed().len, 16);
+        assert_eq!(b.packed().data_len, 16);
     }
 
     #[test]
@@ -389,17 +483,97 @@ mod tests {
             BlockField { slot: Slot(2), kind: ScalarKind::Bool },
         ]);
         // Phase 0: u32 @0, u64 @8 (4 pad), bool @16.
-        assert_eq!(b.aligned[0].offsets, vec![0, 8, 16]);
-        assert_eq!(b.aligned[0].len, 17);
-        assert_eq!(b.aligned[0].data_len, 13);
+        assert_eq!(b.aligned(0).offsets, [0, 8, 16]);
+        assert_eq!(b.aligned(0).len, 17);
+        assert_eq!(b.aligned(0).data_len, 13);
         // Phase 1 (CDR position 1, right after the order flag): u32 aligns
         // to abs 4 → rel 3; u64 to abs 8 → rel 7; bool at abs 16 → rel 15.
-        assert_eq!(b.aligned[1].offsets, vec![3, 7, 15]);
-        assert_eq!(b.aligned[1].len, 16);
-        assert_eq!(b.aligned[1].data_len, 13);
+        assert_eq!(b.aligned(1).offsets, [3, 7, 15]);
+        assert_eq!(b.aligned(1).len, 16);
+        assert_eq!(b.aligned(1).data_len, 13);
         // Phase 5: u32 → abs 8 → rel 3; u64 → abs 16 → rel 11; bool rel 19.
-        assert_eq!(b.aligned[5].offsets, vec![3, 11, 19]);
-        assert_eq!(b.aligned[5].len, 20);
+        assert_eq!(b.aligned(5).offsets, [3, 11, 19]);
+        assert_eq!(b.aligned(5).len, 20);
+        // The phase is the start position modulo 8, whatever the position.
+        assert_eq!(b.aligned(13), b.aligned(5));
+    }
+
+    #[test]
+    fn one_field_blocks_carry_no_layout_table() {
+        // The scalar merged behind a payload head: the interpreter never
+        // reads its layout, so compiling it must not build one — and the
+        // accessors still answer, from the field alone.
+        let b = ScalarBlock::new(vec![BlockField { slot: Slot(2), kind: ScalarKind::U32 }]);
+        assert!(b.layouts.is_empty());
+        assert_eq!(b.packed(), BlockLayout { offsets: &[0], len: 4, data_len: 4 });
+        assert_eq!(b.aligned(0), BlockLayout { offsets: &[0], len: 4, data_len: 4 });
+        assert_eq!(b.aligned(5), BlockLayout { offsets: &[3], len: 7, data_len: 4 });
+        // A block of two or more keeps all nine layouts in one allocation.
+        let b = ScalarBlock::new(vec![
+            BlockField { slot: Slot(0), kind: ScalarKind::Bool },
+            BlockField { slot: Slot(1), kind: ScalarKind::F64 },
+        ]);
+        assert_eq!(b.layouts.len(), LAYOUTS * (2 + 2));
+    }
+
+    /// The layouts as `ScalarBlock::new` computed them when each was its
+    /// own `Vec`: (offsets, len, data_len), packed first, then per phase.
+    /// Kept verbatim as the oracle for the flat table's accessors.
+    fn layouts_one_vec_each(fields: &[BlockField]) -> Vec<(Vec<u32>, u32, u32)> {
+        let packed = {
+            let mut offsets = Vec::with_capacity(fields.len());
+            let mut off = 0u32;
+            for f in fields {
+                offsets.push(off);
+                off += f.kind.packed_size();
+            }
+            (offsets, off, off)
+        };
+        let aligned = (0..8u32).map(|phase| {
+            let mut offsets = Vec::with_capacity(fields.len());
+            let mut abs = phase;
+            let mut data_len = 0u32;
+            for f in fields {
+                let (size, align) = f.kind.aligned_size_align();
+                let at = abs.next_multiple_of(align);
+                offsets.push(at - phase);
+                abs = at + size;
+                data_len += size;
+            }
+            (offsets, abs - phase, data_len)
+        });
+        std::iter::once(packed).chain(aligned).collect()
+    }
+
+    const KINDS: [ScalarKind; 6] = [
+        ScalarKind::U32,
+        ScalarKind::I32,
+        ScalarKind::U64,
+        ScalarKind::I64,
+        ScalarKind::Bool,
+        ScalarKind::F64,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        #[test]
+        fn every_accessor_matches_the_per_phase_arithmetic(
+            kinds in proptest::prop::collection::vec(0usize..KINDS.len(), 0..12),
+        ) {
+            let fields: Vec<BlockField> = kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| BlockField { slot: Slot(i), kind: KINDS[k] })
+                .collect();
+            let block = ScalarBlock::new(fields.clone());
+            proptest::prop_assert_eq!(block.fields(), &fields[..]);
+            let oracle = layouts_one_vec_each(&fields);
+            let views = std::iter::once(block.packed()).chain((0..8).map(|p| block.aligned(p)));
+            for (l, (view, (offsets, len, data_len))) in views.zip(&oracle).enumerate() {
+                proptest::prop_assert_eq!(view.offsets, &offsets[..], "layout {}", l);
+                proptest::prop_assert_eq!((view.len, view.data_len), (*len, *data_len), "layout {}", l);
+            }
+        }
     }
 
     #[test]

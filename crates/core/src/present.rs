@@ -15,9 +15,10 @@
 use crate::ir::{Dialect, Interface, Module, Operation};
 use crate::Result;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 /// Who provides the storage for an `out`-direction payload (or result).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum AllocSemantics {
     /// The stub allocates a fresh buffer and *donates* it to the consumer —
     /// CORBA/COM "move" semantics, the CORBA default.
@@ -33,7 +34,7 @@ pub enum AllocSemantics {
 
 /// When the *server-side* stub releases an out-payload buffer after
 /// marshalling the reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum DeallocPolicy {
     /// Free it after marshalling — the "move" semantics of the default
     /// CORBA presentation (the server donates the buffer to the stub).
@@ -59,7 +60,7 @@ pub enum Trust {
 }
 
 /// Presentation attributes of one parameter (or the result).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Hash)]
 pub struct ParamPresentation {
     /// Marshal/unmarshal via user-registered `[special]` routines.
     pub special: bool,
@@ -136,7 +137,7 @@ impl CallShape {
 }
 
 /// Presentation attributes of one operation.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Hash)]
 pub struct OpPresentation {
     /// Per-parameter attributes, in the operation's declaration order.
     pub params: Vec<ParamPresentation>,
@@ -156,7 +157,7 @@ pub struct OpPresentation {
 }
 
 /// Presentation of an entire interface, for one endpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InterfacePresentation {
     /// The interface this presentation belongs to.
     pub interface: String,
@@ -203,12 +204,17 @@ impl InterfacePresentation {
     /// key component (the serving engine's program cache keys compiled
     /// programs by wire signature × presentation pair × trust).
     ///
-    /// Hashes the canonical `Debug` rendering: two presentations fingerprint
-    /// equal iff they are structurally equal (`BTreeMap` ordering makes the
-    /// rendering canonical). Not a wire artifact — never compare
-    /// fingerprints across processes or versions.
+    /// Hashes the structure itself — the derived [`Hash`] of every field,
+    /// operation and parameter, folded through the fixed FNV-1a of
+    /// [`crate::sig`] — so structurally equal presentations fingerprint
+    /// equal however they were built, nothing is rendered and nothing is
+    /// allocated: every bind, rebind and service registration computes
+    /// one. Not a wire artifact — never compare fingerprints across
+    /// processes or versions.
     pub fn fingerprint(&self) -> u64 {
-        crate::sig::fnv1a(format!("{self:?}").as_bytes())
+        let mut h = crate::sig::Fnv1a::default();
+        self.hash(&mut h);
+        h.finish()
     }
 
     /// Mutable lookup (used by PDL application).
@@ -338,6 +344,12 @@ mod tests {
         assert!(pres.op("read").unwrap().comm_status);
     }
 
+    /// The fingerprint this module computed before it hashed structure:
+    /// FNV-1a over the `Debug` rendering. Kept here as the oracle.
+    fn rendered_fingerprint(p: &InterfacePresentation) -> u64 {
+        crate::sig::fnv1a(format!("{p:?}").as_bytes())
+    }
+
     #[test]
     fn fingerprint_tracks_structural_identity() {
         let m = fileio_example();
@@ -360,6 +372,101 @@ mod tests {
         let mut f = a.clone();
         f.op_mut("write").unwrap().call_shape = CallShape::Stream { window: 16 };
         assert_ne!(e.fingerprint(), f.fingerprint(), "window width too");
+    }
+
+    #[test]
+    fn every_single_field_flip_moves_the_fingerprint() {
+        type Flip = (&'static str, fn(&mut InterfacePresentation));
+        fn data(p: &mut InterfacePresentation) -> &mut ParamPresentation {
+            &mut p.op_mut("write").unwrap().params[0]
+        }
+        let flips: &[Flip] = &[
+            ("special", |p| data(p).special = true),
+            ("length_is", |p| data(p).length_is = Some("n".into())),
+            ("length_is, another name", |p| data(p).length_is = Some("m".into())),
+            ("trashable", |p| data(p).trashable = true),
+            ("preserved", |p| data(p).preserved = true),
+            ("borrowed", |p| data(p).borrowed = true),
+            ("alloc", |p| data(p).alloc = AllocSemantics::CallerAllocates),
+            ("alloc, special", |p| data(p).alloc = AllocSemantics::Special),
+            ("dealloc", |p| data(p).dealloc = DeallocPolicy::Never),
+            ("nonunique", |p| data(p).nonunique = true),
+            ("the same flag on the result", |p| p.op_mut("write").unwrap().result.trashable = true),
+            ("the same flag on another operation", |p| {
+                p.op_mut("read").unwrap().params[0].trashable = true
+            }),
+            ("comm_status", |p| p.op_mut("write").unwrap().comm_status = true),
+            ("idempotent", |p| p.op_mut("write").unwrap().idempotent = true),
+            ("oneway", |p| p.op_mut("write").unwrap().call_shape = CallShape::Oneway),
+            ("stream(8)", |p| {
+                p.op_mut("write").unwrap().call_shape = CallShape::Stream { window: 8 }
+            }),
+            ("stream(16)", |p| {
+                p.op_mut("write").unwrap().call_shape = CallShape::Stream { window: 16 }
+            }),
+            ("trust", |p| p.trust = Trust::Leaky),
+            ("trust, full", |p| p.trust = Trust::LeakyUnprotected),
+            ("dialect", |p| p.dialect = Dialect::Sun),
+            ("interface name", |p| p.interface.push('2')),
+            ("operation name", |p| {
+                let op = p.ops.remove("write").unwrap();
+                p.ops.insert("write2".into(), op);
+            }),
+            ("parameter count", |p| {
+                p.op_mut("write").unwrap().params.push(ParamPresentation::default())
+            }),
+            ("operation count", |p| {
+                p.ops.insert("sync".into(), OpPresentation::default());
+            }),
+        ];
+        let m = fileio_example();
+        let base = InterfacePresentation::default_for(&m, m.interface("FileIO").unwrap()).unwrap();
+        let mut seen = vec![("the base", base.fingerprint(), rendered_fingerprint(&base))];
+        for (what, flip) in flips {
+            let mut p = base.clone();
+            flip(&mut p);
+            assert_ne!(p, base, "`{what}` changes the structure");
+            let (fp, rendered) = (p.fingerprint(), rendered_fingerprint(&p));
+            for (other, other_fp, other_rendered) in &seen {
+                assert_ne!(fp, *other_fp, "`{what}` fingerprints like {other}");
+                assert_ne!(rendered, *other_rendered, "the oracle separates them too");
+            }
+            seen.push((what, fp, rendered));
+        }
+    }
+
+    #[test]
+    fn equal_structures_fingerprint_equal_however_they_were_built() {
+        use crate::annot::{apply_pdl, Attr, OpAnnot, ParamAnnot, PdlFile};
+        let m = fileio_example();
+        let iface = m.interface("FileIO").unwrap();
+        let base = InterfacePresentation::default_for(&m, iface).unwrap();
+        // Route 1: a PDL applied to the default presentation.
+        let pdl = PdlFile {
+            interface: Some("FileIO".into()),
+            iface_attrs: vec![Attr::Leaky],
+            types: vec![],
+            ops: vec![OpAnnot {
+                op: "read".into(),
+                op_attrs: vec![Attr::CommStatus, Attr::Idempotent],
+                params: vec![ParamAnnot {
+                    param: "return".into(),
+                    attrs: vec![Attr::DeallocNever],
+                }],
+            }],
+        };
+        let applied = apply_pdl(&m, iface, &base, &pdl).unwrap();
+        // Route 2: a clone edited field by field, in another order.
+        let mut edited = base.clone();
+        let read = edited.op_mut("read").unwrap();
+        read.result.dealloc = DeallocPolicy::Never;
+        read.idempotent = true;
+        read.comm_status = true;
+        edited.trust = Trust::Leaky;
+        assert_eq!(applied, edited);
+        assert_eq!(applied.fingerprint(), edited.fingerprint());
+        assert_eq!(applied.fingerprint(), applied.clone().fingerprint());
+        assert_ne!(applied.fingerprint(), base.fingerprint());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! Object references travel out-of-band in the transport's rights vector
 //! (in field order), matching how Mach carries port rights.
 
-use crate::ir::{Interface, Module, Operation, Param, ParamDir, Type, TypeBody};
+use crate::ir::{Interface, Module, Operation, ParamDir, Type, TypeBody};
 use crate::present::{AllocSemantics, InterfacePresentation, OpPresentation, ParamPresentation};
 use crate::sig::WireSignature;
 use crate::value::Value;
@@ -425,28 +425,45 @@ enum FieldShape {
     Port,
 }
 
-#[derive(Debug, Clone)]
-struct FlatField {
-    name: String,
-    shape: FieldShape,
+/// Where [`flatten`] puts the fields of the parameter being placed: each
+/// gets the next slot, and its wire shape is recorded beside it.
+struct Placer<'a> {
+    slots: &'a mut Vec<SlotInfo>,
+    /// Wire shape of every slot placed so far, by slot index.
+    shapes: &'a mut Vec<FieldShape>,
+    dir: ParamDir,
+    param_index: Option<usize>,
+    pres: &'a ParamPresentation,
 }
 
-/// Flattens a (resolved) type into wire fields, in wire order.
-fn flatten(module: &Module, prefix: &str, ty: &Type, out: &mut Vec<FlatField>) -> Result<()> {
-    let f = |shape| FlatField { name: prefix.to_owned(), shape };
-    match module.resolve(ty)? {
-        Type::Void => {}
-        Type::Bool => out.push(f(FieldShape::Scalar(SlotKind::Bool))),
-        Type::Octet | Type::U16 => out.push(f(FieldShape::Scalar(SlotKind::U32))),
-        Type::I16 | Type::I32 => out.push(f(FieldShape::Scalar(SlotKind::I32))),
-        Type::U32 => out.push(f(FieldShape::Scalar(SlotKind::U32))),
-        Type::I64 => out.push(f(FieldShape::Scalar(SlotKind::I64))),
-        Type::U64 => out.push(f(FieldShape::Scalar(SlotKind::U64))),
-        Type::F64 => out.push(f(FieldShape::Scalar(SlotKind::F64))),
-        Type::Str => out.push(f(FieldShape::Str)),
-        Type::ObjRef => out.push(f(FieldShape::Port)),
+impl Placer<'_> {
+    fn place(&mut self, name: &str, shape: FieldShape) {
+        self.slots.push(SlotInfo {
+            name: name.to_owned(),
+            kind: slot_kind_for(&shape, self.pres),
+            dir: self.dir,
+            param_index: self.param_index,
+        });
+        self.shapes.push(shape);
+    }
+}
+
+/// Flattens a (resolved) type into wire fields, in wire order. `name` is
+/// the dotted name so far; the only string built on the way is the one a
+/// struct's fields share as their prefix.
+fn flatten(module: &Module, name: &str, ty: &Type, out: &mut Placer<'_>) -> Result<()> {
+    let shape = match module.resolve(ty)? {
+        Type::Void => return Ok(()),
+        Type::Bool => FieldShape::Scalar(SlotKind::Bool),
+        Type::Octet | Type::U16 | Type::U32 => FieldShape::Scalar(SlotKind::U32),
+        Type::I16 | Type::I32 => FieldShape::Scalar(SlotKind::I32),
+        Type::I64 => FieldShape::Scalar(SlotKind::I64),
+        Type::U64 => FieldShape::Scalar(SlotKind::U64),
+        Type::F64 => FieldShape::Scalar(SlotKind::F64),
+        Type::Str => FieldShape::Str,
+        Type::ObjRef => FieldShape::Port,
         Type::Sequence(el) => match module.resolve(el)? {
-            Type::Octet => out.push(f(FieldShape::Payload)),
+            Type::Octet => FieldShape::Payload,
             other => {
                 return Err(CoreError::Unsupported(format!(
                     "sequence<{other}>: only sequence<octet> compiles to programs"
@@ -454,41 +471,51 @@ fn flatten(module: &Module, prefix: &str, ty: &Type, out: &mut Vec<FlatField>) -
             }
         },
         Type::Array(el, n) => match module.resolve(el)? {
-            Type::Octet => out.push(f(FieldShape::FixedBytes(*n))),
+            Type::Octet => FieldShape::FixedBytes(*n),
             other => {
                 return Err(CoreError::Unsupported(format!(
                     "{other}[{n}]: only octet arrays compile to programs"
                 )))
             }
         },
-        Type::Named(name) => {
-            let td = module.typedef(name).expect("resolve() checked");
+        Type::Named(type_name) => {
+            let td = module.typedef(type_name).expect("resolve() checked");
             match &td.body {
                 TypeBody::Alias(_) => unreachable!("resolve() strips aliases"),
                 TypeBody::Struct(fields) => {
+                    let longest = fields.iter().map(|f| f.name.len()).max().unwrap_or(0);
+                    let mut child = String::with_capacity(name.len() + 1 + longest);
+                    child.push_str(name);
+                    child.push('.');
                     for field in fields {
-                        let child = format!("{prefix}.{}", field.name);
+                        child.truncate(name.len() + 1);
+                        child.push_str(&field.name);
                         flatten(module, &child, &field.ty, out)?;
                     }
+                    return Ok(());
                 }
-                TypeBody::Enum(_) => out.push(f(FieldShape::Scalar(SlotKind::U32))),
+                TypeBody::Enum(_) => FieldShape::Scalar(SlotKind::U32),
                 TypeBody::Union { .. } => {
                     return Err(CoreError::Unsupported(format!(
-                        "union `{name}`: use [comm_status]-style status results instead"
+                        "union `{type_name}`: use [comm_status]-style status results instead"
                     )))
                 }
             }
         }
-    }
+    };
+    out.place(name, shape);
     Ok(())
 }
 
-/// A parameter's flattened fields with their slots assigned.
-struct PlacedParam<'a> {
-    param_index: usize, // usize::MAX for the result
+/// One placed field as the program-building passes see it: its slot and
+/// wire shape, and the parameter it came from.
+struct PlacedField<'a> {
+    slot: Slot,
+    shape: &'a FieldShape,
     dir: ParamDir,
+    /// Index of the source parameter (`usize::MAX` for the result).
+    param_index: usize,
     pres: &'a ParamPresentation,
-    fields: Vec<(FlatField, Slot)>,
 }
 
 fn compile_op(
@@ -506,45 +533,26 @@ fn compile_op(
         )));
     }
 
-    // 1. Flatten every parameter (and the result) and assign slots.
-    let mut slots = SlotMap::default();
-    let mut placed: Vec<PlacedParam<'_>> = Vec::new();
-    let result_param = Param::new("return", ParamDir::Out, op.ret.clone());
-    let all: Vec<(usize, &Param, &ParamPresentation)> = op
+    // 1. Flatten every parameter (and the result) and assign slots. Sized
+    // for one slot per parameter plus result and status; struct parameters
+    // grow the vectors past that.
+    let declared = op.params.len();
+    let mut slots = SlotMap { slots: Vec::with_capacity(declared + 2) };
+    let mut shapes: Vec<FieldShape> = Vec::with_capacity(declared + 1);
+    let params = op
         .params
         .iter()
+        .zip(&pres.params)
         .enumerate()
-        .map(|(i, p)| (i, p, &pres.params[i]))
-        .chain(if op.ret == Type::Void {
-            None
-        } else {
-            Some((usize::MAX, &result_param, &pres.result))
-        })
-        .collect();
-
-    for (param_index, param, ppres) in &all {
-        let mut fields = Vec::new();
-        flatten(module, &param.name, &param.ty, &mut fields)?;
-        let mut placed_fields = Vec::with_capacity(fields.len());
-        for field in fields {
-            let kind = slot_kind_for(&field.shape, ppres);
-            let slot = Slot(slots.slots.len());
-            slots.slots.push(SlotInfo {
-                name: field.name.clone(),
-                kind,
-                dir: param.dir,
-                param_index: if *param_index == usize::MAX { None } else { Some(*param_index) },
-            });
-            placed_fields.push((field, slot));
-        }
-        placed.push(PlacedParam {
-            param_index: *param_index,
-            dir: param.dir,
-            pres: ppres,
-            fields: placed_fields,
-        });
+        .map(|(i, (p, ppres))| (Some(i), p.name.as_str(), p.dir, &p.ty, ppres));
+    let result =
+        (op.ret != Type::Void).then_some((None, "return", ParamDir::Out, &op.ret, &pres.result));
+    for (param_index, name, dir, ty, ppres) in params.chain(result) {
+        let mut placer =
+            Placer { slots: &mut slots.slots, shapes: &mut shapes, dir, param_index, pres: ppres };
+        flatten(module, name, ty, &mut placer)?;
     }
-    // Status slot, always last.
+    // Status slot, always last (and the one slot with no entry in `shapes`).
     let status_slot = Slot(slots.slots.len());
     slots.slots.push(SlotInfo {
         name: "status".into(),
@@ -552,63 +560,72 @@ fn compile_op(
         dir: ParamDir::Out,
         param_index: None,
     });
+    let placed = || {
+        slots.slots.iter().zip(&shapes).enumerate().map(|(i, (info, shape))| PlacedField {
+            slot: Slot(i),
+            shape,
+            dir: info.dir,
+            param_index: info.param_index.unwrap_or(usize::MAX),
+            pres: info.param_index.map_or(&pres.result, |p| &pres.params[p]),
+        })
+    };
 
-    // 2. Build the four programs following the payload-first layout.
-    let mut request_marshal = StubProgram::default();
-    let mut request_unmarshal = StubProgram::default();
-    let mut reply_marshal = StubProgram::default();
-    let mut reply_unmarshal = StubProgram::default();
+    // 2. Build the four programs following the payload-first layout. A
+    // request carries every in-direction slot, a reply every out-direction
+    // one and the status word (fewer ops where the server sinks a payload).
+    let n_in = placed().filter(|f| f.dir.is_in()).count();
+    let n_out = placed().filter(|f| f.dir.is_out()).count();
+    let mut request_marshal = StubProgram::from_ops(Vec::with_capacity(n_in));
+    let mut request_unmarshal = StubProgram::from_ops(Vec::with_capacity(n_in));
+    let mut reply_marshal = StubProgram::from_ops(Vec::with_capacity(n_out + 1));
+    let mut reply_unmarshal = StubProgram::from_ops(Vec::with_capacity(n_out + 1));
     let mut sink_params = Vec::new();
     let mut reply_payload_seen_buffered = false;
 
     // Payload section.
-    for pp in &placed {
-        for (field, slot) in &pp.fields {
-            let is_payload_field = matches!(field.shape, FieldShape::Str | FieldShape::Payload);
-            if !is_payload_field {
-                continue;
-            }
-            if pp.dir.is_in() {
-                request_marshal.ops.push(put_payload_op(&field.shape, *slot, pp, false)?);
-                request_unmarshal.ops.push(get_payload_op_server(&field.shape, *slot, pp));
-            }
-            if pp.dir.is_out() {
-                if pp.pres.is_server_sink() {
-                    if reply_payload_seen_buffered {
-                        return Err(CoreError::BadPresentation(format!(
-                            "sink-mode payload `{}` follows a buffered payload: sink payloads must lead the reply",
-                            field.name
-                        )));
-                    }
-                    sink_params.push(SinkSpec { slot: *slot, param_index: pp.param_index });
-                } else {
-                    reply_payload_seen_buffered = true;
-                    reply_marshal.ops.push(put_payload_op(&field.shape, *slot, pp, true)?);
+    for f in placed() {
+        if !matches!(f.shape, FieldShape::Str | FieldShape::Payload) {
+            continue;
+        }
+        if f.dir.is_in() {
+            request_marshal.ops.push(put_payload_op(&f, false));
+            request_unmarshal.ops.push(get_payload_op_server(&f));
+        }
+        if f.dir.is_out() {
+            if f.pres.is_server_sink() {
+                if reply_payload_seen_buffered {
+                    return Err(CoreError::BadPresentation(format!(
+                        "sink-mode payload `{}` follows a buffered payload: sink payloads must lead the reply",
+                        slots.slots[f.slot.0].name
+                    )));
                 }
-                reply_unmarshal.ops.push(get_payload_op_client(&field.shape, *slot, pp));
+                sink_params.push(SinkSpec { slot: f.slot, param_index: f.param_index });
+            } else {
+                reply_payload_seen_buffered = true;
+                reply_marshal.ops.push(put_payload_op(&f, true));
             }
+            reply_unmarshal.ops.push(get_payload_op_client(&f));
         }
     }
 
     // Scalar / fixed / port section.
-    for pp in &placed {
-        for (field, slot) in &pp.fields {
-            let (put, get) = match &field.shape {
-                FieldShape::Str | FieldShape::Payload => continue,
-                FieldShape::Scalar(kind) => scalar_ops(*kind, *slot),
-                FieldShape::FixedBytes(n) => {
-                    (MOp::PutBytesFixed(*slot, *n), MOp::GetBytesFixed(*slot, *n))
-                }
-                FieldShape::Port => (MOp::PutPort(*slot), MOp::GetPort(*slot)),
-            };
-            if pp.dir.is_in() {
-                request_marshal.ops.push(put);
-                request_unmarshal.ops.push(get);
+    for f in placed() {
+        let slot = f.slot;
+        let (put, get) = match f.shape {
+            FieldShape::Str | FieldShape::Payload => continue,
+            FieldShape::Scalar(kind) => scalar_ops(*kind, slot),
+            FieldShape::FixedBytes(n) => {
+                (MOp::PutBytesFixed(slot, *n), MOp::GetBytesFixed(slot, *n))
             }
-            if pp.dir.is_out() {
-                reply_marshal.ops.push(put);
-                reply_unmarshal.ops.push(get);
-            }
+            FieldShape::Port => (MOp::PutPort(slot), MOp::GetPort(slot)),
+        };
+        if f.dir.is_in() {
+            request_marshal.ops.push(put);
+            request_unmarshal.ops.push(get);
+        }
+        if f.dir.is_out() {
+            reply_marshal.ops.push(put);
+            reply_unmarshal.ops.push(get);
         }
     }
 
@@ -662,49 +679,44 @@ fn scalar_ops(kind: SlotKind, slot: Slot) -> (MOp, MOp) {
 }
 
 /// Marshal op for a payload field (`reply` selects the reply direction).
-fn put_payload_op(
-    shape: &FieldShape,
-    slot: Slot,
-    pp: &PlacedParam<'_>,
-    reply: bool,
-) -> Result<MOp> {
+fn put_payload_op(f: &PlacedField<'_>, reply: bool) -> MOp {
     // A client-side special hook for in-params, or a server whose special
     // out-param is NOT sink-mode, writes through the hook op; sinks never
     // reach here.
-    if pp.pres.special && !reply {
-        return Ok(MOp::PutBytesSpecial { slot, hook: pp.param_index });
+    if f.pres.special && !reply {
+        return MOp::PutBytesSpecial { slot: f.slot, hook: f.param_index };
     }
-    Ok(match shape {
+    match f.shape {
         FieldShape::Str => {
-            if pp.pres.length_is.is_some() {
-                MOp::PutStrFromBytes(slot)
+            if f.pres.length_is.is_some() {
+                MOp::PutStrFromBytes(f.slot)
             } else {
-                MOp::PutStr(slot)
+                MOp::PutStr(f.slot)
             }
         }
-        FieldShape::Payload => MOp::PutBytes(slot),
+        FieldShape::Payload => MOp::PutBytes(f.slot),
         _ => unreachable!("only payload shapes reach put_payload_op"),
-    })
+    }
 }
 
 /// Server-side unmarshal op for an in-direction payload field.
-fn get_payload_op_server(shape: &FieldShape, slot: Slot, pp: &PlacedParam<'_>) -> MOp {
-    if pp.pres.special {
-        return MOp::GetBytesSpecial { slot, hook: pp.param_index };
+fn get_payload_op_server(f: &PlacedField<'_>) -> MOp {
+    if f.pres.special {
+        return MOp::GetBytesSpecial { slot: f.slot, hook: f.param_index };
     }
-    match shape {
+    match f.shape {
         FieldShape::Str => {
-            if pp.pres.length_is.is_some() {
-                MOp::GetStrAsBytes(slot)
+            if f.pres.length_is.is_some() {
+                MOp::GetStrAsBytes(f.slot)
             } else {
-                MOp::GetStr(slot)
+                MOp::GetStr(f.slot)
             }
         }
         FieldShape::Payload => {
-            if pp.pres.borrowed {
-                MOp::GetBytesBorrowed(slot)
+            if f.pres.borrowed {
+                MOp::GetBytesBorrowed(f.slot)
             } else {
-                MOp::GetBytesOwned(slot)
+                MOp::GetBytesOwned(f.slot)
             }
         }
         _ => unreachable!("only payload shapes reach get_payload_op_server"),
@@ -712,19 +724,19 @@ fn get_payload_op_server(shape: &FieldShape, slot: Slot, pp: &PlacedParam<'_>) -
 }
 
 /// Client-side unmarshal op for an out-direction payload field.
-fn get_payload_op_client(shape: &FieldShape, slot: Slot, pp: &PlacedParam<'_>) -> MOp {
-    match pp.pres.alloc {
-        AllocSemantics::Special => MOp::GetBytesSpecial { slot, hook: pp.param_index },
-        AllocSemantics::CallerAllocates => MOp::GetBytesInto(slot),
-        AllocSemantics::StubAllocates => match shape {
+fn get_payload_op_client(f: &PlacedField<'_>) -> MOp {
+    match f.pres.alloc {
+        AllocSemantics::Special => MOp::GetBytesSpecial { slot: f.slot, hook: f.param_index },
+        AllocSemantics::CallerAllocates => MOp::GetBytesInto(f.slot),
+        AllocSemantics::StubAllocates => match f.shape {
             FieldShape::Str => {
-                if pp.pres.length_is.is_some() {
-                    MOp::GetStrAsBytes(slot)
+                if f.pres.length_is.is_some() {
+                    MOp::GetStrAsBytes(f.slot)
                 } else {
-                    MOp::GetStr(slot)
+                    MOp::GetStr(f.slot)
                 }
             }
-            FieldShape::Payload => MOp::GetBytesOwned(slot),
+            FieldShape::Payload => MOp::GetBytesOwned(f.slot),
             _ => unreachable!("only payload shapes reach get_payload_op_client"),
         },
     }
@@ -734,7 +746,7 @@ fn get_payload_op_client(shape: &FieldShape, slot: Slot, pp: &PlacedParam<'_>) -
 mod tests {
     use super::*;
     use crate::annot::{apply_pdl, Attr, OpAnnot, ParamAnnot, PdlFile};
-    use crate::ir::{fileio_example, syslog_example, Dialect, Field, TypeDef};
+    use crate::ir::{fileio_example, syslog_example, Dialect, Field, Param, TypeDef};
     use crate::present::InterfacePresentation;
 
     fn compile_fileio(pdl: Option<PdlFile>) -> CompiledInterface {

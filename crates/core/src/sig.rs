@@ -15,6 +15,7 @@ use crate::ir::{Interface, Module, Type, TypeBody};
 use crate::Result;
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::Hasher;
 
 /// A canonicalized network contract with its exchangeable hash.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +31,11 @@ impl WireSignature {
     /// same structure through different typedef names produce the same
     /// signature — type names are presentation, structure is contract.
     pub fn of_interface(module: &Module, iface: &Interface) -> Result<WireSignature> {
-        let mut s = String::new();
+        // Sized for scalar and payload parameters (`inout:seq<u8>,` is
+        // the longest such field); struct-heavy contracts grow it.
+        let estimate: usize =
+            iface.ops.iter().map(|op| op.name.len() + 16 * (op.params.len() + 2)).sum();
+        let mut s = String::with_capacity(24 + estimate);
         let _ = write!(s, "interface;ops={};", iface.ops.len());
         for op in &iface.ops {
             let _ = write!(s, "op:{}(", op.name);
@@ -142,12 +147,37 @@ fn canonical_type(module: &Module, ty: &Type, out: &mut String) -> Result<()> {
 
 /// FNV-1a over bytes — stable across runs and platforms, no dependencies.
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv1a::default();
+    h.write(data);
+    h.finish()
+}
+
+/// FNV-1a as a [`Hasher`], so a derived [`std::hash::Hash`] can be folded
+/// through the same fixed function [`fnv1a`] applies to a byte string —
+/// never `RandomState`, whose per-process keys would make two hashes of
+/// one structure disagree.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf29ce484222325)
     }
-    h
+}
+
+impl Hasher for Fnv1a {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 
 use flexrpc_core::annot::{apply_pdl, Attr, OpAnnot, ParamAnnot, PdlFile};
 use flexrpc_core::ir::{Dialect, Interface, Module, Operation, Param, ParamDir, Type};
-use flexrpc_core::present::InterfacePresentation;
+use flexrpc_core::present::{InterfacePresentation, Trust};
 use flexrpc_core::program::{CompiledInterface, MOp};
+use flexrpc_core::sig::fnv1a;
 use proptest::prelude::*;
 
 fn param_type() -> impl Strategy<Value = Type> {
@@ -177,6 +178,43 @@ proptest! {
             true
         };
         prop_assert!(check_order(&client.ops[0].request_marshal.ops.iter().map(wire_shape).collect::<Vec<_>>()));
+    }
+
+    /// A fingerprint is an identity for the structure: over generated
+    /// pairs (one operation, two random annotations — often equal, often
+    /// not), two presentations fingerprint equal exactly when they are
+    /// equal, which is also exactly when the rendering the fingerprint
+    /// used to hash agrees; and the value does not depend on the thread
+    /// that computes it.
+    #[test]
+    fn fingerprints_agree_exactly_when_presentations_do(
+        op in operation(),
+        a_picks in prop::collection::vec(0u8..6, 6),
+        b_picks in prop::collection::vec(0u8..6, 6),
+        a_trust in 0u8..3,
+        b_trust in 0u8..3,
+    ) {
+        let mut m = Module::new("prop", Dialect::Corba);
+        m.interfaces.push(Interface::new("P", vec![op.clone()]));
+        let iface = m.interface("P").unwrap();
+        let base = InterfacePresentation::default_for(&m, iface).unwrap();
+        let make = |picks: &[u8], trust: u8| {
+            let pdl = random_pdl(&op, picks);
+            let mut pres = apply_pdl(&m, iface, &base, &pdl).unwrap_or_else(|_| base.clone());
+            pres.trust = [Trust::None, Trust::Leaky, Trust::LeakyUnprotected][usize::from(trust)];
+            pres
+        };
+        let (a, b) = (make(&a_picks, a_trust), make(&b_picks, b_trust));
+        let rendered = |p: &InterfacePresentation| fnv1a(format!("{p:?}").as_bytes());
+
+        prop_assert_eq!(a == b, a.fingerprint() == b.fingerprint());
+        prop_assert_eq!(a == b, rendered(&a) == rendered(&b));
+        prop_assert_eq!(a.fingerprint(), a.clone().fingerprint());
+        let (here, there) = std::thread::scope(|s| {
+            let there = s.spawn(|| (a.fingerprint(), b.fingerprint()));
+            ((a.fingerprint(), b.fingerprint()), there.join().unwrap())
+        });
+        prop_assert_eq!(here, there);
     }
 
     /// Compiling is deterministic.

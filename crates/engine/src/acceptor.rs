@@ -44,7 +44,7 @@ pub fn expose_on_net(
     vers: u32,
     client: ClientInfo,
 ) -> Result<(), EngineError> {
-    let pool = engine.pool_for(service_name, client)?;
+    let (pool, _compiled) = engine.pool_for(&*engine.service(service_name)?, client)?;
     let exposure = Exposure {
         engine: Arc::clone(engine),
         compiled: pool.compiled(),

@@ -178,18 +178,28 @@ impl ProgramCache {
         key: ProgramKey,
         compile: impl FnOnce() -> Result<CompiledInterface, E>,
     ) -> Result<Arc<CompiledInterface>, E> {
+        self.lookup(key, compile).map(|(program, _compiled)| program)
+    }
+
+    /// [`ProgramCache::get_or_compile`], also telling the caller whether
+    /// *this* lookup ran `compile` — what a bind records in its trace. (A
+    /// before/after difference of [`ProgramCache::compilations`] would
+    /// credit it with a concurrent bind's compile of another combination.)
+    pub(crate) fn lookup<E>(
+        &self,
+        key: ProgramKey,
+        compile: impl FnOnce() -> Result<CompiledInterface, E>,
+    ) -> Result<(Arc<CompiledInterface>, bool), E> {
         let shard = &self.shards[shard_index(&key)];
         if let Some(found) = shard.snapshot(&self.contended_total).get(&key) {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            self.hits_total.inc();
-            return Ok(Arc::clone(found));
+            self.count_hit_on(shard);
+            return Ok((Arc::clone(found), false));
         }
         let _publish = shard.publish.lock();
         // Double-check: another thread may have published while we waited.
         if let Some(found) = shard.snapshot(&self.contended_total).get(&key) {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            self.hits_total.inc();
-            return Ok(Arc::clone(found));
+            self.count_hit_on(shard);
+            return Ok((Arc::clone(found), false));
         }
         let compiled = Arc::new(compile()?);
         let (source, fused) = op_totals(&compiled);
@@ -201,7 +211,19 @@ impl ProgramCache {
         *shard.map.write() = Arc::new(next);
         shard.misses.fetch_add(1, Ordering::Relaxed);
         self.misses_total.inc();
-        Ok(compiled)
+        Ok((compiled, true))
+    }
+
+    /// Counts a hit for `key` without looking its program up: for a caller
+    /// that already holds what the lookup would return (the engine's
+    /// replica pool for the combination holds the program).
+    pub(crate) fn count_hit(&self, key: &ProgramKey) {
+        self.count_hit_on(&self.shards[shard_index(key)]);
+    }
+
+    fn count_hit_on(&self, shard: &Shard) {
+        shard.hits.fetch_add(1, Ordering::Relaxed);
+        self.hits_total.inc();
     }
 
     /// Looks up without compiling (and without counting hits or misses).

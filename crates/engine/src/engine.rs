@@ -54,7 +54,7 @@ use flexrpc_trace::{Counter, Histogram, MetricsRegistry, SharedCallTrace, Stage}
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -355,6 +355,15 @@ struct Admission<'a> {
 /// application state; any worker may use any free replica.
 pub(crate) struct ReplicaPool {
     compiled: Arc<CompiledInterface>,
+    /// The server's own call shapes by operation ordinal: the table a
+    /// client that declared no presentation binds with (it accepts the
+    /// server's).
+    server_shapes: Arc<[CallShape]>,
+    /// The shapes negotiated against a *declared* client presentation, by
+    /// operation ordinal, set by the first bind that declares one. One per
+    /// pool is enough: the pool's combination includes the client
+    /// presentation's fingerprint, and the client's shapes are inside it.
+    declared_shapes: OnceLock<Arc<[CallShape]>>,
     /// One lock per replica: checkout is a `try_lock` and return is the
     /// guard's drop — a single uncontended lock round trip per dispatch,
     /// and the replica never moves.
@@ -396,6 +405,26 @@ impl ReplicaPool {
     pub(crate) fn compiled(&self) -> Arc<CompiledInterface> {
         Arc::clone(&self.compiled)
     }
+
+    /// The call shapes a bind to this pool settles on, by operation
+    /// ordinal — shape negotiation is part of the bind, not of any call.
+    /// With a declared client presentation the two ends' declarations are
+    /// reconciled (once per combination, then shared); without one the
+    /// client accepts the server's, the same-presentation binding the
+    /// default client half already implies.
+    fn shapes_for(
+        &self,
+        declared: Option<&InterfacePresentation>,
+    ) -> Result<Arc<[CallShape]>, EngineError> {
+        let Some(client) = declared else {
+            return Ok(Arc::clone(&self.server_shapes));
+        };
+        if let Some(table) = self.declared_shapes.get() {
+            return Ok(Arc::clone(table));
+        }
+        let table = negotiate_shapes(&self.compiled, client)?;
+        Ok(Arc::clone(self.declared_shapes.get_or_init(|| table)))
+    }
 }
 
 /// Builds one dispatch replica: register the service's work functions on a
@@ -405,7 +434,7 @@ pub type ReplicaFactory = Box<dyn Fn(&mut ServerInterface) + Send + Sync>;
 
 /// A registered service: its contract, its server-side presentation, and
 /// the factory that wires work functions onto replicas.
-struct Service {
+pub(crate) struct Service {
     module: Module,
     interface: String,
     presentation: InterfacePresentation,
@@ -415,6 +444,12 @@ struct Service {
     factory: ReplicaFactory,
     /// Replica pools, one per program combination seen so far.
     pools: RwLock<HashMap<ProgramKey, Arc<ReplicaPool>>>,
+}
+
+impl std::fmt::Debug for Service {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Service({})", self.interface)
+    }
 }
 
 /// Configures and starts an [`Engine`]: sizing knobs, the engine-level
@@ -746,7 +781,7 @@ impl Engine {
         Ok(())
     }
 
-    fn service(&self, name: &str) -> Result<Arc<Service>, EngineError> {
+    pub(crate) fn service(&self, name: &str) -> Result<Arc<Service>, EngineError> {
         self.services
             .read()
             .get(name)
@@ -754,15 +789,17 @@ impl Engine {
             .ok_or_else(|| EngineError::UnknownService(name.to_owned()))
     }
 
-    /// Resolves (or lazily builds) the replica pool for one combination.
-    /// The compilation goes through the shared [`ProgramCache`]: the first
-    /// connection with a combination compiles, every later one reuses.
+    /// Resolves (or lazily builds) the replica pool for one combination,
+    /// and reports whether *this* call compiled its program. The
+    /// compilation goes through the shared [`ProgramCache`]: the first
+    /// bind of a combination compiles, every later one reuses, and each
+    /// call here counts exactly one cache hit or one miss — a repeat bind
+    /// is one map lookup and the hit counted for it.
     pub(crate) fn pool_for(
         &self,
-        service_name: &str,
+        service: &Service,
         client: ClientInfo,
-    ) -> Result<Arc<ReplicaPool>, EngineError> {
-        let service = self.service(service_name)?;
+    ) -> Result<(Arc<ReplicaPool>, bool), EngineError> {
         let key = ProgramKey {
             signature: service.signature,
             server_presentation: service.presentation_fingerprint,
@@ -772,22 +809,19 @@ impl Engine {
             format: service.format,
         };
         if let Some(pool) = service.pools.read().get(&key) {
-            // Count the cache hit the fast path would otherwise skip: the
-            // combination was looked up and served without compiling.
-            self.cache
-                .get_or_compile::<flexrpc_core::CoreError>(key, || {
-                    unreachable!("pool exists, program is cached")
-                })
-                .expect("cached");
-            return Ok(Arc::clone(pool));
+            // The pool holds the program the cache would have returned.
+            self.cache.count_hit(&key);
+            return Ok((Arc::clone(pool), false));
         }
         let mut pools = service.pools.write();
+        // Double-check: a racing first bind may have built it meanwhile.
         if let Some(pool) = pools.get(&key) {
-            return Ok(Arc::clone(pool));
+            self.cache.count_hit(&key);
+            return Ok((Arc::clone(pool), false));
         }
-        let compiled = self
+        let (compiled, compiled_here) = self
             .cache
-            .get_or_compile(key, || {
+            .lookup(key, || {
                 let iface = service
                     .module
                     .interface(&service.interface)
@@ -814,25 +848,27 @@ impl Engine {
             })
             .collect();
         let pool = Arc::new(ReplicaPool {
+            server_shapes: compiled.ops.iter().map(|o| o.call_shape).collect(),
+            declared_shapes: OnceLock::new(),
             compiled,
             replicas,
             starved: Mutex::new(()),
             freed: Condvar::new(),
         });
         pools.insert(key, Arc::clone(&pool));
-        Ok(pool)
+        Ok((pool, compiled_here))
     }
 
     /// Begins opening a same-domain connection to a service; finish with
     /// [`ConnectBuilder::establish`]. The resulting connection implements
     /// [`Transport`], so a [`ClientStub`](flexrpc_runtime::ClientStub)
     /// plugs straight in.
-    pub fn connect(self: &Arc<Self>, service_name: &str) -> ConnectBuilder {
+    pub fn connect<'p>(self: &Arc<Self>, service_name: &str) -> ConnectBuilder<'p> {
         ConnectBuilder {
+            service: self.service(service_name),
             engine: Arc::clone(self),
-            service: service_name.to_owned(),
             client: None,
-            client_shapes: None,
+            declared: None,
             options: CallOptions::default(),
             tenant: TenantId::DEFAULT,
         }
@@ -1260,22 +1296,29 @@ impl Engine {
 /// per-connection [`CallOptions`], then
 /// [`establish`](ConnectBuilder::establish).
 #[derive(Debug)]
-pub struct ConnectBuilder {
+pub struct ConnectBuilder<'p> {
     engine: Arc<Engine>,
-    service: String,
+    /// The service, resolved once by [`Engine::connect`]; an unknown name
+    /// surfaces from [`ConnectBuilder::establish`].
+    service: Result<Arc<Service>, EngineError>,
     client: Option<ClientInfo>,
-    /// The client's per-operation call shapes, when it declared a full
-    /// presentation — the client half of bind-time shape negotiation.
-    client_shapes: Option<Vec<(String, CallShape)>>,
+    /// The client's full presentation, when it declared one — the client
+    /// half of bind-time shape negotiation. Always the presentation
+    /// `client` was taken from.
+    declared: Option<&'p InterfacePresentation>,
     options: CallOptions,
     tenant: TenantId,
 }
 
-impl ConnectBuilder {
-    /// The client's half of the program combination. Defaults to the
-    /// service's own presentation (a same-presentation binding).
-    pub fn client(mut self, client: ClientInfo) -> ConnectBuilder {
+impl<'p> ConnectBuilder<'p> {
+    /// The client's half of the program combination, by fingerprint and
+    /// trust alone: the client declares no call shapes and accepts the
+    /// server's (replacing any presentation declared earlier on this
+    /// builder). Defaults to the service's own presentation (a
+    /// same-presentation binding).
+    pub fn client(mut self, client: ClientInfo) -> ConnectBuilder<'p> {
         self.client = Some(client);
+        self.declared = None;
         self
     }
 
@@ -1283,12 +1326,12 @@ impl ConnectBuilder {
     /// client half *and* submits its per-operation call shapes (`[oneway]`,
     /// `[stream(N)]`) for bind-time negotiation. Establishment fails with
     /// [`EngineError::ShapeMismatch`] if the two ends disagree on any
-    /// operation's shape; stream windows settle to the minimum of the two
+    /// operation's shape or the client names an operation the service does
+    /// not have; stream windows settle to the minimum of the two
     /// declarations ([`negotiate_call_shape`]).
-    pub fn client_presentation(mut self, pres: &InterfacePresentation) -> ConnectBuilder {
+    pub fn client_presentation(mut self, pres: &'p InterfacePresentation) -> ConnectBuilder<'p> {
         self.client = Some(ClientInfo::of(pres));
-        self.client_shapes =
-            Some(pres.ops.iter().map(|(name, op)| (name.clone(), op.call_shape)).collect());
+        self.declared = Some(pres);
         self
     }
 
@@ -1297,7 +1340,7 @@ impl ConnectBuilder {
     /// the retry policy is consumed by
     /// [`ClientStub::call_with`](flexrpc_runtime::ClientStub::call_with)
     /// above the transport.
-    pub fn options(mut self, options: CallOptions) -> ConnectBuilder {
+    pub fn options(mut self, options: CallOptions) -> ConnectBuilder<'p> {
         self.options = options;
         self
     }
@@ -1305,7 +1348,7 @@ impl ConnectBuilder {
     /// The tenant this connection submits as: every call is scheduled on
     /// that tenant's weighted-fair lane under its quota. Defaults to the
     /// anonymous tenant (id 0), which preserves single-queue behavior.
-    pub fn tenant(mut self, tenant: TenantId) -> ConnectBuilder {
+    pub fn tenant(mut self, tenant: TenantId) -> ConnectBuilder<'p> {
         self.tenant = tenant;
         self
     }
@@ -1315,7 +1358,7 @@ impl ConnectBuilder {
     /// connection's options when they carry none. Later
     /// [`PolicyHandle::swap`]s keep applying — admission reads the policy
     /// live — but the retry license is fixed at this call.
-    pub fn policy(mut self, handle: &PolicyHandle) -> ConnectBuilder {
+    pub fn policy(mut self, handle: &PolicyHandle) -> ConnectBuilder<'p> {
         self.tenant = handle.tenant();
         if self.options.retry_policy().is_none() {
             if let Some(r) = handle.load().retry_policy() {
@@ -1338,77 +1381,87 @@ impl ConnectBuilder {
     /// are stable for the tenant's lifetime, so calls on the connection
     /// never consult the plane's map, yet see every later policy swap.
     pub fn establish(self) -> Result<EngineConnection, EngineError> {
+        let service = self.service?;
         let trace = self.options.is_traced().then(|| {
             SharedCallTrace::sim(
                 flexrpc_runtime::DEFAULT_TRACE_CAPACITY,
                 Arc::clone(&self.engine.clock),
             )
         });
-        let bind_call = trace.as_ref().map(|t| t.begin_call());
-        let bind_start = self.engine.clock.now_ns();
-        let compilations_before = self.engine.cache.compilations();
-        let client = match self.client {
-            Some(c) => c,
-            None => ClientInfo::of(&self.engine.service(&self.service)?.presentation),
-        };
-        let pool = self.engine.pool_for(&self.service, client)?;
-        // Shape negotiation is part of the bind, not of any call: every
-        // operation's effective shape (and stream window) is settled here,
-        // once, deterministically. A client that declared no shapes accepts
-        // the server's — the same-presentation binding the default client
-        // half already implies.
-        let shapes = negotiate_shapes(&pool, self.client_shapes.as_deref())?;
-        if let (Some(t), Some(call)) = (&trace, bind_call) {
-            let now = self.engine.clock.now_ns();
-            let compiled = self.engine.cache.compilations() - compilations_before;
-            t.record(call, Stage::Bind, bind_start, now, compiled);
-            if compiled > 0 {
-                t.record(call, Stage::Specialize, bind_start, now, compiled);
-            }
-        }
+        let client = self.client.unwrap_or(ClientInfo {
+            presentation: service.presentation_fingerprint,
+            trust: service.presentation.trust,
+        });
+        let binding = self.engine.bind(&service, client, self.declared, trace.as_ref())?;
         self.engine.counters.connections.inc();
         static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
         Ok(EngineConnection {
             tenant: self.engine.control.resolve(self.tenant),
             engine: self.engine,
-            service: self.service,
+            service,
             conn_id: NEXT_CONN.fetch_add(1, Ordering::Relaxed),
-            bind: RwLock::new(Binding { pool, shapes }),
+            bind: RwLock::new(binding),
             options: self.options,
             trace,
         })
     }
 }
 
-/// Reconciles the two ends' per-operation call shapes against the
-/// server's compiled declarations — shared by [`ConnectBuilder::establish`]
-/// and [`EngineConnection::rebind`].
-fn negotiate_shapes(
-    pool: &ReplicaPool,
-    client_shapes: Option<&[(String, CallShape)]>,
-) -> Result<HashMap<String, CallShape>, EngineError> {
-    let compiled = pool.compiled();
-    match client_shapes {
-        None => Ok(compiled.ops.iter().map(|o| (o.name.clone(), o.call_shape)).collect()),
-        Some(client_shapes) => {
-            let mut negotiated = HashMap::new();
-            for (name, client_shape) in client_shapes {
-                let server_shape = compiled.op(name).map(|o| o.call_shape).unwrap_or_default();
-                match negotiate_call_shape(*client_shape, server_shape) {
-                    Some(shape) => {
-                        negotiated.insert(name.clone(), shape);
-                    }
-                    None => {
-                        return Err(EngineError::ShapeMismatch(format!(
-                            "operation `{name}`: client declares {client_shape:?}, \
-                             server declares {server_shape:?}"
-                        )))
-                    }
-                }
+impl Engine {
+    /// One bind, as [`ConnectBuilder::establish`] and
+    /// [`EngineConnection::rebind`] both run it: resolve the combination's
+    /// pool (compiling on first use), settle the shape table, and — on a
+    /// traced connection — record the [`Stage::Bind`] span, plus
+    /// [`Stage::Specialize`] when this bind, not a concurrent one, compiled.
+    fn bind(
+        &self,
+        service: &Service,
+        client: ClientInfo,
+        declared: Option<&InterfacePresentation>,
+        trace: Option<&SharedCallTrace>,
+    ) -> Result<Binding, EngineError> {
+        let bind_call = trace.map(|t| t.begin_call());
+        let bind_start = self.clock.now_ns();
+        let (pool, compiled) = self.pool_for(service, client)?;
+        let shapes = pool.shapes_for(declared)?;
+        if let (Some(t), Some(call)) = (trace, bind_call) {
+            let now = self.clock.now_ns();
+            t.record(call, Stage::Bind, bind_start, now, u64::from(compiled));
+            if compiled {
+                t.record(call, Stage::Specialize, bind_start, now, 1);
             }
-            Ok(negotiated)
         }
+        Ok(Binding { pool, shapes })
     }
+}
+
+/// Reconciles a declared client presentation's per-operation call shapes
+/// with the server's compiled declarations, into a table indexed by
+/// operation ordinal. Every server operation has an entry — one the client
+/// did not list keeps the server's shape — and an operation the client
+/// lists but the service lacks fails here: incompatible contracts fail at
+/// bind, not at call.
+fn negotiate_shapes(
+    compiled: &CompiledInterface,
+    client: &InterfacePresentation,
+) -> Result<Arc<[CallShape]>, EngineError> {
+    let mut table: Vec<CallShape> = compiled.ops.iter().map(|o| o.call_shape).collect();
+    for (name, op) in &client.ops {
+        let Some(ordinal) = compiled.ops.iter().position(|o| o.name == *name) else {
+            return Err(EngineError::ShapeMismatch(format!(
+                "operation `{name}`: declared by the client, unknown to service interface `{}`",
+                compiled.interface
+            )));
+        };
+        let (client_shape, server_shape) = (op.call_shape, table[ordinal]);
+        table[ordinal] = negotiate_call_shape(client_shape, server_shape).ok_or_else(|| {
+            EngineError::ShapeMismatch(format!(
+                "operation `{name}`: client declares {client_shape:?}, \
+                 server declares {server_shape:?}"
+            ))
+        })?;
+    }
+    Ok(table.into())
 }
 
 impl Drop for Engine {
@@ -1432,10 +1485,11 @@ impl std::fmt::Debug for Engine {
 /// the replica pool (combination) and the shapes settled against it.
 struct Binding {
     pool: Arc<ReplicaPool>,
-    /// Per-operation call shapes settled at bind (or rebind) time.
-    /// Stream windows here are the *negotiated* minima, not either end's
-    /// declaration.
-    shapes: HashMap<String, CallShape>,
+    /// Call shapes settled at bind (or rebind) time, indexed by operation
+    /// ordinal in the pool's compiled interface and shared with every
+    /// other connection bound the same way. Stream windows here are the
+    /// *negotiated* minima, not either end's declaration.
+    shapes: Arc<[CallShape]>,
 }
 
 /// A same-domain client connection: submits jobs to the engine's queue and
@@ -1445,7 +1499,9 @@ struct Binding {
 /// tenant decides whose weighted-fair lane the calls ride.
 pub struct EngineConnection {
     engine: Arc<Engine>,
-    service: String,
+    /// The service bound to, resolved at establishment: a rebind swaps the
+    /// combination, never the service.
+    service: Arc<Service>,
     /// The tenant this connection submits as: its live policy handle and
     /// metric cells, resolved at establishment.
     tenant: TenantCells,
@@ -1528,25 +1584,17 @@ impl EngineConnection {
     /// connection's binding in one store. In-flight calls are untouched —
     /// each queued job holds its own `Arc` to the pool it was admitted
     /// against and completes there; every submission after the swap runs
-    /// the new combination. On any failure (unknown service, compile
-    /// error, shape mismatch) the old binding stays in force.
+    /// the new combination. On any failure (compile error, shape
+    /// mismatch, an operation the service does not have) the old binding
+    /// stays in force.
     pub fn rebind(&self, pres: &InterfacePresentation) -> Result<(), EngineError> {
-        let bind_call = self.trace.as_ref().map(|t| t.begin_call());
-        let bind_start = self.engine.clock.now_ns();
-        let compilations_before = self.engine.cache.compilations();
-        let pool = self.engine.pool_for(&self.service, ClientInfo::of(pres))?;
-        let client_shapes: Vec<(String, CallShape)> =
-            pres.ops.iter().map(|(name, op)| (name.clone(), op.call_shape)).collect();
-        let shapes = negotiate_shapes(&pool, Some(&client_shapes))?;
-        *self.bind.write() = Binding { pool, shapes };
-        if let (Some(t), Some(call)) = (&self.trace, bind_call) {
-            let now = self.engine.clock.now_ns();
-            let compiled = self.engine.cache.compilations() - compilations_before;
-            t.record(call, Stage::Bind, bind_start, now, compiled);
-            if compiled > 0 {
-                t.record(call, Stage::Specialize, bind_start, now, compiled);
-            }
-        }
+        let binding = self.engine.bind(
+            &self.service,
+            ClientInfo::of(pres),
+            Some(pres),
+            self.trace.as_ref(),
+        )?;
+        *self.bind.write() = binding;
         self.engine.rebinds.inc();
         self.engine.control.note_rebind();
         Ok(())
@@ -1588,9 +1636,12 @@ impl EngineConnection {
 
     /// The call shape settled for `op` at bind time: both ends' shape
     /// declarations reconciled, stream windows at their negotiated minimum.
-    /// `None` for an operation the bind never saw.
+    /// Every operation of the service has one; `None` for a name the
+    /// service's interface does not declare.
     pub fn negotiated_shape(&self, op: &str) -> Option<CallShape> {
-        self.bind.read().shapes.get(op).copied()
+        let bind = self.bind.read();
+        let ordinal = bind.pool.compiled.ops.iter().position(|o| o.name == op)?;
+        Some(bind.shapes[ordinal])
     }
 }
 

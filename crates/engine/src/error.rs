@@ -32,8 +32,9 @@ pub enum EngineError {
     Unhealthy,
     /// Bind-time call-shape negotiation failed: the two ends declare
     /// incompatible shapes for an operation (e.g. `[oneway]` against
-    /// unary, or `[stream]` against `[oneway]`). Fix the presentations;
-    /// no retry helps.
+    /// unary, or `[stream]` against `[oneway]`), or the client's
+    /// presentation names an operation the service does not have. Fix the
+    /// presentations; no retry helps.
     ShapeMismatch(String),
 }
 

@@ -1,9 +1,10 @@
 //! Multi-threaded stress tests for the invariants the engine leans on:
 //! kernel name-table uniqueness under contention, pipe FIFO ordering
-//! through a many-worker engine, and no submit wakeup lost between bursts.
+//! through a many-worker engine, no submit wakeup lost between bursts, and
+//! bind accounting that stays exact when first binds race.
 
 use flexrpc_core::ir::fileio_example;
-use flexrpc_core::present::InterfacePresentation;
+use flexrpc_core::present::{InterfacePresentation, Trust};
 use flexrpc_core::value::Value;
 use flexrpc_engine::{ClientInfo, Engine};
 use flexrpc_kernel::Kernel;
@@ -13,7 +14,8 @@ use flexrpc_pipes::server::{
     register_pipe_handlers, server_presentation, PipeServerStats, ReadPresentation,
 };
 use flexrpc_pipes::{fileio_module, WOULDBLOCK};
-use flexrpc_runtime::{ClientStub, RpcError};
+use flexrpc_runtime::{CallOptions, ClientStub, RpcError};
+use flexrpc_trace::Stage;
 use parking_lot::Mutex;
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
@@ -259,4 +261,71 @@ fn bursts_onto_parked_workers_lose_no_wakeup() {
     rounds.join().unwrap();
     assert_eq!(engine.stats().in_flight, 0);
     engine.shutdown();
+}
+
+/// Bind accounting under concurrency. N threads bind one combination the
+/// engine has never seen while M bind another, all traced, all released
+/// together: every bind counts exactly one program-cache hit or miss, the
+/// two combinations compile once each, and exactly the two binds that
+/// compiled carry a `Specialize` span — a bind that waited behind another
+/// thread's compile, of its own combination or of the other, records a
+/// plain cache hit. Holds in every interleaving, so it is run over fresh
+/// engines until the racy ones have surely occurred.
+#[test]
+fn racing_first_binds_count_one_hit_or_miss_each_and_own_their_compile() {
+    const N: usize = 5;
+    const M: usize = 4;
+    const ROUNDS: usize = 12;
+
+    let m = fileio_module();
+    let iface = m.interface("FileIO").expect("FileIO exists");
+    let mut one = InterfacePresentation::default_for(&m, iface).expect("defaults");
+    one.trust = Trust::Leaky;
+    let mut other = one.clone();
+    other.trust = Trust::LeakyUnprotected;
+
+    for round in 0..ROUNDS {
+        let (engine, _stats) = pipe_engine(2, 64);
+        let barrier = Barrier::new(N + M);
+        let conns: Vec<_> = std::thread::scope(|s| {
+            let binders: Vec<_> = (0..N + M)
+                .map(|i| {
+                    let pres = if i < N { &one } else { &other };
+                    let (engine, barrier) = (&engine, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        engine
+                            .connect("pipe")
+                            .client_presentation(pres)
+                            .options(CallOptions::default().traced())
+                            .establish()
+                            .expect("binds")
+                    })
+                })
+                .collect();
+            binders.into_iter().map(|b| b.join().expect("no panics")).collect()
+        });
+
+        let cache = engine.cache().stats();
+        assert_eq!(
+            (cache.hits + cache.misses, cache.misses),
+            ((N + M) as u64, 2),
+            "round {round}: one hit or miss per bind, one miss per combination"
+        );
+        let spans = |stage: Stage| -> Vec<u64> {
+            conns
+                .iter()
+                .flat_map(|c| c.trace().expect("traced").snapshot())
+                .filter(|ev| ev.stage == stage)
+                .map(|ev| ev.detail)
+                .collect()
+        };
+        assert_eq!(spans(Stage::Specialize), [1, 1], "round {round}: two binds compiled");
+        let binds = spans(Stage::Bind);
+        assert_eq!(binds.len(), N + M, "round {round}");
+        assert_eq!(binds.iter().sum::<u64>(), 2, "round {round}: compiles credited once each");
+        assert_eq!(engine.stats().connections, (N + M) as u64);
+        drop(conns);
+        engine.shutdown();
+    }
 }

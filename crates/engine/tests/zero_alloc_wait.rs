@@ -14,50 +14,15 @@
 //! job cell. What a queued call still allocates (the reply body, the
 //! handler's own value) is the worker's, and bytes someone keeps.
 
+mod counting_alloc;
+
+use counting_alloc::counted;
 use flexrpc_core::ir::fileio_example;
 use flexrpc_core::present::InterfacePresentation;
 use flexrpc_core::value::Value;
 use flexrpc_engine::{Engine, ReplySlot};
 use flexrpc_marshal::WireFormat;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
-
-thread_local! {
-    /// Allocations made by *this* thread. The tests of this binary run on
-    /// parallel threads, and each audit is about its own waiter: a
-    /// process-wide count let a neighbour test's allocation (a spawn, the
-    /// harness printing a result) land inside another's counted region and
-    /// fail it.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: delegates verbatim to the system allocator; the counter is the
-// only addition.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(l) }
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(p, l, n) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: Counting = Counting;
-
-fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
-    let r = f();
-    (ALLOCS.with(Cell::get) - before, r)
-}
 
 /// Reply published before the waiter arrives: the pure lock-free path.
 /// The slot itself is allocated outside the counted region (engines pool

@@ -54,7 +54,7 @@ fn parse_impl(name: &str, src: &str, annots: Option<&mut PdlFile>) -> Result<Mod
 }
 
 fn parse_definitions(
-    ts: &mut TokStream,
+    ts: &mut TokStream<'_>,
     module: &mut Module,
     nested: bool,
     mut annots: Option<&mut PdlFile>,
@@ -66,7 +66,7 @@ fn parse_definitions(
             }
             return Ok(());
         }
-        if nested && *ts.peek() == Tok::Punct('}') {
+        if nested && ts.peek() == Tok::Punct('}') {
             return Ok(());
         }
         if ts.eat_kw("module") {
@@ -82,7 +82,7 @@ fn parse_definitions(
             let ty = parse_type(ts)?;
             let name = ts.expect_ident("typedef name")?;
             ts.expect_punct(';')?;
-            module.typedefs.push(TypeDef { name, body: TypeBody::Alias(ty) });
+            module.typedefs.push(TypeDef { name: name.to_owned(), body: TypeBody::Alias(ty) });
         } else if ts.eat_kw("struct") {
             let td = parse_struct(ts)?;
             module.typedefs.push(td);
@@ -98,7 +98,7 @@ fn parse_definitions(
     }
 }
 
-fn parse_interface(ts: &mut TokStream, mut annots: Option<&mut PdlFile>) -> Result<Interface> {
+fn parse_interface(ts: &mut TokStream<'_>, mut annots: Option<&mut PdlFile>) -> Result<Interface> {
     let name = ts.expect_ident("interface name")?;
     ts.expect_punct('{')?;
     let mut ops = Vec::new();
@@ -106,16 +106,16 @@ fn parse_interface(ts: &mut TokStream, mut annots: Option<&mut PdlFile>) -> Resu
         ops.push(parse_operation(ts, annots.as_deref_mut())?);
     }
     ts.expect_punct(';')?;
-    Ok(Interface::new(&name, ops))
+    Ok(Interface::new(name, ops))
 }
 
-fn parse_operation(ts: &mut TokStream, annots: Option<&mut PdlFile>) -> Result<Operation> {
+fn parse_operation(ts: &mut TokStream<'_>, annots: Option<&mut PdlFile>) -> Result<Operation> {
     let mut op_attrs = Vec::new();
     if annots.is_some() {
         // Annotated mode: a bracketed attribute block, and/or CORBA's own
         // `oneway` keyword (which is the same contract term spelled the
         // OMG way).
-        if *ts.peek() == Tok::Punct('[') {
+        if ts.peek() == Tok::Punct('[') {
             op_attrs = crate::pdl::parse_attr_block(ts)?;
         }
         if ts.eat_kw("oneway") {
@@ -138,13 +138,13 @@ fn parse_operation(ts: &mut TokStream, annots: Option<&mut PdlFile>) -> Result<O
     ts.expect_punct(';')?;
     if !op_attrs.is_empty() {
         if let Some(pdl) = annots {
-            pdl.ops.push(OpAnnot { op: name.clone(), op_attrs, params: vec![] });
+            pdl.ops.push(OpAnnot { op: name.to_owned(), op_attrs, params: vec![] });
         }
     }
-    Ok(Operation::new(&name, params, ret))
+    Ok(Operation::new(name, params, ret))
 }
 
-fn parse_param(ts: &mut TokStream) -> Result<Param> {
+fn parse_param(ts: &mut TokStream<'_>) -> Result<Param> {
     let dir = if ts.eat_kw("in") {
         ParamDir::In
     } else if ts.eat_kw("out") {
@@ -159,10 +159,10 @@ fn parse_param(ts: &mut TokStream) -> Result<Param> {
     };
     let ty = parse_type(ts)?;
     let name = ts.expect_ident("parameter name")?;
-    Ok(Param { name, dir, ty })
+    Ok(Param::new(name, dir, ty))
 }
 
-fn parse_struct(ts: &mut TokStream) -> Result<TypeDef> {
+fn parse_struct(ts: &mut TokStream<'_>) -> Result<TypeDef> {
     let name = ts.expect_ident("struct name")?;
     ts.expect_punct('{')?;
     let mut fields = Vec::new();
@@ -170,18 +170,18 @@ fn parse_struct(ts: &mut TokStream) -> Result<TypeDef> {
         let ty = parse_type(ts)?;
         let fname = ts.expect_ident("field name")?;
         ts.expect_punct(';')?;
-        fields.push(Field { name: fname, ty });
+        fields.push(Field { name: fname.to_owned(), ty });
     }
     ts.expect_punct(';')?;
-    Ok(TypeDef { name, body: TypeBody::Struct(fields) })
+    Ok(TypeDef { name: name.to_owned(), body: TypeBody::Struct(fields) })
 }
 
-fn parse_enum(ts: &mut TokStream) -> Result<TypeDef> {
+fn parse_enum(ts: &mut TokStream<'_>) -> Result<TypeDef> {
     let name = ts.expect_ident("enum name")?;
     ts.expect_punct('{')?;
     let mut items = Vec::new();
     loop {
-        items.push(ts.expect_ident("enumerator")?);
+        items.push(ts.expect_ident("enumerator")?.to_owned());
         if ts.eat_punct('}') {
             break;
         }
@@ -192,11 +192,11 @@ fn parse_enum(ts: &mut TokStream) -> Result<TypeDef> {
         }
     }
     ts.expect_punct(';')?;
-    Ok(TypeDef { name, body: TypeBody::Enum(items) })
+    Ok(TypeDef { name: name.to_owned(), body: TypeBody::Enum(items) })
 }
 
 /// Parses a CORBA type specifier.
-pub(crate) fn parse_type(ts: &mut TokStream) -> Result<Type> {
+pub(crate) fn parse_type(ts: &mut TokStream<'_>) -> Result<Type> {
     if ts.eat_kw("void") {
         return Ok(Type::Void);
     }
@@ -241,7 +241,7 @@ pub(crate) fn parse_type(ts: &mut TokStream) -> Result<Type> {
         return Ok(Type::Sequence(Box::new(el)));
     }
     let name = ts.expect_ident("type name")?;
-    Ok(Type::Named(name))
+    Ok(Type::Named(name.to_owned()))
 }
 
 #[cfg(test)]
@@ -271,11 +271,7 @@ mod tests {
         assert_eq!(m.interfaces, syslog_example().interfaces);
     }
 
-    #[test]
-    fn typedefs_structs_enums() {
-        let m = parse(
-            "kit",
-            r#"
+    const KIT_IDL: &str = r#"
             typedef sequence<octet> buffer;
             enum Mode { READ, WRITE, APPEND };
             struct Stat {
@@ -287,9 +283,11 @@ mod tests {
                 Stat stat(in string path);
                 buffer slurp(in string path, in Mode mode);
             };
-            "#,
-        )
-        .unwrap();
+            "#;
+
+    #[test]
+    fn typedefs_structs_enums() {
+        let m = parse("kit", KIT_IDL).unwrap();
         assert_eq!(m.typedefs.len(), 3);
         assert_eq!(m.interfaces[0].ops[0].ret, Type::Named("Stat".into()));
         let slurp = m.interfaces[0].op("slurp").unwrap();
@@ -363,6 +361,51 @@ mod tests {
     fn missing_semicolon_reported() {
         let err = parse("bad", "interface T { void f(in long a) }").unwrap_err();
         assert!(err.msg.contains("`;`"));
+    }
+
+    #[test]
+    fn diagnostics_point_at_the_offending_token() {
+        let at = |src: &str| {
+            let e = parse("bad", src).unwrap_err();
+            (e.line, e.col, e.msg)
+        };
+        // `}` where `;` belongs: the `}` at column 42, not the `;` after it.
+        let (line, col, msg) = at("interface F { void w(in unsigned long c) };");
+        assert_eq!((line, col), (1, 42), "{msg}");
+        assert!(msg.contains("expected `;`, found `}`"), "{msg}");
+        // A number where the parameter name belongs.
+        let (line, col, msg) = at("interface F { void w(in unsigned long 7); };");
+        assert_eq!((line, col), (1, 39), "{msg}");
+        assert!(msg.contains("expected parameter name, found number 7"), "{msg}");
+        // A missing `;` is reported at the token that follows the gap.
+        let (line, col, msg) = at(
+            "interface F {\n    sequence<octet> read(in unsigned long count)\n    void write(in sequence<octet> data);\n};",
+        );
+        assert_eq!((line, col), (3, 5), "{msg}");
+        assert!(msg.contains("expected `;`, found `void`"), "{msg}");
+        // The offending token is the last one before end of input.
+        let (line, col, msg) = at("interface F { } }");
+        assert_eq!((line, col), (1, 17), "{msg}");
+        assert!(msg.contains("expected `;`, found `}`"), "{msg}");
+        // Input that simply stops is reported where it stops.
+        let (line, col, msg) = at("interface F { }");
+        assert_eq!((line, col), (1, 16), "{msg}");
+        assert!(msg.contains("found end of input"), "{msg}");
+    }
+
+    #[test]
+    fn fixtures_lex_like_the_owning_tokenizer() {
+        for src in [
+            "\ninterface FileIO {\n    sequence<octet> read(in unsigned long count);\n    void write(in sequence<octet> data);\n};\n",
+            "interface SysLog { void write_msg(in string msg); };",
+            KIT_IDL,
+            "module A { module B { interface I { void f(in long x); }; }; };",
+            "// A pipe-ish interface.\n#pragma prefix \"utah.edu\"\ninterface P { /* one op */ void f(in long x); };",
+            "interface Feed {\n  oneway void notify(in string text);\n  [stream(32)] void write(in sequence<octet> data);\n};",
+            "interface T { }; 42",
+        ] {
+            crate::lex::oracle::assert_lexes_alike(src);
+        }
     }
 
     #[test]

@@ -1,19 +1,27 @@
-//! A hand-written lexer shared by all three front-ends.
+//! A hand-written lexer shared by all four front-ends.
 //!
-//! Tokenizes identifiers, decimal/hex numbers, and the punctuation the three
+//! Tokenizes identifiers, decimal/hex numbers, and the punctuation the
 //! grammars need. `//`, `/* */` and `#`-to-end-of-line comments are skipped
 //! (rpcgen `.x` files use `#` for preprocessor lines; `%` passthrough lines
 //! are skipped too). Every token carries its source position for
 //! diagnostics.
+//!
+//! Tokens *borrow* from the source: an identifier is a `&'src str` slice of
+//! the text being parsed, so a [`Tok`] is `Copy`, lexing allocates exactly
+//! one vector (sized from the source length), and a front-end allocates a
+//! `String` only for a name the `Module` / PDL AST it returns keeps.
+//! Parsing is on the bind path — a client that starts from interface text
+//! pays it before its first call — which is why the lexer does not own
+//! what it can point at.
 
 use crate::diag::ParseError;
 use crate::Result;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+/// A lexical token, borrowing identifier text from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'src> {
     /// Identifier or keyword (keywords are decided by the parsers).
-    Ident(String),
+    Ident(&'src str),
     /// Unsigned integer literal (decimal or `0x` hex).
     Num(u64),
     /// One punctuation character: `{}()[]<>;,:=*.-`.
@@ -22,7 +30,7 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// Human-readable token description for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -35,10 +43,10 @@ impl Tok {
 }
 
 /// A token with its position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spanned<'src> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'src>,
     /// 1-based line.
     pub line: u32,
     /// 1-based column.
@@ -46,8 +54,11 @@ pub struct Spanned {
 }
 
 /// Tokenizes `src` completely (appends an `Eof` token).
-pub fn tokenize(src: &str) -> Result<Vec<Spanned>> {
-    let mut out = Vec::new();
+pub fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>> {
+    // A token and the blank or punctuation that ends it are rarely under
+    // three bytes of source, so interface text lexes without regrowing;
+    // denser input (`f(,,);`) grows the vector as usual.
+    let mut out = Vec::with_capacity(src.len() / 3 + 1);
     let bytes = src.as_bytes();
     let mut i = 0;
     let mut line: u32 = 1;
@@ -106,7 +117,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>> {
             {
                 bump!();
             }
-            out.push(Spanned { tok: Tok::Ident(src[start..i].to_owned()), line: sl, col: sc });
+            out.push(Spanned { tok: Tok::Ident(&src[start..i]), line: sl, col: sc });
             continue;
         }
         // Numbers.
@@ -147,25 +158,25 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>> {
 
 /// A token stream with lookahead, shared by the parsers.
 #[derive(Debug)]
-pub struct TokStream {
-    toks: Vec<Spanned>,
+pub struct TokStream<'src> {
+    toks: Vec<Spanned<'src>>,
     pos: usize,
 }
 
-impl TokStream {
+impl<'src> TokStream<'src> {
     /// Lexes `src` into a stream.
-    pub fn new(src: &str) -> Result<TokStream> {
+    pub fn new(src: &'src str) -> Result<TokStream<'src>> {
         Ok(TokStream { toks: tokenize(src)?, pos: 0 })
     }
 
     /// The current token.
-    pub fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+    pub fn peek(&self) -> Tok<'src> {
+        self.toks[self.pos].tok
     }
 
     /// The token after the current one.
-    pub fn peek2(&self) -> &Tok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
+    pub fn peek2(&self) -> Tok<'src> {
+        self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
     }
 
     /// Position of the current token.
@@ -175,8 +186,8 @@ impl TokStream {
 
     /// Consumes and returns the current token.
     #[allow(clippy::should_implement_trait)] // parser cursor, not an Iterator
-    pub fn next(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    pub fn next(&mut self) -> Tok<'src> {
+        let t = self.toks[self.pos].tok;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -189,33 +200,48 @@ impl TokStream {
         ParseError::at(msg, line, col)
     }
 
+    /// "expected `what`, found <the current token>", at that token. The
+    /// `expect_*` helpers (and a parser matching on [`TokStream::peek`])
+    /// build it *before* consuming, so a diagnostic points at the
+    /// offending token, not at the one after it.
+    pub(crate) fn expected(&self, what: impl std::fmt::Display) -> ParseError {
+        self.error(format!("expected {what}, found {}", self.peek().describe()))
+    }
+
     /// Consumes an identifier or fails.
-    pub fn expect_ident(&mut self, what: &str) -> Result<String> {
-        match self.next() {
-            Tok::Ident(s) => Ok(s),
-            other => Err(self.error(format!("expected {what}, found {}", other.describe()))),
+    pub fn expect_ident(&mut self, what: &str) -> Result<&'src str> {
+        match self.peek() {
+            Tok::Ident(s) => {
+                self.next();
+                Ok(s)
+            }
+            _ => Err(self.expected(what)),
         }
     }
 
     /// Consumes a number or fails.
     pub fn expect_num(&mut self) -> Result<u64> {
-        match self.next() {
-            Tok::Num(n) => Ok(n),
-            other => Err(self.error(format!("expected number, found {}", other.describe()))),
+        match self.peek() {
+            Tok::Num(n) => {
+                self.next();
+                Ok(n)
+            }
+            _ => Err(self.expected("number")),
         }
     }
 
     /// Consumes a specific punctuation character or fails.
     pub fn expect_punct(&mut self, c: char) -> Result<()> {
-        match self.next() {
-            Tok::Punct(p) if p == c => Ok(()),
-            other => Err(self.error(format!("expected `{c}`, found {}", other.describe()))),
+        if self.eat_punct(c) {
+            Ok(())
+        } else {
+            Err(self.expected(format_args!("`{c}`")))
         }
     }
 
     /// Consumes the given punctuation if present; returns whether it did.
     pub fn eat_punct(&mut self, c: char) -> bool {
-        if *self.peek() == Tok::Punct(c) {
+        if self.peek() == Tok::Punct(c) {
             self.next();
             true
         } else {
@@ -225,7 +251,7 @@ impl TokStream {
 
     /// Consumes the given keyword if present; returns whether it did.
     pub fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(s) if s == kw) {
+        if self.peek() == Tok::Ident(kw) {
             self.next();
             true
         } else {
@@ -238,22 +264,153 @@ impl TokStream {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            let found = self.peek().describe();
-            Err(self.error(format!("expected `{kw}`, found {found}")))
+            Err(self.expected(format_args!("`{kw}`")))
         }
     }
 
     /// True at end of input.
     pub fn at_eof(&self) -> bool {
-        *self.peek() == Tok::Eof
+        self.peek() == Tok::Eof
+    }
+}
+
+/// The owning tokenizer this module had before tokens borrowed from the
+/// source, kept verbatim as the oracle the borrowing one is compared
+/// against — here on random token soup, and by each front-end's tests on
+/// its own fixtures.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::diag::ParseError;
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) enum OwnedTok {
+        Ident(String),
+        Num(u64),
+        Punct(char),
+        Eof,
+    }
+
+    pub(crate) type OwnedSpanned = (OwnedTok, u32, u32);
+
+    pub(crate) fn tokenize_owning(src: &str) -> Result<Vec<OwnedSpanned>, ParseError> {
+        let mut out = Vec::new();
+        let bytes = src.as_bytes();
+        let mut i = 0;
+        let mut line: u32 = 1;
+        let mut col: u32 = 1;
+
+        macro_rules! bump {
+            () => {{
+                if bytes[i] == b'\n' {
+                    line += 1;
+                    col = 1;
+                } else {
+                    col += 1;
+                }
+                i += 1;
+            }};
+        }
+
+        while i < bytes.len() {
+            let c = bytes[i] as char;
+            if c.is_ascii_whitespace() {
+                bump!();
+                continue;
+            }
+            if c == '#' || c == '%' || (c == '/' && bytes.get(i + 1) == Some(&b'/')) {
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    bump!();
+                }
+                continue;
+            }
+            if c == '/' && bytes.get(i + 1) == Some(&b'*') {
+                let (sl, sc) = (line, col);
+                bump!();
+                bump!();
+                loop {
+                    if i + 1 >= bytes.len() {
+                        return Err(ParseError::at("unterminated block comment", sl, sc));
+                    }
+                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
+                        bump!();
+                        bump!();
+                        break;
+                    }
+                    bump!();
+                }
+                continue;
+            }
+            if c.is_ascii_alphabetic() || c == '_' {
+                let (sl, sc) = (line, col);
+                let start = i;
+                while i < bytes.len()
+                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
+                {
+                    bump!();
+                }
+                out.push((OwnedTok::Ident(src[start..i].to_owned()), sl, sc));
+                continue;
+            }
+            if c.is_ascii_digit() {
+                let (sl, sc) = (line, col);
+                let start = i;
+                if c == '0' && matches!(bytes.get(i + 1), Some(b'x') | Some(b'X')) {
+                    bump!();
+                    bump!();
+                    while i < bytes.len() && (bytes[i] as char).is_ascii_hexdigit() {
+                        bump!();
+                    }
+                    let v = u64::from_str_radix(&src[start + 2..i], 16)
+                        .map_err(|_| ParseError::at("invalid hex literal", sl, sc))?;
+                    out.push((OwnedTok::Num(v), sl, sc));
+                } else {
+                    while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
+                        bump!();
+                    }
+                    let v = src[start..i]
+                        .parse::<u64>()
+                        .map_err(|_| ParseError::at("integer literal too large", sl, sc))?;
+                    out.push((OwnedTok::Num(v), sl, sc));
+                }
+                continue;
+            }
+            if "{}()[]<>;,:=*.-".contains(c) {
+                out.push((OwnedTok::Punct(c), line, col));
+                bump!();
+                continue;
+            }
+            return Err(ParseError::at(format!("unexpected character `{c}`"), line, col));
+        }
+        out.push((OwnedTok::Eof, line, col));
+        Ok(out)
+    }
+
+    /// Asserts the borrowing tokenizer yields, for `src`, the oracle's
+    /// (kind, text, line, col) sequence — or the oracle's error.
+    pub(crate) fn assert_lexes_alike(src: &str) {
+        let borrowed = super::tokenize(src).map(|toks| {
+            toks.into_iter()
+                .map(|s| {
+                    let tok = match s.tok {
+                        super::Tok::Ident(text) => OwnedTok::Ident(text.to_owned()),
+                        super::Tok::Num(n) => OwnedTok::Num(n),
+                        super::Tok::Punct(c) => OwnedTok::Punct(c),
+                        super::Tok::Eof => OwnedTok::Eof,
+                    };
+                    (tok, s.line, s.col)
+                })
+                .collect::<Vec<OwnedSpanned>>()
+        });
+        assert_eq!(borrowed, tokenize_owning(src), "source: {src:?}");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         tokenize(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -262,15 +419,15 @@ mod tests {
         assert_eq!(
             toks("interface Foo { void f(in string s); };"),
             vec![
-                Tok::Ident("interface".into()),
-                Tok::Ident("Foo".into()),
+                Tok::Ident("interface"),
+                Tok::Ident("Foo"),
                 Tok::Punct('{'),
-                Tok::Ident("void".into()),
-                Tok::Ident("f".into()),
+                Tok::Ident("void"),
+                Tok::Ident("f"),
                 Tok::Punct('('),
-                Tok::Ident("in".into()),
-                Tok::Ident("string".into()),
-                Tok::Ident("s".into()),
+                Tok::Ident("in"),
+                Tok::Ident("string"),
+                Tok::Ident("s"),
                 Tok::Punct(')'),
                 Tok::Punct(';'),
                 Tok::Punct('}'),
@@ -290,13 +447,7 @@ mod tests {
         let src = "a // line\n b /* block\n over lines */ c # cpp\n % passthrough\n d";
         assert_eq!(
             toks(src),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Ident("b".into()),
-                Tok::Ident("c".into()),
-                Tok::Ident("d".into()),
-                Tok::Eof
-            ]
+            vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Ident("c"), Tok::Ident("d"), Tok::Eof]
         );
     }
 
@@ -346,7 +497,106 @@ mod tests {
     #[test]
     fn peek2_lookahead() {
         let ts = TokStream::new("a b").unwrap();
-        assert_eq!(*ts.peek(), Tok::Ident("a".into()));
-        assert_eq!(*ts.peek2(), Tok::Ident("b".into()));
+        assert_eq!(ts.peek(), Tok::Ident("a"));
+        assert_eq!(ts.peek2(), Tok::Ident("b"));
+    }
+
+    #[test]
+    fn a_failed_expectation_consumes_nothing_and_points_at_its_token() {
+        let mut ts = TokStream::new("foo\n  42 ;").unwrap();
+        let err = ts.expect_num().unwrap_err();
+        assert_eq!((err.line, err.col), (1, 1), "{}", err.msg);
+        assert!(err.msg.contains("expected number, found `foo`"), "{}", err.msg);
+        // The cursor did not move: the same token can still be taken.
+        assert_eq!(ts.expect_ident("name").unwrap(), "foo");
+        let err = ts.expect_ident("name").unwrap_err();
+        assert_eq!((err.line, err.col), (2, 3), "{}", err.msg);
+        assert_eq!(ts.expect_num().unwrap(), 42);
+        let err = ts.expect_punct(',').unwrap_err();
+        assert_eq!((err.line, err.col), (2, 6), "{}", err.msg);
+        assert!(err.msg.contains("expected `,`, found `;`"), "{}", err.msg);
+    }
+
+    #[test]
+    fn one_allocation_sized_from_the_source() {
+        // Interface text lexes into the vector reserved up front.
+        let src = "interface FileIO {\n    sequence<octet> read(in unsigned long count);\n};\n";
+        let reserved = src.len() / 3 + 1;
+        let toks = tokenize(src).unwrap();
+        assert!(toks.len() <= reserved, "{} tokens, {reserved} reserved", toks.len());
+        assert_eq!(toks.capacity(), reserved, "never regrown");
+    }
+
+    /// Everything the tokenizer distinguishes, valid and not: the soup
+    /// generator concatenates these in random order.
+    const FRAGMENTS: &[&str] = &[
+        "interface",
+        "x",
+        "_under_score9",
+        "FileIO_read",
+        "A1",
+        "0",
+        "7",
+        "42",
+        "0x2A",
+        "0XfF",
+        "18446744073709551615",
+        "18446744073709551616",
+        "0x",
+        "0x1FFFFFFFFFFFFFFFF",
+        "9z",
+        "{",
+        "}",
+        "(",
+        ")",
+        "[",
+        "]",
+        "<",
+        ">",
+        ";",
+        ",",
+        ":",
+        "=",
+        "*",
+        ".",
+        "-",
+        " ",
+        "  ",
+        "\t",
+        "\n",
+        "\r\n",
+        "\n\n",
+        "// line comment\n",
+        "// at end of input",
+        "# cpp line\n",
+        "% passthrough\n",
+        "/* block */",
+        "/* over\n lines */",
+        "/**/",
+        "/* unterminated",
+        "/*/",
+        "/",
+        "@",
+        "$",
+        "\"",
+        "é",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn token_soup_lexes_like_the_owning_tokenizer(
+            picks in prop::collection::vec(0usize..FRAGMENTS.len(), 0..40),
+        ) {
+            let src: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            oracle::assert_lexes_alike(&src);
+        }
+    }
+
+    #[test]
+    fn every_fragment_alone_lexes_like_the_owning_tokenizer() {
+        for fragment in FRAGMENTS {
+            oracle::assert_lexes_alike(fragment);
+        }
     }
 }

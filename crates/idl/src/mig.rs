@@ -71,7 +71,7 @@ fn parse_impl(name: &str, src: &str, mut annots: Option<&mut PdlFile>) -> Result
     let mut ops = Vec::new();
     let mut next_id = base as u32;
     while !ts.at_eof() {
-        let mut op_attrs = if annots.is_some() && *ts.peek() == Tok::Punct('[') {
+        let mut op_attrs = if annots.is_some() && ts.peek() == Tok::Punct('[') {
             crate::pdl::parse_attr_block(&mut ts)?
         } else {
             Vec::new()
@@ -113,7 +113,7 @@ fn parse_impl(name: &str, src: &str, mut annots: Option<&mut PdlFile>) -> Result
         }
     }
     module.interfaces.push(Interface {
-        name: sub_name,
+        name: sub_name.to_owned(),
         program: Some(base as u32),
         version: None,
         ops,
@@ -123,15 +123,15 @@ fn parse_impl(name: &str, src: &str, mut annots: Option<&mut PdlFile>) -> Result
     Ok(module)
 }
 
-fn parse_typedef(ts: &mut TokStream) -> Result<TypeDef> {
+fn parse_typedef(ts: &mut TokStream<'_>) -> Result<TypeDef> {
     let name = ts.expect_ident("type name")?;
     ts.expect_punct('=')?;
     let ty = parse_type(ts)?;
     ts.expect_punct(';')?;
-    Ok(TypeDef { name, body: TypeBody::Alias(ty) })
+    Ok(TypeDef { name: name.to_owned(), body: TypeBody::Alias(ty) })
 }
 
-fn parse_type(ts: &mut TokStream) -> Result<Type> {
+fn parse_type(ts: &mut TokStream<'_>) -> Result<Type> {
     if ts.eat_kw("int") {
         return Ok(Type::I32);
     }
@@ -174,10 +174,10 @@ fn parse_type(ts: &mut TokStream) -> Result<Type> {
         });
     }
     let name = ts.expect_ident("type name")?;
-    Ok(Type::Named(name))
+    Ok(Type::Named(name.to_owned()))
 }
 
-fn parse_routine(ts: &mut TokStream, opnum: u32) -> Result<Operation> {
+fn parse_routine(ts: &mut TokStream<'_>, opnum: u32) -> Result<Operation> {
     let name = ts.expect_ident("routine name")?;
     ts.expect_punct('(')?;
     let mut params = Vec::new();
@@ -200,7 +200,7 @@ fn parse_routine(ts: &mut TokStream, opnum: u32) -> Result<Operation> {
             let is_request_port = first && dir == ParamDir::In && ty == Type::ObjRef;
             first = false;
             if !is_request_port {
-                params.push(Param { name: pname, dir, ty });
+                params.push(Param::new(pname, dir, ty));
             }
             if ts.eat_punct(')') {
                 break;
@@ -213,7 +213,7 @@ fn parse_routine(ts: &mut TokStream, opnum: u32) -> Result<Operation> {
         }
     }
     ts.expect_punct(';')?;
-    Ok(Operation { name, opnum: Some(opnum), params, ret: Type::Void })
+    Ok(Operation { name: name.to_owned(), opnum: Some(opnum), params, ret: Type::Void })
 }
 
 #[cfg(test)]
@@ -361,6 +361,35 @@ mod tests {
         let err = parse("bad", "subsystem x 1;\nfrobnicate;").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.msg.contains("frobnicate") || err.msg.contains("expected"));
+    }
+
+    #[test]
+    fn diagnostics_point_at_the_offending_token() {
+        let at = |src: &str| {
+            let e = parse("bad", src).unwrap_err();
+            (e.line, e.col, e.msg)
+        };
+        let (line, col, msg) = at("subsystem s;");
+        assert_eq!((line, col), (1, 12), "{msg}");
+        assert!(msg.contains("expected number, found `;`"), "{msg}");
+        let (line, col, msg) = at("subsystem s 1;\nroutine r(x int);");
+        assert_eq!((line, col), (2, 13), "{msg}");
+        assert!(msg.contains("expected `:`, found `int`"), "{msg}");
+        // The offending token is the last one before end of input.
+        let (line, col, msg) = at("subsystem s 1;\nroutine r(x: int) }");
+        assert_eq!((line, col), (2, 19), "{msg}");
+        assert!(msg.contains("expected `;`, found `}`"), "{msg}");
+    }
+
+    #[test]
+    fn fixtures_lex_like_the_owning_tokenizer() {
+        for src in [
+            PIPE_DEFS,
+            "subsystem s 1;\n[stream(16)] routine w(server : mach_port_t; data : buffer_t);",
+            "subsystem x 1;\nfrobnicate;",
+        ] {
+            crate::lex::oracle::assert_lexes_alike(src);
+        }
     }
 
     #[test]

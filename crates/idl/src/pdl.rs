@@ -48,8 +48,8 @@ pub fn parse(src: &str) -> Result<PdlFile> {
     while !ts.at_eof() {
         if ts.eat_kw("interface") {
             let name = ts.expect_ident("interface name")?;
-            file.interface = Some(name);
-            if *ts.peek() == Tok::Punct('[') {
+            file.interface = Some(name.to_owned());
+            if ts.peek() == Tok::Punct('[') {
                 file.iface_attrs.extend(parse_attr_block(&mut ts)?);
             }
             ts.expect_punct(';')?;
@@ -71,7 +71,7 @@ pub fn parse(src: &str) -> Result<PdlFile> {
 /// bracketed presentation attributes (`.x`, CORBA IDL, and MIG `.defs`
 /// annotated variants reuse it, so all four grammars spell attributes —
 /// and report attribute errors — identically).
-pub(crate) fn parse_attr_block(ts: &mut TokStream) -> Result<Vec<Attr>> {
+pub(crate) fn parse_attr_block(ts: &mut TokStream<'_>) -> Result<Vec<Attr>> {
     ts.expect_punct('[')?;
     let mut attrs = Vec::new();
     loop {
@@ -86,46 +86,43 @@ pub(crate) fn parse_attr_block(ts: &mut TokStream) -> Result<Vec<Attr>> {
 
 /// An attribute argument: identifiers (`alloc(caller)`) or numbers
 /// (`stream(64)`).
-enum AttrArg {
-    Ident(String),
+enum AttrArg<'src> {
+    Ident(&'src str),
     Num(u64),
 }
 
-impl AttrArg {
+impl AttrArg<'_> {
     fn describe(&self) -> String {
         match self {
-            AttrArg::Ident(s) => s.clone(),
+            AttrArg::Ident(s) => (*s).to_owned(),
             AttrArg::Num(n) => n.to_string(),
         }
     }
 }
 
-fn parse_attr(ts: &mut TokStream) -> Result<Attr> {
+fn parse_attr(ts: &mut TokStream<'_>) -> Result<Attr> {
     // The attribute name's own position anchors attribute-shape
     // diagnostics (by the time the error is detected the cursor sits past
     // the closing bracket).
     let (line, col) = ts.pos();
     let name = ts.expect_ident("attribute name")?;
     let arg = if ts.eat_punct('(') {
-        let a = match ts.next() {
+        let a = match ts.peek() {
             Tok::Ident(s) => AttrArg::Ident(s),
             Tok::Num(n) => AttrArg::Num(n),
-            other => {
-                return Err(
-                    ts.error(format!("expected attribute argument, found {}", other.describe()))
-                )
-            }
+            _ => return Err(ts.expected("attribute argument")),
         };
+        ts.next();
         ts.expect_punct(')')?;
         Some(a)
     } else {
         None
     };
-    let ident_arg = match &arg {
-        Some(AttrArg::Ident(s)) => Some(s.as_str()),
+    let ident_arg = match arg {
+        Some(AttrArg::Ident(s)) => Some(s),
         _ => None,
     };
-    match (name.as_str(), ident_arg) {
+    match (name, ident_arg) {
         ("special", None) if arg.is_none() => return Ok(Attr::Special),
         ("length_is", Some(p)) => return Ok(Attr::LengthIs(p.to_owned())),
         ("dealloc", Some("never")) => return Ok(Attr::DeallocNever),
@@ -181,16 +178,16 @@ fn parse_attr(ts: &mut TokStream) -> Result<Attr> {
 }
 
 /// Parses one C-prototype-style operation re-declaration.
-fn parse_op_decl(ts: &mut TokStream) -> Result<OpAnnot> {
+fn parse_op_decl(ts: &mut TokStream<'_>) -> Result<OpAnnot> {
     let mut annot = OpAnnot::default();
     // Leading attribute block: operation-level.
-    if *ts.peek() == Tok::Punct('[') {
+    if ts.peek() == Tok::Punct('[') {
         annot.op_attrs = parse_attr_block(ts)?;
     }
     // Return-type tokens up to the op name (the identifier right before
     // `(`). An attribute block here annotates the result.
     let mut result_attrs: Vec<Attr> = Vec::new();
-    let mut pending_ident: Option<String> = None;
+    let mut pending_ident: Option<&str> = None;
     loop {
         match ts.peek() {
             Tok::Punct('(') => break,
@@ -212,7 +209,7 @@ fn parse_op_decl(ts: &mut TokStream) -> Result<OpAnnot> {
     }
     let op_name =
         pending_ident.ok_or_else(|| ts.error("operation re-declaration is missing a name"))?;
-    annot.op = op_name;
+    annot.op = op_name.to_owned();
     if !result_attrs.is_empty() {
         annot.params.push(ParamAnnot { param: "return".into(), attrs: result_attrs });
     }
@@ -235,9 +232,9 @@ fn parse_op_decl(ts: &mut TokStream) -> Result<OpAnnot> {
 /// Parses one argument of a re-declaration. Returns `None` for positional
 /// skips (empty arguments) and for unannotated declarators, which exist only
 /// to make the re-declared prototype readable.
-fn parse_arg(ts: &mut TokStream) -> Result<Option<ParamAnnot>> {
+fn parse_arg(ts: &mut TokStream<'_>) -> Result<Option<ParamAnnot>> {
     let mut attrs = Vec::new();
-    let mut last_ident: Option<String> = None;
+    let mut last_ident: Option<&str> = None;
     loop {
         match ts.peek() {
             Tok::Punct(',') | Tok::Punct(')') => break,
@@ -260,13 +257,13 @@ fn parse_arg(ts: &mut TokStream) -> Result<Option<ParamAnnot>> {
         (None, true) => Ok(None), // Positional skip (`,,`).
         (None, false) => Err(ts.error("attributes on an argument with no name")),
         (Some(_), true) => Ok(None), // Unannotated declarator: prototype sugar.
-        (Some(name), false) => Ok(Some(ParamAnnot { param: name, attrs })),
+        (Some(name), false) => Ok(Some(ParamAnnot { param: name.to_owned(), attrs })),
     }
 }
 
 /// Parses the Figure-5 `typedef struct { ... } NAME;` form, collecting field
 /// attributes into one type-level annotation.
-fn parse_typedef_annot(ts: &mut TokStream) -> Result<TypeAnnot> {
+fn parse_typedef_annot(ts: &mut TokStream<'_>) -> Result<TypeAnnot> {
     ts.expect_kw("struct")?;
     ts.expect_punct('{')?;
     let mut attrs = Vec::new();
@@ -297,7 +294,7 @@ fn parse_typedef_annot(ts: &mut TokStream) -> Result<TypeAnnot> {
             "typedef re-declaration of `{name}` carries no presentation attributes"
         )));
     }
-    Ok(TypeAnnot { ty: type_from_c_name(&name), attrs })
+    Ok(TypeAnnot { ty: type_from_c_name(name), attrs })
 }
 
 /// Recovers the IDL type a C presentation name refers to. The
@@ -487,6 +484,46 @@ mod tests {
         assert!(err.msg.contains("oneway(3)"), "{}", err.msg);
         let err = parse("[special(7)] void f(char *x);").unwrap_err();
         assert!(err.msg.contains("special(7)"), "{}", err.msg);
+    }
+
+    #[test]
+    fn diagnostics_point_at_the_offending_token() {
+        let at = |src: &str| {
+            let e = parse(src).unwrap_err();
+            (e.line, e.col, e.msg)
+        };
+        // An attribute block that never closes: the stray declarator.
+        let (line, col, msg) = at("void f(char *[trashable x);");
+        assert_eq!((line, col), (1, 25), "{msg}");
+        assert!(msg.contains("expected `,`, found `x`"), "{msg}");
+        // A missing attribute argument is reported at what stands there.
+        let (line, col, msg) = at("[dealloc()] void f(char *x);");
+        assert_eq!((line, col), (1, 10), "{msg}");
+        assert!(msg.contains("expected attribute argument, found `)`"), "{msg}");
+        let (line, col, msg) = at("interface\n  7;");
+        assert_eq!((line, col), (2, 3), "{msg}");
+        assert!(msg.contains("expected interface name, found number 7"), "{msg}");
+        // The offending token is the last one before end of input.
+        let (line, col, msg) = at("void f(char *x) }");
+        assert_eq!((line, col), (1, 17), "{msg}");
+        assert!(msg.contains("expected `;`, found `}`"), "{msg}");
+    }
+
+    #[test]
+    fn fixtures_lex_like_the_owning_tokenizer() {
+        for src in [
+            "[comm_status] sequence<octet> FileIO_read(unsigned long count);",
+            "[idempotent] sequence<octet> FileIO_read(unsigned long count);",
+            "[comm_status] int nfsproc_read(, nfs_fh *file,\n  unsigned offset, unsigned count, unsigned totalcount,\n  [special] user_data *data, fattr *attributes, nfsstat *status);",
+            "typedef struct {\n  unsigned long _maximum;\n  unsigned long _length;\n  [dealloc(never)] char *_buffer;\n} CORBA_SEQUENCE_char;",
+            "SysLog_write_msg(,, char *[length_is(length)] msg, int length);",
+            "interface FileIO [leaky, unprotected];",
+            "type sequence<octet> [dealloc(never), borrowed];",
+            "[stream(0x20)] void File_write(char *data);",
+            "// trust the unix server\ninterface Proc [leaky]; /* that's all */",
+        ] {
+            crate::lex::oracle::assert_lexes_alike(src);
+        }
     }
 
     #[test]

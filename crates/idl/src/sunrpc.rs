@@ -55,22 +55,22 @@ fn parse_impl(name: &str, src: &str, annots: Option<&mut PdlFile>) -> Result<Mod
     Ok(module)
 }
 
-struct Parser<'a> {
+struct Parser<'a, 'src> {
     /// `const` values and enumerators, for array bounds and case labels.
-    consts: HashMap<String, u64>,
+    consts: HashMap<&'src str, u64>,
     /// Where procedure attribute blocks land in annotated mode; `None`
     /// keeps the classic grammar, which rejects them.
     annots: Option<&'a mut PdlFile>,
 }
 
 /// An XDR declaration: a type specifier applied through a declarator.
-struct Decl {
-    name: Option<String>,
+struct Decl<'src> {
+    name: Option<&'src str>,
     ty: Type,
 }
 
-impl Parser<'_> {
-    fn parse_definition(&mut self, ts: &mut TokStream, module: &mut Module) -> Result<()> {
+impl<'src> Parser<'_, 'src> {
+    fn parse_definition(&mut self, ts: &mut TokStream<'src>, module: &mut Module) -> Result<()> {
         if ts.eat_kw("const") {
             let name = ts.expect_ident("constant name")?;
             ts.expect_punct('=')?;
@@ -81,7 +81,7 @@ impl Parser<'_> {
             let decl = self.parse_declaration(ts)?;
             ts.expect_punct(';')?;
             let name = decl.name.ok_or_else(|| ts.error("typedef requires a name"))?;
-            module.typedefs.push(TypeDef { name, body: TypeBody::Alias(decl.ty) });
+            module.typedefs.push(TypeDef { name: name.to_owned(), body: TypeBody::Alias(decl.ty) });
         } else if ts.eat_kw("struct") {
             let td = self.parse_struct(ts)?;
             module.typedefs.push(td);
@@ -102,7 +102,7 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn parse_struct(&mut self, ts: &mut TokStream) -> Result<TypeDef> {
+    fn parse_struct(&mut self, ts: &mut TokStream<'src>) -> Result<TypeDef> {
         let name = ts.expect_ident("struct name")?;
         ts.expect_punct('{')?;
         let mut fields = Vec::new();
@@ -110,21 +110,21 @@ impl Parser<'_> {
             let decl = self.parse_declaration(ts)?;
             ts.expect_punct(';')?;
             let fname = decl.name.ok_or_else(|| ts.error("struct field requires a name"))?;
-            fields.push(Field { name: fname, ty: decl.ty });
+            fields.push(Field { name: fname.to_owned(), ty: decl.ty });
         }
         ts.expect_punct(';')?;
-        Ok(TypeDef { name, body: TypeBody::Struct(fields) })
+        Ok(TypeDef { name: name.to_owned(), body: TypeBody::Struct(fields) })
     }
 
-    fn parse_enum(&mut self, ts: &mut TokStream) -> Result<TypeDef> {
+    fn parse_enum(&mut self, ts: &mut TokStream<'src>) -> Result<TypeDef> {
         let name = ts.expect_ident("enum name")?;
         ts.expect_punct('{')?;
         let mut items = Vec::new();
         loop {
             let item = ts.expect_ident("enumerator")?;
             let value = if ts.eat_punct('=') { ts.expect_num()? } else { items.len() as u64 };
-            self.consts.insert(item.clone(), value);
-            items.push(item);
+            self.consts.insert(item, value);
+            items.push(item.to_owned());
             if ts.eat_punct('}') {
                 break;
             }
@@ -134,10 +134,10 @@ impl Parser<'_> {
             }
         }
         ts.expect_punct(';')?;
-        Ok(TypeDef { name, body: TypeBody::Enum(items) })
+        Ok(TypeDef { name: name.to_owned(), body: TypeBody::Enum(items) })
     }
 
-    fn parse_union(&mut self, ts: &mut TokStream) -> Result<TypeDef> {
+    fn parse_union(&mut self, ts: &mut TokStream<'src>) -> Result<TypeDef> {
         let name = ts.expect_ident("union name")?;
         ts.expect_kw("switch")?;
         ts.expect_punct('(')?;
@@ -152,7 +152,7 @@ impl Parser<'_> {
                 ts.expect_punct(':')?;
                 let decl = self.parse_declaration(ts)?;
                 ts.expect_punct(';')?;
-                let fname = decl.name.unwrap_or_else(|| format!("arm{case}"));
+                let fname = decl.name.map_or_else(|| format!("arm{case}"), str::to_owned);
                 arms.push(UnionArm {
                     case: case as u32,
                     field: Field { name: fname, ty: decl.ty },
@@ -161,10 +161,8 @@ impl Parser<'_> {
                 ts.expect_punct(':')?;
                 let decl = self.parse_declaration(ts)?;
                 ts.expect_punct(';')?;
-                default = Some(Field {
-                    name: decl.name.unwrap_or_else(|| "default".into()),
-                    ty: decl.ty,
-                });
+                default =
+                    Some(Field { name: decl.name.unwrap_or("default").to_owned(), ty: decl.ty });
             } else {
                 return Err(ts.error(format!(
                     "expected `case` or `default`, found {}",
@@ -173,10 +171,10 @@ impl Parser<'_> {
             }
         }
         ts.expect_punct(';')?;
-        Ok(TypeDef { name, body: TypeBody::Union { arms, default } })
+        Ok(TypeDef { name: name.to_owned(), body: TypeBody::Union { arms, default } })
     }
 
-    fn parse_program(&mut self, ts: &mut TokStream, module: &mut Module) -> Result<()> {
+    fn parse_program(&mut self, ts: &mut TokStream<'src>, module: &mut Module) -> Result<()> {
         let _prog_name = ts.expect_ident("program name")?;
         ts.expect_punct('{')?;
         let mut versions = Vec::new();
@@ -198,7 +196,7 @@ impl Parser<'_> {
         ts.expect_punct(';')?;
         for (vname, vnum, ops) in versions {
             module.interfaces.push(Interface {
-                name: vname,
+                name: vname.to_owned(),
                 program: Some(prognum as u32),
                 version: Some(vnum as u32),
                 ops,
@@ -207,10 +205,10 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn parse_proc(&mut self, ts: &mut TokStream) -> Result<Operation> {
+    fn parse_proc(&mut self, ts: &mut TokStream<'src>) -> Result<Operation> {
         // Annotated mode: a bracketed attribute block before the procedure
         // (shared grammar and diagnostics with the PDL front-end).
-        let op_attrs = if self.annots.is_some() && *ts.peek() == Tok::Punct('[') {
+        let op_attrs = if self.annots.is_some() && ts.peek() == Tok::Punct('[') {
             crate::pdl::parse_attr_block(ts)?
         } else {
             Vec::new()
@@ -230,7 +228,7 @@ impl Parser<'_> {
                     let dir = if ts.eat_kw("out") { ParamDir::Out } else { ParamDir::In };
                     let decl = self.parse_declaration(ts)?;
                     params.push(Param {
-                        name: decl.name.unwrap_or_else(|| format!("arg{i}")),
+                        name: decl.name.map_or_else(|| format!("arg{i}"), str::to_owned),
                         dir,
                         ty: decl.ty,
                     });
@@ -247,15 +245,15 @@ impl Parser<'_> {
         ts.expect_punct(';')?;
         if !op_attrs.is_empty() {
             if let Some(pdl) = self.annots.as_deref_mut() {
-                pdl.ops.push(OpAnnot { op: name.clone(), op_attrs, params: vec![] });
+                pdl.ops.push(OpAnnot { op: name.to_owned(), op_attrs, params: vec![] });
             }
         }
-        Ok(Operation { name, opnum: Some(opnum as u32), params, ret })
+        Ok(Operation { name: name.to_owned(), opnum: Some(opnum as u32), params, ret })
     }
 
     /// Parses `type-specifier declarator?` — the XDR declaration form where
     /// the declarator can turn the base type into arrays/sequences.
-    fn parse_declaration(&mut self, ts: &mut TokStream) -> Result<Decl> {
+    fn parse_declaration(&mut self, ts: &mut TokStream<'src>) -> Result<Decl<'src>> {
         // `opaque` and `string` only exist with a declarator.
         if ts.eat_kw("opaque") {
             let name = ts.expect_ident("declarator name")?;
@@ -291,27 +289,24 @@ impl Parser<'_> {
             Tok::Ident(_) => Some(ts.expect_ident("declarator name")?),
             _ => None,
         };
-        if let Some(n) = &name {
+        if name.is_some() {
             if ts.eat_punct('[') {
                 let v = self.parse_value(ts)?;
                 ts.expect_punct(']')?;
-                return Ok(Decl {
-                    name: Some(n.clone()),
-                    ty: Type::Array(Box::new(base), v as u32),
-                });
+                return Ok(Decl { name, ty: Type::Array(Box::new(base), v as u32) });
             }
             if ts.eat_punct('<') {
                 if !ts.eat_punct('>') {
                     let _max = self.parse_value(ts)?;
                     ts.expect_punct('>')?;
                 }
-                return Ok(Decl { name: Some(n.clone()), ty: Type::Sequence(Box::new(base)) });
+                return Ok(Decl { name, ty: Type::Sequence(Box::new(base)) });
             }
         }
         Ok(Decl { name, ty: base })
     }
 
-    fn parse_type_specifier(&mut self, ts: &mut TokStream) -> Result<Type> {
+    fn parse_type_specifier(&mut self, ts: &mut TokStream<'src>) -> Result<Type> {
         if ts.eat_kw("void") {
             return Ok(Type::Void);
         }
@@ -338,20 +333,21 @@ impl Parser<'_> {
             return Ok(Type::U32);
         }
         let name = ts.expect_ident("type name")?;
-        Ok(Type::Named(name))
+        Ok(Type::Named(name.to_owned()))
     }
 
     /// A numeric value: literal, constant, or enumerator.
-    fn parse_value(&mut self, ts: &mut TokStream) -> Result<u64> {
-        match ts.next() {
-            Tok::Num(n) => Ok(n),
-            Tok::Ident(name) => self
+    fn parse_value(&mut self, ts: &mut TokStream<'src>) -> Result<u64> {
+        let value = match ts.peek() {
+            Tok::Num(n) => n,
+            Tok::Ident(name) => *self
                 .consts
-                .get(&name)
-                .copied()
-                .ok_or_else(|| ts.error(format!("unknown constant `{name}`"))),
-            other => Err(ts.error(format!("expected value, found {}", other.describe()))),
-        }
+                .get(name)
+                .ok_or_else(|| ts.error(format!("unknown constant `{name}`")))?,
+            _ => return Err(ts.expected("value")),
+        };
+        ts.next();
+        Ok(value)
     }
 }
 
@@ -491,6 +487,41 @@ mod tests {
     fn unknown_constant_reported() {
         let err = parse("bad", "typedef opaque x[NOPE];").unwrap_err();
         assert!(err.msg.contains("NOPE"));
+    }
+
+    #[test]
+    fn diagnostics_point_at_the_offending_token() {
+        let at = |src: &str| {
+            let e = parse("bad", src).unwrap_err();
+            (e.line, e.col, e.msg)
+        };
+        let (line, col, msg) = at("const X = ;");
+        assert_eq!((line, col), (1, 11), "{msg}");
+        assert!(msg.contains("expected number, found `;`"), "{msg}");
+        let (line, col, msg) = at("const X 3;");
+        assert_eq!((line, col), (1, 9), "{msg}");
+        assert!(msg.contains("expected `=`, found number 3"), "{msg}");
+        // An unknown constant is reported at the constant.
+        let (line, col, msg) = at("const N = 4;\ntypedef opaque x[NOPE];");
+        assert_eq!((line, col), (2, 18), "{msg}");
+        assert!(msg.contains("unknown constant `NOPE`"), "{msg}");
+        // The offending token is the last one before end of input.
+        let (line, col, msg) = at("const X = 3 }");
+        assert_eq!((line, col), (1, 13), "{msg}");
+        assert!(msg.contains("expected `;`, found `}`"), "{msg}");
+    }
+
+    #[test]
+    fn fixtures_lex_like_the_owning_tokenizer() {
+        for src in [
+            NFS_X,
+            "#define X 1\n%#include <nfs.h>\nconst Y = 2;",
+            "program P { version V { void NULLPROC(void) = 0; } = 1; } = 0x20000001;",
+            "program P { version V { [stream(64), idempotent] void W(opaque d<>) = 1; } = 1; } = 1;",
+            "struct entry {\n    unsigned int id;\n    int *next;\n};",
+        ] {
+            crate::lex::oracle::assert_lexes_alike(src);
+        }
     }
 
     #[test]

@@ -176,21 +176,21 @@ fn reserve_for(hint: &SizeHint, slots: &[Value], w: &mut AnyWriter) {
 fn put_block(blk: &ScalarBlock, slots: &[Value], w: &mut AnyWriter) -> Result<()> {
     // A one-field block (a scalar merged behind a variable-size head) has
     // no bulk work to batch — the writer's native primitive is the layout.
-    if let [f] = blk.fields.as_slice() {
+    if let [f] = blk.fields() {
         return put_one_scalar(f, slots, w);
     }
     let (layout, big, bool_word, dst) = match w {
         AnyWriter::Xdr(xw) => {
-            let layout = &blk.packed;
+            let layout = blk.packed();
             (layout, true, true, xw.append_block(layout.len as usize, layout.data_len as usize))
         }
         AnyWriter::Cdr(cw) => {
-            let layout = &blk.aligned[cw.position() % 8];
+            let layout = blk.aligned(cw.position());
             let big = cw.order() == ByteOrder::Big;
             (layout, big, false, cw.append_block(layout.len as usize, layout.data_len as usize))
         }
     };
-    for (f, &off) in blk.fields.iter().zip(&layout.offsets) {
+    for (f, &off) in blk.fields().iter().zip(layout.offsets) {
         let off = off as usize;
         macro_rules! store {
             ($x:expr) => {{
@@ -383,7 +383,7 @@ fn exec_get(
 fn get_block(blk: &ScalarBlock, slots: &mut [Value], r: &mut AnyReader<'_>) -> Result<()> {
     // One-field blocks decode through the reader's native primitive (same
     // bytes, same error behavior, no layout detour).
-    if let [f] = blk.fields.as_slice() {
+    if let [f] = blk.fields() {
         slots[f.slot.0] = match f.kind {
             ScalarKind::U32 => Value::U32(r.get_u32()?),
             ScalarKind::I32 => Value::I32(r.get_i32()?),
@@ -396,16 +396,16 @@ fn get_block(blk: &ScalarBlock, slots: &mut [Value], r: &mut AnyReader<'_>) -> R
     }
     let (layout, big, bool_word, src) = match r {
         AnyReader::Xdr(xr) => {
-            let layout = &blk.packed;
+            let layout = blk.packed();
             (layout, true, true, xr.take_block(layout.len as usize)?)
         }
         AnyReader::Cdr(cr) => {
-            let layout = &blk.aligned[cr.position() % 8];
+            let layout = blk.aligned(cr.position());
             let big = cr.order() == ByteOrder::Big;
             (layout, big, false, cr.take_block(layout.len as usize)?)
         }
     };
-    for (f, &off) in blk.fields.iter().zip(&layout.offsets) {
+    for (f, &off) in blk.fields().iter().zip(layout.offsets) {
         let off = off as usize;
         macro_rules! load {
             ($ty:ty, $n:expr) => {{

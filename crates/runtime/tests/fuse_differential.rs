@@ -4,9 +4,11 @@
 //! indistinguishable from the threaded one on both wire formats: marshal
 //! produces byte-identical messages, and unmarshal produces value-identical
 //! frames — including when the destination frame is dirty, which exercises
-//! the fused path's buffer-reuse refill of `GetBytesOwned` slots.
+//! the fused path's buffer-reuse refill of `GetBytesOwned` slots. Blocks of
+//! two or more scalars — the ones that run through a precomputed layout —
+//! are started at every CDR alignment phase in turn.
 
-use flexrpc_core::fuse::SpecializeOptions;
+use flexrpc_core::fuse::{FOp, SpecializeOptions};
 use flexrpc_core::program::{MOp, Slot, StubProgram};
 use flexrpc_core::value::Value;
 use flexrpc_marshal::WireFormat;
@@ -130,6 +132,48 @@ proptest! {
             unmarshal_with(&fused_get, &mut fused_frame, &fused_bytes, format);
             prop_assert_eq!(&plain_frame, &fused_frame, "unmarshal differs on {:?}", format);
             prop_assert_eq!(&fused_frame, &slots, "roundtrip loses values on {:?}", format);
+        }
+    }
+
+    /// A fused block of two or more scalars reads its aligned layout by
+    /// the phase it starts at. A payload head of 0..=7 bytes puts the same
+    /// block at each of the eight phases; at every one the fused program
+    /// is wire- and value-identical to the threaded one.
+    #[test]
+    fn fused_blocks_start_at_every_cdr_phase(fields in prop::collection::vec(field(), 2..12)) {
+        let scalars: Vec<Field> = fields
+            .into_iter()
+            .filter(|f| !matches!(f, Field::Str(_) | Field::Bytes(_)))
+            .collect();
+        prop_assume!(scalars.len() >= 2);
+        for phase in 0..8usize {
+            let mut fields = vec![Field::Bytes(vec![0xA5; phase])];
+            fields.extend(scalars.iter().cloned());
+            let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
+            let (plain_put, plain_get) = programs(&fields, SpecializeOptions::none());
+            let (fused_put, fused_get) = programs(&fields, SpecializeOptions::default());
+
+            // The whole program is one dispatch — the head and one block of
+            // every scalar — and the block starts where the head ends.
+            let fused = fused_put.fused.as_ref().expect("specialized");
+            prop_assert!(matches!(fused.fops[..], [FOp::Fused { head: Some(_), block: 0 }]));
+            prop_assert_eq!(fused.blocks[0].fields().len(), scalars.len());
+            let (head_only, _) = programs(&fields[..1], SpecializeOptions::none());
+            let head_end = marshal_with(&head_only, &slots[..1], WireFormat::Cdr).len();
+            prop_assert_eq!(head_end % 8, phase, "block starts at CDR phase {}", phase);
+
+            for format in [WireFormat::Xdr, WireFormat::Cdr] {
+                let plain_bytes = marshal_with(&plain_put, &slots, format);
+                let fused_bytes = marshal_with(&fused_put, &slots, format);
+                prop_assert_eq!(&plain_bytes, &fused_bytes, "phase {} on {:?}", phase, format);
+
+                let mut plain_frame = vec![Value::Null; fields.len()];
+                let mut fused_frame = vec![Value::Null; fields.len()];
+                unmarshal_with(&plain_get, &mut plain_frame, &plain_bytes, format);
+                unmarshal_with(&fused_get, &mut fused_frame, &fused_bytes, format);
+                prop_assert_eq!(&plain_frame, &fused_frame, "phase {} on {:?}", phase, format);
+                prop_assert_eq!(&fused_frame, &slots, "phase {} on {:?}", phase, format);
+            }
         }
     }
 

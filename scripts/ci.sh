@@ -18,13 +18,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test ==" >&2
 cargo test -q --workspace
 
-# The allocation audits again (the engine's includes the warm queued round
-# trip: zero allocations on the submitting thread), in the profile the
-# benchmark counts `allocs_per_op` in: inlining and elided temporaries
-# differ from debug, so a budget that holds there proves nothing here.
+# The allocation audits again (the engine's include the warm queued round
+# trip — zero allocations on the submitting thread — and the bind path:
+# a warm establish or rebind allocates nothing, text to compiled program
+# exactly what it keeps), in the profile the benchmark counts
+# `allocs_per_op` in: inlining and elided temporaries differ from debug,
+# so a budget that holds there proves nothing here.
 echo "== allocation audits (release) ==" >&2
 cargo test -q --release -p flexrpc-runtime --test zero_alloc
-cargo test -q --release -p flexrpc-engine --test zero_alloc_wait
+cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_alloc
 
 # Which submit meets which parked worker, and who drops the last engine
 # handle, is timing: the wake-liveness stress and the self-join regression

@@ -345,3 +345,67 @@ fn supervisor_rebind_carries_session_and_tenant() {
     assert_eq!(executions.load(Ordering::SeqCst), before + 1);
     engine.shutdown();
 }
+
+/// Incompatible contracts fail at bind, not at call: a client presentation
+/// naming an operation the service does not have is refused by `establish`
+/// and by `rebind` as a contract violation — and the refused rebind leaves
+/// the old binding serving.
+#[test]
+fn a_client_naming_an_unknown_operation_is_refused_at_bind() {
+    let plane = ControlPlane::new();
+    let gate = Arc::new(Gate::default());
+    gate.open();
+    let executions = Arc::new(AtomicU64::new(0));
+    let engine = plugged_engine(&plane, &gate, &executions);
+
+    let mut stray = presentation(Trust::None);
+    stray.ops.insert("reset".into(), Default::default());
+
+    let err = engine.connect("counter").client_presentation(&stray).establish();
+    let Err(err) = err else { panic!("an unknown operation must not bind") };
+    assert!(matches!(err, EngineError::ShapeMismatch(_)), "{err:?}");
+    assert!(err.to_string().contains("`reset`"), "names the operation: {err}");
+    assert_eq!(Error::from(err).kind(), ErrorKind::ContractViolation);
+    assert_eq!(engine.stats().connections, 0, "nothing was established");
+
+    let conn = engine.connect("counter").tenant(TENANT).establish().expect("connects");
+    let program = conn.program();
+    let err = conn.rebind(&stray);
+    assert!(matches!(err, Err(EngineError::ShapeMismatch(_))), "{err:?}");
+    assert!(Arc::ptr_eq(&program, &conn.program()), "old binding still in force");
+    assert_eq!(engine.rebind_count(), 0, "a refused rebind is not counted");
+    let reply = conn.submit(0, &add_request(5), &[]).expect("admitted").wait();
+    assert!(reply.is_ok(), "the connection keeps serving: {reply:?}");
+    engine.shutdown();
+}
+
+/// Every operation the service has carries a negotiated shape, whether the
+/// client declared a presentation (one it does not list keeps the server's
+/// shape) or accepted the server's outright; a name the service lacks has
+/// none.
+#[test]
+fn every_server_operation_has_a_negotiated_shape_in_both_modes() {
+    use flexrpc::core::present::CallShape;
+    let plane = ControlPlane::new();
+    let gate = Arc::new(Gate::default());
+    gate.open();
+    let executions = Arc::new(AtomicU64::new(0));
+    let engine = plugged_engine(&plane, &gate, &executions);
+
+    // A client presentation that lists no operations at all.
+    let mut silent = presentation(Trust::Leaky);
+    silent.ops.clear();
+
+    let accepted = engine.connect("counter").establish().expect("connects");
+    assert_eq!(accepted.negotiated_shape("add"), Some(CallShape::Unary));
+    assert_eq!(accepted.negotiated_shape("reset"), None);
+
+    let declared = engine.connect("counter").client_presentation(&silent).establish();
+    let declared = declared.expect("connects");
+    assert_eq!(declared.negotiated_shape("add"), Some(CallShape::Unary));
+    assert_eq!(declared.negotiated_shape("reset"), None);
+
+    accepted.rebind(&silent).expect("rebinds");
+    assert_eq!(accepted.negotiated_shape("add"), Some(CallShape::Unary));
+    engine.shutdown();
+}
