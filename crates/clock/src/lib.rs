@@ -35,6 +35,7 @@ impl SimClock {
     }
 
     /// Current virtual time in nanoseconds.
+    #[inline]
     pub fn now_ns(&self) -> u64 {
         self.ns.load(Ordering::SeqCst)
     }
@@ -50,6 +51,7 @@ impl SimClock {
     }
 
     /// True if an absolute deadline (in sim-ns) has passed.
+    #[inline]
     pub fn expired(&self, deadline_ns: u64) -> bool {
         self.now_ns() > deadline_ns
     }

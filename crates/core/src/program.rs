@@ -66,6 +66,7 @@ pub enum SlotKind {
 impl SlotKind {
     /// A default-initialized value of this kind (interpreters use this to
     /// pre-size slot arrays).
+    #[inline]
     pub fn empty_value(self) -> Value {
         match self {
             SlotKind::U32 => Value::U32(0),
@@ -105,21 +106,25 @@ pub struct SlotMap {
 
 impl SlotMap {
     /// Finds a slot by dotted name.
+    #[inline]
     pub fn slot(&self, name: &str) -> Option<Slot> {
         self.slots.iter().position(|s| s.name == name).map(Slot)
     }
 
     /// The status slot (always present, always last).
+    #[inline]
     pub fn status_slot(&self) -> Slot {
         Slot(self.slots.len() - 1)
     }
 
     /// Number of slots.
+    #[inline]
     pub fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// True if the map is empty (never, for a compiled op).
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
@@ -132,6 +137,7 @@ impl SlotMap {
     /// Resets a used frame to the freshly initialized state, keeping the
     /// array allocation (the steady-state dispatch path reuses one frame
     /// per op instead of allocating per call).
+    #[inline]
     pub fn reset_frame(&self, frame: &mut Vec<Value>) {
         if frame.len() != self.slots.len() {
             *frame = self.new_frame();
@@ -222,6 +228,7 @@ pub enum MOp {
 
 impl MOp {
     /// The slot this op reads or writes.
+    #[inline]
     pub fn slot(&self) -> Slot {
         match *self {
             MOp::PutU32(s)
@@ -266,11 +273,13 @@ pub struct StubProgram {
 
 impl StubProgram {
     /// Number of ops.
+    #[inline]
     pub fn len(&self) -> usize {
         self.ops.len()
     }
 
     /// True if the program does nothing (e.g. a null RPC's body).
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
@@ -282,6 +291,7 @@ impl StubProgram {
 
     /// Interpreter dispatches one call through this program costs: the
     /// fused op count when specialized, the raw op count otherwise.
+    #[inline]
     pub fn dispatch_count(&self) -> usize {
         self.fused.as_ref().map_or(self.ops.len(), |f| f.fops.len())
     }
@@ -348,6 +358,7 @@ pub struct CompiledOp {
 
 impl CompiledOp {
     /// The status slot.
+    #[inline]
     pub fn status_slot(&self) -> Slot {
         self.slots.status_slot()
     }
@@ -405,9 +416,15 @@ impl CompiledInterface {
         Ok(CompiledInterface { interface: iface.name.clone(), ops, signature })
     }
 
+    /// The index of the operation called `name` — the dispatch key, and
+    /// the one place an operation name is resolved.
+    pub fn op_index(&self, name: &str) -> Option<usize> {
+        self.ops.iter().position(|o| o.name == name)
+    }
+
     /// Looks up a compiled op by name.
     pub fn op(&self, name: &str) -> Option<&CompiledOp> {
-        self.ops.iter().find(|o| o.name == name)
+        self.op_index(name).map(|i| &self.ops[i])
     }
 }
 

@@ -51,6 +51,7 @@ pub enum Value {
 
 impl Value {
     /// Extracts a `u32` (accepting `U32` only).
+    #[inline]
     pub fn as_u32(&self) -> Option<u32> {
         match self {
             Value::U32(v) => Some(*v),
@@ -59,6 +60,7 @@ impl Value {
     }
 
     /// Extracts a `u64`.
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::U64(v) => Some(*v),
@@ -67,6 +69,7 @@ impl Value {
     }
 
     /// Extracts owned bytes by reference.
+    #[inline]
     pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             Value::Bytes(b) => Some(b),
@@ -75,6 +78,7 @@ impl Value {
     }
 
     /// Extracts a string slice.
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
@@ -85,6 +89,7 @@ impl Value {
     /// Resolves this value to a byte slice, using `msg` for windows.
     ///
     /// Returns `None` for non-byte-like values or out-of-range windows.
+    #[inline]
     pub fn window_of<'a>(&'a self, msg: &'a [u8]) -> Option<&'a [u8]> {
         match self {
             Value::Bytes(b) => Some(b),
@@ -96,6 +101,7 @@ impl Value {
     }
 
     /// Byte length of byte-like values (`Bytes`, `Str`, `Window`).
+    #[inline]
     pub fn byte_len(&self) -> Option<usize> {
         match self {
             Value::Bytes(b) => Some(b.len()),

@@ -1447,7 +1447,7 @@ fn negotiate_shapes(
 ) -> Result<Arc<[CallShape]>, EngineError> {
     let mut table: Vec<CallShape> = compiled.ops.iter().map(|o| o.call_shape).collect();
     for (name, op) in &client.ops {
-        let Some(ordinal) = compiled.ops.iter().position(|o| o.name == *name) else {
+        let Some(ordinal) = compiled.op_index(name) else {
             return Err(EngineError::ShapeMismatch(format!(
                 "operation `{name}`: declared by the client, unknown to service interface `{}`",
                 compiled.interface
@@ -1640,7 +1640,7 @@ impl EngineConnection {
     /// service's interface does not declare.
     pub fn negotiated_shape(&self, op: &str) -> Option<CallShape> {
         let bind = self.bind.read();
-        let ordinal = bind.pool.compiled.ops.iter().position(|o| o.name == op)?;
+        let ordinal = bind.pool.compiled.op_index(op)?;
         Some(bind.shapes[ordinal])
     }
 }

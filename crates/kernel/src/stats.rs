@@ -2,9 +2,10 @@
 //!
 //! The reproduction separates *correctness of an optimization* from *timing*:
 //! tests assert these counters (e.g. "the `dealloc(never)` presentation
-//! removed exactly one payload-sized copy per read"), while the Criterion
-//! benches measure wall-clock time. Counters are monotonically increasing
-//! atomics so they can be read concurrently with IPC activity.
+//! removed exactly one payload-sized copy per read"), `report` states them
+//! as exact rows, and wall-clock time is `benchmark/`'s (`pipe_ipc_bulk`).
+//! Counters are monotonically increasing atomics so they can be read
+//! concurrently with IPC activity.
 
 use flexrpc_trace::{Counter, MetricsRegistry};
 

@@ -14,6 +14,15 @@
 //! * **Byte accounting** ([`MsgBuf::bytes_written`]) so tests can assert the
 //!   *copy schedule* of an optimization (e.g. `dealloc(never)` removes
 //!   exactly one payload-sized copy per read) independent of timing noise.
+//!
+//! Everything here is a leaf of the stub's per-call path, and every leaf is
+//! `#[inline]`: the benchmark's profile has no LTO, so without the
+//! attribute each append is an out-of-line call from another crate, three
+//! deep under one `put_u32`. An aligned primitive (CDR's `put_u32` class)
+//! is one capacity check, pad and store in a single append
+//! (`put_aligned_4` / `put_aligned_8`), not `pad_to`'s `Vec::resize` — a
+//! `memset` call for at most seven bytes — followed by a second
+//! capacity-checked append; `bytes_written` is kept exactly as it was.
 
 use crate::error::MarshalError;
 use crate::Result;
@@ -58,16 +67,19 @@ pub struct Window {
 
 impl Window {
     /// Byte offset of the window inside the message.
+    #[inline]
     pub fn offset(&self) -> usize {
         self.offset
     }
 
     /// Length of the window in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Returns `true` for a zero-length window.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -75,71 +87,138 @@ impl Window {
 
 impl MsgBuf {
     /// Creates an empty message buffer.
+    #[inline]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Creates an empty buffer with `cap` bytes preallocated.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         MsgBuf { data: Vec::with_capacity(cap), bytes_written: 0, open_windows: 0 }
     }
 
     /// Wraps an already-encoded byte vector (e.g. one received from a
     /// transport) so it can be inspected through the same accessors.
+    #[inline]
     pub fn from_vec(data: Vec<u8>) -> Self {
         MsgBuf { data, bytes_written: 0, open_windows: 0 }
     }
 
     /// Current length of the message in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
     /// Returns `true` if no bytes have been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
     /// The encoded message so far.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data
     }
 
     /// Mutable access to the encoded bytes (used by transports that patch
     /// headers in place, e.g. record-marking lengths).
+    #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         &mut self.data
     }
 
     /// Total payload bytes appended through this buffer (padding excluded).
+    #[inline]
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
 
     /// Appends raw bytes at the tail.
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.data.extend_from_slice(bytes);
         self.bytes_written += bytes.len() as u64;
     }
 
     /// Appends `n` zero bytes (explicit padding; not counted as payload).
+    #[inline]
     pub fn put_zeros(&mut self, n: usize) {
         self.data.resize(self.data.len() + n, 0);
     }
 
     /// Pads with zeros so the current length is a multiple of `align`.
+    #[inline]
     pub fn pad_to(&mut self, align: usize) {
         let target = crate::align_up(self.data.len(), align);
         self.data.resize(target, 0);
     }
 
+    /// Appends a 4-byte primitive at 4-byte alignment as one append: see
+    /// [`MsgBuf::put_aligned_8`].
+    #[inline]
+    pub(crate) fn put_aligned_4(&mut self, bytes: [u8; 4]) {
+        let len = self.data.len();
+        let pad = crate::align_up(len, 4) - len;
+        if self.data.capacity() - len >= 8 {
+            let word = u64::from(u32::from_le_bytes(bytes)) << (8 * pad);
+            self.data.extend_from_slice(&word.to_le_bytes());
+            self.data.truncate(len + pad + 4);
+            self.bytes_written += 4;
+        } else {
+            self.put_padded(pad, bytes);
+        }
+    }
+
+    /// Appends an 8-byte primitive at 8-byte alignment as one append. The
+    /// pad (fewer than 8 zero bytes) and the value leave as the low bytes
+    /// of one double-width little-endian word — `pad` zeros, then `bytes`
+    /// in the order given — appended whole and cut back to what the field
+    /// occupies: one capacity check and one store where `pad_to` +
+    /// `put_bytes` made two checks and a `memset` call. The wide append is
+    /// taken only where the buffer already has room for all of it; a
+    /// buffer with less (a fresh one, an exactly presized one at its last
+    /// field) takes the two-step form, so the buffer grows exactly when it
+    /// always did. Padding is not payload: `bytes_written` grows by the
+    /// field alone.
+    #[inline]
+    pub(crate) fn put_aligned_8(&mut self, bytes: [u8; 8]) {
+        let len = self.data.len();
+        let pad = crate::align_up(len, 8) - len;
+        if self.data.capacity() - len >= 16 {
+            let word = u128::from(u64::from_le_bytes(bytes)) << (8 * pad);
+            self.data.extend_from_slice(&word.to_le_bytes());
+            self.data.truncate(len + pad + 8);
+            self.bytes_written += 8;
+        } else {
+            self.put_padded(pad, bytes);
+        }
+    }
+
+    /// `pad` zero bytes, then `bytes`: the aligned primitives on a buffer
+    /// too full for their wide append. Still no `memset` call — the pad is
+    /// fewer than 8 bytes, pushed one at a time — because one message
+    /// lands here on every call: CDR's order flag and one `u32` fill a
+    /// `Vec`'s smallest allocation exactly.
+    #[inline]
+    fn put_padded<const N: usize>(&mut self, pad: usize, bytes: [u8; N]) {
+        for _ in 0..pad {
+            self.data.push(0);
+        }
+        self.put_bytes(&bytes);
+    }
+
     /// Ensures capacity for at least `additional` more bytes (exact-size
     /// presize: reserve once up front instead of growing mid-marshal).
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.data.reserve(additional);
     }
 
     /// Bytes the buffer can hold without reallocating.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.data.capacity()
     }
@@ -148,6 +227,7 @@ impl MsgBuf {
     /// so a fused bulk op can write every field in place. `payload_len` is
     /// the portion counted as payload (field bytes; alignment padding
     /// excluded), matching what per-op writes would have accounted.
+    #[inline]
     pub fn append_block(&mut self, len: usize, payload_len: usize) -> &mut [u8] {
         let offset = self.data.len();
         self.data.resize(offset + len, 0);
@@ -160,6 +240,7 @@ impl MsgBuf {
     /// The window is zero-initialized so a message is never sent with
     /// uninitialized contents even if a fill is skipped (that skip is still
     /// reported as an error by [`MsgBuf::seal`]).
+    #[inline]
     pub fn reserve_window(&mut self, len: usize) -> Window {
         let offset = self.data.len();
         self.data.resize(offset + len, 0);
@@ -170,6 +251,7 @@ impl MsgBuf {
     /// Fills a previously reserved window with `bytes`.
     ///
     /// Fails if `bytes.len()` differs from the window length.
+    #[inline]
     pub fn fill_window(&mut self, w: Window, bytes: &[u8]) -> Result<()> {
         if bytes.len() != w.len {
             return Err(MarshalError::WindowMisuse("fill length differs from window length"));
@@ -188,6 +270,7 @@ impl MsgBuf {
     /// The hook reports how many bytes it produced; producing fewer than the
     /// window length is an error, matching the strictness of the kernel
     /// routines the paper wraps.
+    #[inline]
     pub fn fill_window_with<F>(&mut self, w: Window, f: F) -> Result<()>
     where
         F: FnOnce(&mut [u8]) -> usize,
@@ -204,6 +287,7 @@ impl MsgBuf {
     /// Finalizes the message, returning its bytes.
     ///
     /// Fails if any reserved window was never filled.
+    #[inline]
     pub fn seal(self) -> Result<Vec<u8>> {
         if self.open_windows != 0 {
             return Err(MarshalError::WindowMisuse("sealed with unfilled window"));
@@ -211,8 +295,21 @@ impl MsgBuf {
         Ok(self.data)
     }
 
+    /// [`MsgBuf::seal`] for the writers' `into_bytes`, which treat an
+    /// unfilled window as a bug. No `Result` is built on the way: through
+    /// one, the vector's capacity word travels as the error type's pieces
+    /// (tag byte, `u32`, …) and lands in the caller's `Vec` by four narrow
+    /// stores, which the caller's next `capacity()` then reloads as one
+    /// word — a store-forwarding stall on every reply.
+    #[inline]
+    pub(crate) fn into_sealed(self) -> Vec<u8> {
+        assert!(self.open_windows == 0, "unfilled reserve window at end of encoding");
+        self.data
+    }
+
     /// Consumes the buffer without checking windows (for re-wrapped received
     /// messages which never had windows).
+    #[inline]
     pub fn into_vec(self) -> Vec<u8> {
         self.data
     }
@@ -307,6 +404,37 @@ mod tests {
         assert_eq!(m.len(), 16);
         assert_eq!(m.bytes_written(), 13);
         assert_eq!(m.as_slice()[0], 0xAB);
+    }
+
+    /// The one-append aligned primitives against what they replaced —
+    /// `pad_to` then `put_bytes` — at every start phase, on a buffer with
+    /// exactly the room the two-step form needs (too little for the wide
+    /// append, which must not be taken) and on a roomy one.
+    #[test]
+    fn put_aligned_matches_pad_then_put() {
+        let (four, eight) = ([0xA1, 0xB2, 0xC3, 0xD4], [1, 2, 3, 4, 5, 6, 7, 8]);
+        for phase in 0..16usize {
+            for roomy in [false, true] {
+                let mut oracle = MsgBuf::new();
+                oracle.put_bytes(&vec![0xEE; phase]);
+                oracle.pad_to(4);
+                oracle.put_bytes(&four);
+                oracle.pad_to(8);
+                oracle.put_bytes(&eight);
+                oracle.pad_to(4);
+                oracle.put_bytes(&four);
+
+                let cap = if roomy { 64 } else { oracle.len() };
+                let mut m = MsgBuf::with_capacity(cap);
+                m.put_bytes(&vec![0xEE; phase]);
+                m.put_aligned_4(four);
+                m.put_aligned_8(eight);
+                m.put_aligned_4(four);
+                assert_eq!(m.as_slice(), oracle.as_slice(), "phase {phase}, roomy {roomy}");
+                assert_eq!(m.bytes_written(), oracle.bytes_written(), "padding is not payload");
+                assert_eq!(m.capacity(), cap, "grew only when the two-step form would");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub enum ByteOrder {
 impl ByteOrder {
     /// The native order of the host, which senders use by default so that
     /// same-machine RPC never swaps bytes.
+    #[inline]
     pub fn native() -> Self {
         if cfg!(target_endian = "little") {
             ByteOrder::Little
@@ -33,6 +34,7 @@ impl ByteOrder {
         }
     }
 
+    #[inline]
     fn flag(self) -> u8 {
         match self {
             ByteOrder::Big => 0,
@@ -40,6 +42,7 @@ impl ByteOrder {
         }
     }
 
+    #[inline]
     fn from_flag(b: u8) -> Result<Self> {
         match b {
             0 => Ok(ByteOrder::Big),
@@ -74,21 +77,22 @@ pub struct CdrWriter {
 }
 
 macro_rules! put_prim {
-    ($(#[$doc:meta])* $name:ident, $ty:ty, $align:expr) => {
+    ($(#[$doc:meta])* $name:ident, $ty:ty, $put_aligned:ident) => {
         $(#[$doc])*
+        #[inline]
         pub fn $name(&mut self, v: $ty) {
-            self.buf.pad_to($align);
             let bytes = match self.order {
                 ByteOrder::Big => v.to_be_bytes(),
                 ByteOrder::Little => v.to_le_bytes(),
             };
-            self.buf.put_bytes(&bytes);
+            self.buf.$put_aligned(bytes);
         }
     };
 }
 
 impl CdrWriter {
     /// Creates an encoder emitting in `order`, writing the order flag.
+    #[inline]
     pub fn new(order: ByteOrder) -> Self {
         let mut buf = MsgBuf::new();
         buf.put_bytes(&[order.flag()]);
@@ -96,12 +100,14 @@ impl CdrWriter {
     }
 
     /// Creates a native-order encoder (the fast default for local IPC).
+    #[inline]
     pub fn native() -> Self {
         Self::new(ByteOrder::native())
     }
 
     /// Creates a native-order encoder reusing `buf`'s allocation (cleared
     /// first) — lets steady-state stubs marshal without allocating.
+    #[inline]
     pub fn native_over(mut buf: Vec<u8>) -> Self {
         buf.clear();
         let order = ByteOrder::native();
@@ -111,42 +117,59 @@ impl CdrWriter {
     }
 
     /// Encodes a single octet (no alignment).
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.put_bytes(&[v]);
     }
 
-    put_prim!(
-        /// Encodes an unsigned 16-bit integer at 2-byte alignment.
-        put_u16, u16, 2
-    );
+    /// Encodes an unsigned 16-bit integer at 2-byte alignment.
+    #[inline]
+    pub fn put_u16(&mut self, v: u16) {
+        self.buf.pad_to(2);
+        self.buf.put_bytes(&match self.order {
+            ByteOrder::Big => v.to_be_bytes(),
+            ByteOrder::Little => v.to_le_bytes(),
+        });
+    }
+
     put_prim!(
         /// Encodes an unsigned 32-bit integer at 4-byte alignment.
-        put_u32, u32, 4
+        put_u32, u32, put_aligned_4
     );
     put_prim!(
         /// Encodes a signed 32-bit integer at 4-byte alignment.
-        put_i32, i32, 4
+        put_i32, i32, put_aligned_4
     );
     put_prim!(
         /// Encodes an unsigned 64-bit integer at 8-byte alignment.
-        put_u64, u64, 8
+        put_u64, u64, put_aligned_8
     );
     put_prim!(
         /// Encodes a signed 64-bit integer at 8-byte alignment.
-        put_i64, i64, 8
+        put_i64, i64, put_aligned_8
     );
 
+    /// Appends raw octets with no length word and no alignment — the body
+    /// of a fixed `octet[N]` field or of a string.
+    #[inline]
+    pub fn put_octets(&mut self, bytes: &[u8]) {
+        self.buf.put_bytes(bytes);
+    }
+
     /// Encodes a boolean as one octet.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(v as u8);
     }
 
     /// Encodes a double-precision float at 8-byte alignment.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Encodes a `sequence<octet>`: u32 length + raw bytes.
+    #[inline]
     pub fn put_sequence(&mut self, bytes: &[u8]) {
         self.put_u32(bytes.len() as u32);
         self.buf.put_bytes(bytes);
@@ -154,12 +177,14 @@ impl CdrWriter {
 
     /// Reserves a `sequence<octet>` payload of exactly `len` bytes for later
     /// in-place filling by a `[special]` hook.
+    #[inline]
     pub fn reserve_sequence(&mut self, len: usize) -> crate::buf::Window {
         self.put_u32(len as u32);
         self.buf.reserve_window(len)
     }
 
     /// Fills a window previously returned by [`CdrWriter::reserve_sequence`].
+    #[inline]
     pub fn fill_window_with<F>(&mut self, w: crate::buf::Window, f: F) -> Result<()>
     where
         F: FnOnce(&mut [u8]) -> usize,
@@ -168,29 +193,34 @@ impl CdrWriter {
     }
 
     /// Encodes a string: u32 length including NUL, bytes, NUL.
+    #[inline]
     pub fn put_string(&mut self, s: &str) {
         self.put_u32(s.len() as u32 + 1);
-        self.buf.put_bytes(s.as_bytes());
-        self.buf.put_bytes(&[0]);
+        self.put_octets(s.as_bytes());
+        self.put_u8(0);
     }
 
     /// Total payload bytes appended so far.
+    #[inline]
     pub fn bytes_written(&self) -> u64 {
         self.buf.bytes_written()
     }
 
     /// The byte order this encoder emits.
+    #[inline]
     pub fn order(&self) -> ByteOrder {
         self.order
     }
 
     /// Current write offset from the start of the message (includes the
     /// order flag, so fused blocks can select the matching phase layout).
+    #[inline]
     pub fn position(&self) -> usize {
         self.buf.len()
     }
 
     /// Ensures capacity for at least `additional` more bytes (presize).
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
@@ -199,6 +229,7 @@ impl CdrWriter {
     /// [`MsgBuf::append_block`]). Callers pass the layout matching the
     /// current [`CdrWriter::position`] phase — alignment padding is part of
     /// the precomputed block, so no `pad_to` happens here.
+    #[inline]
     pub fn append_block(&mut self, len: usize, payload_len: usize) -> &mut [u8] {
         self.buf.append_block(len, payload_len)
     }
@@ -209,11 +240,13 @@ impl CdrWriter {
     ///
     /// Panics if a reserved window was never filled; use
     /// [`CdrWriter::into_buf`] + [`MsgBuf::seal`] for the fallible form.
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.seal().expect("unfilled reserve window at end of encoding")
+        self.buf.into_sealed()
     }
 
     /// Finishes encoding, returning the underlying buffer.
+    #[inline]
     pub fn into_buf(self) -> MsgBuf {
         self.buf
     }
@@ -222,7 +255,8 @@ impl CdrWriter {
 /// Sequential CDR decoder.
 #[derive(Debug)]
 pub struct CdrReader<'a> {
-    data: &'a [u8],
+    /// What is left to read; `pos` bytes of the message went before it.
+    rest: &'a [u8],
     pos: usize,
     order: ByteOrder,
     max_len: usize,
@@ -231,6 +265,7 @@ pub struct CdrReader<'a> {
 macro_rules! get_prim {
     ($(#[$doc:meta])* $name:ident, $ty:ty, $n:expr, $align:expr) => {
         $(#[$doc])*
+        #[inline]
         pub fn $name(&mut self) -> Result<$ty> {
             self.align($align)?;
             let raw: [u8; $n] = self.take($n)?.try_into().unwrap();
@@ -244,63 +279,75 @@ macro_rules! get_prim {
 
 impl<'a> CdrReader<'a> {
     /// Creates a decoder, reading and validating the byte-order flag.
+    #[inline]
     pub fn new(data: &'a [u8]) -> Result<Self> {
-        if data.is_empty() {
+        let Some((&flag, rest)) = data.split_first() else {
             return Err(MarshalError::Truncated { needed: 1, remaining: 0 });
-        }
-        let order = ByteOrder::from_flag(data[0])?;
-        Ok(CdrReader { data, pos: 1, order, max_len: DEFAULT_MAX_LEN })
+        };
+        let order = ByteOrder::from_flag(flag)?;
+        Ok(CdrReader { rest, pos: 1, order, max_len: DEFAULT_MAX_LEN })
     }
 
     /// Overrides the variable-length item cap.
+    #[inline]
     pub fn with_max_len(mut self, max_len: usize) -> Self {
         self.max_len = max_len;
         self
     }
 
     /// The byte order the sender used.
+    #[inline]
     pub fn order(&self) -> ByteOrder {
         self.order
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.rest.len()
     }
 
     /// Returns `true` when the whole message has been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Current read offset from the start of the message (includes the
     /// order flag; pairs with [`CdrWriter::position`] for phase selection).
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Consumes `n` raw bytes — the single prefix bounds check of a fused
     /// block read.
+    #[inline]
     pub fn take_block(&mut self, n: usize) -> Result<&'a [u8]> {
         self.take(n)
     }
 
+    #[inline]
     fn align(&mut self, align: usize) -> Result<()> {
         let target = crate::align_up(self.pos, align);
         let skip = target - self.pos;
         self.take(skip).map(|_| ())
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(MarshalError::Truncated { needed: n, remaining: self.remaining() });
+        match self.rest.split_at_checked(n) {
+            Some((s, rest)) => {
+                self.rest = rest;
+                self.pos += n;
+                Ok(s)
+            }
+            None => Err(MarshalError::Truncated { needed: n, remaining: self.rest.len() }),
         }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
     }
 
     /// Decodes a single octet.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
@@ -327,6 +374,7 @@ impl<'a> CdrReader<'a> {
     );
 
     /// Decodes a boolean octet, rejecting values other than 0/1.
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool> {
         match self.get_u8()? {
             0 => Ok(false),
@@ -336,11 +384,13 @@ impl<'a> CdrReader<'a> {
     }
 
     /// Decodes a double-precision float.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Decodes a `sequence<octet>`, borrowing the payload from the message.
+    #[inline]
     pub fn get_sequence_borrowed(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()? as usize;
         if len > self.max_len || len > self.remaining() {
@@ -359,6 +409,7 @@ impl<'a> CdrReader<'a> {
 
     /// Decodes a `sequence<octet>` into a caller-provided buffer, returning
     /// the byte count.
+    #[inline]
     pub fn get_sequence_into(&mut self, dst: &mut [u8]) -> Result<usize> {
         let src = self.get_sequence_borrowed()?;
         if src.len() > dst.len() {
@@ -382,6 +433,7 @@ impl<'a> CdrReader<'a> {
     }
 
     /// Asserts the message has been fully consumed.
+    #[inline]
     pub fn finish(self) -> Result<()> {
         if self.remaining() != 0 {
             return Err(MarshalError::TrailingBytes(self.remaining()));

@@ -30,26 +30,31 @@ pub struct ReadCursor<'a> {
 
 impl<'a> ReadCursor<'a> {
     /// Creates a cursor at the start of `data`.
+    #[inline]
     pub fn new(data: &'a [u8]) -> Self {
         ReadCursor { data, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
     /// Returns `true` when fully consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Current offset from the start of the message.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Borrows the next `n` bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(MarshalError::Truncated { needed: n, remaining: self.remaining() });
@@ -60,22 +65,26 @@ impl<'a> ReadCursor<'a> {
     }
 
     /// Skips `n` bytes.
+    #[inline]
     pub fn skip(&mut self, n: usize) -> Result<()> {
         self.take(n).map(|_| ())
     }
 
     /// Reads a native-endian u32 (layout fixed at bind time, both sides on
     /// the same simulated machine).
+    #[inline]
     pub fn get_u32_ne(&mut self) -> Result<u32> {
         Ok(u32::from_ne_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads a native-endian u64.
+    #[inline]
     pub fn get_u64_ne(&mut self) -> Result<u64> {
         Ok(u64::from_ne_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Borrows a length-prefixed (native-endian u32) byte region.
+    #[inline]
     pub fn get_counted(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32_ne()? as usize;
         if len > self.remaining() {
@@ -85,6 +94,7 @@ impl<'a> ReadCursor<'a> {
     }
 
     /// The rest of the message as one borrowed slice (consumes it).
+    #[inline]
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.data[self.pos..];
         self.pos = self.data.len();

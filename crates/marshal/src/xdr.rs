@@ -32,64 +32,76 @@ pub struct XdrWriter {
 
 impl XdrWriter {
     /// Creates an empty encoder.
+    #[inline]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Creates an encoder with preallocated capacity.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         XdrWriter { buf: MsgBuf::with_capacity(cap) }
     }
 
     /// Wraps an existing buffer so encoding can continue a partially built
     /// message (transports use this to prepend call headers).
+    #[inline]
     pub fn over(buf: MsgBuf) -> Self {
         XdrWriter { buf }
     }
 
     /// Creates an encoder reusing `buf`'s allocation (cleared first).
+    #[inline]
     pub fn over_vec(mut buf: Vec<u8>) -> Self {
         buf.clear();
         XdrWriter { buf: MsgBuf::from_vec(buf) }
     }
 
     /// Encodes an unsigned 32-bit integer.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.put_bytes(&v.to_be_bytes());
     }
 
     /// Encodes a signed 32-bit integer.
+    #[inline]
     pub fn put_i32(&mut self, v: i32) {
         self.buf.put_bytes(&v.to_be_bytes());
     }
 
     /// Encodes an unsigned 64-bit integer (XDR "unsigned hyper").
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.put_bytes(&v.to_be_bytes());
     }
 
     /// Encodes a signed 64-bit integer (XDR "hyper").
+    #[inline]
     pub fn put_i64(&mut self, v: i64) {
         self.buf.put_bytes(&v.to_be_bytes());
     }
 
     /// Encodes a boolean as 0/1.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u32(v as u32);
     }
 
     /// Encodes a double-precision float.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.buf.put_bytes(&v.to_be_bytes());
     }
 
     /// Encodes fixed-length opaque data (padded to 4 bytes, no length word).
+    #[inline]
     pub fn put_opaque_fixed(&mut self, bytes: &[u8]) {
         self.buf.put_bytes(bytes);
         self.buf.pad_to(4);
     }
 
     /// Encodes variable-length opaque data (length word + bytes + padding).
+    #[inline]
     pub fn put_opaque(&mut self, bytes: &[u8]) {
         self.put_u32(bytes.len() as u32);
         self.buf.put_bytes(bytes);
@@ -101,6 +113,7 @@ impl XdrWriter {
     ///
     /// The length word and padding are written now; only the payload bytes
     /// are deferred.
+    #[inline]
     pub fn reserve_opaque(&mut self, len: usize) -> crate::buf::Window {
         self.put_u32(len as u32);
         let w = self.buf.reserve_window(len);
@@ -109,6 +122,7 @@ impl XdrWriter {
     }
 
     /// Fills a window previously returned by [`XdrWriter::reserve_opaque`].
+    #[inline]
     pub fn fill_window_with<F>(&mut self, w: crate::buf::Window, f: F) -> Result<()>
     where
         F: FnOnce(&mut [u8]) -> usize,
@@ -117,6 +131,7 @@ impl XdrWriter {
     }
 
     /// Encodes a UTF-8 string (XDR string is counted bytes, no terminator).
+    #[inline]
     pub fn put_string(&mut self, s: &str) {
         self.put_opaque(s.as_bytes());
     }
@@ -134,16 +149,19 @@ impl XdrWriter {
     }
 
     /// Total payload bytes appended so far (see [`MsgBuf::bytes_written`]).
+    #[inline]
     pub fn bytes_written(&self) -> u64 {
         self.buf.bytes_written()
     }
 
     /// Current write offset from the start of the message.
+    #[inline]
     pub fn position(&self) -> usize {
         self.buf.len()
     }
 
     /// Ensures capacity for at least `additional` more bytes (presize).
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
@@ -151,6 +169,7 @@ impl XdrWriter {
     /// Appends a zeroed block for a fused bulk write (see
     /// [`MsgBuf::append_block`]). XDR layouts are packed, so callers pass
     /// the position-independent block length.
+    #[inline]
     pub fn append_block(&mut self, len: usize, payload_len: usize) -> &mut [u8] {
         self.buf.append_block(len, payload_len)
     }
@@ -161,11 +180,13 @@ impl XdrWriter {
     ///
     /// Panics if a reserved window was never filled; use
     /// [`XdrWriter::into_buf`] and [`MsgBuf::seal`] for a fallible finish.
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.seal().expect("unfilled reserve window at end of encoding")
+        self.buf.into_sealed()
     }
 
     /// Finishes encoding, returning the underlying buffer.
+    #[inline]
     pub fn into_buf(self) -> MsgBuf {
         self.buf
     }
@@ -177,79 +198,95 @@ impl XdrWriter {
 /// both the remaining message and a configurable maximum.
 #[derive(Debug)]
 pub struct XdrReader<'a> {
-    data: &'a [u8],
+    /// What is left to read; `pos` bytes of the message went before it.
+    rest: &'a [u8],
     pos: usize,
     max_len: usize,
 }
 
 impl<'a> XdrReader<'a> {
     /// Creates a decoder over `data` with the default length cap.
+    #[inline]
     pub fn new(data: &'a [u8]) -> Self {
-        XdrReader { data, pos: 0, max_len: DEFAULT_MAX_LEN }
+        XdrReader { rest: data, pos: 0, max_len: DEFAULT_MAX_LEN }
     }
 
     /// Overrides the variable-length item cap.
+    #[inline]
     pub fn with_max_len(mut self, max_len: usize) -> Self {
         self.max_len = max_len;
         self
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.rest.len()
     }
 
     /// Returns `true` when the whole message has been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Current read offset from the start of the message.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(MarshalError::Truncated { needed: n, remaining: self.remaining() });
+        match self.rest.split_at_checked(n) {
+            Some((s, rest)) => {
+                self.rest = rest;
+                self.pos += n;
+                Ok(s)
+            }
+            None => Err(MarshalError::Truncated { needed: n, remaining: self.rest.len() }),
         }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
     }
 
     /// Consumes `n` raw bytes — the single prefix bounds check of a fused
     /// block read (per-field checks are folded away at bind time).
+    #[inline]
     pub fn take_block(&mut self, n: usize) -> Result<&'a [u8]> {
         self.take(n)
     }
 
+    #[inline]
     fn skip_pad(&mut self, payload: usize) -> Result<()> {
         let pad = align_up(payload, 4) - payload;
         self.take(pad).map(|_| ())
     }
 
     /// Decodes an unsigned 32-bit integer.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Decodes a signed 32-bit integer.
+    #[inline]
     pub fn get_i32(&mut self) -> Result<i32> {
         Ok(i32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Decodes an unsigned 64-bit integer.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Decodes a signed 64-bit integer.
+    #[inline]
     pub fn get_i64(&mut self) -> Result<i64> {
         Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Decodes a boolean, rejecting values other than 0/1.
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool> {
         match self.get_u32()? {
             0 => Ok(false),
@@ -259,11 +296,13 @@ impl<'a> XdrReader<'a> {
     }
 
     /// Decodes a double-precision float.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Decodes fixed-length opaque data, *borrowing* it from the message.
+    #[inline]
     pub fn get_opaque_fixed(&mut self, len: usize) -> Result<&'a [u8]> {
         let s = self.take(len)?;
         self.skip_pad(len)?;
@@ -275,6 +314,7 @@ impl<'a> XdrReader<'a> {
     /// This is the zero-copy primitive behind `dealloc(never)`-style
     /// presentations: the caller gets a slice into the receive buffer and
     /// decides for itself whether a private copy is ever made.
+    #[inline]
     pub fn get_opaque_borrowed(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()? as usize;
         if len > self.max_len || len > self.remaining() {
@@ -297,6 +337,7 @@ impl<'a> XdrReader<'a> {
     ///
     /// This is the caller-allocated (`MIG`-style) presentation: the client
     /// handed the stub a buffer and the stub unmarshals straight into it.
+    #[inline]
     pub fn get_opaque_into(&mut self, dst: &mut [u8]) -> Result<usize> {
         let src = self.get_opaque_borrowed()?;
         if src.len() > dst.len() {
@@ -330,6 +371,7 @@ impl<'a> XdrReader<'a> {
     }
 
     /// Asserts the message has been fully consumed.
+    #[inline]
     pub fn finish(self) -> Result<()> {
         if self.remaining() != 0 {
             return Err(MarshalError::TrailingBytes(self.remaining()));

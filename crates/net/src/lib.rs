@@ -8,7 +8,8 @@
 //!
 //! * The **CPU side** is real work: request/reply bytes are really copied
 //!   between endpoint buffers and the registered service handler really
-//!   runs. Criterion measures this part.
+//!   runs. `benchmark/` times this part (`sunrpc_tagged`); `report fig2`
+//!   states it as paired ratios.
 //! * The **wire side** is a deterministic clock ([`SimNet::wire_ns`]):
 //!   each message charges per-packet latency plus bytes/bandwidth at the
 //!   configured link speed. It is identical across presentation variants —

@@ -181,12 +181,7 @@ impl ClientStub {
 
     /// `[special]` hooks for an operation (register before calling).
     pub fn hooks_mut(&mut self, name: &str) -> Result<&mut HookMap> {
-        let i = self
-            .compiled
-            .ops
-            .iter()
-            .position(|o| o.name == name)
-            .ok_or_else(|| RpcError::NoSuchOp(name.into()))?;
+        let i = self.compiled.op_index(name).ok_or_else(|| RpcError::NoSuchOp(name.into()))?;
         Ok(&mut self.hooks[i])
     }
 
@@ -197,12 +192,7 @@ impl ClientStub {
     /// returned as a value; without it, a non-zero status surfaces as
     /// [`RpcError::Remote`] (the exception path).
     pub fn call(&mut self, name: &str, frame: &mut [Value]) -> Result<u32> {
-        let i = self
-            .compiled
-            .ops
-            .iter()
-            .position(|o| o.name == name)
-            .ok_or_else(|| RpcError::NoSuchOp(name.into()))?;
+        let i = self.compiled.op_index(name).ok_or_else(|| RpcError::NoSuchOp(name.into()))?;
         self.call_index(i, frame)
     }
 
@@ -220,9 +210,7 @@ impl ClientStub {
     ) -> core::result::Result<u32, Error> {
         let i = self
             .compiled
-            .ops
-            .iter()
-            .position(|o| o.name == name)
+            .op_index(name)
             .ok_or_else(|| Error::from(RpcError::NoSuchOp(name.into())))?;
         self.call_index_with(i, frame, options)
     }
@@ -353,43 +341,44 @@ impl ClientStub {
         }
         let hooks = &self.hooks[op_index];
 
-        // Stage boundaries share timestamps: four clock reads cover the
-        // three client-side spans. Untraced calls take none.
-        let mut mark = match (&self.tracer, trace_call) {
-            (Some(t), Some(_)) => t.now_ns(),
-            _ => 0,
+        // The tracer, if this call records spans. Stage boundaries share
+        // timestamps: four clock reads cover the three client-side spans.
+        // Untraced calls take none.
+        let mut span = match trace_call {
+            Some(call) => self.tracer.as_deref_mut().map(|t| (call, t.now_ns(), t)),
+            None => None,
         };
 
+        // Both scratch buffers are used where they live: the request is
+        // marshalled into `request_buf`, the transport fills `reply_buf`.
         let mut writer = AnyWriter::over(self.format, std::mem::take(&mut self.request_buf));
         let mut rights = Vec::new();
         marshal(&op.request_marshal, frame, &[], &mut writer, hooks, &mut rights)?;
-        let request = writer.into_bytes();
+        self.request_buf = writer.into_bytes();
+        let request = &self.request_buf[..];
 
-        if let (Some(t), Some(call)) = (self.tracer.as_mut(), trace_call) {
+        if let Some((call, mark, t)) = &mut span {
             let now = t.now_ns();
-            t.record(call, Stage::Marshal, mark, now, request.len() as u64);
-            mark = now;
+            t.record(*call, Stage::Marshal, *mark, now, request.len() as u64);
+            *mark = now;
         }
 
         let mut rights_out = Vec::new();
-        let mut reply = std::mem::take(&mut self.reply_buf);
-        let outcome =
-            self.transport.call_with(op, &request, &rights, &mut reply, &mut rights_out, ctl);
-        if let (Some(t), Some(call)) = (self.tracer.as_mut(), trace_call) {
+        let reply = &mut self.reply_buf;
+        let outcome = self.transport.call_with(op, request, &rights, reply, &mut rights_out, ctl);
+        if let Some((call, mark, t)) = &mut span {
             let now = t.now_ns();
             let bytes = outcome.as_ref().map_or(0, |off| (reply.len() - off) as u64);
-            t.record(call, Stage::Transport, mark, now, bytes);
-            mark = now;
+            t.record(*call, Stage::Transport, *mark, now, bytes);
+            *mark = now;
         }
-        let off = match outcome {
-            Ok(off) => off,
-            Err(e) => {
-                self.reply_buf = reply;
-                return Err(e);
-            }
-        };
+        let off = outcome?;
         self.reply_off = off;
 
+        // NOTE: `Window` out-values reference `reply_buf`; they are only
+        // valid until the next call on this stub. Borrowed client
+        // presentations must consume them before re-calling — same rule as
+        // any borrowed receive buffer.
         let result = (|| -> Result<u32> {
             let body = &reply[off..];
             let mut reader = AnyReader::new(self.format, body)?;
@@ -408,16 +397,10 @@ impl ClientStub {
             Ok(status)
         })();
 
-        if let (Some(t), Some(call)) = (self.tracer.as_mut(), trace_call) {
+        if let Some((call, mark, t)) = &mut span {
             let now = t.now_ns();
-            t.record(call, Stage::Unmarshal, mark, now, op_index as u64);
+            t.record(*call, Stage::Unmarshal, *mark, now, op_index as u64);
         }
-        // NOTE: `Window` out-values reference `reply_buf`; they are only
-        // valid until the next call on this stub. Borrowed client
-        // presentations must consume them before re-calling — same rule as
-        // any borrowed receive buffer.
-        self.reply_buf = reply;
-        self.request_buf = request;
         result
     }
 
@@ -432,12 +415,7 @@ impl ClientStub {
     /// transport accepts the message. The operation's presentation must
     /// declare `[oneway]`; anything else is a [`RpcError::ShapeMisuse`].
     pub fn notify(&mut self, name: &str, frame: &mut [Value]) -> Result<()> {
-        let i = self
-            .compiled
-            .ops
-            .iter()
-            .position(|o| o.name == name)
-            .ok_or_else(|| RpcError::NoSuchOp(name.into()))?;
+        let i = self.compiled.op_index(name).ok_or_else(|| RpcError::NoSuchOp(name.into()))?;
         self.notify_once(i, frame, &CallControl::none(), None)
     }
 
@@ -455,9 +433,7 @@ impl ClientStub {
     ) -> core::result::Result<(), Error> {
         let i = self
             .compiled
-            .ops
-            .iter()
-            .position(|o| o.name == name)
+            .op_index(name)
             .ok_or_else(|| Error::from(RpcError::NoSuchOp(name.into())))?;
         let clock = self.transport.clock();
         let deadline_ns = match (options.deadline_ns(), &clock) {
@@ -510,26 +486,26 @@ impl ClientStub {
         }
         let hooks = &self.hooks[op_index];
 
-        let mut mark = match (&self.tracer, trace_call) {
-            (Some(t), Some(_)) => t.now_ns(),
-            _ => 0,
+        let mut span = match trace_call {
+            Some(call) => self.tracer.as_deref_mut().map(|t| (call, t.now_ns(), t)),
+            None => None,
         };
         let mut writer = AnyWriter::over(self.format, std::mem::take(&mut self.request_buf));
         let mut rights = Vec::new();
         marshal(&op.request_marshal, frame, &[], &mut writer, hooks, &mut rights)?;
-        let request = writer.into_bytes();
-        if let (Some(t), Some(call)) = (self.tracer.as_mut(), trace_call) {
+        self.request_buf = writer.into_bytes();
+        let request = &self.request_buf[..];
+        if let Some((call, mark, t)) = &mut span {
             let now = t.now_ns();
-            t.record(call, Stage::Marshal, mark, now, request.len() as u64);
-            mark = now;
+            t.record(*call, Stage::Marshal, *mark, now, request.len() as u64);
+            *mark = now;
         }
 
-        let outcome = self.transport.send_oneway(op, &request, &rights, ctl);
-        if let (Some(t), Some(call)) = (self.tracer.as_mut(), trace_call) {
+        let outcome = self.transport.send_oneway(op, request, &rights, ctl);
+        if let Some((call, mark, t)) = &mut span {
             let now = t.now_ns();
-            t.record(call, Stage::Notify, mark, now, request.len() as u64);
+            t.record(*call, Stage::Notify, *mark, now, request.len() as u64);
         }
-        self.request_buf = request;
         outcome
     }
 }

@@ -1,28 +1,67 @@
 //! The stub-program interpreter.
 //!
-//! Executes the threaded code of a [`StubProgram`] against a call frame of
-//! [`Value`] slots and a wire writer/reader. Dispatch cost is a match per
-//! op; payload ops do bulk `memcpy` work (or none, for the borrowed/window
-//! forms), so the interpreter's copy schedule — not its dispatch — dominates
-//! exactly as it did for the paper's generated C stubs.
+//! Executes a [`StubProgram`] against a call frame of [`Value`] slots and a
+//! wire writer/reader. Payload ops do bulk `memcpy` work (or none, for the
+//! borrowed/window forms), so the interpreter's copy schedule — not its
+//! dispatch — dominates exactly as it did for the paper's generated C stubs.
+//! On the fastest transport the dispatch is what is left, so it is kept
+//! short: the stub does what the presentation says and little else.
 //!
-//! Programs carrying a [`FusedProgram`](flexrpc_core::fuse::FusedProgram) take the specialized path: fused
-//! scalar blocks execute as one buffer extend + N `copy_from_slice`s with a
-//! single prefix bounds check, using the block layout precomputed at bind
-//! time for the writer's wire format (and, for CDR, the block's start-phase
-//! alignment). Scalars move between slots and the block without the
-//! per-primitive writer dispatch or `Value` round-trips of the threaded
-//! path. An attached [`SizeHint`] reserves the marshal buffer once, up
-//! front, so fixed-size messages never reallocate mid-marshal.
+//! # One loop per transfer syntax
+//!
+//! [`marshal`] / [`unmarshal`] take the format-erased [`AnyWriter`] /
+//! [`AnyReader`], match on it **once per program**, and run everything
+//! below monomorphised over the concrete `CdrWriter` / `XdrWriter`
+//! (`CdrReader` / `XdrReader`) through [`crate::wire`]'s crate-private
+//! traits: no format match per primitive, and the writers' primitives
+//! inline into the loop.
+//!
+//! # Two paths, one of them the oracle
+//!
+//! * A program carrying a [`FusedProgram`](flexrpc_core::fuse::FusedProgram)
+//!   — every program `CompiledInterface::compile` builds — runs through the
+//!   **fused executor**, one loop over the `fops` that bind-time
+//!   specialization left behind (it adds nothing to them: a bind allocates
+//!   what it did). What presentations commonly say is a step written
+//!   inline in that loop, over `(slots, writer)` alone: a scalar — lone, or
+//!   the one-field block behind a payload head — goes through the writer's
+//!   own primitive; counted bytes (`PutBytes`; `GetBytesOwned`, which
+//!   refills the buffer the slot already holds) are one bulk copy; a block
+//!   of two or more scalars is one buffer extend + N stores on the way out
+//!   and **one up-front bounds check** + N loads on the way in, through
+//!   the layout precomputed at bind time for the syntax (and, for CDR, the
+//!   block's start phase). Everything else — checked and `length_is`
+//!   strings, fixed opaques, `[special]` hooks, ports, borrowed and
+//!   caller-allocated payloads — is a cold head and goes out of line
+//!   through the six-argument `exec_put` / `exec_get`. An attached
+//!   [`SizeHint`] reserves the marshal buffer once, up front.
+//! * A program without one (`SpecializeOptions::none()`) runs the
+//!   **threaded loop**: one `exec_put` / `exec_get` per op — no inline
+//!   step, no block, no presize, a fresh `Vec` per owned payload. Nothing
+//!   binds that way; it is kept as the executor's byte-for-byte oracle
+//!   (`tests/fuse_differential.rs`: same bytes and `bytes_written`, same
+//!   values, the same kind of typed error on every strict prefix, the same
+//!   `SlotKind` error for a wrong slot).
+//!
+//! # What is inline, and why
+//!
+//! The benchmark's profile has no LTO, so a non-generic function in another
+//! crate is inlined only if it says `#[inline]`: without it each
+//! `AnyWriter::put_u32` → `CdrWriter::put_u32` → `MsgBuf` was three
+//! out-of-line calls per primitive. The leaves of `flexrpc-marshal`, the
+//! forwarders of [`crate::wire`], the `Value` / `SlotMap` accessors and
+//! `ServerCall`'s by-name accessors carry the attribute. Within this file
+//! `put_scalar` / `get_scalar` are `#[inline(always)]`: left to the
+//! optimiser they stayed out of line, and a `null_loopback` call executed
+//! 1,880 instructions that way against 1,787 with them in the loop.
 
 use crate::error::RpcError;
 use crate::hooks::HookMap;
-use crate::wire::{AnyReader, AnyWriter};
+use crate::wire::{on_wire, AnyReader, AnyWriter, WireRead, WireWrite};
 use crate::Result;
 use flexrpc_core::fuse::{BlockField, FOp, ScalarBlock, ScalarKind, SizeHint};
-use flexrpc_core::program::{MOp, StubProgram};
+use flexrpc_core::program::{MOp, Slot, StubProgram};
 use flexrpc_core::value::Value;
-use flexrpc_marshal::cdr::ByteOrder;
 use flexrpc_marshal::MarshalError;
 
 fn kind_err(op: &MOp, found: &Value, expected: &'static str) -> RpcError {
@@ -40,6 +79,37 @@ fn kind_name(kind: ScalarKind) -> &'static str {
     }
 }
 
+/// The field a scalar op moves. Fusion leaves a scalar as a bare
+/// [`FOp::One`] only when it opens the program with nothing to merge with
+/// (`read`'s whole request); the executor runs it as the one-field block
+/// it would otherwise have been.
+#[inline]
+fn lone_scalar(op: &MOp) -> Option<BlockField> {
+    let (slot, kind) = match *op {
+        MOp::PutU32(s) | MOp::GetU32(s) => (s, ScalarKind::U32),
+        MOp::PutI32(s) | MOp::GetI32(s) => (s, ScalarKind::I32),
+        MOp::PutU64(s) | MOp::GetU64(s) => (s, ScalarKind::U64),
+        MOp::PutI64(s) | MOp::GetI64(s) => (s, ScalarKind::I64),
+        MOp::PutBool(s) | MOp::GetBool(s) => (s, ScalarKind::Bool),
+        MOp::PutF64(s) | MOp::GetF64(s) => (s, ScalarKind::F64),
+        _ => return None,
+    };
+    Some(BlockField { slot, kind })
+}
+
+/// A fused op as the executor takes it: what runs first, and the block
+/// behind it.
+#[inline]
+fn parts<'p>(
+    fop: &'p FOp,
+    blocks: &'p [ScalarBlock],
+) -> (Option<&'p MOp>, Option<&'p ScalarBlock>) {
+    match fop {
+        FOp::One(op) => (Some(op), None),
+        FOp::Fused { head, block } => (head.as_ref(), Some(&blocks[*block])),
+    }
+}
+
 /// Runs a marshal (Put) program: slots → writer.
 ///
 /// `src_msg` resolves `Window` slots (payloads borrowed from the *request*
@@ -53,37 +123,54 @@ pub fn marshal(
     hooks: &HookMap,
     rights_out: &mut Vec<u32>,
 ) -> Result<()> {
-    if let Some(fused) = &program.fused {
-        if let Some(hint) = &fused.presize {
-            reserve_for(hint, slots, w);
-        }
-        for fop in &fused.fops {
-            match fop {
-                FOp::One(op) => exec_put(op, slots, src_msg, w, hooks, rights_out)?,
-                FOp::Fused { head, block } => {
-                    if let Some(op) = head {
-                        exec_put(op, slots, src_msg, w, hooks, rights_out)?;
-                    }
-                    put_block(&fused.blocks[*block], slots, w)?;
-                }
-            }
+    on_wire!(AnyWriter, w, w => marshal_on(program, slots, src_msg, w, hooks, rights_out))
+}
+
+fn marshal_on<W: WireWrite>(
+    program: &StubProgram,
+    slots: &[Value],
+    src_msg: &[u8],
+    w: &mut W,
+    hooks: &HookMap,
+    rights_out: &mut Vec<u32>,
+) -> Result<()> {
+    let Some(fused) = &program.fused else {
+        for op in &program.ops {
+            exec_put(op, slots, src_msg, w, hooks, rights_out)?;
         }
         return Ok(());
+    };
+    if let Some(hint) = &fused.presize {
+        reserve_for(hint, slots, w);
     }
-    for op in &program.ops {
-        exec_put(op, slots, src_msg, w, hooks, rights_out)?;
+    for fop in &fused.fops {
+        let (head, block) = parts(fop, &fused.blocks);
+        if let Some(op) = head {
+            match *op {
+                MOp::PutBytes(slot) => match slots[slot.0].window_of(src_msg) {
+                    Some(bytes) => w.put_bytes(bytes),
+                    None => return Err(kind_err(op, &slots[slot.0], "bytes")),
+                },
+                _ => match lone_scalar(op) {
+                    Some(f) => put_scalar(&f, slots, w)?,
+                    None => exec_put(op, slots, src_msg, w, hooks, rights_out)?,
+                },
+            }
+        }
+        if let Some(blk) = block {
+            put_block(blk, slots, w)?;
+        }
     }
     Ok(())
 }
 
-/// Executes one Put op — shared by the threaded loop and fused heads, so
-/// the two paths cannot drift.
-#[inline]
-fn exec_put(
+/// Executes one Put op: every op of the threaded loop, and the cold heads
+/// (strings, fixed opaques, hooks, ports) of the fused one.
+fn exec_put<W: WireWrite>(
     op: &MOp,
     slots: &[Value],
     src_msg: &[u8],
-    w: &mut AnyWriter,
+    w: &mut W,
     hooks: &HookMap,
     rights_out: &mut Vec<u32>,
 ) -> Result<()> {
@@ -153,43 +240,33 @@ fn exec_put(
     Ok(())
 }
 
-/// Reserves the writer for the program's whole message: precomputed fixed
-/// bytes plus the runtime lengths of payload slots (with length-word and
-/// padding overhead budgeted per payload).
-fn reserve_for(hint: &SizeHint, slots: &[Value], w: &mut AnyWriter) {
-    let fixed = match w {
-        AnyWriter::Xdr(_) => hint.fixed_packed,
-        AnyWriter::Cdr(_) => hint.fixed_aligned,
-    } as usize;
-    let mut total = fixed;
-    for s in &hint.payload_slots {
-        // 8 covers the length word plus worst-case padding/NUL on either
-        // format; over-reserving by a few bytes is harmless.
-        total += 8 + slots[s.0].byte_len().unwrap_or(0);
-    }
-    w.reserve(total);
+/// Reserves the writer for the program's whole message, once: precomputed
+/// fixed bytes plus the runtime lengths of payload slots (with length-word
+/// and padding overhead budgeted per payload).
+#[inline]
+fn reserve_for<W: WireWrite>(hint: &SizeHint, slots: &[Value], w: &mut W) {
+    // 8 covers the length word plus worst-case padding/NUL on either
+    // format; over-reserving by a few bytes is harmless.
+    let payload = |s: &Slot| 8 + slots[s.0].byte_len().unwrap_or(0);
+    let payloads = match hint.payload_slots.as_slice() {
+        [] => 0,
+        [s] => payload(s),
+        many => many.iter().map(payload).sum(),
+    };
+    w.reserve(W::fixed_bytes(hint) + payloads);
 }
 
 /// Executes one fused scalar block as a bulk write: one zeroed extend of
 /// the message, then a direct slot→offset store per field. Alignment was
 /// folded into the layout at bind time; nothing here pads or dispatches.
-fn put_block(blk: &ScalarBlock, slots: &[Value], w: &mut AnyWriter) -> Result<()> {
+#[inline]
+fn put_block<W: WireWrite>(blk: &ScalarBlock, slots: &[Value], w: &mut W) -> Result<()> {
     // A one-field block (a scalar merged behind a variable-size head) has
     // no bulk work to batch — the writer's native primitive is the layout.
     if let [f] = blk.fields() {
-        return put_one_scalar(f, slots, w);
+        return put_scalar(f, slots, w);
     }
-    let (layout, big, bool_word, dst) = match w {
-        AnyWriter::Xdr(xw) => {
-            let layout = blk.packed();
-            (layout, true, true, xw.append_block(layout.len as usize, layout.data_len as usize))
-        }
-        AnyWriter::Cdr(cw) => {
-            let layout = blk.aligned(cw.position());
-            let big = cw.order() == ByteOrder::Big;
-            (layout, big, false, cw.append_block(layout.len as usize, layout.data_len as usize))
-        }
-    };
+    let (layout, big, dst) = w.append_block(blk);
     for (f, &off) in blk.fields().iter().zip(layout.offsets) {
         let off = off as usize;
         macro_rules! store {
@@ -207,28 +284,27 @@ fn put_block(blk: &ScalarBlock, slots: &[Value], w: &mut AnyWriter) -> Result<()
             (ScalarKind::I64, Value::I64(x)) => store!(*x),
             (ScalarKind::F64, Value::F64(x)) => store!(x.to_bits()),
             (ScalarKind::Bool, Value::Bool(b)) => {
-                if bool_word {
+                if W::BOOL_WORD {
                     store!(*b as u32)
                 } else {
                     dst[off] = *b as u8;
                 }
             }
-            (kind, other) => {
-                return Err(RpcError::SlotKind {
-                    slot: f.slot.0,
-                    expected: kind_name(kind),
-                    found: other.kind(),
-                })
-            }
+            (kind, other) => return Err(scalar_kind_err(f.slot, kind, other)),
         }
     }
     Ok(())
 }
 
-/// Writes a single block field through the writer's own scalar primitive
+#[cold]
+fn scalar_kind_err(slot: Slot, kind: ScalarKind, found: &Value) -> RpcError {
+    RpcError::SlotKind { slot: slot.0, expected: kind_name(kind), found: found.kind() }
+}
+
+/// Writes a single scalar field through the writer's own primitive
 /// (identical bytes to the threaded op, without the block layout detour).
-#[inline]
-fn put_one_scalar(f: &BlockField, slots: &[Value], w: &mut AnyWriter) -> Result<()> {
+#[inline(always)]
+fn put_scalar<W: WireWrite>(f: &BlockField, slots: &[Value], w: &mut W) -> Result<()> {
     match (f.kind, &slots[f.slot.0]) {
         (ScalarKind::U32, Value::U32(x)) => w.put_u32(*x),
         // Same coercion the threaded PutU32 applies (enum-like bools).
@@ -238,13 +314,7 @@ fn put_one_scalar(f: &BlockField, slots: &[Value], w: &mut AnyWriter) -> Result<
         (ScalarKind::I64, Value::I64(x)) => w.put_i64(*x),
         (ScalarKind::F64, Value::F64(x)) => w.put_f64(*x),
         (ScalarKind::Bool, Value::Bool(b)) => w.put_bool(*b),
-        (kind, other) => {
-            return Err(RpcError::SlotKind {
-                slot: f.slot.0,
-                expected: kind_name(kind),
-                found: other.kind(),
-            })
-        }
+        (kind, other) => return Err(scalar_kind_err(f.slot, kind, other)),
     }
     Ok(())
 }
@@ -261,62 +331,62 @@ pub fn unmarshal(
     hooks: &HookMap,
     rights_in: &mut dyn Iterator<Item = u32>,
 ) -> Result<()> {
-    if let Some(fused) = &program.fused {
-        for fop in &fused.fops {
-            match fop {
-                FOp::One(op) => exec_get_specialized(op, slots, msg, r, hooks, rights_in)?,
-                FOp::Fused { head, block } => {
-                    if let Some(op) = head {
-                        exec_get_specialized(op, slots, msg, r, hooks, rights_in)?;
-                    }
-                    get_block(&fused.blocks[*block], slots, r)?;
-                }
-            }
+    on_wire!(AnyReader, r, r => unmarshal_on(program, slots, msg, r, hooks, rights_in))
+}
+
+fn unmarshal_on<'a, R: WireRead<'a>>(
+    program: &StubProgram,
+    slots: &mut [Value],
+    msg: &[u8],
+    r: &mut R,
+    hooks: &HookMap,
+    rights_in: &mut dyn Iterator<Item = u32>,
+) -> Result<()> {
+    let Some(fused) = &program.fused else {
+        for op in &program.ops {
+            exec_get(op, slots, msg, r, hooks, rights_in)?;
         }
         return Ok(());
-    }
-    for op in &program.ops {
-        exec_get(op, slots, msg, r, hooks, rights_in)?;
+    };
+    for fop in &fused.fops {
+        let (head, block) = parts(fop, &fused.blocks);
+        if let Some(op) = head {
+            match *op {
+                // Unlike the threaded op, refill the buffer the slot
+                // already holds: in steady state a reused frame receives
+                // its payload with zero allocations, the same
+                // buffer-recycling the paper's annotated stubs perform.
+                // The resulting `Value` is bit-for-bit the threaded one.
+                MOp::GetBytesOwned(slot) => {
+                    let src = r.get_bytes_borrowed()?;
+                    match &mut slots[slot.0] {
+                        Value::Bytes(dst) => {
+                            dst.clear();
+                            dst.extend_from_slice(src);
+                        }
+                        other => *other = Value::Bytes(src.to_vec()),
+                    }
+                }
+                _ => match lone_scalar(op) {
+                    Some(f) => get_scalar(&f, slots, r)?,
+                    None => exec_get(op, slots, msg, r, hooks, rights_in)?,
+                },
+            }
+        }
+        if let Some(blk) = block {
+            get_block(blk, slots, r)?;
+        }
     }
     Ok(())
 }
 
-/// Executes one Get op on the specialized path. Identical to [`exec_get`]
-/// except that `GetBytesOwned` refills the slot's existing buffer when the
-/// frame already holds one — in steady state a reused frame receives its
-/// payload with zero allocations, the same buffer-recycling the paper's
-/// annotated stubs perform. The resulting `Value` is bit-for-bit what the
-/// threaded op produces.
-#[inline]
-fn exec_get_specialized(
+/// Executes one Get op: every op of the threaded loop, and the cold heads
+/// of the fused one.
+fn exec_get<'a, R: WireRead<'a>>(
     op: &MOp,
     slots: &mut [Value],
     msg: &[u8],
-    r: &mut AnyReader<'_>,
-    hooks: &HookMap,
-    rights_in: &mut dyn Iterator<Item = u32>,
-) -> Result<()> {
-    if let MOp::GetBytesOwned(slot) = op {
-        let src = r.get_bytes_borrowed()?;
-        match &mut slots[slot.0] {
-            Value::Bytes(dst) => {
-                dst.clear();
-                dst.extend_from_slice(src);
-            }
-            other => *other = Value::Bytes(src.to_vec()),
-        }
-        return Ok(());
-    }
-    exec_get(op, slots, msg, r, hooks, rights_in)
-}
-
-/// Executes one Get op — shared by the threaded loop and fused heads.
-#[inline]
-fn exec_get(
-    op: &MOp,
-    slots: &mut [Value],
-    msg: &[u8],
-    r: &mut AnyReader<'_>,
+    r: &mut R,
     hooks: &HookMap,
     rights_in: &mut dyn Iterator<Item = u32>,
 ) -> Result<()> {
@@ -330,7 +400,7 @@ fn exec_get(
         MOp::GetF64(_) => slots[slot] = Value::F64(r.get_f64()?),
         MOp::GetStr(_) => slots[slot] = Value::Str(r.get_str()?),
         MOp::GetStrAsBytes(_) => slots[slot] = Value::Bytes(r.get_str_bytes()?),
-        MOp::GetBytesOwned(_) => slots[slot] = Value::Bytes(r.get_bytes_owned()?),
+        MOp::GetBytesOwned(_) => slots[slot] = Value::Bytes(r.get_bytes_borrowed()?.to_vec()),
         MOp::GetBytesBorrowed(_) => {
             let s = r.get_bytes_borrowed()?;
             let off = s.as_ptr() as usize - msg.as_ptr() as usize;
@@ -377,34 +447,30 @@ fn exec_get(
     Ok(())
 }
 
+/// Reads a single scalar field through the reader's own primitive (same
+/// bytes, same error behavior as the threaded op, no layout detour).
+#[inline(always)]
+fn get_scalar<'a, R: WireRead<'a>>(f: &BlockField, slots: &mut [Value], r: &mut R) -> Result<()> {
+    slots[f.slot.0] = match f.kind {
+        ScalarKind::U32 => Value::U32(r.get_u32()?),
+        ScalarKind::I32 => Value::I32(r.get_i32()?),
+        ScalarKind::U64 => Value::U64(r.get_u64()?),
+        ScalarKind::I64 => Value::I64(r.get_i64()?),
+        ScalarKind::F64 => Value::F64(r.get_f64()?),
+        ScalarKind::Bool => Value::Bool(r.get_bool()?),
+    };
+    Ok(())
+}
+
 /// Executes one fused scalar block as a bulk read: a single prefix bounds
 /// check consumes the whole block, then each field decodes straight into
 /// its slot. Scalar `Value`s are plain copies — no heap work happens here.
-fn get_block(blk: &ScalarBlock, slots: &mut [Value], r: &mut AnyReader<'_>) -> Result<()> {
-    // One-field blocks decode through the reader's native primitive (same
-    // bytes, same error behavior, no layout detour).
+#[inline]
+fn get_block<'a, R: WireRead<'a>>(blk: &ScalarBlock, slots: &mut [Value], r: &mut R) -> Result<()> {
     if let [f] = blk.fields() {
-        slots[f.slot.0] = match f.kind {
-            ScalarKind::U32 => Value::U32(r.get_u32()?),
-            ScalarKind::I32 => Value::I32(r.get_i32()?),
-            ScalarKind::U64 => Value::U64(r.get_u64()?),
-            ScalarKind::I64 => Value::I64(r.get_i64()?),
-            ScalarKind::F64 => Value::F64(r.get_f64()?),
-            ScalarKind::Bool => Value::Bool(r.get_bool()?),
-        };
-        return Ok(());
+        return get_scalar(f, slots, r);
     }
-    let (layout, big, bool_word, src) = match r {
-        AnyReader::Xdr(xr) => {
-            let layout = blk.packed();
-            (layout, true, true, xr.take_block(layout.len as usize)?)
-        }
-        AnyReader::Cdr(cr) => {
-            let layout = blk.aligned(cr.position());
-            let big = cr.order() == ByteOrder::Big;
-            (layout, big, false, cr.take_block(layout.len as usize)?)
-        }
-    };
+    let (layout, big, src) = r.take_block(blk)?;
     for (f, &off) in blk.fields().iter().zip(layout.offsets) {
         let off = off as usize;
         macro_rules! load {
@@ -424,7 +490,7 @@ fn get_block(blk: &ScalarBlock, slots: &mut [Value], r: &mut AnyReader<'_>) -> R
             ScalarKind::I64 => Value::I64(load!(i64, 8)),
             ScalarKind::F64 => Value::F64(f64::from_bits(load!(u64, 8))),
             ScalarKind::Bool => {
-                let v = if bool_word { load!(u32, 4) } else { src[off] as u32 };
+                let v = if R::BOOL_WORD { load!(u32, 4) } else { src[off] as u32 };
                 match v {
                     0 => Value::Bool(false),
                     1 => Value::Bool(true),

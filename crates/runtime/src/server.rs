@@ -28,12 +28,11 @@ pub struct ReplySink<'w> {
     writer: &'w mut AnyWriter,
     specs: &'w [SinkSpec],
     next: usize,
-    written_lens: Vec<usize>,
 }
 
 impl<'w> ReplySink<'w> {
     fn new(writer: &'w mut AnyWriter, specs: &'w [SinkSpec]) -> ReplySink<'w> {
-        ReplySink { writer, specs, next: 0, written_lens: Vec::new() }
+        ReplySink { writer, specs, next: 0 }
     }
 
     /// Number of sink payloads this operation expects.
@@ -50,7 +49,6 @@ impl<'w> ReplySink<'w> {
             )));
         }
         self.writer.put_bytes(data);
-        self.written_lens.push(data.len());
         self.next += 1;
         Ok(())
     }
@@ -80,18 +78,17 @@ impl<'w> ReplySink<'w> {
             f(&mut emit);
             off.min(dst.len())
         })?;
-        self.written_lens.push(total);
         self.next += 1;
         Ok(())
     }
 
     /// Writes empty payloads for anything the work function skipped (the
     /// error path: a failed read still produces a decodable reply).
-    fn finish(mut self) -> Result<Vec<usize>> {
+    fn finish(mut self) -> Result<()> {
         while self.next < self.specs.len() {
             self.put(&[])?;
         }
-        Ok(self.written_lens)
+        Ok(())
     }
 }
 
@@ -115,6 +112,7 @@ pub struct ServerCall<'a, 'w> {
 
 impl ServerCall<'_, '_> {
     /// Resolves a slot index by dotted name.
+    #[inline]
     pub fn slot(&self, name: &str) -> Result<usize> {
         self.slots
             .slot(name)
@@ -123,9 +121,10 @@ impl ServerCall<'_, '_> {
     }
 
     /// Reads a `u32` argument.
+    #[inline]
     pub fn u32(&self, name: &str) -> Result<u32> {
         let i = self.slot(name)?;
-        self.frame[i].as_u32().ok_or(RpcError::SlotKind {
+        self.frame[i].as_u32().ok_or_else(|| RpcError::SlotKind {
             slot: i,
             expected: "u32",
             found: self.frame[i].kind(),
@@ -133,9 +132,10 @@ impl ServerCall<'_, '_> {
     }
 
     /// Reads a `u64` argument.
+    #[inline]
     pub fn u64(&self, name: &str) -> Result<u64> {
         let i = self.slot(name)?;
-        self.frame[i].as_u64().ok_or(RpcError::SlotKind {
+        self.frame[i].as_u64().ok_or_else(|| RpcError::SlotKind {
             slot: i,
             expected: "u64",
             found: self.frame[i].kind(),
@@ -143,9 +143,10 @@ impl ServerCall<'_, '_> {
     }
 
     /// Reads a string argument.
+    #[inline]
     pub fn str(&self, name: &str) -> Result<&str> {
         let i = self.slot(name)?;
-        self.frame[i].as_str().ok_or(RpcError::SlotKind {
+        self.frame[i].as_str().ok_or_else(|| RpcError::SlotKind {
             slot: i,
             expected: "str",
             found: self.frame[i].kind(),
@@ -154,9 +155,10 @@ impl ServerCall<'_, '_> {
 
     /// Reads a byte-payload argument, resolving borrowed windows against
     /// the request message (zero-copy for `[borrowed]` presentations).
+    #[inline]
     pub fn bytes(&self, name: &str) -> Result<&[u8]> {
         let i = self.slot(name)?;
-        self.frame[i].window_of(self.request).ok_or(RpcError::SlotKind {
+        self.frame[i].window_of(self.request).ok_or_else(|| RpcError::SlotKind {
             slot: i,
             expected: "bytes",
             found: self.frame[i].kind(),
@@ -164,6 +166,7 @@ impl ServerCall<'_, '_> {
     }
 
     /// Sets a result slot.
+    #[inline]
     pub fn set(&mut self, name: &str, v: Value) -> Result<()> {
         let i = self.slot(name)?;
         self.frame[i] = v;
@@ -268,24 +271,14 @@ impl ServerInterface {
         op: &str,
         handler: impl FnMut(&mut ServerCall<'_, '_>) -> u32 + Send + 'static,
     ) -> Result<()> {
-        let i = self
-            .compiled
-            .ops
-            .iter()
-            .position(|o| o.name == op)
-            .ok_or_else(|| RpcError::NoSuchOp(op.into()))?;
+        let i = self.compiled.op_index(op).ok_or_else(|| RpcError::NoSuchOp(op.into()))?;
         self.handlers[i] = Some(Box::new(handler));
         Ok(())
     }
 
     /// Registers `[special]` hooks for an operation by name.
     pub fn hooks_mut(&mut self, op: &str) -> Result<&mut HookMap> {
-        let i = self
-            .compiled
-            .ops
-            .iter()
-            .position(|o| o.name == op)
-            .ok_or_else(|| RpcError::NoSuchOp(op.into()))?;
+        let i = self.compiled.op_index(op).ok_or_else(|| RpcError::NoSuchOp(op.into()))?;
         Ok(&mut self.hooks[i])
     }
 
@@ -317,20 +310,17 @@ impl ServerInterface {
             return Err(RpcError::NoSuchOp(format!("op index {op_index}")));
         }
         // The reply marshals into the caller's buffer and the call frame is
-        // this op's reused scratch: a warm fixed-size dispatch allocates
-        // nothing.
+        // this op's reused scratch, reset where it lives: a warm fixed-size
+        // dispatch allocates nothing.
         let mut buf = std::mem::take(reply);
         buf.clear();
         buf.reserve(self.reply_cap);
         let mut writer = AnyWriter::over(self.format, buf);
-        let mut frame = std::mem::take(&mut self.frames[op_index]);
         let t0 = self.tracer.as_ref().map(|t| (t.begin_call(), t.now_ns()));
-        let result =
-            self.dispatch_into(op_index, request, rights_in, &mut writer, rights_out, &mut frame);
+        let result = self.dispatch_into(op_index, request, rights_in, &mut writer, rights_out);
         if let (Some(t), Some((call, start))) = (&self.tracer, t0) {
             t.record(call, flexrpc_trace::Stage::Dispatch, start, t.now_ns(), op_index as u64);
         }
-        self.frames[op_index] = frame;
         *reply = writer.into_bytes();
         self.reply_cap = self.reply_cap.max(reply.capacity());
         if result.is_err() {
@@ -375,10 +365,10 @@ impl ServerInterface {
         rights_in: &[u32],
         writer: &mut AnyWriter,
         rights_out: &mut Vec<u32>,
-        frame: &mut Vec<Value>,
     ) -> Result<()> {
         let op: &CompiledOp = &self.compiled.ops[op_index];
         let hooks = &self.hooks[op_index];
+        let frame = &mut self.frames[op_index];
         op.slots.reset_frame(frame);
 
         let mut reader = AnyReader::new(self.format, request)?;

@@ -1,16 +1,303 @@
 //! Format-erased wire writers and readers.
 //!
 //! Stub programs are wire-format-agnostic; the binding picks XDR (Sun
-//! back-end) or CDR (CORBA back-end) and the interpreter drives one of these
+//! back-end) or CDR (CORBA back-end) and hands the interpreter one of these
 //! enums. Enum dispatch keeps the zero-copy accessors' lifetimes intact
 //! (trait objects cannot return borrowed slices tied to the message).
+//!
+//! The enums are the public face; underneath, each transfer syntax answers
+//! the crate-private `WireWrite` / `WireRead` traits, and the
+//! interpreter matches on the enum **once per program** and then runs a
+//! loop monomorphised over the concrete `CdrWriter` / `XdrWriter`
+//! (`CdrReader` / `XdrReader`) — see [`crate::interp`]. What differs
+//! between the syntaxes (CDR's NUL-terminated strings and unpadded fixed
+//! opaques, which block layout a fused scalar run takes, how wide a `bool`
+//! is) is said once, in the trait impls here; the enums' own methods
+//! forward to them, so a hand-driven `AnyWriter` and a program-driven one
+//! cannot disagree.
+//!
+//! Every forwarder is `#[inline]`: the benchmark's profile has no LTO, so
+//! without the attribute `AnyWriter::put_u32` → `CdrWriter::put_u32` →
+//! `MsgBuf` is a chain of out-of-line cross-crate calls per primitive.
 
+use flexrpc_core::fuse::{BlockLayout, ScalarBlock, SizeHint};
 use flexrpc_marshal::buf::Window;
-use flexrpc_marshal::cdr::{CdrReader, CdrWriter};
+use flexrpc_marshal::cdr::{ByteOrder, CdrReader, CdrWriter};
 use flexrpc_marshal::xdr::{XdrReader, XdrWriter};
 use flexrpc_marshal::{MarshalError, WireFormat};
 
 type MResult<T> = core::result::Result<T, MarshalError>;
+
+/// One transfer syntax's writer as the interpreter drives it.
+pub(crate) trait WireWrite {
+    /// `bool` travels as a 4-byte 0/1 word (XDR) rather than one octet.
+    const BOOL_WORD: bool;
+
+    fn put_u32(&mut self, v: u32);
+    fn put_i32(&mut self, v: i32);
+    fn put_u64(&mut self, v: u64);
+    fn put_i64(&mut self, v: i64);
+    fn put_bool(&mut self, v: bool);
+    fn put_f64(&mut self, v: f64);
+    fn put_str(&mut self, s: &str);
+    fn put_str_bytes(&mut self, bytes: &[u8]);
+    fn put_bytes(&mut self, bytes: &[u8]);
+    fn put_bytes_fixed(&mut self, bytes: &[u8]);
+    fn reserve(&mut self, additional: usize);
+    fn reserve_payload(&mut self, len: usize) -> Window;
+    fn fill_window_with<F>(&mut self, w: Window, f: F) -> MResult<()>
+    where
+        F: FnOnce(&mut [u8]) -> usize;
+
+    /// The fixed bytes `hint` counts under this syntax's layout rules.
+    fn fixed_bytes(hint: &SizeHint) -> usize;
+
+    /// Appends the zeroed bytes of a fused block of two or more scalars,
+    /// laid out as this syntax lays it out at the current position.
+    /// Returns the layout, whether fields are big-endian, and the block.
+    fn append_block<'b>(&mut self, blk: &'b ScalarBlock) -> (BlockLayout<'b>, bool, &mut [u8]);
+}
+
+/// One transfer syntax's reader as the interpreter drives it.
+pub(crate) trait WireRead<'a> {
+    /// `bool` travels as a 4-byte 0/1 word (XDR) rather than one octet.
+    const BOOL_WORD: bool;
+
+    fn get_u32(&mut self) -> MResult<u32>;
+    fn get_i32(&mut self) -> MResult<i32>;
+    fn get_u64(&mut self) -> MResult<u64>;
+    fn get_i64(&mut self) -> MResult<i64>;
+    fn get_bool(&mut self) -> MResult<bool>;
+    fn get_f64(&mut self) -> MResult<f64>;
+    fn get_str(&mut self) -> MResult<String>;
+    fn get_str_bytes(&mut self) -> MResult<Vec<u8>>;
+    fn get_bytes_borrowed(&mut self) -> MResult<&'a [u8]>;
+    fn get_bytes_fixed_owned(&mut self, len: usize) -> MResult<Vec<u8>>;
+
+    /// Consumes a fused block of two or more scalars with one bounds
+    /// check. Returns the layout it has at the current position, whether
+    /// fields are big-endian, and the block's bytes.
+    fn take_block<'b>(
+        &mut self,
+        blk: &'b ScalarBlock,
+    ) -> MResult<(BlockLayout<'b>, bool, &'a [u8])>;
+}
+
+/// The six scalar forwarders of a [`WireWrite`] / [`WireRead`] impl: each
+/// is the concrete type's own primitive.
+macro_rules! own_put {
+    ($w:ty: $($name:ident($ty:ty)),*) => {
+        $(
+            #[inline]
+            fn $name(&mut self, v: $ty) {
+                <$w>::$name(self, v)
+            }
+        )*
+    };
+}
+
+macro_rules! own_get {
+    ($r:ty: $($name:ident -> $ty:ty),*) => {
+        $(
+            #[inline]
+            fn $name(&mut self) -> MResult<$ty> {
+                <$r>::$name(self)
+            }
+        )*
+    };
+}
+
+impl WireWrite for XdrWriter {
+    const BOOL_WORD: bool = true;
+
+    own_put!(XdrWriter: put_u32(u32), put_i32(i32), put_u64(u64), put_i64(i64), put_bool(bool), put_f64(f64));
+
+    #[inline]
+    fn put_str(&mut self, s: &str) {
+        self.put_string(s)
+    }
+
+    /// XDR strings are counted bytes, so the `length_is` form is free.
+    #[inline]
+    fn put_str_bytes(&mut self, bytes: &[u8]) {
+        self.put_opaque(bytes)
+    }
+
+    #[inline]
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.put_opaque(bytes)
+    }
+
+    #[inline]
+    fn put_bytes_fixed(&mut self, bytes: &[u8]) {
+        self.put_opaque_fixed(bytes)
+    }
+
+    #[inline]
+    fn reserve(&mut self, additional: usize) {
+        XdrWriter::reserve(self, additional)
+    }
+
+    #[inline]
+    fn reserve_payload(&mut self, len: usize) -> Window {
+        self.reserve_opaque(len)
+    }
+
+    #[inline]
+    fn fill_window_with<F>(&mut self, w: Window, f: F) -> MResult<()>
+    where
+        F: FnOnce(&mut [u8]) -> usize,
+    {
+        XdrWriter::fill_window_with(self, w, f)
+    }
+
+    #[inline]
+    fn fixed_bytes(hint: &SizeHint) -> usize {
+        hint.fixed_packed as usize
+    }
+
+    #[inline]
+    fn append_block<'b>(&mut self, blk: &'b ScalarBlock) -> (BlockLayout<'b>, bool, &mut [u8]) {
+        let layout = blk.packed();
+        (layout, true, XdrWriter::append_block(self, layout.len as usize, layout.data_len as usize))
+    }
+}
+
+impl WireWrite for CdrWriter {
+    const BOOL_WORD: bool = false;
+
+    own_put!(CdrWriter: put_u32(u32), put_i32(i32), put_u64(u64), put_i64(i64), put_bool(bool), put_f64(f64));
+
+    #[inline]
+    fn put_str(&mut self, s: &str) {
+        self.put_string(s)
+    }
+
+    /// CDR strings count and carry a NUL terminator, appended here.
+    #[inline]
+    fn put_str_bytes(&mut self, bytes: &[u8]) {
+        CdrWriter::put_u32(self, bytes.len() as u32 + 1);
+        self.put_octets(bytes);
+        self.put_u8(0);
+    }
+
+    #[inline]
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.put_sequence(bytes)
+    }
+
+    #[inline]
+    fn put_bytes_fixed(&mut self, bytes: &[u8]) {
+        self.put_octets(bytes)
+    }
+
+    #[inline]
+    fn reserve(&mut self, additional: usize) {
+        CdrWriter::reserve(self, additional)
+    }
+
+    #[inline]
+    fn reserve_payload(&mut self, len: usize) -> Window {
+        self.reserve_sequence(len)
+    }
+
+    #[inline]
+    fn fill_window_with<F>(&mut self, w: Window, f: F) -> MResult<()>
+    where
+        F: FnOnce(&mut [u8]) -> usize,
+    {
+        CdrWriter::fill_window_with(self, w, f)
+    }
+
+    #[inline]
+    fn fixed_bytes(hint: &SizeHint) -> usize {
+        hint.fixed_aligned as usize
+    }
+
+    #[inline]
+    fn append_block<'b>(&mut self, blk: &'b ScalarBlock) -> (BlockLayout<'b>, bool, &mut [u8]) {
+        let layout = blk.aligned(self.position());
+        let big = self.order() == ByteOrder::Big;
+        (layout, big, CdrWriter::append_block(self, layout.len as usize, layout.data_len as usize))
+    }
+}
+
+impl<'a> WireRead<'a> for XdrReader<'a> {
+    const BOOL_WORD: bool = true;
+
+    own_get!(XdrReader<'a>: get_u32 -> u32, get_i32 -> i32, get_u64 -> u64, get_i64 -> i64, get_bool -> bool, get_f64 -> f64);
+
+    #[inline]
+    fn get_str(&mut self) -> MResult<String> {
+        self.get_string()
+    }
+
+    #[inline]
+    fn get_str_bytes(&mut self) -> MResult<Vec<u8>> {
+        Ok(self.get_opaque_borrowed()?.to_vec())
+    }
+
+    #[inline]
+    fn get_bytes_borrowed(&mut self) -> MResult<&'a [u8]> {
+        self.get_opaque_borrowed()
+    }
+
+    #[inline]
+    fn get_bytes_fixed_owned(&mut self, len: usize) -> MResult<Vec<u8>> {
+        Ok(self.get_opaque_fixed(len)?.to_vec())
+    }
+
+    #[inline]
+    fn take_block<'b>(
+        &mut self,
+        blk: &'b ScalarBlock,
+    ) -> MResult<(BlockLayout<'b>, bool, &'a [u8])> {
+        let layout = blk.packed();
+        Ok((layout, true, XdrReader::take_block(self, layout.len as usize)?))
+    }
+}
+
+impl<'a> WireRead<'a> for CdrReader<'a> {
+    const BOOL_WORD: bool = false;
+
+    own_get!(CdrReader<'a>: get_u32 -> u32, get_i32 -> i32, get_u64 -> u64, get_i64 -> i64, get_bool -> bool, get_f64 -> f64);
+
+    #[inline]
+    fn get_str(&mut self) -> MResult<String> {
+        self.get_string()
+    }
+
+    /// No UTF-8 validation; the NUL terminator is checked and stripped.
+    #[inline]
+    fn get_str_bytes(&mut self) -> MResult<Vec<u8>> {
+        match self.get_sequence_borrowed()? {
+            [body @ .., 0] => Ok(body.to_vec()),
+            _ => Err(MarshalError::BadString),
+        }
+    }
+
+    #[inline]
+    fn get_bytes_borrowed(&mut self) -> MResult<&'a [u8]> {
+        self.get_sequence_borrowed()
+    }
+
+    /// One bounds check for the whole field, before anything is
+    /// allocated (CDR has no padding after a fixed octet array).
+    #[inline]
+    fn get_bytes_fixed_owned(&mut self, len: usize) -> MResult<Vec<u8>> {
+        Ok(CdrReader::take_block(self, len)?.to_vec())
+    }
+
+    #[inline]
+    fn take_block<'b>(
+        &mut self,
+        blk: &'b ScalarBlock,
+    ) -> MResult<(BlockLayout<'b>, bool, &'a [u8])> {
+        let layout = blk.aligned(self.position());
+        let big = self.order() == ByteOrder::Big;
+        Ok((layout, big, CdrReader::take_block(self, layout.len as usize)?))
+    }
+}
 
 /// A wire-format-erased message writer.
 #[derive(Debug)]
@@ -21,15 +308,25 @@ pub enum AnyWriter {
     Cdr(CdrWriter),
 }
 
+/// Runs `$body` with `$w` bound to the concrete writer (or reader) inside
+/// `$any` — the one place a format match is written.
+macro_rules! on_wire {
+    ($any:ident, $e:expr, $w:ident => $body:expr) => {
+        match $e {
+            $any::Xdr($w) => $body,
+            $any::Cdr($w) => $body,
+        }
+    };
+}
+pub(crate) use on_wire;
+
 macro_rules! fwd_put {
     ($($name:ident($ty:ty)),* $(,)?) => {
         $(
             /// Writes one primitive (dispatching on the wire format).
+            #[inline]
             pub fn $name(&mut self, v: $ty) {
-                match self {
-                    AnyWriter::Xdr(w) => w.$name(v),
-                    AnyWriter::Cdr(w) => w.$name(v),
-                }
+                on_wire!(AnyWriter, self, w => w.$name(v))
             }
         )*
     };
@@ -37,6 +334,7 @@ macro_rules! fwd_put {
 
 impl AnyWriter {
     /// Creates a writer for `format`.
+    #[inline]
     pub fn new(format: WireFormat) -> AnyWriter {
         match format {
             WireFormat::Xdr => AnyWriter::Xdr(XdrWriter::new()),
@@ -45,15 +343,14 @@ impl AnyWriter {
     }
 
     /// Creates a writer with preallocated capacity.
+    #[inline]
     pub fn with_capacity(format: WireFormat, cap: usize) -> AnyWriter {
-        match format {
-            WireFormat::Xdr => AnyWriter::Xdr(XdrWriter::with_capacity(cap)),
-            WireFormat::Cdr => AnyWriter::Cdr(CdrWriter::native_over(Vec::with_capacity(cap))),
-        }
+        AnyWriter::over(format, Vec::with_capacity(cap))
     }
 
     /// Creates a writer reusing `buf`'s allocation (cleared first) — the
     /// steady-state stub path allocates nothing.
+    #[inline]
     pub fn over(format: WireFormat, buf: Vec<u8>) -> AnyWriter {
         match format {
             WireFormat::Xdr => AnyWriter::Xdr(XdrWriter::over_vec(buf)),
@@ -67,78 +364,54 @@ impl AnyWriter {
     }
 
     /// Writes a wire string.
+    #[inline]
     pub fn put_str(&mut self, s: &str) {
-        match self {
-            AnyWriter::Xdr(w) => w.put_string(s),
-            AnyWriter::Cdr(w) => w.put_string(s),
-        }
+        on_wire!(AnyWriter, self, w => WireWrite::put_str(w, s))
     }
 
     /// Writes a wire string from raw bytes (the `length_is` presentation).
     ///
     /// XDR strings are counted bytes so this is free; CDR strings carry a
     /// NUL terminator which is appended here.
+    #[inline]
     pub fn put_str_bytes(&mut self, bytes: &[u8]) {
-        match self {
-            AnyWriter::Xdr(w) => w.put_opaque(bytes),
-            AnyWriter::Cdr(w) => {
-                w.put_u32(bytes.len() as u32 + 1);
-                for &b in bytes {
-                    w.put_u8(b);
-                }
-                w.put_u8(0);
-            }
-        }
+        on_wire!(AnyWriter, self, w => WireWrite::put_str_bytes(w, bytes))
     }
 
     /// Writes a counted byte payload.
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        match self {
-            AnyWriter::Xdr(w) => w.put_opaque(bytes),
-            AnyWriter::Cdr(w) => w.put_sequence(bytes),
-        }
+        on_wire!(AnyWriter, self, w => WireWrite::put_bytes(w, bytes))
     }
 
     /// Writes fixed-length opaque bytes (length checked by the caller).
+    #[inline]
     pub fn put_bytes_fixed(&mut self, bytes: &[u8]) {
-        match self {
-            AnyWriter::Xdr(w) => w.put_opaque_fixed(bytes),
-            AnyWriter::Cdr(w) => {
-                for &b in bytes {
-                    w.put_u8(b);
-                }
-            }
-        }
+        on_wire!(AnyWriter, self, w => WireWrite::put_bytes_fixed(w, bytes))
     }
 
     /// Ensures capacity for at least `additional` more bytes (used by the
     /// fused path's exact-size presize: one reservation, no mid-marshal
     /// growth).
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
-        match self {
-            AnyWriter::Xdr(w) => w.reserve(additional),
-            AnyWriter::Cdr(w) => w.reserve(additional),
-        }
+        on_wire!(AnyWriter, self, w => w.reserve(additional))
     }
 
     /// Reserves a counted payload of exactly `len` bytes for in-place
     /// filling by a `[special]` hook.
+    #[inline]
     pub fn reserve_payload(&mut self, len: usize) -> Window {
-        match self {
-            AnyWriter::Xdr(w) => w.reserve_opaque(len),
-            AnyWriter::Cdr(w) => w.reserve_sequence(len),
-        }
+        on_wire!(AnyWriter, self, w => WireWrite::reserve_payload(w, len))
     }
 
     /// Fills a window reserved by [`AnyWriter::reserve_payload`].
+    #[inline]
     pub fn fill_window_with<F>(&mut self, w: Window, f: F) -> MResult<()>
     where
         F: FnOnce(&mut [u8]) -> usize,
     {
-        match self {
-            AnyWriter::Xdr(wr) => wr.fill_window_with(w, f),
-            AnyWriter::Cdr(wr) => wr.fill_window_with(w, f),
-        }
+        on_wire!(AnyWriter, self, wr => wr.fill_window_with(w, f))
     }
 
     /// Finishes the message.
@@ -147,11 +420,9 @@ impl AnyWriter {
     ///
     /// Panics on an unfilled reserve window (a stub-compiler bug, not user
     /// input).
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            AnyWriter::Xdr(w) => w.into_bytes(),
-            AnyWriter::Cdr(w) => w.into_bytes(),
-        }
+        on_wire!(AnyWriter, self, w => w.into_bytes())
     }
 }
 
@@ -168,11 +439,9 @@ macro_rules! fwd_get {
     ($($name:ident -> $ty:ty),* $(,)?) => {
         $(
             /// Reads one primitive (dispatching on the wire format).
+            #[inline]
             pub fn $name(&mut self) -> MResult<$ty> {
-                match self {
-                    AnyReader::Xdr(r) => r.$name(),
-                    AnyReader::Cdr(r) => r.$name(),
-                }
+                on_wire!(AnyReader, self, r => r.$name())
             }
         )*
     };
@@ -180,6 +449,7 @@ macro_rules! fwd_get {
 
 impl<'a> AnyReader<'a> {
     /// Creates a reader over `msg` for `format`.
+    #[inline]
     pub fn new(format: WireFormat, msg: &'a [u8]) -> MResult<AnyReader<'a>> {
         Ok(match format {
             WireFormat::Xdr => AnyReader::Xdr(XdrReader::new(msg)),
@@ -194,63 +464,40 @@ impl<'a> AnyReader<'a> {
 
     /// Reads a wire string into an owned `String`.
     pub fn get_str(&mut self) -> MResult<String> {
-        match self {
-            AnyReader::Xdr(r) => r.get_string(),
-            AnyReader::Cdr(r) => r.get_string(),
-        }
+        on_wire!(AnyReader, self, r => WireRead::get_str(r))
     }
 
     /// Reads a wire string as raw bytes (the `length_is` presentation — no
     /// UTF-8 validation; CDR's NUL terminator is stripped).
     pub fn get_str_bytes(&mut self) -> MResult<Vec<u8>> {
-        match self {
-            AnyReader::Xdr(r) => Ok(r.get_opaque_borrowed()?.to_vec()),
-            AnyReader::Cdr(r) => {
-                let raw = r.get_sequence_borrowed()?;
-                match raw.last() {
-                    Some(0) => Ok(raw[..raw.len() - 1].to_vec()),
-                    _ => Err(MarshalError::BadString),
-                }
-            }
-        }
+        on_wire!(AnyReader, self, r => WireRead::get_str_bytes(r))
     }
 
     /// Reads a counted payload, borrowing from the message.
+    #[inline]
     pub fn get_bytes_borrowed(&mut self) -> MResult<&'a [u8]> {
-        match self {
-            AnyReader::Xdr(r) => r.get_opaque_borrowed(),
-            AnyReader::Cdr(r) => r.get_sequence_borrowed(),
-        }
+        on_wire!(AnyReader, self, r => WireRead::get_bytes_borrowed(r))
     }
 
     /// Reads a counted payload into an owned vector.
+    #[inline]
     pub fn get_bytes_owned(&mut self) -> MResult<Vec<u8>> {
         Ok(self.get_bytes_borrowed()?.to_vec())
     }
 
     /// Reads fixed-length opaque bytes into an owned vector. Fixed opaque
     /// fields are small (file handles), so an owned copy is the right
-    /// default on both formats; CDR additionally has no borrowed
-    /// fixed-array accessor.
+    /// default on both formats. A message too short for the field fails
+    /// with [`MarshalError::Truncated`] before anything is allocated.
+    #[inline]
     pub fn get_bytes_fixed_owned(&mut self, len: usize) -> MResult<Vec<u8>> {
-        match self {
-            AnyReader::Xdr(r) => Ok(r.get_opaque_fixed(len)?.to_vec()),
-            AnyReader::Cdr(r) => {
-                let mut v = Vec::with_capacity(len);
-                for _ in 0..len {
-                    v.push(r.get_u8()?);
-                }
-                Ok(v)
-            }
-        }
+        on_wire!(AnyReader, self, r => WireRead::get_bytes_fixed_owned(r, len))
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        match self {
-            AnyReader::Xdr(r) => r.remaining(),
-            AnyReader::Cdr(r) => r.remaining(),
-        }
+        on_wire!(AnyReader, self, r => r.remaining())
     }
 }
 
@@ -326,6 +573,101 @@ mod tests {
             let mut r = AnyReader::new(format, &bytes).unwrap();
             assert_eq!(r.get_bytes_owned().unwrap(), vec![1, 2, 3, 4]);
             assert_eq!(r.get_u32().unwrap(), 0xCAFE);
+        }
+    }
+
+    /// `length_is` strings and fixed opaques move in bulk; on CDR they used
+    /// to move an octet at a time. That loop is kept here, written against
+    /// the concrete writers' one-octet and one-word primitives, as the
+    /// oracle: same wire bytes, same `bytes_written`, same values back. (It
+    /// is an oracle, not a regression test — it held before the change too.)
+    #[test]
+    fn bulk_fields_match_the_octet_at_a_time_oracle() {
+        fn written(w: &AnyWriter) -> u64 {
+            match w {
+                AnyWriter::Xdr(w) => w.bytes_written(),
+                AnyWriter::Cdr(w) => w.bytes_written(),
+            }
+        }
+        for len in [0usize, 1, 32, 4096] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+
+            // A leading word, the string, the fixed field, a trailing word.
+            let message = |format| {
+                let mut w = AnyWriter::new(format);
+                w.put_u32(0xAABB_CCDD);
+                w.put_str_bytes(&data);
+                w.put_bytes_fixed(&data);
+                w.put_u32(7);
+                let counted = written(&w);
+                (w.into_bytes(), counted)
+            };
+
+            // CDR oracle: count + 1, each octet, the NUL; then each octet.
+            let mut o = CdrWriter::native();
+            o.put_u32(0xAABB_CCDD);
+            o.put_u32(len as u32 + 1);
+            for &b in &data {
+                o.put_u8(b);
+            }
+            o.put_u8(0);
+            for &b in &data {
+                o.put_u8(b);
+            }
+            o.put_u32(7);
+            let oracle = (o.bytes_written(), o.into_bytes());
+            let (cdr, counted) = message(WireFormat::Cdr);
+            assert_eq!((counted, &cdr), (oracle.0, &oracle.1), "cdr, {len} bytes");
+
+            // XDR oracle, by hand: count, octets, zero pad to a word; then
+            // octets and pad. Padding is not payload.
+            let pad = vec![0u8; len.next_multiple_of(4) - len];
+            let mut o = 0xAABB_CCDDu32.to_be_bytes().to_vec();
+            o.extend_from_slice(&(len as u32).to_be_bytes());
+            for _ in 0..2 {
+                o.extend_from_slice(&data);
+                o.extend_from_slice(&pad);
+            }
+            o.extend_from_slice(&7u32.to_be_bytes());
+            let (xdr, counted) = message(WireFormat::Xdr);
+            assert_eq!((counted, &xdr), ((4 + 4 + len + len + 4) as u64, &o), "xdr, {len} bytes");
+
+            // Back out again; the fixed field against CDR's old octet loop.
+            for (format, msg) in [(WireFormat::Cdr, &cdr), (WireFormat::Xdr, &xdr)] {
+                let mut r = AnyReader::new(format, msg).unwrap();
+                assert_eq!(r.get_u32().unwrap(), 0xAABB_CCDD);
+                assert_eq!(r.get_str_bytes().unwrap(), data, "{format:?}, {len} bytes");
+                if let AnyReader::Cdr(r) = &r {
+                    let mut o = CdrReader::new(msg).unwrap();
+                    for _ in 0..msg.len() - r.remaining() - 1 {
+                        o.get_u8().unwrap();
+                    }
+                    let octets: Vec<u8> = (0..len).map(|_| o.get_u8().unwrap()).collect();
+                    assert_eq!(octets, data);
+                }
+                assert_eq!(r.get_bytes_fixed_owned(len).unwrap(), data, "{format:?}, {len} bytes");
+                assert_eq!(r.get_u32().unwrap(), 7);
+                assert_eq!(r.remaining(), 0);
+            }
+        }
+    }
+
+    /// A message that ends inside a fixed opaque field is `Truncated`, and
+    /// the error describes the field — how long it is, how much message
+    /// was left for it — not its first missing octet.
+    #[test]
+    fn short_fixed_field_is_truncated_as_a_whole() {
+        for format in [WireFormat::Xdr, WireFormat::Cdr] {
+            let mut w = AnyWriter::new(format);
+            w.put_bytes_fixed(&[9u8; 8]);
+            let bytes = w.into_bytes();
+            let mut r = AnyReader::new(format, &bytes).unwrap();
+            let remaining = r.remaining();
+            assert_eq!(
+                r.get_bytes_fixed_owned(32).unwrap_err(),
+                MarshalError::Truncated { needed: 32, remaining },
+                "{format:?}"
+            );
         }
     }
 

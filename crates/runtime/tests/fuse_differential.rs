@@ -1,21 +1,42 @@
 //! Differential property tests for the specialized interpreter.
 //!
-//! For random sequences of typed fields, the fused program must be
-//! indistinguishable from the threaded one on both wire formats: marshal
-//! produces byte-identical messages, and unmarshal produces value-identical
-//! frames — including when the destination frame is dirty, which exercises
-//! the fused path's buffer-reuse refill of `GetBytesOwned` slots. Blocks of
-//! two or more scalars — the ones that run through a precomputed layout —
-//! are started at every CDR alignment phase in turn.
+//! The fused executor ([`flexrpc_runtime::interp`]'s per-syntax loop over
+//! the bind-time `FusedProgram`) is checked against the threaded loop
+//! (`SpecializeOptions::none()`: one op at a time, no blocks, no presize),
+//! which exists as its byte-for-byte oracle. For random sequences of typed
+//! fields — every scalar kind, counted bytes, checked strings, `length_is`
+//! strings and fixed opaques, so every head the executor runs inline or
+//! hands to the cold path — on both wire formats:
+//!
+//! * marshal produces byte-identical messages and the same `bytes_written`
+//!   (the copy schedule), and unmarshal value-identical frames — including
+//!   when the destination frame is dirty, which exercises the fused path's
+//!   buffer-reuse refill of `GetBytesOwned` slots;
+//! * blocks of two or more scalars — the ones that run through a
+//!   precomputed layout — are started at every CDR alignment phase in turn;
+//! * **every strict prefix** of a message is refused by both paths with
+//!   the same kind of typed error, without a panic, and allocating no more
+//!   than the whole message does (a fused block is refused by its one
+//!   up-front bounds check, so the numbers inside a `Truncated` may differ;
+//!   the kind may not);
+//! * a slot holding the wrong kind of `Value` is the same `SlotKind` error
+//!   (slot, expected, found) from both.
+//!
+//! The generator (`Field`, `field()`, `programs()`) is the one ROADMAP
+//! items 1 and 4a share: a hostile-bytes mutator starts from its messages.
 
 use flexrpc_core::fuse::{FOp, SpecializeOptions};
 use flexrpc_core::program::{MOp, Slot, StubProgram};
 use flexrpc_core::value::Value;
-use flexrpc_marshal::WireFormat;
+use flexrpc_marshal::{MarshalError, WireFormat};
 use flexrpc_runtime::interp::{marshal, unmarshal};
 use flexrpc_runtime::wire::{AnyReader, AnyWriter};
-use flexrpc_runtime::HookMap;
+use flexrpc_runtime::{HookMap, RpcError};
 use proptest::prelude::*;
+use std::mem::{discriminant, Discriminant};
+
+mod counting_alloc;
+use counting_alloc::allocs;
 
 /// One marshalled field: the value plus its op pair.
 #[derive(Clone, Debug)]
@@ -28,9 +49,17 @@ enum Field {
     F64(f64),
     Str(String),
     Bytes(Vec<u8>),
+    /// A string presented as raw bytes (`length_is`).
+    StrBytes(Vec<u8>),
+    /// A fixed opaque field of exactly this many bytes.
+    Fixed(Vec<u8>),
 }
 
 impl Field {
+    fn is_scalar(&self) -> bool {
+        !matches!(self, Field::Str(_) | Field::Bytes(_) | Field::StrBytes(_) | Field::Fixed(_))
+    }
+
     fn value(&self) -> Value {
         match self {
             Field::U32(x) => Value::U32(*x),
@@ -40,7 +69,7 @@ impl Field {
             Field::Bool(x) => Value::Bool(*x),
             Field::F64(x) => Value::F64(*x),
             Field::Str(s) => Value::Str(s.clone()),
-            Field::Bytes(b) => Value::Bytes(b.clone()),
+            Field::Bytes(b) | Field::StrBytes(b) | Field::Fixed(b) => Value::Bytes(b.clone()),
         }
     }
 
@@ -54,6 +83,8 @@ impl Field {
             Field::F64(_) => MOp::PutF64(slot),
             Field::Str(_) => MOp::PutStr(slot),
             Field::Bytes(_) => MOp::PutBytes(slot),
+            Field::StrBytes(_) => MOp::PutStrFromBytes(slot),
+            Field::Fixed(b) => MOp::PutBytesFixed(slot, b.len() as u32),
         }
     }
 
@@ -67,6 +98,8 @@ impl Field {
             Field::F64(_) => MOp::GetF64(slot),
             Field::Str(_) => MOp::GetStr(slot),
             Field::Bytes(_) => MOp::GetBytesOwned(slot),
+            Field::StrBytes(_) => MOp::GetStrAsBytes(slot),
+            Field::Fixed(b) => MOp::GetBytesFixed(slot, b.len() as u32),
         }
     }
 }
@@ -83,6 +116,8 @@ fn field() -> impl Strategy<Value = Field> {
         prop::collection::vec(any::<u8>(), 0..24)
             .prop_map(|v| Field::Str(v.iter().map(|b| (b'a' + b % 26) as char).collect())),
         prop::collection::vec(any::<u8>(), 0..48).prop_map(Field::Bytes),
+        prop::collection::vec(any::<u8>(), 0..24).prop_map(Field::StrBytes),
+        prop::collection::vec(any::<u8>(), 0..40).prop_map(Field::Fixed),
     ]
 }
 
@@ -96,17 +131,43 @@ fn programs(fields: &[Field], opts: SpecializeOptions) -> (StubProgram, StubProg
     (put_prog, get_prog)
 }
 
-fn marshal_with(prog: &StubProgram, slots: &[Value], format: WireFormat) -> Vec<u8> {
+/// The message and the payload bytes the writer counted into it.
+fn marshal_with(prog: &StubProgram, slots: &[Value], format: WireFormat) -> (Vec<u8>, u64) {
     let mut w = AnyWriter::new(format);
-    let hooks = HookMap::new();
-    marshal(prog, slots, &[], &mut w, &hooks, &mut Vec::new()).expect("marshal succeeds");
-    w.into_bytes()
+    try_marshal(prog, slots, &mut w).expect("marshal succeeds");
+    let written = match &w {
+        AnyWriter::Xdr(w) => w.bytes_written(),
+        AnyWriter::Cdr(w) => w.bytes_written(),
+    };
+    (w.into_bytes(), written)
+}
+
+fn try_marshal(prog: &StubProgram, slots: &[Value], w: &mut AnyWriter) -> Result<(), RpcError> {
+    marshal(prog, slots, &[], w, &HookMap::new(), &mut Vec::new())
 }
 
 fn unmarshal_with(prog: &StubProgram, frame: &mut [Value], msg: &[u8], format: WireFormat) {
-    let mut r = AnyReader::new(format, msg).expect("reader opens");
-    let hooks = HookMap::new();
-    unmarshal(prog, frame, msg, &mut r, &hooks, &mut std::iter::empty()).expect("unmarshal");
+    try_unmarshal(prog, frame, msg, format).expect("unmarshal");
+}
+
+fn try_unmarshal(
+    prog: &StubProgram,
+    frame: &mut [Value],
+    msg: &[u8],
+    format: WireFormat,
+) -> Result<(), RpcError> {
+    let mut r = AnyReader::new(format, msg)?;
+    unmarshal(prog, frame, msg, &mut r, &HookMap::new(), &mut std::iter::empty())
+}
+
+/// Which error it is, down to the marshalling error inside — not the
+/// numbers it carries.
+fn error_kind(e: &RpcError) -> (Discriminant<RpcError>, Option<Discriminant<MarshalError>>) {
+    let inner = match e {
+        RpcError::Marshal(m) => Some(discriminant(m)),
+        _ => None,
+    };
+    (discriminant(e), inner)
 }
 
 proptest! {
@@ -122,9 +183,10 @@ proptest! {
         let (fused_put, fused_get) = programs(&fields, SpecializeOptions::default());
 
         for format in [WireFormat::Xdr, WireFormat::Cdr] {
-            let plain_bytes = marshal_with(&plain_put, &slots, format);
-            let fused_bytes = marshal_with(&fused_put, &slots, format);
+            let (plain_bytes, plain_written) = marshal_with(&plain_put, &slots, format);
+            let (fused_bytes, fused_written) = marshal_with(&fused_put, &slots, format);
             prop_assert_eq!(&plain_bytes, &fused_bytes, "marshal differs on {:?}", format);
+            prop_assert_eq!(plain_written, fused_written, "bytes_written differs on {:?}", format);
 
             let mut plain_frame = vec![Value::Null; fields.len()];
             let mut fused_frame = vec![Value::Null; fields.len()];
@@ -141,10 +203,7 @@ proptest! {
     /// is wire- and value-identical to the threaded one.
     #[test]
     fn fused_blocks_start_at_every_cdr_phase(fields in prop::collection::vec(field(), 2..12)) {
-        let scalars: Vec<Field> = fields
-            .into_iter()
-            .filter(|f| !matches!(f, Field::Str(_) | Field::Bytes(_)))
-            .collect();
+        let scalars: Vec<Field> = fields.into_iter().filter(Field::is_scalar).collect();
         prop_assume!(scalars.len() >= 2);
         for phase in 0..8usize {
             let mut fields = vec![Field::Bytes(vec![0xA5; phase])];
@@ -159,13 +218,14 @@ proptest! {
             prop_assert!(matches!(fused.fops[..], [FOp::Fused { head: Some(_), block: 0 }]));
             prop_assert_eq!(fused.blocks[0].fields().len(), scalars.len());
             let (head_only, _) = programs(&fields[..1], SpecializeOptions::none());
-            let head_end = marshal_with(&head_only, &slots[..1], WireFormat::Cdr).len();
+            let head_end = marshal_with(&head_only, &slots[..1], WireFormat::Cdr).0.len();
             prop_assert_eq!(head_end % 8, phase, "block starts at CDR phase {}", phase);
 
             for format in [WireFormat::Xdr, WireFormat::Cdr] {
                 let plain_bytes = marshal_with(&plain_put, &slots, format);
                 let fused_bytes = marshal_with(&fused_put, &slots, format);
                 prop_assert_eq!(&plain_bytes, &fused_bytes, "phase {} on {:?}", phase, format);
+                let (plain_bytes, fused_bytes) = (plain_bytes.0, fused_bytes.0);
 
                 let mut plain_frame = vec![Value::Null; fields.len()];
                 let mut fused_frame = vec![Value::Null; fields.len()];
@@ -190,12 +250,85 @@ proptest! {
         let (fused_put, fused_get) = programs(&fields, SpecializeOptions::default());
 
         for format in [WireFormat::Xdr, WireFormat::Cdr] {
-            let bytes = marshal_with(&fused_put, &slots, format);
+            let (bytes, _) = marshal_with(&fused_put, &slots, format);
             let mut plain_frame = vec![Value::Bytes(stale.clone()); fields.len()];
             let mut fused_frame = vec![Value::Bytes(stale.clone()); fields.len()];
             unmarshal_with(&plain_get, &mut plain_frame, &bytes, format);
             unmarshal_with(&fused_get, &mut fused_frame, &bytes, format);
             prop_assert_eq!(&plain_frame, &fused_frame, "dirty-frame decode differs on {:?}", format);
+        }
+    }
+
+    /// Every strict prefix of a message is refused the same way by both
+    /// paths: a typed error of the same kind, no panic, and no more
+    /// allocations than decoding the whole message makes — a length word
+    /// is never believed before the bytes behind it are seen to be there.
+    #[test]
+    fn every_strict_prefix_fails_alike_and_allocates_no_more(
+        fields in prop::collection::vec(field(), 1..8),
+    ) {
+        let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
+        let (_, plain_get) = programs(&fields, SpecializeOptions::none());
+        let (fused_put, fused_get) = programs(&fields, SpecializeOptions::default());
+
+        for format in [WireFormat::Xdr, WireFormat::Cdr] {
+            let (bytes, _) = marshal_with(&fused_put, &slots, format);
+            // A decode into a fresh frame, and the allocations it made.
+            let decode = |prog: &StubProgram, msg: &[u8]| {
+                let mut frame = vec![Value::Null; fields.len()];
+                let before = allocs();
+                let outcome = try_unmarshal(prog, &mut frame, msg, format);
+                (outcome, allocs() - before)
+            };
+            let (plain_whole, plain_budget) = decode(&plain_get, &bytes);
+            let (fused_whole, fused_budget) = decode(&fused_get, &bytes);
+            prop_assert!(plain_whole.is_ok() && fused_whole.is_ok());
+
+            for cut in 0..bytes.len() {
+                let (plain, plain_allocs) = decode(&plain_get, &bytes[..cut]);
+                let (fused, fused_allocs) = decode(&fused_get, &bytes[..cut]);
+                let (Err(plain), Err(fused)) = (plain, fused) else {
+                    return Err(TestCaseError::fail(format!(
+                        "{format:?}: {cut} of {} bytes decoded", bytes.len()
+                    )));
+                };
+                prop_assert_eq!(
+                    error_kind(&plain), error_kind(&fused),
+                    "{:?} cut at {}: threaded {:?}, fused {:?}", format, cut, plain, fused
+                );
+                prop_assert!(
+                    plain_allocs <= plain_budget && fused_allocs <= fused_budget,
+                    "{:?} cut at {}: allocated {} / {}, the whole message {} / {}",
+                    format, cut, plain_allocs, fused_allocs, plain_budget, fused_budget
+                );
+            }
+        }
+    }
+
+    /// A slot holding the wrong kind of value is reported identically —
+    /// which slot, what the op expected, what it found — whether the op
+    /// runs threaded, inline in the executor, inside a fused block or on
+    /// the executor's cold path.
+    #[test]
+    fn a_wrong_slot_kind_is_the_same_error(
+        fields in prop::collection::vec(field(), 1..10),
+        at in 0usize..10,
+    ) {
+        let at = at % fields.len();
+        let mut slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
+        // No Put op the generator emits takes a port.
+        slots[at] = Value::Port(7);
+        let (plain_put, _) = programs(&fields, SpecializeOptions::none());
+        let (fused_put, _) = programs(&fields, SpecializeOptions::default());
+
+        for format in [WireFormat::Xdr, WireFormat::Cdr] {
+            let plain = try_marshal(&plain_put, &slots, &mut AnyWriter::new(format));
+            let fused = try_marshal(&fused_put, &slots, &mut AnyWriter::new(format));
+            prop_assert!(
+                matches!(fused, Err(RpcError::SlotKind { slot, found: "port", .. }) if slot == at),
+                "{:?}: {:?}", format, fused
+            );
+            prop_assert_eq!(plain, fused, "on {:?}", format);
         }
     }
 }

@@ -16,42 +16,10 @@ use flexrpc_core::value::Value;
 use flexrpc_marshal::WireFormat;
 use flexrpc_runtime::policy::CallControl;
 use flexrpc_runtime::{ClientStub, ServerInterface, Transport};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
-thread_local! {
-    /// Allocations made by *this* thread. Each audit runs its calls on its
-    /// own test thread, so a per-thread count sees exactly the audited
-    /// path: a process-wide one also caught the harness spawning the next
-    /// test mid-audit, and failed about one run in fifteen.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-struct Counting;
-
-// SAFETY: delegates verbatim to the system allocator; the counter is the
-// only addition.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(l) }
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(p, l, n) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: Counting = Counting;
+mod counting_alloc;
+use counting_alloc::allocs;
 
 /// An all-scalar (fixed-size) operation: `scale(a: u32, b: u64, on: bool)
 /// -> u32`.
@@ -329,4 +297,133 @@ fn tagged_sunrpc_round_trip_allocates_only_what_it_keeps() {
     assert_eq!(resent, 0, "{RESENT} retransmissions answered by replay allocated {resent} times");
     assert_eq!(cache.stats().suppressions, RESENT, "every retransmission was a cache hit");
     assert_eq!(frame[1], Value::Bytes(vec![0xAB; READ as usize]), "the replayed result");
+}
+
+/// FileIO under `server_pdl` (empty: the default presentation), shared.
+fn fileio(server_pdl: &str, opts: SpecializeOptions) -> Arc<CompiledInterface> {
+    let m = flexrpc_core::ir::fileio_example();
+    let iface = m.interface("FileIO").expect("interface");
+    let mut pres = InterfacePresentation::default_for(&m, iface).expect("defaults");
+    if !server_pdl.is_empty() {
+        let pdl = flexrpc_idl::pdl::parse(server_pdl).expect("pdl parses");
+        pres = flexrpc_core::annot::apply_pdl(&m, iface, &pres, &pdl).expect("pdl applies");
+    }
+    Arc::new(CompiledInterface::compile_with(&m, iface, &pres, opts).expect("compiles"))
+}
+
+/// The sink-mode server half — the `[dealloc(never)]` / `[special]`
+/// presentation whose point is that the reply payload goes from the
+/// server's own storage into the message with *no* intermediate buffer —
+/// allocates nothing per dispatch once the reply buffer is warm. (The sink
+/// used to keep a `Vec` of the lengths it wrote, which nobody read: one
+/// allocation per sink write.)
+#[test]
+fn warm_sink_mode_dispatch_allocates_nothing() {
+    let compiled = fileio(
+        "sequence<octet> [dealloc(never)] FileIO_read(unsigned long count);",
+        SpecializeOptions::default(),
+    );
+    let read = compiled.op("read").expect("read op");
+    assert_eq!(read.sink_params.len(), 1, "read's result is written through the sink");
+    let index = read.index;
+    let mut server = ServerInterface::new_shared(compiled, WireFormat::Cdr);
+    let storage = [0x5Au8; 4096];
+    server
+        .on("read", move |call| {
+            let count = call.u32("count").expect("count") as usize;
+            call.sink.put(&storage[..count]).expect("sink write");
+            0
+        })
+        .expect("registers");
+
+    // `read(1024)` as the default client marshals it.
+    let mut w = flexrpc_runtime::wire::AnyWriter::new(WireFormat::Cdr);
+    w.put_u32(1024);
+    let request = w.into_bytes();
+    let (mut reply, mut rights_out) = (Vec::new(), Vec::new());
+    for _ in 0..16 {
+        server.dispatch(index, &request, &[], &mut reply, &mut rights_out).expect("dispatch");
+    }
+    let before = allocs();
+    for _ in 0..100 {
+        server.dispatch(index, &request, &[], &mut reply, &mut rights_out).expect("dispatch");
+    }
+    let delta = allocs() - before;
+    assert_eq!(delta, 0, "100 warm sink-mode dispatches allocated {delta} times");
+    let mut r = flexrpc_runtime::wire::AnyReader::new(WireFormat::Cdr, &reply).expect("reply");
+    assert_eq!(r.get_bytes_borrowed().expect("payload"), &[0x5Au8; 1024][..]);
+    assert_eq!(r.get_u32().expect("status"), 0);
+}
+
+/// What the benchmark's `null_loopback` counts as 1 allocation / 64 B per
+/// op: a warm default-presentation `read(count)` over `Loopback` allocates
+/// exactly the work function's one result `Vec` — the request, the reply,
+/// both frames and the client's result payload all live in kept buffers.
+/// The threaded oracle pays one more per call: its `GetBytesOwned` hands
+/// the client a fresh vector instead of refilling the frame's.
+#[test]
+fn warm_loopback_read_allocates_exactly_the_handlers_vec() {
+    use flexrpc_runtime::transport::Loopback;
+
+    for (opts, per_call) in [(SpecializeOptions::default(), 1), (SpecializeOptions::none(), 2)] {
+        let compiled = fileio("", opts);
+        let mut server = ServerInterface::new_shared(Arc::clone(&compiled), WireFormat::Cdr);
+        let payload = [0xC3u8; 96];
+        server
+            .on("read", move |call| {
+                let count = call.u32("count").expect("count") as usize;
+                call.set("return", Value::Bytes(payload[..count].to_vec())).expect("return");
+                0
+            })
+            .expect("registers");
+        let transport = Loopback::new(Arc::new(parking_lot::Mutex::new(server)));
+        let mut stub = ClientStub::new_shared(compiled, WireFormat::Cdr, Box::new(transport));
+        let index = stub.op("read").expect("read op").index;
+        let mut frame = stub.new_frame("read").expect("frame");
+
+        // The benchmark's sizes: every length in 32..=96 has been seen once
+        // the warm-up ends, so no kept buffer grows during the audit.
+        let sizes = || (32..=96u32).cycle();
+        for count in sizes().take(130) {
+            frame[0] = Value::U32(count);
+            assert_eq!(stub.call_index(index, &mut frame).expect("call"), 0);
+        }
+        const CALLS: u64 = 130;
+        let before = allocs();
+        for count in sizes().take(CALLS as usize) {
+            frame[0] = Value::U32(count);
+            stub.call_index(index, &mut frame).expect("call");
+        }
+        let delta = allocs() - before;
+        assert_eq!(
+            delta,
+            per_call * CALLS,
+            "{CALLS} warm reads under {opts:?} allocated {delta} times; budget is {per_call} each"
+        );
+        assert_eq!(frame[1].as_bytes().expect("payload").len(), 96);
+    }
+}
+
+/// A message too short for a fixed opaque field is refused by one bounds
+/// check for the whole field, before the field's vector is allocated, on
+/// both formats (CDR used to read it octet by octet into a vector it had
+/// already reserved).
+#[test]
+fn truncated_fixed_opaque_fails_before_allocating() {
+    use flexrpc_marshal::MarshalError;
+    use flexrpc_runtime::wire::{AnyReader, AnyWriter};
+
+    for format in [WireFormat::Xdr, WireFormat::Cdr] {
+        let mut w = AnyWriter::new(format);
+        w.put_bytes_fixed(&[7u8; 20]);
+        let short = w.into_bytes();
+        let mut r = AnyReader::new(format, &short).expect("reader");
+        let remaining = r.remaining();
+        let before = allocs();
+        let err = r.get_bytes_fixed_owned(4096).unwrap_err();
+        let delta = allocs() - before;
+        assert_eq!(delta, 0, "{format:?}: the refused read allocated {delta} times");
+        // The error describes the field, not its last octet.
+        assert_eq!(err, MarshalError::Truncated { needed: 4096, remaining }, "{format:?}");
+    }
 }
