@@ -10,7 +10,8 @@
 //!   limit, deadline default, breaker arming, retry license), replacing
 //!   the scattered per-builder flags.
 //! * [`PolicyHandle`] — a live, versioned handle; [`PolicyHandle::swap`]
-//!   redirects all subsequent admissions without draining anything.
+//!   redirects all subsequent admissions without draining anything, and a
+//!   reader that keeps a [`CachedPolicy`] validates it with one load.
 //! * [`ControlPlane`] — the shared manager mapping [`TenantId`]s to
 //!   handles and per-tenant metrics (`tenant.<id>.*` in the unified
 //!   registry), attachable to any number of engines. A binding resolves
@@ -30,5 +31,5 @@ pub mod wfq;
 
 pub use flexrpc_runtime::TenantId;
 pub use plane::{ControlPlane, TenantCells, TenantMetrics};
-pub use policy::{Policy, PolicyHandle};
+pub use policy::{CachedPolicy, Policy, PolicyHandle};
 pub use wfq::{WfqGroup, WfqQueue, WfqRefusal, QUANTUM};

@@ -148,14 +148,17 @@ impl Policy {
     }
 }
 
-/// A live, shared handle to one tenant's [`Policy`].
+/// A live, shared handle to one tenant's [`Policy`] — or to an engine's
+/// own, which is swapped through the same cell.
 ///
-/// The handle is the unit of *live swap*: the engine loads the current
+/// The handle is the unit of *live swap*: the engine reads the current
 /// policy through it at every admission, so [`PolicyHandle::swap`]
 /// redirects all subsequent scheduling/quota/deadline decisions without
 /// draining the engine or touching established connections. Clones share
-/// the same cell. Swaps are cheap (one `Arc` store) and versioned, so a
-/// caller can tell whether a connection has observed the latest policy.
+/// the same cell. Swaps are cheap (one `Arc` store) and versioned: the
+/// version is bumped *inside* the write lock that stores the policy, so a
+/// version always names its policy and a reader holding a
+/// [`CachedPolicy`] can tell with one load whether it is still current.
 #[derive(Clone)]
 pub struct PolicyHandle {
     tenant: TenantId,
@@ -164,8 +167,26 @@ pub struct PolicyHandle {
 
 struct PolicyCell {
     policy: RwLock<Arc<Policy>>,
+    /// Only advanced with `policy` write-locked, after the store.
     version: AtomicU64,
     swaps: Counter,
+}
+
+/// A reader's own copy of a handle's policy and the version it was read at
+/// ([`PolicyHandle::cached`]); kept current with [`PolicyHandle::refresh`].
+/// The pair is always a version and *its* policy: both are read under the
+/// lock the swap holds while it writes both.
+#[derive(Debug)]
+pub struct CachedPolicy {
+    version: u64,
+    policy: Arc<Policy>,
+}
+
+impl CachedPolicy {
+    /// The policy as of the last [`PolicyHandle::refresh`].
+    pub fn policy(&self) -> &Policy {
+        &self.policy
+    }
 }
 
 impl PolicyHandle {
@@ -192,10 +213,29 @@ impl PolicyHandle {
     }
 
     /// Reads the current policy in place, under the cell's read guard: the
-    /// admission path's accessor — no `Arc` bump, and a swap is visible to
-    /// the very next read. Keep `f` short; a swap waits for it.
+    /// accessor of an admission that has no cached copy to validate — no
+    /// `Arc` bump, and a swap is visible to the very next read. Keep `f`
+    /// short; a swap waits for it.
     pub fn with<R>(&self, f: impl FnOnce(&Policy) -> R) -> R {
         f(&self.cell.policy.read())
+    }
+
+    /// The current policy and its version, for a reader to keep and
+    /// [`refresh`](PolicyHandle::refresh) before each use.
+    pub fn cached(&self) -> CachedPolicy {
+        let policy = self.cell.policy.read();
+        CachedPolicy { version: self.version(), policy: Arc::clone(&policy) }
+    }
+
+    /// Brings `cached` up to date: one `Acquire` load while nothing was
+    /// swapped since it was read, a reload under the read lock otherwise.
+    /// A swap that returned before this call began is always seen — its
+    /// version bump happened before, so the load cannot match.
+    #[inline]
+    pub fn refresh(&self, cached: &mut CachedPolicy) {
+        if self.version() != cached.version {
+            *cached = self.cached();
+        }
     }
 
     /// Replaces the policy **live**: every admission after the store sees
@@ -203,14 +243,29 @@ impl PolicyHandle {
     /// were admitted under (they are never dropped by a swap). Returns
     /// the new version number.
     pub fn swap(&self, policy: Policy) -> u64 {
-        *self.cell.policy.write() = Arc::new(policy);
+        self.exchange(policy).0
+    }
+
+    /// [`PolicyHandle::swap`], returning the policy that was in force.
+    pub fn replace(&self, policy: Policy) -> Arc<Policy> {
+        self.exchange(policy).1
+    }
+
+    /// The one swap: stores the policy and bumps the version (`Release`)
+    /// before the write lock is released, so whoever reads a version —
+    /// under the read lock or against a cached copy — reads its policy.
+    fn exchange(&self, policy: Policy) -> (u64, Arc<Policy>) {
+        let mut slot = self.cell.policy.write();
+        let replaced = std::mem::replace(&mut *slot, Arc::new(policy));
+        let version = self.cell.version.fetch_add(1, Ordering::Release) + 1;
+        drop(slot);
         self.cell.swaps.inc();
-        self.cell.version.fetch_add(1, Ordering::Relaxed) + 1
+        (version, replaced)
     }
 
     /// The monotonic policy version (1 = as constructed).
     pub fn version(&self) -> u64 {
-        self.cell.version.load(Ordering::Relaxed)
+        self.cell.version.load(Ordering::Acquire)
     }
 
     /// The swap counter cell (adopted by the control plane's registry).
@@ -264,5 +319,20 @@ mod tests {
         assert_eq!(v, 2);
         assert_eq!(h2.load().weight_value(), 9, "clones share the cell");
         assert_eq!(h2.version(), 2);
+    }
+
+    #[test]
+    fn a_cached_copy_is_reloaded_only_after_a_swap() {
+        let h = PolicyHandle::new(TenantId(7), Policy::new().weight(2));
+        let mut cached = h.cached();
+        let first = Arc::clone(&cached.policy);
+        h.refresh(&mut cached);
+        assert!(Arc::ptr_eq(&first, &cached.policy), "nothing swapped: the copy is kept");
+        assert_eq!((cached.version, cached.policy().weight_value()), (1, 2));
+
+        let replaced = h.replace(Policy::new().weight(5));
+        assert!(Arc::ptr_eq(&first, &replaced), "replace returns the policy it replaced");
+        h.refresh(&mut cached);
+        assert_eq!((cached.version, cached.policy().weight_value()), (2, 5));
     }
 }

@@ -151,6 +151,7 @@ impl Exposure {
         let call = Call {
             pool: &self.pool,
             bound: &self.anonymous,
+            policies: None,
             binding: tag.map_or(Arc::as_ptr(&self.pool) as u64, |t| t.binding),
             op_index,
             request: args,

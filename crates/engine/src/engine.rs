@@ -38,7 +38,8 @@ use crate::slot::ReplySlot;
 use crate::stats::{EngineCounters, EngineStatsSnapshot};
 use flexrpc_clock::{FaultInjector, Lost, SimClock};
 use flexrpc_control::{
-    ControlPlane, Policy, PolicyHandle, TenantCells, TenantMetrics, WfqGroup, WfqQueue, WfqRefusal,
+    CachedPolicy, ControlPlane, Policy, PolicyHandle, TenantCells, TenantMetrics, WfqGroup,
+    WfqQueue, WfqRefusal,
 };
 use flexrpc_core::compat::negotiate_call_shape;
 use flexrpc_core::fuse::SpecializeOptions;
@@ -50,7 +51,9 @@ use flexrpc_runtime::policy::{CallControl, CallOptions, CallTag, TenantId};
 use flexrpc_runtime::replycache::ReplyCache;
 use flexrpc_runtime::transport::Transport;
 use flexrpc_runtime::{RpcError, ServerInterface};
-use flexrpc_trace::{Counter, Histogram, MetricsRegistry, SharedCallTrace, Stage};
+use flexrpc_trace::{
+    Counter, CounterStripe, Histogram, HistogramStripe, MetricsRegistry, SharedCallTrace, Stage,
+};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -273,6 +276,11 @@ pub(crate) struct Call<'a> {
     /// What the submitting binding resolved when it was established: its
     /// tenant's live policy handle and metric cells.
     pub(crate) bound: &'a TenantCells,
+    /// The submitter's own copies of `bound`'s policy and the engine's,
+    /// refreshed for this call — present when the submitter had exclusive
+    /// access to its binding (`call_with(&mut self)`), so admission reads
+    /// them in place instead of taking the two policy read locks.
+    pub(crate) policies: Option<&'a BoundPolicies>,
     /// Shard binding: with the tenant, picks the call's home shard.
     pub(crate) binding: u64,
     pub(crate) op_index: usize,
@@ -325,7 +333,7 @@ struct Dispatch<'a> {
     tenant_metrics: &'a TenantMetrics,
     close_after: bool,
     /// Sim time the call entered the queue; `None` for a call that never
-    /// did (zero dwell by definition).
+    /// did — an inline call, zero dwell by definition.
     queued_at: Option<u64>,
     trace: Option<(&'a SharedCallTrace, u64)>,
 }
@@ -367,17 +375,37 @@ pub(crate) struct ReplicaPool {
     /// One lock per replica: checkout is a `try_lock` and return is the
     /// guard's drop — a single uncontended lock round trip per dispatch,
     /// and the replica never moves.
-    replicas: Vec<Mutex<ServerInterface>>,
+    replicas: Vec<Mutex<Replica>>,
     /// Parks dispatchers that found every replica out.
     starved: Mutex<()>,
     freed: Condvar,
+}
+
+/// One dispatch replica and the engine tallies its dispatches write.
+///
+/// The tallies are stripes of the engine's own `calls_served` / `bytes_in`
+/// / `bytes_out` / `dispatch_errors` / `inline_calls` counters and of
+/// `engine.dwell_ns`. Whoever dispatches holds this replica's lock, which
+/// makes it their single writer: counting a call costs no locked
+/// instruction beyond the lock the dispatch takes anyway. Readers
+/// ([`Engine::stats`], the registry) fold the stripes through the parent
+/// counters and never take this lock, so a stalled handler stalls no read;
+/// when the pool dies the stripes fold into their parents.
+struct Replica {
+    server: ServerInterface,
+    served: CounterStripe,
+    bytes_in: CounterStripe,
+    bytes_out: CounterStripe,
+    errors: CounterStripe,
+    inline: CounterStripe,
+    dwell_ns: HistogramStripe,
 }
 
 impl ReplicaPool {
     /// Takes a free replica for one dispatch, trying `home`'s first so
     /// each worker keeps to its own while there is no contention. Hand it
     /// back through [`ReplicaPool::give_back`].
-    fn checkout(&self, home: usize) -> MutexGuard<'_, ServerInterface> {
+    fn checkout(&self, home: usize) -> MutexGuard<'_, Replica> {
         let n = self.replicas.len();
         let scan = || (0..n).find_map(|k| self.replicas[(home + k) % n].try_lock());
         if let Some(replica) = scan() {
@@ -396,7 +424,7 @@ impl ReplicaPool {
         }
     }
 
-    fn give_back(&self, replica: MutexGuard<'_, ServerInterface>) {
+    fn give_back(&self, replica: MutexGuard<'_, Replica>) {
         drop(replica);
         self.freed.notify_one();
     }
@@ -578,7 +606,7 @@ impl EngineBuilder {
         });
         let engine = Arc::new(Engine {
             workers_n: self.workers,
-            policy: RwLock::new(Arc::new(self.policy)),
+            policy: PolicyHandle::new(TenantId::DEFAULT, self.policy),
             control,
             clock,
             yard,
@@ -670,9 +698,10 @@ impl EngineBuilder {
 pub struct Engine {
     workers_n: usize,
     /// The engine-level aggregate policy (high water, default dwell
-    /// limit). Swappable live; the breaker below was armed from the
-    /// policy the engine was built with.
-    policy: RwLock<Arc<Policy>>,
+    /// limit), behind the same live handle a tenant's is (it governs no
+    /// tenant; the id is unused). Swappable live; the breaker below was
+    /// armed from the policy the engine was built with.
+    policy: PolicyHandle,
     /// The control plane owning per-tenant policy and metrics.
     control: Arc<ControlPlane>,
     clock: Arc<SimClock>,
@@ -732,7 +761,7 @@ impl Engine {
 
     /// The engine-level aggregate policy currently in force.
     pub fn policy(&self) -> Arc<Policy> {
-        Arc::clone(&self.policy.read())
+        self.policy.load()
     }
 
     /// Replaces the engine-level policy **live**: every admission after
@@ -741,8 +770,7 @@ impl Engine {
     /// is fixed at build time (swapping does not re-arm it). Returns the
     /// policy that was in force.
     pub fn swap_policy(&self, policy: Policy) -> Arc<Policy> {
-        let mut slot = self.policy.write();
-        std::mem::replace(&mut *slot, Arc::new(policy))
+        self.policy.replace(policy)
     }
 
     /// Registers a service. `presentation` is the server's half of every
@@ -834,17 +862,24 @@ impl Engine {
                 )
             })
             .map_err(EngineError::Compile)?;
-        let replicas: Vec<Mutex<ServerInterface>> = (0..self.workers_n)
+        let replicas: Vec<Mutex<Replica>> = (0..self.workers_n)
             .map(|_| {
-                let mut replica =
-                    ServerInterface::new_shared(Arc::clone(&compiled), service.format);
-                (service.factory)(&mut replica);
+                let mut server = ServerInterface::new_shared(Arc::clone(&compiled), service.format);
+                (service.factory)(&mut server);
                 // All replicas share the engine's one reply cache: a retry
                 // may land on a different replica than the original.
                 if let Some(cache) = &self.reply_cache {
-                    replica.set_reply_cache(Arc::clone(cache));
+                    server.set_reply_cache(Arc::clone(cache));
                 }
-                Mutex::new(replica)
+                Mutex::new(Replica {
+                    server,
+                    served: self.counters.calls_served.stripe(),
+                    bytes_in: self.counters.bytes_in.stripe(),
+                    bytes_out: self.counters.bytes_out.stripe(),
+                    errors: self.counters.dispatch_errors.stripe(),
+                    inline: self.counters.inline_calls.stripe(),
+                    dwell_ns: self.dwell_ns.stripe(),
+                })
             })
             .collect();
         let pool = Arc::new(ReplicaPool {
@@ -921,11 +956,20 @@ impl Engine {
     }
 
     /// The one dispatch body, entered by a worker with a dequeued job and a
-    /// fresh [`Reply`], and by an inline caller with its own buffers: dwell
-    /// record, tenant cells, Enqueue and Dispatch spans, replica checkout
-    /// (starting at `home`), the dispatch itself, the finish counters, the
-    /// breaker record, and an induced close. On any failure the buffers
-    /// come back empty.
+    /// fresh [`Reply`], and by an inline caller with its own buffers: tenant
+    /// cells, Enqueue and Dispatch spans, replica checkout (starting at
+    /// `home`), the dispatch itself, the engine's tallies, the breaker
+    /// record, and an induced close. On any failure the buffers come back
+    /// empty.
+    ///
+    /// Which tally is written where: the engine's `calls_served`,
+    /// `bytes_in`, `bytes_out`, `dispatch_errors`, `inline_calls` and
+    /// `engine.dwell_ns` are the replica's own stripes, written between
+    /// `checkout` and `give_back` under the replica lock the dispatch
+    /// holds anyway — plain stores, worker and inline alike. The tenant's
+    /// `served` and dwell bucket are shared cells (the tenant spans
+    /// connections and pools), and `in_flight` is one shared exact gauge,
+    /// taken down once the replica is back.
     ///
     /// Forced inline: with two call sites it is otherwise an out-of-line
     /// call from the inline path, measured at +7 ns a call (≈2 %, losing
@@ -941,7 +985,6 @@ impl Engine {
         let started_ns = self.clock.now_ns();
         let queued_at = d.queued_at.unwrap_or(started_ns);
         let dwell = started_ns.saturating_sub(queued_at);
-        self.dwell_ns.record(dwell);
         d.tenant_metrics.served.inc();
         d.tenant_metrics.dwell_ns.record(dwell);
         if let Some((t, call)) = d.trace {
@@ -950,14 +993,26 @@ impl Engine {
         let mut replica = d.pool.checkout(home);
         reply.clear();
         rights_out.clear();
-        let mut result =
-            replica.dispatch_tagged(d.op_index, d.request, d.rights, d.tag, reply, rights_out);
+        let mut result = replica
+            .server
+            .dispatch_tagged(d.op_index, d.request, d.rights, d.tag, reply, rights_out);
+        let ok = result.is_ok();
+        replica.served.add(1);
+        replica.bytes_in.add(d.request.len() as u64);
+        if ok {
+            replica.bytes_out.add(reply.len() as u64);
+        } else {
+            replica.errors.add(1);
+        }
+        if d.queued_at.is_none() {
+            replica.inline.add(1);
+        }
+        replica.dwell_ns.record(dwell);
         d.pool.give_back(replica);
+        self.counters.in_flight.sub(1);
         if let Some((t, call)) = d.trace {
             t.record(call, Stage::Dispatch, started_ns, self.clock.now_ns(), d.op_index as u64);
         }
-        let ok = result.is_ok();
-        self.counters.job_finished(d.request.len(), if ok { reply.len() } else { 0 }, ok);
         if let Some(b) = &self.breaker {
             b.record(ok, self.clock.now_ns());
         }
@@ -993,12 +1048,15 @@ impl Engine {
     /// offered call, whether it then runs inline or through a queue.
     ///
     /// `call.bound` is what the submitting binding resolved when it was
-    /// established, so the warm path hashes no map and clones no `Arc`:
-    /// policy is read in place through the handle (a swap is visible to
-    /// the very next call). Only a tag naming *another* non-default tenant
-    /// — the acceptor path, where tenancy rides the wire credential — goes
-    /// to the plane's map; those cells are parked in `foreign` so the
-    /// admission can borrow them.
+    /// established, so the warm path hashes no map and clones no `Arc`.
+    /// Policy is read from the submitter's own refreshed copies when the
+    /// call brings them and is charged to the binding's tenant, and in
+    /// place through the handles otherwise (`submit(&self)`, the acceptor);
+    /// either way a swap is visible to the very next call. Only a tag
+    /// naming *another* non-default tenant — the acceptor path, where
+    /// tenancy rides the wire credential — goes to the plane's map; those
+    /// cells are parked in `foreign` so the admission can borrow them, and
+    /// its policy is the foreign tenant's, never the cached one.
     fn admit<'a>(
         &self,
         call: &Call<'a>,
@@ -1011,11 +1069,11 @@ impl Engine {
                 return Err(EngineError::Unhealthy);
             }
         }
-        let cells: &TenantCells = match call.tag.map(|t| t.tenant) {
+        let (cells, cached): (&TenantCells, _) = match call.tag.map(|t| t.tenant) {
             Some(t) if !t.is_default() && t != call.bound.handle.tenant() => {
-                foreign.insert(self.control.resolve(t))
+                (foreign.insert(self.control.resolve(t)), None)
             }
-            _ => call.bound,
+            _ => (call.bound, call.policies),
         };
         // Induced faults are applied at admission — the point where both
         // the same-domain path and the network acceptor path converge. The
@@ -1033,13 +1091,14 @@ impl Engine {
             None => {}
         }
         let now = self.clock.now_ns();
-        let (weight, quota, tenant_dwell, tenant_deadline) = cells
-            .handle
-            .with(|p| (p.weight_value(), p.quota_value(), p.dwell_limit_ns(), p.deadline_ns()));
-        let (high_water, engine_dwell) = {
-            let p = self.policy.read();
-            (p.high_water_value(), p.dwell_limit_ns())
-        };
+        let tenant_terms =
+            |p: &Policy| (p.weight_value(), p.quota_value(), p.dwell_limit_ns(), p.deadline_ns());
+        let engine_terms = |p: &Policy| (p.high_water_value(), p.dwell_limit_ns());
+        let ((weight, quota, tenant_dwell, tenant_deadline), (high_water, engine_dwell)) =
+            match cached {
+                Some(own) => (tenant_terms(own.tenant.policy()), engine_terms(own.engine.policy())),
+                None => (cells.handle.with(tenant_terms), self.policy.with(engine_terms)),
+            };
         // The tenant's dwell limit overrides the engine default; the
         // tenant's deadline default applies only when the caller set none.
         let dwell_deadline = tenant_dwell.or(engine_dwell).map(|d| now.saturating_add(d));
@@ -1189,7 +1248,6 @@ impl Engine {
             && !self.shards[shard].is_closed()
         {
             self.counters.job_enqueued();
-            self.counters.inline_calls.inc();
             let dispatch = Dispatch {
                 pool: call.pool,
                 op_index: call.op_index,
@@ -1395,8 +1453,13 @@ impl<'p> ConnectBuilder<'p> {
         let binding = self.engine.bind(&service, client, self.declared, trace.as_ref())?;
         self.engine.counters.connections.inc();
         static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
+        let tenant = self.engine.control.resolve(self.tenant);
         Ok(EngineConnection {
-            tenant: self.engine.control.resolve(self.tenant),
+            policies: BoundPolicies {
+                tenant: tenant.handle.cached(),
+                engine: self.engine.policy.cached(),
+            },
+            tenant,
             engine: self.engine,
             service,
             conn_id: NEXT_CONN.fetch_add(1, Ordering::Relaxed),
@@ -1492,6 +1555,16 @@ struct Binding {
     shapes: Arc<[CallShape]>,
 }
 
+/// A binding's own copies of the two policies its calls are admitted under
+/// — its tenant's and the engine's — each with the version it was read at.
+/// The connection rides in the `Box<dyn Transport>` every bind allocates,
+/// so this is per-bind heap: two `(u64, Arc)` pairs and no more
+/// (`bind_alloc.rs` pins the connection's size).
+pub(crate) struct BoundPolicies {
+    tenant: CachedPolicy,
+    engine: CachedPolicy,
+}
+
 /// A same-domain client connection: submits jobs to the engine's queue and
 /// blocks on completion. Supports multiple outstanding calls (pipelining)
 /// through [`EngineConnection::submit`] / [`CallTicket::wait`]. The
@@ -1505,6 +1578,9 @@ pub struct EngineConnection {
     /// The tenant this connection submits as: its live policy handle and
     /// metric cells, resolved at establishment.
     tenant: TenantCells,
+    /// This connection's own copies of its tenant's policy and the
+    /// engine's, brought up to date at the top of every `call_with`.
+    policies: BoundPolicies,
     /// Process-unique connection id: the default shard binding for
     /// untagged calls, so each connection's traffic has a stable home
     /// shard.
@@ -1561,6 +1637,7 @@ impl EngineConnection {
         self.engine.submit(&Call {
             pool: &pool,
             bound: &self.tenant,
+            policies: None,
             binding: self.binding_for(tag),
             op_index,
             request,
@@ -1673,11 +1750,16 @@ impl Transport for EngineConnection {
         // no worker handoff, the reply marshalled straight into `reply`.
         let deadline_ns = ctl.deadline_ns.or_else(|| self.connection_deadline());
         let binding = self.binding_for(ctl.tag);
-        // `&mut self` rules out a concurrent rebind, so the binding is
-        // read in place: no lock, no `Arc` clone.
+        // `&mut self`: the cached policies are this call's alone to bring
+        // up to date (one version load each while nothing was swapped), and
+        // no rebind can run, so the binding is read in place — no lock, no
+        // `Arc` clone.
+        self.tenant.handle.refresh(&mut self.policies.tenant);
+        self.engine.policy.refresh(&mut self.policies.engine);
         let call = Call {
             pool: &self.bind.get_mut().pool,
             bound: &self.tenant,
+            policies: Some(&self.policies),
             binding,
             op_index: op.index,
             request,

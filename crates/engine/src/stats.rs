@@ -1,9 +1,22 @@
 //! Engine-level counters and point-in-time snapshots.
 //!
-//! The counters are [`flexrpc_trace::Counter`] handles — shared atomic
-//! cells that an engine's [`flexrpc_trace::MetricsRegistry`] adopts under
-//! the unified `engine.*` names, so `engine.stats()` and a registry
-//! snapshot read the very same cells and can never disagree.
+//! The counters are [`flexrpc_trace::Counter`] handles that an engine's
+//! [`flexrpc_trace::MetricsRegistry`] adopts under the unified `engine.*`
+//! names, so `engine.stats()` and a registry snapshot read through the
+//! very same handles and can never disagree.
+//!
+//! Which tally is written where. The five a *dispatch* produces —
+//! `calls_served`, `bytes_in`, `bytes_out`, `dispatch_errors`,
+//! `inline_calls` — are never written here: each replica of each pool holds
+//! a stripe of them (and of `engine.dwell_ns`) and `Engine::serve` writes
+//! it under the replica lock the dispatch already holds, a plain store.
+//! Reading them ([`Counter::get`]) folds the stripes under the counter's
+//! own stripe-list lock — never a replica lock, so a stalled handler
+//! stalls no reader — and a pool that dies folds its stripes into the
+//! shared cells. `in_flight` / `peak_in_flight` are one shared exact gauge:
+//! the watermark is fed by the value `in_flight`'s add returns, which only
+//! a single cell can give. Everything else (sheds, expiries, cancels,
+//! steals, connections) is off the served path and written shared.
 
 use crate::breaker::BreakerStats;
 use crate::cache::CacheStats;
@@ -60,16 +73,6 @@ impl EngineCounters {
     pub(crate) fn job_enqueued(&self) {
         let now = self.in_flight.add(1);
         self.peak_in_flight.raise_to(now);
-    }
-
-    pub(crate) fn job_finished(&self, bytes_in: usize, bytes_out: usize, ok: bool) {
-        self.in_flight.sub(1);
-        self.calls_served.inc();
-        self.bytes_in.add(bytes_in as u64);
-        self.bytes_out.add(bytes_out as u64);
-        if !ok {
-            self.dispatch_errors.inc();
-        }
     }
 
     /// Reads every cell into a snapshot. Only what is not an engine counter

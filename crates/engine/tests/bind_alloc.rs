@@ -23,7 +23,7 @@ use counting_alloc::counted;
 use flexrpc_core::annot::apply_pdl;
 use flexrpc_core::present::{InterfacePresentation, Trust};
 use flexrpc_core::program::CompiledInterface;
-use flexrpc_engine::Engine;
+use flexrpc_engine::{Engine, EngineConnection};
 use flexrpc_marshal::WireFormat;
 use flexrpc_pipes::FILEIO_IDL;
 use std::sync::Arc;
@@ -40,14 +40,24 @@ const FINGERPRINT: u64 = 0;
 const WARM_ESTABLISH_AND_DROP: u64 = 0;
 /// Warm `rebind` to a combination the engine has seen. Parent: 13.
 const WARM_REBIND: u64 = 0;
-/// `corba::parse("fileio", FILEIO_IDL)`: the token vector, the four sets
-/// `validate` builds, and the twelve pieces of the `Module`. Parent: 48.
-const CORBA_PARSE_FILEIO: u64 = 17;
+/// `corba::parse("fileio", FILEIO_IDL)`: the token vector and the twelve
+/// pieces of the `Module` (`validate` scans its short lists and builds no
+/// set). Parent: 48.
+const CORBA_PARSE_FILEIO: u64 = 13;
 /// `pdl::parse(ONE_LINE_PDL)`: the token vector and the three pieces of
 /// the `PdlFile`. Parent: 19.
 const PDL_PARSE_ONE_LINE: u64 = 4;
-/// `CompiledInterface::compile` of FileIO under that PDL. Parent: 77.
-const COMPILE_FILEIO: u64 = 42;
+/// `CompiledInterface::compile` of FileIO under that PDL (it validates
+/// again, and again builds no set). Parent: 77.
+const COMPILE_FILEIO: u64 = 38;
+/// `size_of::<EngineConnection>()`. Not an allocation *count* but the bytes
+/// of one: a connection rides in the `Box<dyn Transport>` every bind
+/// allocates, so each field added to it is `bind_churn`
+/// `alloc_bytes_per_op`, whose bound is 1 % ≈ 97 B of the cycle's 9.1 KB.
+/// The two cached policies (a version and an `Arc` each) are 32 of these;
+/// a cache of policy *fields* would be 160 and fail the benchmark, so it
+/// should fail here first. Parent: 176.
+const CONNECTION_BYTES: usize = 208;
 
 fn client_presentation(pdl_text: &str, trust: Trust) -> InterfacePresentation {
     let module = flexrpc_idl::corba::parse("fileio", FILEIO_IDL).unwrap();
@@ -79,6 +89,11 @@ fn a_fingerprint_allocates_nothing() {
     let (allocs, fp) = counted(|| pres.fingerprint());
     assert_eq!(fp, pres.clone().fingerprint());
     assert_eq!(allocs, FINGERPRINT, "fingerprint() hashes in place");
+}
+
+#[test]
+fn a_connection_is_no_bigger_than_budgeted() {
+    assert_eq!(size_of::<EngineConnection>(), CONNECTION_BYTES);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Multi-tenant QoS acceptance tests: weighted-fair isolation under a
 //! noisy-neighbor storm, quota sheds charged to the offender, and live
-//! policy swaps redirecting admission without a drain.
+//! policy swaps redirecting admission without a drain — also on the path
+//! where a connection admits from its own cached copy of the policy.
 //!
 //! Determinism: a *plug* call occupies the lone worker behind a gate
 //! while every contending call is submitted at frozen sim time, so all
@@ -12,7 +13,7 @@
 use flexrpc_core::ir::fileio_example;
 use flexrpc_core::present::InterfacePresentation;
 use flexrpc_core::value::Value;
-use flexrpc_engine::{ControlPlane, Engine, EngineError, Policy, TenantId};
+use flexrpc_engine::{ControlPlane, Engine, EngineConnection, EngineError, Policy, TenantId};
 use flexrpc_marshal::WireFormat;
 use flexrpc_runtime::wire::AnyWriter;
 use flexrpc_runtime::{CallControl, CallTag, Transport};
@@ -58,6 +59,23 @@ fn read_request(count: u32) -> Vec<u8> {
     let mut w = AnyWriter::new(WireFormat::Cdr);
     w.put_u32(count);
     w.into_bytes()
+}
+
+/// One blocking `read(1)` on the connection's `&mut` path — the one that
+/// admits from the connection's cached policies — optionally tagged.
+fn blocking_read(conn: &mut EngineConnection, tag: Option<CallTag>) {
+    let program = conn.program();
+    let (mut reply, mut rights) = (Vec::new(), Vec::new());
+    let ctl = CallControl { deadline_ns: None, tag };
+    conn.call_with(
+        program.op("read").unwrap(),
+        &read_request(1),
+        &[],
+        &mut reply,
+        &mut rights,
+        &ctl,
+    )
+    .expect("the call is served");
 }
 
 /// One worker, a deep queue, and a `read` handler that blocks on `gate`
@@ -355,18 +373,7 @@ fn tag_borne_foreign_tenant_is_charged_to_its_own_cells() {
     let as_b = |seq| Some(CallTag::for_tenant(7, seq, TENANT_B));
 
     // Inline: nothing queued, so the blocking call runs on this thread.
-    let program = conn.program();
-    let ctl = CallControl { deadline_ns: None, tag: as_b(0) };
-    let (mut reply, mut rights) = (Vec::new(), Vec::new());
-    conn.call_with(
-        program.op("read").unwrap(),
-        &read_request(1),
-        &[],
-        &mut reply,
-        &mut rights,
-        &ctl,
-    )
-    .expect("inline call serves");
+    blocking_read(&mut conn, as_b(0));
 
     // Queued: behind the plug, B's quota of one — not A's absence of one —
     // decides, and the shed is B's.
@@ -387,6 +394,121 @@ fn tag_borne_foreign_tenant_is_charged_to_its_own_cells() {
     assert_eq!(snap.counter("tenant.2.shed"), 1);
     assert_eq!(snap.counter("tenant.1.served"), 1, "only the untagged plug is A's");
     assert_eq!(snap.counter("tenant.1.shed"), 0);
+    engine.shutdown();
+}
+
+/// A policy with a dwell limit gives every call a deadline, and a call
+/// with a deadline never dispatches inline — so whether `inline_calls`
+/// rose says which policy a call on an idle engine was admitted under.
+fn limited() -> Policy {
+    Policy::new().dwell_limit(Duration::from_secs(1))
+}
+
+/// A blocking call validates its cached policies by version, so a swap
+/// must reach the very next call on the same connection, through either
+/// handle, in either direction.
+#[test]
+fn a_swap_between_two_calls_reaches_the_second_through_the_cache() {
+    let plane = ControlPlane::new();
+    let handle = plane.register(TENANT_A, Policy::new());
+    let (engine, _gate) = plugged_engine(&plane);
+    let mut conn = engine.connect("qos").tenant(TENANT_A).establish().unwrap();
+    let inline_after_call = |conn: &mut EngineConnection| {
+        blocking_read(conn, None);
+        engine.stats().inline_calls
+    };
+    assert_eq!(handle.version(), 1, "versions count swaps from 1");
+    assert_eq!(inline_after_call(&mut conn), 1);
+
+    assert_eq!(handle.swap(limited()), 2);
+    assert_eq!(inline_after_call(&mut conn), 1, "the tenant's new dwell limit queues the call");
+    assert_eq!(handle.swap(Policy::new()), 3);
+    assert_eq!(inline_after_call(&mut conn), 2, "and its removal restores inline dispatch");
+
+    let neutral = engine.swap_policy(limited());
+    assert_eq!(*neutral, Policy::new(), "swap_policy returns what it replaced");
+    assert_eq!(inline_after_call(&mut conn), 2, "the engine's new dwell limit queues the call");
+    assert_eq!(*engine.swap_policy(Policy::new()), limited());
+    assert_eq!(inline_after_call(&mut conn), 3);
+
+    assert_eq!((handle.version(), engine.stats().calls_served), (3, 5));
+    assert_eq!(engine.metrics().snapshot().counter("tenant.1.admitted"), 2, "two rode the queue");
+    engine.shutdown();
+}
+
+/// The same across threads: a swapper alternates two policies while
+/// another thread calls. Each round is a handshake — the swap returns, then
+/// the call begins — and no such call may be admitted under the policy its
+/// round's swap replaced.
+#[test]
+fn no_call_begun_after_a_swap_returned_sees_the_replaced_policy() {
+    use std::sync::mpsc;
+    const ROUNDS: u64 = 200;
+
+    let plane = ControlPlane::new();
+    let handle = plane.register(TENANT_A, Policy::new());
+    let (engine, _gate) = plugged_engine(&plane);
+    let mut conn = engine.connect("qos").tenant(TENANT_A).establish().unwrap();
+    let (swapped_tx, swapped) = mpsc::channel();
+    let (called_tx, called) = mpsc::channel();
+    std::thread::scope(|s| {
+        let (handle, engine) = (&handle, &engine);
+        s.spawn(move || {
+            for round in 0..ROUNDS {
+                // Alternate which handle carries the limit, too.
+                let policy = if round % 2 == 0 { limited() } else { Policy::new() };
+                if round % 4 < 2 {
+                    handle.swap(policy);
+                } else {
+                    engine.swap_policy(policy);
+                }
+                swapped_tx.send(round % 2 == 0).unwrap();
+                called.recv().expect("the caller answers every round");
+            }
+        });
+        // Owned by this body, so a failed assertion below hangs up on the
+        // swapper instead of leaving it waiting for an answer.
+        let (swapped, called_tx) = (swapped, called_tx);
+        for round in 0..ROUNDS {
+            let limited_now = swapped.recv().expect("the swapper leads every round");
+            let before = engine.stats().inline_calls;
+            blocking_read(&mut conn, None);
+            let went_inline = engine.stats().inline_calls - before == 1;
+            assert_eq!(went_inline, !limited_now, "round {round}: admitted under a stale policy");
+            called_tx.send(()).unwrap();
+        }
+    });
+    assert_eq!(engine.stats().calls_served, ROUNDS);
+    engine.shutdown();
+}
+
+/// The cached pair is the *binding's* tenant's. A tag naming another
+/// tenant is admitted under that tenant's live policy, whichever of the
+/// two has the limit.
+#[test]
+fn a_foreign_tenant_tag_is_not_admitted_under_the_cached_policy() {
+    let plane = ControlPlane::new();
+    let own = plane.register(TENANT_A, Policy::new());
+    let foreign = plane.register(TENANT_B, limited());
+    let (engine, _gate) = plugged_engine(&plane);
+    let mut conn = engine.connect("qos").tenant(TENANT_A).establish().unwrap();
+    let as_b = |seq| Some(CallTag::for_tenant(7, seq, TENANT_B));
+
+    blocking_read(&mut conn, None);
+    assert_eq!(engine.stats().inline_calls, 1, "A has no limit: inline, and the cache is warm");
+    blocking_read(&mut conn, as_b(0));
+    assert_eq!(engine.stats().inline_calls, 1, "B's limit, not A's lack of one");
+
+    own.swap(limited());
+    foreign.swap(Policy::new());
+    blocking_read(&mut conn, None);
+    assert_eq!(engine.stats().inline_calls, 1, "A's limit is cached now");
+    blocking_read(&mut conn, as_b(1));
+    assert_eq!(engine.stats().inline_calls, 2, "B's lack of one, not A's cached limit");
+
+    let snap = engine.metrics().snapshot();
+    assert_eq!((snap.counter("tenant.1.served"), snap.counter("tenant.2.served")), (2, 2));
+    assert_eq!((snap.counter("tenant.1.admitted"), snap.counter("tenant.2.admitted")), (1, 1));
     engine.shutdown();
 }
 

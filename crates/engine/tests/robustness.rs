@@ -1,7 +1,8 @@
 //! Robustness-layer acceptance tests for the engine: admission control
 //! (shedding at the high-water mark), queue-dwell deadlines, pre-failed
-//! tickets for dead-on-arrival deadlines, cancel-on-drain shutdown, and
-//! deadline enforcement while a call is stuck *executing*.
+//! tickets for dead-on-arrival deadlines, cancel-on-drain shutdown,
+//! deadline enforcement while a call is stuck *executing*, and statistics
+//! that a stuck call cannot stall.
 //!
 //! Every deadline here is measured on the engine's deterministic sim
 //! clock: tests advance it explicitly, so expiry is exact, never a race
@@ -241,6 +242,70 @@ fn network_clients_see_shed_calls_as_system_err() {
     assert!(served > 0, "the engine kept serving under overload");
     assert!(shed > 0, "the overflow was shed");
     assert_eq!(engine.stats().calls_shed as usize, shed);
+}
+
+/// The dispatch tallies live behind each replica's lock, and a parked
+/// handler holds its replica's for as long as it is parked. Reading the
+/// statistics must not need that lock: `stats()` returns while the call is
+/// still stuck, and counts it in flight.
+#[test]
+fn stats_do_not_wait_for_a_stalled_handler() {
+    use flexrpc_runtime::{CallControl, Transport};
+    use std::sync::mpsc;
+
+    let patience = Duration::from_secs(30);
+    let (entered_tx, entered) = mpsc::channel();
+    let gate = Arc::new(Gate::default());
+    let engine = Engine::builder().workers(1).build();
+    {
+        let gate = Arc::clone(&gate);
+        engine
+            .register_service(
+                "slow",
+                fileio_example(),
+                "FileIO",
+                fileio_presentation(),
+                WireFormat::Cdr,
+                move |srv| {
+                    let (gate, entered) = (Arc::clone(&gate), entered_tx.clone());
+                    srv.on("read", move |_| {
+                        entered.send(()).unwrap();
+                        gate.wait();
+                        0
+                    })
+                    .unwrap();
+                },
+            )
+            .unwrap();
+    }
+    // An idle engine dispatches a blocking call inline: the caller's own
+    // thread parks in the handler, inside the replica lock.
+    let mut conn = engine.connect("slow").establish().unwrap();
+    let caller = thread::spawn(move || {
+        let program = conn.program();
+        let (mut reply, mut rights) = (Vec::new(), Vec::new());
+        conn.call_with(
+            program.op("read").unwrap(),
+            &read_request(4),
+            &[],
+            &mut reply,
+            &mut rights,
+            &CallControl::none(),
+        )
+    });
+    entered.recv_timeout(patience).expect("the call reaches the handler");
+
+    let (stats_tx, stats_rx) = mpsc::channel();
+    let eng = Arc::clone(&engine);
+    let reader = thread::spawn(move || stats_tx.send(eng.stats()).unwrap());
+    let stats = stats_rx.recv_timeout(patience);
+    gate.open();
+    let stats = stats.expect("stats() waited for the stalled replica");
+    assert_eq!((stats.in_flight, stats.calls_served), (1, 0));
+    caller.join().unwrap().expect("the stalled call completes");
+    reader.join().unwrap();
+    let stats = engine.stats();
+    assert_eq!((stats.in_flight, stats.calls_served, stats.inline_calls), (0, 1, 1));
 }
 
 /// The worker can be the last holder of the engine: it upgrades its weak

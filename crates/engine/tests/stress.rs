@@ -1,12 +1,13 @@
 //! Multi-threaded stress tests for the invariants the engine leans on:
 //! kernel name-table uniqueness under contention, pipe FIFO ordering
-//! through a many-worker engine, no submit wakeup lost between bursts, and
-//! bind accounting that stays exact when first binds race.
+//! through a many-worker engine, no submit wakeup lost between bursts,
+//! bind accounting that stays exact when first binds race, and dispatch
+//! tallies that stay exact and monotone while written as per-replica stripes.
 
 use flexrpc_core::ir::fileio_example;
 use flexrpc_core::present::{InterfacePresentation, Trust};
 use flexrpc_core::value::Value;
-use flexrpc_engine::{ClientInfo, Engine};
+use flexrpc_engine::{ClientInfo, Engine, EngineStatsSnapshot};
 use flexrpc_kernel::Kernel;
 use flexrpc_marshal::WireFormat;
 use flexrpc_pipes::circ::CircBuf;
@@ -14,9 +15,10 @@ use flexrpc_pipes::server::{
     register_pipe_handlers, server_presentation, PipeServerStats, ReadPresentation,
 };
 use flexrpc_pipes::{fileio_module, WOULDBLOCK};
-use flexrpc_runtime::{CallOptions, ClientStub, RpcError};
+use flexrpc_runtime::{CallControl, CallOptions, ClientStub, RpcError, Transport};
 use flexrpc_trace::Stage;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
@@ -328,4 +330,157 @@ fn racing_first_binds_count_one_hit_or_miss_each_and_own_their_compile() {
         drop(conns);
         engine.shutdown();
     }
+}
+
+/// The `engine.*` counters of a stats snapshot under their registry names.
+fn engine_counters(s: &EngineStatsSnapshot) -> [(&'static str, u64); 12] {
+    [
+        ("engine.calls_served", s.calls_served),
+        ("engine.bytes_in", s.bytes_in),
+        ("engine.bytes_out", s.bytes_out),
+        ("engine.in_flight", s.in_flight),
+        ("engine.peak_in_flight", s.peak_in_flight),
+        ("engine.connections", s.connections),
+        ("engine.dispatch_errors", s.dispatch_errors),
+        ("engine.shed", s.calls_shed),
+        ("engine.cancelled", s.calls_cancelled),
+        ("engine.expired", s.deadline_expired),
+        ("engine.steals", s.steals),
+        ("engine.inline_calls", s.inline_calls),
+    ]
+}
+
+/// The dispatch tallies are stripes, one set per replica per pool, written
+/// under the replica lock by whoever dispatches. Four blocking callers and
+/// a pipelined submitter drive two combinations (two pools) of a two-worker
+/// engine while a poller reads `stats()`: no polled tally ever falls, the
+/// finals are exactly what was offered, the registry reads what `stats()`
+/// reads, and when the engine — and with it every pool and stripe — is
+/// dropped under a reader that still holds the registry, nothing counted
+/// is lost.
+#[test]
+fn dispatch_tallies_are_monotone_exact_and_outlive_their_pools() {
+    const BLOCKING: usize = 4;
+    const CALLS: usize = 8_000;
+    const BATCHES: usize = 1_000;
+    const BATCH: usize = 8;
+
+    let engine = Engine::builder().workers(2).build();
+    let module = fileio_example();
+    let iface = module.interface("FileIO").unwrap();
+    let mut one = InterfacePresentation::default_for(&module, iface).unwrap();
+    engine
+        .register_service("fileio", module.clone(), "FileIO", one.clone(), WireFormat::Cdr, |srv| {
+            srv.on("read", |call| {
+                let count = call.u32("count").unwrap() as usize;
+                call.set("return", Value::Bytes(vec![0xA5; count])).unwrap();
+                0
+            })
+            .unwrap();
+        })
+        .unwrap();
+    one.trust = Trust::Leaky;
+    let mut other = one.clone();
+    other.trust = Trust::LeakyUnprotected;
+    let read_request = |count: usize| {
+        let mut w = flexrpc_runtime::wire::AnyWriter::new(WireFormat::Cdr);
+        w.put_u32(count as u32);
+        w.into_bytes()
+    };
+
+    let done = AtomicBool::new(false);
+    // (calls, request bytes, reply bytes) each driver offered and got back.
+    let offered: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
+        let (engine, one, other, done) = (&engine, &one, &other, &done);
+        let mut drivers: Vec<_> = (0..BLOCKING)
+            .map(|i| {
+                s.spawn(move || {
+                    let pres = if i % 2 == 0 { one } else { other };
+                    let mut conn =
+                        engine.connect("fileio").client_presentation(pres).establish().unwrap();
+                    let program = conn.program();
+                    let read = program.op("read").unwrap();
+                    let (mut reply, mut rights) = (Vec::new(), Vec::new());
+                    let (mut bytes_in, mut bytes_out) = (0, 0);
+                    for k in 0..CALLS {
+                        let request = read_request((i * 13 + k) % 96);
+                        conn.call_with(
+                            read,
+                            &request,
+                            &[],
+                            &mut reply,
+                            &mut rights,
+                            &CallControl::none(),
+                        )
+                        .expect("served");
+                        bytes_in += request.len() as u64;
+                        bytes_out += reply.len() as u64;
+                    }
+                    (CALLS as u64, bytes_in, bytes_out)
+                })
+            })
+            .collect();
+        drivers.push(s.spawn(move || {
+            let conn = engine.connect("fileio").client_presentation(other).establish().unwrap();
+            let read = conn.program().op("read").unwrap().index;
+            let (mut bytes_in, mut bytes_out) = (0, 0);
+            for batch in 0..BATCHES {
+                let tickets: Vec<_> = (0..BATCH)
+                    .map(|k| {
+                        let request = read_request((batch + k) % 64);
+                        bytes_in += request.len() as u64;
+                        conn.submit(read, &request, &[]).expect("admitted")
+                    })
+                    .collect();
+                for ticket in tickets {
+                    bytes_out += ticket.wait().expect("served").body.len() as u64;
+                }
+            }
+            ((BATCHES * BATCH) as u64, bytes_in, bytes_out)
+        }));
+        let poller = s.spawn(move || {
+            let tallies =
+                |s: &EngineStatsSnapshot| [s.calls_served, s.bytes_in, s.bytes_out, s.inline_calls];
+            let (mut last, mut polls) = ([0; 4], 0u64);
+            while !done.load(Ordering::Acquire) {
+                let now = tallies(&engine.stats());
+                assert!(now.iter().zip(&last).all(|(n, l)| n >= l), "fell: {last:?} -> {now:?}");
+                (last, polls) = (now, polls + 1);
+            }
+            polls
+        });
+        let offered = drivers.into_iter().map(|d| d.join().expect("driver finished")).collect();
+        done.store(true, Ordering::Release);
+        assert!(poller.join().expect("poller saw only rising tallies") > 0);
+        offered
+    });
+
+    let stats = engine.stats();
+    let sum = |f: fn(&(u64, u64, u64)) -> u64| offered.iter().map(f).sum::<u64>();
+    assert_eq!(
+        (stats.calls_served, stats.bytes_in, stats.bytes_out),
+        (sum(|o| o.0), sum(|o| o.1), sum(|o| o.2)),
+        "(calls, bytes in, bytes out) served vs offered"
+    );
+    assert_eq!((stats.dispatch_errors, stats.in_flight), (0, 0));
+    assert_eq!(stats.cache.misses, 2, "two combinations, two pools");
+    let registry = Arc::clone(engine.metrics());
+    let snap = registry.snapshot();
+    for (name, value) in engine_counters(&stats) {
+        assert_eq!(snap.counter(name), value, "{name}: registry vs stats()");
+    }
+    // A call ran inline or a worker ran it, and every run recorded its dwell.
+    let by_workers: u64 = (0..2).map(|i| snap.counter(&format!("engine.shard.{i}.served"))).sum();
+    assert_eq!(stats.inline_calls + by_workers, stats.calls_served);
+    assert!(stats.inline_calls <= (BLOCKING * CALLS) as u64);
+    assert_eq!(snap.histogram("engine.dwell_ns").unwrap().count, stats.calls_served);
+
+    // Services cannot be unregistered, so the engine's drop is where pools
+    // and their stripes die; the registry outlives them here.
+    drop(Arc::try_unwrap(engine).expect("every connection is gone"));
+    let after = registry.snapshot();
+    for (name, value) in engine_counters(&stats) {
+        assert_eq!(after.counter(name), value, "{name}: dropped stripes fold, they do not vanish");
+    }
+    assert_eq!(after.histogram("engine.dwell_ns"), snap.histogram("engine.dwell_ns"));
 }

@@ -16,8 +16,9 @@
 //!   documented as non-deterministic.
 //! * **Metrics** ([`metrics`]): named [`Counter`]s and log2-bucketed
 //!   [`Histogram`]s behind one [`MetricsRegistry`]. Components keep their
-//!   own counter handles (an atomic behind an `Arc`) and *adopt* them into
-//!   a registry under stable names (`engine.shed`, `cache.hit`,
+//!   own counter handles (a shared atomic cell behind an `Arc`, plus a
+//!   stripe for any owner that can write without contention) and *adopt*
+//!   them into a registry under stable names (`engine.shed`, `cache.hit`,
 //!   `breaker.trip`, `supervisor.replay`, …), so one
 //!   [`MetricsSnapshot`] — with a hand-rolled JSON export — sees the whole
 //!   stack without any component giving up its existing stats API.
@@ -30,6 +31,9 @@ pub mod metrics;
 pub mod sink;
 pub mod span;
 
-pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{
+    Counter, CounterStripe, Histogram, HistogramSnapshot, HistogramStripe, MetricsRegistry,
+    MetricsSnapshot,
+};
 pub use sink::{ChromeTraceSink, JsonLinesSink, TraceSink};
 pub use span::{CallTrace, SharedCallTrace, Stage, TimeSource, TraceEvent, TraceRing};

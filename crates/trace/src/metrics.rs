@@ -2,23 +2,113 @@
 //! one registry, with a hand-rolled JSON snapshot.
 //!
 //! Design rule: components own their handles, the registry owns the
-//! *names*. A [`Counter`] is an `Arc<AtomicU64>`; a component creates it
-//! (or keeps one it always had) and the registry *adopts* the same handle
-//! under a stable dotted name. Old stats accessors keep reading the same
-//! storage, so nothing double-counts and no existing test changes
-//! semantics — the registry is a view, not a copy.
+//! *names*. A [`Counter`] is a shared cell plus the stripes of whoever owns
+//! one; a component creates it (or keeps one it always had) and the
+//! registry *adopts* the same handle under a stable dotted name. Old stats
+//! accessors keep reading the same storage, so nothing double-counts and no
+//! existing test changes semantics — the registry is a view, not a copy.
+//!
+//! **Shared cell and stripes.** Anyone holding a handle may write the
+//! shared cell, one locked read-modify-write per write. A writer that
+//! already has exclusive access to something — the engine's dispatch holds
+//! a replica's lock — can instead take a *stripe* ([`Counter::stripe`],
+//! [`Histogram::stripe`]): a cell of its own, registered with the parent,
+//! written through `&mut self` with a plain load and store. The borrow
+//! checker is the single-writer rule: a stripe is not `Clone` and its
+//! writes need `&mut`. Every read ([`Counter::get`], [`Histogram::count`] /
+//! [`Histogram::sum`] / [`Histogram::snapshot`]) folds the shared cell and
+//! the live stripes under the parent's stripe-list lock, and a dropped
+//! stripe folds itself into the shared cell under that same lock, so a
+//! reader sees every count exactly once and a total never falls because
+//! its owner went away. An instrument nobody took a stripe of has no list
+//! and reads its shared cell alone, as it always did.
+//!
+//! [`Counter::add`] returns the updated value of the *shared cell*, which
+//! is the counter's value only while it has no stripes. Watermark call
+//! sites (`in_flight` feeding `peak_in_flight` through
+//! [`Counter::raise_to`]) need that exact value at the instant of the add,
+//! which no fold can give them — so a gauge of that kind stays one shared
+//! cell and is never striped.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// What a stripe can be made of: a zeroed set of cells that can be added
+/// into another of its kind.
+trait Cells: Default {
+    /// Adds everything recorded in `self` into `into`, with atomic adds —
+    /// `into` is a shared cell set others may be writing.
+    fn fold_into(&self, into: &Self);
+}
+
+/// A shared cell set plus the cells of every live stripe taken from it.
+#[derive(Debug, Default)]
+struct Striped<C> {
+    shared: C,
+    /// Readers fold under this lock and a dropped stripe moves its counts
+    /// into `shared` under it: no read can see a count in both places or
+    /// in neither. Behind a pointer that stays empty until the first
+    /// `stripe()`: nearly every counter in the workspace never has one,
+    /// and keeps its small heap cell and its lock-free `get`.
+    stripes: OnceLock<Box<Mutex<Vec<Arc<C>>>>>,
+}
+
+impl<C: Cells> Striped<C> {
+    fn stripe(self: &Arc<Self>) -> Stripe<C> {
+        let cells = Arc::new(C::default());
+        self.stripes.get_or_init(Box::default).lock().push(Arc::clone(&cells));
+        Stripe { cells, parent: Arc::clone(self) }
+    }
+
+    /// Folds `f` over the shared cells and every live stripe's, with the
+    /// stripe list held still. (A first `stripe()` racing a read that found
+    /// no list is a stripe taken after that read.)
+    fn fold<R>(&self, init: R, mut f: impl FnMut(R, &C) -> R) -> R {
+        let Some(live) = self.stripes.get() else { return f(init, &self.shared) };
+        let live = live.lock();
+        live.iter().fold(f(init, &self.shared), |acc, cells| f(acc, cells))
+    }
+}
+
+/// One owner's cells of a striped instrument; folds into the parent's
+/// shared cells when dropped.
+#[derive(Debug)]
+struct Stripe<C: Cells> {
+    cells: Arc<C>,
+    parent: Arc<Striped<C>>,
+}
+
+impl<C: Cells> Drop for Stripe<C> {
+    fn drop(&mut self) {
+        // Always there: `Striped::stripe` made this stripe and the list.
+        let Some(live) = self.parent.stripes.get() else { return };
+        let mut live = live.lock();
+        self.cells.fold_into(&self.parent.shared);
+        live.retain(|cells| !Arc::ptr_eq(cells, &self.cells));
+    }
+}
+
+/// `cell += n` by the cell's only writer: a load and a store, no locked
+/// instruction. Readers on other threads see the old value or the new.
+#[inline]
+fn owner_add(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+}
+
+impl Cells for AtomicU64 {
+    fn fold_into(&self, into: &AtomicU64) {
+        into.fetch_add(self.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
 
 /// A shared monotonic (or gauge-style, via [`Counter::sub`]) counter.
 /// Cloning shares the underlying cell. All operations are relaxed atomics:
 /// counters are statistics, not synchronization.
 #[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Arc<Striped<AtomicU64>>);
 
 impl Counter {
     /// A fresh counter not (yet) registered anywhere.
@@ -26,11 +116,19 @@ impl Counter {
         Counter::default()
     }
 
-    /// Adds `n`, returning the updated value (watermark call sites pair
-    /// this with [`Counter::raise_to`]).
+    /// A cell of this counter for one owner to write without a locked
+    /// instruction. [`Counter::get`] includes it while it lives and keeps
+    /// what it counted after it is dropped.
+    pub fn stripe(&self) -> CounterStripe {
+        CounterStripe(self.0.stripe())
+    }
+
+    /// Adds `n` to the shared cell, returning that cell's updated value —
+    /// the counter's value only if it has no stripes (watermark call sites
+    /// pair this with [`Counter::raise_to`] on counters that have none).
     #[inline]
     pub fn add(&self, n: u64) -> u64 {
-        self.0.fetch_add(n, Ordering::Relaxed).wrapping_add(n)
+        self.0.shared.fetch_add(n, Ordering::Relaxed).wrapping_add(n)
     }
 
     /// Adds 1.
@@ -42,25 +140,27 @@ impl Counter {
     /// Subtracts `n` (gauge-style counters: in-flight, queue depth).
     #[inline]
     pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
+        self.0.shared.fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Raises the value to at least `v` (watermark counters).
+    /// Raises the value to at least `v` (watermark counters). A mark that
+    /// already stands is one load.
     #[inline]
     pub fn raise_to(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
+        if self.0.shared.load(Ordering::Relaxed) < v {
+            self.0.shared.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Overwrites the value (last-observation counters).
     #[inline]
     pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
+        self.0.shared.store(v, Ordering::Relaxed);
     }
 
-    /// The current value.
-    #[inline]
+    /// The current value: the shared cell plus every live stripe.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.fold(0u64, |total, cell| total.wrapping_add(cell.load(Ordering::Relaxed)))
     }
 
     /// True if both handles share one cell (registration checks in tests).
@@ -69,39 +169,79 @@ impl Counter {
     }
 }
 
+/// One owner's cell of a [`Counter`] ([`Counter::stripe`]). Not `Clone`,
+/// and written through `&mut self`: the single writer the plain store
+/// relies on is enforced by the borrow checker.
+#[derive(Debug)]
+pub struct CounterStripe(Stripe<AtomicU64>);
+
+impl CounterStripe {
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        owner_add(&self.0.cells, n);
+    }
+}
+
 /// Number of histogram buckets: one for 0, one per power of two of `u64`.
 const HIST_BUCKETS: usize = 65;
 
+/// One set of histogram cells — the shared set or a stripe's. There is no
+/// count cell: the count *is* the sum of the buckets, so no snapshot can
+/// disagree with its own buckets.
 #[derive(Debug)]
 struct HistogramCells {
     /// `buckets[0]` counts zeros; `buckets[i]` (i ≥ 1) counts values in
     /// `[2^(i-1), 2^i)`.
     buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
-/// A fixed-size log2-bucketed histogram. Recording is three relaxed
-/// atomic adds and a `leading_zeros` — no float math, no allocation —
-/// which is all a hot path can afford and all a latency distribution
-/// needs at order-of-magnitude resolution.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramCells>);
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram(Arc::new(HistogramCells {
+impl Default for HistogramCells {
+    fn default() -> HistogramCells {
+        HistogramCells {
             buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-        }))
+        }
     }
 }
+
+impl HistogramCells {
+    fn count(&self) -> u64 {
+        self.buckets.iter().fold(0, |n, b| n.wrapping_add(b.load(Ordering::Relaxed)))
+    }
+}
+
+impl Cells for HistogramCells {
+    fn fold_into(&self, into: &HistogramCells) {
+        for (mine, theirs) in self.buckets.iter().zip(&into.buckets) {
+            let n = mine.load(Ordering::Relaxed);
+            if n > 0 {
+                theirs.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        into.sum.fetch_add(self.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
+/// A fixed-size log2-bucketed histogram. Recording is a `leading_zeros`
+/// and two relaxed atomic adds — one for a zero, which adds nothing to the
+/// sum — no float math, no allocation — which is all a hot path can afford
+/// and all a latency distribution needs at order-of-magnitude resolution.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram(Arc<Striped<HistogramCells>>);
 
 impl Histogram {
     /// A fresh histogram not (yet) registered anywhere.
     pub fn detached() -> Histogram {
         Histogram::default()
+    }
+
+    /// A set of cells of this histogram for one owner to record into
+    /// without a locked instruction. Every read includes it while it lives
+    /// and keeps what it recorded after it is dropped.
+    pub fn stripe(&self) -> HistogramStripe {
+        HistogramStripe(self.0.stripe())
     }
 
     /// The bucket index for `value`: 0 for 0, else `floor(log2) + 1`.
@@ -123,22 +263,25 @@ impl Histogram {
         }
     }
 
-    /// Records one observation.
+    /// Records one observation in the shared cells.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.0.buckets[Histogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(value, Ordering::Relaxed);
+        let cells = &self.0.shared;
+        cells.buckets[Histogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        if value != 0 {
+            cells.sum.fetch_add(value, Ordering::Relaxed);
+        }
     }
 
-    /// Observations recorded.
+    /// Observations recorded: every bucket of the shared cells and of each
+    /// live stripe.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.fold(0u64, |n, cells| n.wrapping_add(cells.count()))
     }
 
     /// Sum of all observed values (mean = sum / count).
     pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
+        self.0.fold(0u64, |sum, cells| sum.wrapping_add(cells.sum.load(Ordering::Relaxed)))
     }
 
     /// True if both handles share the same cells.
@@ -146,19 +289,43 @@ impl Histogram {
         Arc::ptr_eq(&self.0, &other.0)
     }
 
-    /// A point-in-time copy (non-empty buckets only).
+    /// A point-in-time copy (non-empty buckets only). Its `count` is the
+    /// sum of its own buckets, whatever recorders are doing meanwhile.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets = self
-            .0
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then_some((Histogram::bucket_floor(i), n))
-            })
-            .collect();
-        HistogramSnapshot { count: self.count(), sum: self.sum(), buckets }
+        let (totals, sum) =
+            self.0.fold(([0u64; HIST_BUCKETS], 0u64), |(mut totals, sum), cells| {
+                for (total, bucket) in totals.iter_mut().zip(&cells.buckets) {
+                    *total = total.wrapping_add(bucket.load(Ordering::Relaxed));
+                }
+                (totals, sum.wrapping_add(cells.sum.load(Ordering::Relaxed)))
+            });
+        HistogramSnapshot {
+            count: totals.iter().fold(0, |n, t| n.wrapping_add(*t)),
+            sum,
+            buckets: totals
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| **n > 0)
+                .map(|(i, n)| (Histogram::bucket_floor(i), *n))
+                .collect(),
+        }
+    }
+}
+
+/// One owner's cells of a [`Histogram`] ([`Histogram::stripe`]). Not
+/// `Clone`, and written through `&mut self`, like [`CounterStripe`].
+#[derive(Debug)]
+pub struct HistogramStripe(Stripe<HistogramCells>);
+
+impl HistogramStripe {
+    /// Records one observation.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        let cells = &self.0.cells;
+        owner_add(&cells.buckets[Histogram::bucket_index(value)], 1);
+        if value != 0 {
+            owner_add(&cells.sum, value);
+        }
     }
 }
 
@@ -337,6 +504,30 @@ mod tests {
         assert_eq!(c.get(), 9);
         c.set(1);
         assert_eq!(c.get(), 1);
+    }
+
+    /// A stripe's counts are in every read while it lives and stay after
+    /// it is dropped; `add`'s return value is the shared cell alone.
+    #[test]
+    fn counter_stripes_fold_on_read_and_on_drop() {
+        let c = Counter::detached();
+        let (mut a, mut b) = (c.stripe(), c.stripe());
+        a.add(5);
+        b.add(7);
+        assert_eq!(c.add(1), 1, "the shared cell's value, not the fold");
+        assert_eq!(c.get(), 13);
+        let live = |c: &Counter| c.0.stripes.get().map_or(0, |list| list.lock().len());
+        assert_eq!(live(&c), 2);
+        drop(a);
+        assert_eq!(c.get(), 13, "a dropped stripe folds, it does not vanish");
+        assert_eq!(c.0.shared.load(Ordering::Relaxed), 6);
+        b.add(2);
+        let reader = c.clone();
+        drop(c);
+        assert_eq!(reader.get(), 15, "a stripe keeps counting for the handles that remain");
+        drop(b);
+        assert_eq!(reader.get(), 15);
+        assert_eq!(live(&reader), 0);
     }
 
     #[test]

@@ -1,9 +1,15 @@
 //! Property: across arbitrary value sequences, a histogram's per-bucket
 //! counts always sum to the number of recorded events, the sum matches,
-//! and every value lands in the bucket whose range contains it.
+//! and every value lands in the bucket whose range contains it — and none
+//! of that depends on *where* a value was recorded: through the handle, or
+//! through any of its stripes, live or dropped.
 
-use flexrpc_trace::Histogram;
+use flexrpc_trace::{Counter, Histogram};
 use proptest::prelude::*;
+
+/// How many stripes the split properties hand values to (writer 0 is the
+/// handle itself).
+const STRIPES: usize = 4;
 
 proptest! {
     #[test]
@@ -47,5 +53,65 @@ proptest! {
         let bucket_total: u64 = snap.buckets.iter().map(|(_, n)| n).sum();
         prop_assert_eq!(bucket_total, snap.count);
         prop_assert_eq!(snap.sum, ones + big * (1 << 40));
+    }
+
+    /// Values split arbitrarily between the handle's own `record` and four
+    /// stripes, some of them dropped before the read, fold to exactly what
+    /// one plain histogram reads: count, sum, buckets.
+    #[test]
+    fn a_histogram_reads_the_same_however_its_records_are_striped(
+        wide in prop::collection::vec((any::<u64>(), 0..STRIPES + 1), 0..120),
+        narrow in prop::collection::vec((0u64..3, 0..STRIPES + 1), 0..120),
+        dropped in prop::collection::vec(any::<bool>(), STRIPES),
+    ) {
+        let (plain, striped) = (Histogram::detached(), Histogram::detached());
+        let mut stripes: Vec<_> = (0..STRIPES).map(|_| Some(striped.stripe())).collect();
+        for &(value, writer) in wide.iter().chain(&narrow) {
+            plain.record(value);
+            match writer.checked_sub(1) {
+                None => striped.record(value),
+                Some(k) => stripes[k].as_mut().expect("live until the loop ends").record(value),
+            }
+        }
+        for (stripe, gone) in stripes.iter_mut().zip(&dropped) {
+            if *gone {
+                *stripe = None;
+            }
+        }
+        let snap = striped.snapshot();
+        prop_assert_eq!(&snap, &plain.snapshot());
+        prop_assert_eq!(snap.count, snap.buckets.iter().map(|(_, n)| n).sum::<u64>());
+        prop_assert_eq!((striped.count(), striped.sum()), (snap.count, snap.sum));
+        // Dropping the rest changes nothing a reader can see.
+        drop(stripes);
+        prop_assert_eq!(striped.snapshot(), snap);
+    }
+
+    /// The same for a counter.
+    #[test]
+    fn a_counter_reads_the_same_however_its_adds_are_striped(
+        adds in prop::collection::vec((any::<u64>(), 0..STRIPES + 1), 0..200),
+        dropped in prop::collection::vec(any::<bool>(), STRIPES),
+    ) {
+        let counter = Counter::detached();
+        let mut stripes: Vec<_> = (0..STRIPES).map(|_| Some(counter.stripe())).collect();
+        let mut total = 0u64;
+        for &(n, writer) in &adds {
+            total = total.wrapping_add(n);
+            match writer.checked_sub(1) {
+                None => {
+                    counter.add(n);
+                }
+                Some(k) => stripes[k].as_mut().expect("live until the loop ends").add(n),
+            }
+        }
+        for (stripe, gone) in stripes.iter_mut().zip(&dropped) {
+            if *gone {
+                *stripe = None;
+            }
+        }
+        prop_assert_eq!(counter.get(), total);
+        drop(stripes);
+        prop_assert_eq!(counter.get(), total);
     }
 }

@@ -28,11 +28,14 @@ echo "== allocation audits (release) ==" >&2
 cargo test -q --release -p flexrpc-runtime --test zero_alloc
 cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_alloc
 
-# Which submit meets which parked worker, and who drops the last engine
-# handle, is timing: the wake-liveness stress and the self-join regression
-# run at release timing too.
-echo "== engine stress + robustness (release) ==" >&2
+# Which submit meets which parked worker, who drops the last engine
+# handle, and which read of a striped counter meets which stripe's drop is
+# timing: the wake-liveness stress, the self-join regression, the engine's
+# tallies under fire and the trace crate's stripe test run at release
+# timing too.
+echo "== engine stress + robustness, stripes (release) ==" >&2
 cargo test -q --release -p flexrpc-engine --test stress --test robustness
+cargo test -q --release -p flexrpc-trace --test stripes
 
 # Every experiment's gates, in one process: exact gates (copy schedules,
 # dispatch and probe counts, exactly-once tallies, sim-clock bounds,
