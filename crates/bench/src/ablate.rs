@@ -9,8 +9,8 @@
 //!   negotiated same-domain path, over kernel IPC and over Sun RPC — the
 //!   paper's closing observation that presentation matters most when
 //!   everything else is fast.
-//! * Specialization off and on ([`crate::fuse::FuseRunner`]): fused vs
-//!   threaded stub programs on two transports.
+//! * What specialization buys ([`crate::fuse::ProgramRunner`]): the four
+//!   `read` programs through the executor against the threaded oracle.
 
 use crate::fig10;
 use flexrpc_kernel::ipc::{BindOptions, MsgOut, ServerOptions};

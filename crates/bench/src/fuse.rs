@@ -1,39 +1,44 @@
-//! Specialization experiment — op fusion + presize, A/B'd on the hot path.
+//! Specialization experiment — what fusion + presize buy, measured at the
+//! programs themselves.
 //!
-//! Two measurements back the "specialize the hot call path" claim:
+//! Two measurements back the "specialize the hot call path" claim, both
+//! read off **one** compilation (a program has one form; there is no
+//! unspecialized interface to compile beside it):
 //!
 //! 1. **Dispatches per call** for the Figure 6 pipe-read signature
-//!    (`read(count: u32) -> sequence<octet>`): interpreter dispatches
-//!    across all four stub programs of one call, fused vs unfused. This is
-//!    the static count the fusion pass promises — no timer involved — and
-//!    it is what `report fuse` gates.
-//! 2. **Fused vs threaded call time** through real stubs ([`FuseRunner`])
-//!    on the loopback transport and on the kernel-IPC transport. Both
-//!    sides of each A/B run identical handlers; only `SpecializeOptions`
-//!    differs. `report ablate` takes the ratio from paired rounds.
+//!    (`read(count: u32) -> sequence<octet>`): `ops.len()` against
+//!    `dispatch_count()` across all four stub programs of one call. This
+//!    is the static count the fusion pass promises — no timer involved —
+//!    and it is what `report fuse` gates.
+//! 2. **Executor vs threaded-oracle time** over those four programs
+//!    ([`ProgramRunner`]): request marshal → request unmarshal → reply
+//!    marshal → reply unmarshal of one `read`, buffers and frames kept,
+//!    through `interp::{marshal, unmarshal}` on one side and
+//!    `interp::{marshal_threaded, unmarshal_threaded}` on the other.
+//!    `report ablate` takes the ratio from paired rounds. No transport, no
+//!    handler, no stub glue: the two sides differ only in how the same
+//!    programs are run, so the ratio is the programs' difference and not
+//!    that difference diluted by a call around it.
 
-use flexrpc_core::fuse::SpecializeOptions;
-use flexrpc_core::present::{InterfacePresentation, Trust};
-use flexrpc_core::program::{CompiledInterface, CompiledOp};
+use flexrpc_core::present::InterfacePresentation;
+use flexrpc_core::program::{CompiledInterface, CompiledOp, StubProgram};
 use flexrpc_core::value::Value;
-use flexrpc_kernel::{Kernel, NameMode};
 use flexrpc_marshal::WireFormat;
 use flexrpc_pipes::fileio_module;
-use flexrpc_runtime::transport::{connect_kernel, serve_on_kernel, Loopback};
-use flexrpc_runtime::{ClientStub, ServerInterface};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use flexrpc_runtime::interp;
+use flexrpc_runtime::wire::{AnyReader, AnyWriter};
+use flexrpc_runtime::HookMap;
 
 /// Reply payload bytes per `read` call (small, so dispatch overhead — the
 /// thing fusion removes — is a visible fraction of the call).
 pub const READ_SIZE: usize = 64;
 
-/// Compiles the FileIO interface with the given specialization.
-pub fn compile(opts: SpecializeOptions) -> CompiledInterface {
+/// Compiles the FileIO interface under its default presentation.
+pub fn compile() -> CompiledInterface {
     let m = fileio_module();
     let iface = m.interface("FileIO").expect("FileIO exists");
     let pres = InterfacePresentation::default_for(&m, iface).expect("defaults");
-    CompiledInterface::compile_with(&m, iface, &pres, opts).expect("compiles")
+    CompiledInterface::compile(&m, iface, &pres).expect("compiles")
 }
 
 /// (threaded ops, interpreter dispatches) summed over all four programs of
@@ -46,65 +51,95 @@ pub fn dispatches_per_call(op: &CompiledOp) -> (usize, usize) {
     (ops, dispatches)
 }
 
-fn fileio_server(opts: SpecializeOptions, format: WireFormat) -> Arc<Mutex<ServerInterface>> {
-    let compiled = Arc::new(compile(opts));
-    let mut server = ServerInterface::new_shared(compiled, format);
-    server
-        .on("read", |call| {
-            let count = call.u32("count").expect("count arg") as usize;
-            call.set("return", Value::Bytes(vec![0u8; count])).expect("set");
-            0
-        })
-        .expect("read registers");
-    Arc::new(Mutex::new(server))
+/// Which entry points run the programs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Via {
+    /// `interp::{marshal, unmarshal}`: the executor every call path runs.
+    Executor,
+    /// `interp::{marshal_threaded, unmarshal_threaded}`: the oracle.
+    Oracle,
 }
 
-/// A ready-to-call `read` stub over one of the two measured transports.
-pub struct FuseRunner {
-    stub: ClientStub,
-    frame: Vec<Value>,
+/// The four compiled `read` programs, run back to back over kept buffers
+/// and frames: what one call's marshalling costs, and nothing else.
+pub struct ProgramRunner {
+    op: CompiledOp,
+    wire: Wire,
+    /// The client's frame: `count` in, the payload and status out.
+    client: Vec<Value>,
+    /// The server's frame, holding the [`READ_SIZE`]-byte result a work
+    /// function would have set.
+    server: Vec<Value>,
+    request: Vec<u8>,
+    reply: Vec<u8>,
 }
 
-impl FuseRunner {
-    /// Stub and server in one address space over the [`Loopback`]
-    /// transport: marshalled bytes handed across a function call. (Not the
-    /// paper's same-domain path — that is `runtime::SameDomain`, which
-    /// skips marshalling altogether; Figures 10 and 11 measure it.)
-    pub fn loopback(opts: SpecializeOptions, format: WireFormat) -> FuseRunner {
-        let server = fileio_server(opts, format);
-        let stub = ClientStub::new(compile(opts), format, Box::new(Loopback::new(server)));
-        FuseRunner::finish(stub)
+/// How a runner runs a program: entry points, transfer syntax, and the
+/// hooks `read` never consults (it has no `[special]` parameter).
+struct Wire {
+    via: Via,
+    format: WireFormat,
+    hooks: HookMap,
+}
+
+impl ProgramRunner {
+    /// A runner for `read` on `format` through `via`'s entry points.
+    pub fn new(via: Via, format: WireFormat) -> ProgramRunner {
+        let op = compile().op("read").expect("read").clone();
+        let client = op.slots.new_frame();
+        let mut server = op.slots.new_frame();
+        let result = op.slots.slot("return").expect("read returns its payload");
+        server[result.0] = Value::Bytes(vec![0xA5; READ_SIZE]);
+        let wire = Wire { via, format, hooks: HookMap::new() };
+        ProgramRunner { op, wire, client, server, request: Vec::new(), reply: Vec::new() }
     }
 
-    /// Kernel IPC: client and server tasks on the simulated kernel, the
-    /// message crossing the streamlined IPC path.
-    pub fn kernel_ipc(opts: SpecializeOptions, format: WireFormat) -> FuseRunner {
-        let kernel = Kernel::new();
-        let client_task = kernel.create_task("client", 1 << 16).expect("task");
-        let server_task = kernel.create_task("server", 1 << 16).expect("task");
-        let server = fileio_server(opts, format);
-        let port = serve_on_kernel(&kernel, server_task, server, Trust::None, NameMode::Unique)
-            .expect("serve");
-        let send = kernel.extract_send_right(server_task, port, client_task).expect("right");
-        let compiled = compile(opts);
-        let signature = compiled.signature.hash();
-        let transport =
-            connect_kernel(&kernel, client_task, send, signature, Trust::None, NameMode::Unique)
-                .expect("connect");
-        let stub = ClientStub::new(compiled, format, Box::new(transport));
-        FuseRunner::finish(stub)
-    }
-
-    fn finish(stub: ClientStub) -> FuseRunner {
-        let mut frame = stub.new_frame("read").expect("frame");
-        frame[0] = Value::U32(READ_SIZE as u32);
-        FuseRunner { stub, frame }
-    }
-
-    /// One synchronous `read` RPC.
+    /// One call's worth of marshalling: all four programs, in call order.
     pub fn call(&mut self) {
-        self.frame[0] = Value::U32(READ_SIZE as u32);
-        self.stub.call("read", &mut self.frame).expect("call succeeds");
+        let ProgramRunner { op, wire, client, server, request, reply } = self;
+        client[0] = Value::U32(READ_SIZE as u32);
+        wire.put(&op.request_marshal, client, request);
+        wire.get(&op.request_unmarshal, server, request);
+        wire.put(&op.reply_marshal, server, reply);
+        wire.get(&op.reply_unmarshal, client, reply);
+    }
+
+    /// The request and reply messages the last [`ProgramRunner::call`] built.
+    pub fn messages(&self) -> (&[u8], &[u8]) {
+        (&self.request, &self.reply)
+    }
+
+    /// The client's frame after the last call: `count`, payload, status.
+    pub fn client_frame(&self) -> &[Value] {
+        &self.client
+    }
+}
+
+impl Wire {
+    /// Marshals `frame` through `program` into the kept buffer `into`.
+    fn put(&self, program: &StubProgram, frame: &[Value], into: &mut Vec<u8>) {
+        let mut buf = std::mem::take(into);
+        buf.clear();
+        let mut w = AnyWriter::over(self.format, buf);
+        let run = match self.via {
+            Via::Executor => interp::marshal,
+            Via::Oracle => interp::marshal_threaded,
+        };
+        run(program, frame, &[], &mut w, &self.hooks, &mut Vec::new()).expect("marshals");
+        *into = w.into_bytes();
+    }
+
+    /// Unmarshals `msg` through `program` into the kept frame.
+    fn get(&self, program: &StubProgram, frame: &mut [Value], msg: &[u8]) {
+        let mut r = AnyReader::new(self.format, msg).expect("message opens");
+        let rights = &mut std::iter::empty();
+        match self.via {
+            Via::Executor => interp::unmarshal(program, frame, msg, &mut r, &self.hooks, rights),
+            Via::Oracle => {
+                interp::unmarshal_threaded(program, frame, msg, &mut r, &self.hooks, rights)
+            }
+        }
+        .expect("unmarshals");
     }
 }
 
@@ -114,27 +149,30 @@ mod tests {
 
     #[test]
     fn fig6_read_fuses_at_least_thirty_percent() {
-        let fused = compile(SpecializeOptions::default());
-        let (ops, dispatches) = dispatches_per_call(fused.op("read").expect("read"));
+        let compiled = compile();
+        let (ops, dispatches) = dispatches_per_call(compiled.op("read").expect("read"));
         assert!(ops > 0 && dispatches < ops);
         let reduction = (ops - dispatches) as f64 / ops as f64;
         assert!(reduction >= 0.30, "read fuses {ops} ops to {dispatches} dispatches");
     }
 
     #[test]
-    fn unfused_compile_keeps_one_dispatch_per_op() {
-        let plain = compile(SpecializeOptions::none());
-        let (ops, dispatches) = dispatches_per_call(plain.op("read").expect("read"));
-        assert_eq!(ops, dispatches);
-    }
-
-    #[test]
-    fn both_transports_run_fused_and_unfused() {
-        for opts in [SpecializeOptions::default(), SpecializeOptions::none()] {
-            for format in [WireFormat::Xdr, WireFormat::Cdr] {
-                FuseRunner::loopback(opts, format).call();
-                FuseRunner::kernel_ipc(opts, format).call();
+    fn both_entry_points_round_trip_the_same_bytes_on_both_formats() {
+        for format in [WireFormat::Xdr, WireFormat::Cdr] {
+            let mut sides = [Via::Executor, Via::Oracle].map(|via| ProgramRunner::new(via, format));
+            for side in &mut sides {
+                // Twice: the second call runs over dirty kept buffers.
+                side.call();
+                side.call();
+                let frame = side.client_frame();
+                assert_eq!(frame[0], Value::U32(READ_SIZE as u32), "{format:?}");
+                assert_eq!(frame[1], Value::Bytes(vec![0xA5; READ_SIZE]), "{format:?}");
+                assert_eq!(frame[2], Value::U32(0), "{format:?}: status");
             }
+            let [executor, oracle] = &sides;
+            assert_eq!(executor.messages(), oracle.messages(), "{format:?}");
+            let (request, reply) = executor.messages();
+            assert!(!request.is_empty() && reply.len() > READ_SIZE, "{format:?}");
         }
     }
 }

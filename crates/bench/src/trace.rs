@@ -16,7 +16,6 @@
 //! What tracing *costs* per call is `benchmark/`'s
 //! `trace.traced_call_overhead_frac`, measured against a reference kernel.
 
-use flexrpc_core::fuse::SpecializeOptions;
 use flexrpc_core::value::Value;
 use flexrpc_marshal::WireFormat;
 use flexrpc_net::SimNet;
@@ -40,7 +39,7 @@ pub const CALLS: usize = 400;
 pub const WARMUP: usize = 50;
 
 fn fileio_server(format: WireFormat) -> Arc<Mutex<ServerInterface>> {
-    let compiled = Arc::new(fuse::compile(SpecializeOptions::default()));
+    let compiled = Arc::new(fuse::compile());
     let mut server = ServerInterface::new_shared(compiled, format);
     server
         .on("read", |call| {
@@ -85,11 +84,7 @@ impl TraceRunner {
         let stub = match path {
             Path::Loopback => {
                 let server = fileio_server(format);
-                ClientStub::new(
-                    fuse::compile(SpecializeOptions::default()),
-                    format,
-                    Box::new(Loopback::new(server)),
-                )
+                ClientStub::new(fuse::compile(), format, Box::new(Loopback::new(server)))
             }
             Path::SunRpc => {
                 let net = SimNet::new();
@@ -97,7 +92,7 @@ impl TraceRunner {
                 let sh = net.add_host("server");
                 serve_on_net(&net, sh, fileio_server(format), 600_001, 1).expect("serves");
                 let t = SunRpc::new(Arc::clone(&net), ch, sh, 600_001, 1);
-                ClientStub::new(fuse::compile(SpecializeOptions::default()), format, Box::new(t))
+                ClientStub::new(fuse::compile(), format, Box::new(t))
             }
         };
         let mut frame = stub.new_frame("read").expect("frame");

@@ -76,7 +76,8 @@ pub struct TenantCells {
 /// single-queue behavior.
 pub struct ControlPlane {
     tenants: RwLock<HashMap<TenantId, TenantCells>>,
-    default_template: RwLock<Arc<Policy>>,
+    /// What an unseen tenant starts from, fixed when the plane is built.
+    default_template: Policy,
     /// Registries of the engines attached to this plane; new tenants'
     /// metrics are adopted into each.
     registries: Mutex<Vec<Arc<MetricsRegistry>>>,
@@ -97,17 +98,11 @@ impl ControlPlane {
     pub fn with_default_policy(template: Policy) -> Arc<ControlPlane> {
         Arc::new(ControlPlane {
             tenants: RwLock::new(HashMap::new()),
-            default_template: RwLock::new(Arc::new(template)),
+            default_template: template,
             registries: Mutex::new(Vec::new()),
             swaps: Counter::detached(),
             rebinds: Counter::detached(),
         })
-    }
-
-    /// Replaces the template unseen tenants start from. Existing tenants
-    /// keep their handles.
-    pub fn set_default_policy(&self, template: Policy) {
-        *self.default_template.write() = Arc::new(template);
     }
 
     /// Registers `tenant` under an explicit starting `policy`, returning
@@ -200,13 +195,13 @@ impl ControlPlane {
     }
 
     fn materialise(&self, tenant: TenantId, policy: Option<Policy>) -> TenantCells {
-        let template = Arc::clone(&self.default_template.read());
         let mut tenants = self.tenants.write();
         // Double-check under the write lock: another thread may have won.
         if let Some(cells) = tenants.get(&tenant) {
             return cells.clone();
         }
-        let handle = PolicyHandle::new(tenant, policy.unwrap_or_else(|| Policy::clone(&template)));
+        let handle =
+            PolicyHandle::new(tenant, policy.unwrap_or_else(|| self.default_template.clone()));
         let metrics = Arc::new(TenantMetrics::detached());
         for registry in self.registries.lock().iter() {
             metrics.register_into(tenant, registry);

@@ -275,11 +275,6 @@ impl<T> WfqQueue<T> {
         self.state.lock().total
     }
 
-    /// Items currently queued on `tenant`'s lane (a racy snapshot).
-    pub fn lane_len(&self, tenant: TenantId) -> usize {
-        self.state.lock().lanes.get(&tenant).map_or(0, |l| l.items.len())
-    }
-
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -359,8 +354,7 @@ mod tests {
             "fifth item busts the quota"
         );
         q.push(100, T2, 1, Some(4)).unwrap();
-        assert_eq!(q.lane_len(T1), 4);
-        assert_eq!(q.lane_len(T2), 1);
+        assert_eq!(q.len(), 5, "the offender's four and the bystander's one");
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Bind-time specialization of stub programs: op fusion and exact-size
 //! precomputation.
 //!
-//! A compiled [`StubProgram`] is threaded code — one interpreter dispatch
-//! (and often a `Value` round-trip) per field. This module adds the
+//! A compiled op sequence is threaded code — one interpreter dispatch
+//! (and often a `Value` round-trip) per field. This module is the
 //! specialization step the paper's "combination signatures" imply: at bind
 //! time we know the whole op sequence and both wire formats' layout rules,
-//! so runs of adjacent fixed-size scalar ops can be collapsed into a single
+//! so runs of adjacent fixed-size scalar ops are collapsed into a single
 //! *fused block* with a precomputed field layout. The interpreter then
 //! executes one bulk op per block — one bounds check, one buffer extend,
 //! N `copy_from_slice`s — instead of N dispatches.
+//!
+//! Specialization is not a mode: [`specialize`] runs on every program
+//! [`StubProgram::from_ops`](crate::program::StubProgram::from_ops) builds,
+//! so a program has one form and nothing about it is left to choose at
+//! call time.
 //!
 //! Layout is precomputed per wire format family:
 //!
@@ -34,32 +39,7 @@
 //! program plus the slots whose payload lengths must be added at runtime,
 //! so marshal buffers can reserve once instead of growing mid-message.
 
-use crate::program::{MOp, Slot, StubProgram};
-
-/// Which specialization passes to run at compile time.
-///
-/// Defaults to everything on; benches A/B individual passes by building
-/// explicit options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecializeOptions {
-    /// Coalesce adjacent fixed-size scalar ops into fused blocks.
-    pub fuse: bool,
-    /// Precompute exact/upper-bound wire sizes so buffers reserve once.
-    pub presize: bool,
-}
-
-impl Default for SpecializeOptions {
-    fn default() -> SpecializeOptions {
-        SpecializeOptions { fuse: true, presize: true }
-    }
-}
-
-impl SpecializeOptions {
-    /// No specialization at all: programs stay plain threaded code.
-    pub fn none() -> SpecializeOptions {
-        SpecializeOptions { fuse: false, presize: false }
-    }
-}
+use crate::program::{MOp, Slot};
 
 /// The fixed-size scalar kinds a fused block can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,7 +208,7 @@ pub enum FOp {
 /// Fixed-size wire footprint of a program plus the slots whose runtime
 /// payload lengths complete the total — enough to reserve a marshal buffer
 /// once, up front.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SizeHint {
     /// Exact fixed bytes under packed (XDR) rules.
     pub fixed_packed: u32,
@@ -240,24 +220,15 @@ pub struct SizeHint {
     pub payload_slots: Vec<Slot>,
 }
 
-/// The specialized form of a [`StubProgram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The specialized form of an op sequence: what the interpreter executes.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FusedProgram {
     /// Fused ops in execution order.
     pub fops: Vec<FOp>,
     /// Scalar blocks referenced by [`FOp::Fused`].
     pub blocks: Vec<ScalarBlock>,
-    /// Op count of the source program (before/after bookkeeping).
-    pub source_ops: usize,
-    /// Exact-size precomputation, when the presize pass ran.
-    pub presize: Option<SizeHint>,
-}
-
-impl FusedProgram {
-    /// Interpreter dispatches one call through this program costs.
-    pub fn dispatch_count(&self) -> usize {
-        self.fops.len()
-    }
+    /// The whole message's wire footprint, reserved once per marshal.
+    pub presize: SizeHint,
 }
 
 /// Classifies an op as a fixed-size scalar move, for both directions.
@@ -273,17 +244,9 @@ fn scalar_kind(op: &MOp) -> Option<(Slot, ScalarKind)> {
     }
 }
 
-/// Runs the specialization passes over a compiled op sequence. Returns
-/// `None` when every pass is disabled (the program stays plain).
-pub fn specialize(ops: &[MOp], opts: SpecializeOptions) -> Option<FusedProgram> {
-    if !opts.fuse && !opts.presize {
-        return None;
-    }
-    let presize = opts.presize.then(|| size_hint(ops));
-    if !opts.fuse {
-        let fops = ops.iter().map(|&op| FOp::One(op)).collect();
-        return Some(FusedProgram { fops, blocks: Vec::new(), source_ops: ops.len(), presize });
-    }
+/// Specializes a compiled op sequence: fuses its scalar runs into blocks
+/// and precomputes its size hint.
+pub fn specialize(ops: &[MOp]) -> FusedProgram {
     // Sized up front: fusion only ever merges, and every scalar run is a
     // block except a lone leading scalar, which has no head to merge behind.
     let mut fops = Vec::with_capacity(ops.len());
@@ -335,7 +298,7 @@ pub fn specialize(ops: &[MOp], opts: SpecializeOptions) -> Option<FusedProgram> 
             }
         }
     }
-    Some(FusedProgram { fops, blocks, source_ops: ops.len(), presize })
+    FusedProgram { fops, blocks, presize: size_hint(ops) }
 }
 
 /// Computes the fixed-size wire footprint of a program.
@@ -379,27 +342,14 @@ fn is_payload(op: &MOp) -> bool {
     )
 }
 
-/// Convenience: specialize every program of a [`StubProgram`] in place.
-pub fn specialize_program(prog: &mut StubProgram, opts: SpecializeOptions) {
-    prog.fused = specialize(&prog.ops, opts);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fops(ops: Vec<MOp>, opts: SpecializeOptions) -> FusedProgram {
-        specialize(&ops, opts).expect("specialization on")
-    }
-
     #[test]
     fn scalar_run_fuses_to_one_block() {
-        let f = fops(
-            vec![MOp::PutU32(Slot(0)), MOp::PutU64(Slot(1)), MOp::PutBool(Slot(2))],
-            SpecializeOptions::default(),
-        );
+        let f = specialize(&[MOp::PutU32(Slot(0)), MOp::PutU64(Slot(1)), MOp::PutBool(Slot(2))]);
         assert_eq!(f.fops.len(), 1);
-        assert_eq!(f.source_ops, 3);
         match f.fops[0] {
             FOp::Fused { head: None, block } => {
                 assert_eq!(f.blocks[block].fields().len(), 3);
@@ -411,8 +361,7 @@ mod tests {
     #[test]
     fn payload_head_absorbs_trailing_scalars() {
         // The fig6 pipe-read reply shape: [PutBytes, PutU32].
-        let f =
-            fops(vec![MOp::PutBytes(Slot(1)), MOp::PutU32(Slot(2))], SpecializeOptions::default());
+        let f = specialize(&[MOp::PutBytes(Slot(1)), MOp::PutU32(Slot(2))]);
         assert_eq!(f.fops.len(), 1);
         match f.fops[0] {
             FOp::Fused { head: Some(MOp::PutBytes(Slot(1))), block } => {
@@ -439,7 +388,7 @@ mod tests {
             (vec![u, u, b, b, u, u, b], 2),
             (vec![b, u, b, u, u, b, u], 3),
         ] {
-            let f = fops(ops.clone(), SpecializeOptions::default());
+            let f = specialize(&ops);
             assert_eq!(f.blocks.len(), blocks, "{ops:?}");
             assert_eq!(f.blocks.capacity(), blocks, "{ops:?}: reserved what it filled");
         }
@@ -447,17 +396,14 @@ mod tests {
 
     #[test]
     fn single_scalar_stays_unfused() {
-        let f = fops(vec![MOp::GetU32(Slot(0))], SpecializeOptions::default());
+        let f = specialize(&[MOp::GetU32(Slot(0))]);
         assert_eq!(f.fops, vec![FOp::One(MOp::GetU32(Slot(0)))]);
         assert!(f.blocks.is_empty());
     }
 
     #[test]
     fn adjacent_payloads_do_not_fuse_with_each_other() {
-        let f = fops(
-            vec![MOp::PutBytes(Slot(0)), MOp::PutBytes(Slot(1)), MOp::PutU32(Slot(2))],
-            SpecializeOptions::default(),
-        );
+        let f = specialize(&[MOp::PutBytes(Slot(0)), MOp::PutBytes(Slot(1)), MOp::PutU32(Slot(2))]);
         assert_eq!(f.fops.len(), 2);
         assert_eq!(f.fops[0], FOp::One(MOp::PutBytes(Slot(0))));
         assert!(matches!(f.fops[1], FOp::Fused { head: Some(MOp::PutBytes(Slot(1))), .. }));
@@ -577,33 +523,14 @@ mod tests {
     }
 
     #[test]
-    fn fuse_off_keeps_every_op_separate() {
-        let f = fops(
-            vec![MOp::PutU32(Slot(0)), MOp::PutU32(Slot(1))],
-            SpecializeOptions { fuse: false, presize: true },
-        );
-        assert_eq!(f.fops, vec![FOp::One(MOp::PutU32(Slot(0))), FOp::One(MOp::PutU32(Slot(1)))]);
-        assert!(f.blocks.is_empty());
-        assert!(f.presize.is_some());
-    }
-
-    #[test]
-    fn all_passes_off_returns_none() {
-        assert!(specialize(&[MOp::PutU32(Slot(0))], SpecializeOptions::none()).is_none());
-    }
-
-    #[test]
     fn size_hint_counts_fixed_and_payload() {
-        let f = fops(
-            vec![
-                MOp::PutBytes(Slot(0)),
-                MOp::PutU32(Slot(1)),
-                MOp::PutU64(Slot(2)),
-                MOp::PutBytesFixed(Slot(3), 10),
-            ],
-            SpecializeOptions::default(),
-        );
-        let hint = f.presize.expect("presize on");
+        let hint = specialize(&[
+            MOp::PutBytes(Slot(0)),
+            MOp::PutU32(Slot(1)),
+            MOp::PutU64(Slot(2)),
+            MOp::PutBytesFixed(Slot(3), 10),
+        ])
+        .presize;
         // Packed: 4 + 8 + round4(10) = 24 fixed bytes.
         assert_eq!(hint.fixed_packed, 24);
         // Aligned upper bound: (4+3) + (8+7) + (10+4) = 36.

@@ -39,7 +39,6 @@ pub mod validate;
 pub mod value;
 
 pub use error::CoreError;
-pub use fuse::SpecializeOptions;
 pub use ir::{Interface, Module, Operation, Param, ParamDir, Type};
 pub use present::{CallShape, InterfacePresentation, OpPresentation, ParamPresentation};
 pub use program::{CompiledInterface, CompiledOp, StubProgram};

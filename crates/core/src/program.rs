@@ -2,9 +2,11 @@
 //!
 //! A [`StubProgram`] is a flat list of marshal ops — threaded code, after
 //! the paper's bind-time "combination signature \[that\] threads together
-//! small blocks of code". The `flexrpc-runtime` crate interprets programs
-//! against real buffers; `flexrpc-codegen` pretty-prints them as Rust
-//! source. Each operation compiles to four programs (request/reply ×
+//! small blocks of code" — together with the specialized form
+//! ([`crate::fuse`]) the interpreter executes; there is one way to build
+//! one, [`StubProgram::from_ops`]. The `flexrpc-runtime` crate interprets
+//! programs against real buffers; `flexrpc-codegen` pretty-prints them as
+//! Rust source. Each operation compiles to four programs (request/reply ×
 //! marshal/unmarshal); an endpoint uses the two for its role.
 //!
 //! # Wire layout (FLEX-ABI v1)
@@ -261,14 +263,16 @@ impl MOp {
     }
 }
 
-/// A linear sequence of marshal ops.
+/// A linear sequence of marshal ops and the specialized form the
+/// interpreter runs. `Default` is the empty program (a null RPC's body).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StubProgram {
-    /// Ops in execution order.
+    /// Ops in execution order, one per field: what the program *says*, and
+    /// what the threaded oracle walks.
     pub ops: Vec<MOp>,
-    /// The specialized (fused / presized) form, when the specialization
-    /// pass ran. `None` means the interpreter walks `ops` one by one.
-    pub fused: Option<crate::fuse::FusedProgram>,
+    /// `ops` fused and presized ([`crate::fuse::specialize`]): what the
+    /// executor runs. Always derived from `ops` by [`StubProgram::from_ops`].
+    pub fused: crate::fuse::FusedProgram,
 }
 
 impl StubProgram {
@@ -284,21 +288,16 @@ impl StubProgram {
         self.ops.is_empty()
     }
 
-    /// A program over `ops`, unspecialized.
+    /// The program over `ops`: the one way to build one.
     pub fn from_ops(ops: Vec<MOp>) -> StubProgram {
-        StubProgram { ops, fused: None }
+        let fused = crate::fuse::specialize(&ops);
+        StubProgram { ops, fused }
     }
 
-    /// Interpreter dispatches one call through this program costs: the
-    /// fused op count when specialized, the raw op count otherwise.
+    /// Interpreter dispatches one call through this program costs.
     #[inline]
     pub fn dispatch_count(&self) -> usize {
-        self.fused.as_ref().map_or(self.ops.len(), |f| f.fops.len())
-    }
-
-    /// Runs the specialization passes over this program in place.
-    pub fn specialize(&mut self, opts: crate::fuse::SpecializeOptions) {
-        self.fused = crate::fuse::specialize(&self.ops, opts);
+        self.fused.fops.len()
     }
 }
 
@@ -376,28 +375,11 @@ pub struct CompiledInterface {
 }
 
 impl CompiledInterface {
-    /// Compiles every operation of `iface` under `pres`, with default
-    /// specialization (fusion + presize) applied to every program.
+    /// Compiles every operation of `iface` under `pres`.
     pub fn compile(
         module: &Module,
         iface: &Interface,
         pres: &InterfacePresentation,
-    ) -> Result<CompiledInterface> {
-        CompiledInterface::compile_with(
-            module,
-            iface,
-            pres,
-            crate::fuse::SpecializeOptions::default(),
-        )
-    }
-
-    /// Compiles every operation of `iface` under `pres` with explicit
-    /// specialization options (benches A/B the passes through this).
-    pub fn compile_with(
-        module: &Module,
-        iface: &Interface,
-        pres: &InterfacePresentation,
-        opts: crate::fuse::SpecializeOptions,
     ) -> Result<CompiledInterface> {
         crate::validate::validate(module)?;
         let signature = WireSignature::of_interface(module, iface)?;
@@ -406,12 +388,7 @@ impl CompiledInterface {
             let op_pres = pres.op(&op.name).ok_or_else(|| {
                 CoreError::BadPresentation(format!("presentation lacks operation `{}`", op.name))
             })?;
-            let mut compiled = compile_op(module, op, index, op_pres)?;
-            compiled.request_marshal.specialize(opts);
-            compiled.request_unmarshal.specialize(opts);
-            compiled.reply_marshal.specialize(opts);
-            compiled.reply_unmarshal.specialize(opts);
-            ops.push(compiled);
+            ops.push(compile_op(module, op, index, op_pres)?);
         }
         Ok(CompiledInterface { interface: iface.name.clone(), ops, signature })
     }
@@ -425,6 +402,19 @@ impl CompiledInterface {
     /// Looks up a compiled op by name.
     pub fn op(&self, name: &str) -> Option<&CompiledOp> {
         self.op_index(name).map(|i| &self.ops[i])
+    }
+
+    /// The index of the operation a Sun RPC procedure number names — the
+    /// one place a procedure number is resolved. A numbered program
+    /// answers only to the numbers it assigned; the declaration ordinal
+    /// stands in only for an interface none of whose operations carries a
+    /// number (the dialects that number nothing).
+    pub fn op_by_proc(&self, proc: u32) -> Option<usize> {
+        if self.ops.iter().any(|o| o.opnum.is_some()) {
+            self.ops.iter().position(|o| o.opnum == Some(proc))
+        } else {
+            ((proc as usize) < self.ops.len()).then_some(proc as usize)
+        }
     }
 }
 
@@ -592,10 +582,10 @@ fn compile_op(
     // one and the status word (fewer ops where the server sinks a payload).
     let n_in = placed().filter(|f| f.dir.is_in()).count();
     let n_out = placed().filter(|f| f.dir.is_out()).count();
-    let mut request_marshal = StubProgram::from_ops(Vec::with_capacity(n_in));
-    let mut request_unmarshal = StubProgram::from_ops(Vec::with_capacity(n_in));
-    let mut reply_marshal = StubProgram::from_ops(Vec::with_capacity(n_out + 1));
-    let mut reply_unmarshal = StubProgram::from_ops(Vec::with_capacity(n_out + 1));
+    let mut request_marshal = Vec::with_capacity(n_in);
+    let mut request_unmarshal = Vec::with_capacity(n_in);
+    let mut reply_marshal = Vec::with_capacity(n_out + 1);
+    let mut reply_unmarshal = Vec::with_capacity(n_out + 1);
     let mut sink_params = Vec::new();
     let mut reply_payload_seen_buffered = false;
 
@@ -605,8 +595,8 @@ fn compile_op(
             continue;
         }
         if f.dir.is_in() {
-            request_marshal.ops.push(put_payload_op(&f, false));
-            request_unmarshal.ops.push(get_payload_op_server(&f));
+            request_marshal.push(put_payload_op(&f, false));
+            request_unmarshal.push(get_payload_op_server(&f));
         }
         if f.dir.is_out() {
             if f.pres.is_server_sink() {
@@ -619,9 +609,9 @@ fn compile_op(
                 sink_params.push(SinkSpec { slot: f.slot, param_index: f.param_index });
             } else {
                 reply_payload_seen_buffered = true;
-                reply_marshal.ops.push(put_payload_op(&f, true));
+                reply_marshal.push(put_payload_op(&f, true));
             }
-            reply_unmarshal.ops.push(get_payload_op_client(&f));
+            reply_unmarshal.push(get_payload_op_client(&f));
         }
     }
 
@@ -637,28 +627,28 @@ fn compile_op(
             FieldShape::Port => (MOp::PutPort(slot), MOp::GetPort(slot)),
         };
         if f.dir.is_in() {
-            request_marshal.ops.push(put);
-            request_unmarshal.ops.push(get);
+            request_marshal.push(put);
+            request_unmarshal.push(get);
         }
         if f.dir.is_out() {
-            reply_marshal.ops.push(put);
-            reply_unmarshal.ops.push(get);
+            reply_marshal.push(put);
+            reply_unmarshal.push(get);
         }
     }
 
     // Status word.
-    reply_marshal.ops.push(MOp::PutU32(status_slot));
-    reply_unmarshal.ops.push(MOp::GetU32(status_slot));
+    reply_marshal.push(MOp::PutU32(status_slot));
+    reply_unmarshal.push(MOp::GetU32(status_slot));
 
     Ok(CompiledOp {
         name: op.name.clone(),
         index,
         opnum: op.opnum,
         slots,
-        request_marshal,
-        request_unmarshal,
-        reply_marshal,
-        reply_unmarshal,
+        request_marshal: StubProgram::from_ops(request_marshal),
+        request_unmarshal: StubProgram::from_ops(request_unmarshal),
+        reply_marshal: StubProgram::from_ops(reply_marshal),
+        reply_unmarshal: StubProgram::from_ops(reply_unmarshal),
         sink_params,
         comm_status: pres.comm_status,
         idempotent: pres.idempotent,
@@ -1047,26 +1037,38 @@ mod tests {
         // The fig6 pipe-read signature: 6 threaded ops fuse to 4 dispatches
         // (the payload op absorbs its trailing scalar on both reply sides).
         assert_eq!((before, after), (6, 4));
+        // There is no second way to build a program: `from_ops` of the
+        // same ops is the same program, fused form and size hint included.
         for p in programs {
-            assert!(p.fused.is_some());
+            assert_eq!(&StubProgram::from_ops(p.ops.clone()), p);
         }
     }
 
     #[test]
-    fn compile_with_none_skips_specialization() {
-        let m = fileio_example();
-        let iface = m.interface("FileIO").unwrap();
-        let pres = InterfacePresentation::default_for(&m, iface).unwrap();
-        let ci = CompiledInterface::compile_with(
-            &m,
-            iface,
-            &pres,
-            crate::fuse::SpecializeOptions::none(),
-        )
-        .unwrap();
-        let read = ci.op("read").unwrap();
-        assert!(read.reply_marshal.fused.is_none());
-        assert_eq!(read.reply_marshal.dispatch_count(), read.reply_marshal.ops.len());
+    fn the_default_program_is_the_empty_program() {
+        let empty = StubProgram::from_ops(vec![]);
+        assert_eq!(StubProgram::default(), empty);
+        assert!(empty.is_empty());
+        assert_eq!((empty.len(), empty.dispatch_count()), (0, 0));
+        assert_eq!(empty.fused.presize, crate::fuse::SizeHint::default());
+    }
+
+    #[test]
+    fn a_numbered_program_answers_only_to_its_numbers() {
+        // Unnumbered (CORBA dialect): the declaration ordinal is the number.
+        let mut ci = compile_fileio(None);
+        assert!(ci.ops.iter().all(|o| o.opnum.is_none()));
+        assert_eq!(ci.op_by_proc(0), Some(0));
+        assert_eq!(ci.op_by_proc(1), Some(1));
+        assert_eq!(ci.op_by_proc(2), None);
+        // Numbered (Sun dialect): a gap in the numbering is not an ordinal.
+        ci.ops[0].opnum = Some(4);
+        ci.ops[1].opnum = Some(6);
+        assert_eq!(ci.op_by_proc(4), Some(0));
+        assert_eq!(ci.op_by_proc(6), Some(1));
+        for unassigned in [0, 1, 5, 7] {
+            assert_eq!(ci.op_by_proc(unassigned), None, "procedure {unassigned}");
+        }
     }
 
     #[test]

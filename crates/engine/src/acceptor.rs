@@ -23,6 +23,7 @@ use flexrpc_core::program::{CompiledInterface, CompiledOp};
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
 use flexrpc_net::{HostId, NetError, SimNet};
 use flexrpc_runtime::policy::CallTag;
+use flexrpc_runtime::transport::accept_call;
 use flexrpc_runtime::{RetryPolicy, TenantId};
 use flexrpc_trace::{SharedCallTrace, Stage};
 use std::sync::Arc;
@@ -130,19 +131,9 @@ struct Exposure {
 
 impl Exposure {
     fn submit_one(&self, hdr: CallHeader, tag: Option<CallTag>, args: &[u8]) -> Outcome {
-        if hdr.prog != self.prog {
-            return Outcome::Immediate(AcceptStat::ProgUnavail);
-        }
-        if hdr.vers != self.vers {
-            return Outcome::Immediate(AcceptStat::ProgMismatch);
-        }
-        let ops = &self.compiled.ops;
-        let op_index = ops
-            .iter()
-            .position(|o| o.opnum == Some(hdr.proc))
-            .or_else(|| ((hdr.proc as usize) < ops.len()).then_some(hdr.proc as usize));
-        let Some(op_index) = op_index else {
-            return Outcome::Immediate(AcceptStat::ProcUnavail);
+        let op_index = match accept_call(&self.compiled, &hdr, self.prog, self.vers) {
+            Ok(op_index) => op_index,
+            Err(refusal) => return Outcome::Immediate(refusal),
         };
         // Tenancy rides the tag when the wire credential carried one, and
         // so does the shard binding; untagged calls home on the pool's

@@ -9,30 +9,22 @@
 //! the reuse observable — the acceptance tests assert
 //! `compilations < connections`.
 //!
-//! The cache is **sharded and read-mostly**: keys hash to one of
-//! [`SHARD_COUNT`] shards, and each shard publishes its map as an
-//! `Arc<HashMap>` snapshot behind an `RwLock` that is only ever held long
-//! enough to clone or swap the `Arc`. A hit therefore costs one `try_read`
-//! (uncontended in steady state — contention is counted per shard, not
-//! suffered silently), one `Arc` clone, and a hash lookup with no lock
-//! held; compilation serializes per shard on a separate publish mutex and
-//! installs a clone-on-publish copy of the map, so readers never wait
-//! behind a compile.
+//! The cache is **one table**: a `HashMap` behind an `RwLock`, and the two
+//! counters the engine's registry adopts as `cache.hit` / `cache.miss`. It
+//! holds a handful of entries (one per live combination) and sits off every
+//! call path — the engine consults it only when a service has no replica
+//! pool for a combination yet — so a hit is a read lock, a lookup and an
+//! `Arc` clone, and a first request compiles under the write lock after a
+//! second look: racing first requests still compile once, and a compile
+//! that fails caches nothing.
 
 use flexrpc_core::present::Trust;
 use flexrpc_core::program::CompiledInterface;
 use flexrpc_marshal::WireFormat;
 use flexrpc_trace::{Counter, MetricsRegistry};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of independent shards. A small power of two: the key space is
-/// tiny (one entry per live combination), so this bounds contention, not
-/// capacity.
-pub const SHARD_COUNT: usize = 8;
 
 /// The combination a compiled program is valid for. Two connections map to
 /// the same program exactly when every component matches.
@@ -52,20 +44,8 @@ pub struct ProgramKey {
     pub format: WireFormat,
 }
 
-/// Per-shard counter snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Lookups this shard satisfied from its snapshot.
-    pub hits: u64,
-    /// Compilations this shard performed.
-    pub misses: u64,
-    /// Times the lock-free `try_read` lost to a concurrent publish and had
-    /// to fall back to a blocking read.
-    pub contended: u64,
-}
-
 /// Cache statistics snapshot.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups satisfied by an existing compilation.
     pub hits: u64,
@@ -73,13 +53,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Programs currently cached (== misses while nothing is evicted).
     pub programs: usize,
-    /// Per-shard breakdown of the totals above.
-    pub shards: [ShardStats; SHARD_COUNT],
-    /// Threaded-code ops across all cached stub programs, before fusion.
-    pub source_ops: u64,
-    /// Interpreter dispatches across the same programs after fusion
-    /// (`== source_ops` when specialization is off).
-    pub fused_ops: u64,
 }
 
 impl CacheStats {
@@ -94,72 +67,15 @@ impl CacheStats {
     }
 }
 
-/// One cache shard: a published map snapshot plus its counters.
-#[derive(Default)]
-struct Shard {
-    /// The read-mostly map. Readers clone the `Arc` under a momentary
-    /// `try_read`; publishers swap in a rebuilt map under a momentary
-    /// `write`. Nobody holds this lock across a lookup or a compile.
-    map: RwLock<Arc<HashMap<ProgramKey, Arc<CompiledInterface>>>>,
-    /// Serializes compilations for this shard's keys so a racing first
-    /// request still compiles exactly once.
-    publish: Mutex<()>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    contended: AtomicU64,
-}
-
-impl Shard {
-    /// Clones the current map snapshot; the lock is released before the
-    /// caller looks anything up. `rollup` is the cache-wide contention
-    /// counter, bumped in step with this shard's.
-    fn snapshot(&self, rollup: &Counter) -> Arc<HashMap<ProgramKey, Arc<CompiledInterface>>> {
-        match self.map.try_read() {
-            Some(g) => Arc::clone(&g),
-            None => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                rollup.inc();
-                Arc::clone(&self.map.read())
-            }
-        }
-    }
-}
-
 /// A concurrent map from combination keys to shared compilations.
 #[derive(Default)]
 pub struct ProgramCache {
-    shards: [Shard; SHARD_COUNT],
-    /// Cumulative op counts over every program ever compiled here, for the
-    /// specialization report (before/after fusion).
-    source_ops: AtomicU64,
-    fused_ops: AtomicU64,
-    /// Registry-adoptable rollups of the per-shard counters, bumped in
-    /// step with them (`cache.hit` / `cache.miss` / `cache.contended`).
-    hits_total: Counter,
-    misses_total: Counter,
-    contended_total: Counter,
-}
-
-fn shard_index(key: &ProgramKey) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % SHARD_COUNT
-}
-
-/// Sums threaded ops and post-fusion dispatches over all four programs of
-/// every procedure in a compiled interface.
-fn op_totals(ci: &CompiledInterface) -> (u64, u64) {
-    let mut source = 0u64;
-    let mut fused = 0u64;
-    for op in &ci.ops {
-        for p in
-            [&op.request_marshal, &op.request_unmarshal, &op.reply_marshal, &op.reply_unmarshal]
-        {
-            source += p.ops.len() as u64;
-            fused += p.dispatch_count() as u64;
-        }
-    }
-    (source, fused)
+    programs: RwLock<HashMap<ProgramKey, Arc<CompiledInterface>>>,
+    /// `cache.hit`: lookups (and [`ProgramCache::count_hit`]s) that found
+    /// their program compiled.
+    hits: Counter,
+    /// `cache.miss`: compilations performed, one per distinct combination.
+    misses: Counter,
 }
 
 impl ProgramCache {
@@ -170,9 +86,9 @@ impl ProgramCache {
 
     /// Returns the program for `key`, compiling through `compile` only on
     /// the first request for this combination. Concurrent first requests
-    /// for the same shard serialize on its publish mutex so the
-    /// combination still compiles exactly once; hits never touch a
-    /// write-capable lock.
+    /// serialize on the write lock and look again under it, so the
+    /// combination still compiles exactly once; a hit takes the read lock
+    /// only.
     pub fn get_or_compile<E>(
         &self,
         key: ProgramKey,
@@ -190,80 +106,53 @@ impl ProgramCache {
         key: ProgramKey,
         compile: impl FnOnce() -> Result<CompiledInterface, E>,
     ) -> Result<(Arc<CompiledInterface>, bool), E> {
-        let shard = &self.shards[shard_index(&key)];
-        if let Some(found) = shard.snapshot(&self.contended_total).get(&key) {
-            self.count_hit_on(shard);
-            return Ok((Arc::clone(found), false));
+        if let Some(found) = self.get(&key) {
+            self.count_hit();
+            return Ok((found, false));
         }
-        let _publish = shard.publish.lock();
-        // Double-check: another thread may have published while we waited.
-        if let Some(found) = shard.snapshot(&self.contended_total).get(&key) {
-            self.count_hit_on(shard);
+        let mut programs = self.programs.write();
+        // Look again: a racing first request may have compiled meanwhile.
+        if let Some(found) = programs.get(&key) {
+            self.count_hit();
             return Ok((Arc::clone(found), false));
         }
         let compiled = Arc::new(compile()?);
-        let (source, fused) = op_totals(&compiled);
-        self.source_ops.fetch_add(source, Ordering::Relaxed);
-        self.fused_ops.fetch_add(fused, Ordering::Relaxed);
-        // Clone-on-publish: rebuild outside the lock, swap under it.
-        let mut next = HashMap::clone(&shard.snapshot(&self.contended_total));
-        next.insert(key, Arc::clone(&compiled));
-        *shard.map.write() = Arc::new(next);
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        self.misses_total.inc();
+        programs.insert(key, Arc::clone(&compiled));
+        self.misses.inc();
         Ok((compiled, true))
     }
 
-    /// Counts a hit for `key` without looking its program up: for a caller
-    /// that already holds what the lookup would return (the engine's
-    /// replica pool for the combination holds the program).
-    pub(crate) fn count_hit(&self, key: &ProgramKey) {
-        self.count_hit_on(&self.shards[shard_index(key)]);
-    }
-
-    fn count_hit_on(&self, shard: &Shard) {
-        shard.hits.fetch_add(1, Ordering::Relaxed);
-        self.hits_total.inc();
+    /// Counts a hit without a lookup: for a caller that already holds what
+    /// the lookup would return (the engine's replica pool for a combination
+    /// holds its program).
+    pub(crate) fn count_hit(&self) {
+        self.hits.inc();
     }
 
     /// Looks up without compiling (and without counting hits or misses).
     pub fn get(&self, key: &ProgramKey) -> Option<Arc<CompiledInterface>> {
-        let shard = &self.shards[shard_index(key)];
-        shard.snapshot(&self.contended_total).get(key).map(Arc::clone)
+        self.programs.read().get(key).map(Arc::clone)
     }
 
-    /// Adopts the cache-wide rollup counters into `registry` as
-    /// `cache.hit`, `cache.miss`, and `cache.contended`.
+    /// Adopts the two counters into `registry` as `cache.hit` and
+    /// `cache.miss`.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.adopt_counter("cache.hit", &self.hits_total);
-        registry.adopt_counter("cache.miss", &self.misses_total);
-        registry.adopt_counter("cache.contended", &self.contended_total);
+        registry.adopt_counter("cache.hit", &self.hits);
+        registry.adopt_counter("cache.miss", &self.misses);
     }
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        let mut s = CacheStats {
-            hits: 0,
-            misses: 0,
-            programs: 0,
-            shards: [ShardStats::default(); SHARD_COUNT],
-            source_ops: self.source_ops.load(Ordering::Relaxed),
-            fused_ops: self.fused_ops.load(Ordering::Relaxed),
-        };
-        for (shard, out) in self.shards.iter().zip(s.shards.iter_mut()) {
-            out.hits = shard.hits.load(Ordering::Relaxed);
-            out.misses = shard.misses.load(Ordering::Relaxed);
-            out.contended = shard.contended.load(Ordering::Relaxed);
-            s.hits += out.hits;
-            s.misses += out.misses;
-            s.programs += shard.snapshot(&self.contended_total).len();
+        CacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            programs: self.programs.read().len(),
         }
-        s
     }
 
     /// Total compilations performed (one per distinct combination).
     pub fn compilations(&self) -> u64 {
-        self.shards.iter().map(|s| s.misses.load(Ordering::Relaxed)).sum()
+        self.misses.get()
     }
 }
 
@@ -349,40 +238,71 @@ mod tests {
     }
 
     #[test]
-    fn shard_totals_match_rollup() {
-        let cache = ProgramCache::new();
-        for fp in 0..16 {
-            cache.get_or_compile(key(fp, Trust::None), compile_fileio).unwrap();
-            cache.get_or_compile(key(fp, Trust::None), compile_fileio).unwrap();
-        }
+    fn racing_first_requests_over_four_keys_compile_four_times() {
+        const THREADS: u64 = 8;
+        const KEYS: u64 = 4;
+        const ROUNDS: u64 = 3;
+        let cache = Arc::new(ProgramCache::new());
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let cache = Arc::clone(&cache);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    // Every thread asks for every key, starting at its own.
+                    for i in 0..KEYS * ROUNDS {
+                        let k = key((t + i) % KEYS, Trust::None);
+                        cache.get_or_compile(k, compile_fileio).unwrap();
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().for_each(|h| h.join().unwrap());
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.programs), (16, 16, 16));
-        assert_eq!(s.shards.iter().map(|p| p.hits).sum::<u64>(), s.hits);
-        assert_eq!(s.shards.iter().map(|p| p.misses).sum::<u64>(), s.misses);
-        assert!(
-            s.shards.iter().filter(|p| p.misses > 0).count() > 1,
-            "distinct keys spread across shards"
-        );
+        assert_eq!((cache.compilations(), s.programs), (KEYS, KEYS as usize));
+        assert_eq!(s.hits + s.misses, THREADS * KEYS * ROUNDS, "every lookup counted once");
+        assert_eq!(s.misses, KEYS);
     }
 
     #[test]
-    fn op_counts_show_fusion() {
-        let cache = ProgramCache::new();
-        cache.get_or_compile(key(1, Trust::None), compile_fileio).unwrap();
+    fn a_compile_failing_under_the_write_lock_leaves_the_key_to_the_next_request() {
+        use std::sync::mpsc;
+        let cache = Arc::new(ProgramCache::new());
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let failing = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.get_or_compile(key(9, Trust::None), || {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Err::<CompiledInterface, _>("nope")
+                })
+            })
+        };
+        entered.recv().unwrap(); // The failing compile now holds the write lock.
+        let (started_tx, started) = mpsc::channel();
+        let racing = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                started_tx.send(()).unwrap();
+                cache.get_or_compile(key(9, Trust::None), compile_fileio)
+            })
+        };
+        started.recv().unwrap();
+        release.send(()).unwrap();
+        assert_eq!(failing.join().unwrap().unwrap_err(), "nope");
+        let program = racing.join().unwrap().expect("the lock is not poisoned, the key not cached");
+        assert!(Arc::ptr_eq(&program, &cache.get(&key(9, Trust::None)).unwrap()));
         let s = cache.stats();
-        assert!(s.source_ops > 0);
-        assert!(
-            s.fused_ops < s.source_ops,
-            "cached programs are fused: {} dispatches from {} ops",
-            s.fused_ops,
-            s.source_ops
-        );
+        assert_eq!((s.hits, s.misses, s.programs), (0, 1, 1), "the failure counted as nothing");
     }
 
     #[test]
     fn hit_path_takes_no_write_lock() {
-        // A reader holding the shard snapshot read lock must not block a
-        // concurrent hit — hits only ever try_read/read, never write.
+        // Readers never exclude one another: a hit only ever takes the
+        // read lock, never the write lock.
         let cache = Arc::new(ProgramCache::new());
         cache.get_or_compile(key(5, Trust::None), compile_fileio).unwrap();
         let threads: Vec<_> = (0..8)

@@ -22,8 +22,12 @@
 //!   atomic state machine, condvar only on actual contention.
 //! * [`cache::ProgramCache`] — compiled programs keyed by *combination
 //!   signature* (wire signature × the two presentation fingerprints × the
-//!   negotiated trust pair × wire format). Each combination compiles once;
-//!   hit/miss counters prove it.
+//!   negotiated trust pair × wire format): one table behind one `RwLock`.
+//!   Each combination compiles once; hit/miss counters prove it.
+//! * The bind path — [`Engine::register_service`], [`ConnectBuilder`],
+//!   pool resolution, shape negotiation — lives in `bind.rs` beside that
+//!   cache, as a child module of `engine`; the call path (`admit` →
+//!   `enqueue` | inline → `serve`) is what `engine.rs` keeps.
 //! * [`engine::EngineConnection`] — same-domain client transport with
 //!   multiple outstanding calls ([`engine::EngineConnection::submit`]).
 //! * [`acceptor`] — Sun RPC exposure on the simulated network, including

@@ -180,17 +180,23 @@ fn eight_clients_two_services_two_trusts_one_engine() {
     assert_eq!(stats.dispatch_errors, 0);
     assert_eq!(stats.in_flight, 0);
 
-    // (b') Cached programs are specialized: fusion collapsed at least one
-    // run of adjacent ops somewhere in the cached compilations, so the
-    // engine's serving path runs fewer interpreter dispatches than the
-    // threaded op count.
-    assert!(stats.cache.source_ops > 0, "op totals are recorded");
-    assert!(
-        stats.cache.fused_ops < stats.cache.source_ops,
-        "cached programs must be fused: {} dispatches vs {} threaded ops",
-        stats.cache.fused_ops,
-        stats.cache.source_ops,
-    );
+    // (b') The program a connection shares out of the cache is the fused
+    // one: the engine's serving path runs fewer interpreter dispatches than
+    // the threaded op count.
+    let conn = engine
+        .connect("pipe-default")
+        .client(ClientInfo::of(&client_presentation(Trust::None)))
+        .establish()
+        .expect("connect");
+    let (ops, dispatches) = conn
+        .program()
+        .ops
+        .iter()
+        .flat_map(|o| {
+            [&o.request_marshal, &o.request_unmarshal, &o.reply_marshal, &o.reply_unmarshal]
+        })
+        .fold((0, 0), |(ops, d), p| (ops + p.ops.len(), d + p.dispatch_count()));
+    assert!(dispatches < ops, "shared programs are fused: {dispatches} dispatches, {ops} ops");
 
     // (c) The seed's dealloc(never) copy delta holds under concurrency:
     // the default service copied every byte its readers got; the

@@ -174,11 +174,6 @@ impl<'src> TokStream<'src> {
         self.toks[self.pos].tok
     }
 
-    /// The token after the current one.
-    pub fn peek2(&self) -> Tok<'src> {
-        self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
-    }
-
     /// Position of the current token.
     pub fn pos(&self) -> (u32, u32) {
         (self.toks[self.pos].line, self.toks[self.pos].col)
@@ -492,13 +487,6 @@ mod tests {
         assert!(!ts.eat_kw("short"));
         ts.expect_kw("long").unwrap();
         assert_eq!(ts.expect_ident("name").unwrap(), "x");
-    }
-
-    #[test]
-    fn peek2_lookahead() {
-        let ts = TokStream::new("a b").unwrap();
-        assert_eq!(ts.peek(), Tok::Ident("a"));
-        assert_eq!(ts.peek2(), Tok::Ident("b"));
     }
 
     #[test]

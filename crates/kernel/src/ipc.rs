@@ -15,7 +15,7 @@
 //! trust pair plus the name-translation mode for transferred port rights.
 
 use crate::error::KernelError;
-use crate::ports::{NameMode, PortId, PortName};
+use crate::ports::{NameMode, PortName};
 use crate::regs::{run_ops, RegPath, RegisterFile, TrustLevel, MSG_REGS};
 use crate::stats::KernelStats;
 use crate::task::TaskId;
@@ -109,9 +109,6 @@ pub(crate) struct ServerEntry {
 pub struct Connection {
     pub(crate) client: TaskId,
     pub(crate) server: TaskId,
-    /// The port this connection was bound through (kept for diagnostics and
-    /// future rebinding support).
-    pub(crate) port: PortId,
     handler: Arc<Mutex<Handler>>,
     reg_path: RegPath,
     /// Name mode for rights moving client → server.
@@ -140,11 +137,6 @@ impl Connection {
     /// cost the trust pair bought).
     pub fn reg_path(&self) -> &RegPath {
         &self.reg_path
-    }
-
-    /// Kernel-wide identity of the port this connection targets.
-    pub fn port_id(&self) -> u64 {
-        self.port.0
     }
 }
 
@@ -209,7 +201,6 @@ impl Kernel {
         Ok(Connection {
             client: client_task,
             server: entry.task,
-            port,
             handler: Arc::clone(&entry.handler),
             reg_path,
             req_name_mode: entry.options.name_mode,

@@ -123,13 +123,6 @@ impl MsgBuf {
         &self.data
     }
 
-    /// Mutable access to the encoded bytes (used by transports that patch
-    /// headers in place, e.g. record-marking lengths).
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// Total payload bytes appended through this buffer (padding excluded).
     #[inline]
     pub fn bytes_written(&self) -> u64 {
@@ -141,12 +134,6 @@ impl MsgBuf {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.data.extend_from_slice(bytes);
         self.bytes_written += bytes.len() as u64;
-    }
-
-    /// Appends `n` zero bytes (explicit padding; not counted as payload).
-    #[inline]
-    pub fn put_zeros(&mut self, n: usize) {
-        self.data.resize(self.data.len() + n, 0);
     }
 
     /// Pads with zeros so the current length is a multiple of `align`.
@@ -306,13 +293,6 @@ impl MsgBuf {
         assert!(self.open_windows == 0, "unfilled reserve window at end of encoding");
         self.data
     }
-
-    /// Consumes the buffer without checking windows (for re-wrapped received
-    /// messages which never had windows).
-    #[inline]
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data
-    }
 }
 
 #[cfg(test)]
@@ -450,6 +430,6 @@ mod tests {
         let m = MsgBuf::from_vec(vec![1, 2, 3]);
         assert_eq!(m.len(), 3);
         assert_eq!(m.bytes_written(), 0);
-        assert_eq!(m.into_vec(), vec![1, 2, 3]);
+        assert_eq!(m.as_slice(), [1, 2, 3]);
     }
 }

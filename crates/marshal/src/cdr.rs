@@ -122,16 +122,6 @@ impl CdrWriter {
         self.buf.put_bytes(&[v]);
     }
 
-    /// Encodes an unsigned 16-bit integer at 2-byte alignment.
-    #[inline]
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.pad_to(2);
-        self.buf.put_bytes(&match self.order {
-            ByteOrder::Big => v.to_be_bytes(),
-            ByteOrder::Little => v.to_le_bytes(),
-        });
-    }
-
     put_prim!(
         /// Encodes an unsigned 32-bit integer at 4-byte alignment.
         put_u32, u32, put_aligned_4
@@ -238,17 +228,10 @@ impl CdrWriter {
     ///
     /// # Panics
     ///
-    /// Panics if a reserved window was never filled; use
-    /// [`CdrWriter::into_buf`] + [`MsgBuf::seal`] for the fallible form.
+    /// Panics if a reserved window was never filled.
     #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf.into_sealed()
-    }
-
-    /// Finishes encoding, returning the underlying buffer.
-    #[inline]
-    pub fn into_buf(self) -> MsgBuf {
-        self.buf
     }
 }
 
@@ -259,7 +242,6 @@ pub struct CdrReader<'a> {
     rest: &'a [u8],
     pos: usize,
     order: ByteOrder,
-    max_len: usize,
 }
 
 macro_rules! get_prim {
@@ -285,14 +267,7 @@ impl<'a> CdrReader<'a> {
             return Err(MarshalError::Truncated { needed: 1, remaining: 0 });
         };
         let order = ByteOrder::from_flag(flag)?;
-        Ok(CdrReader { rest, pos: 1, order, max_len: DEFAULT_MAX_LEN })
-    }
-
-    /// Overrides the variable-length item cap.
-    #[inline]
-    pub fn with_max_len(mut self, max_len: usize) -> Self {
-        self.max_len = max_len;
-        self
+        Ok(CdrReader { rest, pos: 1, order })
     }
 
     /// The byte order the sender used.
@@ -353,10 +328,6 @@ impl<'a> CdrReader<'a> {
     }
 
     get_prim!(
-        /// Decodes an unsigned 16-bit integer.
-        get_u16, u16, 2, 2
-    );
-    get_prim!(
         /// Decodes an unsigned 32-bit integer.
         get_u32, u32, 4, 4
     );
@@ -393,10 +364,10 @@ impl<'a> CdrReader<'a> {
     #[inline]
     pub fn get_sequence_borrowed(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()? as usize;
-        if len > self.max_len || len > self.remaining() {
+        if len > DEFAULT_MAX_LEN || len > self.remaining() {
             return Err(MarshalError::LengthOutOfRange {
                 claimed: len,
-                max: self.max_len.min(self.remaining()),
+                max: DEFAULT_MAX_LEN.min(self.remaining()),
             });
         }
         self.take(len)
@@ -407,22 +378,10 @@ impl<'a> CdrReader<'a> {
         Ok(self.get_sequence_borrowed()?.to_vec())
     }
 
-    /// Decodes a `sequence<octet>` into a caller-provided buffer, returning
-    /// the byte count.
-    #[inline]
-    pub fn get_sequence_into(&mut self, dst: &mut [u8]) -> Result<usize> {
-        let src = self.get_sequence_borrowed()?;
-        if src.len() > dst.len() {
-            return Err(MarshalError::LengthOutOfRange { claimed: src.len(), max: dst.len() });
-        }
-        dst[..src.len()].copy_from_slice(src);
-        Ok(src.len())
-    }
-
     /// Decodes a string (length includes the NUL terminator).
     pub fn get_string(&mut self) -> Result<String> {
         let len = self.get_u32()? as usize;
-        if len == 0 || len > self.max_len || len > self.remaining() {
+        if len == 0 || len > DEFAULT_MAX_LEN || len > self.remaining() {
             return Err(MarshalError::BadString);
         }
         let bytes = self.take(len)?;
@@ -449,7 +408,6 @@ mod tests {
     fn roundtrip_order(order: ByteOrder) {
         let mut w = CdrWriter::new(order);
         w.put_u8(7);
-        w.put_u16(0x0102);
         w.put_u32(0x03040506);
         w.put_u64(0x0708090A0B0C0D0E);
         w.put_i32(-5);
@@ -463,7 +421,6 @@ mod tests {
         let mut r = CdrReader::new(&bytes).unwrap();
         assert_eq!(r.order(), order);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 0x0102);
         assert_eq!(r.get_u32().unwrap(), 0x03040506);
         assert_eq!(r.get_u64().unwrap(), 0x0708090A0B0C0D0E);
         assert_eq!(r.get_i32().unwrap(), -5);
@@ -550,17 +507,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = CdrReader::new(&bytes).unwrap();
         assert!(matches!(r.get_sequence(), Err(MarshalError::LengthOutOfRange { .. })));
-    }
-
-    #[test]
-    fn sequence_into_caller_buffer() {
-        let mut w = CdrWriter::native();
-        w.put_sequence(&[7; 5]);
-        let bytes = w.into_bytes();
-        let mut dst = [0u8; 8];
-        let mut r = CdrReader::new(&bytes).unwrap();
-        assert_eq!(r.get_sequence_into(&mut dst).unwrap(), 5);
-        assert_eq!(&dst[..5], &[7; 5]);
     }
 
     #[test]

@@ -77,22 +77,6 @@ impl<'a> ReadCursor<'a> {
         Ok(u32::from_ne_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    /// Reads a native-endian u64.
-    #[inline]
-    pub fn get_u64_ne(&mut self) -> Result<u64> {
-        Ok(u64::from_ne_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Borrows a length-prefixed (native-endian u32) byte region.
-    #[inline]
-    pub fn get_counted(&mut self) -> Result<&'a [u8]> {
-        let len = self.get_u32_ne()? as usize;
-        if len > self.remaining() {
-            return Err(MarshalError::LengthOutOfRange { claimed: len, max: self.remaining() });
-        }
-        self.take(len)
-    }
-
     /// The rest of the message as one borrowed slice (consumes it).
     #[inline]
     pub fn rest(&mut self) -> &'a [u8] {
@@ -129,26 +113,9 @@ mod tests {
     #[test]
     fn native_endian_ints() {
         let v: u32 = 0x12345678;
-        let q: u64 = 0x1122334455667788;
-        let mut msg = v.to_ne_bytes().to_vec();
-        msg.extend_from_slice(&q.to_ne_bytes());
+        let msg = v.to_ne_bytes();
         let mut c = ReadCursor::new(&msg);
         assert_eq!(c.get_u32_ne().unwrap(), v);
-        assert_eq!(c.get_u64_ne().unwrap(), q);
-    }
-
-    #[test]
-    fn counted_region() {
-        let mut msg = 3u32.to_ne_bytes().to_vec();
-        msg.extend_from_slice(&[7, 8, 9]);
-        let mut c = ReadCursor::new(&msg);
-        assert_eq!(c.get_counted().unwrap(), &[7, 8, 9]);
-    }
-
-    #[test]
-    fn counted_hostile_length_rejected() {
-        let msg = u32::MAX.to_ne_bytes();
-        let mut c = ReadCursor::new(&msg);
-        assert!(matches!(c.get_counted(), Err(MarshalError::LengthOutOfRange { .. })));
+        assert!(c.is_empty());
     }
 }

@@ -136,18 +136,6 @@ impl XdrWriter {
         self.put_opaque(s.as_bytes());
     }
 
-    /// Encodes a counted array by writing the length then invoking `f` per
-    /// element.
-    pub fn put_array<T, F>(&mut self, items: &[T], mut f: F)
-    where
-        F: FnMut(&mut Self, &T),
-    {
-        self.put_u32(items.len() as u32);
-        for item in items {
-            f(self, item);
-        }
-    }
-
     /// Total payload bytes appended so far (see [`MsgBuf::bytes_written`]).
     #[inline]
     pub fn bytes_written(&self) -> u64 {
@@ -178,17 +166,10 @@ impl XdrWriter {
     ///
     /// # Panics
     ///
-    /// Panics if a reserved window was never filled; use
-    /// [`XdrWriter::into_buf`] and [`MsgBuf::seal`] for a fallible finish.
+    /// Panics if a reserved window was never filled.
     #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf.into_sealed()
-    }
-
-    /// Finishes encoding, returning the underlying buffer.
-    #[inline]
-    pub fn into_buf(self) -> MsgBuf {
-        self.buf
     }
 }
 
@@ -201,21 +182,13 @@ pub struct XdrReader<'a> {
     /// What is left to read; `pos` bytes of the message went before it.
     rest: &'a [u8],
     pos: usize,
-    max_len: usize,
 }
 
 impl<'a> XdrReader<'a> {
     /// Creates a decoder over `data` with the default length cap.
     #[inline]
     pub fn new(data: &'a [u8]) -> Self {
-        XdrReader { rest: data, pos: 0, max_len: DEFAULT_MAX_LEN }
-    }
-
-    /// Overrides the variable-length item cap.
-    #[inline]
-    pub fn with_max_len(mut self, max_len: usize) -> Self {
-        self.max_len = max_len;
-        self
+        XdrReader { rest: data, pos: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -317,10 +290,10 @@ impl<'a> XdrReader<'a> {
     #[inline]
     pub fn get_opaque_borrowed(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()? as usize;
-        if len > self.max_len || len > self.remaining() {
+        if len > DEFAULT_MAX_LEN || len > self.remaining() {
             return Err(MarshalError::LengthOutOfRange {
                 claimed: len,
-                max: self.max_len.min(self.remaining()),
+                max: DEFAULT_MAX_LEN.min(self.remaining()),
             });
         }
         self.get_opaque_fixed(len)
@@ -332,42 +305,10 @@ impl<'a> XdrReader<'a> {
         Ok(self.get_opaque_borrowed()?.to_vec())
     }
 
-    /// Decodes variable-length opaque data directly into `dst`, returning the
-    /// number of bytes written. Fails if the payload exceeds `dst`.
-    ///
-    /// This is the caller-allocated (`MIG`-style) presentation: the client
-    /// handed the stub a buffer and the stub unmarshals straight into it.
-    #[inline]
-    pub fn get_opaque_into(&mut self, dst: &mut [u8]) -> Result<usize> {
-        let src = self.get_opaque_borrowed()?;
-        if src.len() > dst.len() {
-            return Err(MarshalError::LengthOutOfRange { claimed: src.len(), max: dst.len() });
-        }
-        dst[..src.len()].copy_from_slice(src);
-        Ok(src.len())
-    }
-
     /// Decodes a UTF-8 string.
     pub fn get_string(&mut self) -> Result<String> {
         let bytes = self.get_opaque_borrowed()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| MarshalError::BadString)
-    }
-
-    /// Decodes a counted array by invoking `f` per element.
-    pub fn get_array<T, F>(&mut self, mut f: F) -> Result<Vec<T>>
-    where
-        F: FnMut(&mut Self) -> Result<T>,
-    {
-        let len = self.get_u32()? as usize;
-        // Each element needs at least 1 byte on the wire; cheap sanity bound.
-        if len > self.remaining() {
-            return Err(MarshalError::LengthOutOfRange { claimed: len, max: self.remaining() });
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(f(self)?);
-        }
-        Ok(out)
     }
 
     /// Asserts the message has been fully consumed.
@@ -509,30 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn opaque_into_caller_buffer() {
-        let mut w = XdrWriter::new();
-        w.put_opaque(&[5; 10]);
-        let bytes = w.into_bytes();
-        let mut dst = [0u8; 16];
-        let mut r = XdrReader::new(&bytes);
-        assert_eq!(r.get_opaque_into(&mut dst).unwrap(), 10);
-        assert_eq!(&dst[..10], &[5; 10]);
-    }
-
-    #[test]
-    fn opaque_into_too_small_rejected() {
-        let mut w = XdrWriter::new();
-        w.put_opaque(&[5; 10]);
-        let bytes = w.into_bytes();
-        let mut dst = [0u8; 4];
-        let mut r = XdrReader::new(&bytes);
-        assert!(matches!(
-            r.get_opaque_into(&mut dst),
-            Err(MarshalError::LengthOutOfRange { claimed: 10, max: 4 })
-        ));
-    }
-
-    #[test]
     fn reserve_opaque_window_fill() {
         let mut w = XdrWriter::new();
         w.put_u32(0xDEAD);
@@ -549,24 +466,5 @@ mod tests {
         assert_eq!(r.get_opaque().unwrap(), b"direct".to_vec());
         assert_eq!(r.get_u32().unwrap(), 0xBEEF);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn array_roundtrip() {
-        let mut w = XdrWriter::new();
-        w.put_array(&[10u32, 20, 30], |w, v| w.put_u32(*v));
-        let bytes = w.into_bytes();
-        let mut r = XdrReader::new(&bytes);
-        let v = r.get_array(|r| r.get_u32()).unwrap();
-        assert_eq!(v, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn array_hostile_count_rejected() {
-        let mut w = XdrWriter::new();
-        w.put_u32(1_000_000);
-        let bytes = w.into_bytes();
-        let mut r = XdrReader::new(&bytes);
-        assert!(r.get_array(|r| r.get_u32()).is_err());
     }
 }

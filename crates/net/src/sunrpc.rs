@@ -86,23 +86,21 @@ const CALL_HDR_WORDS: usize = 10;
 /// of the argument bytes, so tagged and untagged frames decode with the
 /// same body layout.
 pub const CRED_FLAVOR_AMO: u32 = 0x464C_5250; // "FLRP"
-/// Byte length of the at-most-once credential body (with tenancy).
+/// Byte length of the at-most-once credential body.
 const CRED_AMO_LEN: u32 = 24;
-/// Pre-tenancy credential body length (binding + seq only); still decoded,
-/// charging the call to the default tenant, so an old client can talk to a
-/// new server across a rolling upgrade.
-const CRED_AMO_LEN_V1: u32 = 16;
 /// Reply header size after the record mark: XID, type, reply stat, null
 /// verifier (2 words), accept stat.
 const REPLY_HDR_WORDS: usize = 6;
 
 /// Encodes a call message: record mark + header + `args`.
 pub fn encode_call(hdr: CallHeader, args: &[u8]) -> Vec<u8> {
-    encode_call_gather(hdr, &[args])
+    encode_call_tagged(hdr, None, &[args])
 }
 
 /// Encodes a call message by gathering `parts` straight into an exact-size
-/// frame.
+/// frame, optionally carrying an at-most-once call tag `(binding id,
+/// sequence number, tenant id)` in the credential field. `None` emits the
+/// classic null-credential frame byte-for-byte.
 ///
 /// Because every frame length is known before the first byte is written,
 /// the record mark is computed up front (no placeholder-then-patch pass)
@@ -111,14 +109,6 @@ pub fn encode_call(hdr: CallHeader, args: &[u8]) -> Vec<u8> {
 /// payload window — are spliced in place with no intermediate staging
 /// buffer, which is the record-marking path's half of the paper's "marshal
 /// directly into the transport buffer" discipline.
-pub fn encode_call_gather(hdr: CallHeader, parts: &[&[u8]]) -> Vec<u8> {
-    encode_call_tagged(hdr, None, parts)
-}
-
-/// Encodes a call message, optionally carrying an at-most-once call tag
-/// `(binding id, sequence number, tenant id)` in the credential field.
-/// `None` emits the classic null-credential frame byte-for-byte. Same
-/// exact-size, no-patch scheme as [`encode_call_gather`].
 pub fn encode_call_tagged(
     hdr: CallHeader,
     tag: Option<(u64, u64, u64)>,
@@ -171,17 +161,12 @@ pub fn encode_call_tagged_into(
     buf.resize(start + total, 0); // Trailing pad to the 4-byte record boundary.
 }
 
-/// Encodes a reply message: record mark + header + `results`.
+/// Encodes a reply message — record mark + header + `results` — into an
+/// exact-size frame; see [`encode_call_tagged`] for the
+/// single-allocation/no-patch scheme.
 pub fn encode_reply(xid: u32, stat: AcceptStat, results: &[u8]) -> Vec<u8> {
-    encode_reply_gather(xid, stat, &[results])
-}
-
-/// Encodes a reply message by gathering `parts` into an exact-size frame;
-/// see [`encode_call_gather`] for the single-allocation/no-patch scheme.
-pub fn encode_reply_gather(xid: u32, stat: AcceptStat, parts: &[&[u8]]) -> Vec<u8> {
-    let body: usize = parts.iter().map(|p| p.len()).sum();
-    let mut buf = Vec::with_capacity(4 + REPLY_HDR_WORDS * 4 + align_up4(body));
-    encode_reply_gather_into(&mut buf, xid, stat, parts);
+    let mut buf = Vec::with_capacity(4 + REPLY_HDR_WORDS * 4 + align_up4(results.len()));
+    encode_reply_gather_into(&mut buf, xid, stat, &[results]);
     buf
 }
 
@@ -209,14 +194,6 @@ fn proto_err(why: &str) -> NetError {
     NetError::ServiceFailure(format!("sunrpc protocol error: {why}"))
 }
 
-/// Decodes a call message, returning the header and the argument bytes.
-/// An at-most-once credential, if present, is tolerated and dropped — use
-/// [`decode_call_tagged`] to recover it.
-pub fn decode_call(msg: &[u8]) -> Result<(CallHeader, &[u8])> {
-    let (hdr, _tag, args) = decode_call_tagged(msg)?;
-    Ok((hdr, args))
-}
-
 /// A decoded call: header, at-most-once tag `(binding id, sequence
 /// number, tenant id)` if the credential carries one, and the argument
 /// bytes.
@@ -224,8 +201,8 @@ pub type TaggedCall<'a> = (CallHeader, Option<(u64, u64, u64)>, &'a [u8]);
 
 /// Decodes a call message, returning the header, the at-most-once call
 /// tag `(binding id, sequence number, tenant id)` if the credential
-/// carries one (pre-tenancy 16-byte credentials decode with tenant 0),
-/// and the argument bytes.
+/// carries one, and the argument bytes. Any other credential — flavor or
+/// length — is refused.
 pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
     let mut r = XdrReader::new(msg);
     let mark = r.get_u32().map_err(|_| proto_err("truncated record mark"))?;
@@ -257,11 +234,6 @@ pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
             let tenant = r.get_u64().map_err(|_| proto_err("truncated call tag"))?;
             Some((binding, seq, tenant))
         }
-        (CRED_FLAVOR_AMO, CRED_AMO_LEN_V1) => {
-            let binding = r.get_u64().map_err(|_| proto_err("truncated call tag"))?;
-            let seq = r.get_u64().map_err(|_| proto_err("truncated call tag"))?;
-            Some((binding, seq, 0))
-        }
         _ => return Err(proto_err("unsupported credential flavor")),
     };
     for what in ["verf flavor", "verf length"] {
@@ -277,7 +249,7 @@ pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
 
 /// Splits a stream of concatenated record-marked messages into individual
 /// messages (each slice *includes* its record mark, so it feeds straight
-/// into [`decode_call`]/[`decode_reply`]).
+/// into [`decode_call_tagged`]/[`decode_reply`]).
 ///
 /// This is the receive half of call pipelining: a client with several
 /// outstanding XIDs concatenates whole call records into one stream, and
@@ -332,6 +304,11 @@ pub fn decode_reply(msg: &[u8]) -> Result<(u32, AcceptStat, &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Header and arguments of a call, whatever its credential.
+    fn decode_call(msg: &[u8]) -> Result<(CallHeader, &[u8])> {
+        decode_call_tagged(msg).map(|(hdr, _tag, args)| (hdr, args))
+    }
 
     #[test]
     fn call_roundtrip() {
@@ -424,9 +401,10 @@ mod tests {
     fn gather_encode_matches_single_buffer_encode() {
         let hdr = CallHeader { xid: 3, prog: 100003, vers: 2, proc: 6 };
         let whole = b"headerbytes-payload".to_vec();
-        let gathered = encode_call_gather(hdr, &[&whole[..12], &whole[12..]]);
+        let gathered = encode_call_tagged(hdr, None, &[&whole[..12], &whole[12..]]);
         assert_eq!(gathered, encode_call(hdr, &whole));
-        let reply = encode_reply_gather(3, AcceptStat::Success, &[&whole[..12], &whole[12..]]);
+        let mut reply = Vec::new();
+        encode_reply_gather_into(&mut reply, 3, AcceptStat::Success, &[&whole[..12], &whole[12..]]);
         assert_eq!(reply, encode_reply(3, AcceptStat::Success, &whole));
     }
 
@@ -435,7 +413,7 @@ mod tests {
         // Unaligned body: 19 bytes pads to 20; frame lands in a single
         // exactly-sized allocation with no placeholder patching.
         let hdr = CallHeader { xid: 1, prog: 2, vers: 3, proc: 4 };
-        let call = encode_call_gather(hdr, &[&[7u8; 19]]);
+        let call = encode_call(hdr, &[7u8; 19]);
         assert_eq!(call.len(), call.capacity(), "no growth reallocation");
         assert_eq!(call.len(), 4 + 40 + 20);
         let (got, args) = decode_call(&call).unwrap();
@@ -443,7 +421,7 @@ mod tests {
         assert_eq!(&args[..19], &[7u8; 19]);
         assert_eq!(&args[19..], &[0], "trailing record pad");
 
-        let reply = encode_reply_gather(1, AcceptStat::Success, &[&[9u8; 5]]);
+        let reply = encode_reply(1, AcceptStat::Success, &[9u8; 5]);
         assert_eq!(reply.len(), reply.capacity());
         assert_eq!(reply.len(), 4 + 24 + 8);
     }
@@ -490,16 +468,13 @@ mod tests {
         assert_eq!(got, hdr);
         assert_eq!(tag, Some((0xDEAD_BEEF_0000_0001, 42, 7)));
         assert_eq!(&args[..7], b"payload");
-        // The untagged decoder tolerates the credential and drops the tag.
-        let (got2, args2) = decode_call(&msg).unwrap();
-        assert_eq!(got2, hdr);
-        assert_eq!(args2, args);
     }
 
     #[test]
-    fn legacy_16_byte_credential_decodes_as_default_tenant() {
+    fn legacy_16_byte_credential_is_an_unsupported_flavor() {
         let hdr = CallHeader { xid: 9, prog: 100003, vers: 2, proc: 1 };
-        // Hand-build a pre-tenancy frame: flavor FLRP, 16-byte body.
+        // Hand-build a pre-tenancy frame: flavor FLRP, 16-byte body. No
+        // encoder emits it; it is refused like any other unknown length.
         let body = b"payload";
         let padded = body.len().next_multiple_of(4);
         let total = 4 + (10 + 4) * 4 + padded;
@@ -515,10 +490,8 @@ mod tests {
         msg.extend_from_slice(&[0u8; 8]); // Null verifier.
         msg.extend_from_slice(body);
         msg.resize(total, 0);
-        let (got, tag, args) = decode_call_tagged(&msg).unwrap();
-        assert_eq!(got, hdr);
-        assert_eq!(tag, Some((77, 3, 0)), "legacy cred lands in the default tenant");
-        assert_eq!(&args[..7], b"payload");
+        let err = decode_call_tagged(&msg).unwrap_err();
+        assert!(err.to_string().contains("unsupported credential flavor"), "{err}");
     }
 
     #[test]

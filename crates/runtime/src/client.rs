@@ -47,8 +47,6 @@ pub struct ClientStub {
     /// Scratch reply buffer, reused across calls (no steady-state client
     /// allocation beyond what the presentation itself requires).
     reply_buf: Vec<u8>,
-    /// Offset of the reply body within `reply_buf` (transport framing).
-    reply_off: usize,
     /// Scratch request buffer, reused across calls.
     request_buf: Vec<u8>,
     /// At-most-once numbering, if enabled on this binding.
@@ -84,7 +82,6 @@ impl ClientStub {
             hooks: vec![HookMap::new(); n],
             transport,
             reply_buf: Vec::new(),
-            reply_off: 0,
             request_buf: Vec::new(),
             amo: None,
             tenant: TenantId::DEFAULT,
@@ -128,11 +125,6 @@ impl ClientStub {
     /// The recorded trace, if tracing is enabled.
     pub fn trace(&self) -> Option<&CallTrace> {
         self.tracer.as_deref()
-    }
-
-    /// Detaches and returns the trace, disabling further recording.
-    pub fn take_trace(&mut self) -> Option<Box<CallTrace>> {
-        self.tracer.take()
     }
 
     /// Enables at-most-once execution on this binding: every policy-driven
@@ -373,12 +365,7 @@ impl ClientStub {
             *mark = now;
         }
         let off = outcome?;
-        self.reply_off = off;
 
-        // NOTE: `Window` out-values reference `reply_buf`; they are only
-        // valid until the next call on this stub. Borrowed client
-        // presentations must consume them before re-calling — same rule as
-        // any borrowed receive buffer.
         let result = (|| -> Result<u32> {
             let body = &reply[off..];
             let mut reader = AnyReader::new(self.format, body)?;
@@ -402,11 +389,6 @@ impl ClientStub {
             t.record(*call, Stage::Unmarshal, *mark, now, op_index as u64);
         }
         result
-    }
-
-    /// The raw bytes of the last reply body (resolves `Window` out-values).
-    pub fn last_reply(&self) -> &[u8] {
-        &self.reply_buf[self.reply_off..]
     }
 
     /// Sends a `[oneway]` notification by name: the in-slots of `frame` are

@@ -16,32 +16,34 @@
 //! traits: no format match per primitive, and the writers' primitives
 //! inline into the loop.
 //!
-//! # Two paths, one of them the oracle
+//! # One executor, and an oracle you call
 //!
-//! * A program carrying a [`FusedProgram`](flexrpc_core::fuse::FusedProgram)
-//!   — every program `CompiledInterface::compile` builds — runs through the
-//!   **fused executor**, one loop over the `fops` that bind-time
-//!   specialization left behind (it adds nothing to them: a bind allocates
-//!   what it did). What presentations commonly say is a step written
-//!   inline in that loop, over `(slots, writer)` alone: a scalar — lone, or
-//!   the one-field block behind a payload head — goes through the writer's
-//!   own primitive; counted bytes (`PutBytes`; `GetBytesOwned`, which
-//!   refills the buffer the slot already holds) are one bulk copy; a block
-//!   of two or more scalars is one buffer extend + N stores on the way out
-//!   and **one up-front bounds check** + N loads on the way in, through
-//!   the layout precomputed at bind time for the syntax (and, for CDR, the
+//! * [`marshal`] / [`unmarshal`] run a program's
+//!   [`FusedProgram`](flexrpc_core::fuse::FusedProgram) — the form every
+//!   [`StubProgram`] carries, built with it by `StubProgram::from_ops` —
+//!   through the **executor**, one loop over the `fops` that bind-time
+//!   specialization left behind; nothing about the program is re-checked
+//!   per call. What presentations commonly say is a step written inline in
+//!   that loop, over `(slots, writer)` alone: a scalar — lone, or the
+//!   one-field block behind a payload head — goes through the writer's own
+//!   primitive; counted bytes (`PutBytes`; `GetBytesOwned`, which refills
+//!   the buffer the slot already holds) are one bulk copy; a block of two
+//!   or more scalars is one buffer extend + N stores on the way out and
+//!   **one up-front bounds check** + N loads on the way in, through the
+//!   layout precomputed at bind time for the syntax (and, for CDR, the
 //!   block's start phase). Everything else — checked and `length_is`
 //!   strings, fixed opaques, `[special]` hooks, ports, borrowed and
 //!   caller-allocated payloads — is a cold head and goes out of line
-//!   through the six-argument `exec_put` / `exec_get`. An attached
+//!   through the six-argument `exec_put` / `exec_get`. The program's
 //!   [`SizeHint`] reserves the marshal buffer once, up front.
-//! * A program without one (`SpecializeOptions::none()`) runs the
-//!   **threaded loop**: one `exec_put` / `exec_get` per op — no inline
-//!   step, no block, no presize, a fresh `Vec` per owned payload. Nothing
-//!   binds that way; it is kept as the executor's byte-for-byte oracle
-//!   (`tests/fuse_differential.rs`: same bytes and `bytes_written`, same
-//!   values, the same kind of typed error on every strict prefix, the same
-//!   `SlotKind` error for a wrong slot).
+//! * [`marshal_threaded`] / [`unmarshal_threaded`] walk the same program's
+//!   `ops`, one `exec_put` / `exec_get` at a time — no inline step, no
+//!   block, no presize, a fresh `Vec` per owned payload. Nothing on a call
+//!   path runs them: they are the executor's byte-for-byte **oracle**, a
+//!   function a test (or a code generator's check) calls on any program it
+//!   holds (`tests/fuse_differential.rs`: same bytes and `bytes_written`,
+//!   same values, the same kind of typed error on every strict prefix, the
+//!   same `SlotKind` error for a wrong slot).
 //!
 //! # What is inline, and why
 //!
@@ -134,15 +136,8 @@ fn marshal_on<W: WireWrite>(
     hooks: &HookMap,
     rights_out: &mut Vec<u32>,
 ) -> Result<()> {
-    let Some(fused) = &program.fused else {
-        for op in &program.ops {
-            exec_put(op, slots, src_msg, w, hooks, rights_out)?;
-        }
-        return Ok(());
-    };
-    if let Some(hint) = &fused.presize {
-        reserve_for(hint, slots, w);
-    }
+    let fused = &program.fused;
+    reserve_for(&fused.presize, slots, w);
     for fop in &fused.fops {
         let (head, block) = parts(fop, &fused.blocks);
         if let Some(op) = head {
@@ -164,8 +159,29 @@ fn marshal_on<W: WireWrite>(
     Ok(())
 }
 
-/// Executes one Put op: every op of the threaded loop, and the cold heads
-/// (strings, fixed opaques, hooks, ports) of the fused one.
+/// The oracle for [`marshal`]: the same program run as plain threaded code
+/// — `program.ops` one op at a time, no inline step, no block, no presize.
+/// Same arguments, and for any program and frame the same bytes, the same
+/// `rights_out` and the same kind of error.
+pub fn marshal_threaded(
+    program: &StubProgram,
+    slots: &[Value],
+    src_msg: &[u8],
+    w: &mut AnyWriter,
+    hooks: &HookMap,
+    rights_out: &mut Vec<u32>,
+) -> Result<()> {
+    on_wire!(AnyWriter, w, w => {
+        program.ops.iter().try_for_each(|op| exec_put(op, slots, src_msg, w, hooks, rights_out))
+    })
+}
+
+/// Executes one Put op: every op of the threaded oracle, and the cold heads
+/// (strings, fixed opaques, hooks, ports) of the executor — which must reach
+/// it by a call: its loop stays small, and its inline steps the only code
+/// the common presentations run. (With two callers the optimiser leaves it
+/// out of line, `nm` on the benchmark binary shows; if it ever stops, say
+/// `#[inline(never)]`.)
 fn exec_put<W: WireWrite>(
     op: &MOp,
     slots: &[Value],
@@ -342,21 +358,16 @@ fn unmarshal_on<'a, R: WireRead<'a>>(
     hooks: &HookMap,
     rights_in: &mut dyn Iterator<Item = u32>,
 ) -> Result<()> {
-    let Some(fused) = &program.fused else {
-        for op in &program.ops {
-            exec_get(op, slots, msg, r, hooks, rights_in)?;
-        }
-        return Ok(());
-    };
+    let fused = &program.fused;
     for fop in &fused.fops {
         let (head, block) = parts(fop, &fused.blocks);
         if let Some(op) = head {
             match *op {
-                // Unlike the threaded op, refill the buffer the slot
-                // already holds: in steady state a reused frame receives
-                // its payload with zero allocations, the same
+                // Unlike the threaded oracle's op, refill the buffer the
+                // slot already holds: in steady state a reused frame
+                // receives its payload with zero allocations, the same
                 // buffer-recycling the paper's annotated stubs perform.
-                // The resulting `Value` is bit-for-bit the threaded one.
+                // The resulting `Value` is bit-for-bit the oracle's.
                 MOp::GetBytesOwned(slot) => {
                     let src = r.get_bytes_borrowed()?;
                     match &mut slots[slot.0] {
@@ -380,8 +391,24 @@ fn unmarshal_on<'a, R: WireRead<'a>>(
     Ok(())
 }
 
-/// Executes one Get op: every op of the threaded loop, and the cold heads
-/// of the fused one.
+/// The oracle for [`unmarshal`]: `program.ops` one op at a time, a fresh
+/// `Vec` per owned payload. Same arguments, and for any program and message
+/// the same slot values and the same kind of error.
+pub fn unmarshal_threaded(
+    program: &StubProgram,
+    slots: &mut [Value],
+    msg: &[u8],
+    r: &mut AnyReader<'_>,
+    hooks: &HookMap,
+    rights_in: &mut dyn Iterator<Item = u32>,
+) -> Result<()> {
+    on_wire!(AnyReader, r, r => {
+        program.ops.iter().try_for_each(|op| exec_get(op, slots, msg, r, hooks, rights_in))
+    })
+}
+
+/// Executes one Get op: every op of the threaded oracle, and the cold heads
+/// of the executor. Out of line for the reason `exec_put` is.
 fn exec_get<'a, R: WireRead<'a>>(
     op: &MOp,
     slots: &mut [Value],
@@ -506,7 +533,6 @@ fn get_block<'a, R: WireRead<'a>>(blk: &ScalarBlock, slots: &mut [Value], r: &mu
 mod tests {
     use super::*;
     use crate::hooks::{recv_hook, send_hook};
-    use flexrpc_core::fuse::SpecializeOptions;
     use flexrpc_core::program::Slot;
     use flexrpc_marshal::WireFormat;
     use std::sync::Arc;
@@ -514,12 +540,6 @@ mod tests {
 
     fn prog(ops: Vec<MOp>) -> StubProgram {
         StubProgram::from_ops(ops)
-    }
-
-    fn fused_prog(ops: Vec<MOp>) -> StubProgram {
-        let mut p = StubProgram::from_ops(ops);
-        p.specialize(SpecializeOptions::default());
-        p
     }
 
     #[test]
@@ -559,10 +579,35 @@ mod tests {
     }
 
     #[test]
+    fn the_empty_program_writes_and_reads_nothing() {
+        // A null RPC's body, through the executor and through the oracle.
+        let empty = StubProgram::default();
+        assert_eq!(empty, prog(vec![]));
+        for format in [WireFormat::Xdr, WireFormat::Cdr] {
+            let header = AnyWriter::new(format).into_bytes();
+            for threaded in [false, true] {
+                let put = if threaded { marshal_threaded } else { marshal };
+                let get = if threaded { unmarshal_threaded } else { unmarshal };
+                let mut w = AnyWriter::new(format);
+                let mut rights = Vec::new();
+                put(&empty, &[], &[], &mut w, &HookMap::new(), &mut rights).unwrap();
+                assert!(rights.is_empty());
+                let msg = w.into_bytes();
+                assert_eq!(msg, header, "{format:?}: nothing beyond the writer's own header");
+                let mut r = AnyReader::new(format, &msg).unwrap();
+                let before = r.remaining();
+                get(&empty, &mut [], &msg, &mut r, &HookMap::new(), &mut std::iter::empty())
+                    .unwrap();
+                assert_eq!(r.remaining(), before, "{format:?}: nothing consumed");
+            }
+        }
+    }
+
+    #[test]
     fn fused_wire_bytes_match_unfused() {
         // A program mixing payloads, every scalar kind, and a fused tail —
-        // the fused path must be byte-identical on both formats.
-        let ops = vec![
+        // the executor must be byte-identical to the oracle on both formats.
+        let p = prog(vec![
             MOp::PutBytes(Slot(0)),
             MOp::PutU32(Slot(1)),
             MOp::PutBool(Slot(2)),
@@ -570,7 +615,8 @@ mod tests {
             MOp::PutI32(Slot(4)),
             MOp::PutF64(Slot(5)),
             MOp::PutI64(Slot(6)),
-        ];
+        ]);
+        assert!(p.dispatch_count() < p.ops.len(), "fusion engaged");
         let slots = vec![
             Value::Bytes(b"abc".to_vec()),
             Value::U32(0xAABB),
@@ -582,19 +628,10 @@ mod tests {
         ];
         for format in [WireFormat::Xdr, WireFormat::Cdr] {
             let mut w_plain = AnyWriter::new(format);
-            marshal(
-                &prog(ops.clone()),
-                &slots,
-                &[],
-                &mut w_plain,
-                &HookMap::new(),
-                &mut Vec::new(),
-            )
-            .unwrap();
+            marshal_threaded(&p, &slots, &[], &mut w_plain, &HookMap::new(), &mut Vec::new())
+                .unwrap();
             let plain = w_plain.into_bytes();
 
-            let p = fused_prog(ops.clone());
-            assert!(p.dispatch_count() < p.ops.len(), "fusion engaged");
             let mut w_fused = AnyWriter::new(format);
             marshal(&p, &slots, &[], &mut w_fused, &HookMap::new(), &mut Vec::new()).unwrap();
             assert_eq!(w_fused.into_bytes(), plain, "{format:?} fused bytes differ");
@@ -603,37 +640,29 @@ mod tests {
 
     #[test]
     fn fused_unmarshal_matches_unfused() {
-        let put_ops = vec![
+        let put = prog(vec![
             MOp::PutBytes(Slot(0)),
             MOp::PutU32(Slot(1)),
             MOp::PutBool(Slot(2)),
             MOp::PutF64(Slot(3)),
-        ];
-        let get_ops = vec![
+        ]);
+        let get = prog(vec![
             MOp::GetBytesOwned(Slot(0)),
             MOp::GetU32(Slot(1)),
             MOp::GetBool(Slot(2)),
             MOp::GetF64(Slot(3)),
-        ];
+        ]);
         let slots =
             vec![Value::Bytes(b"xyz".to_vec()), Value::U32(9), Value::Bool(false), Value::F64(0.5)];
         for format in [WireFormat::Xdr, WireFormat::Cdr] {
             let mut w = AnyWriter::new(format);
-            marshal(
-                &fused_prog(put_ops.clone()),
-                &slots,
-                &[],
-                &mut w,
-                &HookMap::new(),
-                &mut Vec::new(),
-            )
-            .unwrap();
+            marshal(&put, &slots, &[], &mut w, &HookMap::new(), &mut Vec::new()).unwrap();
             let msg = w.into_bytes();
 
             let mut plain_out = vec![Value::Null; 4];
             let mut r = AnyReader::new(format, &msg).unwrap();
-            unmarshal(
-                &prog(get_ops.clone()),
+            unmarshal_threaded(
+                &get,
                 &mut plain_out,
                 &msg,
                 &mut r,
@@ -645,15 +674,8 @@ mod tests {
 
             let mut fused_out = vec![Value::Null; 4];
             let mut r = AnyReader::new(format, &msg).unwrap();
-            unmarshal(
-                &fused_prog(get_ops.clone()),
-                &mut fused_out,
-                &msg,
-                &mut r,
-                &HookMap::new(),
-                &mut std::iter::empty(),
-            )
-            .unwrap();
+            unmarshal(&get, &mut fused_out, &msg, &mut r, &HookMap::new(), &mut std::iter::empty())
+                .unwrap();
             assert_eq!(r.remaining(), 0, "{format:?} fused read consumed everything");
             assert_eq!(fused_out, plain_out);
             assert_eq!(fused_out, slots);
@@ -695,7 +717,7 @@ mod tests {
             let mut out = vec![Value::Null; 2];
             let mut r = AnyReader::new(format, &msg).unwrap();
             let err = unmarshal(
-                &fused_prog(vec![MOp::GetU32(Slot(0)), MOp::GetBool(Slot(1))]),
+                &prog(vec![MOp::GetU32(Slot(0)), MOp::GetBool(Slot(1))]),
                 &mut out,
                 &msg,
                 &mut r,
@@ -725,7 +747,7 @@ mod tests {
         let mut out = vec![Value::Null; 2];
         let mut r = AnyReader::new(WireFormat::Xdr, &msg).unwrap();
         let err = unmarshal(
-            &fused_prog(vec![MOp::GetU32(Slot(0)), MOp::GetU64(Slot(1))]),
+            &prog(vec![MOp::GetU32(Slot(0)), MOp::GetU64(Slot(1))]),
             &mut out,
             &msg,
             &mut r,
@@ -741,7 +763,7 @@ mod tests {
     fn fused_block_reports_slot_kind_mismatch() {
         let mut w = AnyWriter::new(WireFormat::Xdr);
         let err = marshal(
-            &fused_prog(vec![MOp::PutU32(Slot(0)), MOp::PutU64(Slot(1))]),
+            &prog(vec![MOp::PutU32(Slot(0)), MOp::PutU64(Slot(1))]),
             &[Value::U32(1), Value::Str("wrong".into())],
             &[],
             &mut w,
@@ -756,7 +778,7 @@ mod tests {
     fn presize_reserves_exact_fixed_size() {
         // A fixed-size program must land in one allocation: capacity after
         // marshal covers the message with no growth reallocation.
-        let p = fused_prog(vec![MOp::PutU32(Slot(0)), MOp::PutU64(Slot(1))]);
+        let p = prog(vec![MOp::PutU32(Slot(0)), MOp::PutU64(Slot(1))]);
         let mut w = AnyWriter::over(WireFormat::Xdr, Vec::new());
         marshal(&p, &[Value::U32(1), Value::U64(2)], &[], &mut w, &HookMap::new(), &mut Vec::new())
             .unwrap();

@@ -25,31 +25,22 @@ use std::time::Duration;
 pub struct RetryPolicy {
     max_attempts: u32,
     base_ns: u64,
-    cap_ns: u64,
     seed: u64,
 }
+
+/// Where the exponential backoff stops growing: 100 ms.
+const BACKOFF_CAP_NS: u64 = 100_000_000;
 
 impl RetryPolicy {
     /// A policy allowing up to `max_attempts` total attempts (the first
     /// send plus retries), 1 ms base backoff capped at 100 ms, seed 0.
     pub fn new(max_attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            base_ns: 1_000_000,
-            cap_ns: 100_000_000,
-            seed: 0,
-        }
+        RetryPolicy { max_attempts: max_attempts.max(1), base_ns: 1_000_000, seed: 0 }
     }
 
     /// Sets the base backoff (doubles per retry).
     pub fn backoff(mut self, base: Duration) -> RetryPolicy {
         self.base_ns = u64::try_from(base.as_nanos()).unwrap_or(u64::MAX);
-        self
-    }
-
-    /// Caps the exponential backoff.
-    pub fn backoff_cap(mut self, cap: Duration) -> RetryPolicy {
-        self.cap_ns = u64::try_from(cap.as_nanos()).unwrap_or(u64::MAX);
         self
     }
 
@@ -68,7 +59,7 @@ impl RetryPolicy {
     /// in sim-clock nanoseconds.
     pub fn backoff_ns(&self, attempt: u32) -> u64 {
         let exp = self.base_ns.saturating_mul(1u64 << attempt.saturating_sub(1).min(32));
-        let backoff = exp.min(self.cap_ns);
+        let backoff = exp.min(BACKOFF_CAP_NS);
         let jitter_range = backoff / 2;
         if jitter_range == 0 {
             return backoff;
@@ -137,11 +128,6 @@ impl CallOptions {
     pub fn retry_for(self, policy: RetryPolicy, op: &CompiledOp) -> Result<CallOptions, Error> {
         policy.check_op(op)?;
         Ok(self.retry(policy))
-    }
-
-    /// The configured deadline, if any.
-    pub fn deadline_duration(&self) -> Option<Duration> {
-        self.deadline
     }
 
     /// The configured deadline in nanoseconds, if any.
@@ -249,12 +235,6 @@ impl CallTag {
     pub fn for_tenant(binding: u64, seq: u64, tenant: TenantId) -> CallTag {
         CallTag { binding, seq, tenant }
     }
-
-    /// The same logical tag re-charged to `tenant`.
-    pub fn with_tenant(mut self, tenant: TenantId) -> CallTag {
-        self.tenant = tenant;
-        self
-    }
 }
 
 impl PartialEq for CallTag {
@@ -301,19 +281,17 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy::new(10)
-            .backoff(Duration::from_millis(1))
-            .backoff_cap(Duration::from_millis(4))
-            .seed(7);
+        let p = RetryPolicy::new(10).backoff(Duration::from_millis(1)).seed(7);
         let b1 = p.backoff_ns(1);
         let b2 = p.backoff_ns(2);
-        let b3 = p.backoff_ns(3);
-        let b9 = p.backoff_ns(9);
+        let b8 = p.backoff_ns(8);
+        let b20 = p.backoff_ns(20);
         // Base value doubles; jitter adds at most half the base value.
         assert!((1_000_000..1_500_000).contains(&b1), "{b1}");
         assert!((2_000_000..3_000_000).contains(&b2), "{b2}");
-        assert!((4_000_000..6_000_000).contains(&b3), "cap reached: {b3}");
-        assert!((4_000_000..6_000_000).contains(&b9), "stays capped: {b9}");
+        // 128 ms would be next: the 100 ms cap holds from here on.
+        assert!((100_000_000..150_000_000).contains(&b8), "cap reached: {b8}");
+        assert!((100_000_000..150_000_000).contains(&b20), "stays capped: {b20}");
     }
 
     #[test]

@@ -282,16 +282,10 @@ impl ServerInterface {
         Ok(&mut self.hooks[i])
     }
 
-    /// Finds an operation index by Sun RPC procedure number (falls back to
-    /// the declaration index for dialects without numbering).
+    /// Finds an operation index by Sun RPC procedure number
+    /// ([`CompiledInterface::op_by_proc`]).
     pub fn op_by_proc(&self, proc: u32) -> Option<usize> {
-        self.compiled.ops.iter().position(|o| o.opnum == Some(proc)).or_else(|| {
-            if (proc as usize) < self.compiled.ops.len() {
-                Some(proc as usize)
-            } else {
-                None
-            }
-        })
+        self.compiled.op_by_proc(proc)
     }
 
     /// Dispatches one request: unmarshal, invoke, marshal.
@@ -484,7 +478,7 @@ mod tests {
         ci.ops[1].opnum = Some(6);
         let srv = ServerInterface::new(ci, WireFormat::Cdr);
         assert_eq!(srv.op_by_proc(6), Some(1));
-        assert_eq!(srv.op_by_proc(0), Some(0), "index fallback");
+        assert_eq!(srv.op_by_proc(0), None, "a numbered program has no ordinal fallback");
         assert_eq!(srv.op_by_proc(9), None);
     }
 

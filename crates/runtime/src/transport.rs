@@ -20,7 +20,7 @@ use crate::server::ServerInterface;
 use crate::Result;
 use flexrpc_clock::{FaultInjector, Lost, SimClock};
 use flexrpc_core::present::Trust;
-use flexrpc_core::program::CompiledOp;
+use flexrpc_core::program::{CompiledInterface, CompiledOp};
 use flexrpc_kernel::ipc::{BindOptions, MsgOut, ServerOptions, MAX_BODY};
 use flexrpc_kernel::regs::MSG_REGS;
 use flexrpc_kernel::{Connection, Kernel, KernelError, NameMode, PortName, TaskId, TrustLevel};
@@ -558,6 +558,26 @@ impl Transport for SunRpc {
     }
 }
 
+/// What a Sun RPC server answers before it dispatches anything: the index
+/// of the operation `hdr` names in `compiled`, served as `(prog, vers)`, or
+/// the `PROG_UNAVAIL` / `PROG_MISMATCH` / `PROC_UNAVAIL` the call is
+/// refused with. The one check [`serve_on_net`] and the engine's acceptor
+/// share.
+pub fn accept_call(
+    compiled: &CompiledInterface,
+    hdr: &CallHeader,
+    prog: u32,
+    vers: u32,
+) -> std::result::Result<usize, AcceptStat> {
+    if hdr.prog != prog {
+        return Err(AcceptStat::ProgUnavail);
+    }
+    if hdr.vers != vers {
+        return Err(AcceptStat::ProgMismatch);
+    }
+    compiled.op_by_proc(hdr.proc).ok_or(AcceptStat::ProcUnavail)
+}
+
 /// Registers `server` as the Sun RPC service on `host`: decodes call
 /// frames, dispatches by procedure number, and frames each reply straight
 /// into the buffer the caller will read. The marshalled reply body and its
@@ -583,15 +603,10 @@ pub fn serve_on_net(
             sunrpc::encode_reply_gather_into(out, hdr.xid, stat, &[body]);
             Ok(())
         };
-        if hdr.prog != prog {
-            return respond(AcceptStat::ProgUnavail, &[]);
-        }
-        if hdr.vers != vers {
-            return respond(AcceptStat::ProgMismatch, &[]);
-        }
         let mut srv = server.lock();
-        let Some(op_index) = srv.op_by_proc(hdr.proc) else {
-            return respond(AcceptStat::ProcUnavail, &[]);
+        let op_index = match accept_call(srv.compiled(), &hdr, prog, vers) {
+            Ok(op_index) => op_index,
+            Err(refusal) => return respond(refusal, &[]),
         };
         let mut scratch = scratch.lock();
         let (reply, rights_out) = &mut *scratch;

@@ -1,9 +1,11 @@
 //! Differential property tests for the specialized interpreter.
 //!
-//! The fused executor ([`flexrpc_runtime::interp`]'s per-syntax loop over
-//! the bind-time `FusedProgram`) is checked against the threaded loop
-//! (`SpecializeOptions::none()`: one op at a time, no blocks, no presize),
-//! which exists as its byte-for-byte oracle. For random sequences of typed
+//! The executor ([`flexrpc_runtime::interp`]'s per-syntax loop over the
+//! bind-time `FusedProgram`: `interp::{marshal, unmarshal}`) is checked
+//! against the threaded loop (`interp::{marshal_threaded,
+//! unmarshal_threaded}`: the same program's `ops` one at a time, no blocks,
+//! no presize), which exists as its byte-for-byte oracle — a function
+//! called on the very program under test. For random sequences of typed
 //! fields — every scalar kind, counted bytes, checked strings, `length_is`
 //! strings and fixed opaques, so every head the executor runs inline or
 //! hands to the cold path — on both wire formats:
@@ -25,11 +27,11 @@
 //! The generator (`Field`, `field()`, `programs()`) is the one ROADMAP
 //! items 1 and 4a share: a hostile-bytes mutator starts from its messages.
 
-use flexrpc_core::fuse::{FOp, SpecializeOptions};
+use flexrpc_core::fuse::FOp;
 use flexrpc_core::program::{MOp, Slot, StubProgram};
 use flexrpc_core::value::Value;
 use flexrpc_marshal::{MarshalError, WireFormat};
-use flexrpc_runtime::interp::{marshal, unmarshal};
+use flexrpc_runtime::interp::{marshal, marshal_threaded, unmarshal, unmarshal_threaded};
 use flexrpc_runtime::wire::{AnyReader, AnyWriter};
 use flexrpc_runtime::{HookMap, RpcError};
 use proptest::prelude::*;
@@ -121,20 +123,30 @@ fn field() -> impl Strategy<Value = Field> {
     ]
 }
 
-fn programs(fields: &[Field], opts: SpecializeOptions) -> (StubProgram, StubProgram) {
+fn programs(fields: &[Field]) -> (StubProgram, StubProgram) {
     let puts = fields.iter().enumerate().map(|(i, f)| f.put_op(Slot(i))).collect();
     let gets = fields.iter().enumerate().map(|(i, f)| f.get_op(Slot(i))).collect();
-    let mut put_prog = StubProgram::from_ops(puts);
-    let mut get_prog = StubProgram::from_ops(gets);
-    put_prog.specialize(opts);
-    get_prog.specialize(opts);
-    (put_prog, get_prog)
+    (StubProgram::from_ops(puts), StubProgram::from_ops(gets))
 }
 
+/// Which entry point runs a program: the executor under test, or the
+/// threaded oracle it is compared against.
+#[derive(Clone, Copy)]
+enum Via {
+    Fused,
+    Plain,
+}
+use Via::{Fused, Plain};
+
 /// The message and the payload bytes the writer counted into it.
-fn marshal_with(prog: &StubProgram, slots: &[Value], format: WireFormat) -> (Vec<u8>, u64) {
+fn marshal_with(
+    via: Via,
+    prog: &StubProgram,
+    slots: &[Value],
+    format: WireFormat,
+) -> (Vec<u8>, u64) {
     let mut w = AnyWriter::new(format);
-    try_marshal(prog, slots, &mut w).expect("marshal succeeds");
+    try_marshal(via, prog, slots, &mut w).expect("marshal succeeds");
     let written = match &w {
         AnyWriter::Xdr(w) => w.bytes_written(),
         AnyWriter::Cdr(w) => w.bytes_written(),
@@ -142,22 +154,42 @@ fn marshal_with(prog: &StubProgram, slots: &[Value], format: WireFormat) -> (Vec
     (w.into_bytes(), written)
 }
 
-fn try_marshal(prog: &StubProgram, slots: &[Value], w: &mut AnyWriter) -> Result<(), RpcError> {
-    marshal(prog, slots, &[], w, &HookMap::new(), &mut Vec::new())
+fn try_marshal(
+    via: Via,
+    prog: &StubProgram,
+    slots: &[Value],
+    w: &mut AnyWriter,
+) -> Result<(), RpcError> {
+    let run = match via {
+        Fused => marshal,
+        Plain => marshal_threaded,
+    };
+    run(prog, slots, &[], w, &HookMap::new(), &mut Vec::new())
 }
 
-fn unmarshal_with(prog: &StubProgram, frame: &mut [Value], msg: &[u8], format: WireFormat) {
-    try_unmarshal(prog, frame, msg, format).expect("unmarshal");
+fn unmarshal_with(
+    via: Via,
+    prog: &StubProgram,
+    frame: &mut [Value],
+    msg: &[u8],
+    format: WireFormat,
+) {
+    try_unmarshal(via, prog, frame, msg, format).expect("unmarshal");
 }
 
 fn try_unmarshal(
+    via: Via,
     prog: &StubProgram,
     frame: &mut [Value],
     msg: &[u8],
     format: WireFormat,
 ) -> Result<(), RpcError> {
     let mut r = AnyReader::new(format, msg)?;
-    unmarshal(prog, frame, msg, &mut r, &HookMap::new(), &mut std::iter::empty())
+    let (hooks, rights) = (HookMap::new(), &mut std::iter::empty());
+    match via {
+        Fused => unmarshal(prog, frame, msg, &mut r, &hooks, rights),
+        Plain => unmarshal_threaded(prog, frame, msg, &mut r, &hooks, rights),
+    }
 }
 
 /// Which error it is, down to the marshalling error inside — not the
@@ -179,19 +211,18 @@ proptest! {
     #[test]
     fn fused_is_wire_identical(fields in prop::collection::vec(field(), 1..10)) {
         let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
-        let (plain_put, plain_get) = programs(&fields, SpecializeOptions::none());
-        let (fused_put, fused_get) = programs(&fields, SpecializeOptions::default());
+        let (put, get) = programs(&fields);
 
         for format in [WireFormat::Xdr, WireFormat::Cdr] {
-            let (plain_bytes, plain_written) = marshal_with(&plain_put, &slots, format);
-            let (fused_bytes, fused_written) = marshal_with(&fused_put, &slots, format);
+            let (plain_bytes, plain_written) = marshal_with(Plain, &put, &slots, format);
+            let (fused_bytes, fused_written) = marshal_with(Fused, &put, &slots, format);
             prop_assert_eq!(&plain_bytes, &fused_bytes, "marshal differs on {:?}", format);
             prop_assert_eq!(plain_written, fused_written, "bytes_written differs on {:?}", format);
 
             let mut plain_frame = vec![Value::Null; fields.len()];
             let mut fused_frame = vec![Value::Null; fields.len()];
-            unmarshal_with(&plain_get, &mut plain_frame, &plain_bytes, format);
-            unmarshal_with(&fused_get, &mut fused_frame, &fused_bytes, format);
+            unmarshal_with(Plain, &get, &mut plain_frame, &plain_bytes, format);
+            unmarshal_with(Fused, &get, &mut fused_frame, &fused_bytes, format);
             prop_assert_eq!(&plain_frame, &fused_frame, "unmarshal differs on {:?}", format);
             prop_assert_eq!(&fused_frame, &slots, "roundtrip loses values on {:?}", format);
         }
@@ -209,28 +240,27 @@ proptest! {
             let mut fields = vec![Field::Bytes(vec![0xA5; phase])];
             fields.extend(scalars.iter().cloned());
             let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
-            let (plain_put, plain_get) = programs(&fields, SpecializeOptions::none());
-            let (fused_put, fused_get) = programs(&fields, SpecializeOptions::default());
+            let (put, get) = programs(&fields);
 
             // The whole program is one dispatch — the head and one block of
             // every scalar — and the block starts where the head ends.
-            let fused = fused_put.fused.as_ref().expect("specialized");
+            let fused = &put.fused;
             prop_assert!(matches!(fused.fops[..], [FOp::Fused { head: Some(_), block: 0 }]));
             prop_assert_eq!(fused.blocks[0].fields().len(), scalars.len());
-            let (head_only, _) = programs(&fields[..1], SpecializeOptions::none());
-            let head_end = marshal_with(&head_only, &slots[..1], WireFormat::Cdr).0.len();
+            let (head_only, _) = programs(&fields[..1]);
+            let head_end = marshal_with(Plain, &head_only, &slots[..1], WireFormat::Cdr).0.len();
             prop_assert_eq!(head_end % 8, phase, "block starts at CDR phase {}", phase);
 
             for format in [WireFormat::Xdr, WireFormat::Cdr] {
-                let plain_bytes = marshal_with(&plain_put, &slots, format);
-                let fused_bytes = marshal_with(&fused_put, &slots, format);
+                let plain_bytes = marshal_with(Plain, &put, &slots, format);
+                let fused_bytes = marshal_with(Fused, &put, &slots, format);
                 prop_assert_eq!(&plain_bytes, &fused_bytes, "phase {} on {:?}", phase, format);
                 let (plain_bytes, fused_bytes) = (plain_bytes.0, fused_bytes.0);
 
                 let mut plain_frame = vec![Value::Null; fields.len()];
                 let mut fused_frame = vec![Value::Null; fields.len()];
-                unmarshal_with(&plain_get, &mut plain_frame, &plain_bytes, format);
-                unmarshal_with(&fused_get, &mut fused_frame, &fused_bytes, format);
+                unmarshal_with(Plain, &get, &mut plain_frame, &plain_bytes, format);
+                unmarshal_with(Fused, &get, &mut fused_frame, &fused_bytes, format);
                 prop_assert_eq!(&plain_frame, &fused_frame, "phase {} on {:?}", phase, format);
                 prop_assert_eq!(&fused_frame, &slots, "phase {} on {:?}", phase, format);
             }
@@ -246,15 +276,14 @@ proptest! {
         stale in prop::collection::vec(any::<u8>(), 0..32),
     ) {
         let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
-        let (_, plain_get) = programs(&fields, SpecializeOptions::none());
-        let (fused_put, fused_get) = programs(&fields, SpecializeOptions::default());
+        let (put, get) = programs(&fields);
 
         for format in [WireFormat::Xdr, WireFormat::Cdr] {
-            let (bytes, _) = marshal_with(&fused_put, &slots, format);
+            let (bytes, _) = marshal_with(Fused, &put, &slots, format);
             let mut plain_frame = vec![Value::Bytes(stale.clone()); fields.len()];
             let mut fused_frame = vec![Value::Bytes(stale.clone()); fields.len()];
-            unmarshal_with(&plain_get, &mut plain_frame, &bytes, format);
-            unmarshal_with(&fused_get, &mut fused_frame, &bytes, format);
+            unmarshal_with(Plain, &get, &mut plain_frame, &bytes, format);
+            unmarshal_with(Fused, &get, &mut fused_frame, &bytes, format);
             prop_assert_eq!(&plain_frame, &fused_frame, "dirty-frame decode differs on {:?}", format);
         }
     }
@@ -268,25 +297,24 @@ proptest! {
         fields in prop::collection::vec(field(), 1..8),
     ) {
         let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
-        let (_, plain_get) = programs(&fields, SpecializeOptions::none());
-        let (fused_put, fused_get) = programs(&fields, SpecializeOptions::default());
+        let (put, get) = programs(&fields);
 
         for format in [WireFormat::Xdr, WireFormat::Cdr] {
-            let (bytes, _) = marshal_with(&fused_put, &slots, format);
+            let (bytes, _) = marshal_with(Fused, &put, &slots, format);
             // A decode into a fresh frame, and the allocations it made.
-            let decode = |prog: &StubProgram, msg: &[u8]| {
+            let decode = |via: Via, msg: &[u8]| {
                 let mut frame = vec![Value::Null; fields.len()];
                 let before = allocs();
-                let outcome = try_unmarshal(prog, &mut frame, msg, format);
+                let outcome = try_unmarshal(via, &get, &mut frame, msg, format);
                 (outcome, allocs() - before)
             };
-            let (plain_whole, plain_budget) = decode(&plain_get, &bytes);
-            let (fused_whole, fused_budget) = decode(&fused_get, &bytes);
+            let (plain_whole, plain_budget) = decode(Plain, &bytes);
+            let (fused_whole, fused_budget) = decode(Fused, &bytes);
             prop_assert!(plain_whole.is_ok() && fused_whole.is_ok());
 
             for cut in 0..bytes.len() {
-                let (plain, plain_allocs) = decode(&plain_get, &bytes[..cut]);
-                let (fused, fused_allocs) = decode(&fused_get, &bytes[..cut]);
+                let (plain, plain_allocs) = decode(Plain, &bytes[..cut]);
+                let (fused, fused_allocs) = decode(Fused, &bytes[..cut]);
                 let (Err(plain), Err(fused)) = (plain, fused) else {
                     return Err(TestCaseError::fail(format!(
                         "{format:?}: {cut} of {} bytes decoded", bytes.len()
@@ -318,12 +346,11 @@ proptest! {
         let mut slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
         // No Put op the generator emits takes a port.
         slots[at] = Value::Port(7);
-        let (plain_put, _) = programs(&fields, SpecializeOptions::none());
-        let (fused_put, _) = programs(&fields, SpecializeOptions::default());
+        let (put, _) = programs(&fields);
 
         for format in [WireFormat::Xdr, WireFormat::Cdr] {
-            let plain = try_marshal(&plain_put, &slots, &mut AnyWriter::new(format));
-            let fused = try_marshal(&fused_put, &slots, &mut AnyWriter::new(format));
+            let plain = try_marshal(Plain, &put, &slots, &mut AnyWriter::new(format));
+            let fused = try_marshal(Fused, &put, &slots, &mut AnyWriter::new(format));
             prop_assert!(
                 matches!(fused, Err(RpcError::SlotKind { slot, found: "port", .. }) if slot == at),
                 "{:?}: {:?}", format, fused

@@ -8,7 +8,6 @@
 //! frame. This is the paper's "no hidden allocation in generated stubs"
 //! property, asserted with a counting global allocator.
 
-use flexrpc_core::fuse::SpecializeOptions;
 use flexrpc_core::ir::{Dialect, Interface, Module, Operation, Param, ParamDir, Type};
 use flexrpc_core::present::InterfacePresentation;
 use flexrpc_core::program::{CompiledInterface, CompiledOp};
@@ -38,11 +37,11 @@ fn fixed_module() -> Module {
     m
 }
 
-fn compile(opts: SpecializeOptions) -> CompiledInterface {
+fn compile() -> CompiledInterface {
     let m = fixed_module();
     let iface = m.interface("Fixed").expect("interface");
     let pres = InterfacePresentation::default_for(&m, iface).expect("defaults");
-    CompiledInterface::compile_with(&m, iface, &pres, opts).expect("compiles")
+    CompiledInterface::compile(&m, iface, &pres).expect("compiles")
 }
 
 /// In-process transport: dispatches straight into a `ServerInterface`,
@@ -82,8 +81,8 @@ impl Transport for Inline {
     }
 }
 
-fn stub(opts: SpecializeOptions, format: WireFormat) -> ClientStub {
-    let mut server = ServerInterface::new(compile(opts), format);
+fn stub(format: WireFormat) -> ClientStub {
+    let mut server = ServerInterface::new(compile(), format);
     server
         .on("scale", |call| {
             let a = call.u32("a").expect("a");
@@ -91,17 +90,13 @@ fn stub(opts: SpecializeOptions, format: WireFormat) -> ClientStub {
             0
         })
         .expect("registers");
-    ClientStub::new(
-        compile(opts),
-        format,
-        Box::new(Inline { server: Arc::new(Mutex::new(server)) }),
-    )
+    ClientStub::new(compile(), format, Box::new(Inline { server: Arc::new(Mutex::new(server)) }))
 }
 
 #[test]
 fn fused_fixed_size_call_allocates_nothing_when_warm() {
     for format in [WireFormat::Xdr, WireFormat::Cdr] {
-        let mut stub = stub(SpecializeOptions::default(), format);
+        let mut stub = stub(format);
         let mut frame = stub.new_frame("scale").expect("frame");
         frame[0] = Value::U32(21);
         frame[1] = Value::U64(7);
@@ -134,7 +129,7 @@ fn fused_fixed_size_call_allocates_nothing_when_warm() {
 fn traced_fused_call_allocates_nothing_when_warm() {
     use flexrpc_runtime::policy::CallOptions;
 
-    let mut stub = stub(SpecializeOptions::default(), WireFormat::Cdr);
+    let mut stub = stub(WireFormat::Cdr);
     let options = CallOptions::default().traced();
     let mut frame = stub.new_frame("scale").expect("frame");
     frame[0] = Value::U32(21);
@@ -179,7 +174,7 @@ fn reply_cache_hit_allocates_nothing_when_warm() {
     use flexrpc_runtime::policy::CallTag;
     use flexrpc_runtime::replycache::ReplyCache;
 
-    let mut server = ServerInterface::new(compile(SpecializeOptions::default()), WireFormat::Cdr);
+    let mut server = ServerInterface::new(compile(), WireFormat::Cdr);
     let cache = ReplyCache::new(flexrpc_clock::SimClock::new(), std::time::Duration::from_secs(1));
     server.set_reply_cache(Arc::clone(&cache));
     server
@@ -300,7 +295,7 @@ fn tagged_sunrpc_round_trip_allocates_only_what_it_keeps() {
 }
 
 /// FileIO under `server_pdl` (empty: the default presentation), shared.
-fn fileio(server_pdl: &str, opts: SpecializeOptions) -> Arc<CompiledInterface> {
+fn fileio(server_pdl: &str) -> Arc<CompiledInterface> {
     let m = flexrpc_core::ir::fileio_example();
     let iface = m.interface("FileIO").expect("interface");
     let mut pres = InterfacePresentation::default_for(&m, iface).expect("defaults");
@@ -308,7 +303,7 @@ fn fileio(server_pdl: &str, opts: SpecializeOptions) -> Arc<CompiledInterface> {
         let pdl = flexrpc_idl::pdl::parse(server_pdl).expect("pdl parses");
         pres = flexrpc_core::annot::apply_pdl(&m, iface, &pres, &pdl).expect("pdl applies");
     }
-    Arc::new(CompiledInterface::compile_with(&m, iface, &pres, opts).expect("compiles"))
+    Arc::new(CompiledInterface::compile(&m, iface, &pres).expect("compiles"))
 }
 
 /// The sink-mode server half — the `[dealloc(never)]` / `[special]`
@@ -319,10 +314,7 @@ fn fileio(server_pdl: &str, opts: SpecializeOptions) -> Arc<CompiledInterface> {
 /// allocation per sink write.)
 #[test]
 fn warm_sink_mode_dispatch_allocates_nothing() {
-    let compiled = fileio(
-        "sequence<octet> [dealloc(never)] FileIO_read(unsigned long count);",
-        SpecializeOptions::default(),
-    );
+    let compiled = fileio("sequence<octet> [dealloc(never)] FileIO_read(unsigned long count);");
     let read = compiled.op("read").expect("read op");
     assert_eq!(read.sink_params.len(), 1, "read's result is written through the sink");
     let index = read.index;
@@ -359,49 +351,41 @@ fn warm_sink_mode_dispatch_allocates_nothing() {
 /// op: a warm default-presentation `read(count)` over `Loopback` allocates
 /// exactly the work function's one result `Vec` — the request, the reply,
 /// both frames and the client's result payload all live in kept buffers.
-/// The threaded oracle pays one more per call: its `GetBytesOwned` hands
-/// the client a fresh vector instead of refilling the frame's.
 #[test]
 fn warm_loopback_read_allocates_exactly_the_handlers_vec() {
     use flexrpc_runtime::transport::Loopback;
 
-    for (opts, per_call) in [(SpecializeOptions::default(), 1), (SpecializeOptions::none(), 2)] {
-        let compiled = fileio("", opts);
-        let mut server = ServerInterface::new_shared(Arc::clone(&compiled), WireFormat::Cdr);
-        let payload = [0xC3u8; 96];
-        server
-            .on("read", move |call| {
-                let count = call.u32("count").expect("count") as usize;
-                call.set("return", Value::Bytes(payload[..count].to_vec())).expect("return");
-                0
-            })
-            .expect("registers");
-        let transport = Loopback::new(Arc::new(parking_lot::Mutex::new(server)));
-        let mut stub = ClientStub::new_shared(compiled, WireFormat::Cdr, Box::new(transport));
-        let index = stub.op("read").expect("read op").index;
-        let mut frame = stub.new_frame("read").expect("frame");
+    let compiled = fileio("");
+    let mut server = ServerInterface::new_shared(Arc::clone(&compiled), WireFormat::Cdr);
+    let payload = [0xC3u8; 96];
+    server
+        .on("read", move |call| {
+            let count = call.u32("count").expect("count") as usize;
+            call.set("return", Value::Bytes(payload[..count].to_vec())).expect("return");
+            0
+        })
+        .expect("registers");
+    let transport = Loopback::new(Arc::new(parking_lot::Mutex::new(server)));
+    let mut stub = ClientStub::new_shared(compiled, WireFormat::Cdr, Box::new(transport));
+    let index = stub.op("read").expect("read op").index;
+    let mut frame = stub.new_frame("read").expect("frame");
 
-        // The benchmark's sizes: every length in 32..=96 has been seen once
-        // the warm-up ends, so no kept buffer grows during the audit.
-        let sizes = || (32..=96u32).cycle();
-        for count in sizes().take(130) {
-            frame[0] = Value::U32(count);
-            assert_eq!(stub.call_index(index, &mut frame).expect("call"), 0);
-        }
-        const CALLS: u64 = 130;
-        let before = allocs();
-        for count in sizes().take(CALLS as usize) {
-            frame[0] = Value::U32(count);
-            stub.call_index(index, &mut frame).expect("call");
-        }
-        let delta = allocs() - before;
-        assert_eq!(
-            delta,
-            per_call * CALLS,
-            "{CALLS} warm reads under {opts:?} allocated {delta} times; budget is {per_call} each"
-        );
-        assert_eq!(frame[1].as_bytes().expect("payload").len(), 96);
+    // The benchmark's sizes: every length in 32..=96 has been seen once
+    // the warm-up ends, so no kept buffer grows during the audit.
+    let sizes = || (32..=96u32).cycle();
+    for count in sizes().take(130) {
+        frame[0] = Value::U32(count);
+        assert_eq!(stub.call_index(index, &mut frame).expect("call"), 0);
     }
+    const CALLS: u64 = 130;
+    let before = allocs();
+    for count in sizes().take(CALLS as usize) {
+        frame[0] = Value::U32(count);
+        stub.call_index(index, &mut frame).expect("call");
+    }
+    let delta = allocs() - before;
+    assert_eq!(delta, CALLS, "{CALLS} warm reads allocated {delta} times; budget is 1 each");
+    assert_eq!(frame[1].as_bytes().expect("payload").len(), 96);
 }
 
 /// A message too short for a fixed opaque field is refused by one bounds

@@ -11,7 +11,7 @@
 use flexrpc_clock::SimClock;
 use flexrpc_core::value::Value;
 use flexrpc_runtime::transport::Loopback;
-use flexrpc_runtime::{CallOptions, ClientStub, Error, ServerInterface};
+use flexrpc_runtime::{ClientStub, Error, ServerInterface};
 use flexrpc_trace::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -68,19 +68,6 @@ impl CallbackChannel {
     /// the callback presentation.
     pub fn deliver(&mut self, op: &str, frame: &mut [Value]) -> Result<(), Error> {
         self.stub.notify(op, frame).map_err(Error::from)?;
-        self.delivered.inc();
-        Ok(())
-    }
-
-    /// [`CallbackChannel::deliver`] under call options (deadline, tracing,
-    /// at-most-once tagging when the stub enables it).
-    pub fn deliver_with(
-        &mut self,
-        op: &str,
-        frame: &mut [Value],
-        options: &CallOptions,
-    ) -> Result<(), Error> {
-        self.stub.notify_with(op, frame, options)?;
         self.delivered.inc();
         Ok(())
     }

@@ -12,7 +12,7 @@ use flexrpc_core::compat::negotiate_call_shape;
 use flexrpc_core::present::CallShape;
 use flexrpc_core::value::Value;
 use flexrpc_runtime::{CallOptions, ClientStub, Error, ErrorKind};
-use flexrpc_trace::{Counter, MetricsRegistry, SharedCallTrace, Stage};
+use flexrpc_trace::{Counter, MetricsRegistry};
 use std::sync::Arc;
 
 /// A bound stream: a [`ClientStub`] operation plus the credit window both
@@ -38,8 +38,6 @@ pub struct StreamSender {
     seq: u64,
     /// Frames pushed (`stream.frames`).
     frames: Counter,
-    /// Per-frame span trace (CreditWait + StreamFrame), if attached.
-    trace: Option<SharedCallTrace>,
     options: CallOptions,
 }
 
@@ -91,7 +89,6 @@ impl StreamSender {
             last_return_ns: 0,
             seq: 0,
             frames: Counter::default(),
-            trace: None,
             options: CallOptions::default(),
         })
     }
@@ -124,14 +121,6 @@ impl StreamSender {
     pub fn with_options(mut self, options: CallOptions) -> StreamSender {
         self.options = options;
         self
-    }
-
-    /// Attaches a span trace: each frame records a `CreditWait` span when
-    /// it stalled (detail = frames outstanding as the wait began) and a
-    /// `StreamFrame` span for the push (detail = the frame's sequence
-    /// number).
-    pub fn attach_trace(&mut self, trace: SharedCallTrace) {
-        self.trace = Some(trace);
     }
 
     /// Adopts the stream metrics — `stream.frames`, and the credit
@@ -173,20 +162,9 @@ impl StreamSender {
     /// the window is exhausted), runs the call, schedules the credit's
     /// return. Returns the frame's sequence number.
     pub fn send(&mut self, frame: &mut [Value]) -> Result<u64, Error> {
-        let outstanding = self.credit.outstanding() as u64;
-        let wait_start = self.clock.now_ns();
-        let trace_call = self.trace.as_ref().map(|t| t.begin_call());
-        if let Some(waited) = self.credit.acquire() {
-            if let (Some(t), Some(call)) = (&self.trace, trace_call) {
-                t.record(call, Stage::CreditWait, wait_start, wait_start + waited, outstanding);
-            }
-        }
-        let push_start = self.clock.now_ns();
+        self.credit.acquire();
         self.stub.call_index_with(self.op_index, frame, &self.options)?;
         let now = self.clock.now_ns();
-        if let (Some(t), Some(call)) = (&self.trace, trace_call) {
-            t.record(call, Stage::StreamFrame, push_start, now, self.seq);
-        }
         self.frames.inc();
         // The receiver drains frames in order, one per `drain_ns`, starting
         // when the frame lands — or when it finished the previous frame,

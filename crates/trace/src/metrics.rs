@@ -162,11 +162,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.fold(0u64, |total, cell| total.wrapping_add(cell.load(Ordering::Relaxed)))
     }
-
-    /// True if both handles share one cell (registration checks in tests).
-    pub fn same_cell(&self, other: &Counter) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
 }
 
 /// One owner's cell of a [`Counter`] ([`Counter::stripe`]). Not `Clone`,
@@ -282,11 +277,6 @@ impl Histogram {
     /// Sum of all observed values (mean = sum / count).
     pub fn sum(&self) -> u64 {
         self.0.fold(0u64, |sum, cells| sum.wrapping_add(cells.sum.load(Ordering::Relaxed)))
-    }
-
-    /// True if both handles share the same cells.
-    pub fn same_cells(&self, other: &Histogram) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// A point-in-time copy (non-empty buckets only). Its `count` is the
@@ -485,7 +475,6 @@ mod tests {
         mine.add(3);
         reg.adopt_counter("engine.shed", &mine);
         let theirs = reg.counter("engine.shed");
-        assert!(mine.same_cell(&theirs));
         theirs.add(2);
         assert_eq!(mine.get(), 5);
         assert_eq!(reg.snapshot().counter("engine.shed"), 5);

@@ -38,17 +38,11 @@ pub enum Stage {
     /// A one-way notification send: marshal + transmit, no reply wait
     /// (detail = request bytes).
     Notify = 10,
-    /// A stream sender stalled waiting for credit to return
-    /// (detail = credits outstanding when the wait began).
-    CreditWait = 11,
-    /// One flow-controlled stream frame, send through acknowledgment
-    /// (detail = frame sequence number on its stream).
-    StreamFrame = 12,
 }
 
 impl Stage {
     /// Number of stages (histogram/accumulator array size).
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 11;
 
     /// Every stage, in id order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -63,8 +57,6 @@ impl Stage {
         Stage::Replay,
         Stage::Failover,
         Stage::Notify,
-        Stage::CreditWait,
-        Stage::StreamFrame,
     ];
 
     /// The stage's stable lowercase name (what exporters emit).
@@ -81,8 +73,6 @@ impl Stage {
             Stage::Replay => "replay",
             Stage::Failover => "failover",
             Stage::Notify => "notify",
-            Stage::CreditWait => "credit_wait",
-            Stage::StreamFrame => "stream_frame",
         }
     }
 }
@@ -492,9 +482,7 @@ mod tests {
                 "retry",
                 "replay",
                 "failover",
-                "notify",
-                "credit_wait",
-                "stream_frame"
+                "notify"
             ]
         );
         for (i, s) in Stage::ALL.iter().enumerate() {

@@ -178,30 +178,27 @@ fn contract_mismatch_refused_across_the_stack() {
     .is_ok());
 }
 
-/// The specialized (fused + presized) call path, end to end over every
-/// transport: loopback, kernel IPC, Sun RPC on the simulated network, and
-/// the same-domain binding. Fused and unfused stubs must observe identical
-/// results — specialization is a perf knob, never a semantic one.
+/// The specialized (fused + presized) call path — the one form a compiled
+/// program has — end to end over every transport: loopback, kernel IPC,
+/// Sun RPC on the simulated network, and the same-domain binding.
 #[test]
 fn fused_specialization_end_to_end() {
-    use flexrpc::core::fuse::SpecializeOptions;
     use flexrpc::core::ir::fileio_example;
     use flexrpc::net::SimNet as Net;
     use flexrpc::runtime::samedomain::SameDomain;
     use flexrpc::runtime::transport::{serve_on_net, Loopback, SunRpc};
 
-    fn compile_fileio(m: &flexrpc::core::ir::Module, opts: SpecializeOptions) -> CompiledInterface {
+    fn compile_fileio(m: &flexrpc::core::ir::Module) -> CompiledInterface {
         let iface = m.interface("FileIO").expect("FileIO");
         let pres = InterfacePresentation::default_for(m, iface).expect("defaults");
-        CompiledInterface::compile_with(m, iface, &pres, opts).expect("compiles")
+        CompiledInterface::compile(m, iface, &pres).expect("compiles")
     }
 
     fn make_server(
         m: &flexrpc::core::ir::Module,
-        opts: SpecializeOptions,
         format: WireFormat,
     ) -> Arc<Mutex<ServerInterface>> {
-        let mut srv = ServerInterface::new(compile_fileio(m, opts), format);
+        let mut srv = ServerInterface::new(compile_fileio(m), format);
         let stored: Arc<Mutex<Vec<u8>>> = Arc::default();
         let st = Arc::clone(&stored);
         srv.on("write", move |call| {
@@ -238,49 +235,45 @@ fn fused_specialization_end_to_end() {
         m
     };
 
-    for opts in [SpecializeOptions::default(), SpecializeOptions::none()] {
-        // 1. Same-address-space loopback, CDR.
-        let mut client = ClientStub::new(
-            compile_fileio(&corba, opts),
-            WireFormat::Cdr,
-            Box::new(Loopback::new(make_server(&corba, opts, WireFormat::Cdr))),
-        );
-        assert_eq!(roundtrip(&mut client), b"specialized");
+    // 1. Same-address-space loopback, CDR.
+    let mut client = ClientStub::new(
+        compile_fileio(&corba),
+        WireFormat::Cdr,
+        Box::new(Loopback::new(make_server(&corba, WireFormat::Cdr))),
+    );
+    assert_eq!(roundtrip(&mut client), b"specialized");
 
-        // 2. Kernel IPC, CDR.
-        let kernel = Kernel::new();
-        let ct = kernel.create_task("client", 1 << 16).expect("task");
-        let st = kernel.create_task("server", 1 << 16).expect("task");
-        let port = serve_on_kernel(
-            &kernel,
-            st,
-            make_server(&corba, opts, WireFormat::Cdr),
-            Trust::None,
-            NameMode::Unique,
-        )
-        .expect("serves");
-        let send = kernel.extract_send_right(st, port, ct).expect("right");
-        let compiled = compile_fileio(&corba, opts);
-        let sig = compiled.signature.hash();
-        let transport =
-            connect_kernel(&kernel, ct, send, sig, Trust::None, NameMode::Unique).expect("binds");
-        let mut client = ClientStub::new(compiled, WireFormat::Cdr, Box::new(transport));
-        assert_eq!(roundtrip(&mut client), b"specialized");
+    // 2. Kernel IPC, CDR.
+    let kernel = Kernel::new();
+    let ct = kernel.create_task("client", 1 << 16).expect("task");
+    let st = kernel.create_task("server", 1 << 16).expect("task");
+    let port = serve_on_kernel(
+        &kernel,
+        st,
+        make_server(&corba, WireFormat::Cdr),
+        Trust::None,
+        NameMode::Unique,
+    )
+    .expect("serves");
+    let send = kernel.extract_send_right(st, port, ct).expect("right");
+    let compiled = compile_fileio(&corba);
+    let sig = compiled.signature.hash();
+    let transport =
+        connect_kernel(&kernel, ct, send, sig, Trust::None, NameMode::Unique).expect("binds");
+    let mut client = ClientStub::new(compiled, WireFormat::Cdr, Box::new(transport));
+    assert_eq!(roundtrip(&mut client), b"specialized");
 
-        // 3. Sun RPC over the simulated network, XDR.
-        let net = Net::new();
-        let ch = net.add_host("client");
-        let sh = net.add_host("server");
-        serve_on_net(&net, sh, make_server(&sun, opts, WireFormat::Xdr), 200001, 1)
-            .expect("serves");
-        let transport = SunRpc::new(Arc::clone(&net), ch, sh, 200001, 1);
-        let mut client =
-            ClientStub::new(compile_fileio(&sun, opts), WireFormat::Xdr, Box::new(transport));
-        assert_eq!(roundtrip(&mut client), b"specialized");
-    }
+    // 3. Sun RPC over the simulated network, XDR.
+    let net = Net::new();
+    let ch = net.add_host("client");
+    let sh = net.add_host("server");
+    serve_on_net(&net, sh, make_server(&sun, WireFormat::Xdr), 200001, 1).expect("serves");
+    let transport = SunRpc::new(Arc::clone(&net), ch, sh, 200001, 1);
+    let mut client = ClientStub::new(compile_fileio(&sun), WireFormat::Xdr, Box::new(transport));
+    assert_eq!(roundtrip(&mut client), b"specialized");
 
-    // 4. The same-domain binding compiles with the fused default and runs
-    // the same programs in one address space.
+    // 4. The same-domain binding runs the same programs in one address
+    // space.
     let iface = corba.interface("FileIO").expect("FileIO");
     let pres = InterfacePresentation::default_for(&corba, iface).expect("defaults");
     let mut sd = SameDomain::bind(&corba, iface, &pres, &pres).expect("binds");
