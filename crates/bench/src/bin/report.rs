@@ -184,11 +184,11 @@ fn pipe_transfer_ns(h: &mut fig6::PipeIpcHarness) -> f64 {
 /// processing is the measured total minus the far side's real CPU time,
 /// matching the figure's bar decomposition; wire + server is the sim clock.
 fn nfs_read_ns((h, variant): &mut (fig2::Fig2, ClientVariant)) -> (f64, f64) {
-    let (wire0, service0) = (h.wire_ns(), h.service_ns());
+    let (wire0, far0) = (h.wire_ns(), h.far_side_ns());
     let total = time_ns(1, || {
         h.run(*variant, fig2::FILE_LEN);
     });
-    (total - (h.service_ns() - service0) as f64, (h.wire_ns() - wire0) as f64)
+    (total - (h.far_side_ns() - far0) as f64, (h.wire_ns() - wire0) as f64)
 }
 
 fn run_fig2(_: &Ctx) -> Vec<Row> {

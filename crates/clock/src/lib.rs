@@ -16,7 +16,7 @@
 //! and against the same failure semantics on every path.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A virtual clock counting simulated nanoseconds since start.
@@ -193,6 +193,11 @@ pub struct FaultInjector {
     /// Link-degradation window: `(factor, until_ns)` — every call before
     /// `until_ns` charges `factor`× its normal wire time.
     slow: Mutex<Option<(u64, u64)>>,
+    /// True while `slow` holds a window, expired or not. Written under the
+    /// `slow` mutex, as `armed` is under its terms': once
+    /// [`FaultInjector::set_slow_link`] has returned, every later
+    /// [`FaultInjector::slow_factor`] reads `true` and takes the lock.
+    slow_set: AtomicBool,
 }
 
 impl FaultInjector {
@@ -405,17 +410,31 @@ impl FaultInjector {
     /// read the factor via [`FaultInjector::slow_factor`]). A later window
     /// replaces the current one.
     pub fn set_slow_link(&self, factor: u64, until_ns: u64) {
-        *self.slow.lock() = Some((factor.max(1), until_ns));
+        let mut slow = self.slow.lock();
+        *slow = Some((factor.max(1), until_ns));
+        self.slow_set.store(true, Ordering::SeqCst);
     }
 
     /// The current wire-time multiplier (1 when the link is healthy).
-    /// Expired windows are cleared. Does not consume a call.
+    /// Expired windows are cleared. Does not consume a call. Transports ask
+    /// on every message, almost always with no window set: that is one load.
+    #[inline]
     pub fn slow_factor(&self, now_ns: u64) -> u64 {
+        if !self.slow_set.load(Ordering::SeqCst) {
+            return 1;
+        }
+        self.slow_window(now_ns)
+    }
+
+    /// The locked path behind the `slow_set` check.
+    #[cold]
+    fn slow_window(&self, now_ns: u64) -> u64 {
         let mut slow = self.slow.lock();
         match *slow {
             Some((factor, until_ns)) if now_ns < until_ns => factor,
             Some(_) => {
                 *slow = None;
+                self.slow_set.store(false, Ordering::SeqCst);
                 1
             }
             None => 1,

@@ -21,7 +21,7 @@ use crate::error::EngineError;
 use flexrpc_control::TenantCells;
 use flexrpc_core::program::{CompiledInterface, CompiledOp};
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
-use flexrpc_net::{HostId, NetError, SimNet};
+use flexrpc_net::{HostId, Link, NetError, SimNet};
 use flexrpc_runtime::policy::CallTag;
 use flexrpc_runtime::transport::accept_call;
 use flexrpc_runtime::{RetryPolicy, TenantId};
@@ -173,9 +173,8 @@ impl Exposure {
 /// [`RetryPolicy`] resends a batch lost in transit, with the idempotency
 /// license checked per-operation through [`SunRpcPipeline::submit_op`].
 pub struct SunRpcPipeline {
-    net: Arc<SimNet>,
-    from: HostId,
-    to: HostId,
+    /// The client → server pair, resolved once for every flush.
+    link: Link,
     prog: u32,
     vers: u32,
     next_xid: u32,
@@ -191,9 +190,7 @@ impl SunRpcPipeline {
     /// Creates a pipeline to `(prog, vers)` served on `to`.
     pub fn new(net: Arc<SimNet>, from: HostId, to: HostId, prog: u32, vers: u32) -> SunRpcPipeline {
         SunRpcPipeline {
-            net,
-            from,
-            to,
+            link: net.link(from, to),
             prog,
             vers,
             next_xid: 1,
@@ -286,7 +283,7 @@ impl SunRpcPipeline {
         let mut reply_stream = Vec::new();
         loop {
             let send_start = self.trace.as_ref().map_or(0, |t| t.now_ns());
-            let outcome = self.net.call(self.from, self.to, &batch, &mut reply_stream);
+            let outcome = self.link.call(&batch, &mut reply_stream);
             if let (Some(t), Some(call)) = (&self.trace, flush_call) {
                 t.record(call, Stage::Transport, send_start, t.now_ns(), batch.len() as u64);
             }
@@ -302,7 +299,7 @@ impl SunRpcPipeline {
                     }
                     let policy = self.retry.as_ref().expect("attempts > 1 implies a policy");
                     let backoff_start = self.trace.as_ref().map_or(0, |t| t.now_ns());
-                    self.net.clock().advance_ns(policy.backoff_ns(attempt));
+                    self.link.net().clock().advance_ns(policy.backoff_ns(attempt));
                     if let (Some(t), Some(call)) = (&self.trace, flush_call) {
                         t.record(call, Stage::Retry, backoff_start, t.now_ns(), attempt as u64);
                     }

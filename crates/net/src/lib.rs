@@ -6,15 +6,42 @@
 //! "client processing" part. We cannot reproduce that hardware, so this
 //! substrate splits the same way, by construction:
 //!
-//! * The **CPU side** is real work: request/reply bytes are really copied
-//!   between endpoint buffers and the registered service handler really
-//!   runs. `benchmark/` times this part (`sunrpc_tagged`); `report fig2`
-//!   states it as paired ratios.
+//! * The **CPU side** is real work and nothing else: the request is really
+//!   copied into the far side's receive buffer, the registered service
+//!   handler really runs and frames its reply where the caller reads it, and
+//!   the message's packets, bytes and wire time are tallied once. No wall
+//!   clock is read here. `benchmark/` times this part (`sunrpc_tagged`);
+//!   `report fig2` states it as paired ratios, and to report *client*
+//!   processing it times the far side itself, by wrapping the handler it
+//!   serves ([`SimNet::handler`]) — the far side's real time is the
+//!   harness's to measure, not a cost every message of every network pays.
 //! * The **wire side** is a deterministic clock ([`SimNet::wire_ns`]):
 //!   each message charges per-packet latency plus bytes/bandwidth at the
 //!   configured link speed. It is identical across presentation variants —
 //!   exactly the constant left-hand bar segment of Figure 2 — and the bench
 //!   harness reports it alongside measured CPU time.
+//!
+//! # A link is resolved where a binding is made
+//!
+//! What a message needs from the host table — that both endpoints exist,
+//! the destination's fault plan, its handler — changes when a host is added
+//! or a handler registered, not per message. A [`Link`] ([`SimNet::link`])
+//! resolves it once and keeps it, with the far side's receive buffer, for
+//! the `(from, to)` pair a binding talks over; a Sun RPC client transport,
+//! a pipelining client and the hand-coded NFS client each hold one.
+//!
+//! **The version rule.** [`SimNet::add_host`] and
+//! [`SimNet::register_handler`] bump the host table's version under the
+//! host lock; a link remembers the version it resolved at and compares it
+//! with one load per message, resolving again under the lock when they
+//! differ. A registration that returned before a message began is therefore
+//! seen by that message. One that races a message may miss it — the
+//! interleaving [`SimNet::call`] has always allowed, since it too runs the
+//! handler it found outside the lock.
+//!
+//! [`SimNet::call`] and [`SimNet::send`] are *resolve, then the same
+//! message body* a link runs: there is one implementation of what a message
+//! costs and what each fault does to it.
 //!
 //! [`sunrpc`] adds the Sun RPC call/reply message layer (XIDs, program/
 //! version/procedure headers, record marking) used by the NFS experiment.
@@ -104,7 +131,7 @@ impl Default for NetConfig {
 /// Wire-clock counters: registry-adoptable [`Counter`] handles, so a
 /// metrics plane can absorb them under `net.*` names
 /// ([`NetStats::register_metrics`]) while the network keeps updating the
-/// same cells.
+/// same cells. Each is published once per message, when the message ends.
 #[derive(Debug, Default)]
 pub struct NetStats {
     /// Messages carried.
@@ -113,10 +140,6 @@ pub struct NetStats {
     pub packets: Counter,
     /// Payload bytes carried.
     pub bytes: Counter,
-    /// Real CPU nanoseconds spent inside service handlers (the far side's
-    /// processing). Lets harnesses report *client* processing time the way
-    /// the paper's Figure 2 does: measured total minus this.
-    pub service_ns: Counter,
 }
 
 impl NetStats {
@@ -125,7 +148,6 @@ impl NetStats {
         registry.adopt_counter("net.message", &self.messages);
         registry.adopt_counter("net.packet", &self.packets);
         registry.adopt_counter("net.bytes", &self.bytes);
-        registry.adopt_counter("net.service_ns", &self.service_ns);
     }
 }
 
@@ -145,10 +167,10 @@ impl NetStats {
 pub type Service =
     Arc<dyn Fn(&[u8], &mut Vec<u8>) -> core::result::Result<(), String> + Send + Sync>;
 
-/// Receive buffers kept for reuse per network: enough for the handful of
-/// callers that are ever inside [`SimNet::call`] at once; beyond it a
-/// buffer is simply freed.
-const RX_FREE_MAX: usize = 8;
+/// Scratch sets kept for reuse per network: enough for the handful of
+/// callers that are ever inside [`SimNet::call`] at once; beyond it a set
+/// is simply freed.
+const SCRATCH_FREE_MAX: usize = 8;
 
 struct HostState {
     #[allow(dead_code)] // Diagnostic field, reported by `host_name`.
@@ -165,14 +187,18 @@ struct HostState {
 pub struct SimNet {
     cfg: NetConfig,
     hosts: Mutex<Vec<HostState>>,
+    /// Counts the changes to `hosts` a resolved [`Route`] could be stale
+    /// against. Bumped under the `hosts` lock, after the change; read under
+    /// it when a route is resolved and with one load per message after
+    /// that (see the module doc's version rule).
+    hosts_version: AtomicU64,
     wire_ns: AtomicU64,
     clock: Arc<SimClock>,
     faults: FaultInjector,
     stats: NetStats,
-    /// Idle receive-side buffers (at most [`RX_FREE_MAX`]): the far side's
-    /// copy of each request lands in one of these instead of a fresh
-    /// allocation per message.
-    rx_free: Mutex<Vec<Vec<u8>>>,
+    /// Idle scratch sets (at most [`SCRATCH_FREE_MAX`]) for messages sent
+    /// through [`SimNet::call`] / [`SimNet::send`]; a [`Link`] owns its own.
+    scratch_free: Mutex<Vec<Scratch>>,
 }
 
 /// What one message needs from the host table, resolved under one hold of
@@ -180,6 +206,36 @@ pub struct SimNet {
 struct Route {
     faults: Arc<FaultInjector>,
     service: Option<Service>,
+}
+
+/// The buffers one message needs beyond its caller's: the far side's copy
+/// of the request lands in `rx` instead of a fresh allocation per message
+/// (a protocol stack does not allocate per packet either), and a one-way
+/// message's handler writes the reply nobody reads into `discard`.
+#[derive(Default)]
+struct Scratch {
+    rx: Vec<u8>,
+    discard: Vec<u8>,
+}
+
+/// What one message put on the wire so far, summed locally and published
+/// to the network's counters once, when the message ends.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    packets: u64,
+    bytes: u64,
+    /// Wire time, plus the far side's `server_ns` once it has executed.
+    ns: u64,
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, other: Tally) {
+        self.packets += other.packets;
+        self.bytes += other.bytes;
+        // Wrapping, as the counters these are published to add: a
+        // saturated slow-link factor must not turn into a panic here.
+        self.ns = self.ns.wrapping_add(other.ns);
+    }
 }
 
 impl SimNet {
@@ -199,11 +255,12 @@ impl SimNet {
         Arc::new(SimNet {
             cfg,
             hosts: Mutex::new(Vec::new()),
+            hosts_version: AtomicU64::new(0),
             wire_ns: AtomicU64::new(0),
             clock,
             faults: FaultInjector::new(),
             stats: NetStats::default(),
-            rx_free: Mutex::new(Vec::new()),
+            scratch_free: Mutex::new(Vec::new()),
         })
     }
 
@@ -219,9 +276,9 @@ impl SimNet {
         &self.clock
     }
 
-    /// The network-wide fault-injection plan, consulted once per
-    /// [`SimNet::call`] / [`SimNet::send`] with the `(from, to)` host pair
-    /// — so pair-keyed [`flexrpc_clock::Fault::Partition`]s and
+    /// The network-wide fault-injection plan, consulted once per message
+    /// with the `(from, to)` host pair — so pair-keyed
+    /// [`flexrpc_clock::Fault::Partition`]s and
     /// [`FaultInjector::set_slow_link`] windows apply here.
     pub fn faults(&self) -> &FaultInjector {
         &self.faults
@@ -250,6 +307,7 @@ impl SimNet {
             service: None,
             faults: Arc::new(FaultInjector::new()),
         });
+        self.hosts_version.fetch_add(1, Ordering::SeqCst);
         id
     }
 
@@ -273,6 +331,7 @@ impl SimNet {
         let mut hosts = self.hosts.lock();
         let h = hosts.get_mut(host.0).ok_or(NetError::NoSuchHost(host))?;
         h.service = Some(Arc::new(handler));
+        self.hosts_version.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
@@ -291,6 +350,14 @@ impl SimNet {
         })
     }
 
+    /// The handler registered on `host` — so a harness can register a
+    /// wrapper around it (one that times the far side, say) in its place.
+    pub fn handler(&self, host: HostId) -> Result<Service> {
+        let hosts = self.hosts.lock();
+        let h = hosts.get(host.0).ok_or(NetError::NoSuchHost(host))?;
+        h.service.clone().ok_or(NetError::NoService(host))
+    }
+
     /// Accumulated simulated wire + far-side time, in nanoseconds.
     ///
     /// Deterministic: a pure function of the messages sent so far.
@@ -298,36 +365,45 @@ impl SimNet {
         self.wire_ns.load(Ordering::Relaxed)
     }
 
-    /// Accumulated real CPU time spent inside service handlers.
-    pub fn service_ns(&self) -> u64 {
-        self.stats.service_ns.get()
+    /// Resolves the `from → to` link once, for a binding to keep: see
+    /// [`Link`]. Never fails — an endpoint that does not exist (yet) is
+    /// reported by the link's messages, as [`SimNet::call`] would.
+    pub fn link(self: &Arc<SimNet>, from: HostId, to: HostId) -> Link {
+        let (version, route) = self.resolve(from, to);
+        Link { net: Arc::clone(self), from, to, version, route, scratch: Scratch::default() }
     }
 
-    /// Charges the wire for `payload` at `scale`× the healthy link's time
-    /// ([`flexrpc_clock::Fault::SlowLink`] and [`FaultInjector::set_slow_link`] windows):
-    /// the same packets and bytes cross, they just take longer.
-    fn charge_wire_scaled(&self, payload: usize, scale: u64) {
-        let packets = payload.div_ceil(self.cfg.mtu).max(1) as u64;
+    /// What one crossing of the wire by `payload` bytes costs, at `scale`×
+    /// the healthy link's time ([`flexrpc_clock::Fault::SlowLink`] and
+    /// [`FaultInjector::set_slow_link`] windows): the same packets and
+    /// bytes cross, they just take longer.
+    #[inline]
+    fn leg(&self, payload: usize, scale: u64) -> Tally {
+        // An empty message is still a packet; one that fits a packet needs
+        // no division to say so.
+        let packets =
+            if payload <= self.cfg.mtu { 1 } else { payload.div_ceil(self.cfg.mtu) as u64 };
         let ns = (packets * self.cfg.per_packet_ns
             + (payload as u64) * 1_000_000_000 / self.cfg.bandwidth_bps)
             .saturating_mul(scale);
-        self.wire_ns.fetch_add(ns, Ordering::Relaxed);
-        self.clock.advance_ns(ns);
-        self.stats.packets.add(packets);
-        self.stats.bytes.add(payload as u64);
+        Tally { packets, bytes: payload as u64, ns }
     }
 
     /// Resolves a message's endpoints in one critical section: `from` must
     /// exist, `to` must exist, and the destination's fault plan and handler
     /// are cloned out so both run without the host lock held — concurrent
-    /// callers can be inside the same service at once.
-    fn route(&self, from: HostId, to: HostId) -> Result<Route> {
+    /// callers can be inside the same service at once. Returns the host
+    /// table's version the answer holds for.
+    fn resolve(&self, from: HostId, to: HostId) -> (u64, Result<Route>) {
         let hosts = self.hosts.lock();
-        if hosts.get(from.0).is_none() {
-            return Err(NetError::NoSuchHost(from));
-        }
-        let h = hosts.get(to.0).ok_or(NetError::NoSuchHost(to))?;
-        Ok(Route { faults: Arc::clone(&h.faults), service: h.service.clone() })
+        let route = match (hosts.get(from.0), hosts.get(to.0)) {
+            (None, _) => Err(NetError::NoSuchHost(from)),
+            (_, None) => Err(NetError::NoSuchHost(to)),
+            (Some(_), Some(h)) => {
+                Ok(Route { faults: Arc::clone(&h.faults), service: h.service.clone() })
+            }
+        };
+        (self.hosts_version.load(Ordering::SeqCst), route)
     }
 
     /// Passes one message `from → to` through the network-wide fault gate,
@@ -336,6 +412,7 @@ impl SimNet {
     /// the host's plan). Returns the verdict alongside the wire-time
     /// multiplier: both plans' slow-link windows times the verdict's own
     /// one-shot factor.
+    #[inline]
     fn consult_faults(
         &self,
         from: HostId,
@@ -356,21 +433,31 @@ impl SimNet {
         (verdict, scale)
     }
 
-    /// The far side receives into its own buffer: a real copy, as the
-    /// receiving protocol stack would perform — into a reused buffer, since
-    /// a stack does not allocate per packet either.
-    fn receive(&self, request: &[u8]) -> Vec<u8> {
-        let mut rx = self.rx_free.lock().pop().unwrap_or_default();
-        rx.clear();
-        rx.extend_from_slice(request);
-        rx
+    /// A scratch set for one message sent without a [`Link`].
+    fn take_scratch(&self) -> Scratch {
+        self.scratch_free.lock().pop().unwrap_or_default()
     }
 
-    /// Returns a receive buffer for the next message to reuse.
-    fn release(&self, rx: Vec<u8>) {
-        let mut free = self.rx_free.lock();
-        if free.len() < RX_FREE_MAX {
-            free.push(rx);
+    /// Returns a scratch set for the next such message to reuse.
+    fn release(&self, scratch: Scratch) {
+        let mut free = self.scratch_free.lock();
+        if free.len() < SCRATCH_FREE_MAX {
+            free.push(scratch);
+        }
+    }
+
+    /// The error a call sees for a message the fault plan lost.
+    #[cold]
+    fn lost_error(&self, lost: Lost, from: HostId, to: HostId) -> NetError {
+        let name = |h: HostId| self.host_name(h).unwrap_or_else(|_| format!("{h:?}"));
+        match lost {
+            Lost::Dropped => NetError::Dropped,
+            Lost::PeerDown => NetError::Disconnected(format!("server {} crashed", name(to))),
+            Lost::LinkCut => NetError::Disconnected(format!(
+                "link partitioned between {} and {}",
+                name(from),
+                name(to)
+            )),
         }
     }
 
@@ -378,43 +465,22 @@ impl SimNet {
     /// and far-side charges accrue, the service runs, and whatever it
     /// produces is discarded. One-way datagram semantics, deterministically:
     ///
-    /// * `Drop` and `Crash` faults lose the message silently — the sender
-    ///   has no reply to miss, so it sees `Ok` (only local binding errors
-    ///   surface). `Duplicate` runs the handler twice, as resent UDP would.
+    /// * `Drop`, `Crash` and `Partition` faults lose the message silently —
+    ///   the sender has no reply to miss, so it sees `Ok`. `Duplicate` runs
+    ///   the handler twice, as resent UDP would.
     /// * `Close` is a no-op for a one-way send: there is no reply to lose.
+    /// * Only binding errors surface: an unknown endpoint (before anything
+    ///   is counted or charged) and a destination that serves nothing
+    ///   (after the datagram was sent, as for [`SimNet::call`]).
     ///
     /// Used by the `[oneway]` call shape: no XID allocated, no reply wait.
     pub fn send(&self, from: HostId, to: HostId, request: &[u8]) -> Result<()> {
-        let route = self.route(from, to)?;
-        let service = route.service.ok_or(NetError::NoService(to))?;
-        self.stats.messages.inc();
-        let (verdict, scale) = self.consult_faults(from, to, &route.faults);
-        // The request hits the wire whether or not it arrives.
-        self.charge_wire_scaled(request.len(), scale);
-        // A lost datagram is lost silently, however it was lost: the sender
-        // has no reply channel to learn of it.
-        if verdict.lost.is_some() {
-            return Ok(());
-        }
-        if verdict.duplicate {
-            self.charge_wire_scaled(request.len(), scale);
-        }
-        let rx = self.receive(request);
-        // The handler's product (reply or failure) evaporates — the sender
-        // has no channel to learn of it.
-        let mut discarded = Vec::new();
-        let t0 = std::time::Instant::now();
-        let _ = service(&rx, &mut discarded);
-        if verdict.duplicate {
-            discarded.clear();
-            let _ = service(&rx, &mut discarded);
-        }
-        self.stats.service_ns.add(t0.elapsed().as_nanos() as u64);
-        self.release(rx);
-        // Far-side processing is charged all the same.
-        self.wire_ns.fetch_add(self.cfg.server_ns, Ordering::Relaxed);
-        self.clock.advance_ns(self.cfg.server_ns);
-        Ok(())
+        let route = self.resolve(from, to).1?;
+        let mut scratch = self.take_scratch();
+        let Scratch { rx, discard } = &mut scratch;
+        let result = Hop { net: self, from, to, route: &route, rx }.carry(request, discard, true);
+        self.release(scratch);
+        result
     }
 
     /// Sends `request` from `from` to `to`, runs the service, and leaves the
@@ -438,6 +504,10 @@ impl SimNet {
     /// An unknown `from` or `to` fails before anything is counted or
     /// charged; a known host with no service is discovered only after the
     /// message was sent, so it is counted in `messages` and charged.
+    ///
+    /// A caller that sends many messages between one pair should hold a
+    /// [`Link`]: this entry resolves the pair under the host lock and
+    /// borrows a receive buffer from the network's pool on every call.
     pub fn call(
         &self,
         from: HostId,
@@ -445,68 +515,14 @@ impl SimNet {
         request: &[u8],
         reply_into: &mut Vec<u8>,
     ) -> Result<()> {
+        // Before resolving: an unknown endpoint leaves it empty too.
         reply_into.clear();
-        let route = self.route(from, to)?;
-        self.stats.messages.inc();
-        // Consult the fault gates before the wire: a lost message is lost
-        // after it is charged (it left the client); a stalled link or peer
-        // has already advanced the sim clock. A crash killed the server
-        // before it executed (and keeps it down until its scheduled
-        // sim-time restart); a partition severs the (from, to) link until it
-        // heals — both disconnect the binding, but a partitioned server is
-        // alive and keeps serving unsevered pairs.
-        let (verdict, scale) = self.consult_faults(from, to, &route.faults);
-        // Request hits the wire.
-        self.charge_wire_scaled(request.len(), scale);
-        let name = |h: HostId| self.host_name(h).unwrap_or_else(|_| format!("{h:?}"));
-        match verdict.lost {
-            Some(Lost::Dropped) => return Err(NetError::Dropped),
-            Some(Lost::PeerDown) => {
-                return Err(NetError::Disconnected(format!("server {} crashed", name(to))));
-            }
-            Some(Lost::LinkCut) => {
-                return Err(NetError::Disconnected(format!(
-                    "link partitioned between {} and {}",
-                    name(from),
-                    name(to)
-                )));
-            }
-            None => {}
-        }
-        if verdict.duplicate {
-            // The retransmitted copy traverses the wire too.
-            self.charge_wire_scaled(request.len(), scale);
-        }
-        // A message to a host that serves nothing was still sent: it is
-        // counted and charged before the absence is discovered.
-        let service = route.service.ok_or(NetError::NoService(to))?;
-        let rx = self.receive(request);
-        let t0 = std::time::Instant::now();
-        let mut result = service(&rx, reply_into);
-        if verdict.duplicate {
-            // The retransmitted copy arrives too; the caller sees only the
-            // second reply.
-            reply_into.clear();
-            result = service(&rx, reply_into);
-        }
-        self.stats.service_ns.add(t0.elapsed().as_nanos() as u64);
-        self.release(rx);
-        if let Err(why) = result {
-            reply_into.clear();
-            return Err(NetError::ServiceFailure(why));
-        }
-        // Server-side processing + reply on the wire.
-        self.wire_ns.fetch_add(self.cfg.server_ns, Ordering::Relaxed);
-        self.clock.advance_ns(self.cfg.server_ns);
-        if verdict.close_after {
-            // The stream closed after the server executed: the work is done
-            // (an at-most-once server has the reply cached) but this client
-            // never sees it. The reply never reaches the wire.
-            reply_into.clear();
-            return Err(NetError::Disconnected("stream closed before reply".into()));
-        }
-        self.charge_wire_scaled(reply_into.len(), scale);
-        Ok(())
+        let route = self.resolve(from, to).1?;
+        let mut scratch = self.take_scratch();
+        let hop = Hop { net: self, from, to, route: &route, rx: &mut scratch.rx };
+        let result = hop.carry(request, reply_into, false);
+        self.release(scratch);
+        result
     }
 }
 
@@ -516,6 +532,172 @@ impl fmt::Debug for SimNet {
             .field("hosts", &self.hosts.lock().len())
             .field("wire_ns", &self.wire_ns())
             .finish()
+    }
+}
+
+/// One `from → to` pair of a [`SimNet`], resolved where a binding is made
+/// ([`SimNet::link`]) instead of once per message: it keeps the
+/// destination's fault plan and handler, the host-table version they were
+/// read at (the module doc's version rule says when they are read again),
+/// and the far side's receive buffer.
+///
+/// [`Link::call`] and [`Link::send`] mean exactly what [`SimNet::call`] and
+/// [`SimNet::send`] mean for the pair — same faults, same charges, same
+/// buffer contract, same errors for an endpoint that does not exist — and
+/// run the same message body.
+pub struct Link {
+    net: Arc<SimNet>,
+    from: HostId,
+    to: HostId,
+    /// The host-table version `route` holds for.
+    version: u64,
+    route: Result<Route>,
+    scratch: Scratch,
+}
+
+impl Link {
+    /// The network this link crosses.
+    pub fn net(&self) -> &Arc<SimNet> {
+        &self.net
+    }
+
+    /// The resolved hop one message of this link takes, and the buffer a
+    /// one-way message's reply is discarded into. Resolves again first if
+    /// the host table changed since `route` was read: one load when it did
+    /// not.
+    #[inline]
+    fn hop(&mut self) -> Result<(Hop<'_>, &mut Vec<u8>)> {
+        if self.net.hosts_version.load(Ordering::SeqCst) != self.version {
+            (self.version, self.route) = self.net.resolve(self.from, self.to);
+        }
+        let route = self.route.as_ref().map_err(NetError::clone)?;
+        let Scratch { rx, discard } = &mut self.scratch;
+        Ok((Hop { net: &self.net, from: self.from, to: self.to, route, rx }, discard))
+    }
+
+    /// [`SimNet::call`] over this link.
+    pub fn call(&mut self, request: &[u8], reply_into: &mut Vec<u8>) -> Result<()> {
+        // Before resolving: an unknown endpoint leaves it empty too.
+        reply_into.clear();
+        self.hop()?.0.carry(request, reply_into, false)
+    }
+
+    /// [`SimNet::send`] over this link.
+    pub fn send(&mut self, request: &[u8]) -> Result<()> {
+        let (hop, discard) = self.hop()?;
+        hop.carry(request, discard, true)
+    }
+}
+
+/// One message's resolved way across the network — what [`SimNet::call`] /
+/// [`SimNet::send`] look up per message and a [`Link`] keeps — and the one
+/// body all four entries run.
+struct Hop<'a> {
+    net: &'a SimNet,
+    from: HostId,
+    to: HostId,
+    route: &'a Route,
+    /// The far side's receive buffer.
+    rx: &'a mut Vec<u8>,
+}
+
+impl Hop<'_> {
+    /// Carries one message: `reply_into` (cleared first) is where the
+    /// handler writes; a `one_way` message has no reply leg and swallows
+    /// what a call would report about delivery. What the message put on the
+    /// wire is summed in a local [`Tally`] and published here, once per
+    /// counter, however the message ended.
+    fn carry(mut self, request: &[u8], reply_into: &mut Vec<u8>, one_way: bool) -> Result<()> {
+        reply_into.clear();
+        let mut tally = Tally::default();
+        let result = self.deliver(request, reply_into, one_way, &mut tally);
+        let net = self.net;
+        net.stats.messages.inc();
+        net.stats.packets.add(tally.packets);
+        net.stats.bytes.add(tally.bytes);
+        net.wire_ns.fetch_add(tally.ns, Ordering::Relaxed);
+        result
+    }
+
+    /// The message's journey; see [`SimNet::call`] and [`SimNet::send`] for
+    /// what each way of ending means to the caller. The sim clock advances
+    /// here, at the two instants something can read it: for the request on
+    /// the wire before the handler runs (TTLs and trace spans read it
+    /// there), and for the far side's processing plus the reply leg in one
+    /// step after it.
+    #[inline]
+    fn deliver(
+        &mut self,
+        request: &[u8],
+        reply_into: &mut Vec<u8>,
+        one_way: bool,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let Hop { net, from, to, route, .. } = *self;
+        // Consult the fault gates before the wire: a lost message is lost
+        // after it is charged (it left the client); a stalled link or peer
+        // has already advanced the sim clock. A crash killed the server
+        // before it executed (and keeps it down until its scheduled
+        // sim-time restart); a partition severs the (from, to) link until it
+        // heals — both disconnect the binding, but a partitioned server is
+        // alive and keeps serving unsevered pairs.
+        let (verdict, scale) = net.consult_faults(from, to, &route.faults);
+        // The request hits the wire whether or not it arrives, and under a
+        // `Duplicate` fault the retransmitted copy traverses it too.
+        *tally = net.leg(request.len(), scale);
+        if verdict.duplicate {
+            *tally += *tally;
+        }
+        net.clock.advance_ns(tally.ns);
+        if let Some(lost) = verdict.lost {
+            // A lost datagram is lost silently, however it was lost: the
+            // sender has no reply channel to learn of it.
+            return if one_way { Ok(()) } else { Err(net.lost_error(lost, from, to)) };
+        }
+        // A message to a host that serves nothing was still sent: it is
+        // counted and charged before the absence is discovered.
+        let service = route.service.as_ref().ok_or(NetError::NoService(to))?;
+        // The far side receives into its own buffer: a real copy, as the
+        // receiving protocol stack would perform.
+        self.rx.clear();
+        self.rx.extend_from_slice(request);
+        let mut result = service(self.rx, reply_into);
+        if verdict.duplicate {
+            // The retransmitted copy arrives too; the caller sees only the
+            // second reply.
+            reply_into.clear();
+            result = service(self.rx, reply_into);
+        }
+        // A one-way message's product (reply or failure) evaporates: the
+        // sender has no channel to learn of it, nor of a stream that closed
+        // behind the datagram.
+        if let (Err(why), false) = (result, one_way) {
+            reply_into.clear();
+            return Err(NetError::ServiceFailure(why));
+        }
+        // Server-side processing, charged whatever becomes of the reply.
+        let mut after = Tally { ns: net.cfg.server_ns, ..Tally::default() };
+        let outcome = if one_way {
+            Ok(())
+        } else if verdict.close_after {
+            // The stream closed after the server executed: the work is done
+            // (an at-most-once server has the reply cached) but this client
+            // never sees it. The reply never reaches the wire.
+            reply_into.clear();
+            Err(NetError::Disconnected("stream closed before reply".into()))
+        } else {
+            after += net.leg(reply_into.len(), scale);
+            Ok(())
+        };
+        net.clock.advance_ns(after.ns);
+        *tally += after;
+        outcome
+    }
+}
+
+impl fmt::Debug for Link {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Link").field("from", &self.from).field("to", &self.to).finish()
     }
 }
 
@@ -601,14 +783,19 @@ mod tests {
     /// The buffer contract of [`SimNet::call`], one row per way a call can
     /// end: every `Err` leaves `reply_into` empty — even though the handler
     /// may already have written into it — and a duplicated delivery leaves
-    /// one reply, not two.
+    /// one reply, not two. And the link is the call: every row runs by
+    /// endpoints in one world and over a [`Link`] in its twin, and the two
+    /// end the same way, leave the same bytes, and have counted and charged
+    /// the same.
     #[test]
     fn reply_buffer_contract_holds_for_every_verdict() {
-        /// A handler that writes before it decides whether to fail.
-        fn world(fail: bool) -> (Arc<SimNet>, HostId, HostId) {
+        /// A client, a server whose handler writes before it decides
+        /// whether to fail, and a host that serves nothing.
+        fn world(fail: bool) -> (Arc<SimNet>, HostId, HostId, HostId) {
             let net = SimNet::new();
             let c = net.add_host("c");
             let s = net.add_host("s");
+            let idle = net.add_host("idle");
             net.register_handler(s, move |req, out| {
                 out.extend_from_slice(b"re:");
                 out.extend_from_slice(req);
@@ -618,55 +805,95 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-            (net, c, s)
+            (net, c, s, idle)
         }
-        let stale = || b"stale bytes of an earlier reply".to_vec();
-
-        type Expect = fn(&NetError) -> bool;
-        let lost: [(&str, Fault, Expect); 4] = [
-            ("Drop", Fault::Drop, |e| *e == NetError::Dropped),
+        /// Everything a message leaves behind on its network.
+        fn ledger(net: &SimNet) -> [u64; 5] {
+            let stats = net.stats();
+            [
+                stats.messages.get(),
+                stats.packets.get(),
+                stats.bytes.get(),
+                net.wire_ns(),
+                net.clock().now_ns(),
+            ]
+        }
+        #[derive(Clone, Copy)]
+        enum To {
+            Server,
+            Idle,
+            Ghost,
+        }
+        type Expect = fn(&Result<()>) -> bool;
+        let rows: [(&str, bool, Option<Fault>, To, Expect); 8] = [
+            ("Drop", false, Some(Fault::Drop), To::Server, |r| *r == Err(NetError::Dropped)),
             (
                 "Crash",
-                Fault::Crash { restart_after_ns: None },
-                |e| matches!(e, NetError::Disconnected(w) if w.contains("crashed")),
+                false,
+                Some(Fault::Crash { restart_after_ns: None }),
+                To::Server,
+                |r| matches!(r, Err(NetError::Disconnected(w)) if w.contains("crashed")),
             ),
             (
                 "Partition",
-                Fault::Partition { a: 0, b: 1, heal_after_ns: u64::MAX },
-                |e| matches!(e, NetError::Disconnected(w) if w.contains("partitioned")),
+                false,
+                Some(Fault::Partition { a: 0, b: 1, heal_after_ns: u64::MAX }),
+                To::Server,
+                |r| matches!(r, Err(NetError::Disconnected(w)) if w.contains("partitioned")),
             ),
             (
                 "Close",
-                Fault::Close,
-                |e| matches!(e, NetError::Disconnected(w) if w.contains("closed")),
+                false,
+                Some(Fault::Close),
+                To::Server,
+                |r| matches!(r, Err(NetError::Disconnected(w)) if w.contains("closed")),
             ),
+            ("service Err", true, None, To::Server, |r| {
+                *r == Err(NetError::ServiceFailure("failed after writing".into()))
+            }),
+            ("Duplicate", false, Some(Fault::Duplicate), To::Server, |r| r.is_ok()),
+            ("unknown host", false, None, To::Ghost, |r| {
+                *r == Err(NetError::NoSuchHost(HostId(9)))
+            }),
+            ("no service", false, None, To::Idle, |r| matches!(r, Err(NetError::NoService(_)))),
         ];
-        for (row, fault, expected) in lost {
-            let (net, c, s) = world(false);
-            net.faults().on_next_call(fault);
-            let mut reply = stale();
-            let e = net.call(c, s, b"x", &mut reply).unwrap_err();
-            assert!(expected(&e), "{row}: {e}");
-            assert!(reply.is_empty(), "{row}: an error leaves no bytes to misread as a reply");
+        let stale = || b"stale bytes of an earlier reply".to_vec();
+        for (row, fail, fault, to, expected) in rows {
+            // Twin worlds: by endpoints in one, over a link in the other.
+            let (by_call, by_link) = (world(fail), world(fail));
+            let dest = |(_, _, s, idle): &(Arc<SimNet>, HostId, HostId, HostId)| match to {
+                To::Server => *s,
+                To::Idle => *idle,
+                To::Ghost => HostId(9),
+            };
+            let mut link = by_link.0.link(by_link.1, dest(&by_link));
+            for (net, ..) in [&by_call, &by_link] {
+                if let Some(fault) = fault {
+                    net.faults().on_next_call(fault);
+                }
+            }
+            // The faulted message, then a clean one behind it (a crash or a
+            // partition outlives the message that met it).
+            for message in [b"x", b"y"] {
+                let (mut reply, mut linked_reply) = (stale(), stale());
+                let result = by_call.0.call(by_call.1, dest(&by_call), message, &mut reply);
+                let linked = link.call(message, &mut linked_reply);
+                if message == b"x" {
+                    assert!(expected(&result), "{row}: {result:?}");
+                    match &result {
+                        Ok(()) => assert_eq!(reply, b"re:x", "{row}: one reply, the last writer's"),
+                        Err(_) => assert!(reply.is_empty(), "{row}: an error leaves no bytes"),
+                    }
+                }
+                assert_eq!(linked, result, "{row}: the link ends as the call does");
+                assert_eq!(linked_reply, reply, "{row}: and leaves the same bytes");
+                assert_eq!(
+                    ledger(&by_link.0),
+                    ledger(&by_call.0),
+                    "{row}: messages, packets, bytes, wire time and clock"
+                );
+            }
         }
-
-        let (net, c, s) = world(true);
-        let mut reply = stale();
-        let e = net.call(c, s, b"x", &mut reply).unwrap_err();
-        assert_eq!(e, NetError::ServiceFailure("failed after writing".into()));
-        assert!(reply.is_empty(), "service Err: the half-written reply is discarded");
-
-        let (net, c, s) = world(false);
-        net.faults().on_next_call(Fault::Duplicate);
-        let mut reply = stale();
-        net.call(c, s, b"x", &mut reply).unwrap();
-        assert_eq!(reply, b"re:x", "Duplicate: exactly one reply frame, the last writer's");
-
-        // Unknown endpoints fail before anything is sent, and still leave
-        // the buffer empty.
-        let mut reply = stale();
-        assert!(net.call(c, HostId(9), b"x", &mut reply).is_err());
-        assert!(reply.is_empty());
     }
 
     #[test]
@@ -735,6 +962,148 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(net.stats().messages.get(), 8 * 50);
+    }
+
+    /// The same, through eight links, while a ninth thread keeps
+    /// re-registering the host's handler: every call is answered by one
+    /// handler or the other, whole, and none is lost.
+    #[test]
+    fn concurrent_links_survive_handler_re_registration() {
+        const ROUNDS: u8 = 200;
+        let net = SimNet::new();
+        let s = net.add_host("server");
+        let clients: Vec<HostId> = (0..8).map(|i| net.add_host(&format!("c{i}"))).collect();
+        let register = |net: &SimNet, mark: u8| {
+            net.register_handler(s, move |req, out| {
+                out.push(mark);
+                out.extend_from_slice(req);
+                Ok(())
+            })
+            .unwrap();
+        };
+        register(&net, b'A');
+        let barrier = std::sync::Barrier::new(9);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let callers: Vec<_> = clients
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| {
+                    let (net, barrier) = (&net, &barrier);
+                    scope.spawn(move || {
+                        let mut link = net.link(c, s);
+                        barrier.wait();
+                        let mut reply = Vec::new();
+                        for round in 0..ROUNDS {
+                            link.call(&[i as u8, round], &mut reply).unwrap();
+                            assert!(
+                                reply == [b'A', i as u8, round] || reply == [b'B', i as u8, round],
+                                "one handler's reply, whole: {reply:?}"
+                            );
+                        }
+                        link
+                    })
+                })
+                .collect();
+            scope.spawn(|| {
+                barrier.wait();
+                while !done.load(Ordering::SeqCst) {
+                    register(&net, b'B');
+                    register(&net, b'A');
+                }
+            });
+            let links: Vec<Link> = callers.into_iter().map(|h| h.join().unwrap()).collect();
+            done.store(true, Ordering::SeqCst);
+            links
+        })
+        .into_iter()
+        .enumerate()
+        .for_each(|(i, mut link)| {
+            // The race is over; a registration that has returned is seen by
+            // every link's next message.
+            register(&net, b'C');
+            let mut reply = Vec::new();
+            link.call(&[i as u8], &mut reply).unwrap();
+            assert_eq!(reply, [b'C', i as u8]);
+        });
+        assert_eq!(net.stats().messages.get(), 8 * u64::from(ROUNDS) + 8, "none lost");
+    }
+
+    /// The version rule: what a link resolved is read again once the host
+    /// table has changed — a handler registered, or a host added, after the
+    /// link was made is seen by its next message.
+    #[test]
+    fn link_sees_handlers_and_hosts_registered_after_it_was_made() {
+        let net = SimNet::new();
+        let c = net.add_host("c");
+        let s = net.add_host("s");
+        let mut reply = Vec::new();
+
+        let mut link = net.link(c, s);
+        assert_eq!(link.call(b"x", &mut reply).unwrap_err(), NetError::NoService(s));
+        net.register_service(s, |_| Ok(b"first".to_vec())).unwrap();
+        link.call(b"x", &mut reply).unwrap();
+        assert_eq!(reply, b"first", "registered after the link was made");
+        net.register_service(s, |_| Ok(b"second".to_vec())).unwrap();
+        link.call(b"x", &mut reply).unwrap();
+        assert_eq!(reply, b"second", "re-registered after the link carried a message");
+
+        // A link to a host that does not exist yet reports it per message,
+        // as `SimNet::call` does, until the host is added.
+        let later = HostId(2);
+        let mut early = net.link(c, later);
+        assert_eq!(early.call(b"x", &mut reply).unwrap_err(), NetError::NoSuchHost(later));
+        assert_eq!(early.send(b"x").unwrap_err(), NetError::NoSuchHost(later));
+        let before = net.stats().messages.get();
+        assert_eq!(net.add_host("later"), later);
+        net.register_service(later, |req| Ok(req.to_vec())).unwrap();
+        early.call(b"now", &mut reply).unwrap();
+        assert_eq!(reply, b"now");
+        assert_eq!(net.stats().messages.get(), before + 1, "the refused messages were never sent");
+    }
+
+    /// [`Link::send`] is [`SimNet::send`]: twin worlds, the one-way rows
+    /// (clean, dropped, duplicated, closed behind), equal executions and
+    /// equal ledgers after each.
+    #[test]
+    fn one_way_send_over_a_link_is_the_send() {
+        let world = || {
+            let net = SimNet::new();
+            let c = net.add_host("c");
+            let s = net.add_host("s");
+            let hits = Arc::new(AtomicU64::new(0));
+            let h = Arc::clone(&hits);
+            net.register_service(s, move |req| {
+                h.fetch_add(1, Ordering::SeqCst);
+                Ok(req.to_vec())
+            })
+            .unwrap();
+            (net, c, s, hits)
+        };
+        let ledger = |net: &SimNet, hits: &AtomicU64| {
+            let stats = net.stats();
+            [
+                hits.load(Ordering::SeqCst),
+                stats.messages.get(),
+                stats.packets.get(),
+                stats.bytes.get(),
+                net.wire_ns(),
+                net.clock().now_ns(),
+            ]
+        };
+        let (net, c, s, hits) = world();
+        let (twin, tc, ts, twin_hits) = world();
+        let mut link = twin.link(tc, ts);
+        for fault in [None, Some(Fault::Drop), Some(Fault::Duplicate), Some(Fault::Close)] {
+            if let Some(fault) = fault {
+                net.faults().on_next_call(fault);
+                twin.faults().on_next_call(fault);
+            }
+            net.send(c, s, &[7u8; 2000]).unwrap();
+            link.send(&[7u8; 2000]).unwrap();
+            assert_eq!(ledger(&twin, &twin_hits), ledger(&net, &hits), "{fault:?}");
+        }
+        assert_eq!(hits.load(Ordering::SeqCst), 4, "clean 1, dropped 0, duplicated 2, closed 1");
     }
 
     #[test]
@@ -1018,6 +1387,41 @@ mod tests {
         let before = net.wire_ns();
         net.call(c, s, &[0u8; 1000], &mut reply).unwrap();
         assert_eq!(net.wire_ns() - before, healthy);
+    }
+
+    /// The no-window case of [`FaultInjector::slow_factor`] is one load per
+    /// plan per message; a window set after a million such messages must
+    /// still be seen by the very next one.
+    #[test]
+    fn slow_link_window_set_after_a_million_clear_calls_scales_the_next() {
+        let net = SimNet::new();
+        let c = net.add_host("c");
+        let s = net.add_host("s");
+        net.register_handler(s, |req, out| {
+            out.extend_from_slice(req);
+            Ok(())
+        })
+        .unwrap();
+        let mut link = net.link(c, s);
+        let mut reply = Vec::new();
+        link.call(b"x", &mut reply).unwrap();
+        let healthy = net.wire_ns();
+        for _ in 1..1_000_000 {
+            link.call(b"x", &mut reply).unwrap();
+        }
+        assert_eq!(net.wire_ns(), healthy * 1_000_000);
+        let server = NetConfig::default().server_ns;
+        // On the network's plan, then on the destination host's.
+        for (plan, factor) in [(None, 3), (Some(net.host_faults(s).unwrap()), 5)] {
+            let plan = plan.as_deref().unwrap_or(net.faults());
+            let before = net.wire_ns();
+            plan.set_slow_link(factor, u64::MAX);
+            link.call(b"x", &mut reply).unwrap();
+            assert_eq!(net.wire_ns() - before - server, (healthy - server) * factor);
+            plan.set_slow_link(1, 0); // An expired window: cleared by the next call.
+            link.call(b"x", &mut reply).unwrap();
+            assert_eq!(net.wire_ns() - before - server - (healthy - server) * factor, healthy);
+        }
     }
 
     #[test]

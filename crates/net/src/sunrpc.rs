@@ -19,6 +19,8 @@ const CALL: u32 = 0;
 const REPLY: u32 = 1;
 /// The only RPC protocol version RFC 1057 defines.
 const RPC_VERS: u32 = 2;
+/// The last-fragment bit of a record mark; the other 31 are the length.
+const LAST_FRAGMENT: u32 = 0x8000_0000;
 
 /// Reply status codes (accepted-state subset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,7 +141,7 @@ pub fn encode_call_tagged_into(
     let total = call_frame_len(tag.is_some(), parts);
     let start = buf.len();
     buf.reserve(total);
-    let mark = 0x8000_0000u32 | (total - 4) as u32; // Last-fragment bit set.
+    let mark = LAST_FRAGMENT | (total - 4) as u32;
     for word in [mark, hdr.xid, CALL, RPC_VERS, hdr.prog, hdr.vers, hdr.proc] {
         buf.extend_from_slice(&word.to_be_bytes());
     }
@@ -179,7 +181,7 @@ pub fn encode_reply_gather_into(buf: &mut Vec<u8>, xid: u32, stat: AcceptStat, p
     let total = 4 + REPLY_HDR_WORDS * 4 + padded;
     let start = buf.len();
     buf.reserve(total);
-    let mark = 0x8000_0000u32 | (total - 4) as u32;
+    let mark = LAST_FRAGMENT | (total - 4) as u32;
     // MSG_ACCEPTED, then a null verifier, then the accept status.
     for word in [mark, xid, REPLY, 0, 0, 0, stat.code()] {
         buf.extend_from_slice(&word.to_be_bytes());
@@ -194,6 +196,17 @@ fn proto_err(why: &str) -> NetError {
     NetError::ServiceFailure(format!("sunrpc protocol error: {why}"))
 }
 
+/// The length a record mark declares for its record — calls, replies and
+/// the records of a stream alike — refusing a mark without the
+/// last-fragment bit: no encoder here fragments a record, and no decoder
+/// reassembles one.
+fn whole_record_len(mark: u32) -> Result<usize> {
+    if mark & LAST_FRAGMENT == 0 {
+        return Err(proto_err("fragmented records not supported"));
+    }
+    Ok((mark & !LAST_FRAGMENT) as usize)
+}
+
 /// A decoded call: header, at-most-once tag `(binding id, sequence
 /// number, tenant id)` if the credential carries one, and the argument
 /// bytes.
@@ -206,10 +219,7 @@ pub type TaggedCall<'a> = (CallHeader, Option<(u64, u64, u64)>, &'a [u8]);
 pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
     let mut r = XdrReader::new(msg);
     let mark = r.get_u32().map_err(|_| proto_err("truncated record mark"))?;
-    if mark & 0x8000_0000 == 0 {
-        return Err(proto_err("fragmented records not supported"));
-    }
-    if (mark & 0x7FFF_FFFF) as usize != msg.len() - 4 {
+    if whole_record_len(mark)? != msg.len() - 4 {
         return Err(proto_err("record mark length mismatch"));
     }
     let xid = r.get_u32().map_err(|_| proto_err("truncated xid"))?;
@@ -262,11 +272,7 @@ pub fn split_records(stream: &[u8]) -> Result<Vec<&[u8]>> {
         if rest.len() < 4 {
             return Err(proto_err("truncated record mark in stream"));
         }
-        let mark = u32::from_be_bytes(rest[..4].try_into().expect("4 bytes"));
-        if mark & 0x8000_0000 == 0 {
-            return Err(proto_err("fragmented records not supported"));
-        }
-        let len = (mark & 0x7FFF_FFFF) as usize;
+        let len = whole_record_len(u32::from_be_bytes(rest[..4].try_into().expect("4 bytes")))?;
         if rest.len() < 4 + len {
             return Err(proto_err("record extends past end of stream"));
         }
@@ -280,7 +286,7 @@ pub fn split_records(stream: &[u8]) -> Result<Vec<&[u8]>> {
 pub fn decode_reply(msg: &[u8]) -> Result<(u32, AcceptStat, &[u8])> {
     let mut r = XdrReader::new(msg);
     let mark = r.get_u32().map_err(|_| proto_err("truncated record mark"))?;
-    if (mark & 0x7FFF_FFFF) as usize != msg.len() - 4 {
+    if whole_record_len(mark)? != msg.len() - 4 {
         return Err(proto_err("record mark length mismatch"));
     }
     let xid = r.get_u32().map_err(|_| proto_err("truncated xid"))?;
@@ -341,6 +347,34 @@ mod tests {
         let mut msg = encode_call(CallHeader { xid: 1, prog: 2, vers: 3, proc: 4 }, b"x");
         msg[3] ^= 0xFF;
         assert!(decode_call(&msg).is_err());
+    }
+
+    /// A reply is a record too: all three decoders refuse a mark without
+    /// the last-fragment bit, with the same typed error.
+    #[test]
+    fn fragmented_record_refused_by_every_decoder() {
+        let clear_last_fragment = |mut frame: Vec<u8>| {
+            frame[0] &= 0x7F;
+            frame
+        };
+        let call = clear_last_fragment(encode_call(
+            CallHeader { xid: 1, prog: 2, vers: 3, proc: 4 },
+            b"args",
+        ));
+        let reply = clear_last_fragment(encode_reply(1, AcceptStat::Success, b"results!"));
+        let refusals = [
+            decode_call(&call).unwrap_err(),
+            decode_reply(&reply).unwrap_err(),
+            split_records(&reply).unwrap_err(),
+        ];
+        for e in refusals {
+            assert_eq!(
+                e,
+                NetError::ServiceFailure(
+                    "sunrpc protocol error: fragmented records not supported".into()
+                )
+            );
+        }
     }
 
     #[test]

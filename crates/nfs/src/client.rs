@@ -24,7 +24,7 @@ use flexrpc_kernel::{Kernel, TaskId, UserAddr};
 use flexrpc_marshal::xdr::{XdrReader, XdrWriter};
 use flexrpc_marshal::WireFormat;
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
-use flexrpc_net::{HostId, SimNet};
+use flexrpc_net::{HostId, Link, SimNet};
 use flexrpc_runtime::hooks::SpecialMarshal;
 use flexrpc_runtime::transport::SunRpc;
 use flexrpc_runtime::{ClientStub, RpcError};
@@ -90,12 +90,12 @@ impl SpecialMarshal for CopyoutHook {
 /// The Figure 2 client harness: user task, network, and all four stubs.
 pub struct NfsClientHarness {
     kernel: Arc<Kernel>,
-    net: Arc<SimNet>,
+    /// The hand-coded stubs' way to the server, resolved once as a
+    /// generated stub's transport resolves its own.
+    hand_link: Link,
     user_task: TaskId,
     user_buf: UserAddr,
     user_buf_len: usize,
-    client_host: HostId,
-    server_host: HostId,
     fh: [u8; FHSIZE],
     conventional: ClientStub,
     conventional_frame: Vec<Value>,
@@ -156,12 +156,10 @@ impl NfsClientHarness {
         let special_frame = special.new_frame("NFSPROC_READ").expect("frame");
         NfsClientHarness {
             kernel,
-            net,
+            hand_link: net.link(client_host, server_host),
             user_task,
             user_buf,
             user_buf_len: file_len,
-            client_host,
-            server_host,
             fh,
             conventional,
             conventional_frame,
@@ -289,8 +287,7 @@ impl NfsClientHarness {
             &w.into_bytes(),
         );
         let mut reply = std::mem::take(&mut self.hand_reply);
-        let net = Arc::clone(&self.net);
-        let r = net.call(self.client_host, self.server_host, &msg, &mut reply);
+        let r = self.hand_link.call(&msg, &mut reply);
         let result = (|| -> Result<Fattr, RpcError> {
             r?;
             let (xid, stat, results) = sunrpc::decode_reply(&reply)?;

@@ -228,7 +228,10 @@ impl ClientStub {
         if let Some(policy) = options.retry_policy() {
             policy.check_op_with(op, tagged)?;
         }
-        let clock = self.transport.clock();
+        // The clock is what a deadline is resolved against and a backoff
+        // is spent on; a call with neither does not ask for the handle.
+        let timed = options.deadline_ns().is_some() || options.retry_policy().is_some();
+        let clock = if timed { self.transport.clock() } else { None };
         let deadline_ns = match (options.deadline_ns(), &clock) {
             (Some(d), Some(c)) => Some(c.now_ns().saturating_add(d)),
             (Some(_), None) => {

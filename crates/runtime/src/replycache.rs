@@ -32,6 +32,20 @@
 //! `record` are exactly the ones a full scan for `now <= expires_ns`
 //! would have kept.
 //!
+//! # One hash per executed call
+//!
+//! An executed tagged call touches the map three times — the `replay` that
+//! misses, the `record` that inserts, and the lookup of each expired tag
+//! the record sweeps — and would hash a tag on each. The map is keyed by
+//! `HashedTag` instead, a tag together with its hash, behind a hasher
+//! that passes that hash through: the server computes it once
+//! (`ReplyCache::hashed`), carries it from the miss to the record, and
+//! the expiry queue's nodes keep theirs. The hash itself stays the
+//! standard library's *keyed* SipHash under a key drawn per cache
+//! (`RandomState`), not something cheaper: tags arrive off the wire, and a
+//! client that could predict bucket placement could pile its tags into one
+//! chain of a map every tenant shares.
+//!
 //! # The stored copy is exact-sized and never recycled
 //!
 //! `record` keeps `reply.to_vec()`: one allocation of exactly the reply's
@@ -48,8 +62,9 @@
 use crate::policy::CallTag;
 use flexrpc_clock::SimClock;
 use flexrpc_trace::{Counter, MetricsRegistry};
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -73,14 +88,55 @@ pub struct ReplyCacheStats {
     pub entries: u64,
 }
 
+/// A [`CallTag`] with one cache's keyed hash of it ([`ReplyCache::hashed`]),
+/// so the tag is hashed once however many times the map is asked about it.
+/// Equality is the tag's: the hash only says where to look.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HashedTag {
+    hash: u64,
+    tag: CallTag,
+}
+
+impl PartialEq for HashedTag {
+    fn eq(&self, other: &HashedTag) -> bool {
+        self.tag == other.tag
+    }
+}
+
+impl Eq for HashedTag {}
+
+impl Hash for HashedTag {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The map's hasher: hands back the hash a [`HashedTag`] already carries.
+#[derive(Default)]
+struct CarriedHash(u64);
+
+impl Hasher for CarriedHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a HashedTag writes exactly one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[derive(Default)]
 struct Entries {
-    map: HashMap<CallTag, CachedReply>,
+    map: HashMap<HashedTag, CachedReply, BuildHasherDefault<CarriedHash>>,
     /// `(expires_ns, tag)` of every `record`, oldest first — which, with
     /// one TTL on a monotone clock, is expiry order. A node is *stale*
     /// (and skipped) once the map's entry for its tag carries a different
     /// `expires_ns` or is gone.
-    expiry: VecDeque<(u64, CallTag)>,
+    expiry: VecDeque<(u64, HashedTag)>,
 }
 
 /// A TTL-bounded map from [`CallTag`] to the completed reply bytes.
@@ -92,6 +148,8 @@ struct Entries {
 pub struct ReplyCache {
     clock: Arc<SimClock>,
     ttl_ns: u64,
+    /// This cache's SipHash key: the one hasher a tag ever meets.
+    keys: RandomState,
     entries: Mutex<Entries>,
     executions: Counter,
     suppressions: Counter,
@@ -113,6 +171,7 @@ impl ReplyCache {
         Arc::new(ReplyCache {
             clock,
             ttl_ns: u64::try_from(ttl.as_nanos()).unwrap_or(u64::MAX),
+            keys: RandomState::new(),
             entries: Mutex::new(Entries::default()),
             executions: Counter::detached(),
             suppressions: Counter::detached(),
@@ -132,10 +191,42 @@ impl ReplyCache {
         registry.adopt_counter("replycache.entries", &self.entry_gauge);
     }
 
+    /// Hashes `tag` under this cache's key — once per call; the result
+    /// serves the `replay` that misses and the `record` that follows.
+    #[inline]
+    pub(crate) fn hashed(&self, tag: CallTag) -> HashedTag {
+        // `self.keys.hash_one(tag)`, spelled out (a test holds the two
+        // equal): a tag's identity is its binding and sequence number,
+        // written as `CallTag`'s own `Hash` writes them. Each word goes
+        // through a function of its own because that is where the compiler
+        // specializes SipHash's byte-slice `write` for eight bytes; called
+        // through `hash_one` it stayed the general routine, ≈ 10 ns slower
+        // a word.
+        #[inline(never)]
+        fn word(hasher: &mut std::hash::DefaultHasher, v: u64) {
+            hasher.write_u64(v);
+        }
+        let mut hasher = self.keys.build_hasher();
+        word(&mut hasher, tag.binding);
+        word(&mut hasher, tag.seq);
+        HashedTag { hash: hasher.finish(), tag }
+    }
+
     /// Answers a duplicate: if `tag` has a live cached reply, copies it
     /// into `reply`/`rights_out` (cleared first) and returns `true` — the
     /// handler must not run. An expired entry is evicted and misses.
     pub fn replay(&self, tag: CallTag, reply: &mut Vec<u8>, rights_out: &mut Vec<u32>) -> bool {
+        self.replay_hashed(self.hashed(tag), reply, rights_out)
+    }
+
+    /// [`ReplyCache::replay`] for a tag already hashed.
+    #[inline]
+    pub(crate) fn replay_hashed(
+        &self,
+        tag: HashedTag,
+        reply: &mut Vec<u8>,
+        rights_out: &mut Vec<u32>,
+    ) -> bool {
         let map = &mut self.entries.lock().expect("reply cache lock").map;
         let Some(entry) = map.get(&tag) else { return false };
         if self.clock.expired(entry.expires_ns) {
@@ -157,6 +248,11 @@ impl ReplyCache {
     /// execution. Expired entries are evicted here, off the hit path, in
     /// expiry order: the cost is what expired, not what is live.
     pub fn record(&self, tag: CallTag, reply: &[u8], rights: &[u32]) {
+        self.record_hashed(self.hashed(tag), reply, rights);
+    }
+
+    /// [`ReplyCache::record`] for a tag already hashed.
+    pub(crate) fn record_hashed(&self, tag: HashedTag, reply: &[u8], rights: &[u32]) {
         self.executions.inc();
         let mut guard = self.entries.lock().expect("reply cache lock");
         let Entries { map, expiry } = &mut *guard;
@@ -230,6 +326,44 @@ mod tests {
         assert!(!cache.replay(tag(2, 0), &mut r, &mut rr));
         let s = cache.stats();
         assert_eq!((s.executions, s.suppressions), (1, 1));
+    }
+
+    /// Tenancy is outside a tag's identity, and must stay outside it
+    /// through the hashed key: a failover that re-issues a call under
+    /// different tenancy metadata is still answered from the cache, both
+    /// through the public entries and through the hashed form the server
+    /// carries from the miss to the record.
+    #[test]
+    fn tags_differing_only_in_tenant_replay_each_other() {
+        use crate::policy::TenantId;
+        let cache = ReplyCache::new(SimClock::new(), Duration::from_secs(1));
+        let (plain, charged) = (tag(1, 0), CallTag::for_tenant(1, 0, TenantId(7)));
+        assert_eq!(cache.hashed(plain).hash, cache.hashed(charged).hash);
+        assert_eq!(cache.hashed(charged).hash, cache.keys.hash_one(charged), "the keyed SipHash");
+        let (mut r, mut rr) = (Vec::new(), Vec::new());
+        cache.record(plain, b"once", &[]);
+        assert!(cache.replay(charged, &mut r, &mut rr));
+        assert_eq!(r, b"once");
+        cache.record_hashed(cache.hashed(charged), b"twice", &[]);
+        assert!(cache.replay_hashed(cache.hashed(plain), &mut r, &mut rr));
+        assert_eq!(r, b"twice");
+        assert_eq!(cache.stats().entries, 1, "one logical call, one entry");
+    }
+
+    /// A live tag re-recorded at the same instant keeps its one expiry
+    /// node: the queue grows with distinct expiries, not with records.
+    #[test]
+    fn re_record_at_the_same_instant_pushes_no_second_expiry_node() {
+        let clock = SimClock::new();
+        let cache = ReplyCache::new(Arc::clone(&clock), Duration::from_millis(1));
+        let nodes = || cache.entries.lock().unwrap().expiry.len();
+        cache.record(tag(1, 0), b"x", &[]);
+        cache.record(tag(1, 0), b"y", &[]);
+        assert_eq!(nodes(), 1);
+        clock.advance_ns(10);
+        cache.record(tag(1, 0), b"z", &[]);
+        assert_eq!(nodes(), 2, "a new expiry is a new node; the old one is stale");
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -339,15 +339,17 @@ impl ServerInterface {
         rights_out: &mut Vec<u32>,
     ) -> Result<()> {
         // The cache is borrowed on either side of the dispatch, never
-        // cloned: an untagged call touches no refcount.
-        if let (Some(tag), Some(cache)) = (tag, &self.reply_cache) {
-            if cache.replay(tag, reply, rights_out) {
+        // cloned: an untagged call touches no refcount. The tag is hashed
+        // once, for the replay that misses and the record that follows.
+        let hashed = tag.zip(self.reply_cache.as_ref()).map(|(tag, cache)| cache.hashed(tag));
+        if let (Some(tag), Some(cache)) = (hashed, &self.reply_cache) {
+            if cache.replay_hashed(tag, reply, rights_out) {
                 return Ok(());
             }
         }
         self.dispatch(op_index, request, rights_in, reply, rights_out)?;
-        if let (Some(tag), Some(cache)) = (tag, &self.reply_cache) {
-            cache.record(tag, reply, rights_out);
+        if let (Some(tag), Some(cache)) = (hashed, &self.reply_cache) {
+            cache.record_hashed(tag, reply, rights_out);
         }
         Ok(())
     }

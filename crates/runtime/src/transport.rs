@@ -25,7 +25,7 @@ use flexrpc_kernel::ipc::{BindOptions, MsgOut, ServerOptions, MAX_BODY};
 use flexrpc_kernel::regs::MSG_REGS;
 use flexrpc_kernel::{Connection, Kernel, KernelError, NameMode, PortName, TaskId, TrustLevel};
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
-use flexrpc_net::{HostId, SimNet};
+use flexrpc_net::{HostId, Link, SimNet};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -441,9 +441,9 @@ pub fn connect_kernel(
 
 /// Sun RPC over the simulated network.
 pub struct SunRpc {
-    net: Arc<SimNet>,
-    from: HostId,
-    to: HostId,
+    /// The `from → to` pair, resolved here where the binding is made and
+    /// not again per call.
+    link: Link,
     prog: u32,
     vers: u32,
     next_xid: u32,
@@ -454,7 +454,7 @@ pub struct SunRpc {
 impl SunRpc {
     /// Creates a client transport to `(prog, vers)` served on `to`.
     pub fn new(net: Arc<SimNet>, from: HostId, to: HostId, prog: u32, vers: u32) -> SunRpc {
-        SunRpc { net, from, to, prog, vers, next_xid: 1, frame: Vec::new() }
+        SunRpc { link: net.link(from, to), prog, vers, next_xid: 1, frame: Vec::new() }
     }
 
     /// Frames `request` as call `xid` of `op` into the kept frame buffer.
@@ -498,7 +498,7 @@ impl Transport for SunRpc {
                 "Sun RPC cannot carry port rights across the network".into(),
             ));
         }
-        if ctl.expired(self.net.clock().now_ns()) {
+        if ctl.expired(self.link.net().clock().now_ns()) {
             return Err(RpcError::DeadlineExceeded);
         }
         // XIDs stay per-attempt: they match replies to requests on the
@@ -508,13 +508,21 @@ impl Transport for SunRpc {
         self.encode_frame(xid, op, request, ctl);
         // The server frames its reply directly into the caller's buffer —
         // no re-copy; the body offset is computed from the decoded frame.
-        self.net.call(self.from, self.to, &self.frame, reply)?;
+        self.link.call(&self.frame, reply)?;
         // The net charged wire time (and any induced stall) to the sim
         // clock; a reply landing past the deadline is a deadline miss.
-        if ctl.expired(self.net.clock().now_ns()) {
+        if ctl.expired(self.link.net().clock().now_ns()) {
             return Err(RpcError::DeadlineExceeded);
         }
-        let (rxid, stat, results) = sunrpc::decode_reply(reply)?;
+        let (rxid, stat, results) = match sunrpc::decode_reply(reply) {
+            Ok(decoded) => decoded,
+            Err(e) => {
+                // As for an error from the net: no bytes are left to
+                // misread as a reply.
+                reply.clear();
+                return Err(e.into());
+            }
+        };
         if rxid != xid {
             return Err(RpcError::Transport(format!("xid mismatch: {rxid} != {xid}")));
         }
@@ -541,7 +549,7 @@ impl Transport for SunRpc {
                 "Sun RPC cannot carry port rights across the network".into(),
             ));
         }
-        if ctl.expired(self.net.clock().now_ns()) {
+        if ctl.expired(self.link.net().clock().now_ns()) {
             return Err(RpcError::DeadlineExceeded);
         }
         // XID 0 marks "no reply expected": nothing will ever match it, and
@@ -549,12 +557,12 @@ impl Transport for SunRpc {
         // still rides in the credential, so a duplicated notification is
         // deduplicated by the server's reply cache.
         self.encode_frame(0, op, request, ctl);
-        self.net.send(self.from, self.to, &self.frame)?;
+        self.link.send(&self.frame)?;
         Ok(())
     }
 
     fn clock(&self) -> Option<Arc<SimClock>> {
-        Some(Arc::clone(self.net.clock()))
+        Some(Arc::clone(self.link.net().clock()))
     }
 }
 

@@ -229,6 +229,58 @@ fn sunrpc_end_to_end_over_simnet() {
     assert!(net.wire_ns() > 0);
 }
 
+/// A reply is a record too: a reply frame whose mark lacks the
+/// last-fragment bit is refused as a typed protocol error — by
+/// `decode_reply`, and through the transport, which leaves no bytes behind
+/// to be read as a reply.
+#[test]
+fn sunrpc_refuses_a_fragmented_reply_record() {
+    use flexrpc_net::sunrpc::{self, AcceptStat};
+    use flexrpc_runtime::policy::CallControl;
+    use flexrpc_runtime::transport::Transport;
+    use flexrpc_runtime::RpcError;
+
+    let net = SimNet::new();
+    let ch = net.add_host("client");
+    let sh = net.add_host("server");
+    net.register_handler(sh, |msg, out| {
+        let (hdr, _, _) = sunrpc::decode_call_tagged(msg).map_err(|e| e.to_string())?;
+        out.extend_from_slice(&sunrpc::encode_reply(hdr.xid, AcceptStat::Success, &[0; 8]));
+        out[0] &= 0x7F; // "More fragments follow."
+        Ok(())
+    })
+    .unwrap();
+
+    let whole = sunrpc::encode_reply(1, AcceptStat::Success, &[0; 8]);
+    let mut fragment = whole.clone();
+    fragment[0] &= 0x7F;
+    assert!(sunrpc::decode_reply(&whole).is_ok());
+    let refused = sunrpc::decode_reply(&fragment).unwrap_err().to_string();
+    assert!(refused.contains("sunrpc protocol error: fragmented records"), "{refused}");
+
+    let m = fileio_example();
+    let compiled =
+        CompiledInterface::compile(&m, m.interface("FileIO").unwrap(), &pres_from_pdl(&m, ""))
+            .unwrap();
+    let mut transport = SunRpc::new(Arc::clone(&net), ch, sh, 200001, 1);
+    let (mut reply, mut rights_out) = (b"stale".to_vec(), Vec::new());
+    let err = transport
+        .call_with(
+            &compiled.ops[0],
+            &[0; 4],
+            &[],
+            &mut reply,
+            &mut rights_out,
+            &CallControl::none(),
+        )
+        .unwrap_err();
+    assert!(
+        matches!(&err, RpcError::Net(e) if e.to_string().contains("fragmented records")),
+        "{err:?}"
+    );
+    assert!(reply.is_empty(), "no bytes left to misread as a reply");
+}
+
 #[test]
 fn remote_status_surfaces_per_comm_status_presentation() {
     let m = fileio_example();

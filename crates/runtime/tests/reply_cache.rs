@@ -401,6 +401,30 @@ fn expiry_queue_matches_the_sweeping_model_step_for_step() {
     assert!(reached.replay_hit > 0 && reached.replay_evicted > 0, "both replay outcomes");
 }
 
+/// The workload's shape at scale: 10 000 fresh tags on a clock that
+/// advances between records, so the TTL holds a window of them live and
+/// every record sweeps what fell out of it. The hashed key must keep
+/// exactly the entries the sweeping model keeps.
+#[test]
+fn live_entries_match_the_model_after_ten_thousand_seeded_records() {
+    use flexrpc_runtime::policy::CallTag;
+
+    let clock = flexrpc_clock::SimClock::new();
+    let cache = ReplyCache::new(Arc::clone(&clock), Duration::from_micros(500));
+    let mut model = model::SweepingCache::new(cache.ttl_ns());
+    let mut rng = Rng(0x5EED);
+    for seq in 0..10_000u64 {
+        clock.advance_ns(rng.below(4_000));
+        let key = (1 + rng.below(3), seq);
+        let reply = [seq as u8; 8];
+        model.record(clock.now_ns(), key, &reply, &[]);
+        cache.record(CallTag::new(key.0, key.1), &reply, &[]);
+    }
+    let stats = cache.stats();
+    assert_eq!(stats, model.stats());
+    assert!(stats.entries > 100 && stats.evictions > 9_000, "a live window was swept: {stats:?}");
+}
+
 /// `ttl = Duration::MAX` saturates every expiry at `u64::MAX`: nothing is
 /// ever evicted, by either implementation, however far the clock runs.
 #[test]

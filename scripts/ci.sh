@@ -32,10 +32,12 @@ cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_all
 # handle, and which read of a striped counter meets which stripe's drop is
 # timing: the wake-liveness stress, the self-join regression, the engine's
 # tallies under fire and the trace crate's stripe test run at release
-# timing too.
-echo "== engine stress + robustness, stripes (release) ==" >&2
+# timing too. So is which message of a link meets which re-registration
+# of the handler it resolved: the net crate's tests run here as well.
+echo "== engine stress + robustness, stripes, net links (release) ==" >&2
 cargo test -q --release -p flexrpc-engine --test stress --test robustness
 cargo test -q --release -p flexrpc-trace --test stripes
+cargo test -q --release -p flexrpc-net
 
 # Every experiment's gates, in one process: exact gates (copy schedules,
 # dispatch and probe counts, exactly-once tallies, sim-clock bounds,
