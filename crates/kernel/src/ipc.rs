@@ -15,9 +15,9 @@
 //! trust pair plus the name-translation mode for transferred port rights.
 
 use crate::error::KernelError;
-use crate::ports::{NameMode, PortName};
+use crate::ports::{NameMode, PortName, RightsTally};
 use crate::regs::{run_ops, RegPath, RegisterFile, TrustLevel, MSG_REGS};
-use crate::stats::KernelStats;
+use crate::stats::CallTallies;
 use crate::task::TaskId;
 use crate::{Kernel, Result};
 use flexrpc_clock::Lost;
@@ -30,9 +30,14 @@ use std::sync::Arc;
 /// fbufs or the network. 256 KiB comfortably covers every experiment.
 pub const MAX_BODY: usize = 256 * 1024;
 
-/// A server handler: runs with no kernel locks held and may re-enter the
-/// kernel. Returns the reply message or an application-defined failure code.
-pub type Handler = Box<dyn FnMut(&Kernel, MsgIn<'_>) -> core::result::Result<MsgOut, u32> + Send>;
+/// A server handler: runs with no kernel-wide lock held (only its caller's
+/// [`Connection`]) and may re-enter the kernel. Returns the reply message or
+/// an application-defined failure code.
+///
+/// Shared by every connection bound to the server and called through `&`:
+/// the kernel serializes nothing here, so state a handler mutates sits
+/// behind the server's own lock or atomic.
+pub type Handler = dyn Fn(&Kernel, MsgIn<'_>) -> core::result::Result<MsgOut, u32> + Send + Sync;
 
 /// The request as seen by a server handler.
 #[derive(Debug)]
@@ -99,27 +104,43 @@ pub struct BindOptions {
 pub(crate) struct ServerEntry {
     pub(crate) task: TaskId,
     pub(crate) options: ServerOptions,
-    pub(crate) handler: Arc<Mutex<Handler>>,
+    pub(crate) handler: Arc<Handler>,
 }
 
 /// A bound client↔server connection with its compiled combination signature.
 ///
 /// Cheap to call through repeatedly; all bind-time decisions (register path,
 /// name modes, signature check) are already baked in.
+///
+/// A call locks `state` once, at its top, and holds it across the server's
+/// handler: the handler reads the request out of the receive buffer in
+/// there, and the call's counts are written through it. That cannot
+/// deadlock, because synchronous RPC never re-enters the *same* connection
+/// — its one caller is blocked inside it until the handler returns — and a
+/// handler that calls out does so over a connection of its own, which is
+/// another lock.
 pub struct Connection {
     pub(crate) client: TaskId,
     pub(crate) server: TaskId,
-    handler: Arc<Mutex<Handler>>,
+    handler: Arc<Handler>,
     reg_path: RegPath,
     /// Name mode for rights moving client → server.
     req_name_mode: NameMode,
     /// Name mode for rights moving server → client.
     reply_name_mode: NameMode,
     direct_receive: bool,
-    regs: Mutex<RegisterFile>,
+    state: Mutex<ConnState>,
+}
+
+/// What a call mutates, under the connection's one lock.
+struct ConnState {
+    regs: RegisterFile,
     /// The server-side receive buffer for this connection, reused across
     /// calls (the streamlined path pre-registers receive windows).
-    recv: Mutex<Vec<u8>>,
+    recv: Vec<u8>,
+    /// This connection's stripes of the kernel's counters, taken at bind:
+    /// the lock makes the call their single writer.
+    tallies: CallTallies,
 }
 
 impl Connection {
@@ -160,7 +181,10 @@ impl Kernel {
         task: TaskId,
         port_name: PortName,
         options: ServerOptions,
-        handler: impl FnMut(&Kernel, MsgIn<'_>) -> core::result::Result<MsgOut, u32> + Send + 'static,
+        handler: impl Fn(&Kernel, MsgIn<'_>) -> core::result::Result<MsgOut, u32>
+            + Send
+            + Sync
+            + 'static,
     ) -> Result<()> {
         if !self.is_receiver(task, port_name)? {
             return Err(KernelError::NotReceiver);
@@ -170,10 +194,7 @@ impl Kernel {
         if servers.contains_key(&port) {
             return Err(KernelError::ServerExists);
         }
-        servers.insert(
-            port,
-            ServerEntry { task, options, handler: Arc::new(Mutex::new(Box::new(handler))) },
-        );
+        servers.insert(port, ServerEntry { task, options, handler: Arc::new(handler) });
         Ok(())
     }
 
@@ -206,8 +227,11 @@ impl Kernel {
             req_name_mode: entry.options.name_mode,
             reply_name_mode: options.name_mode,
             direct_receive: entry.options.direct_receive,
-            regs: Mutex::new(RegisterFile::default()),
-            recv: Mutex::new(Vec::new()),
+            state: Mutex::new(ConnState {
+                regs: RegisterFile::default(),
+                recv: Vec::new(),
+                tallies: self.stats().call_tallies(),
+            }),
         })
     }
 
@@ -254,8 +278,9 @@ impl Kernel {
         if body.len() > MAX_BODY {
             return Err(KernelError::MsgTooLarge(body.len()));
         }
-        let stats = self.stats();
-        KernelStats::add(&stats.messages, 1);
+        let mut state = conn.state.lock();
+        let ConnState { regs: rf, recv, tallies } = &mut *state;
+        tallies.messages.add(1);
 
         // The kernel's fault gate: a lost message fails before any transfer
         // (a dropped one retryably; a crashed server task or a partitioned
@@ -272,54 +297,42 @@ impl Kernel {
         }
 
         // Translate request rights into the server's name table.
-        let mut server_rights = Vec::with_capacity(rights.len());
-        for &name in rights {
-            let port = self.resolve_port(conn.client, name)?;
-            server_rights.push(self.install_send_right(conn.server, port, conn.req_name_mode)?);
-        }
+        let server_rights =
+            self.move_rights(conn.client, rights, conn.server, conn.req_name_mode, tallies)?;
 
         // Single direct copy of the body into the connection's (reused)
         // server-side receive buffer — unless the server opted into direct
         // receive, in which case the handler reads the sender's message in
-        // place and the copy disappears. The buffer lock is held across the
-        // handler; that cannot deadlock because synchronous RPC never
-        // re-enters the *same* connection (its caller is blocked inside
-        // it), and calls out on other connections take other locks.
-        let mut recv_buf = conn.recv.lock();
-        if !conn.direct_receive {
-            recv_buf.clear();
-            recv_buf.extend_from_slice(body);
-            KernelStats::add(&stats.bytes_copied_user_to_user, body.len() as u64);
-        }
-
-        // Register half of the combination signature: call path.
-        {
-            let mut rf = conn.regs.lock();
-            rf.live[..MSG_REGS].copy_from_slice(&regs);
-            run_ops(&conn.reg_path.pre, &mut rf, stats);
-        }
-
-        // Enter the server. No kernel locks are held here.
-        let served_body: &[u8] = if conn.direct_receive { body } else { &recv_buf };
-        let msg = MsgIn { regs, body: served_body, rights: server_rights };
-        let out = {
-            let mut handler = conn.handler.lock();
-            if verdict.duplicate {
-                // At-least-once delivery: the duplicate arrives first (rights
-                // travel only once — on the copy whose reply the caller
-                // sees). Its reply is lost; a failure is the server's answer
-                // to the duplicate, not to the call, so it is ignored too.
-                let dup = MsgIn { regs, body: served_body, rights: Vec::new() };
-                let _ = (handler)(self, dup);
-            }
-            (handler)(self, msg).map_err(KernelError::ServerFailure)?
+        // place and the copy disappears.
+        let served_body: &[u8] = if conn.direct_receive {
+            body
+        } else {
+            recv.clear();
+            recv.extend_from_slice(body);
+            tallies.bytes_copied_user_to_user.add(body.len() as u64);
+            recv
         };
 
-        // Register half: reply path.
-        {
-            let mut rf = conn.regs.lock();
-            run_ops(&conn.reg_path.post, &mut rf, stats);
+        // Register half of the combination signature: call path.
+        rf.live[..MSG_REGS].copy_from_slice(&regs);
+        run_ops(&conn.reg_path.pre, rf);
+        tallies.register_ops.add(conn.reg_path.pre.len() as u64);
+
+        // Enter the server, holding this connection and nothing else.
+        if verdict.duplicate {
+            // At-least-once delivery: the duplicate arrives first (rights
+            // travel only once — on the copy whose reply the caller
+            // sees). Its reply is lost; a failure is the server's answer
+            // to the duplicate, not to the call, so it is ignored too.
+            let dup = MsgIn { regs, body: served_body, rights: Vec::new() };
+            let _ = (conn.handler)(self, dup);
         }
+        let msg = MsgIn { regs, body: served_body, rights: server_rights };
+        let out = (conn.handler)(self, msg).map_err(KernelError::ServerFailure)?;
+
+        // Register half: reply path.
+        run_ops(&conn.reg_path.post, rf);
+        tallies.register_ops.add(conn.reg_path.post.len() as u64);
 
         if verdict.close_after {
             // The connection was torn down between the handler completing
@@ -333,18 +346,36 @@ impl Kernel {
         }
 
         // Translate reply rights into the client's name table.
-        let mut client_rights = Vec::with_capacity(out.rights.len());
-        for name in out.rights {
-            let port = self.resolve_port(conn.server, name)?;
-            client_rights.push(self.install_send_right(conn.client, port, conn.reply_name_mode)?);
-        }
+        let client_rights =
+            self.move_rights(conn.server, &out.rights, conn.client, conn.reply_name_mode, tallies)?;
 
         // Single direct copy of the reply body back to the client.
         reply_body.clear();
         reply_body.extend_from_slice(&out.body);
-        KernelStats::add(&stats.bytes_copied_user_to_user, out.body.len() as u64);
+        tallies.bytes_copied_user_to_user.add(out.body.len() as u64);
 
         Ok((out.regs, client_rights))
+    }
+
+    /// A message's rights, moved under one hold of the port table and
+    /// counted in the calling connection's stripes — also when a right
+    /// part-way through fails the message.
+    fn move_rights(
+        &self,
+        from: TaskId,
+        names: &[PortName],
+        to: TaskId,
+        mode: NameMode,
+        tallies: &mut CallTallies,
+    ) -> Result<Vec<PortName>> {
+        if names.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut tally = RightsTally::default();
+        let moved = self.transfer_rights(from, names, to, mode, &mut tally);
+        tallies.rights_transferred.add(tally.transferred);
+        tallies.name_table_probes.add(tally.probes);
+        moved
     }
 }
 
@@ -602,7 +633,8 @@ mod tests {
     #[test]
     fn handler_may_reenter_kernel() {
         // The pipe server allocates user memory and copies inside handlers;
-        // make sure no lock is held across the handler call.
+        // make sure no kernel-wide lock is held across the handler call
+        // (the caller's connection is — see `Connection`).
         let k = Kernel::new();
         let client = k.create_task("client", 4096).unwrap();
         let server = k.create_task("server", 4096).unwrap();

@@ -72,8 +72,8 @@ pub type Result<T> = core::result::Result<T, KernelError>;
 /// The simulated kernel: task table, port space, server registry, statistics.
 ///
 /// All methods take `&self`; internal state is guarded by fine-grained locks
-/// so server handlers (which run with no kernel lock held) may re-enter the
-/// kernel, as real servers do.
+/// so server handlers (which run holding their caller's [`Connection`] and no
+/// kernel-wide lock) may re-enter the kernel, as real servers do.
 pub struct Kernel {
     pub(crate) tasks: RwLock<Vec<Arc<Task>>>,
     pub(crate) ports: Mutex<PortTable>,
@@ -123,6 +123,16 @@ impl Kernel {
 
     pub(crate) fn task(&self, id: TaskId) -> Result<Arc<Task>> {
         self.tasks.read().get(id.0).cloned().ok_or(KernelError::NoSuchTask(id))
+    }
+
+    /// `id` if it names a task, without taking a reference to the task.
+    /// Tasks are never removed, so the answer does not go stale.
+    pub(crate) fn existing_task(&self, id: TaskId) -> Result<TaskId> {
+        if id.0 < self.tasks.read().len() {
+            Ok(id)
+        } else {
+            Err(KernelError::NoSuchTask(id))
+        }
     }
 }
 

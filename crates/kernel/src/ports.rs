@@ -62,6 +62,17 @@ struct PortState {
     alive: bool,
 }
 
+/// What moving rights cost: the counts a transfer owes
+/// [`KernelStats::rights_transferred`] and
+/// [`KernelStats::name_table_probes`], gathered under the port-table lock
+/// and published by the caller where it already holds a tally — a
+/// connection's stripes, or the shared cells for a bootstrap transfer.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RightsTally {
+    pub(crate) transferred: u64,
+    pub(crate) probes: u64,
+}
+
 /// The kernel's port space: all ports plus every task's name table.
 #[derive(Debug, Default)]
 pub(crate) struct PortTable {
@@ -85,41 +96,85 @@ impl PortTable {
         space.next_name
     }
 
-    /// Unique-mode installation: probe the reverse map, then bump or insert.
-    ///
-    /// Split into layered non-inlined helpers to model the call-depth cost
-    /// the paper attributes to this path.
-    fn insert_unique(&mut self, task: TaskId, port: PortId, stats: &KernelStats) -> PortName {
-        let space = self.space(task);
-        if let Some(existing) = probe_reverse(space, port, stats) {
-            bump_send_ref(space, existing, stats);
-            PortName(existing)
-        } else {
-            PortName(install_with_reverse(space, port, stats))
+    /// Resolves `name` in `task` to the underlying port, requiring a send or
+    /// receive right (a receive right implies the ability to send in this
+    /// simplified model, as servers message themselves in tests).
+    fn resolve(&mut self, task: TaskId, name: PortName) -> Result<PortId> {
+        match self.space(task).names.get(&name.0) {
+            Some(e) if e.send_refs > 0 || e.is_receive => Ok(e.port),
+            Some(_) => Err(KernelError::InsufficientRights(name)),
+            None => Err(KernelError::InvalidName(name)),
         }
     }
 
-    /// Non-unique-mode installation: fresh name, single insert.
-    fn insert_nonunique(&mut self, task: TaskId, port: PortId, stats: &KernelStats) -> PortName {
-        let space = self.space(task);
-        let name = Self::mint_name(space);
-        KernelStats::add(&stats.name_table_probes, 1);
-        space.names.insert(name, Entry { port, send_refs: 1, is_receive: false });
-        PortName(name)
+    /// Installs a send right for `port` into `dst` using `mode`, returning
+    /// the name minted (or reused) in `dst`'s table.
+    fn install(
+        &mut self,
+        dst: TaskId,
+        port: PortId,
+        mode: NameMode,
+        tally: &mut RightsTally,
+    ) -> Result<PortName> {
+        if !self.ports.get(&port.0).is_some_and(|p| p.alive) {
+            return Err(KernelError::InvalidName(PortName(0)));
+        }
+        tally.transferred += 1;
+        let space = self.space(dst);
+        Ok(PortName(match mode {
+            NameMode::Unique => insert_unique(space, port, &mut tally.probes),
+            NameMode::NonUnique => insert_nonunique(space, port, &mut tally.probes),
+        }))
     }
+
+    /// Moves one right: the name `from` holds it under is looked at first,
+    /// then whether the destination exists (asked by the caller, outside
+    /// this table's lock: [`Kernel::existing_task`]), then the port.
+    fn transfer(
+        &mut self,
+        from: TaskId,
+        name: PortName,
+        to: Result<TaskId>,
+        mode: NameMode,
+        tally: &mut RightsTally,
+    ) -> Result<PortName> {
+        let port = self.resolve(from, name)?;
+        self.install(to?, port, mode, tally)
+    }
+}
+
+/// Unique-mode installation: probe the reverse map, then bump or insert.
+///
+/// Split into layered non-inlined helpers to model the call-depth cost
+/// the paper attributes to this path.
+fn insert_unique(space: &mut NameSpace, port: PortId, probes: &mut u64) -> u32 {
+    if let Some(existing) = probe_reverse(space, port, probes) {
+        bump_send_ref(space, existing, probes);
+        existing
+    } else {
+        install_with_reverse(space, port, probes)
+    }
+}
+
+/// Non-unique-mode installation: fresh name, single insert.
+fn insert_nonunique(space: &mut NameSpace, port: PortId, probes: &mut u64) -> u32 {
+    let name = PortTable::mint_name(space);
+    *probes += 1;
+    space.names.insert(name, Entry { port, send_refs: 1, is_receive: false });
+    name
 }
 
 /// Layer 1 of the unique path: reverse-map probe.
 #[inline(never)]
-fn probe_reverse(space: &mut NameSpace, port: PortId, stats: &KernelStats) -> Option<u32> {
-    KernelStats::add(&stats.name_table_probes, 1);
-    space.reverse.get(&port).copied().and_then(|n| validate_name(space, n, port, stats))
+fn probe_reverse(space: &mut NameSpace, port: PortId, probes: &mut u64) -> Option<u32> {
+    *probes += 1;
+    space.reverse.get(&port).copied().and_then(|n| validate_name(space, n, port, probes))
 }
 
 /// Layer 2: validate that the reverse entry still matches the forward table.
 #[inline(never)]
-fn validate_name(space: &NameSpace, name: u32, port: PortId, stats: &KernelStats) -> Option<u32> {
-    KernelStats::add(&stats.name_table_probes, 1);
+fn validate_name(space: &NameSpace, name: u32, port: PortId, probes: &mut u64) -> Option<u32> {
+    *probes += 1;
     match space.names.get(&name) {
         Some(e) if e.port == port => Some(name),
         _ => None,
@@ -128,8 +183,8 @@ fn validate_name(space: &NameSpace, name: u32, port: PortId, stats: &KernelStats
 
 /// Layer 3a: bump the send-reference count under an existing name.
 #[inline(never)]
-fn bump_send_ref(space: &mut NameSpace, name: u32, stats: &KernelStats) {
-    KernelStats::add(&stats.name_table_probes, 1);
+fn bump_send_ref(space: &mut NameSpace, name: u32, probes: &mut u64) {
+    *probes += 1;
     if let Some(e) = space.names.get_mut(&name) {
         e.send_refs += 1;
     }
@@ -137,9 +192,9 @@ fn bump_send_ref(space: &mut NameSpace, name: u32, stats: &KernelStats) {
 
 /// Layer 3b: install a new name in both the forward and reverse maps.
 #[inline(never)]
-fn install_with_reverse(space: &mut NameSpace, port: PortId, stats: &KernelStats) -> u32 {
+fn install_with_reverse(space: &mut NameSpace, port: PortId, probes: &mut u64) -> u32 {
     let name = PortTable::mint_name(space);
-    KernelStats::add(&stats.name_table_probes, 2);
+    *probes += 2;
     space.names.insert(name, Entry { port, send_refs: 1, is_receive: false });
     space.reverse.insert(port, name);
     name
@@ -148,7 +203,7 @@ fn install_with_reverse(space: &mut NameSpace, port: PortId, stats: &KernelStats
 impl Kernel {
     /// Allocates a new port whose receive right belongs to `task`.
     pub fn port_allocate(&self, task: TaskId) -> Result<PortName> {
-        self.task(task)?;
+        self.existing_task(task)?;
         let mut pt = self.ports.lock();
         pt.next_port += 1;
         let id = PortId(pt.next_port);
@@ -160,37 +215,28 @@ impl Kernel {
         Ok(PortName(name))
     }
 
-    /// Resolves `name` in `task` to the underlying port, requiring a send or
-    /// receive right (a receive right implies the ability to send in this
-    /// simplified model, as servers message themselves in tests).
+    /// Resolves `name` in `task` to the underlying port
+    /// ([`PortTable::resolve`]).
     pub(crate) fn resolve_port(&self, task: TaskId, name: PortName) -> Result<PortId> {
-        let mut pt = self.ports.lock();
-        let space = pt.space(task);
-        match space.names.get(&name.0) {
-            Some(e) if e.send_refs > 0 || e.is_receive => Ok(e.port),
-            Some(_) => Err(KernelError::InsufficientRights(name)),
-            None => Err(KernelError::InvalidName(name)),
-        }
+        self.ports.lock().resolve(task, name)
     }
 
-    /// Installs a send right for `port` into `dst` using `mode`, returning
-    /// the name minted (or reused) in `dst`'s table.
-    pub(crate) fn install_send_right(
+    /// Moves the rights `from` holds under `names` into `to`'s name table
+    /// under one hold of the port table, returning the names they go by
+    /// there. Right by right, as a message delivers them: a name that does
+    /// not resolve fails the transfer with the rights before it already
+    /// installed (and in `tally`).
+    pub(crate) fn transfer_rights(
         &self,
-        dst: TaskId,
-        port: PortId,
+        from: TaskId,
+        names: &[PortName],
+        to: TaskId,
         mode: NameMode,
-    ) -> Result<PortName> {
-        self.task(dst)?;
+        tally: &mut RightsTally,
+    ) -> Result<Vec<PortName>> {
+        let to = self.existing_task(to);
         let mut pt = self.ports.lock();
-        if !pt.ports.get(&port.0).is_some_and(|p| p.alive) {
-            return Err(KernelError::InvalidName(PortName(0)));
-        }
-        KernelStats::add(&self.stats().rights_transferred, 1);
-        Ok(match mode {
-            NameMode::Unique => pt.insert_unique(dst, port, self.stats()),
-            NameMode::NonUnique => pt.insert_nonunique(dst, port, self.stats()),
-        })
+        names.iter().map(|&name| pt.transfer(from, name, to.clone(), mode, tally)).collect()
     }
 
     /// Copies a send right held by `holder` under `name` into `dst`'s name
@@ -202,14 +248,24 @@ impl Kernel {
         name: PortName,
         dst: TaskId,
     ) -> Result<PortName> {
-        let port = self.resolve_port(holder, name)?;
-        self.install_send_right(dst, port, NameMode::Unique)
+        let dst = self.existing_task(dst);
+        let mut tally = RightsTally::default();
+        let moved = self.ports.lock().transfer(holder, name, dst, NameMode::Unique, &mut tally);
+        self.publish_rights(tally);
+        moved
+    }
+
+    /// Adds a transfer's counts to the shared cells: the transfers no
+    /// connection carries (bootstrap, tests).
+    fn publish_rights(&self, tally: RightsTally) {
+        KernelStats::add(&self.stats().rights_transferred, tally.transferred);
+        KernelStats::add(&self.stats().name_table_probes, tally.probes);
     }
 
     /// True if `task` holds the receive right for the port named `name`.
     pub fn is_receiver(&self, task: TaskId, name: PortName) -> Result<bool> {
-        let port = self.resolve_port(task, name)?;
-        let pt = self.ports.lock();
+        let mut pt = self.ports.lock();
+        let port = pt.resolve(task, name)?;
         Ok(pt.ports.get(&port.0).is_some_and(|p| p.receiver == task))
     }
 
@@ -253,6 +309,14 @@ mod tests {
         (k, a, b, p)
     }
 
+    /// One right installed outside any message, counted in the shared cells.
+    fn install(k: &Kernel, dst: TaskId, port: PortId, mode: NameMode) -> PortName {
+        let mut tally = RightsTally::default();
+        let name = k.ports.lock().install(dst, port, mode, &mut tally).unwrap();
+        k.publish_rights(tally);
+        name
+    }
+
     #[test]
     fn allocate_gives_receive_right() {
         let (k, a, _b, p) = setup();
@@ -281,8 +345,8 @@ mod tests {
     fn nonunique_mode_mints_fresh_names() {
         let (k, a, b, p) = setup();
         let port = k.resolve_port(a, p).unwrap();
-        let n1 = k.install_send_right(b, port, NameMode::NonUnique).unwrap();
-        let n2 = k.install_send_right(b, port, NameMode::NonUnique).unwrap();
+        let n1 = install(&k, b, port, NameMode::NonUnique);
+        let n2 = install(&k, b, port, NameMode::NonUnique);
         assert_ne!(n1, n2, "[nonunique] presentation mints a new name per transfer");
         assert_eq!(k.name_count(b), 2);
         // Both still resolve to the same port.
@@ -295,15 +359,15 @@ mod tests {
         let port = k.resolve_port(a, p).unwrap();
 
         let before = k.stats().snapshot();
-        k.install_send_right(b, port, NameMode::Unique).unwrap();
+        install(&k, b, port, NameMode::Unique);
         let unique_first = k.stats().snapshot().since(&before).name_table_probes;
 
         let before = k.stats().snapshot();
-        k.install_send_right(b, port, NameMode::Unique).unwrap();
+        install(&k, b, port, NameMode::Unique);
         let unique_again = k.stats().snapshot().since(&before).name_table_probes;
 
         let before = k.stats().snapshot();
-        k.install_send_right(b, port, NameMode::NonUnique).unwrap();
+        install(&k, b, port, NameMode::NonUnique);
         let nonunique = k.stats().snapshot().since(&before).name_table_probes;
 
         assert!(unique_first > nonunique);
@@ -318,6 +382,56 @@ mod tests {
             k.resolve_port(a, PortName(999)),
             Err(KernelError::InvalidName(PortName(999)))
         ));
+    }
+
+    /// A name in `task`'s table that carries no right at all — a state no
+    /// public operation leaves behind, planted to reach the error.
+    fn plant_dead_name(k: &Kernel, task: TaskId, port: PortId) -> PortName {
+        let entry = Entry { port, send_refs: 0, is_receive: false };
+        k.ports.lock().space(task).names.insert(77, entry);
+        PortName(77)
+    }
+
+    #[test]
+    fn is_receiver_errors_one_case_each() {
+        let (k, a, b, p) = setup();
+        let port = k.resolve_port(a, p).unwrap();
+        assert_eq!(k.is_receiver(b, PortName(999)), Err(KernelError::InvalidName(PortName(999))));
+        let dead = plant_dead_name(&k, b, port);
+        assert_eq!(k.is_receiver(b, dead), Err(KernelError::InsufficientRights(dead)));
+        // A name that resolves but is not the receive right is an answer,
+        // not an error; `register_server` turns it into `NotReceiver`, after
+        // the name's own errors.
+        let send = k.extract_send_right(a, p, b).unwrap();
+        assert_eq!(k.is_receiver(b, send), Ok(false));
+        let serve =
+            |name| k.register_server(b, name, Default::default(), |_k, _m| Ok(Default::default()));
+        assert_eq!(serve(PortName(999)), Err(KernelError::InvalidName(PortName(999))));
+        assert_eq!(serve(dead), Err(KernelError::InsufficientRights(dead)));
+        assert_eq!(serve(send), Err(KernelError::NotReceiver));
+    }
+
+    #[test]
+    fn extract_send_right_errors_one_case_each_in_order() {
+        let (k, a, b, p) = setup();
+        let port = k.resolve_port(a, p).unwrap();
+        let nobody = TaskId(99);
+        let before = k.stats().snapshot();
+        assert_eq!(
+            k.extract_send_right(a, PortName(999), b),
+            Err(KernelError::InvalidName(PortName(999)))
+        );
+        let dead = plant_dead_name(&k, a, port);
+        assert_eq!(k.extract_send_right(a, dead, b), Err(KernelError::InsufficientRights(dead)));
+        // The holder's name is looked at before the destination task.
+        assert_eq!(
+            k.extract_send_right(a, PortName(999), nobody),
+            Err(KernelError::InvalidName(PortName(999)))
+        );
+        assert_eq!(k.extract_send_right(a, p, nobody), Err(KernelError::NoSuchTask(nobody)));
+        let d = k.stats().snapshot().since(&before);
+        assert_eq!((d.rights_transferred, d.name_table_probes), (0, 0), "nothing moved");
+        assert_eq!(k.name_count(b), 0);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! why the paper's Figure 12 shows two equal columns on the server axis —
 //! an equality this module reproduces and tests.
 
-use crate::stats::KernelStats;
 use std::hint::black_box;
 
 /// Number of simulated general-purpose registers (PA-RISC has 32).
@@ -166,7 +165,11 @@ impl RegPath {
 /// The loop is a classic threaded interpreter: each op dispatches to a
 /// non-inlined block so the cost structure resembles the paper's chained
 /// code fragments rather than one fused memcpy the optimizer could elide.
-pub fn run_ops(ops: &[RegOp], rf: &mut RegisterFile, stats: &KernelStats) {
+///
+/// Counts nothing: whoever owns the path publishes `ops.len()` to
+/// [`crate::KernelStats::register_ops`] where it already holds a tally
+/// (a connection's stripe, a system call's shared add).
+pub fn run_ops(ops: &[RegOp], rf: &mut RegisterFile) {
     for op in ops {
         match op {
             RegOp::SaveAll => save_all(rf),
@@ -174,7 +177,6 @@ pub fn run_ops(ops: &[RegOp], rf: &mut RegisterFile, stats: &KernelStats) {
             RegOp::ScrubNonMessage => scrub_non_message(rf),
         }
     }
-    KernelStats::add(&stats.register_ops, ops.len() as u64);
     // Defeat dead-store elimination: the register file is "hardware state".
     black_box(&mut rf.live);
 }
@@ -252,26 +254,24 @@ mod tests {
 
     #[test]
     fn save_restore_preserves_client_registers() {
-        let stats = KernelStats::new();
         let path = RegPath::compile(TrustLevel::None, TrustLevel::None);
         let mut rf = RegisterFile::seeded();
         let before = rf.live;
         let fp_before = rf.fp;
-        run_ops(&path.pre, &mut rf, &stats);
+        run_ops(&path.pre, &mut rf);
         // Server trashes everything.
         rf.live = [0xDEAD_BEEF; NREGS];
         rf.fp = [0xDEAD_BEEF; NREGS];
-        run_ops(&path.post, &mut rf, &stats);
+        run_ops(&path.post, &mut rf);
         assert_eq!(rf.live, before, "no-trust path must restore the client state");
         assert_eq!(rf.fp, fp_before, "FP registers restored too");
     }
 
     #[test]
     fn scrub_hides_non_message_registers() {
-        let stats = KernelStats::new();
         let path = RegPath::compile(TrustLevel::None, TrustLevel::Leaky);
         let mut rf = RegisterFile::seeded();
-        run_ops(&path.pre, &mut rf, &stats);
+        run_ops(&path.pre, &mut rf);
         for (i, r) in rf.live.iter().enumerate() {
             if i < MSG_REGS {
                 assert_ne!(*r, 0, "message registers must survive the scrub");
@@ -283,24 +283,13 @@ mod tests {
 
     #[test]
     fn unprotected_client_keeps_whatever_server_left() {
-        let stats = KernelStats::new();
         let path = RegPath::compile(TrustLevel::LeakyUnprotected, TrustLevel::Leaky);
         assert!(path.pre.is_empty() && path.post.is_empty());
         let mut rf = RegisterFile::seeded();
-        run_ops(&path.pre, &mut rf, &stats);
+        run_ops(&path.pre, &mut rf);
         rf.live[MSG_REGS] = 42;
-        run_ops(&path.post, &mut rf, &stats);
+        run_ops(&path.post, &mut rf);
         assert_eq!(rf.live[MSG_REGS], 42, "full trust performs no restore");
-    }
-
-    #[test]
-    fn register_op_counter_tracks_ops() {
-        let stats = KernelStats::new();
-        let path = RegPath::compile(TrustLevel::None, TrustLevel::None);
-        let mut rf = RegisterFile::seeded();
-        run_ops(&path.pre, &mut rf, &stats);
-        run_ops(&path.post, &mut rf, &stats);
-        assert_eq!(stats.snapshot().register_ops, path.len() as u64);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! tests assert these counters (e.g. "the `dealloc(never)` presentation
 //! removed exactly one payload-sized copy per read"), `report` states them
 //! as exact rows, and wall-clock time is `benchmark/`'s (`pipe_ipc_bulk`).
-//! Counters are monotonically increasing atomics so they can be read
-//! concurrently with IPC activity.
+//! Counters only grow and can be read concurrently with IPC activity: each
+//! is a shared atomic cell plus, for the ones an IPC call writes, one
+//! stripe per bound connection (`CallTallies`), and every read folds
+//! both.
 
-use flexrpc_trace::{Counter, MetricsRegistry};
+use flexrpc_trace::{Counter, CounterStripe, MetricsRegistry};
 
 /// Monotonic counters of simulated-kernel events. Each is a
 /// registry-adoptable [`Counter`] handle, so a metrics plane can absorb
@@ -44,6 +46,17 @@ impl KernelStats {
         counter.add(n);
     }
 
+    /// One connection's stripes of the counters an IPC call writes.
+    pub(crate) fn call_tallies(&self) -> CallTallies {
+        CallTallies {
+            messages: self.messages.stripe(),
+            bytes_copied_user_to_user: self.bytes_copied_user_to_user.stripe(),
+            register_ops: self.register_ops.stripe(),
+            rights_transferred: self.rights_transferred.stripe(),
+            name_table_probes: self.name_table_probes.stripe(),
+        }
+    }
+
     /// Adopts every counter into `registry` under its `kernel.*` name.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         registry.adopt_counter("kernel.bytes_copied_in", &self.bytes_copied_in);
@@ -67,6 +80,22 @@ impl KernelStats {
             register_ops: self.register_ops.get(),
         }
     }
+}
+
+/// A connection's own cells of the counters [`Kernel::ipc_call`] writes
+/// ([`Counter::stripe`]): written with a plain load and store by the call
+/// that holds the connection's lock, folded into every read of the
+/// [`KernelStats`] field of the same name, and kept there when the
+/// connection is dropped.
+///
+/// [`Kernel::ipc_call`]: crate::Kernel::ipc_call
+#[derive(Debug)]
+pub(crate) struct CallTallies {
+    pub(crate) messages: CounterStripe,
+    pub(crate) bytes_copied_user_to_user: CounterStripe,
+    pub(crate) register_ops: CounterStripe,
+    pub(crate) rights_transferred: CounterStripe,
+    pub(crate) name_table_probes: CounterStripe,
 }
 
 /// A point-in-time copy of [`KernelStats`], supporting subtraction.

@@ -77,18 +77,17 @@ proptest! {
     ) {
         let client = TrustLevel::ALL[c];
         let server = TrustLevel::ALL[s];
-        let stats = flexrpc_kernel::KernelStats::new();
         let path = RegPath::compile(client, server);
         let mut rf = RegisterFile::default();
         rf.live = live;
         rf.fp = fp;
         let before_live = rf.live;
         let before_fp = rf.fp;
-        run_ops(&path.pre, &mut rf, &stats);
+        run_ops(&path.pre, &mut rf);
         // The server scribbles over everything.
         rf.live = [!0; 32];
         rf.fp = [!0; 32];
-        run_ops(&path.post, &mut rf, &stats);
+        run_ops(&path.post, &mut rf);
         if client != TrustLevel::LeakyUnprotected {
             prop_assert_eq!(rf.live, before_live);
             prop_assert_eq!(rf.fp, before_fp);

@@ -45,8 +45,9 @@ impl BsdPipe {
 
     /// The register work of one syscall entry/exit pair.
     fn trap(&mut self) {
-        run_ops(&self.trap_path.pre, &mut self.regs, self.kernel.stats());
-        run_ops(&self.trap_path.post, &mut self.regs, self.kernel.stats());
+        run_ops(&self.trap_path.pre, &mut self.regs);
+        run_ops(&self.trap_path.post, &mut self.regs);
+        self.kernel.stats().register_ops.add(self.trap_path.len() as u64);
     }
 
     /// Writes `len` bytes from `(task, addr)`: one `copyin`.

@@ -190,18 +190,26 @@ pub struct ServerInterface {
     format: WireFormat,
     handlers: Vec<Option<OpHandler>>,
     hooks: Vec<HookMap>,
-    /// Largest reply-buffer capacity reached so far — the writer's starting
-    /// capacity, so steady-state replies marshal (and presize-reserve)
-    /// without reallocating.
-    reply_cap: usize,
-    /// Per-op scratch frames, reset and reused across dispatches.
-    frames: Vec<Vec<Value>>,
+    /// Per-op scratch, reused across dispatches.
+    scratch: Vec<OpScratch>,
     /// At-most-once reply cache, consulted by [`ServerInterface::dispatch_tagged`]
     /// when the transport delivers a call tag. `None` = at-least-once.
     reply_cache: Option<std::sync::Arc<crate::replycache::ReplyCache>>,
     /// Span trace for server-side dispatch, shared with whoever serves this
     /// interface (an engine worker, a kernel/net serve loop).
     tracer: Option<flexrpc_trace::SharedCallTrace>,
+}
+
+/// What one operation keeps between its dispatches.
+#[derive(Clone)]
+struct OpScratch {
+    /// The call frame, reset where it lives.
+    frame: Vec<Value>,
+    /// Largest reply-buffer capacity this operation has reached — the
+    /// writer's starting capacity, so its steady-state replies marshal (and
+    /// presize-reserve) without reallocating, and a small reply is not
+    /// handed the room another operation's large one once needed.
+    reply_cap: usize,
 }
 
 impl ServerInterface {
@@ -220,8 +228,7 @@ impl ServerInterface {
             format,
             handlers: (0..n).map(|_| None).collect(),
             hooks: vec![HookMap::new(); n],
-            reply_cap: 64,
-            frames: vec![Vec::new(); n],
+            scratch: vec![OpScratch { frame: Vec::new(), reply_cap: 64 }; n],
             reply_cache: None,
             tracer: None,
         }
@@ -308,7 +315,7 @@ impl ServerInterface {
         // dispatch allocates nothing.
         let mut buf = std::mem::take(reply);
         buf.clear();
-        buf.reserve(self.reply_cap);
+        buf.reserve(self.scratch[op_index].reply_cap);
         let mut writer = AnyWriter::over(self.format, buf);
         let t0 = self.tracer.as_ref().map(|t| (t.begin_call(), t.now_ns()));
         let result = self.dispatch_into(op_index, request, rights_in, &mut writer, rights_out);
@@ -316,7 +323,8 @@ impl ServerInterface {
             t.record(call, flexrpc_trace::Stage::Dispatch, start, t.now_ns(), op_index as u64);
         }
         *reply = writer.into_bytes();
-        self.reply_cap = self.reply_cap.max(reply.capacity());
+        let cap = &mut self.scratch[op_index].reply_cap;
+        *cap = (*cap).max(reply.capacity());
         if result.is_err() {
             reply.clear();
         }
@@ -364,7 +372,7 @@ impl ServerInterface {
     ) -> Result<()> {
         let op: &CompiledOp = &self.compiled.ops[op_index];
         let hooks = &self.hooks[op_index];
-        let frame = &mut self.frames[op_index];
+        let frame = &mut self.scratch[op_index].frame;
         op.slots.reset_frame(frame);
 
         let mut reader = AnyReader::new(self.format, request)?;

@@ -18,7 +18,7 @@ use flexrpc_runtime::{ClientStub, ServerInterface, Transport};
 use std::sync::{Arc, Mutex};
 
 mod counting_alloc;
-use counting_alloc::allocs;
+use counting_alloc::{alloc_bytes, allocs};
 
 /// An all-scalar (fixed-size) operation: `scale(a: u32, b: u64, on: bool)
 /// -> u32`.
@@ -386,6 +386,101 @@ fn warm_loopback_read_allocates_exactly_the_handlers_vec() {
     let delta = allocs() - before;
     assert_eq!(delta, CALLS, "{CALLS} warm reads allocated {delta} times; budget is 1 each");
     assert_eq!(frame[1].as_bytes().expect("payload").len(), 96);
+}
+
+/// The kernel transport, `ClientStub` → `KernelIpc` → `serve_on_kernel`,
+/// allocates per warm call only the reply the server hands the kernel (a
+/// message the kernel copies to the client and the server frees), sized to
+/// what *that operation's* replies have needed: a `write(4 KiB)` answers
+/// with a status word and allocates one block of at most 64 B, however
+/// large the `read` replies the same server produced in between; a
+/// `read(4 KiB)` under `[dealloc(never)]` one reply-sized block (the sink
+/// wrote the payload before the reply's size was known, so the capacity
+/// `read` keeps asking for was reached by doubling: under twice the reply);
+/// under the default presentation a presized reply plus the work function's
+/// own result `Vec`.
+#[test]
+fn warm_kernel_ipc_call_allocates_one_reply_sized_to_its_operation() {
+    use flexrpc_core::present::Trust;
+    use flexrpc_kernel::{Kernel, NameMode};
+    use flexrpc_runtime::transport::{connect_kernel, serve_on_kernel};
+
+    const IO: usize = 4096;
+    /// Room a reply needs beside its payload: lengths, status, padding.
+    const FRAMING: u64 = 64;
+    const CALLS: u64 = 100;
+    // As the pipe server presents it: every variant takes `write`'s data by
+    // reference into the request message.
+    let default = "void FileIO_write(char *[borrowed] data);";
+    let never = "void FileIO_write(char *[borrowed] data);
+                 sequence<octet> [dealloc(never)] FileIO_read(unsigned long count);";
+    let io = IO as u64;
+    for (server_pdl, blocks_per_read, most_per_read) in
+        [(default, 2, io + (io + FRAMING)), (never, 1, 2 * (io + FRAMING))]
+    {
+        let client_side = fileio("");
+        let mut server = ServerInterface::new_shared(fileio(server_pdl), WireFormat::Cdr);
+        let storage = [0x5Au8; IO];
+        server
+            .on("read", move |call| {
+                let count = call.u32("count").expect("count") as usize;
+                if call.sink.expected() > 0 {
+                    call.sink.put(&storage[..count]).expect("sink write");
+                } else {
+                    call.set("return", Value::Bytes(storage[..count].to_vec())).expect("return");
+                }
+                0
+            })
+            .expect("registers");
+        server
+            .on("write", |call| if call.bytes("data").expect("data").len() == IO { 0 } else { 1 })
+            .expect("registers");
+
+        let kernel = Kernel::new();
+        let client_task = kernel.create_task("client", 4096).expect("task");
+        let server_task = kernel.create_task("server", 4096).expect("task");
+        let server = Arc::new(parking_lot::Mutex::new(server));
+        let port = serve_on_kernel(&kernel, server_task, server, Trust::None, NameMode::Unique)
+            .expect("serves");
+        let send = kernel.extract_send_right(server_task, port, client_task).expect("right");
+        let sig = client_side.signature.hash();
+        let transport =
+            connect_kernel(&kernel, client_task, send, sig, Trust::None, NameMode::Unique)
+                .expect("binds");
+        let mut stub = ClientStub::new_shared(client_side, WireFormat::Cdr, Box::new(transport));
+        let (read, write) =
+            (stub.op("read").expect("op").index, stub.op("write").expect("op").index);
+        let mut read_frame = stub.new_frame("read").expect("frame");
+        let mut write_frame = stub.new_frame("write").expect("frame");
+        read_frame[0] = Value::U32(IO as u32);
+        write_frame[0] = Value::Shared(Arc::from(vec![0xA5u8; IO]));
+
+        // Warm-up, reads and writes interleaved as the pipe workload's are.
+        for _ in 0..16 {
+            assert_eq!(stub.call_index(write, &mut write_frame).expect("write"), 0);
+            assert_eq!(stub.call_index(read, &mut read_frame).expect("read"), 0);
+        }
+
+        let (blocks, bytes) = (allocs(), alloc_bytes());
+        for _ in 0..CALLS {
+            stub.call_index(write, &mut write_frame).expect("write");
+        }
+        let (blocks, bytes) = (allocs() - blocks, alloc_bytes() - bytes);
+        assert_eq!(blocks, CALLS, "`{server_pdl}`: a warm write allocates its status reply");
+        assert!(bytes <= CALLS * FRAMING, "`{server_pdl}`: {bytes} B for {CALLS} status replies");
+
+        let (blocks, bytes) = (allocs(), alloc_bytes());
+        for _ in 0..CALLS {
+            stub.call_index(read, &mut read_frame).expect("read");
+        }
+        let (blocks, bytes) = (allocs() - blocks, alloc_bytes() - bytes);
+        assert_eq!(blocks, blocks_per_read * CALLS, "`{server_pdl}`: blocks per warm read");
+        assert!(
+            (CALLS * blocks_per_read * io..=CALLS * most_per_read).contains(&bytes),
+            "`{server_pdl}`: {bytes} B for {CALLS} reads of {IO} B"
+        );
+        assert_eq!(read_frame[1].byte_len(), Some(IO), "the payload arrived");
+    }
 }
 
 /// A message too short for a fixed opaque field is refused by one bounds

@@ -18,10 +18,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test ==" >&2
 cargo test -q --workspace
 
-# The allocation audits again (the engine's include the warm queued round
-# trip — zero allocations on the submitting thread — and the bind path:
-# a warm establish or rebind allocates nothing, text to compiled program
-# exactly what it keeps), in the profile the benchmark counts
+# The allocation audits again (the runtime's include the kernel transport
+# — one reply per warm call, sized to its operation; the engine's the warm
+# queued round trip — zero allocations on the submitting thread — and the
+# bind path: a warm establish or rebind allocates nothing, text to
+# compiled program exactly what it keeps), in the profile the benchmark counts
 # `allocs_per_op` in: inlining and elided temporaries differ from debug,
 # so a budget that holds there proves nothing here.
 echo "== allocation audits (release) ==" >&2
@@ -33,11 +34,14 @@ cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_all
 # timing: the wake-liveness stress, the self-join regression, the engine's
 # tallies under fire and the trace crate's stripe test run at release
 # timing too. So is which message of a link meets which re-registration
-# of the handler it resolved: the net crate's tests run here as well.
-echo "== engine stress + robustness, stripes, net links (release) ==" >&2
+# of the handler it resolved, and which read of a kernel counter meets
+# which connection's drop (a connection writes its counts through stripes
+# of its own): the net and kernel crates' tests run here as well.
+echo "== engine stress + robustness, stripes, net links, kernel IPC (release) ==" >&2
 cargo test -q --release -p flexrpc-engine --test stress --test robustness
 cargo test -q --release -p flexrpc-trace --test stripes
 cargo test -q --release -p flexrpc-net
+cargo test -q --release -p flexrpc-kernel
 
 # Every experiment's gates, in one process: exact gates (copy schedules,
 # dispatch and probe counts, exactly-once tallies, sim-clock bounds,
