@@ -726,6 +726,7 @@ fn run_scale(_: &Ctx) -> Vec<Row> {
         rows.push(Row::exact(format!("w{w}-cache-hit-rate"), r.cache_hit_rate));
         rows.push(Row::count(format!("w{w}-compilations"), r.compilations).gate_count(Rel::Le, 2));
         rows.push(Row::shape(format!("w{w}-steals"), r.steals as f64));
+        rows.push(Row::shape(format!("w{w}-helped"), r.helped as f64));
         rows.push(Row::wall(format!("w{w}-blocking-calls-per-sec"), r.blocking_cps));
         rows.push(Row::wall(format!("w{w}-pipelined-calls-per-sec"), r.pipelined_cps));
     }

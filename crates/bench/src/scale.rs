@@ -14,8 +14,10 @@
 //!   so their lanes hash to different home shards) and then waits, keeping
 //!   every shard's queue busy at once. The cell exercises the cross-shard
 //!   path — work stealing shows up in `engine.steals` whenever an idle
-//!   shard drains a loaded peer; how often is scheduling, so it is
-//!   recorded, not gated.
+//!   shard drains a loaded peer, and `engine.helped` counts the calls a
+//!   waiting client ran itself because its own job was next on a shard
+//!   nobody was serving; how often either happens is scheduling, so both
+//!   are recorded, not gated.
 //!
 //! Calls per second are printed for the reader only; the numbers that
 //! carry a bound are `benchmark/`'s `engine_inline` and `engine_pipelined`.
@@ -66,6 +68,8 @@ pub struct ScaleRun {
     pub connections: u64,
     /// Jobs idle shards stole from loaded peers (pipelined phase).
     pub steals: u64,
+    /// Queued calls their own waiting client ran (pipelined phase).
+    pub helped: u64,
 }
 
 /// Starts an engine with `workers` workers serving an `echo` FileIO
@@ -215,7 +219,6 @@ pub fn run(workers: usize, clients: usize, calls_per_client: usize) -> ScaleRun 
     let pipelined_elapsed = t0.elapsed().as_secs_f64();
     let stats = engine.stats();
     assert_eq!(stats.calls_served as usize, completed);
-    let steals = stats.steals;
     engine.shutdown();
 
     ScaleRun {
@@ -226,7 +229,8 @@ pub fn run(workers: usize, clients: usize, calls_per_client: usize) -> ScaleRun 
         cache_hit_rate: blocking.cache_hit_rate(),
         compilations,
         connections: blocking.connections,
-        steals,
+        steals: stats.steals,
+        helped: stats.calls_helped,
     }
 }
 

@@ -140,14 +140,18 @@ impl<T> WfqQueue<T> {
         self.group.queued.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Removes and returns the min-tag head under an already-held lock.
-    fn take_head(&self, state: &mut State<T>) -> Option<T> {
+    /// Removes and returns the min-tag head under an already-held lock, if
+    /// `pred` accepts it: the one place a head leaves a lane.
+    fn take_head(&self, state: &mut State<T>, pred: impl FnOnce(&T) -> bool) -> Option<T> {
         let (tag, tenant) = state
             .lanes
             .iter()
             .filter_map(|(t, lane)| lane.items.front().map(|(tag, _)| (*tag, *t)))
             .min()?;
         let lane = state.lanes.get_mut(&tenant).expect("lane with a head exists");
+        if !pred(&lane.items.front().expect("head exists").1) {
+            return None;
+        }
         let (_, item) = lane.items.pop_front().expect("head exists");
         state.total -= 1;
         self.group.queued.fetch_sub(1, Ordering::Relaxed);
@@ -227,7 +231,7 @@ impl<T> WfqQueue<T> {
     pub fn pop(&self) -> Option<T> {
         let mut state = self.state.lock();
         loop {
-            if let Some(item) = self.take_head(&mut state) {
+            if let Some(item) = self.take_head(&mut state, |_| true) {
                 return Some(item);
             }
             if self.is_closed() {
@@ -244,7 +248,15 @@ impl<T> WfqQueue<T> {
     /// would serve next — so lane FIFO order and the weighted-fair drain
     /// order are preserved no matter which worker dequeues.
     pub fn try_pop(&self) -> Option<T> {
-        self.take_head(&mut self.state.lock())
+        self.try_pop_if(|_| true)
+    }
+
+    /// [`WfqQueue::try_pop`], but the head leaves only if `pred` accepts
+    /// it: a refused head stays where it is, tags and virtual clock
+    /// untouched, so a consumer that wants one particular item can take it
+    /// when — and only when — it is what fair order serves next.
+    pub fn try_pop_if(&self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
+        self.take_head(&mut self.state.lock(), pred)
     }
 
     /// True once [`WfqQueue::close`] has been called (one atomic load).
@@ -261,7 +273,7 @@ impl<T> WfqQueue<T> {
         let mut state = self.state.lock();
         self.closed.store(true, Ordering::SeqCst);
         let mut unstarted = Vec::with_capacity(state.total);
-        while let Some(item) = self.take_head(&mut state) {
+        while let Some(item) = self.take_head(&mut state, |_| true) {
             unstarted.push(item);
         }
         drop(state);
@@ -418,6 +430,25 @@ mod tests {
         assert_eq!(q.pop(), Some(20));
         assert_eq!(q.try_pop(), Some(11));
         assert_eq!(q.try_pop(), None);
+    }
+
+    #[test]
+    fn try_pop_if_takes_the_fair_head_only_when_accepted() {
+        let q = WfqQueue::new(8);
+        assert_eq!(q.try_pop_if(|_: &u32| true), None, "nothing queued, nothing asked");
+        q.push(10, T1, 1, None).unwrap();
+        q.push(20, T2, 1, None).unwrap();
+        q.push(11, T1, 1, None).unwrap();
+        // Only the head is ever offered; an item further back is not
+        // reachable, and a refusal moves nothing.
+        assert_eq!(q.try_pop_if(|head| *head == 20), None);
+        assert_eq!(q.try_pop_if(|head| *head == 11), None);
+        assert_eq!((q.len(), q.group().len()), (3, 3));
+        assert_eq!(q.try_pop_if(|head| *head == 10), Some(10));
+        assert_eq!((q.len(), q.group().len()), (2, 2));
+        // The order after a refusal is the order without one.
+        assert_eq!(q.try_pop_if(|head| *head == 20), Some(20));
+        assert_eq!(q.try_pop(), Some(11));
     }
 
     #[test]

@@ -140,7 +140,6 @@ impl Exposure {
         // identity. No caller deadline crosses the wire, but the dwell
         // limit still applies.
         let call = Call {
-            pool: &self.pool,
             bound: &self.anonymous,
             policies: None,
             binding: tag.map_or(Arc::as_ptr(&self.pool) as u64, |t| t.binding),
@@ -151,7 +150,7 @@ impl Exposure {
             tag,
             trace: None,
         };
-        match self.engine.submit(&call) {
+        match self.engine.submit(&call, Arc::clone(&self.pool)) {
             Ok(ticket) => Outcome::Pending(ticket),
             // Shed, shutdown, induced failures, and an open breaker are all
             // SYSTEM_ERR (RFC 1057's "server is having trouble"), distinct

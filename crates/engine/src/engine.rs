@@ -12,8 +12,18 @@
 //! that passes, in the statement order of the functions below, through the
 //! breaker, the fault gate, tenant admission and then either the queue or —
 //! for a blocking call that finds the engine idle — straight on; both ends
-//! meet in the single dispatch body `Engine::serve`, which a worker enters
-//! with a dequeued job and an inline caller enters with its own buffers.
+//! meet in the single dispatch body `Engine::serve`, which a dequeued job
+//! enters through `Engine::run_job_on` and an inline caller enters with its
+//! own buffers.
+//!
+//! Which thread carries a queued job is not part of that path. A shard's
+//! worker drains its queue under the shard's *serve token*; a caller that
+//! reaches [`CallTicket::wait`] before its reply finds the token free and its
+//! own job at the fair head of the shard takes the token, pops that one job
+//! and runs it where it stands — the same `run_job_on`, every check and
+//! tally included — instead of parking until a worker has been scheduled to
+//! do exactly that. It never runs another caller's job and never runs its
+//! own out of dequeue order.
 //!
 //! Replicas exist because dispatch needs `&mut self` (handlers are
 //! `FnMut`): rather than serializing all clients on one server lock, each
@@ -53,7 +63,7 @@ use flexrpc_trace::{
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -113,10 +123,13 @@ struct JobCell {
 const CELL_RETAIN_BYTES: usize = 4096;
 
 /// What a ticket still needs of its engine, behind the one `Arc` it clones
-/// per submit: the sim clock its deadline waits poll, and the free list its
-/// cell goes back to.
+/// per submit: the sim clock its deadline waits poll, the free list its
+/// cell goes back to, and the engine itself for a wait that finds no reply.
 struct CellYard {
     clock: Arc<SimClock>,
+    /// Weak, so an unredeemed ticket keeps no engine alive; upgraded only by
+    /// a [`CallTicket::wait`] whose first look found the slot empty.
+    engine: Weak<Engine>,
     /// Redeemed cells, oldest first. A worker drops its half of a cell
     /// moments after filling it, so the oldest is the likeliest to be free.
     free: Mutex<VecDeque<Arc<JobCell>>>,
@@ -165,15 +178,48 @@ impl CellYard {
 pub struct CallTicket {
     cell: Arc<JobCell>,
     yard: Arc<CellYard>,
+    /// The shard the call was queued on.
+    shard: usize,
 }
 
 impl CallTicket {
     /// Blocks until the reply is ready. The warm wait is lock-free: one
-    /// atomic load when the worker already published.
+    /// atomic load when the reply is already published. When it is not, the
+    /// caller first tries to run the call itself, where it stands, rather
+    /// than park for a worker to be scheduled: it does so if the call is
+    /// next in its shard's fair order and no worker is serving the shard,
+    /// and the call is then checked, counted and traced exactly as a
+    /// worker's would be (`EngineStatsSnapshot::calls_helped` counts these).
     pub fn wait(self) -> flexrpc_runtime::Result<Reply> {
-        let reply = self.cell.slot.wait();
+        let reply = self.cell.slot.try_take().unwrap_or_else(|| {
+            self.help();
+            self.cell.slot.wait()
+        });
         self.yard.recycle(self.cell);
         reply
+    }
+
+    /// Serves this ticket's own job on the calling thread, if that is what
+    /// its shard's worker would do next and no worker is doing it: the
+    /// shard's serve token must be free (a worker mid-drain — busy, or
+    /// stalled in a handler — keeps it, and then nobody helps: the call
+    /// stays queued for shutdown to cancel, for its dwell limit, for the
+    /// calls ahead of it) and the queue's fair head must be this very call
+    /// (so dequeue order is the worker's, and a duplicated delivery's shadow,
+    /// queued first in a cell of its own, is never jumped). Anything else
+    /// returns at once and the wait parks as it always did.
+    fn help(&self) {
+        let Some(engine) = self.yard.engine.upgrade() else { return };
+        let shard = &engine.shards[self.shard];
+        // `serving` is declared after `engine` and so released before it: if
+        // this is the last handle, the shutdown its drop runs joins workers
+        // that may be waiting for this very token.
+        let Some(mut serving) = shard.serving.try_lock() else { return };
+        let own = |job: &Job| Arc::ptr_eq(&job.cell, &self.cell);
+        if let Some(job) = shard.queue.try_pop_if(own) {
+            serving.add(1);
+            engine.run_job_on(job, self.shard, false);
+        }
     }
 
     /// Blocks until the reply is ready or the engine's sim clock passes
@@ -182,6 +228,11 @@ impl CallTicket {
     /// returns [`RpcError::DeadlineExceeded`] once the clock passes. Sim
     /// time advances on other threads, so the park is sliced and the
     /// virtual clock re-checked on each wake.
+    ///
+    /// A deadline wait never runs the call on this thread — the deadline
+    /// must fire while the handler is stuck, the reason the inline path
+    /// refuses deadline calls too. Without a deadline this is
+    /// [`CallTicket::wait`].
     pub fn wait_until(self, deadline_ns: Option<u64>) -> flexrpc_runtime::Result<Reply> {
         let Some(d) = deadline_ns else { return self.wait() };
         let reply = self.cell.slot.wait_deadline(|| self.yard.clock.expired(d));
@@ -275,9 +326,10 @@ impl SubmitSignal {
 
 /// One offered call, borrowed from whoever submits it (a connection's
 /// `submit*` / `call_with`, or the network acceptor): the single value every
-/// submission path hands to [`Engine::submit`] or [`Engine::call_blocking`].
+/// submission path hands to [`Engine::submit`] or [`Engine::call_blocking`],
+/// beside the replica pool it is to run on — which `submit` takes owned, for
+/// the job to keep, and `call_blocking` borrowed.
 pub(crate) struct Call<'a> {
-    pub(crate) pool: &'a Arc<ReplicaPool>,
     /// What the submitting binding resolved when it was established: its
     /// tenant's live policy handle and metric cells.
     pub(crate) bound: &'a TenantCells,
@@ -360,6 +412,23 @@ struct Admission<'a> {
     duplicate: bool,
     /// Sim time at admission (post any induced delay).
     now: u64,
+}
+
+/// One engine shard: a weighted-fair queue, and the token of whoever is
+/// serving it.
+struct Shard {
+    queue: WfqQueue<Job>,
+    /// The serve token. The shard's worker holds it from before the first
+    /// pop of a drain of `queue` until `queue` reads empty; a
+    /// [`CallTicket::wait`] that would run its own job `try_lock`s it and
+    /// gives up if it is taken. So the queue's own jobs are popped and run
+    /// one at a time, in dequeue order, by one thread at a time — what a
+    /// one-worker engine's stateful services rely on. (A *steal* takes no
+    /// token: a thief is a second worker, and concurrent by design.)
+    ///
+    /// What it guards is the helping holder's stripe of `calls_helped`, so
+    /// that tally costs a helped call no locked instruction of its own.
+    serving: Mutex<CounterStripe>,
 }
 
 /// Interchangeable `ServerInterface` instances for one program combination.
@@ -546,21 +615,27 @@ impl EngineBuilder {
         // shared group makes the policy's `high_water` an aggregate
         // backstop across the set.
         let group = Arc::new(WfqGroup::default());
-        let shards: Vec<Arc<WfqQueue<Job>>> = (0..self.workers)
-            .map(|_| Arc::new(WfqQueue::with_group(self.queue_depth, Arc::clone(&group))))
+        let counters = EngineCounters::default();
+        let shards: Vec<Arc<Shard>> = (0..self.workers)
+            .map(|_| {
+                Arc::new(Shard {
+                    queue: WfqQueue::with_group(self.queue_depth, Arc::clone(&group)),
+                    serving: Mutex::new(counters.calls_helped.stripe()),
+                })
+            })
             .collect();
         let shard_served: Vec<Counter> = (0..self.workers).map(|_| Counter::detached()).collect();
-        let yard = Arc::new(CellYard {
-            clock: Arc::clone(&clock),
-            free: Mutex::new(VecDeque::new()),
-            capacity: self.queue_depth * self.workers,
-        });
-        let engine = Arc::new(Engine {
+        let engine = Arc::new_cyclic(|weak| Engine {
             workers_n: self.workers,
             policy: PolicyHandle::new(TenantId::DEFAULT, self.policy),
             control,
+            yard: Arc::new(CellYard {
+                clock: Arc::clone(&clock),
+                engine: Weak::clone(weak),
+                free: Mutex::new(VecDeque::new()),
+                capacity: self.queue_depth * self.workers,
+            }),
             clock,
-            yard,
             shards,
             group,
             signal: Arc::new(SubmitSignal::new()),
@@ -568,7 +643,7 @@ impl EngineBuilder {
             workers: Mutex::new(Vec::new()),
             cache: ProgramCache::new(),
             services: RwLock::new(HashMap::new()),
-            counters: EngineCounters::default(),
+            counters,
             faults: FaultInjector::new(),
             reply_cache,
             breaker,
@@ -597,10 +672,8 @@ impl EngineBuilder {
         engine.control.attach_registry(&engine.metrics);
         let mut workers = engine.workers.lock();
         for own in 0..engine.workers_n {
-            let shards: Vec<Arc<WfqQueue<Job>>> = engine.shards.clone();
+            let shards: Vec<Arc<Shard>> = engine.shards.clone();
             let signal = Arc::clone(&engine.signal);
-            let clock = Arc::clone(&engine.clock);
-            let served = engine.shard_served[own].clone();
             let eng = Arc::downgrade(&engine);
             workers.push(
                 std::thread::Builder::new()
@@ -611,8 +684,7 @@ impl EngineBuilder {
                         // park below returns immediately — no missed
                         // wakeup with single-worker notifies.
                         let epoch = signal.epoch();
-                        if let Some(job) = shards[own].try_pop() {
-                            Engine::run_job(&eng, &clock, job, &served, own, false);
+                        if Engine::drain(&eng, &shards[own], own) {
                             continue;
                         }
                         // Idle: steal the fair head of the longest peer
@@ -621,16 +693,16 @@ impl EngineBuilder {
                         // next — so lane FIFO and WFQ order survive.
                         let victim = (0..shards.len())
                             .filter(|k| *k != own)
-                            .map(|k| (shards[k].len(), k))
+                            .map(|k| (shards[k].queue.len(), k))
                             .max()
                             .filter(|(len, _)| *len > 0);
                         if let Some((_, k)) = victim {
-                            if let Some(job) = shards[k].try_pop() {
-                                Engine::run_job(&eng, &clock, job, &served, own, true);
+                            if let Some(job) = shards[k].queue.try_pop() {
+                                Engine::run_job(eng.upgrade().as_deref(), job, own, true);
                                 continue;
                             }
                         }
-                        if shards[own].is_closed() {
+                        if shards[own].queue.is_closed() {
                             return;
                         }
                         signal.wait_past(epoch);
@@ -660,14 +732,16 @@ pub struct Engine {
     /// Per-core engine shards: one weighted-fair queue per worker.
     /// Submission hashes `(tenant, binding)` to a home shard; idle
     /// workers steal whole min-tag jobs from the longest peer queue.
-    shards: Vec<Arc<WfqQueue<Job>>>,
+    shards: Vec<Arc<Shard>>,
     /// Aggregate backlog across the shard set (admission backstop and
     /// the inline fast path's emptiness check).
     group: Arc<WfqGroup>,
     /// Wakes parked workers on submission (one per parked worker, not one
     /// per job and not the herd).
     signal: Arc<SubmitSignal>,
-    /// Jobs each worker ran (own and stolen), `engine.shard.<i>.served`.
+    /// Jobs run on each shard's behalf — by its worker, own and stolen, and
+    /// by callers that helped themselves to one of its queue —
+    /// `engine.shard.<i>.served`.
     shard_served: Vec<Counter>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     cache: ProgramCache,
@@ -722,29 +796,56 @@ impl Engine {
         self.policy.replace(policy)
     }
 
-    /// Runs one dequeued job on worker `own`'s thread. `eng` is weak so
-    /// worker threads never keep a dropped engine alive; a job caught
-    /// mid-teardown is failed like any other unstarted work.
-    fn run_job(
-        eng: &std::sync::Weak<Engine>,
-        clock: &SimClock,
-        job: Job,
-        served: &Counter,
-        own: usize,
-        stolen: bool,
-    ) {
-        let Some(engine) = eng.upgrade() else {
-            job.cell.slot.fill(Err(RpcError::Cancelled));
-            return;
-        };
-        served.inc();
+    /// One drain of worker `own`'s own queue, under the shard's serve
+    /// token from before the first pop until the queue reads empty; false if
+    /// there was nothing to pop. A caller helping itself to its own job
+    /// ([`CallTicket::wait`]) holds the token meanwhile: the worker waits
+    /// here for that one job, then drains what is left.
+    ///
+    /// The worker's handle is weak, so its thread never keeps a dropped
+    /// engine alive, and is upgraded once per drain, not per job.
+    fn drain(eng: &Weak<Engine>, shard: &Shard, own: usize) -> bool {
+        let serving = shard.serving.lock();
+        let Some(mut job) = shard.queue.try_pop() else { return false };
+        let engine = eng.upgrade();
+        loop {
+            Engine::run_job(engine.as_deref(), job, own, false);
+            match shard.queue.try_pop() {
+                Some(next) => job = next,
+                None => break,
+            }
+        }
+        // The token first: if `engine` is the last handle, its drop runs
+        // `shutdown` on this thread.
+        drop(serving);
+        true
+    }
+
+    /// Runs one dequeued job on shard `own`'s behalf; a job caught
+    /// mid-teardown (no engine left to upgrade to) is failed like any other
+    /// unstarted work.
+    fn run_job(engine: Option<&Engine>, job: Job, own: usize, stolen: bool) {
+        match engine {
+            Some(engine) => engine.run_job_on(job, own, stolen),
+            None => {
+                job.cell.slot.fill(Err(RpcError::Cancelled));
+            }
+        }
+    }
+
+    /// What happens to a dequeued job, whichever thread dequeued it — shard
+    /// `own`'s worker, a thief, or the caller waiting for it: the shard's
+    /// tally, the dwell check, a duplicated delivery's shadow, then the
+    /// dispatch body and the reply into the job's slot.
+    fn run_job_on(&self, job: Job, own: usize, stolen: bool) {
+        self.shard_served[own].inc();
         if stolen {
-            engine.counters.steals.inc();
+            self.counters.steals.inc();
         }
         // Dwell check: work whose deadline passed while queued is
         // failed, not started — the client has already given up on it.
-        if job.deadline_ns.is_some_and(|d| clock.expired(d)) {
-            engine.counters.job_expired();
+        if job.deadline_ns.is_some_and(|d| self.clock.expired(d)) {
+            self.counters.job_expired();
             job.tenant_metrics.expired.inc();
             job.cell.slot.fill(Err(RpcError::DeadlineExceeded));
             return;
@@ -764,13 +865,13 @@ impl Engine {
             trace: job.trace.as_ref().map(|(t, call)| (t, *call)),
         };
         let mut reply = Reply::default();
-        let result = engine.serve(&dispatch, own, &mut reply.body, &mut reply.rights);
+        let result = self.serve(&dispatch, own, &mut reply.body, &mut reply.rights);
         job.cell.slot.fill(result.map(|()| reply));
     }
 
-    /// The one dispatch body, entered by a worker with a dequeued job and a
-    /// fresh [`Reply`], and by an inline caller with its own buffers: tenant
-    /// cells, Enqueue and Dispatch spans, replica checkout (starting at
+    /// The one dispatch body, entered with a dequeued job and a fresh
+    /// [`Reply`] (`run_job_on`), and by an inline caller with its own
+    /// buffers: tenant cells, Enqueue and Dispatch spans, replica checkout (starting at
     /// `home`), the dispatch itself, the engine's tallies, the breaker
     /// record, and an induced close. On any failure the buffers come back
     /// empty.
@@ -945,23 +1046,29 @@ impl Engine {
     /// backstop. With a high water set the push never blocks; without one
     /// it blocks at queue capacity (backpressure), though a quota refusal
     /// still returns immediately.
-    pub(crate) fn submit(&self, call: &Call<'_>) -> Result<CallTicket, EngineError> {
+    pub(crate) fn submit(
+        &self,
+        call: &Call<'_>,
+        pool: Arc<ReplicaPool>,
+    ) -> Result<CallTicket, EngineError> {
         let mut foreign = None;
         let adm = self.admit(call, &mut foreign)?;
-        self.enqueue(call, &adm, self.home_shard(adm.tenant, call.binding))
+        self.enqueue(call, pool, &adm, self.home_shard(adm.tenant, call.binding))
     }
 
     /// The queue tail of admission: the call copied into a job cell, the
     /// pre-expired check, the job (and its shadow, for a duplicated
-    /// delivery) and the weighted-fair push to `shard`.
+    /// delivery) and the weighted-fair push to `shard`. `pool` is the
+    /// caller's handle on the replica pool, handed on to the job.
     fn enqueue(
         &self,
         call: &Call<'_>,
+        pool: Arc<ReplicaPool>,
         adm: &Admission<'_>,
         shard: usize,
     ) -> Result<CallTicket, EngineError> {
         let cell = self.yard.cell_for(call);
-        let ticket = CallTicket { cell: Arc::clone(&cell), yard: Arc::clone(&self.yard) };
+        let ticket = CallTicket { cell: Arc::clone(&cell), yard: Arc::clone(&self.yard), shard };
         // A deadline already in the past never enters the queue; the
         // ticket comes back pre-failed so the caller's wait is uniform.
         if adm.deadline_ns.is_some_and(|d| self.clock.expired(d)) {
@@ -974,8 +1081,8 @@ impl Engine {
         // duplicated delivery; the shadow itself is the job built with
         // `real` false: it loses no reply and is invisible to the
         // submitter's trace.
-        let job = |cell, after: Option<Arc<JobCell>>, real: bool| Job {
-            pool: Arc::clone(call.pool),
+        let job = |pool, cell, after: Option<Arc<JobCell>>, real: bool| Job {
+            pool,
             op_index: call.op_index,
             cell,
             deadline_ns: adm.deadline_ns,
@@ -994,10 +1101,10 @@ impl Engine {
             // real job replays from it — one handler execution even though
             // the queue saw the call twice.
             let shadow = self.yard.cell_for(call);
-            self.push_job(job(Arc::clone(&shadow), None, false), adm, shard)?;
+            self.push_job(job(Arc::clone(&pool), Arc::clone(&shadow), None, false), adm, shard)?;
             after = Some(shadow);
         }
-        self.push_job(job(cell, after, true), adm, shard)?;
+        self.push_job(job(pool, cell, after, true), adm, shard)?;
         Ok(ticket)
     }
 
@@ -1008,7 +1115,7 @@ impl Engine {
     /// parked worker unless earlier bumps already woke every one.
     fn push_job(&self, job: Job, adm: &Admission<'_>, shard: usize) -> Result<(), EngineError> {
         self.counters.job_enqueued();
-        let queue = &self.shards[shard];
+        let queue = &self.shards[shard].queue;
         let pushed = match adm.high_water {
             Some(hw) => queue.try_push(job, adm.tenant, adm.weight, adm.quota, hw),
             None => queue.push(job, adm.tenant, adm.weight, adm.quota),
@@ -1045,6 +1152,7 @@ impl Engine {
     pub(crate) fn call_blocking(
         &self,
         call: &Call<'_>,
+        pool: &Arc<ReplicaPool>,
         reply: &mut Vec<u8>,
         rights_out: &mut Vec<u32>,
     ) -> flexrpc_runtime::Result<()> {
@@ -1058,11 +1166,11 @@ impl Engine {
         if adm.deadline_ns.is_none()
             && !adm.duplicate
             && self.group.is_empty()
-            && !self.shards[shard].is_closed()
+            && !self.shards[shard].queue.is_closed()
         {
             self.counters.job_enqueued();
             let dispatch = Dispatch {
-                pool: call.pool,
+                pool,
                 op_index: call.op_index,
                 request: call.request,
                 rights: call.rights,
@@ -1074,7 +1182,7 @@ impl Engine {
             };
             return self.serve(&dispatch, shard, reply, rights_out);
         }
-        let ticket = self.enqueue(call, &adm, shard).map_err(admission_error)?;
+        let ticket = self.enqueue(call, Arc::clone(pool), &adm, shard).map_err(admission_error)?;
         // Move, don't copy: the worker's reply body becomes the caller's
         // buffer (the caller's old allocation rides back into `r` and is
         // dropped).
@@ -1144,7 +1252,7 @@ impl Engine {
     /// calls finish, join workers. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         for shard in &self.shards {
-            for job in shard.close() {
+            for job in shard.queue.close() {
                 self.counters.job_cancelled();
                 job.cell.slot.fill(Err(RpcError::Cancelled));
             }
@@ -1256,10 +1364,10 @@ impl EngineConnection {
         tag: Option<CallTag>,
     ) -> Result<CallTicket, EngineError> {
         // Cloned out, not borrowed: admission can block on backpressure,
-        // and a rebind must not wait behind it for the binding lock.
+        // and a rebind must not wait behind it for the binding lock. The
+        // clone is the one the job keeps.
         let pool = Arc::clone(&self.bind.read().pool);
-        self.engine.submit(&Call {
-            pool: &pool,
+        let call = Call {
             bound: &self.tenant,
             policies: None,
             binding: self.binding_for(tag),
@@ -1269,7 +1377,8 @@ impl EngineConnection {
             deadline_ns,
             tag,
             trace: self.trace.as_ref(),
-        })
+        };
+        self.engine.submit(&call, pool)
     }
 
     /// The shard binding for a call: the at-most-once tag's binding when
@@ -1381,7 +1490,6 @@ impl Transport for EngineConnection {
         self.tenant.handle.refresh(&mut self.policies.tenant);
         self.engine.policy.refresh(&mut self.policies.engine);
         let call = Call {
-            pool: &self.bind.get_mut().pool,
             bound: &self.tenant,
             policies: Some(&self.policies),
             binding,
@@ -1392,7 +1500,7 @@ impl Transport for EngineConnection {
             tag: ctl.tag,
             trace: self.trace.as_ref(),
         };
-        self.engine.call_blocking(&call, reply, rights_out)?;
+        self.engine.call_blocking(&call, &self.bind.get_mut().pool, reply, rights_out)?;
         Ok(0)
     }
 
@@ -1536,8 +1644,12 @@ mod tests {
 
     #[test]
     fn the_free_list_never_outgrows_the_queues() {
-        let yard =
-            CellYard { clock: Arc::default(), free: Mutex::new(VecDeque::new()), capacity: 3 };
+        let yard = CellYard {
+            clock: Arc::default(),
+            engine: Weak::new(),
+            free: Mutex::new(VecDeque::new()),
+            capacity: 3,
+        };
         for _ in 0..5 {
             yard.recycle(Arc::default());
         }

@@ -16,10 +16,14 @@
 //!   workers *steal* whole min-tag jobs from the longest peer queue, so a
 //!   hot tenant cannot strand cores while fair order survives. Blocking
 //!   calls with no deadline and no backlog dispatch **inline** on the
-//!   caller's thread (LRPC-style — no handoff at all).
+//!   caller's thread (LRPC-style — no handoff at all), and a *queued* call
+//!   whose caller reaches [`engine::CallTicket::wait`] first runs there
+//!   too, when it is next in its shard's fair order and no worker is
+//!   serving the shard (same checks, same tallies, `engine.helped`).
 //! * [`slot::ReplySlot`] — the lock-free completion slot a submitter
-//!   blocks on, one-shot per use and recycled with its call's job cell:
-//!   atomic state machine, condvar only on actual contention.
+//!   blocks on when its reply is another thread's to publish, one-shot per
+//!   use and recycled with its call's job cell: atomic state machine,
+//!   condvar only on actual contention.
 //! * [`cache::ProgramCache`] — compiled programs keyed by *combination
 //!   signature* (wire signature × the two presentation fingerprints × the
 //!   negotiated trust pair × wire format): one table behind one `RwLock`.

@@ -16,7 +16,10 @@
 //! The warm path — reply ready by the time the waiter looks, the common
 //! case for a fast handler — is one `Acquire` load and a value move: no
 //! lock, no syscall, no allocation (audited in
-//! `crates/engine/tests/zero_alloc_wait.rs`).
+//! `crates/engine/tests/zero_alloc_wait.rs`). Filler and waiter may be one
+//! thread: an engine ticket whose first look (`try_take`) finds nothing may
+//! run its own job, fill this slot itself and then take the warm path; it
+//! spins and parks only for a reply that is another thread's to publish.
 //!
 //! Contract, per use: exactly one value is published (later `fill`s are
 //! dropped, first wins) and at most one thread waits on the slot. A use
@@ -56,7 +59,11 @@ const PARKED: u32 = 3;
 
 /// Bounded pre-park spin: a handful of polite spins covers the
 /// "reply lands a few instructions after the waiter arrives" window
-/// without burning a core (this repo's target box has exactly one).
+/// without burning a core (this repo's target box has exactly one). By the
+/// time an engine ticket spins here it has already tried to run its own
+/// job (`CallTicket::wait`) and a guard said no — a worker is serving the
+/// shard, or calls are queued ahead of this one — so the reply is another
+/// thread's to publish and the yields are what let it.
 const SPINS: u32 = 64;
 const YIELD_AFTER: u32 = 8;
 
@@ -150,6 +157,12 @@ impl<T> ReplySlot<T> {
     /// Takes the published value. Caller observed `FULL` with `Acquire`.
     fn take(&self) -> T {
         unsafe { (*self.value.get()).take() }.expect("FULL slot holds a value")
+    }
+
+    /// Takes the value if it is published already: one `Acquire` load,
+    /// never a wait. `None` says nothing about how near the fill is.
+    pub fn try_take(&self) -> Option<T> {
+        (self.state.load(Ordering::Acquire) == FULL).then(|| self.take())
     }
 
     /// The warm path: spin briefly for a reply that is ready or imminent.
@@ -246,6 +259,14 @@ mod tests {
         let slot = ReplySlot::new();
         assert!(slot.fill(7u32));
         assert_eq!(slot.wait(), 7);
+    }
+
+    #[test]
+    fn try_take_never_waits() {
+        let slot = ReplySlot::new();
+        assert_eq!(slot.try_take(), None::<u32>);
+        assert!(slot.fill(7));
+        assert_eq!(slot.try_take(), Some(7));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! stalls no reader — and a pool that dies folds its stripes into the
 //! shared cells. `in_flight` / `peak_in_flight` are one shared exact gauge:
 //! the watermark is fed by the value `in_flight`'s add returns, which only
-//! a single cell can give. Everything else (sheds, expiries, cancels,
+//! a single cell can give. `calls_helped` is striped per shard: a caller
+//! serving its own queued job writes its shard's stripe under the serve
+//! token it holds for that job. Everything else (sheds, expiries, cancels,
 //! steals, connections) is off the served path and written shared.
 
 use crate::breaker::BreakerStats;
@@ -51,6 +53,10 @@ pub struct EngineCounters {
     /// Blocking calls served inline on the caller's thread (LRPC-style
     /// direct dispatch — no queue, no worker handoff).
     pub inline_calls: Counter,
+    /// Queued calls their own waiting caller dequeued and ran
+    /// (`CallTicket::wait`) instead of a worker. Striped per shard: the
+    /// helper writes its shard's stripe under the serve token it holds.
+    pub calls_helped: Counter,
 }
 
 impl EngineCounters {
@@ -68,6 +74,7 @@ impl EngineCounters {
         registry.adopt_counter("engine.expired", &self.deadline_expired);
         registry.adopt_counter("engine.steals", &self.steals);
         registry.adopt_counter("engine.inline_calls", &self.inline_calls);
+        registry.adopt_counter("engine.helped", &self.calls_helped);
     }
 
     pub(crate) fn job_enqueued(&self) {
@@ -101,6 +108,7 @@ impl EngineCounters {
             deadline_expired: self.deadline_expired.get(),
             steals: self.steals.get(),
             inline_calls: self.inline_calls.get(),
+            calls_helped: self.calls_helped.get(),
             workers,
             cache,
             reply_cache,
@@ -160,6 +168,9 @@ pub struct EngineStatsSnapshot {
     pub steals: u64,
     /// Blocking calls served inline on the caller's thread.
     pub inline_calls: u64,
+    /// Queued calls run by their own waiting caller, not a worker (counted
+    /// in `calls_served` like any other, and never in `inline_calls`).
+    pub calls_helped: u64,
     /// Worker threads serving the queue.
     pub workers: usize,
     /// Program-cache counters.

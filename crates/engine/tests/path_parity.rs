@@ -153,8 +153,12 @@ fn run(queued: bool) -> Run {
 /// The cells that are *defined* to tell the two paths apart, plus what the
 /// backlog itself (not the path) moves.
 fn differs_by_definition(name: &str) -> bool {
-    // Served inline; jobs a worker ran; calls admitted *to the queue*.
+    // Served inline; queued jobs their own waiting caller ran (the idle
+    // run's filler, when its `wait` beats the parked worker to it — never
+    // behind the plug, where the worker holds the shard); jobs run per
+    // shard; calls admitted *to the queue*.
     name == "engine.inline_calls"
+        || name == "engine.helped"
         || (name.starts_with("engine.shard.") && name.ends_with(".served"))
         || (name.starts_with("tenant.") && name.ends_with(".admitted"))
         // A high-water mark of concurrency: the plug that forces the queue
@@ -203,4 +207,5 @@ fn inline_and_queued_calls_are_one_path() {
     assert!(compared > 30, "compared {compared} cells");
     assert_eq!(inline.metrics.counter("tenant.2.served"), 1, "the tag-borne tenant was charged");
     assert_eq!(inline.metrics.counter("engine.dispatch_errors"), 1);
+    assert_eq!(queued.metrics.counter("engine.helped"), 0, "a serving worker is never helped");
 }

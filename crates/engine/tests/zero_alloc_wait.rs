@@ -9,10 +9,11 @@
 //! catches the fill mid-spin) under a counting global allocator.
 //!
 //! The queued round trip — `submit` × 32 then `wait` × 32 through a real
-//! one-worker engine — must likewise allocate nothing *on the submitting
-//! thread* once warm: the call's slot and request buffers are a recycled
-//! job cell. What a queued call still allocates (the reply body, the
-//! handler's own value) is the worker's, and bytes someone keeps.
+//! one-worker engine — allocates, once warm, exactly what someone keeps: two
+//! per call (the reply body, the handler's own value), made by whichever
+//! thread ran the call — the worker, or the submitter when its `wait` found
+//! its own job next in line and nobody serving it. `submit` itself allocates
+//! nothing: the call's slot and request buffers are a recycled job cell.
 
 mod counting_alloc;
 
@@ -20,9 +21,10 @@ use counting_alloc::counted;
 use flexrpc_core::ir::fileio_example;
 use flexrpc_core::present::InterfacePresentation;
 use flexrpc_core::value::Value;
-use flexrpc_engine::{Engine, ReplySlot};
+use flexrpc_engine::{CallTicket, Engine, ReplySlot};
 use flexrpc_marshal::WireFormat;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Reply published before the waiter arrives: the pure lock-free path.
 /// The slot itself is allocated outside the counted region (engines pool
@@ -77,54 +79,104 @@ fn mid_spin_fill_never_allocates_on_the_waiter() {
     assert!(saw_zero, "the spin window must absorb at least some near-miss fills heap-free");
 }
 
-/// A warm queued batch allocates nothing on the thread that submits and
-/// waits. The counter is per thread, so the worker's reply bodies — real
-/// allocations, made over there — do not blur the audit. Runs in debug and
-/// in `--release` (`scripts/ci.sh`): the profiles elide different temporaries.
+/// A warm queued batch: `submit` allocates nothing, and the round trip two
+/// per call wherever the call ran. The per-thread counter audits the
+/// submitting thread; the enrolled one adds the worker's (the handler enrols
+/// whoever runs it), so the worker's reply bodies — real allocations, made
+/// over there — are counted once and a neighbour test's never. Runs in debug
+/// and in `--release` (`scripts/ci.sh`): the profiles elide different
+/// temporaries.
 #[test]
-fn warm_queued_round_trip_allocates_nothing_on_the_submitter() {
+fn warm_queued_round_trip_allocates_two_per_call_on_whichever_thread_ran_it() {
     const BATCH: usize = 32;
 
     let engine = Engine::builder().workers(1).build();
     let module = fileio_example();
     let pres =
         InterfacePresentation::default_for(&module, module.interface("FileIO").unwrap()).unwrap();
+    // Handler runs per thread: the submitter's are the calls it helped
+    // itself to, everyone else's the worker's.
+    let submitter = std::thread::current().id();
+    let ran = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let runs = Arc::clone(&ran);
+    // A `read` of nothing is the warm-up's plug: it reports in, then holds
+    // whoever runs it until released.
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let release_rx = Arc::new(Mutex::new(release_rx));
     engine
-        .register_service("fileio", module, "FileIO", pres, WireFormat::Cdr, |srv| {
-            srv.on("read", |call| {
+        .register_service("fileio", module, "FileIO", pres, WireFormat::Cdr, move |srv| {
+            let (runs, entered_tx) = (Arc::clone(&runs), entered_tx.clone());
+            let release_rx = Arc::clone(&release_rx);
+            srv.on("read", move |call| {
+                counting_alloc::enrol();
+                let here = std::thread::current().id() == submitter;
+                runs[usize::from(here)].fetch_add(1, Ordering::Relaxed);
                 let count = call.u32("count").unwrap() as usize;
+                if count == 0 {
+                    entered_tx.send(()).unwrap();
+                    release_rx.lock().unwrap().recv().unwrap();
+                }
                 call.set("return", Value::Bytes(vec![0x5A; count])).unwrap();
                 0
             })
             .unwrap();
         })
         .unwrap();
+    counting_alloc::enrol();
     let conn = engine.connect("fileio").establish().unwrap();
     let read = conn.program().op("read").unwrap().index;
-    let mut request = flexrpc_runtime::wire::AnyWriter::new(WireFormat::Cdr);
-    request.put_u32(48);
-    let request = request.into_bytes();
+    let read_request = |count| {
+        let mut request = flexrpc_runtime::wire::AnyWriter::new(WireFormat::Cdr);
+        request.put_u32(count);
+        request.into_bytes()
+    };
+    let request = read_request(48);
 
     let mut tickets = Vec::with_capacity(BATCH);
     let mut replies = Vec::with_capacity(BATCH);
-    let batch = |tickets: &mut Vec<_>, replies: &mut Vec<_>| {
+    let submit = |tickets: &mut Vec<_>| {
         for _ in 0..BATCH {
             tickets.push(conn.submit(read, &request, &[]).unwrap());
         }
+    };
+    let redeem = |tickets: &mut Vec<CallTicket>, replies: &mut Vec<_>| {
         for ticket in tickets.drain(..) {
             replies.push(ticket.wait().unwrap());
         }
     };
-    // Warm-up: the first batch allocates its 32 cells and grows the free
-    // list to hold them; the second runs entirely on recycled ones.
-    for _ in 0..2 {
-        batch(&mut tickets, &mut replies);
-        replies.clear();
-    }
-    let (allocs, ()) = counted(|| batch(&mut tickets, &mut replies));
+    // Warm-up. The first batch queues up behind the plug — nobody waits on
+    // the plug before it is entered, so it is the worker's, which enrols it
+    // and keeps it off the queue — and so takes everything to full depth
+    // whatever the scheduling: 32 cells, a free list that holds them, a
+    // lane 32 deep. The second runs entirely on recycled storage.
+    let plug = conn.submit(read, &read_request(0), &[]).unwrap();
+    entered.recv().unwrap();
+    submit(&mut tickets);
+    release.send(()).unwrap();
+    plug.wait().unwrap();
+    redeem(&mut tickets, &mut replies);
+    replies.clear();
+    submit(&mut tickets);
+    redeem(&mut tickets, &mut replies);
+    replies.clear();
+    let before = (engine.stats(), [0, 1].map(|t| ran[t].load(Ordering::Relaxed)));
+    let everyone = counting_alloc::enrolled_allocs();
+    let (submitting, ()) = counted(|| submit(&mut tickets));
+    let (waiting, ()) = counted(|| redeem(&mut tickets, &mut replies));
+    let everyone = counting_alloc::enrolled_allocs() - everyone;
     assert_eq!(replies.len(), BATCH);
     assert!(replies.iter().all(|r| r.body.len() > 48));
-    assert_eq!(allocs, 0, "a warm submit x{BATCH} + wait x{BATCH} must not allocate here");
-    assert_eq!(engine.stats().inline_calls, 0, "every call crossed the queue");
+
+    let stats = engine.stats();
+    let helped = stats.calls_helped - before.0.calls_helped;
+    let [by_worker, by_submitter] = [0, 1].map(|t| ran[t].load(Ordering::Relaxed) - before.1[t]);
+    assert_eq!(submitting, 0, "a warm submit x{BATCH} must not allocate");
+    assert_eq!(everyone, 2 * BATCH as u64, "reply body + handler value per call, no more");
+    assert_eq!(waiting, 2 * helped, "a wait allocates only what a call it ran itself allocates");
+    assert_eq!(by_submitter, helped, "`calls_helped` is the calls the waiter ran");
+    assert_eq!(helped + by_worker, BATCH as u64, "each call ran once, on one thread or the other");
+    assert_eq!(stats.calls_served - before.0.calls_served, BATCH as u64);
+    assert_eq!(stats.inline_calls, 0, "every call crossed the queue");
     engine.shutdown();
 }
