@@ -15,7 +15,7 @@ pub const SEEDS: u64 = 16;
 /// Client hosts / replicas / calls at full scale (the acceptance bar is
 /// ≥1000 hosts and a ≥3-replica group).
 pub const CLIENTS: usize = 1024;
-pub const REPLICAS: usize = 3;
+pub(crate) const REPLICAS: usize = 3;
 pub const CALLS: usize = 4096;
 
 /// The recorded p99 dwell bound, sim ns. A healthy small call on the

@@ -62,6 +62,12 @@ impl Fig2 {
         file_len
     }
 
+    /// Bytes the client has copied so far, staging copies included
+    /// ([`NfsClientHarness::client_bytes_copied`]).
+    pub fn client_bytes_copied(&self) -> u64 {
+        self.harness.client_bytes_copied()
+    }
+
     /// Simulated wire + server nanoseconds accumulated so far.
     pub fn wire_ns(&self) -> u64 {
         self.net.wire_ns()

@@ -31,7 +31,7 @@ use flexrpc_runtime::HookMap;
 
 /// Reply payload bytes per `read` call (small, so dispatch overhead — the
 /// thing fusion removes — is a visible fraction of the call).
-pub const READ_SIZE: usize = 64;
+pub(crate) const READ_SIZE: usize = 64;
 
 /// Compiles the FileIO interface under its default presentation.
 pub fn compile() -> CompiledInterface {
@@ -108,11 +108,6 @@ impl ProgramRunner {
     pub fn messages(&self) -> (&[u8], &[u8]) {
         (&self.request, &self.reply)
     }
-
-    /// The client's frame after the last call: `count`, payload, status.
-    pub fn client_frame(&self) -> &[Value] {
-        &self.client
-    }
 }
 
 impl Wire {
@@ -164,7 +159,7 @@ mod tests {
                 // Twice: the second call runs over dirty kept buffers.
                 side.call();
                 side.call();
-                let frame = side.client_frame();
+                let frame = &side.client;
                 assert_eq!(frame[0], Value::U32(READ_SIZE as u32), "{format:?}");
                 assert_eq!(frame[1], Value::Bytes(vec![0xA5; READ_SIZE]), "{format:?}");
                 assert_eq!(frame[2], Value::U32(0), "{format:?}: status");

@@ -6,9 +6,11 @@
 //! downstream reads that declaration: [`print()`] shows it, [`entries`]
 //! flattens it to what an artifact stores (a gate becomes the row
 //! `<subject>.<relation>` holding the bound, written beside its subject),
-//! [`check`] evaluates every bound entry against its subject entry, and
-//! [`to_json`] serializes the entries. Because the evaluator works on the
-//! stored form, the same function judges a run in progress and a committed
+//! [`check`] evaluates every bound entry against its subject entry,
+//! [`to_json`] serializes the entries and [`splice_blocks`] renders them as
+//! the markdown tables EXPERIMENTS.md carries.
+//! Because the evaluator and the renderer work on the stored form, the same
+//! functions judge and render a run in progress and a committed
 //! `BENCH_*.json` (`tests/artifacts.rs`).
 
 use flexrpc_trace::MetricsSnapshot;
@@ -62,9 +64,11 @@ impl Rel {
         }
     }
 
-    /// The relation a bound entry's suffix names, if it is one.
-    pub fn from_key(key: &str) -> Option<Rel> {
-        Rel::ALL.into_iter().find(|r| r.key() == key)
+    /// Splits a bound entry's name, `<subject>.<relation>`, into its two
+    /// halves; `None` for a name that is a row's own.
+    pub fn of_bound(name: &str) -> Option<(&str, Rel)> {
+        let (subject, key) = name.rsplit_once('.')?;
+        Some((subject, Rel::ALL.into_iter().find(|r| r.key() == key)?))
     }
 
     fn symbol(self) -> &'static str {
@@ -195,9 +199,7 @@ pub fn check(entries: &BTreeMap<String, f64>) -> Vec<String> {
             failures.push(format!("`{name}` is {value}, not a finite number"));
             continue;
         }
-        let Some((subject, rel)) =
-            name.rsplit_once('.').and_then(|(s, key)| Some((s, Rel::from_key(key)?)))
-        else {
+        let Some((subject, rel)) = Rel::of_bound(name) else {
             continue;
         };
         match entries.get(subject) {
@@ -209,6 +211,48 @@ pub fn check(entries: &BTreeMap<String, f64>) -> Vec<String> {
         }
     }
     failures
+}
+
+/// Renders one artifact section as a markdown table: a line per stored row,
+/// its bounds beside it. Whole numbers print in full, measured ones to four
+/// places.
+fn to_markdown(stored: &BTreeMap<String, f64>) -> String {
+    let show = |v: f64| if v.fract() == 0.0 { format!("{v}") } else { format!("{v:.4}") };
+    let mut out = String::from("| row | value | gate |\n|---|---|---|\n");
+    for (name, &value) in stored.iter().filter(|(name, _)| Rel::of_bound(name).is_none()) {
+        let bound = |rel: Rel| Some((rel, *stored.get(&format!("{name}.{}", rel.key()))?));
+        let gates: Vec<String> = Rel::ALL
+            .into_iter()
+            .filter_map(bound)
+            .map(|(rel, b)| format!("{} {}", rel.symbol(), show(b)))
+            .collect();
+        out.push_str(&format!("| `{name}` | {} | {} |\n", show(value), gates.join(", ")));
+    }
+    out
+}
+
+/// Replaces, in `doc`, what stands between `<!-- report:NAME -->` and
+/// `<!-- /report:NAME -->` with section NAME rendered as a table, for every
+/// section given. The one way a block gets into a document — `report
+/// --json` calls it as it writes an artifact — and so also the check that a
+/// document agrees with an artifact: splicing the artifact in changes
+/// nothing. A section whose markers are missing is an error.
+pub fn splice_blocks<'a>(
+    doc: &str,
+    sections: impl IntoIterator<Item = (&'a str, &'a BTreeMap<String, f64>)>,
+) -> Result<String, String> {
+    let mut doc = doc.to_string();
+    for (name, stored) in sections {
+        let (open, close) =
+            (format!("<!-- report:{name} -->\n"), format!("<!-- /report:{name} -->"));
+        let start = doc.find(&open).map(|at| at + open.len());
+        let end = start.and_then(|start| Some(start + doc[start..].find(&close)?));
+        let (Some(start), Some(end)) = (start, end) else {
+            return Err(format!("no block `{}` … `{close}`", open.trim_end()));
+        };
+        doc.replace_range(start..end, &to_markdown(stored));
+    }
+    Ok(doc)
 }
 
 /// Serializes artifact sections (experiment name → its [`entries`]) and
@@ -346,6 +390,30 @@ mod tests {
     fn dotted_names_that_are_not_bounds_are_plain_rows() {
         assert!(failures(&[Row::shape("0.5x-shed-rate", 0.0)]).is_empty());
         assert!(failures(&[Row::shape("2.0x-shed-rate", 0.5).gate(Rel::Gt, 0.0)]).is_empty());
+    }
+
+    #[test]
+    fn markdown_blocks_show_bounds_beside_their_rows_and_splice_between_markers() {
+        let rows = [
+            Row::count("b-shed", 0).gate_count(Rel::Eq, 0),
+            Row::shape("2.0x-shed-rate", 0.58217).gate(Rel::Gt, 0.0).gate(Rel::Le, 1.0),
+            Row::wall("p99-us", 3.5),
+        ];
+        let stored = entries(&rows).expect("distinct");
+        let block = "| row | value | gate |\n|---|---|---|\n\
+                     | `2.0x-shed-rate` | 0.5822 | <= 1, > 0 |\n| `b-shed` | 0 | == 0 |\n";
+        assert_eq!(to_markdown(&stored), block);
+
+        let doc = "before\n<!-- report:qos -->\nstale\n<!-- /report:qos -->\nafter\n";
+        let spliced = splice_blocks(doc, [("qos", &stored)]).expect("markers present");
+        assert_eq!(
+            spliced,
+            format!("before\n<!-- report:qos -->\n{block}<!-- /report:qos -->\nafter\n")
+        );
+        assert_eq!(splice_blocks(&spliced, [("qos", &stored)]).as_deref(), Ok(&*spliced));
+        assert!(splice_blocks(doc, [("shed", &stored)])
+            .expect_err("no markers")
+            .contains("report:shed"));
     }
 
     #[test]

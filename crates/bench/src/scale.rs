@@ -42,12 +42,12 @@ pub const CALLS_PER_CLIENT: usize = 2_000;
 pub const BATCHES: usize = 25;
 pub const BATCH: usize = 32;
 /// Reply payload bytes per call.
-pub const READ_SIZE: usize = 1024;
+pub(crate) const READ_SIZE: usize = 1024;
 /// Seed for the deterministic client interleave schedule: every run of a
 /// cell yields at the same seeded call indices, so the worker/client
 /// interleave is the same schedule run to run instead of whatever the OS
 /// happened to do.
-pub const SEED: u64 = 0x5EED_C0DE;
+pub(crate) const SEED: u64 = 0x5EED_C0DE;
 
 /// One worker count's measured cell.
 #[derive(Debug, Clone, Copy)]
@@ -129,7 +129,7 @@ fn splitmix(state: &mut u64) -> u64 {
 /// concurrently; returns when every client finished.
 ///
 /// Each client yields the CPU at call indices drawn from a per-client
-/// stream seeded by [`SEED`] — a fixed interleave schedule, so repeated
+/// stream seeded by `SEED` — a fixed interleave schedule, so repeated
 /// runs of a cell contend at the same points instead of wherever the OS
 /// scheduler happened to preempt.
 pub fn drive(stubs: Vec<ClientStub>, calls: usize) {

@@ -29,10 +29,10 @@ pub fn edit_feed(metrics: Option<&MetricsRegistry>) -> EditFeedRun {
 
 /// File-stream shape used by the report: enough frames to stall the
 /// window hard.
-pub const FILE_FRAMES: usize = 64;
-pub const FILE_WINDOW: u32 = 8;
+pub(crate) const FILE_FRAMES: usize = 64;
+pub(crate) const FILE_WINDOW: u32 = 8;
 pub const FILE_DRAIN_NS: u64 = 250_000;
-pub const FILE_CLOSE_EVERY: usize = 5;
+pub(crate) const FILE_CLOSE_EVERY: usize = 5;
 
 /// Fault-free run: the credit stall must equal its closed-form prediction.
 pub fn file_exact() -> FileStreamRun {

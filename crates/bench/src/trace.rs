@@ -30,13 +30,13 @@ use crate::fuse;
 
 /// Reply payload bytes per `read` call: kilobyte-class, a realistic call
 /// rather than a degenerate null RPC.
-pub const READ_SIZE: usize = 2048;
+pub(crate) const READ_SIZE: usize = 2048;
 
 /// Calls per breakdown run.
 pub const CALLS: usize = 400;
 
 /// Warm-up calls before a breakdown run is measured.
-pub const WARMUP: usize = 50;
+pub(crate) const WARMUP: usize = 50;
 
 fn fileio_server(format: WireFormat) -> Arc<Mutex<ServerInterface>> {
     let compiled = Arc::new(fuse::compile());
@@ -103,7 +103,7 @@ impl TraceRunner {
     /// Switches the tracer to wall-clock timestamps (for CPU breakdowns;
     /// explicitly non-deterministic). The ring is sized to hold every
     /// event of a breakdown run, so stage totals never lose evicted spans.
-    pub fn wall_clock(mut self) -> TraceRunner {
+    pub(crate) fn wall_clock(mut self) -> TraceRunner {
         self.stub.enable_trace_with((WARMUP + CALLS) * 4, TimeSource::wall());
         self
     }
@@ -120,7 +120,7 @@ impl TraceRunner {
     }
 
     /// The trace exported as JSON lines (for determinism comparison).
-    pub fn export_json(&self) -> String {
+    pub(crate) fn export_json(&self) -> String {
         let mut sink = JsonLinesSink::new();
         if let Some(t) = self.stub.trace() {
             t.export(0, &mut sink);

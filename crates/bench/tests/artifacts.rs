@@ -1,16 +1,26 @@
 //! The committed artifacts, judged by the same evaluator as a live run:
 //! every bound a `BENCH_*.json` records beside a row must hold for that
-//! row, and no artifact may carry a wall-clock absolute.
+//! row, and no artifact may carry a wall-clock absolute. And the documents,
+//! held to what they share with the artifacts and the code: EXPERIMENTS.md's
+//! rendered blocks are the artifacts', DESIGN.md's module and experiment
+//! names exist.
 
 use flexrpc_bench::rows::{self, Rel};
 use std::collections::BTreeMap;
+
+/// The repository root.
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+
+/// A committed file, by its path from the root.
+fn committed(path: &str) -> String {
+    std::fs::read_to_string(format!("{ROOT}{path}")).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
 
 /// Reads the `figures` object of an artifact written by `rows::to_json`:
 /// one `"name": {` line opens a section, each `"row": number` line inside
 /// it is an entry.
 fn figures(path: &str) -> BTreeMap<String, BTreeMap<String, f64>> {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
-    let text = std::fs::read_to_string(format!("{root}{path}")).expect("artifact is committed");
+    let text = committed(path);
     let mut sections: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
     let mut current = None;
     for line in text.lines().skip_while(|l| !l.contains("\"figures\"")).skip(1) {
@@ -41,10 +51,7 @@ fn committed_artifacts_satisfy_every_bound_they_record() {
         let mut bounds = 0;
         for (name, stored) in &sections {
             assert_eq!(rows::check(stored), Vec::<String>::new(), "{path}: {name}");
-            let is_bound = |k: &&String| {
-                k.rsplit_once('.').is_some_and(|(_, key)| Rel::from_key(key).is_some())
-            };
-            bounds += stored.keys().filter(is_bound).count();
+            bounds += stored.keys().filter(|k| Rel::of_bound(k).is_some()).count();
             for row in stored.keys() {
                 let wall = ["-calls-per-sec", "-ns-per-call", "-mbps", "-lookups-per-sec"];
                 assert!(!wall.iter().any(|w| row.contains(w)), "{path}: wall row `{row}`");
@@ -52,4 +59,67 @@ fn committed_artifacts_satisfy_every_bound_they_record() {
         }
         assert!(bounds > 0, "{path} records no bound at all");
     }
+}
+
+/// Every number EXPERIMENTS.md shares with an artifact sits in a block
+/// `report --json` wrote there: splicing the committed artifacts in again
+/// must change nothing.
+#[test]
+fn experiments_md_blocks_are_the_committed_artifacts_rendered() {
+    let doc = committed("EXPERIMENTS.md");
+    for path in ["BENCH_exact.json", "BENCH_paper.json"] {
+        let sections = figures(path);
+        let blocks = sections.iter().map(|(name, stored)| (name.as_str(), stored));
+        let rendered = rows::splice_blocks(&doc, blocks).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let stale = doc.lines().zip(rendered.lines()).find(|(have, want)| have != want);
+        if let Some((have, want)) = stale {
+            panic!("EXPERIMENTS.md differs from {path}:\n  document: {have}\n  artifact: {want}");
+        }
+        assert_eq!(doc.len(), rendered.len(), "EXPERIMENTS.md: a block of {path} lost its tail");
+    }
+}
+
+/// DESIGN.md §2 (inventory) and §4 (experiment index) name modules and
+/// experiments; each name must exist. A path is a backticked
+/// `crate::module[::…]` in lower case (`stream::{credit, sender}` names two):
+/// `crates/<crate>/src/<module>.rs` or `<module>/mod.rs` must be a file, and
+/// `lib` is the crate root. An experiment is a backticked `report <name>`,
+/// which `report` itself must list.
+#[test]
+fn design_md_module_and_experiment_names_resolve() {
+    let doc = committed("DESIGN.md");
+    let section = |from: &str, to: &str| {
+        let start = doc.find(from).unwrap_or_else(|| panic!("DESIGN.md has no `{from}`"));
+        &doc[start..start + doc[start..].find(to).unwrap_or_else(|| panic!("no `{to}`"))]
+    };
+    let text = [section("\n## 2.", "\n## 3."), section("\n## 4.", "\n## 5.")].concat();
+    let usage = std::process::Command::new(env!("CARGO_BIN_EXE_report")).arg("?").output();
+    let usage = String::from_utf8(usage.expect("report runs").stderr).expect("utf-8");
+    let listed = usage.lines().find_map(|l| l.strip_prefix("experiments: ")).expect("usage line");
+    let experiments: Vec<&str> = listed.split(' ').collect();
+
+    let lower = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_lowercase() || c == '_');
+    let (mut modules, mut reports, mut missing) = (0, 0, Vec::new());
+    for span in text.split('`').skip(1).step_by(2) {
+        if let Some(name) = span.strip_prefix("report ") {
+            let name = name.split(' ').next().expect("split yields one");
+            if !experiments.contains(&name) {
+                missing.push(format!("`report {name}` is not one of: {listed}"));
+            }
+            reports += 1;
+        }
+        let Some((krate, rest)) = span.split_once("::").filter(|(k, _)| lower(k)) else { continue };
+        let rest = rest.split("::").next().expect("split yields one");
+        for module in rest.trim_matches(['{', '}']).split(',').map(str::trim).filter(|m| lower(m)) {
+            let src = format!("crates/{krate}/src");
+            let file = if module == "lib" { "lib.rs".into() } else { format!("{module}.rs") };
+            let found = [format!("{ROOT}{src}/{file}"), format!("{ROOT}{src}/{module}/mod.rs")];
+            if !found.iter().any(|f| std::path::Path::new(f).is_file()) {
+                missing.push(format!("`{krate}::{module}` has no file {src}/{file}"));
+            }
+            modules += 1;
+        }
+    }
+    assert!(missing.is_empty(), "DESIGN.md §2 / §4 name what does not exist: {missing:#?}");
+    assert!(modules >= 20 && reports >= 16, "the scan read the tables: {modules}, {reports}");
 }

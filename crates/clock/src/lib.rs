@@ -118,7 +118,7 @@ pub enum Fault {
 /// point-to-point transports (loopback, kernel IPC, engine admission): they
 /// have no wire model, so [`FaultInjector::gate`] charges `factor` of these
 /// stand-in hops. The packet network scales its real wire charge instead.
-pub const SLOW_HOP_NS: u64 = 1_000;
+pub(crate) const SLOW_HOP_NS: u64 = 1_000;
 
 /// How a message was lost before the peer executed anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,7 +157,7 @@ pub struct Verdict {
 
 impl Verdict {
     /// Nothing planned: the call proceeds untouched.
-    pub const CLEAR: Verdict =
+    pub(crate) const CLEAR: Verdict =
         Verdict { lost: None, duplicate: false, close_after: false, fired: false, slow: 1 };
 }
 
@@ -323,7 +323,7 @@ impl FaultInjector {
     /// The fault gate for a point-to-point transport (loopback, kernel IPC,
     /// engine admission): [`FaultInjector::gate_between`] over the
     /// conventional `(0, 1)` pair, with a one-shot [`Fault::SlowLink`]
-    /// charged to `clock` here as `factor` × [`SLOW_HOP_NS`], since these
+    /// charged to `clock` here as `factor` × `SLOW_HOP_NS`, since these
     /// transports have no wire time of their own to scale.
     #[inline]
     pub fn gate(&self, clock: &SimClock) -> Verdict {

@@ -15,7 +15,7 @@ use flexrpc_core::{CoreError, Result};
 use std::fmt::Write as _;
 
 /// Emits the client struct and one method per operation.
-pub fn emit_client(
+pub(crate) fn emit_client(
     module: &Module,
     iface: &Interface,
     pres: &InterfacePresentation,

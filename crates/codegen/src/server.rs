@@ -16,7 +16,7 @@ use flexrpc_core::{CoreError, Result};
 use std::fmt::Write as _;
 
 /// Emits the server trait plus the registration function.
-pub fn emit_server(
+pub(crate) fn emit_server(
     module: &Module,
     iface: &Interface,
     pres: &InterfacePresentation,

@@ -6,7 +6,7 @@ use flexrpc_core::{CoreError, Result};
 use std::fmt::Write as _;
 
 /// The Rust spelling of an IDL type in generated signatures.
-pub fn rust_type(module: &Module, ty: &Type) -> Result<String> {
+pub(crate) fn rust_type(module: &Module, ty: &Type) -> Result<String> {
     Ok(match ty {
         Type::Void => "()".into(),
         Type::Bool => "bool".into(),
@@ -40,7 +40,7 @@ pub fn rust_type(module: &Module, ty: &Type) -> Result<String> {
 }
 
 /// Emits struct/enum definitions for the module's non-alias named types.
-pub fn emit_types(module: &Module) -> Result<String> {
+pub(crate) fn emit_types(module: &Module) -> Result<String> {
     let mut out = String::new();
     for td in &module.typedefs {
         match &td.body {

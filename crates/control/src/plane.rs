@@ -95,7 +95,7 @@ impl ControlPlane {
     }
 
     /// A plane whose unseen tenants start from `template`.
-    pub fn with_default_policy(template: Policy) -> Arc<ControlPlane> {
+    pub(crate) fn with_default_policy(template: Policy) -> Arc<ControlPlane> {
         Arc::new(ControlPlane {
             tenants: RwLock::new(HashMap::new()),
             default_template: template,
@@ -185,7 +185,7 @@ impl ControlPlane {
     }
 
     /// Total live policy swaps.
-    pub fn swap_count(&self) -> u64 {
+    pub(crate) fn swap_count(&self) -> u64 {
         self.swaps.get()
     }
 

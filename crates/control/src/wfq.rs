@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// Scaled cost of one call at weight 1. Large enough that integer
 /// division by any sane weight keeps plenty of resolution (weight 1000
 /// still leaves ~1000 distinguishable steps per call).
-pub const QUANTUM: u64 = 1 << 20;
+pub(crate) const QUANTUM: u64 = 1 << 20;
 
 /// One tenant's FIFO lane plus its fair-queuing state.
 struct Lane<T> {

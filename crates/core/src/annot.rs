@@ -136,7 +136,7 @@ pub struct PdlFile {
 /// bare IDL name (`read`) and the C-presentation spelling the paper's
 /// figures use (`FileIO_read`, `nfsproc_read` matching `read` only via the
 /// `<iface>_` prefix).
-pub fn resolve_op_name<'a>(iface: &'a Interface, raw: &'a str) -> Option<&'a str> {
+pub(crate) fn resolve_op_name<'a>(iface: &'a Interface, raw: &'a str) -> Option<&'a str> {
     if iface.op(raw).is_some() {
         return Some(raw);
     }
@@ -165,7 +165,7 @@ impl PdlFile {
     ///
     /// On error the presentation may be partially modified; callers apply to
     /// a scratch clone if they need atomicity (the [`apply_pdl`] helper does).
-    pub fn apply_to(
+    pub(crate) fn apply_to(
         &self,
         module: &Module,
         iface: &Interface,

@@ -91,7 +91,7 @@ impl ParamPresentation {
     /// either the server retains ownership (`dealloc(never)`) or a
     /// `[special]` routine produces the bytes. Both compile to *sink mode*:
     /// the work function writes the payload directly into the reply message.
-    pub fn is_server_sink(&self) -> bool {
+    pub(crate) fn is_server_sink(&self) -> bool {
         self.dealloc == DeallocPolicy::Never
             || (self.special && self.alloc != AllocSemantics::CallerAllocates)
     }
@@ -122,11 +122,6 @@ pub enum CallShape {
 }
 
 impl CallShape {
-    /// True for any non-unary shape.
-    pub fn is_streaming(&self) -> bool {
-        !matches!(self, CallShape::Unary)
-    }
-
     /// The declared window for stream shapes (`None` otherwise).
     pub fn window(&self) -> Option<u32> {
         match self {
@@ -218,7 +213,7 @@ impl InterfacePresentation {
     }
 
     /// Mutable lookup (used by PDL application).
-    pub fn op_mut(&mut self, name: &str) -> Option<&mut OpPresentation> {
+    pub(crate) fn op_mut(&mut self, name: &str) -> Option<&mut OpPresentation> {
         self.ops.get_mut(name)
     }
 }
@@ -255,27 +250,10 @@ fn default_op(module: &Module, op: &Operation) -> Result<OpPresentation> {
     })
 }
 
-/// Returns the indices of `op`'s parameters whose wire form is bulk payload
-/// (plus `usize::MAX` standing for the result, if it is payload), in the
-/// order their bytes appear on the wire. Shared by program compilation and
-/// codegen so the two can never disagree about layout.
-pub fn payload_order(module: &Module, op: &Operation) -> Result<Vec<usize>> {
-    let mut order = Vec::new();
-    for (i, p) in op.params.iter().enumerate() {
-        if module.resolve(&p.ty)?.is_payload() {
-            order.push(i);
-        }
-    }
-    if module.resolve(&op.ret)?.is_payload() {
-        order.push(usize::MAX);
-    }
-    Ok(order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{fileio_example, syslog_example, Param, ParamDir, Type};
+    use crate::ir::fileio_example;
 
     #[test]
     fn corba_defaults() {
@@ -313,24 +291,6 @@ mod tests {
         // not a server sink.
         q.alloc = AllocSemantics::CallerAllocates;
         assert!(!q.is_server_sink());
-    }
-
-    #[test]
-    fn payload_order_params_then_result() {
-        let m = fileio_example();
-        let read = m.interface("FileIO").unwrap().op("read").unwrap();
-        assert_eq!(payload_order(&m, read).unwrap(), vec![usize::MAX]);
-        let write = m.interface("FileIO").unwrap().op("write").unwrap();
-        assert_eq!(payload_order(&m, write).unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn payload_order_multiple() {
-        let m = syslog_example();
-        let mut op = m.interface("SysLog").unwrap().op("write_msg").unwrap().clone();
-        op.params.push(Param::new("tag", ParamDir::In, Type::U32));
-        op.params.push(Param::new("extra", ParamDir::In, Type::octet_seq()));
-        assert_eq!(payload_order(&m, &op).unwrap(), vec![0, 2]);
     }
 
     #[test]
@@ -475,9 +435,6 @@ mod tests {
         let iface = m.interface("FileIO").unwrap();
         let pres = InterfacePresentation::default_for(&m, iface).unwrap();
         assert_eq!(pres.op("read").unwrap().call_shape, CallShape::Unary);
-        assert!(!CallShape::Unary.is_streaming());
-        assert!(CallShape::Oneway.is_streaming());
-        assert!(CallShape::Stream { window: 4 }.is_streaming());
         assert_eq!(CallShape::Unary.window(), None);
         assert_eq!(CallShape::Oneway.window(), None);
         assert_eq!(CallShape::Stream { window: 4 }.window(), Some(4));

@@ -69,7 +69,7 @@ impl SlotKind {
     /// A default-initialized value of this kind (interpreters use this to
     /// pre-size slot arrays).
     #[inline]
-    pub fn empty_value(self) -> Value {
+    pub(crate) fn empty_value(self) -> Value {
         match self {
             SlotKind::U32 => Value::U32(0),
             SlotKind::I32 => Value::I32(0),

@@ -116,7 +116,7 @@ impl CircuitBreaker {
     }
 
     /// True while admission is refused (open and still cooling).
-    pub fn is_open(&self, now_ns: u64) -> bool {
+    pub(crate) fn is_open(&self, now_ns: u64) -> bool {
         match *self.state.lock() {
             State::Open { since } => now_ns < since.saturating_add(self.cooldown_ns),
             State::HalfOpen => true,

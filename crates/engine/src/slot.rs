@@ -161,7 +161,7 @@ impl<T> ReplySlot<T> {
 
     /// Takes the value if it is published already: one `Acquire` load,
     /// never a wait. `None` says nothing about how near the fill is.
-    pub fn try_take(&self) -> Option<T> {
+    pub(crate) fn try_take(&self) -> Option<T> {
         (self.state.load(Ordering::Acquire) == FULL).then(|| self.take())
     }
 

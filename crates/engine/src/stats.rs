@@ -194,7 +194,7 @@ impl EngineStatsSnapshot {
     }
 
     /// Every call the engine was offered, whatever its fate.
-    pub fn calls_offered(&self) -> u64 {
+    pub(crate) fn calls_offered(&self) -> u64 {
         self.calls_served + self.calls_shed + self.calls_cancelled + self.deadline_expired
     }
 

@@ -13,10 +13,11 @@
 //! audit read before the bind path stopped formatting, re-deriving and
 //! re-allocating.
 //!
-//! Counted per thread (`counting_alloc`, shared with `zero_alloc_wait.rs`),
+//! Counted per thread (the runtime crate's `tests/counting_alloc`),
 //! in debug and again in `--release` by `scripts/ci.sh`: the benchmark
 //! counts `allocs_per_op` in the release profile.
 
+#[path = "../../runtime/tests/counting_alloc/mod.rs"]
 mod counting_alloc;
 
 use counting_alloc::counted;

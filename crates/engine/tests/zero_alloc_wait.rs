@@ -15,6 +15,7 @@
 //! its own job next in line and nobody serving it. `submit` itself allocates
 //! nothing: the call's slot and request buffers are a recycled job cell.
 
+#[path = "../../runtime/tests/counting_alloc/mod.rs"]
 mod counting_alloc;
 
 use counting_alloc::counted;

@@ -341,11 +341,6 @@ impl Aggregate {
         self.len == 0
     }
 
-    /// Number of underlying segments (diagnostics).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Splices a whole fbuf onto the tail (constant time, no copy).
     pub fn splice(&mut self, sys: &FbufSystem, fbuf: Fbuf) {
         let len = fbuf.len();
@@ -560,7 +555,7 @@ mod tests {
             agg.splice(&sys, f);
         }
         assert_eq!(agg.len(), 8);
-        assert_eq!(agg.segment_count(), 3);
+        assert_eq!(agg.segments.len(), 3);
         let mut out = Vec::new();
         // Consume across a segment boundary.
         let n = agg.consume(&sys, b, 5, |s| out.extend_from_slice(s)).unwrap();
@@ -572,7 +567,7 @@ mod tests {
         assert_eq!(n, 3);
         assert_eq!(out, b"abcdefgh");
         assert!(agg.is_empty());
-        assert_eq!(agg.segment_count(), 0);
+        assert_eq!(agg.segments.len(), 0);
     }
 
     #[test]

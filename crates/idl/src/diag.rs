@@ -22,7 +22,7 @@ impl ParseError {
     /// Creates an error at a position carrying a "did you mean …?" hint.
     /// The hint rides inside `msg` so every existing consumer (which only
     /// knows `msg`/`line`/`col`) renders it without changes.
-    pub fn suggest(
+    pub(crate) fn suggest(
         msg: impl Into<String>,
         hint: impl fmt::Display,
         line: u32,

@@ -32,7 +32,7 @@ pub enum Tok<'src> {
 
 impl Tok<'_> {
     /// Human-readable token description for error messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Tok::Ident(s) => format!("`{s}`"),
             Tok::Num(n) => format!("number {n}"),
@@ -54,7 +54,7 @@ pub struct Spanned<'src> {
 }
 
 /// Tokenizes `src` completely (appends an `Eof` token).
-pub fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>> {
+pub(crate) fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>> {
     // A token and the blank or punctuation that ends it are rarely under
     // three bytes of source, so interface text lexes without regrowing;
     // denser input (`f(,,);`) grows the vector as usual.
@@ -170,7 +170,7 @@ impl<'src> TokStream<'src> {
     }
 
     /// The current token.
-    pub fn peek(&self) -> Tok<'src> {
+    pub(crate) fn peek(&self) -> Tok<'src> {
         self.toks[self.pos].tok
     }
 
@@ -204,7 +204,7 @@ impl<'src> TokStream<'src> {
     }
 
     /// Consumes an identifier or fails.
-    pub fn expect_ident(&mut self, what: &str) -> Result<&'src str> {
+    pub(crate) fn expect_ident(&mut self, what: &str) -> Result<&'src str> {
         match self.peek() {
             Tok::Ident(s) => {
                 self.next();
@@ -215,7 +215,7 @@ impl<'src> TokStream<'src> {
     }
 
     /// Consumes a number or fails.
-    pub fn expect_num(&mut self) -> Result<u64> {
+    pub(crate) fn expect_num(&mut self) -> Result<u64> {
         match self.peek() {
             Tok::Num(n) => {
                 self.next();
@@ -226,7 +226,7 @@ impl<'src> TokStream<'src> {
     }
 
     /// Consumes a specific punctuation character or fails.
-    pub fn expect_punct(&mut self, c: char) -> Result<()> {
+    pub(crate) fn expect_punct(&mut self, c: char) -> Result<()> {
         if self.eat_punct(c) {
             Ok(())
         } else {
@@ -235,7 +235,7 @@ impl<'src> TokStream<'src> {
     }
 
     /// Consumes the given punctuation if present; returns whether it did.
-    pub fn eat_punct(&mut self, c: char) -> bool {
+    pub(crate) fn eat_punct(&mut self, c: char) -> bool {
         if self.peek() == Tok::Punct(c) {
             self.next();
             true
@@ -245,7 +245,7 @@ impl<'src> TokStream<'src> {
     }
 
     /// Consumes the given keyword if present; returns whether it did.
-    pub fn eat_kw(&mut self, kw: &str) -> bool {
+    pub(crate) fn eat_kw(&mut self, kw: &str) -> bool {
         if self.peek() == Tok::Ident(kw) {
             self.next();
             true
@@ -255,7 +255,7 @@ impl<'src> TokStream<'src> {
     }
 
     /// Consumes a specific keyword or fails.
-    pub fn expect_kw(&mut self, kw: &str) -> Result<()> {
+    pub(crate) fn expect_kw(&mut self, kw: &str) -> Result<()> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
@@ -264,7 +264,7 @@ impl<'src> TokStream<'src> {
     }
 
     /// True at end of input.
-    pub fn at_eof(&self) -> bool {
+    pub(crate) fn at_eof(&self) -> bool {
         self.peek() == Tok::Eof
     }
 }

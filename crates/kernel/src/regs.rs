@@ -23,7 +23,7 @@
 use std::hint::black_box;
 
 /// Number of simulated general-purpose registers (PA-RISC has 32).
-pub const NREGS: usize = 32;
+pub(crate) const NREGS: usize = 32;
 /// Registers that carry inline message data and are therefore never scrubbed.
 pub const MSG_REGS: usize = 8;
 
@@ -44,15 +44,6 @@ impl TrustLevel {
     /// All levels, in the order the paper's Figure 12 axes use.
     pub const ALL: [TrustLevel; 3] =
         [TrustLevel::None, TrustLevel::Leaky, TrustLevel::LeakyUnprotected];
-
-    /// The PDL spelling of this level (empty for the default).
-    pub fn pdl_attrs(self) -> &'static str {
-        match self {
-            TrustLevel::None => "",
-            TrustLevel::Leaky => "leaky",
-            TrustLevel::LeakyUnprotected => "leaky, unprotected",
-        }
-    }
 
     /// Short label used in reports and bench IDs.
     pub fn label(self) -> &'static str {
@@ -290,12 +281,5 @@ mod tests {
         rf.live[MSG_REGS] = 42;
         run_ops(&path.post, &mut rf);
         assert_eq!(rf.live[MSG_REGS], 42, "full trust performs no restore");
-    }
-
-    #[test]
-    fn pdl_spellings() {
-        assert_eq!(TrustLevel::None.pdl_attrs(), "");
-        assert_eq!(TrustLevel::Leaky.pdl_attrs(), "leaky");
-        assert_eq!(TrustLevel::LeakyUnprotected.pdl_attrs(), "leaky, unprotected");
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! Two features exist specifically to support flexible presentation:
 //!
-//! * **Reserve/fill windows** ([`MsgBuf::reserve_window`]) let a `[special]`
+//! * **Reserve/fill windows** (the writers' `reserve_payload`) let a `[special]`
 //!   user marshal routine write payload bytes directly into their final
 //!   position in the message, skipping the staging copy a conventional stub
 //!   would do. This is the generated-stub equivalent of the hand-coded Linux
@@ -30,8 +30,8 @@ use crate::Result;
 /// A growable, sequentially-written message buffer.
 ///
 /// Writes append at the tail. Alignment padding is explicit: the encoders in
-/// [`crate::xdr`] and [`crate::cdr`] call [`MsgBuf::pad_to`] so the padding
-/// policy stays a property of the wire format, not of the buffer.
+/// [`crate::xdr`] and [`crate::cdr`] pad, so the padding policy stays a
+/// property of the wire format, not of the buffer.
 ///
 /// # Examples
 ///
@@ -40,8 +40,7 @@ use crate::Result;
 ///
 /// let mut m = MsgBuf::new();
 /// m.put_bytes(&[1, 2, 3]);
-/// m.pad_to(4);
-/// assert_eq!(m.as_slice(), &[1, 2, 3, 0]);
+/// assert_eq!((m.as_slice(), m.bytes_written()), (&[1u8, 2, 3][..], 3));
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct MsgBuf {
@@ -55,9 +54,8 @@ pub struct MsgBuf {
 
 /// A reserved, not-yet-filled region inside a [`MsgBuf`].
 ///
-/// Produced by [`MsgBuf::reserve_window`]; must be passed back to
-/// [`MsgBuf::fill_window`] (or [`MsgBuf::fill_window_with`]) exactly once
-/// before the buffer is sealed with [`MsgBuf::seal`].
+/// Produced by a writer's `reserve_payload`; must be passed back to its
+/// `fill_window_with` exactly once before the message is finished.
 #[derive(Debug)]
 #[must_use = "a reserved window must be filled before the message is sealed"]
 pub struct Window {
@@ -101,7 +99,7 @@ impl MsgBuf {
     /// Wraps an already-encoded byte vector (e.g. one received from a
     /// transport) so it can be inspected through the same accessors.
     #[inline]
-    pub fn from_vec(data: Vec<u8>) -> Self {
+    pub(crate) fn from_vec(data: Vec<u8>) -> Self {
         MsgBuf { data, bytes_written: 0, open_windows: 0 }
     }
 
@@ -138,7 +136,7 @@ impl MsgBuf {
 
     /// Pads with zeros so the current length is a multiple of `align`.
     #[inline]
-    pub fn pad_to(&mut self, align: usize) {
+    pub(crate) fn pad_to(&mut self, align: usize) {
         let target = crate::align_up(self.data.len(), align);
         self.data.resize(target, 0);
     }
@@ -225,28 +223,14 @@ impl MsgBuf {
     /// Reserves a `len`-byte window at the tail for later direct filling.
     ///
     /// The window is zero-initialized so a message is never sent with
-    /// uninitialized contents even if a fill is skipped (that skip is still
-    /// reported as an error by [`MsgBuf::seal`]).
+    /// uninitialized contents even if a fill is skipped (that skip still
+    /// fails the assertion in `into_sealed`).
     #[inline]
-    pub fn reserve_window(&mut self, len: usize) -> Window {
+    pub(crate) fn reserve_window(&mut self, len: usize) -> Window {
         let offset = self.data.len();
         self.data.resize(offset + len, 0);
         self.open_windows += 1;
         Window { offset, len }
-    }
-
-    /// Fills a previously reserved window with `bytes`.
-    ///
-    /// Fails if `bytes.len()` differs from the window length.
-    #[inline]
-    pub fn fill_window(&mut self, w: Window, bytes: &[u8]) -> Result<()> {
-        if bytes.len() != w.len {
-            return Err(MarshalError::WindowMisuse("fill length differs from window length"));
-        }
-        self.data[w.offset..w.offset + w.len].copy_from_slice(bytes);
-        self.bytes_written += w.len as u64;
-        self.open_windows -= 1;
-        Ok(())
     }
 
     /// Fills a previously reserved window through a user-supplied writer.
@@ -258,7 +242,7 @@ impl MsgBuf {
     /// window length is an error, matching the strictness of the kernel
     /// routines the paper wraps.
     #[inline]
-    pub fn fill_window_with<F>(&mut self, w: Window, f: F) -> Result<()>
+    pub(crate) fn fill_window_with<F>(&mut self, w: Window, f: F) -> Result<()>
     where
         F: FnOnce(&mut [u8]) -> usize,
     {
@@ -271,19 +255,8 @@ impl MsgBuf {
         Ok(())
     }
 
-    /// Finalizes the message, returning its bytes.
-    ///
-    /// Fails if any reserved window was never filled.
-    #[inline]
-    pub fn seal(self) -> Result<Vec<u8>> {
-        if self.open_windows != 0 {
-            return Err(MarshalError::WindowMisuse("sealed with unfilled window"));
-        }
-        Ok(self.data)
-    }
-
-    /// [`MsgBuf::seal`] for the writers' `into_bytes`, which treat an
-    /// unfilled window as a bug. No `Result` is built on the way: through
+    /// Finalizes the message for the writers' `into_bytes`, returning its
+    /// bytes. An unfilled window is a bug. No `Result` is built on the way: through
     /// one, the vector's capacity word travels as the error type's pieces
     /// (tag byte, `u32`, …) and lands in the caller's `Vec` by four narrow
     /// stores, which the caller's next `capacity()` then reloads as one
@@ -324,24 +297,20 @@ mod tests {
         m.pad_to(4);
         let w = m.reserve_window(4);
         m.put_bytes(&[0xBB]);
-        m.fill_window(w, &[1, 2, 3, 4]).unwrap();
-        let bytes = m.seal().unwrap();
-        assert_eq!(bytes, vec![0xAA, 0, 0, 0, 1, 2, 3, 4, 0xBB]);
+        m.fill_window_with(w, |dst| {
+            dst.copy_from_slice(&[1, 2, 3, 4]);
+            4
+        })
+        .unwrap();
+        assert_eq!(m.into_sealed(), vec![0xAA, 0, 0, 0, 1, 2, 3, 4, 0xBB]);
     }
 
     #[test]
-    fn window_wrong_length_rejected() {
-        let mut m = MsgBuf::new();
-        let w = m.reserve_window(4);
-        let err = m.fill_window(w, &[1, 2]).unwrap_err();
-        assert!(matches!(err, MarshalError::WindowMisuse(_)));
-    }
-
-    #[test]
-    fn seal_with_open_window_rejected() {
+    #[should_panic(expected = "unfilled reserve window")]
+    fn sealing_with_an_open_window_is_a_bug() {
         let mut m = MsgBuf::new();
         let _w = m.reserve_window(4);
-        assert!(matches!(m.seal(), Err(MarshalError::WindowMisuse(_))));
+        m.into_sealed();
     }
 
     #[test]
@@ -353,7 +322,7 @@ mod tests {
             3
         })
         .unwrap();
-        assert_eq!(m.seal().unwrap(), b"xyz".to_vec());
+        assert_eq!(m.into_sealed(), b"xyz".to_vec());
     }
 
     #[test]
@@ -372,7 +341,7 @@ mod tests {
         assert_eq!(w.offset(), 2);
         assert_eq!(w.len(), 5);
         assert!(!w.is_empty());
-        m.fill_window(w, &[0; 5]).unwrap();
+        m.fill_window_with(w, |_| 5).unwrap();
     }
 
     #[test]

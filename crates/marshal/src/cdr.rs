@@ -11,7 +11,7 @@ use crate::error::MarshalError;
 use crate::Result;
 
 /// Default cap on variable-length items (see [`crate::xdr::DEFAULT_MAX_LEN`]).
-pub const DEFAULT_MAX_LEN: usize = 64 << 20;
+pub(crate) const DEFAULT_MAX_LEN: usize = 64 << 20;
 
 /// Byte order of a CDR stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

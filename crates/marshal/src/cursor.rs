@@ -19,8 +19,7 @@ use crate::Result;
 ///
 /// let msg = [0, 0, 0, 5, b'h', b'e', b'l', b'l', b'o'];
 /// let mut c = ReadCursor::new(&msg);
-/// let n = c.get_u32_ne().unwrap();
-/// # let _ = n;
+/// assert_eq!(c.take(4).unwrap(), [0, 0, 0, 5]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReadCursor<'a> {
@@ -70,13 +69,6 @@ impl<'a> ReadCursor<'a> {
         self.take(n).map(|_| ())
     }
 
-    /// Reads a native-endian u32 (layout fixed at bind time, both sides on
-    /// the same simulated machine).
-    #[inline]
-    pub fn get_u32_ne(&mut self) -> Result<u32> {
-        Ok(u32::from_ne_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     /// The rest of the message as one borrowed slice (consumes it).
     #[inline]
     pub fn rest(&mut self) -> &'a [u8] {
@@ -108,14 +100,5 @@ mod tests {
         assert!(matches!(c.take(3), Err(MarshalError::Truncated { needed: 3, remaining: 2 })));
         // A failed take consumes nothing.
         assert_eq!(c.remaining(), 2);
-    }
-
-    #[test]
-    fn native_endian_ints() {
-        let v: u32 = 0x12345678;
-        let msg = v.to_ne_bytes();
-        let mut c = ReadCursor::new(&msg);
-        assert_eq!(c.get_u32_ne().unwrap(), v);
-        assert!(c.is_empty());
     }
 }

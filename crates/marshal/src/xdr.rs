@@ -12,7 +12,7 @@ use crate::{align_up, Result};
 
 /// Default cap on variable-length items, to stop a hostile length prefix from
 /// driving a huge allocation. Decoders can raise it per-field.
-pub const DEFAULT_MAX_LEN: usize = 64 << 20;
+pub(crate) const DEFAULT_MAX_LEN: usize = 64 << 20;
 
 /// Sequential XDR encoder writing into a [`MsgBuf`].
 ///

@@ -312,7 +312,7 @@ impl SimNet {
     }
 
     /// The host's name.
-    pub fn host_name(&self, host: HostId) -> Result<String> {
+    pub(crate) fn host_name(&self, host: HostId) -> Result<String> {
         let hosts = self.hosts.lock();
         hosts.get(host.0).map(|h| h.name.clone()).ok_or(NetError::NoSuchHost(host))
     }

@@ -87,7 +87,7 @@ const CALL_HDR_WORDS: usize = 10;
 /// big-endian u64. Riding the RFC 1057 credential field keeps the tag out
 /// of the argument bytes, so tagged and untagged frames decode with the
 /// same body layout.
-pub const CRED_FLAVOR_AMO: u32 = 0x464C_5250; // "FLRP"
+pub(crate) const CRED_FLAVOR_AMO: u32 = 0x464C_5250; // "FLRP"
 /// Byte length of the at-most-once credential body.
 const CRED_AMO_LEN: u32 = 24;
 /// Reply header size after the record mark: XID, type, reply stat, null

@@ -113,8 +113,6 @@ pub const NFSERR_IO: u32 = 5;
 pub const NFSERR_NOENT: u32 = 2;
 /// File exists.
 pub const NFSERR_EXIST: u32 = 17;
-/// Not a directory.
-pub const NFSERR_NOTDIR: u32 = 20;
 
 /// Parses [`NFS_X`] into a validated module.
 pub fn nfs_module() -> Module {

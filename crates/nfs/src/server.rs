@@ -66,7 +66,7 @@ impl FileStore {
     }
 
     /// Adds a file under a name in the root directory.
-    pub fn add_named_file(&mut self, name: &str, data: Vec<u8>) -> [u8; FHSIZE] {
+    pub(crate) fn add_named_file(&mut self, name: &str, data: Vec<u8>) -> [u8; FHSIZE] {
         let fh = self.add_file(data);
         self.root.insert(name.to_owned(), fh);
         fh
@@ -85,7 +85,7 @@ impl FileStore {
     }
 
     /// The well-known root directory handle.
-    pub fn root_fh() -> [u8; FHSIZE] {
+    pub(crate) fn root_fh() -> [u8; FHSIZE] {
         let mut fh = [0u8; FHSIZE];
         fh[..4].copy_from_slice(b"ROOT");
         fh

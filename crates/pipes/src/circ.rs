@@ -6,7 +6,7 @@
 //! the head and "the buffer is likely to have more data than is requested
 //! ... that data must be retained for future reads".
 //!
-//! [`CircBuf::peek_front`] exposes the readable bytes as (up to) two
+//! `CircBuf::peek_front` exposes the readable bytes as (up to) two
 //! contiguous slices *without consuming them*, which is exactly what the
 //! `dealloc(never)` presentation needs: the reply stub marshals straight
 //! out of these slices, and only then does the server [`CircBuf::consume`]
@@ -61,7 +61,7 @@ impl CircBuf {
 
     /// The readable bytes as up to two contiguous slices (second is empty
     /// unless the data wraps). Does not consume.
-    pub fn peek_front(&self, n: usize) -> (&[u8], &[u8]) {
+    pub(crate) fn peek_front(&self, n: usize) -> (&[u8], &[u8]) {
         let n = n.min(self.len);
         let cap = self.capacity();
         let first = n.min(cap - self.head);
@@ -80,7 +80,7 @@ impl CircBuf {
     /// Copies up to `n` front bytes into a fresh vector and consumes them —
     /// the *move-semantics* read (default CORBA presentation): one extra
     /// buffer-sized copy plus an allocation per read.
-    pub fn read_move(&mut self, n: usize) -> Vec<u8> {
+    pub(crate) fn read_move(&mut self, n: usize) -> Vec<u8> {
         let (a, b) = self.peek_front(n);
         let mut out = Vec::with_capacity(a.len() + b.len());
         out.extend_from_slice(a);

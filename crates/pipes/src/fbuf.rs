@@ -24,7 +24,7 @@ use flexrpc_kernel::{Connection, Kernel, TaskId, UserAddr};
 use std::sync::Arc;
 
 /// Header bytes on every fbuf message: `[op: u32][arg: u32]`, native order.
-pub const HDR: usize = 8;
+pub(crate) const HDR: usize = 8;
 
 const OP_WRITE: u32 = 1;
 const OP_READ: u32 = 2;
@@ -51,13 +51,13 @@ impl FbufMode {
 /// PDL giving the pipe server the `[special]` presentation for both the
 /// incoming write payload and the read reply (as §4.3 describes: "as was
 /// done in the Linux NFS client examples").
-pub const FBUF_SPECIAL_PDL: &str = r#"
+pub(crate) const FBUF_SPECIAL_PDL: &str = r#"
 void FileIO_write(char *[special] data);
 sequence<octet> [special] FileIO_read(unsigned long count);
 "#;
 
 /// Builds the server presentation for `mode` and sanity-checks it.
-pub fn fbuf_server_presentation(mode: FbufMode) -> InterfacePresentation {
+pub(crate) fn fbuf_server_presentation(mode: FbufMode) -> InterfacePresentation {
     let m = crate::fileio_module();
     let iface = m.interface("FileIO").expect("FileIO");
     let base = InterfacePresentation::default_for(&m, iface).expect("defaults");
@@ -110,7 +110,7 @@ impl FbufPipeServer {
     }
 
     /// Handles a write request carried in `req` (header + payload).
-    pub fn handle_write(&mut self, req: Fbuf) -> u32 {
+    pub(crate) fn handle_write(&mut self, req: Fbuf) -> u32 {
         let payload_len = req.len() - HDR;
         if self.buffered() + payload_len > self.cap {
             let _ = self.sys.free(req);
@@ -134,7 +134,7 @@ impl FbufPipeServer {
     }
 
     /// Handles a read request, producing `(status, reply_payload)`.
-    pub fn handle_read(&mut self, count: usize) -> (u32, Aggregate) {
+    pub(crate) fn handle_read(&mut self, count: usize) -> (u32, Aggregate) {
         if self.buffered() == 0 {
             return (WOULDBLOCK, Aggregate::new());
         }

@@ -29,9 +29,6 @@ pub mod server;
 /// progress (buffer full on write, empty on read) — the RPC-level EAGAIN.
 pub const WOULDBLOCK: u32 = 11;
 
-/// Status code for operations on a closed pipe end.
-pub const EPIPE: u32 = 32;
-
 /// The `FileIO` interface definition the pipe server implements, exactly as
 /// the paper's Figure 3 writes it.
 pub const FILEIO_IDL: &str = r#"
@@ -55,7 +52,7 @@ typedef struct {
 /// Server-side PDL used by *all* server variants: the C mapping hands the
 /// server `in`-sequences by reference into the request buffer, which is
 /// what `[borrowed]` spells in our PDL.
-pub const SERVER_WRITE_PDL: &str = "void FileIO_write(char *[borrowed] data);";
+pub(crate) const SERVER_WRITE_PDL: &str = "void FileIO_write(char *[borrowed] data);";
 
 /// Parses [`FILEIO_IDL`] into a validated module.
 pub fn fileio_module() -> flexrpc_core::ir::Module {

@@ -8,7 +8,7 @@
 //!   and internal code matches on its variants.
 //! * [`Error`] is the *public* unified type the facade re-exports as
 //!   `flexrpc::Error`: one [`ErrorKind`] taxonomy across every crate, with
-//!   retryability a method ([`Error::is_retryable`]) rather than a
+//!   retryability a kind ([`ErrorKind::Retryable`]) rather than a
 //!   match-on-variant guessing game. Every crate-local enum converts into
 //!   it via `From`, so application code handles exactly one error type.
 
@@ -136,7 +136,7 @@ impl RpcError {
     }
 
     /// Whether a retry policy may resend after this error.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         self.kind() == ErrorKind::Retryable
     }
 }
@@ -199,11 +199,6 @@ impl Error {
     /// Which taxonomy bucket this error falls into.
     pub fn kind(&self) -> ErrorKind {
         self.kind
-    }
-
-    /// Whether a retry policy may resend after this error.
-    pub fn is_retryable(&self) -> bool {
-        self.kind == ErrorKind::Retryable
     }
 
     /// The human-readable detail.
@@ -333,13 +328,13 @@ mod tests {
     #[test]
     fn unified_error_from_every_crate_local_enum() {
         let e: Error = flexrpc_net::NetError::Dropped.into();
-        assert!(e.is_retryable());
+        assert_eq!(e.kind(), ErrorKind::Retryable);
         let e: Error = flexrpc_kernel::KernelError::NoServer.into();
-        assert!(e.is_retryable());
+        assert_eq!(e.kind(), ErrorKind::Retryable);
         let e: Error = flexrpc_core::CoreError::ContractViolation("sig".into()).into();
         assert_eq!(e.kind(), ErrorKind::ContractViolation);
         let e: Error = flexrpc_marshal::MarshalError::BadBool(1).into();
-        assert!(!e.is_retryable());
+        assert_eq!(e.kind(), ErrorKind::Fatal);
         let e: Error = RpcError::DeadlineExceeded.into();
         assert_eq!(e.kind(), ErrorKind::DeadlineExceeded);
         assert!(e.to_string().contains("deadline"));

@@ -64,11 +64,6 @@ impl HookMap {
         self.hooks.insert(param, hook);
     }
 
-    /// Registers the hook for the result position.
-    pub fn set_result(&mut self, hook: Arc<dyn SpecialMarshal>) {
-        self.hooks.insert(usize::MAX, hook);
-    }
-
     /// Looks up a hook.
     pub fn get(&self, param: usize) -> Option<&Arc<dyn SpecialMarshal>> {
         self.hooks.get(&param)
@@ -91,69 +86,19 @@ impl std::fmt::Debug for HookMap {
     }
 }
 
-/// A hook backed by closures — convenient for tests and simple apps.
-pub struct FnHook<L, F, G> {
-    /// Length function.
-    pub len: L,
-    /// Fill function.
-    pub fill: F,
-    /// Receive function.
-    pub recv: G,
-}
-
-impl<L, F, G> SpecialMarshal for FnHook<L, F, G>
-where
-    L: Fn(&[Value]) -> usize + Send + Sync,
-    F: Fn(&[Value], &mut [u8]) -> usize + Send + Sync,
-    G: Fn(&mut [Value], &[u8]) + Send + Sync,
-{
-    fn put_len(&self, slots: &[Value]) -> usize {
-        (self.len)(slots)
-    }
-
-    fn put_fill(&self, slots: &[Value], dst: &mut [u8]) -> usize {
-        (self.fill)(slots, dst)
-    }
-
-    fn get(&self, slots: &mut [Value], payload: &[u8]) {
-        (self.recv)(slots, payload)
-    }
-}
-
-/// A receive-only hook from a single closure.
-pub fn recv_hook(
-    f: impl Fn(&mut [Value], &[u8]) + Send + Sync + 'static,
-) -> Arc<dyn SpecialMarshal> {
-    Arc::new(FnHook { len: |_: &[Value]| 0, fill: |_: &[Value], _: &mut [u8]| 0, recv: f })
-}
-
-/// A send-only hook from a length closure and a fill closure.
-pub fn send_hook(
-    len: impl Fn(&[Value]) -> usize + Send + Sync + 'static,
-    fill: impl Fn(&[Value], &mut [u8]) -> usize + Send + Sync + 'static,
-) -> Arc<dyn SpecialMarshal> {
-    Arc::new(FnHook { len, fill, recv: |_: &mut [Value], _: &[u8]| {} })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    struct Nop;
+    impl SpecialMarshal for Nop {}
 
     #[test]
     fn registry_roundtrip() {
         let mut map = HookMap::new();
         assert!(map.is_empty());
-        map.set(
-            0,
-            send_hook(
-                |_| 3,
-                |_, d| {
-                    d.copy_from_slice(b"abc");
-                    3
-                },
-            ),
-        );
-        map.set_result(recv_hook(|_, _| {}));
+        map.set(0, Arc::new(Nop));
+        map.set(usize::MAX, Arc::new(Nop));
         assert_eq!(map.len(), 2);
         assert!(map.get(0).is_some());
         assert!(map.get(usize::MAX).is_some());
@@ -161,25 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn fn_hook_dispatch() {
-        let hook = send_hook(
-            |slots| slots.len(),
-            |_, d| {
-                d.fill(9);
-                d.len()
-            },
-        );
-        let slots = vec![Value::U32(1), Value::U32(2)];
-        assert_eq!(hook.put_len(&slots), 2);
-        let mut buf = [0u8; 2];
-        assert_eq!(hook.put_fill(&slots, &mut buf), 2);
-        assert_eq!(buf, [9, 9]);
-    }
-
-    #[test]
     fn default_trait_methods_are_inert() {
-        struct Nop;
-        impl SpecialMarshal for Nop {}
         let slots = vec![Value::Null];
         assert_eq!(Nop.put_len(&slots), 0);
         let mut s = slots.clone();

@@ -532,7 +532,7 @@ fn get_block<'a, R: WireRead<'a>>(blk: &ScalarBlock, slots: &mut [Value], r: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::{recv_hook, send_hook};
+    use crate::hooks::SpecialMarshal;
     use flexrpc_core::program::Slot;
     use flexrpc_marshal::WireFormat;
     use std::sync::Arc;
@@ -886,17 +886,18 @@ mod tests {
     #[test]
     fn special_hooks_on_both_sides() {
         // Sender: hook produces payload from out-of-band state.
+        struct Produce;
+        impl SpecialMarshal for Produce {
+            fn put_len(&self, _: &[Value]) -> usize {
+                4
+            }
+            fn put_fill(&self, _: &[Value], dst: &mut [u8]) -> usize {
+                dst.copy_from_slice(b"hook");
+                4
+            }
+        }
         let mut send_hooks = HookMap::new();
-        send_hooks.set(
-            0,
-            send_hook(
-                |_| 4,
-                |_, d| {
-                    d.copy_from_slice(b"hook");
-                    4
-                },
-            ),
-        );
+        send_hooks.set(0, Arc::new(Produce));
         let mut w = AnyWriter::new(WireFormat::Xdr);
         marshal(
             &prog(vec![MOp::PutBytesSpecial { slot: Slot(0), hook: 0 }]),
@@ -910,15 +911,15 @@ mod tests {
         let msg = w.into_bytes();
 
         // Receiver: hook captures the payload.
+        struct Capture(Arc<Mutex<Vec<u8>>>);
+        impl SpecialMarshal for Capture {
+            fn get(&self, _: &mut [Value], payload: &[u8]) {
+                self.0.lock().unwrap().extend_from_slice(payload);
+            }
+        }
         let captured = Arc::new(Mutex::new(Vec::new()));
-        let cap2 = Arc::clone(&captured);
         let mut recv_hooks = HookMap::new();
-        recv_hooks.set(
-            0,
-            recv_hook(move |_, payload| {
-                cap2.lock().unwrap().extend_from_slice(payload);
-            }),
-        );
+        recv_hooks.set(0, Arc::new(Capture(Arc::clone(&captured))));
         let mut out = vec![Value::Null];
         let mut r = AnyReader::new(WireFormat::Xdr, &msg).unwrap();
         unmarshal(

@@ -80,7 +80,7 @@ impl RetryPolicy {
     /// at-most-once execution (`at_most_once = true`) *any* operation may
     /// retry: the server's reply cache suppresses re-execution, so a resend
     /// is observationally a single execution even without `[idempotent]`.
-    pub fn check_op_with(&self, op: &CompiledOp, at_most_once: bool) -> Result<(), Error> {
+    pub(crate) fn check_op_with(&self, op: &CompiledOp, at_most_once: bool) -> Result<(), Error> {
         if self.max_attempts > 1 && !op.idempotent && !at_most_once {
             return Err(Error::new(
                 ErrorKind::ContractViolation,
@@ -151,7 +151,7 @@ impl CallOptions {
     }
 
     /// True if this call opted out of at-most-once suppression.
-    pub fn is_at_least_once(&self) -> bool {
+    pub(crate) fn is_at_least_once(&self) -> bool {
         self.at_least_once
     }
 

@@ -84,9 +84,6 @@ pub struct SameDomain {
     /// Scratch for originals set aside during protective copies (reused so
     /// steady-state calls do not allocate bookkeeping).
     saved_scratch: Vec<(usize, Value)>,
-    /// Set when the server side tears down: every further call reports
-    /// [`RpcError::Disconnected`], the trigger a supervisor fails over on.
-    closed: bool,
 }
 
 impl SameDomain {
@@ -138,26 +135,7 @@ impl SameDomain {
                 handler: None,
             });
         }
-        Ok(SameDomain {
-            ops,
-            stats: Arc::new(SdStats::default()),
-            saved_scratch: Vec::new(),
-            closed: false,
-        })
-    }
-
-    /// Tears the binding down (the in-process server's crash analogue):
-    /// every subsequent call fails with [`RpcError::Disconnected`]. A
-    /// supervisor reacts by renegotiating against a fallback endpoint —
-    /// possibly a *network* one with entirely different negotiated
-    /// semantics, which is the point of bind-time negotiation being cheap.
-    pub fn close(&mut self) {
-        self.closed = true;
-    }
-
-    /// True once [`SameDomain::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed
+        Ok(SameDomain { ops, stats: Arc::new(SdStats::default()), saved_scratch: Vec::new() })
     }
 
     /// Registers the work function for an operation.
@@ -200,9 +178,6 @@ impl SameDomain {
 
     /// Invokes by operation index.
     pub fn call_index(&mut self, idx: usize, frame: &mut [Value]) -> Result<u32> {
-        if self.closed {
-            return Err(RpcError::Disconnected("same-domain binding closed".into()));
-        }
         let o =
             self.ops.get_mut(idx).ok_or_else(|| RpcError::NoSuchOp(format!("op index {idx}")))?;
 

@@ -195,9 +195,6 @@ pub struct ServerInterface {
     /// At-most-once reply cache, consulted by [`ServerInterface::dispatch_tagged`]
     /// when the transport delivers a call tag. `None` = at-least-once.
     reply_cache: Option<std::sync::Arc<crate::replycache::ReplyCache>>,
-    /// Span trace for server-side dispatch, shared with whoever serves this
-    /// interface (an engine worker, a kernel/net serve loop).
-    tracer: Option<flexrpc_trace::SharedCallTrace>,
 }
 
 /// What one operation keeps between its dispatches.
@@ -230,20 +227,7 @@ impl ServerInterface {
             hooks: vec![HookMap::new(); n],
             scratch: vec![OpScratch { frame: Vec::new(), reply_cap: 64 }; n],
             reply_cache: None,
-            tracer: None,
         }
-    }
-
-    /// Attaches a shared span trace: every dispatch records a
-    /// [`Stage::Dispatch`](flexrpc_trace::Stage) span (detail = op index)
-    /// stamped on the trace's time source.
-    pub fn set_tracer(&mut self, tracer: flexrpc_trace::SharedCallTrace) {
-        self.tracer = Some(tracer);
-    }
-
-    /// The attached span trace, if any.
-    pub fn tracer(&self) -> Option<&flexrpc_trace::SharedCallTrace> {
-        self.tracer.as_ref()
     }
 
     /// Enables at-most-once execution: tagged calls record their replies
@@ -317,11 +301,7 @@ impl ServerInterface {
         buf.clear();
         buf.reserve(self.scratch[op_index].reply_cap);
         let mut writer = AnyWriter::over(self.format, buf);
-        let t0 = self.tracer.as_ref().map(|t| (t.begin_call(), t.now_ns()));
         let result = self.dispatch_into(op_index, request, rights_in, &mut writer, rights_out);
-        if let (Some(t), Some((call, start))) = (&self.tracer, t0) {
-            t.record(call, flexrpc_trace::Stage::Dispatch, start, t.now_ns(), op_index as u64);
-        }
         *reply = writer.into_bytes();
         let cap = &mut self.scratch[op_index].reply_cap;
         *cap = (*cap).max(reply.capacity());
@@ -443,7 +423,7 @@ mod tests {
         srv.dispatch(0, &request, &[], &mut reply, &mut Vec::new()).unwrap();
 
         let mut r = AnyReader::new(WireFormat::Cdr, &reply).unwrap();
-        assert_eq!(r.get_bytes_owned().unwrap(), vec![0xAB; 5]);
+        assert_eq!(r.get_bytes_borrowed().unwrap(), vec![0xAB; 5]);
         assert_eq!(r.get_u32().unwrap(), 0, "status");
     }
 
@@ -457,7 +437,7 @@ mod tests {
         let mut reply = Vec::new();
         srv.dispatch(0, &request, &[], &mut reply, &mut Vec::new()).unwrap();
         let mut r = AnyReader::new(WireFormat::Cdr, &reply).unwrap();
-        let _payload = r.get_bytes_owned().unwrap();
+        let _payload = r.get_bytes_borrowed().unwrap();
         assert_eq!(r.get_u32().unwrap(), 7);
     }
 

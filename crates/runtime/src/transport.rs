@@ -18,7 +18,7 @@ use crate::error::RpcError;
 use crate::policy::CallControl;
 use crate::server::ServerInterface;
 use crate::Result;
-use flexrpc_clock::{FaultInjector, Lost, SimClock};
+use flexrpc_clock::{FaultInjector, Lost, SimClock, Verdict};
 use flexrpc_core::present::Trust;
 use flexrpc_core::program::{CompiledInterface, CompiledOp};
 use flexrpc_kernel::ipc::{BindOptions, MsgOut, ServerOptions, MAX_BODY};
@@ -95,7 +95,7 @@ pub trait Transport: Send {
 }
 
 /// Maps the core presentation's trust level onto the kernel's.
-pub fn trust_to_kernel(t: Trust) -> TrustLevel {
+pub(crate) fn trust_to_kernel(t: Trust) -> TrustLevel {
     match t {
         Trust::None => TrustLevel::None,
         Trust::Leaky => TrustLevel::Leaky,
@@ -127,6 +127,50 @@ impl Loopback {
     pub fn faults(&self) -> &Arc<FaultInjector> {
         &self.faults
     }
+
+    /// What a call and a one-way send share ahead of the delivery proper:
+    /// the deadline, the fault plan's verdict on this message and, when the
+    /// verdict duplicates a message it does not lose, the extra delivery,
+    /// whose reply goes nowhere. Inlining is forced, as for the client
+    /// stub's `marshal_request`: out of line, the `Result` costs the call.
+    #[inline(always)]
+    fn admit(
+        &self,
+        op: &CompiledOp,
+        request: &[u8],
+        rights: &[u32],
+        ctl: &CallControl,
+    ) -> Result<Verdict> {
+        if ctl.expired(self.clock.now_ns()) {
+            return Err(RpcError::DeadlineExceeded);
+        }
+        let verdict = self.faults.gate(&self.clock);
+        if verdict.duplicate && verdict.lost.is_none() {
+            self.deliver_unanswered(op, request, rights, ctl);
+        }
+        Ok(verdict)
+    }
+
+    /// Delivers a message whose reply nobody reads — a duplicate's, a
+    /// one-way send's. Dispatch failures evaporate with it: the sender has
+    /// no channel to learn of them (the server's own diagnostics do).
+    fn deliver_unanswered(
+        &self,
+        op: &CompiledOp,
+        request: &[u8],
+        rights: &[u32],
+        ctl: &CallControl,
+    ) {
+        let (mut reply, mut rights_out) = (Vec::new(), Vec::new());
+        let _ = self.server.lock().dispatch_tagged(
+            op.index,
+            request,
+            rights,
+            ctl.tag,
+            &mut reply,
+            &mut rights_out,
+        );
+    }
 }
 
 impl Transport for Loopback {
@@ -150,10 +194,7 @@ impl Transport for Loopback {
         rights_out: &mut Vec<u32>,
         ctl: &CallControl,
     ) -> Result<usize> {
-        if ctl.expired(self.clock.now_ns()) {
-            return Err(RpcError::DeadlineExceeded);
-        }
-        let verdict = self.faults.gate(&self.clock);
+        let verdict = self.admit(op, request, rights, ctl)?;
         match verdict.lost {
             Some(Lost::Dropped) => {
                 return Err(RpcError::Transport("message dropped (induced fault)".into()))
@@ -169,18 +210,6 @@ impl Transport for Loopback {
                 return Err(RpcError::Disconnected("loopback link partitioned".into()))
             }
             None => {}
-        }
-        if verdict.duplicate {
-            let mut dup_reply = Vec::new();
-            let mut dup_rights = Vec::new();
-            let _ = self.server.lock().dispatch_tagged(
-                op.index,
-                request,
-                rights,
-                ctl.tag,
-                &mut dup_reply,
-                &mut dup_rights,
-            );
         }
         self.server
             .lock()
@@ -205,39 +234,12 @@ impl Transport for Loopback {
         rights: &[u32],
         ctl: &CallControl,
     ) -> Result<()> {
-        if ctl.expired(self.clock.now_ns()) {
-            return Err(RpcError::DeadlineExceeded);
-        }
-        let verdict = self.faults.gate(&self.clock);
         // A one-way message has no reply to miss: a drop, crash, or
         // partition loses it silently, exactly as the datagram would be.
-        if verdict.lost.is_some() {
+        if self.admit(op, request, rights, ctl)?.lost.is_some() {
             return Ok(());
         }
-        let mut reply = Vec::new();
-        let mut rights_out = Vec::new();
-        if verdict.duplicate {
-            let _ = self.server.lock().dispatch_tagged(
-                op.index,
-                request,
-                rights,
-                ctl.tag,
-                &mut reply,
-                &mut rights_out,
-            );
-            reply.clear();
-            rights_out.clear();
-        }
-        // Dispatch failures evaporate too: the sender has no channel to
-        // learn of them (the server's own diagnostics do).
-        let _ = self.server.lock().dispatch_tagged(
-            op.index,
-            request,
-            rights,
-            ctl.tag,
-            &mut reply,
-            &mut rights_out,
-        );
+        self.deliver_unanswered(op, request, rights, ctl);
         Ok(())
     }
 

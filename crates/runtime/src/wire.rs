@@ -363,21 +363,6 @@ impl AnyWriter {
         put_bool(bool), put_f64(f64),
     }
 
-    /// Writes a wire string.
-    #[inline]
-    pub fn put_str(&mut self, s: &str) {
-        on_wire!(AnyWriter, self, w => WireWrite::put_str(w, s))
-    }
-
-    /// Writes a wire string from raw bytes (the `length_is` presentation).
-    ///
-    /// XDR strings are counted bytes so this is free; CDR strings carry a
-    /// NUL terminator which is appended here.
-    #[inline]
-    pub fn put_str_bytes(&mut self, bytes: &[u8]) {
-        on_wire!(AnyWriter, self, w => WireWrite::put_str_bytes(w, bytes))
-    }
-
     /// Writes a counted byte payload.
     #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
@@ -401,13 +386,13 @@ impl AnyWriter {
     /// Reserves a counted payload of exactly `len` bytes for in-place
     /// filling by a `[special]` hook.
     #[inline]
-    pub fn reserve_payload(&mut self, len: usize) -> Window {
+    pub(crate) fn reserve_payload(&mut self, len: usize) -> Window {
         on_wire!(AnyWriter, self, w => WireWrite::reserve_payload(w, len))
     }
 
     /// Fills a window reserved by [`AnyWriter::reserve_payload`].
     #[inline]
-    pub fn fill_window_with<F>(&mut self, w: Window, f: F) -> MResult<()>
+    pub(crate) fn fill_window_with<F>(&mut self, w: Window, f: F) -> MResult<()>
     where
         F: FnOnce(&mut [u8]) -> usize,
     {
@@ -462,27 +447,10 @@ impl<'a> AnyReader<'a> {
         get_bool -> bool, get_f64 -> f64,
     }
 
-    /// Reads a wire string into an owned `String`.
-    pub fn get_str(&mut self) -> MResult<String> {
-        on_wire!(AnyReader, self, r => WireRead::get_str(r))
-    }
-
-    /// Reads a wire string as raw bytes (the `length_is` presentation — no
-    /// UTF-8 validation; CDR's NUL terminator is stripped).
-    pub fn get_str_bytes(&mut self) -> MResult<Vec<u8>> {
-        on_wire!(AnyReader, self, r => WireRead::get_str_bytes(r))
-    }
-
     /// Reads a counted payload, borrowing from the message.
     #[inline]
     pub fn get_bytes_borrowed(&mut self) -> MResult<&'a [u8]> {
         on_wire!(AnyReader, self, r => WireRead::get_bytes_borrowed(r))
-    }
-
-    /// Reads a counted payload into an owned vector.
-    #[inline]
-    pub fn get_bytes_owned(&mut self) -> MResult<Vec<u8>> {
-        Ok(self.get_bytes_borrowed()?.to_vec())
     }
 
     /// Reads fixed-length opaque bytes into an owned vector. Fixed opaque
@@ -504,6 +472,25 @@ impl<'a> AnyReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The string forms reach the wire through the traits (the executor's
+    // way in); these tests go the same way, format chosen at run time.
+    impl AnyWriter {
+        fn put_str(&mut self, s: &str) {
+            on_wire!(AnyWriter, self, w => WireWrite::put_str(w, s))
+        }
+        fn put_str_bytes(&mut self, bytes: &[u8]) {
+            on_wire!(AnyWriter, self, w => WireWrite::put_str_bytes(w, bytes))
+        }
+    }
+    impl AnyReader<'_> {
+        fn get_str(&mut self) -> MResult<String> {
+            on_wire!(AnyReader, self, r => WireRead::get_str(r))
+        }
+        fn get_str_bytes(&mut self) -> MResult<Vec<u8>> {
+            on_wire!(AnyReader, self, r => WireRead::get_str_bytes(r))
+        }
+    }
 
     fn roundtrip(format: WireFormat) {
         let mut w = AnyWriter::new(format);
@@ -528,7 +515,7 @@ mod tests {
         assert_eq!(r.get_f64().unwrap(), 0.5);
         assert_eq!(r.get_str().unwrap(), "hi");
         assert_eq!(r.get_str_bytes().unwrap(), b"raw");
-        assert_eq!(r.get_bytes_owned().unwrap(), vec![9, 8, 7]);
+        assert_eq!(r.get_bytes_borrowed().unwrap(), vec![9, 8, 7]);
         assert_eq!(r.get_bytes_fixed_owned(4).unwrap(), vec![1, 2, 3, 4]);
         assert_eq!(r.remaining(), 0);
     }
@@ -571,7 +558,7 @@ mod tests {
             .unwrap();
             let bytes = w.into_bytes();
             let mut r = AnyReader::new(format, &bytes).unwrap();
-            assert_eq!(r.get_bytes_owned().unwrap(), vec![1, 2, 3, 4]);
+            assert_eq!(r.get_bytes_borrowed().unwrap(), vec![1, 2, 3, 4]);
             assert_eq!(r.get_u32().unwrap(), 0xCAFE);
         }
     }

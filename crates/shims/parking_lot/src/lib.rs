@@ -89,15 +89,6 @@ impl<T: ?Sized> RwLock<T> {
         self.0.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Attempts shared read access without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.0.try_read() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Acquires exclusive write access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
@@ -227,14 +218,6 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn rwlock_try_read() {
-        let l = RwLock::new(7);
-        assert_eq!(*l.try_read().unwrap(), 7);
-        let _w = l.write();
-        assert!(l.try_read().is_none(), "writer blocks readers");
     }
 
     #[test]

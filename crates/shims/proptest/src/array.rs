@@ -8,11 +8,6 @@ pub fn uniform32<S: Strategy>(element: S) -> Uniform<S, 32> {
     Uniform { element }
 }
 
-/// An `[T; 16]` of independent draws from `element`.
-pub fn uniform16<S: Strategy>(element: S) -> Uniform<S, 16> {
-    Uniform { element }
-}
-
 /// See [`uniform32`].
 #[derive(Debug, Clone)]
 pub struct Uniform<S, const N: usize> {

@@ -17,11 +17,6 @@ impl Rng {
         Rng { state: h | 1 }
     }
 
-    /// Seeds from a raw value.
-    pub fn from_seed(seed: u64) -> Rng {
-        Rng { state: seed | 1 }
-    }
-
     /// Next 64 uniformly random bits.
     pub fn next_u64(&mut self) -> u64 {
         // splitmix64: tiny, full-period, passes practical uniformity tests.

@@ -9,7 +9,7 @@
 use crate::rng::Rng;
 
 /// Generates one string matching `pattern`.
-pub fn generate_pattern(pattern: &str, rng: &mut Rng) -> String {
+pub(crate) fn generate_pattern(pattern: &str, rng: &mut Rng) -> String {
     let atoms = parse(pattern);
     let mut out = String::new();
     for atom in &atoms {

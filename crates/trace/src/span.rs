@@ -224,11 +224,6 @@ impl TimeSource {
             TimeSource::Wall(t0) => t0.elapsed().as_nanos() as u64,
         }
     }
-
-    /// True unless this is the (explicitly non-deterministic) wall source.
-    pub fn is_deterministic(&self) -> bool {
-        !matches!(self, TimeSource::Wall(_))
-    }
 }
 
 /// A per-connection trace: an event ring plus the time source its spans
@@ -431,9 +426,6 @@ mod tests {
         assert_eq!(t.now_ns(), 0);
         clock.advance_ns(42);
         assert_eq!(t.now_ns(), 42);
-        assert!(t.is_deterministic());
-        assert!(TimeSource::Disabled.is_deterministic());
-        assert!(!TimeSource::wall().is_deterministic());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Regenerates the two committed artifacts with the `report` binary:
+# Regenerates the two committed artifacts with the `report` binary, and with
+# them the rendered blocks of EXPERIMENTS.md:
 #
 #   BENCH_exact.json — counters, sim-clock nanoseconds and byte-identical
 #                      replays (failover, stream, qos, cluster, trace,
@@ -9,7 +10,10 @@
 #                      exact copy schedules plus shapes from paired rounds
 #
 # `report --json` writes nothing unless every gate holds, so neither file
-# can contradict the bounds recorded in it. Wall-clock throughput and
+# can contradict the bounds recorded in it, and in the same step it rewrites
+# the `<!-- report:NAME -->` blocks of the EXPERIMENTS.md beside the file it
+# wrote, so the document cannot contradict the artifact
+# (crates/bench/tests/artifacts.rs checks both). Wall-clock throughput and
 # latency are not here: `benchmark/run.sh` measures those.
 #
 # Run from anywhere inside the repo.

@@ -15,35 +15,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (deny warnings) ==" >&2
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+# The document and surface checks ride here: crates/bench/tests/artifacts.rs
+# (EXPERIMENTS.md's blocks, DESIGN.md's names) and tests/surface.rs.
 echo "== cargo test ==" >&2
 cargo test -q --workspace
 
-# The allocation audits again (the runtime's include the kernel transport
-# — one reply per warm call, sized to its operation; the engine's the warm
-# queued round trip — `submit` allocates nothing, the round trip two per
-# call on whichever thread ran it — and the
-# bind path: a warm establish or rebind allocates nothing, text to
-# compiled program exactly what it keeps), in the profile the benchmark counts
-# `allocs_per_op` in: inlining and elided temporaries differ from debug,
-# so a budget that holds there proves nothing here.
-echo "== allocation audits (release) ==" >&2
-cargo test -q --release -p flexrpc-runtime --test zero_alloc
-cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_alloc
-
-# Which submit meets which parked worker, which waiter reaches its own job
-# before the worker does, who drops the last engine handle, and which read
-# of a striped counter meets which stripe's drop is timing: the
-# wake-liveness stress, the self-join regression, the helping wait's three
-# guards, the engine's tallies under fire and the trace crate's stripe test
-# run at release timing too. So is which message of a link meets which re-registration
-# of the handler it resolved, and which read of a kernel counter meets
-# which connection's drop (a connection writes its counts through stripes
-# of its own): the net and kernel crates' tests run here as well.
-echo "== engine stress + robustness, stripes, net links, kernel IPC (release) ==" >&2
-cargo test -q --release -p flexrpc-engine --test stress --test robustness --test helping_wait
-cargo test -q --release -p flexrpc-trace --test stripes
-cargo test -q --release -p flexrpc-net
-cargo test -q --release -p flexrpc-kernel
+# Re-runs in the profile the benchmark measures in (inlining, elided
+# temporaries and thread timing all differ from debug):
+echo "== release re-runs: allocation audits, engine timing, stripes, net, kernel ==" >&2
+cargo test -q --release -p flexrpc-runtime --test zero_alloc # warm-call allocation budgets
+cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_alloc # queued round trip, bind
+cargo test -q --release -p flexrpc-engine --test stress --test robustness --test helping_wait # wakes, shutdown, helping guards
+cargo test -q --release -p flexrpc-trace --test stripes # a striped read racing a stripe's drop
+cargo test -q --release -p flexrpc-net # a link's message racing a handler re-registration
+cargo test -q --release -p flexrpc-kernel # a counter read racing a connection's drop
 
 # Every experiment's gates, in one process: exact gates (copy schedules,
 # dispatch and probe counts, exactly-once tallies, sim-clock bounds,
