@@ -26,20 +26,27 @@
 //!   interpreter picks by the writer/reader position at runtime. All
 //!   alignment arithmetic is thereby constant-folded out of the call path.
 //!
-//! A block keeps its nine layouts in **one flat table** — one allocation,
-//! read through [`ScalarBlock::packed`] and [`ScalarBlock::aligned`] — and
-//! a one-field block keeps none: the interpreter runs it through the
-//! writer's own scalar primitive, and it is the block most programs have
-//! (the status word merged behind a reply's payload). Specialization runs
-//! on the bind path, once per program of every operation, so its vectors
-//! are sized before they are filled and nothing is built that no call
-//! reads.
+//! A block of two or more scalars keeps its nine layouts in **one flat
+//! table** — one allocation, read through [`ScalarBlock::packed`] and
+//! [`ScalarBlock::aligned`]. A single scalar behind a head is no block at
+//! all: it rides in its [`FOp::Tail`], and the interpreter runs it through
+//! the writer's own scalar primitive — the shape most programs end in (the
+//! status word behind a reply's payload). A program keeps up to two ops,
+//! one fused op and one payload slot in place ([`crate::short::Short`]), so
+//! every program FileIO compiles to — one or two ops, fused to one —
+//! specializes without allocating. Only a longer program or a multi-scalar
+//! block reaches the heap, and what does is sized before it is filled:
+//! specialization runs on the bind path, once per program of every
+//! operation.
 //!
 //! The companion [`SizeHint`] records the fixed-size wire footprint of a
-//! program plus the slots whose payload lengths must be added at runtime,
-//! so marshal buffers can reserve once instead of growing mid-message.
+//! program plus, for a marshal program, the slots whose payload lengths
+//! must be added at runtime, so marshal buffers can reserve once instead
+//! of growing mid-message. An unmarshal program reserves nothing, and
+//! lists no slots.
 
 use crate::program::{MOp, Slot};
+use crate::short::Short;
 
 /// The fixed-size scalar kinds a fused block can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,11 +109,8 @@ pub struct BlockLayout<'a> {
 /// Layouts a block carries: the packed one, then one per aligned phase.
 const LAYOUTS: usize = 1 + 8;
 
-/// The one offset a one-field layout holds is its leading pad, 0..=7.
-const ONE_FIELD_OFFSETS: [[u32; 1]; 8] = [[0], [1], [2], [3], [4], [5], [6], [7]];
-
-/// A run of adjacent fixed-size scalars with layouts for both format
-/// families precomputed at bind time.
+/// A run of two or more adjacent fixed-size scalars with layouts for both
+/// format families precomputed at bind time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalarBlock {
     /// Fields in wire order.
@@ -114,11 +118,7 @@ pub struct ScalarBlock {
     /// All nine layouts in one allocation: layout `l` (0 packed, `1 +
     /// phase` aligned) is the `fields.len() + 2` words at `l *
     /// (fields.len() + 2)` — one offset per field, then `len`, then
-    /// `data_len`. Empty for a one-field block, which the interpreter runs
-    /// through the writer's own scalar primitive and whose layouts
-    /// [`ScalarBlock::packed`] / [`ScalarBlock::aligned`] work out on
-    /// demand: the scalar merged behind a payload head is the common
-    /// block, and compiling it allocates nothing beyond its field.
+    /// `data_len`.
     layouts: Box<[u32]>,
 }
 
@@ -143,9 +143,6 @@ fn lay_out(fields: &[BlockField], l: usize, mut place: impl FnMut(u32)) -> (u32,
 
 impl ScalarBlock {
     fn new(fields: Vec<BlockField>) -> ScalarBlock {
-        if fields.len() == 1 {
-            return ScalarBlock { fields, layouts: Box::default() };
-        }
         let mut layouts = Vec::with_capacity(LAYOUTS * (fields.len() + 2));
         for l in 0..LAYOUTS {
             let (len, data_len) = lay_out(&fields, l, |offset| layouts.push(offset));
@@ -175,11 +172,6 @@ impl ScalarBlock {
 
     fn layout(&self, l: usize) -> BlockLayout<'_> {
         let n = self.fields.len();
-        if n == 1 {
-            let mut pad = 0;
-            let (len, data_len) = lay_out(&self.fields, l, |offset| pad = offset);
-            return BlockLayout { offsets: &ONE_FIELD_OFFSETS[pad as usize], len, data_len };
-        }
         let at = l * (n + 2);
         BlockLayout {
             offsets: &self.layouts[at..at + n],
@@ -194,9 +186,19 @@ impl ScalarBlock {
 pub enum FOp {
     /// A single op executed exactly as the unfused interpreter would.
     One(MOp),
-    /// An optional non-scalar head op followed by a fused scalar block
-    /// (index into [`FusedProgram::blocks`]). The head runs through the
-    /// same single-op path as [`FOp::One`]; the block runs as one bulk op.
+    /// A non-scalar head op and the one scalar behind it, carried here
+    /// rather than as a block: it needs no layout table. Both run through
+    /// the single-op path.
+    Tail {
+        /// Non-scalar op preceding the scalar.
+        head: MOp,
+        /// The scalar it absorbed.
+        field: BlockField,
+    },
+    /// An optional non-scalar head op followed by a fused block of two or
+    /// more scalars (index into [`FusedProgram::blocks`]). The head runs
+    /// through the same single-op path as [`FOp::One`]; the block runs as
+    /// one bulk op.
     Fused {
         /// Non-scalar op preceding the block, if any.
         head: Option<MOp>,
@@ -216,16 +218,17 @@ pub struct SizeHint {
     /// depends on runtime position, so each field budgets its worst case).
     pub fixed_aligned: u32,
     /// Slots whose payload length is added at call time (plus per-payload
-    /// length-word/padding overhead the runtime accounts for).
-    pub payload_slots: Vec<Slot>,
+    /// length-word/padding overhead the runtime accounts for). Marshal
+    /// programs only: nothing reserves for an unmarshal.
+    pub payload_slots: Short<Slot, 1>,
 }
 
 /// The specialized form of an op sequence: what the interpreter executes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FusedProgram {
-    /// Fused ops in execution order.
-    pub fops: Vec<FOp>,
-    /// Scalar blocks referenced by [`FOp::Fused`].
+    /// Fused ops in execution order; one is held in place.
+    pub fops: Short<FOp, 1>,
+    /// Blocks of two or more scalars, referenced by [`FOp::Fused`].
     pub blocks: Vec<ScalarBlock>,
     /// The whole message's wire footprint, reserved once per marshal.
     pub presize: SizeHint,
@@ -247,99 +250,84 @@ fn scalar_kind(op: &MOp) -> Option<(Slot, ScalarKind)> {
 /// Specializes a compiled op sequence: fuses its scalar runs into blocks
 /// and precomputes its size hint.
 pub fn specialize(ops: &[MOp]) -> FusedProgram {
-    // Sized up front: fusion only ever merges, and every scalar run is a
-    // block except a lone leading scalar, which has no head to merge behind.
-    let mut fops = Vec::with_capacity(ops.len());
-    let is_scalar = |op: &MOp| scalar_kind(op).is_some();
-    let scalar_runs =
-        ops.chunk_by(|a, b| is_scalar(a) == is_scalar(b)).filter(|run| is_scalar(&run[0])).count();
-    let lone_lead = matches!(ops, [first, rest @ ..]
-        if is_scalar(first) && !rest.first().is_some_and(is_scalar));
-    let mut blocks: Vec<ScalarBlock> = Vec::with_capacity(scalar_runs - usize::from(lone_lead));
-    let push_block = |blocks: &mut Vec<ScalarBlock>, run: &[MOp]| -> usize {
-        let fields = run
-            .iter()
-            .map(|op| {
-                let (slot, kind) = scalar_kind(op).expect("run contains only scalars");
-                BlockField { slot, kind }
-            })
-            .collect();
-        blocks.push(ScalarBlock::new(fields));
-        blocks.len() - 1
+    // One pass sizes everything up front, exactly — fusion only ever
+    // merges. Every non-scalar op is one fused op, absorbing the scalar run
+    // behind it, and a leading scalar run is one more; every run of two or
+    // more scalars is a block; every counted marshal payload is a slot to
+    // reserve for. The fixed footprint is summed on the way.
+    let mut presize = SizeHint::default();
+    let (mut fops, mut blocks, mut payloads, mut run) = (0, 0, 0, 0);
+    for (i, op) in ops.iter().enumerate() {
+        match scalar_kind(op) {
+            Some((_, kind)) => {
+                fops += usize::from(i == 0);
+                run += 1;
+                blocks += usize::from(run == 2);
+                presize.fixed_packed += kind.packed_size();
+                let (size, align) = kind.aligned_size_align();
+                presize.fixed_aligned += size + (align - 1);
+            }
+            None => {
+                fops += 1;
+                run = 0;
+                payloads += usize::from(is_payload(op));
+                // Ports travel out-of-band; `[special]` payload lengths
+                // are decided by user hooks at call time — no static
+                // contribution.
+                if let MOp::PutBytesFixed(_, n) | MOp::GetBytesFixed(_, n) = *op {
+                    presize.fixed_packed += n.next_multiple_of(4);
+                    presize.fixed_aligned += n + 4;
+                }
+            }
+        }
+    }
+    presize.payload_slots = Short::with_capacity(payloads);
+    let mut fused = FusedProgram {
+        fops: Short::with_capacity(fops),
+        blocks: Vec::with_capacity(blocks),
+        presize,
     };
-    let mut i = 0;
-    while i < ops.len() {
-        if scalar_kind(&ops[i]).is_some() {
-            // A scalar run with no head to attach to: fuse if ≥ 2.
-            let start = i;
-            while i < ops.len() && scalar_kind(&ops[i]).is_some() {
-                i += 1;
+
+    let field = |op: &MOp| {
+        let (slot, kind) = scalar_kind(op).expect("runs hold only scalars");
+        BlockField { slot, kind }
+    };
+    let mut rest = ops;
+    while let Some((&first, after_first)) = rest.split_first() {
+        // A non-scalar op absorbs any trailing scalar run, so e.g.
+        // `[PutBytes, PutU32]` costs one dispatch, not two; a scalar run
+        // with no head to attach to fuses on its own if ≥ 2.
+        let head = match scalar_kind(&first) {
+            Some(_) => None,
+            None => {
+                rest = after_first;
+                if is_payload(&first) {
+                    fused.presize.payload_slots.push(first.slot());
+                }
+                Some(first)
             }
-            if i - start >= 2 {
-                let block = push_block(&mut blocks, &ops[start..i]);
-                fops.push(FOp::Fused { head: None, block });
-            } else {
-                fops.push(FOp::One(ops[start]));
+        };
+        let (run, after_run) =
+            rest.split_at(rest.iter().take_while(|op| scalar_kind(op).is_some()).count());
+        rest = after_run;
+        let fop = match (head, run) {
+            (Some(head), []) => FOp::One(head),
+            (None, [lone]) => FOp::One(*lone),
+            (Some(head), [scalar]) => FOp::Tail { head, field: field(scalar) },
+            (head, run) => {
+                fused.blocks.push(ScalarBlock::new(run.iter().map(field).collect()));
+                FOp::Fused { head, block: fused.blocks.len() - 1 }
             }
-        } else {
-            // A non-scalar op absorbs any trailing scalar run, so e.g.
-            // `[PutBytes, PutU32]` costs one dispatch, not two.
-            let head = ops[i];
-            i += 1;
-            let start = i;
-            while i < ops.len() && scalar_kind(&ops[i]).is_some() {
-                i += 1;
-            }
-            if i > start {
-                let block = push_block(&mut blocks, &ops[start..i]);
-                fops.push(FOp::Fused { head: Some(head), block });
-            } else {
-                fops.push(FOp::One(head));
-            }
-        }
+        };
+        fused.fops.push(fop);
     }
-    FusedProgram { fops, blocks, presize: size_hint(ops) }
+    fused
 }
 
-/// Computes the fixed-size wire footprint of a program.
-fn size_hint(ops: &[MOp]) -> SizeHint {
-    let mut fixed_packed = 0u32;
-    let mut fixed_aligned = 0u32;
-    let mut payload_slots = Vec::with_capacity(ops.iter().filter(|op| is_payload(op)).count());
-    for op in ops {
-        if let Some((_, kind)) = scalar_kind(op) {
-            fixed_packed += kind.packed_size();
-            let (size, align) = kind.aligned_size_align();
-            fixed_aligned += size + (align - 1);
-            continue;
-        }
-        match *op {
-            MOp::PutBytesFixed(_, n) | MOp::GetBytesFixed(_, n) => {
-                fixed_packed += n.next_multiple_of(4);
-                fixed_aligned += n + 4;
-            }
-            _ if is_payload(op) => payload_slots.push(op.slot()),
-            // Ports travel out-of-band; `[special]` payload lengths are
-            // decided by user hooks at call time — no static contribution.
-            _ => {}
-        }
-    }
-    SizeHint { fixed_packed, fixed_aligned, payload_slots }
-}
-
-/// True for the ops whose slot's runtime byte length joins the size hint.
+/// True for the marshal ops whose slot's runtime byte length joins the
+/// size hint.
 fn is_payload(op: &MOp) -> bool {
-    matches!(
-        op,
-        MOp::PutStr(_)
-            | MOp::PutStrFromBytes(_)
-            | MOp::PutBytes(_)
-            | MOp::GetStr(_)
-            | MOp::GetStrAsBytes(_)
-            | MOp::GetBytesOwned(_)
-            | MOp::GetBytesBorrowed(_)
-            | MOp::GetBytesInto(_)
-    )
+    matches!(op, MOp::PutStr(_) | MOp::PutStrFromBytes(_) | MOp::PutBytes(_))
 }
 
 #[cfg(test)]
@@ -360,37 +348,40 @@ mod tests {
 
     #[test]
     fn payload_head_absorbs_trailing_scalars() {
-        // The fig6 pipe-read reply shape: [PutBytes, PutU32].
+        // The fig6 pipe-read reply shape: [PutBytes, PutU32]. One scalar
+        // rides in the fused op itself; two or more make a block.
         let f = specialize(&[MOp::PutBytes(Slot(1)), MOp::PutU32(Slot(2))]);
-        assert_eq!(f.fops.len(), 1);
-        match f.fops[0] {
-            FOp::Fused { head: Some(MOp::PutBytes(Slot(1))), block } => {
-                assert_eq!(
-                    f.blocks[block].fields(),
-                    [BlockField { slot: Slot(2), kind: ScalarKind::U32 }]
-                );
+        let field = BlockField { slot: Slot(2), kind: ScalarKind::U32 };
+        assert_eq!(f.fops, vec![FOp::Tail { head: MOp::PutBytes(Slot(1)), field }]);
+        assert!(f.blocks.is_empty());
+        let f = specialize(&[MOp::PutBytes(Slot(1)), MOp::PutU32(Slot(2)), MOp::PutU32(Slot(3))]);
+        match f.fops[..] {
+            [FOp::Fused { head: Some(MOp::PutBytes(Slot(1))), block }] => {
+                assert_eq!(f.blocks[block].fields().len(), 2);
             }
             ref other => panic!("expected headed fused block, got {other:?}"),
         }
     }
 
     #[test]
-    fn the_block_vector_is_sized_exactly() {
+    fn what_a_program_holds_is_sized_exactly() {
         let (u, b) = (MOp::PutU32(Slot(0)), MOp::PutBytes(Slot(1)));
-        for (ops, blocks) in [
-            (vec![], 0),
-            (vec![u], 0),
-            (vec![b], 0),
-            (vec![u, u], 1),
-            (vec![u, b], 0),
-            (vec![b, u], 1),
-            (vec![u, b, u], 1),
-            (vec![u, u, b, b, u, u, b], 2),
-            (vec![b, u, b, u, u, b, u], 3),
+        for (ops, fops, blocks) in [
+            (vec![], 0, 0),
+            (vec![u], 1, 0),
+            (vec![b], 1, 0),
+            (vec![u, u], 1, 1),
+            (vec![u, b], 2, 0),
+            (vec![b, u], 1, 0),
+            (vec![u, b, u], 2, 0),
+            (vec![u, u, b, b, u, u, b], 4, 2),
+            (vec![b, u, b, u, u, b, u], 3, 1),
         ] {
             let f = specialize(&ops);
-            assert_eq!(f.blocks.len(), blocks, "{ops:?}");
+            assert_eq!((f.fops.len(), f.blocks.len()), (fops, blocks), "{ops:?}");
             assert_eq!(f.blocks.capacity(), blocks, "{ops:?}: reserved what it filled");
+            // One fused op is held in place; more take one exact allocation.
+            assert_eq!(f.fops.spilled(), fops > 1, "{ops:?}");
         }
     }
 
@@ -406,7 +397,7 @@ mod tests {
         let f = specialize(&[MOp::PutBytes(Slot(0)), MOp::PutBytes(Slot(1)), MOp::PutU32(Slot(2))]);
         assert_eq!(f.fops.len(), 2);
         assert_eq!(f.fops[0], FOp::One(MOp::PutBytes(Slot(0))));
-        assert!(matches!(f.fops[1], FOp::Fused { head: Some(MOp::PutBytes(Slot(1))), .. }));
+        assert!(matches!(f.fops[1], FOp::Tail { head: MOp::PutBytes(Slot(1)), .. }));
     }
 
     #[test]
@@ -445,15 +436,12 @@ mod tests {
     }
 
     #[test]
-    fn one_field_blocks_carry_no_layout_table() {
-        // The scalar merged behind a payload head: the interpreter never
-        // reads its layout, so compiling it must not build one — and the
-        // accessors still answer, from the field alone.
-        let b = ScalarBlock::new(vec![BlockField { slot: Slot(2), kind: ScalarKind::U32 }]);
-        assert!(b.layouts.is_empty());
-        assert_eq!(b.packed(), BlockLayout { offsets: &[0], len: 4, data_len: 4 });
-        assert_eq!(b.aligned(0), BlockLayout { offsets: &[0], len: 4, data_len: 4 });
-        assert_eq!(b.aligned(5), BlockLayout { offsets: &[3], len: 7, data_len: 4 });
+    fn a_short_program_specializes_in_place() {
+        // The fig6 `read` reply: its one fused op, its one payload slot and
+        // its scalar tail are all held in place — nothing to allocate.
+        let f = specialize(&[MOp::PutBytes(Slot(1)), MOp::PutU32(Slot(2))]);
+        assert!(!f.fops.spilled() && !f.presize.payload_slots.spilled());
+        assert!(f.blocks.is_empty() && f.blocks.capacity() == 0);
         // A block of two or more keeps all nine layouts in one allocation.
         let b = ScalarBlock::new(vec![
             BlockField { slot: Slot(0), kind: ScalarKind::Bool },
@@ -536,5 +524,8 @@ mod tests {
         // Aligned upper bound: (4+3) + (8+7) + (10+4) = 36.
         assert_eq!(hint.fixed_aligned, 36);
         assert_eq!(hint.payload_slots, vec![Slot(0)]);
+        // An unmarshal program never reserves, so it lists no payloads.
+        let hint = specialize(&[MOp::GetBytesOwned(Slot(0)), MOp::GetStr(Slot(1))]).presize;
+        assert!(hint.payload_slots.is_empty());
     }
 }

@@ -34,6 +34,7 @@ pub mod fuse;
 pub mod ir;
 pub mod present;
 pub mod program;
+pub mod short;
 pub mod sig;
 pub mod validate;
 pub mod value;

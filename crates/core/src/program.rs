@@ -33,6 +33,7 @@
 
 use crate::ir::{Interface, Module, Operation, ParamDir, Type, TypeBody};
 use crate::present::{AllocSemantics, InterfacePresentation, OpPresentation, ParamPresentation};
+use crate::short::Short;
 use crate::sig::WireSignature;
 use crate::value::Value;
 use crate::{CoreError, Result};
@@ -87,16 +88,19 @@ impl SlotKind {
 /// Descriptor of one slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotInfo {
-    /// Dotted name: `param` or `param.field` for flattened struct fields;
-    /// `return` (or `return.field`) for the result; `status` for the status
-    /// word.
-    pub name: String,
+    /// Where the slot's dotted name lies in its map's name buffer
+    /// ([`SlotMap::name`]): `param` or `param.field` for flattened struct
+    /// fields; `return` (or `return.field`) for the result; `status` for
+    /// the status word.
+    name: std::ops::Range<u32>,
     /// Value kind.
     pub kind: SlotKind,
     /// Direction this slot travels.
     pub dir: ParamDir,
     /// Index of the source parameter (`None` for result/status slots).
     pub param_index: Option<usize>,
+    /// Wire shape, which the program-building passes read.
+    shape: FieldShape,
 }
 
 /// The slot layout of a compiled operation.
@@ -104,13 +108,41 @@ pub struct SlotInfo {
 pub struct SlotMap {
     /// All slots, in assignment order.
     pub slots: Vec<SlotInfo>,
+    /// Every slot's name, one after another: one buffer per operation.
+    names: String,
 }
 
 impl SlotMap {
     /// Finds a slot by dotted name.
     #[inline]
     pub fn slot(&self, name: &str) -> Option<Slot> {
-        self.slots.iter().position(|s| s.name == name).map(Slot)
+        self.slots.iter().position(|s| self.name_bytes(s) == name.as_bytes()).map(Slot)
+    }
+
+    /// The dotted name of `slot`.
+    pub fn name(&self, slot: Slot) -> &str {
+        let r = &self.slots[slot.0].name;
+        &self.names[r.start as usize..r.end as usize]
+    }
+
+    #[inline]
+    fn name_bytes(&self, s: &SlotInfo) -> &[u8] {
+        &self.names.as_bytes()[s.name.start as usize..s.name.end as usize]
+    }
+
+    /// Adds a slot named `name`.
+    fn push(
+        &mut self,
+        name: &str,
+        kind: SlotKind,
+        dir: ParamDir,
+        param_index: Option<usize>,
+        shape: FieldShape,
+    ) {
+        let start = self.names.len() as u32;
+        self.names.push_str(name);
+        let name = start..self.names.len() as u32;
+        self.slots.push(SlotInfo { name, kind, dir, param_index, shape });
     }
 
     /// The status slot (always present, always last).
@@ -263,13 +295,18 @@ impl MOp {
     }
 }
 
+/// The ops of a stub program: up to two held in place, more on the heap.
+pub type Ops = Short<MOp, 2>;
+
 /// A linear sequence of marshal ops and the specialized form the
 /// interpreter runs. `Default` is the empty program (a null RPC's body).
+/// A program of up to two ops — every program FileIO compiles to — is a
+/// value: neither form allocates.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StubProgram {
     /// Ops in execution order, one per field: what the program *says*, and
     /// what the threaded oracle walks.
-    pub ops: Vec<MOp>,
+    pub ops: Ops,
     /// `ops` fused and presized ([`crate::fuse::specialize`]): what the
     /// executor runs. Always derived from `ops` by [`StubProgram::from_ops`].
     pub fused: crate::fuse::FusedProgram,
@@ -289,7 +326,8 @@ impl StubProgram {
     }
 
     /// The program over `ops`: the one way to build one.
-    pub fn from_ops(ops: Vec<MOp>) -> StubProgram {
+    pub fn from_ops(ops: impl Into<Ops>) -> StubProgram {
+        let ops = ops.into();
         let fused = crate::fuse::specialize(&ops);
         StubProgram { ops, fused }
     }
@@ -419,7 +457,7 @@ impl CompiledInterface {
 }
 
 /// A flattened field of a parameter: its slot kind plus wire shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FieldShape {
     Scalar(SlotKind),
     /// Wire string (slot kind depends on presentation).
@@ -433,11 +471,9 @@ enum FieldShape {
 }
 
 /// Where [`flatten`] puts the fields of the parameter being placed: each
-/// gets the next slot, and its wire shape is recorded beside it.
+/// gets the next slot, its wire shape recorded in it.
 struct Placer<'a> {
-    slots: &'a mut Vec<SlotInfo>,
-    /// Wire shape of every slot placed so far, by slot index.
-    shapes: &'a mut Vec<FieldShape>,
+    slots: &'a mut SlotMap,
     dir: ParamDir,
     param_index: Option<usize>,
     pres: &'a ParamPresentation,
@@ -445,13 +481,8 @@ struct Placer<'a> {
 
 impl Placer<'_> {
     fn place(&mut self, name: &str, shape: FieldShape) {
-        self.slots.push(SlotInfo {
-            name: name.to_owned(),
-            kind: slot_kind_for(&shape, self.pres),
-            dir: self.dir,
-            param_index: self.param_index,
-        });
-        self.shapes.push(shape);
+        let kind = slot_kind_for(&shape, self.pres);
+        self.slots.push(name, kind, self.dir, self.param_index, shape);
     }
 }
 
@@ -540,60 +571,59 @@ fn compile_op(
         )));
     }
 
-    // 1. Flatten every parameter (and the result) and assign slots. Sized
-    // for one slot per parameter plus result and status; struct parameters
-    // grow the vectors past that.
+    // 1. Flatten every parameter (and the result) and assign slots, then
+    // the status slot, always last. Sized for one slot per parameter plus
+    // result and status, and for those names; struct parameters grow both.
     let declared = op.params.len();
-    let mut slots = SlotMap { slots: Vec::with_capacity(declared + 2) };
-    let mut shapes: Vec<FieldShape> = Vec::with_capacity(declared + 1);
+    let has_result = op.ret != Type::Void;
+    let names = op.params.iter().map(|p| p.name.len()).sum::<usize>()
+        + if has_result { "return".len() } else { 0 }
+        + "status".len();
+    let mut slots =
+        SlotMap { slots: Vec::with_capacity(declared + 2), names: String::with_capacity(names) };
     let params = op
         .params
         .iter()
         .zip(&pres.params)
         .enumerate()
         .map(|(i, (p, ppres))| (Some(i), p.name.as_str(), p.dir, &p.ty, ppres));
-    let result =
-        (op.ret != Type::Void).then_some((None, "return", ParamDir::Out, &op.ret, &pres.result));
+    let result = has_result.then_some((None, "return", ParamDir::Out, &op.ret, &pres.result));
     for (param_index, name, dir, ty, ppres) in params.chain(result) {
-        let mut placer =
-            Placer { slots: &mut slots.slots, shapes: &mut shapes, dir, param_index, pres: ppres };
+        let mut placer = Placer { slots: &mut slots, dir, param_index, pres: ppres };
         flatten(module, name, ty, &mut placer)?;
     }
-    // Status slot, always last (and the one slot with no entry in `shapes`).
-    let status_slot = Slot(slots.slots.len());
-    slots.slots.push(SlotInfo {
-        name: "status".into(),
-        kind: SlotKind::U32,
-        dir: ParamDir::Out,
-        param_index: None,
-    });
+    let status = FieldShape::Scalar(SlotKind::U32);
+    slots.push("status", SlotKind::U32, ParamDir::Out, None, status);
     let placed = || {
-        slots.slots.iter().zip(&shapes).enumerate().map(|(i, (info, shape))| PlacedField {
+        slots.slots.iter().enumerate().map(|(i, info)| PlacedField {
             slot: Slot(i),
-            shape,
+            shape: &info.shape,
             dir: info.dir,
             param_index: info.param_index.unwrap_or(usize::MAX),
             pres: info.param_index.map_or(&pres.result, |p| &pres.params[p]),
         })
     };
+    let is_payload = |f: &PlacedField<'_>| matches!(f.shape, FieldShape::Str | FieldShape::Payload);
 
-    // 2. Build the four programs following the payload-first layout. A
-    // request carries every in-direction slot, a reply every out-direction
-    // one and the status word (fewer ops where the server sinks a payload).
-    let n_in = placed().filter(|f| f.dir.is_in()).count();
-    let n_out = placed().filter(|f| f.dir.is_out()).count();
-    let mut request_marshal = Vec::with_capacity(n_in);
-    let mut request_unmarshal = Vec::with_capacity(n_in);
-    let mut reply_marshal = Vec::with_capacity(n_out + 1);
-    let mut reply_unmarshal = Vec::with_capacity(n_out + 1);
+    // 2. Build the four programs in place, following the payload-first
+    // layout, each sized exactly. A request carries every in-direction
+    // slot, a reply every out-direction one, the status word included,
+    // less the payloads the server sinks.
+    let (mut n_in, mut n_out, mut n_sunk) = (0, 0, 0);
+    for f in placed() {
+        n_in += usize::from(f.dir.is_in());
+        n_out += usize::from(f.dir.is_out());
+        n_sunk += usize::from(f.dir.is_out() && is_payload(&f) && f.pres.is_server_sink());
+    }
+    let mut request_marshal = Ops::with_capacity(n_in);
+    let mut request_unmarshal = Ops::with_capacity(n_in);
+    let mut reply_marshal = Ops::with_capacity(n_out - n_sunk);
+    let mut reply_unmarshal = Ops::with_capacity(n_out);
     let mut sink_params = Vec::new();
     let mut reply_payload_seen_buffered = false;
 
     // Payload section.
-    for f in placed() {
-        if !matches!(f.shape, FieldShape::Str | FieldShape::Payload) {
-            continue;
-        }
+    for f in placed().filter(is_payload) {
         if f.dir.is_in() {
             request_marshal.push(put_payload_op(&f, false));
             request_unmarshal.push(get_payload_op_server(&f));
@@ -603,7 +633,7 @@ fn compile_op(
                 if reply_payload_seen_buffered {
                     return Err(CoreError::BadPresentation(format!(
                         "sink-mode payload `{}` follows a buffered payload: sink payloads must lead the reply",
-                        slots.slots[f.slot.0].name
+                        slots.name(f.slot)
                     )));
                 }
                 sink_params.push(SinkSpec { slot: f.slot, param_index: f.param_index });
@@ -615,7 +645,7 @@ fn compile_op(
         }
     }
 
-    // Scalar / fixed / port section.
+    // Scalar / fixed / port section, ending in the status word.
     for f in placed() {
         let slot = f.slot;
         let (put, get) = match f.shape {
@@ -635,10 +665,6 @@ fn compile_op(
             reply_unmarshal.push(get);
         }
     }
-
-    // Status word.
-    reply_marshal.push(MOp::PutU32(status_slot));
-    reply_unmarshal.push(MOp::GetU32(status_slot));
 
     Ok(CompiledOp {
         name: op.name.clone(),
@@ -955,7 +981,7 @@ mod tests {
         let ci = compile_fileio(None);
         for op in &ci.ops {
             let s = op.status_slot();
-            assert_eq!(op.slots.slots[s.0].name, "status");
+            assert_eq!(op.slots.name(s), "status");
             assert_eq!(s.0, op.slots.len() - 1);
         }
     }

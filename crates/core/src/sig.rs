@@ -1,26 +1,32 @@
-//! Wire signatures: the canonical form of the network contract.
+//! Wire signatures: the hash of the network contract's canonical form.
 //!
 //! At bind time, the paper's kernel "checks [the type signatures] against
 //! each other \[and\] verifies that the interfaces are compatible". A
-//! [`WireSignature`] is our canonicalization: a deterministic string built
-//! from everything that affects bytes on the wire — interface name,
-//! operation order, parameter directions, and *resolved* types — and nothing
-//! that does not. Presentation attributes are deliberately absent, which is
-//! what makes "a PDL file cannot change the contract" machine-checkable: the
-//! signature of an interface is the same under every presentation.
+//! [`WireSignature`] is our canonicalization: a deterministic byte string
+//! built from everything that affects bytes on the wire — operation count
+//! and order, operation names, parameter directions, and *resolved* types —
+//! and nothing that does not. The interface's own name, parameter names,
+//! typedef names and presentation attributes are deliberately absent:
+//! structure is contract, names are presentation. That is what makes "a
+//! PDL file cannot change the contract" machine-checkable: the signature of
+//! an interface is the same under every presentation.
 //!
-//! The 64-bit hash (FNV-1a) is what endpoints actually exchange and compare.
+//! The canonical form, for reference (`crates/core/tests/canonical/mod.rs`
+//! renders it, as the oracle the hash is tested against):
+//! `interface;ops=N;` then per operation `op:NAME(` + `DIR:TYPE,` per
+//! parameter + `)->TYPE;`. Only its 64-bit FNV-1a hash exists at run time —
+//! hashed as the bytes are produced, with no string built — and it is what
+//! endpoints exchange and compare, what the kernel IPC check carries and
+//! what byte-identical traces record, so its value is pinned.
 
 use crate::ir::{Interface, Module, Type, TypeBody};
 use crate::Result;
 use std::fmt;
-use std::fmt::Write as _;
 use std::hash::Hasher;
 
-/// A canonicalized network contract with its exchangeable hash.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A network contract, as the hash of its canonical form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireSignature {
-    canonical: String,
     hash: u64,
 }
 
@@ -31,30 +37,25 @@ impl WireSignature {
     /// same structure through different typedef names produce the same
     /// signature — type names are presentation, structure is contract.
     pub fn of_interface(module: &Module, iface: &Interface) -> Result<WireSignature> {
-        // Sized for scalar and payload parameters (`inout:seq<u8>,` is
-        // the longest such field); struct-heavy contracts grow it.
-        let estimate: usize =
-            iface.ops.iter().map(|op| op.name.len() + 16 * (op.params.len() + 2)).sum();
-        let mut s = String::with_capacity(24 + estimate);
-        let _ = write!(s, "interface;ops={};", iface.ops.len());
+        let mut h = Fnv1a::default();
+        h.write_str("interface;ops=");
+        h.write_decimal(iface.ops.len());
+        h.write_str(";");
         for op in &iface.ops {
-            let _ = write!(s, "op:{}(", op.name);
+            h.write_str("op:");
+            h.write_str(&op.name);
+            h.write_str("(");
             for p in &op.params {
-                let _ = write!(s, "{}:", p.dir.keyword());
-                canonical_type(module, &p.ty, &mut s)?;
-                s.push(',');
+                h.write_str(p.dir.keyword());
+                h.write_str(":");
+                canonical_type(module, &p.ty, &mut h)?;
+                h.write_str(",");
             }
-            let _ = write!(s, ")->");
-            canonical_type(module, &op.ret, &mut s)?;
-            s.push(';');
+            h.write_str(")->");
+            canonical_type(module, &op.ret, &mut h)?;
+            h.write_str(";");
         }
-        let hash = fnv1a(s.as_bytes());
-        Ok(WireSignature { canonical: s, hash })
-    }
-
-    /// The canonical string (diagnostics; the hash is what travels).
-    pub fn canonical(&self) -> &str {
-        &self.canonical
+        Ok(WireSignature { hash: h.finish() })
     }
 
     /// The 64-bit hash exchanged at bind time.
@@ -83,30 +84,33 @@ impl fmt::Display for WireSignature {
     }
 }
 
-fn canonical_type(module: &Module, ty: &Type, out: &mut String) -> Result<()> {
+/// Hashes the canonical form of `ty` into `h`.
+fn canonical_type(module: &Module, ty: &Type, h: &mut Fnv1a) -> Result<()> {
     let resolved = module.resolve(ty)?;
     match resolved {
-        Type::Void => out.push_str("void"),
-        Type::Bool => out.push_str("bool"),
-        Type::Octet => out.push_str("u8"),
-        Type::I16 => out.push_str("i16"),
-        Type::U16 => out.push_str("u16"),
-        Type::I32 => out.push_str("i32"),
-        Type::U32 => out.push_str("u32"),
-        Type::I64 => out.push_str("i64"),
-        Type::U64 => out.push_str("u64"),
-        Type::F64 => out.push_str("f64"),
-        Type::Str => out.push_str("str"),
-        Type::ObjRef => out.push_str("objref"),
+        Type::Void => h.write_str("void"),
+        Type::Bool => h.write_str("bool"),
+        Type::Octet => h.write_str("u8"),
+        Type::I16 => h.write_str("i16"),
+        Type::U16 => h.write_str("u16"),
+        Type::I32 => h.write_str("i32"),
+        Type::U32 => h.write_str("u32"),
+        Type::I64 => h.write_str("i64"),
+        Type::U64 => h.write_str("u64"),
+        Type::F64 => h.write_str("f64"),
+        Type::Str => h.write_str("str"),
+        Type::ObjRef => h.write_str("objref"),
         Type::Sequence(el) => {
-            out.push_str("seq<");
-            canonical_type(module, el, out)?;
-            out.push('>');
+            h.write_str("seq<");
+            canonical_type(module, el, h)?;
+            h.write_str(">");
         }
         Type::Array(el, n) => {
-            let _ = write!(out, "arr{n}<");
-            canonical_type(module, el, out)?;
-            out.push('>');
+            h.write_str("arr");
+            h.write_decimal(*n as usize);
+            h.write_str("<");
+            canonical_type(module, el, h)?;
+            h.write_str(">");
         }
         Type::Named(name) => {
             // `resolve` only returns Named for non-alias bodies.
@@ -114,30 +118,32 @@ fn canonical_type(module: &Module, ty: &Type, out: &mut String) -> Result<()> {
             match &td.body {
                 TypeBody::Alias(_) => unreachable!("resolve() strips aliases"),
                 TypeBody::Struct(fields) => {
-                    out.push_str("struct{");
+                    h.write_str("struct{");
                     for f in fields {
-                        canonical_type(module, &f.ty, out)?;
-                        out.push(',');
+                        canonical_type(module, &f.ty, h)?;
+                        h.write_str(",");
                     }
-                    out.push('}');
+                    h.write_str("}");
                 }
                 TypeBody::Enum(items) => {
                     // Enumerator *names* are local; only the count shapes
                     // the contract (wire form is a u32 ordinal).
-                    let _ = write!(out, "enum{}", items.len());
+                    h.write_str("enum");
+                    h.write_decimal(items.len());
                 }
                 TypeBody::Union { arms, default } => {
-                    out.push_str("union{");
+                    h.write_str("union{");
                     for a in arms {
-                        let _ = write!(out, "{}:", a.case);
-                        canonical_type(module, &a.field.ty, out)?;
-                        out.push(',');
+                        h.write_decimal(a.case as usize);
+                        h.write_str(":");
+                        canonical_type(module, &a.field.ty, h)?;
+                        h.write_str(",");
                     }
                     if let Some(d) = default {
-                        out.push_str("default:");
-                        canonical_type(module, &d.ty, out)?;
+                        h.write_str("default:");
+                        canonical_type(module, &d.ty, h)?;
                     }
-                    out.push('}');
+                    h.write_str("}");
                 }
             }
         }
@@ -162,6 +168,29 @@ pub(crate) struct Fnv1a(u64);
 impl Default for Fnv1a {
     fn default() -> Fnv1a {
         Fnv1a(0xcbf29ce484222325)
+    }
+}
+
+impl Fnv1a {
+    /// Hashes `s`'s bytes.
+    #[inline]
+    fn write_str(&mut self, s: &str) {
+        self.write(s.as_bytes());
+    }
+
+    /// Hashes `n` as the decimal digits the canonical form spells.
+    fn write_decimal(&mut self, mut n: usize) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.write(&digits[at..]);
     }
 }
 
@@ -269,6 +298,16 @@ mod tests {
     }
 
     #[test]
+    fn signature_ignores_interface_name() {
+        // The canonical form opens `interface;`, never the name: two
+        // services of one structure under different names are one contract.
+        let m1 = fileio_example();
+        let mut m2 = fileio_example();
+        m2.interfaces[0].name = "Files".into();
+        assert_eq!(sig(&m1, "FileIO").hash(), sig(&m2, "Files").hash());
+    }
+
+    #[test]
     fn struct_signature_is_structural() {
         let mut m = Module::new("t", Dialect::Sun);
         m.typedefs.push(TypeDef {
@@ -286,8 +325,38 @@ mod tests {
                 Type::Void,
             )],
         ));
-        let s = sig(&m, "S");
-        assert!(s.canonical().contains("struct{u32,u32,}"));
+        // The struct is its fields' types, in order; no name survives.
+        let canonical = "interface;ops=1;op:getattr(out:struct{u32,u32,},)->void;";
+        assert_eq!(sig(&m, "S").hash(), fnv1a(canonical.as_bytes()));
+    }
+
+    #[test]
+    fn numbers_in_the_canonical_form_are_decimal() {
+        // Array lengths, enum sizes and union cases are spelled in decimal
+        // digits, several of them here.
+        let mut m = Module::new("t", Dialect::Sun);
+        let items = (0..12).map(|i| format!("E{i}")).collect();
+        m.typedefs.push(TypeDef { name: "e".into(), body: TypeBody::Enum(items) });
+        let arm = |case, ty| crate::ir::UnionArm { case, field: Field { name: "v".into(), ty } };
+        m.typedefs.push(TypeDef {
+            name: "u".into(),
+            body: TypeBody::Union {
+                arms: vec![arm(0, Type::Void), arm(4096, Type::U32)],
+                default: Some(Field { name: "d".into(), ty: Type::Named("e".into()) }),
+            },
+        });
+        let arr = Type::Array(Box::new(Type::Octet), 1000);
+        m.interfaces.push(Interface::new(
+            "S",
+            vec![Operation::new(
+                "op",
+                vec![Param::new("a", ParamDir::In, arr)],
+                Type::Named("u".into()),
+            )],
+        ));
+        let canonical =
+            "interface;ops=1;op:op(in:arr1000<u8>,)->union{0:void,4096:u32,default:enum12};";
+        assert_eq!(sig(&m, "S").hash(), fnv1a(canonical.as_bytes()));
     }
 
     #[test]

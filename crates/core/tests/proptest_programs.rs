@@ -9,8 +9,10 @@ use flexrpc_core::annot::{apply_pdl, Attr, OpAnnot, ParamAnnot, PdlFile};
 use flexrpc_core::ir::{Dialect, Interface, Module, Operation, Param, ParamDir, Type};
 use flexrpc_core::present::{InterfacePresentation, Trust};
 use flexrpc_core::program::{CompiledInterface, MOp};
-use flexrpc_core::sig::fnv1a;
+use flexrpc_core::sig::{fnv1a, WireSignature};
 use proptest::prelude::*;
+
+mod canonical;
 
 fn param_type() -> impl Strategy<Value = Type> {
     prop_oneof![
@@ -215,6 +217,29 @@ proptest! {
             ((a.fingerprint(), b.fingerprint()), there.join().unwrap())
         });
         prop_assert_eq!(here, there);
+    }
+
+    /// The signature `compile` carries is the hash of the interface's
+    /// canonical form, streamed: over random interfaces of one to four
+    /// operations it equals `fnv1a` of the string the oracle renders.
+    #[test]
+    fn the_streamed_signature_matches_its_oracle(
+        ops in prop::collection::vec(operation(), 1..5),
+    ) {
+        let mut m = Module::new("prop", Dialect::Corba);
+        let ops = ops
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| Operation { name: format!("op{i}"), ..op })
+            .collect();
+        m.interfaces.push(Interface::new("P", ops));
+        let iface = m.interface("P").unwrap();
+        let oracle = fnv1a(canonical::canonical(&m, iface).as_bytes());
+        prop_assert_eq!(WireSignature::of_interface(&m, iface).unwrap().hash(), oracle);
+        let pres = InterfacePresentation::default_for(&m, iface).unwrap();
+        if let Ok(ci) = CompiledInterface::compile(&m, iface, &pres) {
+            prop_assert_eq!(ci.signature.hash(), oracle);
+        }
     }
 
     /// Compiling is deterministic.

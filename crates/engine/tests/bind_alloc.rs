@@ -24,6 +24,7 @@ use counting_alloc::counted;
 use flexrpc_core::annot::apply_pdl;
 use flexrpc_core::present::{InterfacePresentation, Trust};
 use flexrpc_core::program::CompiledInterface;
+use flexrpc_core::sig::WireSignature;
 use flexrpc_engine::{Engine, EngineConnection};
 use flexrpc_marshal::WireFormat;
 use flexrpc_pipes::FILEIO_IDL;
@@ -49,8 +50,19 @@ const CORBA_PARSE_FILEIO: u64 = 13;
 /// the `PdlFile`. Parent: 19.
 const PDL_PARSE_ONE_LINE: u64 = 4;
 /// `CompiledInterface::compile` of FileIO under that PDL (it validates
-/// again, and again builds no set). Parent: 77.
-const COMPILE_FILEIO: u64 = 38;
+/// again, and again builds no set): the `CompiledInterface`'s name and op
+/// vector, and per operation its name, slot vector and slot-name buffer —
+/// its eight programs, of one or two ops each, are values. Parent: 38
+/// (77 before that).
+const COMPILE_FILEIO: u64 = 8;
+/// `CompiledInterface::compile` of the NFS interface under its default
+/// presentation: eight operations whose programs run past two ops and
+/// whose `fattr` / `sattr` structs make blocks of two or more scalars —
+/// the heap path. Parent: 281.
+const COMPILE_NFS: u64 = 152;
+/// `WireSignature::of_interface`, on FileIO and on NFS: it hashes the
+/// canonical form as it produces it. Parent: 1 — it built the `String`.
+const SIGNATURE: u64 = 0;
 /// `size_of::<EngineConnection>()`. Not an allocation *count* but the bytes
 /// of one: a connection rides in the `Box<dyn Transport>` every bind
 /// allocates, so each field added to it is `bind_churn`
@@ -92,6 +104,28 @@ fn a_fingerprint_allocates_nothing() {
     let (allocs, fp) = counted(|| pres.fingerprint());
     assert_eq!(fp, pres.clone().fingerprint());
     assert_eq!(allocs, FINGERPRINT, "fingerprint() hashes in place");
+}
+
+#[test]
+fn a_signature_allocates_nothing() {
+    let fileio = flexrpc_idl::corba::parse("fileio", FILEIO_IDL).unwrap();
+    let nfs = flexrpc_nfs::nfs_module();
+    for (module, name) in [(&fileio, "FileIO"), (&nfs, "NFS_VERSION")] {
+        let iface = module.interface(name).unwrap();
+        let (allocs, sig) = counted(|| WireSignature::of_interface(module, iface).unwrap());
+        assert_eq!(sig, WireSignature::of_interface(module, iface).unwrap());
+        assert_eq!(allocs, SIGNATURE, "{name}: of_interface() hashes in place");
+    }
+}
+
+#[test]
+fn compiling_nfs_allocates_what_it_keeps() {
+    let module = flexrpc_nfs::nfs_module();
+    let iface = module.interface("NFS_VERSION").unwrap();
+    let pres = InterfacePresentation::default_for(&module, iface).unwrap();
+    let (allocs, compiled) = counted(|| CompiledInterface::compile(&module, iface, &pres).unwrap());
+    assert_eq!(compiled.ops.len(), 8);
+    assert_eq!(allocs, COMPILE_NFS, "compile(NFS) allocation count");
 }
 
 #[test]

@@ -24,14 +24,14 @@
 //!   through the **executor**, one loop over the `fops` that bind-time
 //!   specialization left behind; nothing about the program is re-checked
 //!   per call. What presentations commonly say is a step written inline in
-//!   that loop, over `(slots, writer)` alone: a scalar — lone, or the
-//!   one-field block behind a payload head — goes through the writer's own
-//!   primitive; counted bytes (`PutBytes`; `GetBytesOwned`, which refills
-//!   the buffer the slot already holds) are one bulk copy; a block of two
-//!   or more scalars is one buffer extend + N stores on the way out and
-//!   **one up-front bounds check** + N loads on the way in, through the
-//!   layout precomputed at bind time for the syntax (and, for CDR, the
-//!   block's start phase). Everything else — checked and `length_is`
+//!   that loop, over `(slots, writer)` alone: a scalar — lone, or the one
+//!   a payload head carries behind it (`FOp::Tail`) — goes through the
+//!   writer's own primitive; counted bytes (`PutBytes`; `GetBytesOwned`,
+//!   which refills the buffer the slot already holds) are one bulk copy;
+//!   a block of two or more scalars is one buffer extend + N stores on the
+//!   way out and **one up-front bounds check** + N loads on the way in,
+//!   through the layout precomputed at bind time for the syntax (and, for
+//!   CDR, the block's start phase). Everything else — checked and `length_is`
 //!   strings, fixed opaques, `[special]` hooks, ports, borrowed and
 //!   caller-allocated payloads — is a cold head and goes out of line
 //!   through the six-argument `exec_put` / `exec_get`. The program's
@@ -83,8 +83,8 @@ fn kind_name(kind: ScalarKind) -> &'static str {
 
 /// The field a scalar op moves. Fusion leaves a scalar as a bare
 /// [`FOp::One`] only when it opens the program with nothing to merge with
-/// (`read`'s whole request); the executor runs it as the one-field block
-/// it would otherwise have been.
+/// (`read`'s whole request); the executor runs it as the scalar a head
+/// would otherwise have carried.
 #[inline]
 fn lone_scalar(op: &MOp) -> Option<BlockField> {
     let (slot, kind) = match *op {
@@ -99,16 +99,26 @@ fn lone_scalar(op: &MOp) -> Option<BlockField> {
     Some(BlockField { slot, kind })
 }
 
-/// A fused op as the executor takes it: what runs first, and the block
-/// behind it.
+/// What runs after a fused op's head: nothing, one scalar, or a block of
+/// two or more.
+enum Tail<'p> {
+    None,
+    Scalar(BlockField),
+    Block(&'p ScalarBlock),
+}
+
+/// A fused op as the executor takes it: the head that runs first (never a
+/// scalar), and what runs after it. Every scalar the executor moves alone —
+/// a lone leading one, or one a head carries — is the same [`Tail::Scalar`].
 #[inline]
-fn parts<'p>(
-    fop: &'p FOp,
-    blocks: &'p [ScalarBlock],
-) -> (Option<&'p MOp>, Option<&'p ScalarBlock>) {
+fn parts<'p>(fop: &'p FOp, blocks: &'p [ScalarBlock]) -> (Option<&'p MOp>, Tail<'p>) {
     match fop {
-        FOp::One(op) => (Some(op), None),
-        FOp::Fused { head, block } => (head.as_ref(), Some(&blocks[*block])),
+        FOp::One(op) => match lone_scalar(op) {
+            Some(f) => (None, Tail::Scalar(f)),
+            None => (Some(op), Tail::None),
+        },
+        FOp::Tail { head, field } => (Some(head), Tail::Scalar(*field)),
+        FOp::Fused { head, block } => (head.as_ref(), Tail::Block(&blocks[*block])),
     }
 }
 
@@ -139,21 +149,20 @@ fn marshal_on<W: WireWrite>(
     let fused = &program.fused;
     reserve_for(&fused.presize, slots, w);
     for fop in &fused.fops {
-        let (head, block) = parts(fop, &fused.blocks);
+        let (head, tail) = parts(fop, &fused.blocks);
         if let Some(op) = head {
             match *op {
                 MOp::PutBytes(slot) => match slots[slot.0].window_of(src_msg) {
                     Some(bytes) => w.put_bytes(bytes),
                     None => return Err(kind_err(op, &slots[slot.0], "bytes")),
                 },
-                _ => match lone_scalar(op) {
-                    Some(f) => put_scalar(&f, slots, w)?,
-                    None => exec_put(op, slots, src_msg, w, hooks, rights_out)?,
-                },
+                _ => exec_put(op, slots, src_msg, w, hooks, rights_out)?,
             }
         }
-        if let Some(blk) = block {
-            put_block(blk, slots, w)?;
+        match tail {
+            Tail::None => {}
+            Tail::Scalar(f) => put_scalar(&f, slots, w)?,
+            Tail::Block(blk) => put_block(blk, slots, w)?,
         }
     }
     Ok(())
@@ -264,7 +273,7 @@ fn reserve_for<W: WireWrite>(hint: &SizeHint, slots: &[Value], w: &mut W) {
     // 8 covers the length word plus worst-case padding/NUL on either
     // format; over-reserving by a few bytes is harmless.
     let payload = |s: &Slot| 8 + slots[s.0].byte_len().unwrap_or(0);
-    let payloads = match hint.payload_slots.as_slice() {
+    let payloads = match &hint.payload_slots[..] {
         [] => 0,
         [s] => payload(s),
         many => many.iter().map(payload).sum(),
@@ -272,16 +281,12 @@ fn reserve_for<W: WireWrite>(hint: &SizeHint, slots: &[Value], w: &mut W) {
     w.reserve(W::fixed_bytes(hint) + payloads);
 }
 
-/// Executes one fused scalar block as a bulk write: one zeroed extend of
-/// the message, then a direct slot→offset store per field. Alignment was
-/// folded into the layout at bind time; nothing here pads or dispatches.
+/// Executes one fused block of two or more scalars as a bulk write: one
+/// zeroed extend of the message, then a direct slot→offset store per field.
+/// Alignment was folded into the layout at bind time; nothing here pads or
+/// dispatches.
 #[inline]
 fn put_block<W: WireWrite>(blk: &ScalarBlock, slots: &[Value], w: &mut W) -> Result<()> {
-    // A one-field block (a scalar merged behind a variable-size head) has
-    // no bulk work to batch — the writer's native primitive is the layout.
-    if let [f] = blk.fields() {
-        return put_scalar(f, slots, w);
-    }
     let (layout, big, dst) = w.append_block(blk);
     for (f, &off) in blk.fields().iter().zip(layout.offsets) {
         let off = off as usize;
@@ -360,7 +365,7 @@ fn unmarshal_on<'a, R: WireRead<'a>>(
 ) -> Result<()> {
     let fused = &program.fused;
     for fop in &fused.fops {
-        let (head, block) = parts(fop, &fused.blocks);
+        let (head, tail) = parts(fop, &fused.blocks);
         if let Some(op) = head {
             match *op {
                 // Unlike the threaded oracle's op, refill the buffer the
@@ -378,14 +383,13 @@ fn unmarshal_on<'a, R: WireRead<'a>>(
                         other => *other = Value::Bytes(src.to_vec()),
                     }
                 }
-                _ => match lone_scalar(op) {
-                    Some(f) => get_scalar(&f, slots, r)?,
-                    None => exec_get(op, slots, msg, r, hooks, rights_in)?,
-                },
+                _ => exec_get(op, slots, msg, r, hooks, rights_in)?,
             }
         }
-        if let Some(blk) = block {
-            get_block(blk, slots, r)?;
+        match tail {
+            Tail::None => {}
+            Tail::Scalar(f) => get_scalar(&f, slots, r)?,
+            Tail::Block(blk) => get_block(blk, slots, r)?,
         }
     }
     Ok(())
@@ -489,14 +493,12 @@ fn get_scalar<'a, R: WireRead<'a>>(f: &BlockField, slots: &mut [Value], r: &mut 
     Ok(())
 }
 
-/// Executes one fused scalar block as a bulk read: a single prefix bounds
-/// check consumes the whole block, then each field decodes straight into
-/// its slot. Scalar `Value`s are plain copies — no heap work happens here.
+/// Executes one fused block of two or more scalars as a bulk read: a single
+/// prefix bounds check consumes the whole block, then each field decodes
+/// straight into its slot. Scalar `Value`s are plain copies — no heap work
+/// happens here.
 #[inline]
 fn get_block<'a, R: WireRead<'a>>(blk: &ScalarBlock, slots: &mut [Value], r: &mut R) -> Result<()> {
-    if let [f] = blk.fields() {
-        return get_scalar(f, slots, r);
-    }
     let (layout, big, src) = r.take_block(blk)?;
     for (f, &off) in blk.fields().iter().zip(layout.offsets) {
         let off = off as usize;

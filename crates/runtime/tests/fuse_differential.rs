@@ -22,7 +22,11 @@
 //!   up-front bounds check, so the numbers inside a `Truncated` may differ;
 //!   the kind may not);
 //! * a slot holding the wrong kind of `Value` is the same `SlotKind` error
-//!   (slot, expected, found) from both.
+//!   (slot, expected, found) from both;
+//! * all of the above but the last holds for every program shape of 0 to 3
+//!   ops with 0 to 2 payloads — the programs either side of what a program
+//!   keeps in place (2 ops, 1 fused op, 1 payload slot) rather than on the
+//!   heap, one-scalar tails and blocks of two or more among them.
 //!
 //! The generator (`Field`, `field()`, `programs()`) is the one ROADMAP
 //! items 1 and 4a share: a hostile-bytes mutator starts from its messages.
@@ -123,9 +127,33 @@ fn field() -> impl Strategy<Value = Field> {
     ]
 }
 
+/// A fixed-size scalar field.
+fn scalar() -> impl Strategy<Value = Field> {
+    field().prop_filter("a scalar", Field::is_scalar)
+}
+
+/// A counted field: one whose length the size hint adds at call time.
+fn counted() -> impl Strategy<Value = Field> {
+    field().prop_filter("a counted field", |f| {
+        matches!(f, Field::Str(_) | Field::Bytes(_) | Field::StrBytes(_))
+    })
+}
+
+/// Every program shape of up to three ops with at most two counted
+/// payloads, as one flag per op (`true`: counted, `false`: scalar). A
+/// program keeps two ops, one fused op and one payload slot in place, so
+/// these straddle each boundary, and among them are one-scalar tails
+/// (`[P, S]`), blocks of two or more (`[S, S]`, `[P, S, S]`) and the
+/// empty program.
+fn boundary_shapes() -> impl Iterator<Item = Vec<bool>> {
+    (0..=3usize)
+        .flat_map(|n| (0..1u32 << n).map(move |bits| (0..n).map(|i| bits >> i & 1 == 1).collect()))
+        .filter(|shape: &Vec<bool>| shape.iter().filter(|&&counted| counted).count() <= 2)
+}
+
 fn programs(fields: &[Field]) -> (StubProgram, StubProgram) {
-    let puts = fields.iter().enumerate().map(|(i, f)| f.put_op(Slot(i))).collect();
-    let gets = fields.iter().enumerate().map(|(i, f)| f.get_op(Slot(i))).collect();
+    let puts: Vec<MOp> = fields.iter().enumerate().map(|(i, f)| f.put_op(Slot(i))).collect();
+    let gets: Vec<MOp> = fields.iter().enumerate().map(|(i, f)| f.get_op(Slot(i))).collect();
     (StubProgram::from_ops(puts), StubProgram::from_ops(gets))
 }
 
@@ -202,29 +230,110 @@ fn error_kind(e: &RpcError) -> (Discriminant<RpcError>, Option<Discriminant<Mars
     (discriminant(e), inner)
 }
 
+/// Fused and threaded marshal emit byte-identical messages with the same
+/// `bytes_written`, and fused and threaded unmarshal recover
+/// value-identical frames, on both wire formats.
+fn wire_identical(fields: &[Field]) -> Result<(), TestCaseError> {
+    let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
+    let (put, get) = programs(fields);
+
+    for format in [WireFormat::Xdr, WireFormat::Cdr] {
+        let (plain_bytes, plain_written) = marshal_with(Plain, &put, &slots, format);
+        let (fused_bytes, fused_written) = marshal_with(Fused, &put, &slots, format);
+        prop_assert_eq!(&plain_bytes, &fused_bytes, "marshal differs on {:?}", format);
+        prop_assert_eq!(plain_written, fused_written, "bytes_written differs on {:?}", format);
+
+        let mut plain_frame = vec![Value::Null; fields.len()];
+        let mut fused_frame = vec![Value::Null; fields.len()];
+        unmarshal_with(Plain, &get, &mut plain_frame, &plain_bytes, format);
+        unmarshal_with(Fused, &get, &mut fused_frame, &fused_bytes, format);
+        prop_assert_eq!(&plain_frame, &fused_frame, "unmarshal differs on {:?}", format);
+        prop_assert_eq!(&fused_frame, &slots, "roundtrip loses values on {:?}", format);
+    }
+    Ok(())
+}
+
+/// Every strict prefix of a message is refused the same way by both paths:
+/// a typed error of the same kind, no panic, and no more allocations than
+/// decoding the whole message makes — a length word is never believed
+/// before the bytes behind it are seen to be there.
+fn prefixes_fail_alike(fields: &[Field]) -> Result<(), TestCaseError> {
+    let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
+    let (put, get) = programs(fields);
+
+    for format in [WireFormat::Xdr, WireFormat::Cdr] {
+        let (bytes, _) = marshal_with(Fused, &put, &slots, format);
+        // A decode into a fresh frame, and the allocations it made.
+        let decode = |via: Via, msg: &[u8]| {
+            let mut frame = vec![Value::Null; fields.len()];
+            let before = allocs();
+            let outcome = try_unmarshal(via, &get, &mut frame, msg, format);
+            (outcome, allocs() - before)
+        };
+        let (plain_whole, plain_budget) = decode(Plain, &bytes);
+        let (fused_whole, fused_budget) = decode(Fused, &bytes);
+        prop_assert!(plain_whole.is_ok() && fused_whole.is_ok());
+
+        for cut in 0..bytes.len() {
+            let (plain, plain_allocs) = decode(Plain, &bytes[..cut]);
+            let (fused, fused_allocs) = decode(Fused, &bytes[..cut]);
+            let (Err(plain), Err(fused)) = (plain, fused) else {
+                return Err(TestCaseError::fail(format!(
+                    "{format:?}: {cut} of {} bytes decoded",
+                    bytes.len()
+                )));
+            };
+            prop_assert_eq!(
+                error_kind(&plain),
+                error_kind(&fused),
+                "{:?} cut at {}: threaded {:?}, fused {:?}",
+                format,
+                cut,
+                plain,
+                fused
+            );
+            prop_assert!(
+                plain_allocs <= plain_budget && fused_allocs <= fused_budget,
+                "{:?} cut at {}: allocated {} / {}, the whole message {} / {}",
+                format,
+                cut,
+                plain_allocs,
+                fused_allocs,
+                plain_budget,
+                fused_budget
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Fused and threaded marshal emit byte-identical messages, and fused
-    /// and threaded unmarshal recover value-identical frames, on both wire
-    /// formats — the specialization is invisible on the wire.
+    /// The specialization is invisible on the wire.
     #[test]
     fn fused_is_wire_identical(fields in prop::collection::vec(field(), 1..10)) {
-        let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
-        let (put, get) = programs(&fields);
+        wire_identical(&fields)?;
+    }
 
-        for format in [WireFormat::Xdr, WireFormat::Cdr] {
-            let (plain_bytes, plain_written) = marshal_with(Plain, &put, &slots, format);
-            let (fused_bytes, fused_written) = marshal_with(Fused, &put, &slots, format);
-            prop_assert_eq!(&plain_bytes, &fused_bytes, "marshal differs on {:?}", format);
-            prop_assert_eq!(plain_written, fused_written, "bytes_written differs on {:?}", format);
-
-            let mut plain_frame = vec![Value::Null; fields.len()];
-            let mut fused_frame = vec![Value::Null; fields.len()];
-            unmarshal_with(Plain, &get, &mut plain_frame, &plain_bytes, format);
-            unmarshal_with(Fused, &get, &mut fused_frame, &fused_bytes, format);
-            prop_assert_eq!(&plain_frame, &fused_frame, "unmarshal differs on {:?}", format);
-            prop_assert_eq!(&fused_frame, &slots, "roundtrip loses values on {:?}", format);
+    /// Programs on either side of where a program's parts stop being held
+    /// in place — 0 to 3 ops, 0 to 2 payloads, one-scalar tails and blocks
+    /// of two or more — match the threaded oracle on bytes, values and
+    /// every strict prefix's error, on both transfer syntaxes.
+    #[test]
+    fn programs_either_side_of_the_inline_boundary_match_the_oracle(
+        scalars in prop::collection::vec(scalar(), 3),
+        payloads in prop::collection::vec(counted(), 2),
+    ) {
+        for shape in boundary_shapes() {
+            let (mut s, mut p) = (scalars.iter(), payloads.iter());
+            let fields: Vec<Field> = shape
+                .iter()
+                .map(|&counted| if counted { p.next() } else { s.next() })
+                .map(|f| f.expect("enough of each kind").clone())
+                .collect();
+            wire_identical(&fields)?;
+            prefixes_fail_alike(&fields)?;
         }
     }
 
@@ -288,49 +397,13 @@ proptest! {
         }
     }
 
-    /// Every strict prefix of a message is refused the same way by both
-    /// paths: a typed error of the same kind, no panic, and no more
-    /// allocations than decoding the whole message makes — a length word
-    /// is never believed before the bytes behind it are seen to be there.
+    /// Every strict prefix is refused alike, allocating no more than the
+    /// whole message.
     #[test]
     fn every_strict_prefix_fails_alike_and_allocates_no_more(
         fields in prop::collection::vec(field(), 1..8),
     ) {
-        let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
-        let (put, get) = programs(&fields);
-
-        for format in [WireFormat::Xdr, WireFormat::Cdr] {
-            let (bytes, _) = marshal_with(Fused, &put, &slots, format);
-            // A decode into a fresh frame, and the allocations it made.
-            let decode = |via: Via, msg: &[u8]| {
-                let mut frame = vec![Value::Null; fields.len()];
-                let before = allocs();
-                let outcome = try_unmarshal(via, &get, &mut frame, msg, format);
-                (outcome, allocs() - before)
-            };
-            let (plain_whole, plain_budget) = decode(Plain, &bytes);
-            let (fused_whole, fused_budget) = decode(Fused, &bytes);
-            prop_assert!(plain_whole.is_ok() && fused_whole.is_ok());
-
-            for cut in 0..bytes.len() {
-                let (plain, plain_allocs) = decode(Plain, &bytes[..cut]);
-                let (fused, fused_allocs) = decode(Fused, &bytes[..cut]);
-                let (Err(plain), Err(fused)) = (plain, fused) else {
-                    return Err(TestCaseError::fail(format!(
-                        "{format:?}: {cut} of {} bytes decoded", bytes.len()
-                    )));
-                };
-                prop_assert_eq!(
-                    error_kind(&plain), error_kind(&fused),
-                    "{:?} cut at {}: threaded {:?}, fused {:?}", format, cut, plain, fused
-                );
-                prop_assert!(
-                    plain_allocs <= plain_budget && fused_allocs <= fused_budget,
-                    "{:?} cut at {}: allocated {} / {}, the whole message {} / {}",
-                    format, cut, plain_allocs, fused_allocs, plain_budget, fused_budget
-                );
-            }
-        }
+        prefixes_fail_alike(&fields)?;
     }
 
     /// A slot holding the wrong kind of value is reported identically —

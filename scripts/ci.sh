@@ -22,8 +22,8 @@ cargo test -q --workspace
 
 # Re-runs in the profile the benchmark measures in (inlining, elided
 # temporaries and thread timing all differ from debug):
-echo "== release re-runs: allocation audits, engine timing, stripes, net, kernel ==" >&2
-cargo test -q --release -p flexrpc-runtime --test zero_alloc # warm-call allocation budgets
+echo "== release re-runs: allocation audits, executor oracle, engine timing, stripes, net, kernel ==" >&2
+cargo test -q --release -p flexrpc-runtime --test zero_alloc --test fuse_differential # warm-call allocation budgets; executor vs oracle, in-place and spilled programs
 cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_alloc # queued round trip, bind
 cargo test -q --release -p flexrpc-engine --test stress --test robustness --test helping_wait # wakes, shutdown, helping guards
 cargo test -q --release -p flexrpc-trace --test stripes # a striped read racing a stripe's drop
