@@ -9,12 +9,14 @@
 //! * The **CPU side** is real work and nothing else: the request is really
 //!   copied into the far side's receive buffer, the registered service
 //!   handler really runs and frames its reply where the caller reads it, and
-//!   the message's packets, bytes and wire time are tallied once. No wall
-//!   clock is read here. `benchmark/` times this part (`sunrpc_tagged`);
-//!   `report fig2` states it as paired ratios, and to report *client*
-//!   processing it times the far side itself, by wrapping the handler it
-//!   serves ([`SimNet::handler`]) — the far side's real time is the
-//!   harness's to measure, not a cost every message of every network pays.
+//!   the message's packets, bytes and wire time are tallied once — by a
+//!   [`Link`] into cells of its own, which every read of the network's
+//!   totals folds in. No wall clock is read here. `benchmark/` times this
+//!   part (`sunrpc_tagged`); `report fig2` states it as paired ratios, and
+//!   to report *client* processing it times the far side itself, by
+//!   wrapping the handler it serves ([`SimNet::handler`]) — the far side's
+//!   real time is the harness's to measure, not a cost every message of
+//!   every network pays.
 //! * The **wire side** is a deterministic clock ([`SimNet::wire_ns`]):
 //!   each message charges per-packet latency plus bytes/bandwidth at the
 //!   configured link speed. It is identical across presentation variants —
@@ -41,7 +43,9 @@
 //!
 //! [`SimNet::call`] and [`SimNet::send`] are *resolve, then the same
 //! message body* a link runs: there is one implementation of what a message
-//! costs and what each fault does to it.
+//! costs and what each fault does to it. Only where the tally goes differs:
+//! an unlinked message adds it to the network's shared cells, a link to its
+//! own stripes of them (see [`NetStats`]).
 //!
 //! [`sunrpc`] adds the Sun RPC call/reply message layer (XIDs, program/
 //! version/procedure headers, record marking) used by the NFS experiment.
@@ -49,7 +53,7 @@
 pub mod sunrpc;
 
 use flexrpc_clock::{FaultInjector, Lost, SimClock, Verdict};
-use flexrpc_trace::{Counter, MetricsRegistry};
+use flexrpc_trace::{Counter, CounterStripe, MetricsRegistry};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,7 +135,11 @@ impl Default for NetConfig {
 /// Wire-clock counters: registry-adoptable [`Counter`] handles, so a
 /// metrics plane can absorb them under `net.*` names
 /// ([`NetStats::register_metrics`]) while the network keeps updating the
-/// same cells. Each is published once per message, when the message ends.
+/// same cells. Each is published once per message, when the message ends:
+/// to the shared cell by [`SimNet::call`] / [`SimNet::send`], and by a
+/// [`Link`] to a stripe of its own, written with no locked instruction.
+/// Every read ([`Counter::get`], a registry snapshot) folds the live
+/// stripes in, and a dropped link's counts stay counted.
 #[derive(Debug, Default)]
 pub struct NetStats {
     /// Messages carried.
@@ -192,7 +200,9 @@ pub struct SimNet {
     /// it when a route is resolved and with one load per message after
     /// that (see the module doc's version rule).
     hosts_version: AtomicU64,
-    wire_ns: AtomicU64,
+    /// Accumulated wire and far-side time: a counter, so links can keep
+    /// stripes of it as they do of [`NetStats`].
+    wire_ns: Counter,
     clock: Arc<SimClock>,
     faults: FaultInjector,
     stats: NetStats,
@@ -219,7 +229,8 @@ struct Scratch {
 }
 
 /// What one message put on the wire so far, summed locally and published
-/// to the network's counters once, when the message ends.
+/// once, when the message ends: to the network's shared cells
+/// ([`SimNet::publish`]) or to a link's stripes ([`LinkTally::publish`]).
 #[derive(Clone, Copy, Default)]
 struct Tally {
     packets: u64,
@@ -256,7 +267,7 @@ impl SimNet {
             cfg,
             hosts: Mutex::new(Vec::new()),
             hosts_version: AtomicU64::new(0),
-            wire_ns: AtomicU64::new(0),
+            wire_ns: Counter::detached(),
             clock,
             faults: FaultInjector::new(),
             stats: NetStats::default(),
@@ -362,7 +373,7 @@ impl SimNet {
     ///
     /// Deterministic: a pure function of the messages sent so far.
     pub fn wire_ns(&self) -> u64 {
-        self.wire_ns.load(Ordering::Relaxed)
+        self.wire_ns.get()
     }
 
     /// Resolves the `from → to` link once, for a binding to keep: see
@@ -370,7 +381,21 @@ impl SimNet {
     /// reported by the link's messages, as [`SimNet::call`] would.
     pub fn link(self: &Arc<SimNet>, from: HostId, to: HostId) -> Link {
         let (version, route) = self.resolve(from, to);
-        Link { net: Arc::clone(self), from, to, version, route, scratch: Scratch::default() }
+        let tally = LinkTally {
+            messages: self.stats.messages.stripe(),
+            packets: self.stats.packets.stripe(),
+            bytes: self.stats.bytes.stripe(),
+            wire_ns: self.wire_ns.stripe(),
+        };
+        Link { net: Arc::clone(self), from, to, version, route, scratch: Scratch::default(), tally }
+    }
+
+    /// Adds one message's tally to the shared cells.
+    fn publish(&self, tally: Tally) {
+        self.stats.messages.inc();
+        self.stats.packets.add(tally.packets);
+        self.stats.bytes.add(tally.bytes);
+        self.wire_ns.add(tally.ns);
     }
 
     /// What one crossing of the wire by `payload` bytes costs, at `scale`×
@@ -478,7 +503,9 @@ impl SimNet {
         let route = self.resolve(from, to).1?;
         let mut scratch = self.take_scratch();
         let Scratch { rx, discard } = &mut scratch;
-        let result = Hop { net: self, from, to, route: &route, rx }.carry(request, discard, true);
+        let (result, tally) =
+            Hop { net: self, from, to, route: &route, rx }.carry(request, discard, true);
+        self.publish(tally);
         self.release(scratch);
         result
     }
@@ -520,7 +547,8 @@ impl SimNet {
         let route = self.resolve(from, to).1?;
         let mut scratch = self.take_scratch();
         let hop = Hop { net: self, from, to, route: &route, rx: &mut scratch.rx };
-        let result = hop.carry(request, reply_into, false);
+        let (result, tally) = hop.carry(request, reply_into, false);
+        self.publish(tally);
         self.release(scratch);
         result
     }
@@ -539,7 +567,8 @@ impl fmt::Debug for SimNet {
 /// ([`SimNet::link`]) instead of once per message: it keeps the
 /// destination's fault plan and handler, the host-table version they were
 /// read at (the module doc's version rule says when they are read again),
-/// and the far side's receive buffer.
+/// the far side's receive buffer, and its own stripes of the network's
+/// message, packet, byte and wire-time counters.
 ///
 /// [`Link::call`] and [`Link::send`] mean exactly what [`SimNet::call`] and
 /// [`SimNet::send`] mean for the pair — same faults, same charges, same
@@ -553,6 +582,25 @@ pub struct Link {
     version: u64,
     route: Result<Route>,
     scratch: Scratch,
+    tally: LinkTally,
+}
+
+/// A [`Link`]'s cells of its network's counters, written by the link alone.
+struct LinkTally {
+    messages: CounterStripe,
+    packets: CounterStripe,
+    bytes: CounterStripe,
+    wire_ns: CounterStripe,
+}
+
+impl LinkTally {
+    /// Adds one message's tally: plain loads and stores.
+    fn publish(&mut self, tally: Tally) {
+        self.messages.add(1);
+        self.packets.add(tally.packets);
+        self.bytes.add(tally.bytes);
+        self.wire_ns.add(tally.ns);
+    }
 }
 
 impl Link {
@@ -579,13 +627,17 @@ impl Link {
     pub fn call(&mut self, request: &[u8], reply_into: &mut Vec<u8>) -> Result<()> {
         // Before resolving: an unknown endpoint leaves it empty too.
         reply_into.clear();
-        self.hop()?.0.carry(request, reply_into, false)
+        let (result, tally) = self.hop()?.0.carry(request, reply_into, false);
+        self.tally.publish(tally);
+        result
     }
 
     /// [`SimNet::send`] over this link.
     pub fn send(&mut self, request: &[u8]) -> Result<()> {
         let (hop, discard) = self.hop()?;
-        hop.carry(request, discard, true)
+        let (result, tally) = hop.carry(request, discard, true);
+        self.tally.publish(tally);
+        result
     }
 }
 
@@ -604,19 +656,19 @@ struct Hop<'a> {
 impl Hop<'_> {
     /// Carries one message: `reply_into` (cleared first) is where the
     /// handler writes; a `one_way` message has no reply leg and swallows
-    /// what a call would report about delivery. What the message put on the
-    /// wire is summed in a local [`Tally`] and published here, once per
-    /// counter, however the message ended.
-    fn carry(mut self, request: &[u8], reply_into: &mut Vec<u8>, one_way: bool) -> Result<()> {
+    /// what a call would report about delivery. Returns, beside how the
+    /// message ended, what it put on the wire however it ended — for the
+    /// caller to publish once.
+    fn carry(
+        mut self,
+        request: &[u8],
+        reply_into: &mut Vec<u8>,
+        one_way: bool,
+    ) -> (Result<()>, Tally) {
         reply_into.clear();
         let mut tally = Tally::default();
         let result = self.deliver(request, reply_into, one_way, &mut tally);
-        let net = self.net;
-        net.stats.messages.inc();
-        net.stats.packets.add(tally.packets);
-        net.stats.bytes.add(tally.bytes);
-        net.wire_ns.fetch_add(tally.ns, Ordering::Relaxed);
-        result
+        (result, tally)
     }
 
     /// The message's journey; see [`SimNet::call`] and [`SimNet::send`] for
@@ -894,6 +946,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A link tallies into stripes of its own, and every read folds them:
+    /// a network whose messages went by endpoints, over a live link and over
+    /// a dropped one reads the totals of a twin that sent the same messages
+    /// by endpoints alone, and a registry that adopted the counters reads
+    /// the same.
+    #[test]
+    fn totals_fold_unlinked_calls_and_live_and_dropped_links() {
+        fn world() -> (Arc<SimNet>, HostId, HostId) {
+            let net = SimNet::new();
+            let (c, s) = (net.add_host("c"), net.add_host("s"));
+            net.register_service(s, |req| Ok(req.repeat(2))).unwrap();
+            (net, c, s)
+        }
+        fn ledger(net: &SimNet) -> [u64; 4] {
+            let stats = net.stats();
+            [stats.messages.get(), stats.packets.get(), stats.bytes.get(), net.wire_ns()]
+        }
+        let (calls, live_calls, dropped_sends) = ([10, 3_000], [1_600], [5, 9_000]);
+        let mut reply = Vec::new();
+
+        let (twin, tc, ts) = world();
+        for size in calls.into_iter().chain(live_calls) {
+            twin.call(tc, ts, &vec![1; size], &mut reply).unwrap();
+        }
+        for size in dropped_sends {
+            twin.send(tc, ts, &vec![1; size]).unwrap();
+        }
+
+        let (net, c, s) = world();
+        let registry = MetricsRegistry::new();
+        net.stats().register_metrics(&registry);
+        for size in calls {
+            net.call(c, s, &vec![1; size], &mut reply).unwrap();
+        }
+        let mut live = net.link(c, s);
+        for size in live_calls {
+            live.call(&vec![1; size], &mut reply).unwrap();
+        }
+        let mut dropped = net.link(c, s);
+        for size in dropped_sends {
+            dropped.send(&vec![1; size]).unwrap();
+        }
+        drop(dropped);
+        let expected = ledger(&twin);
+        assert_eq!(ledger(&net), expected, "messages, packets, bytes and wire time");
+        let snapshot = registry.snapshot();
+        let named = ["net.message", "net.packet", "net.bytes"].map(|name| snapshot.counter(name));
+        assert_eq!(named, expected[..3], "the registry reads the folded totals");
+        drop(live);
+        assert_eq!(ledger(&net), expected, "a dropped link's counts stay counted");
     }
 
     #[test]

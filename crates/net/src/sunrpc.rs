@@ -207,6 +207,25 @@ fn whole_record_len(mark: u32) -> Result<usize> {
     Ok((mark & !LAST_FRAGMENT) as usize)
 }
 
+/// A reader over `msg` past its record mark, once the mark is checked: the
+/// message is one whole record, and a whole number of XDR words — every
+/// encoder here pads to one, and a record that is not (its mark can say
+/// so: the bytes are the peer's) is refused here, not read short later.
+/// Inlining is forced: out of line, the `Result` of a reader went through
+/// memory on every message.
+#[inline(always)]
+fn open_record(msg: &[u8]) -> Result<XdrReader<'_>> {
+    let mut r = XdrReader::new(msg);
+    let mark = r.get_u32().map_err(|_| proto_err("truncated record mark"))?;
+    if whole_record_len(mark)? != msg.len() - 4 {
+        return Err(proto_err("record mark length mismatch"));
+    }
+    if !msg.len().is_multiple_of(4) {
+        return Err(proto_err("record is not a whole number of XDR words"));
+    }
+    Ok(r)
+}
+
 /// A decoded call: header, at-most-once tag `(binding id, sequence
 /// number, tenant id)` if the credential carries one, and the argument
 /// bytes.
@@ -217,11 +236,7 @@ pub type TaggedCall<'a> = (CallHeader, Option<(u64, u64, u64)>, &'a [u8]);
 /// carries one, and the argument bytes. Any other credential — flavor or
 /// length — is refused.
 pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
-    let mut r = XdrReader::new(msg);
-    let mark = r.get_u32().map_err(|_| proto_err("truncated record mark"))?;
-    if whole_record_len(mark)? != msg.len() - 4 {
-        return Err(proto_err("record mark length mismatch"));
-    }
+    let mut r = open_record(msg)?;
     let xid = r.get_u32().map_err(|_| proto_err("truncated xid"))?;
     let mtype = r.get_u32().map_err(|_| proto_err("truncated msg type"))?;
     if mtype != CALL {
@@ -252,8 +267,8 @@ pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
             return Err(proto_err(&format!("non-null {what} not supported")));
         }
     }
-    let args_len = r.remaining();
-    let args = r.get_opaque_fixed(args_len).expect("remaining bytes");
+    // The rest of the record: whole words, as `open_record` checked.
+    let args = &msg[r.position()..];
     Ok((CallHeader { xid, prog, vers, proc }, tag, args))
 }
 
@@ -272,6 +287,7 @@ pub fn split_records(stream: &[u8]) -> Result<Vec<&[u8]>> {
         if rest.len() < 4 {
             return Err(proto_err("truncated record mark in stream"));
         }
+        // Cannot fail: the length was checked just above.
         let len = whole_record_len(u32::from_be_bytes(rest[..4].try_into().expect("4 bytes")))?;
         if rest.len() < 4 + len {
             return Err(proto_err("record extends past end of stream"));
@@ -284,11 +300,7 @@ pub fn split_records(stream: &[u8]) -> Result<Vec<&[u8]>> {
 
 /// Decodes a reply message, returning the XID, status, and result bytes.
 pub fn decode_reply(msg: &[u8]) -> Result<(u32, AcceptStat, &[u8])> {
-    let mut r = XdrReader::new(msg);
-    let mark = r.get_u32().map_err(|_| proto_err("truncated record mark"))?;
-    if whole_record_len(mark)? != msg.len() - 4 {
-        return Err(proto_err("record mark length mismatch"));
-    }
+    let mut r = open_record(msg)?;
     let xid = r.get_u32().map_err(|_| proto_err("truncated xid"))?;
     let mtype = r.get_u32().map_err(|_| proto_err("truncated msg type"))?;
     if mtype != REPLY {
@@ -302,8 +314,7 @@ pub fn decode_reply(msg: &[u8]) -> Result<(u32, AcceptStat, &[u8])> {
     let _verf_len = r.get_u32().map_err(|_| proto_err("truncated verifier"))?;
     let stat = AcceptStat::from_code(r.get_u32().map_err(|_| proto_err("truncated stat"))?)
         .ok_or_else(|| proto_err("unknown accept status"))?;
-    let rest = r.remaining();
-    let results = r.get_opaque_fixed(rest).expect("remaining bytes");
+    let results = &msg[r.position()..];
     Ok((xid, stat, results))
 }
 

@@ -195,6 +195,9 @@ pub struct ServerInterface {
     /// At-most-once reply cache, consulted by [`ServerInterface::dispatch_tagged`]
     /// when the transport delivers a call tag. `None` = at-least-once.
     reply_cache: Option<std::sync::Arc<crate::replycache::ReplyCache>>,
+    /// The reply and rights [`ServerInterface::dispatch_kept`] marshals
+    /// into, kept across calls under whatever lock guards this server.
+    kept: (Vec<u8>, Vec<u32>),
 }
 
 /// What one operation keeps between its dispatches.
@@ -227,6 +230,7 @@ impl ServerInterface {
             hooks: vec![HookMap::new(); n],
             scratch: vec![OpScratch { frame: Vec::new(), reply_cap: 64 }; n],
             reply_cache: None,
+            kept: (Vec::new(), Vec::new()),
         }
     }
 
@@ -340,6 +344,23 @@ impl ServerInterface {
             cache.record_hashed(tag, reply, rights_out);
         }
         Ok(())
+    }
+
+    /// [`ServerInterface::dispatch_tagged`] with no port rights in, into
+    /// the reply and rights buffers this server keeps, for a transport that
+    /// frames the reply somewhere else: returns the marshalled reply, valid
+    /// until the next dispatch. The rights a work function returns are
+    /// dropped — the transport has no way to carry them.
+    pub(crate) fn dispatch_kept(
+        &mut self,
+        op_index: usize,
+        request: &[u8],
+        tag: Option<crate::policy::CallTag>,
+    ) -> Result<&[u8]> {
+        let (mut reply, mut rights_out) = std::mem::take(&mut self.kept);
+        let result = self.dispatch_tagged(op_index, request, &[], tag, &mut reply, &mut rights_out);
+        self.kept = (reply, rights_out);
+        result.map(|()| self.kept.0.as_slice())
     }
 
     fn dispatch_into(

@@ -590,9 +590,10 @@ pub fn accept_call(
 
 /// Registers `server` as the Sun RPC service on `host`: decodes call
 /// frames, dispatches by procedure number, and frames each reply straight
-/// into the buffer the caller will read. The marshalled reply body and its
-/// rights are scratch kept across calls, so a warm call allocates nothing
-/// here.
+/// into the buffer the caller will read. The marshalled reply body is the
+/// server's own kept scratch ([`ServerInterface`] marshals it under the
+/// server's lock, the one lock a call takes here), so a warm call
+/// allocates nothing here.
 pub fn serve_on_net(
     net: &Arc<SimNet>,
     host: HostId,
@@ -600,7 +601,6 @@ pub fn serve_on_net(
     prog: u32,
     vers: u32,
 ) -> Result<()> {
-    let scratch = Mutex::new((Vec::<u8>::new(), Vec::<u32>::new()));
     net.register_handler(host, move |msg, out| {
         let (hdr, wire_tag, args) = match sunrpc::decode_call_tagged(msg) {
             Ok(x) => x,
@@ -618,10 +618,8 @@ pub fn serve_on_net(
             Ok(op_index) => op_index,
             Err(refusal) => return respond(refusal, &[]),
         };
-        let mut scratch = scratch.lock();
-        let (reply, rights_out) = &mut *scratch;
-        match srv.dispatch_tagged(op_index, args, &[], tag, reply, rights_out) {
-            Ok(()) => respond(AcceptStat::Success, reply),
+        match srv.dispatch_kept(op_index, args, tag) {
+            Ok(reply) => respond(AcceptStat::Success, reply),
             Err(RpcError::Marshal(_)) => respond(AcceptStat::GarbageArgs, &[]),
             Err(e) => Err(format!("dispatch failed: {e}")),
         }

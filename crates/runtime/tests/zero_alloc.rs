@@ -217,9 +217,10 @@ fn reply_cache_hit_allocates_nothing_when_warm() {
 
 /// The whole at-most-once Sun RPC hop — tagged `ClientStub` → `SunRpc` →
 /// `SimNet` → `serve_on_net` → reply cache — allocates only what it keeps.
-/// A fresh `read` of a fixed size makes two allocations, both for bytes
-/// someone asked to own: the work function's result payload and the
-/// cache's exact-sized copy of the reply. A retransmission of the same
+/// A fresh `read` of a fixed size makes exactly one allocation: the work
+/// function's result payload. The cache keeps its copy of the reply too,
+/// but in a slab it fills in record order and reuses once the TTL has
+/// swept it, not in an allocation of its own. A retransmission of the same
 /// tag, answered by `replay`, runs no work function and records nothing,
 /// so it makes none. The call frame, the receive copy, the server's
 /// marshalled reply, the framed reply and the caller's result payload all
@@ -262,7 +263,8 @@ fn tagged_sunrpc_round_trip_allocates_only_what_it_keeps() {
 
     // Warm-up past one TTL of wire time (≈ 620 calls): every kept buffer
     // reaches its steady-state capacity and the cache is evicting as fast
-    // as it records, so its map and expiry queue have stopped growing.
+    // as it records, so its map, expiry queue and slabs have stopped
+    // growing.
     for _ in 0..1_000 {
         assert_eq!(stub.call_with("read", &mut frame, &options).expect("call"), 0);
     }
@@ -274,9 +276,9 @@ fn tagged_sunrpc_round_trip_allocates_only_what_it_keeps() {
         stub.call_with("read", &mut frame, &options).expect("fresh call");
     }
     let fresh = allocs() - before;
-    assert!(
-        fresh <= 2 * FRESH,
-        "{FRESH} fresh tagged calls allocated {fresh} times; budget is 2 per call"
+    assert_eq!(
+        fresh, FRESH,
+        "{FRESH} fresh tagged calls allocated {fresh} times; budget is 1 each"
     );
     assert_eq!(cache.stats().suppressions, 0, "every call so far executed");
 
