@@ -8,7 +8,8 @@
 //!   transport ladder — what the flexible presentation saves on the
 //!   negotiated same-domain path, over kernel IPC and over Sun RPC — the
 //!   paper's closing observation that presentation matters most when
-//!   everything else is fast.
+//!   everything else is fast — and the same-domain call against the
+//!   marshalled one it short-circuits.
 //! * What specialization buys ([`crate::fuse::ProgramRunner`]): the four
 //!   `read` programs through the executor against the threaded oracle.
 
@@ -118,15 +119,27 @@ impl SweepCell {
     }
 }
 
+/// Figure 10's group where the client's buffer is trashable and the server
+/// modifies it.
+const TRASHABLE: fig10::Group = fig10::Group { client_needs_buffer: false, server_modifies: true };
+
 /// Builds the Figure 10 fixed-copy-vs-flexible pair at a given size, in
-/// the group where the client's buffer is trashable and the server
-/// modifies it: the same-domain rung of the transport ladder.
+/// the trashable group: the same-domain rung of the transport ladder.
 pub fn fig10_pair(size: usize) -> (fig10::Runner, fig10::Runner) {
-    let group = fig10::Group { client_needs_buffer: false, server_modifies: true };
     (
-        fig10::Runner::new(fig10::System::FixedCopy, group, size),
-        fig10::Runner::new(fig10::System::Flexible, group, size),
+        fig10::Runner::new(fig10::System::FixedCopy, TRASHABLE, size),
+        fig10::Runner::new(fig10::System::Flexible, TRASHABLE, size),
     )
+}
+
+/// The comparison §4.4 drew: the same registered `write` (flexible
+/// presentations, the trashable group) marshalled over `Loopback`, then
+/// called direct through the same-domain binding.
+pub fn direct_pair(size: usize) -> [fig10::Runner; 2] {
+    [
+        fig10::Runner::marshalled(fig10::System::Flexible, TRASHABLE, size),
+        fig10::Runner::new(fig10::System::Flexible, TRASHABLE, size),
+    ]
 }
 
 #[cfg(test)]
@@ -173,5 +186,8 @@ mod tests {
         let (mut a, mut b) = fig10_pair(512);
         a.call();
         b.call();
+        for mut r in direct_pair(512) {
+            r.call();
+        }
     }
 }

@@ -461,7 +461,8 @@ fn run_port(_: &Ctx) -> Vec<Row> {
 }
 
 fn run_ablate(_: &Ctx) -> Vec<Row> {
-    [pipe_ladder(), trust_spread(), transport_ladder(), fusion_on_off()].concat()
+    [pipe_ladder(), trust_spread(), transport_ladder(), direct_vs_marshalled(), fusion_on_off()]
+        .concat()
 }
 
 /// The pipe path, one presentation knob at a time: bytes the kernel and the
@@ -546,6 +547,15 @@ fn transport_ladder() -> Vec<Row> {
         Row::shape("win-kernel-ipc-pct", kernel_ipc).gate(Rel::Lt, same_domain),
         Row::shape("win-sunrpc-pct", sunrpc).gate(Rel::Lt, kernel_ipc),
     ]
+}
+
+/// §4.4's own comparison: one registered `write` at 1 KB, marshalled over
+/// `Loopback` against called direct through the same-domain binding, timed
+/// within each round. Recorded, not yet gated.
+fn direct_vs_marshalled() -> Vec<Row> {
+    let mut sides = ablate::direct_pair(fig10::PARAM_SIZE);
+    let rounds = paired_rounds(15, &mut sides, |r| time_ns(2000, || r.call()));
+    vec![Row::shape("same-domain-direct-speedup", ratio(&rounds, 0, 1))]
 }
 
 /// What specialization buys, measured where it acts: the four compiled

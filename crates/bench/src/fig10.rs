@@ -10,9 +10,14 @@
 use flexrpc_core::annot::apply_pdl;
 use flexrpc_core::annot::{Attr, OpAnnot, ParamAnnot, PdlFile};
 use flexrpc_core::present::InterfacePresentation;
+use flexrpc_core::program::CompiledInterface;
 use flexrpc_core::value::Value;
+use flexrpc_marshal::WireFormat;
 use flexrpc_pipes::fileio_module;
 use flexrpc_runtime::samedomain::SameDomain;
+use flexrpc_runtime::transport::Loopback;
+use flexrpc_runtime::{ClientStub, ServerInterface};
+use parking_lot::Mutex;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -86,17 +91,37 @@ fn pdl_for(attrs: Vec<Attr>) -> PdlFile {
     }
 }
 
+/// `write`'s operation index in FileIO.
+const WRITE: usize = 1;
+
 /// A ready-to-call scenario.
 pub struct Runner {
-    sd: SameDomain,
+    path: Path,
     frame: Vec<Value>,
     /// Buffer-sized copies hand-written server glue performed.
     pub glue_copies: Arc<AtomicU64>,
 }
 
+/// How a [`Runner`] reaches the one registered `write`.
+enum Path {
+    /// The negotiated same-domain call.
+    Direct(SameDomain),
+    /// The call the short circuit replaces: CDR over `Loopback`.
+    Marshalled(ClientStub),
+}
+
 impl Runner {
-    /// Builds `(system, group)` with `size`-byte parameters.
+    /// Builds `(system, group)` with `size`-byte parameters, called direct.
     pub fn new(system: System, group: Group, size: usize) -> Runner {
+        Runner::build(system, group, size, false)
+    }
+
+    /// The same scenario, its `write` marshalled over `Loopback`.
+    pub(crate) fn marshalled(system: System, group: Group, size: usize) -> Runner {
+        Runner::build(system, group, size, true)
+    }
+
+    fn build(system: System, group: Group, size: usize, marshalled: bool) -> Runner {
         let m = fileio_module();
         let iface = m.interface("FileIO").expect("FileIO");
         let base = InterfacePresentation::default_for(&m, iface).expect("defaults");
@@ -123,46 +148,72 @@ impl Runner {
             _ => base.clone(),
         };
 
-        let mut sd = SameDomain::bind(&m, iface, &client, &server).expect("binds");
         let glue_copies = Arc::new(AtomicU64::new(0));
         let glue = Arc::clone(&glue_copies);
         let modifies = group.server_modifies;
         let fixed_borrow = system == System::FixedBorrow;
-        sd.on("write", move |call| {
-            if modifies {
-                if fixed_borrow {
-                    // Borrow semantics forbid in-place modification: the
-                    // server glue makes its own copy, then works on it.
-                    let mut own = call.in_bytes("data").expect("data").to_vec();
-                    glue.fetch_add(1, Ordering::Relaxed);
-                    process_mut(&mut own);
+        let register = move |srv: &mut ServerInterface| {
+            let glue = Arc::clone(&glue);
+            srv.on("write", move |call| {
+                if modifies {
+                    if fixed_borrow {
+                        // Borrow semantics forbid in-place modification: the
+                        // server glue makes its own copy, then works on it.
+                        let mut own = call.bytes("data").expect("data").to_vec();
+                        glue.fetch_add(1, Ordering::Relaxed);
+                        process_mut(&mut own);
+                    } else {
+                        let buf = call
+                            .bytes_mut("data")
+                            .expect("copy or trashable semantics allow modification");
+                        process_mut(buf);
+                    }
                 } else {
-                    let buf = call
-                        .in_bytes_mut("data")
-                        .expect("copy or trashable semantics allow modification");
-                    process_mut(buf);
+                    process_ro(call.bytes("data").expect("data"));
                 }
-            } else {
-                process_ro(call.in_bytes("data").expect("data"));
-            }
-            0
-        })
-        .expect("registers");
+                0
+            })
+            .expect("registers");
+        };
 
-        let mut frame = sd.new_frame("write").expect("frame");
+        let compiled = CompiledInterface::compile(&m, iface, &client).expect("compiles");
+        let mut frame = compiled.ops[WRITE].slots.new_frame();
         frame[0] = Value::Bytes(vec![0x5A; size]);
-        Runner { sd, frame, glue_copies }
+        let path = if marshalled {
+            let mut srv = ServerInterface::new(
+                CompiledInterface::compile(&m, iface, &server).expect("compiles"),
+                WireFormat::Cdr,
+            );
+            register(&mut srv);
+            let server = Arc::new(Mutex::new(srv));
+            Path::Marshalled(ClientStub::new(
+                compiled,
+                WireFormat::Cdr,
+                Box::new(Loopback::new(server)),
+            ))
+        } else {
+            Path::Direct(SameDomain::bind(&m, iface, &client, &server, register).expect("binds"))
+        };
+        Runner { path, frame, glue_copies }
     }
 
     /// One RPC.
     pub fn call(&mut self) {
-        let status = self.sd.call_index(1, &mut self.frame).expect("call succeeds");
-        debug_assert_eq!(status, 0);
+        let status = match &mut self.path {
+            Path::Direct(sd) => sd.call_index(WRITE, &mut self.frame),
+            Path::Marshalled(stub) => stub.call_index(WRITE, &mut self.frame),
+        };
+        debug_assert_eq!(status, Ok(0));
     }
 
-    /// Stub copy counters `(copies, bytes, allocs)`.
+    /// Stub copy counters `(copies, bytes, allocs)` of a direct call. A
+    /// marshalled call negotiates nothing: its copies are the marshal's,
+    /// which these do not count.
     pub fn stub_stats(&self) -> (u64, u64, u64) {
-        self.sd.stats().snapshot()
+        match &self.path {
+            Path::Direct(sd) => sd.stats().snapshot(),
+            Path::Marshalled(_) => (0, 0, 0),
+        }
     }
 }
 
@@ -191,12 +242,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_cells_run() {
-        for system in System::ALL {
-            for group in Group::ALL {
-                let mut r = Runner::new(system, group, 256);
-                r.call();
-                r.call();
+    fn all_cells_run_direct_and_marshalled() {
+        for build in [Runner::new, Runner::marshalled] {
+            for system in System::ALL {
+                for group in Group::ALL {
+                    let mut r = build(system, group, 256);
+                    r.call();
+                    r.call();
+                }
             }
         }
     }

@@ -12,9 +12,11 @@
 use flexrpc_core::annot::apply_pdl;
 use flexrpc_core::annot::{Attr, OpAnnot, ParamAnnot, PdlFile};
 use flexrpc_core::present::InterfacePresentation;
+use flexrpc_core::program::CompiledInterface;
 use flexrpc_core::value::Value;
 use flexrpc_pipes::fileio_module;
 use flexrpc_runtime::samedomain::SameDomain;
+use flexrpc_runtime::ServerInterface;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,6 +92,9 @@ fn read_pdl(attrs: Vec<Attr>) -> PdlFile {
     }
 }
 
+/// `read`'s operation index in FileIO.
+const READ: usize = 0;
+
 /// A ready-to-call scenario.
 pub struct Runner {
     sd: SameDomain,
@@ -133,37 +138,41 @@ impl Runner {
             _ => base.clone(),
         };
 
-        let mut sd = SameDomain::bind(&m, iface, &client, &server).expect("binds");
         let server_glue_copies = Arc::new(AtomicU64::new(0));
         let sg = Arc::clone(&server_glue_copies);
         let storage: Arc<[u8]> = (0..size).map(|i| (i % 251) as u8).collect::<Vec<u8>>().into();
         let has_own = group.server_has_own;
         let flexible = system == System::Flexible;
-        sd.on("read", move |call| {
-            match (has_own, flexible) {
-                (true, true) => {
-                    // Flexible: lend (or let the stub copy if it must).
-                    call.provide_out("return", &storage).expect("provide");
+        let register = move |srv: &mut ServerInterface| {
+            let (sg, storage) = (Arc::clone(&sg), Arc::clone(&storage));
+            srv.on("read", move |call| {
+                match (has_own, flexible) {
+                    (true, true) => {
+                        // Flexible: lend (or let the stub copy if it must).
+                        call.provide_out("return", &storage).expect("provide");
+                    }
+                    (true, false) => {
+                        // Fixed semantics force the server to re-buffer its
+                        // stored data by hand: one glue copy.
+                        sg.fetch_add(1, Ordering::Relaxed);
+                        call.out_fill("return", |b| b.extend_from_slice(&storage)).expect("fill");
+                    }
+                    (false, _) => {
+                        // Data produced on demand, straight into whatever
+                        // buffer the binding provides (a bulk fill, so the
+                        // measured differences are copy/alloc semantics,
+                        // not generator arithmetic).
+                        call.out_fill("return", |b| b.resize(size, 0xAB)).expect("fill");
+                    }
                 }
-                (true, false) => {
-                    // Fixed semantics force the server to re-buffer its
-                    // stored data by hand: one glue copy.
-                    sg.fetch_add(1, Ordering::Relaxed);
-                    call.out_fill("return", |b| b.extend_from_slice(&storage)).expect("fill");
-                }
-                (false, _) => {
-                    // Data produced on demand, straight into whatever
-                    // buffer the binding provides (a bulk fill, so the
-                    // measured differences are copy/alloc semantics, not
-                    // generator arithmetic).
-                    call.out_fill("return", |b| b.resize(size, 0xAB)).expect("fill");
-                }
-            }
-            0
-        })
-        .expect("registers");
+                0
+            })
+            .expect("registers");
+        };
 
-        let frame = sd.new_frame("read").expect("frame");
+        let sd = SameDomain::bind(&m, iface, &client, &server, register).expect("binds");
+        let compiled = CompiledInterface::compile(&m, iface, &client).expect("compiles");
+        let frame = compiled.ops[READ].slots.new_frame();
         Runner {
             sd,
             frame,
@@ -201,7 +210,7 @@ impl Runner {
         } else {
             self.frame[1] = Value::Null;
         }
-        let status = self.sd.call_index(0, &mut self.frame).expect("call succeeds");
+        let status = self.sd.call_index(READ, &mut self.frame).expect("call succeeds");
         debug_assert_eq!(status, 0);
 
         match std::mem::take(&mut self.frame[1]) {

@@ -61,8 +61,9 @@ pub struct TraceRunner {
 /// Which transport a [`TraceRunner`] crosses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Path {
-    /// Stub and server in one address space over `Loopback` (marshalled
-    /// bytes across a function call — not `runtime::SameDomain`).
+    /// Stub and server in one address space over `Loopback`: marshalled
+    /// bytes across a function call. The same work functions called with no
+    /// bytes at all are `runtime::samedomain`'s direct call.
     Loopback,
     /// Sun RPC over the simulated network (10 Mbit default config).
     SunRpc,

@@ -304,6 +304,40 @@ mod tests {
     }
 
     #[test]
+    fn the_same_work_functions_serve_a_direct_caller() {
+        use flexrpc_runtime::samedomain::SameDomain;
+        let m = fileio_module();
+        let iface = m.interface("FileIO").unwrap();
+        let pres = InterfacePresentation::default_for(&m, iface).unwrap();
+        let compiled = CompiledInterface::compile(&m, iface, &pres).unwrap();
+        for mode in [
+            ReadPresentation::Default,
+            ReadPresentation::DeallocNever,
+            ReadPresentation::DeallocNeverWrapOptimized,
+        ] {
+            let pipe = Arc::new(Mutex::new(CircBuf::new(8)));
+            let stats = Arc::new(PipeServerStats::default());
+            let register = |srv: &mut ServerInterface| {
+                register_pipe_handlers(srv, &pipe, &stats, mode);
+            };
+            let mut sd =
+                SameDomain::bind(&m, iface, &pres, &server_presentation(mode), register).unwrap();
+            let mut call = |op: usize, arg: Value| {
+                let mut frame = compiled.ops[op].slots.new_frame();
+                frame[0] = arg;
+                (sd.call_index(op, &mut frame).unwrap(), std::mem::take(&mut frame[1]))
+            };
+            // A read that wraps: the sink's put, its fallback, its gather.
+            call(1, Value::Bytes(b"abcdef".to_vec()));
+            assert_eq!(call(0, Value::U32(4)), (0, Value::Bytes(b"abcd".to_vec())), "{mode:?}");
+            call(1, Value::Bytes(b"wxyz".to_vec()));
+            assert_eq!(call(0, Value::U32(6)), (0, Value::Bytes(b"efwxyz".to_vec())), "{mode:?}");
+            let empty = call(0, Value::U32(6));
+            assert_eq!(empty, (crate::WOULDBLOCK, Value::Bytes(vec![])), "{mode:?}");
+        }
+    }
+
+    #[test]
     fn stream_integrity_across_presentations() {
         for mode in [
             ReadPresentation::Default,

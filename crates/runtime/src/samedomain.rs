@@ -16,16 +16,21 @@
 //!   buffer, lend server-owned storage by refcounted view, or — only when
 //!   both sides insist on owning the bytes — copy in the stub.
 //!
-//! Copies and allocations are counted so tests can assert the schedule and
-//! Figure 10/11 benches can report it.
+//! The binding runs the work functions a service registers on a
+//! [`ServerInterface`], the ones every marshalled transport dispatches to,
+//! on the caller's own frame. Copies and allocations are counted so tests
+//! can assert the schedule and Figure 10/11 benches can report it.
 
 use crate::error::RpcError;
+use crate::server::ServerInterface;
 use crate::Result;
 use flexrpc_core::compat::{in_param_action, out_param_action, InParamAction, OutParamAction};
 use flexrpc_core::ir::{Interface, Module, Type};
 use flexrpc_core::present::InterfacePresentation;
-use flexrpc_core::program::{CompiledInterface, SlotMap};
+use flexrpc_core::program::CompiledInterface;
 use flexrpc_core::value::Value;
+use flexrpc_core::CoreError;
+use flexrpc_marshal::WireFormat;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -33,11 +38,11 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct SdStats {
     /// Buffer copies performed by the binding (the "stub").
-    pub stub_copies: AtomicU64,
+    stub_copies: AtomicU64,
     /// Bytes moved by those copies.
-    pub bytes_copied: AtomicU64,
+    bytes_copied: AtomicU64,
     /// Buffers the binding allocated on behalf of an endpoint.
-    pub stub_allocs: AtomicU64,
+    stub_allocs: AtomicU64,
 }
 
 impl SdStats {
@@ -49,108 +54,141 @@ impl SdStats {
             self.stub_allocs.load(Ordering::Relaxed),
         )
     }
+
+    fn add_copy(&self, bytes: usize) {
+        self.stub_copies.fetch_add(1, Ordering::Relaxed);
+        self.bytes_copied.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
 }
 
-/// One payload parameter's bind-time plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct InPlan {
-    slot: usize,
-    action: InParamAction,
-    /// Whether the work function may mutate the buffer it sees.
-    may_modify: bool,
+/// One operation's negotiated plan: what a direct call's payload accessors
+/// carry out, slot by slot.
+#[derive(Debug, Default)]
+pub(crate) struct OpPlan {
+    /// `in` payloads the stub copies before the work function sees them.
+    copies: Vec<usize>,
+    /// `in` payloads the work function may modify: copied, or `[trashable]`.
+    pub(crate) modifiable: Vec<usize>,
+    /// `out` payloads and their negotiated actions.
+    pub(crate) outs: Vec<(usize, OutParamAction)>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct OutPlan {
-    slot: usize,
+/// Produces an out payload by filling `value`'s buffer: the caller's own when
+/// it presented one (no copy, no allocation), a fresh one otherwise — a
+/// donation, counted in `stats` when the binding makes it.
+pub(crate) fn fill(value: &mut Value, f: impl FnOnce(&mut Vec<u8>), stats: Option<&SdStats>) {
+    if !matches!(value, Value::Bytes(b) if b.capacity() > 0) {
+        if let Some(stats) = stats {
+            stats.stub_allocs.fetch_add(1, Ordering::Relaxed);
+        }
+        *value = Value::Bytes(Vec::new());
+    }
+    if let Value::Bytes(b) = value {
+        b.clear();
+        f(b);
+    }
+}
+
+/// A sink payload on a direct call: the `len` bytes `f` appends, copied
+/// once into the caller's buffer or a donated one.
+pub(crate) fn put(value: &mut Value, len: usize, f: impl FnOnce(&mut Vec<u8>), stats: &SdStats) {
+    fill(value, f, Some(stats));
+    stats.add_copy(len);
+}
+
+/// Provides out payload `slot` from server-owned storage. Donated, the
+/// storage is *lent* by refcounted view — zero copies, zero allocations;
+/// into a buffer the client insists on, the stub makes the one unavoidable
+/// copy, counted in `stats` when the binding makes it.
+pub(crate) fn lend(
+    (slot, value): (usize, &mut Value),
     action: OutParamAction,
+    data: &Arc<[u8]>,
+    stats: Option<&SdStats>,
+) -> Result<()> {
+    match (action, value) {
+        (OutParamAction::Donate, v) => *v = Value::Shared(Arc::clone(data)),
+        (_, Value::Bytes(b)) => {
+            b.clear();
+            b.extend_from_slice(data);
+            stats.inspect(|s| s.add_copy(data.len()));
+        }
+        (_, other) => {
+            return Err(RpcError::SlotKind { slot, expected: "bytes", found: other.kind() })
+        }
+    }
+    Ok(())
 }
 
-/// A work function for the same-domain path.
-pub type SdHandler = Box<dyn FnMut(&mut SdCall<'_>) -> u32 + Send>;
-
-struct SdOp {
-    name: String,
-    slots: SlotMap,
-    ins: Vec<InPlan>,
-    outs: Vec<OutPlan>,
-    handler: Option<SdHandler>,
-}
-
-/// A bound same-domain connection.
+/// A bound same-domain connection: a service's registered work functions
+/// and, per operation, the plan negotiated from the two presentations.
 pub struct SameDomain {
-    ops: Vec<SdOp>,
-    stats: Arc<SdStats>,
-    /// Scratch for originals set aside during protective copies (reused so
-    /// steady-state calls do not allocate bookkeeping).
-    saved_scratch: Vec<(usize, Value)>,
+    server: ServerInterface,
+    plans: Vec<OpPlan>,
+    stats: SdStats,
+    /// Scratch reused so steady-state calls allocate no bookkeeping: the
+    /// client's originals set aside during protective copies, and its sink
+    /// slots while the work function produces them.
+    saved: Vec<(usize, Value)>,
+    staged: Vec<Value>,
 }
 
 impl SameDomain {
     /// Binds a client presentation to a server presentation of `iface`,
-    /// negotiating every payload parameter's invocation semantics.
+    /// negotiating every payload parameter's invocation semantics, and
+    /// registers the service's work functions with `register` — the shape
+    /// an engine's replica factory has, so one registration serves both.
     ///
-    /// The slot layout comes from the client presentation's compilation
-    /// (both presentations share it for everything the frame stores).
+    /// A presentation that does not cover `iface`, or two whose frames are
+    /// laid out differently (a direct call hands the server's work functions
+    /// the client's frame), is refused.
     pub fn bind(
         module: &Module,
         iface: &Interface,
         client: &InterfacePresentation,
         server: &InterfacePresentation,
+        register: impl Fn(&mut ServerInterface),
     ) -> Result<SameDomain> {
-        let compiled = CompiledInterface::compile(module, iface, client)?;
-        let mut ops = Vec::with_capacity(iface.ops.len());
-        for (op, cop) in iface.ops.iter().zip(&compiled.ops) {
-            let cpres = client.op(&op.name).expect("client pres covers all ops");
-            let spres = server.op(&op.name).expect("server pres covers all ops");
-            let mut ins = Vec::new();
-            let mut outs = Vec::new();
-            for (i, p) in op.params.iter().enumerate() {
+        let compiled = CompiledInterface::compile(module, iface, server)?;
+        let client_ops = CompiledInterface::compile(module, iface, client)?.ops;
+        let mut plans = Vec::with_capacity(iface.ops.len());
+        for ((op, cop), sop) in iface.ops.iter().zip(&client_ops).zip(&compiled.ops) {
+            if cop.slots != sop.slots {
+                let why = format!("`{}`: the presentations lay out different frames", op.name);
+                return Err(CoreError::ContractViolation(why).into());
+            }
+            let uncovered = || RpcError::NoSuchOp(op.name.clone());
+            let cpres = client.op(&op.name).ok_or_else(uncovered)?;
+            let spres = server.op(&op.name).ok_or_else(uncovered)?;
+            let slot = |name: &str| sop.slots.slot(name).expect("payload params own a slot").0;
+            let mut plan = OpPlan::default();
+            for ((p, cp), sp) in op.params.iter().zip(&cpres.params).zip(&spres.params) {
                 if !module.resolve(&p.ty)?.is_payload() {
                     continue;
                 }
-                let slot = cop.slots.slot(&p.name).expect("payload params own a slot").0;
-                let (cp, sp) = (&cpres.params[i], &spres.params[i]);
                 if p.dir.is_in() {
-                    let action = in_param_action(cp, sp);
-                    ins.push(InPlan {
-                        slot,
-                        action,
-                        may_modify: cp.trashable || action == InParamAction::CopyInStub,
-                    });
+                    let copy = in_param_action(cp, sp) == InParamAction::CopyInStub;
+                    if copy {
+                        plan.copies.push(slot(&p.name));
+                    }
+                    if copy || cp.trashable {
+                        plan.modifiable.push(slot(&p.name));
+                    }
                 }
                 if p.dir.is_out() {
-                    outs.push(OutPlan { slot, action: out_param_action(cp, sp) });
+                    plan.outs.push((slot(&p.name), out_param_action(cp, sp)));
                 }
             }
             if op.ret != Type::Void && module.resolve(&op.ret)?.is_payload() {
-                let slot = cop.slots.slot("return").expect("result slot").0;
-                outs.push(OutPlan { slot, action: out_param_action(&cpres.result, &spres.result) });
+                plan.outs.push((slot("return"), out_param_action(&cpres.result, &spres.result)));
             }
-            ops.push(SdOp {
-                name: op.name.clone(),
-                slots: cop.slots.clone(),
-                ins,
-                outs,
-                handler: None,
-            });
+            plans.push(plan);
         }
-        Ok(SameDomain { ops, stats: Arc::new(SdStats::default()), saved_scratch: Vec::new() })
-    }
-
-    /// Registers the work function for an operation.
-    pub fn on(
-        &mut self,
-        op: &str,
-        handler: impl FnMut(&mut SdCall<'_>) -> u32 + Send + 'static,
-    ) -> Result<()> {
-        let o = self
-            .ops
-            .iter_mut()
-            .find(|o| o.name == op)
-            .ok_or_else(|| RpcError::NoSuchOp(op.into()))?;
-        o.handler = Some(Box::new(handler));
-        Ok(())
+        // No message is ever marshalled: the format is never consulted.
+        let mut srv = ServerInterface::new(compiled, WireFormat::Cdr);
+        register(&mut srv);
+        let stats = SdStats::default();
+        Ok(SameDomain { server: srv, plans, stats, saved: Vec::new(), staged: Vec::new() })
     }
 
     /// Copy/alloc counters.
@@ -158,212 +196,37 @@ impl SameDomain {
         &self.stats
     }
 
-    /// A fresh frame for an operation.
-    pub fn new_frame(&self, op: &str) -> Result<Vec<Value>> {
-        let o =
-            self.ops.iter().find(|o| o.name == op).ok_or_else(|| RpcError::NoSuchOp(op.into()))?;
-        Ok(o.slots.new_frame())
-    }
-
-    /// Invokes an operation: applies the in-plan, runs the work function,
-    /// applies the out-plan. Returns the status word.
-    pub fn call(&mut self, op: &str, frame: &mut [Value]) -> Result<u32> {
-        let idx = self
-            .ops
-            .iter()
-            .position(|o| o.name == op)
-            .ok_or_else(|| RpcError::NoSuchOp(op.into()))?;
-        self.call_index(idx, frame)
-    }
-
-    /// Invokes by operation index.
+    /// Invokes operation `idx` on the caller's `frame`: applies the in-plan,
+    /// runs the registered work function, and returns its status word.
     pub fn call_index(&mut self, idx: usize, frame: &mut [Value]) -> Result<u32> {
-        let o =
-            self.ops.get_mut(idx).ok_or_else(|| RpcError::NoSuchOp(format!("op index {idx}")))?;
+        let plan =
+            self.plans.get(idx).ok_or_else(|| RpcError::NoSuchOp(format!("op index {idx}")))?;
 
         // In-plan: copy in the stub where negotiation demanded it, keeping
         // the client's original aside for restoration.
-        let mut saved = std::mem::take(&mut self.saved_scratch);
-        saved.clear();
-        for plan in &o.ins {
-            if plan.action == InParamAction::CopyInStub {
-                if let Value::Bytes(b) = &frame[plan.slot] {
-                    let copy = b.clone(); // The stub's protective copy.
-                    SdStats::add_copy(&self.stats, copy.len());
-                    saved.push((
-                        plan.slot,
-                        std::mem::replace(&mut frame[plan.slot], Value::Bytes(copy)),
-                    ));
-                }
+        let mut saved = std::mem::take(&mut self.saved);
+        for &slot in &plan.copies {
+            if let Value::Bytes(b) = &frame[slot] {
+                let copy = b.clone(); // The stub's protective copy.
+                self.stats.add_copy(copy.len());
+                saved.push((slot, std::mem::replace(&mut frame[slot], Value::Bytes(copy))));
             }
         }
 
-        let status = {
-            let handler = o
-                .handler
-                .as_mut()
-                .ok_or_else(|| RpcError::NoSuchOp(format!("no handler for `{}`", o.name)))?;
-            let mut call =
-                SdCall { frame, slots: &o.slots, ins: &o.ins, outs: &o.outs, stats: &self.stats };
-            handler(&mut call)
-        };
+        let status = self.server.call_direct(idx, frame, plan, &self.stats, &mut self.staged);
 
         // Restore the client's originals over the stub's scratch copies.
         for (slot, original) in saved.drain(..) {
             frame[slot] = original;
         }
-        self.saved_scratch = saved;
-        Ok(status)
-    }
-}
-
-impl SdStats {
-    fn add_copy(stats: &SdStats, bytes: usize) {
-        stats.stub_copies.fetch_add(1, Ordering::Relaxed);
-        stats.bytes_copied.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.saved = saved;
+        status
     }
 }
 
 impl std::fmt::Debug for SameDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SameDomain({} ops)", self.ops.len())
-    }
-}
-
-/// What a same-domain work function can touch.
-pub struct SdCall<'a> {
-    frame: &'a mut [Value],
-    slots: &'a SlotMap,
-    ins: &'a [InPlan],
-    outs: &'a [OutPlan],
-    stats: &'a SdStats,
-}
-
-impl SdCall<'_> {
-    fn slot(&self, name: &str) -> Result<usize> {
-        self.slots
-            .slot(name)
-            .map(|s| s.0)
-            .ok_or_else(|| RpcError::NoSuchOp(format!("no slot named `{name}`")))
-    }
-
-    /// Reads a scalar `u32` argument.
-    pub fn u32(&self, name: &str) -> Result<u32> {
-        let i = self.slot(name)?;
-        self.frame[i].as_u32().ok_or(RpcError::SlotKind {
-            slot: i,
-            expected: "u32",
-            found: self.frame[i].kind(),
-        })
-    }
-
-    /// Sets a scalar slot.
-    pub fn set(&mut self, name: &str, v: Value) -> Result<()> {
-        let i = self.slot(name)?;
-        self.frame[i] = v;
-        Ok(())
-    }
-
-    /// Reads an `in` payload.
-    pub fn in_bytes(&self, name: &str) -> Result<&[u8]> {
-        let i = self.slot(name)?;
-        self.frame[i].window_of(&[]).ok_or(RpcError::SlotKind {
-            slot: i,
-            expected: "bytes",
-            found: self.frame[i].kind(),
-        })
-    }
-
-    /// Mutable access to an `in` payload — only granted when the plan made
-    /// a protective copy or the client declared the buffer `[trashable]`.
-    /// A server that declared `[preserved]` is refused here, enforcing its
-    /// promise at run time.
-    pub fn in_bytes_mut(&mut self, name: &str) -> Result<&mut Vec<u8>> {
-        let i = self.slot(name)?;
-        let plan = self
-            .ins
-            .iter()
-            .find(|p| p.slot == i)
-            .ok_or_else(|| RpcError::NoSuchOp(format!("`{name}` is not an in payload")))?;
-        if !plan.may_modify {
-            return Err(RpcError::Transport(format!(
-                "presentation forbids modifying `{name}`: client kept it, server promised [preserved]"
-            )));
-        }
-        match &mut self.frame[i] {
-            Value::Bytes(b) => Ok(b),
-            other => {
-                let found = other.kind();
-                Err(RpcError::SlotKind { slot: i, expected: "bytes", found })
-            }
-        }
-    }
-
-    fn out_plan(&self, slot: usize) -> Result<OutPlan> {
-        self.outs
-            .iter()
-            .copied()
-            .find(|p| p.slot == slot)
-            .ok_or_else(|| RpcError::NoSuchOp(format!("slot {slot} is not an out payload")))
-    }
-
-    /// Produces an `out` payload by filling a buffer: the caller's buffer
-    /// when it provided one (direct fill — no copy, no allocation), a fresh
-    /// buffer otherwise (donation — one allocation).
-    pub fn out_fill(&mut self, name: &str, f: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
-        let i = self.slot(name)?;
-        let _plan = self.out_plan(i)?;
-        match &mut self.frame[i] {
-            Value::Bytes(b) if b.capacity() > 0 => {
-                // Caller-provided buffer: fill in place.
-                b.clear();
-                f(b);
-            }
-            v => {
-                // No caller buffer: donate a fresh one.
-                self.stats.stub_allocs.fetch_add(1, Ordering::Relaxed);
-                let mut b = Vec::new();
-                f(&mut b);
-                *v = Value::Bytes(b);
-            }
-        }
-        Ok(())
-    }
-
-    /// Provides an `out` payload from server-owned storage. If the client
-    /// has no buffer of its own, the storage is *lent* by refcounted view —
-    /// zero copies, zero allocations. If the client insists on its own
-    /// buffer, the stub performs the one unavoidable copy.
-    pub fn provide_out(&mut self, name: &str, data: &Arc<[u8]>) -> Result<()> {
-        let i = self.slot(name)?;
-        let plan = self.out_plan(i)?;
-        match plan.action {
-            OutParamAction::CopyInStub | OutParamAction::DirectFill => {
-                // The client owns a buffer; the stub copies into it.
-                match &mut self.frame[i] {
-                    Value::Bytes(b) => {
-                        b.clear();
-                        b.extend_from_slice(data);
-                        SdStats::add_copy(self.stats, data.len());
-                    }
-                    other => {
-                        let found = other.kind();
-                        return Err(RpcError::SlotKind { slot: i, expected: "bytes", found });
-                    }
-                }
-            }
-            OutParamAction::Donate => {
-                // Lend the storage: refcount bump only.
-                self.frame[i] = Value::Shared(Arc::clone(data));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for SdCall<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SdCall({} slots)", self.frame.len())
+        write!(f, "SameDomain({} ops)", self.plans.len())
     }
 }
 
@@ -371,12 +234,19 @@ impl std::fmt::Debug for SdCall<'_> {
 mod tests {
     use super::*;
     use flexrpc_core::annot::{apply_pdl, Attr, OpAnnot, ParamAnnot, PdlFile};
-    use flexrpc_core::ir::fileio_example;
+    use flexrpc_core::ir::{fileio_example, syslog_example};
 
-    fn presentations(
+    const READ: usize = 0;
+    const WRITE: usize = 1;
+
+    /// A FileIO binding of two annotated default presentations, and a
+    /// fresh frame for one call of operation `op`.
+    fn bind(
         client_attrs: Vec<(&str, &str, Vec<Attr>)>,
         server_attrs: Vec<(&str, &str, Vec<Attr>)>,
-    ) -> (flexrpc_core::ir::Module, InterfacePresentation, InterfacePresentation) {
+        op: usize,
+        register: impl Fn(&mut ServerInterface),
+    ) -> (SameDomain, Vec<Value>) {
         let m = fileio_example();
         let iface = m.interface("FileIO").unwrap();
         let base = InterfacePresentation::default_for(&m, iface).unwrap();
@@ -391,26 +261,23 @@ mod tests {
             }
             apply_pdl(&m, iface, &base, &pdl).unwrap()
         };
-        let c = apply(client_attrs);
-        let s = apply(server_attrs);
-        (m, c, s)
+        let (c, s) = (apply(client_attrs), apply(server_attrs));
+        let frame = CompiledInterface::compile(&m, iface, &c).unwrap().ops[op].slots.new_frame();
+        (SameDomain::bind(&m, iface, &c, &s, register).unwrap(), frame)
     }
 
     #[test]
     fn default_in_param_copies_once() {
-        let (m, c, s) = presentations(vec![], vec![]);
-        let iface = m.interface("FileIO").unwrap();
-        let mut sd = SameDomain::bind(&m, iface, &c, &s).unwrap();
-        sd.on("write", |call| {
-            // The server may modify: the stub made it a private copy.
-            let b = call.in_bytes_mut("data").unwrap();
-            b[0] = 0xFF;
-            0
-        })
-        .unwrap();
-        let mut frame = sd.new_frame("write").unwrap();
+        let (mut sd, mut frame) = bind(vec![], vec![], WRITE, |srv| {
+            srv.on("write", |call| {
+                // The server may modify: the stub made it a private copy.
+                call.bytes_mut("data").unwrap()[0] = 0xFF;
+                0
+            })
+            .unwrap()
+        });
         frame[0] = Value::Bytes(vec![1, 2, 3]);
-        sd.call("write", &mut frame).unwrap();
+        sd.call_index(WRITE, &mut frame).unwrap();
         let (copies, bytes, _) = sd.stats().snapshot();
         assert_eq!((copies, bytes), (1, 3));
         // The client's buffer survived the server's trashing.
@@ -419,75 +286,76 @@ mod tests {
 
     #[test]
     fn trashable_skips_the_copy_and_trashes() {
-        let (m, c, s) = presentations(vec![("write", "data", vec![Attr::Trashable])], vec![]);
-        let iface = m.interface("FileIO").unwrap();
-        let mut sd = SameDomain::bind(&m, iface, &c, &s).unwrap();
-        sd.on("write", |call| {
-            call.in_bytes_mut("data").unwrap()[0] = 0xFF;
-            0
-        })
-        .unwrap();
-        let mut frame = sd.new_frame("write").unwrap();
+        let client = vec![("write", "data", vec![Attr::Trashable])];
+        let (mut sd, mut frame) = bind(client, vec![], WRITE, |srv| {
+            srv.on("write", |call| {
+                call.bytes_mut("data").unwrap()[0] = 0xFF;
+                0
+            })
+            .unwrap()
+        });
         frame[0] = Value::Bytes(vec![1, 2, 3]);
-        sd.call("write", &mut frame).unwrap();
+        sd.call_index(WRITE, &mut frame).unwrap();
         assert_eq!(sd.stats().snapshot().0, 0, "no stub copy");
         assert_eq!(frame[0], Value::Bytes(vec![0xFF, 2, 3]), "client buffer trashed, as allowed");
     }
 
     #[test]
     fn preserved_server_refused_mutation() {
-        let (m, c, s) = presentations(vec![], vec![("write", "data", vec![Attr::Preserved])]);
-        let iface = m.interface("FileIO").unwrap();
-        let mut sd = SameDomain::bind(&m, iface, &c, &s).unwrap();
-        sd.on("write", |call| {
-            assert!(call.in_bytes_mut("data").is_err(), "promise enforced");
-            assert_eq!(call.in_bytes("data").unwrap(), &[9, 9]);
-            0
-        })
-        .unwrap();
-        let mut frame = sd.new_frame("write").unwrap();
+        let server = vec![("write", "data", vec![Attr::Preserved])];
+        let (mut sd, mut frame) = bind(vec![], server, WRITE, |srv| {
+            srv.on("write", |call| {
+                assert!(call.bytes_mut("data").is_err(), "promise enforced");
+                assert_eq!(call.bytes("data").unwrap(), &[9, 9]);
+                0
+            })
+            .unwrap()
+        });
         frame[0] = Value::Bytes(vec![9, 9]);
-        sd.call("write", &mut frame).unwrap();
+        sd.call_index(WRITE, &mut frame).unwrap();
         assert_eq!(sd.stats().snapshot().0, 0, "borrow semantics: no copy");
     }
 
     #[test]
     fn out_direct_fill_into_caller_buffer() {
-        let (m, c, s) = presentations(vec![("read", "return", vec![Attr::AllocCaller])], vec![]);
-        let iface = m.interface("FileIO").unwrap();
-        let mut sd = SameDomain::bind(&m, iface, &c, &s).unwrap();
-        sd.on("read", |call| {
-            let n = call.u32("count").unwrap() as usize;
-            call.out_fill("return", |b| b.extend(std::iter::repeat_n(7u8, n))).unwrap();
-            0
-        })
-        .unwrap();
-        let mut frame = sd.new_frame("read").unwrap();
+        let client = vec![("read", "return", vec![Attr::AllocCaller])];
+        let (mut sd, mut frame) = bind(client, vec![], READ, |srv| {
+            srv.on("read", |call| {
+                let n = call.u32("count").unwrap() as usize;
+                call.out_fill("return", |b| b.extend(std::iter::repeat_n(7u8, n))).unwrap();
+                0
+            })
+            .unwrap()
+        });
         frame[0] = Value::U32(4);
         frame[1] = Value::Bytes(Vec::with_capacity(16)); // Caller's buffer.
         let ptr = frame[1].as_bytes().unwrap().as_ptr();
-        sd.call("read", &mut frame).unwrap();
+        sd.call_index(READ, &mut frame).unwrap();
         assert_eq!(frame[1].as_bytes().unwrap(), &[7, 7, 7, 7]);
         assert_eq!(frame[1].as_bytes().unwrap().as_ptr(), ptr, "filled in place");
         let (copies, _, allocs) = sd.stats().snapshot();
         assert_eq!((copies, allocs), (0, 0));
     }
 
+    /// Registers a `read` that provides `storage` from server-owned memory.
+    fn provides(storage: Arc<[u8]>) -> impl Fn(&mut ServerInterface) {
+        move |srv| {
+            let st = Arc::clone(&storage);
+            srv.on("read", move |call| {
+                call.provide_out("return", &st).unwrap();
+                0
+            })
+            .unwrap()
+        }
+    }
+
     #[test]
     fn out_donate_lends_server_storage_zero_copy() {
-        let (m, c, s) = presentations(vec![], vec![("read", "return", vec![Attr::DeallocNever])]);
-        let iface = m.interface("FileIO").unwrap();
-        let mut sd = SameDomain::bind(&m, iface, &c, &s).unwrap();
+        let server = vec![("read", "return", vec![Attr::DeallocNever])];
         let storage: Arc<[u8]> = Arc::from(&b"server-owned"[..]);
-        let st = Arc::clone(&storage);
-        sd.on("read", move |call| {
-            call.provide_out("return", &st).unwrap();
-            0
-        })
-        .unwrap();
-        let mut frame = sd.new_frame("read").unwrap();
+        let (mut sd, mut frame) = bind(vec![], server, READ, provides(storage));
         frame[0] = Value::U32(12);
-        sd.call("read", &mut frame).unwrap();
+        sd.call_index(READ, &mut frame).unwrap();
         assert_eq!(frame[1].window_of(&[]).unwrap(), b"server-owned");
         let (copies, _, allocs) = sd.stats().snapshot();
         assert_eq!((copies, allocs), (0, 0), "lent by refcounted view");
@@ -497,23 +365,12 @@ mod tests {
     #[test]
     fn out_mismatch_copies_once_in_stub() {
         // Client insists on its buffer, server insists on its storage.
-        let (m, c, s) = presentations(
-            vec![("read", "return", vec![Attr::AllocCaller])],
-            vec![("read", "return", vec![Attr::DeallocNever])],
-        );
-        let iface = m.interface("FileIO").unwrap();
-        let mut sd = SameDomain::bind(&m, iface, &c, &s).unwrap();
-        let storage: Arc<[u8]> = Arc::from(&[3u8; 8][..]);
-        let st = Arc::clone(&storage);
-        sd.on("read", move |call| {
-            call.provide_out("return", &st).unwrap();
-            0
-        })
-        .unwrap();
-        let mut frame = sd.new_frame("read").unwrap();
+        let client = vec![("read", "return", vec![Attr::AllocCaller])];
+        let server = vec![("read", "return", vec![Attr::DeallocNever])];
+        let (mut sd, mut frame) = bind(client, server, READ, provides(Arc::from(&[3u8; 8][..])));
         frame[0] = Value::U32(8);
         frame[1] = Value::Bytes(Vec::with_capacity(8));
-        sd.call("read", &mut frame).unwrap();
+        sd.call_index(READ, &mut frame).unwrap();
         assert_eq!(frame[1].as_bytes().unwrap(), &[3; 8]);
         let (copies, bytes, _) = sd.stats().snapshot();
         assert_eq!((copies, bytes), (1, 8), "someone must copy; the stub does");
@@ -521,40 +378,96 @@ mod tests {
 
     #[test]
     fn out_default_donates_fresh_buffer() {
-        let (m, c, s) = presentations(vec![], vec![]);
-        let iface = m.interface("FileIO").unwrap();
-        let mut sd = SameDomain::bind(&m, iface, &c, &s).unwrap();
-        sd.on("read", |call| {
-            call.out_fill("return", |b| b.extend_from_slice(b"fresh")).unwrap();
-            0
-        })
-        .unwrap();
-        let mut frame = sd.new_frame("read").unwrap();
+        let (mut sd, mut frame) = bind(vec![], vec![], READ, |srv| {
+            srv.on("read", |call| {
+                call.out_fill("return", |b| b.extend_from_slice(b"fresh")).unwrap();
+                0
+            })
+            .unwrap()
+        });
         frame[0] = Value::U32(5);
-        sd.call("read", &mut frame).unwrap();
+        frame[1] = Value::Null;
+        sd.call_index(READ, &mut frame).unwrap();
         assert_eq!(frame[1].as_bytes().unwrap(), b"fresh");
         let (copies, _, allocs) = sd.stats().snapshot();
         assert_eq!((copies, allocs), (0, 1), "donation allocates, never copies");
     }
 
     #[test]
-    fn status_propagates() {
-        let (m, c, s) = presentations(vec![], vec![]);
-        let iface = m.interface("FileIO").unwrap();
-        let mut sd = SameDomain::bind(&m, iface, &c, &s).unwrap();
-        sd.on("write", |_| 13).unwrap();
-        let mut frame = sd.new_frame("write").unwrap();
-        frame[0] = Value::Bytes(vec![1]);
-        assert_eq!(sd.call("write", &mut frame).unwrap(), 13);
+    fn sink_mode_work_function_serves_a_direct_caller() {
+        // The server's presentation makes `return` a sink payload; its work
+        // function writes through the sink, and a direct caller gets the
+        // bytes in its own buffer, or a donated one, with the sink's copy.
+        let server = vec![("read", "return", vec![Attr::DeallocNever])];
+        let register = |srv: &mut ServerInterface| {
+            srv.on("read", |call| {
+                assert_eq!(call.sink.expected(), 1);
+                call.sink.put(b"sunk").unwrap();
+                assert!(call.sink.put(b"again").is_err(), "one sink payload");
+                0
+            })
+            .unwrap()
+        };
+        let (mut sd, mut frame) = bind(vec![], server.clone(), READ, register);
+        frame[0] = Value::U32(4);
+        assert_eq!(sd.call_index(READ, &mut frame).unwrap(), 0);
+        assert_eq!(frame[1].as_bytes().unwrap(), b"sunk");
+        assert_eq!(sd.stats().snapshot(), (1, 4, 1));
+
+        let client = vec![("read", "return", vec![Attr::AllocCaller])];
+        let (mut sd, mut frame) = bind(client, server, READ, register);
+        frame[1] = Value::Bytes(Vec::with_capacity(8));
+        let ptr = frame[1].as_bytes().unwrap().as_ptr();
+        sd.call_index(READ, &mut frame).unwrap();
+        assert_eq!(frame[1].as_bytes().unwrap(), b"sunk");
+        assert_eq!(frame[1].as_bytes().unwrap().as_ptr(), ptr, "into the caller's buffer");
+        assert_eq!(sd.stats().snapshot(), (1, 4, 0));
     }
 
     #[test]
-    fn unknown_op_reported() {
-        let (m, c, s) = presentations(vec![], vec![]);
+    fn status_propagates() {
+        let (mut sd, mut frame) =
+            bind(vec![], vec![], WRITE, |srv| srv.on("write", |_| 13).unwrap());
+        frame[0] = Value::Bytes(vec![1]);
+        assert_eq!(sd.call_index(WRITE, &mut frame).unwrap(), 13);
+    }
+
+    #[test]
+    fn unknown_op_and_missing_handler_reported() {
+        let (mut sd, mut frame) = bind(vec![], vec![], WRITE, |_| {});
+        assert!(matches!(sd.call_index(WRITE, &mut frame), Err(RpcError::NoSuchOp(_))));
+        assert!(matches!(sd.call_index(9, &mut frame), Err(RpcError::NoSuchOp(_))));
+    }
+
+    #[test]
+    fn a_server_presentation_of_another_interface_is_refused() {
+        let m = fileio_example();
         let iface = m.interface("FileIO").unwrap();
-        let mut sd = SameDomain::bind(&m, iface, &c, &s).unwrap();
-        assert!(matches!(sd.on("seek", |_| 0), Err(RpcError::NoSuchOp(_))));
-        let mut frame = vec![];
-        assert!(matches!(sd.call("seek", &mut frame), Err(RpcError::NoSuchOp(_))));
+        let client = InterfacePresentation::default_for(&m, iface).unwrap();
+
+        // No operation of FileIO in it.
+        let other = syslog_example();
+        let syslog = InterfacePresentation::default_for(&other, other.interface("SysLog").unwrap());
+        let bound = SameDomain::bind(&m, iface, &client, &syslog.unwrap(), |_| {});
+        assert!(matches!(bound, Err(RpcError::Core(_))), "{bound:?}");
+
+        // `write` presented with no parameters.
+        let mut short = client.clone();
+        short.ops.get_mut("write").unwrap().params.clear();
+        let bound = SameDomain::bind(&m, iface, &client, &short, |_| {});
+        assert!(matches!(bound, Err(RpcError::Core(_))), "{bound:?}");
+    }
+
+    #[test]
+    fn presentations_laying_out_different_frames_are_refused() {
+        // `length_is` presents a string as bytes: a different slot kind.
+        let m = syslog_example();
+        let iface = m.interface("SysLog").unwrap();
+        let client = InterfacePresentation::default_for(&m, iface).unwrap();
+        let mut server = client.clone();
+        server.ops.get_mut("write_msg").unwrap().params[0].length_is = Some("len".into());
+        let bound = SameDomain::bind(&m, iface, &client, &server, |_| {});
+        let Err(err) = bound else { panic!("bound across two frame layouts") };
+        assert_eq!(err.kind(), crate::ErrorKind::ContractViolation, "{err}");
     }
 }

@@ -8,12 +8,18 @@
 //! message, and writes the payload bytes straight from its own storage —
 //! the pipe server marshals directly out of its circular buffer, which is
 //! the copy Figure 6 deletes.
+//!
+//! The same work functions serve a direct caller ([`crate::samedomain`]):
+//! run on the caller's own frame, the payload accessors and the sink carry
+//! out the plan the two presentations negotiated.
 
 use crate::error::RpcError;
 use crate::hooks::HookMap;
 use crate::interp::{marshal, unmarshal};
+use crate::samedomain::{self, OpPlan, SdStats};
 use crate::wire::{AnyReader, AnyWriter};
 use crate::Result;
+use flexrpc_core::compat::OutParamAction::{self, Donate};
 use flexrpc_core::program::{CompiledInterface, CompiledOp, SinkSpec, SlotMap};
 use flexrpc_core::value::Value;
 use flexrpc_marshal::WireFormat;
@@ -25,31 +31,46 @@ pub type OpHandler = Box<dyn FnMut(&mut ServerCall<'_, '_>) -> u32 + Send>;
 
 /// The reply-payload sink handed to work functions of sink-mode operations.
 pub struct ReplySink<'w> {
-    writer: &'w mut AnyWriter,
+    to: SinkTo<'w>,
     specs: &'w [SinkSpec],
     next: usize,
 }
 
-impl<'w> ReplySink<'w> {
-    fn new(writer: &'w mut AnyWriter, specs: &'w [SinkSpec]) -> ReplySink<'w> {
-        ReplySink { writer, specs, next: 0 }
-    }
+/// Where a [`ReplySink`]'s payloads go.
+enum SinkTo<'w> {
+    /// The reply message, positioned at its sink payloads.
+    Wire(&'w mut AnyWriter),
+    /// A direct call: the caller's sink slots, one per spec, taken out of
+    /// its frame while the work function runs, and the negotiated plan.
+    Direct { staged: &'w mut [Value], plan: &'w OpPlan, stats: &'w SdStats },
+}
 
+impl ReplySink<'_> {
     /// Number of sink payloads this operation expects.
     pub fn expected(&self) -> usize {
         self.specs.len()
     }
 
-    /// Writes the next sink payload from `data` (one copy: storage → wire).
-    pub fn put(&mut self, data: &[u8]) -> Result<()> {
-        if self.next >= self.specs.len() {
-            return Err(RpcError::SinkMisuse(format!(
-                "operation declares {} sink payload(s)",
-                self.specs.len()
-            )));
+    /// Claims the next sink payload.
+    fn claim(&mut self) -> Result<usize> {
+        let (k, n) = (self.next, self.specs.len());
+        if k == n {
+            return Err(RpcError::SinkMisuse(format!("operation declares {n} sink payload(s)")));
         }
-        self.writer.put_bytes(data);
         self.next += 1;
+        Ok(k)
+    }
+
+    /// Writes the next sink payload from `data` (one copy: storage → wire,
+    /// or on a direct call storage → the caller's buffer).
+    pub fn put(&mut self, data: &[u8]) -> Result<()> {
+        let k = self.claim()?;
+        match &mut self.to {
+            SinkTo::Wire(writer) => writer.put_bytes(data),
+            SinkTo::Direct { staged, stats, .. } => {
+                samedomain::put(&mut staged[k], data.len(), |b| b.extend_from_slice(data), stats)
+            }
+        }
         Ok(())
     }
 
@@ -62,12 +83,18 @@ impl<'w> ReplySink<'w> {
         total: usize,
         f: impl FnOnce(&mut dyn FnMut(&[u8])),
     ) -> Result<()> {
-        if self.next >= self.specs.len() {
-            return Err(RpcError::SinkMisuse("no sink payload slot remaining".into()));
-        }
-        let win = self.writer.reserve_payload(total);
+        let k = self.claim()?;
+        let writer = match &mut self.to {
+            SinkTo::Wire(writer) => writer,
+            SinkTo::Direct { staged, stats, .. } => {
+                let gather = |b: &mut Vec<u8>| f(&mut |seg: &[u8]| b.extend_from_slice(seg));
+                samedomain::put(&mut staged[k], total, gather, stats);
+                return Ok(());
+            }
+        };
+        let win = writer.reserve_payload(total);
         let mut off = 0usize;
-        self.writer.fill_window_with(win, |dst| {
+        writer.fill_window_with(win, |dst| {
             let mut emit = |seg: &[u8]| {
                 let end = (off + seg.len()).min(dst.len());
                 if off < end {
@@ -78,17 +105,18 @@ impl<'w> ReplySink<'w> {
             f(&mut emit);
             off.min(dst.len())
         })?;
-        self.next += 1;
         Ok(())
     }
 
-    /// Writes empty payloads for anything the work function skipped (the
+    /// Produces empty payloads for anything the work function skipped (the
     /// error path: a failed read still produces a decodable reply).
-    fn finish(mut self) -> Result<()> {
-        while self.next < self.specs.len() {
-            self.put(&[])?;
+    fn finish(mut self) {
+        for k in self.next..self.specs.len() {
+            match &mut self.to {
+                SinkTo::Wire(writer) => writer.put_bytes(&[]),
+                SinkTo::Direct { staged, .. } => samedomain::fill(&mut staged[k], |_| {}, None),
+            }
         }
-        Ok(())
     }
 }
 
@@ -154,7 +182,8 @@ impl ServerCall<'_, '_> {
     }
 
     /// Reads a byte-payload argument, resolving borrowed windows against
-    /// the request message (zero-copy for `[borrowed]` presentations).
+    /// the request message (zero-copy for `[borrowed]` presentations; on a
+    /// direct call, the client's own buffer).
     #[inline]
     pub fn bytes(&self, name: &str) -> Result<&[u8]> {
         let i = self.slot(name)?;
@@ -165,6 +194,85 @@ impl ServerCall<'_, '_> {
         })
     }
 
+    /// Mutable access to a byte payload: the server's own unmarshalled copy
+    /// (a `[borrowed]` window is refused), or on a direct call the buffer the
+    /// plan copied or the client declared `[trashable]` — a `[preserved]`
+    /// server is refused its client's buffer, its promise enforced.
+    pub fn bytes_mut(&mut self, name: &str) -> Result<&mut Vec<u8>> {
+        let i = self.slot(name)?;
+        if let SinkTo::Direct { plan, .. } = &self.sink.to {
+            if !plan.modifiable.contains(&i) {
+                return Err(RpcError::Transport(format!(
+                    "presentation forbids modifying `{name}`"
+                )));
+            }
+        }
+        match &mut self.frame[i] {
+            Value::Bytes(b) => Ok(b),
+            other => Err(RpcError::SlotKind { slot: i, expected: "bytes", found: other.kind() }),
+        }
+    }
+
+    /// Produces an `out` payload by filling a buffer: the server's own, which
+    /// the reply carries; or on a direct call the caller's when it provided
+    /// one (no copy, no allocation), a fresh, donated one otherwise.
+    pub fn out_fill(&mut self, name: &str, f: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        match self.place(name)? {
+            Place::Wire(writer) => {
+                let mut b = Vec::new();
+                f(&mut b);
+                writer.put_bytes(&b);
+            }
+            Place::Slot { value, stats, .. } => samedomain::fill(value.1, f, stats),
+        }
+        Ok(())
+    }
+
+    /// Provides an `out` payload from server-owned storage: a sink payload is
+    /// [`ReplySink::put`], any other a refcounted view the reply copies once.
+    /// On a direct call the view is lent to a client with no buffer of its
+    /// own, and copied once into the client's when it insists on one.
+    pub fn provide_out(&mut self, name: &str, data: &Arc<[u8]>) -> Result<()> {
+        match self.place(name)? {
+            Place::Wire(writer) => writer.put_bytes(data),
+            Place::Slot { value, action, stats } => {
+                return samedomain::lend(value, action, data, stats)
+            }
+        }
+        Ok(())
+    }
+
+    /// Where `out` payload `name` is produced; a sink payload is claimed
+    /// from the sink, and must be the next one.
+    fn place(&mut self, name: &str) -> Result<Place<'_>> {
+        let i = self.slot(name)?;
+        let action = match &self.sink.to {
+            SinkTo::Direct { plan, .. } => plan.outs.iter().find(|o| o.0 == i).map(|o| o.1),
+            // The server's own buffer, donated to the reply marshal.
+            SinkTo::Wire(_) => self.slots.slots[i].dir.is_out().then_some(Donate),
+        };
+        let action =
+            action.ok_or_else(|| RpcError::NoSuchOp(format!("no out payload `{name}`")))?;
+        let sink = &mut *self.sink;
+        let k = sink.specs.iter().position(|s| s.slot.0 == i);
+        if let Some(k) = k {
+            if k != sink.next {
+                return Err(RpcError::SinkMisuse(format!("`{name}` is not the next sink payload")));
+            }
+            sink.next += 1;
+        }
+        Ok(match (&mut sink.to, k) {
+            (SinkTo::Wire(writer), Some(_)) => Place::Wire(writer),
+            (SinkTo::Wire(_), None) => {
+                Place::Slot { value: (i, &mut self.frame[i]), action, stats: None }
+            }
+            (SinkTo::Direct { staged, stats, .. }, k) => {
+                let value = k.map_or(&mut self.frame[i], |k| &mut staged[k]);
+                Place::Slot { value: (i, value), action, stats: Some(stats) }
+            }
+        })
+    }
+
     /// Sets a result slot.
     #[inline]
     pub fn set(&mut self, name: &str, v: Value) -> Result<()> {
@@ -172,6 +280,15 @@ impl ServerCall<'_, '_> {
         self.frame[i] = v;
         Ok(())
     }
+}
+
+/// Where a work function's `out` payload goes.
+enum Place<'p> {
+    /// The reply message: a sink payload of a marshalled call.
+    Wire(&'p mut AnyWriter),
+    /// A slot (index, value) and the action producing it: the caller's under
+    /// the negotiated plan, counted in `stats`; or the server's own.
+    Slot { value: (usize, &'p mut Value), action: OutParamAction, stats: Option<&'p SdStats> },
 }
 
 impl std::fmt::Debug for ServerCall<'_, '_> {
@@ -240,11 +357,6 @@ impl ServerInterface {
         self.reply_cache = Some(cache);
     }
 
-    /// The attached reply cache, if at-most-once is enabled.
-    pub fn reply_cache(&self) -> Option<&std::sync::Arc<crate::replycache::ReplyCache>> {
-        self.reply_cache.as_ref()
-    }
-
     /// The compiled interface (server presentation).
     pub fn compiled(&self) -> &CompiledInterface {
         &self.compiled
@@ -275,12 +387,6 @@ impl ServerInterface {
     pub fn hooks_mut(&mut self, op: &str) -> Result<&mut HookMap> {
         let i = self.compiled.op_index(op).ok_or_else(|| RpcError::NoSuchOp(op.into()))?;
         Ok(&mut self.hooks[i])
-    }
-
-    /// Finds an operation index by Sun RPC procedure number
-    /// ([`CompiledInterface::op_by_proc`]).
-    pub fn op_by_proc(&self, proc: u32) -> Option<usize> {
-        self.compiled.op_by_proc(proc)
     }
 
     /// Dispatches one request: unmarshal, invoke, marshal.
@@ -387,19 +493,47 @@ impl ServerInterface {
         )?;
 
         let status = {
-            let mut sink = ReplySink::new(writer, &op.sink_params);
+            let mut sink = ReplySink { to: SinkTo::Wire(writer), specs: &op.sink_params, next: 0 };
             let handler = self.handlers[op_index]
                 .as_mut()
                 .ok_or_else(|| RpcError::NoSuchOp(format!("no handler for `{}`", op.name)))?;
             let mut call = ServerCall { frame, request, sink: &mut sink, slots: &op.slots };
             let status = handler(&mut call);
-            sink.finish()?;
+            sink.finish();
             status
         };
 
         frame[op.status_slot().0] = Value::U32(status);
         marshal(&op.reply_marshal, frame, request, writer, hooks, rights_out)?;
         Ok(())
+    }
+
+    /// Runs operation `op_index`'s work function on a caller's own `frame`,
+    /// with no message either way, its payloads produced under `plan`: the
+    /// same-domain binding's call. `staged` holds the caller's sink slots
+    /// while the work function runs.
+    pub(crate) fn call_direct(
+        &mut self,
+        op_index: usize,
+        frame: &mut [Value],
+        plan: &OpPlan,
+        stats: &SdStats,
+        staged: &mut Vec<Value>,
+    ) -> Result<u32> {
+        let op: &CompiledOp = &self.compiled.ops[op_index];
+        let handler = self.handlers[op_index]
+            .as_mut()
+            .ok_or_else(|| RpcError::NoSuchOp(format!("no handler for `{}`", op.name)))?;
+        staged.extend(op.sink_params.iter().map(|s| std::mem::take(&mut frame[s.slot.0])));
+        let to = SinkTo::Direct { staged, plan, stats };
+        let mut sink = ReplySink { to, specs: &op.sink_params, next: 0 };
+        let status =
+            handler(&mut ServerCall { frame, request: &[], sink: &mut sink, slots: &op.slots });
+        sink.finish();
+        for (spec, value) in op.sink_params.iter().zip(staged.drain(..)) {
+            frame[spec.slot.0] = value;
+        }
+        Ok(status)
     }
 }
 
@@ -484,13 +618,53 @@ mod tests {
     }
 
     #[test]
-    fn op_by_proc_prefers_opnum() {
-        let mut ci = compiled();
-        ci.ops[1].opnum = Some(6);
-        let srv = ServerInterface::new(ci, WireFormat::Cdr);
-        assert_eq!(srv.op_by_proc(6), Some(1));
-        assert_eq!(srv.op_by_proc(0), None, "a numbered program has no ordinal fallback");
-        assert_eq!(srv.op_by_proc(9), None);
+    fn payload_accessors_on_a_marshalled_call() {
+        use flexrpc_core::annot::{apply_pdl, Attr, OpAnnot, ParamAnnot, PdlFile};
+        let m = fileio_example();
+        let iface = m.interface("FileIO").unwrap();
+        let base = InterfacePresentation::default_for(&m, iface).unwrap();
+        let annot = |op: &str, param: &str, attr| OpAnnot {
+            op: op.into(),
+            op_attrs: vec![],
+            params: vec![ParamAnnot { param: param.into(), attrs: vec![attr] }],
+        };
+        let pdl = PdlFile {
+            ops: vec![
+                annot("write", "data", Attr::Borrowed),
+                annot("read", "return", Attr::DeallocNever),
+            ],
+            ..PdlFile::default()
+        };
+        let pres = apply_pdl(&m, iface, &base, &pdl).unwrap();
+        let mut srv = ServerInterface::new(
+            CompiledInterface::compile(&m, iface, &pres).unwrap(),
+            WireFormat::Cdr,
+        );
+        srv.on("write", |call| {
+            assert_eq!(call.bytes("data").unwrap(), b"abc");
+            assert!(call.bytes_mut("data").is_err(), "a borrowed window is the client's");
+            assert!(call.out_fill("data", |_| {}).is_err(), "an in payload");
+            0
+        })
+        .unwrap();
+        srv.on("read", |call| {
+            // `return` is a sink payload: filling it writes the reply.
+            call.out_fill("return", |b| b.extend_from_slice(b"filled")).unwrap();
+            assert!(call.sink.put(b"more").is_err(), "claimed by the fill");
+            0
+        })
+        .unwrap();
+
+        let mut w = AnyWriter::new(WireFormat::Cdr);
+        w.put_bytes(b"abc");
+        let (mut reply, mut rights) = (Vec::new(), Vec::new());
+        srv.dispatch(1, &w.into_bytes(), &[], &mut reply, &mut rights).unwrap();
+        let mut w = AnyWriter::new(WireFormat::Cdr);
+        w.put_u32(6);
+        srv.dispatch(0, &w.into_bytes(), &[], &mut reply, &mut rights).unwrap();
+        let mut r = AnyReader::new(WireFormat::Cdr, &reply).unwrap();
+        assert_eq!(r.get_bytes_borrowed().unwrap(), b"filled");
+        assert_eq!(r.get_u32().unwrap(), 0, "status");
     }
 
     #[test]

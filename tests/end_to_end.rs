@@ -18,10 +18,10 @@ use flexrpc::runtime::{ClientStub, ServerInterface};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// The complete pipeline from IDL/PDL *text* to an RPC over the kernel:
-/// parse → default presentation → annotate → compile → serve → bind → call.
-#[test]
-fn text_to_rpc_full_pipeline() {
+/// The KeyValue interface, parsed from IDL text, with its default
+/// presentation and the server's: values kept in the server's own storage
+/// (Figure-5 style PDL), so `get` is a sink-mode operation.
+fn key_value() -> (flexrpc::core::ir::Module, InterfacePresentation, InterfacePresentation) {
     let module = flexrpc::idl::corba::parse(
         "kv",
         r#"
@@ -34,16 +34,16 @@ fn text_to_rpc_full_pipeline() {
     .expect("IDL parses");
     let iface = module.interface("KeyValue").expect("declared");
     let base = InterfacePresentation::default_for(&module, iface).expect("defaults");
-
-    // Server keeps its values in its own storage: Figure-5 style PDL.
     let server_pdl =
         flexrpc::idl::pdl::parse("sequence<octet> [dealloc(never)] KeyValue_get(string key);")
             .expect("PDL parses");
     let server_pres = apply_pdl(&module, iface, &base, &server_pdl).expect("applies");
+    (module, base, server_pres)
+}
 
-    let server_compiled =
-        CompiledInterface::compile(&module, iface, &server_pres).expect("compiles");
-    let mut srv = ServerInterface::new(server_compiled, WireFormat::Cdr);
+/// KeyValue's work functions: `get` writes the stored value through the
+/// reply sink.
+fn register_key_value(srv: &mut ServerInterface) {
     let store: Arc<Mutex<std::collections::HashMap<String, Vec<u8>>>> = Arc::default();
     let st = Arc::clone(&store);
     srv.on("put", move |call| {
@@ -65,6 +65,18 @@ fn text_to_rpc_full_pipeline() {
         }
     })
     .expect("registers");
+}
+
+/// The complete pipeline from IDL/PDL *text* to an RPC over the kernel:
+/// parse → default presentation → annotate → compile → serve → bind → call.
+#[test]
+fn text_to_rpc_full_pipeline() {
+    let (module, base, server_pres) = key_value();
+    let iface = module.interface("KeyValue").expect("declared");
+    let server_compiled =
+        CompiledInterface::compile(&module, iface, &server_pres).expect("compiles");
+    let mut srv = ServerInterface::new(server_compiled, WireFormat::Cdr);
+    register_key_value(&mut srv);
 
     // Serve on a kernel port; bind a default-presentation client.
     let kernel = Kernel::new();
@@ -102,6 +114,41 @@ fn text_to_rpc_full_pipeline() {
     let mut frame = client.new_frame("get").expect("frame");
     frame[0] = Value::Str("missing".into());
     assert!(matches!(client.call("get", &mut frame), Err(flexrpc::runtime::RpcError::Remote(2))));
+}
+
+/// The same registration serves a direct caller: the sink-mode `get` the
+/// kernel-IPC client above reaches through marshalled bytes writes, on a
+/// same-domain call, straight into a buffer donated to the caller.
+#[test]
+fn key_value_sink_get_served_direct() {
+    use flexrpc::runtime::samedomain::SameDomain;
+    let (module, base, server_pres) = key_value();
+    let iface = module.interface("KeyValue").expect("declared");
+    let mut sd =
+        SameDomain::bind(&module, iface, &base, &server_pres, register_key_value).expect("binds");
+    let compiled = CompiledInterface::compile(&module, iface, &base).expect("compiles");
+    let (get, put) =
+        (compiled.op_index("get").expect("get"), compiled.op_index("put").expect("put"));
+
+    let mut frame = compiled.ops[put].slots.new_frame();
+    frame[0] = Value::Str("flexible".into());
+    frame[1] = Value::Bytes(b"presentation".to_vec());
+    assert_eq!(sd.call_index(put, &mut frame).expect("put"), 0);
+    // Neither side relaxed `value`'s semantics: the stub's protective copy.
+    assert_eq!(sd.stats().snapshot(), (1, 12, 0));
+
+    let mut frame = compiled.ops[get].slots.new_frame();
+    frame[0] = Value::Str("flexible".into());
+    assert_eq!(sd.call_index(get, &mut frame).expect("get"), 0);
+    assert_eq!(frame[1].as_bytes().expect("bytes"), b"presentation");
+    // The sink's one copy, into one donated buffer.
+    assert_eq!(sd.stats().snapshot(), (2, 24, 1));
+
+    // The same frame again: a skipped sink payload comes back empty, as it
+    // does over the wire, not as the last call left it.
+    frame[0] = Value::Str("missing".into());
+    assert_eq!(sd.call_index(get, &mut frame).expect("get"), 2);
+    assert_eq!(frame[1], Value::Bytes(vec![]));
 }
 
 /// The figure-6 pipeline preserves the byte stream and its copy schedule.
@@ -194,11 +241,8 @@ fn fused_specialization_end_to_end() {
         CompiledInterface::compile(m, iface, &pres).expect("compiles")
     }
 
-    fn make_server(
-        m: &flexrpc::core::ir::Module,
-        format: WireFormat,
-    ) -> Arc<Mutex<ServerInterface>> {
-        let mut srv = ServerInterface::new(compile_fileio(m), format);
+    /// The service's one registration, for every transport below.
+    fn register(srv: &mut ServerInterface) {
         let stored: Arc<Mutex<Vec<u8>>> = Arc::default();
         let st = Arc::clone(&stored);
         srv.on("write", move |call| {
@@ -215,6 +259,14 @@ fn fused_specialization_end_to_end() {
             0
         })
         .expect("read");
+    }
+
+    fn make_server(
+        m: &flexrpc::core::ir::Module,
+        format: WireFormat,
+    ) -> Arc<Mutex<ServerInterface>> {
+        let mut srv = ServerInterface::new(compile_fileio(m), format);
+        register(&mut srv);
         Arc::new(Mutex::new(srv))
     }
 
@@ -272,32 +324,17 @@ fn fused_specialization_end_to_end() {
     let mut client = ClientStub::new(compile_fileio(&sun), WireFormat::Xdr, Box::new(transport));
     assert_eq!(roundtrip(&mut client), b"specialized");
 
-    // 4. The same-domain binding runs the same programs in one address
-    // space.
+    // 4. The same-domain binding runs the same work functions on the
+    // caller's frames, with no marshalling at all.
     let iface = corba.interface("FileIO").expect("FileIO");
     let pres = InterfacePresentation::default_for(&corba, iface).expect("defaults");
-    let mut sd = SameDomain::bind(&corba, iface, &pres, &pres).expect("binds");
-    let stored: Arc<Mutex<Vec<u8>>> = Arc::default();
-    let st = Arc::clone(&stored);
-    sd.on("write", move |call| {
-        *st.lock() = call.in_bytes("data").expect("data").to_vec();
-        0
-    })
-    .expect("write");
-    let st = Arc::clone(&stored);
-    sd.on("read", move |call| {
-        let n = call.u32("count").expect("count") as usize;
-        let data = st.lock();
-        let n = n.min(data.len());
-        call.set("return", Value::Bytes(data[..n].to_vec())).expect("return");
-        0
-    })
-    .expect("read");
-    let mut frame = sd.new_frame("write").expect("frame");
+    let mut sd = SameDomain::bind(&corba, iface, &pres, &pres, register).expect("binds");
+    let compiled = compile_fileio(&corba);
+    let mut frame = compiled.ops[1].slots.new_frame();
     frame[0] = Value::Bytes(b"specialized but identical".to_vec());
-    assert_eq!(sd.call("write", &mut frame).expect("write"), 0);
-    let mut frame = sd.new_frame("read").expect("frame");
+    assert_eq!(sd.call_index(1, &mut frame).expect("write"), 0);
+    let mut frame = compiled.ops[0].slots.new_frame();
     frame[0] = Value::U32(11);
-    assert_eq!(sd.call("read", &mut frame).expect("read"), 0);
+    assert_eq!(sd.call_index(0, &mut frame).expect("read"), 0);
     assert_eq!(frame[1].as_bytes().expect("bytes"), b"specialized");
 }
