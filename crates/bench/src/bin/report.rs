@@ -3,6 +3,8 @@
 //!
 //! Usage: `report [experiment...] [--check] [--json PATH] [--seed N]`
 //! where experiment is a name in [`EXPERIMENTS`]; no names runs everything.
+//! `report sample -- <command…>` runs the command under
+//! [`flexrpc_bench::sample`] instead and prints where its time went.
 //! An unknown name, a flag missing its value, or a seed that is not a
 //! number exits 2 with the usage line. `--seed N` restricts `cluster` to
 //! one seeded schedule (the replay handle `scripts/chaos.sh` prints).
@@ -21,6 +23,7 @@
 //! artifact does.
 
 use flexrpc_bench::rows::{self, Rel, Row};
+use flexrpc_bench::sample::{sample, Sampled};
 use flexrpc_bench::{
     ablate, cluster, failover, fig10, fig11, fig12, fig2, fig6, fig7, fuse, measure_ns, median,
     paired_rounds, port, qos, scale, shed, stream, time_ns, trace,
@@ -75,14 +78,30 @@ fn main() {
 
 /// Parses `args`, runs the selected experiments of `table`, and returns
 /// the process exit code.
-fn run(mut args: impl Iterator<Item = String>, table: &[Experiment]) -> i32 {
+fn run(args: impl Iterator<Item = String>, table: &[Experiment]) -> i32 {
     let usage = |problem: String| {
         let names: Vec<&str> = table.iter().map(|e| e.name).collect();
         eprintln!("report: {problem}");
         eprintln!("usage: report [experiment...] [--check] [--json PATH] [--seed N]");
+        eprintln!("       report sample -- <command...>");
         eprintln!("experiments: {}", names.join(" "));
         2
     };
+    let mut args = args.peekable();
+    if args.next_if(|a| a == "sample").is_some() {
+        if args.next().as_deref() != Some("--") {
+            return usage("sample needs `--` before the command".into());
+        }
+        let command: Vec<String> = args.collect();
+        if command.is_empty() {
+            return usage("sample needs a command after `--`".into());
+        }
+        match sample(&command) {
+            Sampled::Profile(profile) => print!("{}", profile.render()),
+            Sampled::Skipped(why) => println!("sample: skipped: {why}"),
+        }
+        return 0;
+    }
     let mut ctx = Ctx { seed: None, metrics: MetricsRegistry::new() };
     let mut check = false;
     let mut json_path = None;

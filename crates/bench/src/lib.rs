@@ -18,6 +18,7 @@ pub mod fuse;
 pub mod port;
 pub mod qos;
 pub mod rows;
+pub mod sample;
 pub mod scale;
 pub mod shed;
 pub mod stream;

@@ -10,8 +10,10 @@
 //! the handler records which thread ran which call, in what order, and
 //! whether two executions ever overlapped.
 //!
-//! Every engine here has one worker, so one shard and one replica: "who ran
-//! it" has exactly two answers, the worker or the waiting caller.
+//! Every engine here but one has one worker, so one shard and one replica:
+//! "who ran it" has exactly two answers, the worker or the waiting caller.
+//! The exception forces the one interleaving in which a waiter must help —
+//! with plugs held on channels, not by racing a worker's wake-up.
 
 use flexrpc_clock::Fault;
 use flexrpc_core::ir::fileio_example;
@@ -50,8 +52,8 @@ struct Rig {
     release: mpsc::Sender<()>,
 }
 
-fn rig(builder: EngineBuilder) -> Rig {
-    let engine = builder.workers(1).queue_depth(16).build();
+fn rig(builder: EngineBuilder, workers: usize) -> Rig {
+    let engine = builder.workers(workers).queue_depth(16).build();
     let log = Arc::new(Mutex::new(Vec::new()));
     let busy = Arc::new(AtomicBool::new(false));
     let (entered_tx, entered) = mpsc::channel();
@@ -114,7 +116,7 @@ impl Rig {
 /// the gate its own thread will open.
 #[test]
 fn a_waiter_does_not_start_a_call_behind_a_stalled_worker_and_shutdown_still_cancels_it() {
-    let rig = rig(Engine::builder());
+    let rig = rig(Engine::builder(), 1);
     let plug = rig.submit(0);
     rig.entered.recv().unwrap();
     let unstarted = rig.submit(5);
@@ -154,7 +156,7 @@ fn a_waiter_does_not_start_a_call_behind_a_stalled_worker_and_shutdown_still_can
 #[test]
 fn waiting_in_reverse_order_runs_nothing_out_of_order_and_nobody_elses_call() {
     const ROUNDS: u32 = 300;
-    let rig = rig(Engine::builder());
+    let rig = rig(Engine::builder(), 1);
     let me = thread::current().id();
     for round in 0..ROUNDS {
         let (earlier, later) = (1 + 2 * round % 200, 2 + 2 * round % 200);
@@ -186,7 +188,7 @@ fn waiting_in_reverse_order_runs_nothing_out_of_order_and_nobody_elses_call() {
 #[test]
 fn a_deadline_wait_never_runs_the_handler_on_the_calling_thread() {
     const ROUNDS: u32 = 200;
-    let rig = rig(Engine::builder());
+    let rig = rig(Engine::builder(), 1);
     let me = thread::current().id();
     for round in 0..ROUNDS {
         let count = 1 + round % 100;
@@ -202,12 +204,13 @@ fn a_deadline_wait_never_runs_the_handler_on_the_calling_thread() {
 /// The token and the head together: a one-worker engine still executes one
 /// job at a time, in dequeue order, whichever of the two threads runs each —
 /// what a stateful service (the pipe server) observes. Every round races the
-/// waiter against the worker's wake-up.
+/// waiter against the worker's wake-up, and which of them wins is the
+/// scheduler's: that a waiter helps at all is the next test's, forced.
 #[test]
 fn one_worker_and_its_helping_callers_execute_strictly_in_order_one_at_a_time() {
     const ROUNDS: u32 = 1_000;
     const BATCH: u32 = 8;
-    let rig = rig(Engine::builder());
+    let rig = rig(Engine::builder(), 1);
     let me = thread::current().id();
     // Calls are numbered 1.. (0 is the plug), folded into a byte.
     let count_of = |n: u32| 1 + n % 250;
@@ -227,7 +230,6 @@ fn one_worker_and_its_helping_callers_execute_strictly_in_order_one_at_a_time() 
     let by_waiter = log.iter().filter(|ran| ran.thread == me).count() as u64;
     let stats = rig.engine.stats();
     assert_eq!(stats.calls_helped, by_waiter, "`calls_helped` is the calls the waiter ran");
-    assert!(by_waiter > 0, "in {ROUNDS} rounds the waiter never once beat the worker's wake-up");
     assert_eq!(stats.calls_served, u64::from(ROUNDS * BATCH), "helped or not, served once");
     assert_eq!(stats.inline_calls, 0, "a helped call is queued work");
     let metrics = rig.engine.metrics().snapshot();
@@ -240,6 +242,85 @@ fn one_worker_and_its_helping_callers_execute_strictly_in_order_one_at_a_time() 
     rig.engine.shutdown();
 }
 
+/// The shard a call tagged with `binding` is queued on: the shard whose
+/// `served` tally the call moves, unless a steal moved it — a thief credits
+/// its own shard, and of two shards the call's home is then the other.
+fn home_shard(rig: &Rig, binding: u64) -> usize {
+    let tallies = || {
+        let m = rig.engine.metrics().snapshot();
+        let served = |i| m.counter(&format!("engine.shard.{i}.served"));
+        (served(0), served(1), m.counter("engine.steals"))
+    };
+    let before = tallies();
+    let ticket =
+        rig.conn.submit_tagged(0, &read_request(1), &[], None, Some(CallTag::new(binding, 0)));
+    // A deadline wait: the probe itself is never run by this thread.
+    assert_answers(ticket.unwrap().wait_until(Some(u64::MAX)), 1);
+    let after = tallies();
+    let ran = usize::from(after.1 > before.1);
+    if after.2 > before.2 {
+        1 - ran
+    } else {
+        ran
+    }
+}
+
+/// That a waiter does run its own call, with the interleaving forced. Two
+/// workers, both held by plugs queued on one shard — plugs of a second
+/// service, so that they hold its replicas and not `fileio`'s: one worker
+/// serves that shard under its token, the other stole a plug from it, and a
+/// steal takes no token. The other shard's token is then free and nobody
+/// serves its queue, so a call queued there runs on the thread that waits
+/// for it — every time, not when the waiter happens to beat a wake-up.
+#[test]
+fn a_waiter_runs_its_own_call_when_no_worker_serves_its_shard() {
+    let rig = rig(Engine::builder(), 2);
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let release_rx = Arc::new(Mutex::new(release_rx));
+    let module = fileio_example();
+    let pres =
+        InterfacePresentation::default_for(&module, module.interface("FileIO").unwrap()).unwrap();
+    rig.engine
+        .register_service("plug", module, "FileIO", pres, WireFormat::Cdr, move |srv| {
+            let (entered_tx, release_rx) = (entered_tx.clone(), Arc::clone(&release_rx));
+            srv.on("read", move |call| {
+                entered_tx.send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+                call.set("return", Value::Bytes(Vec::new())).unwrap();
+                0
+            })
+            .unwrap();
+        })
+        .unwrap();
+    let plug_conn = rig.engine.connect("plug").establish().unwrap();
+
+    let me = thread::current().id();
+    let plugged = 1;
+    let home = home_shard(&rig, plugged);
+    let free = (2..).find(|&binding| home_shard(&rig, binding) != home).unwrap();
+    let tagged = |seq| Some(CallTag::new(plugged, seq));
+    let plugs =
+        [1, 2].map(|seq| plug_conn.submit_tagged(0, &read_request(0), &[], None, tagged(seq)));
+    entered.recv().unwrap();
+    entered.recv().unwrap();
+    let helped = rig.engine.stats().calls_helped;
+
+    let tag = Some(CallTag::new(free, 1));
+    assert_answers(rig.conn.submit_tagged(0, &read_request(7), &[], None, tag).unwrap().wait(), 7);
+    let ran = *rig.log().last().unwrap();
+    assert_eq!((ran.count, ran.thread), (7, me), "the waiter ran its own call");
+    assert_eq!(rig.engine.stats().calls_helped, helped + 1);
+
+    for _ in &plugs {
+        release.send(()).unwrap();
+    }
+    for plug in plugs {
+        assert_answers(plug.unwrap().wait(), 0);
+    }
+    rig.engine.shutdown();
+}
+
 /// A duplicated delivery queues a shadow — a cell of its own — ahead of the
 /// real job. The waiter holds the real job's ticket, so the head it finds is
 /// not its own: it must not run the shadow, and must not run its own job
@@ -248,7 +329,7 @@ fn one_worker_and_its_helping_callers_execute_strictly_in_order_one_at_a_time() 
 #[test]
 fn a_duplicated_delivery_still_executes_once_when_the_waiter_arrives_first() {
     const ROUNDS: u32 = 200;
-    let rig = rig(Engine::builder().at_most_once(Duration::from_secs(1)));
+    let rig = rig(Engine::builder().at_most_once(Duration::from_secs(1)), 1);
     let me = thread::current().id();
     for round in 0..ROUNDS {
         let count = 1 + round % 100;

@@ -368,3 +368,66 @@ fn a_worker_left_holding_the_last_engine_handle_does_not_join_itself() {
     let unwinding = torn_down.recv_timeout(patience).expect("the engine was torn down");
     assert!(!unwinding, "the worker panicked tearing the engine down");
 }
+
+/// A work function that gathers fewer bytes than its sink payload declared
+/// fails its own call — with the `WindowMisuse` its `put_gather` returned —
+/// and nothing else: finishing that reply used to panic the thread that
+/// dispatched it, and for a queued call that is the worker, so the caller
+/// waited forever and the engine lost its only worker. Both calls here are
+/// deadline waits, which never run the call on the waiting thread: the
+/// second one is served by the worker that served the first.
+#[test]
+fn a_short_gather_fails_its_call_and_its_worker_serves_the_next() {
+    use flexrpc_core::annot::{apply_pdl, Attr, OpAnnot, ParamAnnot, PdlFile};
+    use flexrpc_marshal::MarshalError;
+
+    let m = fileio_example();
+    let never = ParamAnnot { param: "return".into(), attrs: vec![Attr::DeallocNever] };
+    let ops = vec![OpAnnot { op: "read".into(), op_attrs: vec![], params: vec![never] }];
+    let iface = m.interface("FileIO").unwrap();
+    let pres = apply_pdl(&m, iface, &fileio_presentation(), &PdlFile { ops, ..PdlFile::default() })
+        .unwrap();
+    let engine = Engine::builder().workers(1).build();
+    let ran_on = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&ran_on);
+    engine
+        .register_service("sink", m.clone(), "FileIO", pres, WireFormat::Cdr, move |srv| {
+            let log = Arc::clone(&log);
+            srv.on("read", move |call| {
+                log.lock().push(thread::current().id());
+                // Declares `count` bytes and gathers three.
+                let count = call.u32("count").unwrap() as usize;
+                let _ = call.sink.put_gather(count, |emit| emit(&[1, 2, 3]));
+                0
+            })
+            .unwrap();
+        })
+        .unwrap();
+    let conn = engine.connect("sink").establish().unwrap();
+    // Waited on from another thread: a call nobody answers fails the test
+    // instead of hanging it.
+    let call = |count: u32| {
+        let ticket = conn.submit(0, &read_request(count), &[]).unwrap();
+        let (answered, answer) = std::sync::mpsc::channel();
+        let waiter =
+            thread::spawn(move || answered.send(ticket.wait_until(Some(u64::MAX))).unwrap());
+        let reply = answer.recv_timeout(Duration::from_secs(10)).expect("the call is answered");
+        waiter.join().unwrap();
+        reply
+    };
+
+    let err = call(10).unwrap_err();
+    assert!(matches!(err, RpcError::Marshal(MarshalError::WindowMisuse(_))), "{err:?}");
+    let reply = call(3).expect("the honest gather");
+    let mut r = flexrpc_runtime::wire::AnyReader::new(WireFormat::Cdr, &reply.body).unwrap();
+    assert_eq!(r.get_bytes_borrowed().unwrap(), [1, 2, 3]);
+    assert_eq!(r.get_u32().unwrap(), 0, "status");
+
+    let ran_on = ran_on.lock().clone();
+    assert_eq!(ran_on.len(), 2);
+    assert_eq!(ran_on[0], ran_on[1], "one worker served both calls");
+    assert_ne!(ran_on[0], thread::current().id());
+    let stats = engine.stats();
+    assert_eq!((stats.calls_served, stats.calls_helped, stats.dispatch_errors), (2, 0, 1));
+    engine.shutdown();
+}

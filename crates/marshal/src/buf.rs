@@ -266,6 +266,27 @@ impl MsgBuf {
         assert!(self.open_windows == 0, "unfilled reserve window at end of encoding");
         self.data
     }
+
+    /// Finalizes the message into `dst`, where the caller keeps it: the
+    /// message's vector and `dst`'s trade places, and the writer stays
+    /// where it is. Moving the writer out instead (`into_sealed`) copies it
+    /// whole, and that copy's wide loads span the narrow stores the encoder
+    /// just made to its length and counters — loads that cannot be
+    /// forwarded from the store buffer and wait for it to drain.
+    ///
+    /// An unfilled window is not a panic here: this is how a message that
+    /// someone else's code wrote into is finished (a work function that
+    /// abandoned its window), and the message fails with
+    /// [`MarshalError::WindowMisuse`], `dst` empty but its capacity kept.
+    #[inline]
+    pub(crate) fn seal_into(&mut self, dst: &mut Vec<u8>) -> Result<()> {
+        std::mem::swap(&mut self.data, dst);
+        if self.open_windows != 0 {
+            dst.clear();
+            return Err(MarshalError::WindowMisuse("unfilled reserve window at end of encoding"));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -311,6 +332,22 @@ mod tests {
         let mut m = MsgBuf::new();
         let _w = m.reserve_window(4);
         m.into_sealed();
+    }
+
+    #[test]
+    fn sealing_into_trades_buffers_and_refuses_an_open_window() {
+        let mut m = MsgBuf::from_vec(Vec::with_capacity(32));
+        m.put_bytes(b"abc");
+        let mut dst = Vec::with_capacity(8);
+        m.seal_into(&mut dst).unwrap();
+        assert_eq!((&dst[..], dst.capacity()), (&b"abc"[..], 32), "the message's own vector");
+        assert_eq!(m.capacity(), 8, "and the writer holds the one it was given");
+
+        let mut m = MsgBuf::from_vec(Vec::with_capacity(32));
+        let _w = m.reserve_window(4);
+        let err = m.seal_into(&mut dst).unwrap_err();
+        assert!(matches!(err, MarshalError::WindowMisuse(_)));
+        assert!(dst.is_empty() && dst.capacity() == 32, "emptied, capacity kept");
     }
 
     #[test]

@@ -171,6 +171,15 @@ impl XdrWriter {
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf.into_sealed()
     }
+
+    /// Finishes encoding into `dst`, where the caller keeps the message:
+    /// `dst`'s old buffer becomes this writer's, and nothing is moved out
+    /// (see `MsgBuf`'s finish step). A reserved window never filled fails
+    /// with [`MarshalError::WindowMisuse`] and leaves `dst` empty.
+    #[inline]
+    pub fn seal_into(&mut self, dst: &mut Vec<u8>) -> Result<()> {
+        self.buf.seal_into(dst)
+    }
 }
 
 /// Sequential XDR decoder over a received byte slice.

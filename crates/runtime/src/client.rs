@@ -2,10 +2,10 @@
 
 use crate::error::{Error, ErrorKind, RpcError};
 use crate::hooks::HookMap;
-use crate::interp::{marshal, unmarshal};
+use crate::interp::{marshal_into, unmarshal};
 use crate::policy::{CallControl, CallOptions, CallTag, TenantId};
 use crate::transport::Transport;
-use crate::wire::{AnyReader, AnyWriter};
+use crate::wire::AnyReader;
 use crate::Result;
 use flexrpc_core::present::CallShape;
 use flexrpc_core::program::{CompiledInterface, CompiledOp};
@@ -364,28 +364,31 @@ impl ClientStub {
         }
         let off = outcome?;
 
-        let result = (|| -> Result<u32> {
-            let body = &reply[off..];
-            let mut reader = AnyReader::new(self.format, body)?;
-            unmarshal(
+        // The unmarshal's outcome is checked where it lands and the status
+        // read from the frame at the return: no `Result<u32>` is built early
+        // and carried across the span and the drops below, to be copied
+        // whole into the return slot.
+        let body = &reply[off..];
+        let unmarshalled = match AnyReader::new(self.format, body) {
+            Ok(mut reader) => unmarshal(
                 &op.reply_unmarshal,
                 frame,
                 body,
                 &mut reader,
                 hooks,
                 &mut rights_out.iter().copied(),
-            )?;
-            let status = frame[op.status_slot().0].as_u32().expect("status slot is always u32");
-            if status != 0 && !op.comm_status {
-                return Err(RpcError::Remote(status));
-            }
-            Ok(status)
-        })();
-
+            ),
+            Err(e) => Err(e.into()),
+        };
         if let Some(span) = &mut span {
             span.stage(Stage::Unmarshal, op_index as u64);
         }
-        result
+        unmarshalled?;
+        let status = frame[op.status_slot().0].as_u32().expect("status slot is always u32");
+        if status != 0 && !op.comm_status {
+            return Err(RpcError::Remote(status));
+        }
+        Ok(status)
     }
 
     /// Sends a `[oneway]` notification by name: the in-slots of `frame` are
@@ -476,11 +479,13 @@ impl Span<'_> {
 }
 
 /// The prologue of a call and of a notification: marshals `frame`'s
-/// in-slots into `request_buf`, in place, under a [`Stage::Marshal`] span
-/// when the call is traced, and returns that span's successor with the
-/// port rights the request carries. Inlining is forced: left to the
-/// compiler this stayed a call, its `Result` of a span and a vector went
-/// through memory, and `null_loopback` read 4.6 % slower (6 of 6 pairs).
+/// in-slots into `request_buf`, in place (`interp::marshal_into` builds the
+/// writer over it and seals the message back into it, failed or not), under
+/// a [`Stage::Marshal`] span when the call is traced, and returns that
+/// span's successor with the port rights the request carries. Inlining is
+/// forced: left to the compiler this stayed a call, its `Result` of a span
+/// and a vector went through memory, and `null_loopback` read 4.6 % slower
+/// (6 of 6 pairs).
 #[inline(always)]
 fn marshal_request<'t>(
     format: WireFormat,
@@ -495,10 +500,8 @@ fn marshal_request<'t>(
         Some(call) => tracer.as_deref_mut().map(|t| Span { call, mark: t.now_ns(), trace: t }),
         None => None,
     };
-    let mut writer = AnyWriter::over(format, std::mem::take(request_buf));
     let mut rights = Vec::new();
-    marshal(&op.request_marshal, frame, &[], &mut writer, hooks, &mut rights)?;
-    *request_buf = writer.into_bytes();
+    marshal_into(&op.request_marshal, frame, format, request_buf, hooks, &mut rights)?;
     if let Some(span) = &mut span {
         span.stage(Stage::Marshal, request_buf.len() as u64);
     }

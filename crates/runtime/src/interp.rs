@@ -56,6 +56,27 @@
 //! `put_scalar` / `get_scalar` are `#[inline(always)]`: left to the
 //! optimiser they stayed out of line, and a `null_loopback` call executed
 //! 1,880 instructions that way against 1,787 with them in the loop.
+//!
+//! # What is written in place, and why
+//!
+//! A value built in a temporary and then copied to where it is kept is
+//! reloaded by wide loads that span the narrower stores which just built
+//! it, and such a load cannot be forwarded from the store buffer: it waits
+//! for those stores to reach the cache. An instruction count cannot see
+//! this; a sampler can (`report sample`), and on `null_loopback` five such
+//! reloads held a fifth of the call's samples. So every per-call value is
+//! written where it lives. A scalar unmarshals into its slot — only the
+//! payload when the slot already holds that variant, as `reset_frame` and
+//! the previous call leave it (`store_scalar!`, which the server's status
+//! word uses too). A message is sealed into the buffer that carries it by
+//! the function that wrote it, the writer never moved out to a caller
+//! (`marshal_into` for the client's request, `marshal_then_seal` for
+//! the server's reply). The marshal loop's error comes back boxed, so a
+//! successful run returns in a register rather than as 48 bytes for its
+//! caller to copy out. The client stub checks its unmarshal's outcome where
+//! it lands and builds its `Ok(status)` at the return. Together they took
+//! `null_loopback` from 5.9 M to 8.0 M calls/s (EXPERIMENTS.md, "Where the
+//! stub's time went").
 
 use crate::error::RpcError;
 use crate::hooks::HookMap;
@@ -64,7 +85,9 @@ use crate::Result;
 use flexrpc_core::fuse::{BlockField, FOp, ScalarBlock, ScalarKind, SizeHint};
 use flexrpc_core::program::{MOp, Slot, StubProgram};
 use flexrpc_core::value::Value;
-use flexrpc_marshal::MarshalError;
+use flexrpc_marshal::cdr::CdrWriter;
+use flexrpc_marshal::xdr::XdrWriter;
+use flexrpc_marshal::{MarshalError, WireFormat};
 
 fn kind_err(op: &MOp, found: &Value, expected: &'static str) -> RpcError {
     RpcError::SlotKind { slot: op.slot().0, expected, found: found.kind() }
@@ -136,8 +159,76 @@ pub fn marshal(
     rights_out: &mut Vec<u32>,
 ) -> Result<()> {
     on_wire!(AnyWriter, w, w => marshal_on(program, slots, src_msg, w, hooks, rights_out))
+        .map_err(|e| *e)
 }
 
+/// [`marshal`] as the client stub runs it: the whole message, in `format`,
+/// into `buf`, where the stub keeps it. The concrete writer is built over
+/// `buf`'s allocation here and the message sealed back into `buf` here — on
+/// the error path too, so a failed marshal costs the next call nothing.
+pub(crate) fn marshal_into(
+    program: &StubProgram,
+    slots: &[Value],
+    format: WireFormat,
+    buf: &mut Vec<u8>,
+    hooks: &HookMap,
+    rights_out: &mut Vec<u32>,
+) -> Result<()> {
+    let taken = std::mem::take(buf);
+    match format {
+        WireFormat::Xdr => {
+            let mut w = XdrWriter::over_vec(taken);
+            marshal_sealed(program, slots, &[], &mut w, buf, hooks, rights_out)
+        }
+        WireFormat::Cdr => {
+            let mut w = CdrWriter::native_over(taken);
+            marshal_sealed(program, slots, &[], &mut w, buf, hooks, rights_out)
+        }
+    }
+}
+
+/// [`marshal`] onto a message already under way in `w` (a reply whose sink
+/// payloads a work function wrote), then the message sealed into `dst` by
+/// the same hand, on the error path too: the server's reply.
+pub(crate) fn marshal_then_seal(
+    program: &StubProgram,
+    slots: &[Value],
+    src_msg: &[u8],
+    w: &mut AnyWriter,
+    dst: &mut Vec<u8>,
+    hooks: &HookMap,
+    rights_out: &mut Vec<u32>,
+) -> Result<()> {
+    on_wire!(AnyWriter, w, w => marshal_sealed(program, slots, src_msg, w, dst, hooks, rights_out))
+}
+
+/// The program, then the seal, with the concrete writer already chosen: no
+/// writer crosses a call boundary to be finished by a caller. A writer
+/// that an out-of-line `marshal` returned and its caller then moved out
+/// or matched on again was reloaded by wide loads over the narrow stores
+/// the callee had just made to its length and counters — a load the store
+/// buffer cannot forward, which waits for it to drain.
+#[inline(always)]
+fn marshal_sealed<W: WireWrite>(
+    program: &StubProgram,
+    slots: &[Value],
+    src_msg: &[u8],
+    w: &mut W,
+    dst: &mut Vec<u8>,
+    hooks: &HookMap,
+    rights_out: &mut Vec<u32>,
+) -> Result<()> {
+    let marshalled = marshal_on(program, slots, src_msg, w, hooks, rights_out);
+    let sealed = w.seal_into(dst);
+    marshalled.map_err(|e| *e)?;
+    Ok(sealed?)
+}
+
+/// The executor's marshal loop. Its error comes back boxed: then a
+/// successful run returns in a register, where a `Result<()>` of an
+/// [`RpcError`]'s 48 bytes came back through memory, and its caller copied
+/// all of it out with wide loads over the callee's narrower stores — a
+/// stall on every call. A failed marshal pays one allocation instead.
 fn marshal_on<W: WireWrite>(
     program: &StubProgram,
     slots: &[Value],
@@ -145,7 +236,7 @@ fn marshal_on<W: WireWrite>(
     w: &mut W,
     hooks: &HookMap,
     rights_out: &mut Vec<u32>,
-) -> Result<()> {
+) -> core::result::Result<(), Box<RpcError>> {
     let fused = &program.fused;
     reserve_for(&fused.presize, slots, w);
     for fop in &fused.fops {
@@ -154,7 +245,7 @@ fn marshal_on<W: WireWrite>(
             match *op {
                 MOp::PutBytes(slot) => match slots[slot.0].window_of(src_msg) {
                     Some(bytes) => w.put_bytes(bytes),
-                    None => return Err(kind_err(op, &slots[slot.0], "bytes")),
+                    None => return Err(kind_err(op, &slots[slot.0], "bytes").into()),
                 },
                 _ => exec_put(op, slots, src_msg, w, hooks, rights_out)?,
             }
@@ -478,18 +569,37 @@ fn exec_get<'a, R: WireRead<'a>>(
     Ok(())
 }
 
+/// Stores scalar `$x` into the `Value` slot `$slot` as variant `$v`, where
+/// it lives: a slot that already holds that variant — what `reset_frame` and
+/// the previous call leave there — has its payload overwritten and nothing
+/// else; any other slot takes the whole value. The result is the oracle's
+/// `*slot = Value::$v(x)` either way. `$x` is evaluated first, so a read that
+/// fails leaves the slot as it was.
+macro_rules! store_scalar {
+    ($slot:expr, $v:ident, $x:expr) => {{
+        let x = $x;
+        match $slot {
+            flexrpc_core::value::Value::$v(dst) => *dst = x,
+            other => *other = flexrpc_core::value::Value::$v(x),
+        }
+    }};
+}
+pub(crate) use store_scalar;
+
 /// Reads a single scalar field through the reader's own primitive (same
-/// bytes, same error behavior as the threaded op, no layout detour).
+/// bytes, same error behavior as the threaded op, no layout detour) into
+/// its slot in place.
 #[inline(always)]
 fn get_scalar<'a, R: WireRead<'a>>(f: &BlockField, slots: &mut [Value], r: &mut R) -> Result<()> {
-    slots[f.slot.0] = match f.kind {
-        ScalarKind::U32 => Value::U32(r.get_u32()?),
-        ScalarKind::I32 => Value::I32(r.get_i32()?),
-        ScalarKind::U64 => Value::U64(r.get_u64()?),
-        ScalarKind::I64 => Value::I64(r.get_i64()?),
-        ScalarKind::F64 => Value::F64(r.get_f64()?),
-        ScalarKind::Bool => Value::Bool(r.get_bool()?),
-    };
+    let slot = &mut slots[f.slot.0];
+    match f.kind {
+        ScalarKind::U32 => store_scalar!(slot, U32, r.get_u32()?),
+        ScalarKind::I32 => store_scalar!(slot, I32, r.get_i32()?),
+        ScalarKind::U64 => store_scalar!(slot, U64, r.get_u64()?),
+        ScalarKind::I64 => store_scalar!(slot, I64, r.get_i64()?),
+        ScalarKind::F64 => store_scalar!(slot, F64, r.get_f64()?),
+        ScalarKind::Bool => store_scalar!(slot, Bool, r.get_bool()?),
+    }
     Ok(())
 }
 
@@ -512,21 +622,23 @@ fn get_block<'a, R: WireRead<'a>>(blk: &ScalarBlock, slots: &mut [Value], r: &mu
                 }
             }};
         }
-        slots[f.slot.0] = match f.kind {
-            ScalarKind::U32 => Value::U32(load!(u32, 4)),
-            ScalarKind::I32 => Value::I32(load!(i32, 4)),
-            ScalarKind::U64 => Value::U64(load!(u64, 8)),
-            ScalarKind::I64 => Value::I64(load!(i64, 8)),
-            ScalarKind::F64 => Value::F64(f64::from_bits(load!(u64, 8))),
+        let slot = &mut slots[f.slot.0];
+        match f.kind {
+            ScalarKind::U32 => store_scalar!(slot, U32, load!(u32, 4)),
+            ScalarKind::I32 => store_scalar!(slot, I32, load!(i32, 4)),
+            ScalarKind::U64 => store_scalar!(slot, U64, load!(u64, 8)),
+            ScalarKind::I64 => store_scalar!(slot, I64, load!(i64, 8)),
+            ScalarKind::F64 => store_scalar!(slot, F64, f64::from_bits(load!(u64, 8))),
             ScalarKind::Bool => {
                 let v = if R::BOOL_WORD { load!(u32, 4) } else { src[off] as u32 };
-                match v {
-                    0 => Value::Bool(false),
-                    1 => Value::Bool(true),
+                let b = match v {
+                    0 => false,
+                    1 => true,
                     v => return Err(MarshalError::BadBool(v).into()),
-                }
+                };
+                store_scalar!(slot, Bool, b)
             }
-        };
+        }
     }
     Ok(())
 }
@@ -536,7 +648,6 @@ mod tests {
     use super::*;
     use crate::hooks::SpecialMarshal;
     use flexrpc_core::program::Slot;
-    use flexrpc_marshal::WireFormat;
     use std::sync::Arc;
     use std::sync::Mutex;
 

@@ -15,7 +15,7 @@
 
 use crate::error::RpcError;
 use crate::hooks::HookMap;
-use crate::interp::{marshal, unmarshal};
+use crate::interp::{marshal_then_seal, store_scalar, unmarshal};
 use crate::samedomain::{self, OpPlan, SdStats};
 use crate::wire::{AnyReader, AnyWriter};
 use crate::Result;
@@ -77,7 +77,14 @@ impl ReplySink<'_> {
     /// Writes the next sink payload by gathering segments through `f` —
     /// used by the fbuf-backed pipe server to emit an aggregate's segments
     /// without first concatenating them. `total` must be the exact payload
-    /// length; `f` is called once with a gather callback.
+    /// length; `f` is called once with a gather callback. On a marshalled
+    /// call a gather that emits fewer or more bytes is
+    /// [`MarshalError::WindowMisuse`], and the whole call fails with it, its
+    /// reply empty: the payload is neither zero-padded nor cut short. (A
+    /// direct call has no window to misfit; its caller gets what was
+    /// emitted.)
+    ///
+    /// [`MarshalError::WindowMisuse`]: flexrpc_marshal::MarshalError::WindowMisuse
     pub fn put_gather(
         &mut self,
         total: usize,
@@ -103,7 +110,7 @@ impl ReplySink<'_> {
                 off += seg.len();
             };
             f(&mut emit);
-            off.min(dst.len())
+            off
         })?;
         Ok(())
     }
@@ -406,13 +413,29 @@ impl ServerInterface {
         }
         // The reply marshals into the caller's buffer and the call frame is
         // this op's reused scratch, reset where it lives: a warm fixed-size
-        // dispatch allocates nothing.
+        // dispatch allocates nothing. The reply is sealed into `reply`, not
+        // moved out of the writer, by whoever finished it — the reply
+        // marshal, or this when the call failed before it — and a window a
+        // work function left open fails the call, not the thread.
         let mut buf = std::mem::take(reply);
         buf.clear();
         buf.reserve(self.scratch[op_index].reply_cap);
         let mut writer = AnyWriter::over(self.format, buf);
-        let result = self.dispatch_into(op_index, request, rights_in, &mut writer, rights_out);
-        *reply = writer.into_bytes();
+        let result = match self.run_handler(op_index, request, rights_in, &mut writer) {
+            Ok(()) => marshal_then_seal(
+                &self.compiled.ops[op_index].reply_marshal,
+                &self.scratch[op_index].frame,
+                request,
+                &mut writer,
+                reply,
+                &self.hooks[op_index],
+                rights_out,
+            ),
+            Err(e) => {
+                let _ = writer.seal_into(reply);
+                Err(e)
+            }
+        };
         let cap = &mut self.scratch[op_index].reply_cap;
         *cap = (*cap).max(reply.capacity());
         if result.is_err() {
@@ -469,13 +492,16 @@ impl ServerInterface {
         result.map(|()| self.kept.0.as_slice())
     }
 
-    fn dispatch_into(
+    /// The request unmarshalled into this operation's frame, its work
+    /// function run with the reply's sink payloads going to `writer`, and
+    /// the status stored in the frame: everything a dispatch does before
+    /// the reply marshal.
+    fn run_handler(
         &mut self,
         op_index: usize,
         request: &[u8],
         rights_in: &[u32],
         writer: &mut AnyWriter,
-        rights_out: &mut Vec<u32>,
     ) -> Result<()> {
         let op: &CompiledOp = &self.compiled.ops[op_index];
         let hooks = &self.hooks[op_index];
@@ -503,8 +529,7 @@ impl ServerInterface {
             status
         };
 
-        frame[op.status_slot().0] = Value::U32(status);
-        marshal(&op.reply_marshal, frame, request, writer, hooks, rights_out)?;
+        store_scalar!(&mut frame[op.status_slot().0], U32, status);
         Ok(())
     }
 
@@ -664,6 +689,55 @@ mod tests {
         srv.dispatch(0, &w.into_bytes(), &[], &mut reply, &mut rights).unwrap();
         let mut r = AnyReader::new(WireFormat::Cdr, &reply).unwrap();
         assert_eq!(r.get_bytes_borrowed().unwrap(), b"filled");
+        assert_eq!(r.get_u32().unwrap(), 0, "status");
+    }
+
+    /// `read` under `[dealloc(never)]`: its result goes through the sink.
+    fn sink_mode() -> CompiledInterface {
+        use flexrpc_core::annot::{apply_pdl, Attr, OpAnnot, ParamAnnot, PdlFile};
+        let m = fileio_example();
+        let iface = m.interface("FileIO").unwrap();
+        let base = InterfacePresentation::default_for(&m, iface).unwrap();
+        let never = ParamAnnot { param: "return".into(), attrs: vec![Attr::DeallocNever] };
+        let ops = vec![OpAnnot { op: "read".into(), op_attrs: vec![], params: vec![never] }];
+        let pres = apply_pdl(&m, iface, &base, &PdlFile { ops, ..PdlFile::default() }).unwrap();
+        CompiledInterface::compile(&m, iface, &pres).unwrap()
+    }
+
+    /// A gather that emits fewer or more bytes than it declared fails its
+    /// call with `WindowMisuse`, the reply empty, and the server serves the
+    /// next call: a short gather used to leave its window open, and
+    /// finishing the reply panicked the dispatching thread; a long one was
+    /// cut to fit and sent as if whole.
+    #[test]
+    fn a_gather_of_the_wrong_length_fails_its_call_not_the_server() {
+        use flexrpc_marshal::MarshalError;
+        let mut srv = ServerInterface::new(sink_mode(), WireFormat::Cdr);
+        srv.on("read", |call| {
+            // Three bytes, whatever `count` declared: only `read(3)` is honest.
+            let count = call.u32("count").unwrap();
+            let gathered = call.sink.put_gather(count as usize, |emit| emit(&[1, 2, 3]));
+            assert_eq!(gathered.is_ok(), count == 3, "read({count}): {gathered:?}");
+            0
+        })
+        .unwrap();
+        let request = |count: u32| {
+            let mut w = AnyWriter::new(WireFormat::Cdr);
+            w.put_u32(count);
+            w.into_bytes()
+        };
+        let (mut reply, mut rights) = (Vec::new(), Vec::new());
+        for count in [10, 2] {
+            let err = srv.dispatch(0, &request(count), &[], &mut reply, &mut rights).unwrap_err();
+            assert!(
+                matches!(err, RpcError::Marshal(MarshalError::WindowMisuse(_))),
+                "read({count}): {err:?}"
+            );
+            assert!(reply.is_empty(), "read({count}): a failed call's reply is empty");
+        }
+        srv.dispatch(0, &request(3), &[], &mut reply, &mut rights).unwrap();
+        let mut r = AnyReader::new(WireFormat::Cdr, &reply).unwrap();
+        assert_eq!(r.get_bytes_borrowed().unwrap(), [1, 2, 3]);
         assert_eq!(r.get_u32().unwrap(), 0, "status");
     }
 

@@ -33,6 +33,10 @@ pub(crate) trait WireWrite {
     /// `bool` travels as a 4-byte 0/1 word (XDR) rather than one octet.
     const BOOL_WORD: bool;
 
+    /// Finishes the message into `dst` in place (the writer is not moved);
+    /// an unfilled window is a `WindowMisuse` and an empty `dst`.
+    fn seal_into(&mut self, dst: &mut Vec<u8>) -> MResult<()>;
+
     fn put_u32(&mut self, v: u32);
     fn put_i32(&mut self, v: i32);
     fn put_u64(&mut self, v: u64);
@@ -110,6 +114,11 @@ macro_rules! own_get {
 impl WireWrite for XdrWriter {
     const BOOL_WORD: bool = true;
 
+    #[inline]
+    fn seal_into(&mut self, dst: &mut Vec<u8>) -> MResult<()> {
+        XdrWriter::seal_into(self, dst)
+    }
+
     own_put!(XdrWriter: put_u32(u32), put_i32(i32), put_u64(u64), put_i64(i64), put_bool(bool), put_f64(f64));
 
     #[inline]
@@ -165,6 +174,11 @@ impl WireWrite for XdrWriter {
 
 impl WireWrite for CdrWriter {
     const BOOL_WORD: bool = false;
+
+    #[inline]
+    fn seal_into(&mut self, dst: &mut Vec<u8>) -> MResult<()> {
+        CdrWriter::seal_into(self, dst)
+    }
 
     own_put!(CdrWriter: put_u32(u32), put_i32(i32), put_u64(u64), put_i64(i64), put_bool(bool), put_f64(f64));
 
@@ -408,6 +422,15 @@ impl AnyWriter {
     #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         on_wire!(AnyWriter, self, w => w.into_bytes())
+    }
+
+    /// Finishes the message into `dst`, where the caller keeps it, without
+    /// moving the writer: the server's reply, which a work function may
+    /// have left a window open in — `WindowMisuse` then, and an empty
+    /// `dst`, never a panic.
+    #[inline]
+    pub(crate) fn seal_into(&mut self, dst: &mut Vec<u8>) -> MResult<()> {
+        on_wire!(AnyWriter, self, w => WireWrite::seal_into(w, dst))
     }
 }
 

@@ -21,6 +21,11 @@
 //!   than the whole message does (a fused block is refused by its one
 //!   up-front bounds check, so the numbers inside a `Truncated` may differ;
 //!   the kind may not);
+//! * unmarshal into a frame whose slots already hold something — any kind
+//!   of `Value`, the very variant a field decodes to with a stale value
+//!   (the slot the executor writes in place, payload only), a byte buffer
+//!   with room to spare — ends in the oracle's frame, and every strict
+//!   prefix in the oracle's kind of error;
 //! * a slot holding the wrong kind of `Value` is the same `SlotKind` error
 //!   (slot, expected, found) from both;
 //! * all of the above but the last holds for every program shape of 0 to 3
@@ -108,6 +113,63 @@ impl Field {
             Field::Fixed(b) => MOp::GetBytesFixed(slot, b.len() as u32),
         }
     }
+}
+
+impl Field {
+    /// The variant this field decodes to, holding a value derived from
+    /// `seed` — as a reused frame holds the previous call's.
+    fn stale(&self, seed: u64) -> Value {
+        match self {
+            Field::U32(_) => Value::U32(seed as u32),
+            Field::I32(_) => Value::I32(seed as i32),
+            Field::U64(_) => Value::U64(seed),
+            Field::I64(_) => Value::I64(seed as i64),
+            Field::Bool(_) => Value::Bool(seed & 1 == 1),
+            Field::F64(_) => Value::F64((seed >> 11) as f64 * 0.25),
+            Field::Str(_) => Value::Str(format!("stale {seed}")),
+            Field::Bytes(_) | Field::StrBytes(_) | Field::Fixed(_) => {
+                let mut b = Vec::with_capacity(64);
+                b.extend_from_slice(&seed.to_le_bytes()[..(seed % 9) as usize]);
+                Value::Bytes(b)
+            }
+        }
+    }
+}
+
+/// Any kind of `Value` a slot may hold when a decode begins, a `Bytes` with
+/// spare capacity among them.
+fn any_value() -> impl Strategy<Value = Value> {
+    let bytes = || prop::collection::vec(any::<u8>(), 0..16);
+    prop_oneof![
+        Just(Value::Null),
+        any::<u32>().prop_map(Value::U32),
+        any::<i32>().prop_map(Value::I32),
+        any::<u64>().prop_map(Value::U64),
+        any::<i64>().prop_map(Value::I64),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(|x| Value::F64(x as f64 * 0.5)),
+        bytes().prop_map(|v| Value::Str(v.iter().map(|b| (b'a' + b % 26) as char).collect())),
+        (bytes(), 0usize..64).prop_map(|(v, spare)| {
+            let mut b = Vec::with_capacity(v.len() + spare);
+            b.extend_from_slice(&v);
+            Value::Bytes(b)
+        }),
+        (0usize..64, 0usize..64).prop_map(|(off, len)| Value::Window { off, len }),
+        any::<u32>().prop_map(Value::Port),
+        bytes().prop_map(|v| Value::Shared(v.into())),
+    ]
+}
+
+/// What one slot of a dirty frame holds: any value, or (`Same`) the variant
+/// its field decodes to, stale.
+#[derive(Clone, Debug)]
+enum Prior {
+    Any(Value),
+    Same(u64),
+}
+
+fn prior() -> impl Strategy<Value = Prior> {
+    prop_oneof![any_value().prop_map(Prior::Any), any::<u64>().prop_map(Prior::Same)]
 }
 
 fn field() -> impl Strategy<Value = Field> {
@@ -394,6 +456,59 @@ proptest! {
             unmarshal_with(Plain, &get, &mut plain_frame, &bytes, format);
             unmarshal_with(Fused, &get, &mut fused_frame, &bytes, format);
             prop_assert_eq!(&plain_frame, &fused_frame, "dirty-frame decode differs on {:?}", format);
+        }
+    }
+
+    /// A decode into a dirty frame — each slot holding any value, or the
+    /// variant its field decodes to with a stale value — ends in the frame
+    /// the threaded oracle leaves when run on the same prior frame, and a
+    /// strict prefix in the same kind of error.
+    #[test]
+    fn unmarshal_into_dirty_frames_matches_the_oracle(
+        fields in prop::collection::vec(field(), 1..8),
+        priors in prop::collection::vec(prior(), 8),
+    ) {
+        let slots: Vec<Value> = fields.iter().map(|f| f.value()).collect();
+        let (put, get) = programs(&fields);
+        let dirty: Vec<Value> = fields
+            .iter()
+            .zip(&priors)
+            .map(|(f, p)| match p {
+                Prior::Any(v) => v.clone(),
+                Prior::Same(seed) => f.stale(*seed),
+            })
+            .collect();
+
+        for format in [WireFormat::Xdr, WireFormat::Cdr] {
+            let (bytes, _) = marshal_with(Fused, &put, &slots, format);
+            for cut in 0..=bytes.len() {
+                let (mut plain, mut fused) = (dirty.clone(), dirty.clone());
+                let msg = &bytes[..cut];
+                match (
+                    try_unmarshal(Plain, &get, &mut plain, msg, format),
+                    try_unmarshal(Fused, &get, &mut fused, msg, format),
+                ) {
+                    (Ok(()), Ok(())) => {
+                        prop_assert_eq!(cut, bytes.len(), "{:?}: a strict prefix decoded", format);
+                        prop_assert_eq!(&plain, &fused, "dirty frame on {:?}", format);
+                        prop_assert_eq!(&fused, &slots, "values lost on {:?}", format);
+                    }
+                    (Err(p), Err(f)) => prop_assert_eq!(
+                        error_kind(&p),
+                        error_kind(&f),
+                        "{:?} cut at {}: threaded {:?}, fused {:?}",
+                        format,
+                        cut,
+                        p,
+                        f
+                    ),
+                    (p, f) => {
+                        return Err(TestCaseError::fail(format!(
+                            "{format:?} cut at {cut}: threaded {p:?}, fused {f:?}"
+                        )))
+                    }
+                }
+            }
         }
     }
 

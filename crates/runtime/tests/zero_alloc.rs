@@ -390,6 +390,50 @@ fn warm_loopback_read_allocates_exactly_the_handlers_vec() {
     assert_eq!(frame[1].as_bytes().expect("payload").len(), 96);
 }
 
+/// A request that fails to marshal costs the *next* call nothing: the stub
+/// seals its request buffer back on the error path too, so a `read` whose
+/// `count` slot holds a string fails with `SlotKind` and the valid `read`
+/// after it allocates what every warm one does — the work function's
+/// result `Vec` — not a fresh request buffer besides.
+#[test]
+fn a_failed_request_marshal_costs_the_next_call_no_allocation() {
+    use flexrpc_runtime::transport::Loopback;
+    use flexrpc_runtime::RpcError;
+
+    let compiled = fileio("");
+    let mut server = ServerInterface::new_shared(Arc::clone(&compiled), WireFormat::Cdr);
+    server
+        .on("read", |call| {
+            let count = call.u32("count").expect("count") as usize;
+            call.set("return", Value::Bytes(vec![0xC3; count])).expect("return");
+            0
+        })
+        .expect("registers");
+    let transport = Loopback::new(Arc::new(parking_lot::Mutex::new(server)));
+    let mut stub = ClientStub::new_shared(compiled, WireFormat::Cdr, Box::new(transport));
+    let index = stub.op("read").expect("read op").index;
+    let mut frame = stub.new_frame("read").expect("frame");
+    let warm_read = |stub: &mut ClientStub, frame: &mut Vec<Value>| {
+        frame[0] = Value::U32(64);
+        let before = allocs();
+        assert_eq!(stub.call_index(index, frame).expect("call"), 0);
+        allocs() - before
+    };
+    for _ in 0..16 {
+        warm_read(&mut stub, &mut frame);
+    }
+    let warm = warm_read(&mut stub, &mut frame);
+    assert_eq!(warm, 1, "a warm read allocates the work function's result");
+
+    frame[0] = Value::Str("sixty-four".into());
+    let err = stub.call_index(index, &mut frame).unwrap_err();
+    assert!(
+        matches!(err, RpcError::SlotKind { slot: 0, expected: "u32", found: "str" }),
+        "{err:?}"
+    );
+    assert_eq!(warm_read(&mut stub, &mut frame), warm, "the read after the failed one");
+}
+
 /// The kernel transport, `ClientStub` → `KernelIpc` → `serve_on_kernel`,
 /// allocates per warm call only the reply the server hands the kernel (a
 /// message the kernel copies to the client and the server frees), sized to
