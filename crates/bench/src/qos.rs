@@ -22,9 +22,8 @@ use flexrpc_marshal::WireFormat;
 use flexrpc_pipes::fileio_module;
 use flexrpc_runtime::wire::AnyWriter;
 use flexrpc_runtime::CallTag;
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Sim-time cost of one call (a power of two, so dwell positions resolve
@@ -81,14 +80,12 @@ struct Gate {
 
 impl Gate {
     fn wait(&self) {
-        let mut open = self.open.lock();
-        while !*open {
-            self.cv.wait(&mut open);
-        }
+        let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(self.cv.wait_while(open, |open| !*open).unwrap_or_else(PoisonError::into_inner));
     }
 
     fn open(&self) {
-        *self.open.lock() = true;
+        *self.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
         self.cv.notify_all();
     }
 }

@@ -18,10 +18,9 @@
 //! queue](https://en.wikipedia.org/wiki/Fair_queuing) did).
 
 use flexrpc_runtime::TenantId;
-use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Scaled cost of one call at weight 1. Large enough that integer
 /// division by any sane weight keeps plenty of resolution (weight 1000
@@ -45,6 +44,14 @@ struct State<T> {
     virtual_now: u64,
     /// Items across all lanes.
     total: usize,
+    /// Producers parked in `push` until space frees up. Both parked counts
+    /// change only under this state's lock, which a parked thread releases
+    /// inside its wait, so a notifier holding the lock reads them exactly:
+    /// nobody counted means nobody to wake, and the notify's `futex_wake`
+    /// is skipped.
+    parked_producers: usize,
+    /// Consumers parked in `pop` until an item arrives.
+    parked_consumers: usize,
 }
 
 /// Aggregate backlog counter shared by every shard in a shard *group*.
@@ -95,11 +102,12 @@ pub struct WfqQueue<T> {
     capacity: usize,
     /// Aggregate backlog across the shard group this queue belongs to.
     group: Arc<WfqGroup>,
-    /// Signalled when space frees up (wakes blocked producers).
+    /// Signalled when space frees up, if a producer is parked.
     not_full: Condvar,
-    /// Signalled when an item arrives or the queue closes. `push` wakes
-    /// exactly **one** parked consumer — one item can only be served
-    /// once, so waking the whole pool is a thundering herd.
+    /// Signalled when an item arrives, if a consumer is parked, or the
+    /// queue closes. An arrival wakes exactly **one** parked consumer —
+    /// one item can only be served once, so waking the whole pool is a
+    /// thundering herd.
     not_empty: Condvar,
 }
 
@@ -114,7 +122,13 @@ impl<T> WfqQueue<T> {
     /// `try_push`'s `high_water` backstop bounds the whole shard set.
     pub fn with_group(capacity: usize, group: Arc<WfqGroup>) -> WfqQueue<T> {
         WfqQueue {
-            state: Mutex::new(State { lanes: BTreeMap::new(), virtual_now: 0, total: 0 }),
+            state: Mutex::new(State {
+                lanes: BTreeMap::new(),
+                virtual_now: 0,
+                total: 0,
+                parked_producers: 0,
+                parked_consumers: 0,
+            }),
             closed: AtomicBool::new(false),
             capacity: capacity.max(1),
             group,
@@ -126,6 +140,13 @@ impl<T> WfqQueue<T> {
     /// The shard group this queue charges its backlog to.
     pub fn group(&self) -> &Arc<WfqGroup> {
         &self.group
+    }
+
+    /// Locks the state. The one caller code a holder runs is a
+    /// `try_pop_if` predicate, before anything changes, so a panicked
+    /// holder leaves nothing half-updated to distrust.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn admit(&self, state: &mut State<T>, tenant: TenantId, weight: u32, item: T) {
@@ -156,7 +177,9 @@ impl<T> WfqQueue<T> {
         state.total -= 1;
         self.group.queued.fetch_sub(1, Ordering::Relaxed);
         state.virtual_now = state.virtual_now.max(tag);
-        self.not_full.notify_one();
+        if state.parked_producers > 0 {
+            self.not_full.notify_one();
+        }
         Some(item)
     }
 
@@ -172,7 +195,7 @@ impl<T> WfqQueue<T> {
         weight: u32,
         quota: Option<usize>,
     ) -> Result<(), WfqRefusal<T>> {
-        let mut state = self.state.lock();
+        let mut state = self.lock();
         loop {
             if self.is_closed() {
                 return Err(WfqRefusal::Closed(item));
@@ -185,10 +208,14 @@ impl<T> WfqQueue<T> {
             }
             if state.total < self.capacity {
                 self.admit(&mut state, tenant, weight, item);
-                self.not_empty.notify_one();
+                if state.parked_consumers > 0 {
+                    self.not_empty.notify_one();
+                }
                 return Ok(());
             }
-            self.not_full.wait(&mut state);
+            state.parked_producers += 1;
+            state = self.not_full.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.parked_producers -= 1;
         }
     }
 
@@ -204,7 +231,7 @@ impl<T> WfqQueue<T> {
         quota: Option<usize>,
         high_water: usize,
     ) -> Result<(), WfqRefusal<T>> {
-        let mut state = self.state.lock();
+        let mut state = self.lock();
         if self.is_closed() {
             return Err(WfqRefusal::Closed(item));
         }
@@ -221,7 +248,9 @@ impl<T> WfqQueue<T> {
             return Err(WfqRefusal::Full(item));
         }
         self.admit(&mut state, tenant, weight, item);
-        self.not_empty.notify_one();
+        if state.parked_consumers > 0 {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -229,7 +258,7 @@ impl<T> WfqQueue<T> {
     /// id), blocking while empty. Returns `None` once the queue is closed
     /// *and* drained.
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock();
+        let mut state = self.lock();
         loop {
             if let Some(item) = self.take_head(&mut state, |_| true) {
                 return Some(item);
@@ -237,7 +266,9 @@ impl<T> WfqQueue<T> {
             if self.is_closed() {
                 return None;
             }
-            self.not_empty.wait(&mut state);
+            state.parked_consumers += 1;
+            state = self.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.parked_consumers -= 1;
         }
     }
 
@@ -256,7 +287,7 @@ impl<T> WfqQueue<T> {
     /// untouched, so a consumer that wants one particular item can take it
     /// when — and only when — it is what fair order serves next.
     pub fn try_pop_if(&self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
-        self.take_head(&mut self.state.lock(), pred)
+        self.take_head(&mut self.lock(), pred)
     }
 
     /// True once [`WfqQueue::close`] has been called (one atomic load).
@@ -270,7 +301,7 @@ impl<T> WfqQueue<T> {
     /// unstarted backlog.
     #[must_use = "unstarted items must be failed, not silently dropped"]
     pub fn close(&self) -> Vec<T> {
-        let mut state = self.state.lock();
+        let mut state = self.lock();
         self.closed.store(true, Ordering::SeqCst);
         let mut unstarted = Vec::with_capacity(state.total);
         while let Some(item) = self.take_head(&mut state, |_| true) {
@@ -284,7 +315,16 @@ impl<T> WfqQueue<T> {
 
     /// Items currently queued across all lanes (a racy snapshot).
     pub fn len(&self) -> usize {
-        self.state.lock().total
+        self.lock().total
+    }
+
+    /// `(producers, consumers)` parked right now. A count read under the
+    /// lock is the rendezvous a test needs: each counted thread is inside
+    /// its wait, with the lock released.
+    #[cfg(test)]
+    fn parked(&self) -> (usize, usize) {
+        let state = self.lock();
+        (state.parked_producers, state.parked_consumers)
     }
 
     /// True when nothing is queued.
@@ -302,8 +342,21 @@ impl<T> std::fmt::Debug for WfqQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::mpsc;
     use std::thread;
+    use std::time::{Duration, Instant};
+
+    /// How long a test waits for another thread before calling it stuck.
+    const STUCK: Duration = Duration::from_secs(30);
+
+    /// Yields until `q.parked()` reads `want`.
+    fn await_parked<T>(q: &WfqQueue<T>, want: (usize, usize)) {
+        let start = Instant::now();
+        while q.parked() != want {
+            assert!(start.elapsed() < STUCK, "parked {:?}, never {want:?}", q.parked());
+            thread::yield_now();
+        }
+    }
 
     const T1: TenantId = TenantId(1);
     const T2: TenantId = TenantId(2);
@@ -384,11 +437,39 @@ mod tests {
         q.push(1, T1, 1, None).unwrap();
         let q2 = Arc::clone(&q);
         let producer = thread::spawn(move || q2.push(2, T1, 1, None).is_ok());
-        thread::sleep(std::time::Duration::from_millis(20));
+        await_parked(&q, (1, 0));
         assert_eq!(q.len(), 1, "second push must be blocked");
         assert_eq!(q.pop(), Some(1));
         assert!(producer.join().unwrap());
         assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.parked(), (0, 0));
+    }
+
+    /// At capacity 1 a producer and a consumer hand 10,000 items across,
+    /// each parking on nearly every turn, so every notify meets a peer
+    /// parked or on its way to park. A wake skipped on a stale count
+    /// would leave one side parked for good, which the timeout reports.
+    #[test]
+    fn ten_thousand_handoffs_at_capacity_one_lose_no_wakeup() {
+        const ROUNDS: u32 = 10_000;
+        let q = Arc::new(WfqQueue::new(1));
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || (0..ROUNDS).all(|i| q.push(i, T1, 1, None).is_ok()))
+        };
+        let (done_tx, done) = mpsc::channel();
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let got: Vec<u32> = (0..ROUNDS).map_while(|_| q.pop()).collect();
+                done_tx.send(got).expect("test listens");
+            })
+        };
+        let got = done.recv_timeout(STUCK).expect("a wakeup was missed");
+        assert!(got.iter().copied().eq(0..ROUNDS), "every item, in order");
+        assert!(producer.join().unwrap());
+        consumer.join().unwrap();
+        assert_eq!(q.parked(), (0, 0));
     }
 
     #[test]
@@ -411,7 +492,7 @@ mod tests {
                 thread::spawn(move || q.pop())
             })
             .collect();
-        thread::sleep(std::time::Duration::from_millis(20));
+        await_parked(&q, (0, 3));
         assert!(q.close().is_empty());
         for c in consumers {
             assert_eq!(c.join().unwrap(), None);
@@ -478,7 +559,7 @@ mod tests {
             .map(|_| {
                 let (q, log) = (Arc::clone(&q), Arc::clone(&log));
                 thread::spawn(move || loop {
-                    let mut log = log.lock();
+                    let mut log = log.lock().unwrap();
                     match q.try_pop() {
                         Some(item) => log.push(item),
                         None => return,
@@ -489,7 +570,7 @@ mod tests {
         for t in thieves {
             t.join().unwrap();
         }
-        assert_eq!(*log.lock(), expected, "steals must not reorder the fair drain");
+        assert_eq!(*log.lock().unwrap(), expected, "steals must not reorder the fair drain");
     }
 
     #[test]

@@ -26,10 +26,10 @@ use flexrpc_marshal::WireFormat;
 use flexrpc_runtime::policy::{CallOptions, TenantId};
 use flexrpc_runtime::ServerInterface;
 use flexrpc_trace::{SharedCallTrace, Stage};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{self, Arc, Condvar, OnceLock};
 
 /// Builds one dispatch replica: register the service's work functions on a
 /// server created over the shared compilation. Called once per replica, so
@@ -167,8 +167,9 @@ impl Engine {
             declared_shapes: OnceLock::new(),
             compiled,
             replicas,
-            starved: Mutex::new(()),
+            starved: sync::Mutex::new(()),
             freed: Condvar::new(),
+            starving: AtomicUsize::new(0),
         });
         pools.insert(key, Arc::clone(&pool));
         Ok((pool, compiled_here))

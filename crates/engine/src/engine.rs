@@ -60,10 +60,10 @@ use flexrpc_runtime::{RpcError, ServerInterface};
 use flexrpc_trace::{
     Counter, CounterStripe, Histogram, HistogramStripe, MetricsRegistry, SharedCallTrace, Stage,
 };
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{self, Arc, Condvar, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -255,22 +255,28 @@ impl CallTicket {
 /// yet paid a wake for, and `bump` takes one off that count before it
 /// notifies. A burst of M jobs onto N parked workers therefore costs
 /// min(N, M) `futex_wake`s, however long the woken workers take to be
-/// scheduled. (The condvar's own waiter count cannot serve: it falls only
-/// once the woken thread runs again, so every bump until then would pay a
-/// syscall that wakes nobody.)
+/// scheduled. (A count of waiters that falls only once the woken thread
+/// runs again cannot serve: every bump until then would pay a syscall that
+/// wakes nobody.)
 struct SubmitSignal {
     /// Only advanced with `parked` held, so a parking worker's re-check and
     /// a producer's bump are ordered by that mutex.
     seq: AtomicU64,
     /// Workers inside `wait_past` whose wake no bump has claimed yet
     /// (never fewer than that; see `wait_past`).
-    parked: Mutex<usize>,
+    parked: sync::Mutex<usize>,
     ready: Condvar,
 }
 
 impl SubmitSignal {
     fn new() -> SubmitSignal {
-        SubmitSignal { seq: AtomicU64::new(0), parked: Mutex::new(0), ready: Condvar::new() }
+        SubmitSignal { seq: AtomicU64::new(0), parked: sync::Mutex::new(0), ready: Condvar::new() }
+    }
+
+    /// Locks the count. Nothing that can panic runs under it, and a count
+    /// that errs high is harmless (see `wait_past`).
+    fn parked(&self) -> sync::MutexGuard<'_, usize> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn epoch(&self) -> u64 {
@@ -280,7 +286,7 @@ impl SubmitSignal {
     /// One unit of work arrived: wake one parked worker, unless every
     /// parked worker already has a wake on its way.
     fn bump(&self) {
-        let mut parked = self.parked.lock();
+        let mut parked = self.parked();
         self.seq.fetch_add(1, Ordering::SeqCst);
         let claimed = *parked > 0;
         if claimed {
@@ -298,7 +304,7 @@ impl SubmitSignal {
 
     /// Shutdown: every parked worker must wake to observe the close.
     fn bump_all(&self) {
-        let mut parked = self.parked.lock();
+        let mut parked = self.parked();
         self.seq.fetch_add(1, Ordering::SeqCst);
         *parked = 0;
         drop(parked);
@@ -307,7 +313,7 @@ impl SubmitSignal {
 
     /// Parks until the epoch moves past `seen`.
     fn wait_past(&self, seen: u64) {
-        let mut parked = self.parked.lock();
+        let mut parked = self.parked();
         while self.epoch() == seen {
             // Counted per wait, not per call. A wake that finds the epoch
             // unmoved is either spurious or a notify whose claim was made
@@ -319,7 +325,7 @@ impl SubmitSignal {
             // bump one `futex_wake` for nobody; erring low would leave a
             // parked worker no bump ever wakes.
             *parked += 1;
-            self.ready.wait(&mut parked);
+            parked = self.ready.wait(parked).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -451,8 +457,12 @@ pub(crate) struct ReplicaPool {
     /// and the replica never moves.
     replicas: Vec<Mutex<Replica>>,
     /// Parks dispatchers that found every replica out.
-    starved: Mutex<()>,
+    starved: sync::Mutex<()>,
     freed: Condvar,
+    /// Dispatchers parked on `freed`, raised under `starved` before the
+    /// rescan that precedes the park. A return reads it to skip the
+    /// notify — a `futex_wake` — when nobody is starving, as nearly always.
+    starving: AtomicUsize,
 }
 
 /// One dispatch replica and the engine tallies its dispatches write.
@@ -489,18 +499,24 @@ impl ReplicaPool {
         // of a busy worker set can outnumber the replicas. A replica comes
         // free outside `starved`, so its wake can slip between the scan and
         // the park: the park is sliced, which bounds that to a millisecond.
-        let mut parked = self.starved.lock();
-        loop {
+        let mut parked = self.starved.lock().unwrap_or_else(PoisonError::into_inner);
+        self.starving.fetch_add(1, Ordering::SeqCst);
+        let replica = loop {
             if let Some(replica) = scan() {
-                return replica;
+                break replica;
             }
-            self.freed.wait_for(&mut parked, Duration::from_millis(1));
-        }
+            let slice = self.freed.wait_timeout(parked, Duration::from_millis(1));
+            parked = slice.unwrap_or_else(PoisonError::into_inner).0;
+        };
+        self.starving.fetch_sub(1, Ordering::SeqCst);
+        replica
     }
 
     fn give_back(&self, replica: MutexGuard<'_, Replica>) {
         drop(replica);
-        self.freed.notify_one();
+        if self.starving.load(Ordering::SeqCst) != 0 {
+            self.freed.notify_one();
+        }
     }
 
     /// The shared compilation (for building client stubs against it).
@@ -1456,17 +1472,6 @@ impl EngineConnection {
 }
 
 impl Transport for EngineConnection {
-    fn call(
-        &mut self,
-        op: &CompiledOp,
-        request: &[u8],
-        rights: &[u32],
-        reply: &mut Vec<u8>,
-        rights_out: &mut Vec<u32>,
-    ) -> flexrpc_runtime::Result<usize> {
-        self.call_with(op, request, rights, reply, rights_out, &CallControl::none())
-    }
-
     fn call_with(
         &mut self,
         op: &CompiledOp,
@@ -1555,7 +1560,7 @@ mod tests {
     /// mutex only inside the condvar wait.
     fn await_parked(signal: &SubmitSignal, n: usize) {
         let start = Instant::now();
-        while *signal.parked.lock() != n {
+        while *signal.parked() != n {
             assert!(start.elapsed() < STUCK, "workers never parked");
             thread::yield_now();
         }
@@ -1601,7 +1606,7 @@ mod tests {
             for job in 0..32u32 {
                 q.push_back(job);
                 signal.bump();
-                assert_eq!(*signal.parked.lock(), 0, "bump {job} left a claim behind");
+                assert_eq!(*signal.parked(), 0, "bump {job} left a claim behind");
             }
         }
         let got: Vec<u32> = (0..32).map(|_| drained.recv_timeout(STUCK).expect("job")).collect();
@@ -1619,9 +1624,9 @@ mod tests {
         let parkers = [parker(&signal, &woke_tx), parker(&signal, &woke_tx)];
         await_parked(&signal, 2);
         signal.bump();
-        assert_eq!(*signal.parked.lock(), 1);
+        assert_eq!(*signal.parked(), 1);
         signal.bump();
-        assert_eq!(*signal.parked.lock(), 0);
+        assert_eq!(*signal.parked(), 0);
         for _ in 0..2 {
             woke.recv_timeout(STUCK).expect("each bump woke a worker of its own");
         }
@@ -1635,7 +1640,7 @@ mod tests {
         let parkers: Vec<_> = (0..3).map(|_| parker(&signal, &woke_tx)).collect();
         await_parked(&signal, 3);
         signal.bump_all();
-        assert_eq!(*signal.parked.lock(), 0);
+        assert_eq!(*signal.parked(), 0);
         for _ in 0..3 {
             woke.recv_timeout(STUCK).expect("shutdown wakes everyone");
         }
@@ -1682,5 +1687,56 @@ mod tests {
         let free = engine.yard.free.lock();
         assert_eq!(free.len(), 1, "only the small request's cell came back");
         assert!(free.iter().all(|c| c.request.capacity() <= CELL_RETAIN_BYTES));
+    }
+
+    /// The replica pool's park, end to end: while a handler holds the one
+    /// replica, an inline call finds none free and parks, counted in
+    /// `starving`; the replica's return is what serves it.
+    #[test]
+    fn an_inline_call_parks_on_a_held_replica_until_it_comes_back() {
+        let engine = Engine::builder().workers(1).build();
+        let module = fileio_example();
+        let pres = InterfacePresentation::default_for(&module, module.interface("FileIO").unwrap())
+            .unwrap();
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let handler = Arc::new(Mutex::new((entered_tx, release_rx)));
+        engine
+            .register_service("held", module, "FileIO", pres, WireFormat::Cdr, move |srv| {
+                let handler = Arc::clone(&handler);
+                srv.on("write", move |_| {
+                    let (entered, release) = &*handler.lock();
+                    entered.send(()).expect("test listens");
+                    release.recv().expect("test releases");
+                    0
+                })
+                .unwrap();
+            })
+            .unwrap();
+        let first = engine.connect("held").establish().unwrap();
+        let pool = Arc::clone(&first.bind.read().pool);
+        let write = first.program().op("write").unwrap().index;
+        let held = first.submit(write, &write_request(b"held"), &[]).unwrap();
+        entered.recv_timeout(STUCK).expect("the worker runs the first call");
+
+        let mut second = engine.connect("held").establish().unwrap();
+        let inline = thread::spawn(move || {
+            let program = second.program();
+            let op = program.op("write").expect("declared");
+            let (mut reply, mut rights) = (Vec::new(), Vec::new());
+            second.call(op, &write_request(b"parked"), &[], &mut reply, &mut rights)
+        });
+        let start = Instant::now();
+        while pool.starving.load(Ordering::SeqCst) != 1 {
+            assert!(start.elapsed() < STUCK, "the inline call never parked");
+            thread::yield_now();
+        }
+        // One release for the held call, one for the parked call's own run.
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        assert_eq!(inline.join().unwrap(), Ok(0), "the parked call was served");
+        held.wait().unwrap();
+        assert_eq!(pool.starving.load(Ordering::SeqCst), 0);
+        assert_eq!(engine.stats().inline_calls, 1);
     }
 }

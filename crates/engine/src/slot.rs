@@ -30,8 +30,9 @@
 //! keeps each call's slot in a recycled job cell and resets it on reuse,
 //! once `Arc::get_mut` shows the worker has let go.
 //!
-//! Why the `unsafe` stays (this is the only hand-written `unsafe` outside
-//! shims and tests): it was measured against the safe alternative. With
+//! Why the `unsafe` stays (besides this file, only `bench::sample`'s
+//! `ptrace` calls and a test allocator write `unsafe`; `tests/surface.rs`
+//! keeps that inventory): it was measured against the safe alternative. With
 //! this file swapped for a `Mutex<State<T>>` + `Condvar` slot (every
 //! engine test passing, `zero_alloc_wait` included), ten alternating pairs
 //! of `benchmark/run.sh --workload engine_pipelined --seconds 5` at commit
@@ -72,18 +73,19 @@ const YIELD_AFTER: u32 = 8;
 pub struct ReplySlot<T> {
     state: AtomicU32,
     value: UnsafeCell<Option<T>>,
-    /// Touched only when the waiter actually parks. These are `std`'s own
-    /// primitives, not the workspace's `parking_lot` stand-in: `PARKED`
-    /// already tells `fill` whether anyone needs waking, so the stand-in's
-    /// waiter count would only add bytes to every call's slot allocation.
+    /// Touched only when the waiter actually parks, which `PARKED` records:
+    /// `fill` notifies only when it saw that state, so the slot needs no
+    /// count of its sleepers.
     park: Mutex<()>,
     ready: Condvar,
 }
 
-// Safety: the state machine guarantees exclusive access to `value` —
+// SAFETY: the state machine guarantees exclusive access to `value` —
 // only the filler that wins the EMPTY/PARKED → FILLING transition
 // writes it, and only the single waiter reads it after observing FULL
 // with `Acquire` (which pairs with the filler's `Release` publish).
+// `state`, `park` and `ready` are `Send + Sync` themselves; `T: Send`
+// because the value moves from the filler's thread to the waiter's.
 unsafe impl<T: Send> Send for ReplySlot<T> {}
 unsafe impl<T: Send> Sync for ReplySlot<T> {}
 
@@ -122,6 +124,9 @@ impl<T> ReplySlot<T> {
                 Ok(_) => {
                     // No waiter parked: write, publish, done — the
                     // lock-free fast path.
+                    // SAFETY: winning EMPTY → FILLING makes this the one
+                    // filler of this use, and no waiter reads `value`
+                    // before it sees FULL, which is stored only below.
                     unsafe { *self.value.get() = Some(value) };
                     self.state.store(FULL, Ordering::Release);
                     return true;
@@ -134,6 +139,9 @@ impl<T> ReplySlot<T> {
                     {
                         continue; // Raced with the waiter; re-read.
                     }
+                    // SAFETY: winning PARKED → FILLING makes this the one
+                    // filler of this use; the parked waiter reads `value`
+                    // only after the FULL store below.
                     unsafe { *self.value.get() = Some(value) };
                     // Publish *under the park lock*: the waiter parks and
                     // re-checks state under the same lock, so the wake
@@ -156,6 +164,10 @@ impl<T> ReplySlot<T> {
 
     /// Takes the published value. Caller observed `FULL` with `Acquire`.
     fn take(&self) -> T {
+        // SAFETY: FULL is stored once per use, after the filler's last
+        // write, and its `Release` pairs with the caller's `Acquire`; only
+        // the use's single waiter calls this, so nothing else touches
+        // `value` until `reset`, which takes `&mut self`.
         unsafe { (*self.value.get()).take() }.expect("FULL slot holds a value")
     }
 

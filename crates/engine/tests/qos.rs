@@ -17,8 +17,7 @@ use flexrpc_engine::{ControlPlane, Engine, EngineConnection, EngineError, Policy
 use flexrpc_marshal::WireFormat;
 use flexrpc_runtime::wire::AnyWriter;
 use flexrpc_runtime::{CallControl, CallTag, Transport};
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Sim-time cost of one call: a power of two, so log2 dwell buckets
@@ -37,14 +36,12 @@ struct Gate {
 
 impl Gate {
     fn wait(&self) {
-        let mut open = self.open.lock();
-        while !*open {
-            self.cv.wait(&mut open);
-        }
+        let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(self.cv.wait_while(open, |open| !*open).unwrap_or_else(PoisonError::into_inner));
     }
 
     fn open(&self) {
-        *self.open.lock() = true;
+        *self.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
         self.cv.notify_all();
     }
 }

@@ -17,28 +17,26 @@ use flexrpc_marshal::WireFormat;
 use flexrpc_net::sunrpc::AcceptStat;
 use flexrpc_net::{NetConfig, SimNet};
 use flexrpc_runtime::RpcError;
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 /// A latch the test holds closed while calls pile up behind it.
 #[derive(Default)]
 struct Gate {
-    open: Mutex<bool>,
+    open: std::sync::Mutex<bool>,
     cv: Condvar,
 }
 
 impl Gate {
     fn wait(&self) {
-        let mut open = self.open.lock();
-        while !*open {
-            self.cv.wait(&mut open);
-        }
+        let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(self.cv.wait_while(open, |open| !*open).unwrap_or_else(PoisonError::into_inner));
     }
 
     fn open(&self) {
-        *self.open.lock() = true;
+        *self.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
         self.cv.notify_all();
     }
 }

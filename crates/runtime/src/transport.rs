@@ -32,26 +32,18 @@ use std::sync::Arc;
 /// A client-side transport: delivers a marshalled request, returns the
 /// marshalled reply and translated port rights.
 pub trait Transport: Send {
-    /// Performs one call for `op`, filling `reply` with the received
-    /// message and returning the offset where the reply *body* starts
-    /// (transport framing, if any, precedes it). Returning an offset
-    /// instead of re-copying keeps generated stubs on par with hand-coded
-    /// ones — the protocol-stack receive copy happens exactly once.
-    fn call(
-        &mut self,
-        op: &CompiledOp,
-        request: &[u8],
-        rights: &[u32],
-        reply: &mut Vec<u8>,
-        rights_out: &mut Vec<u32>,
-    ) -> Result<usize>;
-
-    /// Like [`Transport::call`] but honoring a [`CallControl`] (absolute
-    /// sim-clock deadline). Transports with a clock check the deadline
-    /// before sending and after the reply lands — a reply that arrives
-    /// after the deadline is a [`RpcError::DeadlineExceeded`], exactly and
-    /// deterministically. The default ignores the control block (for
-    /// transports with no notion of time, e.g. test doubles).
+    /// Performs one call for `op` under a [`CallControl`], filling `reply`
+    /// with the received message and returning the offset where the reply
+    /// *body* starts (transport framing, if any, precedes it). Returning an
+    /// offset instead of re-copying keeps generated stubs on par with
+    /// hand-coded ones — the protocol-stack receive copy happens exactly
+    /// once.
+    ///
+    /// Transports with a clock check the control's absolute sim-clock
+    /// deadline before sending and after the reply lands — a reply that
+    /// arrives after the deadline is a [`RpcError::DeadlineExceeded`],
+    /// exactly and deterministically. A transport with no notion of time
+    /// (a test double) may ignore it.
     fn call_with(
         &mut self,
         op: &CompiledOp,
@@ -60,9 +52,18 @@ pub trait Transport: Send {
         reply: &mut Vec<u8>,
         rights_out: &mut Vec<u32>,
         ctl: &CallControl,
+    ) -> Result<usize>;
+
+    /// [`Transport::call_with`] with no deadline and no tag.
+    fn call(
+        &mut self,
+        op: &CompiledOp,
+        request: &[u8],
+        rights: &[u32],
+        reply: &mut Vec<u8>,
+        rights_out: &mut Vec<u32>,
     ) -> Result<usize> {
-        let _ = ctl;
-        self.call(op, request, rights, reply, rights_out)
+        self.call_with(op, request, rights, reply, rights_out, &CallControl::none())
     }
 
     /// Delivers a `[oneway]` request: no reply slot is allocated and no
@@ -174,17 +175,6 @@ impl Loopback {
 }
 
 impl Transport for Loopback {
-    fn call(
-        &mut self,
-        op: &CompiledOp,
-        request: &[u8],
-        rights: &[u32],
-        reply: &mut Vec<u8>,
-        rights_out: &mut Vec<u32>,
-    ) -> Result<usize> {
-        self.call_with(op, request, rights, reply, rights_out, &CallControl::none())
-    }
-
     fn call_with(
         &mut self,
         op: &CompiledOp,
@@ -267,17 +257,6 @@ impl KernelIpc {
 }
 
 impl Transport for KernelIpc {
-    fn call(
-        &mut self,
-        op: &CompiledOp,
-        request: &[u8],
-        rights: &[u32],
-        reply: &mut Vec<u8>,
-        rights_out: &mut Vec<u32>,
-    ) -> Result<usize> {
-        self.call_with(op, request, rights, reply, rights_out, &CallControl::none())
-    }
-
     fn call_with(
         &mut self,
         op: &CompiledOp,
@@ -475,17 +454,6 @@ impl SunRpc {
 }
 
 impl Transport for SunRpc {
-    fn call(
-        &mut self,
-        op: &CompiledOp,
-        request: &[u8],
-        rights: &[u32],
-        reply: &mut Vec<u8>,
-        rights_out: &mut Vec<u32>,
-    ) -> Result<usize> {
-        self.call_with(op, request, rights, reply, rights_out, &CallControl::none())
-    }
-
     fn call_with(
         &mut self,
         op: &CompiledOp,

@@ -10,7 +10,7 @@ use flexrpc_core::program::{CompiledInterface, CompiledOp};
 use flexrpc_core::value::Value;
 use flexrpc_marshal::WireFormat;
 use flexrpc_runtime::transport::Transport;
-use flexrpc_runtime::{ClientStub, RpcError, ServerInterface};
+use flexrpc_runtime::{CallControl, ClientStub, RpcError, ServerInterface};
 use proptest::prelude::*;
 
 fn compiled() -> CompiledInterface {
@@ -57,13 +57,14 @@ proptest! {
     ) {
         struct Evil(Vec<u8>);
         impl Transport for Evil {
-            fn call(
+            fn call_with(
                 &mut self,
                 _op: &CompiledOp,
                 _request: &[u8],
                 _rights: &[u32],
                 reply: &mut Vec<u8>,
                 _rights_out: &mut Vec<u32>,
+                _ctl: &CallControl,
             ) -> flexrpc_runtime::Result<usize> {
                 reply.clear();
                 reply.extend_from_slice(&self.0);
@@ -89,13 +90,14 @@ proptest! {
             // Marshal a read(32) request via a working client.
             struct Capture(std::sync::Arc<parking_lot::Mutex<Vec<u8>>>);
             impl Transport for Capture {
-                fn call(
+                fn call_with(
                     &mut self,
                     _op: &CompiledOp,
                     request: &[u8],
                     _rights: &[u32],
                     _reply: &mut Vec<u8>,
                     _rights_out: &mut Vec<u32>,
+                    _ctl: &CallControl,
                 ) -> flexrpc_runtime::Result<usize> {
                     *self.0.lock() = request.to_vec();
                     Err(RpcError::Transport("capture only".into()))
@@ -118,13 +120,14 @@ proptest! {
 
         struct Short(Vec<u8>);
         impl Transport for Short {
-            fn call(
+            fn call_with(
                 &mut self,
                 _op: &CompiledOp,
                 _request: &[u8],
                 _rights: &[u32],
                 reply: &mut Vec<u8>,
                 _rights_out: &mut Vec<u32>,
+                _ctl: &CallControl,
             ) -> flexrpc_runtime::Result<usize> {
                 reply.clear();
                 reply.extend_from_slice(&self.0);
@@ -148,13 +151,14 @@ fn client_recovers_after_transport_failure() {
         srv: ServerInterface,
     }
     impl Transport for Flaky {
-        fn call(
+        fn call_with(
             &mut self,
             op: &CompiledOp,
             request: &[u8],
             rights: &[u32],
             reply: &mut Vec<u8>,
             rights_out: &mut Vec<u32>,
+            _ctl: &CallControl,
         ) -> flexrpc_runtime::Result<usize> {
             if self.fail_next {
                 self.fail_next = false;

@@ -53,21 +53,6 @@ struct Inline {
 }
 
 impl Transport for Inline {
-    fn call(
-        &mut self,
-        op: &CompiledOp,
-        request: &[u8],
-        rights: &[u32],
-        reply: &mut Vec<u8>,
-        rights_out: &mut Vec<u32>,
-    ) -> flexrpc_runtime::Result<usize> {
-        self.server
-            .lock()
-            .expect("server lock")
-            .dispatch(op.index, request, rights, reply, rights_out)?;
-        Ok(0)
-    }
-
     fn call_with(
         &mut self,
         op: &CompiledOp,
@@ -77,7 +62,11 @@ impl Transport for Inline {
         rights_out: &mut Vec<u32>,
         _ctl: &CallControl,
     ) -> flexrpc_runtime::Result<usize> {
-        self.call(op, request, rights, reply, rights_out)
+        self.server
+            .lock()
+            .expect("server lock")
+            .dispatch(op.index, request, rights, reply, rights_out)?;
+        Ok(0)
     }
 }
 

@@ -19,6 +19,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # (EXPERIMENTS.md's blocks, DESIGN.md's names) and tests/surface.rs.
 echo "== cargo test ==" >&2
 cargo test -q --workspace
+# The stand-ins sit outside the workspace members, so `--workspace` skips
+# their own tests; name them.
+cargo test -q -p parking_lot -p proptest
 
 # Re-runs in the profile the benchmark measures in (inlining, elided
 # temporaries and thread timing all differ from debug):

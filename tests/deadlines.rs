@@ -13,7 +13,7 @@ use flexrpc::kernel::{Kernel, NameMode};
 use flexrpc::net::{NetConfig, SimNet};
 use flexrpc::prelude::*;
 use flexrpc::runtime::transport::{connect_kernel, serve_on_kernel, serve_on_net, SunRpc};
-use parking_lot::Condvar;
+use std::sync::{Condvar, PoisonError};
 use std::time::Duration;
 
 const STALL_NS: u64 = 10_000_000; // 10 ms of virtual time
@@ -128,17 +128,15 @@ fn engine_connection_deadline_vs_stalled_server() {
     let engine = Engine::builder().workers(1).build();
     // The handler blocks on a gate — a genuinely stalled server, not a
     // virtual-time charge.
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let gate = Arc::new((std::sync::Mutex::new(false), Condvar::new()));
     let g = Arc::clone(&gate);
     engine
         .register_service("echo", module.clone(), "Echo", pres, WireFormat::Cdr, move |srv| {
             let g = Arc::clone(&g);
             srv.on("ping", move |call| {
                 let (lock, cv) = &*g;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
+                let open = lock.lock().unwrap_or_else(PoisonError::into_inner);
+                drop(cv.wait_while(open, |open| !*open).unwrap_or_else(PoisonError::into_inner));
                 let x = call.u32("x").expect("x");
                 call.set("return", Value::U32(x + 1)).expect("return");
                 0
@@ -158,7 +156,7 @@ fn engine_connection_deadline_vs_stalled_server() {
         clock.advance(Duration::from_millis(2));
         std::thread::sleep(Duration::from_millis(50));
         let (lock, cv) = &*g;
-        *lock.lock() = true;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
         cv.notify_all();
     });
     assert_deadline_exceeded(&mut client);

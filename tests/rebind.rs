@@ -12,8 +12,8 @@
 
 use flexrpc::engine::EngineError;
 use flexrpc::prelude::*;
-use parking_lot::Condvar;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, PoisonError};
 use std::time::Duration;
 
 const TENANT: TenantId = TenantId(1);
@@ -22,20 +22,18 @@ const BINDING: u64 = 7;
 /// A latch the test holds closed while calls pile up behind it.
 #[derive(Default)]
 struct Gate {
-    open: Mutex<bool>,
+    open: std::sync::Mutex<bool>,
     cv: Condvar,
 }
 
 impl Gate {
     fn wait(&self) {
-        let mut open = self.open.lock();
-        while !*open {
-            self.cv.wait(&mut open);
-        }
+        let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(self.cv.wait_while(open, |open| !*open).unwrap_or_else(PoisonError::into_inner));
     }
 
     fn open(&self) {
-        *self.open.lock() = true;
+        *self.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
         self.cv.notify_all();
     }
 }
