@@ -3,8 +3,9 @@
 //!
 //! Usage: `report [experiment...] [--check] [--json PATH] [--seed N]`
 //! where experiment is a name in [`EXPERIMENTS`]; no names runs everything.
-//! `report sample -- <command…>` runs the command under
-//! [`flexrpc_bench::sample`] instead and prints where its time went.
+//! `report sample [--top N] -- <command…>` runs the command under
+//! [`flexrpc_bench::sample`] instead and prints where its time went, `N`
+//! rows a table (default 30), files named relative to the current directory.
 //! An unknown name, a flag missing its value, or a seed that is not a
 //! number exits 2 with the usage line. `--seed N` restricts `cluster` to
 //! one seeded schedule (the replay handle `scripts/chaos.sh` prints).
@@ -83,12 +84,19 @@ fn run(args: impl Iterator<Item = String>, table: &[Experiment]) -> i32 {
         let names: Vec<&str> = table.iter().map(|e| e.name).collect();
         eprintln!("report: {problem}");
         eprintln!("usage: report [experiment...] [--check] [--json PATH] [--seed N]");
-        eprintln!("       report sample -- <command...>");
+        eprintln!("       report sample [--top N] -- <command...>");
         eprintln!("experiments: {}", names.join(" "));
         2
     };
     let mut args = args.peekable();
     if args.next_if(|a| a == "sample").is_some() {
+        let mut top = flexrpc_bench::sample::TOP;
+        if args.next_if(|a| a == "--top").is_some() {
+            match args.next().map(|n| n.parse()) {
+                Some(Ok(n)) if n > 0 => top = n,
+                _ => return usage("--top needs a number N > 0".into()),
+            }
+        }
         if args.next().as_deref() != Some("--") {
             return usage("sample needs `--` before the command".into());
         }
@@ -96,8 +104,9 @@ fn run(args: impl Iterator<Item = String>, table: &[Experiment]) -> i32 {
         if command.is_empty() {
             return usage("sample needs a command after `--`".into());
         }
+        let root = std::env::current_dir().unwrap_or_default();
         match sample(&command) {
-            Sampled::Profile(profile) => print!("{}", profile.render()),
+            Sampled::Profile(profile) => print!("{}", profile.render(top, &root)),
             Sampled::Skipped(why) => println!("sample: skipped: {why}"),
         }
         return 0;
@@ -923,6 +932,21 @@ mod tests {
             rows::to_json(&sections, &ctx.metrics.snapshot())
         };
         assert_eq!(render(), render());
+    }
+
+    #[test]
+    fn sample_refuses_a_malformed_command_line_before_running_anything() {
+        for line in [
+            "sample",
+            "sample true",
+            "sample --",
+            "sample --top -- true",
+            "sample --top 0 -- true",
+            "sample --top many -- true",
+            "sample --top 3 true",
+        ] {
+            assert_eq!(run(args(line), &[PASSING]), 2, "`{line}`");
+        }
     }
 
     #[test]

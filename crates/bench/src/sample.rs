@@ -12,6 +12,12 @@
 //! (when it is on `PATH`) turns the hottest ones into their inline chains —
 //! the line of every function the optimiser folded into the instruction.
 //!
+//! Beside the hottest addresses, functions and lines, a report attributes
+//! every sample to a file of the workspace (the directory `report` runs in):
+//! the outermost frame of its chain that lies in one. Everything a function
+//! inlines is charged to the function's own file, so the table says which
+//! piece of the program a call's time went to before the lines say why.
+//!
 //! Why a sampler beside instruction counts: an instruction that waits is
 //! invisible to a count. A load that spans two narrower stores still in the
 //! store buffer cannot be forwarded from them and waits for both to reach
@@ -26,14 +32,18 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
 /// How long a thread runs between two of its samples.
 const INTERVAL: Duration = Duration::from_micros(150);
 
-/// How many addresses, and how many functions, a report lists.
-const TOP: usize = 30;
+/// How many rows each table of a report lists unless asked for more.
+pub const TOP: usize = 30;
+
+/// The file-table row of samples no frame of which lies in the workspace.
+pub const OUTSIDE: &str = "(outside the workspace)";
 
 /// Where a sampled instruction lies: an object file and the address its own
 /// symbols give the instruction, or a mapping with no file behind it
@@ -105,6 +115,25 @@ impl Profile {
         self.by_function(&self.frames())
     }
 
+    /// Samples per workspace file, most first: each sample goes to the file
+    /// of the outermost frame of its chain that lies under `root`, named
+    /// relative to it; a sample with no such frame goes to [`OUTSIDE`].
+    pub fn by_file(&self, root: &Path) -> Vec<(String, u64)> {
+        self.files(&self.frames(), root)
+    }
+
+    fn files(&self, frames: &HashMap<Site, Vec<Frame>>, root: &Path) -> Vec<(String, u64)> {
+        let mut by_file: HashMap<&str, u64> = HashMap::new();
+        for (site, n) in &self.sites {
+            let chain = frames.get(site).into_iter().flatten().rev();
+            let file = chain
+                .filter_map(|f| f.line.rsplit_once(':').map(|(file, _)| file))
+                .find_map(|file| Path::new(file).strip_prefix(root).ok()?.to_str());
+            *by_file.entry(file.unwrap_or(OUTSIDE)).or_default() += n;
+        }
+        most_first(by_file.into_iter().map(|(f, n)| (f.to_string(), n)))
+    }
+
     fn by_function(&self, frames: &HashMap<Site, Vec<Frame>>) -> Vec<(String, u64)> {
         let mut by_fn: HashMap<String, u64> = HashMap::new();
         for (site, n) in &self.sites {
@@ -117,10 +146,11 @@ impl Profile {
         most_first(by_fn)
     }
 
-    /// The report: the hottest addresses with their inline chains (raw
-    /// `object+offset` where `addr2line` cannot say more), then the hottest
-    /// functions.
-    pub fn render(&self) -> String {
+    /// The report, `top` rows a table: the hottest addresses with their
+    /// inline chains (raw `object+offset` where `addr2line` cannot say
+    /// more), the hottest functions, the hottest lines, and the samples by
+    /// workspace file under `root` ([`Profile::by_file`]).
+    pub fn render(&self, top: usize, root: &Path) -> String {
         let frames = self.frames();
         let pct = |n: u64| 100.0 * n as f64 / self.total.max(1) as f64;
         let mut out = format!(
@@ -129,7 +159,7 @@ impl Profile {
             INTERVAL.as_micros(),
             self.exit
         );
-        for (site, n) in most_first(self.sites.iter().map(|(s, n)| (s, *n))).into_iter().take(TOP) {
+        for (site, n) in most_first(self.sites.iter().map(|(s, n)| (s, *n))).into_iter().take(top) {
             let _ =
                 writeln!(out, "{n:>8} {:>5.1}%  {}+{:#x}", pct(n), short(&site.object), site.addr);
             for frame in frames.get(site).into_iter().flatten() {
@@ -137,12 +167,20 @@ impl Profile {
             }
         }
         out.push_str("\ntop functions:\n");
-        for (function, n) in self.by_function(&frames).into_iter().take(TOP) {
+        for (function, n) in self.by_function(&frames).into_iter().take(top) {
             let _ = writeln!(out, "{n:>8} {:>5.1}%  {function}", pct(n));
         }
         out.push_str("\ntop lines, inclusive (a sample counts for each line of its chain):\n");
-        for (line, n) in by_line(&self.sites, &frames).into_iter().take(TOP) {
+        for (line, n) in by_line(&self.sites, &frames).into_iter().take(top) {
             let _ = writeln!(out, "{n:>8} {:>5.1}%  {line}", pct(n));
+        }
+        let _ = writeln!(
+            out,
+            "\nby file (each sample once, in its chain's outermost file under {}):",
+            root.display()
+        );
+        for (file, n) in self.files(&frames, root).into_iter().take(top) {
+            let _ = writeln!(out, "{n:>8} {:>5.1}%  {file}", pct(n));
         }
         out
     }

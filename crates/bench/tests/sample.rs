@@ -1,7 +1,10 @@
 //! `report sample`'s sampler, end to end: started on a child that spends its
-//! time in one function, it names that function first.
+//! time in one function, it names that function first, puts that
+//! function's file first among the workspace's, and lists as many rows a
+//! table as it is asked for.
 
-use flexrpc_bench::sample::{sample, Sampled};
+use flexrpc_bench::sample::{sample, Sampled, OUTSIDE};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Burns the CPU for `d` with nothing but arithmetic in its own frame (no
@@ -51,5 +54,25 @@ fn the_sampler_names_the_function_a_child_spins_in() {
     let named = std::process::Command::new("addr2line").arg("--version").output().is_ok();
     let want = if named { "spin_for_the_sampler" } else { exe.rsplit('/').next().unwrap() };
     assert!(function.contains(want), "top function {function}, not {want}: {top:?}");
-    assert!(profile.render().contains(want), "the report names it too");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let report = profile.render(2, root);
+    assert!(report.contains(want), "the report names it too");
+
+    // By file: the spin is charged to this file, named from the root.
+    // Without `addr2line` no frame is known, and every sample is outside.
+    let files = profile.by_file(root);
+    let (file, n) = &files[0];
+    let want = if named { "tests/sample.rs" } else { OUTSIDE };
+    assert_eq!(file, want, "{files:?}");
+    assert!(2 * n > profile.total, "{file}: {n} of {} samples", profile.total);
+    assert_eq!(files.iter().map(|(_, n)| n).sum::<u64>(), profile.total, "each sample once");
+    assert!(report.contains(&format!("  {want}\n")), "the report lists it:\n{report}");
+
+    // `--top 2`: two rows a table, whatever more there is to list.
+    let tables: Vec<&str> = report.split("\n\n").skip(1).collect();
+    assert_eq!(tables.len(), 4, "addresses, functions, lines, files:\n{report}");
+    for table in tables {
+        let rows = table.lines().skip(1).filter(|l| !l.starts_with(&" ".repeat(17))).count();
+        assert!(rows <= 2, "{rows} rows where two were asked for:\n{table}");
+    }
 }

@@ -1,12 +1,13 @@
 //! The injector's unarmed fast path must be invisible.
 //!
 //! [`FaultInjector`] answers a call from one atomic load whenever nothing
-//! is armed. This test keeps the straight-line algorithm — every call walks
-//! the down state, the partitions and the plan — as a reference, drives
-//! both with the same arbitrary interleaving of arming, disarming and
-//! calls, and requires the same fault for every call. Plan entries are
-//! call numbers, so numbering must survive stretches where the fast path
-//! answered.
+//! is armed, and numbers only the calls that find it armed. This test keeps
+//! the straight-line algorithm — every call is numbered and walks the down
+//! state, the partitions and the plan — as a reference, drives both with
+//! the same arbitrary interleaving of arming, disarming and calls, and
+//! requires the same fault for every call. Plan entries are call numbers,
+//! so a plan must fire on the same call whichever calls were numbered
+//! before it was made.
 
 use flexrpc_clock::{Fault, FaultInjector};
 use proptest::prelude::*;
@@ -198,7 +199,6 @@ proptest! {
                     model.down = None;
                 }
             }
-            prop_assert_eq!(real.calls_seen(), model.calls);
             prop_assert_eq!(real.is_down(now), model.is_down(now), "down after step {}", i);
             prop_assert_eq!(
                 real.is_partitioned(0, 1, now),

@@ -503,11 +503,12 @@ impl SimNet {
         let route = self.resolve(from, to).1?;
         let mut scratch = self.take_scratch();
         let Scratch { rx, discard } = &mut scratch;
-        let (result, tally) =
-            Hop { net: self, from, to, route: &route, rx }.carry(request, discard, true);
+        let mut tally = Tally::default();
+        let result = Hop { net: self, from, to, route: &route, rx }
+            .carry(request, discard, true, &mut tally);
         self.publish(tally);
         self.release(scratch);
-        result
+        result.map_err(|e| *e)
     }
 
     /// Sends `request` from `from` to `to`, runs the service, and leaves the
@@ -546,11 +547,12 @@ impl SimNet {
         reply_into.clear();
         let route = self.resolve(from, to).1?;
         let mut scratch = self.take_scratch();
-        let hop = Hop { net: self, from, to, route: &route, rx: &mut scratch.rx };
-        let (result, tally) = hop.carry(request, reply_into, false);
+        let mut hop = Hop { net: self, from, to, route: &route, rx: &mut scratch.rx };
+        let mut tally = Tally::default();
+        let result = hop.carry(request, reply_into, false, &mut tally);
         self.publish(tally);
         self.release(scratch);
-        result
+        result.map_err(|e| *e)
     }
 }
 
@@ -627,17 +629,19 @@ impl Link {
     pub fn call(&mut self, request: &[u8], reply_into: &mut Vec<u8>) -> Result<()> {
         // Before resolving: an unknown endpoint leaves it empty too.
         reply_into.clear();
-        let (result, tally) = self.hop()?.0.carry(request, reply_into, false);
+        let mut tally = Tally::default();
+        let result = self.hop()?.0.carry(request, reply_into, false, &mut tally);
         self.tally.publish(tally);
-        result
+        result.map_err(|e| *e)
     }
 
     /// [`SimNet::send`] over this link.
     pub fn send(&mut self, request: &[u8]) -> Result<()> {
-        let (hop, discard) = self.hop()?;
-        let (result, tally) = hop.carry(request, discard, true);
+        let (mut hop, discard) = self.hop()?;
+        let mut tally = Tally::default();
+        let result = hop.carry(request, discard, true, &mut tally);
         self.tally.publish(tally);
-        result
+        result.map_err(|e| *e)
     }
 }
 
@@ -656,35 +660,25 @@ struct Hop<'a> {
 impl Hop<'_> {
     /// Carries one message: `reply_into` (cleared first) is where the
     /// handler writes; a `one_way` message has no reply leg and swallows
-    /// what a call would report about delivery. Returns, beside how the
-    /// message ended, what it put on the wire however it ended — for the
-    /// caller to publish once.
+    /// what a call would report about delivery. See [`SimNet::call`] and
+    /// [`SimNet::send`] for what each way of ending means to the caller.
+    /// What the message put on the wire, however it ended, is left in
+    /// `tally` for the caller to publish once, and the outcome comes back
+    /// in a register, a failure boxed: the caller copies nothing out of
+    /// memory this just wrote in narrower stores (a wide reload of a
+    /// returned `(Result, Tally)` pair waited on them; see
+    /// `flexrpc_runtime::interp`). The sim clock advances here, at the two
+    /// instants something can read it: for the request on the wire before
+    /// the handler runs (TTLs and trace spans read it there), and for the
+    /// far side's processing plus the reply leg in one step after it.
     fn carry(
-        mut self,
-        request: &[u8],
-        reply_into: &mut Vec<u8>,
-        one_way: bool,
-    ) -> (Result<()>, Tally) {
-        reply_into.clear();
-        let mut tally = Tally::default();
-        let result = self.deliver(request, reply_into, one_way, &mut tally);
-        (result, tally)
-    }
-
-    /// The message's journey; see [`SimNet::call`] and [`SimNet::send`] for
-    /// what each way of ending means to the caller. The sim clock advances
-    /// here, at the two instants something can read it: for the request on
-    /// the wire before the handler runs (TTLs and trace spans read it
-    /// there), and for the far side's processing plus the reply leg in one
-    /// step after it.
-    #[inline]
-    fn deliver(
         &mut self,
         request: &[u8],
         reply_into: &mut Vec<u8>,
         one_way: bool,
         tally: &mut Tally,
-    ) -> Result<()> {
+    ) -> std::result::Result<(), Box<NetError>> {
+        reply_into.clear();
         let Hop { net, from, to, route, .. } = *self;
         // Consult the fault gates before the wire: a lost message is lost
         // after it is charged (it left the client); a stalled link or peer
@@ -704,11 +698,11 @@ impl Hop<'_> {
         if let Some(lost) = verdict.lost {
             // A lost datagram is lost silently, however it was lost: the
             // sender has no reply channel to learn of it.
-            return if one_way { Ok(()) } else { Err(net.lost_error(lost, from, to)) };
+            return if one_way { Ok(()) } else { Err(Box::new(net.lost_error(lost, from, to))) };
         }
         // A message to a host that serves nothing was still sent: it is
         // counted and charged before the absence is discovered.
-        let service = route.service.as_ref().ok_or(NetError::NoService(to))?;
+        let service = route.service.as_ref().ok_or_else(|| Box::new(NetError::NoService(to)))?;
         // The far side receives into its own buffer: a real copy, as the
         // receiving protocol stack would perform.
         self.rx.clear();
@@ -725,7 +719,7 @@ impl Hop<'_> {
         // behind the datagram.
         if let (Err(why), false) = (result, one_way) {
             reply_into.clear();
-            return Err(NetError::ServiceFailure(why));
+            return Err(Box::new(NetError::ServiceFailure(why)));
         }
         // Server-side processing, charged whatever becomes of the reply.
         let mut after = Tally { ns: net.cfg.server_ns, ..Tally::default() };
@@ -736,7 +730,7 @@ impl Hop<'_> {
             // (an at-most-once server has the reply cached) but this client
             // never sees it. The reply never reaches the wire.
             reply_into.clear();
-            Err(NetError::Disconnected("stream closed before reply".into()))
+            Err(Box::new(NetError::Disconnected("stream closed before reply".into())))
         } else {
             after += net.leg(reply_into.len(), scale);
             Ok(())

@@ -67,11 +67,11 @@
 //! reloads held a fifth of the call's samples. So every per-call value is
 //! written where it lives. A scalar unmarshals into its slot — only the
 //! payload when the slot already holds that variant, as `reset_frame` and
-//! the previous call leave it (`store_scalar!`, which the server's status
-//! word uses too). A message is sealed into the buffer that carries it by
-//! the function that wrote it, the writer never moved out to a caller
-//! (`marshal_into` for the client's request, `marshal_then_seal` for
-//! the server's reply). The marshal loop's error comes back boxed, so a
+//! the previous call leave it (`store_in_place!`, which the server's status
+//! word and `ServerCall::set` use too). A message is sealed into the buffer
+//! that carries it by the function that wrote it, the writer never moved out
+//! to a caller (`marshal_into` for the client's request, `marshal_then_seal`
+//! for the server's reply). The marshal loop's error comes back boxed, so a
 //! successful run returns in a register rather than as 48 bytes for its
 //! caller to copy out. The client stub checks its unmarshal's outcome where
 //! it lands and builds its `Ok(status)` at the return. Together they took
@@ -569,13 +569,14 @@ fn exec_get<'a, R: WireRead<'a>>(
     Ok(())
 }
 
-/// Stores scalar `$x` into the `Value` slot `$slot` as variant `$v`, where
-/// it lives: a slot that already holds that variant — what `reset_frame` and
-/// the previous call leave there — has its payload overwritten and nothing
-/// else; any other slot takes the whole value. The result is the oracle's
+/// Stores payload `$x` (a scalar, or a work function's `Vec` / `String`)
+/// into the `Value` slot `$slot` as variant `$v`, where it lives: a slot that
+/// already holds that variant — what `reset_frame` and the previous call
+/// leave there — has its payload overwritten and nothing else; any other
+/// slot takes the whole value. The result is the oracle's
 /// `*slot = Value::$v(x)` either way. `$x` is evaluated first, so a read that
 /// fails leaves the slot as it was.
-macro_rules! store_scalar {
+macro_rules! store_in_place {
     ($slot:expr, $v:ident, $x:expr) => {{
         let x = $x;
         match $slot {
@@ -584,7 +585,7 @@ macro_rules! store_scalar {
         }
     }};
 }
-pub(crate) use store_scalar;
+pub(crate) use store_in_place;
 
 /// Reads a single scalar field through the reader's own primitive (same
 /// bytes, same error behavior as the threaded op, no layout detour) into
@@ -593,12 +594,12 @@ pub(crate) use store_scalar;
 fn get_scalar<'a, R: WireRead<'a>>(f: &BlockField, slots: &mut [Value], r: &mut R) -> Result<()> {
     let slot = &mut slots[f.slot.0];
     match f.kind {
-        ScalarKind::U32 => store_scalar!(slot, U32, r.get_u32()?),
-        ScalarKind::I32 => store_scalar!(slot, I32, r.get_i32()?),
-        ScalarKind::U64 => store_scalar!(slot, U64, r.get_u64()?),
-        ScalarKind::I64 => store_scalar!(slot, I64, r.get_i64()?),
-        ScalarKind::F64 => store_scalar!(slot, F64, r.get_f64()?),
-        ScalarKind::Bool => store_scalar!(slot, Bool, r.get_bool()?),
+        ScalarKind::U32 => store_in_place!(slot, U32, r.get_u32()?),
+        ScalarKind::I32 => store_in_place!(slot, I32, r.get_i32()?),
+        ScalarKind::U64 => store_in_place!(slot, U64, r.get_u64()?),
+        ScalarKind::I64 => store_in_place!(slot, I64, r.get_i64()?),
+        ScalarKind::F64 => store_in_place!(slot, F64, r.get_f64()?),
+        ScalarKind::Bool => store_in_place!(slot, Bool, r.get_bool()?),
     }
     Ok(())
 }
@@ -624,11 +625,11 @@ fn get_block<'a, R: WireRead<'a>>(blk: &ScalarBlock, slots: &mut [Value], r: &mu
         }
         let slot = &mut slots[f.slot.0];
         match f.kind {
-            ScalarKind::U32 => store_scalar!(slot, U32, load!(u32, 4)),
-            ScalarKind::I32 => store_scalar!(slot, I32, load!(i32, 4)),
-            ScalarKind::U64 => store_scalar!(slot, U64, load!(u64, 8)),
-            ScalarKind::I64 => store_scalar!(slot, I64, load!(i64, 8)),
-            ScalarKind::F64 => store_scalar!(slot, F64, f64::from_bits(load!(u64, 8))),
+            ScalarKind::U32 => store_in_place!(slot, U32, load!(u32, 4)),
+            ScalarKind::I32 => store_in_place!(slot, I32, load!(i32, 4)),
+            ScalarKind::U64 => store_in_place!(slot, U64, load!(u64, 8)),
+            ScalarKind::I64 => store_in_place!(slot, I64, load!(i64, 8)),
+            ScalarKind::F64 => store_in_place!(slot, F64, f64::from_bits(load!(u64, 8))),
             ScalarKind::Bool => {
                 let v = if R::BOOL_WORD { load!(u32, 4) } else { src[off] as u32 };
                 let b = match v {
@@ -636,7 +637,7 @@ fn get_block<'a, R: WireRead<'a>>(blk: &ScalarBlock, slots: &mut [Value], r: &mu
                     1 => true,
                     v => return Err(MarshalError::BadBool(v).into()),
                 };
-                store_scalar!(slot, Bool, b)
+                store_in_place!(slot, Bool, b)
             }
         }
     }

@@ -10,7 +10,7 @@
 //! declare it safe to execute twice.
 
 use crate::error::{Error, ErrorKind};
-use flexrpc_clock::splitmix64;
+use flexrpc_clock::{splitmix64, SimClock};
 use flexrpc_core::program::CompiledOp;
 use std::time::Duration;
 
@@ -269,9 +269,11 @@ impl CallControl {
         CallControl::default()
     }
 
-    /// True if `now_ns` is past the deadline.
-    pub fn expired(&self, now_ns: u64) -> bool {
-        self.deadline_ns.is_some_and(|d| now_ns > d)
+    /// True if `clock` is past the deadline. A call with no deadline reads
+    /// no clock.
+    #[inline]
+    pub fn expired(&self, clock: &SimClock) -> bool {
+        self.deadline_ns.is_some_and(|d| clock.expired(d))
     }
 }
 
@@ -306,9 +308,12 @@ mod tests {
 
     #[test]
     fn control_expiry() {
-        let c = CallControl { deadline_ns: Some(100), tag: None };
-        assert!(!c.expired(100), "deadline instant itself has not passed");
-        assert!(c.expired(101));
-        assert!(!CallControl::none().expired(u64::MAX));
+        let (c, clock) = (CallControl { deadline_ns: Some(100), tag: None }, SimClock::new());
+        clock.advance_ns(100);
+        assert!(!c.expired(&clock), "deadline instant itself has not passed");
+        clock.advance_ns(1);
+        assert!(c.expired(&clock));
+        clock.advance_ns(u64::MAX - 101);
+        assert!(!CallControl::none().expired(&clock));
     }
 }

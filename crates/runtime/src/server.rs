@@ -15,7 +15,7 @@
 
 use crate::error::RpcError;
 use crate::hooks::HookMap;
-use crate::interp::{marshal_then_seal, store_scalar, unmarshal};
+use crate::interp::{marshal_then_seal, store_in_place, unmarshal};
 use crate::samedomain::{self, OpPlan, SdStats};
 use crate::wire::{AnyReader, AnyWriter};
 use crate::Result;
@@ -280,12 +280,32 @@ impl ServerCall<'_, '_> {
         })
     }
 
-    /// Sets a result slot.
+    /// Sets a result slot. A slot that already holds `v`'s variant takes
+    /// only its payload, stored in place (`store_in_place!`); any other
+    /// takes the whole value. `v` is taken apart before the lookup that can
+    /// fail, so its payload stays in registers: the work function's `Value`,
+    /// built in narrow stores, is never reloaded wide to be copied in.
     #[inline]
     pub fn set(&mut self, name: &str, v: Value) -> Result<()> {
-        let i = self.slot(name)?;
-        self.frame[i] = v;
+        match v {
+            Value::Bytes(b) => store_in_place!(self.slot_mut(name)?, Bytes, b),
+            Value::Str(s) => store_in_place!(self.slot_mut(name)?, Str, s),
+            Value::U32(x) => store_in_place!(self.slot_mut(name)?, U32, x),
+            Value::U64(x) => store_in_place!(self.slot_mut(name)?, U64, x),
+            Value::I32(x) => store_in_place!(self.slot_mut(name)?, I32, x),
+            Value::I64(x) => store_in_place!(self.slot_mut(name)?, I64, x),
+            Value::Bool(x) => store_in_place!(self.slot_mut(name)?, Bool, x),
+            Value::F64(x) => store_in_place!(self.slot_mut(name)?, F64, x),
+            v => *self.slot_mut(name)? = v,
+        }
         Ok(())
+    }
+
+    /// The slot named `name`.
+    #[inline]
+    fn slot_mut(&mut self, name: &str) -> Result<&mut Value> {
+        let i = self.slot(name)?;
+        Ok(&mut self.frame[i])
     }
 }
 
@@ -529,7 +549,7 @@ impl ServerInterface {
             status
         };
 
-        store_scalar!(&mut frame[op.status_slot().0], U32, status);
+        store_in_place!(&mut frame[op.status_slot().0], U32, status);
         Ok(())
     }
 
@@ -739,6 +759,68 @@ mod tests {
         let mut r = AnyReader::new(WireFormat::Cdr, &reply).unwrap();
         assert_eq!(r.get_bytes_borrowed().unwrap(), [1, 2, 3]);
         assert_eq!(r.get_u32().unwrap(), 0, "status");
+    }
+
+    /// `set` stores only the payload where the slot already holds the
+    /// variant, the whole value otherwise; whatever the slot held before —
+    /// the same variant, another, or a stale payload of its own — the slot
+    /// ends as plain `*slot = v` leaves it.
+    #[test]
+    fn set_leaves_every_slot_as_plain_assignment_does() {
+        let stale = || {
+            let mut bytes = Vec::with_capacity(256);
+            bytes.extend_from_slice(&[9; 100]);
+            [
+                Value::Null,
+                Value::U32(1),
+                Value::I32(-1),
+                Value::U64(1 << 40),
+                Value::I64(-(1 << 40)),
+                Value::Bool(true),
+                Value::F64(1.5),
+                Value::Str("a stale string".into()),
+                Value::Bytes(bytes),
+                Value::Window { off: 3, len: 9 },
+                Value::Port(5),
+                Value::Shared(Arc::from(vec![7u8; 16])),
+            ]
+        };
+        let fresh = [
+            Value::Null,
+            Value::U32(2),
+            Value::I32(-2),
+            Value::U64(2 << 40),
+            Value::I64(-(2 << 40)),
+            Value::Bool(false),
+            Value::F64(-0.25),
+            Value::Str("new".into()),
+            Value::Bytes(vec![1, 2, 3]),
+            Value::Window { off: 0, len: 1 },
+            Value::Port(6),
+            Value::Shared(Arc::from(vec![8u8; 2])),
+        ];
+        let compiled = compiled();
+        let op = &compiled.ops[0];
+        let i = op.slots.slot("return").expect("return slot").0;
+        let mut writer = AnyWriter::new(WireFormat::Cdr);
+        let assign = |slot: &mut Value, v: Value| *slot = v;
+        for before in stale() {
+            for v in &fresh {
+                let mut plain = before.clone();
+                assign(&mut plain, v.clone());
+                let mut frame = op.slots.new_frame();
+                frame[i] = before.clone();
+                let mut sink = ReplySink { to: SinkTo::Wire(&mut writer), specs: &[], next: 0 };
+                let mut call = ServerCall {
+                    frame: &mut frame,
+                    request: &[],
+                    sink: &mut sink,
+                    slots: &op.slots,
+                };
+                call.set("return", v.clone()).expect("set");
+                assert_eq!(frame[i], plain, "{before:?} set to {v:?}");
+            }
+        }
     }
 
     #[test]

@@ -104,11 +104,48 @@ pub(crate) fn trust_to_kernel(t: Trust) -> TrustLevel {
     }
 }
 
-/// Direct in-process dispatch to a shared [`ServerInterface`].
+/// Direct in-process dispatch to a [`ServerInterface`].
 pub struct Loopback {
-    server: Arc<Mutex<ServerInterface>>,
+    server: Held,
     clock: Arc<SimClock>,
     faults: Arc<FaultInjector>,
+}
+
+/// The server a [`Loopback`] dispatches into.
+enum Held {
+    /// Handed over with no other handle left: nothing else can reach it,
+    /// so a call locks nothing.
+    Owned(ServerInterface),
+    /// Someone else holds a handle too: each call takes the lock.
+    Shared(Arc<Mutex<ServerInterface>>),
+}
+
+impl Held {
+    /// [`ServerInterface::dispatch_tagged`] on the held server: in place
+    /// when owned; when shared, under the lock, out of line, so the owned
+    /// call's code holds no lock instruction at all.
+    #[inline(always)]
+    fn dispatch_tagged(
+        &mut self,
+        op: &CompiledOp,
+        request: &[u8],
+        rights: &[u32],
+        ctl: &CallControl,
+        reply: &mut Vec<u8>,
+        rights_out: &mut Vec<u32>,
+    ) -> Result<()> {
+        #[inline(never)]
+        fn locked<R>(srv: &Mutex<ServerInterface>, f: impl FnOnce(&mut ServerInterface) -> R) -> R {
+            f(&mut srv.lock())
+        }
+        let mut dispatch = |srv: &mut ServerInterface| {
+            srv.dispatch_tagged(op.index, request, rights, ctl.tag, reply, rights_out)
+        };
+        match self {
+            Held::Owned(srv) => dispatch(srv),
+            Held::Shared(srv) => locked(srv, dispatch),
+        }
+    }
 }
 
 impl Loopback {
@@ -118,7 +155,14 @@ impl Loopback {
     }
 
     /// Wraps a server, sharing a [`SimClock`] with the rest of the world.
+    /// Given the only handle to `server`, the loopback keeps the server
+    /// itself and calls it without locking; while another handle lives,
+    /// every call locks it.
     pub fn with_clock(server: Arc<Mutex<ServerInterface>>, clock: Arc<SimClock>) -> Loopback {
+        let server = match Arc::try_unwrap(server) {
+            Ok(only) => Held::Owned(only.into_inner()),
+            Err(shared) => Held::Shared(shared),
+        };
         Loopback { server, clock, faults: Arc::new(FaultInjector::new()) }
     }
 
@@ -136,13 +180,13 @@ impl Loopback {
     /// stub's `marshal_request`: out of line, the `Result` costs the call.
     #[inline(always)]
     fn admit(
-        &self,
+        &mut self,
         op: &CompiledOp,
         request: &[u8],
         rights: &[u32],
         ctl: &CallControl,
     ) -> Result<Verdict> {
-        if ctl.expired(self.clock.now_ns()) {
+        if ctl.expired(&self.clock) {
             return Err(RpcError::DeadlineExceeded);
         }
         let verdict = self.faults.gate(&self.clock);
@@ -156,21 +200,14 @@ impl Loopback {
     /// one-way send's. Dispatch failures evaporate with it: the sender has
     /// no channel to learn of them (the server's own diagnostics do).
     fn deliver_unanswered(
-        &self,
+        &mut self,
         op: &CompiledOp,
         request: &[u8],
         rights: &[u32],
         ctl: &CallControl,
     ) {
         let (mut reply, mut rights_out) = (Vec::new(), Vec::new());
-        let _ = self.server.lock().dispatch_tagged(
-            op.index,
-            request,
-            rights,
-            ctl.tag,
-            &mut reply,
-            &mut rights_out,
-        );
+        let _ = self.server.dispatch_tagged(op, request, rights, ctl, &mut reply, &mut rights_out);
     }
 }
 
@@ -201,9 +238,7 @@ impl Transport for Loopback {
             }
             None => {}
         }
-        self.server
-            .lock()
-            .dispatch_tagged(op.index, request, rights, ctl.tag, reply, rights_out)?;
+        self.server.dispatch_tagged(op, request, rights, ctl, reply, rights_out)?;
         if verdict.close_after {
             // The server executed (and an at-most-once server cached the
             // reply), but the connection died before the reply returned.
@@ -211,7 +246,7 @@ impl Transport for Loopback {
             rights_out.clear();
             return Err(RpcError::Disconnected("loopback connection closed before reply".into()));
         }
-        if ctl.expired(self.clock.now_ns()) {
+        if ctl.expired(&self.clock) {
             return Err(RpcError::DeadlineExceeded);
         }
         Ok(0)
@@ -269,7 +304,7 @@ impl Transport for KernelIpc {
         if request.len() > MAX_BODY {
             return Err(RpcError::Kernel(KernelError::MsgTooLarge(request.len())));
         }
-        if ctl.expired(self.kernel.clock().now_ns()) {
+        if ctl.expired(self.kernel.clock()) {
             return Err(RpcError::DeadlineExceeded);
         }
         let mut regs = [0u64; MSG_REGS];
@@ -288,7 +323,7 @@ impl Transport for KernelIpc {
         // The kernel's fault plan may have stalled the receive (a `Delay`
         // advancing the sim clock); a reply landing past the deadline is a
         // deadline miss, deterministically.
-        if ctl.expired(self.kernel.clock().now_ns()) {
+        if ctl.expired(self.kernel.clock()) {
             return Err(RpcError::DeadlineExceeded);
         }
         // regs[1] carries a server-side dispatch failure, if any.
@@ -468,7 +503,7 @@ impl Transport for SunRpc {
                 "Sun RPC cannot carry port rights across the network".into(),
             ));
         }
-        if ctl.expired(self.link.net().clock().now_ns()) {
+        if ctl.expired(self.link.net().clock()) {
             return Err(RpcError::DeadlineExceeded);
         }
         // XIDs stay per-attempt: they match replies to requests on the
@@ -481,7 +516,7 @@ impl Transport for SunRpc {
         self.link.call(&self.frame, reply)?;
         // The net charged wire time (and any induced stall) to the sim
         // clock; a reply landing past the deadline is a deadline miss.
-        if ctl.expired(self.link.net().clock().now_ns()) {
+        if ctl.expired(self.link.net().clock()) {
             return Err(RpcError::DeadlineExceeded);
         }
         let (rxid, stat, results) = match sunrpc::decode_reply(reply) {
@@ -519,7 +554,7 @@ impl Transport for SunRpc {
                 "Sun RPC cannot carry port rights across the network".into(),
             ));
         }
-        if ctl.expired(self.link.net().clock().now_ns()) {
+        if ctl.expired(self.link.net().clock()) {
             return Err(RpcError::DeadlineExceeded);
         }
         // XID 0 marks "no reply expected": nothing will ever match it, and

@@ -342,41 +342,49 @@ fn warm_sink_mode_dispatch_allocates_nothing() {
 /// op: a warm default-presentation `read(count)` over `Loopback` allocates
 /// exactly the work function's one result `Vec` — the request, the reply,
 /// both frames and the client's result payload all live in kept buffers.
+/// So does it whether the loopback owns its server (handed the only
+/// handle) or locks one the test still holds a handle to.
 #[test]
 fn warm_loopback_read_allocates_exactly_the_handlers_vec() {
     use flexrpc_runtime::transport::Loopback;
 
-    let compiled = fileio("");
-    let mut server = ServerInterface::new_shared(Arc::clone(&compiled), WireFormat::Cdr);
-    let payload = [0xC3u8; 96];
-    server
-        .on("read", move |call| {
-            let count = call.u32("count").expect("count") as usize;
-            call.set("return", Value::Bytes(payload[..count].to_vec())).expect("return");
-            0
-        })
-        .expect("registers");
-    let transport = Loopback::new(Arc::new(parking_lot::Mutex::new(server)));
-    let mut stub = ClientStub::new_shared(compiled, WireFormat::Cdr, Box::new(transport));
-    let index = stub.op("read").expect("read op").index;
-    let mut frame = stub.new_frame("read").expect("frame");
+    for shared in [false, true] {
+        let compiled = fileio("");
+        let mut server = ServerInterface::new_shared(Arc::clone(&compiled), WireFormat::Cdr);
+        let payload = [0xC3u8; 96];
+        server
+            .on("read", move |call| {
+                let count = call.u32("count").expect("count") as usize;
+                call.set("return", Value::Bytes(payload[..count].to_vec())).expect("return");
+                0
+            })
+            .expect("registers");
+        let server = Arc::new(parking_lot::Mutex::new(server));
+        let _kept = shared.then(|| Arc::clone(&server));
+        let transport = Loopback::new(server);
+        let mut stub = ClientStub::new_shared(compiled, WireFormat::Cdr, Box::new(transport));
+        let index = stub.op("read").expect("read op").index;
+        let mut frame = stub.new_frame("read").expect("frame");
 
-    // The benchmark's sizes: every length in 32..=96 has been seen once
-    // the warm-up ends, so no kept buffer grows during the audit.
-    let sizes = || (32..=96u32).cycle();
-    for count in sizes().take(130) {
-        frame[0] = Value::U32(count);
-        assert_eq!(stub.call_index(index, &mut frame).expect("call"), 0);
+        // The benchmark's sizes: every length in 32..=96 has been seen once
+        // the warm-up ends, so no kept buffer grows during the audit.
+        let sizes = || (32..=96u32).cycle();
+        for count in sizes().take(130) {
+            frame[0] = Value::U32(count);
+            assert_eq!(stub.call_index(index, &mut frame).expect("call"), 0);
+        }
+        const CALLS: u64 = 130;
+        let (blocks, bytes) = (allocs(), alloc_bytes());
+        for count in sizes().take(CALLS as usize) {
+            frame[0] = Value::U32(count);
+            stub.call_index(index, &mut frame).expect("call");
+        }
+        let (blocks, bytes) = (allocs() - blocks, alloc_bytes() - bytes);
+        let handlers: u64 = sizes().take(CALLS as usize).map(u64::from).sum();
+        assert_eq!(blocks, CALLS, "shared {shared}: {CALLS} warm reads allocated {blocks} times");
+        assert_eq!(bytes, handlers, "shared {shared}: only the work function's bytes");
+        assert_eq!(frame[1].as_bytes().expect("payload").len(), 96);
     }
-    const CALLS: u64 = 130;
-    let before = allocs();
-    for count in sizes().take(CALLS as usize) {
-        frame[0] = Value::U32(count);
-        stub.call_index(index, &mut frame).expect("call");
-    }
-    let delta = allocs() - before;
-    assert_eq!(delta, CALLS, "{CALLS} warm reads allocated {delta} times; budget is 1 each");
-    assert_eq!(frame[1].as_bytes().expect("payload").len(), 96);
 }
 
 /// A request that fails to marshal costs the *next* call nothing: the stub

@@ -25,7 +25,7 @@ cargo test -q -p parking_lot -p proptest
 
 # Re-runs in the profile the benchmark measures in (inlining, elided
 # temporaries and thread timing all differ from debug):
-echo "== release re-runs: allocation audits, executor oracle, reply cache, hostile frames, engine timing, stripes, net, kernel ==" >&2
+echo "== release re-runs: allocation audits, executor oracle, reply cache, hostile frames, engine timing, stripes, net, kernel, fault gate ==" >&2
 cargo test -q --release -p flexrpc-runtime --test zero_alloc --test fuse_differential # warm-call allocation budgets; executor vs oracle, in-place and spilled programs
 cargo test -q --release -p flexrpc-runtime --lib replycache # slab offsets: integer arithmetic that wraps silently in release
 cargo test -q --release --test sunrpc_hostile_frames # odd-length records against both servers and both clients
@@ -34,6 +34,7 @@ cargo test -q --release -p flexrpc-engine --test stress --test robustness --test
 cargo test -q --release -p flexrpc-trace --test stripes # a striped read racing a stripe's drop
 cargo test -q --release -p flexrpc-net # a link's message racing a handler re-registration
 cargo test -q --release -p flexrpc-kernel # a counter read racing a connection's drop
+cargo test -q --release -p flexrpc-clock # an arming racing the fault gate's unarmed load
 
 # Every experiment's gates, in one process: exact gates (copy schedules,
 # dispatch and probe counts, exactly-once tallies, sim-clock bounds,

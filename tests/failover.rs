@@ -379,11 +379,11 @@ fn both_sunrpc_paths_consult_one_injector() {
     let t = SunRpc::new(Arc::clone(&net), client_host, single_host, 400_001, 1);
     let mut stub = ClientStub::new(compiled(&m), WireFormat::Cdr, Box::new(t));
     net.faults().on_next_call(Fault::Duplicate);
-    let seen_before = net.faults().calls_seen();
+    let sent_before = net.stats().messages.get();
     let mut frame = stub.new_frame("add").expect("frame");
     frame[0] = Value::U32(1);
     stub.call("add", &mut frame).expect("call survives duplication");
-    assert_eq!(net.faults().calls_seen() - seen_before, 1, "one consult per transmission");
+    assert_eq!(net.stats().messages.get() - sent_before, 1, "one transmission per call");
     assert_eq!(executions.load(Ordering::SeqCst), 2, "both delivered copies executed");
 
     // Path 2: engine acceptor + pipelined record stream. The whole batch
@@ -432,10 +432,10 @@ fn both_sunrpc_paths_consult_one_injector() {
     pipe.submit(0, &args);
     pipe.submit(0, &args);
     net.faults().on_next_call(Fault::Duplicate);
-    let seen_before = net.faults().calls_seen();
+    let sent_before = net.stats().messages.get();
     let replies = pipe.flush().expect("pipelined flush survives duplication");
     assert_eq!(replies.len(), 2);
-    assert_eq!(net.faults().calls_seen() - seen_before, 1, "one consult for the whole batch");
+    assert_eq!(net.stats().messages.get() - sent_before, 1, "one transmission for the batch");
     assert_eq!(
         pipe_executions.load(Ordering::SeqCst),
         4,

@@ -9,6 +9,7 @@ use flexrpc::net::{NetConfig, SimNet};
 use flexrpc::prelude::*;
 use flexrpc::runtime::RetryPolicy;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 fn echo_module() -> flexrpc::core::ir::Module {
@@ -35,13 +36,17 @@ fn echo_compiled(module: &flexrpc::core::ir::Module, idempotent: bool) -> Compil
     CompiledInterface::compile(module, iface, &pres).expect("compiles")
 }
 
+/// The Echo server, and the count of its `ping` executions.
 fn echo_server(
     module: &flexrpc::core::ir::Module,
     fail_status: u32,
-) -> Arc<Mutex<ServerInterface>> {
+) -> (Arc<Mutex<ServerInterface>>, Arc<AtomicU64>) {
     let compiled = echo_compiled(module, false);
     let mut srv = ServerInterface::new(compiled, WireFormat::Cdr);
+    let executions = Arc::new(AtomicU64::new(0));
+    let ran = Arc::clone(&executions);
     srv.on("ping", move |call| {
+        ran.fetch_add(1, Ordering::SeqCst);
         if fail_status != 0 {
             return fail_status;
         }
@@ -50,7 +55,7 @@ fn echo_server(
         0
     })
     .expect("registers");
-    Arc::new(Mutex::new(srv))
+    (Arc::new(Mutex::new(srv)), executions)
 }
 
 fn retrying_options() -> CallOptions {
@@ -60,18 +65,24 @@ fn retrying_options() -> CallOptions {
 #[test]
 fn transient_faults_are_absorbed_by_the_policy() {
     let module = echo_module();
-    let transport = Loopback::new(echo_server(&module, 0));
+    let (server, executions) = echo_server(&module, 0);
+    let transport = Loopback::new(server);
     // Two consecutive drops: attempts 1 and 2 fail, attempt 3 delivers.
+    // A third drop waits for the fourth send.
     transport.faults().on_next_call(Fault::Drop);
     transport.faults().on_nth_call(1, Fault::Drop);
-    let faults = Arc::clone(transport.faults());
+    transport.faults().on_nth_call(3, Fault::Drop);
     let mut client =
         ClientStub::new(echo_compiled(&module, true), WireFormat::Cdr, Box::new(transport));
     let mut frame = client.new_frame("ping").expect("frame");
     frame[0] = Value::U32(41);
     assert_eq!(client.call_with("ping", &mut frame, &retrying_options()), Ok(0));
     assert_eq!(frame[1], Value::U32(42));
-    assert_eq!(faults.calls_seen(), 3, "first send plus two retries");
+    assert_eq!(executions.load(Ordering::SeqCst), 1, "the dropped sends executed nothing");
+    // The retried call took exactly three sends: the next one is the fourth.
+    let err = client.call("ping", &mut frame).expect_err("the fourth send is dropped");
+    assert_eq!(err.kind(), ErrorKind::Retryable, "{err}");
+    assert_eq!(executions.load(Ordering::SeqCst), 1);
 }
 
 #[test]
@@ -79,22 +90,28 @@ fn permanent_failures_are_not_retried() {
     let module = echo_module();
     // The server *answers* every time — with an application error. That is
     // a delivered reply, not a transport fault; resending cannot help.
-    let transport = Loopback::new(echo_server(&module, 13));
-    let faults = Arc::clone(transport.faults());
+    let (server, executions) = echo_server(&module, 13);
+    let transport = Loopback::new(server);
     let mut client =
         ClientStub::new(echo_compiled(&module, true), WireFormat::Cdr, Box::new(transport));
     let mut frame = client.new_frame("ping").expect("frame");
     frame[0] = Value::U32(41);
     let err = client.call_with("ping", &mut frame, &retrying_options()).expect_err("fails");
     assert_eq!(err.kind(), ErrorKind::Fatal, "{err}");
-    assert_eq!(faults.calls_seen(), 1, "a non-retryable failure is sent exactly once");
+    assert_eq!(
+        executions.load(Ordering::SeqCst),
+        1,
+        "a non-retryable failure is sent exactly once"
+    );
 }
 
 #[test]
 fn retry_without_idempotent_declaration_is_refused_before_sending() {
     let module = echo_module();
-    let transport = Loopback::new(echo_server(&module, 0));
-    let faults = Arc::clone(transport.faults());
+    let (server, executions) = echo_server(&module, 0);
+    let transport = Loopback::new(server);
+    // A drop for the first send that reaches the transport.
+    transport.faults().on_next_call(Fault::Drop);
     // Client compiled *without* `[idempotent]` on ping.
     let compiled = echo_compiled(&module, false);
     // Construction-time rejection: binding the policy to the op fails.
@@ -109,7 +126,10 @@ fn retry_without_idempotent_declaration_is_refused_before_sending() {
     frame[0] = Value::U32(41);
     let err = client.call_with("ping", &mut frame, &retrying_options()).expect_err("refused");
     assert_eq!(err.kind(), ErrorKind::ContractViolation);
-    assert_eq!(faults.calls_seen(), 0, "nothing reached the transport");
+    // The drop is still waiting: the refused call sent nothing.
+    let err = client.call("ping", &mut frame).expect_err("the first send is dropped");
+    assert_eq!(err.kind(), ErrorKind::Retryable, "{err}");
+    assert_eq!(executions.load(Ordering::SeqCst), 0, "nothing reached the server");
 }
 
 #[test]
