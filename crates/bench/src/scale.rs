@@ -74,7 +74,7 @@ pub struct ScaleRun {
 
 /// Starts an engine with `workers` workers serving an `echo` FileIO
 /// service whose `read` returns `count` fresh bytes.
-pub fn build_engine(workers: usize) -> Arc<Engine> {
+pub(crate) fn build_engine(workers: usize) -> Arc<Engine> {
     let engine = Engine::builder().workers(workers).queue_depth(4 * workers.max(1)).build();
     engine
         .register_service(
@@ -132,7 +132,7 @@ fn splitmix(state: &mut u64) -> u64 {
 /// stream seeded by `SEED` — a fixed interleave schedule, so repeated
 /// runs of a cell contend at the same points instead of wherever the OS
 /// scheduler happened to preempt.
-pub fn drive(stubs: Vec<ClientStub>, calls: usize) {
+pub(crate) fn drive(stubs: Vec<ClientStub>, calls: usize) {
     let handles: Vec<_> = stubs
         .into_iter()
         .enumerate()

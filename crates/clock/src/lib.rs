@@ -271,20 +271,12 @@ impl FaultInjector {
         self.on_nth_call(0, fault);
     }
 
-    /// Record one call and return the fault planned for it, if any.
-    pub fn next_call(&self) -> Option<Fault> {
-        if self.armed.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        self.take_planned(self.number())
-    }
-
-    /// Record one call with crash bookkeeping: while the injector is in
+    /// Record one call at sim time `now_ns` and return the fault planned
+    /// for it, if any, with crash bookkeeping: while the injector is in
     /// the down state every call fails with [`Fault::Crash`] (restart
-    /// pending), and a planned crash entering the down state schedules
-    /// its restart at `now_ns + restart_after_ns`. Transports that model
-    /// a killable peer call this instead of [`FaultInjector::next_call`],
-    /// passing the current sim time.
+    /// pending), and a planned crash entering the down state schedules its
+    /// restart at `now_ns + restart_after_ns`. A caller with no clock to
+    /// read passes 0.
     pub fn next_call_at(&self, now_ns: u64) -> Option<Fault> {
         self.next_call_between(now_ns, 0, 1)
     }
@@ -538,27 +530,27 @@ mod tests {
     fn fault_plan_fires_once_on_the_right_call() {
         let f = FaultInjector::new();
         f.on_nth_call(1, Fault::Drop);
-        assert_eq!(f.next_call(), None);
-        assert_eq!(f.next_call(), Some(Fault::Drop));
-        assert_eq!(f.next_call(), None);
+        assert_eq!(f.next_call_at(0), None);
+        assert_eq!(f.next_call_at(0), Some(Fault::Drop));
+        assert_eq!(f.next_call_at(0), None);
         assert_eq!(f.armed.load(Ordering::SeqCst), 0, "a fired entry disarms the injector");
     }
 
     #[test]
     fn fault_plan_is_relative_to_calls_already_seen() {
         let f = FaultInjector::new();
-        f.next_call();
+        f.next_call_at(0);
         f.on_next_call(Fault::Duplicate);
-        assert_eq!(f.next_call(), Some(Fault::Duplicate));
+        assert_eq!(f.next_call_at(0), Some(Fault::Duplicate));
         // Unarmed calls take no number; the nth call after arming still
         // gets the entry.
         for _ in 0..5 {
-            assert_eq!(f.next_call(), None);
+            assert_eq!(f.next_call_at(0), None);
         }
         f.on_nth_call(2, Fault::Close);
-        assert_eq!(f.next_call(), None);
-        assert_eq!(f.next_call(), None);
-        assert_eq!(f.next_call(), Some(Fault::Close));
+        assert_eq!(f.next_call_at(0), None);
+        assert_eq!(f.next_call_at(0), None);
+        assert_eq!(f.next_call_at(0), Some(Fault::Close));
     }
 
     #[test]

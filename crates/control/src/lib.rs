@@ -7,11 +7,12 @@
 //!
 //! * [`Policy`] — one composable value holding every operational knob
 //!   (weighted-fair share, per-tenant quota, aggregate high water, dwell
-//!   limit, deadline default, breaker arming, retry license), replacing
-//!   the scattered per-builder flags.
-//! * [`PolicyHandle`] — a live, versioned handle; [`PolicyHandle::swap`]
-//!   redirects all subsequent admissions without draining anything, and a
-//!   reader that keeps a [`CachedPolicy`] validates it with one load.
+//!   limit, deadline default, breaker arming), replacing the scattered
+//!   per-builder flags. An engine reads its own once, when it is built.
+//! * [`PolicyHandle`] — a tenant's live, versioned handle, and the one
+//!   way its policy changes; [`PolicyHandle::swap`] redirects all
+//!   subsequent admissions without draining anything, and a reader that
+//!   keeps a [`CachedPolicy`] validates it with one load.
 //! * [`ControlPlane`] — the shared manager mapping [`TenantId`]s to
 //!   handles and per-tenant metrics (`tenant.<id>.*` in the unified
 //!   registry), attachable to any number of engines. A binding resolves

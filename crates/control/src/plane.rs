@@ -2,7 +2,7 @@
 //!
 //! A [`ControlPlane`] owns operational policy for every connection of the
 //! engines attached to it: the map from [`TenantId`] to live
-//! [`PolicyHandle`], the template policy unseen tenants start from, and
+//! [`PolicyHandle`] (an unseen tenant starts from the neutral policy) and
 //! the per-tenant metrics (admitted/served/shed/expired counters plus a
 //! queue-dwell histogram) that make a noisy neighbor *visible* before it
 //! becomes someone else's latency. One plane can serve several engines —
@@ -70,60 +70,38 @@ pub struct TenantCells {
 ///
 /// Engines attach to a plane at build time (`Engine::builder().control(..)`)
 /// and resolve a tenant through it when a connection binds; operators hold
-/// [`PolicyHandle`]s and swap policies live. Unknown tenants are
-/// materialised on first use from the plane's default template, so
-/// declaring a tenant is optional — the anonymous default tenant preserves
+/// [`PolicyHandle`]s and swap policies live through them. Unknown tenants
+/// are materialised on first use under the neutral policy, so declaring a
+/// tenant is optional — the anonymous default tenant preserves
 /// single-queue behavior.
 pub struct ControlPlane {
     tenants: RwLock<HashMap<TenantId, TenantCells>>,
-    /// What an unseen tenant starts from, fixed when the plane is built.
-    default_template: Policy,
     /// Registries of the engines attached to this plane; new tenants'
     /// metrics are adopted into each.
     registries: Mutex<Vec<Arc<MetricsRegistry>>>,
-    /// Live policy swaps across all tenants.
-    swaps: Counter,
-    /// Live connection rebinds (re-negotiations) performed under this
-    /// plane's policies.
-    rebinds: Counter,
 }
 
 impl ControlPlane {
-    /// A plane whose unseen tenants start from the neutral policy.
+    /// A plane with no tenants yet.
     pub fn new() -> Arc<ControlPlane> {
-        ControlPlane::with_default_policy(Policy::new())
-    }
-
-    /// A plane whose unseen tenants start from `template`.
-    pub(crate) fn with_default_policy(template: Policy) -> Arc<ControlPlane> {
         Arc::new(ControlPlane {
             tenants: RwLock::new(HashMap::new()),
-            default_template: template,
             registries: Mutex::new(Vec::new()),
-            swaps: Counter::detached(),
-            rebinds: Counter::detached(),
         })
     }
 
     /// Registers `tenant` under an explicit starting `policy`, returning
     /// its live handle. Re-registering an existing tenant swaps its
-    /// policy (counted as a swap) rather than minting a second handle.
+    /// policy through that handle rather than minting a second one.
     pub fn register(&self, tenant: TenantId, policy: Policy) -> PolicyHandle {
         let existing = self.tenants.read().get(&tenant).map(|c| c.handle.clone());
         match existing {
             Some(h) => {
                 h.swap(policy);
-                self.swaps.inc();
                 h
             }
             None => self.materialise(tenant, Some(policy)).handle,
         }
-    }
-
-    /// The live handle for `tenant`, creating it from the default
-    /// template on first sight.
-    pub fn tenant(&self, tenant: TenantId) -> PolicyHandle {
-        self.resolve(tenant).handle
     }
 
     /// `tenant`'s handle and metric cells in one lookup, materialising the
@@ -140,15 +118,6 @@ impl ControlPlane {
         f(&self.materialise(tenant, None))
     }
 
-    /// Swaps `tenant`'s policy live, materialising the tenant if needed.
-    /// Returns the handle's new version.
-    pub fn swap(&self, tenant: TenantId, policy: Policy) -> u64 {
-        let h = self.tenant(tenant);
-        let v = h.swap(policy);
-        self.swaps.inc();
-        v
-    }
-
     /// The current policy for `tenant` (one map read + one `Arc` bump).
     pub fn policy_for(&self, tenant: TenantId) -> Arc<Policy> {
         self.with_cells(tenant, |c| c.handle.load())
@@ -159,11 +128,9 @@ impl ControlPlane {
         self.with_cells(tenant, |c| Arc::clone(&c.metrics))
     }
 
-    /// Attaches an engine's registry: plane-level counters and every
-    /// tenant's cells (current and future) are adopted into it.
+    /// Attaches an engine's registry: every tenant's cells (current and
+    /// future) are adopted into it.
     pub fn attach_registry(&self, registry: &Arc<MetricsRegistry>) {
-        registry.adopt_counter("control.swaps", &self.swaps);
-        registry.adopt_counter("control.rebinds", &self.rebinds);
         let tenants = self.tenants.read();
         for (t, cells) in tenants.iter() {
             cells.metrics.register_into(*t, registry);
@@ -174,24 +141,9 @@ impl ControlPlane {
         self.registries.lock().push(Arc::clone(registry));
     }
 
-    /// Counts one live connection rebind performed under this plane.
-    pub fn note_rebind(&self) {
-        self.rebinds.inc();
-    }
-
     /// Tenants materialised so far.
     pub fn tenant_count(&self) -> usize {
         self.tenants.read().len()
-    }
-
-    /// Total live policy swaps.
-    pub(crate) fn swap_count(&self) -> u64 {
-        self.swaps.get()
-    }
-
-    /// Total live rebinds noted.
-    pub fn rebind_count(&self) -> u64 {
-        self.rebinds.get()
     }
 
     fn materialise(&self, tenant: TenantId, policy: Option<Policy>) -> TenantCells {
@@ -200,8 +152,7 @@ impl ControlPlane {
         if let Some(cells) = tenants.get(&tenant) {
             return cells.clone();
         }
-        let handle =
-            PolicyHandle::new(tenant, policy.unwrap_or_else(|| self.default_template.clone()));
+        let handle = PolicyHandle::new(tenant, policy.unwrap_or_default());
         let metrics = Arc::new(TenantMetrics::detached());
         for registry in self.registries.lock().iter() {
             metrics.register_into(tenant, registry);
@@ -215,11 +166,7 @@ impl ControlPlane {
 
 impl std::fmt::Debug for ControlPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ControlPlane")
-            .field("tenants", &self.tenant_count())
-            .field("swaps", &self.swap_count())
-            .field("rebinds", &self.rebind_count())
-            .finish()
+        f.debug_struct("ControlPlane").field("tenants", &self.tenant_count()).finish()
     }
 }
 
@@ -229,9 +176,9 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn unseen_tenants_start_from_the_template() {
-        let plane = ControlPlane::with_default_policy(Policy::new().weight(5));
-        assert_eq!(plane.policy_for(TenantId(3)).weight_value(), 5);
+    fn unseen_tenants_start_from_the_neutral_policy() {
+        let plane = ControlPlane::new();
+        assert_eq!(*plane.policy_for(TenantId(3)), Policy::new());
         assert_eq!(plane.tenant_count(), 1);
     }
 
@@ -240,9 +187,8 @@ mod tests {
         let plane = ControlPlane::new();
         let h = plane.register(TenantId(1), Policy::new().quota(8));
         assert_eq!(h.load().quota_value(), Some(8));
-        plane.swap(TenantId(1), Policy::new().quota(2));
+        plane.register(TenantId(1), Policy::new().quota(2));
         assert_eq!(h.load().quota_value(), Some(2), "old handle sees the swap");
-        assert_eq!(plane.swap_count(), 1);
         assert_eq!(h.version(), 2);
     }
 
@@ -255,7 +201,7 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         plane.attach_registry(&registry);
         let cells = plane.resolve(TenantId(6));
-        assert_eq!(cells.handle.with(|p| p.quota_value()), None, "from the template");
+        assert_eq!(cells.handle.with(|p| p.quota_value()), None, "from the neutral policy");
 
         let registered = plane.register(TenantId(6), Policy::new().quota(3));
         assert_eq!(plane.tenant_count(), 1, "no second entry");

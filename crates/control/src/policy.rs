@@ -4,13 +4,14 @@
 //! into annotated interface definitions resolved at bind time; this
 //! module does the same for *operational* decisions. Every knob that used
 //! to be a scattered builder flag — admission high-water, queue-dwell
-//! limit, breaker thresholds, default deadlines, retry licensing — plus
-//! the new tenancy knobs (scheduling weight, per-tenant quota) composes
-//! into one [`Policy`] value. Policies are plain data: they can be built,
-//! compared, stored, and — via [`PolicyHandle`] — swapped **live** on a
-//! running engine without touching established connections.
+//! limit, breaker thresholds, default deadlines — plus the tenancy knobs
+//! (scheduling weight, per-tenant quota) composes into one [`Policy`]
+//! value. Policies are plain data: they can be built, compared and
+//! stored. An engine's is fixed when the engine is built; a tenant's is
+//! swapped **live** through its [`PolicyHandle`] without touching
+//! established connections.
 
-use flexrpc_runtime::{RetryPolicy, TenantId};
+use flexrpc_runtime::TenantId;
 use flexrpc_trace::Counter;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,15 +22,14 @@ use std::time::Duration;
 ///
 /// A `Policy` plays two roles depending on where it is installed:
 ///
-/// * **Engine-level** (via `Engine::builder().policy(..)`): `high_water`
-///   is the *aggregate* backstop across all tenants, `dwell_limit` /
-///   `breaker` govern the whole engine.
+/// * **Engine-level** (via `Engine::builder().policy(..)`, read once when
+///   the engine is built): `high_water` is the *aggregate* backstop across
+///   all tenants, `dwell_limit` / `breaker` govern the whole engine.
 /// * **Tenant-level** (via a control plane's [`PolicyHandle`]): `weight`
 ///   sets the tenant's weighted-fair share, `quota` bounds how many of
 ///   its calls may be queued at once (excess is shed against *this*
-///   tenant, not the engine), `dwell_limit` / `deadline` override the
-///   engine defaults for this tenant's calls, and `retry` is the retry
-///   schedule connections under this policy inherit.
+///   tenant, not the engine), and `dwell_limit` / `deadline` override the
+///   engine defaults for this tenant's calls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Policy {
     weight: u32,
@@ -38,7 +38,6 @@ pub struct Policy {
     dwell_limit_ns: Option<u64>,
     deadline_ns: Option<u64>,
     breaker: Option<(u32, u64)>,
-    retry: Option<RetryPolicy>,
 }
 
 impl Default for Policy {
@@ -50,7 +49,6 @@ impl Default for Policy {
             dwell_limit_ns: None,
             deadline_ns: None,
             breaker: None,
-            retry: None,
         }
     }
 }
@@ -106,12 +104,6 @@ impl Policy {
         self
     }
 
-    /// Default retry license connections under this policy inherit.
-    pub fn retry(mut self, policy: RetryPolicy) -> Policy {
-        self.retry = Some(policy);
-        self
-    }
-
     /// The weighted-fair share.
     pub fn weight_value(&self) -> u32 {
         self.weight
@@ -141,15 +133,10 @@ impl Policy {
     pub fn breaker_config(&self) -> Option<(u32, u64)> {
         self.breaker
     }
-
-    /// The default retry policy, if set.
-    pub fn retry_policy(&self) -> Option<&RetryPolicy> {
-        self.retry.as_ref()
-    }
 }
 
-/// A live, shared handle to one tenant's [`Policy`] — or to an engine's
-/// own, which is swapped through the same cell.
+/// A live, shared handle to one tenant's [`Policy`]: the one way that
+/// policy changes.
 ///
 /// The handle is the unit of *live swap*: the engine reads the current
 /// policy through it at every admission, so [`PolicyHandle::swap`]
@@ -242,25 +229,17 @@ impl PolicyHandle {
     /// the new value; calls already queued keep the scheduling tags they
     /// were admitted under (they are never dropped by a swap). Returns
     /// the new version number.
+    ///
+    /// The version is bumped (`Release`) before the write lock is
+    /// released, so whoever reads a version — under the read lock or
+    /// against a cached copy — reads its policy.
     pub fn swap(&self, policy: Policy) -> u64 {
-        self.exchange(policy).0
-    }
-
-    /// [`PolicyHandle::swap`], returning the policy that was in force.
-    pub fn replace(&self, policy: Policy) -> Arc<Policy> {
-        self.exchange(policy).1
-    }
-
-    /// The one swap: stores the policy and bumps the version (`Release`)
-    /// before the write lock is released, so whoever reads a version —
-    /// under the read lock or against a cached copy — reads its policy.
-    fn exchange(&self, policy: Policy) -> (u64, Arc<Policy>) {
         let mut slot = self.cell.policy.write();
-        let replaced = std::mem::replace(&mut *slot, Arc::new(policy));
+        *slot = Arc::new(policy);
         let version = self.cell.version.fetch_add(1, Ordering::Release) + 1;
         drop(slot);
         self.cell.swaps.inc();
-        (version, replaced)
+        version
     }
 
     /// The monotonic policy version (1 = as constructed).
@@ -330,8 +309,7 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &cached.policy), "nothing swapped: the copy is kept");
         assert_eq!((cached.version, cached.policy().weight_value()), (1, 2));
 
-        let replaced = h.replace(Policy::new().weight(5));
-        assert!(Arc::ptr_eq(&first, &replaced), "replace returns the policy it replaced");
+        assert_eq!(h.swap(Policy::new().weight(5)), 2);
         h.refresh(&mut cached);
         assert_eq!((cached.version, cached.policy().weight_value()), (2, 5));
     }

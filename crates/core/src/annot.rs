@@ -60,7 +60,7 @@ pub enum Attr {
 
 impl Attr {
     /// The PDL spelling (diagnostics).
-    pub fn spelling(&self) -> String {
+    pub(crate) fn spelling(&self) -> String {
         match self {
             Attr::Special => "special".into(),
             Attr::LengthIs(n) => format!("length_is({n})"),

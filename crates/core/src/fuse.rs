@@ -10,7 +10,7 @@
 //! executes one bulk op per block — one bounds check, one buffer extend,
 //! N `copy_from_slice`s — instead of N dispatches.
 //!
-//! Specialization is not a mode: [`specialize`] runs on every program
+//! Specialization is not a mode: `specialize` runs on every program
 //! [`StubProgram::from_ops`](crate::program::StubProgram::from_ops) builds,
 //! so a program has one form and nothing about it is left to choose at
 //! call time.
@@ -249,7 +249,7 @@ fn scalar_kind(op: &MOp) -> Option<(Slot, ScalarKind)> {
 
 /// Specializes a compiled op sequence: fuses its scalar runs into blocks
 /// and precomputes its size hint.
-pub fn specialize(ops: &[MOp]) -> FusedProgram {
+pub(crate) fn specialize(ops: &[MOp]) -> FusedProgram {
     // One pass sizes everything up front, exactly — fusion only ever
     // merges. Every non-scalar op is one fused op, absorbing the scalar run
     // behind it, and a leading scalar run is one more; every run of two or

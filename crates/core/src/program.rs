@@ -307,7 +307,7 @@ pub struct StubProgram {
     /// Ops in execution order, one per field: what the program *says*, and
     /// what the threaded oracle walks.
     pub ops: Ops,
-    /// `ops` fused and presized ([`crate::fuse::specialize`]): what the
+    /// `ops` fused and presized (`fuse::specialize`): what the
     /// executor runs. Always derived from `ops` by [`StubProgram::from_ops`].
     pub fused: crate::fuse::FusedProgram,
 }

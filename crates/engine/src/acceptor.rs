@@ -19,13 +19,12 @@
 use crate::engine::{Call, CallTicket, ClientInfo, Engine, ReplicaPool};
 use crate::error::EngineError;
 use flexrpc_control::TenantCells;
-use flexrpc_core::program::{CompiledInterface, CompiledOp};
+use flexrpc_core::program::CompiledInterface;
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
 use flexrpc_net::{HostId, Link, NetError, SimNet};
 use flexrpc_runtime::policy::CallTag;
 use flexrpc_runtime::transport::accept_call;
-use flexrpc_runtime::{RetryPolicy, TenantId};
-use flexrpc_trace::{SharedCallTrace, Stage};
+use flexrpc_runtime::TenantId;
 use std::sync::Arc;
 
 /// Registers `service_name` as the Sun RPC program `(prog, vers)` on
@@ -141,7 +140,7 @@ impl Exposure {
         // limit still applies.
         let call = Call {
             bound: &self.anonymous,
-            policies: None,
+            policy: None,
             binding: tag.map_or(Arc::as_ptr(&self.pool) as u64, |t| t.binding),
             op_index,
             request: args,
@@ -168,9 +167,9 @@ impl Exposure {
 }
 
 /// A pipelining Sun RPC client: queue several calls, flush them as one
-/// record stream, get every reply back matched by XID. An optional
-/// [`RetryPolicy`] resends a batch lost in transit, with the idempotency
-/// license checked per-operation through [`SunRpcPipeline::submit_op`].
+/// record stream, get every reply back matched by XID. A batch is sent
+/// once; a retry is the stub's to license and run
+/// ([`ClientStub::call_with`](flexrpc_runtime::ClientStub::call_with)).
 pub struct SunRpcPipeline {
     /// The client → server pair, resolved once for every flush.
     link: Link,
@@ -181,49 +180,12 @@ pub struct SunRpcPipeline {
     /// bytes) pairs — encoding is deferred so the whole batch can be
     /// gathered into one record stream at flush time.
     pending: Vec<(CallHeader, Vec<u8>)>,
-    retry: Option<RetryPolicy>,
-    trace: Option<SharedCallTrace>,
 }
 
 impl SunRpcPipeline {
     /// Creates a pipeline to `(prog, vers)` served on `to`.
     pub fn new(net: Arc<SimNet>, from: HostId, to: HostId, prog: u32, vers: u32) -> SunRpcPipeline {
-        SunRpcPipeline {
-            link: net.link(from, to),
-            prog,
-            vers,
-            next_xid: 1,
-            pending: Vec::new(),
-            retry: None,
-            trace: None,
-        }
-    }
-
-    /// Attaches a span trace on the net's sim clock: each flush records a
-    /// [`Stage::Transport`] span (detail = batch size in bytes) and each
-    /// transient resend a [`Stage::Retry`] span covering its backoff
-    /// (detail = attempt number).
-    pub fn traced(mut self, trace: SharedCallTrace) -> SunRpcPipeline {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// The attached span trace, if any.
-    pub fn trace(&self) -> Option<&SharedCallTrace> {
-        self.trace.as_ref()
-    }
-
-    /// Attaches a retry policy: a flush whose transmission fails
-    /// transiently (e.g. the batch dropped in transit) is resent after the
-    /// policy's backoff, spent on the net's sim clock.
-    ///
-    /// Retrying resends *every* call in the batch, so calls queued through
-    /// [`SunRpcPipeline::submit_op`] are checked against their op's
-    /// `[idempotent]` declaration; raw [`SunRpcPipeline::submit`] bypasses
-    /// the check and the caller vouches for safety.
-    pub fn retry(mut self, policy: RetryPolicy) -> SunRpcPipeline {
-        self.retry = Some(policy);
-        self
+        SunRpcPipeline { link: net.link(from, to), prog, vers, next_xid: 1, pending: Vec::new() }
     }
 
     /// Queues one call locally, returning its XID. Nothing is sent until
@@ -234,22 +196,6 @@ impl SunRpcPipeline {
         let hdr = CallHeader { xid, prog: self.prog, vers: self.vers, proc };
         self.pending.push((hdr, args.to_vec()));
         xid
-    }
-
-    /// Queues a call by compiled operation, enforcing the idempotency
-    /// gate: with a retry policy attached, an op that did not declare
-    /// `[idempotent]` is refused here — before anything is sent — with
-    /// [`ErrorKind::ContractViolation`](flexrpc_runtime::ErrorKind).
-    pub fn submit_op(
-        &mut self,
-        op: &CompiledOp,
-        args: &[u8],
-    ) -> Result<u32, flexrpc_runtime::Error> {
-        if let Some(policy) = &self.retry {
-            policy.check_op(op)?;
-        }
-        let proc = op.opnum.unwrap_or(op.index as u32);
-        Ok(self.submit(proc, args))
     }
 
     /// Calls currently queued.
@@ -276,36 +222,8 @@ impl SunRpcPipeline {
             sunrpc::encode_call_tagged_into(&mut batch, *hdr, None, &[args]);
             expected.push(hdr.xid);
         }
-        let max_attempts = self.retry.as_ref().map_or(1, |p| p.max_attempts());
-        let flush_call = self.trace.as_ref().map(|t| t.begin_call());
-        let mut attempt = 1u32;
         let mut reply_stream = Vec::new();
-        loop {
-            let send_start = self.trace.as_ref().map_or(0, |t| t.now_ns());
-            let outcome = self.link.call(&batch, &mut reply_stream);
-            if let (Some(t), Some(call)) = (&self.trace, flush_call) {
-                t.record(call, Stage::Transport, send_start, t.now_ns(), batch.len() as u64);
-            }
-            match outcome {
-                Ok(()) => break,
-                Err(e) => {
-                    let transient = matches!(
-                        e,
-                        NetError::Dropped | NetError::NoService(_) | NetError::ServiceFailure(_)
-                    );
-                    if !transient || attempt >= max_attempts {
-                        return Err(e);
-                    }
-                    let policy = self.retry.as_ref().expect("attempts > 1 implies a policy");
-                    let backoff_start = self.trace.as_ref().map_or(0, |t| t.now_ns());
-                    self.link.net().clock().advance_ns(policy.backoff_ns(attempt));
-                    if let (Some(t), Some(call)) = (&self.trace, flush_call) {
-                        t.record(call, Stage::Retry, backoff_start, t.now_ns(), attempt as u64);
-                    }
-                    attempt += 1;
-                }
-            }
-        }
+        self.link.call(&batch, &mut reply_stream)?;
         let records = sunrpc::split_records(&reply_stream)?;
         if records.len() != expected.len() {
             return Err(NetError::ServiceFailure(format!(

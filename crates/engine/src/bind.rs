@@ -14,10 +14,9 @@
 //! engine's private state, and the call path (`admit` → `enqueue` | inline
 //! → `serve`) stays in the parent.
 
-use super::{BoundPolicies, ClientInfo, Engine, EngineConnection, Replica, ReplicaPool};
+use super::{ClientInfo, Engine, EngineConnection, Replica, ReplicaPool};
 use crate::cache::ProgramKey;
 use crate::error::EngineError;
-use flexrpc_control::PolicyHandle;
 use flexrpc_core::compat::negotiate_call_shape;
 use flexrpc_core::ir::Module;
 use flexrpc_core::present::{CallShape, InterfacePresentation};
@@ -262,10 +261,10 @@ impl<'p> ConnectBuilder<'p> {
     }
 
     /// Per-connection call options: the deadline applies to every call
-    /// made through the connection (a call-level deadline overrides it);
-    /// the retry policy is consumed by
-    /// [`ClientStub::call_with`](flexrpc_runtime::ClientStub::call_with)
-    /// above the transport.
+    /// made through the connection (a call-level deadline overrides it),
+    /// and tracing records the connection's server-side spans. Retries are
+    /// licensed and run by the stub above the transport
+    /// ([`ClientStub::call_with`](flexrpc_runtime::ClientStub::call_with)).
     pub fn options(mut self, options: CallOptions) -> ConnectBuilder<'p> {
         self.options = options;
         self
@@ -279,21 +278,6 @@ impl<'p> ConnectBuilder<'p> {
         self
     }
 
-    /// Binds the connection to a tenant's live [`PolicyHandle`]: sets the
-    /// tenant, and inherits the policy's current retry license into the
-    /// connection's options when they carry none. Later
-    /// [`PolicyHandle::swap`]s keep applying — admission reads the policy
-    /// live — but the retry license is fixed at this call.
-    pub fn policy(mut self, handle: &PolicyHandle) -> ConnectBuilder<'p> {
-        self.tenant = handle.tenant();
-        if self.options.retry_policy().is_none() {
-            if let Some(r) = handle.load().retry_policy() {
-                self.options = std::mem::take(&mut self.options).retry(r.clone());
-            }
-        }
-        self
-    }
-
     /// Resolves the combination (compiling its program on first use) and
     /// opens the connection. When the options asked for tracing
     /// ([`CallOptions::traced`]), the connection carries a
@@ -303,7 +287,7 @@ impl<'p> ConnectBuilder<'p> {
     /// later call records its queue-dwell and dispatch spans into it.
     ///
     /// The tenant's policy handle and metric cells are resolved here, once
-    /// (materialising an unseen tenant from the plane's template): both
+    /// (materialising an unseen tenant under the neutral policy): both
     /// are stable for the tenant's lifetime, so calls on the connection
     /// never consult the plane's map, yet see every later policy swap.
     pub fn establish(self) -> Result<EngineConnection, EngineError> {
@@ -323,10 +307,7 @@ impl<'p> ConnectBuilder<'p> {
         static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
         let tenant = self.engine.control.resolve(self.tenant);
         Ok(EngineConnection {
-            policies: BoundPolicies {
-                tenant: tenant.handle.cached(),
-                engine: self.engine.policy.cached(),
-            },
+            policy: tenant.handle.cached(),
             tenant,
             engine: self.engine,
             service,

@@ -69,7 +69,7 @@ impl CircuitBreaker {
 
     /// Admission gate: may a call proceed at sim time `now_ns`?
     /// While open past the cooldown, admits exactly one probe (half-open).
-    pub fn allow(&self, now_ns: u64) -> bool {
+    pub(crate) fn allow(&self, now_ns: u64) -> bool {
         let mut state = self.state.lock();
         match *state {
             State::Closed { .. } => true,

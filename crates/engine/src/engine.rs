@@ -36,10 +36,12 @@
 //! Operational policy is owned by a [`ControlPlane`]: every submission
 //! carries a [`TenantId`], admission consults that tenant's live
 //! [`Policy`] (weight, quota, dwell/deadline overrides), and the queue
-//! drains lanes in weighted-fair order. The engine's own [`Policy`]
-//! (high-water backstop, default dwell limit, breaker) is swappable live
-//! via [`Engine::swap_policy`]; a connection's program combination is
-//! swappable live via [`EngineConnection::rebind`].
+//! drains lanes in weighted-fair order. A tenant's policy changes only
+//! through its [`PolicyHandle`](flexrpc_control::PolicyHandle). The
+//! engine's own [`Policy`] (high-water backstop, default dwell limit,
+//! breaker) is fixed when it is built ([`EngineBuilder::policy`]); a
+//! connection's program combination is swappable live via
+//! [`EngineConnection::rebind`].
 
 use crate::breaker::{BreakerStats, CircuitBreaker};
 use crate::cache::ProgramCache;
@@ -48,8 +50,7 @@ use crate::slot::ReplySlot;
 use crate::stats::{EngineCounters, EngineStatsSnapshot};
 use flexrpc_clock::{FaultInjector, Lost, SimClock};
 use flexrpc_control::{
-    CachedPolicy, ControlPlane, Policy, PolicyHandle, TenantCells, TenantMetrics, WfqGroup,
-    WfqQueue, WfqRefusal,
+    CachedPolicy, ControlPlane, Policy, TenantCells, TenantMetrics, WfqGroup, WfqQueue, WfqRefusal,
 };
 use flexrpc_core::present::{CallShape, InterfacePresentation, Trust};
 use flexrpc_core::program::{CompiledInterface, CompiledOp};
@@ -339,11 +340,11 @@ pub(crate) struct Call<'a> {
     /// What the submitting binding resolved when it was established: its
     /// tenant's live policy handle and metric cells.
     pub(crate) bound: &'a TenantCells,
-    /// The submitter's own copies of `bound`'s policy and the engine's,
-    /// refreshed for this call — present when the submitter had exclusive
-    /// access to its binding (`call_with(&mut self)`), so admission reads
-    /// them in place instead of taking the two policy read locks.
-    pub(crate) policies: Option<&'a BoundPolicies>,
+    /// The submitter's own copy of `bound`'s policy, refreshed for this
+    /// call — present when the submitter had exclusive access to its
+    /// binding (`call_with(&mut self)`), so admission reads it in place
+    /// instead of taking the policy read lock.
+    pub(crate) policy: Option<&'a CachedPolicy>,
     /// Shard binding: with the tenant, picks the call's home shard.
     pub(crate) binding: u64,
     pub(crate) op_index: usize,
@@ -410,7 +411,6 @@ struct Admission<'a> {
     tenant_metrics: &'a Arc<TenantMetrics>,
     weight: u32,
     quota: Option<usize>,
-    high_water: Option<usize>,
     /// The effective absolute deadline: caller's, tenant default, and
     /// dwell bound reconciled.
     deadline_ns: Option<u64>,
@@ -570,8 +570,9 @@ impl EngineBuilder {
     }
 
     /// The engine-level [`Policy`]: aggregate admission high water,
-    /// default queue-dwell limit, breaker arming — one composable value;
-    /// swap it later, live, with [`Engine::swap_policy`].
+    /// default queue-dwell limit, breaker arming — one composable value,
+    /// read once by [`EngineBuilder::build`] and fixed for the engine's
+    /// life. Its tenant terms (weight, quota, deadline) are not read.
     pub fn policy(mut self, policy: Policy) -> EngineBuilder {
         self.policy = policy;
         self
@@ -643,7 +644,8 @@ impl EngineBuilder {
         let shard_served: Vec<Counter> = (0..self.workers).map(|_| Counter::detached()).collect();
         let engine = Arc::new_cyclic(|weak| Engine {
             workers_n: self.workers,
-            policy: PolicyHandle::new(TenantId::DEFAULT, self.policy),
+            high_water: self.policy.high_water_value(),
+            dwell_limit_ns: self.policy.dwell_limit_ns(),
             control,
             yard: Arc::new(CellYard {
                 clock: Arc::clone(&clock),
@@ -735,11 +737,12 @@ impl EngineBuilder {
 /// its worker threads until [`Engine::shutdown`] (or drop).
 pub struct Engine {
     workers_n: usize,
-    /// The engine-level aggregate policy (high water, default dwell
-    /// limit), behind the same live handle a tenant's is (it governs no
-    /// tenant; the id is unused). Swappable live; the breaker below was
-    /// armed from the policy the engine was built with.
-    policy: PolicyHandle,
+    /// The build-time policy's aggregate admission backstop: with more
+    /// than this many calls queued engine-wide, submissions are shed.
+    high_water: Option<usize>,
+    /// The build-time policy's queue-dwell limit, for tenants that set
+    /// none of their own.
+    dwell_limit_ns: Option<u64>,
     /// The control plane owning per-tenant policy and metrics.
     control: Arc<ControlPlane>,
     clock: Arc<SimClock>,
@@ -796,20 +799,6 @@ impl Engine {
     /// The control plane owning per-tenant policy for this engine.
     pub fn control(&self) -> &Arc<ControlPlane> {
         &self.control
-    }
-
-    /// The engine-level aggregate policy currently in force.
-    pub fn policy(&self) -> Arc<Policy> {
-        self.policy.load()
-    }
-
-    /// Replaces the engine-level policy **live**: every admission after
-    /// the store sees the new high water and dwell limit; queued jobs
-    /// keep the deadlines they were admitted under. The breaker's arming
-    /// is fixed at build time (swapping does not re-arm it). Returns the
-    /// policy that was in force.
-    pub fn swap_policy(&self, policy: Policy) -> Arc<Policy> {
-        self.policy.replace(policy)
     }
 
     /// One drain of worker `own`'s own queue, under the shard's serve
@@ -979,10 +968,11 @@ impl Engine {
     ///
     /// `call.bound` is what the submitting binding resolved when it was
     /// established, so the warm path hashes no map and clones no `Arc`.
-    /// Policy is read from the submitter's own refreshed copies when the
-    /// call brings them and is charged to the binding's tenant, and in
-    /// place through the handles otherwise (`submit(&self)`, the acceptor);
-    /// either way a swap is visible to the very next call. Only a tag
+    /// The tenant's policy is read from the submitter's own refreshed copy
+    /// when the call brings one and is charged to the binding's tenant,
+    /// and in place through the handle otherwise (`submit(&self)`, the
+    /// acceptor); either way a swap is visible to the very next call. The
+    /// engine's own terms are plain fields, fixed at build. Only a tag
     /// naming *another* non-default tenant — the acceptor path, where
     /// tenancy rides the wire credential — goes to the plane's map; those
     /// cells are parked in `foreign` so the admission can borrow them, and
@@ -1003,7 +993,7 @@ impl Engine {
             Some(t) if !t.is_default() && t != call.bound.handle.tenant() => {
                 (foreign.insert(self.control.resolve(t)), None)
             }
-            _ => (call.bound, call.policies),
+            _ => (call.bound, call.policy),
         };
         // Induced faults are applied at admission — the point where both
         // the same-domain path and the network acceptor path converge. The
@@ -1021,17 +1011,15 @@ impl Engine {
             None => {}
         }
         let now = self.clock.now_ns();
-        let tenant_terms =
+        let terms =
             |p: &Policy| (p.weight_value(), p.quota_value(), p.dwell_limit_ns(), p.deadline_ns());
-        let engine_terms = |p: &Policy| (p.high_water_value(), p.dwell_limit_ns());
-        let ((weight, quota, tenant_dwell, tenant_deadline), (high_water, engine_dwell)) =
-            match cached {
-                Some(own) => (tenant_terms(own.tenant.policy()), engine_terms(own.engine.policy())),
-                None => (cells.handle.with(tenant_terms), self.policy.with(engine_terms)),
-            };
+        let (weight, quota, tenant_dwell, tenant_deadline) = match cached {
+            Some(own) => terms(own.policy()),
+            None => cells.handle.with(terms),
+        };
         // The tenant's dwell limit overrides the engine default; the
         // tenant's deadline default applies only when the caller set none.
-        let dwell_deadline = tenant_dwell.or(engine_dwell).map(|d| now.saturating_add(d));
+        let dwell_deadline = tenant_dwell.or(self.dwell_limit_ns).map(|d| now.saturating_add(d));
         let deadline_ns =
             call.deadline_ns.or_else(|| tenant_deadline.map(|d| now.saturating_add(d)));
         let deadline_ns = match (deadline_ns, dwell_deadline) {
@@ -1043,7 +1031,6 @@ impl Engine {
             tenant_metrics: &cells.metrics,
             weight,
             quota,
-            high_water,
             deadline_ns,
             close_after: verdict.close_after,
             duplicate: verdict.duplicate,
@@ -1132,7 +1119,7 @@ impl Engine {
     fn push_job(&self, job: Job, adm: &Admission<'_>, shard: usize) -> Result<(), EngineError> {
         self.counters.job_enqueued();
         let queue = &self.shards[shard].queue;
-        let pushed = match adm.high_water {
+        let pushed = match self.high_water {
             Some(hw) => queue.try_push(job, adm.tenant, adm.weight, adm.quota, hw),
             None => queue.push(job, adm.tenant, adm.weight, adm.quota),
         };
@@ -1303,16 +1290,6 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// A binding's own copies of the two policies its calls are admitted under
-/// — its tenant's and the engine's — each with the version it was read at.
-/// The connection rides in the `Box<dyn Transport>` every bind allocates,
-/// so this is per-bind heap: two `(u64, Arc)` pairs and no more
-/// (`bind_alloc.rs` pins the connection's size).
-pub(crate) struct BoundPolicies {
-    tenant: CachedPolicy,
-    engine: CachedPolicy,
-}
-
 /// A same-domain client connection: submits jobs to the engine's queue and
 /// blocks on completion. Supports multiple outstanding calls (pipelining)
 /// through [`EngineConnection::submit`] / [`CallTicket::wait`]. The
@@ -1326,9 +1303,11 @@ pub struct EngineConnection {
     /// The tenant this connection submits as: its live policy handle and
     /// metric cells, resolved at establishment.
     tenant: TenantCells,
-    /// This connection's own copies of its tenant's policy and the
-    /// engine's, brought up to date at the top of every `call_with`.
-    policies: BoundPolicies,
+    /// This connection's own copy of its tenant's policy, brought up to
+    /// date at the top of every `call_with`. The connection rides in the
+    /// `Box<dyn Transport>` every bind allocates, so this is per-bind heap
+    /// (`bind_alloc.rs` pins the connection's size).
+    policy: CachedPolicy,
     /// Process-unique connection id: the default shard binding for
     /// untagged calls, so each connection's traffic has a stable home
     /// shard.
@@ -1385,7 +1364,7 @@ impl EngineConnection {
         let pool = Arc::clone(&self.bind.read().pool);
         let call = Call {
             bound: &self.tenant,
-            policies: None,
+            policy: None,
             binding: self.binding_for(tag),
             op_index,
             request,
@@ -1422,7 +1401,6 @@ impl EngineConnection {
         )?;
         *self.bind.write() = binding;
         self.engine.rebinds.inc();
-        self.engine.control.note_rebind();
         Ok(())
     }
 
@@ -1488,15 +1466,14 @@ impl Transport for EngineConnection {
         // no worker handoff, the reply marshalled straight into `reply`.
         let deadline_ns = ctl.deadline_ns.or_else(|| self.connection_deadline());
         let binding = self.binding_for(ctl.tag);
-        // `&mut self`: the cached policies are this call's alone to bring
-        // up to date (one version load each while nothing was swapped), and
-        // no rebind can run, so the binding is read in place — no lock, no
+        // `&mut self`: the cached policy is this call's alone to bring up
+        // to date (one version load while nothing was swapped), and no
+        // rebind can run, so the binding is read in place — no lock, no
         // `Arc` clone.
-        self.tenant.handle.refresh(&mut self.policies.tenant);
-        self.engine.policy.refresh(&mut self.policies.engine);
+        self.tenant.handle.refresh(&mut self.policy);
         let call = Call {
             bound: &self.tenant,
-            policies: Some(&self.policies),
+            policy: Some(&self.policy),
             binding,
             op_index: op.index,
             request,

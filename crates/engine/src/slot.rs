@@ -23,7 +23,7 @@
 //!
 //! Contract, per use: exactly one value is published (later `fill`s are
 //! dropped, first wins) and at most one thread waits on the slot. A use
-//! ends at [`ReplySlot::reset`], which takes `&mut self`: whoever calls it
+//! ends at `reset` (crate-internal), which takes `&mut self`: whoever calls it
 //! has proved no filler or waiter of the previous use still holds the slot,
 //! so nothing of that use — a late fill, an untaken value, a parked state
 //! an abandoned deadline wait left behind — can reach the next. The engine
@@ -69,7 +69,7 @@ const SPINS: u32 = 64;
 const YIELD_AFTER: u32 = 8;
 
 /// A single-producer single-consumer completion slot, one-shot between
-/// [`reset`](ReplySlot::reset)s.
+/// `reset`s.
 pub struct ReplySlot<T> {
     state: AtomicU32,
     value: UnsafeCell<Option<T>>,
@@ -109,7 +109,7 @@ impl<T> ReplySlot<T> {
     /// Returns the slot to empty for another use, dropping a value nobody
     /// took. Exclusive access is the whole protocol: no filler or waiter
     /// can exist while the caller holds `&mut self`.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self.state.get_mut() = EMPTY;
         *self.value.get_mut() = None;
     }

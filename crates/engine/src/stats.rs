@@ -61,7 +61,7 @@ pub struct EngineCounters {
 
 impl EngineCounters {
     /// Adopts every counter into `registry` under its `engine.*` name.
-    pub fn register_into(&self, registry: &MetricsRegistry) {
+    pub(crate) fn register_into(&self, registry: &MetricsRegistry) {
         registry.adopt_counter("engine.calls_served", &self.calls_served);
         registry.adopt_counter("engine.bytes_in", &self.bytes_in);
         registry.adopt_counter("engine.bytes_out", &self.bytes_out);

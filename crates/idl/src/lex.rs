@@ -175,7 +175,7 @@ impl<'src> TokStream<'src> {
     }
 
     /// Position of the current token.
-    pub fn pos(&self) -> (u32, u32) {
+    pub(crate) fn pos(&self) -> (u32, u32) {
         (self.toks[self.pos].line, self.toks[self.pos].col)
     }
 
@@ -190,7 +190,7 @@ impl<'src> TokStream<'src> {
     }
 
     /// Errors at the current position.
-    pub fn error(&self, msg: impl Into<String>) -> ParseError {
+    pub(crate) fn error(&self, msg: impl Into<String>) -> ParseError {
         let (line, col) = self.pos();
         ParseError::at(msg, line, col)
     }

@@ -38,10 +38,9 @@ impl UserAddr {
     }
 }
 
-/// A simulated task: name, memory arena, allocation cursor.
+/// A simulated task: memory arena and allocation cursor.
 pub(crate) struct Task {
     pub(crate) id: TaskId,
-    pub(crate) name: String,
     /// The task's entire address space. `Mutex` rather than `RwLock`:
     /// accesses are short memcpys and writers dominate.
     pub(crate) mem: Mutex<Vec<u8>>,
@@ -59,22 +58,17 @@ impl Task {
 }
 
 impl Kernel {
-    /// Creates a task whose address space holds `mem_size` bytes.
-    pub fn create_task(&self, name: &str, mem_size: usize) -> Result<TaskId> {
+    /// Creates a task whose address space holds `mem_size` bytes. The name
+    /// labels the task where it is created; the kernel keeps no copy.
+    pub fn create_task(&self, _name: &str, mem_size: usize) -> Result<TaskId> {
         let mut tasks = self.tasks.write();
         let id = TaskId(tasks.len());
         tasks.push(Arc::new(Task {
             id,
-            name: name.to_owned(),
             mem: Mutex::new(vec![0; mem_size]),
             brk: AtomicUsize::new(0),
         }));
         Ok(id)
-    }
-
-    /// The task's human-readable name.
-    pub fn task_name(&self, task: TaskId) -> Result<String> {
-        Ok(self.task(task)?.name.clone())
     }
 
     /// Allocates `len` bytes in the task's address space (bump allocator —
@@ -304,12 +298,5 @@ mod tests {
             k.with_user_slice(t, UserAddr(4), 4, |s| s.iter().map(|&b| b as u32).sum::<u32>());
         assert_eq!(sum.unwrap(), 10);
         assert!(k.with_user_slice(t, UserAddr(63), 2, |_| ()).is_err());
-    }
-
-    #[test]
-    fn task_name_lookup() {
-        let k = Kernel::new();
-        let t = k.create_task("pipe-server", 16).unwrap();
-        assert_eq!(k.task_name(t).unwrap(), "pipe-server");
     }
 }

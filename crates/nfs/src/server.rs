@@ -79,7 +79,7 @@ impl FileStore {
     }
 
     /// Mutable lookup by handle.
-    pub fn get_mut(&mut self, fh: &[u8]) -> Option<&mut ExportedFile> {
+    pub(crate) fn get_mut(&mut self, fh: &[u8]) -> Option<&mut ExportedFile> {
         let fh: [u8; FHSIZE] = fh.try_into().ok()?;
         self.files.get_mut(&fh)
     }
@@ -92,12 +92,12 @@ impl FileStore {
     }
 
     /// Looks up a name in the root directory.
-    pub fn lookup(&self, name: &str) -> Option<[u8; FHSIZE]> {
+    pub(crate) fn lookup(&self, name: &str) -> Option<[u8; FHSIZE]> {
         self.root.get(name).copied()
     }
 
     /// Removes a name (and its file) from the root directory.
-    pub fn remove(&mut self, name: &str) -> bool {
+    pub(crate) fn remove(&mut self, name: &str) -> bool {
         if let Some(fh) = self.root.remove(name) {
             self.files.remove(&fh);
             true

@@ -42,7 +42,7 @@ impl CircBuf {
     }
 
     /// Bytes of free space.
-    pub fn space(&self) -> usize {
+    pub(crate) fn space(&self) -> usize {
         self.capacity() - self.len
     }
 

@@ -51,7 +51,7 @@ impl RetryPolicy {
     }
 
     /// Total attempts allowed (first send included).
-    pub fn max_attempts(&self) -> u32 {
+    pub(crate) fn max_attempts(&self) -> u32 {
         self.max_attempts
     }
 
@@ -69,17 +69,11 @@ impl RetryPolicy {
     }
 
     /// Checks this policy against an operation's presentation: retrying is
-    /// only legal for operations whose PDL declared `[idempotent]`.
-    ///
-    /// A policy of one attempt never resends, so it passes for any op.
-    pub fn check_op(&self, op: &CompiledOp) -> Result<(), Error> {
-        self.check_op_with(op, false)
-    }
-
-    /// Like [`RetryPolicy::check_op`], but when the binding advertises
-    /// at-most-once execution (`at_most_once = true`) *any* operation may
-    /// retry: the server's reply cache suppresses re-execution, so a resend
-    /// is observationally a single execution even without `[idempotent]`.
+    /// only legal for operations whose PDL declared `[idempotent]`, or on a
+    /// binding that advertises at-most-once execution (`at_most_once =
+    /// true`) — the server's reply cache suppresses re-execution, so a
+    /// resend is observationally a single execution. A policy of one
+    /// attempt never resends, so it passes for any op.
     pub(crate) fn check_op_with(&self, op: &CompiledOp, at_most_once: bool) -> Result<(), Error> {
         if self.max_attempts > 1 && !op.idempotent && !at_most_once {
             return Err(Error::new(
@@ -115,19 +109,10 @@ impl CallOptions {
     }
 
     /// Attaches a retry policy. Whether the target operation permits
-    /// retries is checked when the options are bound to an op — eagerly via
-    /// [`CallOptions::retry_for`], or at the first call otherwise.
+    /// retries is checked by the stub before the call's first send.
     pub fn retry(mut self, policy: RetryPolicy) -> CallOptions {
         self.retry = Some(policy);
         self
-    }
-
-    /// Attaches a retry policy *bound to an operation*, rejecting the
-    /// combination at construction time if `op` did not declare
-    /// `[idempotent]`.
-    pub fn retry_for(self, policy: RetryPolicy, op: &CompiledOp) -> Result<CallOptions, Error> {
-        policy.check_op(op)?;
-        Ok(self.retry(policy))
     }
 
     /// The configured deadline in nanoseconds, if any.
@@ -136,7 +121,7 @@ impl CallOptions {
     }
 
     /// The attached retry policy, if any.
-    pub fn retry_policy(&self) -> Option<&RetryPolicy> {
+    pub(crate) fn retry_policy(&self) -> Option<&RetryPolicy> {
         self.retry.as_ref()
     }
 

@@ -284,11 +284,6 @@ impl KernelIpc {
     pub fn new(kernel: Arc<Kernel>, conn: Connection) -> KernelIpc {
         KernelIpc { kernel, conn }
     }
-
-    /// The underlying connection (for diagnostics).
-    pub fn connection(&self) -> &Connection {
-        &self.conn
-    }
 }
 
 impl Transport for KernelIpc {

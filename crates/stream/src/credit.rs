@@ -15,8 +15,9 @@ use std::sync::Arc;
 /// A negotiated credit window: at most `window` frames may be outstanding
 /// (sent but not yet drained by the receiver) at once.
 ///
-/// The owner calls [`CreditWindow::acquire`] before each frame — blocking
-/// on the sim clock if no credit is free — and [`CreditWindow::consume`]
+/// The owning sender takes a credit (`acquire`, crate-internal) before each
+/// frame — blocking on the sim clock if none is free — and calls
+/// [`CreditWindow::consume`]
 /// after, with the sim time at which the receiver will hand the credit
 /// back. Return times must be non-decreasing (frames drain in FIFO order).
 #[derive(Debug)]
@@ -76,7 +77,7 @@ impl CreditWindow {
     /// by advancing the sim clock to the earliest credit return and
     /// records the stall; returns the stall duration, or `None` when a
     /// credit was free.
-    pub fn acquire(&mut self) -> Option<u64> {
+    pub(crate) fn acquire(&mut self) -> Option<u64> {
         let now = self.clock.now_ns();
         while self.returns.front().is_some_and(|&t| t <= now) {
             self.returns.pop_front();

@@ -181,11 +181,6 @@ impl StreamSender {
     pub fn drain(&mut self) -> u64 {
         self.credit.drain()
     }
-
-    /// The operation this sender streams to.
-    pub fn op_name(&self) -> &str {
-        &self.op
-    }
 }
 
 impl std::fmt::Debug for StreamSender {

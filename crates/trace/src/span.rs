@@ -100,7 +100,7 @@ impl TraceEvent {
         TraceEvent { call: 0, stage: Stage::Bind, start_ns: 0, end_ns: 0, detail: 0 };
 
     /// Span duration in nanoseconds.
-    pub fn dur_ns(&self) -> u64 {
+    pub(crate) fn dur_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 }
@@ -171,7 +171,7 @@ impl TraceRing {
     }
 
     /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         let (tail, recent) = if (self.total as usize) > self.events.len() {
             // Wrapped: oldest retained event sits at `head`.
             (&self.events[self.head..], &self.events[..self.head])
@@ -179,12 +179,6 @@ impl TraceRing {
             (&self.events[..self.head], &self.events[..0])
         };
         tail.iter().chain(recent.iter())
-    }
-
-    /// Forgets all recorded events (capacity and call numbering keep).
-    pub fn clear(&mut self) {
-        self.head = 0;
-        self.total = 0;
     }
 }
 
@@ -276,13 +270,8 @@ impl CallTrace {
     }
 
     /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.ring.events()
-    }
-
-    /// Forgets recorded events.
-    pub fn clear(&mut self) {
-        self.ring.clear();
     }
 
     /// Sum of span durations per stage (indexed by stage id) — the raw
@@ -365,11 +354,6 @@ impl SharedCallTrace {
             totals[ev.stage as usize] += ev.dur_ns();
         }
         totals
-    }
-
-    /// Forgets recorded events.
-    pub fn clear(&self) {
-        self.ring.lock().clear();
     }
 
     /// Feeds every retained event (oldest first) to `sink` on `track`.

@@ -25,12 +25,14 @@ cargo test -q -p parking_lot -p proptest
 
 # Re-runs in the profile the benchmark measures in (inlining, elided
 # temporaries and thread timing all differ from debug):
-echo "== release re-runs: allocation audits, executor oracle, reply cache, hostile frames, engine timing, stripes, net, kernel, fault gate ==" >&2
+echo "== release re-runs: allocation audits, executor oracle, reply cache, hostile frames, engine timing, policy swaps, stripes, net, kernel, fault gate ==" >&2
 cargo test -q --release -p flexrpc-runtime --test zero_alloc --test fuse_differential # warm-call allocation budgets; executor vs oracle, in-place and spilled programs
 cargo test -q --release -p flexrpc-runtime --lib replycache # slab offsets: integer arithmetic that wraps silently in release
 cargo test -q --release --test sunrpc_hostile_frames # odd-length records against both servers and both clients
 cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_alloc # queued round trip, bind
 cargo test -q --release -p flexrpc-engine --test stress --test robustness --test helping_wait # wakes, shutdown, helping guards
+cargo test -q --release -p flexrpc-engine --test qos --test path_parity # a tenant swap racing a cached admission; one path's spans and metrics
+cargo test -q --release -p flexrpc-control # the policy cell's version and its cached copies
 cargo test -q --release -p flexrpc-trace --test stripes # a striped read racing a stripe's drop
 cargo test -q --release -p flexrpc-net # a link's message racing a handler re-registration
 cargo test -q --release -p flexrpc-kernel # a counter read racing a connection's drop

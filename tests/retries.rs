@@ -4,9 +4,10 @@
 //! sent.
 
 use flexrpc::clock::Fault;
-use flexrpc::net::sunrpc::AcceptStat;
+use flexrpc::engine::expose_on_net;
 use flexrpc::net::{NetConfig, SimNet};
 use flexrpc::prelude::*;
+use flexrpc::runtime::transport::SunRpc;
 use flexrpc::runtime::RetryPolicy;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,15 +37,9 @@ fn echo_compiled(module: &flexrpc::core::ir::Module, idempotent: bool) -> Compil
     CompiledInterface::compile(module, iface, &pres).expect("compiles")
 }
 
-/// The Echo server, and the count of its `ping` executions.
-fn echo_server(
-    module: &flexrpc::core::ir::Module,
-    fail_status: u32,
-) -> (Arc<Mutex<ServerInterface>>, Arc<AtomicU64>) {
-    let compiled = echo_compiled(module, false);
-    let mut srv = ServerInterface::new(compiled, WireFormat::Cdr);
-    let executions = Arc::new(AtomicU64::new(0));
-    let ran = Arc::clone(&executions);
+/// Registers `ping` on `srv`, counting its executions in `executions`.
+fn register_ping(srv: &mut ServerInterface, executions: &Arc<AtomicU64>, fail_status: u32) {
+    let ran = Arc::clone(executions);
     srv.on("ping", move |call| {
         ran.fetch_add(1, Ordering::SeqCst);
         if fail_status != 0 {
@@ -55,6 +50,17 @@ fn echo_server(
         0
     })
     .expect("registers");
+}
+
+/// The Echo server, and the count of its `ping` executions.
+fn echo_server(
+    module: &flexrpc::core::ir::Module,
+    fail_status: u32,
+) -> (Arc<Mutex<ServerInterface>>, Arc<AtomicU64>) {
+    let compiled = echo_compiled(module, false);
+    let mut srv = ServerInterface::new(compiled, WireFormat::Cdr);
+    let executions = Arc::new(AtomicU64::new(0));
+    register_ping(&mut srv, &executions, fail_status);
     (Arc::new(Mutex::new(srv)), executions)
 }
 
@@ -112,15 +118,9 @@ fn retry_without_idempotent_declaration_is_refused_before_sending() {
     let transport = Loopback::new(server);
     // A drop for the first send that reaches the transport.
     transport.faults().on_next_call(Fault::Drop);
-    // Client compiled *without* `[idempotent]` on ping.
+    // Client compiled *without* `[idempotent]` on ping: call_with refuses
+    // the retry policy before the first send.
     let compiled = echo_compiled(&module, false);
-    // Construction-time rejection: binding the policy to the op fails.
-    let op = compiled.op("ping").expect("op");
-    let err = CallOptions::default()
-        .retry_for(RetryPolicy::new(3), op)
-        .expect_err("policy refused at construction");
-    assert_eq!(err.kind(), ErrorKind::ContractViolation);
-    // Call-time rejection: the same gate guards call_with, pre-send.
     let mut client = ClientStub::new(compiled, WireFormat::Cdr, Box::new(transport));
     let mut frame = client.new_frame("ping").expect("frame");
     frame[0] = Value::U32(41);
@@ -132,60 +132,59 @@ fn retry_without_idempotent_declaration_is_refused_before_sending() {
     assert_eq!(executions.load(Ordering::SeqCst), 0, "nothing reached the server");
 }
 
+/// The stub's retry over the network to an engine: the request is dropped
+/// in transit, the backoff is spent on the net's sim clock, and the resend
+/// executes once. The license is the stub's too: without `[idempotent]`
+/// the same options send nothing.
 #[test]
-fn pipeline_retry_resends_a_dropped_batch() {
+fn stub_retry_resends_a_request_dropped_on_the_way_to_an_engine() {
     let module = echo_module();
     let iface = module.interface("Echo").expect("declared");
     let pres = InterfacePresentation::default_for(&module, iface).expect("defaults");
-    let engine = Engine::builder().workers(2).build();
+    let engine = Engine::builder().workers(1).build();
+    let executions = Arc::new(AtomicU64::new(0));
+    let ran = Arc::clone(&executions);
     engine
-        .register_service("echo", module.clone(), "Echo", pres.clone(), WireFormat::Cdr, |srv| {
-            srv.on("ping", |call| {
-                let x = call.u32("x").expect("x");
-                call.set("return", Value::U32(x + 1)).expect("return");
-                0
-            })
-            .expect("registers");
-        })
+        .register_service(
+            "echo",
+            module.clone(),
+            "Echo",
+            pres.clone(),
+            WireFormat::Cdr,
+            move |srv| register_ping(srv, &ran, 0),
+        )
         .expect("service registers");
     let net = SimNet::with_config(NetConfig::default());
     let server_host = net.add_host("server");
     let client_host = net.add_host("client");
-    flexrpc::engine::expose_on_net(
-        &engine,
-        &net,
-        server_host,
-        "echo",
-        99,
-        1,
-        ClientInfo::of(&pres),
-    )
-    .expect("exposes");
+    expose_on_net(&engine, &net, server_host, "echo", 99, 1, ClientInfo::of(&pres))
+        .expect("exposes");
+    let stub = |idempotent| {
+        let transport = SunRpc::new(Arc::clone(&net), client_host, server_host, 99, 1);
+        ClientStub::new(echo_compiled(&module, idempotent), WireFormat::Cdr, Box::new(transport))
+    };
+    let policy = RetryPolicy::new(3).backoff(Duration::from_millis(1)).seed(9);
+    let options = CallOptions::default().retry(policy.clone());
 
-    let compiled = echo_compiled(&module, true);
-    let op = compiled.op("ping").expect("op");
-    let mut pipe =
-        flexrpc::engine::SunRpcPipeline::new(Arc::clone(&net), client_host, server_host, 99, 1)
-            .retry(RetryPolicy::new(3).backoff(Duration::from_millis(1)).seed(9));
-
-    // A non-idempotent op may not enter a retrying pipeline at all.
-    let unlicensed = echo_compiled(&module, false);
-    let err =
-        pipe.submit_op(unlicensed.op("ping").expect("op"), &[]).expect_err("refused before send");
-    assert_eq!(err.kind(), ErrorKind::ContractViolation);
-
-    // The licensed op goes through; the first transmission is dropped in
-    // transit and the policy's resend delivers the whole batch.
-    let mut w = flexrpc::runtime::wire::AnyWriter::new(WireFormat::Cdr);
-    w.put_u32(41);
-    let args = w.into_bytes();
-    pipe.submit_op(op, &args).expect("licensed");
+    let mut client = stub(true);
+    let mut frame = client.new_frame("ping").expect("frame");
+    frame[0] = Value::U32(41);
     net.faults().on_next_call(Fault::Drop);
     let before = net.clock().now_ns();
-    let replies = pipe.flush().expect("retry covers the drop");
-    assert_eq!(replies.len(), 1);
-    assert_eq!(replies[0].0, AcceptStat::Success);
-    assert!(net.clock().now_ns() > before, "backoff was charged to the sim clock");
+    assert_eq!(client.call_with("ping", &mut frame, &options), Ok(0));
+    assert_eq!(frame[1], Value::U32(42));
+    assert!(
+        net.clock().now_ns() - before >= policy.backoff_ns(1),
+        "the first backoff was spent on the net's sim clock"
+    );
+    assert_eq!(executions.load(Ordering::SeqCst), 1, "the dropped request executed nothing");
+
+    let mut unlicensed = stub(false);
+    let sent = net.stats().messages.get();
+    let err = unlicensed.call_with("ping", &mut frame, &options).expect_err("refused");
+    assert_eq!(err.kind(), ErrorKind::ContractViolation);
+    assert_eq!(net.stats().messages.get(), sent, "refused before anything was sent");
+    assert_eq!(executions.load(Ordering::SeqCst), 1);
     engine.shutdown();
 }
 

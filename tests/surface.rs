@@ -12,7 +12,6 @@ use std::path::{Path, PathBuf};
 /// `(crate directory, item, why it is public though nothing outside names it)`.
 const ALLOW: &[(&str, &str, &str)] = &[
     ("crates/core", "total_copies", "reference cost model; compat's own tests sum it"),
-    ("crates/kernel", "task_name", "reads the name `create_task` takes; `benchmark/` passes one"),
     ("crates/shims/proptest", "from_name", "named by `proptest!`'s expansion, as `$crate::`"),
 ];
 
