@@ -220,9 +220,19 @@ impl PolicyHandle {
     /// version bump happened before, so the load cannot match.
     #[inline]
     pub fn refresh(&self, cached: &mut CachedPolicy) {
-        if self.version() != cached.version {
+        if !self.is_current(cached) {
             *cached = self.cached();
         }
+    }
+
+    /// True while nothing was swapped since `cached` was read: one
+    /// `Acquire` load. A reader that holds its copy behind a lock of its
+    /// own checks this under the shared guard and refreshes under the
+    /// exclusive one only when it reads false; a swap that returned before
+    /// the check began always makes it false.
+    #[inline]
+    pub fn is_current(&self, cached: &CachedPolicy) -> bool {
+        self.version() == cached.version
     }
 
     /// Replaces the policy **live**: every admission after the store sees
@@ -305,12 +315,15 @@ mod tests {
         let h = PolicyHandle::new(TenantId(7), Policy::new().weight(2));
         let mut cached = h.cached();
         let first = Arc::clone(&cached.policy);
+        assert!(h.is_current(&cached));
         h.refresh(&mut cached);
         assert!(Arc::ptr_eq(&first, &cached.policy), "nothing swapped: the copy is kept");
         assert_eq!((cached.version, cached.policy().weight_value()), (1, 2));
 
         assert_eq!(h.swap(Policy::new().weight(5)), 2);
+        assert!(!h.is_current(&cached), "a returned swap is seen by the next check");
         h.refresh(&mut cached);
+        assert!(h.is_current(&cached));
         assert_eq!((cached.version, cached.policy().weight_value()), (2, 5));
     }
 }

@@ -54,24 +54,48 @@ struct State<T> {
     parked_consumers: usize,
 }
 
-/// Aggregate backlog counter shared by every shard in a shard *group*.
+/// Aggregate backlog shared by every shard in a shard *group*.
 ///
 /// A sharded engine gives each worker its own [`WfqQueue`] but keeps one
 /// admission backstop across the set: `high_water` must bound the *sum*
 /// of all shard backlogs, or splitting the queue would multiply the
 /// bound by the shard count. Queues created with [`WfqQueue::new`] own a
-/// private group (the counter then equals the queue's own length, so
-/// single-shard semantics are unchanged); [`WfqQueue::with_group`]
-/// shares one across shards.
-#[derive(Debug, Default)]
+/// private group of one member (its backlog then equals the queue's own
+/// length, so single-shard semantics are unchanged);
+/// [`WfqQueue::with_group`] shares one across shards.
+///
+/// Each member queue publishes its own backlog in a cell of its own, on a
+/// cache line of its own, with a plain store made under that queue's lock;
+/// the group's length is the sum of the cells. So a push or pop writes no
+/// line another queue writes and does no locked read-modify-write, and the
+/// sum is as racy as one shared counter would be: each cell is exact
+/// when its queue's lock is released, and a reader may see one queue's
+/// update before another's.
+#[derive(Debug)]
 pub struct WfqGroup {
-    queued: AtomicUsize,
+    backlogs: Box<[Backlog]>,
+    /// Members that joined so far ([`WfqQueue::with_group`]): the next
+    /// queue's cell.
+    joined: AtomicUsize,
 }
 
+/// One member queue's published backlog, alone on its cache line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Backlog(AtomicUsize);
+
 impl WfqGroup {
+    /// A group with a backlog cell for each of `members` queues (min 1).
+    pub fn new(members: usize) -> WfqGroup {
+        WfqGroup {
+            backlogs: (0..members.max(1)).map(|_| Backlog::default()).collect(),
+            joined: AtomicUsize::new(0),
+        }
+    }
+
     /// Items queued across every shard in the group (a racy snapshot).
     pub fn len(&self) -> usize {
-        self.queued.load(Ordering::Relaxed)
+        self.backlogs.iter().map(|b| b.0.load(Ordering::Relaxed)).sum()
     }
 
     /// True when no shard in the group holds queued work.
@@ -102,6 +126,8 @@ pub struct WfqQueue<T> {
     capacity: usize,
     /// Aggregate backlog across the shard group this queue belongs to.
     group: Arc<WfqGroup>,
+    /// This queue's cell in `group`, where it publishes its `total`.
+    member: usize,
     /// Signalled when space frees up, if a producer is parked.
     not_full: Condvar,
     /// Signalled when an item arrives, if a consumer is parked, or the
@@ -115,12 +141,19 @@ impl<T> WfqQueue<T> {
     /// Creates a queue holding at most `capacity` items across all lanes
     /// (min 1), with a private shard group.
     pub fn new(capacity: usize) -> WfqQueue<T> {
-        Self::with_group(capacity, Arc::new(WfqGroup::default()))
+        Self::with_group(capacity, Arc::new(WfqGroup::new(1)))
     }
 
     /// Creates a queue that charges its backlog to a shared `group`, so
-    /// `try_push`'s `high_water` backstop bounds the whole shard set.
+    /// `try_push`'s `high_water` backstop bounds the whole shard set. The
+    /// queue takes the group's next free cell.
+    ///
+    /// # Panics
+    ///
+    /// If every member cell of `group` is taken already.
     pub fn with_group(capacity: usize, group: Arc<WfqGroup>) -> WfqQueue<T> {
+        let member = group.joined.fetch_add(1, Ordering::Relaxed);
+        assert!(member < group.backlogs.len(), "more queues than the group has members");
         WfqQueue {
             state: Mutex::new(State {
                 lanes: BTreeMap::new(),
@@ -132,6 +165,7 @@ impl<T> WfqQueue<T> {
             closed: AtomicBool::new(false),
             capacity: capacity.max(1),
             group,
+            member,
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
         }
@@ -158,7 +192,13 @@ impl<T> WfqQueue<T> {
         lane.last_finish = start + QUANTUM / u64::from(weight.max(1));
         lane.items.push_back((start, item));
         state.total += 1;
-        self.group.queued.fetch_add(1, Ordering::Relaxed);
+        self.publish(state);
+    }
+
+    /// Stores this queue's backlog in its group cell, under the state lock
+    /// whose `total` it copies: one writer per cell, so a plain store.
+    fn publish(&self, state: &State<T>) {
+        self.group.backlogs[self.member].0.store(state.total, Ordering::Relaxed);
     }
 
     /// Removes and returns the min-tag head under an already-held lock, if
@@ -175,7 +215,7 @@ impl<T> WfqQueue<T> {
         }
         let (_, item) = lane.items.pop_front().expect("head exists");
         state.total -= 1;
-        self.group.queued.fetch_sub(1, Ordering::Relaxed);
+        self.publish(state);
         state.virtual_now = state.virtual_now.max(tag);
         if state.parked_producers > 0 {
             self.not_full.notify_one();
@@ -313,9 +353,11 @@ impl<T> WfqQueue<T> {
         unstarted
     }
 
-    /// Items currently queued across all lanes (a racy snapshot).
+    /// Items currently queued across all lanes (a racy snapshot): the
+    /// backlog this queue last published to its group, read without its
+    /// lock, so a peer's steal scan never contends with its producers.
     pub fn len(&self) -> usize {
-        self.lock().total
+        self.group.backlogs[self.member].0.load(Ordering::Relaxed)
     }
 
     /// `(producers, consumers)` parked right now. A count read under the
@@ -575,7 +617,7 @@ mod tests {
 
     #[test]
     fn shared_group_high_water_bounds_the_shard_set() {
-        let group = Arc::new(WfqGroup::default());
+        let group = Arc::new(WfqGroup::new(2));
         let a = WfqQueue::with_group(8, Arc::clone(&group));
         let b = WfqQueue::with_group(8, Arc::clone(&group));
         a.try_push(1, T1, 1, None, 3).unwrap();
@@ -588,6 +630,45 @@ mod tests {
         assert_eq!(a.pop(), Some(1));
         b.try_push(4, T2, 1, None, 3).unwrap();
         assert_eq!(group.len(), 3);
+    }
+
+    /// Each member publishes its own backlog and the group is their sum —
+    /// through pushes, pops, a refused push and `close`, which leaves every
+    /// member's cell at zero.
+    #[test]
+    fn a_group_sums_what_each_member_publishes() {
+        const MEMBERS: usize = 3;
+        let group = Arc::new(WfqGroup::new(MEMBERS));
+        let queues: Vec<WfqQueue<usize>> =
+            (0..MEMBERS).map(|_| WfqQueue::with_group(8, Arc::clone(&group))).collect();
+        let cells =
+            || group.backlogs.iter().map(|b| b.0.load(Ordering::Relaxed)).collect::<Vec<_>>();
+        let lens = || queues.iter().map(WfqQueue::len).collect::<Vec<_>>();
+        for (k, q) in queues.iter().enumerate() {
+            for i in 0..=k {
+                q.push(i, T1, 1, None).unwrap();
+            }
+        }
+        assert_eq!((cells(), group.len()), (vec![1, 2, 3], 6));
+        assert_eq!(queues[2].try_pop(), Some(0));
+        assert_eq!(queues[1].pop(), Some(0));
+        assert_eq!((cells(), group.len()), (vec![1, 1, 2], 4));
+        assert_eq!(lens(), cells(), "a queue's length is the backlog it published");
+        queues[0].try_push(9, T2, 1, None, 5).unwrap();
+        assert!(matches!(queues[1].try_push(9, T2, 1, None, 5), Err(WfqRefusal::Full(9))));
+        assert_eq!((cells(), group.len()), (vec![2, 1, 2], 5), "a refusal publishes nothing");
+        let unstarted: Vec<usize> = queues.iter().map(|q| q.close().len()).collect();
+        assert_eq!(unstarted, [2, 1, 2]);
+        assert_eq!(cells(), [0; MEMBERS]);
+        assert!(group.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "more queues than the group has members")]
+    fn a_group_refuses_a_member_beyond_its_cells() {
+        let group = Arc::new(WfqGroup::new(1));
+        let _first = WfqQueue::<u32>::with_group(4, Arc::clone(&group));
+        let _second = WfqQueue::<u32>::with_group(4, group);
     }
 
     #[test]
@@ -641,7 +722,7 @@ mod tests {
         const SHARDS: usize = 4;
         const TENANTS: u64 = 6;
         for seed in [3u64, 17, 1999] {
-            let group = Arc::new(WfqGroup::default());
+            let group = Arc::new(WfqGroup::new(SHARDS));
             let shards: Arc<Vec<WfqQueue<(u64, u64)>>> = Arc::new(
                 (0..SHARDS).map(|_| WfqQueue::with_group(64, Arc::clone(&group))).collect(),
             );

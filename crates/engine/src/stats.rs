@@ -15,9 +15,11 @@
 //! stalls no reader — and a pool that dies folds its stripes into the
 //! shared cells. `in_flight` / `peak_in_flight` are one shared exact gauge:
 //! the watermark is fed by the value `in_flight`'s add returns, which only
-//! a single cell can give. `calls_helped` is striped per shard: a caller
-//! serving its own queued job writes its shard's stripe under the serve
-//! token it holds for that job. Everything else (sheds, expiries, cancels,
+//! a single cell can give. `calls_helped`, and the engine's per-shard
+//! `engine.shard.<i>.served`, are striped per shard: a worker draining its
+//! shard and a caller serving its own queued job write the shard's stripes
+//! under the serve token they hold, and only a steal, which holds no token,
+//! writes `served`'s shared cell. Everything else (sheds, expiries, cancels,
 //! steals, connections) is off the served path and written shared.
 
 use crate::breaker::BreakerStats;

@@ -4,8 +4,9 @@
 //! later submit a cell the worker can still fill.
 //!
 //! The service echoes its argument back transformed, so every reply is a
-//! function of its own request and is compared in full. Engines here have
-//! one worker and a queue depth of 4, which makes the free list's capacity
+//! function of its own request and is compared in full. Engines here hold
+//! four queued calls across their shards (one worker and a queue depth of
+//! 4, or two and 2), which makes the free list's capacity
 //! (`queue_depth × workers`) 4: a few dozen calls cycle every cell many
 //! times over.
 
@@ -47,13 +48,15 @@ fn flipped(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// A one-worker engine serving `flip`. `before` runs at the top of every
-/// handler execution with the number of executions so far.
+/// An engine of `workers` workers serving `flip`, its free list holding
+/// `CAPACITY` cells. `before` runs at the top of every handler execution
+/// with the number of executions so far.
 fn echo_engine(
     builder: EngineBuilder,
+    workers: usize,
     before: impl Fn(u64) + Send + Sync + 'static,
 ) -> (Arc<Engine>, EngineConnection, Arc<AtomicU64>) {
-    let engine = builder.workers(1).queue_depth(CAPACITY).build();
+    let engine = builder.workers(workers).queue_depth(CAPACITY / workers).build();
     let module = echo_module();
     let pres =
         InterfacePresentation::default_for(&module, module.interface("Echo").unwrap()).unwrap();
@@ -98,14 +101,13 @@ fn assert_answers(reply: Result<Reply, RpcError>, data: &[u8]) {
     assert!(reply.rights.is_empty());
 }
 
-#[test]
-fn interleaved_lengths_through_recycled_cells_answer_in_full() {
-    let (engine, conn, _) = echo_engine(Engine::builder(), |_| {});
+/// Batches of every size up to `max_batch`, for many multiples of the list's
+/// capacity: each cell is refilled with longer and shorter requests. Returns
+/// how many calls were made.
+fn interleaved_batches(conn: &EngineConnection, max_batch: usize) -> usize {
     let mut i = 0;
-    // Batches of every size up to the list's capacity, for many multiples
-    // of it: each cell is refilled with longer and shorter requests.
     for round in 0..10 * CAPACITY {
-        let batch = 1 + round % CAPACITY;
+        let batch = 1 + round % max_batch;
         let sent: Vec<_> = (i..i + batch).map(payload).collect();
         let tickets: Vec<_> =
             sent.iter().map(|data| conn.submit(0, &request(data), &[]).unwrap()).collect();
@@ -120,7 +122,101 @@ fn interleaved_lengths_through_recycled_cells_answer_in_full() {
         }
         i += batch;
     }
-    assert_eq!(engine.stats().calls_served as usize, i);
+    i
+}
+
+#[test]
+fn interleaved_lengths_through_recycled_cells_answer_in_full() {
+    let (engine, conn, _) = echo_engine(Engine::builder(), 1, |_| {});
+    let calls = interleaved_batches(&conn, CAPACITY);
+    assert_eq!(engine.stats().calls_served as usize, calls);
+    engine.shutdown();
+}
+
+/// The shard a call tagged with `binding` is queued on on a two-worker
+/// engine: the shard whose `served` tally the call moves — waited for with
+/// a deadline, so the waiter never runs it — unless a steal moved it: a
+/// thief credits its own shard, and the call's home is then the other.
+fn home_shard(engine: &Engine, conn: &EngineConnection, binding: u64) -> usize {
+    let tallies = || {
+        let m = engine.metrics().snapshot();
+        (m.counter("engine.shard.1.served"), m.counter("engine.steals"))
+    };
+    let before = tallies();
+    let tag = Some(CallTag::new(binding, 0));
+    let ticket = conn.submit_tagged(0, &request(&payload(0)), &[], None, tag).unwrap();
+    assert_answers(ticket.wait_until(Some(u64::MAX)), &payload(0));
+    let after = tallies();
+    let ran = usize::from(after.0 > before.0);
+    if after.1 > before.1 {
+        1 - ran
+    } else {
+        ran
+    }
+}
+
+/// A waiter that runs its own job keeps the reply it produced — it never
+/// publishes to its own slot — and hands the cell back all the same, for
+/// the next submit to refill. The interleaving is forced: two plugs of a
+/// second service queued on one shard hold both workers (one drains that
+/// shard under its token, the other stole a plug, which takes no token), so
+/// nobody serves the other shard and each call queued there is run by the
+/// thread waiting for it. Once the plugs go, the cells those calls used
+/// serve calls a worker answers through the slot just as cleanly.
+#[test]
+fn a_helped_call_keeps_its_own_reply_and_its_cell_serves_the_next_submit() {
+    const HELPED: usize = 4 * CAPACITY;
+    let (engine, conn, _) = echo_engine(Engine::builder(), 2, |_| {});
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, plug) = mpsc::channel::<()>();
+    let (entered_tx, plug) = (Mutex::new(entered_tx), Arc::new(Mutex::new(plug)));
+    let module = echo_module();
+    let pres =
+        InterfacePresentation::default_for(&module, module.interface("Echo").unwrap()).unwrap();
+    engine
+        .register_service("plug", module, "Echo", pres, WireFormat::Cdr, move |srv| {
+            let (entered, plug) = (entered_tx.lock().unwrap().clone(), Arc::clone(&plug));
+            srv.on("flip", move |call| {
+                entered.send(()).unwrap();
+                plug.lock().unwrap().recv().unwrap();
+                call.set("return", Value::Bytes(flipped(&[]))).unwrap();
+                0
+            })
+            .unwrap();
+        })
+        .unwrap();
+    let plugged = 1;
+    let home = home_shard(&engine, &conn, plugged);
+    let free = (2..).find(|&binding| home_shard(&engine, &conn, binding) != home).unwrap();
+
+    let plug_conn = engine.connect("plug").establish().unwrap();
+    let plugs: Vec<_> = (0..2)
+        .map(|seq| {
+            let tag = Some(CallTag::new(plugged, seq));
+            plug_conn.submit_tagged(0, &request(&[]), &[], None, tag).unwrap()
+        })
+        .collect();
+    for _ in &plugs {
+        entered.recv_timeout(Duration::from_secs(30)).expect("a worker takes each plug");
+    }
+    let helped = engine.stats().calls_helped;
+    for i in 0..HELPED {
+        let data = payload(i);
+        let tag = Some(CallTag::new(free, i as u64));
+        let ticket = conn.submit_tagged(0, &request(&data), &[], None, tag).unwrap();
+        assert_answers(ticket.wait(), &data);
+    }
+    assert_eq!(engine.stats().calls_helped, helped + HELPED as u64, "the waiter ran every call");
+
+    for _ in &plugs {
+        release.send(()).unwrap();
+    }
+    for plug in plugs {
+        assert_answers(plug.wait(), &[]);
+    }
+    // Whoever runs these — a worker, a thief, or the waiter — the cells the
+    // helped calls left behind answer in full.
+    interleaved_batches(&conn, CAPACITY / 2);
     engine.shutdown();
 }
 
@@ -133,7 +229,7 @@ fn an_abandoned_cell_is_not_reused_while_its_job_can_fill_it() {
     let (entered_tx, entered) = mpsc::channel();
     let (release, plug) = mpsc::channel::<()>();
     let (entered_tx, plug) = (Mutex::new(entered_tx), Mutex::new(plug));
-    let (engine, conn, executions) = echo_engine(Engine::builder(), move |nth| {
+    let (engine, conn, executions) = echo_engine(Engine::builder(), 1, move |nth| {
         if nth == 0 {
             entered_tx.lock().unwrap().send(()).unwrap();
             plug.lock().unwrap().recv().unwrap();
@@ -170,7 +266,7 @@ fn an_abandoned_cell_is_not_reused_while_its_job_can_fill_it() {
 #[test]
 fn a_duplicated_delivery_runs_once_and_both_halves_complete() {
     let (engine, conn, executions) =
-        echo_engine(Engine::builder().at_most_once(Duration::from_secs(1)), |_| {});
+        echo_engine(Engine::builder().at_most_once(Duration::from_secs(1)), 1, |_| {});
     // Warm the free list so the duplicated call and its shadow draw
     // recycled cells, not only new ones.
     for i in 0..2 * CAPACITY {

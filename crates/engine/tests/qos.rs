@@ -428,6 +428,73 @@ fn no_call_begun_after_a_swap_returned_sees_the_replaced_policy() {
     engine.shutdown();
 }
 
+/// The same for `submit(&self)`, which validates the connection's cached
+/// policy by version under its binding's read lock and refreshes it under
+/// the write lock: with one call of the tenant queued behind the plug, a
+/// quota of one sheds exactly the rounds whose swap put it in force. A
+/// rebind after a swap keeps the swapped policy.
+#[test]
+fn no_submit_begun_after_a_swap_returned_sees_the_replaced_policy() {
+    use std::sync::mpsc;
+    const ROUNDS: u64 = 200;
+    let quota = || Policy::new().quota(1);
+
+    let plane = ControlPlane::new();
+    let handle = plane.register(TENANT_A, Policy::new());
+    let (engine, gate) = plugged_engine(&plane);
+    let conn_plug = engine.connect("qos").tenant(TENANT_PLUG).establish().unwrap();
+    let conn = engine.connect("qos").tenant(TENANT_A).establish().unwrap();
+    let plug = conn_plug.submit(0, &read_request(0), &[]).unwrap();
+    settle();
+    let mut queued = vec![conn.submit(0, &read_request(1), &[]).unwrap()];
+
+    let (swapped_tx, swapped) = mpsc::channel();
+    let (submitted_tx, submitted) = mpsc::channel();
+    std::thread::scope(|s| {
+        let handle = &handle;
+        s.spawn(move || {
+            for round in 0..ROUNDS {
+                handle.swap(if round % 2 == 0 { quota() } else { Policy::new() });
+                swapped_tx.send(round % 2 == 0).unwrap();
+                submitted.recv().expect("the submitter answers every round");
+            }
+        });
+        let (swapped, submitted_tx) = (swapped, submitted_tx);
+        for round in 0..ROUNDS {
+            let quota_now = swapped.recv().expect("the swapper leads every round");
+            match conn.submit(0, &read_request(1), &[]) {
+                Ok(ticket) => {
+                    assert!(!quota_now, "round {round}: admitted under the replaced policy");
+                    queued.push(ticket);
+                }
+                Err(e) => {
+                    assert!(quota_now, "round {round}: shed under the replaced policy");
+                    assert!(matches!(e, EngineError::Overloaded), "round {round}: {e:?}");
+                }
+            }
+            submitted_tx.send(()).unwrap();
+        }
+    });
+
+    let pres = fileio_presentation();
+    handle.swap(quota());
+    conn.rebind(&pres).unwrap();
+    let shed = conn.submit(0, &read_request(1), &[]);
+    assert!(matches!(shed, Err(EngineError::Overloaded)), "the rebind kept the quota");
+    handle.swap(Policy::new());
+    conn.rebind(&pres).unwrap();
+    queued.push(conn.submit(0, &read_request(1), &[]).expect("the rebind kept its removal"));
+
+    gate.open();
+    assert!(plug.wait().is_ok());
+    for ticket in queued {
+        assert!(ticket.wait().is_ok());
+    }
+    let snap = engine.metrics().snapshot();
+    assert_eq!(snap.counter("tenant.1.shed"), ROUNDS / 2 + 1);
+    engine.shutdown();
+}
+
 /// The cached policy is the *binding's* tenant's. A tag naming another
 /// tenant is admitted under that tenant's live policy, whichever of the
 /// two has the limit.
