@@ -104,7 +104,7 @@ pub struct Reply {
     pub rights: Vec<u32>,
 }
 
-/// The engine's one-shot completion slot: the lock-free
+/// The engine's one-shot completion slot: a
 /// [`ReplySlot`](crate::slot::ReplySlot) carrying a call's result.
 type Completion = ReplySlot<flexrpc_runtime::Result<Reply>>;
 
@@ -208,13 +208,14 @@ pub struct CallTicket {
 }
 
 impl CallTicket {
-    /// Blocks until the reply is ready. The warm wait is lock-free: one
-    /// atomic load when the reply is already published. When it is not, the
-    /// caller first tries to run the call itself, where it stands, rather
-    /// than park for a worker to be scheduled: it does so if the call is
-    /// next in its shard's fair order and no worker is serving the shard,
-    /// and the call is then checked, counted and traced exactly as a
-    /// worker's would be (`EngineStatsSnapshot::calls_helped` counts these).
+    /// Blocks until the reply is ready. Asking whether it is here yet takes
+    /// one atomic load and no lock; a published reply is then taken under
+    /// the slot's lock. When it is not here yet, the caller first tries to
+    /// run the call itself, where it stands, rather than park for a worker
+    /// to be scheduled: it does so if the call is next in its shard's fair
+    /// order and no worker is serving the shard, and the call is then
+    /// checked, counted and traced exactly as a worker's would be
+    /// (`EngineStatsSnapshot::calls_helped` counts these).
     /// A reply the caller produced itself is returned as it stands: only a
     /// reply another thread produced goes through the slot.
     pub fn wait(self) -> flexrpc_runtime::Result<Reply> {

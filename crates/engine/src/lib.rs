@@ -20,10 +20,10 @@
 //!   whose caller reaches [`engine::CallTicket::wait`] first runs there
 //!   too, when it is next in its shard's fair order and no worker is
 //!   serving the shard (same checks, same tallies, `engine.helped`).
-//! * [`slot::ReplySlot`] — the lock-free completion slot a submitter
-//!   blocks on when its reply is another thread's to publish, one-shot per
-//!   use and recycled with its call's job cell: atomic state machine,
-//!   condvar only on actual contention.
+//! * [`slot::ReplySlot`] — the completion slot a submitter blocks on when
+//!   its reply is another thread's to publish, one-shot per use and recycled
+//!   with its call's job cell: a `Mutex` and a `Condvar`, plus one atomic
+//!   flag so "not yet" costs a load and no lock.
 //! * [`cache::ProgramCache`] — compiled programs keyed by *combination
 //!   signature* (wire signature × the two presentation fingerprints × the
 //!   negotiated trust pair × wire format): one table behind one `RwLock`.

@@ -1,95 +1,60 @@
-//! A lock-free reply slot: one-shot per use, reusable through `reset`.
+//! A reply slot built from std parts: one-shot per use, reusable through
+//! `reset`.
 //!
-//! The engine's old `ReplySlot` was a `Mutex<Option<Result<Reply>>>` plus
-//! a `Condvar` whose `fill` woke *every* waiter: every reply paid two
-//! lock round-trips and a broadcast even when nobody was parked. This
-//! slot is an atomic state machine instead — a seqlock-style publish on
-//! the writer side, and a waiter that only touches the mutex/condvar
-//! pair on actual contention (it parked and must be woken):
-//!
-//! ```text
-//!   EMPTY ──fill──▶ FILLING ──publish──▶ FULL
-//!     │                                    ▲
-//!     └──waiter parks──▶ PARKED ──fill─────┘ (wake under the park lock)
-//! ```
-//!
-//! The warm path — reply ready by the time the waiter looks, the common
-//! case for a fast handler — is one `Acquire` load and a value move: no
-//! lock, no syscall, no allocation (audited in
-//! `crates/engine/tests/zero_alloc_wait.rs`). An engine ticket whose first
-//! look (`try_take`) finds nothing may run its own job, and then keeps the
-//! reply it produced without touching this slot. Every other reply arrives
-//! through `fill`, which may run on the waiter's own thread: a teardown's
-//! `Cancelled`, filled by the shutdown that the waiter's last engine handle
-//! ran as it dropped, is then taken by the same thread.
+//! The value sits under a `Mutex` with a `Condvar` to park on. One atomic
+//! flag, `full`, is stored under that lock by the fill, so asking "is the
+//! reply here yet?" costs one `Acquire` load and no lock. That is the
+//! question an engine ticket asks first (`try_take`): when the answer is no
+//! it may run its own job, and then keeps the reply it produced without
+//! touching this slot. Every other reply arrives through `fill` and is taken
+//! under the lock: a worker's, a thief's, and a teardown's `Cancelled`,
+//! which the shutdown run by the waiter's last engine handle as it dropped
+//! may fill on the waiter's own thread.
 //!
 //! Contract, per use: exactly one value is published (later `fill`s are
 //! dropped, first wins) and at most one thread waits on the slot. A use
 //! ends at `reset` (crate-internal), which takes `&mut self`: whoever calls it
 //! has proved no filler or waiter of the previous use still holds the slot,
-//! so nothing of that use — a late fill, an untaken value, a parked state
-//! an abandoned deadline wait left behind — can reach the next. The engine
+//! so nothing of that use — a late fill, an untaken value, a parked mark an
+//! abandoned deadline wait left behind — can reach the next. The engine
 //! keeps each call's slot in a recycled job cell and resets it on reuse,
 //! once `Arc::get_mut` shows the worker has let go.
 //!
-//! Why the `unsafe` stays (besides this file, only `bench::sample`'s
-//! `ptrace` calls and a test allocator write `unsafe`; `tests/surface.rs`
-//! keeps that inventory): it was measured against the safe alternative. With
-//! this file swapped for a `Mutex<State<T>>` + `Condvar` slot (every
-//! engine test passing, `zero_alloc_wait` included), ten alternating pairs
-//! of `benchmark/run.sh --workload engine_pipelined --seconds 5` at commit
-//! 7f6102b put `ops_per_s` at a median 1.233 M with this slot against
-//! 1.187 M with the safe one: −3.7 %, the safe slot losing all ten pairs
-//! where the lock-free slot's own run-to-run spread is ≈1.5 % (still −2 %,
-//! losing five of six, with the pre-park spin added back). Allocations per
-//! call were equal on `std` primitives. That is not within noise, so the
-//! lock-free slot is kept; delete it only on a measurement that says
-//! otherwise.
+//! Why std parts: until commit f2dcfe2 this file was a four-state
+//! compare-and-swap machine over an `UnsafeCell`, with a pre-park spin,
+//! kept because a `Mutex` + `Condvar` slot had lost 3.7 % on
+//! `engine_pipelined` at 7f6102b. Since f2dcfe2 a waiter that runs its own
+//! job keeps its reply, so on that workload nearly every call only asks
+//! "not yet?" of its slot. With this file in its place, ten alternating
+//! pairs of `scripts/pairs.sh engine_pipelined 10` (15 s runs, seeds
+//! 36101–36110, a 2-vCPU box) read `engine_pipelined` at a median 2.716 M
+//! calls/s against the lock-free slot's 2.683 M (+1.2 %, 5 of 10 pairs,
+//! parent IQR 5.5 %) with equal allocations and no failed call: no loss, so
+//! the slot is built from std parts. EXPERIMENTS.md, "A reply slot from std
+//! parts", has those runs and the rest of the measurement.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// No value yet, no waiter parked.
-const EMPTY: u32 = 0;
-/// A filler has claimed the slot and is writing the value.
-const FILLING: u32 = 1;
-/// The value is published and readable.
-const FULL: u32 = 2;
-/// The waiter is parked (or about to park) on the condvar.
-const PARKED: u32 = 3;
-
-/// Bounded pre-park spin: a handful of polite spins covers the
-/// "reply lands a few instructions after the waiter arrives" window
-/// without burning a core (this repo's target box has exactly one). By the
-/// time an engine ticket spins here it has already tried to run its own
-/// job (`CallTicket::wait`) and a guard said no — a worker is serving the
-/// shard, or calls are queued ahead of this one — so the reply is another
-/// thread's to publish and the yields are what let it.
-const SPINS: u32 = 64;
-const YIELD_AFTER: u32 = 8;
 
 /// A single-producer single-consumer completion slot, one-shot between
 /// `reset`s.
 pub struct ReplySlot<T> {
-    state: AtomicU32,
-    value: UnsafeCell<Option<T>>,
-    /// Touched only when the waiter actually parks, which `PARKED` records:
-    /// `fill` notifies only when it saw that state, so the slot needs no
-    /// count of its sleepers.
-    park: Mutex<()>,
+    /// Set by the fill, under `state`'s lock: it says "filled" to a later
+    /// fill (first wins) and to a `try_take` that does not lock. The fill's
+    /// `Release` store pairs with `try_take`'s `Acquire` load; the value
+    /// itself is only read under the lock.
+    full: AtomicBool,
+    state: Mutex<State<T>>,
     ready: Condvar,
 }
 
-// SAFETY: the state machine guarantees exclusive access to `value` —
-// only the filler that wins the EMPTY/PARKED → FILLING transition
-// writes it, and only the single waiter reads it after observing FULL
-// with `Acquire` (which pairs with the filler's `Release` publish).
-// `state`, `park` and `ready` are `Send + Sync` themselves; `T: Send`
-// because the value moves from the filler's thread to the waiter's.
-unsafe impl<T: Send> Send for ReplySlot<T> {}
-unsafe impl<T: Send> Sync for ReplySlot<T> {}
+struct State<T> {
+    /// The filled value until the waiter takes it.
+    value: Option<T>,
+    /// The waiter parked on `ready` in this use.
+    parked: bool,
+}
 
 impl<T> Default for ReplySlot<T> {
     fn default() -> ReplySlot<T> {
@@ -101,9 +66,8 @@ impl<T> ReplySlot<T> {
     /// An empty slot.
     pub fn new() -> ReplySlot<T> {
         ReplySlot {
-            state: AtomicU32::new(EMPTY),
-            value: UnsafeCell::new(None),
-            park: Mutex::new(()),
+            full: AtomicBool::new(false),
+            state: Mutex::new(State { value: None, parked: false }),
             ready: Condvar::new(),
         }
     }
@@ -112,152 +76,86 @@ impl<T> ReplySlot<T> {
     /// took. Exclusive access is the whole protocol: no filler or waiter
     /// can exist while the caller holds `&mut self`.
     pub(crate) fn reset(&mut self) {
-        *self.state.get_mut() = EMPTY;
-        *self.value.get_mut() = None;
+        *self.full.get_mut() = false;
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        *state = State { value: None, parked: false };
+    }
+
+    /// Locks the state. Nothing under the lock can panic halfway through an
+    /// update, so a poisoned lock left nothing behind to distrust.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Publishes `value`. The first fill wins and returns `true`; any
     /// later fill drops its value and returns `false` (duplicate
     /// deliveries race their shadow's completion against the real one).
     pub fn fill(&self, value: T) -> bool {
-        loop {
-            match self.state.compare_exchange(EMPTY, FILLING, Ordering::Acquire, Ordering::Acquire)
-            {
-                Ok(_) => {
-                    // No waiter parked: write, publish, done — the
-                    // lock-free fast path.
-                    // SAFETY: winning EMPTY → FILLING makes this the one
-                    // filler of this use, and no waiter reads `value`
-                    // before it sees FULL, which is stored only below.
-                    unsafe { *self.value.get() = Some(value) };
-                    self.state.store(FULL, Ordering::Release);
-                    return true;
-                }
-                Err(PARKED) => {
-                    if self
-                        .state
-                        .compare_exchange(PARKED, FILLING, Ordering::Acquire, Ordering::Acquire)
-                        .is_err()
-                    {
-                        continue; // Raced with the waiter; re-read.
-                    }
-                    // SAFETY: winning PARKED → FILLING makes this the one
-                    // filler of this use; the parked waiter reads `value`
-                    // only after the FULL store below.
-                    unsafe { *self.value.get() = Some(value) };
-                    // Publish *under the park lock*: the waiter parks and
-                    // re-checks state under the same lock, so the wake
-                    // cannot slip between its check and its wait.
-                    let _guard = self.park();
-                    self.state.store(FULL, Ordering::Release);
-                    self.ready.notify_all();
-                    return true;
-                }
-                Err(_) => return false, // FULL or FILLING: first fill won.
-            }
+        let mut state = self.lock();
+        if self.full.load(Ordering::Relaxed) {
+            return false;
         }
+        state.value = Some(value);
+        self.full.store(true, Ordering::Release);
+        let parked = state.parked;
+        drop(state);
+        // Notify only a waiter that recorded it parked: `notify_one` is a
+        // syscall even when nobody waits. The waiter records it under the
+        // lock this fill held, so it either parked before the fill (and is
+        // woken) or sees the value before it would park.
+        if parked {
+            self.ready.notify_one();
+        }
+        true
     }
 
-    /// Locks the park mutex. It guards no data, so a holder that panicked
-    /// left nothing behind to distrust.
-    fn park(&self) -> MutexGuard<'_, ()> {
-        self.park.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Takes the published value. Caller observed `FULL` with `Acquire`.
-    fn take(&self) -> T {
-        // SAFETY: FULL is stored once per use, after the filler's last
-        // write, and its `Release` pairs with the caller's `Acquire`; only
-        // the use's single waiter calls this, so nothing else touches
-        // `value` until `reset`, which takes `&mut self`.
-        unsafe { (*self.value.get()).take() }.expect("FULL slot holds a value")
-    }
-
-    /// Takes the value if it is published already: one `Acquire` load,
-    /// never a wait. `None` says nothing about how near the fill is.
+    /// Takes the value if it is published already. "Not yet" is one
+    /// `Acquire` load and never a wait; it says nothing about how near the
+    /// fill is.
     pub(crate) fn try_take(&self) -> Option<T> {
-        (self.state.load(Ordering::Acquire) == FULL).then(|| self.take())
-    }
-
-    /// The warm path: spin briefly for a reply that is ready or imminent.
-    fn try_take_spin(&self) -> Option<T> {
-        for i in 0..SPINS {
-            match self.state.load(Ordering::Acquire) {
-                FULL => return Some(self.take()),
-                // FILLING: the value write is in flight, stay put.
-                _ if i < YIELD_AFTER => std::hint::spin_loop(),
-                _ => std::thread::yield_now(),
-            }
+        if !self.full.load(Ordering::Acquire) {
+            return None;
         }
-        None
+        self.lock().value.take()
     }
 
     /// Blocks until the value is published.
     pub fn wait(&self) -> T {
-        if let Some(v) = self.try_take_spin() {
-            return v;
-        }
+        let mut state = self.lock();
         loop {
-            let guard = self.park();
-            match self.state.compare_exchange(EMPTY, PARKED, Ordering::Acquire, Ordering::Acquire) {
-                // Parked (or still parked after a spurious wake): sleep
-                // until the filler publishes under this same lock. The
-                // loop re-locks, so the guard the wake returns is dropped.
-                Ok(_) | Err(PARKED) => drop(self.ready.wait(guard)),
-                Err(FULL) => {
-                    drop(guard);
-                    return self.take();
-                }
-                Err(_filling) => {
-                    // Publish is a few instructions away.
-                    drop(guard);
-                    std::hint::spin_loop();
-                }
+            if let Some(value) = state.value.take() {
+                return value;
             }
+            state.parked = true;
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Blocks until the value is published or `expired()` reports the
     /// deadline passed. Deadlines live on a *sim* clock that other
     /// threads advance, so the park is sliced into short real-time waits
-    /// with the predicate re-checked on each wake. Returns `None` on
-    /// expiry; a fill that lands after abandonment is dropped with the
-    /// slot.
+    /// with the predicate re-checked on each wake (with the slot locked:
+    /// `expired` must not touch the slot). Returns `None` on expiry; a fill
+    /// that lands after abandonment is dropped with the slot.
     pub fn wait_deadline(&self, mut expired: impl FnMut() -> bool) -> Option<T> {
-        if let Some(v) = self.try_take_spin() {
-            return Some(v);
-        }
+        let mut state = self.lock();
         loop {
+            if let Some(value) = state.value.take() {
+                return Some(value);
+            }
             if expired() {
                 return None;
             }
-            let guard = self.park();
-            match self.state.compare_exchange(EMPTY, PARKED, Ordering::Acquire, Ordering::Acquire) {
-                Ok(_) | Err(PARKED) => {
-                    drop(self.ready.wait_timeout(guard, Duration::from_millis(1)));
-                }
-                Err(FULL) => {
-                    drop(guard);
-                    return Some(self.take());
-                }
-                Err(_filling) => {
-                    drop(guard);
-                    std::hint::spin_loop();
-                }
-            }
+            state.parked = true;
+            let slice = self.ready.wait_timeout(state, Duration::from_millis(1));
+            state = slice.unwrap_or_else(PoisonError::into_inner).0;
         }
     }
 }
 
 impl<T> std::fmt::Debug for ReplySlot<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match self.state.load(Ordering::Relaxed) {
-            EMPTY => "empty",
-            FILLING => "filling",
-            FULL => "full",
-            PARKED => "parked",
-            _ => "?",
-        };
+        let state = if self.full.load(Ordering::Relaxed) { "full" } else { "empty" };
         write!(f, "ReplySlot({state})")
     }
 }
@@ -269,10 +167,11 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn fill_before_wait_is_the_lock_free_path() {
+    fn fill_before_wait_never_parks() {
         let slot = ReplySlot::new();
         assert!(slot.fill(7u32));
         assert_eq!(slot.wait(), 7);
+        assert!(!slot.lock().parked);
     }
 
     #[test]
@@ -292,11 +191,20 @@ mod tests {
     }
 
     #[test]
+    fn a_fill_after_the_take_still_loses() {
+        let slot = ReplySlot::new();
+        assert!(slot.fill(1u32));
+        assert_eq!(slot.try_take(), Some(1));
+        assert!(!slot.fill(2), "first fill wins for the whole use");
+        assert_eq!(format!("{slot:?}"), "ReplySlot(full)");
+    }
+
+    #[test]
     fn wait_parks_until_filled() {
         let slot = Arc::new(ReplySlot::new());
         let s = Arc::clone(&slot);
         let filler = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(10)); // outlast the spin
+            thread::sleep(Duration::from_millis(10)); // let the waiter park
             s.fill(42u32);
         });
         assert_eq!(slot.wait(), 42);
@@ -354,33 +262,34 @@ mod tests {
         for round in 0..2u32 {
             let s = Arc::clone(&slot);
             let filler = thread::spawn(move || {
-                thread::sleep(Duration::from_millis(10)); // outlast the spin
+                thread::sleep(Duration::from_millis(10)); // let the waiter park
                 s.fill(round);
             });
             assert_eq!(slot.wait(), round);
             filler.join().unwrap();
             Arc::get_mut(&mut slot).expect("filler joined").reset();
         }
-        // An abandoned deadline wait leaves the slot PARKED; reset clears
-        // that too, and the next fill takes the lock-free path.
+        // An abandoned deadline wait leaves the slot marked parked; reset
+        // clears that too, so the next fill notifies nobody.
         let mut polls = 0;
         let expired_on_second_poll = || {
             polls += 1;
             polls > 1
         };
         assert_eq!(slot.wait_deadline(expired_on_second_poll), None);
-        assert_eq!(format!("{slot:?}"), "ReplySlot(parked)");
+        assert!(slot.lock().parked);
         Arc::get_mut(&mut slot).expect("sole owner").reset();
+        assert!(!slot.lock().parked);
         assert!(slot.fill(9));
         assert_eq!(slot.wait(), 9);
     }
 
     /// Shim-backed interleaving sweep (no loom in the tree): drive the
     /// fill/wait race through many seeded schedules — filler leading,
-    /// landing mid-spin, and landing after the waiter parked — and
-    /// assert the value always arrives exactly once. The yield-based
-    /// stagger makes each band hit a different region of the state
-    /// machine (EMPTY fast path, FILLING observation, PARKED wake).
+    /// landing as the waiter takes the lock, and landing after the waiter
+    /// parked — and assert the value always arrives exactly once. The
+    /// yield-based stagger makes each band hit a different order of the
+    /// fill's and the waiter's turns at the lock.
     #[test]
     fn interleaving_sweep_never_loses_a_value() {
         for round in 0..200u64 {

@@ -30,6 +30,7 @@ cargo test -q --release -p flexrpc-runtime --test zero_alloc --test fuse_differe
 cargo test -q --release -p flexrpc-runtime --lib replycache # slab offsets: integer arithmetic that wraps silently in release
 cargo test -q --release --test sunrpc_hostile_frames # odd-length records against both servers and both clients
 cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_alloc --test cell_reuse # queued round trip, bind; admission facts read out of a recycled cell
+cargo test -q --release -p flexrpc-engine --lib slot # the interleaving sweeps: a fill racing a parking waiter lands in other bands in release
 cargo test -q --release -p flexrpc-engine --test stress --test robustness --test helping_wait # wakes, shutdown, helping guards
 cargo test -q --release -p flexrpc-engine --test qos --test path_parity # a tenant swap racing a cached admission; one path's spans and metrics
 cargo test -q --release -p flexrpc-control # the policy cell's version and its cached copies

@@ -18,7 +18,6 @@ const ALLOW: &[(&str, &str, &str)] = &[
 /// `(file, why it needs unsafe)`: a foreign call, an interface only unsafe
 /// code can implement, or a measured gain.
 const UNSAFE: &[(&str, &str)] = &[
-    ("crates/engine/src/slot.rs", "measured: the safe slot lost 3.7 % on `engine_pipelined`"),
     ("crates/runtime/tests/counting_alloc/mod.rs", "implements `GlobalAlloc`"),
     ("crates/bench/src/sample.rs", "`ptrace` and `waitpid` FFI"),
 ];
