@@ -25,7 +25,9 @@ use flexrpc_marshal::WireFormat;
 use flexrpc_net::{NetConfig, SimNet};
 use flexrpc_runtime::replycache::ReplyCache;
 use flexrpc_runtime::transport::{serve_on_net, Loopback, SunRpc};
-use flexrpc_runtime::{CallOptions, ClientStub, Error, RetryPolicy, ServerInterface, Supervisor};
+use flexrpc_runtime::{
+    CallOptions, ClientStub, RetryPolicy, RpcError, ServerInterface, Supervisor,
+};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,7 +105,7 @@ fn counter_handler(
     }
 }
 
-fn add(stub: &mut ClientStub, x: u32, opts: &CallOptions) -> Result<u32, Error> {
+fn add(stub: &mut ClientStub, x: u32, opts: &CallOptions) -> Result<u32, RpcError> {
     let mut frame = stub.new_frame("add").expect("frame");
     frame[0] = Value::U32(x);
     stub.call_with("add", &mut frame, opts)?;
@@ -196,7 +198,7 @@ pub fn failover_once(crash_at: usize) -> RecoveryRun {
     let (net2, ch) = (Arc::clone(&net), client_host);
     let mut sup = Supervisor::builder()
         .endpoint(move || {
-            let conn = eng.connect("counter").establish().map_err(Error::from)?;
+            let conn = eng.connect("counter").establish()?;
             Ok(ClientStub::new(compiled(&counter_module()), WireFormat::Cdr, Box::new(conn)))
         })
         .endpoint(move || {

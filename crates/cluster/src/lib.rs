@@ -193,7 +193,7 @@ fn compile(m: &flexrpc_core::ir::Module) -> CompiledInterface {
 }
 
 /// Outcome code for the trace ledger's detail word.
-fn outcome_code(outcome: &Result<u32, flexrpc_runtime::Error>) -> u64 {
+fn outcome_code(outcome: &Result<u32, flexrpc_runtime::RpcError>) -> u64 {
     match outcome {
         Ok(_) => 0,
         Err(e) => match e.kind() {

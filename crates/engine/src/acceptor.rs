@@ -23,7 +23,7 @@ use flexrpc_core::program::CompiledInterface;
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
 use flexrpc_net::{HostId, Link, NetError, SimNet};
 use flexrpc_runtime::policy::CallTag;
-use flexrpc_runtime::transport::accept_call;
+use flexrpc_runtime::transport::{accept_call, dispatch_stat};
 use flexrpc_runtime::TenantId;
 use std::sync::Arc;
 
@@ -89,18 +89,10 @@ pub fn expose_on_net(
                         AcceptStat::Success,
                         &[&reply.body],
                     ),
-                    Err(flexrpc_runtime::RpcError::Marshal(_)) => {
-                        sunrpc::encode_reply_gather_into(out, xid, AcceptStat::GarbageArgs, &[])
-                    }
-                    // Policy failures get a real reply (SYSTEM_ERR), not a
-                    // dead connection: the client can tell "server refused
-                    // under policy" from "server is broken" and back off.
-                    Err(
-                        flexrpc_runtime::RpcError::DeadlineExceeded
-                        | flexrpc_runtime::RpcError::Overloaded
-                        | flexrpc_runtime::RpcError::Cancelled,
-                    ) => sunrpc::encode_reply_gather_into(out, xid, AcceptStat::SystemErr, &[]),
-                    Err(e) => return Err(format!("dispatch failed: {e}")),
+                    Err(e) => match dispatch_stat(&e) {
+                        Some(stat) => sunrpc::encode_reply_gather_into(out, xid, stat, &[]),
+                        None => return Err(format!("dispatch failed: {e}")),
+                    },
                 },
             }
         }

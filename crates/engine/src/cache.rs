@@ -57,7 +57,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Fraction of lookups served from cache (0 when none yet).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -130,7 +130,7 @@ impl ProgramCache {
     }
 
     /// Looks up without compiling (and without counting hits or misses).
-    pub fn get(&self, key: &ProgramKey) -> Option<Arc<CompiledInterface>> {
+    pub(crate) fn get(&self, key: &ProgramKey) -> Option<Arc<CompiledInterface>> {
         self.programs.read().get(key).map(Arc::clone)
     }
 

@@ -45,7 +45,7 @@
 
 use crate::breaker::{BreakerStats, CircuitBreaker};
 use crate::cache::ProgramCache;
-use crate::error::{admission_error, EngineError};
+use crate::error::EngineError;
 use crate::slot::ReplySlot;
 use crate::stats::{EngineCounters, EngineStatsSnapshot};
 use flexrpc_clock::{FaultInjector, Lost, SimClock};
@@ -1218,7 +1218,7 @@ impl Engine {
         rights_out: &mut Vec<u32>,
     ) -> flexrpc_runtime::Result<()> {
         let mut foreign = None;
-        let adm = self.admit(call, &mut foreign).map_err(admission_error)?;
+        let adm = self.admit(call, &mut foreign)?;
         let shard = self.home_shard(adm.tenant, call.binding);
         // Duplicate deliveries must ride the queue: the shadow and the
         // real call share one FIFO lane there, so the shadow strictly
@@ -1243,7 +1243,7 @@ impl Engine {
             };
             return self.serve(&dispatch, shard, reply, rights_out);
         }
-        let ticket = self.enqueue(call, Arc::clone(pool), &adm, shard).map_err(admission_error)?;
+        let ticket = self.enqueue(call, Arc::clone(pool), &adm, shard)?;
         // Move, don't copy: the worker's reply body becomes the caller's
         // buffer (the caller's old allocation rides back into `r` and is
         // dropped).
@@ -1497,11 +1497,6 @@ impl EngineConnection {
         self.bind.read().pool.compiled()
     }
 
-    /// The engine this connection belongs to.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
-    }
-
     /// The connection's server-side span trace (bind, queue dwell,
     /// dispatch), if established with [`CallOptions::traced`].
     pub fn trace(&self) -> Option<&SharedCallTrace> {
@@ -1573,7 +1568,7 @@ impl Transport for EngineConnection {
             // No reply to miss: a message the fault gate lost is lost
             // silently, as on every other transport.
             Err(EngineError::Dropped | EngineError::Disconnected(_)) => {}
-            Err(e) => return Err(admission_error(e)),
+            Err(e) => return Err(e.into()),
         }
         Ok(())
     }

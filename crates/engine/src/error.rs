@@ -1,7 +1,5 @@
-//! The engine's error type and its two foldings into the runtime's
-//! taxonomy: [`EngineError`] as a unified [`flexrpc_runtime::Error`] for
-//! control operations, and as an [`RpcError`] for calls refused at
-//! admission.
+//! The engine's error type and its one folding into the runtime's
+//! [`RpcError`], for control operations and refused calls alike.
 
 use flexrpc_runtime::RpcError;
 
@@ -63,40 +61,63 @@ impl From<flexrpc_net::NetError> for EngineError {
     }
 }
 
-/// Engine failures fold into the unified taxonomy: shed at admission is
+/// Engine failures fold into the runtime's one error: shed at admission is
 /// [`Overloaded`](flexrpc_runtime::ErrorKind::Overloaded), shutdown is
-/// [`Cancelled`](flexrpc_runtime::ErrorKind::Cancelled), network trouble
-/// keeps its layer's classification, and registration/compile problems are
-/// fatal (no retry fixes a missing service).
-impl From<EngineError> for flexrpc_runtime::Error {
-    fn from(e: EngineError) -> flexrpc_runtime::Error {
-        use flexrpc_runtime::ErrorKind;
-        let kind = match &e {
-            EngineError::Overloaded => ErrorKind::Overloaded,
-            EngineError::Closed => ErrorKind::Cancelled,
-            EngineError::Net(n) => RpcError::Net(n.clone()).kind(),
-            EngineError::Dropped => ErrorKind::Retryable,
+/// [`Cancelled`](flexrpc_runtime::ErrorKind::Cancelled), a crashed engine
+/// and an open breaker are a lost binding, network trouble keeps its
+/// layer's detail, and registration and compile problems are fatal (no
+/// retry fixes a missing service).
+impl From<EngineError> for RpcError {
+    fn from(e: EngineError) -> RpcError {
+        use flexrpc_core::CoreError;
+        match e {
+            EngineError::Overloaded => RpcError::Overloaded,
+            EngineError::Closed => RpcError::Cancelled,
+            EngineError::Dropped => {
+                RpcError::Transport("submission dropped (induced fault)".into())
+            }
             // A crashed engine and an open breaker read the same to a
             // supervisor: this binding is gone, fail over.
-            EngineError::Disconnected(_) | EngineError::Unhealthy => ErrorKind::Disconnected,
-            EngineError::ShapeMismatch(_) => ErrorKind::ContractViolation,
-            EngineError::UnknownService(_)
-            | EngineError::DuplicateService(_)
-            | EngineError::Compile(_) => ErrorKind::Fatal,
-        };
-        flexrpc_runtime::Error::new(kind, e.to_string())
+            EngineError::Disconnected(why) => RpcError::Disconnected(why),
+            EngineError::Unhealthy => RpcError::Disconnected("engine circuit breaker open".into()),
+            EngineError::Net(e) => RpcError::Net(e),
+            EngineError::ShapeMismatch(why) => RpcError::ShapeMisuse(why),
+            EngineError::Compile(e) => RpcError::Core(e),
+            EngineError::UnknownService(name) => {
+                RpcError::Core(CoreError::Unresolved { kind: "service", name })
+            }
+            EngineError::DuplicateService(name) => {
+                RpcError::Core(CoreError::Duplicate { kind: "service", name })
+            }
+        }
     }
 }
 
-/// Folds engine admission failures into the runtime's error taxonomy —
-/// shared by the unary and one-way transport paths.
-pub(crate) fn admission_error(e: EngineError) -> RpcError {
-    match e {
-        EngineError::Overloaded => RpcError::Overloaded,
-        EngineError::Closed => RpcError::Cancelled,
-        EngineError::Dropped => RpcError::Transport("submission dropped (induced fault)".into()),
-        EngineError::Disconnected(why) => RpcError::Disconnected(why),
-        EngineError::Unhealthy => RpcError::Disconnected("engine circuit breaker open".into()),
-        other => RpcError::Transport(other.to_string()),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexrpc_runtime::ErrorKind;
+
+    #[test]
+    fn every_engine_error_folds_in_with_its_kind() {
+        let cases = [
+            (EngineError::UnknownService("svc".into()), ErrorKind::Fatal),
+            (EngineError::DuplicateService("svc".into()), ErrorKind::Fatal),
+            (EngineError::Closed, ErrorKind::Cancelled),
+            (EngineError::Overloaded, ErrorKind::Overloaded),
+            (
+                EngineError::Compile(flexrpc_core::CoreError::Unsupported("x".into())),
+                ErrorKind::Fatal,
+            ),
+            (EngineError::Net(flexrpc_net::NetError::Dropped), ErrorKind::Retryable),
+            (EngineError::Dropped, ErrorKind::Retryable),
+            (EngineError::Disconnected("crashed".into()), ErrorKind::Disconnected),
+            (EngineError::Unhealthy, ErrorKind::Disconnected),
+            (EngineError::ShapeMismatch("oneway vs unary".into()), ErrorKind::ContractViolation),
+        ];
+        for (e, kind) in cases {
+            let shown = e.to_string();
+            assert_eq!(RpcError::from(e).kind(), kind, "{shown}");
+        }
     }
 }

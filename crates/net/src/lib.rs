@@ -66,8 +66,13 @@ pub enum NetError {
     NoSuchHost(HostId),
     /// The destination host has no registered service.
     NoService(HostId),
-    /// The service handler failed with a protocol-level error.
+    /// The service handler failed with a protocol-level error, or its
+    /// dispatch failed: deterministic, the same message fails the same way.
     ServiceFailure(String),
+    /// The Sun RPC server answered the call with a refusal (a program,
+    /// version or procedure it does not serve, or arguments it cannot
+    /// decode): deterministic, a resend is refused the same way.
+    Refused(sunrpc::AcceptStat),
     /// The message was lost in transit (induced by fault injection).
     /// Transient by construction: a retry sends a fresh message.
     Dropped,
@@ -83,6 +88,7 @@ impl fmt::Display for NetError {
             NetError::NoSuchHost(h) => write!(f, "no such host {h:?}"),
             NetError::NoService(h) => write!(f, "no service registered on {h:?}"),
             NetError::ServiceFailure(why) => write!(f, "service failure: {why}"),
+            NetError::Refused(stat) => write!(f, "call refused: {stat:?}"),
             NetError::Dropped => write!(f, "message dropped in transit"),
             NetError::Disconnected(why) => write!(f, "peer disconnected: {why}"),
         }

@@ -1,6 +1,6 @@
 //! The client stub: marshal → transport → unmarshal.
 
-use crate::error::{Error, ErrorKind, RpcError};
+use crate::error::{ErrorKind, RpcError};
 use crate::hooks::HookMap;
 use crate::interp::{marshal_into, unmarshal};
 use crate::policy::{CallControl, CallOptions, CallTag, TenantId};
@@ -192,18 +192,13 @@ impl ClientStub {
     /// resolved against the transport's sim clock and enforced at every
     /// blocking point; transient failures are retried per the policy —
     /// but only if the operation's presentation declared `[idempotent]`.
-    ///
-    /// Returns the unified [`Error`] type: one taxonomy across transports.
     pub fn call_with(
         &mut self,
         name: &str,
         frame: &mut [Value],
         options: &CallOptions,
-    ) -> core::result::Result<u32, Error> {
-        let i = self
-            .compiled
-            .op_index(name)
-            .ok_or_else(|| Error::from(RpcError::NoSuchOp(name.into())))?;
+    ) -> Result<u32> {
+        let i = self.compiled.op_index(name).ok_or_else(|| RpcError::NoSuchOp(name.into()))?;
         self.call_index_with(i, frame, options)
     }
 
@@ -213,7 +208,7 @@ impl ClientStub {
         op_index: usize,
         frame: &mut [Value],
         options: &CallOptions,
-    ) -> core::result::Result<u32, Error> {
+    ) -> Result<u32> {
         let op = op_at(&self.compiled, op_index)?;
         // Retry license: `[idempotent]` as declared, or the binding's
         // at-most-once mode (the server's reply cache makes a resend
@@ -247,7 +242,7 @@ impl ClientStub {
                     let may_retry =
                         e.is_retryable() || (tag.is_some() && e.kind() == ErrorKind::Disconnected);
                     if !may_retry || attempt >= max_attempts {
-                        return Err(e.into());
+                        return Err(e);
                     }
                     let policy = options.retry_policy().expect("attempts > 1 implies a policy");
                     // Back off on the sim clock (the simulated world's
@@ -269,7 +264,7 @@ impl ClientStub {
                     }
                     if let (Some(d), Some(c)) = (deadline_ns, &clock) {
                         if c.now_ns() > d {
-                            return Err(RpcError::DeadlineExceeded.into());
+                            return Err(RpcError::DeadlineExceeded);
                         }
                     }
                     attempt += 1;
@@ -293,15 +288,10 @@ impl ClientStub {
         &mut self,
         options: &CallOptions,
         clock: Option<&Arc<flexrpc_clock::SimClock>>,
-    ) -> core::result::Result<(CallControl, Option<u64>), Error> {
+    ) -> Result<(CallControl, Option<u64>)> {
         let deadline_ns = match (options.deadline_ns(), clock) {
             (Some(d), Some(c)) => Some(c.now_ns().saturating_add(d)),
-            (Some(_), None) => {
-                return Err(Error::new(
-                    ErrorKind::Fatal,
-                    "transport has no sim clock; deadlines cannot be enforced on it",
-                ))
-            }
+            (Some(_), None) => return Err(RpcError::NoClock("deadlines")),
             (None, _) => None,
         };
         let tenant = self.tenant;
@@ -412,15 +402,11 @@ impl ClientStub {
         name: &str,
         frame: &mut [Value],
         options: &CallOptions,
-    ) -> core::result::Result<(), Error> {
-        let i = self
-            .compiled
-            .op_index(name)
-            .ok_or_else(|| Error::from(RpcError::NoSuchOp(name.into())))?;
+    ) -> Result<()> {
+        let i = self.compiled.op_index(name).ok_or_else(|| RpcError::NoSuchOp(name.into()))?;
         let clock = self.transport.clock();
         let (ctl, trace_call) = self.begin(options, clock.as_ref())?;
-        self.notify_once(i, frame, &ctl, trace_call)?;
-        Ok(())
+        self.notify_once(i, frame, &ctl, trace_call)
     }
 
     fn notify_once(

@@ -1,16 +1,13 @@
-//! The runtime's unified error type.
+//! The runtime's one error type.
 //!
-//! Two layers, by design:
-//!
-//! * [`RpcError`] is the runtime's *working* enum — crate-local error enums
-//!   ([`flexrpc_kernel::KernelError`], [`flexrpc_net::NetError`],
-//!   [`flexrpc_core::CoreError`], marshal errors) fold into it via `From`,
-//!   and internal code matches on its variants.
-//! * [`Error`] is the *public* unified type the facade re-exports as
-//!   `flexrpc::Error`: one [`ErrorKind`] taxonomy across every crate, with
-//!   retryability a kind ([`ErrorKind::Retryable`]) rather than a
-//!   match-on-variant guessing game. Every crate-local enum converts into
-//!   it via `From`, so application code handles exactly one error type.
+//! [`RpcError`] is what every stub, server, transport, supervisor, stream
+//! and engine entry point fails with. The crate-local enums
+//! ([`flexrpc_kernel::KernelError`], [`flexrpc_net::NetError`],
+//! [`flexrpc_core::CoreError`], marshal errors) fold into it via `From`
+//! with their detail intact, so a caller can match the layer and cause.
+//! [`RpcError::kind`] classifies it, in this one place, into the
+//! [`ErrorKind`] taxonomy: what a caller can *do* about the failure,
+//! whichever transport produced it.
 
 use core::fmt;
 
@@ -23,7 +20,8 @@ pub enum RpcError {
     Kernel(flexrpc_kernel::KernelError),
     /// The simulated network refused an operation.
     Net(flexrpc_net::NetError),
-    /// Program compilation or presentation application failed at bind time.
+    /// Binding failed: program compilation or presentation application, or
+    /// a name the binding needs (a service, an endpoint) does not resolve.
     Core(flexrpc_core::CoreError),
     /// The server completed the RPC with a non-zero application status and
     /// the presentation surfaces it through the exception path (no
@@ -65,6 +63,9 @@ pub enum RpcError {
     /// not just one message, so recovery means rebinding (possibly to a
     /// different endpoint) rather than resending on the same channel.
     Disconnected(String),
+    /// The transport has no sim clock, so what the call asked for (a
+    /// deadline, a credit stall) cannot be enforced on it.
+    NoClock(&'static str),
 }
 
 impl fmt::Display for RpcError {
@@ -73,7 +74,7 @@ impl fmt::Display for RpcError {
             RpcError::Marshal(e) => write!(f, "marshal error: {e}"),
             RpcError::Kernel(e) => write!(f, "kernel error: {e}"),
             RpcError::Net(e) => write!(f, "network error: {e}"),
-            RpcError::Core(e) => write!(f, "compile error: {e}"),
+            RpcError::Core(e) => write!(f, "bind error: {e}"),
             RpcError::Remote(code) => write!(f, "remote failure, status {code}"),
             RpcError::NoSuchOp(name) => write!(f, "no such operation `{name}`"),
             RpcError::SlotKind { slot, expected, found } => {
@@ -87,6 +88,9 @@ impl fmt::Display for RpcError {
             RpcError::Overloaded => write!(f, "server overloaded, call shed"),
             RpcError::Cancelled => write!(f, "call cancelled before execution"),
             RpcError::Disconnected(why) => write!(f, "connection lost: {why}"),
+            RpcError::NoClock(what) => {
+                write!(f, "transport has no sim clock; {what} cannot be enforced on it")
+            }
         }
     }
 }
@@ -100,11 +104,9 @@ impl RpcError {
             RpcError::Kernel(
                 flexrpc_kernel::KernelError::Dropped | flexrpc_kernel::KernelError::NoServer,
             ) => ErrorKind::Retryable,
-            RpcError::Net(
-                flexrpc_net::NetError::Dropped
-                | flexrpc_net::NetError::NoService(_)
-                | flexrpc_net::NetError::ServiceFailure(_),
-            ) => ErrorKind::Retryable,
+            RpcError::Net(flexrpc_net::NetError::Dropped | flexrpc_net::NetError::NoService(_)) => {
+                ErrorKind::Retryable
+            }
             RpcError::Transport(_) => ErrorKind::Retryable,
             // The binding itself died: resending on this channel is futile,
             // but a supervisor can rebind (same or different endpoint) and
@@ -129,8 +131,10 @@ impl RpcError {
             RpcError::Overloaded => ErrorKind::Overloaded,
             RpcError::Cancelled => ErrorKind::Cancelled,
             // Everything else (marshal failures, bad addresses, remote
-            // application statuses, slot misuse) is deterministic: the same
-            // call will fail the same way.
+            // application statuses, slot misuse, a server's failed dispatch
+            // or refusal on any transport) is deterministic: the same call
+            // will fail the same way. A failed dispatch records nothing in
+            // a reply cache, so resending it would run the handler again.
             _ => ErrorKind::Fatal,
         }
     }
@@ -179,69 +183,6 @@ impl fmt::Display for ErrorKind {
             ErrorKind::Disconnected => "disconnected",
         };
         f.write_str(s)
-    }
-}
-
-/// The one public error type: a taxonomy bucket plus a human-readable
-/// message retaining the crate-local detail. Re-exported as `flexrpc::Error`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    kind: ErrorKind,
-    message: String,
-}
-
-impl Error {
-    /// Builds an error in the given taxonomy bucket.
-    pub fn new(kind: ErrorKind, message: impl Into<String>) -> Error {
-        Error { kind, message: message.into() }
-    }
-
-    /// Which taxonomy bucket this error falls into.
-    pub fn kind(&self) -> ErrorKind {
-        self.kind
-    }
-
-    /// The human-readable detail.
-    pub fn message(&self) -> &str {
-        &self.message
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.kind, self.message)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<RpcError> for Error {
-    fn from(e: RpcError) -> Self {
-        Error { kind: e.kind(), message: e.to_string() }
-    }
-}
-
-impl From<flexrpc_marshal::MarshalError> for Error {
-    fn from(e: flexrpc_marshal::MarshalError) -> Self {
-        RpcError::from(e).into()
-    }
-}
-
-impl From<flexrpc_kernel::KernelError> for Error {
-    fn from(e: flexrpc_kernel::KernelError) -> Self {
-        RpcError::from(e).into()
-    }
-}
-
-impl From<flexrpc_net::NetError> for Error {
-    fn from(e: flexrpc_net::NetError) -> Self {
-        RpcError::from(e).into()
-    }
-}
-
-impl From<flexrpc_core::CoreError> for Error {
-    fn from(e: flexrpc_core::CoreError) -> Self {
-        RpcError::from(e).into()
     }
 }
 
@@ -296,6 +237,18 @@ mod tests {
             ErrorKind::Fatal
         );
         assert_eq!(RpcError::Remote(5).kind(), ErrorKind::Fatal);
+        // A server that ran the call and failed, or refused it, fails the
+        // same way again on every transport: no resend.
+        assert_eq!(
+            RpcError::Kernel(flexrpc_kernel::KernelError::ServerFailure(1)).kind(),
+            ErrorKind::Fatal
+        );
+        assert_eq!(
+            RpcError::Net(flexrpc_net::NetError::ServiceFailure("dispatch failed".into())).kind(),
+            ErrorKind::Fatal
+        );
+        let refusal = flexrpc_net::NetError::Refused(flexrpc_net::sunrpc::AcceptStat::ProcUnavail);
+        assert_eq!(RpcError::Net(refusal).kind(), ErrorKind::Fatal);
         assert_eq!(
             RpcError::Kernel(flexrpc_kernel::KernelError::SignatureMismatch {
                 client: 1,
@@ -321,22 +274,21 @@ mod tests {
         let e = RpcError::Disconnected("peer crashed".into());
         assert_eq!(e.kind(), ErrorKind::Disconnected);
         assert!(e.to_string().contains("connection lost"));
-        let e: Error = RpcError::Disconnected("peer crashed".into()).into();
-        assert_eq!(e.kind(), ErrorKind::Disconnected);
     }
 
     #[test]
-    fn unified_error_from_every_crate_local_enum() {
-        let e: Error = flexrpc_net::NetError::Dropped.into();
+    fn every_crate_local_enum_folds_in_with_its_kind() {
+        let e: RpcError = flexrpc_net::NetError::Dropped.into();
         assert_eq!(e.kind(), ErrorKind::Retryable);
-        let e: Error = flexrpc_kernel::KernelError::NoServer.into();
+        let e: RpcError = flexrpc_kernel::KernelError::NoServer.into();
         assert_eq!(e.kind(), ErrorKind::Retryable);
-        let e: Error = flexrpc_core::CoreError::ContractViolation("sig".into()).into();
+        let e: RpcError = flexrpc_core::CoreError::ContractViolation("sig".into()).into();
         assert_eq!(e.kind(), ErrorKind::ContractViolation);
-        let e: Error = flexrpc_marshal::MarshalError::BadBool(1).into();
+        let e: RpcError = flexrpc_marshal::MarshalError::BadBool(1).into();
         assert_eq!(e.kind(), ErrorKind::Fatal);
-        let e: Error = RpcError::DeadlineExceeded.into();
-        assert_eq!(e.kind(), ErrorKind::DeadlineExceeded);
-        assert!(e.to_string().contains("deadline"));
+        assert!(RpcError::DeadlineExceeded.to_string().contains("deadline"));
+        let e = RpcError::NoClock("deadlines");
+        assert_eq!(e.kind(), ErrorKind::Fatal);
+        assert!(e.to_string().contains("deadlines cannot be enforced"));
     }
 }

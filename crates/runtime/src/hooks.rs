@@ -65,18 +65,8 @@ impl HookMap {
     }
 
     /// Looks up a hook.
-    pub fn get(&self, param: usize) -> Option<&Arc<dyn SpecialMarshal>> {
+    pub(crate) fn get(&self, param: usize) -> Option<&Arc<dyn SpecialMarshal>> {
         self.hooks.get(&param)
-    }
-
-    /// Number of registered hooks.
-    pub fn len(&self) -> usize {
-        self.hooks.len()
-    }
-
-    /// True if no hooks are registered.
-    pub fn is_empty(&self) -> bool {
-        self.hooks.is_empty()
     }
 }
 
@@ -96,10 +86,9 @@ mod tests {
     #[test]
     fn registry_roundtrip() {
         let mut map = HookMap::new();
-        assert!(map.is_empty());
+        assert!(map.get(0).is_none());
         map.set(0, Arc::new(Nop));
         map.set(usize::MAX, Arc::new(Nop));
-        assert_eq!(map.len(), 2);
         assert!(map.get(0).is_some());
         assert!(map.get(usize::MAX).is_some());
         assert!(map.get(7).is_none());

@@ -9,7 +9,7 @@
 //! policy layer refuses to resend an operation whose presentation does not
 //! declare it safe to execute twice.
 
-use crate::error::{Error, ErrorKind};
+use crate::error::RpcError;
 use flexrpc_clock::{splitmix64, SimClock};
 use flexrpc_core::program::CompiledOp;
 use std::time::Duration;
@@ -74,15 +74,12 @@ impl RetryPolicy {
     /// true`) — the server's reply cache suppresses re-execution, so a
     /// resend is observationally a single execution. A policy of one
     /// attempt never resends, so it passes for any op.
-    pub(crate) fn check_op_with(&self, op: &CompiledOp, at_most_once: bool) -> Result<(), Error> {
+    pub(crate) fn check_op_with(&self, op: &CompiledOp, at_most_once: bool) -> crate::Result<()> {
         if self.max_attempts > 1 && !op.idempotent && !at_most_once {
-            return Err(Error::new(
-                ErrorKind::ContractViolation,
-                format!(
-                    "operation `{}` is not declared [idempotent]; a retry policy may resend it",
-                    op.name
-                ),
-            ));
+            return Err(RpcError::ShapeMisuse(format!(
+                "operation `{}` is not declared [idempotent]; a retry policy may resend it",
+                op.name
+            )));
         }
         Ok(())
     }
@@ -101,7 +98,7 @@ pub struct CallOptions {
 
 impl CallOptions {
     /// Sets the deadline: the call fails with
-    /// [`ErrorKind::DeadlineExceeded`] if the sim clock advances past
+    /// [`RpcError::DeadlineExceeded`] if the sim clock advances past
     /// `start + d` before a reply is accepted.
     pub fn deadline(mut self, d: Duration) -> CallOptions {
         self.deadline = Some(d);
@@ -172,7 +169,7 @@ impl TenantId {
     pub const DEFAULT: TenantId = TenantId(0);
 
     /// The raw id (what rides the wire credential / kernel registers).
-    pub fn as_u64(self) -> u64 {
+    pub(crate) fn as_u64(self) -> u64 {
         self.0
     }
 
@@ -257,7 +254,7 @@ impl CallControl {
     /// True if `clock` is past the deadline. A call with no deadline reads
     /// no clock.
     #[inline]
-    pub fn expired(&self, clock: &SimClock) -> bool {
+    pub(crate) fn expired(&self, clock: &SimClock) -> bool {
         self.deadline_ns.is_some_and(|d| clock.expired(d))
     }
 }

@@ -148,7 +148,7 @@ pub struct ServerCall<'a, 'w> {
 impl ServerCall<'_, '_> {
     /// Resolves a slot index by dotted name.
     #[inline]
-    pub fn slot(&self, name: &str) -> Result<usize> {
+    pub(crate) fn slot(&self, name: &str) -> Result<usize> {
         self.slots
             .slot(name)
             .map(|s| s.0)
@@ -162,17 +162,6 @@ impl ServerCall<'_, '_> {
         self.frame[i].as_u32().ok_or_else(|| RpcError::SlotKind {
             slot: i,
             expected: "u32",
-            found: self.frame[i].kind(),
-        })
-    }
-
-    /// Reads a `u64` argument.
-    #[inline]
-    pub fn u64(&self, name: &str) -> Result<u64> {
-        let i = self.slot(name)?;
-        self.frame[i].as_u64().ok_or_else(|| RpcError::SlotKind {
-            slot: i,
-            expected: "u64",
             found: self.frame[i].kind(),
         })
     }
@@ -827,8 +816,7 @@ mod tests {
     fn call_accessors_typecheck() {
         let mut srv = ServerInterface::new(compiled(), WireFormat::Cdr);
         srv.on("read", |call| {
-            assert!(call.u64("count").is_err(), "count is u32, not u64");
-            assert!(call.str("count").is_err());
+            assert!(call.str("count").is_err(), "count is u32, not a string");
             assert!(call.slot("nonexistent").is_err());
             call.set("return", Value::Bytes(vec![])).unwrap();
             0

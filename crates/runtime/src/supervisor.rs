@@ -17,16 +17,18 @@
 //! primary with a live reply cache — suppresses the duplicate).
 
 use crate::client::ClientStub;
-use crate::error::{Error, ErrorKind};
+use crate::error::{ErrorKind, RpcError};
 use crate::policy::CallOptions;
+use crate::Result;
 use flexrpc_core::value::Value;
+use flexrpc_core::CoreError;
 use flexrpc_trace::{Counter, Histogram, MetricsRegistry, SharedCallTrace, Stage};
 
 /// One way to (re-)establish a binding: runs the full bind-time
 /// negotiation against a fixed endpoint and returns a ready stub.
 /// `FnMut` so a factory can hold warm state (a shared program cache, a
 /// connection pool slot) across rebinds.
-pub type EndpointFactory = Box<dyn FnMut() -> Result<ClientStub, Error> + Send>;
+pub type EndpointFactory = Box<dyn FnMut() -> Result<ClientStub> + Send>;
 
 /// Counters describing supervision activity (a point-in-time copy of the
 /// supervisor's registry-backed counters; see [`Supervisor::stats`]).
@@ -76,15 +78,11 @@ pub struct SupervisorBuilder {
 }
 
 impl SupervisorBuilder {
-    pub fn new() -> SupervisorBuilder {
-        SupervisorBuilder::default()
-    }
-
     /// Appends an endpoint. The first registered is the primary; later
     /// ones are standbys tried in order on disconnect.
     pub fn endpoint(
         mut self,
-        factory: impl FnMut() -> Result<ClientStub, Error> + Send + 'static,
+        factory: impl FnMut() -> Result<ClientStub> + Send + 'static,
     ) -> SupervisorBuilder {
         self.endpoints.push(Box::new(factory));
         self
@@ -92,10 +90,11 @@ impl SupervisorBuilder {
 
     /// Binds the primary (falling down the list if it refuses) and
     /// returns the running supervisor.
-    pub fn connect(self) -> Result<Supervisor, Error> {
+    pub fn connect(self) -> Result<Supervisor> {
         let mut endpoints = self.endpoints;
         if endpoints.is_empty() {
-            return Err(Error::new(ErrorKind::Fatal, "supervisor needs at least one endpoint"));
+            let name = "none registered".into();
+            return Err(RpcError::Core(CoreError::Unresolved { kind: "endpoint", name }));
         }
         let mut last = None;
         for (i, factory) in endpoints.iter_mut().enumerate() {
@@ -126,7 +125,7 @@ pub struct Supervisor {
 impl Supervisor {
     /// Starts building a supervisor.
     pub fn builder() -> SupervisorBuilder {
-        SupervisorBuilder::new()
+        SupervisorBuilder::default()
     }
 
     /// The currently bound stub (e.g. to enable at-most-once or register
@@ -179,8 +178,8 @@ impl Supervisor {
     }
 
     /// A fresh call frame for an operation on the current binding.
-    pub fn new_frame(&self, name: &str) -> Result<Vec<Value>, Error> {
-        self.stub.new_frame(name).map_err(Error::from)
+    pub fn new_frame(&self, name: &str) -> Result<Vec<Value>> {
+        self.stub.new_frame(name)
     }
 
     /// Re-runs bind-time negotiation against the *current* endpoint
@@ -191,7 +190,7 @@ impl Supervisor {
     /// call failed, so the sequence is *not* rewound, and the tenant
     /// identity is preserved — duplicate suppression stays continuous
     /// across the swap. On factory failure the old binding stays bound.
-    pub fn rebind(&mut self) -> Result<(), Error> {
+    pub fn rebind(&mut self) -> Result<()> {
         let rebind_call = self.tracer.as_ref().map(|t| t.begin_call());
         let bind_start = self.tracer.as_ref().map_or(0, |t| t.now_ns());
         let amo = self.stub.at_most_once_state();
@@ -221,7 +220,7 @@ impl Supervisor {
         name: &str,
         frame: &mut [Value],
         options: &CallOptions,
-    ) -> Result<u32, Error> {
+    ) -> Result<u32> {
         match self.stub.call_with(name, frame, options) {
             Ok(status) => Ok(status),
             Err(e) if e.kind() == ErrorKind::Disconnected => {
@@ -236,8 +235,8 @@ impl Supervisor {
         name: &str,
         frame: &mut [Value],
         options: &CallOptions,
-        error: Error,
-    ) -> Result<u32, Error> {
+        error: RpcError,
+    ) -> Result<u32> {
         self.counters.disconnects.inc();
         // Replay license: `[idempotent]`, or an at-most-once tag that the
         // replay will reuse. Without either, surface the disconnect — the

@@ -25,7 +25,7 @@ use flexrpc_kernel::ipc::{BindOptions, MsgOut, ServerOptions, MAX_BODY};
 use flexrpc_kernel::regs::MSG_REGS;
 use flexrpc_kernel::{Connection, Kernel, KernelError, NameMode, PortName, TaskId, TrustLevel};
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
-use flexrpc_net::{HostId, Link, SimNet};
+use flexrpc_net::{HostId, Link, NetError, SimNet};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -321,12 +321,10 @@ impl Transport for KernelIpc {
         if ctl.expired(self.kernel.clock()) {
             return Err(RpcError::DeadlineExceeded);
         }
-        // regs[1] carries a server-side dispatch failure, if any.
+        // regs[1] carries a server-side dispatch failure, if any: the
+        // server ran the call and it failed, so it is not resent.
         if reply_regs[1] != 0 {
-            return Err(RpcError::Transport(format!(
-                "server dispatch failed with code {}",
-                reply_regs[1]
-            )));
+            return Err(RpcError::Kernel(KernelError::ServerFailure(reply_regs[1] as u32)));
         }
         rights_out.clear();
         rights_out.extend(reply_rights.iter().map(|p| p.0));
@@ -530,7 +528,7 @@ impl Transport for SunRpc {
             AcceptStat::Success => {}
             // SYSTEM_ERR is how an overloaded engine sheds over the wire.
             AcceptStat::SystemErr => return Err(RpcError::Overloaded),
-            other => return Err(RpcError::Transport(format!("server rejected call: {other:?}"))),
+            refusal => return Err(RpcError::Net(NetError::Refused(refusal))),
         }
         let offset = results.as_ptr() as usize - reply.as_ptr() as usize;
         rights_out.clear();
@@ -586,6 +584,22 @@ pub fn accept_call(
     compiled.op_by_proc(hdr.proc).ok_or(AcceptStat::ProcUnavail)
 }
 
+/// The reply stat a Sun RPC server answers a failed dispatch with, or
+/// `None` when the failure has no stat and the connection fails instead:
+/// undecodable arguments are `GARBAGE_ARGS`, a call refused under policy
+/// (deadline, shed, drain) is `SYSTEM_ERR`, so the client can tell "the
+/// server refused" from "the server is broken". The one mapping
+/// [`serve_on_net`] and the engine's acceptor share.
+pub fn dispatch_stat(e: &RpcError) -> Option<AcceptStat> {
+    match e {
+        RpcError::Marshal(_) => Some(AcceptStat::GarbageArgs),
+        RpcError::DeadlineExceeded | RpcError::Overloaded | RpcError::Cancelled => {
+            Some(AcceptStat::SystemErr)
+        }
+        _ => None,
+    }
+}
+
 /// Registers `server` as the Sun RPC service on `host`: decodes call
 /// frames, dispatches by procedure number, and frames each reply straight
 /// into the buffer the caller will read. The marshalled reply body is the
@@ -618,8 +632,10 @@ pub fn serve_on_net(
         };
         match srv.dispatch_kept(op_index, args, tag) {
             Ok(reply) => respond(AcceptStat::Success, reply),
-            Err(RpcError::Marshal(_)) => respond(AcceptStat::GarbageArgs, &[]),
-            Err(e) => Err(format!("dispatch failed: {e}")),
+            Err(e) => match dispatch_stat(&e) {
+                Some(stat) => respond(stat, &[]),
+                None => Err(format!("dispatch failed: {e}")),
+            },
         }
     })?;
     Ok(())

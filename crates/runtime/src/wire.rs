@@ -356,12 +356,6 @@ impl AnyWriter {
         }
     }
 
-    /// Creates a writer with preallocated capacity.
-    #[inline]
-    pub fn with_capacity(format: WireFormat, cap: usize) -> AnyWriter {
-        AnyWriter::over(format, Vec::with_capacity(cap))
-    }
-
     /// Creates a writer reusing `buf`'s allocation (cleared first) — the
     /// steady-state stub path allocates nothing.
     #[inline]
@@ -387,14 +381,6 @@ impl AnyWriter {
     #[inline]
     pub fn put_bytes_fixed(&mut self, bytes: &[u8]) {
         on_wire!(AnyWriter, self, w => WireWrite::put_bytes_fixed(w, bytes))
-    }
-
-    /// Ensures capacity for at least `additional` more bytes (used by the
-    /// fused path's exact-size presize: one reservation, no mid-marshal
-    /// growth).
-    #[inline]
-    pub fn reserve(&mut self, additional: usize) {
-        on_wire!(AnyWriter, self, w => w.reserve(additional))
     }
 
     /// Reserves a counted payload of exactly `len` bytes for in-place

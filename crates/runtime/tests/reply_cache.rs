@@ -77,7 +77,7 @@ fn options() -> CallOptions {
     CallOptions::default().retry(RetryPolicy::new(3).backoff(Duration::from_millis(1)).seed(11))
 }
 
-fn add(w: &mut World, x: u32, opts: &CallOptions) -> Result<u32, flexrpc_runtime::Error> {
+fn add(w: &mut World, x: u32, opts: &CallOptions) -> Result<u32, flexrpc_runtime::RpcError> {
     let mut frame = w.client.new_frame("add").expect("frame");
     frame[0] = Value::U32(x);
     w.client.call_with("add", &mut frame, opts)?;

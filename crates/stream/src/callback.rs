@@ -11,7 +11,7 @@
 use flexrpc_clock::SimClock;
 use flexrpc_core::value::Value;
 use flexrpc_runtime::transport::Loopback;
-use flexrpc_runtime::{ClientStub, Error, ServerInterface};
+use flexrpc_runtime::{ClientStub, Result, ServerInterface};
 use flexrpc_trace::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -58,23 +58,18 @@ impl CallbackChannel {
         registry.adopt_counter("engine.callbacks_delivered", &self.delivered);
     }
 
-    /// Notifications delivered through this handle's counter cell.
-    pub fn delivered(&self) -> u64 {
-        self.delivered.get()
-    }
-
     /// Pushes one callback: a `[oneway]` notification into the client's
     /// callback interface. The operation must be declared `[oneway]` in
     /// the callback presentation.
-    pub fn deliver(&mut self, op: &str, frame: &mut [Value]) -> Result<(), Error> {
-        self.stub.notify(op, frame).map_err(Error::from)?;
+    pub fn deliver(&mut self, op: &str, frame: &mut [Value]) -> Result<()> {
+        self.stub.notify(op, frame)?;
         self.delivered.inc();
         Ok(())
     }
 
     /// A fresh call frame for a callback operation.
-    pub fn new_frame(&self, op: &str) -> Result<Vec<Value>, Error> {
-        self.stub.new_frame(op).map_err(Error::from)
+    pub fn new_frame(&self, op: &str) -> Result<Vec<Value>> {
+        self.stub.new_frame(op)
     }
 
     /// The reverse-direction stub (e.g. to enable at-most-once tagging or

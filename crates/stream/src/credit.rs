@@ -15,11 +15,10 @@ use std::sync::Arc;
 /// A negotiated credit window: at most `window` frames may be outstanding
 /// (sent but not yet drained by the receiver) at once.
 ///
-/// The owning sender takes a credit (`acquire`, crate-internal) before each
-/// frame — blocking on the sim clock if none is free — and calls
-/// [`CreditWindow::consume`]
-/// after, with the sim time at which the receiver will hand the credit
-/// back. Return times must be non-decreasing (frames drain in FIFO order).
+/// The owning sender takes a credit (`acquire`) before each frame —
+/// blocking on the sim clock if none is free — and spends it (`consume`,
+/// both crate-internal) after, with the sim time at which the receiver
+/// will hand the credit back. Return times must be non-decreasing (frames drain in FIFO order).
 #[derive(Debug)]
 pub struct CreditWindow {
     window: u32,
@@ -96,7 +95,7 @@ impl CreditWindow {
     /// Marks one credit consumed by a frame the receiver will finish
     /// draining at `return_ns` (absolute sim time, non-decreasing across
     /// frames — FIFO drain).
-    pub fn consume(&mut self, return_ns: u64) {
+    pub(crate) fn consume(&mut self, return_ns: u64) {
         debug_assert!(
             self.returns.back().is_none_or(|&t| t <= return_ns),
             "credits return in FIFO order"

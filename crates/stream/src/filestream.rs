@@ -204,6 +204,6 @@ mod tests {
         };
         let err = StreamSender::negotiate(stub, "write", CallShape::Oneway, 1_000)
             .expect_err("stream vs oneway is a mismatch");
-        assert!(err.to_string().contains("contract violation"), "{err}");
+        assert_eq!(err.kind(), flexrpc_runtime::ErrorKind::ContractViolation, "{err}");
     }
 }

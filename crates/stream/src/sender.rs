@@ -11,7 +11,7 @@ use flexrpc_clock::SimClock;
 use flexrpc_core::compat::negotiate_call_shape;
 use flexrpc_core::present::CallShape;
 use flexrpc_core::value::Value;
-use flexrpc_runtime::{CallOptions, ClientStub, Error, ErrorKind};
+use flexrpc_runtime::{CallOptions, ClientStub, Result, RpcError};
 use flexrpc_trace::{Counter, MetricsRegistry};
 use std::sync::Arc;
 
@@ -55,28 +55,23 @@ impl StreamSender {
         op: &str,
         negotiated: CallShape,
         drain_ns: u64,
-    ) -> Result<StreamSender, Error> {
+    ) -> Result<StreamSender> {
         let CallShape::Stream { window } = negotiated else {
-            return Err(Error::new(
-                ErrorKind::ContractViolation,
-                format!("operation `{op}` negotiated {negotiated:?}, not a stream shape"),
-            ));
+            return Err(RpcError::ShapeMisuse(format!(
+                "operation `{op}` negotiated {negotiated:?}, not a stream shape"
+            )));
         };
         let (op_index, client_shape) = {
-            let cop = stub.op(op).map_err(Error::from)?;
+            let cop = stub.op(op)?;
             (cop.index, cop.call_shape)
         };
         if !matches!(client_shape, CallShape::Stream { .. }) {
-            return Err(Error::new(
-                ErrorKind::ContractViolation,
-                format!("client presentation declares `{op}` as {client_shape:?}, not [stream]"),
-            ));
+            return Err(RpcError::ShapeMisuse(format!(
+                "client presentation declares `{op}` as {client_shape:?}, not [stream]"
+            )));
         }
         let Some(clock) = stub.clock() else {
-            return Err(Error::new(
-                ErrorKind::Fatal,
-                "transport has no sim clock; credit stalls cannot be enforced on it",
-            ));
+            return Err(RpcError::NoClock("credit stalls"));
         };
         let credit = CreditWindow::new(window, Arc::clone(&clock));
         Ok(StreamSender {
@@ -102,16 +97,12 @@ impl StreamSender {
         op: &str,
         server_shape: CallShape,
         drain_ns: u64,
-    ) -> Result<StreamSender, Error> {
-        let client_shape = stub.op(op).map_err(Error::from)?.call_shape;
+    ) -> Result<StreamSender> {
+        let client_shape = stub.op(op)?.call_shape;
         let Some(shape) = negotiate_call_shape(client_shape, server_shape) else {
-            return Err(Error::new(
-                ErrorKind::ContractViolation,
-                format!(
-                    "operation `{op}`: client declares {client_shape:?}, \
-                     server declares {server_shape:?}"
-                ),
-            ));
+            return Err(RpcError::ShapeMisuse(format!(
+                "operation `{op}`: client declares {client_shape:?}, server declares {server_shape:?}"
+            )));
         };
         StreamSender::over(stub, op, shape, drain_ns)
     }
@@ -154,14 +145,14 @@ impl StreamSender {
     }
 
     /// A fresh call frame for the stream's operation.
-    pub fn new_frame(&self) -> Result<Vec<Value>, Error> {
-        self.stub.new_frame(&self.op).map_err(Error::from)
+    pub fn new_frame(&self) -> Result<Vec<Value>> {
+        self.stub.new_frame(&self.op)
     }
 
     /// Pushes one frame: claims a credit (stalling deterministically if
     /// the window is exhausted), runs the call, schedules the credit's
     /// return. Returns the frame's sequence number.
-    pub fn send(&mut self, frame: &mut [Value]) -> Result<u64, Error> {
+    pub fn send(&mut self, frame: &mut [Value]) -> Result<u64> {
         self.credit.acquire();
         self.stub.call_index_with(self.op_index, frame, &self.options)?;
         let now = self.clock.now_ns();

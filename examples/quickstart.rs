@@ -6,7 +6,8 @@
 //! `length_is` presentation — both talking to the same server, because
 //! presentation never touches the network contract. The final section
 //! shows the robustness layer: per-call [`CallOptions`], the
-//! `[idempotent]` retry license, and the unified [`Error`] taxonomy.
+//! `[idempotent]` retry license, and the one error type, [`RpcError`], with
+//! its [`ErrorKind`] taxonomy.
 //!
 //! Everything here comes from one import. Run with:
 //! `cargo run --example quickstart`
@@ -78,7 +79,7 @@ fn main() {
         .retry(RetryPolicy::new(3).backoff(Duration::from_millis(1)).seed(42));
     let mut frame = client2.new_frame("write_msg").expect("frame");
     frame[0] = Value::Bytes(b"never sent".to_vec());
-    let err: Error =
+    let err: RpcError =
         client2.call_with("write_msg", &mut frame, &options).expect_err("refused up front");
     assert_eq!(err.kind(), ErrorKind::ContractViolation);
     println!("retry without a license: {err}");

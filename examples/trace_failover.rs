@@ -88,11 +88,8 @@ fn main() {
     let (net2, c2) = (Arc::clone(&net), client_host);
     let mut sup = Supervisor::builder()
         .endpoint(move || {
-            let conn = eng
-                .connect("counter")
-                .options(CallOptions::default().traced())
-                .establish()
-                .map_err(Error::from)?;
+            let conn =
+                eng.connect("counter").options(CallOptions::default().traced()).establish()?;
             Ok(ClientStub::new(compiled(&m1), WireFormat::Cdr, Box::new(conn)))
         })
         .endpoint(move || {

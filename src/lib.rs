@@ -6,8 +6,9 @@
 //! For everyday use, `use flexrpc::prelude::*` pulls in the common
 //! surface: interface compilation, client/server bindings, the serving
 //! engine, and the per-call policy types ([`CallOptions`](prelude::CallOptions),
-//! [`RetryPolicy`](prelude::RetryPolicy)) with the unified
-//! [`Error`]/[`ErrorKind`] taxonomy.
+//! [`RetryPolicy`](prelude::RetryPolicy)) and the one error type,
+//! [`RpcError`], classified by [`RpcError::kind`] into the [`ErrorKind`]
+//! taxonomy.
 
 pub use flexrpc_clock as clock;
 pub use flexrpc_cluster as cluster;
@@ -26,10 +27,10 @@ pub use flexrpc_runtime as runtime;
 pub use flexrpc_stream as stream;
 pub use flexrpc_trace as trace;
 
-// The unified error taxonomy, re-exported at the crate root: every layer's
-// failure folds into one `Error` with an `ErrorKind` that tells a caller
-// the only thing policy code needs — whether retrying can help.
-pub use flexrpc_runtime::{Error, ErrorKind};
+// The one error type, re-exported at the crate root: every layer's failure
+// folds into `RpcError` with its detail intact, and its `ErrorKind` tells a
+// caller the only thing policy code needs — whether retrying can help.
+pub use flexrpc_runtime::{ErrorKind, RpcError};
 
 /// The common surface in one import: `use flexrpc::prelude::*`.
 ///
@@ -41,7 +42,7 @@ pub use flexrpc_runtime::{Error, ErrorKind};
 /// [`ServerInterface`](prelude::ServerInterface),
 /// [`Loopback`](prelude::Loopback)), serve it ([`Engine`](prelude::Engine)),
 /// and govern calls ([`CallOptions`](prelude::CallOptions),
-/// [`RetryPolicy`](prelude::RetryPolicy), [`Error`], [`ErrorKind`]) on the
+/// [`RetryPolicy`](prelude::RetryPolicy), [`RpcError`], [`ErrorKind`]) on the
 /// deterministic [`SimClock`](clock::SimClock).
 pub mod prelude {
     pub use crate::control::{ControlPlane, Policy, PolicyHandle, TenantMetrics, WfqQueue};
@@ -54,8 +55,8 @@ pub mod prelude {
     pub use crate::marshal::WireFormat;
     pub use crate::runtime::transport::Loopback;
     pub use crate::runtime::{
-        CallOptions, CallTag, ClientStub, Error, ErrorKind, ReplyCache, ReplyCacheStats,
-        RetryPolicy, ServerInterface, Supervisor, SupervisorStats, TenantId,
+        CallOptions, CallTag, ClientStub, ErrorKind, ReplyCache, ReplyCacheStats, RetryPolicy,
+        RpcError, ServerInterface, Supervisor, SupervisorStats, TenantId,
     };
     pub use crate::stream::{CallbackChannel, CreditWindow, StreamSender};
     pub use crate::trace::{

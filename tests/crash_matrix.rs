@@ -137,7 +137,7 @@ fn world_for(name: &str) -> World {
     }
 }
 
-fn ping(stub: &mut ClientStub, x: u32) -> Result<u32, Error> {
+fn ping(stub: &mut ClientStub, x: u32) -> Result<u32, RpcError> {
     let mut frame = stub.new_frame("ping").expect("frame");
     frame[0] = Value::U32(x);
     stub.call_with("ping", &mut frame, &CallOptions::default())?;

@@ -67,7 +67,7 @@ fn register_counter(engine: &Arc<Engine>, executions: Arc<AtomicU64>, total: Arc
         .expect("service registers");
 }
 
-fn add(stub: &mut ClientStub, x: u32, opts: &CallOptions) -> Result<u32, Error> {
+fn add(stub: &mut ClientStub, x: u32, opts: &CallOptions) -> Result<u32, RpcError> {
     let mut frame = stub.new_frame("add").expect("frame");
     frame[0] = Value::U32(x);
     stub.call_with("add", &mut frame, opts)?;
@@ -217,7 +217,7 @@ fn samedomain_crash_fails_over_to_sunrpc_standby() {
     let (net2, c2) = (Arc::clone(&net), client_host);
     let mut sup = Supervisor::builder()
         .endpoint(move || {
-            let conn = eng.connect("counter").establish().map_err(Error::from)?;
+            let conn = eng.connect("counter").establish()?;
             Ok(ClientStub::new(compiled(&m1), WireFormat::Cdr, Box::new(conn)))
         })
         .endpoint(move || {
@@ -284,7 +284,7 @@ fn restarted_primary_suppresses_the_replayed_call() {
     let eng = Arc::clone(&engine);
     let mut sup = Supervisor::builder()
         .endpoint(move || {
-            let conn = eng.connect("counter").establish().map_err(Error::from)?;
+            let conn = eng.connect("counter").establish()?;
             Ok(ClientStub::new(compiled(&counter_module()), WireFormat::Cdr, Box::new(conn)))
         })
         .connect()

@@ -14,13 +14,15 @@
 
 use flexrpc::clock::SimClock;
 use flexrpc::kernel::{Kernel, NameMode};
+use flexrpc::net::sunrpc::AcceptStat;
 use flexrpc::net::{NetError, SimNet};
 use flexrpc::prelude::*;
 use flexrpc::runtime::transport::{connect_kernel, serve_on_kernel, serve_on_net, SunRpc};
-use flexrpc::runtime::Transport;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-/// `ping` is a unary call, `note` its `[oneway]` twin.
+/// `ping` is a unary call, `note` its `[oneway]` twin, `peek` a `ping`
+/// declared `[idempotent]`.
 fn echo_interface() -> (flexrpc::core::ir::Module, InterfacePresentation) {
     let (m, pdl) = corba::parse_annotated(
         "echo",
@@ -28,6 +30,7 @@ fn echo_interface() -> (flexrpc::core::ir::Module, InterfacePresentation) {
         interface Echo {
             unsigned long ping(in unsigned long x);
             oneway void note(in unsigned long x);
+            [idempotent] unsigned long peek(in unsigned long x);
         };
         "#,
     )
@@ -43,16 +46,36 @@ fn compiled() -> CompiledInterface {
     CompiledInterface::compile(&m, m.interface("Echo").expect("declared"), &pres).expect("compiles")
 }
 
-/// Registers both handlers; every execution of either bumps `executions`.
-fn wire_handlers(srv: &mut ServerInterface, executions: &Arc<AtomicU64>) {
-    let ran = Arc::clone(executions);
-    srv.on("ping", move |call| {
-        ran.fetch_add(1, Ordering::SeqCst);
-        let x = call.u32("x").expect("x");
-        call.set("return", Value::U32(x.wrapping_add(1))).expect("return");
-        0
-    })
-    .expect("registers");
+/// What a world's server does: what its unary handlers store in their
+/// `u32` return slot, and whether it keeps a reply cache.
+#[derive(Clone, Copy)]
+struct Serve {
+    answer: fn(u32) -> Value,
+    reply_cache: bool,
+}
+
+/// Answers `x + 1`, keeps no reply cache.
+const HEALTHY: Serve = Serve { answer: |x| Value::U32(x.wrapping_add(1)), reply_cache: false };
+
+/// A work function's deterministic failure: the handler runs, then its
+/// reply cannot be marshalled (a string in the `u32` return slot). The
+/// reply cache is there to show it records nothing a resend could replay.
+const BROKEN: Serve = Serve { answer: |_| Value::Str("not a number".into()), reply_cache: true };
+
+const REPLY_TTL: Duration = Duration::from_secs(5);
+
+/// Registers every handler; every execution of any bumps `executions`.
+fn wire_handlers(srv: &mut ServerInterface, executions: &Arc<AtomicU64>, answer: fn(u32) -> Value) {
+    for op in ["ping", "peek"] {
+        let ran = Arc::clone(executions);
+        srv.on(op, move |call| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            let x = call.u32("x").expect("x");
+            call.set("return", answer(x)).expect("return");
+            0
+        })
+        .expect("registers");
+    }
     let ran = Arc::clone(executions);
     srv.on("note", move |_| {
         ran.fetch_add(1, Ordering::SeqCst);
@@ -61,9 +84,16 @@ fn wire_handlers(srv: &mut ServerInterface, executions: &Arc<AtomicU64>) {
     .expect("registers");
 }
 
-fn echo_server(executions: &Arc<AtomicU64>) -> Arc<Mutex<ServerInterface>> {
+fn echo_server(
+    executions: &Arc<AtomicU64>,
+    serve: Serve,
+    clock: &Arc<SimClock>,
+) -> Arc<Mutex<ServerInterface>> {
     let mut srv = ServerInterface::new(compiled(), WireFormat::Cdr);
-    wire_handlers(&mut srv, executions);
+    wire_handlers(&mut srv, executions, serve.answer);
+    if serve.reply_cache {
+        srv.set_reply_cache(ReplyCache::new(Arc::clone(clock), REPLY_TTL));
+    }
     Arc::new(Mutex::new(srv))
 }
 
@@ -80,22 +110,23 @@ struct World {
     quiesce: Box<dyn Fn()>,
 }
 
-fn loopback_world() -> World {
+fn loopback_world(serve: Serve) -> World {
     let executions = Arc::new(AtomicU64::new(0));
-    let transport = Loopback::new(echo_server(&executions));
+    let clock = SimClock::new();
+    let transport =
+        Loopback::with_clock(echo_server(&executions, serve, &clock), Arc::clone(&clock));
     let faults = Arc::clone(transport.faults());
-    let clock = transport.clock().expect("loopback has a clock");
     let stub = ClientStub::new(compiled(), WireFormat::Cdr, Box::new(transport));
     let arm = Box::new(move |f| faults.on_next_call(f));
     World { name: "loopback", stub, arm, clock, executions, quiesce: Box::new(|| {}) }
 }
 
-fn kernel_world() -> World {
+fn kernel_world(serve: Serve) -> World {
     let executions = Arc::new(AtomicU64::new(0));
     let k = Kernel::new();
     let client_task = k.create_task("client", 4096).expect("task");
     let server_task = k.create_task("server", 4096).expect("task");
-    let server = echo_server(&executions);
+    let server = echo_server(&executions, serve, k.clock());
     let sig = server.lock().compiled().signature.hash();
     let port =
         serve_on_kernel(&k, server_task, server, Trust::None, NameMode::Unique).expect("serves");
@@ -108,12 +139,13 @@ fn kernel_world() -> World {
     World { name: "kernel", stub, arm, clock, executions, quiesce: Box::new(|| {}) }
 }
 
-fn sunrpc_world() -> World {
+fn sunrpc_world(serve: Serve) -> World {
     let executions = Arc::new(AtomicU64::new(0));
     let net = SimNet::new();
     let ch = net.add_host("client");
     let sh = net.add_host("server");
-    serve_on_net(&net, sh, echo_server(&executions), 500_001, 1).expect("serves");
+    serve_on_net(&net, sh, echo_server(&executions, serve, net.clock()), 500_001, 1)
+        .expect("serves");
     let transport = SunRpc::new(Arc::clone(&net), ch, sh, 500_001, 1);
     let clock = Arc::clone(net.clock());
     let stub = ClientStub::new(compiled(), WireFormat::Cdr, Box::new(transport));
@@ -124,14 +156,18 @@ fn sunrpc_world() -> World {
 /// The engine's same-domain connection. A `[oneway]` send (and the shadow
 /// of a duplicated call) runs on a worker after the submitter returned, so
 /// `quiesce` waits until nothing is queued or executing.
-fn engine_world() -> World {
+fn engine_world(serve: Serve) -> World {
     let executions = Arc::new(AtomicU64::new(0));
-    let engine = Engine::builder().workers(2).build();
+    let mut engine = Engine::builder().workers(2);
+    if serve.reply_cache {
+        engine = engine.at_most_once(REPLY_TTL);
+    }
+    let engine = engine.build();
     let (m, pres) = echo_interface();
     let ran = Arc::clone(&executions);
     engine
         .register_service("echo", m, "Echo", pres, WireFormat::Cdr, move |srv| {
-            wire_handlers(srv, &ran)
+            wire_handlers(srv, &ran, serve.answer)
         })
         .expect("service registers");
     let conn = engine.connect("echo").establish().expect("connects");
@@ -152,20 +188,20 @@ fn engine_world() -> World {
     }
 }
 
-const WORLDS: [fn() -> World; 4] = [loopback_world, kernel_world, sunrpc_world, engine_world];
+const WORLDS: [fn(Serve) -> World; 4] = [loopback_world, kernel_world, sunrpc_world, engine_world];
 
 fn worlds() -> Vec<World> {
-    WORLDS.iter().map(|build| build()).collect()
+    WORLDS.iter().map(|build| build(HEALTHY)).collect()
 }
 
-fn ping(stub: &mut ClientStub, x: u32) -> Result<u32, Error> {
+fn ping(stub: &mut ClientStub, x: u32) -> Result<u32, RpcError> {
     let mut frame = stub.new_frame("ping").expect("frame");
     frame[0] = Value::U32(x);
     stub.call_with("ping", &mut frame, &CallOptions::default())?;
     Ok(frame[1].as_u32().expect("return"))
 }
 
-fn note(stub: &mut ClientStub, x: u32) -> Result<(), Error> {
+fn note(stub: &mut ClientStub, x: u32) -> Result<(), RpcError> {
     let mut frame = stub.new_frame("note").expect("frame");
     frame[0] = Value::U32(x);
     stub.notify_with("note", &mut frame, &CallOptions::default())
@@ -198,7 +234,7 @@ fn every_fault_means_the_same_on_every_transport_and_call_shape() {
     for (fault, call_fails_as, executions) in matrix {
         for build in WORLDS {
             for oneway in [false, true] {
-                let mut w = build();
+                let mut w = build(HEALTHY);
                 let case =
                     format!("{fault:?} on {} ({})", w.name, ["call", "oneway"][oneway as usize]);
                 (w.arm)(fault);
@@ -218,6 +254,54 @@ fn every_fault_means_the_same_on_every_transport_and_call_shape() {
             }
         }
     }
+}
+
+/// A work function's deterministic failure reads `Fatal` on every
+/// transport, and no transport resends it: the handler runs once under a
+/// retry policy, whether the license is the op's `[idempotent]` or the
+/// binding's at-most-once (a failed dispatch records nothing in the reply
+/// cache, so a tagged resend would run the handler again).
+#[test]
+fn a_failed_dispatch_is_fatal_and_runs_once_on_every_transport() {
+    let retry = CallOptions::default().retry(RetryPolicy::new(3));
+    for build in WORLDS {
+        for (op, at_most_once) in [("peek", false), ("ping", true)] {
+            let mut w = build(BROKEN);
+            let case = format!("{op} on {} (at-most-once: {at_most_once})", w.name);
+            if at_most_once {
+                w.stub.enable_at_most_once();
+            }
+            let mut frame = w.stub.new_frame(op).expect("frame");
+            frame[0] = Value::U32(7);
+            let err = w.stub.call_with(op, &mut frame, &retry).expect_err(&case);
+            assert_eq!(err.kind(), ErrorKind::Fatal, "{case}: {err}");
+            (w.quiesce)();
+            assert_eq!(w.executions.load(Ordering::SeqCst), 1, "{case}: executions");
+        }
+    }
+}
+
+/// A Sun RPC server's refusal keeps its stat and is not retried: an
+/// `[idempotent]` call to a program the host does not serve is sent once
+/// under a retry policy, executes nothing, and reads `Fatal`.
+#[test]
+fn a_sun_rpc_refusal_is_typed_fatal_and_sent_once() {
+    let executions = Arc::new(AtomicU64::new(0));
+    let net = SimNet::new();
+    let ch = net.add_host("client");
+    let sh = net.add_host("server");
+    serve_on_net(&net, sh, echo_server(&executions, HEALTHY, net.clock()), 500_001, 1)
+        .expect("serves");
+    let transport = SunRpc::new(Arc::clone(&net), ch, sh, 500_002, 1);
+    let mut stub = ClientStub::new(compiled(), WireFormat::Cdr, Box::new(transport));
+    let mut frame = stub.new_frame("peek").expect("frame");
+    frame[0] = Value::U32(7);
+    let retry = CallOptions::default().retry(RetryPolicy::new(3));
+    let err = stub.call_with("peek", &mut frame, &retry).expect_err("program not served");
+    assert!(matches!(err, RpcError::Net(NetError::Refused(AcceptStat::ProgUnavail))), "{err}");
+    assert_eq!(err.kind(), ErrorKind::Fatal);
+    assert_eq!(net.stats().messages.get(), 1, "sent once");
+    assert_eq!(executions.load(Ordering::SeqCst), 0);
 }
 
 /// A partition is a typed, retryable outage with state: the cut persists
@@ -282,7 +366,7 @@ fn pipeline_flush_sees_partitions_and_slow_links() {
     let executions = Arc::new(AtomicU64::new(0));
     engine
         .register_service("echo", m, "Echo", pres.clone(), WireFormat::Cdr, move |srv| {
-            wire_handlers(srv, &executions)
+            wire_handlers(srv, &executions, HEALTHY.answer)
         })
         .expect("service registers");
     let net = SimNet::new();

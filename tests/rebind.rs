@@ -313,7 +313,7 @@ fn supervisor_rebind_carries_session_and_tenant() {
     let compiled2 = compiled.clone();
     let mut sup = Supervisor::builder()
         .endpoint(move || {
-            let conn = eng.connect("counter").tenant(TENANT).establish().map_err(Error::from)?;
+            let conn = eng.connect("counter").tenant(TENANT).establish()?;
             Ok(ClientStub::new(compiled2.clone(), WireFormat::Cdr, Box::new(conn)))
         })
         .connect()
@@ -362,7 +362,7 @@ fn a_client_naming_an_unknown_operation_is_refused_at_bind() {
     let Err(err) = err else { panic!("an unknown operation must not bind") };
     assert!(matches!(err, EngineError::ShapeMismatch(_)), "{err:?}");
     assert!(err.to_string().contains("`reset`"), "names the operation: {err}");
-    assert_eq!(Error::from(err).kind(), ErrorKind::ContractViolation);
+    assert_eq!(RpcError::from(err).kind(), ErrorKind::ContractViolation);
     assert_eq!(engine.stats().connections, 0, "nothing was established");
 
     let conn = engine.connect("counter").tenant(TENANT).establish().expect("connects");

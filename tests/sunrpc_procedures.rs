@@ -15,7 +15,7 @@ use flexrpc::core::{Interface, Module};
 use flexrpc::engine::{expose_on_net, ClientInfo, Engine, SunRpcPipeline};
 use flexrpc::marshal::WireFormat;
 use flexrpc::net::sunrpc::AcceptStat;
-use flexrpc::net::{HostId, SimNet};
+use flexrpc::net::{HostId, NetError, SimNet};
 use flexrpc::nfs::{nfs_module, NFS_PROGRAM, NFS_VERSION};
 use flexrpc::runtime::interp::marshal;
 use flexrpc::runtime::transport::{serve_on_net, SunRpc};
@@ -106,7 +106,7 @@ impl Served {
         let (mut reply, mut rights) = (Vec::new(), Vec::new());
         let plain = match transport.call(&op, &request, &[], &mut reply, &mut rights) {
             Ok(_) => AcceptStat::Success,
-            Err(RpcError::Transport(why)) if why.contains("ProcUnavail") => AcceptStat::ProcUnavail,
+            Err(RpcError::Net(NetError::Refused(stat))) => stat,
             Err(other) => panic!("procedure {proc} over SunRpc: {other}"),
         };
 

@@ -181,7 +181,7 @@ fn supervisor_failover_is_traced_and_registered() {
     let compiled = CompiledInterface::compile(&m, iface, &pres).expect("compiles");
     let mut sup = Supervisor::builder()
         .endpoint(move || {
-            let conn = eng.connect("fileio").establish().map_err(flexrpc::Error::from)?;
+            let conn = eng.connect("fileio").establish()?;
             Ok(ClientStub::new(compiled.clone(), WireFormat::Cdr, Box::new(conn)))
         })
         .connect()
