@@ -27,7 +27,7 @@ use flexrpc_bench::rows::{self, Rel, Row};
 use flexrpc_bench::sample::{sample, Sampled};
 use flexrpc_bench::{
     ablate, cluster, failover, fig10, fig11, fig12, fig2, fig6, fig7, fuse, measure_ns, median,
-    paired_rounds, port, qos, scale, shed, stream, time_ns, trace,
+    paired_rounds, port, stream, time_ns, trace,
 };
 use flexrpc_kernel::{NameMode, TrustLevel};
 use flexrpc_marshal::WireFormat;
@@ -63,13 +63,10 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "fig12", title: "Figure 12: null RPC x trust matrix", run: run_fig12 },
     Experiment { name: "port", title: "S4.5: port-right transfer, [nonunique]", run: run_port },
     Experiment { name: "ablate", title: "Ablations: one knob at a time", run: run_ablate },
-    Experiment { name: "shed", title: "Admission control under open-loop load", run: run_shed },
     Experiment { name: "fuse", title: "Specialization: dispatches per call", run: run_fuse },
     Experiment { name: "failover", title: "Reply-loss storm, failover", run: run_failover },
     Experiment { name: "trace", title: "Per-stage breakdown, sim replay", run: run_trace },
     Experiment { name: "stream", title: "Edit feed, credit-window file stream", run: run_stream },
-    Experiment { name: "qos", title: "Noisy neighbor, rebind under load", run: run_qos },
-    Experiment { name: "scale", title: "Shard scaling: inline, stealing", run: run_scale },
     Experiment { name: "cluster", title: "Cluster sim: seeded fault schedules", run: run_cluster },
 ];
 
@@ -579,11 +576,12 @@ fn transport_ladder() -> Vec<Row> {
 
 /// §4.4's own comparison: one registered `write` at 1 KB, marshalled over
 /// `Loopback` against called direct through the same-domain binding, timed
-/// within each round. Recorded, not yet gated.
+/// within each round. Ten `report ablate --check` runs read 3.00–3.52, so
+/// it is gated there: the direct call is faster than the marshalled one.
 fn direct_vs_marshalled() -> Vec<Row> {
     let mut sides = ablate::direct_pair(fig10::PARAM_SIZE);
     let rounds = paired_rounds(15, &mut sides, |r| time_ns(2000, || r.call()));
-    vec![Row::shape("same-domain-direct-speedup", ratio(&rounds, 0, 1))]
+    vec![Row::shape("same-domain-direct-speedup", ratio(&rounds, 0, 1)).gate(Rel::Gt, 1.0)]
 }
 
 /// What specialization buys, measured where it acts: the four compiled
@@ -600,18 +598,6 @@ fn fusion_on_off() -> Vec<Row> {
     }
     let rounds = paired_rounds(41, &mut sides, |r| time_ns(2000, || r.call()));
     vec![Row::shape("fusion-programs-speedup", ratio(&rounds, 1, 0)).gate(Rel::Gt, 1.0)]
-}
-
-fn run_shed(_: &Ctx) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for load in shed::LOADS {
-        let r = shed::run(shed::WORKERS, shed::SERVICE_US, load, shed::OFFERED);
-        let rate = Row::shape(format!("{load}x-shed-rate"), r.shed_rate);
-        // Past capacity the high-water mark must refuse something.
-        rows.push(if load >= 2.0 { rate.gate(Rel::Gt, 0.0) } else { rate });
-        rows.push(Row::wall(format!("{load}x-p99-us"), r.p99_us));
-    }
-    rows
 }
 
 fn run_fuse(_: &Ctx) -> Vec<Row> {
@@ -740,63 +726,6 @@ fn run_stream(ctx: &Ctx) -> Vec<Row> {
     rows
 }
 
-fn run_qos(_: &Ctx) -> Vec<Row> {
-    // Noisy neighbor at 10x: A's overflow is shed against A's own quota,
-    // B is never shed and its p99 dwell stays under the weighted-fair bound.
-    let r = qos::noisy_neighbor();
-    let rerun = qos::noisy_neighbor();
-    let overflow = (qos::OFFERED_A - qos::QUOTA_A) as u64;
-    let mut rows = vec![
-        Row::count("a-offered", r.offered_a as u64),
-        Row::count("a-admitted", r.admitted_a),
-        Row::count("a-shed", r.shed_a).gate_count(Rel::Eq, overflow),
-        Row::count("engine-shed", r.engine_shed).gate_count(Rel::Eq, overflow),
-        Row::count("b-admitted", r.admitted_b),
-        Row::count("b-shed", r.shed_b).gate_count(Rel::Eq, 0),
-        Row::count("b-served", r.served_b).gate_count(Rel::Eq, qos::OFFERED_B as u64),
-        Row::count("a-dwell-mean-ns", r.a_dwell_mean_ns),
-        Row::count("b-dwell-mean-ns", r.b_dwell_mean_ns),
-        Row::count("b-dwell-p99-ns", r.b_dwell_p99_ns).gate_count(Rel::Le, qos::DWELL_BOUND_NS),
-        Row::flag("rerun-identical", rerun == r).gate_count(Rel::Eq, 1),
-    ];
-    // Live policy swap + combination rebind mid-backlog: nothing lost,
-    // nothing executed twice.
-    for rebind_at in qos::REBIND_POINTS {
-        let r = qos::rebind_under_load(rebind_at, qos::REBIND_CALLS);
-        let at = format!("rebind-at-{rebind_at}");
-        rows.push(
-            Row::count(format!("{at}-executions"), r.executions)
-                .gate_count(Rel::Eq, qos::REBIND_CALLS as u64),
-        );
-        rows.push(Row::count(format!("{at}-lost"), r.lost).gate_count(Rel::Eq, 0));
-        rows.push(Row::count(format!("{at}-duplicated"), r.duplicated).gate_count(Rel::Eq, 0));
-        rows.push(Row::count(format!("{at}-rebinds"), r.rebinds).gate_count(Rel::Eq, 1));
-    }
-    rows
-}
-
-fn run_scale(_: &Ctx) -> Vec<Row> {
-    let offered = (scale::CLIENTS * scale::CALLS_PER_CLIENT) as u64;
-    let mut rows = Vec::new();
-    for w in scale::WORKERS {
-        let r = scale::run(w, scale::CLIENTS, scale::CALLS_PER_CLIENT);
-        // Every blocking call must take the inline path: a silent fall-back
-        // to the queue is what a throughput number would not show.
-        rows.push(
-            Row::count(format!("w{w}-inline-calls"), r.inline_calls).gate_count(Rel::Eq, offered),
-        );
-        rows.push(Row::exact(format!("w{w}-cache-hit-rate"), r.cache_hit_rate));
-        rows.push(Row::count(format!("w{w}-compilations"), r.compilations).gate_count(Rel::Le, 2));
-        rows.push(Row::shape(format!("w{w}-steals"), r.steals as f64));
-        rows.push(Row::shape(format!("w{w}-helped"), r.helped as f64));
-        rows.push(Row::wall(format!("w{w}-blocking-calls-per-sec"), r.blocking_cps));
-        rows.push(Row::wall(format!("w{w}-pipelined-calls-per-sec"), r.pipelined_cps));
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    rows.push(Row::wall("cores", cores as f64));
-    rows
-}
-
 fn run_cluster(ctx: &Ctx) -> Vec<Row> {
     let cfg = cluster::config();
     let seeds: Vec<u64> = ctx.seed.map_or_else(|| (1..=cluster::SEEDS).collect(), |s| vec![s]);
@@ -912,7 +841,7 @@ mod tests {
     }
 
     /// The experiments `scripts/bench.sh` writes to `BENCH_exact.json`.
-    const EXACT: [&str; 6] = ["failover", "stream", "qos", "cluster", "trace", "fuse"];
+    const EXACT: [&str; 5] = ["failover", "stream", "cluster", "trace", "fuse"];
 
     #[test]
     fn the_exact_artifact_rendered_twice_is_byte_identical() {

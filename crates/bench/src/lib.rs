@@ -16,11 +16,8 @@ pub mod fig6;
 pub mod fig7;
 pub mod fuse;
 pub mod port;
-pub mod qos;
 pub mod rows;
 pub mod sample;
-pub mod scale;
-pub mod shed;
 pub mod stream;
 pub mod trace;
 

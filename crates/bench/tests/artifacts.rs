@@ -1,15 +1,19 @@
 //! The committed artifacts, judged by the same evaluator as a live run:
 //! every bound a `BENCH_*.json` records beside a row must hold for that
-//! row, and no artifact may carry a wall-clock absolute. And the documents,
-//! held to what they share with the artifacts and the code: EXPERIMENTS.md's
-//! rendered blocks are the artifacts', DESIGN.md's module and experiment
-//! names exist.
+//! row, no artifact may carry a wall-clock absolute, and the two divide
+//! `report`'s experiments between them. And the documents, held to what they
+//! share with the artifacts and the code: EXPERIMENTS.md's rendered blocks
+//! are the artifacts', DESIGN.md's module and experiment names exist and
+//! index every experiment.
 
 use flexrpc_bench::rows::{self, Rel};
 use std::collections::BTreeMap;
 
 /// The repository root.
 const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+
+/// The committed artifacts, by their paths from the root.
+const ARTIFACTS: [&str; 2] = ["BENCH_exact.json", "BENCH_paper.json"];
 
 /// A committed file, by its path from the root.
 fn committed(path: &str) -> String {
@@ -43,11 +47,31 @@ fn figures(path: &str) -> BTreeMap<String, BTreeMap<String, f64>> {
     sections
 }
 
+/// The experiments `report` lists on its usage line, in report order.
+fn experiments() -> Vec<String> {
+    let usage = std::process::Command::new(env!("CARGO_BIN_EXE_report")).arg("?").output();
+    let usage = String::from_utf8(usage.expect("report runs").stderr).expect("utf-8");
+    let listed = usage.lines().find_map(|l| l.strip_prefix("experiments: ")).expect("usage line");
+    listed.split(' ').map(String::from).collect()
+}
+
+/// The two artifacts divide `report`'s experiments between them: each
+/// experiment is a section of exactly one, and neither holds a section
+/// `report` no longer runs.
+#[test]
+fn the_artifacts_hold_every_experiment_once() {
+    let mut held: Vec<String> =
+        ARTIFACTS.iter().flat_map(|path| figures(path).into_keys()).collect();
+    held.sort_unstable();
+    let mut listed = experiments();
+    listed.sort_unstable();
+    assert_eq!(held, listed, "artifact sections vs `report`'s experiments");
+}
+
 #[test]
 fn committed_artifacts_satisfy_every_bound_they_record() {
-    for (path, experiments) in [("BENCH_exact.json", 6), ("BENCH_paper.json", 10)] {
+    for path in ARTIFACTS {
         let sections = figures(path);
-        assert_eq!(sections.len(), experiments, "{path}: {:?}", sections.keys());
         let mut bounds = 0;
         for (name, stored) in &sections {
             assert_eq!(rows::check(stored), Vec::<String>::new(), "{path}: {name}");
@@ -63,12 +87,18 @@ fn committed_artifacts_satisfy_every_bound_they_record() {
 
 /// Every number EXPERIMENTS.md shares with an artifact sits in a block
 /// `report --json` wrote there: splicing the committed artifacts in again
-/// must change nothing.
+/// must change nothing, and no block names a section no artifact holds.
 #[test]
 fn experiments_md_blocks_are_the_committed_artifacts_rendered() {
     let doc = committed("EXPERIMENTS.md");
-    for path in ["BENCH_exact.json", "BENCH_paper.json"] {
-        let sections = figures(path);
+    let artifacts = ARTIFACTS.map(|path| (path, figures(path)));
+    let orphans: Vec<&str> = doc
+        .lines()
+        .filter_map(|line| line.strip_prefix("<!-- report:")?.strip_suffix(" -->"))
+        .filter(|name| !artifacts.iter().any(|(_, sections)| sections.contains_key(*name)))
+        .collect();
+    assert!(orphans.is_empty(), "EXPERIMENTS.md renders blocks no artifact holds: {orphans:?}");
+    for (path, sections) in &artifacts {
         let blocks = sections.iter().map(|(name, stored)| (name.as_str(), stored));
         let rendered = rows::splice_blocks(&doc, blocks).unwrap_or_else(|e| panic!("{path}: {e}"));
         let stale = doc.lines().zip(rendered.lines()).find(|(have, want)| have != want);
@@ -93,20 +123,17 @@ fn design_md_module_and_experiment_names_resolve() {
         &doc[start..start + doc[start..].find(to).unwrap_or_else(|| panic!("no `{to}`"))]
     };
     let text = [section("\n## 2.", "\n## 3."), section("\n## 4.", "\n## 5.")].concat();
-    let usage = std::process::Command::new(env!("CARGO_BIN_EXE_report")).arg("?").output();
-    let usage = String::from_utf8(usage.expect("report runs").stderr).expect("utf-8");
-    let listed = usage.lines().find_map(|l| l.strip_prefix("experiments: ")).expect("usage line");
-    let experiments: Vec<&str> = listed.split(' ').collect();
+    let experiments = experiments();
 
     let lower = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_lowercase() || c == '_');
-    let (mut modules, mut reports, mut missing) = (0, 0, Vec::new());
+    let (mut modules, mut named, mut missing) = (0, Vec::new(), Vec::new());
     for span in text.split('`').skip(1).step_by(2) {
         if let Some(name) = span.strip_prefix("report ") {
             let name = name.split(' ').next().expect("split yields one");
-            if !experiments.contains(&name) {
-                missing.push(format!("`report {name}` is not one of: {listed}"));
+            if !experiments.iter().any(|e| e == name) {
+                missing.push(format!("`report {name}` is not one of: {experiments:?}"));
             }
-            reports += 1;
+            named.push(name);
         }
         let Some((krate, rest)) = span.split_once("::").filter(|(k, _)| lower(k)) else { continue };
         let rest = rest.split("::").next().expect("split yields one");
@@ -121,5 +148,8 @@ fn design_md_module_and_experiment_names_resolve() {
         }
     }
     assert!(missing.is_empty(), "DESIGN.md §2 / §4 name what does not exist: {missing:#?}");
-    assert!(modules >= 20 && reports >= 16, "the scan read the tables: {modules}, {reports}");
+    let unindexed: Vec<&String> =
+        experiments.iter().filter(|e| !named.contains(&e.as_str())).collect();
+    assert!(unindexed.is_empty(), "DESIGN.md §4 indexes no `report` for: {unindexed:?}");
+    assert!(modules >= 20, "the scan read the tables: {modules} module paths");
 }

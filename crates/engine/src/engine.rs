@@ -325,8 +325,8 @@ impl SubmitSignal {
         }
         // Notify with the mutex released: the woken worker's first act is
         // to take it, and it would only park again on a notifier that still
-        // held it (measured at 0.40 M → 0.23 M calls/s on `report scale`'s
-        // pipelined cells).
+        // held it (measured at 0.40 M → 0.23 M calls/s with four clients
+        // submitting pipelined batches).
         drop(parked);
         if claimed {
             self.ready.notify_one();

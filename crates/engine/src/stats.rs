@@ -190,22 +190,9 @@ pub struct EngineStatsSnapshot {
 }
 
 impl EngineStatsSnapshot {
-    /// Cache hit rate, for report tables.
+    /// Fraction of program-cache lookups served from the cache (0 before
+    /// the first).
     pub fn cache_hit_rate(&self) -> f64 {
         self.cache.hit_rate()
-    }
-
-    /// Every call the engine was offered, whatever its fate.
-    pub(crate) fn calls_offered(&self) -> u64 {
-        self.calls_served + self.calls_shed + self.calls_cancelled + self.deadline_expired
-    }
-
-    /// Fraction of offered calls shed at admission.
-    pub fn shed_rate(&self) -> f64 {
-        let offered = self.calls_offered();
-        if offered == 0 {
-            return 0.0;
-        }
-        self.calls_shed as f64 / offered as f64
     }
 }

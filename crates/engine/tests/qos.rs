@@ -17,6 +17,8 @@ use flexrpc_engine::{ControlPlane, Engine, EngineConnection, EngineError, Policy
 use flexrpc_marshal::WireFormat;
 use flexrpc_runtime::wire::AnyWriter;
 use flexrpc_runtime::{CallControl, CallTag, Transport};
+use flexrpc_trace::MetricsSnapshot;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -119,7 +121,7 @@ fn settle() {
 
 /// The highest value that *could* have been recorded into the histogram,
 /// from its top non-empty log2 bucket (exclusive ceiling).
-fn dwell_ceiling(snapshot: &flexrpc_trace::MetricsSnapshot, name: &str) -> u64 {
+fn dwell_ceiling(snapshot: &MetricsSnapshot, name: &str) -> u64 {
     let h = snapshot.histogram(name).expect("histogram registered");
     let floor = h.buckets.iter().map(|(f, _)| *f).max().unwrap_or(0);
     if floor == 0 {
@@ -129,14 +131,11 @@ fn dwell_ceiling(snapshot: &flexrpc_trace::MetricsSnapshot, name: &str) -> u64 {
     }
 }
 
-/// Tenant A storms at 6× tenant B's load with a quota of 64; both run at
-/// weight 1. Weighted-fair dequeue alternates the two backlogged lanes,
-/// so B's worst dwell tracks *B's own* backlog (≈ 2 × 16 calls), not A's
-/// — under the old FIFO queue B's last call would sit behind all 64 of
-/// A's (dwell ≥ 80 × SERVICE_NS, one log2 bucket higher). A's excess is
-/// shed against its own quota; B sheds nothing.
-#[test]
-fn noisy_neighbor_cannot_move_victims_dwell() {
+/// The noisy-neighbour storm on a fresh engine: tenant A offers 96 calls
+/// against a quota of 64, then tenant B its steady 16, all behind the plug
+/// at sim time 0; returns the engine's metrics once every admitted call is
+/// served.
+fn noisy_neighbor() -> MetricsSnapshot {
     let plane = ControlPlane::new();
     plane.register(TENANT_A, Policy::new().weight(1).quota(64));
     plane.register(TENANT_B, Policy::new().weight(1));
@@ -171,8 +170,20 @@ fn noisy_neighbor_cannot_move_victims_dwell() {
     for t in b_tickets {
         assert!(t.wait().is_ok());
     }
-
     let snap = engine.metrics().snapshot();
+    engine.shutdown();
+    snap
+}
+
+/// Tenant A storms at 6× tenant B's load with a quota of 64; both run at
+/// weight 1. Weighted-fair dequeue alternates the two backlogged lanes,
+/// so B's worst dwell tracks *B's own* backlog (≈ 2 × 16 calls), not A's
+/// — under the old FIFO queue B's last call would sit behind all 64 of
+/// A's (dwell ≥ 80 × SERVICE_NS, one log2 bucket higher). A's excess is
+/// shed against its own quota; B sheds nothing.
+#[test]
+fn noisy_neighbor_cannot_move_victims_dwell() {
+    let snap = noisy_neighbor();
     assert_eq!(snap.counter("tenant.1.admitted"), 64);
     assert_eq!(snap.counter("tenant.1.shed"), 32, "shed charged to the offender");
     assert_eq!(snap.counter("tenant.2.admitted"), 16);
@@ -190,7 +201,27 @@ fn noisy_neighbor_cannot_move_victims_dwell() {
         "victim dwell ceiling {b_worst} exceeds the weighted-fair bound {}",
         1u64 << 16
     );
-    engine.shutdown();
+}
+
+/// The storm is exact arithmetic on sim time: run twice on fresh engines,
+/// it leaves every per-tenant counter and dwell histogram equal.
+#[test]
+fn noisy_neighbor_reruns_to_equal_tenant_counters_and_dwell() {
+    let tenant_cells = |snap: MetricsSnapshot| {
+        let tenant = |name: &String| name.starts_with("tenant.");
+        let counters: BTreeMap<_, _> =
+            snap.counters.into_iter().filter(|(n, _)| tenant(n)).collect();
+        let dwell: BTreeMap<_, _> =
+            snap.histograms.into_iter().filter(|(n, _)| tenant(n)).collect();
+        (counters, dwell)
+    };
+    let first = tenant_cells(noisy_neighbor());
+    assert!(first.1.contains_key("tenant.2.dwell_ns"), "{:?}", first.1.keys());
+    assert_eq!(
+        first,
+        tenant_cells(noisy_neighbor()),
+        "a rerun of the storm moved a tenant's cells"
+    );
 }
 
 /// Raising a tenant's weight shifts the drain ratio: at weight 3 vs 1,

@@ -117,7 +117,6 @@ fn queue_above_high_water_sheds_instead_of_blocking() {
     assert_eq!(stats.calls_shed, 2);
     assert_eq!(stats.calls_served, 3);
     assert_eq!(stats.in_flight, 0);
-    assert!(stats.shed_rate() > 0.0);
 }
 
 #[test]

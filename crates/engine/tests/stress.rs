@@ -1,8 +1,9 @@
 //! Multi-threaded stress tests for the invariants the engine leans on:
 //! kernel name-table uniqueness under contention, pipe FIFO ordering
 //! through a many-worker engine, no submit wakeup lost between bursts,
-//! bind accounting that stays exact when first binds race, and dispatch
-//! tallies that stay exact and monotone while written as per-replica stripes.
+//! bind accounting that stays exact when first binds race, blocking calls
+//! that all run inline at any worker count, and dispatch tallies that stay
+//! exact and monotone while written as per-replica stripes.
 
 use flexrpc_core::ir::fileio_example;
 use flexrpc_core::present::{InterfacePresentation, Trust};
@@ -207,17 +208,10 @@ fn pipe_fifo_order_with_many_workers() {
     engine.shutdown();
 }
 
-/// Liveness of the claimed submit wakeups: bursts smaller and larger than
-/// the worker count land on workers that have all had time to park, over
-/// and over. A wake skipped for a worker no earlier bump had claimed
-/// strands a queued job with everyone asleep, and its ticket never
-/// completes. Which bump meets which parked worker is timing, so this runs
-/// in both profiles (`scripts/ci.sh`).
-#[test]
-fn bursts_onto_parked_workers_lose_no_wakeup() {
-    const ROUNDS: u32 = 2_000;
-
-    let engine = Engine::builder().workers(4).build();
+/// A FileIO engine of `workers` workers whose `read` returns `count`
+/// bytes, registered as `fileio` under the default presentation.
+fn read_engine(workers: usize) -> Arc<Engine> {
+    let engine = Engine::builder().workers(workers).build();
     let module = fileio_example();
     let pres =
         InterfacePresentation::default_for(&module, module.interface("FileIO").unwrap()).unwrap();
@@ -231,12 +225,31 @@ fn bursts_onto_parked_workers_lose_no_wakeup() {
             .unwrap();
         })
         .unwrap();
+    engine
+}
+
+/// A CDR `read(count)` request.
+fn read_request(count: usize) -> Vec<u8> {
+    let mut w = flexrpc_runtime::wire::AnyWriter::new(WireFormat::Cdr);
+    w.put_u32(count as u32);
+    w.into_bytes()
+}
+
+/// Liveness of the claimed submit wakeups: bursts smaller and larger than
+/// the worker count land on workers that have all had time to park, over
+/// and over. A wake skipped for a worker no earlier bump had claimed
+/// strands a queued job with everyone asleep, and its ticket never
+/// completes. Which bump meets which parked worker is timing, so this runs
+/// in both profiles (`scripts/ci.sh`).
+#[test]
+fn bursts_onto_parked_workers_lose_no_wakeup() {
+    const ROUNDS: u32 = 2_000;
+
+    let engine = read_engine(4);
     // Several connections, so the bursts have more than one home shard.
     let conns: Vec<_> = (0..3).map(|_| engine.connect("fileio").establish().unwrap()).collect();
     let read = conns[0].program().op("read").unwrap().index;
-    let mut request = flexrpc_runtime::wire::AnyWriter::new(WireFormat::Cdr);
-    request.put_u32(8);
-    let request = request.into_bytes();
+    let request = read_request(8);
 
     // The rounds run beside a watchdog: a lost wakeup is a hang, and a hang
     // should fail this test, not the harness's patience.
@@ -332,6 +345,57 @@ fn racing_first_binds_count_one_hit_or_miss_each_and_own_their_compile() {
     }
 }
 
+/// Blocking callers with no deadline and nothing queued run every call
+/// inline, on their own threads, whatever the worker count: four clients
+/// at once, one worker or four, and no shard's worker serves a call. A
+/// silent fall-back to the queue is what a throughput figure would not show.
+#[test]
+fn concurrent_blocking_calls_all_run_inline_at_any_worker_count() {
+    const CLIENTS: usize = 4;
+    const CALLS: usize = 500;
+
+    for workers in [1, 4] {
+        let engine = read_engine(workers);
+        let start = Barrier::new(CLIENTS);
+        std::thread::scope(|s| {
+            for _ in 0..CLIENTS {
+                s.spawn(|| {
+                    let mut conn = engine.connect("fileio").establish().unwrap();
+                    let program = conn.program();
+                    let read = program.op("read").unwrap();
+                    let (request, mut reply, mut rights) = (read_request(16), vec![], vec![]);
+                    start.wait();
+                    for _ in 0..CALLS {
+                        conn.call_with(
+                            read,
+                            &request,
+                            &[],
+                            &mut reply,
+                            &mut rights,
+                            &CallControl::none(),
+                        )
+                        .expect("served");
+                    }
+                });
+            }
+        });
+
+        let offered = (CLIENTS * CALLS) as u64;
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.inline_calls, stats.calls_served),
+            (offered, offered),
+            "{workers} workers"
+        );
+        let snap = engine.metrics().snapshot();
+        for shard in 0..workers {
+            let served = snap.counter(&format!("engine.shard.{shard}.served"));
+            assert_eq!(served, 0, "{workers} workers: shard {shard}'s worker served a call");
+        }
+        engine.shutdown();
+    }
+}
+
 /// The `engine.*` counters of a stats snapshot under their registry names.
 fn engine_counters(s: &EngineStatsSnapshot) -> [(&'static str, u64); 12] {
     [
@@ -365,28 +429,13 @@ fn dispatch_tallies_are_monotone_exact_and_outlive_their_pools() {
     const BATCHES: usize = 1_000;
     const BATCH: usize = 8;
 
-    let engine = Engine::builder().workers(2).build();
+    let engine = read_engine(2);
     let module = fileio_example();
-    let iface = module.interface("FileIO").unwrap();
-    let mut one = InterfacePresentation::default_for(&module, iface).unwrap();
-    engine
-        .register_service("fileio", module.clone(), "FileIO", one.clone(), WireFormat::Cdr, |srv| {
-            srv.on("read", |call| {
-                let count = call.u32("count").unwrap() as usize;
-                call.set("return", Value::Bytes(vec![0xA5; count])).unwrap();
-                0
-            })
-            .unwrap();
-        })
-        .unwrap();
+    let mut one =
+        InterfacePresentation::default_for(&module, module.interface("FileIO").unwrap()).unwrap();
     one.trust = Trust::Leaky;
     let mut other = one.clone();
     other.trust = Trust::LeakyUnprotected;
-    let read_request = |count: usize| {
-        let mut w = flexrpc_runtime::wire::AnyWriter::new(WireFormat::Cdr);
-        w.put_u32(count as u32);
-        w.into_bytes()
-    };
 
     let done = AtomicBool::new(false);
     // (calls, request bytes, reply bytes) each driver offered and got back.
