@@ -131,6 +131,22 @@ pub enum Lost {
     LinkCut,
 }
 
+/// Why a binding is gone: the cause every transport's disconnect carries,
+/// so a caller learns it from a value, whichever transport lost the peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Disconnect {
+    /// The peer crashed before executing ([`Lost::PeerDown`]).
+    PeerDown,
+    /// The link to a live peer is cut ([`Lost::LinkCut`]).
+    LinkCut,
+    /// The peer executed, then the stream closed before its reply returned
+    /// ([`Verdict::close_after`]).
+    ClosedBeforeReply,
+    /// The server's circuit breaker is open: it refuses admission so its
+    /// clients fail over.
+    BreakerOpen,
+}
+
 /// What the fault plan means for one call: the one place a [`Fault`] is
 /// turned into behaviour. Each transport keeps only its own error type for
 /// [`Verdict::lost`] and its own wire-charge model for [`Verdict::slow`].

@@ -57,15 +57,12 @@ pub fn expose_on_net(
     };
     engine.counters().connections.inc();
     net.register_handler(host, move |stream, out| {
-        let records = sunrpc::split_records(stream).map_err(|e| e.to_string())?;
+        let records = sunrpc::split_records(stream)?;
         // Phase 1: decode and submit everything — all XIDs go outstanding
         // before any reply is awaited, so one batch spreads across workers.
         let mut outcomes: Vec<(u32, Outcome)> = Vec::with_capacity(records.len());
         for record in records {
-            let (hdr, tag, args) = match sunrpc::decode_call_tagged(record) {
-                Ok(x) => x,
-                Err(e) => return Err(format!("undecodable call in stream: {e}")),
-            };
+            let (hdr, tag, args) = sunrpc::decode_call_tagged(record)?;
             let tag = tag
                 .map(|(binding, seq, tenant)| CallTag::for_tenant(binding, seq, TenantId(tenant)));
             outcomes.push((hdr.xid, exposure.submit_one(hdr, tag, args)));
@@ -91,14 +88,14 @@ pub fn expose_on_net(
                     ),
                     Err(e) => match dispatch_stat(&e) {
                         Some(stat) => sunrpc::encode_reply_gather_into(out, xid, stat, &[]),
-                        None => return Err(format!("dispatch failed: {e}")),
+                        None => return Err(NetError::ServiceFailure),
                     },
                 },
             }
         }
         Ok(())
-    })?;
-    Ok(())
+    })
+    .map_err(EngineError::Net)
 }
 
 enum Outcome {
@@ -150,10 +147,15 @@ impl Exposure {
                 EngineError::Overloaded
                 | EngineError::Closed
                 | EngineError::Dropped
-                | EngineError::Disconnected(_)
-                | EngineError::Unhealthy,
+                | EngineError::Disconnected(_),
             ) => Outcome::Immediate(AcceptStat::SystemErr),
-            Err(_) => Outcome::Immediate(AcceptStat::ProcUnavail),
+            Err(
+                EngineError::UnknownService(_)
+                | EngineError::DuplicateService(_)
+                | EngineError::Compile(_)
+                | EngineError::Net(_)
+                | EngineError::ShapeMismatch(_),
+            ) => Outcome::Immediate(AcceptStat::ProcUnavail),
         }
     }
 }
@@ -218,11 +220,7 @@ impl SunRpcPipeline {
         self.link.call(&batch, &mut reply_stream)?;
         let records = sunrpc::split_records(&reply_stream)?;
         if records.len() != expected.len() {
-            return Err(NetError::ServiceFailure(format!(
-                "pipeline: {} calls sent, {} replies received",
-                expected.len(),
-                records.len()
-            )));
+            return Err(NetError::ReplyCount { sent: expected.len(), received: records.len() });
         }
         // Index replies by XID, then return them in submit order.
         let mut by_xid: std::collections::HashMap<u32, (AcceptStat, Vec<u8>)> = records
@@ -232,14 +230,7 @@ impl SunRpcPipeline {
                 Ok((xid, (stat, results.to_vec())))
             })
             .collect::<flexrpc_net::Result<_>>()?;
-        expected
-            .into_iter()
-            .map(|xid| {
-                by_xid
-                    .remove(&xid)
-                    .ok_or_else(|| NetError::ServiceFailure(format!("no reply for xid {xid}")))
-            })
-            .collect()
+        expected.into_iter().map(|xid| by_xid.remove(&xid).ok_or(NetError::NoReply(xid))).collect()
     }
 }
 

@@ -23,9 +23,10 @@ use flexrpc_core::compat::negotiate_call_shape;
 use flexrpc_core::ir::Module;
 use flexrpc_core::present::{CallShape, InterfacePresentation};
 use flexrpc_core::program::CompiledInterface;
+use flexrpc_core::CoreError;
 use flexrpc_marshal::WireFormat;
 use flexrpc_runtime::policy::{CallOptions, TenantId};
-use flexrpc_runtime::ServerInterface;
+use flexrpc_runtime::{ServerInterface, ShapeMisuse};
 use flexrpc_trace::{SharedCallTrace, Stage};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -71,7 +72,10 @@ impl Engine {
         factory: impl Fn(&mut ServerInterface) + Send + Sync + 'static,
     ) -> Result<(), EngineError> {
         let iface = module.interface(interface).ok_or_else(|| {
-            EngineError::UnknownService(format!("{name}: no interface {interface}"))
+            EngineError::Compile(CoreError::Unresolved {
+                kind: "interface",
+                name: interface.into(),
+            })
         })?;
         let signature = flexrpc_core::sig::WireSignature::of_interface(&module, iface)
             .map_err(EngineError::Compile)?
@@ -334,19 +338,13 @@ fn negotiate_shapes(
 ) -> Result<Arc<[CallShape]>, EngineError> {
     let mut table: Vec<CallShape> = compiled.ops.iter().map(|o| o.call_shape).collect();
     for (name, op) in &client.ops {
-        let Some(ordinal) = compiled.op_index(name) else {
-            return Err(EngineError::ShapeMismatch(format!(
-                "operation `{name}`: declared by the client, unknown to service interface `{}`",
-                compiled.interface
-            )));
+        let Some(op_index) = compiled.op_index(name) else {
+            return Err(EngineError::ShapeMismatch(ShapeMisuse::Undeclared(name.clone())));
         };
-        let (client_shape, server_shape) = (op.call_shape, table[ordinal]);
-        table[ordinal] = negotiate_call_shape(client_shape, server_shape).ok_or_else(|| {
-            EngineError::ShapeMismatch(format!(
-                "operation `{name}`: client declares {client_shape:?}, \
-                 server declares {server_shape:?}"
-            ))
-        })?;
+        let (client, server) = (op.call_shape, table[op_index]);
+        table[op_index] = negotiate_call_shape(client, server).ok_or(
+            EngineError::ShapeMismatch(ShapeMisuse::Mismatch { op: op_index, client, server }),
+        )?;
     }
     Ok(table.into())
 }

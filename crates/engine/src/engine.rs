@@ -48,7 +48,7 @@ use crate::cache::ProgramCache;
 use crate::error::EngineError;
 use crate::slot::ReplySlot;
 use crate::stats::{EngineCounters, EngineStatsSnapshot};
-use flexrpc_clock::{FaultInjector, Lost, SimClock};
+use flexrpc_clock::{Disconnect, FaultInjector, Lost, SimClock};
 use flexrpc_control::{
     ControlPlane, Policy, TenantCells, TenantMetrics, WfqGroup, WfqQueue, WfqRefusal,
 };
@@ -1005,7 +1005,7 @@ impl Engine {
         // An induced Close: the call executed (and an at-most-once engine
         // cached its reply), but the reply is lost on the way back.
         if d.close_after {
-            result = Err(RpcError::Disconnected("engine connection closed before reply".into()));
+            result = Err(RpcError::Disconnected(Disconnect::ClosedBeforeReply));
         }
         if result.is_err() {
             reply.clear();
@@ -1053,7 +1053,7 @@ impl Engine {
         // fault accounting happens, so clients fail over immediately.
         if let Some(b) = &self.breaker {
             if !b.allow(self.clock.now_ns()) {
-                return Err(EngineError::Unhealthy);
+                return Err(EngineError::Disconnected(Disconnect::BreakerOpen));
             }
         }
         let (cells, cached): (&TenantCells, _) = match call.tag.map(|t| t.tenant) {
@@ -1069,12 +1069,8 @@ impl Engine {
         let verdict = self.faults.gate(&self.clock);
         match verdict.lost {
             Some(Lost::Dropped) => return Err(EngineError::Dropped),
-            Some(Lost::PeerDown) => {
-                return Err(EngineError::Disconnected("engine process crashed".into()));
-            }
-            Some(Lost::LinkCut) => {
-                return Err(EngineError::Disconnected("engine link partitioned".into()));
-            }
+            Some(Lost::PeerDown) => return Err(EngineError::Disconnected(Disconnect::PeerDown)),
+            Some(Lost::LinkCut) => return Err(EngineError::Disconnected(Disconnect::LinkCut)),
             None => {}
         }
         let now = self.clock.now_ns();
@@ -1566,8 +1562,10 @@ impl Transport for EngineConnection {
         match self.submit_tagged(op.index, request, rights, deadline_ns, ctl.tag) {
             Ok(ticket) => drop(ticket),
             // No reply to miss: a message the fault gate lost is lost
-            // silently, as on every other transport.
-            Err(EngineError::Dropped | EngineError::Disconnected(_)) => {}
+            // silently, as on every other transport. An open breaker still
+            // refuses.
+            Err(EngineError::Dropped | EngineError::Disconnected(Disconnect::PeerDown))
+            | Err(EngineError::Disconnected(Disconnect::LinkCut)) => {}
             Err(e) => return Err(e.into()),
         }
         Ok(())

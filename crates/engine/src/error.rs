@@ -1,7 +1,7 @@
 //! The engine's error type and its one folding into the runtime's
 //! [`RpcError`], for control operations and refused calls alike.
 
-use flexrpc_runtime::RpcError;
+use flexrpc_runtime::{Disconnect, RpcError, ShapeMisuse};
 
 /// Errors from engine control operations.
 #[derive(Debug)]
@@ -22,18 +22,17 @@ pub enum EngineError {
     Net(flexrpc_net::NetError),
     /// The submission was lost (induced fault); a resend may succeed.
     Dropped,
-    /// The engine's server process crashed (induced fault): the binding is
-    /// gone until the scheduled restart.
-    Disconnected(String),
-    /// The circuit breaker is open: the engine judged itself sick and
-    /// refuses admission so clients fail over instead of piling on.
-    Unhealthy,
+    /// The binding is gone: the engine's process crashed or its link is
+    /// cut (induced faults), or its circuit breaker is open — it judged
+    /// itself sick and refuses admission so clients fail over instead of
+    /// piling on.
+    Disconnected(Disconnect),
     /// Bind-time call-shape negotiation failed: the two ends declare
     /// incompatible shapes for an operation (e.g. `[oneway]` against
     /// unary, or `[stream]` against `[oneway]`), or the client's
     /// presentation names an operation the service does not have. Fix the
     /// presentations; no retry helps.
-    ShapeMismatch(String),
+    ShapeMismatch(ShapeMisuse),
 }
 
 impl std::fmt::Display for EngineError {
@@ -46,20 +45,13 @@ impl std::fmt::Display for EngineError {
             EngineError::Compile(e) => write!(f, "program compilation failed: {e}"),
             EngineError::Net(e) => write!(f, "network error: {e}"),
             EngineError::Dropped => write!(f, "submission dropped (induced fault)"),
-            EngineError::Disconnected(why) => write!(f, "engine connection lost: {why}"),
-            EngineError::Unhealthy => write!(f, "engine circuit breaker open"),
+            EngineError::Disconnected(cause) => write!(f, "engine connection lost: {cause:?}"),
             EngineError::ShapeMismatch(why) => write!(f, "call-shape mismatch: {why}"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
-
-impl From<flexrpc_net::NetError> for EngineError {
-    fn from(e: flexrpc_net::NetError) -> EngineError {
-        EngineError::Net(e)
-    }
-}
 
 /// Engine failures fold into the runtime's one error: shed at admission is
 /// [`Overloaded`](flexrpc_runtime::ErrorKind::Overloaded), shutdown is
@@ -73,13 +65,10 @@ impl From<EngineError> for RpcError {
         match e {
             EngineError::Overloaded => RpcError::Overloaded,
             EngineError::Closed => RpcError::Cancelled,
-            EngineError::Dropped => {
-                RpcError::Transport("submission dropped (induced fault)".into())
-            }
+            EngineError::Dropped => RpcError::Dropped,
             // A crashed engine and an open breaker read the same to a
             // supervisor: this binding is gone, fail over.
-            EngineError::Disconnected(why) => RpcError::Disconnected(why),
-            EngineError::Unhealthy => RpcError::Disconnected("engine circuit breaker open".into()),
+            EngineError::Disconnected(cause) => RpcError::Disconnected(cause),
             EngineError::Net(e) => RpcError::Net(e),
             EngineError::ShapeMismatch(why) => RpcError::ShapeMisuse(why),
             EngineError::Compile(e) => RpcError::Core(e),
@@ -111,9 +100,13 @@ mod tests {
             ),
             (EngineError::Net(flexrpc_net::NetError::Dropped), ErrorKind::Retryable),
             (EngineError::Dropped, ErrorKind::Retryable),
-            (EngineError::Disconnected("crashed".into()), ErrorKind::Disconnected),
-            (EngineError::Unhealthy, ErrorKind::Disconnected),
-            (EngineError::ShapeMismatch("oneway vs unary".into()), ErrorKind::ContractViolation),
+            (EngineError::Disconnected(Disconnect::PeerDown), ErrorKind::Disconnected),
+            (EngineError::Disconnected(Disconnect::LinkCut), ErrorKind::Disconnected),
+            (EngineError::Disconnected(Disconnect::BreakerOpen), ErrorKind::Disconnected),
+            (
+                EngineError::ShapeMismatch(ShapeMisuse::Undeclared("reset".into())),
+                ErrorKind::ContractViolation,
+            ),
         ];
         for (e, kind) in cases {
             let shown = e.to_string();

@@ -52,23 +52,28 @@
 
 pub mod sunrpc;
 
-use flexrpc_clock::{FaultInjector, Lost, SimClock, Verdict};
+use flexrpc_clock::{Disconnect, FaultInjector, Lost, SimClock, Verdict};
 use flexrpc_trace::{Counter, CounterStripe, MetricsRegistry};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Errors from the simulated network.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Errors from the simulated network: each a value, built without
+/// allocating, so a hostile frame costs its refusal nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetError {
     /// Unknown host.
     NoSuchHost(HostId),
     /// The destination host has no registered service.
     NoService(HostId),
-    /// The service handler failed with a protocol-level error, or its
-    /// dispatch failed: deterministic, the same message fails the same way.
-    ServiceFailure(String),
+    /// The service's dispatch failed with no reply stat to answer it:
+    /// deterministic, the same message fails the same way.
+    ServiceFailure,
+    /// A frame is not a Sun RPC message this layer accepts; the label says
+    /// what is wrong with it. Deterministic: the same bytes are refused the
+    /// same way.
+    Malformed(&'static str),
     /// The Sun RPC server answered the call with a refusal (a program,
     /// version or procedure it does not serve, or arguments it cannot
     /// decode): deterministic, a resend is refused the same way.
@@ -76,10 +81,14 @@ pub enum NetError {
     /// The message was lost in transit (induced by fault injection).
     /// Transient by construction: a retry sends a fresh message.
     Dropped,
-    /// The peer crashed or the stream closed: the binding to this host is
-    /// gone. Not transient — resending on the same stream cannot succeed;
-    /// the client must rebind (possibly to a different endpoint).
-    Disconnected(String),
+    /// The binding to the host is gone, for the cause given. Not transient
+    /// — resending on the same stream cannot succeed; the client must
+    /// rebind (possibly to a different endpoint).
+    Disconnected(HostId, Disconnect),
+    /// A pipelined flush got back `received` reply records for `sent` calls.
+    ReplyCount { sent: usize, received: usize },
+    /// A pipelined flush's reply stream held no reply for this XID.
+    NoReply(u32),
 }
 
 impl fmt::Display for NetError {
@@ -87,10 +96,15 @@ impl fmt::Display for NetError {
         match self {
             NetError::NoSuchHost(h) => write!(f, "no such host {h:?}"),
             NetError::NoService(h) => write!(f, "no service registered on {h:?}"),
-            NetError::ServiceFailure(why) => write!(f, "service failure: {why}"),
+            NetError::ServiceFailure => write!(f, "service failure: dispatch failed"),
+            NetError::Malformed(why) => write!(f, "sunrpc protocol error: {why}"),
             NetError::Refused(stat) => write!(f, "call refused: {stat:?}"),
             NetError::Dropped => write!(f, "message dropped in transit"),
-            NetError::Disconnected(why) => write!(f, "peer disconnected: {why}"),
+            NetError::Disconnected(h, cause) => write!(f, "{h:?} disconnected: {cause:?}"),
+            NetError::ReplyCount { sent, received } => {
+                write!(f, "{received} replies to {sent} calls")
+            }
+            NetError::NoReply(xid) => write!(f, "pipeline: no reply for xid {xid}"),
         }
     }
 }
@@ -178,8 +192,7 @@ impl NetStats {
 /// be inside the same host's handler at once — the serving engine's
 /// acceptor depends on this. Handlers needing mutable state bring their own
 /// locks (and should hold them as briefly as possible).
-pub type Service =
-    Arc<dyn Fn(&[u8], &mut Vec<u8>) -> core::result::Result<(), String> + Send + Sync>;
+pub type Service = Arc<dyn Fn(&[u8], &mut Vec<u8>) -> Result<()> + Send + Sync>;
 
 /// Scratch sets kept for reuse per network: enough for the handful of
 /// callers that are ever inside [`SimNet::call`] at once; beyond it a set
@@ -187,7 +200,6 @@ pub type Service =
 const SCRATCH_FREE_MAX: usize = 8;
 
 struct HostState {
-    #[allow(dead_code)] // Diagnostic field, reported by `host_name`.
     name: String,
     service: Option<Service>,
     /// Per-host fault plan, consulted (after the network-wide plan) for
@@ -328,8 +340,9 @@ impl SimNet {
         id
     }
 
-    /// The host's name.
-    pub(crate) fn host_name(&self, host: HostId) -> Result<String> {
+    /// The name `host` was added under: how a caller names the host a
+    /// [`NetError`] carries.
+    pub fn host_name(&self, host: HostId) -> Result<String> {
         let hosts = self.hosts.lock();
         hosts.get(host.0).map(|h| h.name.clone()).ok_or(NetError::NoSuchHost(host))
     }
@@ -340,10 +353,7 @@ impl SimNet {
     pub fn register_handler(
         &self,
         host: HostId,
-        handler: impl Fn(&[u8], &mut Vec<u8>) -> core::result::Result<(), String>
-            + Send
-            + Sync
-            + 'static,
+        handler: impl Fn(&[u8], &mut Vec<u8>) -> Result<()> + Send + Sync + 'static,
     ) -> Result<()> {
         let mut hosts = self.hosts.lock();
         let h = hosts.get_mut(host.0).ok_or(NetError::NoSuchHost(host))?;
@@ -359,7 +369,7 @@ impl SimNet {
     pub fn register_service(
         &self,
         host: HostId,
-        service: impl Fn(&[u8]) -> core::result::Result<Vec<u8>, String> + Send + Sync + 'static,
+        service: impl Fn(&[u8]) -> Result<Vec<u8>> + Send + Sync + 'static,
     ) -> Result<()> {
         self.register_handler(host, move |request, out| {
             *out = service(request)?;
@@ -477,18 +487,13 @@ impl SimNet {
         }
     }
 
-    /// The error a call sees for a message the fault plan lost.
+    /// The error a call to `to` sees for a message the fault plan lost.
     #[cold]
-    fn lost_error(&self, lost: Lost, from: HostId, to: HostId) -> NetError {
-        let name = |h: HostId| self.host_name(h).unwrap_or_else(|_| format!("{h:?}"));
+    fn lost_error(lost: Lost, to: HostId) -> NetError {
         match lost {
             Lost::Dropped => NetError::Dropped,
-            Lost::PeerDown => NetError::Disconnected(format!("server {} crashed", name(to))),
-            Lost::LinkCut => NetError::Disconnected(format!(
-                "link partitioned between {} and {}",
-                name(from),
-                name(to)
-            )),
+            Lost::PeerDown => NetError::Disconnected(to, Disconnect::PeerDown),
+            Lost::LinkCut => NetError::Disconnected(to, Disconnect::LinkCut),
         }
     }
 
@@ -626,7 +631,7 @@ impl Link {
         if self.net.hosts_version.load(Ordering::SeqCst) != self.version {
             (self.version, self.route) = self.net.resolve(self.from, self.to);
         }
-        let route = self.route.as_ref().map_err(NetError::clone)?;
+        let route = self.route.as_ref().map_err(|e| *e)?;
         let Scratch { rx, discard } = &mut self.scratch;
         Ok((Hop { net: &self.net, from: self.from, to: self.to, route, rx }, discard))
     }
@@ -704,7 +709,7 @@ impl Hop<'_> {
         if let Some(lost) = verdict.lost {
             // A lost datagram is lost silently, however it was lost: the
             // sender has no reply channel to learn of it.
-            return if one_way { Ok(()) } else { Err(Box::new(net.lost_error(lost, from, to))) };
+            return if one_way { Ok(()) } else { Err(Box::new(SimNet::lost_error(lost, to))) };
         }
         // A message to a host that serves nothing was still sent: it is
         // counted and charged before the absence is discovered.
@@ -723,9 +728,9 @@ impl Hop<'_> {
         // A one-way message's product (reply or failure) evaporates: the
         // sender has no channel to learn of it, nor of a stream that closed
         // behind the datagram.
-        if let (Err(why), false) = (result, one_way) {
+        if let (Err(e), false) = (result, one_way) {
             reply_into.clear();
-            return Err(Box::new(NetError::ServiceFailure(why)));
+            return Err(Box::new(e));
         }
         // Server-side processing, charged whatever becomes of the reply.
         let mut after = Tally { ns: net.cfg.server_ns, ..Tally::default() };
@@ -736,7 +741,7 @@ impl Hop<'_> {
             // (an at-most-once server has the reply cached) but this client
             // never sees it. The reply never reaches the wire.
             reply_into.clear();
-            Err(Box::new(NetError::Disconnected("stream closed before reply".into())))
+            Err(Box::new(NetError::Disconnected(to, Disconnect::ClosedBeforeReply)))
         } else {
             after += net.leg(reply_into.len(), scale);
             Ok(())
@@ -852,7 +857,7 @@ mod tests {
                 out.extend_from_slice(b"re:");
                 out.extend_from_slice(req);
                 if fail {
-                    return Err("failed after writing".into());
+                    return Err(NetError::ServiceFailure);
                 }
                 Ok(())
             })
@@ -879,30 +884,20 @@ mod tests {
         type Expect = fn(&Result<()>) -> bool;
         let rows: [(&str, bool, Option<Fault>, To, Expect); 8] = [
             ("Drop", false, Some(Fault::Drop), To::Server, |r| *r == Err(NetError::Dropped)),
-            (
-                "Crash",
-                false,
-                Some(Fault::Crash { restart_after_ns: None }),
-                To::Server,
-                |r| matches!(r, Err(NetError::Disconnected(w)) if w.contains("crashed")),
-            ),
+            ("Crash", false, Some(Fault::Crash { restart_after_ns: None }), To::Server, |r| {
+                *r == Err(NetError::Disconnected(HostId(1), Disconnect::PeerDown))
+            }),
             (
                 "Partition",
                 false,
                 Some(Fault::Partition { a: 0, b: 1, heal_after_ns: u64::MAX }),
                 To::Server,
-                |r| matches!(r, Err(NetError::Disconnected(w)) if w.contains("partitioned")),
+                |r| *r == Err(NetError::Disconnected(HostId(1), Disconnect::LinkCut)),
             ),
-            (
-                "Close",
-                false,
-                Some(Fault::Close),
-                To::Server,
-                |r| matches!(r, Err(NetError::Disconnected(w)) if w.contains("closed")),
-            ),
-            ("service Err", true, None, To::Server, |r| {
-                *r == Err(NetError::ServiceFailure("failed after writing".into()))
+            ("Close", false, Some(Fault::Close), To::Server, |r| {
+                *r == Err(NetError::Disconnected(HostId(1), Disconnect::ClosedBeforeReply))
             }),
+            ("service Err", true, None, To::Server, |r| *r == Err(NetError::ServiceFailure)),
             ("Duplicate", false, Some(Fault::Duplicate), To::Server, |r| r.is_ok()),
             ("unknown host", false, None, To::Ghost, |r| {
                 *r == Err(NetError::NoSuchHost(HostId(9)))
@@ -1015,12 +1010,9 @@ mod tests {
         let net = SimNet::new();
         let c = net.add_host("c");
         let s = net.add_host("s");
-        net.register_service(s, |_| Err("disk on fire".into())).unwrap();
+        net.register_service(s, |_| Err(NetError::ServiceFailure)).unwrap();
         let mut reply = Vec::new();
-        assert_eq!(
-            net.call(c, s, b"x", &mut reply).unwrap_err(),
-            NetError::ServiceFailure("disk on fire".into())
-        );
+        assert_eq!(net.call(c, s, b"x", &mut reply).unwrap_err(), NetError::ServiceFailure);
     }
 
     #[test]
@@ -1307,8 +1299,9 @@ mod tests {
         // The crashed call and every call before the restart disconnect;
         // the handler never runs.
         let e = net.call(c, s, b"x", &mut reply).unwrap_err();
-        assert!(matches!(e, NetError::Disconnected(ref w) if w.contains("server-b")), "{e}");
-        assert!(matches!(net.call(c, s, b"x", &mut reply), Err(NetError::Disconnected(_))));
+        assert_eq!(e, NetError::Disconnected(s, Disconnect::PeerDown));
+        assert_eq!(net.host_name(s).unwrap(), "server-b", "the error names the crashed host");
+        assert!(matches!(net.call(c, s, b"x", &mut reply), Err(NetError::Disconnected(..))));
         assert_eq!(hits.load(Ordering::SeqCst), 0, "a crashed server executes nothing");
         // Past the scheduled restart the host serves again.
         net.clock().advance_ns(60_000_000);
@@ -1331,7 +1324,7 @@ mod tests {
         .unwrap();
         net.faults().on_next_call(Fault::Close);
         let mut reply = Vec::new();
-        assert!(matches!(net.call(c, s, b"x", &mut reply), Err(NetError::Disconnected(_))));
+        assert!(matches!(net.call(c, s, b"x", &mut reply), Err(NetError::Disconnected(..))));
         assert_eq!(hits.load(Ordering::SeqCst), 1, "the handler ran before the stream died");
         // One-shot: the next call completes.
         net.call(c, s, b"y", &mut reply).unwrap();
@@ -1403,8 +1396,8 @@ mod tests {
         let mut reply = Vec::new();
         // The cut severs c1↔s: disconnect, nothing executed.
         let e = net.call(c1, s, b"x", &mut reply).unwrap_err();
-        assert!(matches!(e, NetError::Disconnected(ref w) if w.contains("partition")), "{e}");
-        assert!(matches!(net.call(c1, s, b"x", &mut reply), Err(NetError::Disconnected(_))));
+        assert_eq!(e, NetError::Disconnected(s, Disconnect::LinkCut));
+        assert!(matches!(net.call(c1, s, b"x", &mut reply), Err(NetError::Disconnected(..))));
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         // c2 is on the other side of the cut: the server is alive.
         net.call(c2, s, b"y", &mut reply).unwrap();
@@ -1424,8 +1417,8 @@ mod tests {
         net.register_service(s, |req| Ok(req.to_vec())).unwrap();
         net.faults().partition(FaultInjector::ANY, s.raw(), u64::MAX);
         let mut reply = Vec::new();
-        assert!(matches!(net.call(c1, s, b"x", &mut reply), Err(NetError::Disconnected(_))));
-        assert!(matches!(net.call(c2, s, b"x", &mut reply), Err(NetError::Disconnected(_))));
+        assert!(matches!(net.call(c1, s, b"x", &mut reply), Err(NetError::Disconnected(..))));
+        assert!(matches!(net.call(c2, s, b"x", &mut reply), Err(NetError::Disconnected(..))));
         net.faults().heal_all();
         net.call(c1, s, b"x", &mut reply).unwrap();
     }
@@ -1441,7 +1434,7 @@ mod tests {
         net.host_faults(s1).unwrap().crash(Some(30_000_000));
         let mut reply = Vec::new();
         let e = net.call(c, s1, b"x", &mut reply).unwrap_err();
-        assert!(matches!(e, NetError::Disconnected(ref w) if w.contains("replica-1")), "{e}");
+        assert_eq!(e, NetError::Disconnected(s1, Disconnect::PeerDown));
         // The other replica keeps serving.
         net.call(c, s2, b"x", &mut reply).unwrap();
         // Past the restart the crashed host is back.

@@ -6,7 +6,8 @@
 //! procedure, and null credentials — then the XDR-encoded arguments the
 //! stub marshalled. Replies carry the XID, an accept status, and results.
 
-use crate::{NetError, Result};
+use crate::NetError::Malformed;
+use crate::Result;
 use flexrpc_marshal::xdr::XdrReader;
 
 /// Rounds `n` up to the XDR 4-byte boundary.
@@ -192,17 +193,13 @@ pub fn encode_reply_gather_into(buf: &mut Vec<u8>, xid: u32, stat: AcceptStat, p
     buf.resize(start + total, 0);
 }
 
-fn proto_err(why: &str) -> NetError {
-    NetError::ServiceFailure(format!("sunrpc protocol error: {why}"))
-}
-
 /// The length a record mark declares for its record — calls, replies and
 /// the records of a stream alike — refusing a mark without the
 /// last-fragment bit: no encoder here fragments a record, and no decoder
 /// reassembles one.
 fn whole_record_len(mark: u32) -> Result<usize> {
     if mark & LAST_FRAGMENT == 0 {
-        return Err(proto_err("fragmented records not supported"));
+        return Err(Malformed("fragmented records not supported"));
     }
     Ok((mark & !LAST_FRAGMENT) as usize)
 }
@@ -216,12 +213,12 @@ fn whole_record_len(mark: u32) -> Result<usize> {
 #[inline(always)]
 fn open_record(msg: &[u8]) -> Result<XdrReader<'_>> {
     let mut r = XdrReader::new(msg);
-    let mark = r.get_u32().map_err(|_| proto_err("truncated record mark"))?;
+    let mark = r.get_u32().map_err(|_| Malformed("truncated record mark"))?;
     if whole_record_len(mark)? != msg.len() - 4 {
-        return Err(proto_err("record mark length mismatch"));
+        return Err(Malformed("record mark length mismatch"));
     }
     if !msg.len().is_multiple_of(4) {
-        return Err(proto_err("record is not a whole number of XDR words"));
+        return Err(Malformed("record is not a whole number of XDR words"));
     }
     Ok(r)
 }
@@ -237,34 +234,33 @@ pub type TaggedCall<'a> = (CallHeader, Option<(u64, u64, u64)>, &'a [u8]);
 /// length — is refused.
 pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
     let mut r = open_record(msg)?;
-    let xid = r.get_u32().map_err(|_| proto_err("truncated xid"))?;
-    let mtype = r.get_u32().map_err(|_| proto_err("truncated msg type"))?;
+    let xid = r.get_u32().map_err(|_| Malformed("truncated xid"))?;
+    let mtype = r.get_u32().map_err(|_| Malformed("truncated msg type"))?;
     if mtype != CALL {
-        return Err(proto_err("expected a call message"));
+        return Err(Malformed("expected a call message"));
     }
-    let rpcvers = r.get_u32().map_err(|_| proto_err("truncated rpc version"))?;
+    let rpcvers = r.get_u32().map_err(|_| Malformed("truncated rpc version"))?;
     if rpcvers != RPC_VERS {
-        return Err(proto_err("unsupported RPC protocol version"));
+        return Err(Malformed("unsupported RPC protocol version"));
     }
-    let prog = r.get_u32().map_err(|_| proto_err("truncated prog"))?;
-    let vers = r.get_u32().map_err(|_| proto_err("truncated vers"))?;
-    let proc = r.get_u32().map_err(|_| proto_err("truncated proc"))?;
-    let cred_flavor = r.get_u32().map_err(|_| proto_err("truncated credentials"))?;
-    let cred_len = r.get_u32().map_err(|_| proto_err("truncated credentials"))?;
+    let prog = r.get_u32().map_err(|_| Malformed("truncated prog"))?;
+    let vers = r.get_u32().map_err(|_| Malformed("truncated vers"))?;
+    let proc = r.get_u32().map_err(|_| Malformed("truncated proc"))?;
+    let cred_flavor = r.get_u32().map_err(|_| Malformed("truncated credentials"))?;
+    let cred_len = r.get_u32().map_err(|_| Malformed("truncated credentials"))?;
     let tag = match (cred_flavor, cred_len) {
         (0, 0) => None,
         (CRED_FLAVOR_AMO, CRED_AMO_LEN) => {
-            let binding = r.get_u64().map_err(|_| proto_err("truncated call tag"))?;
-            let seq = r.get_u64().map_err(|_| proto_err("truncated call tag"))?;
-            let tenant = r.get_u64().map_err(|_| proto_err("truncated call tag"))?;
+            let binding = r.get_u64().map_err(|_| Malformed("truncated call tag"))?;
+            let seq = r.get_u64().map_err(|_| Malformed("truncated call tag"))?;
+            let tenant = r.get_u64().map_err(|_| Malformed("truncated call tag"))?;
             Some((binding, seq, tenant))
         }
-        _ => return Err(proto_err("unsupported credential flavor")),
+        _ => return Err(Malformed("unsupported credential flavor")),
     };
-    for what in ["verf flavor", "verf length"] {
-        let v = r.get_u32().map_err(|_| proto_err("truncated verifier"))?;
-        if v != 0 {
-            return Err(proto_err(&format!("non-null {what} not supported")));
+    for non_null in ["non-null verf flavor not supported", "non-null verf length not supported"] {
+        if r.get_u32().map_err(|_| Malformed("truncated verifier"))? != 0 {
+            return Err(Malformed(non_null));
         }
     }
     // The rest of the record: whole words, as `open_record` checked.
@@ -285,12 +281,12 @@ pub fn split_records(stream: &[u8]) -> Result<Vec<&[u8]>> {
     let mut rest = stream;
     while !rest.is_empty() {
         if rest.len() < 4 {
-            return Err(proto_err("truncated record mark in stream"));
+            return Err(Malformed("truncated record mark in stream"));
         }
         // Cannot fail: the length was checked just above.
         let len = whole_record_len(u32::from_be_bytes(rest[..4].try_into().expect("4 bytes")))?;
         if rest.len() < 4 + len {
-            return Err(proto_err("record extends past end of stream"));
+            return Err(Malformed("record extends past end of stream"));
         }
         records.push(&rest[..4 + len]);
         rest = &rest[4 + len..];
@@ -301,19 +297,19 @@ pub fn split_records(stream: &[u8]) -> Result<Vec<&[u8]>> {
 /// Decodes a reply message, returning the XID, status, and result bytes.
 pub fn decode_reply(msg: &[u8]) -> Result<(u32, AcceptStat, &[u8])> {
     let mut r = open_record(msg)?;
-    let xid = r.get_u32().map_err(|_| proto_err("truncated xid"))?;
-    let mtype = r.get_u32().map_err(|_| proto_err("truncated msg type"))?;
+    let xid = r.get_u32().map_err(|_| Malformed("truncated xid"))?;
+    let mtype = r.get_u32().map_err(|_| Malformed("truncated msg type"))?;
     if mtype != REPLY {
-        return Err(proto_err("expected a reply message"));
+        return Err(Malformed("expected a reply message"));
     }
-    let replystat = r.get_u32().map_err(|_| proto_err("truncated reply stat"))?;
+    let replystat = r.get_u32().map_err(|_| Malformed("truncated reply stat"))?;
     if replystat != 0 {
-        return Err(proto_err("call rejected"));
+        return Err(Malformed("call rejected"));
     }
-    let _verf_flavor = r.get_u32().map_err(|_| proto_err("truncated verifier"))?;
-    let _verf_len = r.get_u32().map_err(|_| proto_err("truncated verifier"))?;
-    let stat = AcceptStat::from_code(r.get_u32().map_err(|_| proto_err("truncated stat"))?)
-        .ok_or_else(|| proto_err("unknown accept status"))?;
+    let _verf_flavor = r.get_u32().map_err(|_| Malformed("truncated verifier"))?;
+    let _verf_len = r.get_u32().map_err(|_| Malformed("truncated verifier"))?;
+    let stat = AcceptStat::from_code(r.get_u32().map_err(|_| Malformed("truncated stat"))?)
+        .ok_or(Malformed("unknown accept status"))?;
     let results = &msg[r.position()..];
     Ok((xid, stat, results))
 }
@@ -379,12 +375,7 @@ mod tests {
             split_records(&reply).unwrap_err(),
         ];
         for e in refusals {
-            assert_eq!(
-                e,
-                NetError::ServiceFailure(
-                    "sunrpc protocol error: fragmented records not supported".into()
-                )
-            );
+            assert_eq!(e, Malformed("fragmented records not supported"));
         }
     }
 
@@ -535,8 +526,10 @@ mod tests {
         msg.extend_from_slice(&[0u8; 8]); // Null verifier.
         msg.extend_from_slice(body);
         msg.resize(total, 0);
-        let err = decode_call_tagged(&msg).unwrap_err();
-        assert!(err.to_string().contains("unsupported credential flavor"), "{err}");
+        assert_eq!(
+            decode_call_tagged(&msg).unwrap_err(),
+            Malformed("unsupported credential flavor")
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use flexrpc_kernel::{Kernel, TaskId, UserAddr};
 use flexrpc_marshal::xdr::{XdrReader, XdrWriter};
 use flexrpc_marshal::WireFormat;
 use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
-use flexrpc_net::{HostId, Link, SimNet};
+use flexrpc_net::{HostId, Link, NetError, SimNet};
 use flexrpc_runtime::hooks::SpecialMarshal;
 use flexrpc_runtime::transport::SunRpc;
 use flexrpc_runtime::{ClientStub, RpcError};
@@ -304,7 +304,7 @@ impl NfsClientHarness {
             r?;
             let (xid, stat, results) = sunrpc::decode_reply(&reply)?;
             if xid != self.hand_xid || stat != AcceptStat::Success {
-                return Err(RpcError::Transport("bad hand-coded reply".into()));
+                return Err(NetError::Malformed("hand-coded reply: wrong xid or status").into());
             }
             let mut rd = XdrReader::new(results);
             let dst = self.user_buf.offset(offset);

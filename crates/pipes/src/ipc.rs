@@ -153,9 +153,7 @@ impl PipeIpcHarness {
                         occupancy += n;
                     }
                     WOULDBLOCK => break,
-                    other => {
-                        return Err(RpcError::Transport(format!("write failed: status {other}")))
-                    }
+                    other => return Err(RpcError::Remote(other)),
                 }
             }
             // Reader drains what is there.
@@ -171,9 +169,7 @@ impl PipeIpcHarness {
                         }
                     }
                     WOULDBLOCK => break,
-                    other => {
-                        return Err(RpcError::Transport(format!("read failed: status {other}")))
-                    }
+                    other => return Err(RpcError::Remote(other)),
                 }
             }
         }

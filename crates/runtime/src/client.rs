@@ -1,6 +1,6 @@
 //! The client stub: marshal → transport → unmarshal.
 
-use crate::error::{ErrorKind, RpcError};
+use crate::error::{ErrorKind, RpcError, ShapeMisuse};
 use crate::hooks::HookMap;
 use crate::interp::{marshal_into, unmarshal};
 use crate::policy::{CallControl, CallOptions, CallTag, TenantId};
@@ -239,8 +239,10 @@ impl ClientStub {
                     // executed before the connection died, the reply cache
                     // answers; if it crashed first, nothing executed. Either
                     // way at-most-once holds.
-                    let may_retry =
-                        e.is_retryable() || (tag.is_some() && e.kind() == ErrorKind::Disconnected);
+                    let may_retry = matches!(
+                        (e.kind(), tag),
+                        (ErrorKind::Retryable, _) | (ErrorKind::Disconnected, Some(_))
+                    );
                     if !may_retry || attempt >= max_attempts {
                         return Err(e);
                     }
@@ -324,10 +326,8 @@ impl ClientStub {
         // unary exchange — each frame is one tagged call, and the reply
         // carries the credit back.)
         if op.call_shape == CallShape::Oneway {
-            return Err(RpcError::ShapeMisuse(format!(
-                "operation `{}` is [oneway]; use `notify` for it",
-                op.name
-            )));
+            let (shape, entry) = (op.call_shape, "call");
+            return Err(RpcError::ShapeMisuse(ShapeMisuse::Entry { op: op_index, shape, entry }));
         }
         let hooks = &self.hooks[op_index];
         // Both scratch buffers are used where they live: the request is
@@ -418,10 +418,8 @@ impl ClientStub {
     ) -> Result<()> {
         let op = op_at(&self.compiled, op_index)?;
         if op.call_shape != CallShape::Oneway {
-            return Err(RpcError::ShapeMisuse(format!(
-                "operation `{}` is {:?}, not [oneway]; use `call` for it",
-                op.name, op.call_shape
-            )));
+            let (shape, entry) = (op.call_shape, "notify");
+            return Err(RpcError::ShapeMisuse(ShapeMisuse::Entry { op: op_index, shape, entry }));
         }
         let (mut span, rights) = marshal_request(
             self.format,
@@ -443,7 +441,7 @@ impl ClientStub {
 /// The operation a dispatch key names.
 #[inline]
 fn op_at(compiled: &CompiledInterface, op_index: usize) -> Result<&CompiledOp> {
-    compiled.ops.get(op_index).ok_or_else(|| RpcError::NoSuchOp(format!("op index {op_index}")))
+    compiled.ops.get(op_index).ok_or(RpcError::NoOpIndex(op_index))
 }
 
 /// The spans of one traced call. Stage boundaries share timestamps: each

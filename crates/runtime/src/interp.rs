@@ -334,10 +334,9 @@ fn exec_put<W: WireWrite>(
             // An unset slot (error replies never filled it) marshals as
             // zeros: failed calls still produce decodable messages.
             Some([]) => w.put_bytes_fixed(&vec![0u8; *n as usize]),
-            Some(_) => {
-                return Err(RpcError::Transport(format!(
-                    "fixed opaque field expects exactly {n} bytes"
-                )))
+            Some(bytes) => {
+                let (expected, found) = (*n as usize, bytes.len());
+                return Err(RpcError::FixedLen { slot: op.slot().0, expected, found });
             }
             None => return Err(kind_err(op, v, "bytes")),
         },
@@ -560,8 +559,7 @@ fn exec_get<'a, R: WireRead<'a>>(
             slots[slot] = Value::Bytes(r.get_bytes_fixed_owned(*n as usize)?)
         }
         MOp::GetPort(_) => {
-            let p =
-                rights_in.next().ok_or_else(|| RpcError::Transport("missing port right".into()))?;
+            let p = rights_in.next().ok_or(RpcError::MissingRight(slot))?;
             slots[slot] = Value::Port(p);
         }
         _ => unreachable!("Put op {op:?} in an unmarshal program is a compiler bug"),
@@ -1111,7 +1109,7 @@ mod tests {
             &mut std::iter::empty(),
         )
         .unwrap_err();
-        assert!(matches!(err, RpcError::Transport(_)));
+        assert_eq!(err, RpcError::MissingRight(0));
     }
 
     #[test]
@@ -1141,6 +1139,6 @@ mod tests {
             &mut Vec::new(),
         )
         .unwrap_err();
-        assert!(matches!(err, RpcError::Transport(_)));
+        assert_eq!(err, RpcError::FixedLen { slot: 0, expected: 32, found: 16 });
     }
 }

@@ -34,7 +34,7 @@ pub mod transport;
 pub mod wire;
 
 pub use client::{ClientStub, DEFAULT_TRACE_CAPACITY};
-pub use error::{ErrorKind, RpcError};
+pub use error::{Disconnect, ErrorKind, RpcError, ShapeMisuse};
 pub use flexrpc_marshal::MarshalError;
 pub use hooks::{HookMap, SpecialMarshal};
 pub use policy::{CallControl, CallOptions, CallTag, RetryPolicy, TenantId};

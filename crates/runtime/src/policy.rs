@@ -9,7 +9,7 @@
 //! policy layer refuses to resend an operation whose presentation does not
 //! declare it safe to execute twice.
 
-use crate::error::RpcError;
+use crate::error::{RpcError, ShapeMisuse};
 use flexrpc_clock::{splitmix64, SimClock};
 use flexrpc_core::program::CompiledOp;
 use std::time::Duration;
@@ -76,10 +76,7 @@ impl RetryPolicy {
     /// attempt never resends, so it passes for any op.
     pub(crate) fn check_op_with(&self, op: &CompiledOp, at_most_once: bool) -> crate::Result<()> {
         if self.max_attempts > 1 && !op.idempotent && !at_most_once {
-            return Err(RpcError::ShapeMisuse(format!(
-                "operation `{}` is not declared [idempotent]; a retry policy may resend it",
-                op.name
-            )));
+            return Err(RpcError::ShapeMisuse(ShapeMisuse::NotIdempotent(op.index)));
         }
         Ok(())
     }

@@ -199,8 +199,7 @@ impl SameDomain {
     /// Invokes operation `idx` on the caller's `frame`: applies the in-plan,
     /// runs the registered work function, and returns its status word.
     pub fn call_index(&mut self, idx: usize, frame: &mut [Value]) -> Result<u32> {
-        let plan =
-            self.plans.get(idx).ok_or_else(|| RpcError::NoSuchOp(format!("op index {idx}")))?;
+        let plan = self.plans.get(idx).ok_or(RpcError::NoOpIndex(idx))?;
 
         // In-plan: copy in the stub where negotiation demanded it, keeping
         // the client's original aside for restoration.
@@ -435,8 +434,8 @@ mod tests {
     #[test]
     fn unknown_op_and_missing_handler_reported() {
         let (mut sd, mut frame) = bind(vec![], vec![], WRITE, |_| {});
-        assert!(matches!(sd.call_index(WRITE, &mut frame), Err(RpcError::NoSuchOp(_))));
-        assert!(matches!(sd.call_index(9, &mut frame), Err(RpcError::NoSuchOp(_))));
+        assert_eq!(sd.call_index(WRITE, &mut frame), Err(RpcError::NoHandler(WRITE)));
+        assert_eq!(sd.call_index(9, &mut frame), Err(RpcError::NoOpIndex(9)));
     }
 
     #[test]

@@ -53,9 +53,9 @@ impl ReplySink<'_> {
 
     /// Claims the next sink payload.
     fn claim(&mut self) -> Result<usize> {
-        let (k, n) = (self.next, self.specs.len());
-        if k == n {
-            return Err(RpcError::SinkMisuse(format!("operation declares {n} sink payload(s)")));
+        let k = self.next;
+        if k == self.specs.len() {
+            return Err(RpcError::SinkMisuse(None));
         }
         self.next += 1;
         Ok(k)
@@ -149,10 +149,7 @@ impl ServerCall<'_, '_> {
     /// Resolves a slot index by dotted name.
     #[inline]
     pub(crate) fn slot(&self, name: &str) -> Result<usize> {
-        self.slots
-            .slot(name)
-            .map(|s| s.0)
-            .ok_or_else(|| RpcError::NoSuchOp(format!("no slot named `{name}`")))
+        self.slots.slot(name).map(|s| s.0).ok_or_else(|| RpcError::NoSlot(name.into()))
     }
 
     /// Reads a `u32` argument.
@@ -198,9 +195,7 @@ impl ServerCall<'_, '_> {
         let i = self.slot(name)?;
         if let SinkTo::Direct { plan, .. } = &self.sink.to {
             if !plan.modifiable.contains(&i) {
-                return Err(RpcError::Transport(format!(
-                    "presentation forbids modifying `{name}`"
-                )));
+                return Err(RpcError::Preserved(i));
             }
         }
         match &mut self.frame[i] {
@@ -247,13 +242,12 @@ impl ServerCall<'_, '_> {
             // The server's own buffer, donated to the reply marshal.
             SinkTo::Wire(_) => self.slots.slots[i].dir.is_out().then_some(Donate),
         };
-        let action =
-            action.ok_or_else(|| RpcError::NoSuchOp(format!("no out payload `{name}`")))?;
+        let action = action.ok_or_else(|| RpcError::NoOutPayload(name.into()))?;
         let sink = &mut *self.sink;
         let k = sink.specs.iter().position(|s| s.slot.0 == i);
         if let Some(k) = k {
             if k != sink.next {
-                return Err(RpcError::SinkMisuse(format!("`{name}` is not the next sink payload")));
+                return Err(RpcError::SinkMisuse(Some(i)));
             }
             sink.next += 1;
         }
@@ -418,7 +412,7 @@ impl ServerInterface {
         rights_out: &mut Vec<u32>,
     ) -> Result<()> {
         if op_index >= self.compiled.ops.len() {
-            return Err(RpcError::NoSuchOp(format!("op index {op_index}")));
+            return Err(RpcError::NoOpIndex(op_index));
         }
         // The reply marshals into the caller's buffer and the call frame is
         // this op's reused scratch, reset where it lives: a warm fixed-size
@@ -529,9 +523,7 @@ impl ServerInterface {
 
         let status = {
             let mut sink = ReplySink { to: SinkTo::Wire(writer), specs: &op.sink_params, next: 0 };
-            let handler = self.handlers[op_index]
-                .as_mut()
-                .ok_or_else(|| RpcError::NoSuchOp(format!("no handler for `{}`", op.name)))?;
+            let handler = self.handlers[op_index].as_mut().ok_or(RpcError::NoHandler(op_index))?;
             let mut call = ServerCall { frame, request, sink: &mut sink, slots: &op.slots };
             let status = handler(&mut call);
             sink.finish();
@@ -555,9 +547,7 @@ impl ServerInterface {
         staged: &mut Vec<Value>,
     ) -> Result<u32> {
         let op: &CompiledOp = &self.compiled.ops[op_index];
-        let handler = self.handlers[op_index]
-            .as_mut()
-            .ok_or_else(|| RpcError::NoSuchOp(format!("no handler for `{}`", op.name)))?;
+        let handler = self.handlers[op_index].as_mut().ok_or(RpcError::NoHandler(op_index))?;
         staged.extend(op.sink_params.iter().map(|s| std::mem::take(&mut frame[s.slot.0])));
         let to = SinkTo::Direct { staged, plan, stats };
         let mut sink = ReplySink { to, specs: &op.sink_params, next: 0 };
@@ -638,17 +628,17 @@ mod tests {
         let request = w.into_bytes();
         let mut reply = Vec::new();
         let err = srv.dispatch(0, &request, &[], &mut reply, &mut Vec::new()).unwrap_err();
-        assert!(matches!(err, RpcError::NoSuchOp(_)));
+        assert_eq!(err, RpcError::NoHandler(0));
     }
 
     #[test]
     fn bad_op_index_reported() {
         let mut srv = ServerInterface::new(compiled(), WireFormat::Cdr);
         let mut reply = Vec::new();
-        assert!(matches!(
+        assert_eq!(
             srv.dispatch(9, &[], &[], &mut reply, &mut Vec::new()),
-            Err(RpcError::NoSuchOp(_))
-        ));
+            Err(RpcError::NoOpIndex(9))
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::error::RpcError;
 use crate::policy::CallControl;
 use crate::server::ServerInterface;
 use crate::Result;
-use flexrpc_clock::{FaultInjector, Lost, SimClock, Verdict};
+use flexrpc_clock::{Disconnect, FaultInjector, Lost, SimClock, Verdict};
 use flexrpc_core::present::Trust;
 use flexrpc_core::program::{CompiledInterface, CompiledOp};
 use flexrpc_kernel::ipc::{BindOptions, MsgOut, ServerOptions, MAX_BODY};
@@ -223,19 +223,13 @@ impl Transport for Loopback {
     ) -> Result<usize> {
         let verdict = self.admit(op, request, rights, ctl)?;
         match verdict.lost {
-            Some(Lost::Dropped) => {
-                return Err(RpcError::Transport("message dropped (induced fault)".into()))
-            }
+            Some(Lost::Dropped) => return Err(RpcError::Dropped),
             // The server object is gone before dispatch: nothing executes
             // until the injector's scheduled restart passes.
-            Some(Lost::PeerDown) => {
-                return Err(RpcError::Disconnected("loopback server crashed".into()))
-            }
+            Some(Lost::PeerDown) => return Err(RpcError::Disconnected(Disconnect::PeerDown)),
             // The link is severed but the server is alive: the caller sees
             // a disconnect it can retry elsewhere.
-            Some(Lost::LinkCut) => {
-                return Err(RpcError::Disconnected("loopback link partitioned".into()))
-            }
+            Some(Lost::LinkCut) => return Err(RpcError::Disconnected(Disconnect::LinkCut)),
             None => {}
         }
         self.server.dispatch_tagged(op, request, rights, ctl, reply, rights_out)?;
@@ -244,7 +238,7 @@ impl Transport for Loopback {
             // reply), but the connection died before the reply returned.
             reply.clear();
             rights_out.clear();
-            return Err(RpcError::Disconnected("loopback connection closed before reply".into()));
+            return Err(RpcError::Disconnected(Disconnect::ClosedBeforeReply));
         }
         if ctl.expired(&self.clock) {
             return Err(RpcError::DeadlineExceeded);
@@ -492,9 +486,7 @@ impl Transport for SunRpc {
         ctl: &CallControl,
     ) -> Result<usize> {
         if !rights.is_empty() {
-            return Err(RpcError::Transport(
-                "Sun RPC cannot carry port rights across the network".into(),
-            ));
+            return Err(RpcError::RightsUnsupported);
         }
         if ctl.expired(self.link.net().clock()) {
             return Err(RpcError::DeadlineExceeded);
@@ -522,7 +514,7 @@ impl Transport for SunRpc {
             }
         };
         if rxid != xid {
-            return Err(RpcError::Transport(format!("xid mismatch: {rxid} != {xid}")));
+            return Err(NetError::Malformed("reply xid does not match the call").into());
         }
         match stat {
             AcceptStat::Success => {}
@@ -543,9 +535,7 @@ impl Transport for SunRpc {
         ctl: &CallControl,
     ) -> Result<()> {
         if !rights.is_empty() {
-            return Err(RpcError::Transport(
-                "Sun RPC cannot carry port rights across the network".into(),
-            ));
+            return Err(RpcError::RightsUnsupported);
         }
         if ctl.expired(self.link.net().clock()) {
             return Err(RpcError::DeadlineExceeded);
@@ -614,10 +604,7 @@ pub fn serve_on_net(
     vers: u32,
 ) -> Result<()> {
     net.register_handler(host, move |msg, out| {
-        let (hdr, wire_tag, args) = match sunrpc::decode_call_tagged(msg) {
-            Ok(x) => x,
-            Err(e) => return Err(format!("undecodable call: {e}")),
-        };
+        let (hdr, wire_tag, args) = sunrpc::decode_call_tagged(msg)?;
         let tag = wire_tag.map(|(binding, seq, tenant)| {
             crate::policy::CallTag::for_tenant(binding, seq, crate::policy::TenantId(tenant))
         });
@@ -634,7 +621,7 @@ pub fn serve_on_net(
             Ok(reply) => respond(AcceptStat::Success, reply),
             Err(e) => match dispatch_stat(&e) {
                 Some(stat) => respond(stat, &[]),
-                None => Err(format!("dispatch failed: {e}")),
+                None => Err(NetError::ServiceFailure),
             },
         }
     })?;

@@ -100,7 +100,7 @@ proptest! {
                     _ctl: &CallControl,
                 ) -> flexrpc_runtime::Result<usize> {
                     *self.0.lock() = request.to_vec();
-                    Err(RpcError::Transport("capture only".into()))
+                    Err(RpcError::Dropped)
                 }
             }
             let captured = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -162,7 +162,7 @@ fn client_recovers_after_transport_failure() {
         ) -> flexrpc_runtime::Result<usize> {
             if self.fail_next {
                 self.fail_next = false;
-                return Err(RpcError::Transport("simulated outage".into()));
+                return Err(RpcError::Dropped);
             }
             self.srv.dispatch(op.index, request, rights, reply, rights_out)?;
             Ok(0)

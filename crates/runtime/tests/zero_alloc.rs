@@ -549,3 +549,50 @@ fn truncated_fixed_opaque_fails_before_allocating() {
         assert_eq!(err, MarshalError::Truncated { needed: 4096, remaining }, "{format:?}");
     }
 }
+
+/// Hostile bytes cost their refusal nothing: every Sun RPC decoder refuses
+/// a malformed frame with a typed label and no allocation — the smallest
+/// case of allocation bounded by the input's length.
+#[test]
+fn malformed_sun_rpc_frames_are_refused_without_allocating() {
+    use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
+    use flexrpc_net::NetError::{self, Malformed};
+
+    let call = sunrpc::encode_call(CallHeader { xid: 7, prog: 1, vers: 1, proc: 0 }, b"args");
+    let reply = sunrpc::encode_reply(7, AcceptStat::Success, b"results!");
+    let odd = |frame: &[u8]| {
+        let mut odd = frame.to_vec();
+        odd.push(0xA5);
+        let mark = 0x8000_0000 | (odd.len() - 4) as u32;
+        odd[..4].copy_from_slice(&mark.to_be_bytes());
+        odd
+    };
+    let (odd_call, odd_reply) = (odd(&call), odd(&reply));
+    let mut unknown_stat = reply.clone();
+    unknown_stat[24..28].copy_from_slice(&99u32.to_be_bytes());
+    let past_end = &call[..call.len() - 4];
+    let truncated_mark = &call[..2];
+
+    let as_call = |f: &[u8]| sunrpc::decode_call_tagged(f).map(drop);
+    let as_reply = |f: &[u8]| sunrpc::decode_reply(f).map(drop);
+    let as_stream = |f: &[u8]| sunrpc::split_records(f).map(drop);
+    type Decode<'a> = &'a dyn Fn(&[u8]) -> Result<(), NetError>;
+    let refusals: [(Decode<'_>, &[u8], &str); 9] = [
+        (&as_call, &odd_call, "record is not a whole number of XDR words"),
+        (&as_reply, &odd_reply, "record is not a whole number of XDR words"),
+        (&as_call, truncated_mark, "truncated record mark"),
+        (&as_reply, truncated_mark, "truncated record mark"),
+        (&as_stream, truncated_mark, "truncated record mark in stream"),
+        (&as_stream, past_end, "record extends past end of stream"),
+        (&as_call, &reply, "expected a call message"),
+        (&as_reply, &call, "expected a reply message"),
+        (&as_reply, &unknown_stat, "unknown accept status"),
+    ];
+    for (decode, frame, label) in refusals {
+        let before = allocs();
+        let refused = decode(frame);
+        let delta = allocs() - before;
+        assert_eq!(refused, Err(Malformed(label)));
+        assert_eq!(delta, 0, "refusing with `{label}` allocated {delta} times");
+    }
+}

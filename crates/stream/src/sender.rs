@@ -11,7 +11,7 @@ use flexrpc_clock::SimClock;
 use flexrpc_core::compat::negotiate_call_shape;
 use flexrpc_core::present::CallShape;
 use flexrpc_core::value::Value;
-use flexrpc_runtime::{CallOptions, ClientStub, Result, RpcError};
+use flexrpc_runtime::{CallOptions, ClientStub, Result, RpcError, ShapeMisuse};
 use flexrpc_trace::{Counter, MetricsRegistry};
 use std::sync::Arc;
 
@@ -56,19 +56,16 @@ impl StreamSender {
         negotiated: CallShape,
         drain_ns: u64,
     ) -> Result<StreamSender> {
-        let CallShape::Stream { window } = negotiated else {
-            return Err(RpcError::ShapeMisuse(format!(
-                "operation `{op}` negotiated {negotiated:?}, not a stream shape"
-            )));
+        let (op_index, client_shape) = stub.op(op).map(|cop| (cop.index, cop.call_shape))?;
+        // Both the negotiated shape and the client's own must be a stream.
+        let not_a_stream = |shape| {
+            RpcError::ShapeMisuse(ShapeMisuse::Entry { op: op_index, shape, entry: "stream" })
         };
-        let (op_index, client_shape) = {
-            let cop = stub.op(op)?;
-            (cop.index, cop.call_shape)
+        let CallShape::Stream { window } = negotiated else {
+            return Err(not_a_stream(negotiated));
         };
         if !matches!(client_shape, CallShape::Stream { .. }) {
-            return Err(RpcError::ShapeMisuse(format!(
-                "client presentation declares `{op}` as {client_shape:?}, not [stream]"
-            )));
+            return Err(not_a_stream(client_shape));
         }
         let Some(clock) = stub.clock() else {
             return Err(RpcError::NoClock("credit stalls"));
@@ -98,11 +95,10 @@ impl StreamSender {
         server_shape: CallShape,
         drain_ns: u64,
     ) -> Result<StreamSender> {
-        let client_shape = stub.op(op)?.call_shape;
-        let Some(shape) = negotiate_call_shape(client_shape, server_shape) else {
-            return Err(RpcError::ShapeMisuse(format!(
-                "operation `{op}`: client declares {client_shape:?}, server declares {server_shape:?}"
-            )));
+        let (op_index, client) = stub.op(op).map(|cop| (cop.index, cop.call_shape))?;
+        let Some(shape) = negotiate_call_shape(client, server_shape) else {
+            let misuse = ShapeMisuse::Mismatch { op: op_index, client, server: server_shape };
+            return Err(RpcError::ShapeMisuse(misuse));
         };
         StreamSender::over(stub, op, shape, drain_ns)
     }

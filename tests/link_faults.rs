@@ -12,19 +12,22 @@
 //! time. Covered: loopback, kernel IPC, Sun RPC (single-call `SunRpc` and
 //! the batched `SunRpcPipeline`), and the engine's same-domain connection.
 
-use flexrpc::clock::SimClock;
+use flexrpc::clock::{Disconnect, SimClock};
+use flexrpc::core::ir::{Operation, Param, ParamDir, Type};
 use flexrpc::kernel::{Kernel, NameMode};
 use flexrpc::net::sunrpc::AcceptStat;
 use flexrpc::net::{NetError, SimNet};
 use flexrpc::prelude::*;
 use flexrpc::runtime::transport::{connect_kernel, serve_on_kernel, serve_on_net, SunRpc};
+use flexrpc::runtime::ServerCall;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// `ping` is a unary call, `note` its `[oneway]` twin, `peek` a `ping`
-/// declared `[idempotent]`.
+/// declared `[idempotent]`; `sum` and `hash` are `ping` and `peek` with a
+/// 16-byte fixed opaque result.
 fn echo_interface() -> (flexrpc::core::ir::Module, InterfacePresentation) {
-    let (m, pdl) = corba::parse_annotated(
+    let (mut m, pdl) = corba::parse_annotated(
         "echo",
         r#"
         interface Echo {
@@ -35,9 +38,17 @@ fn echo_interface() -> (flexrpc::core::ir::Module, InterfacePresentation) {
         "#,
     )
     .expect("IDL parses");
+    // CORBA IDL spells no fixed-length opaque: the digest ops join the IR
+    // directly.
+    for name in ["sum", "hash"] {
+        let x = Param::new("x", ParamDir::In, Type::U32);
+        let digest = Type::Array(Box::new(Type::Octet), 16);
+        m.interfaces[0].ops.push(Operation::new(name, vec![x], digest));
+    }
     let iface = m.interface("Echo").expect("declared");
     let base = InterfacePresentation::default_for(&m, iface).expect("defaults");
-    let pres = apply_pdl(&m, iface, &base, &pdl).expect("annotations apply");
+    let mut pres = apply_pdl(&m, iface, &base, &pdl).expect("annotations apply");
+    pres.ops.get_mut("hash").expect("declared").idempotent = true;
     (m, pres)
 }
 
@@ -46,33 +57,68 @@ fn compiled() -> CompiledInterface {
     CompiledInterface::compile(&m, m.interface("Echo").expect("declared"), &pres).expect("compiles")
 }
 
-/// What a world's server does: what its unary handlers store in their
-/// `u32` return slot, and whether it keeps a reply cache.
+/// What a world's server does: the work function its unary ops run, and
+/// whether it keeps a reply cache.
 #[derive(Clone, Copy)]
 struct Serve {
-    answer: fn(u32) -> Value,
+    work: fn(&mut ServerCall<'_, '_>) -> u32,
     reply_cache: bool,
 }
 
-/// Answers `x + 1`, keeps no reply cache.
-const HEALTHY: Serve = Serve { answer: |x| Value::U32(x.wrapping_add(1)), reply_cache: false };
+/// Answers `x + 1` (on the `u32` ops), keeps no reply cache.
+const HEALTHY: Serve = Serve {
+    work: |call| {
+        let x = call.u32("x").expect("x");
+        call.set("return", Value::U32(x.wrapping_add(1))).expect("return");
+        0
+    },
+    reply_cache: false,
+};
 
-/// A work function's deterministic failure: the handler runs, then its
-/// reply cannot be marshalled (a string in the `u32` return slot). The
-/// reply cache is there to show it records nothing a resend could replay.
-const BROKEN: Serve = Serve { answer: |_| Value::Str("not a number".into()), reply_cache: true };
+/// A work function's deterministic failures. The handler runs, then its
+/// reply cannot be marshalled: a string in the `u32` return slot, or (on
+/// `sum` and `hash`) 3 bytes in the 16-byte one. The reply cache is there
+/// to show it records nothing a resend could replay.
+const BROKEN: Serve = Serve {
+    work: |call| {
+        call.set("return", Value::Str("not a number".into())).expect("return");
+        0
+    },
+    reply_cache: true,
+};
+const MIS_SIZED: Serve = Serve {
+    work: |call| {
+        call.set("return", Value::Bytes(vec![7; 3])).expect("return");
+        0
+    },
+    reply_cache: true,
+};
+
+/// A work function that reads a slot its operation does not have: the
+/// lookup fails typed, and the work function answers with status 1 (2 had
+/// the lookup failed any other way), which a presentation without
+/// `[comm_status]` raises as `Remote`.
+const UNKNOWN_SLOT: Serve = Serve {
+    work: |call| match call.u32("y") {
+        Err(RpcError::NoSlot(name)) if name == "y" => 1,
+        _ => 2,
+    },
+    reply_cache: true,
+};
 
 const REPLY_TTL: Duration = Duration::from_secs(5);
 
 /// Registers every handler; every execution of any bumps `executions`.
-fn wire_handlers(srv: &mut ServerInterface, executions: &Arc<AtomicU64>, answer: fn(u32) -> Value) {
-    for op in ["ping", "peek"] {
+fn wire_handlers(
+    srv: &mut ServerInterface,
+    executions: &Arc<AtomicU64>,
+    work: fn(&mut ServerCall<'_, '_>) -> u32,
+) {
+    for op in ["ping", "peek", "sum", "hash"] {
         let ran = Arc::clone(executions);
         srv.on(op, move |call| {
             ran.fetch_add(1, Ordering::SeqCst);
-            let x = call.u32("x").expect("x");
-            call.set("return", answer(x)).expect("return");
-            0
+            work(call)
         })
         .expect("registers");
     }
@@ -90,7 +136,7 @@ fn echo_server(
     clock: &Arc<SimClock>,
 ) -> Arc<Mutex<ServerInterface>> {
     let mut srv = ServerInterface::new(compiled(), WireFormat::Cdr);
-    wire_handlers(&mut srv, executions, serve.answer);
+    wire_handlers(&mut srv, executions, serve.work);
     if serve.reply_cache {
         srv.set_reply_cache(ReplyCache::new(Arc::clone(clock), REPLY_TTL));
     }
@@ -167,7 +213,7 @@ fn engine_world(serve: Serve) -> World {
     let ran = Arc::clone(&executions);
     engine
         .register_service("echo", m, "Echo", pres, WireFormat::Cdr, move |srv| {
-            wire_handlers(srv, &ran, serve.answer)
+            wire_handlers(srv, &ran, serve.work)
         })
         .expect("service registers");
     let conn = engine.connect("echo").establish().expect("connects");
@@ -260,23 +306,34 @@ fn every_fault_means_the_same_on_every_transport_and_call_shape() {
 /// transport, and no transport resends it: the handler runs once under a
 /// retry policy, whether the license is the op's `[idempotent]` or the
 /// binding's at-most-once (a failed dispatch records nothing in the reply
-/// cache, so a tagged resend would run the handler again).
+/// cache, so a tagged resend would run the handler again). One row per
+/// cause, each with its `[idempotent]` op and its plain one.
 #[test]
 fn a_failed_dispatch_is_fatal_and_runs_once_on_every_transport() {
     let retry = CallOptions::default().retry(RetryPolicy::new(3));
-    for build in WORLDS {
-        for (op, at_most_once) in [("peek", false), ("ping", true)] {
-            let mut w = build(BROKEN);
-            let case = format!("{op} on {} (at-most-once: {at_most_once})", w.name);
-            if at_most_once {
-                w.stub.enable_at_most_once();
+    let causes = [
+        ("a string in a u32 result", BROKEN, "peek", "ping", None),
+        ("3 bytes in a 16-byte fixed opaque result", MIS_SIZED, "hash", "sum", None),
+        ("an unknown slot name", UNKNOWN_SLOT, "peek", "ping", Some(RpcError::Remote(1))),
+    ];
+    for (cause, serve, idempotent, plain, same_everywhere) in causes {
+        for build in WORLDS {
+            for (op, at_most_once) in [(idempotent, false), (plain, true)] {
+                let mut w = build(serve);
+                let case = format!("{cause}: {op} on {} (at-most-once: {at_most_once})", w.name);
+                if at_most_once {
+                    w.stub.enable_at_most_once();
+                }
+                let mut frame = w.stub.new_frame(op).expect("frame");
+                frame[0] = Value::U32(7);
+                let err = w.stub.call_with(op, &mut frame, &retry).expect_err(&case);
+                assert_eq!(err.kind(), ErrorKind::Fatal, "{case}: {err}");
+                if let Some(expected) = &same_everywhere {
+                    assert_eq!(&err, expected, "{case}");
+                }
+                (w.quiesce)();
+                assert_eq!(w.executions.load(Ordering::SeqCst), 1, "{case}: executions");
             }
-            let mut frame = w.stub.new_frame(op).expect("frame");
-            frame[0] = Value::U32(7);
-            let err = w.stub.call_with(op, &mut frame, &retry).expect_err(&case);
-            assert_eq!(err.kind(), ErrorKind::Fatal, "{case}: {err}");
-            (w.quiesce)();
-            assert_eq!(w.executions.load(Ordering::SeqCst), 1, "{case}: executions");
         }
     }
 }
@@ -366,7 +423,7 @@ fn pipeline_flush_sees_partitions_and_slow_links() {
     let executions = Arc::new(AtomicU64::new(0));
     engine
         .register_service("echo", m, "Echo", pres.clone(), WireFormat::Cdr, move |srv| {
-            wire_handlers(srv, &executions, HEALTHY.answer)
+            wire_handlers(srv, &executions, HEALTHY.work)
         })
         .expect("service registers");
     let net = SimNet::new();
@@ -393,7 +450,8 @@ fn pipeline_flush_sees_partitions_and_slow_links() {
     net.faults().partition(ch.raw(), sh.raw(), net.clock().now_ns() + 500_000_000);
     pipe.submit(0, &args);
     let err = pipe.flush().expect_err("flush crossed a severed link");
-    assert!(matches!(err, NetError::Disconnected(_)), "typed outage, got {err}");
+    assert_eq!(err, NetError::Disconnected(sh, Disconnect::LinkCut), "typed outage");
+    assert_eq!(net.host_name(sh).expect("added"), "server", "the outage names its host");
 
     // Sim time heals the cut; the resubmitted batch goes through.
     net.clock().advance_ns(600_000_000);

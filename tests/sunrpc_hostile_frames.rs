@@ -23,7 +23,7 @@ const PROG: u32 = 200_001;
 const VERS: u32 = 1;
 
 /// The refusal both decoders give such a record.
-const REFUSAL: &str = "sunrpc protocol error: record is not a whole number of XDR words";
+const REFUSAL: NetError = NetError::Malformed("record is not a whole number of XDR words");
 
 /// `frame` with `extra` bytes appended and its record mark saying so.
 fn with_odd_tail(mut frame: Vec<u8>, extra: usize) -> Vec<u8> {
@@ -43,7 +43,8 @@ fn compiled() -> (InterfacePresentation, CompiledInterface) {
 
 /// A client's 44-byte header (null credentials) and then the odd bytes, to
 /// `serve_on_net` on one host and to an engine's acceptor on another: both
-/// refuse the record with the typed error, and no work function runs.
+/// refuse the record with the decoder's typed error, passed through as it
+/// is, and no work function runs.
 #[test]
 fn both_servers_refuse_a_call_that_is_not_whole_words() {
     let (pres, compiled) = compiled();
@@ -82,16 +83,10 @@ fn both_servers_refuse_a_call_that_is_not_whole_words() {
     assert_eq!(header.len(), 44);
     for extra in 1..=3 {
         let frame = with_odd_tail(header.clone(), extra);
-        for (server, context) in
-            [(plain, "undecodable call"), (engine_host, "undecodable call in stream")]
-        {
+        for server in [plain, engine_host] {
             let mut reply = b"stale".to_vec();
             let result = net.call(client, server, &frame, &mut reply);
-            assert_eq!(
-                result,
-                Err(NetError::ServiceFailure(format!("{context}: service failure: {REFUSAL}"))),
-                "{extra}-byte body to {server:?}"
-            );
+            assert_eq!(result, Err(REFUSAL), "{extra}-byte body to {server:?}");
             assert!(reply.is_empty(), "an error leaves no bytes");
         }
     }
@@ -108,7 +103,7 @@ fn both_clients_refuse_a_reply_that_is_not_whole_words() {
         let net = SimNet::new();
         let (client, server) = (net.add_host("client"), net.add_host("hostile"));
         net.register_handler(server, move |call, out| {
-            let (hdr, _, _) = sunrpc::decode_call_tagged(call).map_err(|e| e.to_string())?;
+            let (hdr, _, _) = sunrpc::decode_call_tagged(call)?;
             *out = with_odd_tail(sunrpc::encode_reply(hdr.xid, AcceptStat::Success, &[]), extra);
             Ok(())
         })
@@ -117,18 +112,11 @@ fn both_clients_refuse_a_reply_that_is_not_whole_words() {
         let mut transport = SunRpc::new(Arc::clone(&net), client, server, PROG, VERS);
         let (mut reply, mut rights) = (Vec::new(), Vec::new());
         let result = transport.call(read, &[0, 0, 0, 4], &[], &mut reply, &mut rights);
-        assert!(
-            matches!(&result, Err(RpcError::Net(NetError::ServiceFailure(why))) if why == REFUSAL),
-            "{extra}-byte body over SunRpc: {result:?}"
-        );
+        assert_eq!(result, Err(RpcError::Net(REFUSAL)), "{extra}-byte body over SunRpc");
         assert!(reply.is_empty(), "no bytes are left to misread as a reply");
 
         let mut pipeline = SunRpcPipeline::new(Arc::clone(&net), client, server, PROG, VERS);
         pipeline.submit(0, &[0, 0, 0, 4]);
-        assert_eq!(
-            pipeline.flush(),
-            Err(NetError::ServiceFailure(REFUSAL.into())),
-            "{extra}-byte body over SunRpcPipeline"
-        );
+        assert_eq!(pipeline.flush(), Err(REFUSAL), "{extra}-byte body over SunRpcPipeline");
     }
 }
