@@ -361,8 +361,8 @@ mod tests {
 
     #[test]
     fn duplicate_row_names_are_rejected() {
-        let twice = [Row::count("steals", 1), Row::shape("steals", 2.0)];
-        assert!(entries(&twice).expect_err("duplicate").contains("steals"));
+        let twice = [Row::count("hits", 1), Row::shape("hits", 2.0)];
+        assert!(entries(&twice).expect_err("duplicate").contains("hits"));
         // A wall row takes its name too, though it is never stored.
         let wall = [Row::wall("ns", 1.0), Row::count("ns", 1)];
         assert!(entries(&wall).is_err());

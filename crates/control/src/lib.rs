@@ -33,4 +33,4 @@ pub mod wfq;
 pub use flexrpc_runtime::TenantId;
 pub use plane::{ControlPlane, TenantCells, TenantMetrics};
 pub use policy::{CachedPolicy, Policy, PolicyHandle};
-pub use wfq::{WfqGroup, WfqQueue, WfqRefusal};
+pub use wfq::{WfqQueue, WfqRefusal};

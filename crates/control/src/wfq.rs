@@ -20,7 +20,7 @@
 use flexrpc_runtime::TenantId;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Scaled cost of one call at weight 1. Large enough that integer
 /// division by any sane weight keeps plenty of resolution (weight 1000
@@ -54,56 +54,6 @@ struct State<T> {
     parked_consumers: usize,
 }
 
-/// Aggregate backlog shared by every shard in a shard *group*.
-///
-/// A sharded engine gives each worker its own [`WfqQueue`] but keeps one
-/// admission backstop across the set: `high_water` must bound the *sum*
-/// of all shard backlogs, or splitting the queue would multiply the
-/// bound by the shard count. Queues created with [`WfqQueue::new`] own a
-/// private group of one member (its backlog then equals the queue's own
-/// length, so single-shard semantics are unchanged);
-/// [`WfqQueue::with_group`] shares one across shards.
-///
-/// Each member queue publishes its own backlog in a cell of its own, on a
-/// cache line of its own, with a plain store made under that queue's lock;
-/// the group's length is the sum of the cells. So a push or pop writes no
-/// line another queue writes and does no locked read-modify-write, and the
-/// sum is as racy as one shared counter would be: each cell is exact
-/// when its queue's lock is released, and a reader may see one queue's
-/// update before another's.
-#[derive(Debug)]
-pub struct WfqGroup {
-    backlogs: Box<[Backlog]>,
-    /// Members that joined so far ([`WfqQueue::with_group`]): the next
-    /// queue's cell.
-    joined: AtomicUsize,
-}
-
-/// One member queue's published backlog, alone on its cache line.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Backlog(AtomicUsize);
-
-impl WfqGroup {
-    /// A group with a backlog cell for each of `members` queues (min 1).
-    pub fn new(members: usize) -> WfqGroup {
-        WfqGroup {
-            backlogs: (0..members.max(1)).map(|_| Backlog::default()).collect(),
-            joined: AtomicUsize::new(0),
-        }
-    }
-
-    /// Items queued across every shard in the group (a racy snapshot).
-    pub fn len(&self) -> usize {
-        self.backlogs.iter().map(|b| b.0.load(Ordering::Relaxed)).sum()
-    }
-
-    /// True when no shard in the group holds queued work.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Why [`WfqQueue::try_push`] refused an item (the item rides back).
 #[derive(Debug)]
 pub enum WfqRefusal<T> {
@@ -124,10 +74,12 @@ pub struct WfqQueue<T> {
     /// pops read it under that lock, [`WfqQueue::is_closed`] without it.
     closed: AtomicBool,
     capacity: usize,
-    /// Aggregate backlog across the shard group this queue belongs to.
-    group: Arc<WfqGroup>,
-    /// This queue's cell in `group`, where it publishes its `total`.
-    member: usize,
+    /// `total`, published by a plain store under the state lock, so
+    /// [`WfqQueue::len`] reads the backlog without taking that lock. The
+    /// store is `Relaxed`: it publishes no other data, and a consumer that
+    /// must not miss a push reads it after a signal the producer raised
+    /// once the push returned (the engine's submit epoch).
+    backlog: AtomicUsize,
     /// Signalled when space frees up, if a producer is parked.
     not_full: Condvar,
     /// Signalled when an item arrives, if a consumer is parked, or the
@@ -139,21 +91,8 @@ pub struct WfqQueue<T> {
 
 impl<T> WfqQueue<T> {
     /// Creates a queue holding at most `capacity` items across all lanes
-    /// (min 1), with a private shard group.
+    /// (min 1).
     pub fn new(capacity: usize) -> WfqQueue<T> {
-        Self::with_group(capacity, Arc::new(WfqGroup::new(1)))
-    }
-
-    /// Creates a queue that charges its backlog to a shared `group`, so
-    /// `try_push`'s `high_water` backstop bounds the whole shard set. The
-    /// queue takes the group's next free cell.
-    ///
-    /// # Panics
-    ///
-    /// If every member cell of `group` is taken already.
-    pub fn with_group(capacity: usize, group: Arc<WfqGroup>) -> WfqQueue<T> {
-        let member = group.joined.fetch_add(1, Ordering::Relaxed);
-        assert!(member < group.backlogs.len(), "more queues than the group has members");
         WfqQueue {
             state: Mutex::new(State {
                 lanes: BTreeMap::new(),
@@ -164,16 +103,10 @@ impl<T> WfqQueue<T> {
             }),
             closed: AtomicBool::new(false),
             capacity: capacity.max(1),
-            group,
-            member,
+            backlog: AtomicUsize::new(0),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
         }
-    }
-
-    /// The shard group this queue charges its backlog to.
-    pub fn group(&self) -> &Arc<WfqGroup> {
-        &self.group
     }
 
     /// Locks the state. The one caller code a holder runs is a
@@ -195,10 +128,10 @@ impl<T> WfqQueue<T> {
         self.publish(state);
     }
 
-    /// Stores this queue's backlog in its group cell, under the state lock
-    /// whose `total` it copies: one writer per cell, so a plain store.
+    /// Stores the backlog `len` reads, under the state lock whose `total`
+    /// it copies: its one writer, so a plain store.
     fn publish(&self, state: &State<T>) {
-        self.group.backlogs[self.member].0.store(state.total, Ordering::Relaxed);
+        self.backlog.store(state.total, Ordering::Relaxed);
     }
 
     /// Removes and returns the min-tag head under an already-held lock, if
@@ -260,9 +193,9 @@ impl<T> WfqQueue<T> {
     }
 
     /// Enqueues `item` only if `tenant` is under `quota` *and* the
-    /// aggregate backlog is under `high_water` — admission control's fast
-    /// path. Never blocks; the refusal says which bound was hit, so the
-    /// shed is charged to the right party.
+    /// aggregate backlog is under both `high_water` and the capacity —
+    /// admission control's fast path. Never blocks; the refusal says which
+    /// bound was hit, so the shed is charged to the right party.
     pub fn try_push(
         &self,
         item: T,
@@ -281,10 +214,7 @@ impl<T> WfqQueue<T> {
                 return Err(WfqRefusal::Quota(item));
             }
         }
-        // The per-shard `capacity` bounds this queue; `high_water` bounds
-        // the whole group (for a private group the two checks reduce to
-        // the old single-queue `min(high_water, capacity)` bound).
-        if state.total >= self.capacity || self.group.len() >= high_water {
+        if state.total >= self.capacity.min(high_water) {
             return Err(WfqRefusal::Full(item));
         }
         self.admit(&mut state, tenant, weight, item);
@@ -313,11 +243,10 @@ impl<T> WfqQueue<T> {
     }
 
     /// Dequeues the item with the smallest start tag without blocking:
-    /// `None` when nothing is queued right now. This is also the **steal
-    /// primitive**: a thief shard calling `try_pop` on a peer takes the
-    /// peer's global min-tag head — the exact item the peer's own worker
-    /// would serve next — so lane FIFO order and the weighted-fair drain
-    /// order are preserved no matter which worker dequeues.
+    /// `None` when nothing is queued right now. Whichever consumer calls it
+    /// takes the global min-tag head, so lane FIFO order and the
+    /// weighted-fair drain order hold however many consumers share the
+    /// queue.
     pub fn try_pop(&self) -> Option<T> {
         self.try_pop_if(|_| true)
     }
@@ -354,10 +283,10 @@ impl<T> WfqQueue<T> {
     }
 
     /// Items currently queued across all lanes (a racy snapshot): the
-    /// backlog this queue last published to its group, read without its
-    /// lock, so a peer's steal scan never contends with its producers.
+    /// backlog last published under the lock, read without it, so a reader
+    /// never contends with producers.
     pub fn len(&self) -> usize {
-        self.group.backlogs[self.member].0.load(Ordering::Relaxed)
+        self.backlog.load(Ordering::Relaxed)
     }
 
     /// `(producers, consumers)` parked right now. A count read under the
@@ -384,7 +313,7 @@ impl<T> std::fmt::Debug for WfqQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc};
     use std::thread;
     use std::time::{Duration, Instant};
 
@@ -566,22 +495,22 @@ mod tests {
         // reachable, and a refusal moves nothing.
         assert_eq!(q.try_pop_if(|head| *head == 20), None);
         assert_eq!(q.try_pop_if(|head| *head == 11), None);
-        assert_eq!((q.len(), q.group().len()), (3, 3));
+        assert_eq!(q.len(), 3);
         assert_eq!(q.try_pop_if(|head| *head == 10), Some(10));
-        assert_eq!((q.len(), q.group().len()), (2, 2));
+        assert_eq!(q.len(), 2);
         // The order after a refusal is the order without one.
         assert_eq!(q.try_pop_if(|head| *head == 20), Some(20));
         assert_eq!(q.try_pop(), Some(11));
     }
 
     #[test]
-    fn stealing_consumers_preserve_the_fair_drain_order() {
-        // Whole-head steals must leave the dequeue order identical to a
-        // single consumer's drain: same weighted interleave, same
-        // per-tenant FIFO. Drain a twin sequentially for the expected
-        // order, then drain the real queue from three threads (the log
-        // mutex serialises dequeue+record so the observed order is
-        // exact).
+    fn concurrent_consumers_preserve_the_fair_drain_order() {
+        // Three consumers taking whole heads must leave the dequeue order
+        // identical to a single consumer's drain: same weighted
+        // interleave, same per-tenant FIFO. Drain a twin sequentially for
+        // the expected order, then drain the real queue from three threads
+        // (the log mutex serialises dequeue+record so the observed order
+        // is exact).
         let fill = |q: &WfqQueue<(u64, u64)>| {
             for i in 0..30u64 {
                 q.push((1, i), T1, 3, None).unwrap();
@@ -597,7 +526,7 @@ mod tests {
         let q = Arc::new(WfqQueue::new(64));
         fill(&q);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let thieves: Vec<_> = (0..3)
+        let consumers: Vec<_> = (0..3)
             .map(|_| {
                 let (q, log) = (Arc::clone(&q), Arc::clone(&log));
                 thread::spawn(move || loop {
@@ -609,66 +538,39 @@ mod tests {
                 })
             })
             .collect();
-        for t in thieves {
-            t.join().unwrap();
+        for c in consumers {
+            c.join().unwrap();
         }
-        assert_eq!(*log.lock().unwrap(), expected, "steals must not reorder the fair drain");
+        assert_eq!(*log.lock().unwrap(), expected, "consumers must not reorder the fair drain");
     }
 
     #[test]
-    fn shared_group_high_water_bounds_the_shard_set() {
-        let group = Arc::new(WfqGroup::new(2));
-        let a = WfqQueue::with_group(8, Arc::clone(&group));
-        let b = WfqQueue::with_group(8, Arc::clone(&group));
-        a.try_push(1, T1, 1, None, 3).unwrap();
-        a.try_push(2, T1, 1, None, 3).unwrap();
-        b.try_push(3, T2, 1, None, 3).unwrap();
-        assert_eq!(group.len(), 3);
-        // Shard b holds one item, far under its own capacity — but the
-        // group is at high water, so the backstop sheds here too.
-        assert!(matches!(b.try_push(4, T2, 1, None, 3), Err(WfqRefusal::Full(4))));
-        assert_eq!(a.pop(), Some(1));
-        b.try_push(4, T2, 1, None, 3).unwrap();
-        assert_eq!(group.len(), 3);
+    fn try_push_sheds_at_the_smaller_of_capacity_and_high_water() {
+        let q = WfqQueue::new(2);
+        q.try_push(1, T1, 1, None, 5).unwrap();
+        q.try_push(2, T2, 1, None, 5).unwrap();
+        assert!(matches!(q.try_push(3, T1, 1, None, 5), Err(WfqRefusal::Full(3))));
+        assert_eq!(q.pop(), Some(1));
+        q.try_push(3, T1, 1, None, 5).unwrap();
     }
 
-    /// Each member publishes its own backlog and the group is their sum —
-    /// through pushes, pops, a refused push and `close`, which leaves every
-    /// member's cell at zero.
+    /// `len` reads what the lock holder last published — through pushes,
+    /// pops, a refused push and `close`, which leaves it at zero.
     #[test]
-    fn a_group_sums_what_each_member_publishes() {
-        const MEMBERS: usize = 3;
-        let group = Arc::new(WfqGroup::new(MEMBERS));
-        let queues: Vec<WfqQueue<usize>> =
-            (0..MEMBERS).map(|_| WfqQueue::with_group(8, Arc::clone(&group))).collect();
-        let cells =
-            || group.backlogs.iter().map(|b| b.0.load(Ordering::Relaxed)).collect::<Vec<_>>();
-        let lens = || queues.iter().map(WfqQueue::len).collect::<Vec<_>>();
-        for (k, q) in queues.iter().enumerate() {
-            for i in 0..=k {
-                q.push(i, T1, 1, None).unwrap();
-            }
+    fn the_published_backlog_follows_every_push_pop_refusal_and_close() {
+        let q = WfqQueue::new(8);
+        for i in 0..3 {
+            q.push(i, T1, 1, None).unwrap();
         }
-        assert_eq!((cells(), group.len()), (vec![1, 2, 3], 6));
-        assert_eq!(queues[2].try_pop(), Some(0));
-        assert_eq!(queues[1].pop(), Some(0));
-        assert_eq!((cells(), group.len()), (vec![1, 1, 2], 4));
-        assert_eq!(lens(), cells(), "a queue's length is the backlog it published");
-        queues[0].try_push(9, T2, 1, None, 5).unwrap();
-        assert!(matches!(queues[1].try_push(9, T2, 1, None, 5), Err(WfqRefusal::Full(9))));
-        assert_eq!((cells(), group.len()), (vec![2, 1, 2], 5), "a refusal publishes nothing");
-        let unstarted: Vec<usize> = queues.iter().map(|q| q.close().len()).collect();
-        assert_eq!(unstarted, [2, 1, 2]);
-        assert_eq!(cells(), [0; MEMBERS]);
-        assert!(group.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "more queues than the group has members")]
-    fn a_group_refuses_a_member_beyond_its_cells() {
-        let group = Arc::new(WfqGroup::new(1));
-        let _first = WfqQueue::<u32>::with_group(4, Arc::clone(&group));
-        let _second = WfqQueue::<u32>::with_group(4, group);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.try_pop(), Some(0));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.len(), 1);
+        q.try_push(9, T2, 1, None, 2).unwrap();
+        assert!(matches!(q.try_push(9, T2, 1, None, 2), Err(WfqRefusal::Full(9))));
+        assert_eq!(q.len(), 2, "a refusal publishes nothing");
+        assert_eq!(q.close().len(), 2);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -712,23 +614,19 @@ mod tests {
     }
 
     #[test]
-    fn randomized_mpmc_with_stealing_keeps_per_tenant_fifo() {
-        // Property test over seeded random schedules: four shards share
-        // one group; each tenant hashes to a home shard; consumers drain
-        // their own shard and steal from peers. Per-tenant FIFO must
-        // survive: a tenant's items live on one shard and every dequeue
-        // (own pop or steal) takes that shard's min-tag head, so any
-        // consumer's observed subsequence per tenant is increasing.
-        const SHARDS: usize = 4;
+    fn randomized_mpmc_keeps_per_tenant_fifo() {
+        // Property test over seeded random schedules: three producers push
+        // at random tenants and weights while four consumers drain one
+        // queue without blocking. Per-tenant FIFO must survive: every
+        // dequeue takes the min-tag head, so any consumer's observed
+        // subsequence per tenant is increasing.
+        const CONSUMERS: usize = 4;
         const TENANTS: u64 = 6;
         for seed in [3u64, 17, 1999] {
-            let group = Arc::new(WfqGroup::new(SHARDS));
-            let shards: Arc<Vec<WfqQueue<(u64, u64)>>> = Arc::new(
-                (0..SHARDS).map(|_| WfqQueue::with_group(64, Arc::clone(&group))).collect(),
-            );
+            let q: Arc<WfqQueue<(u64, u64)>> = Arc::new(WfqQueue::new(64));
             let producers: Vec<_> = (0..3u64)
                 .map(|p| {
-                    let shards = Arc::clone(&shards);
+                    let q = Arc::clone(&q);
                     let mut rng = seed ^ (p << 32);
                     thread::spawn(move || {
                         let mut seqs = [0u64; TENANTS as usize];
@@ -739,28 +637,24 @@ mod tests {
                             // stream is FIFO-checkable.
                             let seq = p * 1_000_000 + seqs[t as usize];
                             seqs[t as usize] += 1;
-                            let home = (t as usize) % SHARDS;
                             let weight = 1 + (splitmix(&mut rng) % 4) as u32;
-                            shards[home].push((t, seq), TenantId(t), weight, None).unwrap();
+                            q.push((t, seq), TenantId(t), weight, None).unwrap();
                         }
                     })
                 })
                 .collect();
             let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let consumers: Vec<_> = (0..SHARDS)
-                .map(|own| {
-                    let shards = Arc::clone(&shards);
+            let consumers: Vec<_> = (0..CONSUMERS)
+                .map(|_| {
+                    let q = Arc::clone(&q);
                     let stop = Arc::clone(&stop);
                     thread::spawn(move || {
                         let mut got: Vec<(u64, u64)> = Vec::new();
                         loop {
                             let mut idle = true;
-                            for k in 0..SHARDS {
-                                let q = &shards[(own + k) % SHARDS];
-                                while let Some(item) = q.try_pop() {
-                                    got.push(item);
-                                    idle = false;
-                                }
+                            while let Some(item) = q.try_pop() {
+                                got.push(item);
+                                idle = false;
                             }
                             if idle && stop.load(Ordering::Acquire) {
                                 return got;
@@ -781,7 +675,7 @@ mod tests {
                 let got = c.join().unwrap();
                 count += got.len();
                 // Per consumer, per tenant, per producer stream: seqs
-                // strictly increase — stealing never reordered a lane.
+                // strictly increase.
                 let mut last: BTreeMap<(u64, u64), u64> = BTreeMap::new();
                 for (t, seq) in got {
                     let stream = (t, seq / 1_000_000);
@@ -791,7 +685,7 @@ mod tests {
                 }
             }
             assert_eq!(count, 600, "seed {seed}: every item consumed exactly once");
-            assert!(group.is_empty());
+            assert!(q.is_empty());
         }
     }
 
@@ -823,9 +717,9 @@ mod tests {
         for p in producers {
             p.join().unwrap();
         }
-        let stolen = q.close();
+        let unstarted = q.close();
         let mut all: Vec<u64> = consumers.into_iter().flat_map(|c| c.join().unwrap()).collect();
-        all.extend(stolen);
+        all.extend(unstarted);
         all.sort_unstable();
         let mut expect: Vec<u64> =
             (0..4u64).flat_map(|p| (0..100u64).map(move |i| p * 1000 + i)).collect();

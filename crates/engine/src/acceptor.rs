@@ -123,14 +123,14 @@ impl Exposure {
             Ok(op_index) => op_index,
             Err(refusal) => return Outcome::Immediate(refusal),
         };
-        // Tenancy rides the tag when the wire credential carried one, and
-        // so does the shard binding; untagged calls home on the pool's
-        // identity. No caller deadline crosses the wire, but the dwell
-        // limit still applies.
+        // Tenancy rides the tag when the wire credential carried one. No
+        // caller deadline crosses the wire, but the dwell limit still
+        // applies. Every record is queued, and a queued job starts at the
+        // replica of whoever runs it, so the replica hint is never read.
         let call = Call {
             bound: &self.anonymous,
             policy: None,
-            binding: tag.map_or(Arc::as_ptr(&self.pool) as u64, |t| t.binding),
+            home: 0,
             op_index,
             request: args,
             rights: &[],

@@ -314,11 +314,12 @@ impl<'p> ConnectBuilder<'p> {
         let binding = Binding { pool, shapes, policy: tenant.handle.cached() };
         self.engine.counters.connections.inc();
         static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
+        let id = NEXT_CONN.fetch_add(1, Ordering::Relaxed);
         Ok(EngineConnection {
             tenant,
+            home: (id % self.engine.workers_n as u64) as usize,
             engine: self.engine,
             service,
-            conn_id: NEXT_CONN.fetch_add(1, Ordering::Relaxed),
             bind: RwLock::new(binding),
             options: self.options,
             trace,

@@ -16,10 +16,10 @@
 //! enters through `Engine::run_job_on` and an inline caller enters with its
 //! own buffers.
 //!
-//! Which thread carries a queued job is not part of that path. A shard's
-//! worker drains its queue under the shard's *serve token*; a caller that
-//! reaches [`CallTicket::wait`] before its reply finds the token free and its
-//! own job at the fair head of the shard takes the token, pops that one job
+//! Which thread carries a queued job is not part of that path. Every worker
+//! drains the one queue under a *serve token* of its own; a caller that
+//! reaches [`CallTicket::wait`] before its reply finds a token free and its
+//! own job at the fair head of the queue takes that token, pops that one job
 //! and runs it where it stands — the same `run_job_on`, every check and
 //! tally included — instead of parking until a worker has been scheduled to
 //! do exactly that. It never runs another caller's job and never runs its
@@ -49,9 +49,7 @@ use crate::error::EngineError;
 use crate::slot::ReplySlot;
 use crate::stats::{EngineCounters, EngineStatsSnapshot};
 use flexrpc_clock::{Disconnect, FaultInjector, Lost, SimClock};
-use flexrpc_control::{
-    ControlPlane, Policy, TenantCells, TenantMetrics, WfqGroup, WfqQueue, WfqRefusal,
-};
+use flexrpc_control::{ControlPlane, Policy, TenantCells, TenantMetrics, WfqQueue, WfqRefusal};
 use flexrpc_core::present::{CallShape, InterfacePresentation, Trust};
 use flexrpc_core::program::{CompiledInterface, CompiledOp};
 use flexrpc_runtime::policy::{CallControl, CallOptions, CallTag, TenantId};
@@ -151,7 +149,7 @@ struct CellYard {
     /// Redeemed cells, oldest first. A worker drops its half of a cell
     /// moments after filling it, so the oldest is the likeliest to be free.
     free: Mutex<VecDeque<Arc<JobCell>>>,
-    /// `queue_depth × workers`: the most cells the queues can hold at once.
+    /// `queue_depth`: the most cells the queue can hold at once.
     capacity: usize,
 }
 
@@ -203,8 +201,6 @@ impl CellYard {
 pub struct CallTicket {
     cell: Arc<JobCell>,
     yard: Arc<CellYard>,
-    /// The shard the call was queued on.
-    shard: usize,
 }
 
 impl CallTicket {
@@ -212,8 +208,8 @@ impl CallTicket {
     /// one atomic load and no lock; a published reply is then taken under
     /// the slot's lock. When it is not here yet, the caller first tries to
     /// run the call itself, where it stands, rather than park for a worker
-    /// to be scheduled: it does so if the call is next in its shard's fair
-    /// order and no worker is serving the shard, and the call is then
+    /// to be scheduled: it does so if the call is next in the queue's fair
+    /// order and a serve token is free, and the call is then
     /// checked, counted and traced exactly as a worker's would be
     /// (`EngineStatsSnapshot::calls_helped` counts these).
     /// A reply the caller produced itself is returned as it stands: only a
@@ -230,27 +226,26 @@ impl CallTicket {
     }
 
     /// Serves this ticket's own job on the calling thread, if that is what
-    /// its shard's worker would do next and no worker is doing it: the
-    /// shard's serve token must be free (a worker mid-drain — busy, or
-    /// stalled in a handler — keeps it, and then nobody helps: the call
-    /// stays queued for shutdown to cancel, for its dwell limit, for the
-    /// calls ahead of it) and the queue's fair head must be this very call
-    /// (so dequeue order is the worker's, and a duplicated delivery's shadow,
+    /// a worker would do next and a worker's place is free: some serve token
+    /// must be free (a worker mid-drain — busy, or stalled in a handler —
+    /// keeps its own, and with every token kept nobody helps: the call stays
+    /// queued for shutdown to cancel, for its dwell limit, for the calls
+    /// ahead of it) and the queue's fair head must be this very call (so
+    /// dequeue order is the workers', and a duplicated delivery's shadow,
     /// queued first in a cell of its own, is never jumped). Anything else
     /// returns `None` at once and the wait parks as it always did.
     fn help(&self) -> Option<flexrpc_runtime::Result<Reply>> {
         let engine = self.yard.engine.upgrade()?;
-        let shard = &engine.shards[self.shard];
-        // `serving` is declared after `engine` and so released before it: if
+        // The token is taken after `engine` and so released before it: if
         // this is the last handle, the shutdown its drop runs joins workers
         // that may be waiting for this very token. `job` goes first of all,
         // so the cell is this ticket's alone again when `wait` recycles it.
-        let mut serving = shard.serving.try_lock()?;
+        let (token, mut helped) =
+            engine.serving.iter().enumerate().find_map(|(i, t)| Some((i, t.try_lock()?)))?;
         let own = |job: &Job| Arc::ptr_eq(&job.cell, &self.cell);
-        let job = shard.queue.try_pop_if(own)?;
-        serving.served.add(1);
-        serving.helped.add(1);
-        Some(engine.run_job_on(&job, self.shard, false))
+        let job = engine.queue.try_pop_if(own)?;
+        helped.add(1);
+        Some(engine.run_job_on(&job, token))
     }
 
     /// Blocks until the reply is ready or the engine's sim clock passes
@@ -274,12 +269,12 @@ impl CallTicket {
     }
 }
 
-/// Wakes parked workers when work arrives anywhere in the shard set.
+/// Wakes parked workers when work arrives on the queue.
 ///
 /// Producers advance a sequence under the park mutex. Workers read the
-/// epoch (one atomic load per job) *before* scanning the shards and park
-/// only if it has not moved since, so a push that lands mid-scan can never
-/// be missed.
+/// epoch (one atomic load per job) *before* looking at the queue and park
+/// only if it has not moved since, so a push that lands after the look can
+/// never be missed.
 ///
 /// A wake is issued only to a parked worker no earlier bump already
 /// claimed: the mutex counts workers that parked and that no producer has
@@ -375,8 +370,9 @@ pub(crate) struct Call<'a> {
     /// admission takes no policy lock. The acceptor brings none, and
     /// admission reads through the handle.
     pub(crate) policy: Option<TenantTerms>,
-    /// Shard binding: with the tenant, picks the call's home shard.
-    pub(crate) binding: u64,
+    /// The replica an inline dispatch tries first (a queued job starts at
+    /// the replica of whoever runs it).
+    pub(crate) home: usize,
     pub(crate) op_index: usize,
     pub(crate) request: &'a [u8],
     pub(crate) rights: &'a [u32],
@@ -422,8 +418,8 @@ struct Job {
     /// worker never touches the control plane's maps.
     tenant_metrics: Arc<TenantMetrics>,
     /// For the real half of a duplicated delivery, its shadow's cell: the
-    /// worker waits for that slot, so a thief running this job on another
-    /// worker still replays what the shadow recorded.
+    /// worker waits for that slot, so a worker that pops this job while
+    /// another still runs the shadow replays what the shadow recorded.
     after: Option<Arc<JobCell>>,
     /// The submitter's trace and this logical call's id in it: the worker
     /// records the Enqueue (queue dwell) and Dispatch spans there.
@@ -463,35 +459,6 @@ struct Admission<'a> {
     duplicate: bool,
     /// Sim time at admission (post any induced delay).
     now: u64,
-}
-
-/// The tallies a holder of a shard's serve token writes, as stripes of the
-/// engine's counters: plain stores, since the token makes the holder their
-/// one writer.
-struct ServeTallies {
-    /// The shard's stripe of `engine.shard.<i>.served`: every job its
-    /// worker drains and every job a caller helps itself to.
-    served: CounterStripe,
-    /// The shard's stripe of `calls_helped`.
-    helped: CounterStripe,
-}
-
-/// One engine shard: a weighted-fair queue, and the token of whoever is
-/// serving it.
-struct Shard {
-    queue: WfqQueue<Job>,
-    /// The serve token. The shard's worker holds it from before the first
-    /// pop of a drain of `queue` until `queue` reads empty; a
-    /// [`CallTicket::wait`] that would run its own job `try_lock`s it and
-    /// gives up if it is taken. So the queue's own jobs are popped and run
-    /// one at a time, in dequeue order, by one thread at a time — what a
-    /// one-worker engine's stateful services rely on. (A *steal* takes no
-    /// token: a thief is a second worker, and concurrent by design.)
-    ///
-    /// What it guards is the holder's stripes of the shard's tallies, so
-    /// neither a drained nor a helped call pays a locked instruction to be
-    /// counted.
-    serving: Mutex<ServeTallies>,
 }
 
 /// Interchangeable `ServerInterface` instances for one program combination.
@@ -673,8 +640,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Starts the engine: spawns one worker per shard, returns the shared
-    /// handle.
+    /// Starts the engine: spawns the workers, returns the shared handle.
     pub fn build(self) -> Arc<Engine> {
         let clock = self.clock.unwrap_or_default();
         let reply_cache = self
@@ -682,27 +648,9 @@ impl EngineBuilder {
             .or_else(|| self.amo_ttl.map(|ttl| ReplyCache::new(Arc::clone(&clock), ttl)));
         let breaker = self.policy.breaker_config().map(|(t, c)| CircuitBreaker::new(t, c));
         let control = self.control.unwrap_or_else(ControlPlane::new);
-        // One shard (queue + worker + stats cell) per worker. Every shard
-        // keeps the full `queue_depth` as its blocking bound — a tenant's
-        // whole lane lives on its home shard, so its backpressure
-        // threshold matches the old single queue exactly — while the
-        // shared group makes the policy's `high_water` an aggregate
-        // backstop across the set.
-        let group = Arc::new(WfqGroup::new(self.workers));
         let counters = EngineCounters::default();
-        let shard_served: Vec<Counter> = (0..self.workers).map(|_| Counter::detached()).collect();
-        let shards: Vec<Arc<Shard>> = shard_served
-            .iter()
-            .map(|served| {
-                Arc::new(Shard {
-                    queue: WfqQueue::with_group(self.queue_depth, Arc::clone(&group)),
-                    serving: Mutex::new(ServeTallies {
-                        served: served.stripe(),
-                        helped: counters.calls_helped.stripe(),
-                    }),
-                })
-            })
-            .collect();
+        let serving =
+            (0..self.workers).map(|_| Mutex::new(counters.calls_helped.stripe())).collect();
         let engine = Arc::new_cyclic(|weak| Engine {
             workers_n: self.workers,
             high_water: self.policy.high_water_value(),
@@ -712,13 +660,12 @@ impl EngineBuilder {
                 clock: Arc::clone(&clock),
                 engine: Weak::clone(weak),
                 free: Mutex::new(VecDeque::new()),
-                capacity: self.queue_depth * self.workers,
+                capacity: self.queue_depth,
             }),
             clock,
-            shards,
-            group,
+            queue: Arc::new(WfqQueue::new(self.queue_depth)),
+            serving,
             signal: Arc::new(SubmitSignal::new()),
-            shard_served,
             workers: Mutex::new(Vec::new()),
             cache: ProgramCache::new(),
             services: RwLock::new(HashMap::new()),
@@ -745,43 +692,32 @@ impl EngineBuilder {
         }
         engine.metrics.adopt_histogram("engine.dwell_ns", &engine.dwell_ns);
         engine.metrics.adopt_counter("engine.rebinds", &engine.rebinds);
-        for (i, served) in engine.shard_served.iter().enumerate() {
-            engine.metrics.adopt_counter(&format!("engine.shard.{i}.served"), served);
-        }
         engine.control.attach_registry(&engine.metrics);
         let mut workers = engine.workers.lock();
         for own in 0..engine.workers_n {
-            let shards: Vec<Arc<Shard>> = engine.shards.clone();
+            let queue = Arc::clone(&engine.queue);
             let signal = Arc::clone(&engine.signal);
             let eng = Arc::downgrade(&engine);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("flexrpc-worker-{own}"))
                     .spawn(move || loop {
-                        // Snapshot the signal epoch *before* scanning: a
-                        // push landing mid-scan moves the epoch, so the
-                        // park below returns immediately — no missed
-                        // wakeup with single-worker notifies.
+                        // Snapshot the signal epoch *before* looking at the
+                        // queue: a push landing after the look moves the
+                        // epoch, so the park below returns immediately —
+                        // no missed wakeup with single-worker notifies.
                         let epoch = signal.epoch();
-                        if Engine::drain(&eng, &shards[own], own) {
-                            continue;
-                        }
-                        // Idle: steal the fair head of the longest peer
-                        // backlog. `try_pop` takes the peer's min-tag
-                        // job — exactly what its own worker would serve
-                        // next — so lane FIFO and WFQ order survive.
-                        let victim = (0..shards.len())
-                            .filter(|k| *k != own)
-                            .map(|k| (shards[k].queue.len(), k))
-                            .max()
-                            .filter(|(len, _)| *len > 0);
-                        if let Some((_, k)) = victim {
-                            if let Some(job) = shards[k].queue.try_pop() {
-                                Engine::run_job(eng.upgrade().as_deref(), job, own, true);
+                        // The handle is weak, so this thread never keeps a
+                        // dropped engine alive; it is upgraded once per
+                        // drain, not per job. If it is the last handle, its
+                        // drop runs `shutdown` here, after the drain.
+                        if !queue.is_empty() {
+                            if let Some(engine) = eng.upgrade() {
+                                engine.drain(own);
                                 continue;
                             }
                         }
-                        if shards[own].queue.is_closed() {
+                        if queue.is_closed() {
                             return;
                         }
                         signal.wait_past(epoch);
@@ -809,22 +745,22 @@ pub struct Engine {
     clock: Arc<SimClock>,
     /// The clock again and the job-cell free list, as tickets hold them.
     yard: Arc<CellYard>,
-    /// Per-core engine shards: one weighted-fair queue per worker.
-    /// Submission hashes `(tenant, binding)` to a home shard; idle
-    /// workers steal whole min-tag jobs from the longest peer queue.
-    shards: Vec<Arc<Shard>>,
-    /// Aggregate backlog across the shard set (admission backstop and
-    /// the inline fast path's emptiness check).
-    group: Arc<WfqGroup>,
+    /// The one weighted-fair queue every worker drains, shared with the
+    /// worker threads, which look at it before they upgrade their handle.
+    queue: Arc<WfqQueue<Job>>,
+    /// One serve token per worker. Worker `i` holds token `i` from before
+    /// the first pop of a drain until the queue reads empty; a
+    /// [`CallTicket::wait`] that would run its own job `try_lock`s any of
+    /// them and gives up if every one is taken. So at most `workers` queued
+    /// jobs run at once, each started in dequeue order, and a one-worker
+    /// engine runs them one at a time — what its stateful services rely on.
+    ///
+    /// What a token guards is its stripe of `calls_helped`, so a helped
+    /// call pays no locked instruction to be counted.
+    serving: Box<[Mutex<CounterStripe>]>,
     /// Wakes parked workers on submission (one per parked worker, not one
     /// per job and not the herd).
     signal: Arc<SubmitSignal>,
-    /// Jobs run on each shard's behalf — by its worker, own and stolen, and
-    /// by callers that helped themselves to one of its queue —
-    /// `engine.shard.<i>.served`. A drain and a helper write the shard's
-    /// stripe ([`ServeTallies`]); only a steal, which holds no token,
-    /// writes the shared cell.
-    shard_served: Vec<Counter>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     cache: ProgramCache,
     services: RwLock<HashMap<String, Arc<Service>>>,
@@ -864,57 +800,25 @@ impl Engine {
         &self.control
     }
 
-    /// One drain of worker `own`'s own queue, under the shard's serve
-    /// token from before the first pop until the queue reads empty; false if
-    /// there was nothing to pop. A caller helping itself to its own job
-    /// ([`CallTicket::wait`]) holds the token meanwhile: the worker waits
-    /// here for that one job, then drains what is left.
-    ///
-    /// The worker's handle is weak, so its thread never keeps a dropped
-    /// engine alive, and is upgraded once per drain, not per job.
-    fn drain(eng: &Weak<Engine>, shard: &Shard, own: usize) -> bool {
-        let mut serving = shard.serving.lock();
-        let Some(mut job) = shard.queue.try_pop() else { return false };
-        let engine = eng.upgrade();
-        loop {
-            // A job failed mid-teardown was not served.
-            serving.served.add(u64::from(engine.is_some()));
-            Engine::run_job(engine.as_deref(), job, own, false);
-            match shard.queue.try_pop() {
-                Some(next) => job = next,
-                None => break,
-            }
+    /// One drain of the queue by worker `own`, under its serve token from
+    /// before the first pop until the queue reads empty, each reply
+    /// published to its job's slot for the ticket that waits on it. A
+    /// caller helping itself to its own job ([`CallTicket::wait`]) under
+    /// this token holds it meanwhile: the worker waits here for that one
+    /// job, then drains what is left.
+    fn drain(&self, own: usize) {
+        let _token = self.serving[own].lock();
+        while let Some(job) = self.queue.try_pop() {
+            job.cell.slot.fill(self.run_job_on(&job, own));
         }
-        // The token first: if `engine` is the last handle, its drop runs
-        // `shutdown` on this thread.
-        drop(serving);
-        true
     }
 
-    /// Runs one job a worker or a thief dequeued on shard `own`'s behalf and
-    /// publishes the reply to the job's slot for the ticket that waits on
-    /// it; a job caught mid-teardown (no engine left to upgrade to) is
-    /// failed like any other unstarted work.
-    fn run_job(engine: Option<&Engine>, job: Job, own: usize, stolen: bool) {
-        let reply = match engine {
-            Some(engine) => engine.run_job_on(&job, own, stolen),
-            None => Err(RpcError::Cancelled),
-        };
-        job.cell.slot.fill(reply);
-    }
-
-    /// What happens to a dequeued job, whichever thread dequeued it — shard
-    /// `own`'s worker, a thief, or the caller waiting for it: a steal's
-    /// tallies, the dwell check, a duplicated delivery's shadow, then the
-    /// dispatch body. The reply is returned, not published: the caller that
-    /// ran its own job keeps it, and `run_job` fills the slot for anyone
-    /// else's.
-    fn run_job_on(&self, job: &Job, own: usize, stolen: bool) -> flexrpc_runtime::Result<Reply> {
-        if stolen {
-            // A thief holds no serve token, so it writes the shared cells.
-            self.shard_served[own].inc();
-            self.counters.steals.inc();
-        }
+    /// What happens to a dequeued job, whichever thread dequeued it — a
+    /// worker or the caller waiting for it, under serve token `own`: the
+    /// dwell check, a duplicated delivery's shadow, then the dispatch body.
+    /// The reply is returned, not published: the caller that ran its own
+    /// job keeps it, and `drain` fills the slot for anyone else's.
+    fn run_job_on(&self, job: &Job, own: usize) -> flexrpc_runtime::Result<Reply> {
         let cell = &*job.cell;
         // Dwell check: work whose deadline passed while queued is
         // failed, not started — the client has already given up on it.
@@ -1014,20 +918,6 @@ impl Engine {
         result
     }
 
-    /// The home shard for a `(tenant, binding)` pair. Single-shard
-    /// engines skip the hash; multi-shard ones spread bindings with a
-    /// 64-bit finalizer so adjacent ids do not clump.
-    fn home_shard(&self, tenant: TenantId, binding: u64) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        let mut h = tenant.0 ^ binding.rotate_left(17) ^ 0x9E37_79B9_7F4A_7C15;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        (h % self.shards.len() as u64) as usize
-    }
-
     /// Shared admission preamble for every submission path: the breaker
     /// gate, the effective tenant, the fault gate, and deadline /
     /// dwell-limit resolution. Exactly one fault event is consumed per
@@ -1115,22 +1005,21 @@ impl Engine {
     ) -> Result<CallTicket, EngineError> {
         let mut foreign = None;
         let adm = self.admit(call, &mut foreign)?;
-        self.enqueue(call, pool, &adm, self.home_shard(adm.tenant, call.binding))
+        self.enqueue(call, pool, &adm)
     }
 
     /// The queue tail of admission: the call and its admission facts copied
     /// into a job cell, the pre-expired check, the job (and its shadow, for
-    /// a duplicated delivery) and the weighted-fair push to `shard`. `pool`
-    /// is the caller's handle on the replica pool, handed on to the job.
+    /// a duplicated delivery) and the weighted-fair push. `pool` is the
+    /// caller's handle on the replica pool, handed on to the job.
     fn enqueue(
         &self,
         call: &Call<'_>,
         pool: Arc<ReplicaPool>,
         adm: &Admission<'_>,
-        shard: usize,
     ) -> Result<CallTicket, EngineError> {
         let cell = self.yard.cell_for(call, adm, true);
-        let ticket = CallTicket { cell: Arc::clone(&cell), yard: Arc::clone(&self.yard), shard };
+        let ticket = CallTicket { cell: Arc::clone(&cell), yard: Arc::clone(&self.yard) };
         // A deadline already in the past never enters the queue; the
         // ticket comes back pre-failed so the caller's wait is uniform.
         if adm.deadline_ns.is_some_and(|d| self.clock.expired(d)) {
@@ -1158,24 +1047,23 @@ impl Engine {
             // real job replays from it — one handler execution even though
             // the queue saw the call twice.
             let shadow = self.yard.cell_for(call, adm, false);
-            self.push_job(job(Arc::clone(&pool), Arc::clone(&shadow), None, false), adm, shard)?;
+            self.push_job(job(Arc::clone(&pool), Arc::clone(&shadow), None, false), adm)?;
             after = Some(shadow);
         }
-        self.push_job(job(pool, cell, after, true), adm, shard)?;
+        self.push_job(job(pool, cell, after, true), adm)?;
         Ok(ticket)
     }
 
-    /// Pushes one job onto its tenant's lane on `shard`, honoring the
-    /// tenant quota and the engine policy's aggregate high water. A shed
-    /// is charged to the submitting tenant's own counter as well as the
-    /// engine's. A successful push bumps the submit signal, which wakes a
-    /// parked worker unless earlier bumps already woke every one.
-    fn push_job(&self, job: Job, adm: &Admission<'_>, shard: usize) -> Result<(), EngineError> {
+    /// Pushes one job onto its tenant's lane, honoring the tenant quota
+    /// and the engine policy's aggregate high water. A shed is charged to
+    /// the submitting tenant's own counter as well as the engine's. A
+    /// successful push bumps the submit signal, which wakes a parked worker
+    /// unless earlier bumps already woke every one.
+    fn push_job(&self, job: Job, adm: &Admission<'_>) -> Result<(), EngineError> {
         self.counters.job_enqueued();
-        let queue = &self.shards[shard].queue;
         let pushed = match self.high_water {
-            Some(hw) => queue.try_push(job, adm.tenant, adm.weight, adm.quota, hw),
-            None => queue.push(job, adm.tenant, adm.weight, adm.quota),
+            Some(hw) => self.queue.try_push(job, adm.tenant, adm.weight, adm.quota, hw),
+            None => self.queue.push(job, adm.tenant, adm.weight, adm.quota),
         };
         match pushed {
             Ok(()) => {
@@ -1202,9 +1090,9 @@ impl Engine {
     ///
     /// Eligibility is decided *after* the shared admission preamble (so
     /// the breaker and the fault gate see every call alike): the call must
-    /// have no deadline to enforce mid-dispatch, the shard group must be
-    /// empty (with a backlog, jumping the weighted-fair queue would defeat
-    /// QoS), and the engine must be open. Everything else takes the queue
+    /// have no deadline to enforce mid-dispatch, the queue must be empty
+    /// (with a backlog, jumping the weighted-fair queue would defeat QoS),
+    /// and the engine must be open. Everything else takes the queue
     /// and waits on the ticket.
     pub(crate) fn call_blocking(
         &self,
@@ -1215,15 +1103,14 @@ impl Engine {
     ) -> flexrpc_runtime::Result<()> {
         let mut foreign = None;
         let adm = self.admit(call, &mut foreign)?;
-        let shard = self.home_shard(adm.tenant, call.binding);
         // Duplicate deliveries must ride the queue: the shadow and the
         // real call share one FIFO lane there, so the shadow strictly
         // precedes the real execution and the at-most-once cache sees
         // exactly one handler run. Inline would race them.
         if adm.deadline_ns.is_none()
             && !adm.duplicate
-            && self.group.is_empty()
-            && !self.shards[shard].queue.is_closed()
+            && self.queue.is_empty()
+            && !self.queue.is_closed()
         {
             self.counters.job_enqueued();
             let dispatch = Dispatch {
@@ -1237,9 +1124,9 @@ impl Engine {
                 queued_at: None,
                 trace: call.trace.map(|t| (t, t.begin_call())),
             };
-            return self.serve(&dispatch, shard, reply, rights_out);
+            return self.serve(&dispatch, call.home, reply, rights_out);
         }
-        let ticket = self.enqueue(call, Arc::clone(pool), &adm, shard)?;
+        let ticket = self.enqueue(call, Arc::clone(pool), &adm)?;
         // Move, don't copy: the worker's reply body becomes the caller's
         // buffer (the caller's old allocation rides back into `r` and is
         // dropped).
@@ -1291,7 +1178,7 @@ impl Engine {
     pub fn stats(&self) -> EngineStatsSnapshot {
         let now = self.clock.now_ns();
         self.counters.snapshot(
-            self.group.len(),
+            self.queue.len(),
             self.workers_n,
             self.cache.stats(),
             self.reply_cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
@@ -1308,17 +1195,15 @@ impl Engine {
     /// rather than waiting on work that will never run), let executing
     /// calls finish, join workers. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        for shard in &self.shards {
-            for job in shard.queue.close() {
-                self.counters.job_cancelled();
-                job.cell.slot.fill(Err(RpcError::Cancelled));
-            }
+        for job in self.queue.close() {
+            self.counters.job_cancelled();
+            job.cell.slot.fill(Err(RpcError::Cancelled));
         }
         self.signal.bump_all();
         // A worker that upgraded its weak handle for a job can be the one
         // dropping the last `Arc<Engine>`, which lands here on that worker:
         // it cannot join itself (its handle is dropped instead; it exits as
-        // soon as it sees its shard closed) but still joins its peers.
+        // soon as it sees the queue closed) but still joins its peers.
         let me = std::thread::current().id();
         let mut workers = self.workers.lock();
         for w in workers.drain(..).filter(|w| w.thread().id() != me) {
@@ -1357,10 +1242,10 @@ pub struct EngineConnection {
     /// The tenant this connection submits as: its live policy handle and
     /// metric cells, resolved at establishment.
     tenant: TenantCells,
-    /// Process-unique connection id: the default shard binding for
-    /// untagged calls, so each connection's traffic has a stable home
-    /// shard.
-    conn_id: u64,
+    /// The replica this connection's inline calls try first: a
+    /// process-unique connection id modulo the worker count, fixed at
+    /// establishment, so concurrent blocking callers start apart.
+    home: usize,
     /// The combination currently bound — swapped live by
     /// [`EngineConnection::rebind`] without draining in-flight calls
     /// (each queued job holds its own `Arc` to the pool it was admitted
@@ -1412,7 +1297,7 @@ impl EngineConnection {
         let call = Call {
             bound: &self.tenant,
             policy: Some(terms),
-            binding: self.binding_for(tag),
+            home: self.home,
             op_index,
             request,
             rights,
@@ -1440,13 +1325,6 @@ impl EngineConnection {
         let mut bind = self.bind.write();
         self.tenant.handle.refresh(&mut bind.policy);
         view(&bind)
-    }
-
-    /// The shard binding for a call: the at-most-once tag's binding when
-    /// present (so a supervisor's resumed session keeps its lane), else
-    /// this connection's own id.
-    fn binding_for(&self, tag: Option<CallTag>) -> u64 {
-        tag.map_or(self.conn_id, |t| t.binding)
     }
 
     /// Re-runs bind-time negotiation **live**: resolves the combination
@@ -1526,7 +1404,6 @@ impl Transport for EngineConnection {
         // queue the engine dispatches inline on this thread — no queue,
         // no worker handoff, the reply marshalled straight into `reply`.
         let deadline_ns = ctl.deadline_ns.or_else(|| self.connection_deadline());
-        let binding = self.binding_for(ctl.tag);
         // `&mut self`: the binding's cached policy is this call's alone to
         // bring up to date (one version load while nothing was swapped),
         // and no rebind can run, so the binding is read in place — no lock,
@@ -1536,7 +1413,7 @@ impl Transport for EngineConnection {
         let call = Call {
             bound: &self.tenant,
             policy: Some(TenantTerms::of(bind.policy.policy())),
-            binding,
+            home: self.home,
             op_index: op.index,
             request,
             rights,

@@ -9,17 +9,15 @@
 //!
 //! Pieces:
 //!
-//! * [`engine::Engine`] — **per-core engine shards** + service registry.
-//!   Each worker owns a shard: its own weighted-fair
-//!   [`WfqQueue`](flexrpc_control::WfqQueue) lane set and its own stats
-//!   cell. Submission hashes `(tenant, binding)` to a home shard; idle
-//!   workers *steal* whole min-tag jobs from the longest peer queue, so a
-//!   hot tenant cannot strand cores while fair order survives. Blocking
-//!   calls with no deadline and no backlog dispatch **inline** on the
-//!   caller's thread (LRPC-style — no handoff at all), and a *queued* call
-//!   whose caller reaches [`engine::CallTicket::wait`] first runs there
-//!   too, when it is next in its shard's fair order and no worker is
-//!   serving the shard (same checks, same tallies, `engine.helped`).
+//! * [`engine::Engine`] — **one weighted-fair queue** drained by a worker
+//!   pool, plus the service registry. Every worker drains the one
+//!   [`WfqQueue`](flexrpc_control::WfqQueue) under a serve token of its
+//!   own, so weighted-fair order holds across all workers. Blocking calls
+//!   with no deadline and no backlog dispatch **inline** on the caller's
+//!   thread (LRPC-style — no handoff at all), and a *queued* call whose
+//!   caller reaches [`engine::CallTicket::wait`] first runs there too, when
+//!   it is next in the queue's fair order and a serve token is free (same
+//!   checks, same tallies, `engine.helped`).
 //! * [`slot::ReplySlot`] — the completion slot a submitter blocks on when
 //!   its reply is another thread's to publish, one-shot per use and recycled
 //!   with its call's job cell: a `Mutex` and a `Condvar`, plus one atomic
@@ -249,7 +247,8 @@ mod tests {
 
     /// Replicas are checked out one lock each: with one held by a stalled
     /// handler, the next inline call must take the free one, whichever
-    /// shard either call hashed to, rather than queue up behind the stall.
+    /// replica either connection tries first, rather than queue up behind
+    /// the stall.
     #[test]
     fn inline_call_takes_any_free_replica() {
         let engine = Engine::builder().workers(2).build();

@@ -15,12 +15,11 @@
 //! stalls no reader — and a pool that dies folds its stripes into the
 //! shared cells. `in_flight` / `peak_in_flight` are one shared exact gauge:
 //! the watermark is fed by the value `in_flight`'s add returns, which only
-//! a single cell can give. `calls_helped`, and the engine's per-shard
-//! `engine.shard.<i>.served`, are striped per shard: a worker draining its
-//! shard and a caller serving its own queued job write the shard's stripes
-//! under the serve token they hold, and only a steal, which holds no token,
-//! writes `served`'s shared cell. Everything else (sheds, expiries, cancels,
-//! steals, connections) is off the served path and written shared.
+//! a single cell can give. `calls_helped` is striped per serve token: a
+//! caller serving its own queued job writes the stripe of the token it
+//! holds. Everything else (sheds, expiries, cancels, connections) is off
+//! the served path and written shared. Jobs served from the queue are
+//! `calls_served − inline_calls`.
 
 use crate::breaker::BreakerStats;
 use crate::cache::CacheStats;
@@ -50,14 +49,12 @@ pub struct EngineCounters {
     pub calls_cancelled: Counter,
     /// Calls whose deadline passed before a worker could start them.
     pub deadline_expired: Counter,
-    /// Jobs an idle shard took from a peer shard's queue.
-    pub steals: Counter,
     /// Blocking calls served inline on the caller's thread (LRPC-style
     /// direct dispatch — no queue, no worker handoff).
     pub inline_calls: Counter,
     /// Queued calls their own waiting caller dequeued and ran
-    /// (`CallTicket::wait`) instead of a worker. Striped per shard: the
-    /// helper writes its shard's stripe under the serve token it holds.
+    /// (`CallTicket::wait`) instead of a worker. Striped per serve token:
+    /// the helper writes the stripe of the token it holds.
     pub calls_helped: Counter,
 }
 
@@ -74,7 +71,6 @@ impl EngineCounters {
         registry.adopt_counter("engine.shed", &self.calls_shed);
         registry.adopt_counter("engine.cancelled", &self.calls_cancelled);
         registry.adopt_counter("engine.expired", &self.deadline_expired);
-        registry.adopt_counter("engine.steals", &self.steals);
         registry.adopt_counter("engine.inline_calls", &self.inline_calls);
         registry.adopt_counter("engine.helped", &self.calls_helped);
     }
@@ -108,7 +104,6 @@ impl EngineCounters {
             calls_shed: self.calls_shed.get(),
             calls_cancelled: self.calls_cancelled.get(),
             deadline_expired: self.deadline_expired.get(),
-            steals: self.steals.get(),
             inline_calls: self.inline_calls.get(),
             calls_helped: self.calls_helped.get(),
             workers,
@@ -166,8 +161,6 @@ pub struct EngineStatsSnapshot {
     pub calls_cancelled: u64,
     /// Calls whose deadline passed before a worker started them.
     pub deadline_expired: u64,
-    /// Jobs an idle shard stole from a peer shard.
-    pub steals: u64,
     /// Blocking calls served inline on the caller's thread.
     pub inline_calls: u64,
     /// Queued calls run by their own waiting caller, not a worker (counted

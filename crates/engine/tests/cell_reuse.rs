@@ -4,10 +4,9 @@
 //! later submit a cell the worker can still fill.
 //!
 //! The service echoes its argument back transformed, so every reply is a
-//! function of its own request and is compared in full. Engines here hold
-//! four queued calls across their shards (one worker and a queue depth of
-//! 4, or two and 2), which makes the free list's capacity
-//! (`queue_depth × workers`) 4: a few dozen calls cycle every cell many
+//! function of its own request and is compared in full. Engines here queue
+//! at most four calls (a queue depth of 4), which makes the free list's
+//! capacity (`queue_depth`) 4: a few dozen calls cycle every cell many
 //! times over.
 
 use flexrpc_clock::Fault;
@@ -22,10 +21,14 @@ use flexrpc_runtime::RpcError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
 
 /// The free list's capacity on the engines built here.
 const CAPACITY: usize = 4;
+
+/// How long a test waits for another thread before calling it stuck.
+const STUCK: Duration = Duration::from_secs(30);
 
 fn echo_module() -> Module {
     let mut m = Module::new("echo", Dialect::Corba);
@@ -56,7 +59,7 @@ fn echo_engine(
     workers: usize,
     before: impl Fn(u64) + Send + Sync + 'static,
 ) -> (Arc<Engine>, EngineConnection, Arc<AtomicU64>) {
-    let engine = builder.workers(workers).queue_depth(CAPACITY / workers).build();
+    let engine = builder.workers(workers).queue_depth(CAPACITY).build();
     let module = echo_module();
     let pres =
         InterfacePresentation::default_for(&module, module.interface("Echo").unwrap()).unwrap();
@@ -133,90 +136,37 @@ fn interleaved_lengths_through_recycled_cells_answer_in_full() {
     engine.shutdown();
 }
 
-/// The shard a call tagged with `binding` is queued on on a two-worker
-/// engine: the shard whose `served` tally the call moves — waited for with
-/// a deadline, so the waiter never runs it — unless a steal moved it: a
-/// thief credits its own shard, and the call's home is then the other.
-fn home_shard(engine: &Engine, conn: &EngineConnection, binding: u64) -> usize {
-    let tallies = || {
-        let m = engine.metrics().snapshot();
-        (m.counter("engine.shard.1.served"), m.counter("engine.steals"))
-    };
-    let before = tallies();
-    let tag = Some(CallTag::new(binding, 0));
-    let ticket = conn.submit_tagged(0, &request(&payload(0)), &[], None, tag).unwrap();
-    assert_answers(ticket.wait_until(Some(u64::MAX)), &payload(0));
-    let after = tallies();
-    let ran = usize::from(after.0 > before.0);
-    if after.1 > before.1 {
-        1 - ran
-    } else {
-        ran
-    }
-}
-
 /// A waiter that runs its own job keeps the reply it produced — it never
 /// publishes to its own slot — and hands the cell back all the same, for
-/// the next submit to refill. The interleaving is forced: two plugs of a
-/// second service queued on one shard hold both workers (one drains that
-/// shard under its token, the other stole a plug, which takes no token), so
-/// nobody serves the other shard and each call queued there is run by the
-/// thread waiting for it. Once the plugs go, the cells those calls used
-/// serve calls a worker answers through the slot just as cleanly.
+/// the next submit to refill. Which thread runs a lone call on an idle
+/// two-worker engine is the scheduler's (the waiter helps when it beats a
+/// woken worker to a free serve token), so calls are made one at a time
+/// until waiters have run `4 × CAPACITY` of them, every cell many times
+/// over; each reply is checked in full, and every call the waiting thread
+/// ran is one `calls_helped` counts. The cells those calls used then serve
+/// batches, answered through the slot by whoever runs them, just as
+/// cleanly.
 #[test]
 fn a_helped_call_keeps_its_own_reply_and_its_cell_serves_the_next_submit() {
-    const HELPED: usize = 4 * CAPACITY;
-    let (engine, conn, _) = echo_engine(Engine::builder(), 2, |_| {});
-    let (entered_tx, entered) = mpsc::channel();
-    let (release, plug) = mpsc::channel::<()>();
-    let (entered_tx, plug) = (Mutex::new(entered_tx), Arc::new(Mutex::new(plug)));
-    let module = echo_module();
-    let pres =
-        InterfacePresentation::default_for(&module, module.interface("Echo").unwrap()).unwrap();
-    engine
-        .register_service("plug", module, "Echo", pres, WireFormat::Cdr, move |srv| {
-            let (entered, plug) = (entered_tx.lock().unwrap().clone(), Arc::clone(&plug));
-            srv.on("flip", move |call| {
-                entered.send(()).unwrap();
-                plug.lock().unwrap().recv().unwrap();
-                call.set("return", Value::Bytes(flipped(&[]))).unwrap();
-                0
-            })
-            .unwrap();
-        })
-        .unwrap();
-    let plugged = 1;
-    let home = home_shard(&engine, &conn, plugged);
-    let free = (2..).find(|&binding| home_shard(&engine, &conn, binding) != home).unwrap();
+    const HELPED: u64 = 4 * CAPACITY as u64;
+    let ran_on = Arc::new(Mutex::new(Vec::<ThreadId>::new()));
+    let log = Arc::clone(&ran_on);
+    let (engine, conn, _) = echo_engine(Engine::builder(), 2, move |_| {
+        log.lock().unwrap().push(thread::current().id());
+    });
+    let start = Instant::now();
+    let mut calls = 0;
+    while engine.stats().calls_helped < HELPED {
+        assert!(start.elapsed() < STUCK, "waiters helped in only some of {calls} calls");
+        let data = payload(calls);
+        assert_answers(conn.submit(0, &request(&data), &[]).unwrap().wait(), &data);
+        calls += 1;
+    }
+    let me = thread::current().id();
+    let here = ran_on.lock().unwrap().iter().filter(|t| **t == me).count() as u64;
+    assert_eq!(here, engine.stats().calls_helped, "a helped call ran on its waiting thread");
 
-    let plug_conn = engine.connect("plug").establish().unwrap();
-    let plugs: Vec<_> = (0..2)
-        .map(|seq| {
-            let tag = Some(CallTag::new(plugged, seq));
-            plug_conn.submit_tagged(0, &request(&[]), &[], None, tag).unwrap()
-        })
-        .collect();
-    for _ in &plugs {
-        entered.recv_timeout(Duration::from_secs(30)).expect("a worker takes each plug");
-    }
-    let helped = engine.stats().calls_helped;
-    for i in 0..HELPED {
-        let data = payload(i);
-        let tag = Some(CallTag::new(free, i as u64));
-        let ticket = conn.submit_tagged(0, &request(&data), &[], None, tag).unwrap();
-        assert_answers(ticket.wait(), &data);
-    }
-    assert_eq!(engine.stats().calls_helped, helped + HELPED as u64, "the waiter ran every call");
-
-    for _ in &plugs {
-        release.send(()).unwrap();
-    }
-    for plug in plugs {
-        assert_answers(plug.wait(), &[]);
-    }
-    // Whoever runs these — a worker, a thief, or the waiter — the cells the
-    // helped calls left behind answer in full.
-    interleaved_batches(&conn, CAPACITY / 2);
+    interleaved_batches(&conn, CAPACITY);
     engine.shutdown();
 }
 
@@ -238,7 +188,7 @@ fn an_abandoned_cell_is_not_reused_while_its_job_can_fill_it() {
 
     let deadline = Some(engine.clock().now_ns() + 1_000_000);
     let executing = conn.submit_with(0, &request(&payload(1)), &[], deadline).unwrap();
-    entered.recv_timeout(Duration::from_secs(30)).expect("the worker reaches the handler");
+    entered.recv_timeout(STUCK).expect("the worker reaches the handler");
     drop(conn.submit(0, &request(&payload(3)), &[]).unwrap()); // queued behind the plug
     engine.clock().advance(Duration::from_millis(2));
     assert!(matches!(executing.wait_until(deadline), Err(RpcError::DeadlineExceeded)));

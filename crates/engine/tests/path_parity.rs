@@ -155,11 +155,10 @@ fn run(queued: bool) -> Run {
 fn differs_by_definition(name: &str) -> bool {
     // Served inline; queued jobs their own waiting caller ran (the idle
     // run's filler, when its `wait` beats the parked worker to it — never
-    // behind the plug, where the worker holds the shard); jobs run per
-    // shard; calls admitted *to the queue*.
+    // behind the plug, where the worker holds the one serve token); calls
+    // admitted *to the queue*.
     name == "engine.inline_calls"
         || name == "engine.helped"
-        || (name.starts_with("engine.shard.") && name.ends_with(".served"))
         || (name.starts_with("tenant.") && name.ends_with(".admitted"))
         // A high-water mark of concurrency: the plug that forces the queue
         // is itself one more call in flight.

@@ -19,8 +19,11 @@ use flexrpc_runtime::wire::AnyWriter;
 use flexrpc_runtime::{CallControl, CallTag, Transport};
 use flexrpc_trace::MetricsSnapshot;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
+
+/// How long a test waits for another thread before calling it stuck.
+const STUCK: Duration = Duration::from_secs(30);
 
 /// Sim-time cost of one call: a power of two, so log2 dwell buckets
 /// resolve queue positions exactly.
@@ -260,6 +263,86 @@ fn weights_divide_the_drain_deterministically() {
         a_mean * 3 < b_mean * 2,
         "weight 3 must drain markedly faster than weight 1 (A mean {a_mean}, B mean {b_mean})"
     );
+    engine.shutdown();
+}
+
+/// Weighted-fair order is the engine's one queue's, not a worker's. Two
+/// workers are plugged, one after the other, and behind them a weight-3
+/// tenant queues 12 calls over three connections, then a weight-1 tenant 4
+/// over two — every tag assigned against one frozen virtual clock. Once one
+/// plug is released its worker starts all sixteen, one at a time (the other
+/// still holds its serve token, so no waiter can help), in exact start-time
+/// fair order: three heavy calls to every light one, although every light
+/// call arrived after every heavy one.
+#[test]
+fn two_workers_serve_two_tenants_in_one_fair_order() {
+    let plane = ControlPlane::new();
+    plane.register(TENANT_A, Policy::new().weight(3));
+    plane.register(TENANT_B, Policy::new().weight(1));
+    let engine = Engine::builder().workers(2).queue_depth(64).control(Arc::clone(&plane)).build();
+    let started = Arc::new(Mutex::new(Vec::new()));
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, plug) = mpsc::channel::<()>();
+    let (log, plug) = (Arc::clone(&started), Arc::new(Mutex::new(plug)));
+    engine
+        .register_service(
+            "qos",
+            fileio_example(),
+            "FileIO",
+            fileio_presentation(),
+            WireFormat::Cdr,
+            move |srv| {
+                let (log, entered, plug) =
+                    (Arc::clone(&log), entered_tx.clone(), Arc::clone(&plug));
+                srv.on("read", move |call| {
+                    // `read(0)` is a plug: it holds its worker until released.
+                    let count = call.u32("count").unwrap();
+                    if count == 0 {
+                        entered.send(()).unwrap();
+                        plug.lock().unwrap().recv().unwrap();
+                    } else {
+                        log.lock().unwrap().push(count);
+                    }
+                    call.set("return", Value::Bytes(Vec::new())).unwrap();
+                    0
+                })
+                .unwrap();
+            },
+        )
+        .unwrap();
+    let conn_plug = engine.connect("qos").tenant(TENANT_PLUG).establish().unwrap();
+    let plugs: Vec<_> = (0..2)
+        .map(|_| {
+            let plug = conn_plug.submit(0, &read_request(0), &[]).unwrap();
+            entered.recv_timeout(STUCK).expect("an idle worker takes the plug");
+            plug
+        })
+        .collect();
+
+    let connect = |tenant| engine.connect("qos").tenant(tenant).establish().unwrap();
+    let heavy: Vec<_> = (0..3).map(|_| connect(TENANT_A)).collect();
+    let light: Vec<_> = (0..2).map(|_| connect(TENANT_B)).collect();
+    let mut tickets = Vec::new();
+    for n in 1..=12 {
+        tickets.push(heavy[n as usize % 3].submit(0, &read_request(n), &[]).unwrap());
+    }
+    for n in 101..=104 {
+        tickets.push(light[n as usize % 2].submit(0, &read_request(n), &[]).unwrap());
+    }
+    release.send(()).unwrap();
+    for t in tickets {
+        assert!(t.wait().is_ok());
+    }
+    assert_eq!(
+        *started.lock().unwrap(),
+        [1, 101, 2, 3, 4, 102, 5, 6, 7, 103, 8, 9, 10, 104, 11, 12],
+        "start order across both tenants' connections"
+    );
+
+    release.send(()).unwrap();
+    for plug in plugs {
+        assert!(plug.wait().is_ok());
+    }
     engine.shutdown();
 }
 

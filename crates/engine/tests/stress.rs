@@ -246,7 +246,6 @@ fn bursts_onto_parked_workers_lose_no_wakeup() {
     const ROUNDS: u32 = 2_000;
 
     let engine = read_engine(4);
-    // Several connections, so the bursts have more than one home shard.
     let conns: Vec<_> = (0..3).map(|_| engine.connect("fileio").establish().unwrap()).collect();
     let read = conns[0].program().op("read").unwrap().index;
     let request = read_request(8);
@@ -347,7 +346,7 @@ fn racing_first_binds_count_one_hit_or_miss_each_and_own_their_compile() {
 
 /// Blocking callers with no deadline and nothing queued run every call
 /// inline, on their own threads, whatever the worker count: four clients
-/// at once, one worker or four, and no shard's worker serves a call. A
+/// at once, one worker or four, and no call is served from the queue. A
 /// silent fall-back to the queue is what a throughput figure would not show.
 #[test]
 fn concurrent_blocking_calls_all_run_inline_at_any_worker_count() {
@@ -387,11 +386,6 @@ fn concurrent_blocking_calls_all_run_inline_at_any_worker_count() {
             (offered, offered),
             "{workers} workers"
         );
-        let snap = engine.metrics().snapshot();
-        for shard in 0..workers {
-            let served = snap.counter(&format!("engine.shard.{shard}.served"));
-            assert_eq!(served, 0, "{workers} workers: shard {shard}'s worker served a call");
-        }
         engine.shutdown();
     }
 }
@@ -409,8 +403,8 @@ fn engine_counters(s: &EngineStatsSnapshot) -> [(&'static str, u64); 12] {
         ("engine.shed", s.calls_shed),
         ("engine.cancelled", s.calls_cancelled),
         ("engine.expired", s.deadline_expired),
-        ("engine.steals", s.steals),
         ("engine.inline_calls", s.inline_calls),
+        ("engine.helped", s.calls_helped),
     ]
 }
 
@@ -518,9 +512,10 @@ fn dispatch_tallies_are_monotone_exact_and_outlive_their_pools() {
     for (name, value) in engine_counters(&stats) {
         assert_eq!(snap.counter(name), value, "{name}: registry vs stats()");
     }
-    // A call ran inline or a worker ran it, and every run recorded its dwell.
-    let by_workers: u64 = (0..2).map(|i| snap.counter(&format!("engine.shard.{i}.served"))).sum();
-    assert_eq!(stats.inline_calls + by_workers, stats.calls_served);
+    // A call ran inline or was admitted to the queue, and every run
+    // recorded its dwell.
+    let queued = snap.counter("tenant.0.admitted");
+    assert_eq!(stats.inline_calls + queued, stats.calls_served);
     assert!(stats.inline_calls <= (BLOCKING * CALLS) as u64);
     assert_eq!(snap.histogram("engine.dwell_ns").unwrap().count, stats.calls_served);
 

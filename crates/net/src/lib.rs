@@ -519,7 +519,7 @@ impl SimNet {
             .carry(request, discard, true, &mut tally);
         self.publish(tally);
         self.release(scratch);
-        result.map_err(|e| *e)
+        result
     }
 
     /// Sends `request` from `from` to `to`, runs the service, and leaves the
@@ -563,7 +563,7 @@ impl SimNet {
         let result = hop.carry(request, reply_into, false, &mut tally);
         self.publish(tally);
         self.release(scratch);
-        result.map_err(|e| *e)
+        result
     }
 }
 
@@ -643,7 +643,7 @@ impl Link {
         let mut tally = Tally::default();
         let result = self.hop()?.0.carry(request, reply_into, false, &mut tally);
         self.tally.publish(tally);
-        result.map_err(|e| *e)
+        result
     }
 
     /// [`SimNet::send`] over this link.
@@ -652,7 +652,7 @@ impl Link {
         let mut tally = Tally::default();
         let result = hop.carry(request, discard, true, &mut tally);
         self.tally.publish(tally);
-        result.map_err(|e| *e)
+        result
     }
 }
 
@@ -674,11 +674,11 @@ impl Hop<'_> {
     /// what a call would report about delivery. See [`SimNet::call`] and
     /// [`SimNet::send`] for what each way of ending means to the caller.
     /// What the message put on the wire, however it ended, is left in
-    /// `tally` for the caller to publish once, and the outcome comes back
-    /// in a register, a failure boxed: the caller copies nothing out of
-    /// memory this just wrote in narrower stores (a wide reload of a
-    /// returned `(Result, Tally)` pair waited on them; see
-    /// `flexrpc_runtime::interp`). The sim clock advances here, at the two
+    /// `tally` for the caller to publish once, apart from the outcome: a
+    /// wide reload of a returned `(Result, Tally)` pair waited on the
+    /// narrower stores that wrote it (see `flexrpc_runtime::interp`). A
+    /// failure is returned as the value it is, so losing or failing a
+    /// message allocates nothing. The sim clock advances here, at the two
     /// instants something can read it: for the request on the wire before
     /// the handler runs (TTLs and trace spans read it there), and for the
     /// far side's processing plus the reply leg in one step after it.
@@ -688,7 +688,7 @@ impl Hop<'_> {
         reply_into: &mut Vec<u8>,
         one_way: bool,
         tally: &mut Tally,
-    ) -> std::result::Result<(), Box<NetError>> {
+    ) -> Result<()> {
         reply_into.clear();
         let Hop { net, from, to, route, .. } = *self;
         // Consult the fault gates before the wire: a lost message is lost
@@ -709,11 +709,11 @@ impl Hop<'_> {
         if let Some(lost) = verdict.lost {
             // A lost datagram is lost silently, however it was lost: the
             // sender has no reply channel to learn of it.
-            return if one_way { Ok(()) } else { Err(Box::new(SimNet::lost_error(lost, to))) };
+            return if one_way { Ok(()) } else { Err(SimNet::lost_error(lost, to)) };
         }
         // A message to a host that serves nothing was still sent: it is
         // counted and charged before the absence is discovered.
-        let service = route.service.as_ref().ok_or_else(|| Box::new(NetError::NoService(to)))?;
+        let service = route.service.as_ref().ok_or(NetError::NoService(to))?;
         // The far side receives into its own buffer: a real copy, as the
         // receiving protocol stack would perform.
         self.rx.clear();
@@ -730,7 +730,7 @@ impl Hop<'_> {
         // behind the datagram.
         if let (Err(e), false) = (result, one_way) {
             reply_into.clear();
-            return Err(Box::new(e));
+            return Err(e);
         }
         // Server-side processing, charged whatever becomes of the reply.
         let mut after = Tally { ns: net.cfg.server_ns, ..Tally::default() };
@@ -741,7 +741,7 @@ impl Hop<'_> {
             // (an at-most-once server has the reply cached) but this client
             // never sees it. The reply never reaches the wire.
             reply_into.clear();
-            Err(Box::new(NetError::Disconnected(to, Disconnect::ClosedBeforeReply)))
+            Err(NetError::Disconnected(to, Disconnect::ClosedBeforeReply))
         } else {
             after += net.leg(reply_into.len(), scale);
             Ok(())

@@ -550,6 +550,42 @@ fn truncated_fixed_opaque_fails_before_allocating() {
     }
 }
 
+/// A message that is lost, or whose service fails, comes back as a typed
+/// `NetError` value: neither failure allocates on a warm link.
+#[test]
+fn a_lost_or_failed_link_call_allocates_nothing() {
+    use flexrpc_clock::Fault;
+    use flexrpc_net::{NetError, SimNet};
+
+    let net = SimNet::new();
+    let (client, server) = (net.add_host("client"), net.add_host("server"));
+    net.register_handler(server, |request, reply| {
+        if request == b"fail" {
+            return Err(NetError::ServiceFailure);
+        }
+        reply.extend_from_slice(request);
+        Ok(())
+    })
+    .expect("serves");
+    let mut link = net.link(client, server);
+    let mut reply = Vec::new();
+    link.call(b"warm", &mut reply).expect("a warm-up call is served");
+
+    let before = allocs();
+    let failed = link.call(b"fail", &mut reply);
+    let delta = allocs() - before;
+    assert_eq!(failed, Err(NetError::ServiceFailure));
+    assert_eq!(delta, 0, "a failed call allocated {delta} times");
+
+    net.faults().on_next_call(Fault::Drop);
+    let before = allocs();
+    let lost = link.call(b"lost", &mut reply);
+    let delta = allocs() - before;
+    assert_eq!(lost, Err(NetError::Dropped));
+    assert_eq!(delta, 0, "a lost call allocated {delta} times");
+    assert!(reply.is_empty(), "neither left anything to misread as a reply");
+}
+
 /// Hostile bytes cost their refusal nothing: every Sun RPC decoder refuses
 /// a malformed frame with a typed label and no allocation — the smallest
 /// case of allocation bounded by the input's length.

@@ -125,7 +125,7 @@ fn duplicated_engine_delivery_executes_once() {
 }
 
 /// The same, with the race forced: the shadow is held mid-handler while
-/// the second worker is free to steal the real half of the delivery. The
+/// the second worker is free to pop the real half of the delivery. The
 /// real half must wait for the shadow to record, not run beside it.
 #[test]
 fn stolen_duplicate_waits_for_its_shadow() {
