@@ -14,8 +14,7 @@
 //! Admission enforces three bounds, in order: a per-tenant `quota` (shed
 //! immediately, charged to that tenant), an optional aggregate
 //! `high_water` backstop (shed, charged to the aggregate), and the hard
-//! `capacity` (blocking backpressure, as [the engine's old bounded
-//! queue](https://en.wikipedia.org/wiki/Fair_queuing) did).
+//! `capacity` (blocking backpressure).
 
 use flexrpc_runtime::TenantId;
 use std::collections::{BTreeMap, VecDeque};
@@ -50,8 +49,21 @@ struct State<T> {
     /// nobody counted means nobody to wake, and the notify's `futex_wake`
     /// is skipped.
     parked_producers: usize,
-    /// Consumers parked in `pop` until an item arrives.
+    /// Consumers parked on `not_empty` whose wake no push has claimed yet
+    /// (never fewer than that; see [`WfqQueue::park`]).
     parked_consumers: usize,
+}
+
+impl<T> State<T> {
+    /// Claims one parked consumer's unclaimed wake, if any: the caller owes
+    /// it a `notify_one` once the lock is released.
+    fn claim_consumer(&mut self) -> bool {
+        let claimed = self.parked_consumers > 0;
+        if claimed {
+            self.parked_consumers -= 1;
+        }
+        claimed
+    }
 }
 
 /// Why [`WfqQueue::try_push`] refused an item (the item rides back).
@@ -76,16 +88,16 @@ pub struct WfqQueue<T> {
     capacity: usize,
     /// `total`, published by a plain store under the state lock, so
     /// [`WfqQueue::len`] reads the backlog without taking that lock. The
-    /// store is `Relaxed`: it publishes no other data, and a consumer that
-    /// must not miss a push reads it after a signal the producer raised
-    /// once the push returned (the engine's submit epoch).
+    /// store is `Relaxed`: it publishes no other data. A non-zero read is
+    /// only ever a reason to take the lock and look; a consumer about to
+    /// park reads `total` under the lock instead, so no push is missed.
     backlog: AtomicUsize,
     /// Signalled when space frees up, if a producer is parked.
     not_full: Condvar,
-    /// Signalled when an item arrives, if a consumer is parked, or the
-    /// queue closes. An arrival wakes exactly **one** parked consumer —
-    /// one item can only be served once, so waking the whole pool is a
-    /// thundering herd.
+    /// Signalled when an item arrives, if a consumer's wake is unclaimed,
+    /// or the queue closes. An arrival wakes exactly **one** parked
+    /// consumer — one item can only be served once, so waking the whole
+    /// pool is a thundering herd.
     not_empty: Condvar,
 }
 
@@ -181,7 +193,9 @@ impl<T> WfqQueue<T> {
             }
             if state.total < self.capacity {
                 self.admit(&mut state, tenant, weight, item);
-                if state.parked_consumers > 0 {
+                let wake = state.claim_consumer();
+                drop(state);
+                if wake {
                     self.not_empty.notify_one();
                 }
                 return Ok(());
@@ -218,7 +232,9 @@ impl<T> WfqQueue<T> {
             return Err(WfqRefusal::Full(item));
         }
         self.admit(&mut state, tenant, weight, item);
-        if state.parked_consumers > 0 {
+        let wake = state.claim_consumer();
+        drop(state);
+        if wake {
             self.not_empty.notify_one();
         }
         Ok(())
@@ -236,10 +252,44 @@ impl<T> WfqQueue<T> {
             if self.is_closed() {
                 return None;
             }
-            state.parked_consumers += 1;
-            state = self.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner);
-            state.parked_consumers -= 1;
+            state = self.park(state);
         }
+    }
+
+    /// Blocks while the queue is empty and open, without taking anything:
+    /// `true` once an item is queued, `false` once the queue is closed and
+    /// empty. A non-zero published backlog returns at once, without the
+    /// lock. For a consumer that must do something of its own between
+    /// learning there is work and taking it.
+    pub fn wait_ready(&self) -> bool {
+        if !self.is_empty() {
+            return true;
+        }
+        let mut state = self.lock();
+        loop {
+            if state.total > 0 {
+                return true;
+            }
+            if self.is_closed() {
+                return false;
+            }
+            state = self.park(state);
+        }
+    }
+
+    /// The one consumer park, `pop`'s and `wait_ready`'s: one wait on
+    /// `not_empty`, counted before it and never uncounted after. A push that
+    /// finds the count non-zero claims a wake off it under the lock and
+    /// notifies after releasing it (a woken consumer would only park again
+    /// on a notifier still holding it), so M pushes onto N parked consumers
+    /// cost min(N, M) `futex_wake`s; `close` zeroes it and wakes everyone.
+    /// A wake that finds nothing — spurious, or a claimed notify this
+    /// consumer intercepted from one parked earlier, which sleeps on
+    /// uncounted — counts again, so the count errs only high: a
+    /// `futex_wake` for nobody, never a parked consumer nobody wakes.
+    fn park<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        state.parked_consumers += 1;
+        self.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Dequeues the item with the smallest start tag without blocking:
@@ -265,8 +315,9 @@ impl<T> WfqQueue<T> {
     }
 
     /// Closes the queue and returns every item that had not yet been
-    /// started, in dequeue (fair) order: future pushes fail, blocked
-    /// consumers wake to `None`, and the caller decides the fate of the
+    /// started, in dequeue (fair) order: future pushes fail, every parked
+    /// consumer wakes (to `None` from `pop`, `false` from `wait_ready`) and
+    /// no wake is left owed, and the caller decides the fate of the
     /// unstarted backlog.
     #[must_use = "unstarted items must be failed, not silently dropped"]
     pub fn close(&self) -> Vec<T> {
@@ -276,6 +327,7 @@ impl<T> WfqQueue<T> {
         while let Some(item) = self.take_head(&mut state, |_| true) {
             unstarted.push(item);
         }
+        state.parked_consumers = 0;
         drop(state);
         self.not_empty.notify_all();
         self.not_full.notify_all();
@@ -465,9 +517,64 @@ mod tests {
             .collect();
         await_parked(&q, (0, 3));
         assert!(q.close().is_empty());
+        assert_eq!(q.parked(), (0, 0), "close leaves no wake owed");
         for c in consumers {
             assert_eq!(c.join().unwrap(), None);
         }
+    }
+
+    /// A burst onto one parked consumer claims its wake once: the first
+    /// push takes the count 1 → 0 and the other 31 find nobody to wake.
+    /// The woken consumer is held between `wait_ready` and its pops, so it
+    /// cannot park again and the counts read exactly.
+    #[test]
+    fn a_burst_claims_the_one_parked_consumer_once_and_every_item_drains() {
+        let q = Arc::new(WfqQueue::new(64));
+        let (go, gate) = mpsc::channel();
+        let (drained_tx, drained) = mpsc::channel();
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                assert!(q.wait_ready(), "woken to work, not to a close");
+                gate.recv().expect("test opens the gate");
+                while let Some(item) = q.pop() {
+                    drained_tx.send(item).expect("test listens");
+                }
+            })
+        };
+        await_parked(&q, (0, 1));
+        for i in 0..32u32 {
+            q.push(i, T1, 1, None).unwrap();
+            assert_eq!(q.parked(), (0, 0), "push {i} left a claim behind");
+        }
+        go.send(()).unwrap();
+        let got: Vec<u32> = (0..32).map(|_| drained.recv_timeout(STUCK).expect("item")).collect();
+        assert_eq!(got, (0..32).collect::<Vec<_>>());
+        await_parked(&q, (0, 1));
+        assert!(q.close().is_empty());
+        consumer.join().unwrap();
+    }
+
+    #[test]
+    fn two_pushes_wake_two_parked_consumers() {
+        let q = Arc::new(WfqQueue::new(4));
+        let (woke_tx, woke) = mpsc::channel();
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let (q, woke) = (Arc::clone(&q), woke_tx.clone());
+                thread::spawn(move || woke.send(q.pop()).expect("test listens"))
+            })
+            .collect();
+        await_parked(&q, (0, 2));
+        q.push(1, T1, 1, None).unwrap();
+        assert_eq!(q.parked(), (0, 1));
+        q.push(2, T1, 1, None).unwrap();
+        assert_eq!(q.parked(), (0, 0));
+        let mut got: Vec<_> =
+            (0..2).map(|_| woke.recv_timeout(STUCK).expect("each push woke its own")).collect();
+        got.sort_unstable();
+        assert_eq!(got, [Some(1), Some(2)]);
+        consumers.into_iter().for_each(|c| c.join().unwrap());
     }
 
     #[test]

@@ -17,13 +17,14 @@
 //! own buffers.
 //!
 //! Which thread carries a queued job is not part of that path. Every worker
-//! drains the one queue under a *serve token* of its own; a caller that
-//! reaches [`CallTicket::wait`] before its reply finds a token free and its
-//! own job at the fair head of the queue takes that token, pops that one job
-//! and runs it where it stands — the same `run_job_on`, every check and
-//! tally included — instead of parking until a worker has been scheduled to
-//! do exactly that. It never runs another caller's job and never runs its
-//! own out of dequeue order.
+//! drains the one queue under a *serve token* of its own and, with nothing
+//! queued, parks on the queue itself ([`WfqQueue::wait_ready`]) until a push
+//! claims its wake. A caller that reaches [`CallTicket::wait`] before its
+//! reply finds a token free and its own job at the fair head of the queue
+//! takes that token, pops that one job and runs it where it stands — the
+//! same `run_job_on`, every check and tally included — instead of parking
+//! until a worker has been scheduled to do exactly that. It never runs
+//! another caller's job and never runs its own out of dequeue order.
 //!
 //! Replicas exist because dispatch needs `&mut self` (handlers are
 //! `FnMut`): rather than serializing all clients on one server lock, each
@@ -61,7 +62,7 @@ use flexrpc_trace::{
 };
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{self, Arc, Condvar, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -266,93 +267,6 @@ impl CallTicket {
         // cell is only reused once that job has let go of it.
         self.yard.recycle(self.cell);
         reply.unwrap_or(Err(RpcError::DeadlineExceeded))
-    }
-}
-
-/// Wakes parked workers when work arrives on the queue.
-///
-/// Producers advance a sequence under the park mutex. Workers read the
-/// epoch (one atomic load per job) *before* looking at the queue and park
-/// only if it has not moved since, so a push that lands after the look can
-/// never be missed.
-///
-/// A wake is issued only to a parked worker no earlier bump already
-/// claimed: the mutex counts workers that parked and that no producer has
-/// yet paid a wake for, and `bump` takes one off that count before it
-/// notifies. A burst of M jobs onto N parked workers therefore costs
-/// min(N, M) `futex_wake`s, however long the woken workers take to be
-/// scheduled. (A count of waiters that falls only once the woken thread
-/// runs again cannot serve: every bump until then would pay a syscall that
-/// wakes nobody.)
-struct SubmitSignal {
-    /// Only advanced with `parked` held, so a parking worker's re-check and
-    /// a producer's bump are ordered by that mutex.
-    seq: AtomicU64,
-    /// Workers inside `wait_past` whose wake no bump has claimed yet
-    /// (never fewer than that; see `wait_past`).
-    parked: sync::Mutex<usize>,
-    ready: Condvar,
-}
-
-impl SubmitSignal {
-    fn new() -> SubmitSignal {
-        SubmitSignal { seq: AtomicU64::new(0), parked: sync::Mutex::new(0), ready: Condvar::new() }
-    }
-
-    /// Locks the count. Nothing that can panic runs under it, and a count
-    /// that errs high is harmless (see `wait_past`).
-    fn parked(&self) -> sync::MutexGuard<'_, usize> {
-        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn epoch(&self) -> u64 {
-        self.seq.load(Ordering::SeqCst)
-    }
-
-    /// One unit of work arrived: wake one parked worker, unless every
-    /// parked worker already has a wake on its way.
-    fn bump(&self) {
-        let mut parked = self.parked();
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        let claimed = *parked > 0;
-        if claimed {
-            *parked -= 1;
-        }
-        // Notify with the mutex released: the woken worker's first act is
-        // to take it, and it would only park again on a notifier that still
-        // held it (measured at 0.40 M → 0.23 M calls/s with four clients
-        // submitting pipelined batches).
-        drop(parked);
-        if claimed {
-            self.ready.notify_one();
-        }
-    }
-
-    /// Shutdown: every parked worker must wake to observe the close.
-    fn bump_all(&self) {
-        let mut parked = self.parked();
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        *parked = 0;
-        drop(parked);
-        self.ready.notify_all();
-    }
-
-    /// Parks until the epoch moves past `seen`.
-    fn wait_past(&self, seen: u64) {
-        let mut parked = self.parked();
-        while self.epoch() == seen {
-            // Counted per wait, not per call. A wake that finds the epoch
-            // unmoved is either spurious or a notify whose claim was made
-            // for a worker that parked earlier (the notifier drops the
-            // mutex first, so a later parker can intercept it); that
-            // worker sleeps on, uncounted, and counting again here is what
-            // keeps the total from falling below the workers actually
-            // parked. The count can only err high, which costs a later
-            // bump one `futex_wake` for nobody; erring low would leave a
-            // parked worker no bump ever wakes.
-            *parked += 1;
-            parked = self.ready.wait(parked).unwrap_or_else(PoisonError::into_inner);
-        }
     }
 }
 
@@ -665,7 +579,6 @@ impl EngineBuilder {
             clock,
             queue: Arc::new(WfqQueue::new(self.queue_depth)),
             serving,
-            signal: Arc::new(SubmitSignal::new()),
             workers: Mutex::new(Vec::new()),
             cache: ProgramCache::new(),
             services: RwLock::new(HashMap::new()),
@@ -696,31 +609,22 @@ impl EngineBuilder {
         let mut workers = engine.workers.lock();
         for own in 0..engine.workers_n {
             let queue = Arc::clone(&engine.queue);
-            let signal = Arc::clone(&engine.signal);
             let eng = Arc::downgrade(&engine);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("flexrpc-worker-{own}"))
-                    .spawn(move || loop {
-                        // Snapshot the signal epoch *before* looking at the
-                        // queue: a push landing after the look moves the
-                        // epoch, so the park below returns immediately —
-                        // no missed wakeup with single-worker notifies.
-                        let epoch = signal.epoch();
-                        // The handle is weak, so this thread never keeps a
-                        // dropped engine alive; it is upgraded once per
-                        // drain, not per job. If it is the last handle, its
-                        // drop runs `shutdown` here, after the drain.
-                        if !queue.is_empty() {
-                            if let Some(engine) = eng.upgrade() {
-                                engine.drain(own);
-                                continue;
-                            }
+                    .spawn(move || {
+                        // Parked on the queue's own consumer park until it
+                        // holds work; the pops come in `drain`, under the
+                        // serve token. The handle is weak, so this thread
+                        // never keeps a dropped engine alive; it is
+                        // upgraded once per drain, not per job. If it is
+                        // the last handle, its drop runs `shutdown` here,
+                        // after the drain.
+                        while queue.wait_ready() {
+                            let Some(engine) = eng.upgrade() else { return };
+                            engine.drain(own);
                         }
-                        if queue.is_closed() {
-                            return;
-                        }
-                        signal.wait_past(epoch);
                     })
                     .expect("worker thread spawns"),
             );
@@ -746,10 +650,11 @@ pub struct Engine {
     /// The clock again and the job-cell free list, as tickets hold them.
     yard: Arc<CellYard>,
     /// The one weighted-fair queue every worker drains, shared with the
-    /// worker threads, which look at it before they upgrade their handle.
+    /// worker threads, which park on it before they upgrade their handle.
     queue: Arc<WfqQueue<Job>>,
     /// One serve token per worker. Worker `i` holds token `i` from before
-    /// the first pop of a drain until the queue reads empty; a
+    /// the first pop of a drain until the queue reads empty (so an idle
+    /// worker waits on the queue with `wait_ready`, which pops nothing); a
     /// [`CallTicket::wait`] that would run its own job `try_lock`s any of
     /// them and gives up if every one is taken. So at most `workers` queued
     /// jobs run at once, each started in dequeue order, and a one-worker
@@ -758,9 +663,6 @@ pub struct Engine {
     /// What a token guards is its stripe of `calls_helped`, so a helped
     /// call pays no locked instruction to be counted.
     serving: Box<[Mutex<CounterStripe>]>,
-    /// Wakes parked workers on submission (one per parked worker, not one
-    /// per job and not the herd).
-    signal: Arc<SubmitSignal>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     cache: ProgramCache,
     services: RwLock<HashMap<String, Arc<Service>>>,
@@ -1057,8 +959,8 @@ impl Engine {
     /// Pushes one job onto its tenant's lane, honoring the tenant quota
     /// and the engine policy's aggregate high water. A shed is charged to
     /// the submitting tenant's own counter as well as the engine's. A
-    /// successful push bumps the submit signal, which wakes a parked worker
-    /// unless earlier bumps already woke every one.
+    /// successful push wakes a parked worker, unless earlier pushes already
+    /// claimed every parked worker's wake.
     fn push_job(&self, job: Job, adm: &Admission<'_>) -> Result<(), EngineError> {
         self.counters.job_enqueued();
         let pushed = match self.high_water {
@@ -1068,7 +970,6 @@ impl Engine {
         match pushed {
             Ok(()) => {
                 adm.tenant_metrics.admitted.inc();
-                self.signal.bump();
                 Ok(())
             }
             Err(WfqRefusal::Quota(_)) | Err(WfqRefusal::Full(_)) => {
@@ -1199,7 +1100,6 @@ impl Engine {
             self.counters.job_cancelled();
             job.cell.slot.fill(Err(RpcError::Cancelled));
         }
-        self.signal.bump_all();
         // A worker that upgraded its weak handle for a job can be the one
         // dropping the last `Arc<Engine>`, which lands here on that worker:
         // it cannot join itself (its handle is dropped instead; it exits as
@@ -1465,105 +1365,12 @@ mod tests {
     use flexrpc_core::ir::fileio_example;
     use flexrpc_marshal::WireFormat;
     use flexrpc_runtime::wire::AnyWriter;
-    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
     use std::thread;
     use std::time::Instant;
 
     /// How long a test waits for another thread before calling it stuck.
     const STUCK: Duration = Duration::from_secs(30);
-
-    /// Spins until `n` workers are parked and unclaimed. The count is the
-    /// rendezvous: a worker raises it with the mutex held and releases the
-    /// mutex only inside the condvar wait.
-    fn await_parked(signal: &SubmitSignal, n: usize) {
-        let start = Instant::now();
-        while *signal.parked() != n {
-            assert!(start.elapsed() < STUCK, "workers never parked");
-            thread::yield_now();
-        }
-    }
-
-    /// A thread that parks once on `signal` and reports when it wakes.
-    fn parker(signal: &Arc<SubmitSignal>, woke: &mpsc::Sender<()>) -> thread::JoinHandle<()> {
-        let (signal, woke) = (Arc::clone(signal), woke.clone());
-        let seen = signal.epoch();
-        thread::spawn(move || {
-            signal.wait_past(seen);
-            woke.send(()).expect("test listens");
-        })
-    }
-
-    #[test]
-    fn a_burst_claims_the_one_parked_worker_once_and_every_job_is_drained() {
-        let signal = Arc::new(SubmitSignal::new());
-        let queue = Arc::new(Mutex::new(VecDeque::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let (drained_tx, drained) = mpsc::channel();
-        // The engine worker's loop: epoch, scan, park.
-        let worker = {
-            let (signal, queue, stop) =
-                (Arc::clone(&signal), Arc::clone(&queue), Arc::clone(&stop));
-            thread::spawn(move || loop {
-                let epoch = signal.epoch();
-                let job: Option<u32> = queue.lock().pop_front();
-                if let Some(job) = job {
-                    drained_tx.send(job).expect("test listens");
-                } else if stop.load(Ordering::SeqCst) {
-                    return;
-                } else {
-                    signal.wait_past(epoch);
-                }
-            })
-        };
-        await_parked(&signal, 1);
-        {
-            // Holding the queue keeps the woken worker from draining and
-            // parking again, so the counts below are exact.
-            let mut q = queue.lock();
-            for job in 0..32u32 {
-                q.push_back(job);
-                signal.bump();
-                assert_eq!(*signal.parked(), 0, "bump {job} left a claim behind");
-            }
-        }
-        let got: Vec<u32> = (0..32).map(|_| drained.recv_timeout(STUCK).expect("job")).collect();
-        assert_eq!(got, (0..32).collect::<Vec<_>>());
-        await_parked(&signal, 1);
-        stop.store(true, Ordering::SeqCst);
-        signal.bump();
-        worker.join().expect("worker exits");
-    }
-
-    #[test]
-    fn two_bumps_wake_two_parked_workers() {
-        let signal = Arc::new(SubmitSignal::new());
-        let (woke_tx, woke) = mpsc::channel();
-        let parkers = [parker(&signal, &woke_tx), parker(&signal, &woke_tx)];
-        await_parked(&signal, 2);
-        signal.bump();
-        assert_eq!(*signal.parked(), 1);
-        signal.bump();
-        assert_eq!(*signal.parked(), 0);
-        for _ in 0..2 {
-            woke.recv_timeout(STUCK).expect("each bump woke a worker of its own");
-        }
-        parkers.into_iter().for_each(|p| p.join().expect("parker exits"));
-    }
-
-    #[test]
-    fn bump_all_wakes_every_parked_worker_and_zeroes_the_count() {
-        let signal = Arc::new(SubmitSignal::new());
-        let (woke_tx, woke) = mpsc::channel();
-        let parkers: Vec<_> = (0..3).map(|_| parker(&signal, &woke_tx)).collect();
-        await_parked(&signal, 3);
-        signal.bump_all();
-        assert_eq!(*signal.parked(), 0);
-        for _ in 0..3 {
-            woke.recv_timeout(STUCK).expect("shutdown wakes everyone");
-        }
-        parkers.into_iter().for_each(|p| p.join().expect("parker exits"));
-    }
 
     #[test]
     fn the_free_list_never_outgrows_the_queues() {

@@ -12,7 +12,8 @@
 //! * [`engine::Engine`] — **one weighted-fair queue** drained by a worker
 //!   pool, plus the service registry. Every worker drains the one
 //!   [`WfqQueue`](flexrpc_control::WfqQueue) under a serve token of its
-//!   own, so weighted-fair order holds across all workers. Blocking calls
+//!   own, so weighted-fair order holds across all workers, and an idle
+//!   worker parks on that queue's own consumer park. Blocking calls
 //!   with no deadline and no backlog dispatch **inline** on the caller's
 //!   thread (LRPC-style — no handoff at all), and a *queued* call whose
 //!   caller reaches [`engine::CallTicket::wait`] first runs there too, when

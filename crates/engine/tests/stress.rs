@@ -235,12 +235,15 @@ fn read_request(count: usize) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Liveness of the claimed submit wakeups: bursts smaller and larger than
+/// Liveness of the claimed worker wakeups: bursts smaller and larger than
 /// the worker count land on workers that have all had time to park, over
-/// and over. A wake skipped for a worker no earlier bump had claimed
+/// and over. A wake skipped for a worker no earlier push had claimed
 /// strands a queued job with everyone asleep, and its ticket never
-/// completes. Which bump meets which parked worker is timing, so this runs
-/// in both profiles (`scripts/ci.sh`).
+/// completes. The tickets are redeemed with a deadline wait, which never
+/// runs the call on the waiting thread: a plain `wait` would serve its own
+/// job whenever a serve token is free — always, with every worker parked —
+/// and no wake would be tested. Which push meets which parked worker is
+/// timing, so this runs in both profiles (`scripts/ci.sh`).
 #[test]
 fn bursts_onto_parked_workers_lose_no_wakeup() {
     const ROUNDS: u32 = 2_000;
@@ -264,7 +267,7 @@ fn bursts_onto_parked_workers_lose_no_wakeup() {
                 .map(|i| conns[(round as usize + i) % conns.len()].submit(read, &request, &[]))
                 .collect();
             for ticket in tickets {
-                ticket.expect("admitted").wait().expect("served");
+                ticket.expect("admitted").wait_until(Some(u64::MAX)).expect("served");
             }
             // Long enough for every worker to find the queues empty and park.
             std::thread::sleep(Duration::from_micros(50));
@@ -273,7 +276,9 @@ fn bursts_onto_parked_workers_lose_no_wakeup() {
     });
     done.recv_timeout(Duration::from_secs(120)).expect("a ticket never completed: lost wakeup");
     rounds.join().unwrap();
-    assert_eq!(engine.stats().in_flight, 0);
+    let stats = engine.stats();
+    assert_eq!(stats.in_flight, 0);
+    assert_eq!(stats.calls_helped, 0, "every job was a worker's, woken for it");
     engine.shutdown();
 }
 

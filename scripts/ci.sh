@@ -57,6 +57,12 @@ cmp target/report/BENCH_exact.json BENCH_exact.json
 # workspace) that reaches flexrpc only through public APIs. Build it, run
 # its tests and a very short pass of every workload here, so a public-API
 # change that stops it compiling fails CI rather than the next measurement.
+# Building it rewrites `benchmark/Cargo.lock` when a crate's dependencies
+# moved since the lock was committed; the committed lock is put back on exit,
+# so the run leaves the tree as it found it.
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
 echo "== benchmark: cargo test --release ==" >&2
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 echo "== benchmark: run.sh --smoke ==" >&2
