@@ -32,7 +32,7 @@ echo "== release re-runs: allocation audits, executor oracle, reply cache, hosti
 cargo test -q --release -p flexrpc-runtime --test zero_alloc --test fuse_differential # warm-call allocation budgets; executor vs oracle, in-place and spilled programs
 cargo test -q --release -p flexrpc-runtime --lib replycache # slab offsets: integer arithmetic that wraps silently in release
 cargo test -q --release --test sunrpc_hostile_frames # odd-length records against both servers and both clients
-cargo test -q --release --test link_faults --test sunrpc_procedures # the engine world's retries, one-way sends and duplicate shadows run on worker threads; one classification on every transport
+cargo test -q --release --test conformance --test sunrpc_procedures # the engine worlds' retries, one-way sends, duplicate shadows and stalled handlers run on worker threads; one outcome on every world
 cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_alloc --test cell_reuse # queued round trip, bind; admission facts read out of a recycled cell
 cargo test -q --release -p flexrpc-engine --lib slot # the interleaving sweeps: a fill racing a parking waiter lands in other bands in release
 cargo test -q --release -p flexrpc-engine --test stress --test robustness --test helping_wait # wakes, shutdown, helping guards
