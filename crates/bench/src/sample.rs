@@ -18,6 +18,14 @@
 //! inlines is charged to the function's own file, so the table says which
 //! piece of the program a call's time went to before the lines say why.
 //!
+//! Files and lines come from the object's DWARF line tables, which a
+//! release build leaves out by default: sampled as built, every sample of a
+//! release binary is `(outside the workspace)` and no line is listed. Build
+//! it with `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only` in the
+//! environment to get them — for `benchmark/`'s release binary, set on
+//! every `benchmark/run.sh` into a target directory of its own, so no build
+//! without the tables replaces it.
+//!
 //! Why a sampler beside instruction counts: an instruction that waits is
 //! invisible to a count. A load that spans two narrower stores still in the
 //! store buffer cannot be forwarded from them and waits for both to reach

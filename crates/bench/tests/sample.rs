@@ -27,6 +27,26 @@ fn spin_for_the_sampler(d: Duration) -> u64 {
     x
 }
 
+/// Whether the ELF object at `path` carries DWARF line tables — a
+/// `.debug_line` section, what `addr2line` names a frame's file from.
+fn has_line_tables(path: &str) -> bool {
+    let Ok(elf) = std::fs::read(path) else { return false };
+    let word = |at: usize, n: usize| -> Option<usize> {
+        let bytes = elf.get(at..at.checked_add(n)?)?;
+        Some(bytes.iter().rev().fold(0, |acc, b| acc << 8 | usize::from(*b)))
+    };
+    // Each section header's name, as an offset into the file.
+    let names = (|| {
+        let (shoff, size, count) = (word(0x28, 8)?, word(0x3A, 2)?, word(0x3C, 2)?);
+        let strtab = word(shoff + word(0x3E, 2)? * size + 0x18, 8)?;
+        (0..count).map(|i| Some(strtab + word(shoff + i * size, 4)?)).collect::<Option<Vec<_>>>()
+    })();
+    names
+        .into_iter()
+        .flatten()
+        .any(|at| elf.get(at..).is_some_and(|n| n.starts_with(b".debug_line\0")))
+}
+
 /// The child the sampler traces: this binary, re-run with this test alone.
 #[test]
 #[ignore = "the child process of `the_sampler_names_the_function_a_child_spins_in`"]
@@ -59,10 +79,11 @@ fn the_sampler_names_the_function_a_child_spins_in() {
     assert!(report.contains(want), "the report names it too");
 
     // By file: the spin is charged to this file, named from the root.
-    // Without `addr2line` no frame is known, and every sample is outside.
+    // Without `addr2line` no frame is known, and without line tables (a
+    // release build's default) no frame has a file: every sample is outside.
     let files = profile.by_file(root);
     let (file, n) = &files[0];
-    let want = if named { "tests/sample.rs" } else { OUTSIDE };
+    let want = if named && has_line_tables(&exe) { "tests/sample.rs" } else { OUTSIDE };
     assert_eq!(file, want, "{files:?}");
     assert!(2 * n > profile.total, "{file}: {n} of {} samples", profile.total);
     assert_eq!(files.iter().map(|(_, n)| n).sum::<u64>(), profile.total, "each sample once");

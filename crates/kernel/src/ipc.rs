@@ -22,6 +22,7 @@ use crate::task::TaskId;
 use crate::{Kernel, Result};
 use flexrpc_clock::Lost;
 use parking_lot::Mutex;
+use std::mem::take;
 use std::sync::Arc;
 
 /// Maximum body size accepted by the streamlined path.
@@ -48,6 +49,11 @@ pub struct MsgIn<'a> {
     pub body: &'a [u8],
     /// Port rights, already translated into the server's name table.
     pub rights: Vec<PortName>,
+    /// The connection's send window, empty, with the capacity earlier
+    /// replies left in it: a handler that builds its reply body here and
+    /// returns it as [`MsgOut::body`] allocates nothing once the window has
+    /// grown to its replies' size.
+    pub reply: Vec<u8>,
 }
 
 /// The reply produced by a server handler.
@@ -55,7 +61,9 @@ pub struct MsgIn<'a> {
 pub struct MsgOut {
     /// Inline register words returned to the caller.
     pub regs: [u64; MSG_REGS],
-    /// Reply body (server-side buffer; the kernel copies it to the client).
+    /// Reply body (server-side buffer; the kernel copies it to the client
+    /// and keeps the buffer as the connection's send window, which the
+    /// next call hands the handler as [`MsgIn::reply`]).
     pub body: Vec<u8>,
     /// Port rights to transfer, named in the server's table.
     pub rights: Vec<PortName>,
@@ -133,11 +141,20 @@ pub struct Connection {
 }
 
 /// What a call mutates, under the connection's one lock.
+///
+/// Both windows are bounded by [`MAX_BODY`]: a request over it is refused
+/// before the copy into `recv`, which grows only to the request it holds,
+/// and a reply buffer over it (a refused reply's among them) is dropped,
+/// not kept as `send`.
 struct ConnState {
     regs: RegisterFile,
     /// The server-side receive buffer for this connection, reused across
     /// calls (the streamlined path pre-registers receive windows).
     recv: Vec<u8>,
+    /// The server-side send buffer: handed to the handler, emptied, as
+    /// [`MsgIn::reply`], and taken back from [`MsgOut::body`] once the reply
+    /// is copied out. The lock around the call makes it this call's alone.
+    send: Vec<u8>,
     /// This connection's stripes of the kernel's counters, taken at bind:
     /// the lock makes the call their single writer.
     tallies: CallTallies,
@@ -168,6 +185,16 @@ impl std::fmt::Debug for Connection {
             .field("server", &self.server)
             .field("reg_ops", &self.reg_path.len())
             .finish_non_exhaustive()
+    }
+}
+
+/// Keeps a reply body the handler returned, emptied, as the next call's
+/// send window, unless it holds more than [`MAX_BODY`]: such a buffer is
+/// dropped, and the next handler starts from an empty window.
+fn keep_window(send: &mut Vec<u8>, mut body: Vec<u8>) {
+    if body.capacity() <= MAX_BODY {
+        body.clear();
+        *send = body;
     }
 }
 
@@ -230,6 +257,7 @@ impl Kernel {
             state: Mutex::new(ConnState {
                 regs: RegisterFile::default(),
                 recv: Vec::new(),
+                send: Vec::new(),
                 tallies: self.stats().call_tallies(),
             }),
         })
@@ -279,7 +307,7 @@ impl Kernel {
             return Err(KernelError::MsgTooLarge(body.len()));
         }
         let mut state = conn.state.lock();
-        let ConnState { regs: rf, recv, tallies } = &mut *state;
+        let ConnState { regs: rf, recv, send, tallies } = &mut *state;
         tallies.messages.add(1);
 
         // The kernel's fault gate: a lost message fails before any transfer
@@ -308,6 +336,7 @@ impl Kernel {
             body
         } else {
             recv.clear();
+            recv.reserve_exact(body.len());
             recv.extend_from_slice(body);
             tallies.bytes_copied_user_to_user.add(body.len() as u64);
             recv
@@ -324,10 +353,12 @@ impl Kernel {
             // travel only once — on the copy whose reply the caller
             // sees). Its reply is lost; a failure is the server's answer
             // to the duplicate, not to the call, so it is ignored too.
-            let dup = MsgIn { regs, body: served_body, rights: Vec::new() };
-            let _ = (conn.handler)(self, dup);
+            let dup = MsgIn { regs, body: served_body, rights: Vec::new(), reply: take(send) };
+            if let Ok(out) = (conn.handler)(self, dup) {
+                keep_window(send, out.body);
+            }
         }
-        let msg = MsgIn { regs, body: served_body, rights: server_rights };
+        let msg = MsgIn { regs, body: served_body, rights: server_rights, reply: take(send) };
         let out = (conn.handler)(self, msg).map_err(KernelError::ServerFailure)?;
 
         // Register half: reply path.
@@ -338,6 +369,7 @@ impl Kernel {
             // The connection was torn down between the handler completing
             // and the reply send: the server's work (and any reply-cache
             // entry) survives, but this caller never hears back.
+            keep_window(send, out.body);
             return Err(KernelError::ConnectionDead);
         }
 
@@ -345,16 +377,19 @@ impl Kernel {
             return Err(KernelError::MsgTooLarge(out.body.len()));
         }
 
-        // Translate reply rights into the client's name table.
+        // Translate reply rights into the client's name table; the reply
+        // travels only if they all do.
         let client_rights =
-            self.move_rights(conn.server, &out.rights, conn.client, conn.reply_name_mode, tallies)?;
+            self.move_rights(conn.server, &out.rights, conn.client, conn.reply_name_mode, tallies);
+        if client_rights.is_ok() {
+            // Single direct copy of the reply body back to the client.
+            reply_body.clear();
+            reply_body.extend_from_slice(&out.body);
+            tallies.bytes_copied_user_to_user.add(out.body.len() as u64);
+        }
+        keep_window(send, out.body);
 
-        // Single direct copy of the reply body back to the client.
-        reply_body.clear();
-        reply_body.extend_from_slice(&out.body);
-        tallies.bytes_copied_user_to_user.add(out.body.len() as u64);
-
-        Ok((out.regs, client_rights))
+        Ok((out.regs, client_rights?))
     }
 
     /// A message's rights, moved under one hold of the port table and
@@ -382,6 +417,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup_echo(
         server_opts: ServerOptions,
@@ -628,6 +664,69 @@ mod tests {
         k.faults().on_next_call(flexrpc_clock::Fault::Duplicate);
         assert_eq!(k.ipc_call(&conn, b"dup", &[]).unwrap().body, b"dup");
         assert_eq!(hits.load(std::sync::atomic::Ordering::SeqCst), 2);
+    }
+
+    /// A server that echoes into its send window and records the window's
+    /// capacity as it was handed over. A request starting `big` answers
+    /// with a body over [`MAX_BODY`]; one starting `bad` returns a right
+    /// its task does not hold, which fails to transfer.
+    fn window_probe() -> (std::sync::Arc<Kernel>, Connection, std::sync::Arc<AtomicUsize>) {
+        let k = Kernel::new();
+        let client = k.create_task("client", 64).unwrap();
+        let server = k.create_task("server", 64).unwrap();
+        let port = k.port_allocate(server).unwrap();
+        let handed = std::sync::Arc::new(AtomicUsize::new(usize::MAX));
+        let seen = std::sync::Arc::clone(&handed);
+        k.register_server(server, port, ServerOptions::default(), move |_k, m| {
+            seen.store(m.reply.capacity(), Ordering::SeqCst);
+            if m.body.starts_with(b"big") {
+                return Ok(MsgOut { regs: m.regs, body: vec![0; MAX_BODY + 1], rights: vec![] });
+            }
+            let rights = if m.body.starts_with(b"bad") { vec![PortName(999)] } else { vec![] };
+            let mut body = m.reply;
+            body.extend_from_slice(m.body);
+            Ok(MsgOut { regs: m.regs, body, rights })
+        })
+        .unwrap();
+        let send = k.extract_send_right(server, port, client).unwrap();
+        let conn = k.ipc_bind(client, send, BindOptions::default()).unwrap();
+        (k, conn, handed)
+    }
+
+    #[test]
+    fn an_oversized_reply_body_is_never_kept_as_the_send_window() {
+        let (k, conn, handed) = window_probe();
+        k.ipc_call(&conn, &[7; 64], &[]).unwrap();
+        let err = k.ipc_call(&conn, b"big", &[]).unwrap_err();
+        assert_eq!(err, KernelError::MsgTooLarge(MAX_BODY + 1));
+        k.ipc_call(&conn, &[7; 64], &[]).unwrap();
+        let cap = handed.load(Ordering::SeqCst);
+        assert!(cap <= MAX_BODY, "the window after a refused reply holds {cap} B");
+
+        // Nor is one whose call closed before the size check was reached.
+        k.faults().on_next_call(flexrpc_clock::Fault::Close);
+        assert_eq!(k.ipc_call(&conn, b"big", &[]).unwrap_err(), KernelError::ConnectionDead);
+        k.ipc_call(&conn, &[7; 64], &[]).unwrap();
+        let cap = handed.load(Ordering::SeqCst);
+        assert!(cap <= MAX_BODY, "the window after a closed oversized reply holds {cap} B");
+    }
+
+    #[test]
+    fn a_reply_lost_after_the_handler_still_returns_its_body_to_the_window() {
+        let (k, conn, handed) = window_probe();
+        // Closed between the handler and the reply send.
+        k.faults().on_next_call(flexrpc_clock::Fault::Close);
+        assert_eq!(k.ipc_call(&conn, &[1; 300], &[]).unwrap_err(), KernelError::ConnectionDead);
+        k.ipc_call(&conn, b"x", &[]).unwrap();
+        assert!(handed.load(Ordering::SeqCst) >= 300, "the closed call's body was kept");
+
+        // A reply right that fails to transfer fails the call.
+        let mut bad = b"bad".to_vec();
+        bad.resize(500, 0);
+        assert!(k.ipc_call(&conn, &bad, &[]).is_err());
+        let reply = k.ipc_call(&conn, b"y", &[]).unwrap();
+        assert!(handed.load(Ordering::SeqCst) >= 500, "the failed transfer's body was kept");
+        assert_eq!(reply.body, b"y", "a kept window starts empty");
     }
 
     #[test]

@@ -271,12 +271,15 @@ impl Transport for Loopback {
 pub struct KernelIpc {
     kernel: Arc<Kernel>,
     conn: Connection,
+    /// Where a one-way send's reply lands before it is thrown away, kept so
+    /// a warm send allocates none.
+    discarded: Vec<u8>,
 }
 
 impl KernelIpc {
     /// Wraps an established connection.
     pub fn new(kernel: Arc<Kernel>, conn: Connection) -> KernelIpc {
-        KernelIpc { kernel, conn }
+        KernelIpc { kernel, conn, discarded: Vec::new() }
     }
 }
 
@@ -336,8 +339,11 @@ impl Transport for KernelIpc {
         // reply is discarded — and, as on every transport, one whose loss
         // (a dropped message, a dead or closed connection) is silent: there
         // is no reply to miss.
-        let (mut reply, mut rights_out) = (Vec::new(), Vec::new());
-        match self.call_with(op, request, rights, &mut reply, &mut rights_out, ctl) {
+        let mut reply = std::mem::take(&mut self.discarded);
+        let outcome = self.call_with(op, request, rights, &mut reply, &mut Vec::new(), ctl);
+        reply.clear();
+        self.discarded = reply;
+        match outcome {
             Err(RpcError::Kernel(KernelError::Dropped | KernelError::ConnectionDead)) => Ok(()),
             outcome => outcome.map(|_| ()),
         }
@@ -354,7 +360,9 @@ impl Transport for KernelIpc {
 ///
 /// The server's wire-signature hash and presentation-derived attributes
 /// (trust of clients, `[nonunique]` name mode) become its half of the
-/// combination signature.
+/// combination signature. Each reply marshals into the calling
+/// connection's send window ([`MsgIn::reply`](flexrpc_kernel::ipc::MsgIn::reply)),
+/// so a warm call allocates only what the work function itself does.
 pub fn serve_on_kernel(
     kernel: &Arc<Kernel>,
     task: TaskId,
@@ -397,7 +405,9 @@ pub fn serve_on_kernel_direct(
             )
         });
         let rights: Vec<u32> = msg.rights.iter().map(|p| p.0).collect();
-        let mut reply = Vec::new();
+        // The reply marshals into the connection's send window, which the
+        // kernel takes back once it has copied the reply out.
+        let mut reply = msg.reply;
         let mut rights_out = Vec::new();
         let mut out_regs = msg.regs;
         match srv.lock().dispatch_tagged(

@@ -1,7 +1,8 @@
 //! The per-thread counting allocator every allocation audit in the
 //! workspace shares: this crate's `zero_alloc.rs` and the per-prefix bound
 //! in `fuse_differential.rs` declare `mod counting_alloc;`, the engine's
-//! `zero_alloc_wait.rs` and `bind_alloc.rs` include this file by `#[path]`.
+//! `zero_alloc_wait.rs` and `bind_alloc.rs` and the kernel's
+//! `send_window.rs` include this file by `#[path]`.
 //! Declaring the module installs it as that binary's global allocator.
 // Each binary uses its own part of this file.
 #![allow(dead_code)]
