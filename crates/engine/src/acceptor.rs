@@ -77,7 +77,7 @@ pub fn expose_on_net(
         for (xid, outcome) in outcomes {
             match outcome {
                 Outcome::Immediate(stat) => {
-                    sunrpc::encode_reply_gather_into(out, xid, stat, &[]);
+                    sunrpc::encode_refusal_into(out, xid, stat, exposure.vers);
                 }
                 Outcome::Pending(ticket) => match ticket.wait() {
                     Ok(reply) => sunrpc::encode_reply_gather_into(
@@ -87,7 +87,7 @@ pub fn expose_on_net(
                         &[&reply.body],
                     ),
                     Err(e) => match dispatch_stat(&e) {
-                        Some(stat) => sunrpc::encode_reply_gather_into(out, xid, stat, &[]),
+                        Some(stat) => sunrpc::encode_refusal_into(out, xid, stat, exposure.vers),
                         None => return Err(NetError::ServiceFailure),
                     },
                 },

@@ -787,7 +787,7 @@ impl Engine {
         rights_out.clear();
         let mut result = replica
             .server
-            .dispatch_tagged(d.op_index, d.request, d.rights, d.tag, reply, rights_out);
+            .dispatch_tagged(d.op_index, d.request, d.rights, d.tag, 0, reply, rights_out);
         let ok = result.is_ok();
         replica.served.add(1);
         replica.bytes_in.add(d.request.len() as u64);

@@ -50,6 +50,10 @@ pub struct MsgBuf {
     bytes_written: u64,
     /// Number of currently outstanding (unfilled) reserve windows.
     open_windows: usize,
+    /// Where the message starts in `data`: the bytes before it are a head
+    /// someone else writes (a transport's header room), and alignment is
+    /// counted from here.
+    origin: usize,
 }
 
 /// A reserved, not-yet-filled region inside a [`MsgBuf`].
@@ -93,20 +97,39 @@ impl MsgBuf {
     /// Creates an empty buffer with `cap` bytes preallocated.
     #[inline]
     pub fn with_capacity(cap: usize) -> Self {
-        MsgBuf { data: Vec::with_capacity(cap), bytes_written: 0, open_windows: 0 }
+        MsgBuf { data: Vec::with_capacity(cap), bytes_written: 0, open_windows: 0, origin: 0 }
     }
 
-    /// Wraps an already-encoded byte vector (e.g. one received from a
-    /// transport) so it can be inspected through the same accessors.
+    /// Reuses `data`'s allocation for a message that starts behind its
+    /// first `head` bytes: those are kept (zero-filled where `data` is
+    /// shorter), everything else is cleared, and the message's alignment
+    /// counts from `head`. A transport reserves its header room this way
+    /// and patches it once the message is sealed; `head` 0 is a cleared
+    /// buffer.
     #[inline]
-    pub(crate) fn from_vec(data: Vec<u8>) -> Self {
-        MsgBuf { data, bytes_written: 0, open_windows: 0 }
+    pub(crate) fn behind(mut data: Vec<u8>, head: usize) -> Self {
+        data.resize(head, 0);
+        MsgBuf { data, bytes_written: 0, open_windows: 0, origin: head }
     }
 
-    /// Current length of the message in bytes.
+    /// Current length of the buffer in bytes (a head included).
     #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
+    }
+
+    /// Current write offset from the start of the message (behind any
+    /// head): what alignment is counted from.
+    #[inline]
+    pub(crate) fn position(&self) -> usize {
+        self.data.len() - self.origin
+    }
+
+    /// Zero bytes that bring the write offset to a multiple of `align`.
+    #[inline]
+    fn pad_for(&self, align: usize) -> usize {
+        let at = self.position();
+        crate::align_up(at, align) - at
     }
 
     /// Returns `true` if no bytes have been written.
@@ -134,10 +157,10 @@ impl MsgBuf {
         self.bytes_written += bytes.len() as u64;
     }
 
-    /// Pads with zeros so the current length is a multiple of `align`.
+    /// Pads with zeros so the write offset is a multiple of `align`.
     #[inline]
     pub(crate) fn pad_to(&mut self, align: usize) {
-        let target = crate::align_up(self.data.len(), align);
+        let target = self.data.len() + self.pad_for(align);
         self.data.resize(target, 0);
     }
 
@@ -145,8 +168,7 @@ impl MsgBuf {
     /// [`MsgBuf::put_aligned_8`].
     #[inline]
     pub(crate) fn put_aligned_4(&mut self, bytes: [u8; 4]) {
-        let len = self.data.len();
-        let pad = crate::align_up(len, 4) - len;
+        let (len, pad) = (self.data.len(), self.pad_for(4));
         if self.data.capacity() - len >= 8 {
             let word = u64::from(u32::from_le_bytes(bytes)) << (8 * pad);
             self.data.extend_from_slice(&word.to_le_bytes());
@@ -170,8 +192,7 @@ impl MsgBuf {
     /// field alone.
     #[inline]
     pub(crate) fn put_aligned_8(&mut self, bytes: [u8; 8]) {
-        let len = self.data.len();
-        let pad = crate::align_up(len, 8) - len;
+        let (len, pad) = (self.data.len(), self.pad_for(8));
         if self.data.capacity() - len >= 16 {
             let word = u128::from(u64::from_le_bytes(bytes)) << (8 * pad);
             self.data.extend_from_slice(&word.to_le_bytes());
@@ -336,14 +357,14 @@ mod tests {
 
     #[test]
     fn sealing_into_trades_buffers_and_refuses_an_open_window() {
-        let mut m = MsgBuf::from_vec(Vec::with_capacity(32));
+        let mut m = MsgBuf::behind(Vec::with_capacity(32), 0);
         m.put_bytes(b"abc");
         let mut dst = Vec::with_capacity(8);
         m.seal_into(&mut dst).unwrap();
         assert_eq!((&dst[..], dst.capacity()), (&b"abc"[..], 32), "the message's own vector");
         assert_eq!(m.capacity(), 8, "and the writer holds the one it was given");
 
-        let mut m = MsgBuf::from_vec(Vec::with_capacity(32));
+        let mut m = MsgBuf::behind(Vec::with_capacity(32), 0);
         let _w = m.reserve_window(4);
         let err = m.seal_into(&mut dst).unwrap_err();
         assert!(matches!(err, MarshalError::WindowMisuse(_)));
@@ -423,19 +444,40 @@ mod tests {
         }
     }
 
+    /// A message behind a head is laid out as it is alone: the head is
+    /// kept, padding counts from the message start whatever the head's
+    /// length, and only the message's bytes count as written.
+    #[test]
+    fn a_message_behind_a_head_aligns_from_its_own_start() {
+        let encode = |m: &mut MsgBuf| {
+            m.put_bytes(&[0xEE]);
+            m.put_aligned_4([1, 2, 3, 4]);
+            m.put_aligned_8([5; 8]);
+            m.pad_to(8);
+        };
+        let mut alone = MsgBuf::new();
+        encode(&mut alone);
+        for head in [0usize, 1, 4, 28, 29] {
+            for cap in [0, 64] {
+                let mut buf = Vec::with_capacity(cap);
+                buf.extend_from_slice(&[0xAB; 3]);
+                let mut m = MsgBuf::behind(buf, head);
+                assert_eq!((m.len(), m.position()), (head, 0), "head {head}");
+                encode(&mut m);
+                let kept = head.min(3);
+                assert_eq!(&m.as_slice()[..kept], &[0xAB; 3][..kept], "head {head}: kept");
+                assert!(m.as_slice()[kept..head].iter().all(|&b| b == 0), "zero-filled");
+                assert_eq!(&m.as_slice()[head..], alone.as_slice(), "head {head}, cap {cap}");
+                assert_eq!(m.bytes_written(), alone.bytes_written());
+            }
+        }
+    }
+
     #[test]
     fn reserve_preallocates() {
         let mut m = MsgBuf::new();
         m.reserve(1024);
         assert!(m.capacity() >= 1024);
         assert_eq!(m.len(), 0);
-    }
-
-    #[test]
-    fn from_vec_wraps_without_copy_count() {
-        let m = MsgBuf::from_vec(vec![1, 2, 3]);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.bytes_written(), 0);
-        assert_eq!(m.as_slice(), [1, 2, 3]);
     }
 }

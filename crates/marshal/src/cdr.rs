@@ -108,10 +108,20 @@ impl CdrWriter {
     /// Creates a native-order encoder reusing `buf`'s allocation (cleared
     /// first) — lets steady-state stubs marshal without allocating.
     #[inline]
-    pub fn native_over(mut buf: Vec<u8>) -> Self {
-        buf.clear();
+    pub fn native_over(buf: Vec<u8>) -> Self {
+        Self::native_behind(buf, 0)
+    }
+
+    /// Creates a native-order encoder reusing `buf`'s allocation that
+    /// continues behind its first `head` bytes instead of clearing them
+    /// (see `MsgBuf::behind`): a transport's header room, patched once the
+    /// message is sealed. The message — order flag first — starts at
+    /// `head`, and alignment counts from there, so its bytes are the ones
+    /// it has alone whatever the head's length.
+    #[inline]
+    pub fn native_behind(buf: Vec<u8>, head: usize) -> Self {
         let order = ByteOrder::native();
-        let mut b = MsgBuf::from_vec(buf);
+        let mut b = MsgBuf::behind(buf, head);
         b.put_bytes(&[order.flag()]);
         CdrWriter { buf: b, order }
     }
@@ -206,7 +216,7 @@ impl CdrWriter {
     /// order flag, so fused blocks can select the matching phase layout).
     #[inline]
     pub fn position(&self) -> usize {
-        self.buf.len()
+        self.buf.position()
     }
 
     /// Ensures capacity for at least `additional` more bytes (presize).
@@ -541,5 +551,31 @@ mod tests {
         assert_eq!(&bytes[4..], &[4, 3, 2, 1]);
         let mut r = CdrReader::new(&bytes).unwrap();
         assert_eq!(r.get_u32().unwrap(), 0x01020304);
+    }
+
+    /// Behind a head of any length the message is the one written alone —
+    /// order flag, aligned fields, fused-block phase — and reads back from
+    /// its own start.
+    #[test]
+    fn a_message_behind_a_head_is_the_message_alone() {
+        let encode = |w: &mut CdrWriter| {
+            w.put_u32(7);
+            w.put_u64(0x0102_0304_0506_0708);
+            w.put_u8(1);
+            assert_eq!(w.position(), 17, "fused blocks pick their phase from here");
+            w.put_f64(2.5);
+            w.put_string("ok");
+        };
+        let mut alone = CdrWriter::native();
+        encode(&mut alone);
+        let alone = alone.into_bytes();
+        for head in [0usize, 4, 28] {
+            let mut w = CdrWriter::native_behind(vec![0xAB; 2], head);
+            encode(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(&bytes[head..], &alone[..], "head {head}");
+            let mut r = CdrReader::new(&bytes[head..]).unwrap();
+            assert_eq!((r.get_u32().unwrap(), r.get_u64().unwrap()), (7, 0x0102_0304_0506_0708));
+        }
     }
 }

@@ -52,9 +52,18 @@ impl XdrWriter {
 
     /// Creates an encoder reusing `buf`'s allocation (cleared first).
     #[inline]
-    pub fn over_vec(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        XdrWriter { buf: MsgBuf::from_vec(buf) }
+    pub fn over_vec(buf: Vec<u8>) -> Self {
+        Self::behind(buf, 0)
+    }
+
+    /// Creates an encoder reusing `buf`'s allocation that continues behind
+    /// its first `head` bytes instead of clearing them (see
+    /// `MsgBuf::behind`): a transport's header room, patched once the
+    /// message is sealed. XDR only appends whole words, so a head of whole
+    /// words leaves the encoding as it is alone.
+    #[inline]
+    pub fn behind(buf: Vec<u8>, head: usize) -> Self {
+        XdrWriter { buf: MsgBuf::behind(buf, head) }
     }
 
     /// Encodes an unsigned 32-bit integer.
@@ -145,7 +154,7 @@ impl XdrWriter {
     /// Current write offset from the start of the message.
     #[inline]
     pub fn position(&self) -> usize {
-        self.buf.len()
+        self.buf.position()
     }
 
     /// Ensures capacity for at least `additional` more bytes (presize).

@@ -4,7 +4,10 @@
 //! mark (so streams could be reassembled, as over TCP), then the standard
 //! call header — XID, message type, RPC version, program, version,
 //! procedure, and null credentials — then the XDR-encoded arguments the
-//! stub marshalled. Replies carry the XID, an accept status, and results.
+//! stub marshalled. Replies carry the XID, an accept status, and results
+//! (a `PROG_MISMATCH` refusal, the versions served). A server that
+//! marshals its results in place leaves [`REPLY_HDR_LEN`] bytes of room in
+//! front of them and seals the header there ([`seal_reply`]).
 
 use crate::NetError::Malformed;
 use crate::Result;
@@ -94,6 +97,9 @@ const CRED_AMO_LEN: u32 = 24;
 /// Reply header size after the record mark: XID, type, reply stat, null
 /// verifier (2 words), accept stat.
 const REPLY_HDR_WORDS: usize = 6;
+/// Bytes in front of a reply's results, record mark included: the room a
+/// server that marshals its results in place leaves for [`seal_reply`].
+pub const REPLY_HDR_LEN: usize = 4 + REPLY_HDR_WORDS * 4;
 
 /// Encodes a call message: record mark + header + `args`.
 pub fn encode_call(hdr: CallHeader, args: &[u8]) -> Vec<u8> {
@@ -168,7 +174,7 @@ pub fn encode_call_tagged_into(
 /// exact-size frame; see [`encode_call_tagged`] for the
 /// single-allocation/no-patch scheme.
 pub fn encode_reply(xid: u32, stat: AcceptStat, results: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + REPLY_HDR_WORDS * 4 + align_up4(results.len()));
+    let mut buf = Vec::with_capacity(REPLY_HDR_LEN + align_up4(results.len()));
     encode_reply_gather_into(&mut buf, xid, stat, &[results]);
     buf
 }
@@ -178,19 +184,54 @@ pub fn encode_reply(xid: u32, stat: AcceptStat, results: &[u8]) -> Vec<u8> {
 /// into one stream and sends it as a single message.
 pub fn encode_reply_gather_into(buf: &mut Vec<u8>, xid: u32, stat: AcceptStat, parts: &[&[u8]]) {
     let body: usize = parts.iter().map(|p| p.len()).sum();
-    let padded = align_up4(body);
-    let total = 4 + REPLY_HDR_WORDS * 4 + padded;
+    let total = REPLY_HDR_LEN + align_up4(body);
     let start = buf.len();
     buf.reserve(total);
-    let mark = LAST_FRAGMENT | (total - 4) as u32;
-    // MSG_ACCEPTED, then a null verifier, then the accept status.
-    for word in [mark, xid, REPLY, 0, 0, 0, stat.code()] {
-        buf.extend_from_slice(&word.to_be_bytes());
-    }
+    buf.extend_from_slice(&reply_header(total, xid, stat));
     for p in parts {
         buf.extend_from_slice(p);
     }
     buf.resize(start + total, 0);
+}
+
+/// Seals in place a reply whose results were marshalled behind
+/// [`REPLY_HDR_LEN`] bytes of room at the start of `frame`: pads the record
+/// to whole words and patches the record mark, XID and `stat` into the
+/// room. The frame is byte for byte what [`encode_reply_gather_into`]
+/// appends for the same results, and no byte of the results moved.
+///
+/// # Panics
+///
+/// If `frame` is shorter than the room.
+pub fn seal_reply(frame: &mut Vec<u8>, xid: u32, stat: AcceptStat) {
+    assert!(frame.len() >= REPLY_HDR_LEN, "a reply frame starts with its header room");
+    let total = align_up4(frame.len());
+    frame.resize(total, 0);
+    frame[..REPLY_HDR_LEN].copy_from_slice(&reply_header(total, xid, stat));
+}
+
+/// Appends the reply refusing call `xid` with `stat`, from a server that
+/// serves version `vers` of the program and no other: RFC 5531's
+/// `PROG_MISMATCH` carries the versions served, `mismatch_info { low, high }`,
+/// behind its status; every other refusal carries nothing.
+pub fn encode_refusal_into(buf: &mut Vec<u8>, xid: u32, stat: AcceptStat, vers: u32) {
+    let mut info = [0u8; 8];
+    info[..4].copy_from_slice(&vers.to_be_bytes());
+    info[4..].copy_from_slice(&vers.to_be_bytes());
+    let body: &[u8] = if stat == AcceptStat::ProgMismatch { &info } else { &[] };
+    encode_reply_gather_into(buf, xid, stat, &[body]);
+}
+
+/// The record mark and header of an accepted reply whose record is `total`
+/// bytes long, record mark included: `MSG_ACCEPTED`, then a null verifier,
+/// then the accept status.
+fn reply_header(total: usize, xid: u32, stat: AcceptStat) -> [u8; REPLY_HDR_LEN] {
+    let mark = LAST_FRAGMENT | (total - 4) as u32;
+    let mut hdr = [0u8; REPLY_HDR_LEN];
+    for (at, word) in hdr.chunks_exact_mut(4).zip([mark, xid, REPLY, 0, 0, 0, stat.code()]) {
+        at.copy_from_slice(&word.to_be_bytes());
+    }
+    hdr
 }
 
 /// The length a record mark declares for its record — calls, replies and
@@ -294,7 +335,8 @@ pub fn split_records(stream: &[u8]) -> Result<Vec<&[u8]>> {
     Ok(records)
 }
 
-/// Decodes a reply message, returning the XID, status, and result bytes.
+/// Decodes a reply message, returning the XID, status, and result bytes
+/// (what follows a `PROG_MISMATCH` status's version range).
 pub fn decode_reply(msg: &[u8]) -> Result<(u32, AcceptStat, &[u8])> {
     let mut r = open_record(msg)?;
     let xid = r.get_u32().map_err(|_| Malformed("truncated xid"))?;
@@ -310,6 +352,12 @@ pub fn decode_reply(msg: &[u8]) -> Result<(u32, AcceptStat, &[u8])> {
     let _verf_len = r.get_u32().map_err(|_| Malformed("truncated verifier"))?;
     let stat = AcceptStat::from_code(r.get_u32().map_err(|_| Malformed("truncated stat"))?)
         .ok_or(Malformed("unknown accept status"))?;
+    if stat == AcceptStat::ProgMismatch {
+        // `mismatch_info { low, high }`: the versions the server serves.
+        for _ in 0..2 {
+            r.get_u32().map_err(|_| Malformed("truncated mismatch info"))?;
+        }
+    }
     let results = &msg[r.position()..];
     Ok((xid, stat, results))
 }
@@ -396,10 +444,54 @@ mod tests {
             AcceptStat::GarbageArgs,
             AcceptStat::SystemErr,
         ] {
-            let msg = encode_reply(9, stat, &[]);
-            let (_, got, _) = decode_reply(&msg).unwrap();
-            assert_eq!(got, stat);
+            let mut msg = Vec::new();
+            encode_refusal_into(&mut msg, 9, stat, 2);
+            let (_, got, results) = decode_reply(&msg).unwrap();
+            assert_eq!((got, results), (stat, &[][..]));
+            if stat != AcceptStat::ProgMismatch {
+                assert_eq!(msg, encode_reply(9, stat, &[]), "{stat:?}: the status alone");
+            }
         }
+    }
+
+    /// RFC 5531: `PROG_MISMATCH` is followed by `mismatch_info { low, high }`
+    /// — mark + 8 words, as libtirpc's `xdr_replymsg` reads it — and a
+    /// reply cut anywhere inside that range is malformed, not a refusal.
+    #[test]
+    fn a_version_mismatch_carries_the_served_range() {
+        let mut msg = Vec::new();
+        encode_refusal_into(&mut msg, 9, AcceptStat::ProgMismatch, 3);
+        let words: Vec<u32> =
+            msg.chunks_exact(4).map(|w| u32::from_be_bytes(w.try_into().unwrap())).collect();
+        assert_eq!(words, [0x8000_0020, 9, REPLY, 0, 0, 0, 2, 3, 3]);
+        for cut in [4, 8] {
+            let mut short = msg[..msg.len() - cut].to_vec();
+            let mark = LAST_FRAGMENT | (short.len() - 4) as u32;
+            short[..4].copy_from_slice(&mark.to_be_bytes());
+            assert_eq!(decode_reply(&short).unwrap_err(), Malformed("truncated mismatch info"));
+        }
+    }
+
+    /// A reply marshalled behind the header room and sealed there is the
+    /// frame the gather encoder builds from the same results, at every pad
+    /// length, and its results did not move.
+    #[test]
+    fn a_reply_sealed_in_place_is_the_gathered_frame() {
+        for len in 0..9usize {
+            let results: Vec<u8> = (1..=len as u8).collect();
+            let mut frame = vec![0xEE; REPLY_HDR_LEN];
+            frame.extend_from_slice(&results);
+            let at = frame[REPLY_HDR_LEN..].as_ptr();
+            seal_reply(&mut frame, 41, AcceptStat::Success);
+            assert_eq!(frame, encode_reply(41, AcceptStat::Success, &results), "{len} bytes");
+            assert_eq!(frame[REPLY_HDR_LEN..].as_ptr(), at, "sealed where it was written");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "header room")]
+    fn sealing_a_frame_without_its_header_room_is_a_bug() {
+        seal_reply(&mut vec![0; REPLY_HDR_LEN - 4], 1, AcceptStat::Success);
     }
 
     #[test]

@@ -331,14 +331,18 @@ impl ReplyCache {
     /// into `reply`/`rights_out` (cleared first) and returns `true` — the
     /// handler must not run. An expired entry is evicted and misses.
     pub fn replay(&self, tag: CallTag, reply: &mut Vec<u8>, rights_out: &mut Vec<u32>) -> bool {
-        self.replay_hashed(self.hashed(tag), reply, rights_out)
+        self.replay_hashed(self.hashed(tag), 0, reply, rights_out)
     }
 
-    /// [`ReplyCache::replay`] for a tag already hashed.
+    /// [`ReplyCache::replay`] for a tag already hashed, the cached reply
+    /// written behind the first `head` bytes of `reply`, which a hit keeps
+    /// (zero-filled where `reply` is shorter) for the transport's header:
+    /// the bytes a dispatch behind the same head would have left.
     #[inline]
     pub(crate) fn replay_hashed(
         &self,
         tag: HashedTag,
+        head: usize,
         reply: &mut Vec<u8>,
         rights_out: &mut Vec<u32>,
     ) -> bool {
@@ -353,7 +357,7 @@ impl ReplyCache {
             self.entry_gauge.set(map.len() as u64);
             return false;
         }
-        reply.clear();
+        reply.resize(head, 0);
         reply.extend_from_slice(slabs.bytes(entry));
         rights_out.clear();
         rights_out.extend_from_slice(&entry.rights);
@@ -467,9 +471,28 @@ mod tests {
         assert!(cache.replay(charged, &mut r, &mut rr));
         assert_eq!(r, b"once");
         cache.record_hashed(cache.hashed(charged), b"twice", &[]);
-        assert!(cache.replay_hashed(cache.hashed(plain), &mut r, &mut rr));
+        assert!(cache.replay_hashed(cache.hashed(plain), 0, &mut r, &mut rr));
         assert_eq!(r, b"twice");
         assert_eq!(cache.stats().entries, 1, "one logical call, one entry");
+    }
+
+    /// A hit behind a head keeps the head's bytes (zero-filling a buffer
+    /// shorter than the head) and writes the cached reply after them; a
+    /// miss leaves the buffer as it was.
+    #[test]
+    fn a_replay_behind_a_head_keeps_the_head() {
+        let cache = ReplyCache::new(SimClock::new(), Duration::from_secs(1));
+        cache.record(tag(1, 0), b"body", &[3]);
+        let hit = cache.hashed(tag(1, 0));
+        let (mut r, mut rr) = (b"headstale".to_vec(), Vec::new());
+        assert!(cache.replay_hashed(hit, 4, &mut r, &mut rr));
+        assert_eq!((&r[..], &rr[..]), (&b"headbody"[..], &[3][..]));
+        let mut short = b"he".to_vec();
+        assert!(cache.replay_hashed(hit, 4, &mut short, &mut rr));
+        assert_eq!(short, b"he\0\0body");
+        let mut missed = b"kept".to_vec();
+        assert!(!cache.replay_hashed(cache.hashed(tag(2, 0)), 4, &mut missed, &mut rr));
+        assert_eq!(missed, b"kept");
     }
 
     /// A live tag re-recorded at the same instant keeps its one expiry

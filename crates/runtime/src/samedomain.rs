@@ -423,6 +423,27 @@ mod tests {
         assert_eq!(sd.stats().snapshot(), (1, 4, 0));
     }
 
+    /// A payload produced in place on a direct call is produced in the
+    /// caller's buffer, counted as the sink's one copy.
+    #[test]
+    fn a_payload_put_in_place_lands_in_the_callers_buffer() {
+        let server = vec![("read", "return", vec![Attr::DeallocNever])];
+        let client = vec![("read", "return", vec![Attr::AllocCaller])];
+        let (mut sd, mut frame) = bind(client, server, READ, |srv| {
+            srv.on("read", |call| {
+                call.sink.put_in_place(4, |dst| dst.copy_from_slice(b"made")).unwrap();
+                0
+            })
+            .unwrap()
+        });
+        frame[1] = Value::Bytes(Vec::with_capacity(8));
+        let ptr = frame[1].as_bytes().unwrap().as_ptr();
+        sd.call_index(READ, &mut frame).unwrap();
+        assert_eq!(frame[1].as_bytes().unwrap(), b"made");
+        assert_eq!(frame[1].as_bytes().unwrap().as_ptr(), ptr, "into the caller's buffer");
+        assert_eq!(sd.stats().snapshot(), (1, 4, 0));
+    }
+
     #[test]
     fn status_propagates() {
         let (mut sd, mut frame) =

@@ -74,6 +74,32 @@ impl ReplySink<'_> {
         Ok(())
     }
 
+    /// Writes the next sink payload, exactly `len` bytes, in place: `f`
+    /// fills them where they go — the reply message, or on a direct call
+    /// the caller's buffer or a donated one — so the payload is produced
+    /// in its final position, with no staging copy (the server side of a
+    /// `[special]` marshal routine).
+    pub fn put_in_place(&mut self, len: usize, f: impl FnOnce(&mut [u8])) -> Result<()> {
+        let k = self.claim()?;
+        match &mut self.to {
+            SinkTo::Wire(writer) => {
+                let win = writer.reserve_payload(len);
+                writer.fill_window_with(win, |dst| {
+                    f(dst);
+                    len
+                })?;
+            }
+            SinkTo::Direct { staged, stats, .. } => {
+                let fill = |b: &mut Vec<u8>| {
+                    b.resize(len, 0);
+                    f(b)
+                };
+                samedomain::put(&mut staged[k], len, fill, stats)
+            }
+        }
+        Ok(())
+    }
+
     /// Writes the next sink payload by gathering segments through `f` —
     /// used by the fbuf-backed pipe server to emit an aggregate's segments
     /// without first concatenating them. `total` must be the exact payload
@@ -320,11 +346,11 @@ pub struct ServerInterface {
     /// Per-op scratch, reused across dispatches.
     scratch: Vec<OpScratch>,
     /// At-most-once reply cache, consulted by [`ServerInterface::dispatch_tagged`]
-    /// when the transport delivers a call tag. `None` = at-least-once.
+    /// when the transport delivers a call tag. `None` = at-least-once. It
+    /// records a reply's body, never a transport's header room in front of
+    /// it. The server keeps no reply buffer of its own: every reply is
+    /// marshalled into the buffer its transport hands it.
     reply_cache: Option<std::sync::Arc<crate::replycache::ReplyCache>>,
-    /// The reply and rights [`ServerInterface::dispatch_kept`] marshals
-    /// into, kept across calls under whatever lock guards this server.
-    kept: (Vec<u8>, Vec<u32>),
 }
 
 /// What one operation keeps between its dispatches.
@@ -332,10 +358,11 @@ pub struct ServerInterface {
 struct OpScratch {
     /// The call frame, reset where it lives.
     frame: Vec<Value>,
-    /// Largest reply-buffer capacity this operation has reached — the
-    /// writer's starting capacity, so its steady-state replies marshal (and
-    /// presize-reserve) without reallocating, and a small reply is not
-    /// handed the room another operation's large one once needed.
+    /// Largest reply-buffer capacity this operation has reached, a
+    /// transport's header room included — the writer's starting capacity,
+    /// so its steady-state replies marshal (and presize-reserve) without
+    /// reallocating, and a small reply is not handed the room another
+    /// operation's large one once needed.
     reply_cap: usize,
 }
 
@@ -357,7 +384,6 @@ impl ServerInterface {
             hooks: vec![HookMap::new(); n],
             scratch: vec![OpScratch { frame: Vec::new(), reply_cap: 64 }; n],
             reply_cache: None,
-            kept: (Vec::new(), Vec::new()),
         }
     }
 
@@ -403,11 +429,29 @@ impl ServerInterface {
     ///
     /// `rights_in`/`rights_out` are the out-of-band port rights, already
     /// translated into this server's name space by the transport.
+    #[inline]
     pub fn dispatch(
         &mut self,
         op_index: usize,
         request: &[u8],
         rights_in: &[u32],
+        reply: &mut Vec<u8>,
+        rights_out: &mut Vec<u32>,
+    ) -> Result<()> {
+        self.dispatch_behind(op_index, request, rights_in, 0, reply, rights_out)
+    }
+
+    /// [`ServerInterface::dispatch`] with the reply marshalled behind the
+    /// first `head` bytes of `reply`, which it keeps (zero-filled where
+    /// `reply` is shorter): a transport's header room, which the transport
+    /// patches once the reply is sealed. The reply's layout does not depend
+    /// on `head`. A failed call leaves `reply` empty.
+    fn dispatch_behind(
+        &mut self,
+        op_index: usize,
+        request: &[u8],
+        rights_in: &[u32],
+        head: usize,
         reply: &mut Vec<u8>,
         rights_out: &mut Vec<u32>,
     ) -> Result<()> {
@@ -419,11 +463,14 @@ impl ServerInterface {
         // dispatch allocates nothing. The reply is sealed into `reply`, not
         // moved out of the writer, by whoever finished it — the reply
         // marshal, or this when the call failed before it — and a window a
-        // work function left open fails the call, not the thread.
+        // work function left open fails the call, not the thread. The buffer
+        // is grown to the capacity this op has reached, counted from what it
+        // keeps: `reserve` takes a length beyond `len`, so asking it for the
+        // capacity itself behind a head would double the buffer every call.
         let mut buf = std::mem::take(reply);
-        buf.clear();
-        buf.reserve(self.scratch[op_index].reply_cap);
-        let mut writer = AnyWriter::over(self.format, buf);
+        buf.truncate(head);
+        buf.reserve(self.scratch[op_index].reply_cap.saturating_sub(buf.len()));
+        let mut writer = AnyWriter::behind(self.format, buf, head);
         let result = match self.run_handler(op_index, request, rights_in, &mut writer) {
             Ok(()) => marshal_then_seal(
                 &self.compiled.ops[op_index].reply_marshal,
@@ -453,12 +500,19 @@ impl ServerInterface {
     /// cached reply without running the handler; a fresh call executes and
     /// records its reply. Untagged calls (or servers without a cache) fall
     /// through to plain at-least-once dispatch.
+    ///
+    /// The reply — executed or replayed — is written behind the first
+    /// `head` bytes of `reply`, which are kept for the transport to patch
+    /// its header into (0: no header room); the cache holds only what
+    /// follows them.
+    #[allow(clippy::too_many_arguments)] // `head` belongs beside `reply`, the buffer it is kept in
     pub fn dispatch_tagged(
         &mut self,
         op_index: usize,
         request: &[u8],
         rights_in: &[u32],
         tag: Option<crate::policy::CallTag>,
+        head: usize,
         reply: &mut Vec<u8>,
         rights_out: &mut Vec<u32>,
     ) -> Result<()> {
@@ -467,32 +521,15 @@ impl ServerInterface {
         // once, for the replay that misses and the record that follows.
         let hashed = tag.zip(self.reply_cache.as_ref()).map(|(tag, cache)| cache.hashed(tag));
         if let (Some(tag), Some(cache)) = (hashed, &self.reply_cache) {
-            if cache.replay_hashed(tag, reply, rights_out) {
+            if cache.replay_hashed(tag, head, reply, rights_out) {
                 return Ok(());
             }
         }
-        self.dispatch(op_index, request, rights_in, reply, rights_out)?;
+        self.dispatch_behind(op_index, request, rights_in, head, reply, rights_out)?;
         if let (Some(tag), Some(cache)) = (hashed, &self.reply_cache) {
-            cache.record_hashed(tag, reply, rights_out);
+            cache.record_hashed(tag, &reply[head..], rights_out);
         }
         Ok(())
-    }
-
-    /// [`ServerInterface::dispatch_tagged`] with no port rights in, into
-    /// the reply and rights buffers this server keeps, for a transport that
-    /// frames the reply somewhere else: returns the marshalled reply, valid
-    /// until the next dispatch. The rights a work function returns are
-    /// dropped — the transport has no way to carry them.
-    pub(crate) fn dispatch_kept(
-        &mut self,
-        op_index: usize,
-        request: &[u8],
-        tag: Option<crate::policy::CallTag>,
-    ) -> Result<&[u8]> {
-        let (mut reply, mut rights_out) = std::mem::take(&mut self.kept);
-        let result = self.dispatch_tagged(op_index, request, &[], tag, &mut reply, &mut rights_out);
-        self.kept = (reply, rights_out);
-        result.map(|()| self.kept.0.as_slice())
     }
 
     /// The request unmarshalled into this operation's frame, its work
@@ -701,6 +738,37 @@ mod tests {
         let ops = vec![OpAnnot { op: "read".into(), op_attrs: vec![], params: vec![never] }];
         let pres = apply_pdl(&m, iface, &base, &PdlFile { ops, ..PdlFile::default() }).unwrap();
         CompiledInterface::compile(&m, iface, &pres).unwrap()
+    }
+
+    /// A payload produced in place lands in the reply message itself,
+    /// where the sink's `put` would have copied it.
+    #[test]
+    fn a_payload_put_in_place_is_written_into_the_reply() {
+        let mut srv = ServerInterface::new(sink_mode(), WireFormat::Cdr);
+        let wrote = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let at = Arc::clone(&wrote);
+        srv.on("read", move |call| {
+            let count = call.u32("count").unwrap() as usize;
+            call.sink
+                .put_in_place(count, |dst| {
+                    at.store(dst.as_ptr() as usize, std::sync::atomic::Ordering::Relaxed);
+                    dst.fill(0x5A);
+                })
+                .unwrap();
+            assert!(call.sink.put(b"more").is_err(), "one sink payload");
+            0
+        })
+        .unwrap();
+        let mut w = AnyWriter::new(WireFormat::Cdr);
+        w.put_u32(6);
+        let request = w.into_bytes();
+        let (mut reply, mut rights) = (Vec::with_capacity(256), Vec::new());
+        srv.dispatch(0, &request, &[], &mut reply, &mut rights).unwrap();
+        let mut r = AnyReader::new(WireFormat::Cdr, &reply).unwrap();
+        let payload = r.get_bytes_borrowed().unwrap();
+        assert_eq!(payload, [0x5A; 6]);
+        assert_eq!(payload.as_ptr() as usize, wrote.load(std::sync::atomic::Ordering::Relaxed));
+        assert_eq!(r.get_u32().unwrap(), 0, "status");
     }
 
     /// A gather that emits fewer or more bytes than it declared fails its

@@ -139,7 +139,7 @@ impl Held {
             f(&mut srv.lock())
         }
         let mut dispatch = |srv: &mut ServerInterface| {
-            srv.dispatch_tagged(op.index, request, rights, ctl.tag, reply, rights_out)
+            srv.dispatch_tagged(op.index, request, rights, ctl.tag, 0, reply, rights_out)
         };
         match self {
             Held::Owned(srv) => dispatch(srv),
@@ -415,6 +415,7 @@ pub fn serve_on_kernel_direct(
             msg.body,
             &rights,
             tag,
+            0,
             &mut reply,
             &mut rights_out,
         ) {
@@ -506,8 +507,10 @@ impl Transport for SunRpc {
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
         self.encode_frame(xid, op, request, ctl);
-        // The server frames its reply directly into the caller's buffer —
-        // no re-copy; the body offset is computed from the decoded frame.
+        // `reply` is the buffer the server writes: it marshals the reply
+        // body there behind the header room and seals the header in place
+        // (`serve_on_net`), so the body the stub unmarshals is the one the
+        // server marshalled. The body offset comes from the decoded frame.
         self.link.call(&self.frame, reply)?;
         // The net charged wire time (and any induced stall) to the sim
         // clock; a reply landing past the deadline is a deadline miss.
@@ -601,11 +604,16 @@ pub fn dispatch_stat(e: &RpcError) -> Option<AcceptStat> {
 }
 
 /// Registers `server` as the Sun RPC service on `host`: decodes call
-/// frames, dispatches by procedure number, and frames each reply straight
-/// into the buffer the caller will read. The marshalled reply body is the
-/// server's own kept scratch ([`ServerInterface`] marshals it under the
-/// server's lock, the one lock a call takes here), so a warm call
-/// allocates nothing here.
+/// frames, dispatches by procedure number, and marshals each reply once,
+/// where it goes: `out`, the buffer the caller reads. The server leaves
+/// [`sunrpc::REPLY_HDR_LEN`] bytes of header room at the front of `out`,
+/// marshals the reply body behind it (a replay copies the cached body
+/// there), and [`sunrpc::seal_reply`] patches the record mark, XID and
+/// status into the room — no intermediate buffer, no second copy of the
+/// body. The one lock a call takes is the server's. A refusal is framed
+/// whole instead; `PROG_MISMATCH` names `vers` as the one version served.
+/// Port rights a work function returns are dropped: Sun RPC has no way to
+/// carry them.
 pub fn serve_on_net(
     net: &Arc<SimNet>,
     host: HostId,
@@ -618,22 +626,23 @@ pub fn serve_on_net(
         let tag = wire_tag.map(|(binding, seq, tenant)| {
             crate::policy::CallTag::for_tenant(binding, seq, crate::policy::TenantId(tenant))
         });
-        let mut respond = |stat, body: &[u8]| {
-            sunrpc::encode_reply_gather_into(out, hdr.xid, stat, &[body]);
-            Ok(())
-        };
         let mut srv = server.lock();
-        let op_index = match accept_call(srv.compiled(), &hdr, prog, vers) {
-            Ok(op_index) => op_index,
-            Err(refusal) => return respond(refusal, &[]),
+        let refusal = match accept_call(srv.compiled(), &hdr, prog, vers) {
+            Ok(op_index) => {
+                let head = sunrpc::REPLY_HDR_LEN;
+                match srv.dispatch_tagged(op_index, args, &[], tag, head, out, &mut Vec::new()) {
+                    Ok(()) => {
+                        sunrpc::seal_reply(out, hdr.xid, AcceptStat::Success);
+                        return Ok(());
+                    }
+                    Err(e) => dispatch_stat(&e).ok_or(NetError::ServiceFailure)?,
+                }
+            }
+            Err(refusal) => refusal,
         };
-        match srv.dispatch_kept(op_index, args, tag) {
-            Ok(reply) => respond(AcceptStat::Success, reply),
-            Err(e) => match dispatch_stat(&e) {
-                Some(stat) => respond(stat, &[]),
-                None => Err(NetError::ServiceFailure),
-            },
-        }
+        out.clear();
+        sunrpc::encode_refusal_into(out, hdr.xid, refusal, vers);
+        Ok(())
     })?;
     Ok(())
 }

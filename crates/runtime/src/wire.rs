@@ -360,9 +360,18 @@ impl AnyWriter {
     /// steady-state stub path allocates nothing.
     #[inline]
     pub fn over(format: WireFormat, buf: Vec<u8>) -> AnyWriter {
+        AnyWriter::behind(format, buf, 0)
+    }
+
+    /// Creates a writer reusing `buf`'s allocation that keeps its first
+    /// `head` bytes and writes the message behind them, laid out as it is
+    /// alone: a transport's header room, patched once the message is
+    /// sealed.
+    #[inline]
+    pub(crate) fn behind(format: WireFormat, buf: Vec<u8>, head: usize) -> AnyWriter {
         match format {
-            WireFormat::Xdr => AnyWriter::Xdr(XdrWriter::over_vec(buf)),
-            WireFormat::Cdr => AnyWriter::Cdr(CdrWriter::native_over(buf)),
+            WireFormat::Xdr => AnyWriter::Xdr(XdrWriter::behind(buf, head)),
+            WireFormat::Cdr => AnyWriter::Cdr(CdrWriter::native_behind(buf, head)),
         }
     }
 

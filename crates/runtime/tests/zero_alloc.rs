@@ -188,7 +188,7 @@ fn reply_cache_hit_allocates_nothing_when_warm() {
     // reply buffer to steady-state capacity.
     for _ in 0..16 {
         server
-            .dispatch_tagged(0, &request, &[], Some(tag), &mut reply, &mut rights_out)
+            .dispatch_tagged(0, &request, &[], Some(tag), 0, &mut reply, &mut rights_out)
             .expect("dispatch");
     }
     assert_eq!(cache.stats().executions, 1, "only the first dispatch ran the handler");
@@ -196,7 +196,7 @@ fn reply_cache_hit_allocates_nothing_when_warm() {
     let before = allocs();
     for _ in 0..100 {
         server
-            .dispatch_tagged(0, &request, &[], Some(tag), &mut reply, &mut rights_out)
+            .dispatch_tagged(0, &request, &[], Some(tag), 0, &mut reply, &mut rights_out)
             .expect("replay");
     }
     let delta = allocs() - before;
@@ -211,9 +211,10 @@ fn reply_cache_hit_allocates_nothing_when_warm() {
 /// but in a slab it fills in record order and reuses once the TTL has
 /// swept it, not in an allocation of its own. A retransmission of the same
 /// tag, answered by `replay`, runs no work function and records nothing,
-/// so it makes none. The call frame, the receive copy, the server's
-/// marshalled reply, the framed reply and the caller's result payload all
-/// live in buffers kept across calls.
+/// so it makes none. The call frame, the receive copy, the reply and the
+/// caller's result payload all live in buffers kept across calls; the
+/// reply the server marshals and the framed reply are one buffer, the
+/// caller's, which the server marshals into behind the header it seals.
 #[test]
 fn tagged_sunrpc_round_trip_allocates_only_what_it_keeps() {
     use flexrpc_core::ir::fileio_example;
@@ -283,6 +284,80 @@ fn tagged_sunrpc_round_trip_allocates_only_what_it_keeps() {
     assert_eq!(resent, 0, "{RESENT} retransmissions answered by replay allocated {resent} times");
     assert_eq!(cache.stats().suppressions, RESENT, "every retransmission was a cache hit");
     assert_eq!(frame[1], Value::Bytes(vec![0xAB; READ as usize]), "the replayed result");
+}
+
+/// The buffer a tagged Sun RPC reply is marshalled and framed in — the
+/// caller's — stops growing once warm: its capacity after 1,000 calls of
+/// the benchmark's sizes is its capacity after 10,000. The server grows it
+/// to the largest capacity the operation has reached, counted from behind
+/// the header room; asking `reserve` for that capacity *beyond* the room
+/// doubled it on every call.
+#[test]
+fn the_tagged_sunrpc_reply_buffer_stops_growing_once_warm() {
+    use flexrpc_core::ir::fileio_example;
+    use flexrpc_net::SimNet;
+    use flexrpc_runtime::policy::CallOptions;
+    use flexrpc_runtime::replycache::ReplyCache;
+    use flexrpc_runtime::transport::{serve_on_net, SunRpc};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// `SunRpc`, noting the reply buffer's capacity after every call.
+    struct Watched(SunRpc, Arc<AtomicUsize>);
+    impl Transport for Watched {
+        fn call_with(
+            &mut self,
+            op: &CompiledOp,
+            request: &[u8],
+            rights: &[u32],
+            reply: &mut Vec<u8>,
+            rights_out: &mut Vec<u32>,
+            ctl: &CallControl,
+        ) -> flexrpc_runtime::Result<usize> {
+            let body = self.0.call_with(op, request, rights, reply, rights_out, ctl);
+            self.1.store(reply.capacity(), Ordering::Relaxed);
+            body
+        }
+    }
+
+    let m = fileio_example();
+    let iface = m.interface("FileIO").expect("interface");
+    let pres = InterfacePresentation::default_for(&m, iface).expect("defaults");
+    let compiled = Arc::new(CompiledInterface::compile(&m, iface, &pres).expect("compiles"));
+    let net = SimNet::new();
+    let (client_host, server_host) = (net.add_host("client"), net.add_host("server"));
+    let mut server = ServerInterface::new_shared(Arc::clone(&compiled), WireFormat::Xdr);
+    server.set_reply_cache(ReplyCache::new(
+        Arc::clone(net.clock()),
+        std::time::Duration::from_secs(1),
+    ));
+    server
+        .on("read", |call| {
+            let count = call.u32("count").expect("count") as usize;
+            call.set("return", Value::Bytes(vec![0xAB; count])).expect("return");
+            0
+        })
+        .expect("registers");
+    serve_on_net(&net, server_host, Arc::new(parking_lot::Mutex::new(server)), 600_001, 1)
+        .expect("serves");
+    let capacity = Arc::new(AtomicUsize::new(0));
+    let transport = SunRpc::new(Arc::clone(&net), client_host, server_host, 600_001, 1);
+    let watched = Watched(transport, Arc::clone(&capacity));
+    let mut stub = ClientStub::new_shared(compiled, WireFormat::Xdr, Box::new(watched));
+    stub.enable_at_most_once();
+    let options = CallOptions::default();
+    let mut frame = stub.new_frame("read").expect("frame");
+    let mut calls = 0u32;
+    let mut warm_to = |n: u32| {
+        while calls < n {
+            frame[0] = Value::U32([512, 1024, 1536, 1021][calls as usize % 4]);
+            assert_eq!(stub.call_with("read", &mut frame, &options).expect("call"), 0);
+            calls += 1;
+        }
+        capacity.load(Ordering::Relaxed)
+    };
+    let warm = warm_to(1_000);
+    assert!(warm < 4 * 1536, "a 1,536 B read's frame fits in {warm} B of capacity");
+    assert_eq!(warm_to(10_000), warm, "the reply buffer grew between 1,000 and 10,000 calls");
 }
 
 /// FileIO under `server_pdl` (empty: the default presentation), shared.

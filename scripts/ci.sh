@@ -28,9 +28,10 @@ cargo test -q -p parking_lot -p proptest
 
 # Re-runs in the profile the benchmark measures in (inlining, elided
 # temporaries and thread timing all differ from debug):
-echo "== release re-runs: allocation audits, executor oracle, reply cache, hostile frames, fault matrix, engine timing, policy swaps, stripes, net, kernel, fault gate ==" >&2
+echo "== release re-runs: allocation audits, executor oracle, reply cache, reply framing, hostile frames, fault matrix, engine timing, policy swaps, stripes, net, kernel, fault gate ==" >&2
 cargo test -q --release -p flexrpc-runtime --test zero_alloc --test fuse_differential # warm-call allocation budgets; executor vs oracle, in-place and spilled programs
 cargo test -q --release -p flexrpc-runtime --lib replycache # slab offsets: integer arithmetic that wraps silently in release
+cargo test -q --release -p flexrpc-runtime --test reply_framing --test interop # a reply's head offset and patched record mark: length arithmetic that wraps silently in release
 cargo test -q --release --test sunrpc_hostile_frames # odd-length records against both servers and both clients
 cargo test -q --release --test conformance --test sunrpc_procedures # the engine worlds' retries, one-way sends, duplicate shadows and stalled handlers run on worker threads; one outcome on every world
 cargo test -q --release -p flexrpc-engine --test zero_alloc_wait --test bind_alloc --test cell_reuse # queued round trip, bind; admission facts read out of a recycled cell

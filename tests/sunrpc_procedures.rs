@@ -160,3 +160,37 @@ fn an_unnumbered_interface_still_dispatches_by_ordinal() {
     assert_eq!(fileio.call_both(ops as u32, 0), [AcceptStat::ProcUnavail; 2]);
     assert_eq!(fileio.ran.load(Ordering::SeqCst), 2 * ops as u64);
 }
+
+/// RFC 5531: a `PROG_MISMATCH` reply names the versions the server serves,
+/// `mismatch_info { low, high }`, behind its status — the record mark and
+/// eight words, which is what libtirpc's `xdr_replymsg` reads. Both servers
+/// used to stop after the status, six words, and that reply did not decode
+/// there. Both clients read the whole reply as the refusal it is.
+#[test]
+fn a_version_mismatch_names_the_served_version_on_both_servers() {
+    let fileio = serve_both_ways(fileio_example(), WireFormat::Cdr, 200001, 3);
+    let op = &fileio.compiled.ops[0];
+    let request = default_request(op, fileio.format);
+    let call = flexrpc::net::sunrpc::encode_call(
+        flexrpc::net::sunrpc::CallHeader { xid: 77, prog: 200001, vers: 4, proc: 0 },
+        &request,
+    );
+    for host in [fileio.plain, fileio.engine_host] {
+        let mut reply = Vec::new();
+        fileio.net.link(fileio.client, host).call(&call, &mut reply).expect("answers");
+        let words: Vec<u32> =
+            reply.chunks_exact(4).map(|w| u32::from_be_bytes(w.try_into().unwrap())).collect();
+        assert_eq!(words, [0x8000_0020, 77, 1, 0, 0, 0, 2, 3, 3], "{host:?}: mark + 8 words");
+    }
+
+    let mut transport =
+        SunRpc::new(Arc::clone(&fileio.net), fileio.client, fileio.plain, 200001, 4);
+    let (mut reply, mut rights) = (Vec::new(), Vec::new());
+    let refused = transport.call(op, &request, &[], &mut reply, &mut rights).unwrap_err();
+    assert_eq!(refused, RpcError::Net(NetError::Refused(AcceptStat::ProgMismatch)));
+    let mut pipeline =
+        SunRpcPipeline::new(Arc::clone(&fileio.net), fileio.client, fileio.engine_host, 200001, 4);
+    pipeline.submit(0, &request);
+    assert_eq!(pipeline.flush().expect("flushes")[0].0, AcceptStat::ProgMismatch);
+    assert_eq!(fileio.ran.load(Ordering::SeqCst), 0, "no handler ran");
+}
