@@ -400,7 +400,7 @@ fn run_fig10(_: &Ctx) -> Vec<Row> {
             // both fixed systems; elsewhere flexible ties the better one.
             let wins = !g.client_needs_buffer && g.server_modifies;
             bar_group(&g.label(), labels, &mut sides, wins, fig10::Runner::call, |r| {
-                r.stub_stats().0 + r.glue_copies.load(Ordering::Relaxed)
+                r.stub_stats().stub_copies + r.glue_copies.load(Ordering::Relaxed)
             })
         })
         .collect()
@@ -413,7 +413,7 @@ fn run_fig11(_: &Ctx) -> Vec<Row> {
         .flat_map(|g| {
             let mut sides = fig11::System::ALL.map(|s| fig11::Runner::new(s, g, fig11::PARAM_SIZE));
             bar_group(&g.label(), labels, &mut sides, false, fig11::Runner::call, |r| {
-                r.stub_stats().0
+                r.stub_stats().stub_copies
                     + r.client_glue_copies.load(Ordering::Relaxed)
                     + r.server_glue_copies.load(Ordering::Relaxed)
             })

@@ -14,7 +14,7 @@ use flexrpc_core::program::CompiledInterface;
 use flexrpc_core::value::Value;
 use flexrpc_marshal::WireFormat;
 use flexrpc_pipes::fileio_module;
-use flexrpc_runtime::samedomain::SameDomain;
+use flexrpc_runtime::samedomain::{SameDomain, SdSnapshot};
 use flexrpc_runtime::transport::Loopback;
 use flexrpc_runtime::{ClientStub, ServerInterface};
 use parking_lot::Mutex;
@@ -206,13 +206,12 @@ impl Runner {
         debug_assert_eq!(status, Ok(0));
     }
 
-    /// Stub copy counters `(copies, bytes, allocs)` of a direct call. A
-    /// marshalled call negotiates nothing: its copies are the marshal's,
-    /// which these do not count.
-    pub fn stub_stats(&self) -> (u64, u64, u64) {
+    /// Stub copy counters of a direct call. A marshalled call negotiates
+    /// nothing: its copies are the marshal's, which these do not count.
+    pub fn stub_stats(&self) -> SdSnapshot {
         match &self.path {
             Path::Direct(sd) => sd.stats().snapshot(),
-            Path::Marshalled(_) => (0, 0, 0),
+            Path::Marshalled(_) => SdSnapshot::default(),
         }
     }
 }
@@ -260,7 +259,7 @@ mod tests {
             for system in System::ALL {
                 let mut r = Runner::new(system, group, 256);
                 r.call();
-                let (stub_copies, _, _) = r.stub_stats();
+                let stub_copies = r.stub_stats().stub_copies;
                 let glue = r.glue_copies.load(Ordering::Relaxed);
                 let expect = match system {
                     System::FixedCopy => flexrpc_core::compat::in_fixed_costs(

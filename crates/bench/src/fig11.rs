@@ -15,7 +15,7 @@ use flexrpc_core::present::InterfacePresentation;
 use flexrpc_core::program::CompiledInterface;
 use flexrpc_core::value::Value;
 use flexrpc_pipes::fileio_module;
-use flexrpc_runtime::samedomain::SameDomain;
+use flexrpc_runtime::samedomain::{SameDomain, SdSnapshot};
 use flexrpc_runtime::ServerInterface;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -244,8 +244,8 @@ impl Runner {
         black_box(&self.client_buf);
     }
 
-    /// Stub copy counters `(copies, bytes, allocs)`.
-    pub fn stub_stats(&self) -> (u64, u64, u64) {
+    /// Stub copy counters.
+    pub fn stub_stats(&self) -> SdSnapshot {
         self.sd.stats().snapshot()
     }
 }
@@ -318,7 +318,7 @@ mod tests {
             for system in System::ALL {
                 let mut r = Runner::new(system, group, 256);
                 r.call();
-                let (stub, _, _) = r.stub_stats();
+                let stub = r.stub_stats().stub_copies;
                 let glue = r.client_glue_copies.load(Ordering::Relaxed)
                     + r.server_glue_copies.load(Ordering::Relaxed);
                 totals.push(stub + glue);

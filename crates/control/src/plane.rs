@@ -11,44 +11,32 @@
 
 use crate::policy::{Policy, PolicyHandle};
 use flexrpc_runtime::TenantId;
-use flexrpc_trace::{Counter, Histogram, MetricsRegistry};
+use flexrpc_trace::MetricsRegistry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Per-tenant observability: counter cells and the dwell histogram,
-/// adopted into every attached registry under `tenant.<id>.*` names.
-pub struct TenantMetrics {
-    /// Calls admitted to the queue.
-    pub admitted: Counter,
-    /// Calls shed against this tenant's own quota.
-    pub shed: Counter,
-    /// Calls dispatched to a worker.
-    pub served: Counter,
-    /// Calls expired in the queue (dwell or deadline).
-    pub expired: Counter,
-    /// Queue dwell per served call, sim-time nanoseconds (log2 buckets).
-    pub dwell_ns: Histogram,
-}
-
-impl TenantMetrics {
-    fn detached() -> TenantMetrics {
-        TenantMetrics {
-            admitted: Counter::detached(),
-            shed: Counter::detached(),
-            served: Counter::detached(),
-            expired: Counter::detached(),
-            dwell_ns: Histogram::detached(),
-        }
+flexrpc_trace::instruments! {
+    /// Per-tenant observability: counter cells and the dwell histogram,
+    /// adopted into every attached registry under `tenant.<id>.*` names.
+    pub struct TenantMetrics {
+        /// Calls admitted to the queue.
+        admitted: Counter = "admitted",
+        /// Calls shed against this tenant's own quota.
+        shed: Counter = "shed",
+        /// Calls dispatched to a worker.
+        served: Counter = "served",
+        /// Calls expired in the queue (dwell or deadline).
+        expired: Counter = "expired",
+        /// Policy swaps through the tenant's [`PolicyHandle`] (the handle's
+        /// own cell, shared).
+        policy_swaps: Counter = "policy_swaps",
+        /// Queue dwell per served call, sim-time nanoseconds (log2 buckets).
+        dwell_ns: Histogram = "dwell_ns",
     }
-
-    fn register_into(&self, tenant: TenantId, registry: &MetricsRegistry) {
-        registry.adopt_counter(&format!("tenant.{tenant}.admitted"), &self.admitted);
-        registry.adopt_counter(&format!("tenant.{tenant}.shed"), &self.shed);
-        registry.adopt_counter(&format!("tenant.{tenant}.served"), &self.served);
-        registry.adopt_counter(&format!("tenant.{tenant}.expired"), &self.expired);
-        registry.adopt_histogram(&format!("tenant.{tenant}.dwell_ns"), &self.dwell_ns);
-    }
+    /// A point-in-time copy of one tenant's counters.
+    #[derive(Eq)]
+    pub struct TenantSnapshot;
 }
 
 /// One tenant's live policy handle and metric cells, resolved together.
@@ -133,9 +121,7 @@ impl ControlPlane {
     pub fn attach_registry(&self, registry: &Arc<MetricsRegistry>) {
         let tenants = self.tenants.read();
         for (t, cells) in tenants.iter() {
-            cells.metrics.register_into(*t, registry);
-            registry
-                .adopt_counter(&format!("tenant.{t}.policy_swaps"), cells.handle.swap_counter());
+            cells.metrics.register_metrics_under(registry, &format!("tenant.{t}"));
         }
         drop(tenants);
         self.registries.lock().push(Arc::clone(registry));
@@ -153,10 +139,10 @@ impl ControlPlane {
             return cells.clone();
         }
         let handle = PolicyHandle::new(tenant, policy.unwrap_or_default());
-        let metrics = Arc::new(TenantMetrics::detached());
+        let policy_swaps = handle.swap_counter().clone();
+        let metrics = Arc::new(TenantMetrics { policy_swaps, ..TenantMetrics::default() });
         for registry in self.registries.lock().iter() {
-            metrics.register_into(tenant, registry);
-            registry.adopt_counter(&format!("tenant.{tenant}.policy_swaps"), handle.swap_counter());
+            metrics.register_metrics_under(registry, &format!("tenant.{tenant}"));
         }
         let cells = TenantCells { handle, metrics };
         tenants.insert(tenant, cells.clone());

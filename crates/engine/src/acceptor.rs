@@ -20,7 +20,7 @@ use crate::engine::{Call, CallTicket, ClientInfo, Engine, ReplicaPool};
 use crate::error::EngineError;
 use flexrpc_control::TenantCells;
 use flexrpc_core::program::CompiledInterface;
-use flexrpc_net::sunrpc::{self, AcceptStat, CallHeader};
+use flexrpc_net::sunrpc::{self, AcceptStat, AuthStat, CallHeader};
 use flexrpc_net::{HostId, Link, NetError, SimNet};
 use flexrpc_runtime::policy::CallTag;
 use flexrpc_runtime::transport::{accept_call, dispatch_stat};
@@ -62,10 +62,17 @@ pub fn expose_on_net(
         // before any reply is awaited, so one batch spreads across workers.
         let mut outcomes: Vec<(u32, Outcome)> = Vec::with_capacity(records.len());
         for record in records {
-            let (hdr, tag, args) = sunrpc::decode_call_tagged(record)?;
-            let tag = tag
-                .map(|(binding, seq, tenant)| CallTag::for_tenant(binding, seq, TenantId(tenant)));
-            outcomes.push((hdr.xid, exposure.submit_one(hdr, tag, args)));
+            let (hdr, credential, args) = sunrpc::decode_call_tagged(record)?;
+            let outcome = match credential {
+                Ok(tag) => {
+                    let tag = tag.map(|(binding, seq, tenant)| {
+                        CallTag::for_tenant(binding, seq, TenantId(tenant))
+                    });
+                    exposure.submit_one(hdr, tag, args)
+                }
+                Err(why) => Outcome::Denied(why),
+            };
+            outcomes.push((hdr.xid, outcome));
         }
         // Phase 2: await and re-frame. Waiting in submit order is fine —
         // execution already overlapped; XIDs let the client reorder freely.
@@ -79,6 +86,7 @@ pub fn expose_on_net(
                 Outcome::Immediate(stat) => {
                     sunrpc::encode_refusal_into(out, xid, stat, exposure.vers);
                 }
+                Outcome::Denied(why) => sunrpc::encode_denial_into(out, xid, why),
                 Outcome::Pending(ticket) => match ticket.wait() {
                     Ok(reply) => sunrpc::encode_reply_gather_into(
                         out,
@@ -101,6 +109,8 @@ pub fn expose_on_net(
 enum Outcome {
     /// Rejected before dispatch (wrong program/version/procedure).
     Immediate(AcceptStat),
+    /// Denied for its credential, before anything else was read.
+    Denied(AuthStat),
     /// Dispatched into the worker pool.
     Pending(CallTicket),
 }

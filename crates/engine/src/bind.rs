@@ -163,7 +163,7 @@ impl Engine {
                     bytes_out: self.counters.bytes_out.stripe(),
                     errors: self.counters.dispatch_errors.stripe(),
                     inline: self.counters.inline_calls.stripe(),
-                    dwell_ns: self.dwell_ns.stripe(),
+                    dwell_ns: self.counters.dwell_ns.stripe(),
                 })
             })
             .collect();

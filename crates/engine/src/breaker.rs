@@ -9,7 +9,6 @@
 //! deterministic [`SimClock`](flexrpc_clock::SimClock) time passed in by the engine, so breaker
 //! behavior is exactly reproducible in tests.
 
-use flexrpc_trace::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,17 +21,22 @@ enum State {
     HalfOpen,
 }
 
-/// Counters describing breaker activity, plus its current gate state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BreakerStats {
-    /// Closed/half-open → open transitions.
-    pub trips: u64,
-    /// Probes admitted while half-open.
-    pub probes: u64,
-    /// Half-open → closed transitions (probe succeeded).
-    pub recoveries: u64,
-    /// True while the breaker refuses admission.
-    pub open: bool,
+flexrpc_trace::instruments! {
+    /// The breaker's live counters, adopted under `breaker.*` names.
+    pub struct BreakerCounters {
+        /// Closed/half-open → open transitions.
+        trips: Counter = "breaker.trip",
+        /// Probes admitted while half-open.
+        probes: Counter = "breaker.probe",
+        /// Half-open → closed transitions (probe succeeded).
+        recoveries: Counter = "breaker.recovery",
+    }
+    /// Counters describing breaker activity, plus its current gate state.
+    #[derive(Eq)]
+    pub struct BreakerStats {
+        /// True while the breaker refuses admission.
+        open: bool,
+    }
 }
 
 /// A consecutive-failure circuit breaker with sim-time cooldown.
@@ -40,9 +44,7 @@ pub struct CircuitBreaker {
     threshold: u32,
     cooldown_ns: u64,
     state: Mutex<State>,
-    trips: Counter,
-    probes: Counter,
-    recoveries: Counter,
+    pub(crate) counters: BreakerCounters,
 }
 
 impl CircuitBreaker {
@@ -53,18 +55,8 @@ impl CircuitBreaker {
             threshold: threshold.max(1),
             cooldown_ns,
             state: Mutex::new(State::Closed { consecutive: 0 }),
-            trips: Counter::detached(),
-            probes: Counter::detached(),
-            recoveries: Counter::detached(),
+            counters: BreakerCounters::default(),
         }
-    }
-
-    /// Adopts the breaker's counters into `registry` as `breaker.trip`,
-    /// `breaker.probe`, and `breaker.recovery`.
-    pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.adopt_counter("breaker.trip", &self.trips);
-        registry.adopt_counter("breaker.probe", &self.probes);
-        registry.adopt_counter("breaker.recovery", &self.recoveries);
     }
 
     /// Admission gate: may a call proceed at sim time `now_ns`?
@@ -76,7 +68,7 @@ impl CircuitBreaker {
             State::Open { since } => {
                 if now_ns >= since.saturating_add(self.cooldown_ns) {
                     *state = State::HalfOpen;
-                    self.probes.inc();
+                    self.counters.probes.inc();
                     true
                 } else {
                     false
@@ -95,7 +87,7 @@ impl CircuitBreaker {
                 let consecutive = consecutive + 1;
                 if consecutive >= self.threshold {
                     *state = State::Open { since: now_ns };
-                    self.trips.inc();
+                    self.counters.trips.inc();
                 } else {
                     *state = State::Closed { consecutive };
                 }
@@ -104,11 +96,11 @@ impl CircuitBreaker {
             // restarts the cooldown from now).
             (State::HalfOpen, true) => {
                 *state = State::Closed { consecutive: 0 };
-                self.recoveries.inc();
+                self.counters.recoveries.inc();
             }
             (State::HalfOpen, false) => {
                 *state = State::Open { since: now_ns };
-                self.trips.inc();
+                self.counters.trips.inc();
             }
             // Late results from calls admitted before a trip: no-ops.
             (State::Open { .. }, _) => {}
@@ -126,12 +118,7 @@ impl CircuitBreaker {
 
     /// Point-in-time counters.
     pub fn stats(&self) -> BreakerStats {
-        BreakerStats {
-            trips: self.trips.get(),
-            probes: self.probes.get(),
-            recoveries: self.recoveries.get(),
-            open: !matches!(*self.state.lock(), State::Closed { .. }),
-        }
+        self.counters.snapshot(!matches!(*self.state.lock(), State::Closed { .. }))
     }
 }
 

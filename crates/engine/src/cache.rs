@@ -21,7 +21,6 @@
 use flexrpc_core::present::Trust;
 use flexrpc_core::program::CompiledInterface;
 use flexrpc_marshal::WireFormat;
-use flexrpc_trace::{Counter, MetricsRegistry};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,15 +43,21 @@ pub struct ProgramKey {
     pub format: WireFormat,
 }
 
-/// Cache statistics snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups satisfied by an existing compilation.
-    pub hits: u64,
-    /// Lookups that had to compile.
-    pub misses: u64,
-    /// Programs currently cached (== misses while nothing is evicted).
-    pub programs: usize,
+flexrpc_trace::instruments! {
+    /// The cache's live counters, adopted under `cache.*` names.
+    pub struct CacheCounters {
+        /// Lookups that found their program compiled, and hits counted
+        /// without a lookup by a caller already holding the program.
+        hits: Counter = "cache.hit",
+        /// Compilations performed, one per distinct combination.
+        misses: Counter = "cache.miss",
+    }
+    /// Cache statistics snapshot.
+    #[derive(Eq)]
+    pub struct CacheStats {
+        /// Programs currently cached (== misses while nothing is evicted).
+        programs: usize,
+    }
 }
 
 impl CacheStats {
@@ -71,11 +76,7 @@ impl CacheStats {
 #[derive(Default)]
 pub struct ProgramCache {
     programs: RwLock<HashMap<ProgramKey, Arc<CompiledInterface>>>,
-    /// `cache.hit`: lookups (and [`ProgramCache::count_hit`]s) that found
-    /// their program compiled.
-    hits: Counter,
-    /// `cache.miss`: compilations performed, one per distinct combination.
-    misses: Counter,
+    pub(crate) counters: CacheCounters,
 }
 
 impl ProgramCache {
@@ -118,7 +119,7 @@ impl ProgramCache {
         }
         let compiled = Arc::new(compile()?);
         programs.insert(key, Arc::clone(&compiled));
-        self.misses.inc();
+        self.counters.misses.inc();
         Ok((compiled, true))
     }
 
@@ -126,7 +127,7 @@ impl ProgramCache {
     /// the lookup would return (the engine's replica pool for a combination
     /// holds its program).
     pub(crate) fn count_hit(&self) {
-        self.hits.inc();
+        self.counters.hits.inc();
     }
 
     /// Looks up without compiling (and without counting hits or misses).
@@ -134,25 +135,14 @@ impl ProgramCache {
         self.programs.read().get(key).map(Arc::clone)
     }
 
-    /// Adopts the two counters into `registry` as `cache.hit` and
-    /// `cache.miss`.
-    pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.adopt_counter("cache.hit", &self.hits);
-        registry.adopt_counter("cache.miss", &self.misses);
-    }
-
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            programs: self.programs.read().len(),
-        }
+        self.counters.snapshot(self.programs.read().len())
     }
 
     /// Total compilations performed (one per distinct combination).
     pub fn compilations(&self) -> u64 {
-        self.misses.get()
+        self.counters.misses.get()
     }
 }
 

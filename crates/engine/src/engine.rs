@@ -57,9 +57,7 @@ use flexrpc_runtime::policy::{CallControl, CallOptions, CallTag, TenantId};
 use flexrpc_runtime::replycache::ReplyCache;
 use flexrpc_runtime::transport::Transport;
 use flexrpc_runtime::{RpcError, ServerInterface};
-use flexrpc_trace::{
-    Counter, CounterStripe, Histogram, HistogramStripe, MetricsRegistry, SharedCallTrace, Stage,
-};
+use flexrpc_trace::{CounterStripe, HistogramStripe, MetricsRegistry, SharedCallTrace, Stage};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -587,24 +585,20 @@ impl EngineBuilder {
             reply_cache,
             breaker,
             metrics: Arc::new(MetricsRegistry::new()),
-            dwell_ns: Histogram::detached(),
-            rebinds: Counter::detached(),
         });
         // The registry adopts every live counter the engine owns — its
         // own, the program cache's, the breaker's, the reply cache's, and
         // the control plane's per-tenant cells — so
         // `engine.metrics().snapshot()` and `engine.stats()` read the
         // same cells.
-        engine.counters.register_into(&engine.metrics);
-        engine.cache.register_metrics(&engine.metrics);
+        engine.counters.register_metrics(&engine.metrics);
+        engine.cache.counters.register_metrics(&engine.metrics);
         if let Some(b) = &engine.breaker {
-            b.register_metrics(&engine.metrics);
+            b.counters.register_metrics(&engine.metrics);
         }
         if let Some(c) = &engine.reply_cache {
             c.register_metrics(&engine.metrics);
         }
-        engine.metrics.adopt_histogram("engine.dwell_ns", &engine.dwell_ns);
-        engine.metrics.adopt_counter("engine.rebinds", &engine.rebinds);
         engine.control.attach_registry(&engine.metrics);
         let mut workers = engine.workers.lock();
         for own in 0..engine.workers_n {
@@ -679,10 +673,6 @@ pub struct Engine {
     /// plane's per-tenant cells, and the dwell histogram under stable
     /// dotted names.
     metrics: Arc<MetricsRegistry>,
-    /// Sim-time nanoseconds jobs spend queued before a worker starts them.
-    dwell_ns: Histogram,
-    /// Live connection rebinds ([`EngineConnection::rebind`]).
-    rebinds: Counter,
 }
 
 impl Engine {
@@ -1068,11 +1058,6 @@ impl Engine {
         &self.metrics
     }
 
-    /// Live connection rebinds performed on this engine.
-    pub fn rebind_count(&self) -> u64 {
-        self.rebinds.get()
-    }
-
     /// Point-in-time statistics, read from the cells the engine, its
     /// breaker and its reply cache hold — the same cells the registry
     /// adopted, so a [`MetricsRegistry`] snapshot can never disagree.
@@ -1244,7 +1229,7 @@ impl EngineConnection {
             self.trace.as_ref(),
         )?;
         *self.bind.write() = Binding { pool, shapes, policy: self.tenant.handle.cached() };
-        self.engine.rebinds.inc();
+        self.engine.counters.rebinds.inc();
         Ok(())
     }
 

@@ -395,24 +395,6 @@ fn concurrent_blocking_calls_all_run_inline_at_any_worker_count() {
     }
 }
 
-/// The `engine.*` counters of a stats snapshot under their registry names.
-fn engine_counters(s: &EngineStatsSnapshot) -> [(&'static str, u64); 12] {
-    [
-        ("engine.calls_served", s.calls_served),
-        ("engine.bytes_in", s.bytes_in),
-        ("engine.bytes_out", s.bytes_out),
-        ("engine.in_flight", s.in_flight),
-        ("engine.peak_in_flight", s.peak_in_flight),
-        ("engine.connections", s.connections),
-        ("engine.dispatch_errors", s.dispatch_errors),
-        ("engine.shed", s.calls_shed),
-        ("engine.cancelled", s.calls_cancelled),
-        ("engine.expired", s.deadline_expired),
-        ("engine.inline_calls", s.inline_calls),
-        ("engine.helped", s.calls_helped),
-    ]
-}
-
 /// The dispatch tallies are stripes, one set per replica per pool, written
 /// under the replica lock by whoever dispatches. Four blocking callers and
 /// a pipelined submitter drive two combinations (two pools) of a two-worker
@@ -514,7 +496,7 @@ fn dispatch_tallies_are_monotone_exact_and_outlive_their_pools() {
     assert_eq!(stats.cache.misses, 2, "two combinations, two pools");
     let registry = Arc::clone(engine.metrics());
     let snap = registry.snapshot();
-    for (name, value) in engine_counters(&stats) {
+    for (name, value) in stats.named() {
         assert_eq!(snap.counter(name), value, "{name}: registry vs stats()");
     }
     // A call ran inline or was admitted to the queue, and every run
@@ -528,7 +510,7 @@ fn dispatch_tallies_are_monotone_exact_and_outlive_their_pools() {
     // and their stripes die; the registry outlives them here.
     drop(Arc::try_unwrap(engine).expect("every connection is gone"));
     let after = registry.snapshot();
-    for (name, value) in engine_counters(&stats) {
+    for (name, value) in stats.named() {
         assert_eq!(after.counter(name), value, "{name}: dropped stripes fold, they do not vanish");
     }
     assert_eq!(after.histogram("engine.dwell_ns"), snap.histogram("engine.dwell_ns"));

@@ -25,7 +25,6 @@ use flexrpc_kernel::TaskId;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Errors from fbuf operations.
@@ -75,70 +74,25 @@ pub type Result<T> = core::result::Result<T, FbufError>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathId(usize);
 
-/// Counters for the copy-schedule assertions and bench reporting.
-#[derive(Debug, Default)]
-pub struct FbufStats {
-    /// Buffers handed out fresh (pool miss).
-    pub allocs: AtomicU64,
-    /// Buffers handed out from the pool.
-    pub recycles: AtomicU64,
-    /// First-access grants ("mappings") performed.
-    pub maps: AtomicU64,
-    /// Payload bytes written into fbufs.
-    pub bytes_written: AtomicU64,
-    /// Payload bytes read out of fbufs.
-    pub bytes_read: AtomicU64,
-    /// Aggregate splice operations.
-    pub splices: AtomicU64,
-}
-
-impl FbufStats {
-    fn add(c: &AtomicU64, n: u64) {
-        c.fetch_add(n, Ordering::Relaxed);
+flexrpc_trace::instruments! {
+    /// Counters for the copy-schedule assertions and bench reporting.
+    pub struct FbufStats {
+        /// Buffers handed out fresh (pool miss).
+        allocs: Counter = "fbufs.alloc",
+        /// Buffers handed out from the pool.
+        recycles: Counter = "fbufs.recycle",
+        /// First-access grants ("mappings") performed.
+        maps: Counter = "fbufs.map",
+        /// Payload bytes written into fbufs.
+        bytes_written: Counter = "fbufs.bytes_written",
+        /// Payload bytes read out of fbufs.
+        bytes_read: Counter = "fbufs.bytes_read",
+        /// Aggregate splice operations.
+        splices: Counter = "fbufs.splice",
     }
-
-    /// Snapshot for deltas.
-    pub fn snapshot(&self) -> FbufSnapshot {
-        FbufSnapshot {
-            allocs: self.allocs.load(Ordering::Relaxed),
-            recycles: self.recycles.load(Ordering::Relaxed),
-            maps: self.maps.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            splices: self.splices.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of [`FbufStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FbufSnapshot {
-    /// See [`FbufStats::allocs`].
-    pub allocs: u64,
-    /// See [`FbufStats::recycles`].
-    pub recycles: u64,
-    /// See [`FbufStats::maps`].
-    pub maps: u64,
-    /// See [`FbufStats::bytes_written`].
-    pub bytes_written: u64,
-    /// See [`FbufStats::bytes_read`].
-    pub bytes_read: u64,
-    /// See [`FbufStats::splices`].
-    pub splices: u64,
-}
-
-impl FbufSnapshot {
-    /// Deltas since `earlier`.
-    pub fn since(&self, earlier: &FbufSnapshot) -> FbufSnapshot {
-        FbufSnapshot {
-            allocs: self.allocs - earlier.allocs,
-            recycles: self.recycles - earlier.recycles,
-            maps: self.maps - earlier.maps,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-            splices: self.splices - earlier.splices,
-        }
-    }
+    /// Point-in-time copy of [`FbufStats`].
+    #[derive(Eq)]
+    pub struct FbufSnapshot;
 }
 
 struct PathState {
@@ -203,10 +157,10 @@ impl FbufSystem {
             false
         };
         let _ = recycled;
-        FbufStats::add(&self.stats.allocs, 1);
+        self.stats.allocs.inc();
         let mut mapped = HashSet::new();
         mapped.insert(origin);
-        FbufStats::add(&self.stats.maps, 1);
+        self.stats.maps.inc();
         Ok(Fbuf { path, origin, data, len: 0, mapped })
     }
 
@@ -217,7 +171,7 @@ impl FbufSystem {
         self.with_path(path, |st| {
             data.resize(st.buf_size, 0);
             st.pool.push(data);
-            FbufStats::add(&self.stats.recycles, 1);
+            self.stats.recycles.inc();
         })
     }
 
@@ -229,7 +183,7 @@ impl FbufSystem {
             return Err(FbufError::NotOnPath(domain));
         }
         if fbuf.mapped.insert(domain) {
-            FbufStats::add(&self.stats.maps, 1);
+            self.stats.maps.inc();
         }
         Ok(())
     }
@@ -246,7 +200,7 @@ impl FbufSystem {
         }
         fbuf.data[fbuf.len..fbuf.len + data.len()].copy_from_slice(data);
         fbuf.len += data.len();
-        FbufStats::add(&self.stats.bytes_written, data.len() as u64);
+        self.stats.bytes_written.add(data.len() as u64);
         Ok(())
     }
 
@@ -256,7 +210,7 @@ impl FbufSystem {
         if !fbuf.mapped.contains(&reader) {
             return Err(FbufError::NotOnPath(reader));
         }
-        FbufStats::add(&self.stats.bytes_read, fbuf.len as u64);
+        self.stats.bytes_read.add(fbuf.len as u64);
         Ok(&fbuf.data[..fbuf.len])
     }
 }
@@ -357,7 +311,7 @@ impl Aggregate {
     /// ranges come from parsing the same buffer).
     pub fn splice_range(&mut self, sys: &FbufSystem, fbuf: Fbuf, off: usize, len: usize) {
         assert!(off + len <= fbuf.len(), "splice range outside written bytes");
-        FbufStats::add(&sys.stats.splices, 1);
+        sys.stats.splices.inc();
         if len == 0 {
             // Nothing to keep; recycle immediately.
             let _ = sys.free(fbuf);
@@ -432,7 +386,7 @@ impl Aggregate {
                 remaining -= seg.len;
                 self.len -= seg.len;
                 out.len += seg.len;
-                FbufStats::add(&sys.stats.splices, 1);
+                sys.stats.splices.inc();
                 out.segments.push_back(seg);
             } else {
                 // Partial head: copy just that piece into a fresh fbuf.

@@ -100,7 +100,7 @@ impl Kernel {
             tasks: RwLock::new(Vec::new()),
             ports: Mutex::new(PortTable::new()),
             servers: Mutex::new(HashMap::new()),
-            stats: KernelStats::new(),
+            stats: KernelStats::default(),
             clock,
             faults: FaultInjector::new(),
         })

@@ -16,7 +16,6 @@
 //! experiment (§4.5, 32.4 µs → 24.7 µs in the paper) measures honest work.
 
 use crate::error::KernelError;
-use crate::stats::KernelStats;
 use crate::task::TaskId;
 use crate::{Kernel, Result};
 use std::collections::HashMap;
@@ -63,8 +62,8 @@ struct PortState {
 }
 
 /// What moving rights cost: the counts a transfer owes
-/// [`KernelStats::rights_transferred`] and
-/// [`KernelStats::name_table_probes`], gathered under the port-table lock
+/// [`crate::KernelStats::rights_transferred`] and
+/// [`crate::KernelStats::name_table_probes`], gathered under the port-table lock
 /// and published by the caller where it already holds a tally — a
 /// connection's stripes, or the shared cells for a bootstrap transfer.
 #[derive(Debug, Default, Clone, Copy)]
@@ -258,8 +257,8 @@ impl Kernel {
     /// Adds a transfer's counts to the shared cells: the transfers no
     /// connection carries (bootstrap, tests).
     fn publish_rights(&self, tally: RightsTally) {
-        KernelStats::add(&self.stats().rights_transferred, tally.transferred);
-        KernelStats::add(&self.stats().name_table_probes, tally.probes);
+        self.stats().rights_transferred.add(tally.transferred);
+        self.stats().name_table_probes.add(tally.probes);
     }
 
     /// True if `task` holds the receive right for the port named `name`.

@@ -10,7 +10,6 @@
 //! the moral equivalent of the MMU fault the real kernel would take.
 
 use crate::error::KernelError;
-use crate::stats::KernelStats;
 use crate::{Kernel, Result};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,7 +97,7 @@ impl Kernel {
         let mem = t.mem.lock();
         t.check(&mem, addr, dst.len())?;
         dst.copy_from_slice(&mem[addr.0..addr.0 + dst.len()]);
-        KernelStats::add(&self.stats().bytes_copied_in, dst.len() as u64);
+        self.stats().bytes_copied_in.add(dst.len() as u64);
         Ok(())
     }
 
@@ -116,7 +115,7 @@ impl Kernel {
         let mut mem = t.mem.lock();
         t.check(&mem, addr, src.len())?;
         mem[addr.0..addr.0 + src.len()].copy_from_slice(src);
-        KernelStats::add(&self.stats().bytes_copied_out, src.len() as u64);
+        self.stats().bytes_copied_out.add(src.len() as u64);
         Ok(())
     }
 
@@ -156,7 +155,7 @@ impl Kernel {
             dst_mem[to_addr.0..to_addr.0 + len]
                 .copy_from_slice(&src_mem[from_addr.0..from_addr.0 + len]);
         }
-        KernelStats::add(&self.stats().bytes_copied_user_to_user, len as u64);
+        self.stats().bytes_copied_user_to_user.add(len as u64);
         Ok(())
     }
 

@@ -53,7 +53,7 @@
 pub mod sunrpc;
 
 use flexrpc_clock::{Disconnect, FaultInjector, Lost, SimClock, Verdict};
-use flexrpc_trace::{Counter, CounterStripe, MetricsRegistry};
+use flexrpc_trace::{Counter, CounterStripe};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,6 +78,11 @@ pub enum NetError {
     /// version or procedure it does not serve, or arguments it cannot
     /// decode): deterministic, a resend is refused the same way.
     Refused(sunrpc::AcceptStat),
+    /// The Sun RPC server denied the call (`MSG_DENIED`): it does not
+    /// speak the call's RPC version, or refused its credential — as a server
+    /// to which the at-most-once credential is unknown refuses a tagged
+    /// call. Deterministic: a resend is denied the same way.
+    Denied(sunrpc::Denial),
     /// The message was lost in transit (induced by fault injection).
     /// Transient by construction: a retry sends a fresh message.
     Dropped,
@@ -99,6 +104,7 @@ impl fmt::Display for NetError {
             NetError::ServiceFailure => write!(f, "service failure: dispatch failed"),
             NetError::Malformed(why) => write!(f, "sunrpc protocol error: {why}"),
             NetError::Refused(stat) => write!(f, "call refused: {stat:?}"),
+            NetError::Denied(why) => write!(f, "call denied: {why:?}"),
             NetError::Dropped => write!(f, "message dropped in transit"),
             NetError::Disconnected(h, cause) => write!(f, "{h:?} disconnected: {cause:?}"),
             NetError::ReplyCount { sent, received } => {
@@ -152,31 +158,25 @@ impl Default for NetConfig {
     }
 }
 
-/// Wire-clock counters: registry-adoptable [`Counter`] handles, so a
-/// metrics plane can absorb them under `net.*` names
-/// ([`NetStats::register_metrics`]) while the network keeps updating the
-/// same cells. Each is published once per message, when the message ends:
-/// to the shared cell by [`SimNet::call`] / [`SimNet::send`], and by a
-/// [`Link`] to a stripe of its own, written with no locked instruction.
-/// Every read ([`Counter::get`], a registry snapshot) folds the live
-/// stripes in, and a dropped link's counts stay counted.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    /// Messages carried.
-    pub messages: Counter,
-    /// Packets charged.
-    pub packets: Counter,
-    /// Payload bytes carried.
-    pub bytes: Counter,
-}
-
-impl NetStats {
-    /// Adopts every counter into `registry` under its `net.*` name.
-    pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.adopt_counter("net.message", &self.messages);
-        registry.adopt_counter("net.packet", &self.packets);
-        registry.adopt_counter("net.bytes", &self.bytes);
+flexrpc_trace::instruments! {
+    /// Wire-clock counters, adopted by a metrics plane under `net.*` names
+    /// while the network keeps updating the same cells. Each is published
+    /// once per message, when the message ends: to the shared cell by
+    /// [`SimNet::call`] / [`SimNet::send`], and by a [`Link`] to a stripe of
+    /// its own, written with no locked instruction. Every read
+    /// ([`Counter::get`], a registry snapshot) folds the live stripes in,
+    /// and a dropped link's counts stay counted.
+    pub struct NetStats {
+        /// Messages carried.
+        messages: Counter = "net.message",
+        /// Packets charged.
+        packets: Counter = "net.packet",
+        /// Payload bytes carried.
+        bytes: Counter = "net.bytes",
     }
+    /// A point-in-time copy of [`NetStats`].
+    #[derive(Eq)]
+    pub struct NetSnapshot;
 }
 
 /// A service handler: consumes a request and writes its reply into the
@@ -972,7 +972,7 @@ mod tests {
         }
 
         let (net, c, s) = world();
-        let registry = MetricsRegistry::new();
+        let registry = flexrpc_trace::MetricsRegistry::new();
         net.stats().register_metrics(&registry);
         for size in calls {
             net.call(c, s, &vec![1; size], &mut reply).unwrap();
@@ -989,7 +989,7 @@ mod tests {
         let expected = ledger(&twin);
         assert_eq!(ledger(&net), expected, "messages, packets, bytes and wire time");
         let snapshot = registry.snapshot();
-        let named = ["net.message", "net.packet", "net.bytes"].map(|name| snapshot.counter(name));
+        let named = net.stats().snapshot().named().map(|(name, _)| snapshot.counter(name));
         assert_eq!(named, expected[..3], "the registry reads the folded totals");
         drop(live);
         assert_eq!(ledger(&net), expected, "a dropped link's counts stay counted");

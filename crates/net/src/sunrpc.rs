@@ -5,7 +5,9 @@
 //! call header — XID, message type, RPC version, program, version,
 //! procedure, and null credentials — then the XDR-encoded arguments the
 //! stub marshalled. Replies carry the XID, an accept status, and results
-//! (a `PROG_MISMATCH` refusal, the versions served). A server that
+//! (a `PROG_MISMATCH` refusal, the versions served); a call whose
+//! credential the server cannot check is denied (`MSG_DENIED`,
+//! [`encode_denial_into`]) instead of answered. A server that
 //! marshals its results in place leaves [`REPLY_HDR_LEN`] bytes of room in
 //! front of them and seals the header there ([`seal_reply`]).
 
@@ -23,6 +25,13 @@ const CALL: u32 = 0;
 const REPLY: u32 = 1;
 /// The only RPC protocol version RFC 1057 defines.
 const RPC_VERS: u32 = 2;
+/// Reply status: the call was accepted (and answered with an
+/// [`AcceptStat`]) or denied.
+const MSG_ACCEPTED: u32 = 0;
+const MSG_DENIED: u32 = 1;
+/// Reasons a call is denied.
+const RPC_MISMATCH: u32 = 0;
+const AUTH_ERROR: u32 = 1;
 /// The last-fragment bit of a record mark; the other 31 are the length.
 const LAST_FRAGMENT: u32 = 0x8000_0000;
 
@@ -68,6 +77,54 @@ impl AcceptStat {
             _ => return None,
         })
     }
+}
+
+/// RFC 5531 `auth_stat`: why a server refused a call's credential or
+/// verifier (`MSG_DENIED` / `AUTH_ERROR`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AuthStat {
+    /// `AUTH_BADCRED`: a credential of a known flavor that does not check.
+    BadCred = 1,
+    /// `AUTH_REJECTEDCRED`: the client must begin a new session. What
+    /// libtirpc's `_authenticate` answers for a flavor it does not know,
+    /// and what the servers here answer for any credential other than null
+    /// and the at-most-once tag, `AUTH_SYS` included.
+    RejectedCred = 2,
+    /// `AUTH_BADVERF`: a verifier that does not check.
+    BadVerf = 3,
+    /// `AUTH_REJECTEDVERF`: an expired or replayed verifier.
+    RejectedVerf = 4,
+    /// `AUTH_TOOWEAK`: rejected for security reasons.
+    TooWeak = 5,
+    /// `AUTH_INVALIDRESP`: a bogus response verifier.
+    InvalidResp = 6,
+    /// `AUTH_FAILED`: some unknown reason.
+    Failed = 7,
+}
+
+impl AuthStat {
+    fn from_code(v: u32) -> Option<AuthStat> {
+        use AuthStat::*;
+        [BadCred, RejectedCred, BadVerf, RejectedVerf, TooWeak, InvalidResp, Failed]
+            .into_iter()
+            .find(|s| *s as u32 == v)
+    }
+}
+
+/// Why a server denied a call (RFC 5531 `rejected_reply`), as a client
+/// decodes it from a `MSG_DENIED` reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Denial {
+    /// `RPC_MISMATCH`: the server speaks RPC protocol versions `low..=high`
+    /// only.
+    RpcMismatch {
+        /// Lowest version served.
+        low: u32,
+        /// Highest version served.
+        high: u32,
+    },
+    /// `AUTH_ERROR`: the credential or verifier was refused.
+    Auth(AuthStat),
 }
 
 /// A decoded call header.
@@ -222,13 +279,22 @@ pub fn encode_refusal_into(buf: &mut Vec<u8>, xid: u32, stat: AcceptStat, vers: 
     encode_reply_gather_into(buf, xid, stat, &[body]);
 }
 
+/// Appends the reply denying call `xid` for its credential: `MSG_DENIED`,
+/// `AUTH_ERROR`, then `why`. A denied reply has no verifier.
+pub fn encode_denial_into(buf: &mut Vec<u8>, xid: u32, why: AuthStat) {
+    for word in [LAST_FRAGMENT | 20, xid, REPLY, MSG_DENIED, AUTH_ERROR, why as u32] {
+        buf.extend_from_slice(&word.to_be_bytes());
+    }
+}
+
 /// The record mark and header of an accepted reply whose record is `total`
 /// bytes long, record mark included: `MSG_ACCEPTED`, then a null verifier,
 /// then the accept status.
 fn reply_header(total: usize, xid: u32, stat: AcceptStat) -> [u8; REPLY_HDR_LEN] {
     let mark = LAST_FRAGMENT | (total - 4) as u32;
     let mut hdr = [0u8; REPLY_HDR_LEN];
-    for (at, word) in hdr.chunks_exact_mut(4).zip([mark, xid, REPLY, 0, 0, 0, stat.code()]) {
+    let words = [mark, xid, REPLY, MSG_ACCEPTED, 0, 0, stat.code()];
+    for (at, word) in hdr.chunks_exact_mut(4).zip(words) {
         at.copy_from_slice(&word.to_be_bytes());
     }
     hdr
@@ -264,15 +330,21 @@ fn open_record(msg: &[u8]) -> Result<XdrReader<'_>> {
     Ok(r)
 }
 
-/// A decoded call: header, at-most-once tag `(binding id, sequence
-/// number, tenant id)` if the credential carries one, and the argument
-/// bytes.
-pub type TaggedCall<'a> = (CallHeader, Option<(u64, u64, u64)>, &'a [u8]);
+/// A decoded call: header, the credential's verdict — the at-most-once tag
+/// `(binding id, sequence number, tenant id)` if it carries one, or why the
+/// call is to be denied — and the argument bytes (none for a denied call).
+pub type TaggedCall<'a> = (CallHeader, CallCredential, &'a [u8]);
 
-/// Decodes a call message, returning the header, the at-most-once call
-/// tag `(binding id, sequence number, tenant id)` if the credential
-/// carries one, and the argument bytes. Any other credential — flavor or
-/// length — is refused.
+/// What a call's credential says: `Ok` with the at-most-once tag it
+/// carries, if any, or the [`AuthStat`] to deny the call with
+/// ([`encode_denial_into`]).
+pub type CallCredential = core::result::Result<Option<(u64, u64, u64)>, AuthStat>;
+
+/// Decodes a call message, returning the header, the credential's verdict
+/// and the argument bytes. The null credential and the at-most-once tag are
+/// accepted; a call with any other credential decodes as far as its
+/// header, to be denied: either flavor at another length is
+/// [`AuthStat::BadCred`], any other flavor [`AuthStat::RejectedCred`].
 pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
     let mut r = open_record(msg)?;
     let xid = r.get_u32().map_err(|_| Malformed("truncated xid"))?;
@@ -287,6 +359,7 @@ pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
     let prog = r.get_u32().map_err(|_| Malformed("truncated prog"))?;
     let vers = r.get_u32().map_err(|_| Malformed("truncated vers"))?;
     let proc = r.get_u32().map_err(|_| Malformed("truncated proc"))?;
+    let header = CallHeader { xid, prog, vers, proc };
     let cred_flavor = r.get_u32().map_err(|_| Malformed("truncated credentials"))?;
     let cred_len = r.get_u32().map_err(|_| Malformed("truncated credentials"))?;
     let tag = match (cred_flavor, cred_len) {
@@ -297,7 +370,8 @@ pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
             let tenant = r.get_u64().map_err(|_| Malformed("truncated call tag"))?;
             Some((binding, seq, tenant))
         }
-        _ => return Err(Malformed("unsupported credential flavor")),
+        (0 | CRED_FLAVOR_AMO, _) => return Ok((header, Err(AuthStat::BadCred), &[])),
+        _ => return Ok((header, Err(AuthStat::RejectedCred), &[])),
     };
     for non_null in ["non-null verf flavor not supported", "non-null verf length not supported"] {
         if r.get_u32().map_err(|_| Malformed("truncated verifier"))? != 0 {
@@ -306,7 +380,7 @@ pub fn decode_call_tagged(msg: &[u8]) -> Result<TaggedCall<'_>> {
     }
     // The rest of the record: whole words, as `open_record` checked.
     let args = &msg[r.position()..];
-    Ok((CallHeader { xid, prog, vers, proc }, tag, args))
+    Ok((header, Ok(tag), args))
 }
 
 /// Splits a stream of concatenated record-marked messages into individual
@@ -336,7 +410,8 @@ pub fn split_records(stream: &[u8]) -> Result<Vec<&[u8]>> {
 }
 
 /// Decodes a reply message, returning the XID, status, and result bytes
-/// (what follows a `PROG_MISMATCH` status's version range).
+/// (what follows a `PROG_MISMATCH` status's version range). A denied call
+/// is [`NetError::Denied`](crate::NetError::Denied), with its reason.
 pub fn decode_reply(msg: &[u8]) -> Result<(u32, AcceptStat, &[u8])> {
     let mut r = open_record(msg)?;
     let xid = r.get_u32().map_err(|_| Malformed("truncated xid"))?;
@@ -344,9 +419,10 @@ pub fn decode_reply(msg: &[u8]) -> Result<(u32, AcceptStat, &[u8])> {
     if mtype != REPLY {
         return Err(Malformed("expected a reply message"));
     }
-    let replystat = r.get_u32().map_err(|_| Malformed("truncated reply stat"))?;
-    if replystat != 0 {
-        return Err(Malformed("call rejected"));
+    match r.get_u32().map_err(|_| Malformed("truncated reply stat"))? {
+        MSG_ACCEPTED => {}
+        MSG_DENIED => return Err(crate::NetError::Denied(decode_denial(&mut r)?)),
+        _ => return Err(Malformed("unknown reply status")),
     }
     let _verf_flavor = r.get_u32().map_err(|_| Malformed("truncated verifier"))?;
     let _verf_len = r.get_u32().map_err(|_| Malformed("truncated verifier"))?;
@@ -360,6 +436,18 @@ pub fn decode_reply(msg: &[u8]) -> Result<(u32, AcceptStat, &[u8])> {
     }
     let results = &msg[r.position()..];
     Ok((xid, stat, results))
+}
+
+/// The body of a `MSG_DENIED` reply: the reason and what it carries.
+fn decode_denial(r: &mut XdrReader<'_>) -> Result<Denial> {
+    let mut word = || r.get_u32().map_err(|_| Malformed("truncated denial"));
+    match word()? {
+        RPC_MISMATCH => Ok(Denial::RpcMismatch { low: word()?, high: word()? }),
+        AUTH_ERROR => {
+            AuthStat::from_code(word()?).map(Denial::Auth).ok_or(Malformed("unknown auth status"))
+        }
+        _ => Err(Malformed("unknown reject status")),
+    }
 }
 
 #[cfg(test)]
@@ -594,15 +682,15 @@ mod tests {
         let msg = encode_call_tagged(hdr, Some((0xDEAD_BEEF_0000_0001, 42, 7)), &[b"payload"]);
         let (got, tag, args) = decode_call_tagged(&msg).unwrap();
         assert_eq!(got, hdr);
-        assert_eq!(tag, Some((0xDEAD_BEEF_0000_0001, 42, 7)));
+        assert_eq!(tag, Ok(Some((0xDEAD_BEEF_0000_0001, 42, 7))));
         assert_eq!(&args[..7], b"payload");
     }
 
     #[test]
-    fn legacy_16_byte_credential_is_an_unsupported_flavor() {
+    fn legacy_16_byte_credential_is_a_bad_credential() {
         let hdr = CallHeader { xid: 9, prog: 100003, vers: 2, proc: 1 };
         // Hand-build a pre-tenancy frame: flavor FLRP, 16-byte body. No
-        // encoder emits it; it is refused like any other unknown length.
+        // encoder emits it; it is denied like any other unknown length.
         let body = b"payload";
         let padded = body.len().next_multiple_of(4);
         let total = 4 + (10 + 4) * 4 + padded;
@@ -618,10 +706,7 @@ mod tests {
         msg.extend_from_slice(&[0u8; 8]); // Null verifier.
         msg.extend_from_slice(body);
         msg.resize(total, 0);
-        assert_eq!(
-            decode_call_tagged(&msg).unwrap_err(),
-            Malformed("unsupported credential flavor")
-        );
+        assert_eq!(decode_call_tagged(&msg).unwrap(), (hdr, Err(AuthStat::BadCred), &[][..]));
     }
 
     #[test]
@@ -629,17 +714,42 @@ mod tests {
         let hdr = CallHeader { xid: 3, prog: 7, vers: 1, proc: 2 };
         assert_eq!(encode_call_tagged(hdr, None, &[b"abc"]), encode_call(hdr, b"abc"));
         let (_, tag, _) = decode_call_tagged(&encode_call(hdr, b"abc")).unwrap();
-        assert_eq!(tag, None);
+        assert_eq!(tag, Ok(None));
     }
 
     #[test]
-    fn unknown_credential_flavor_still_rejected() {
+    fn an_unknown_credential_flavor_is_denied_as_rejected() {
         let hdr = CallHeader { xid: 1, prog: 2, vers: 3, proc: 4 };
         let mut msg = encode_call(hdr, &[]);
         // Patch the cred flavor word (offset: mark + 6 header words).
         let off = 4 + 6 * 4;
         msg[off..off + 4].copy_from_slice(&0x1234_5678u32.to_be_bytes());
-        assert!(decode_call(&msg).is_err());
+        assert_eq!(decode_call_tagged(&msg).unwrap(), (hdr, Err(AuthStat::RejectedCred), &[][..]));
+    }
+
+    /// RFC 5531's `rejected_reply`: both reasons decode typed, and what
+    /// [`encode_denial_into`] frames is the `AUTH_ERROR` one.
+    #[test]
+    fn denied_replies_decode_typed() {
+        let mut denial = Vec::new();
+        encode_denial_into(&mut denial, 5, AuthStat::RejectedCred);
+        let words = [0x8000_0014, 5, REPLY, MSG_DENIED, AUTH_ERROR, 2];
+        assert_eq!(denial, words.iter().flat_map(|w: &u32| w.to_be_bytes()).collect::<Vec<_>>());
+        let denied = |why| Err(crate::NetError::Denied(why));
+        assert_eq!(decode_reply(&denial), denied(Denial::Auth(AuthStat::RejectedCred)));
+        let mismatch: Vec<u8> = [0x8000_0018u32, 5, REPLY, MSG_DENIED, RPC_MISMATCH, 2, 2]
+            .iter()
+            .flat_map(|w| w.to_be_bytes())
+            .collect();
+        assert_eq!(decode_reply(&mismatch), denied(Denial::RpcMismatch { low: 2, high: 2 }));
+        for cut in [4, 8] {
+            let short = &mut denial.clone();
+            short.truncate(denial.len() - cut);
+            short[..4].copy_from_slice(&(0x8000_0014u32 - cut as u32).to_be_bytes());
+            assert_eq!(decode_reply(short), Err(Malformed("truncated denial")));
+        }
+        denial[23] = 99;
+        assert_eq!(decode_reply(&denial), Err(Malformed("unknown auth status")));
     }
 
     #[test]

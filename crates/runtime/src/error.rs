@@ -193,11 +193,12 @@ impl RpcError {
             E::Cancelled => Cancelled,
             // Deterministic: the same call fails the same way — marshal
             // failures, bad addresses, malformed frames, remote statuses,
-            // refusals, slot misuse, a server's failed dispatch. A failed
-            // dispatch records nothing in a reply cache, so resending it
-            // would run the handler again.
+            // refusals and denials, slot misuse, a server's failed
+            // dispatch. A failed dispatch records nothing in a reply cache,
+            // so resending it would run the handler again.
             E::Kernel(_) | E::Core(_) | E::Marshal(_) | E::Remote(_) | E::NoClock(_) => Fatal,
             E::Net(N::NoSuchHost(_) | N::ServiceFailure | N::Malformed(_) | N::Refused(_)) => Fatal,
+            E::Net(N::Denied(_)) => Fatal,
             E::Net(N::ReplyCount { .. } | N::NoReply(_)) => Fatal,
             E::NoSuchOp(_) | E::NoOpIndex(_) | E::NoHandler(_) | E::NoSlot(_) => Fatal,
             E::NoOutPayload(_) | E::SinkMisuse(_) | E::MissingRight(_) | E::MissingHook(_) => Fatal,

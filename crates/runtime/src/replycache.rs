@@ -81,7 +81,7 @@
 
 use crate::policy::CallTag;
 use flexrpc_clock::SimClock;
-use flexrpc_trace::{Counter, CounterStripe, MetricsRegistry};
+use flexrpc_trace::{CounterStripe, MetricsRegistry};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
@@ -101,17 +101,23 @@ struct CachedReply {
     expires_ns: u64,
 }
 
-/// Counters describing the cache's effect on execution semantics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplyCacheStats {
-    /// Tagged calls whose handler actually ran (cache misses).
-    pub executions: u64,
-    /// Tagged calls answered from the cache (handler *not* run).
-    pub suppressions: u64,
-    /// Entries removed because their TTL passed.
-    pub evictions: u64,
-    /// Entries currently held.
-    pub entries: u64,
+flexrpc_trace::instruments! {
+    /// The cache's live counters. The three tallies' totals are the
+    /// stripes the cache's entries write, folded; `entries` is set under
+    /// the cache's lock whenever the map changes.
+    pub struct ReplyCacheCounters {
+        /// Tagged calls whose handler actually ran (cache misses).
+        executions: Counter = "replycache.execution",
+        /// Tagged calls answered from the cache (handler *not* run).
+        suppressions: Counter = "replycache.suppression",
+        /// Entries removed because their TTL passed.
+        evictions: Counter = "replycache.eviction",
+        /// Entries currently held.
+        entries: Counter = "replycache.entries",
+    }
+    /// Counters describing the cache's effect on execution semantics.
+    #[derive(Eq)]
+    pub struct ReplyCacheStats;
 }
 
 /// A [`CallTag`] with one cache's keyed hash of it ([`ReplyCache::hashed`]),
@@ -255,12 +261,7 @@ pub struct ReplyCache {
     /// This cache's SipHash key: the one hasher a tag ever meets.
     keys: RandomState,
     entries: Mutex<Entries>,
-    /// The tallies' totals: the stripes `entries` writes, folded.
-    executions: Counter,
-    suppressions: Counter,
-    evictions: Counter,
-    /// Gauge tracking `entries.len()` so the registry snapshot sees it.
-    entry_gauge: Counter,
+    counters: ReplyCacheCounters,
 }
 
 impl std::fmt::Debug for ReplyCache {
@@ -273,37 +274,28 @@ impl ReplyCache {
     /// Creates a cache whose entries expire `ttl` after being recorded,
     /// measured on `clock`.
     pub fn new(clock: Arc<SimClock>, ttl: Duration) -> Arc<ReplyCache> {
-        let (executions, suppressions, evictions) =
-            (Counter::detached(), Counter::detached(), Counter::detached());
+        let counters = ReplyCacheCounters::default();
         let entries = Entries {
             map: HashMap::default(),
             expiry: VecDeque::new(),
             slabs: Slabs::default(),
-            executions: executions.stripe(),
-            suppressions: suppressions.stripe(),
-            evictions: evictions.stripe(),
+            executions: counters.executions.stripe(),
+            suppressions: counters.suppressions.stripe(),
+            evictions: counters.evictions.stripe(),
         };
         Arc::new(ReplyCache {
             clock,
             ttl_ns: u64::try_from(ttl.as_nanos()).unwrap_or(u64::MAX),
             keys: RandomState::new(),
             entries: Mutex::new(entries),
-            executions,
-            suppressions,
-            evictions,
-            entry_gauge: Counter::detached(),
+            counters,
         })
     }
 
-    /// Adopts the cache's counters into `registry` as
-    /// `replycache.execution`, `replycache.suppression`,
-    /// `replycache.eviction`, and the live-entry gauge
-    /// `replycache.entries`.
+    /// Adopts the cache's counters into `registry` under their
+    /// `replycache.*` names.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.adopt_counter("replycache.execution", &self.executions);
-        registry.adopt_counter("replycache.suppression", &self.suppressions);
-        registry.adopt_counter("replycache.eviction", &self.evictions);
-        registry.adopt_counter("replycache.entries", &self.entry_gauge);
+        self.counters.register_metrics(registry);
     }
 
     /// Hashes `tag` under this cache's key — once per call; the result
@@ -354,7 +346,7 @@ impl ReplyCache {
             // its bytes, until the sweep passes their slab.
             map.remove(&tag);
             evictions.add(1);
-            self.entry_gauge.set(map.len() as u64);
+            self.counters.entries.set(map.len() as u64);
             return false;
         }
         reply.resize(head, 0);
@@ -404,20 +396,16 @@ impl ReplyCache {
         if map.insert(tag, entry).is_none_or(|replaced| replaced.expires_ns != expires_ns) {
             expiry.push_back(ExpiryNode { expires_ns, tag, slab });
         }
-        self.entry_gauge.set(map.len() as u64);
+        self.counters.entries.set(map.len() as u64);
     }
 
     /// Current counters — the same cells a [`MetricsRegistry`] snapshot
     /// reads after [`ReplyCache::register_metrics`].
     pub fn stats(&self) -> ReplyCacheStats {
-        // Under the lock every stripe's writer takes: the four agree.
-        let entries = self.entries.lock().expect("reply cache lock");
-        ReplyCacheStats {
-            executions: self.executions.get(),
-            suppressions: self.suppressions.get(),
-            evictions: self.evictions.get(),
-            entries: entries.map.len() as u64,
-        }
+        // Under the lock every stripe's writer and the gauge's setter
+        // take: the four agree.
+        let _entries = self.entries.lock().expect("reply cache lock");
+        self.counters.snapshot()
     }
 
     /// The configured TTL in nanoseconds.

@@ -31,33 +31,27 @@ use flexrpc_core::program::CompiledInterface;
 use flexrpc_core::value::Value;
 use flexrpc_core::CoreError;
 use flexrpc_marshal::WireFormat;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Copy/alloc counters for the same-domain path.
-#[derive(Debug, Default)]
-pub struct SdStats {
-    /// Buffer copies performed by the binding (the "stub").
-    stub_copies: AtomicU64,
-    /// Bytes moved by those copies.
-    bytes_copied: AtomicU64,
-    /// Buffers the binding allocated on behalf of an endpoint.
-    stub_allocs: AtomicU64,
+flexrpc_trace::instruments! {
+    /// Copy/alloc counters for the same-domain path.
+    pub struct SdStats {
+        /// Buffer copies performed by the binding (the "stub").
+        stub_copies: Counter = "samedomain.stub_copy",
+        /// Bytes moved by those copies.
+        bytes_copied: Counter = "samedomain.bytes_copied",
+        /// Buffers the binding allocated on behalf of an endpoint.
+        stub_allocs: Counter = "samedomain.stub_alloc",
+    }
+    /// A point-in-time copy of [`SdStats`].
+    #[derive(Eq)]
+    pub struct SdSnapshot;
 }
 
 impl SdStats {
-    /// (copies, bytes, allocs) snapshot.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.stub_copies.load(Ordering::Relaxed),
-            self.bytes_copied.load(Ordering::Relaxed),
-            self.stub_allocs.load(Ordering::Relaxed),
-        )
-    }
-
     fn add_copy(&self, bytes: usize) {
-        self.stub_copies.fetch_add(1, Ordering::Relaxed);
-        self.bytes_copied.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.stub_copies.inc();
+        self.bytes_copied.add(bytes as u64);
     }
 }
 
@@ -79,7 +73,7 @@ pub(crate) struct OpPlan {
 pub(crate) fn fill(value: &mut Value, f: impl FnOnce(&mut Vec<u8>), stats: Option<&SdStats>) {
     if !matches!(value, Value::Bytes(b) if b.capacity() > 0) {
         if let Some(stats) = stats {
-            stats.stub_allocs.fetch_add(1, Ordering::Relaxed);
+            stats.stub_allocs.inc();
         }
         *value = Value::Bytes(Vec::new());
     }
@@ -277,7 +271,7 @@ mod tests {
         });
         frame[0] = Value::Bytes(vec![1, 2, 3]);
         sd.call_index(WRITE, &mut frame).unwrap();
-        let (copies, bytes, _) = sd.stats().snapshot();
+        let SdSnapshot { stub_copies: copies, bytes_copied: bytes, .. } = sd.stats().snapshot();
         assert_eq!((copies, bytes), (1, 3));
         // The client's buffer survived the server's trashing.
         assert_eq!(frame[0], Value::Bytes(vec![1, 2, 3]));
@@ -295,7 +289,7 @@ mod tests {
         });
         frame[0] = Value::Bytes(vec![1, 2, 3]);
         sd.call_index(WRITE, &mut frame).unwrap();
-        assert_eq!(sd.stats().snapshot().0, 0, "no stub copy");
+        assert_eq!(sd.stats().snapshot().stub_copies, 0, "no stub copy");
         assert_eq!(frame[0], Value::Bytes(vec![0xFF, 2, 3]), "client buffer trashed, as allowed");
     }
 
@@ -312,7 +306,7 @@ mod tests {
         });
         frame[0] = Value::Bytes(vec![9, 9]);
         sd.call_index(WRITE, &mut frame).unwrap();
-        assert_eq!(sd.stats().snapshot().0, 0, "borrow semantics: no copy");
+        assert_eq!(sd.stats().snapshot().stub_copies, 0, "borrow semantics: no copy");
     }
 
     #[test]
@@ -332,7 +326,7 @@ mod tests {
         sd.call_index(READ, &mut frame).unwrap();
         assert_eq!(frame[1].as_bytes().unwrap(), &[7, 7, 7, 7]);
         assert_eq!(frame[1].as_bytes().unwrap().as_ptr(), ptr, "filled in place");
-        let (copies, _, allocs) = sd.stats().snapshot();
+        let SdSnapshot { stub_copies: copies, stub_allocs: allocs, .. } = sd.stats().snapshot();
         assert_eq!((copies, allocs), (0, 0));
     }
 
@@ -356,7 +350,7 @@ mod tests {
         frame[0] = Value::U32(12);
         sd.call_index(READ, &mut frame).unwrap();
         assert_eq!(frame[1].window_of(&[]).unwrap(), b"server-owned");
-        let (copies, _, allocs) = sd.stats().snapshot();
+        let SdSnapshot { stub_copies: copies, stub_allocs: allocs, .. } = sd.stats().snapshot();
         assert_eq!((copies, allocs), (0, 0), "lent by refcounted view");
         assert!(matches!(frame[1], Value::Shared(_)));
     }
@@ -371,7 +365,7 @@ mod tests {
         frame[1] = Value::Bytes(Vec::with_capacity(8));
         sd.call_index(READ, &mut frame).unwrap();
         assert_eq!(frame[1].as_bytes().unwrap(), &[3; 8]);
-        let (copies, bytes, _) = sd.stats().snapshot();
+        let SdSnapshot { stub_copies: copies, bytes_copied: bytes, .. } = sd.stats().snapshot();
         assert_eq!((copies, bytes), (1, 8), "someone must copy; the stub does");
     }
 
@@ -388,7 +382,7 @@ mod tests {
         frame[1] = Value::Null;
         sd.call_index(READ, &mut frame).unwrap();
         assert_eq!(frame[1].as_bytes().unwrap(), b"fresh");
-        let (copies, _, allocs) = sd.stats().snapshot();
+        let SdSnapshot { stub_copies: copies, stub_allocs: allocs, .. } = sd.stats().snapshot();
         assert_eq!((copies, allocs), (0, 1), "donation allocates, never copies");
     }
 
@@ -411,7 +405,10 @@ mod tests {
         frame[0] = Value::U32(4);
         assert_eq!(sd.call_index(READ, &mut frame).unwrap(), 0);
         assert_eq!(frame[1].as_bytes().unwrap(), b"sunk");
-        assert_eq!(sd.stats().snapshot(), (1, 4, 1));
+        assert_eq!(
+            sd.stats().snapshot(),
+            SdSnapshot { stub_copies: 1, bytes_copied: 4, stub_allocs: 1 }
+        );
 
         let client = vec![("read", "return", vec![Attr::AllocCaller])];
         let (mut sd, mut frame) = bind(client, server, READ, register);
@@ -420,7 +417,10 @@ mod tests {
         sd.call_index(READ, &mut frame).unwrap();
         assert_eq!(frame[1].as_bytes().unwrap(), b"sunk");
         assert_eq!(frame[1].as_bytes().unwrap().as_ptr(), ptr, "into the caller's buffer");
-        assert_eq!(sd.stats().snapshot(), (1, 4, 0));
+        assert_eq!(
+            sd.stats().snapshot(),
+            SdSnapshot { stub_copies: 1, bytes_copied: 4, stub_allocs: 0 }
+        );
     }
 
     /// A payload produced in place on a direct call is produced in the
@@ -441,7 +441,10 @@ mod tests {
         sd.call_index(READ, &mut frame).unwrap();
         assert_eq!(frame[1].as_bytes().unwrap(), b"made");
         assert_eq!(frame[1].as_bytes().unwrap().as_ptr(), ptr, "into the caller's buffer");
-        assert_eq!(sd.stats().snapshot(), (1, 4, 0));
+        assert_eq!(
+            sd.stats().snapshot(),
+            SdSnapshot { stub_copies: 1, bytes_copied: 4, stub_allocs: 0 }
+        );
     }
 
     #[test]

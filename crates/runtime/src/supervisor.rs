@@ -22,7 +22,7 @@ use crate::policy::CallOptions;
 use crate::Result;
 use flexrpc_core::value::Value;
 use flexrpc_core::CoreError;
-use flexrpc_trace::{Counter, Histogram, MetricsRegistry, SharedCallTrace, Stage};
+use flexrpc_trace::{MetricsRegistry, SharedCallTrace, Stage};
 
 /// One way to (re-)establish a binding: runs the full bind-time
 /// negotiation against a fixed endpoint and returns a ready stub.
@@ -30,45 +30,27 @@ use flexrpc_trace::{Counter, Histogram, MetricsRegistry, SharedCallTrace, Stage}
 /// connection pool slot) across rebinds.
 pub type EndpointFactory = Box<dyn FnMut() -> Result<ClientStub> + Send>;
 
-/// Counters describing supervision activity (a point-in-time copy of the
-/// supervisor's registry-backed counters; see [`Supervisor::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Disconnects observed on supervised calls.
-    pub disconnects: u64,
-    /// Successful rebinds (endpoint factories that produced a stub).
-    pub rebinds: u64,
-    /// Failed calls replayed on a fresh binding.
-    pub replays: u64,
-    /// Disconnect-to-recovered-reply latency of the most recent failover,
-    /// in sim-clock nanoseconds (0 if the transports have no clock).
-    pub recovery_ns_last: u64,
-    /// The largest recovery latency seen.
-    pub recovery_ns_max: u64,
-}
-
-/// The supervisor's live counters: registry-adoptable handles under the
-/// `supervisor.*` names. [`SupervisorStats`] is a snapshot of these.
-#[derive(Debug, Clone, Default)]
-struct SupervisorCounters {
-    disconnects: Counter,
-    rebinds: Counter,
-    replays: Counter,
-    recovery_ns_last: Counter,
-    recovery_ns_max: Counter,
-    recovery_ns: Histogram,
-}
-
-impl SupervisorCounters {
-    fn snapshot(&self) -> SupervisorStats {
-        SupervisorStats {
-            disconnects: self.disconnects.get(),
-            rebinds: self.rebinds.get(),
-            replays: self.replays.get(),
-            recovery_ns_last: self.recovery_ns_last.get(),
-            recovery_ns_max: self.recovery_ns_max.get(),
-        }
+flexrpc_trace::instruments! {
+    /// The supervisor's live counters, adopted under `supervisor.*` names.
+    pub struct SupervisorCounters {
+        /// Disconnects observed on supervised calls.
+        disconnects: Counter = "supervisor.disconnect",
+        /// Successful rebinds (endpoint factories that produced a stub).
+        rebinds: Counter = "supervisor.rebind",
+        /// Failed calls replayed on a fresh binding.
+        replays: Counter = "supervisor.replay",
+        /// Disconnect-to-recovered-reply latency of the most recent failover,
+        /// in sim-clock nanoseconds (0 if the transports have no clock).
+        recovery_ns_last: Counter = "supervisor.recovery_ns_last",
+        /// The largest recovery latency seen.
+        recovery_ns_max: Counter = "supervisor.recovery_ns_max",
+        /// Every failover's recovery latency, sim-clock nanoseconds.
+        recovery_ns: Histogram = "supervisor.recovery_ns",
     }
+    /// Counters describing supervision activity (a point-in-time copy of
+    /// the supervisor's registry-backed counters; see [`Supervisor::stats`]).
+    #[derive(Eq)]
+    pub struct SupervisorStats;
 }
 
 /// Builds a [`Supervisor`] from a prioritized endpoint list.
@@ -150,18 +132,10 @@ impl Supervisor {
         self.counters.snapshot()
     }
 
-    /// Adopts this supervisor's counters into `registry` under the
-    /// `supervisor.*` names (`supervisor.disconnect`, `supervisor.rebind`,
-    /// `supervisor.replay`, `supervisor.recovery_ns_last`,
-    /// `supervisor.recovery_ns_max`, plus the `supervisor.recovery_ns`
-    /// latency histogram).
+    /// Adopts this supervisor's counters and its `supervisor.recovery_ns`
+    /// latency histogram into `registry` under their `supervisor.*` names.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.adopt_counter("supervisor.disconnect", &self.counters.disconnects);
-        registry.adopt_counter("supervisor.rebind", &self.counters.rebinds);
-        registry.adopt_counter("supervisor.replay", &self.counters.replays);
-        registry.adopt_counter("supervisor.recovery_ns_last", &self.counters.recovery_ns_last);
-        registry.adopt_counter("supervisor.recovery_ns_max", &self.counters.recovery_ns_max);
-        registry.adopt_histogram("supervisor.recovery_ns", &self.counters.recovery_ns);
+        self.counters.register_metrics(registry);
     }
 
     /// Attaches a shared span trace: failover episodes record

@@ -612,6 +612,9 @@ pub fn dispatch_stat(e: &RpcError) -> Option<AcceptStat> {
 /// status into the room — no intermediate buffer, no second copy of the
 /// body. The one lock a call takes is the server's. A refusal is framed
 /// whole instead; `PROG_MISMATCH` names `vers` as the one version served.
+/// A call with a credential other than null or the at-most-once tag is
+/// denied (`MSG_DENIED` / `AUTH_ERROR`, [`sunrpc::decode_call_tagged`] says
+/// why) before the server is locked.
 /// Port rights a work function returns are dropped: Sun RPC has no way to
 /// carry them.
 pub fn serve_on_net(
@@ -622,7 +625,14 @@ pub fn serve_on_net(
     vers: u32,
 ) -> Result<()> {
     net.register_handler(host, move |msg, out| {
-        let (hdr, wire_tag, args) = sunrpc::decode_call_tagged(msg)?;
+        let (hdr, credential, args) = sunrpc::decode_call_tagged(msg)?;
+        let wire_tag = match credential {
+            Ok(wire_tag) => wire_tag,
+            Err(why) => {
+                sunrpc::encode_denial_into(out, hdr.xid, why);
+                return Ok(());
+            }
+        };
         let tag = wire_tag.map(|(binding, seq, tenant)| {
             crate::policy::CallTag::for_tenant(binding, seq, crate::policy::TenantId(tenant))
         });

@@ -156,7 +156,7 @@ proptest! {
         let mut write_copies = None;
         let mut direct = run(&compiled, &payload, count, caller_buf, &observed, |i, f| {
             let status = sd.call_index(i, f);
-            write_copies.get_or_insert(sd.stats().snapshot().0);
+            write_copies.get_or_insert(sd.stats().snapshot().stub_copies);
             status
         });
 

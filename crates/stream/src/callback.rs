@@ -12,9 +12,21 @@ use flexrpc_clock::SimClock;
 use flexrpc_core::value::Value;
 use flexrpc_runtime::transport::Loopback;
 use flexrpc_runtime::{ClientStub, Result, ServerInterface};
-use flexrpc_trace::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::sync::Arc;
+
+flexrpc_trace::instruments! {
+    /// Callback fan-out counters: one set can be shared by every channel of
+    /// an engine ([`CallbackChannel::with_counters`]).
+    #[derive(Clone)]
+    pub struct CallbackCounters {
+        /// Notifications pushed through the channels.
+        delivered: Counter = "engine.callbacks_delivered",
+    }
+    /// A point-in-time copy of [`CallbackCounters`].
+    #[derive(Eq)]
+    pub struct CallbackStats;
+}
 
 /// The server's handle to one client's callback interface.
 ///
@@ -24,10 +36,10 @@ use std::sync::Arc;
 /// callbacks marshal through the same fused programs as forward calls.
 pub struct CallbackChannel {
     stub: ClientStub,
-    /// Notifications pushed (`engine.callbacks_delivered`). Share one cell
-    /// across channels ([`CallbackChannel::with_delivered`]) to count a
-    /// whole engine's fan-out.
-    delivered: Counter,
+    /// This channel's own, unless shared with others
+    /// ([`CallbackChannel::with_counters`]) to count a whole engine's
+    /// fan-out.
+    counters: CallbackCounters,
 }
 
 impl CallbackChannel {
@@ -41,21 +53,15 @@ impl CallbackChannel {
         let transport = Loopback::with_clock(Arc::clone(receiver), clock);
         CallbackChannel {
             stub: ClientStub::new_shared(compiled, format, Box::new(transport)),
-            delivered: Counter::default(),
+            counters: CallbackCounters::default(),
         }
     }
 
-    /// Shares the delivery counter with other channels (one cell for a
-    /// whole engine's callback fan-out).
-    pub fn with_delivered(mut self, counter: &Counter) -> CallbackChannel {
-        self.delivered = counter.clone();
+    /// Shares `counters` with other channels (one set for a whole engine's
+    /// callback fan-out).
+    pub fn with_counters(mut self, counters: &CallbackCounters) -> CallbackChannel {
+        self.counters = counters.clone();
         self
-    }
-
-    /// Adopts the delivery counter into `registry` as
-    /// `engine.callbacks_delivered`.
-    pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.adopt_counter("engine.callbacks_delivered", &self.delivered);
     }
 
     /// Pushes one callback: a `[oneway]` notification into the client's
@@ -63,7 +69,7 @@ impl CallbackChannel {
     /// the callback presentation.
     pub fn deliver(&mut self, op: &str, frame: &mut [Value]) -> Result<()> {
         self.stub.notify(op, frame)?;
-        self.delivered.inc();
+        self.counters.delivered.inc();
         Ok(())
     }
 
@@ -81,6 +87,8 @@ impl CallbackChannel {
 
 impl std::fmt::Debug for CallbackChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CallbackChannel").field("delivered", &self.delivered.get()).finish()
+        f.debug_struct("CallbackChannel")
+            .field("delivered", &self.counters.delivered.get())
+            .finish()
     }
 }

@@ -8,9 +8,26 @@
 //! duration.
 
 use flexrpc_clock::SimClock;
-use flexrpc_trace::{Counter, Histogram, MetricsRegistry};
+use flexrpc_trace::MetricsRegistry;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+flexrpc_trace::instruments! {
+    /// A stream's instruments, adopted under `stream.*` names: the frames
+    /// its window let through and the stalls it imposed.
+    pub struct StreamCounters {
+        /// Frames sent: credits consumed.
+        frames: Counter = "stream.frames",
+        /// Sends that found the window exhausted; `waited_ns`'s count
+        /// mirrors it.
+        stalls: Counter = "stream.credit_stalls",
+        /// Log2 histogram of credit-stall durations, sim-time nanoseconds.
+        waited_ns: Histogram = "stream.credits_waited_ns",
+    }
+    /// A point-in-time copy of [`StreamCounters`].
+    #[derive(Eq)]
+    pub struct StreamStats;
+}
 
 /// A negotiated credit window: at most `window` frames may be outstanding
 /// (sent but not yet drained by the receiver) at once.
@@ -25,10 +42,7 @@ pub struct CreditWindow {
     clock: Arc<SimClock>,
     /// Sim times at which outstanding frames' credits return, oldest first.
     returns: VecDeque<u64>,
-    /// Log2 histogram of credit-stall durations (`stream.credits_waited_ns`).
-    waited_ns: Histogram,
-    /// Stall count (`stream.credit_stalls`) — `waited_ns.count()` mirrors it.
-    stalls: Counter,
+    pub(crate) counters: StreamCounters,
 }
 
 impl CreditWindow {
@@ -38,8 +52,7 @@ impl CreditWindow {
             window: window.max(1),
             clock,
             returns: VecDeque::new(),
-            waited_ns: Histogram::detached(),
-            stalls: Counter::default(),
+            counters: StreamCounters::default(),
         }
     }
 
@@ -55,21 +68,20 @@ impl CreditWindow {
         self.returns.iter().filter(|&&t| t > now).count()
     }
 
-    /// Adopts the stall metrics into `registry` under their `stream.*`
+    /// Adopts the stream metrics into `registry` under their `stream.*`
     /// names.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.adopt_histogram("stream.credits_waited_ns", &self.waited_ns);
-        registry.adopt_counter("stream.credit_stalls", &self.stalls);
+        self.counters.register_metrics(registry);
     }
 
     /// Total sim time this window has stalled its sender.
     pub fn waited_ns(&self) -> u64 {
-        self.waited_ns.snapshot().sum
+        self.counters.waited_ns.sum()
     }
 
     /// Number of sends that found the window exhausted.
     pub fn stalls(&self) -> u64 {
-        self.stalls.get()
+        self.counters.stalls.get()
     }
 
     /// Claims one credit. If all `window` credits are outstanding, blocks
@@ -87,8 +99,8 @@ impl CreditWindow {
         let at = self.returns.pop_front().expect("window >= 1 implies a front");
         let waited = at - now;
         self.clock.advance_ns(waited);
-        self.stalls.inc();
-        self.waited_ns.record(waited);
+        self.counters.stalls.inc();
+        self.counters.waited_ns.record(waited);
         Some(waited)
     }
 
@@ -105,6 +117,7 @@ impl CreditWindow {
             "consume without acquire would exceed the window"
         );
         self.returns.push_back(return_ns);
+        self.counters.frames.inc();
     }
 
     /// Blocks until every outstanding credit is back (end-of-stream

@@ -14,6 +14,7 @@
 //!   through the reply cache: the edit is applied exactly once and the
 //!   fan-out is never repeated — zero lost frames, zero duplicates.
 
+use crate::callback::CallbackCounters;
 use crate::{CallbackChannel, StreamSender};
 use flexrpc_clock::{Fault, SimClock};
 use flexrpc_core::annot::apply_pdl;
@@ -24,7 +25,7 @@ use flexrpc_core::value::Value;
 use flexrpc_engine::Engine;
 use flexrpc_marshal::WireFormat;
 use flexrpc_runtime::{CallOptions, ClientStub, RetryPolicy, ServerInterface};
-use flexrpc_trace::{Counter, MetricsRegistry};
+use flexrpc_trace::MetricsRegistry;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
@@ -144,7 +145,7 @@ pub fn run(cfg: &EditFeedConfig, metrics: Option<&MetricsRegistry>) -> EditFeedR
     let cb_compiled = Arc::new(
         CompiledInterface::compile(&cb_module, cb_iface, &cb_pres).expect("callback compiles"),
     );
-    let delivered = Counter::default();
+    let callbacks = CallbackCounters::default();
     let feeds: Vec<EditLog> =
         (0..cfg.subscribers).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
     let mut channels = Vec::with_capacity(cfg.subscribers);
@@ -161,7 +162,7 @@ pub fn run(cfg: &EditFeedConfig, metrics: Option<&MetricsRegistry>) -> EditFeedR
             .expect("edit handler registers");
         let receiver = Arc::new(Mutex::new(receiver));
         channels
-            .push(CallbackChannel::new(&receiver, Arc::clone(&clock)).with_delivered(&delivered));
+            .push(CallbackChannel::new(&receiver, Arc::clone(&clock)).with_counters(&callbacks));
     }
     let channels = Arc::new(Mutex::new(channels));
 
@@ -208,7 +209,7 @@ pub fn run(cfg: &EditFeedConfig, metrics: Option<&MetricsRegistry>) -> EditFeedR
         .with_options(options);
     if let Some(reg) = metrics {
         sender.register_metrics(reg);
-        reg.adopt_counter("engine.callbacks_delivered", &delivered);
+        callbacks.register_metrics(reg);
     }
 
     let mut faults = 0usize;
@@ -246,7 +247,7 @@ pub fn run(cfg: &EditFeedConfig, metrics: Option<&MetricsRegistry>) -> EditFeedR
     }
 
     let sim_ns = clock.now_ns();
-    let callbacks = delivered.get();
+    let delivered = callbacks.delivered.get();
     EditFeedRun {
         subscribers: cfg.subscribers,
         edits: cfg.edits,
@@ -255,11 +256,11 @@ pub fn run(cfg: &EditFeedConfig, metrics: Option<&MetricsRegistry>) -> EditFeedR
         lost,
         duplicated,
         executions,
-        callbacks_delivered: callbacks,
+        callbacks_delivered: delivered,
         credit_stalls: sender.credit().stalls(),
         credits_waited_ns: sender.credit().waited_ns(),
         sim_ns,
-        callbacks_per_sec: if sim_ns == 0 { 0.0 } else { callbacks as f64 * 1e9 / sim_ns as f64 },
+        callbacks_per_sec: if sim_ns == 0 { 0.0 } else { delivered as f64 * 1e9 / sim_ns as f64 },
     }
 }
 

@@ -12,7 +12,7 @@ use flexrpc_core::compat::negotiate_call_shape;
 use flexrpc_core::present::CallShape;
 use flexrpc_core::value::Value;
 use flexrpc_runtime::{CallOptions, ClientStub, Result, RpcError, ShapeMisuse};
-use flexrpc_trace::{Counter, MetricsRegistry};
+use flexrpc_trace::MetricsRegistry;
 use std::sync::Arc;
 
 /// A bound stream: a [`ClientStub`] operation plus the credit window both
@@ -36,8 +36,6 @@ pub struct StreamSender {
     last_return_ns: u64,
     /// Next frame sequence number.
     seq: u64,
-    /// Frames pushed (`stream.frames`).
-    frames: Counter,
     options: CallOptions,
 }
 
@@ -80,7 +78,6 @@ impl StreamSender {
             drain_ns,
             last_return_ns: 0,
             seq: 0,
-            frames: Counter::default(),
             options: CallOptions::default(),
         })
     }
@@ -110,11 +107,9 @@ impl StreamSender {
         self
     }
 
-    /// Adopts the stream metrics — `stream.frames`, and the credit
-    /// window's `stream.credits_waited_ns` / `stream.credit_stalls` —
-    /// into `registry`.
+    /// Adopts the stream's counters
+    /// ([`StreamCounters`](crate::credit::StreamCounters)) into `registry`.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.adopt_counter("stream.frames", &self.frames);
         self.credit.register_metrics(registry);
     }
 
@@ -137,7 +132,7 @@ impl StreamSender {
 
     /// Frames sent so far.
     pub fn frames_sent(&self) -> u64 {
-        self.frames.get()
+        self.credit.counters.frames.get()
     }
 
     /// A fresh call frame for the stream's operation.
@@ -152,7 +147,6 @@ impl StreamSender {
         self.credit.acquire();
         self.stub.call_index_with(self.op_index, frame, &self.options)?;
         let now = self.clock.now_ns();
-        self.frames.inc();
         // The receiver drains frames in order, one per `drain_ns`, starting
         // when the frame lands — or when it finished the previous frame,
         // whichever is later.

@@ -3,10 +3,12 @@
 //!
 //! Design rule: components own their handles, the registry owns the
 //! *names*. A [`Counter`] is a shared cell plus the stripes of whoever owns
-//! one; a component creates it (or keeps one it always had) and the
-//! registry *adopts* the same handle under a stable dotted name. Old stats
-//! accessors keep reading the same storage, so nothing double-counts and no
-//! existing test changes semantics — the registry is a view, not a copy.
+//! one; a component creates it and the registry *adopts* the same handle
+//! under a stable dotted name, so a component's own read and a registry
+//! snapshot read the same storage — the registry is a view, not a copy.
+//! Each subsystem states its instruments once, in an [`instruments!`](crate::instruments)
+//! declaration: the handle struct, every registry name and the typed read
+//! view come from that one list.
 //!
 //! **Shared cell and stripes.** Anyone holding a handle may write the
 //! shared cell, one locked read-modify-write per write. A writer that
@@ -388,6 +390,143 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
+}
+
+/// Declares one subsystem's instruments, each once: `field: Counter = "name"`
+/// or `field: Histogram = "name"`, with its doc comment. From that list
+/// come:
+///
+/// - the handle struct: a public [`Counter`] / [`Histogram`] per field,
+///   `Debug` and `Default`;
+/// - `register_metrics(&registry)`, which adopts every handle under its
+///   name, and `register_metrics_under(&registry, prefix)`, which adopts it
+///   under `prefix.name`;
+/// - the read view: a `Copy + PartialEq + Default` struct with one `u64` per
+///   counter (histograms are read through their handles), plus the values
+///   that are not counters, each declared once in the view's braces and
+///   passed to `snapshot` by name;
+/// - `snapshot(..)` on the handles, and on the view `named()` (each
+///   counter's name and value, in declaration order) and `since(&earlier)`
+///   (counter deltas; the other values are `self`'s).
+///
+/// ```
+/// flexrpc_trace::instruments! {
+///     /// A queue's live instruments.
+///     pub struct QueueCounters {
+///         /// Jobs pushed.
+///         pushed: Counter = "queue.push",
+///         /// Time each job waited, ns.
+///         wait_ns: Histogram = "queue.wait_ns",
+///     }
+///     /// A point-in-time reading of [`QueueCounters`].
+///     pub struct QueueStats {
+///         /// Jobs queued right now.
+///         depth: usize,
+///     }
+/// }
+/// let counters = QueueCounters::default();
+/// counters.pushed.add(3);
+/// let registry = flexrpc_trace::MetricsRegistry::new();
+/// counters.register_metrics_under(&registry, "lane.1");
+/// assert_eq!(registry.snapshot().counter("lane.1.queue.push"), 3);
+/// let stats = counters.snapshot(2);
+/// assert_eq!((stats.pushed, stats.depth), (3, 2));
+/// assert_eq!(stats.named(), [("queue.push", 3)]);
+/// ```
+///
+/// A view with no other values ends in `;` instead of braces.
+#[macro_export]
+macro_rules! instruments {
+    (
+        $(#[$hmeta:meta])* $hvis:vis struct $Handles:ident { $($decl:tt)* }
+        $(#[$vmeta:meta])* $vvis:vis struct $View:ident;
+    ) => {
+        $crate::instruments! {
+            $(#[$hmeta])* $hvis struct $Handles { $($decl)* }
+            $(#[$vmeta])* $vvis struct $View {}
+        }
+    };
+    (
+        $(#[$hmeta:meta])* $hvis:vis struct $Handles:ident { $($decl:tt)* }
+        $(#[$vmeta:meta])* $vvis:vis struct $View:ident { $($other:tt)* }
+    ) => {
+        $crate::instruments!(@split
+            [[$(#[$hmeta])*] $hvis $Handles] [[$(#[$vmeta])*] $vvis $View { $($other)* }]
+            [] [] $($decl)*
+        );
+    };
+    // Sorts the declaration into counters and histograms, one field a step.
+    (@split $h:tt $v:tt [$($c:tt)*] [$($g:tt)*]
+        $(#[$m:meta])* $f:ident : Counter = $n:literal $(, $($rest:tt)*)?
+    ) => {
+        $crate::instruments!(@split $h $v [$($c)* [[$(#[$m])*] $f $n]] [$($g)*] $($($rest)*)?);
+    };
+    (@split $h:tt $v:tt [$($c:tt)*] [$($g:tt)*]
+        $(#[$m:meta])* $f:ident : Histogram = $n:literal $(, $($rest:tt)*)?
+    ) => {
+        $crate::instruments!(@split $h $v [$($c)*] [$($g)* [[$(#[$m])*] $f $n]] $($($rest)*)?);
+    };
+    (@split
+        [[$(#[$hmeta:meta])*] $hvis:vis $Handles:ident]
+        [[$(#[$vmeta:meta])*] $vvis:vis $View:ident {
+            $($(#[$om:meta])* $o:ident : $oty:ty),* $(,)?
+        }]
+        [$([[$(#[$cm:meta])*] $c:ident $cn:literal])*]
+        [$([[$(#[$gm:meta])*] $g:ident $gn:literal])*]
+    ) => {
+        $(#[$hmeta])*
+        #[derive(Debug, Default)]
+        $hvis struct $Handles {
+            $($(#[$cm])* pub $c: $crate::Counter,)*
+            $($(#[$gm])* pub $g: $crate::Histogram,)*
+        }
+
+        impl $Handles {
+            /// Adopts every instrument into `registry` under its declared
+            /// name.
+            pub fn register_metrics(&self, registry: &$crate::MetricsRegistry) {
+                $(registry.adopt_counter($cn, &self.$c);)*
+                $(registry.adopt_histogram($gn, &self.$g);)*
+            }
+
+            /// Adopts every instrument into `registry` as `prefix.name`.
+            pub fn register_metrics_under(&self, registry: &$crate::MetricsRegistry, prefix: &str) {
+                $(registry.adopt_counter(&format!("{prefix}.{}", $cn), &self.$c);)*
+                $(registry.adopt_histogram(&format!("{prefix}.{}", $gn), &self.$g);)*
+            }
+
+            /// Reads every counter; the values that are not counters come
+            /// in as arguments.
+            pub fn snapshot(&self, $($o: $oty),*) -> $View {
+                $View { $($c: self.$c.get(),)* $($o,)* }
+            }
+        }
+
+        $(#[$vmeta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Default)]
+        $vvis struct $View {
+            $($(#[$cm])* pub $c: u64,)*
+            $($(#[$om])* pub $o: $oty,)*
+        }
+
+        impl $View {
+            /// Every counter's declared name and value, in declaration
+            /// order.
+            pub fn named(&self) -> [(&'static str, u64); <[&str]>::len(&[$($cn),*])] {
+                [$(($cn, self.$c)),*]
+            }
+
+            /// Counter deltas since `earlier`; the values that are not
+            /// counters are `self`'s.
+            ///
+            /// # Panics
+            ///
+            /// Panics in debug builds if a counter fell since `earlier`.
+            pub fn since(&self, earlier: &$View) -> $View {
+                $View { $($c: self.$c - earlier.$c,)* $($o: self.$o,)* }
+            }
+        }
+    };
 }
 
 /// A point-in-time copy of a registry: plain values, ordered by name

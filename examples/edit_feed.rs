@@ -13,7 +13,7 @@
 
 use flexrpc::clock::Fault;
 use flexrpc::prelude::*;
-use flexrpc::stream::CallbackChannel;
+use flexrpc::stream::callback::{CallbackChannel, CallbackCounters};
 use std::time::Duration;
 
 fn annotated(
@@ -46,7 +46,7 @@ fn main() {
     let cb_iface = cb_module.interface("FeedCallback").expect("declared");
     let cb_compiled =
         Arc::new(CompiledInterface::compile(&cb_module, cb_iface, &cb_pres).expect("compiles"));
-    let delivered = Counter::default();
+    let callbacks = CallbackCounters::default();
     let subscribers = 4usize;
     let feeds: Vec<Arc<Mutex<Vec<String>>>> =
         (0..subscribers).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
@@ -64,7 +64,7 @@ fn main() {
             .expect("edit handler registers");
         let receiver = Arc::new(Mutex::new(receiver));
         channels
-            .push(CallbackChannel::new(&receiver, Arc::clone(&clock)).with_delivered(&delivered));
+            .push(CallbackChannel::new(&receiver, Arc::clone(&clock)).with_counters(&callbacks));
     }
     let channels = Arc::new(Mutex::new(channels));
 
@@ -132,7 +132,7 @@ fn main() {
     println!(
         "published {} edits; {} callbacks delivered; stalled {} times for {} sim-ns",
         sender.frames_sent(),
-        delivered.get(),
+        callbacks.delivered.get(),
         sender.credit().stalls(),
         sender.credit().waited_ns()
     );

@@ -10,6 +10,17 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check ==" >&2
 cargo fmt --all -- --check
 
+# A metric's registry name lives in its subsystem's `instruments!`
+# declaration, whose expansion is the only caller of the registry's adopt
+# methods: an adoption anywhere else in library source is a hand-kept name
+# list growing back.
+echo "== metric names stay in declarations ==" >&2
+if git grep -n -e 'adopt_counter(' -e 'adopt_histogram(' -- ':(glob)crates/*/src/**' \
+  ':(glob)src/**' ':(exclude)crates/trace/src/**'; then
+  echo "registry adoption outside an instruments! declaration (crates/trace/src/metrics.rs)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (deny warnings) ==" >&2
 cargo clippy --workspace --all-targets -- -D warnings
 

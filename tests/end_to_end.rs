@@ -13,6 +13,7 @@ use flexrpc::nfs::server::{serve_nfs, test_file};
 use flexrpc::pipes::fbuf::{FbufMode, FbufPipeHarness};
 use flexrpc::pipes::ipc::PipeIpcHarness;
 use flexrpc::pipes::server::ReadPresentation;
+use flexrpc::runtime::samedomain::SdSnapshot;
 use flexrpc::runtime::transport::{connect_kernel, serve_on_kernel};
 use flexrpc::runtime::{ClientStub, ServerInterface};
 use parking_lot::Mutex;
@@ -135,14 +136,20 @@ fn key_value_sink_get_served_direct() {
     frame[1] = Value::Bytes(b"presentation".to_vec());
     assert_eq!(sd.call_index(put, &mut frame).expect("put"), 0);
     // Neither side relaxed `value`'s semantics: the stub's protective copy.
-    assert_eq!(sd.stats().snapshot(), (1, 12, 0));
+    assert_eq!(
+        sd.stats().snapshot(),
+        SdSnapshot { stub_copies: 1, bytes_copied: 12, stub_allocs: 0 }
+    );
 
     let mut frame = compiled.ops[get].slots.new_frame();
     frame[0] = Value::Str("flexible".into());
     assert_eq!(sd.call_index(get, &mut frame).expect("get"), 0);
     assert_eq!(frame[1].as_bytes().expect("bytes"), b"presentation");
     // The sink's one copy, into one donated buffer.
-    assert_eq!(sd.stats().snapshot(), (2, 24, 1));
+    assert_eq!(
+        sd.stats().snapshot(),
+        SdSnapshot { stub_copies: 2, bytes_copied: 24, stub_allocs: 1 }
+    );
 
     // The same frame again: a skipped sink payload comes back empty, as it
     // does over the wire, not as the last call left it.

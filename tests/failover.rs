@@ -324,8 +324,8 @@ fn breaker_trips_probes_and_recovers_on_sim_time() {
         assert!(err.is_err(), "garbage cannot dispatch");
     }
     let stats = engine.stats();
-    assert_eq!(stats.breaker_trips, 1, "three consecutive failures tripped");
-    assert!(stats.breaker_open);
+    assert_eq!(stats.breaker.trips, 1, "three consecutive failures tripped");
+    assert!(stats.breaker.open);
 
     // While open, admission is refused with a disconnect-class error.
     let m = counter_module();
@@ -340,9 +340,9 @@ fn breaker_trips_probes_and_recovers_on_sim_time() {
     engine.clock().advance_ns(2_000_000);
     assert_eq!(add(&mut stub, 2, &CallOptions::default()).expect("probe succeeds"), 2);
     let stats = engine.stats();
-    assert_eq!(stats.breaker_probes, 1);
-    assert_eq!(stats.breaker_recoveries, 1);
-    assert!(!stats.breaker_open, "recovered");
+    assert_eq!(stats.breaker.probes, 1);
+    assert_eq!(stats.breaker.recoveries, 1);
+    assert!(!stats.breaker.open, "recovered");
     assert_eq!(add(&mut stub, 3, &CallOptions::default()).expect("healthy again"), 5);
     engine.shutdown();
 }

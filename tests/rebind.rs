@@ -157,7 +157,7 @@ fn rebind_at_index(rebind_at: usize, calls: usize) -> u64 {
         !Arc::ptr_eq(&first_program, &conn.program()),
         "the connection now runs the new combination's program"
     );
-    assert_eq!(engine.rebind_count(), 1);
+    assert_eq!(engine.stats().rebinds, 1);
 
     gate.open();
     assert!(plug.wait().is_ok(), "the plugged call completes");
@@ -249,7 +249,7 @@ fn failed_rebind_keeps_the_old_binding() {
         "conflicting call shape must be refused: {err:?}"
     );
     assert!(Arc::ptr_eq(&program, &conn.program()), "old binding still in force");
-    assert_eq!(engine.rebind_count(), 0, "a refused rebind is not counted");
+    assert_eq!(engine.stats().rebinds, 0, "a refused rebind is not counted");
 
     let reply = conn.submit(0, &add_request(5), &[]).expect("admitted").wait();
     assert!(reply.is_ok(), "the connection keeps serving: {reply:?}");
@@ -370,7 +370,7 @@ fn a_client_naming_an_unknown_operation_is_refused_at_bind() {
     let err = conn.rebind(&stray);
     assert!(matches!(err, Err(EngineError::ShapeMismatch(_))), "{err:?}");
     assert!(Arc::ptr_eq(&program, &conn.program()), "old binding still in force");
-    assert_eq!(engine.rebind_count(), 0, "a refused rebind is not counted");
+    assert_eq!(engine.stats().rebinds, 0, "a refused rebind is not counted");
     let reply = conn.submit(0, &add_request(5), &[]).expect("admitted").wait();
     assert!(reply.is_ok(), "the connection keeps serving: {reply:?}");
     engine.shutdown();

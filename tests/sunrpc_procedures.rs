@@ -14,13 +14,13 @@ use flexrpc::core::program::{CompiledInterface, CompiledOp};
 use flexrpc::core::{Interface, Module};
 use flexrpc::engine::{expose_on_net, ClientInfo, Engine, SunRpcPipeline};
 use flexrpc::marshal::WireFormat;
-use flexrpc::net::sunrpc::AcceptStat;
+use flexrpc::net::sunrpc::{AcceptStat, AuthStat, Denial};
 use flexrpc::net::{HostId, NetError, SimNet};
 use flexrpc::nfs::{nfs_module, NFS_PROGRAM, NFS_VERSION};
 use flexrpc::runtime::interp::marshal;
 use flexrpc::runtime::transport::{serve_on_net, SunRpc};
 use flexrpc::runtime::wire::AnyWriter;
-use flexrpc::runtime::{HookMap, RpcError, ServerInterface, Transport};
+use flexrpc::runtime::{ErrorKind, HookMap, RpcError, ServerInterface, Transport};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -193,4 +193,59 @@ fn a_version_mismatch_names_the_served_version_on_both_servers() {
     pipeline.submit(0, &request);
     assert_eq!(pipeline.flush().expect("flushes")[0].0, AcceptStat::ProgMismatch);
     assert_eq!(fileio.ran.load(Ordering::SeqCst), 0, "no handler ran");
+}
+
+/// RFC 5531: a call whose credential the server cannot check is denied —
+/// `MSG_DENIED`, `AUTH_ERROR`, then the `auth_stat` — with no verifier: the
+/// record mark and five words. `AUTH_SYS` (flavor 1, what NFS clients send)
+/// is a flavor neither server checks, so both answer `AUTH_REJECTEDCRED`,
+/// as libtirpc does for a flavor it does not know. Both used to send
+/// nothing. A client reads such a reply as a typed, fatal denial.
+#[test]
+fn an_unsupported_credential_is_denied_on_both_servers() {
+    let nfs = serve_both_ways(nfs_module(), WireFormat::Xdr, NFS_PROGRAM, NFS_VERSION);
+    // `authsys_parms`: stamp, machine name "nfs-client", uid, gid, one gid.
+    let mut cred = Vec::new();
+    for word in [0x1234, 10] {
+        cred.extend_from_slice(&u32::to_be_bytes(word));
+    }
+    cred.extend_from_slice(b"nfs-client\0\0");
+    for word in [1000, 1000, 1, 1000] {
+        cred.extend_from_slice(&u32::to_be_bytes(word));
+    }
+    let mut call = Vec::new();
+    let len = (6 + 2 + 2) * 4 + cred.len();
+    for word in [0x8000_0000 | len as u32, 41, 0, 2, NFS_PROGRAM, NFS_VERSION, 0, 1] {
+        call.extend_from_slice(&word.to_be_bytes());
+    }
+    call.extend_from_slice(&(cred.len() as u32).to_be_bytes());
+    call.extend_from_slice(&cred);
+    call.extend_from_slice(&[0; 8]); // Null verifier; NFS `NULL` takes no arguments.
+    for host in [nfs.plain, nfs.engine_host] {
+        let mut reply = Vec::new();
+        nfs.net.link(nfs.client, host).call(&call, &mut reply).expect("answers");
+        let words: Vec<u32> =
+            reply.chunks_exact(4).map(|w| u32::from_be_bytes(w.try_into().unwrap())).collect();
+        assert_eq!(words, [0x8000_0014, 41, 1, 1, 1, 2], "{host:?}: mark + 5 words");
+    }
+    assert_eq!(nfs.ran.load(Ordering::SeqCst), 0, "no handler ran");
+
+    // A server to which the client's credential is unknown denies it.
+    let denier = nfs.net.add_host("denier");
+    nfs.net
+        .register_handler(denier, |msg, out| {
+            let (hdr, ..) = flexrpc::net::sunrpc::decode_call_tagged(msg)?;
+            flexrpc::net::sunrpc::encode_denial_into(out, hdr.xid, AuthStat::RejectedCred);
+            Ok(())
+        })
+        .expect("registers");
+    let op = &nfs.compiled.ops[0];
+    let mut transport =
+        SunRpc::new(Arc::clone(&nfs.net), nfs.client, denier, NFS_PROGRAM, NFS_VERSION);
+    let (mut reply, mut rights) = (Vec::new(), Vec::new());
+    let request = default_request(op, nfs.format);
+    let denied = transport.call(op, &request, &[], &mut reply, &mut rights).unwrap_err();
+    let why = Denial::Auth(AuthStat::RejectedCred);
+    assert_eq!(denied, RpcError::Net(NetError::Denied(why)));
+    assert_eq!(denied.kind(), ErrorKind::Fatal);
 }
